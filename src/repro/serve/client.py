@@ -12,9 +12,9 @@ Two flavours over the same frames:
   inside an event loop (the benchmark's concurrent clients).
 
 Both return full :class:`~repro.exec.result.QueryResult` objects
-rebuilt from the wire (same physical scalars, DB-API cursor surface
-included) and re-raise server errors as their original
-:mod:`repro.errors` types.
+rebuilt from the wire (fixed-width columns are read-only views over the
+received frame, DB-API cursor surface included) and re-raise server
+errors as their original :mod:`repro.errors` types.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.serve.protocol import (
     DEFAULT_PORT,
     MAX_FRAME_BYTES,
     check_response,
+    check_wire_version,
     decode_body,
     encode_frame,
     read_frame,
@@ -90,7 +91,11 @@ class ServerClient:
         self._closed = False
         self._parallelism: int | None = None
         self._socket = socket.create_connection((host, port), timeout=timeout)
-        self.server_info = check_response(self._request({"op": "hello"}))
+        try:
+            self.server_info = check_wire_version(self._call({"op": "hello"}))
+        except ProtocolError:
+            self._socket.close()
+            raise
 
     @classmethod
     def from_uri(cls, uri: str, *, timeout: float | None = None) -> "ServerClient":
@@ -128,20 +133,21 @@ class ServerClient:
             )
         return decode_body(body)
 
-    def _read_exactly(self, count: int) -> bytes | None:
-        chunks: list[bytes] = []
-        remaining = count
-        while remaining > 0:
-            chunk = self._socket.recv(remaining)
-            if not chunk:
-                if chunks:
+    def _read_exactly(self, count: int) -> bytearray | None:
+        """*count* bytes received in place; ``None`` on EOF before any."""
+        data = bytearray(count)
+        view = memoryview(data)
+        received = 0
+        while received < count:
+            got = self._socket.recv_into(view[received:])
+            if not got:
+                if received:
                     raise ConnectionClosedError(
                         "server closed the connection inside a frame"
                     )
                 return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            received += got
+        return data
 
     def _call(self, payload: dict) -> dict:
         return check_response(self._request(payload))
@@ -326,7 +332,13 @@ class AsyncReproClient:
 
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer)
-        client.server_info = await client._call({"op": "hello"})
+        try:
+            client.server_info = check_wire_version(
+                await client._call({"op": "hello"})
+            )
+        except ProtocolError:
+            writer.close()
+            raise
         return client
 
     async def _call(self, payload: dict) -> dict:

@@ -1,28 +1,50 @@
-"""Length-prefixed JSON wire protocol shared by server and clients.
+"""Length-prefixed wire protocol shared by server and clients.
 
-A connection is a stream of *frames*.  Each frame is a 4-byte
-big-endian unsigned length followed by exactly that many bytes of
-UTF-8 JSON encoding one object::
+A connection is a stream of *frames*: a 4-byte big-endian unsigned
+length, then exactly that many bytes of *body*.  There are two kinds of
+body, told apart by the first byte.
+
+A **JSON body** starts with ``{`` and is one UTF-8 JSON object.  Every
+request, acknowledgement and error is one::
 
     +--------------+----------------------------+
     | length (>I)  | {"op": "sql", "text": ...} |
     +--------------+----------------------------+
 
+A **result body** carries a :class:`~repro.exec.result.QueryResult`.
+It starts with :data:`RESULT_MAGIC` and puts a JSON *header* in front
+of a binary *tail*::
+
+    +--------------+-------+-----------------+-------------+-----+------+
+    | length (>I)  | magic | header len (>I) | header JSON | pad | tail |
+    +--------------+-------+-----------------+-------------+-----+------+
+                   0       4                 8                   ^ 8-aligned
+
+The header is the response object ``{"result": {"schema", "row_count",
+"profile", "columns"}}``.  A STRING column sits in it as a JSON list
+(``null`` for NULL).  An INT64 / FLOAT64 / DATE / BOOL column is a
+descriptor ``{"dtype", "offset", "nbytes", "validity_offset"}``: its
+values are ``nbytes`` of contiguous little-endian ``dtype`` (``<i8``,
+``<f8`` or ``|b1``) at ``offset`` in the tail, and — only when the
+column has NULLs — a bitmap of ``ceil(row_count / 8)`` bytes at
+``validity_offset``, bit ``i % 8`` of byte ``i // 8`` set when row
+``i`` is present.  Offsets count from the start of the tail and are
+multiples of 8, as is the tail's own offset in the body, so every
+column is an aligned :func:`numpy.frombuffer` view over the received
+body: no value is copied or boxed on either side, and the values under
+a NULL cross as they are.
+
 Requests carry an ``op`` (see :data:`OPS`); responses either carry the
 op's payload (``{"result": ...}``, ``{"text": ...}``, …) or an
 ``{"error": {"type", "message"}}`` object, where ``type`` is the
 :mod:`repro.errors` class name so clients re-raise the same typed
-exception they would have seen locally.
-
-Query results travel as their *physical* scalar representation — the
-same ``column_to_jsonable`` / ``column_from_jsonable`` pair the WAL
-uses for data records — so a remote
-:class:`~repro.exec.result.QueryResult` round-trips bit-identically
-through :func:`result_to_wire` / :func:`result_from_wire`.
+exception they would have seen locally.  ``hello`` answers with the
+server's :data:`WIRE_VERSION`; a client refuses any other.
 
 Frames above :data:`MAX_FRAME_BYTES` are rejected with a
-:class:`~repro.errors.ProtocolError` before any allocation: the limit
-bounds a malicious or corrupt length prefix, not legitimate results.
+:class:`~repro.errors.ProtocolError` before any allocation, on the way
+in (a malicious or corrupt length prefix) and on the way out (a result
+too large to send is sized from its parts, never assembled).
 """
 
 from __future__ import annotations
@@ -31,13 +53,23 @@ import asyncio
 import json
 import struct
 
+import numpy as np
+
 from repro.errors import ConnectionClosedError, ProtocolError, ReproError
+from repro.storage.column import ColumnVector
+from repro.types import DataType
 
 #: Default TCP port of ``python -m repro serve`` ("RP" on a phone pad).
 DEFAULT_PORT = 7376
 
 #: Upper bound on one frame's payload (64 MiB).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Version of the frame layout above, reported by ``hello``.
+WIRE_VERSION = 2
+
+#: First bytes of a result body; the first is not ``{`` and not ASCII.
+RESULT_MAGIC = b"\x93RPR"
 
 #: Request operations the server understands.
 OPS = (
@@ -55,22 +87,101 @@ OPS = (
 
 _LENGTH = struct.Struct(">I")
 
+#: Magic + header length: where a result body's header starts.
+_PREAMBLE_BYTES = len(RESULT_MAGIC) + _LENGTH.size
 
-def encode_frame(payload: dict) -> bytes:
-    """One wire frame: length prefix + compact JSON."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
+#: Alignment of the tail in the body and of every buffer in the tail.
+_ALIGN = 8
+
+#: How each fixed-width logical type crosses the wire.
+_WIRE_DTYPE_OF = {
+    DataType.INT64: np.dtype("<i8"),
+    DataType.DATE: np.dtype("<i8"),
+    DataType.FLOAT64: np.dtype("<f8"),
+    DataType.BOOL: np.dtype(np.bool_),
+}
+
+#: Descriptor ``dtype`` tags and the buffers they name.
+_WIRE_DTYPES = {dtype.str: dtype for dtype in _WIRE_DTYPE_OF.values()}
+
+#: Compact JSON, built once: ``json.dumps`` with separators makes a new
+#: encoder per call, which a one-row reply can measure.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _padding(size: int) -> int:
+    return -size % _ALIGN
+
+
+def frame_parts(payload: dict) -> list[bytes | memoryview]:
+    """One wire frame as the buffers to write, in order, none joined.
+
+    The first part is the length prefix and everything up to the tail;
+    the rest are the column buffers of ``payload["result"]`` (see
+    :func:`result_to_wire`) and their padding, still backed by the
+    result's own arrays.  A payload without such columns is one part.
+    """
+    tail: list[bytes | memoryview] = []
+    tail_bytes = 0
+
+    def place(array: np.ndarray) -> int:
+        nonlocal tail_bytes
+        offset = tail_bytes
+        if array.nbytes:
+            tail.append(memoryview(array.view(np.uint8)))
+            pad = _padding(array.nbytes)
+            if pad:
+                tail.append(bytes(pad))
+            tail_bytes += array.nbytes + pad
+        return offset
+
+    result = payload.get("result")
+    columns = result.get("columns") if isinstance(result, dict) else None
+    hoisted = {}
+    if isinstance(columns, dict):
+        for name, column in columns.items():
+            if isinstance(column, dict):
+                values, validity = column["values"], column["validity"]
+                hoisted[name] = {
+                    "dtype": values.dtype.str,
+                    "offset": place(values),
+                    "nbytes": values.nbytes,
+                    "validity_offset": (
+                        None if validity is None else place(validity)
+                    ),
+                }
+    if hoisted:
+        payload = {
+            **payload,
+            "result": {**result, "columns": {**columns, **hoisted}},
+        }
+    header = _encode_json(payload).encode("utf-8")
+    if hoisted:
+        header = b"".join(
+            (
+                RESULT_MAGIC,
+                _LENGTH.pack(len(header)),
+                header,
+                bytes(_padding(_PREAMBLE_BYTES + len(header))),
+            )
+        )
+    size = len(header) + tail_bytes
+    if size > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds the "
+            f"frame of {size} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
-    return _LENGTH.pack(len(body)) + body
+    return [_LENGTH.pack(size) + header, *tail]
 
 
-def decode_body(body: bytes) -> dict:
-    """Parse one frame body; raises ProtocolError on garbage."""
+def encode_frame(payload: dict) -> bytes:
+    """One wire frame as one ``bytes`` (see :func:`frame_parts`)."""
+    return b"".join(frame_parts(payload))
+
+
+def _decode_json(text: bytes | bytearray | memoryview) -> dict:
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(str(text, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -78,6 +189,98 @@ def decode_body(body: bytes) -> dict:
             f"frame body must be a JSON object, got "
             f"{type(payload).__name__}"
         )
+    return payload
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _tail_view(
+    tail: memoryview, what: str, offset: object, nbytes: int
+) -> memoryview:
+    """``tail[offset : offset + nbytes]`` once both are proven sane."""
+    if not _is_count(offset) or offset % _ALIGN:
+        raise ProtocolError(
+            f"{what} offset {offset!r} is not a multiple of {_ALIGN}"
+        )
+    if offset + nbytes > len(tail):
+        raise ProtocolError(
+            f"{what} [{offset}, {offset + nbytes}) runs past the "
+            f"{len(tail)}-byte tail"
+        )
+    return tail[offset : offset + nbytes]
+
+
+def _column_views(
+    name: str, descriptor: dict, tail: memoryview, row_count: int
+) -> dict:
+    """The arrays a column descriptor names, as views over *tail*."""
+    tag = descriptor.get("dtype")
+    dtype = _WIRE_DTYPES.get(tag) if isinstance(tag, str) else None
+    if dtype is None:
+        raise ProtocolError(f"column {name!r}: unknown dtype tag {tag!r}")
+    nbytes = descriptor.get("nbytes")
+    if not _is_count(nbytes) or nbytes != row_count * dtype.itemsize:
+        raise ProtocolError(
+            f"column {name!r}: nbytes {nbytes!r} is not {row_count} rows "
+            f"of {dtype.itemsize}-byte {tag}"
+        )
+    values = _tail_view(
+        tail, f"column {name!r} values", descriptor.get("offset"), nbytes
+    )
+    validity = None
+    if descriptor.get("validity_offset") is not None:
+        validity = np.frombuffer(
+            _tail_view(
+                tail,
+                f"column {name!r} validity",
+                descriptor["validity_offset"],
+                (row_count + 7) // 8,
+            ),
+            dtype=np.uint8,
+        )
+    return {"values": np.frombuffer(values, dtype=dtype), "validity": validity}
+
+
+def decode_body(body: bytes | bytearray | memoryview) -> dict:
+    """Parse one frame body; raises ProtocolError on garbage.
+
+    In a result body every column descriptor is replaced by read-only
+    array views over *body* (the shape :func:`result_to_wire` produced),
+    each checked against the body's bounds and the header's row count.
+    """
+    if body[:1] == b"{":
+        return _decode_json(body)
+    view = memoryview(body).toreadonly()
+    if (
+        len(view) < _PREAMBLE_BYTES
+        or view[: len(RESULT_MAGIC)] != RESULT_MAGIC
+    ):
+        raise ProtocolError(
+            "frame body is neither a JSON object nor a result body"
+        )
+    (header_bytes,) = _LENGTH.unpack_from(view, len(RESULT_MAGIC))
+    header_end = _PREAMBLE_BYTES + header_bytes
+    if header_end > len(view):
+        raise ProtocolError(
+            f"result header of {header_bytes} bytes runs past the "
+            f"{len(view)}-byte body"
+        )
+    payload = _decode_json(view[_PREAMBLE_BYTES:header_end])
+    tail = view[header_end + _padding(header_end) :]
+    result = payload.get("result")
+    if not isinstance(result, dict):
+        raise ProtocolError("result body without a 'result' object")
+    row_count, columns = result.get("row_count"), result.get("columns")
+    if not _is_count(row_count) or not isinstance(columns, dict):
+        raise ProtocolError(
+            "result header needs a non-negative 'row_count' and a "
+            "'columns' object"
+        )
+    for name, column in columns.items():
+        if isinstance(column, dict):
+            columns[name] = _column_views(name, column, tail, row_count)
     return payload
 
 
@@ -157,38 +360,85 @@ def error_from_wire(payload: dict) -> ReproError:
 
 
 def result_to_wire(result) -> dict:
-    """Serialize a QueryResult (physical scalars, schema, profile text)."""
-    from repro.storage.database import schema_to_payload
-    from repro.storage.engine import column_to_jsonable
+    """A QueryResult as the response object :func:`frame_parts` sends.
 
+    STRING columns become lists of ``str`` / ``None``.  Every other
+    column becomes ``{"values", "validity"}``: its values as a
+    contiguous little-endian array (the column's own array when it
+    already is one) and its validity mask packed to a bitmap, or
+    ``None`` when it has no NULLs.
+    """
+    from repro.storage.database import schema_to_payload
+
+    columns: dict[str, list | dict] = {}
+    for name in result.column_names:
+        column = result.columns[name]
+        validity = column.validity
+        if column.dtype is DataType.STRING:
+            strings = column.values.tolist()
+            if validity is not None:
+                for position in np.flatnonzero(~validity):
+                    strings[position] = None
+            columns[name] = strings
+        else:
+            columns[name] = {
+                "values": np.ascontiguousarray(
+                    column.values, dtype=_WIRE_DTYPE_OF[column.dtype]
+                ),
+                "validity": (
+                    None
+                    if validity is None
+                    else np.packbits(validity, bitorder="little")
+                ),
+            }
     profile = getattr(result, "profile", None)
     return {
         "schema": schema_to_payload(result.schema),
-        "columns": {
-            name: column_to_jsonable(result.columns[name])
-            for name in result.column_names
-        },
+        "columns": columns,
         "row_count": result.row_count,
         "profile": profile.to_text() if profile is not None else None,
     }
 
 
 def result_from_wire(payload: dict):
-    """Rebuild a QueryResult from :func:`result_to_wire` output."""
+    """Rebuild a QueryResult from :func:`result_to_wire` output, or from
+    what :func:`decode_body` made of it on the far side of a socket."""
     from repro.exec.result import QueryResult
     from repro.storage.database import payload_to_schema
-    from repro.storage.engine import column_from_jsonable
 
     try:
         schema = payload_to_schema(payload["schema"])
-        columns = {
-            field.name: column_from_jsonable(
-                field.dtype, payload["columns"][field.name]
-            )
-            for field in schema
-        }
-    except (KeyError, TypeError) as exc:
-        raise ProtocolError(f"malformed result payload: {exc}") from exc
+        row_count = payload["row_count"]
+        columns = {}
+        for field in schema:
+            column = payload["columns"][field.name]
+            buffers = isinstance(column, dict)
+            if buffers == (field.dtype is DataType.STRING):
+                raise ProtocolError(
+                    f"column {field.name!r}: {field.dtype.name} sent as "
+                    f"{'buffers' if buffers else 'JSON'}"
+                )
+            if field.dtype is DataType.STRING:
+                vector = ColumnVector.from_pylist(field.dtype, column)
+            else:
+                validity = column["validity"]
+                if validity is not None:
+                    validity = np.unpackbits(
+                        validity, count=row_count, bitorder="little"
+                    ).view(np.bool_)
+                vector = ColumnVector(field.dtype, column["values"], validity)
+            if len(vector) != row_count:
+                raise ProtocolError(
+                    f"column {field.name!r} has {len(vector)} rows, "
+                    f"header says {row_count}"
+                )
+            columns[field.name] = vector
+    except ProtocolError:
+        raise
+    except (
+        KeyError, TypeError, ValueError, AttributeError, ReproError
+    ) as exc:
+        raise ProtocolError(f"malformed result payload: {exc!r}") from exc
     result = QueryResult(schema, columns)
     profile_text = payload.get("profile")
     if profile_text is not None:
@@ -212,6 +462,18 @@ class RemoteProfile:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteProfile({len(self._text)} chars)"
+
+
+def check_wire_version(server_info: dict) -> dict:
+    """Pass a ``hello`` response through if its server frames results
+    the way this module does; anything else would be misread."""
+    version = server_info.get("wire_version")
+    if version != WIRE_VERSION:
+        raise ProtocolError(
+            f"server speaks wire version {version!r}, this client "
+            f"{WIRE_VERSION}"
+        )
+    return server_info
 
 
 def check_response(payload: dict | None) -> dict:

@@ -20,10 +20,12 @@ On a memory-engine database (no snapshots) reads are serialized
 through the same writer queue, trading concurrency for correctness.
 
 All blocking work happens on executor threads; coroutine bodies only
-await.  Observability lands in the database's registry under the
-``server.*`` namespace (connection counts, per-op request counters,
-write-queue depth) next to the WAL's ``wal.group_commit.*`` batching
-metrics.
+await and write.  That includes encoding a statement's result, which
+the thread that ran the statement does before handing the finished
+frame back to the loop.  Observability lands in the database's
+registry under the ``server.*`` namespace (connection counts, per-op
+request counters, write-queue depth, result encode time and response
+size) next to the WAL's ``wal.group_commit.*`` batching metrics.
 
 :class:`ServerThread` runs the event loop on a background thread — the
 shape tests, benchmarks and ``python -m repro serve`` share.
@@ -33,16 +35,18 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.errors import ConnectionClosedError, ProtocolError, ReproError
+from repro.errors import ConnectionClosedError, ProtocolError
 from repro.serve.protocol import (
     DEFAULT_PORT,
     OPS,
-    encode_frame,
+    WIRE_VERSION,
     error_to_wire,
+    frame_parts,
     read_frame,
     result_to_wire,
 )
@@ -56,6 +60,11 @@ MAX_WRITE_BATCH = 64
 
 #: Threads for concurrent snapshot reads.
 DEFAULT_READ_THREADS = 8
+
+#: Result frames up to this size are joined into one part (one write,
+#: one packet for a small reply); larger ones go to the transport part
+#: by part, so a big result is never assembled into one body.
+_SINGLE_WRITE_BYTES = 64 * 1024
 
 _SESSION_KNOBS = ("parallelism", "backend", "profile", "snapshot_reads")
 
@@ -253,33 +262,35 @@ class ReproServer:
             except ProtocolError as error:
                 # The stream cannot be resynchronized after a bad
                 # frame: report once, then hang up.
-                self._obs.counter("server.errors").inc()
-                await self._send(writer, error_to_wire(error))
+                await self._send(writer, self._error_frame(error))
                 return
             if request is None:
                 return
-            response, keep_open = await self._dispatch(request, session)
-            await self._send(writer, response)
+            frame, keep_open = await self._dispatch(request, session)
+            await self._send(writer, frame)
             if not keep_open:
                 return
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: dict
-    ) -> None:
-        writer.write(encode_frame(payload))
-        await writer.drain()
+    async def _send(self, writer: asyncio.StreamWriter, frame: list) -> None:
+        for part in frame:
+            writer.write(part)
+            await writer.drain()
 
     # -- request dispatch ---------------------------------------------------
 
     async def _dispatch(
         self, request: dict, session: Session
-    ) -> tuple[dict, bool]:
-        """One request → (response payload, keep connection open)."""
+    ) -> tuple[list, bool]:
+        """One request → (response frame, keep connection open).
+
+        The frame comes back encoded (:func:`frame_parts`), so a
+        response that cannot be encoded is answered with its typed
+        error like any other failure of the op.
+        """
         op = request.get("op")
         if op not in OPS:
-            self._obs.counter("server.errors").inc()
             return (
-                error_to_wire(
+                self._error_frame(
                     ProtocolError(f"unknown op {op!r}; expected one of {OPS}")
                 ),
                 True,
@@ -288,14 +299,16 @@ class ReproServer:
         self._obs.counter(f"server.requests.{op}").inc()
         try:
             if op == "close":
-                return {"ok": True}, False
-            return await self._run_op(op, request, session), True
-        except ReproError as error:
-            self._obs.counter("server.errors").inc()
-            return error_to_wire(error), True
+                return frame_parts({"ok": True}), False
+            if op == "sql":  # encoded by the thread that ran it
+                return await self._run_sql(request, session), True
+            return frame_parts(await self._run_op(op, request, session)), True
         except Exception as error:  # noqa: BLE001 - shipped to client
-            self._obs.counter("server.errors").inc()
-            return error_to_wire(error), True
+            return self._error_frame(error), True
+
+    def _error_frame(self, error: BaseException) -> list:
+        self._obs.counter("server.errors").inc()
+        return frame_parts(error_to_wire(error))
 
     async def _run_op(
         self, op: str, request: dict, session: Session
@@ -309,11 +322,10 @@ class ReproServer:
                 "version": repro.__version__,
                 "engine": database.engine.describe(),
                 "snapshot_reads": self._snapshot_reads,
+                "wire_version": WIRE_VERSION,
             }
         if op == "ping":
             return {"ok": True}
-        if op == "sql":
-            return await self._run_sql(request, session)
         if op == "explain":
             return await self._run_explain(request, session)
         if op == "set":
@@ -330,24 +342,47 @@ class ReproServer:
             return {"result": info}
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
-    async def _run_sql(self, request: dict, session: Session) -> dict:
+    async def _run_sql(self, request: dict, session: Session) -> list:
         text = request.get("text")
         if not isinstance(text, str):
             raise ProtocolError("sql op requires a string 'text'")
         run = partial(
-            session.sql,
-            text,
-            parallelism=_optional_int(request, "parallelism"),
-            profile=_optional_bool(request, "profile"),
+            self._sql_frame,
+            partial(
+                session.sql,
+                text,
+                parallelism=_optional_int(request, "parallelism"),
+                profile=_optional_bool(request, "profile"),
+            ),
         )
         kind = statement_kind(text)
         if kind == "read" and session.snapshot_reads:
-            result = await asyncio.get_running_loop().run_in_executor(
+            return await asyncio.get_running_loop().run_in_executor(
                 self._read_executor, run
             )
-        else:
-            result = await self._enqueue(kind, run)
-        return {"result": result_to_wire(result)}
+        return await self._enqueue(kind, run)
+
+    def _sql_frame(self, run) -> list:
+        """Run a statement and encode its result, on the calling thread.
+
+        Encoding is blocking work like the statement itself, so it
+        stays on the reader or writer thread; the loop gets the frame.
+        """
+        result = run()
+        started = time.perf_counter()
+        try:
+            frame = frame_parts({"result": result_to_wire(result)})
+        except ProtocolError:  # larger than MAX_FRAME_BYTES
+            self._obs.counter("server.errors.result_too_large").inc()
+            raise
+        size = sum(len(part) for part in frame)
+        if size <= _SINGLE_WRITE_BYTES:
+            frame = [b"".join(frame)]
+        self._obs.histogram("server.result_encode.seconds").observe(
+            time.perf_counter() - started
+        )
+        self._obs.histogram("server.response.bytes").observe(size)
+        return frame
 
     async def _run_explain(self, request: dict, session: Session) -> dict:
         text = request.get("text")

@@ -4,8 +4,10 @@ Each rule is proven live by planting deliberately broken modules in a
 temp tree and asserting the analyzer fires on every injected violation
 — and proven quiet by running it over the shipped source tree, which
 must stay finding-free (the CI ``sanitize`` job enforces the same).
-The repro_lint driver's ``--select`` / ``--format`` plumbing is
-exercised through real subprocess invocations.
+The L8 / L9 rules that fence the result wire codec
+(``serve/protocol.py``) get the same treatment.  The repro_lint
+driver's ``--select`` / ``--format`` plumbing is exercised through real
+subprocess invocations.
 """
 
 from __future__ import annotations
@@ -391,6 +393,58 @@ class TestCleanTree:
         rendered = "\n".join(finding.render() for finding in findings)
         if rendered:
             pytest.fail(f"lock-graph findings on shipped tree:\n{rendered}")
+
+
+# -- L8 / L9 around the result wire codec --------------------------------------
+
+
+def lint_planted(tmp_path: Path, relative: str, source: str) -> list[str]:
+    path = tmp_path / "src" / "repro" / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
+    return rules_of(repro_lint.lint_file(path))
+
+
+class TestServeCodecBoundary:
+    FROMBUFFER = """
+        import numpy as np
+
+        def peek(body):
+            return np.frombuffer(body, dtype=np.uint8)
+        """
+
+    def test_protocol_codec_may_decode_raw_buffers(self, tmp_path):
+        assert lint_planted(tmp_path, "serve/protocol.py", self.FROMBUFFER) == []
+
+    @pytest.mark.parametrize("name", ["serve/server.py", "serve/client.py"])
+    def test_frombuffer_beside_the_codec_still_fires(self, tmp_path, name):
+        assert lint_planted(tmp_path, name, self.FROMBUFFER) == ["L8"]
+
+    def test_result_encoding_in_a_coroutine_is_blocking_work(self, tmp_path):
+        findings = lint_planted(
+            tmp_path,
+            "serve/server.py",
+            """
+            async def reply(run, loop, executor):
+                result = await loop.run_in_executor(executor, run)
+                return {"result": result_to_wire(result)}
+            """,
+        )
+        assert findings == ["L9"]
+
+    def test_result_encoding_on_the_executor_is_fine(self, tmp_path):
+        findings = lint_planted(
+            tmp_path,
+            "serve/server.py",
+            """
+            def run_and_encode(run):
+                return {"result": result_to_wire(run())}
+
+            async def reply(run, loop, executor):
+                return await loop.run_in_executor(executor, run_and_encode, run)
+            """,
+        )
+        assert findings == []
 
 
 # -- repro_lint driver plumbing ----------------------------------------------

@@ -64,13 +64,17 @@ L8  no-raw-segment-decode
     ``np.frombuffer`` on segment payload bytes is allowed only inside
     the storage codec layer ({frombuffer_files}) — everything else must
     go through ``SegmentReader`` / the block cache, so the RSEG wire
-    formats stay changeable in one place.
+    formats stay changeable in one place.  ``serve/protocol.py`` is on
+    the list because the result wire format is its own codec, not a
+    segment payload; the server and the clients around it are not.
 
 L9  no-blocking-io-in-coroutines
     Inside ``repro/serve/`` coroutine bodies (``async def``), blocking
     calls — ``time.sleep``, synchronous ``socket.*`` constructors,
     ``open()``, ``os.fsync`` — stall the event loop and every connected
-    client with it.  Blocking work belongs on an executor thread
+    client with it.  Encoding a query result (``result_to_wire``) counts
+    as blocking work too: it is proportional to the result, not to the
+    request.  Blocking work belongs on an executor thread
     (``run_in_executor``); nested synchronous ``def`` helpers are
     exempt because they only run when called, which is on the executor.
 
@@ -126,12 +130,14 @@ METRIC_NAMESPACES = (
 #: Source files allowed to call ``np.frombuffer`` (L8): the two codec
 #: modules that own the RSEG wire formats, plus the parallel transport
 #: (shm result frames and shipped patch-rowid blobs are its own wire
-#: format, not segment payloads).
+#: format, not segment payloads) and the client/server protocol (the
+#: result wire format is its own codec, not a segment payload).
 FROMBUFFER_ALLOWED_FILES = (
     "storage/segment.py",
     "core/compression.py",
     "exec/parallel/shm.py",
     "exec/parallel/worker.py",
+    "serve/protocol.py",
 )
 
 #: Files allowed to mutate patch-set membership directly (L10): the
@@ -726,8 +732,8 @@ ASYNC_CHECKED_DIR = "serve"
 def _blocking_call_name(node: ast.Call) -> str | None:
     """Dotted name of a blocking call, or None when the call is safe."""
     func = node.func
-    if isinstance(func, ast.Name) and func.id == "open":
-        return "open"
+    if isinstance(func, ast.Name) and func.id in ("open", "result_to_wire"):
+        return func.id
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         owner = func.value.id
         if owner == "time" and func.attr == "sleep":
