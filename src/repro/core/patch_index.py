@@ -395,6 +395,7 @@ class PatchIndex:
         self.mode = PatchIndexMode.AUTO
         self.rebuild_count += 1
         self.rebuild_pending = False
+        self.table.touch()
         if self.delta_sink is not None:
             self.delta_sink(
                 self,
@@ -415,6 +416,7 @@ class PatchIndex:
         if self._maintainer is None:
             self._maintainer = IndexMaintainer(self)
         self._maintainer.apply_external(delta)
+        self.table.touch()
 
     def seed_maintenance_stats(self, stats) -> None:
         """Install persisted drift counters on a restored index."""

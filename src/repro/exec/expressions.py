@@ -13,7 +13,10 @@ restricted to the cases expressible with a value array + validity mask.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import dataclasses
+import operator
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -65,10 +68,17 @@ class ColumnRef(Expression):
 
 @dataclass(frozen=True)
 class Literal(Expression):
-    """A constant; ``value is None`` denotes NULL (dtype required then)."""
+    """A constant; ``value is None`` denotes NULL (dtype required then).
+
+    ``slot`` marks a literal lifted out of the statement text by the
+    plan cache: a cached plan is re-executed by swapping the values of
+    its slotted literals (:func:`map_literals`).  It is not part of the
+    literal's identity.
+    """
 
     value: object
     dtype: DataType | None = None
+    slot: int | None = field(default=None, compare=False)
 
     def _resolved_type(self) -> DataType:
         if self.dtype is not None:
@@ -107,7 +117,19 @@ class Literal(Expression):
         return "NULL" if self.value is None else str(self.value)
 
 
-_COMPARE_OPS = {"=", "!=", "<>", "<", "<=", ">", ">="}
+_COMPARE_OPS: dict[str, Callable[[object, object], object]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+#: The operator that holds with the two sides swapped.
+FLIPPED_OPS = {
+    "=": "=", "!=": "!=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
+}
 
 
 @dataclass(frozen=True)
@@ -123,25 +145,25 @@ class Comparison(Expression):
             raise ExecutionError(f"unknown comparison operator {self.op!r}")
 
     def evaluate(self, batch: RecordBatch) -> ColumnVector:
+        # A literal side is compared as a scalar: no per-batch constant
+        # column is materialized for it.
+        if isinstance(self.right, Literal) and not isinstance(self.left, Literal):
+            return _compare_with_literal(
+                self.left.evaluate(batch), self.op, self.right
+            )
+        if isinstance(self.left, Literal) and not isinstance(self.right, Literal):
+            return _compare_with_literal(
+                self.right.evaluate(batch), FLIPPED_OPS[self.op], self.left
+            )
         left = self.left.evaluate(batch)
         right = self.right.evaluate(batch)
         left_values, right_values = _align_for_compare(left, right)
-        op = self.op
-        if op == "=":
-            out = left_values == right_values
-        elif op in ("!=", "<>"):
-            out = left_values != right_values
-        elif op == "<":
-            out = left_values < right_values
-        elif op == "<=":
-            out = left_values <= right_values
-        elif op == ">":
-            out = left_values > right_values
-        else:
-            out = left_values >= right_values
-        out = np.asarray(out, dtype=np.bool_)
-        validity = _combine_validity(left, right)
-        return ColumnVector(DataType.BOOL, out, validity)
+        out = _COMPARE_OPS[self.op](left_values, right_values)
+        return ColumnVector(
+            DataType.BOOL,
+            np.asarray(out, dtype=np.bool_),
+            _combine_validity(left, right),
+        )
 
     def output_type(self, schema: Schema) -> DataType:
         common_type(self.left.output_type(schema), self.right.output_type(schema))
@@ -381,6 +403,38 @@ def _align_for_compare(
     )
 
 
+def _compare_with_literal(
+    vector: ColumnVector, op: str, literal: Literal
+) -> ColumnVector:
+    """``vector <op> literal`` against the coerced scalar.
+
+    Same result as aligning *vector* with ``literal.evaluate(batch)``:
+    mixed numerics widen to float64, any other type pair is a mismatch,
+    and a NULL literal makes every row NULL.
+    """
+    dtype = literal._resolved_type()
+    values = vector.values
+    widen = vector.dtype != dtype
+    if widen and not (is_numeric(vector.dtype) and is_numeric(dtype)):
+        raise TypeMismatchError(
+            f"cannot compare {vector.dtype.name} with {dtype.name}"
+        )
+    if literal.value is None:
+        return ColumnVector(
+            DataType.BOOL,
+            np.zeros(len(vector), dtype=np.bool_),
+            np.zeros(len(vector), dtype=np.bool_),
+        )
+    scalar = coerce_scalar(literal.value, dtype)
+    if widen:
+        values = values.astype(np.float64, copy=False)
+        scalar = float(scalar)  # type: ignore[arg-type]
+    out = _COMPARE_OPS[op](values, scalar)
+    return ColumnVector(
+        DataType.BOOL, np.asarray(out, dtype=np.bool_), vector.validity
+    )
+
+
 def _combine_validity(
     left: ColumnVector, right: ColumnVector
 ) -> np.ndarray | None:
@@ -400,9 +454,46 @@ def predicate_mask(expression: Expression, batch: RecordBatch) -> np.ndarray:
     return mask
 
 
-def literal(value: object, dtype: DataType | None = None) -> Literal:
+def literal(
+    value: object, dtype: DataType | None = None, slot: int | None = None
+) -> Literal:
     """Convenience constructor coercing Python scalars (dates → days)."""
     if value is None:
-        return Literal(None, dtype)
+        return Literal(None, dtype, slot)
     resolved = dtype if dtype is not None else infer_datatype(value)
-    return Literal(coerce_scalar(value, resolved) if resolved == DataType.DATE else value, resolved)
+    return Literal(
+        coerce_scalar(value, resolved) if resolved == DataType.DATE else value,
+        resolved,
+        slot,
+    )
+
+
+#: Per expression class: the names of its sub-expression fields.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def map_literals(
+    expression: Expression, replace: Callable[[Literal], Literal]
+) -> Expression:
+    """Rebuild *expression* with every :class:`Literal` passed through
+    *replace*; subtrees whose literals come back unchanged are shared,
+    not copied."""
+    cls = type(expression)
+    if cls is Literal:
+        return replace(expression)  # type: ignore[arg-type]
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            item.name
+            for item in dataclasses.fields(expression)  # type: ignore[arg-type]
+            if isinstance(getattr(expression, item.name), Expression)
+        )
+    changed: dict[str, Expression] = {}
+    for name in names:
+        child = getattr(expression, name)
+        mapped = map_literals(child, replace)
+        if mapped is not child:
+            changed[name] = mapped
+    if not changed:
+        return expression
+    return dataclasses.replace(expression, **changed)  # type: ignore[type-var]

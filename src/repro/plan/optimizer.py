@@ -62,9 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.patch_index import PatchIndex
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerOptions:
-    """Tuning knobs for the optimizer."""
+    """Tuning knobs for the optimizer (hashable: part of the plan
+    cache's key)."""
 
     use_patch_indexes: bool = True
     rewrite_distinct: bool = True

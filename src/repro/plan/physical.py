@@ -2,10 +2,12 @@
 
 Mostly a 1:1 mapping, plus three physical decisions:
 
-- **Scan-range derivation**: a filter directly above a scan with a
-  ``column <op> literal`` conjunct is evaluated against the per-block
-  min/max sketches, and the surviving rowid ranges are pushed into the
-  scan (the filter itself is kept — block pruning is conservative).
+- **Scan-range derivation**: a filter directly above a scan is
+  evaluated against the per-block min/max sketches — every
+  ``column <op> literal`` / ``column IN (...)`` conjunct, ANDs
+  intersecting and ORs (of two prunable arms) uniting the surviving
+  blocks — and the surviving rowid ranges are pushed into the scan
+  (the filter itself is kept — block pruning is conservative).
   This is the paper's "small materialized aggregates" scan-range path
   that the PatchSelect then merges with (§VI-A3).
 - **Hash-join build-side choice**: the smaller estimated input builds
@@ -30,9 +32,18 @@ import numpy as np
 
 from repro.check.plan_verifier import verify_plan
 from repro.core.cost_model import CostModel
-from repro.errors import PlanError
+from repro.errors import PlanError, TypeMismatchError
 from repro.exec.batch import DEFAULT_BATCH_SIZE
-from repro.exec.expressions import And, ColumnRef, Comparison, Expression, Literal
+from repro.exec.expressions import (
+    FLIPPED_OPS,
+    And,
+    ColumnRef,
+    Comparison,
+    Expression,
+    InList,
+    Literal,
+    Or,
+)
 from repro.exec.operators import (
     Distinct,
     Filter,
@@ -533,19 +544,39 @@ class PhysicalPlanner:
     def _ranges_for_predicate(
         self, scan: lp.LogicalScan, predicate: Expression
     ) -> list[tuple[int, int]] | None:
-        """Block-prune using one ``col <op> literal`` conjunct, if any."""
-        conjunct = _find_prunable_conjunct(predicate, scan)
+        """Global rowid ranges of the blocks *predicate* cannot rule out.
+
+        ``None`` when the min/max sketches say nothing about it.  AND
+        intersects whatever its arms can tell (one prunable arm is
+        enough); OR unites, and so needs both; IN is the OR of its
+        equalities; anything else — NOT, arithmetic, column-to-column
+        comparisons, IS NULL — never prunes.  The ranges come out
+        sorted and disjoint.
+        """
+        if isinstance(predicate, (And, Or)):
+            left = self._ranges_for_predicate(scan, predicate.left)
+            right = self._ranges_for_predicate(scan, predicate.right)
+            if left is None or right is None:
+                if isinstance(predicate, Or):
+                    return None
+                return left if right is None else right
+            if isinstance(predicate, And):
+                return _intersect_ranges(left, right)
+            return normalize_ranges(left + right, scan.table.row_count)
+        conjunct = _prunable_conjunct(predicate, scan)
         if conjunct is None:
             return None
-        column, op, literal_value = conjunct
+        column, op, values = conjunct
         ranges: list[tuple[int, int]] = []
         for partition in scan.table.partitions:
-            for start, stop in partition.scan_ranges_for_predicate(
-                column, op, literal_value
-            ):
-                ranges.append(
-                    (partition.base_rowid + start, partition.base_rowid + stop)
-                )
+            base = partition.base_rowid
+            for value in values:
+                for start, stop in partition.scan_ranges_for_predicate(
+                    column, op, value
+                ):
+                    ranges.append((base + start, base + stop))
+        if len(values) > 1:  # an IN-list's blocks overlap and interleave
+            return normalize_ranges(ranges, scan.table.row_count)
         return ranges
 
     # -- joins ------------------------------------------------------------------
@@ -573,36 +604,48 @@ class PhysicalPlanner:
         return Project(swapped, outputs)
 
 
-def _find_prunable_conjunct(
+def _prunable_conjunct(
     predicate: Expression, scan: lp.LogicalScan
-) -> tuple[str, str, object] | None:
-    """First ``ColumnRef <op> Literal`` conjunct usable for block pruning."""
-    if isinstance(predicate, And):
-        found = _find_prunable_conjunct(predicate.left, scan)
-        if found is not None:
-            return found
-        return _find_prunable_conjunct(predicate.right, scan)
-    if not isinstance(predicate, Comparison):
+) -> tuple[str, str, list[object]] | None:
+    """``(column, op, literals)`` when *predicate* is ``column <op>
+    literal`` (either way round) or ``column IN (literals)``."""
+    candidates: tuple[object, ...]
+    if isinstance(predicate, InList):
+        if predicate.negated or not isinstance(predicate.operand, ColumnRef):
+            return None
+        column, op, candidates = predicate.operand.name, "=", predicate.values
+    elif isinstance(predicate, Comparison):
+        left, right, op = predicate.left, predicate.right, predicate.op
+        if isinstance(left, Literal):
+            left, right, op = right, left, FLIPPED_OPS[op]
+        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
+            return None
+        column, candidates = left.name, (right.value,)
+    else:
         return None
-    left, right, op = predicate.left, predicate.right, predicate.op
-    if isinstance(left, Literal) and isinstance(right, ColumnRef):
-        left, right = right, left
-        op = _flip(op)
-    if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
+    # Base columns only: the virtual tid column has no sketches.
+    if column not in scan.table.schema or None in candidates:
         return None
-    if right.value is None:
-        return None
-    if left.name not in scan.schema:
-        return None
-    dtype = scan.schema.field(left.name).dtype
+    dtype = scan.table.schema.field(column).dtype
     try:
-        literal_value = coerce_scalar(right.value, dtype)
-    except Exception:
+        return column, op, [coerce_scalar(value, dtype) for value in candidates]
+    except TypeMismatchError:
         return None
-    if literal_value is None:
-        return None
-    return (left.name, op, literal_value)
 
 
-def _flip(op: str) -> str:
-    return {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!=", "<>": "<>"}[op]
+def _intersect_ranges(
+    left: list[tuple[int, int]], right: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Intersection of two sorted, disjoint range lists."""
+    ranges: list[tuple[int, int]] = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        start = max(left[i][0], right[j][0])
+        stop = min(left[i][1], right[j][1])
+        if start < stop:
+            ranges.append((start, stop))
+        if left[i][1] < right[j][1]:
+            i += 1
+        else:
+            j += 1
+    return ranges

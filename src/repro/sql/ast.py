@@ -7,7 +7,7 @@ plans against a catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 # -- scalar expressions --------------------------------------------------------
@@ -30,9 +30,15 @@ class SqlColumn(SqlExpr):
 
 @dataclass(frozen=True)
 class SqlLiteral(SqlExpr):
-    """Literal: int, float, str, bool, datetime.date, or None (NULL)."""
+    """Literal: int, float, str, bool, datetime.date, or None (NULL).
+
+    ``slot`` is the number/string token the literal was read from
+    (:attr:`repro.sql.lexer.Token.slot`); literals the parser folds or
+    synthesizes have none.
+    """
 
     value: object
+    slot: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -440,7 +440,7 @@ class Binder:
     ) -> ex.Expression:
         if literal.value is None:
             return ex.Literal(None, dtype)
-        return ex.literal(literal.value)
+        return ex.literal(literal.value, slot=literal.slot)
 
     # -- ORDER BY ---------------------------------------------------------------------------
 

@@ -4,11 +4,18 @@ Produces a flat list of :class:`Token` with kinds: ``keyword``,
 ``identifier``, ``number``, ``string``, ``operator``, ``punct`` and
 ``eof``.  Keywords are case-insensitive; identifiers are normalized to
 lower case (quoted identifiers via double quotes preserve case).
+
+Number and string tokens carry their ordinal among the statement's
+literal tokens as ``slot``; :func:`parameterize` lifts them out of a
+read statement's token stream, leaving a *shape* that is the same for
+every execution of the statement whatever its literals — the plan
+cache's key (:mod:`repro.plan.cache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -35,6 +42,8 @@ class Token:
     kind: str
     value: str
     position: int
+    #: Ordinal among the statement's number/string tokens, else None.
+    slot: int | None = None
 
     def is_keyword(self, *words: str) -> bool:
         return self.kind == "keyword" and self.value in words
@@ -48,6 +57,7 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     position = 0
     length = len(text)
+    literals = 0
     while position < length:
         char = text[position]
         if char.isspace():
@@ -59,7 +69,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         if char == "'":
             value, position = _read_string(text, position)
-            tokens.append(Token("string", value, position))
+            tokens.append(Token("string", value, position, literals))
+            literals += 1
             continue
         if char == '"':
             value, position = _read_quoted_identifier(text, position)
@@ -69,7 +80,8 @@ def tokenize(text: str) -> list[Token]:
             char == "." and position + 1 < length and text[position + 1].isdigit()
         ):
             value, position = _read_number(text, position)
-            tokens.append(Token("number", value, position))
+            tokens.append(Token("number", value, position, literals))
+            literals += 1
             continue
         if char.isalpha() or char == "_":
             start = position
@@ -148,3 +160,56 @@ def _read_number(text: str, position: int) -> tuple[str, int]:
         else:
             break
     return text[start:position], position
+
+
+def number_value(text: str) -> int | float:
+    """The Python value of a number token's text."""
+    if any(char in text for char in ".eE"):
+        return float(text)
+    return int(text)
+
+
+class StatementKey(NamedTuple):
+    """A token stream split into what the plan cache keys on and what
+    it re-binds per execution."""
+
+    #: The tokens with every lifted literal replaced by its type class.
+    shape: tuple[object, ...]
+    #: Python value of every number/string token, indexed by ``slot``.
+    values: tuple[object, ...]
+    #: Slots of the literals lifted out of ``shape``.
+    lifted: tuple[int, ...]
+
+
+def parameterize(tokens: list[Token]) -> StatementKey:
+    """Lift the number/string literals out of a read statement's tokens.
+
+    A literal stays in the shape by value where the parser consumes it
+    as syntax rather than as an expression: after ``LIMIT`` / ``OFFSET``
+    (plan structure) and after ``DATE`` (a typed literal the parser
+    folds).  A lifted number keeps its type class (``int`` / ``float``)
+    in the shape because binding depends on it.
+    """
+    shape: list[object] = []
+    values: list[object] = []
+    lifted: list[int] = []
+    previous: Token | None = None
+    for token in tokens:
+        if token.slot is None:
+            shape.append((token.kind, token.value))
+        else:
+            value: object = (
+                token.value
+                if token.kind == "string"
+                else number_value(token.value)
+            )
+            values.append(value)
+            if previous is not None and previous.is_keyword(
+                "limit", "offset", "date"
+            ):
+                shape.append((token.kind, token.value))
+            else:
+                shape.append(type(value).__name__)
+                lifted.append(token.slot)
+        previous = token
+    return StatementKey(tuple(shape), tuple(values), tuple(lifted))

@@ -11,7 +11,7 @@ import datetime as _dt
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, number_value, tokenize
 
 _AGG_KEYWORDS = ("count", "sum", "min", "max", "avg")
 _TYPE_KEYWORDS = (
@@ -33,8 +33,22 @@ _TYPE_KEYWORDS = (
 
 def parse_statement(text: str) -> ast.SqlStatement:
     """Parse one SQL statement (a trailing semicolon is allowed)."""
-    parser = _Parser(tokenize(text))
-    statement = parser.statement()
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: list[Token]) -> ast.SqlStatement:
+    """Parse one already-tokenized statement (see :func:`tokenize`)."""
+    return _parse(tokens, _Parser.statement)
+
+
+def parse_select(tokens: list[Token]) -> ast.SqlSelect:
+    """Parse tokens that must be one ``SELECT`` (``EXPLAIN``'s operand)."""
+    return _parse(tokens, _Parser.select)
+
+
+def _parse(tokens: list[Token], rule):
+    parser = _Parser(tokens)
+    statement = rule(parser)
     parser.accept_punct(";")
     parser.expect_eof()
     return statement
@@ -462,10 +476,10 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return ast.SqlLiteral(_number(token.value))
+            return ast.SqlLiteral(number_value(token.value), token.slot)
         if token.kind == "string":
             self.advance()
-            return ast.SqlLiteral(token.value)
+            return ast.SqlLiteral(token.value, token.slot)
         if token.is_keyword("null"):
             self.advance()
             return ast.SqlLiteral(None)
@@ -516,19 +530,13 @@ class _Parser:
                 f"expected a number, found {token}", token.position
             )
         self.advance()
-        return _number(token.value)
+        return number_value(token.value)
 
     def _literal_value(self) -> object:
         expression = self.expression()
         if isinstance(expression, ast.SqlLiteral):
             return expression.value
         raise SqlSyntaxError("INSERT values must be literals")
-
-
-def _number(text: str) -> int | float:
-    if any(char in text for char in ".eE"):
-        return float(text)
-    return int(text)
 
 
 def _parse_date(text: str, position: int) -> _dt.date:

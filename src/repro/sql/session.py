@@ -1,8 +1,9 @@
 """SQL sessions: statement dispatch against a Database.
 
-This module wires the front end together: parse → (DDL execution | bind
-→ optimize → physical plan → collect) — and owns :class:`Session`, the
-first-class per-caller scope.  A session holds sticky knobs
+This module wires the front end together: tokenize → (DDL / DML
+execution | optimized plan, from the catalog's plan cache or parse →
+bind → optimize → physical plan → collect) — and owns :class:`Session`,
+the first-class per-caller scope.  A session holds sticky knobs
 (parallelism, backend, profiling, snapshot reads) and is the unit the
 network server hands each connection;
 :meth:`repro.storage.database.Database.sql` delegates to an implicit
@@ -23,26 +24,40 @@ fed to the database's cardinality feedback for the advisor.
 
 from __future__ import annotations
 
+import re
 import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import BindError, ExecutionError
+from repro.exec.operators import Operator
 from repro.exec.operators.scan import TID_COLUMN
 from repro.exec.result import QueryResult, collect
 from repro.obs.profile import QueryProfile, profile_collect
+from repro.plan import logical as lp
+from repro.plan.cache import (
+    CachedPlan,
+    bind_parameters,
+    literal_slots,
+    table_versions,
+)
 from repro.plan.explain import explain_both
 from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql import ast
 from repro.sql.binder import Binder
-from repro.sql.parser import parse_statement
+from repro.sql.lexer import Token, parameterize, tokenize
+from repro.sql.parser import parse_select, parse_tokens
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
+
+
+#: A run of characters that is neither whitespace nor "(".
+_WORD = re.compile(r"[^\s(]+")
 
 
 def statement_kind(text: str) -> str:
@@ -53,10 +68,8 @@ def statement_kind(text: str) -> str:
     snapshot-read gate) and deliberately conservative: anything that is
     not recognisably a read or a checkpoint is treated as a write.
     """
-    word = ""
-    for token in text.replace("(", " ").split():
-        word = token.lower()
-        break
+    leading = _WORD.search(text)
+    word = leading.group().lower() if leading else ""
     if word in ("select", "explain"):
         return "read"
     if word == "checkpoint":
@@ -247,44 +260,31 @@ def _execute_statement(
     and attaches a :class:`~repro.obs.profile.QueryProfile` to the
     result.
     """
-    statement = parse_statement(text)
-    if isinstance(statement, ast.SqlSelect):
+    tokens = tokenize(text)
+    if tokens[0].is_keyword("select"):
         _count_statement(database, "select")
-        result = _run_select(
-            database,
-            statement,
-            optimizer_options=optimizer_options,
-            parallelism=parallelism,
-            backend=backend,
-            profile=profile,
-            query_text=text,
+        __, operator, cache_state = _plan_read(
+            database, tokens, optimizer_options, parallelism, backend
         )
+        result = _collect_read(database, operator, cache_state, profile, text)
         _count_rows(database, result.row_count)
         return result
-    if isinstance(statement, ast.SqlExplain):
-        _count_statement(
-            database, "explain_analyze" if statement.analyze else "explain"
+    if tokens[0].is_keyword("explain"):
+        analyze = tokens[1].is_keyword("analyze")
+        _count_statement(database, "explain_analyze" if analyze else "explain")
+        rendered, query_profile = _explain_read(
+            database,
+            tokens[2 if analyze else 1 :],
+            text,
+            optimizer_options,
+            parallelism,
+            backend,
+            analyze,
         )
-        if statement.analyze:
-            executed = _run_select(
-                database,
-                statement.query,
-                optimizer_options=optimizer_options,
-                parallelism=parallelism,
-                backend=backend,
-                profile=True,
-                query_text=text,
-            )
-            profile = _require_profile(executed)
-            result = QueryResult.from_lines(
-                "plan", profile.to_text().splitlines()
-            )
-            result.profile = profile
-            return result
-        rendered = explain_select(
-            database, statement.query, optimizer_options, parallelism, backend
-        )
-        return QueryResult.from_lines("plan", rendered.splitlines())
+        result = QueryResult.from_lines("plan", rendered.splitlines())
+        result.profile = query_profile
+        return result
+    statement = parse_tokens(tokens)
     if isinstance(statement, ast.SqlCreateTable):
         _count_statement(database, "ddl")
         schema = Schema(
@@ -349,67 +349,149 @@ def explain_sql(
     ANALYZE``) the query is executed and the rendering is the profiled
     plan with actual row counts and timings.
     """
-    statement = parse_statement(text)
-    if isinstance(statement, ast.SqlExplain):
-        analyze = analyze or statement.analyze
-        statement = statement.query
-    if not isinstance(statement, ast.SqlSelect):
+    tokens = tokenize(text)
+    if tokens[0].is_keyword("explain"):
+        statement_analyze = tokens[1].is_keyword("analyze")
+        analyze = analyze or statement_analyze
+        tokens = tokens[2 if statement_analyze else 1 :]
+    elif not tokens[0].is_keyword("select"):
+        parse_tokens(tokens)  # a syntax error outranks the wrong kind
         raise BindError("EXPLAIN supports SELECT statements only")
-    if analyze:
-        result = _run_select(
-            database,
-            statement,
-            optimizer_options=optimizer_options,
-            parallelism=parallelism,
-            backend=backend,
-            profile=True,
-            query_text=text,
-        )
-        return _require_profile(result).to_text()
-    return explain_select(
-        database, statement, optimizer_options, parallelism, backend
-    )
+    return _explain_read(
+        database, tokens, text, optimizer_options, parallelism, backend, analyze
+    )[0]
 
 
-def _run_select(
+# -- the read path -------------------------------------------------------------
+
+
+def _plan_read(
     database: "Database",
-    select: ast.SqlSelect,
-    *,
-    optimizer_options: OptimizerOptions | None = None,
-    parallelism: int | None = None,
-    backend: str | None = None,
-    profile: bool = False,
-    query_text: str | None = None,
-) -> QueryResult:
-    logical = Binder(database.catalog).bind_select(select)
-    optimized = Optimizer(database.catalog, optimizer_options).optimize(logical)
+    tokens: list[Token],
+    optimizer_options: OptimizerOptions | None,
+    parallelism: int | None,
+    backend: str | None,
+) -> tuple[lp.LogicalPlan, Operator, str]:
+    """Plan the SELECT in *tokens*: optimized logical plan, verified
+    physical plan, and ``"hit"`` / ``"miss"`` for the plan cache.
+
+    Whatever the cache says, the physical planner — scan-range
+    derivation from this execution's literals, the parallel cost gate,
+    ``verify_plan`` — runs on every call; it raises
+    ``PlanInvariantError`` on a violation, so a plan returned from here
+    has passed (EXPLAIN's ``verified: ok`` footer).
+    """
+    optimized, cache_state = _optimized_plan(database, tokens, optimizer_options)
     operator = PhysicalPlanner(
         parallelism=parallelism, backend=backend, database=database
     ).plan(optimized)
+    return optimized, operator, cache_state
+
+
+def _optimized_plan(
+    database: "Database",
+    tokens: list[Token],
+    optimizer_options: OptimizerOptions | None,
+) -> tuple[lp.LogicalPlan, str]:
+    """The optimized logical plan of the SELECT in *tokens*.
+
+    Served from the catalog's plan cache when an entry for this
+    statement shape is still current — its slotted literals re-bound to
+    this execution's values — else built by parse → bind → optimize and
+    cached: for any values when every lifted literal survived
+    optimization as exactly one slotted ``Literal``, else for exactly
+    these values.
+    """
+    catalog = database.catalog
+    cache = catalog.plan_cache
+    obs = getattr(database, "obs", None)
+    shape, values, lifted = parameterize(tokens)
+    keys = [(shape, optimizer_options, ())]
+    if lifted:
+        keys.append((shape, optimizer_options, values))
+    for key in keys:
+        entry = cache.get(key)
+        if entry is None:
+            continue
+        if entry.is_current(catalog):
+            if obs is not None:
+                obs.counter("plan.cache.hits").inc()
+            if entry.parameterized:
+                return bind_parameters(entry.plan, values), "hit"
+            return entry.plan, "hit"
+        cache.discard(key)
+        if obs is not None:
+            obs.counter("plan.cache.invalidations").inc()
+    # Versions are read before the state they guard and advance after
+    # it changed, so a mutation racing this planning leaves an entry
+    # that is already stale.
+    ddl_version = catalog.ddl_version
+    logical = Binder(catalog).bind_select(parse_select(tokens))
+    versions = table_versions(logical)
+    optimized = Optimizer(catalog, optimizer_options).optimize(logical)
+    parameterized = sorted(literal_slots(optimized)) == list(lifted)
+    cache.put(
+        keys[0] if parameterized else keys[-1],
+        CachedPlan(optimized, parameterized, ddl_version, versions),
+    )
+    if obs is not None:
+        obs.counter("plan.cache.misses").inc()
+        if not parameterized:
+            obs.counter("plan.cache.uncacheable").inc()
+    return optimized, "miss"
+
+
+def _collect_read(
+    database: "Database",
+    operator: Operator,
+    cache_state: str,
+    profile: bool,
+    query_text: str,
+) -> QueryResult:
     if not profile:
         return collect(operator)
     result, query_profile = profile_collect(operator, query_text)
+    query_profile.root.details["plan_cache"] = cache_state
     result.profile = query_profile
     _record_profile(database, query_profile)
     return result
 
 
-def explain_select(
+def _explain_read(
+    database: "Database",
+    tokens: list[Token],
+    text: str,
+    optimizer_options: OptimizerOptions | None,
+    parallelism: int | None,
+    backend: str | None,
+    analyze: bool,
+) -> tuple[str, QueryProfile | None]:
+    """EXPLAIN text of the SELECT in *tokens*; with *analyze* the query
+    is executed and the text is its profile, returned alongside."""
+    optimized, operator, cache_state = _plan_read(
+        database, tokens, optimizer_options, parallelism, backend
+    )
+    if not analyze:
+        return explain_both(optimized, operator, verified=True), None
+    executed = _collect_read(database, operator, cache_state, True, text)
+    query_profile = _require_profile(executed)
+    return query_profile.to_text(), query_profile
+
+
+def _collect_select(
     database: "Database",
     select: ast.SqlSelect,
-    optimizer_options: OptimizerOptions | None = None,
-    parallelism: int | None = None,
-    backend: str | None = None,
-) -> str:
+    optimizer_options: OptimizerOptions | None,
+    parallelism: int | None,
+) -> QueryResult:
+    """Run an already-parsed SELECT that has no statement text to key a
+    cached plan on (DELETE's rowid probe, the deprecated shim)."""
     logical = Binder(database.catalog).bind_select(select)
     optimized = Optimizer(database.catalog, optimizer_options).optimize(logical)
-    # The planner verifies every plan it produces (raising
-    # PlanInvariantError on a violation), so reaching this point means
-    # the plan passed — surface that as the "verified: ok" footer.
     operator = PhysicalPlanner(
-        parallelism=parallelism, backend=backend, database=database
+        parallelism=parallelism, database=database
     ).plan(optimized)
-    return explain_both(optimized, operator, verified=True)
+    return collect(operator)
 
 
 # -- observability plumbing ----------------------------------------------------
@@ -511,12 +593,7 @@ def run_select(
         DeprecationWarning,
         stacklevel=2,
     )
-    return _run_select(
-        database,
-        select,
-        optimizer_options=optimizer_options,
-        parallelism=parallelism,
-    )
+    return _collect_select(database, select, optimizer_options, parallelism)
 
 
 # -- DML ----------------------------------------------------------------------
@@ -565,11 +642,6 @@ def _run_delete(
         from_table=ast.SqlNamedTable(statement.table),
         where=statement.where,
     )
-    result = _run_select(
-        database,
-        select,
-        optimizer_options=optimizer_options,
-        parallelism=parallelism,
-    )
+    result = _collect_select(database, select, optimizer_options, parallelism)
     rowids = [value for value in result.column(TID_COLUMN).to_pylist()]
     return table.delete_rowids(np.asarray(rowids, dtype=np.int64))

@@ -4,22 +4,37 @@ The catalog deliberately stores indexes behind a minimal duck-typed
 interface (``table_name``, ``column_name``, ``kind``) so the storage
 layer does not depend on :mod:`repro.core`; the concrete class lives in
 :mod:`repro.core.patch_index`.
+
+The catalog also owns the plans cached for statements bound against it
+(:class:`repro.plan.cache.PlanCache`), so cached plans live exactly as
+long as the tables they reference: a snapshot handle's plans die with
+the handle's catalog.  ``ddl_version`` advances on every table or index
+DDL; together with :attr:`repro.storage.table.Table.data_version` it
+tells a cached plan from a stale one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import CatalogError
 from repro.storage.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan.cache import PlanCache
 
 
 class Catalog:
     """Name → object mapping for tables and patch indexes."""
 
     def __init__(self) -> None:
+        # repro.plan imports this module, so the import cannot be global.
+        from repro.plan.cache import PlanCache
+
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, Any] = {}
+        self.ddl_version = 0
+        self.plan_cache: "PlanCache" = PlanCache()
 
     # -- tables -----------------------------------------------------------
 
@@ -27,6 +42,7 @@ class Catalog:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
+        self.ddl_version += 1
 
     def table(self, name: str) -> Table:
         try:
@@ -41,6 +57,7 @@ class Catalog:
         if name not in self._tables:
             raise CatalogError(f"unknown table: {name!r}")
         del self._tables[name]
+        self.ddl_version += 1
         for index_name in [
             index_name
             for index_name, index in self._indexes.items()
@@ -65,6 +82,7 @@ class Catalog:
                 f"{index.table_name!r}"
             )
         self._indexes[index.name] = index
+        self.ddl_version += 1
 
     def index(self, name: str) -> Any:
         try:
@@ -79,6 +97,7 @@ class Catalog:
         if name not in self._indexes:
             raise CatalogError(f"unknown index: {name!r}")
         index = self._indexes.pop(name)
+        self.ddl_version += 1
         detach = getattr(index, "detach", None)
         if detach is not None:
             detach()

@@ -65,6 +65,11 @@ class Table:
         ]
         self._listeners: list[TableListener] = []
         self._next_insert_partition = 0
+        #: Advanced by every mutation and every PatchIndex maintenance
+        #: event (:meth:`touch`); a plan optimized against an older
+        #: value may rest on row counts, patch counts or sortedness that
+        #: no longer hold, so the plan cache re-plans.
+        self.data_version = 0
 
     # -- basic properties ------------------------------------------------
 
@@ -86,9 +91,18 @@ class Table:
     def remove_listener(self, listener: TableListener) -> None:
         self._listeners.remove(listener)
 
+    def touch(self) -> None:
+        """Advance :attr:`data_version`."""
+        self.data_version += 1
+
     def _notify(self, event: str, payload: dict) -> None:
-        for listener in self._listeners:
-            listener(event, payload)
+        try:
+            for listener in self._listeners:
+                listener(event, payload)
+        finally:
+            # After the listeners: a plan built on half-maintained
+            # patches must carry the old version, so it is stale.
+            self.touch()
 
     # -- rowid bookkeeping -------------------------------------------------
 

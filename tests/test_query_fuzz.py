@@ -4,13 +4,24 @@ The strongest whole-system property: for any generated query, executing
 with PatchIndex rewrites enabled (forced past the cost model) returns
 the same multiset of rows as executing with rewrites disabled — and the
 same *order* for ORDER BY queries.
+
+The second property covers the plan cache: every generated shape runs
+with several literal sets on a memory database, a durable one and a
+snapshot-reading session, and each execution must be indistinguishable
+— EXPLAIN text, rows, row order — from planning it afresh.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import Database
 from repro.check import verify_plan
+from repro.exec.result import collect
+from repro.plan.explain import explain_both
 from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
@@ -22,29 +33,32 @@ _DB_CACHE: list[Database] = []
 def fuzz_db() -> Database:
     """Build the shared fixture once (hypothesis-safe module cache)."""
     if not _DB_CACHE:
-        rng = np.random.default_rng(77)
-        n = 400
-        unique = rng.permutation(n).astype(np.int64)
-        unique[rng.choice(n, 8, replace=False)] = 7  # duplicates
-        nearly_sorted = np.arange(n, dtype=np.int64)
-        nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
-        category = rng.integers(0, 5, n)
-        db = Database()
-        db.sql("CREATE TABLE f (u BIGINT, s BIGINT, g BIGINT) PARTITIONS 3")
-        rows = ", ".join(
-            f"({int(a)}, {int(b)}, {int(c)})"
-            for a, b, c in zip(unique, nearly_sorted, category)
-        )
-        db.sql(f"INSERT INTO f VALUES {rows}")
-        for rowid in (5, 100, 300):  # sprinkle NULLs (maintained patches)
-            db.table("f").update_rowid(rowid, "u", None)
-        db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
-        db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
-        db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
-        dim_rows = ", ".join(f"({i}, {i * 10})" for i in range(0, n, 3))
-        db.sql(f"INSERT INTO dim VALUES {dim_rows}")
-        _DB_CACHE.append(db)
+        _DB_CACHE.append(_populate(Database()))
     return _DB_CACHE[0]
+
+
+def _populate(db: Database) -> Database:
+    rng = np.random.default_rng(77)
+    n = 400
+    unique = rng.permutation(n).astype(np.int64)
+    unique[rng.choice(n, 8, replace=False)] = 7  # duplicates
+    nearly_sorted = np.arange(n, dtype=np.int64)
+    nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
+    category = rng.integers(0, 5, n)
+    db.sql("CREATE TABLE f (u BIGINT, s BIGINT, g BIGINT) PARTITIONS 3")
+    rows = ", ".join(
+        f"({int(a)}, {int(b)}, {int(c)})"
+        for a, b, c in zip(unique, nearly_sorted, category)
+    )
+    db.sql(f"INSERT INTO f VALUES {rows}")
+    for rowid in (5, 100, 300):  # sprinkle NULLs (maintained patches)
+        db.table("f").update_rowid(rowid, "u", None)
+    db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
+    db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
+    db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
+    dim_rows = ", ".join(f"({i}, {i * 10})" for i in range(0, n, 3))
+    db.sql(f"INSERT INTO dim VALUES {dim_rows}")
+    return db
 
 
 columns = st.sampled_from(["u", "s", "g"])
@@ -147,3 +161,66 @@ class TestFuzz:
             operator = PhysicalPlanner(parallelism=parallelism).plan(optimized)
             properties = verify_plan(operator)
             assert properties.schema.names == operator.schema.names, query
+
+
+@st.composite
+def literal_sets(draw):
+    """One generated query and two more of the same shape: every integer
+    literal redrawn (a sign in front of one stays where it is)."""
+    query = draw(queries())
+    redrawn = [
+        re.sub(r"\d+", lambda _: str(draw(st.integers(0, 410))), query)
+        for _ in range(2)
+    ]
+    return [query, *redrawn]
+
+
+@pytest.fixture(scope="module")
+def engines(tmp_path_factory):
+    """The fuzz data three ways: in memory, durable (checkpointed, so
+    reads decode segments), and through a snapshot-reading session."""
+    durable = _populate(
+        repro.connect(tmp_path_factory.mktemp("fuzz") / "data", sync=False)
+    )
+    durable.checkpoint()
+    session = durable.session(snapshot_reads=True)
+    yield {"memory": fuzz_db(), "durable": durable, "snapshot": session}
+    session.close()
+    durable.close()
+
+
+def _fresh(database, query, options):
+    """EXPLAIN text and rows from the pipeline called directly."""
+    logical = Binder(database.catalog).bind_select(parse_statement(query))
+    optimized = Optimizer(database.catalog, options).optimize(logical)
+    operator = PhysicalPlanner(parallelism=1, database=database).plan(optimized)
+    return (
+        explain_both(optimized, operator, verified=True),
+        collect(operator).to_pylist(),
+    )
+
+
+class TestPlanCacheFuzz:
+    @given(literal_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_cached_execution_equals_fresh_planning(self, engines, variants):
+        for options in (
+            OptimizerOptions(use_patch_indexes=False),
+            OptimizerOptions(always_rewrite=True),
+        ):
+            for query in variants:
+                answers = []
+                for name, engine in engines.items():
+                    if name == "snapshot":
+                        with engines["durable"].snapshot() as view:
+                            text, rows = _fresh(view, query, options)
+                    else:
+                        text, rows = _fresh(engine, query, options)
+                    knobs = dict(parallelism=1, optimizer_options=options)
+                    assert engine.explain(query, **knobs) == text, (name, query)
+                    assert engine.sql(query, **knobs).to_pylist() == rows, (
+                        name,
+                        query,
+                    )
+                    answers.append(rows)
+                assert answers[0] == answers[1] == answers[2], query

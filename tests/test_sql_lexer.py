@@ -76,3 +76,11 @@ class TestErrors:
     def test_bad_character(self):
         with pytest.raises(SqlSyntaxError):
             tokenize("select @")
+
+    def test_comment_body_is_never_lexed(self):
+        with pytest.raises(SqlSyntaxError) as raised:
+            tokenize("select 1 --'\n$'")
+        assert raised.value.position == 13
+        with pytest.raises(SqlSyntaxError) as raised:
+            tokenize("--$$\n$")
+        assert raised.value.position == 5

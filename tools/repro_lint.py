@@ -117,6 +117,7 @@ METRIC_NAMESPACES = (
     "storage",
     "cache",
     "query",
+    "plan",
     "statements",
     "patchselect",
     "parallel",
