@@ -134,7 +134,8 @@ def run_shell(
                 )
                 emit(
                     f"  evictions={stats['evictions']} "
-                    f"oversized_skips={stats['skip_count']}"
+                    f"oversized_skips={stats['skip_count']} "
+                    f"scan_bypass={stats['scan_bypass']}"
                 )
             continue
         if not buffer and stripped == "\\drift":

@@ -61,12 +61,96 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits.reshape(-1), bitorder="little")
 
 
-def unpack_bits(buffer: np.ndarray, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns int64 values."""
-    bits = np.unpackbits(buffer, bitorder="little")[: count * width]
+def _check_packed(available: int, width: int, count: int) -> int:
+    """Bytes *count* values of *width* bits occupy, validated up front.
+
+    Every unpack path calls this before it reads a byte, so a lying
+    width or a truncated payload is a :class:`StorageError` and never an
+    out-of-bounds window or a NumPy reshape error.
+    """
+    if not 1 <= width <= 63:
+        raise StorageError(f"bit width out of range: {width}")
+    if count < 0:
+        raise StorageError(f"negative value count: {count}")
+    needed = (count * width + 7) // 8
+    if available < needed or available < 0:
+        raise StorageError(
+            f"packed buffer too short: {available} bytes for "
+            f"{count} values of {width} bits"
+        )
+    return needed
+
+
+def unpack_bits_reference(
+    buffer: np.ndarray, width: int, count: int
+) -> np.ndarray:
+    """Bit-matrix inverse of :func:`pack_bits` (one byte per bit).
+
+    The readable definition of the format, 40x the output in
+    temporaries: it serves widths 58-63, which one 8-byte window cannot
+    hold, and is the oracle the tests hold :func:`unpack_bits` to.
+    """
+    needed = _check_packed(len(buffer), width, count)
+    bits = np.unpackbits(buffer[:needed], bitorder="little")[: count * width]
     bits = bits.reshape(count, width).astype(np.uint64)
     weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
     return (bits * weights).sum(axis=1).astype(np.int64)
+
+
+#: Widest value one little-endian 8-byte window holds at any bit
+#: offset: the value starts at most 7 bits into its first byte.
+_WINDOW_MAX_WIDTH = 57
+
+
+def _unpack_rows(
+    data: np.ndarray, first: int, stride: int, rows: int, width: int, count: int
+) -> np.ndarray:
+    """Unpack *rows* packed runs of *count* values into ``(rows, count)``.
+
+    Row ``r`` starts at byte ``first + r * stride`` of *data*.  Eight
+    consecutive values fill exactly *width* bytes, so value ``8g + lane``
+    starts ``lane * width`` bits into the group at byte ``g * width``:
+    per lane, one strided read of 8-byte words, a shift and a mask.  The
+    words are read from an owned copy padded with 8 zero bytes — never
+    from *data* itself, whose last windows would run past its end.
+    """
+    needed = _check_packed(len(data) - first - (rows - 1) * stride, width, count)
+    if not count:
+        return np.zeros((rows, 0), dtype=np.int64)
+    if width > _WINDOW_MAX_WIDTH:
+        return np.stack(
+            [
+                unpack_bits_reference(
+                    data[first + row * stride :][:needed], width, count
+                )
+                for row in range(rows)
+            ]
+        )
+    groups = (count + 7) // 8
+    span = (rows - 1) * stride + groups * width
+    padded = np.zeros(span + 8, dtype=np.uint8)
+    held = min(span, len(data) - first)
+    padded[:held] = data[first : first + held]
+    lanes = np.empty((8, rows, groups), dtype=np.uint64)
+    for lane in range(8):
+        bit = lane * width
+        windows = np.ndarray(
+            (rows, groups),
+            dtype="<u8",
+            buffer=padded,
+            offset=bit >> 3,
+            strides=(stride, width),
+        )
+        np.right_shift(windows, np.uint64(bit & 7), out=lanes[lane])
+    lanes &= np.uint64((1 << width) - 1)
+    values = np.empty((rows, groups, 8), dtype=np.uint64)
+    values[...] = lanes.transpose(1, 2, 0)
+    return values.reshape(rows, groups * 8)[:, :count].view(np.int64)
+
+
+def unpack_bits(buffer: np.ndarray, width: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits`; returns int64 values."""
+    return _unpack_rows(buffer, 0, 0, 1, width, count)[0]
 
 
 @dataclass(frozen=True)
@@ -289,17 +373,28 @@ def encode_block_rle(values: np.ndarray) -> bytes | None:
     )
 
 
+def _section(
+    data: bytes, dtype: str, count: int, offset: int, what: str
+) -> np.ndarray:
+    """*count* little-endian items at *offset*, length-checked first."""
+    item = np.dtype(dtype).itemsize
+    if count < 0 or offset + item * count > len(data):
+        raise StorageError(f"{what} cut short: {len(data)} bytes")
+    return np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+
+
 def decode_block_rle(data: bytes, count: int) -> np.ndarray:
     """Decode an RLE block payload back into int64 values."""
+    if len(data) < _RLE_HEADER.size:
+        raise StorageError(f"RLE header cut short: {len(data)} bytes")
     (runs,) = _RLE_HEADER.unpack_from(data)
     offset = _RLE_HEADER.size
-    run_values = np.frombuffer(data, dtype="<i8", count=runs, offset=offset)
-    offset += 8 * runs
-    lengths = np.frombuffer(data, dtype="<u4", count=runs, offset=offset)
-    values = np.repeat(run_values.astype(np.int64), lengths)
-    if len(values) != count:
+    run_values = _section(data, "<i8", runs, offset, "RLE run values")
+    lengths = _section(data, "<u4", runs, offset + 8 * runs, "RLE run lengths")
+    # Checked before np.repeat allocates what the lengths claim.
+    if int(lengths.sum(dtype=np.int64)) != count:
         raise StorageError("corrupt RLE block: run lengths do not cover block")
-    return values
+    return np.repeat(run_values.astype(np.int64), lengths)
 
 
 def encode_block_for(values: np.ndarray) -> bytes | None:
@@ -319,13 +414,60 @@ def encode_block_for(values: np.ndarray) -> bytes | None:
     ).tobytes()
 
 
+def for_block_width(data: bytes, offset: int = 0) -> int:
+    """Bit width the FOR payload at *offset* declares (0 if cut short).
+
+    Lets a reader group neighbouring blocks for :func:`decode_blocks_for`
+    without knowing the header layout.
+    """
+    at = offset + _FOR_HEADER.size - 1
+    return data[at] if at < len(data) else 0
+
+
+def decode_blocks_for(
+    data: bytes, count: int, blocks: int = 1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Decode *blocks* FOR payloads laid back to back in *data*.
+
+    The payloads must be equally long and share one bit width (full
+    blocks of one segment column usually do); each holds *count* values.
+    All of them are unpacked, un-zig-zagged, prefix-summed and re-based
+    in one 2-D pass into ``(blocks, count)`` int64 — *out* when given.
+    """
+    stride, ragged = divmod(len(data), blocks)
+    if ragged or stride < _FOR_HEADER.size:
+        raise StorageError(
+            f"FOR payload cut short: {len(data)} bytes for {blocks} blocks"
+        )
+    headers = [
+        _FOR_HEADER.unpack_from(data, row * stride) for row in range(blocks)
+    ]
+    width = headers[0][1]
+    if any(header[1] != width for header in headers):
+        raise StorageError("FOR blocks of one run differ in bit width")
+    zigzag = _unpack_rows(
+        np.frombuffer(data, dtype=np.uint8),
+        _FOR_HEADER.size,
+        stride,
+        blocks,
+        width,
+        count,
+    )
+    sign = zigzag & 1
+    np.negative(sign, out=sign)
+    zigzag >>= 1
+    zigzag ^= sign  # (z >> 1) ^ -(z & 1), in the array _unpack_rows made
+    # int64 wraparound round-trips, as in _restore_chain.
+    values = np.cumsum(zigzag, axis=1, dtype=np.int64, out=out)
+    values += np.asarray([header[0] for header in headers], dtype=np.int64)[
+        :, None
+    ]
+    return values
+
+
 def decode_block_for(data: bytes, count: int) -> np.ndarray:
     """Decode a FOR block payload back into int64 values."""
-    base, width = _FOR_HEADER.unpack_from(data)
-    packed = np.frombuffer(data, dtype=np.uint8, offset=_FOR_HEADER.size)
-    zigzag = unpack_bits(packed, width, count)
-    deltas = (zigzag >> 1) ^ -(zigzag & 1)
-    return _restore_chain(base, deltas)
+    return decode_blocks_for(data, count)[0]
 
 
 def encode_block_pfor(
@@ -381,30 +523,34 @@ def encode_block_pfor(
 
 def decode_block_pfor(data: bytes, count: int) -> np.ndarray:
     """Decode a patch-aware FOR block payload back into int64 values."""
+    if len(data) < _PFOR_HEADER.size:
+        raise StorageError(f"PFOR header cut short: {len(data)} bytes")
     base, width, kept_count, exc_count = _PFOR_HEADER.unpack_from(data)
-    offset = _PFOR_HEADER.size
-    packed_len = (kept_count * width + 7) // 8
-    if kept_count and width:
-        packed = np.frombuffer(
-            data, dtype=np.uint8, count=packed_len, offset=offset
-        )
-        deltas = unpack_bits(packed, width, kept_count)
-    else:
-        deltas = np.zeros(kept_count, dtype=np.int64)
-    offset += packed_len
-    positions = np.frombuffer(
-        data, dtype="<u4", count=exc_count, offset=offset
-    ).astype(np.int64)
-    offset += 4 * exc_count
-    exc_values = np.frombuffer(data, dtype="<i8", count=exc_count, offset=offset)
     if kept_count + exc_count != count:
         raise StorageError("corrupt PFOR block: counts do not cover block")
+    offset = _PFOR_HEADER.size
+    if kept_count:
+        packed = np.frombuffer(data, dtype=np.uint8, offset=offset)
+        deltas = unpack_bits(packed, width, kept_count)
+        offset += (kept_count * width + 7) // 8
+    positions = _section(
+        data, "<u4", exc_count, offset, "PFOR exception positions"
+    ).astype(np.int64)
+    exc_values = _section(
+        data, "<i8", exc_count, offset + 4 * exc_count, "PFOR exception values"
+    )
+    if exc_count and (
+        positions[-1] >= count or (positions[1:] <= positions[:-1]).any()
+    ):
+        raise StorageError(
+            "corrupt PFOR block: exception positions out of range or order"
+        )
     out = np.empty(count, dtype=np.int64)
     keep = np.ones(count, dtype=np.bool_)
     keep[positions] = False
     if kept_count:
         out[keep] = _restore_chain(base, deltas)
-    out[positions] = exc_values.astype(np.int64)
+    out[positions] = exc_values
     return out
 
 
@@ -418,7 +564,9 @@ def encode_block_codes(codes: np.ndarray, width: int) -> bytes:
 
 def decode_block_codes(data: bytes, count: int) -> np.ndarray:
     """Unpack per-block dictionary codes; returns int64 code ids."""
-    (width,) = struct.unpack_from("<B", data)
+    if not len(data):
+        raise StorageError("dictionary code block is empty")
+    width = data[0]
     if not width:
         return np.zeros(count, dtype=np.int64)
     packed = np.frombuffer(data, dtype=np.uint8, offset=1)

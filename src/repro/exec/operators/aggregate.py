@@ -31,6 +31,7 @@ from repro.exec.operators.base import Operator
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.types import DataType, is_numeric
+from repro.types.datatypes import numpy_dtype
 
 _AGG_FUNCS = frozenset(
     {"count", "count_star", "count_distinct", "sum", "min", "max", "avg"}
@@ -141,13 +142,9 @@ class HashAggregate(Operator):
         return RecordBatch(self._schema, columns)
 
     def _scalar(self, data: RecordBatch) -> RecordBatch:
-        n = len(data)
-        group_ids = np.zeros(n, dtype=np.int64)
         columns: dict[str, ColumnVector] = {}
         for spec in self.aggregates:
-            columns[spec.alias] = _compute_grouped(
-                spec, data, group_ids, 1, self._schema
-            )
+            columns[spec.alias] = _compute_scalar(spec, data, self._schema)
         return RecordBatch(self._schema, columns)
 
     def label(self) -> str:
@@ -255,6 +252,11 @@ def _compute_grouped(
     empty = counts == 0
     out_validity = None if not empty.any() else ~empty
 
+    if spec.func == "sum" and out_field.dtype == DataType.INT64:
+        # Summed in int64: a float64 accumulator drops low bits past 2**53.
+        exact = np.zeros(group_count, dtype=np.int64)
+        np.add.at(exact, group_of_valid, column.values[valid_positions])
+        return ColumnVector(DataType.INT64, exact, out_validity)
     if spec.func in ("sum", "avg"):
         values = column.values[valid_positions].astype(np.float64)
         sums = np.bincount(group_of_valid, weights=values, minlength=group_count)
@@ -262,10 +264,6 @@ def _compute_grouped(
             with np.errstate(invalid="ignore", divide="ignore"):
                 means = np.where(empty, 0.0, sums / np.maximum(counts, 1))
             return ColumnVector(DataType.FLOAT64, means, out_validity)
-        if out_field.dtype == DataType.INT64:
-            return ColumnVector(
-                DataType.INT64, sums.astype(np.int64), out_validity
-            )
         return ColumnVector(DataType.FLOAT64, sums, out_validity)
 
     # MIN / MAX
@@ -293,6 +291,46 @@ def _compute_grouped(
         np.maximum.at(out, group_of_valid, values)
         out[empty] = _fill(values.dtype)
     return ColumnVector(out_field.dtype, out.astype(values.dtype), out_validity)
+
+
+def _compute_scalar(
+    spec: AggregateSpec, data: RecordBatch, output_schema: Schema
+) -> ColumnVector:
+    """One ungrouped aggregate as a plain reduction over the valid values.
+
+    COUNT(DISTINCT) and string MIN/MAX go through the grouped kernels
+    with every row in group 0; their cost is not the group ids.
+    """
+    if spec.func == "count_star":
+        return _one(DataType.INT64, len(data))
+    column = data.column(spec.column)
+    values = column.values
+    if spec.func == "count_distinct" or (
+        spec.func in ("min", "max") and values.dtype == np.dtype(object)
+    ):
+        return _compute_grouped(
+            spec, data, np.zeros(len(data), dtype=np.int64), 1, output_schema
+        )
+    if spec.func == "count":
+        return _one(DataType.INT64, len(values) - column.null_count())
+    if column.validity is not None:
+        values = values[column.validity]
+    dtype = output_schema.field(spec.alias).dtype
+    if not len(values):
+        return ColumnVector(
+            dtype,
+            np.zeros(1, dtype=numpy_dtype(dtype)),
+            np.zeros(1, dtype=np.bool_),
+        )
+    if spec.func == "sum":
+        return _one(dtype, values.sum(dtype=numpy_dtype(dtype)))
+    if spec.func == "avg":
+        return _one(dtype, values.sum(dtype=np.float64) / len(values))
+    return _one(dtype, values.min() if spec.func == "min" else values.max())
+
+
+def _one(dtype: DataType, value: object) -> ColumnVector:
+    return ColumnVector(dtype, np.asarray([value], dtype=numpy_dtype(dtype)))
 
 
 def _extreme(dtype: np.dtype, maximum: bool) -> object:

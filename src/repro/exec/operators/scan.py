@@ -27,6 +27,7 @@ from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
+from repro.types.datatypes import numpy_dtype
 
 #: Name of the virtual tuple-identifier column.
 TID_COLUMN = "tid"
@@ -107,11 +108,18 @@ class TableScan(Operator):
             if self.scan_ranges is not None
             else [(0, self.table.row_count)]
         )
+        planned = 0
         for partition in self.table.partitions:
             p_start, p_stop = partition.rowid_range
+            row_bytes = sum(
+                numpy_dtype(field.dtype).itemsize
+                for field in self._schema
+                if partition.is_lazy(field.name)
+            )
             for r_start, r_stop in ranges:
                 lo = max(p_start, r_start)
                 hi = min(p_stop, r_stop)
+                planned += max(0, hi - lo) * row_bytes
                 position = lo
                 while position < hi:
                     stop = min(position + self.batch_size, hi)
@@ -119,6 +127,9 @@ class TableScan(Operator):
                     position = stop
         pieces.reverse()  # pop() from the end keeps order
         self._cursor = pieces
+        # What this scan will pull through the block cache; one that
+        # cannot fit is read around it (SegmentColumnSource._decode_run).
+        self.io.planned_bytes = planned
 
     def next_batch(self) -> RecordBatch | None:
         if self._cursor is None:

@@ -436,6 +436,8 @@ def _finalize_tree(root: ProfileNode) -> None:
                     ("bytes_decoded", io.bytes_decoded),
                 ):
                     node.details[key] = node.details.get(key, 0) + value
+            if io.cache_bypass is not None:
+                node.details["cache_bypass"] = io.cache_bypass
         node._operator = None  # release the operator tree
 
 

@@ -15,7 +15,10 @@ pg-xpatch cautionary tale is a cache that silently rejected large
 entries until a ``skip_count`` stat exposed it.  Here every outcome is
 counted: ``cache.hits`` / ``cache.misses`` / ``cache.evictions`` and
 ``cache.skip_count`` (entries larger than a quarter of the capacity are
-*skipped*, never admitted, and always counted), plus ``cache.bytes`` /
+*skipped*, never admitted, and always counted), ``cache.scan_bypass``
+(blocks a scan decoded but did not admit because the scan as a whole is
+larger than the cache — the sequential-flooding rule: it would only
+evict what is resident and then itself), plus ``cache.bytes`` /
 ``cache.entries`` gauges.
 
 One cache is shared per :class:`~repro.storage.engine.DurableEngine`
@@ -75,6 +78,14 @@ def vector_nbytes(vector: ColumnVector) -> int:
     return size
 
 
+def _base_nbytes(array: np.ndarray) -> int:
+    """Bytes of the buffer *array* keeps alive (its own when it owns them)."""
+    base = array.base
+    if base is None:
+        return int(array.nbytes)
+    return int(memoryview(base).nbytes)
+
+
 @dataclass
 class ScanIO:
     """Per-scan decode / cache accounting (feeds EXPLAIN ANALYZE)."""
@@ -86,6 +97,12 @@ class ScanIO:
     bytes_read: int = 0
     #: Decoded vector bytes those payloads expanded into.
     bytes_decoded: int = 0
+    #: Decoded bytes the scan expects to pull through the cache in
+    #: total (``TableScan.open``): rows x the lazy columns' item sizes.
+    planned_bytes: int = 0
+    #: ``"<planned> > <capacity>"`` once the scan decoded a block it did
+    #: not admit because it cannot fit the cache as a whole.
+    cache_bypass: str | None = None
 
     @property
     def hit_ratio(self) -> float:
@@ -114,6 +131,7 @@ class BlockCache:
         self.misses = 0
         self.evictions = 0
         self.skips = 0
+        self.bypasses = 0
         self._metrics = metrics
         if sanitize_enabled():
             register_cache(self)
@@ -172,6 +190,15 @@ class BlockCache:
             metrics.counter("cache.evictions").inc(evicted)
         return True
 
+    def note_bypass(self, blocks: int) -> None:
+        """Count *blocks* decoded but not admitted by a scan that is
+        larger than the whole cache."""
+        with self._lock:
+            self.bypasses += blocks
+            metrics = self._metrics
+        if metrics is not None:
+            metrics.counter("cache.scan_bypass").inc(blocks)
+
     def clear(self) -> None:
         """Drop every entry (checkpoint generation flip)."""
         with self._lock:
@@ -207,6 +234,19 @@ class BlockCache:
             actual = sum(nbytes for _, nbytes in self._entries.values())
             entries = len(self._entries)
             tracked = self._bytes
+            vectors = (
+                [vector for vector, _ in self._entries.values()]
+                if sanitize_enabled()
+                else []
+            )
+        for vector in vectors:
+            for array in (vector.values, vector.validity):
+                if array is not None and _base_nbytes(array) > array.nbytes:
+                    return (
+                        f"BlockCache holds a {array.nbytes}-byte view of a "
+                        f"{_base_nbytes(array)}-byte buffer: the entry pins "
+                        "memory the byte accounting does not see"
+                    )
         if actual != tracked:
             return (
                 f"BlockCache byte accounting drifted: tracked {tracked} "
@@ -232,6 +272,7 @@ class BlockCache:
                 "hit_ratio": self.hits / total if total else 0.0,
                 "evictions": self.evictions,
                 "skip_count": self.skips,
+                "scan_bypass": self.bypasses,
             }
 
 
@@ -271,43 +312,87 @@ class SegmentColumnSource:
     def __len__(self) -> int:
         return self.reader.rows
 
-    def block(self, index: int, io: ScanIO | None = None) -> ColumnVector:
-        """Fetch one decoded block, preferring the cache."""
-        key = (self.table, self.segment, self.column, index, self.generation)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                if io is not None:
-                    io.cache_hits += 1
-                return cached
-        vector = self.reader.decode_block(index)
-        nbytes = vector_nbytes(vector)
+    def _decode_run(
+        self, first: int, last: int, io: ScanIO | None
+    ) -> ColumnVector:
+        """Decode missed blocks *first* … *last*; admit them if the scan fits."""
+        reader = self.reader
+        vector = reader.decode_run(first, last)
+        blocks = range(first, last + 1)
         if io is not None:
-            io.blocks_decoded += 1
+            io.blocks_decoded += len(blocks)
             if self.cache is not None:
-                io.cache_misses += 1
-            io.bytes_read += self.reader.block_payload_bytes(index)
-            io.bytes_decoded += nbytes
-        if self.cache is not None:
-            self.cache.put(key, vector, nbytes)
+                io.cache_misses += len(blocks)
+            io.bytes_read += sum(map(reader.block_payload_bytes, blocks))
+            io.bytes_decoded += vector_nbytes(vector)
+        cache = self.cache
+        if cache is None:
+            return vector
+        if io is not None and io.planned_bytes > cache.capacity_bytes:
+            # A scan larger than the whole cache would evict what is
+            # resident and then its own head before re-reading it.
+            cache.note_bypass(len(blocks))
+            io.cache_bypass = f"{io.planned_bytes} > {cache.capacity_bytes}"
+            return vector
+        base = reader.stats[first].start
+        for index in blocks:
+            block = reader.stats[index]
+            lo, hi = block.start - base, block.stop - base
+            # Copies: a view would pin the whole run's buffer behind an
+            # entry accounted at one block's bytes.
+            cache.put(
+                self._key(index),
+                ColumnVector(
+                    vector.dtype,
+                    vector.values[lo:hi].copy(),
+                    None
+                    if vector.validity is None
+                    else vector.validity[lo:hi].copy(),
+                ),
+            )
         return vector
+
+    def _key(self, index: int) -> tuple:
+        return (self.table, self.segment, self.column, index, self.generation)
 
     def slice(
         self, start: int, stop: int, io: ScanIO | None = None
     ) -> ColumnVector:
-        """Assemble rows ``[start, stop)`` from decoded blocks."""
+        """Assemble rows ``[start, stop)`` from decoded blocks.
+
+        Cached blocks are used as they are; each maximal run of missed
+        neighbours is decoded in one go (``SegmentReader.decode_run``).
+        """
         if stop <= start:
             return ColumnVector.empty(self.reader.dtype)
         size = self.reader.block_size
+        first, last = start // size, (stop - 1) // size
+        cache = self.cache
         parts: list[ColumnVector] = []
-        for index in range(start // size, (stop - 1) // size + 1):
-            block = self.block(index, io)
-            base = index * size
-            lo = max(start, base) - base
-            hi = min(stop, base + len(block)) - base
-            parts.append(
-                block if lo == 0 and hi == len(block) else block.slice(lo, hi)
-            )
+        if cache is None:
+            parts.append(self._decode_run(first, last, io))
+        else:
+            missed_from = -1
+            for index in range(first, last + 1):
+                cached = cache.get(self._key(index))
+                if cached is None:
+                    if missed_from < 0:
+                        missed_from = index
+                    continue
+                if missed_from >= 0:
+                    parts.append(self._decode_run(missed_from, index - 1, io))
+                    missed_from = -1
+                if io is not None:
+                    io.cache_hits += 1
+                parts.append(cached)
+            if missed_from >= 0:
+                parts.append(self._decode_run(missed_from, last, io))
+        head = start - first * size
+        if head:
+            parts[0] = parts[0].slice(head, len(parts[0]))
+        tail = min((last + 1) * size, self.reader.rows) - stop
+        if tail:
+            parts[-1] = parts[-1].slice(0, len(parts[-1]) - tail)
         return parts[0] if len(parts) == 1 else ColumnVector.concat(parts)
 
     def materialize(self, io: ScanIO | None = None) -> ColumnVector:

@@ -107,6 +107,11 @@ class Partition:
             return source.slice(start, stop, io)
         return self.column(name).slice(start, stop)
 
+    def is_lazy(self, name: str) -> bool:
+        """Whether slices of *name* still decode segment blocks (through
+        the block cache) instead of slicing a resident vector."""
+        return name in self._sources and name not in self._columns
+
     def _materialize_all(self) -> None:
         """Resolve every lazy source before a mutation rewrites rows."""
         for name in list(self._sources):

@@ -45,10 +45,11 @@ import numpy as np
 from repro.core.compression import (
     build_string_dictionary,
     decode_block_codes,
-    decode_block_for,
     decode_block_pfor,
     decode_block_rle,
+    decode_blocks_for,
     encode_block_codes,
+    for_block_width,
     pick_int_block_encoding,
 )
 from repro.errors import StorageError
@@ -69,6 +70,11 @@ _INT_PHYSICAL = frozenset({DataType.INT64, DataType.DATE})
 
 #: Segment-level encoding knob values.
 ENCODING_MODES = ("auto", "raw")
+
+#: Most ``for`` blocks one 2-D decode pass takes: past a few blocks the
+#: per-call overhead is already spread thin, and the pass's temporaries
+#: (a handful of arrays the size of its output) stay cache-sized.
+_FOR_GROUP_BLOCKS = 16
 
 
 def _jsonable_stat(value: object) -> object:
@@ -398,6 +404,7 @@ class SegmentReader:
         self._eager: ColumnVector | None = None
         self._buffer: np.memmap | None = None
         self._dictionary: np.ndarray | None = None
+        self.validity: np.ndarray | None = None
 
         if self.version == 1:
             self.encodings = ["raw"] * len(self.stats)
@@ -408,6 +415,14 @@ class SegmentReader:
             self._handle.close()
             return
 
+        try:
+            self._open_v2(header)
+        except StorageError:
+            self._handle.close()
+            raise
+
+    def _open_v2(self, header: dict) -> None:
+        """Block directory, payload mapping, validity and dictionary."""
         self.encodings = [str(entry[5]) for entry in header["blocks"]]
         self._blocks = [
             (str(entry[5]), int(entry[6]), int(entry[7]))
@@ -415,40 +430,63 @@ class SegmentReader:
         ]
         payload_len = int(header["payload_len"])
         validity_len = int(header["validity_len"])
-        if mmap and payload_len:
-            self._buffer = np.memmap(
-                self.path,
-                dtype=np.uint8,
-                mode="r",
-                offset=self._payload_start,
-                shape=(payload_len,),
-            )
-        self.validity: np.ndarray | None = None
+        floor = 0
+        for _, offset, length in self._blocks:
+            # decode_run reads first.offset … last.offset + length in one
+            # go, so the header must lay blocks out in ascending order.
+            if offset < floor or length < 0:
+                raise StorageError(f"corrupt segment header: {self.path}")
+            floor = offset + length
+        if floor > payload_len - validity_len:
+            raise StorageError(f"corrupt segment header: {self.path}")
+        if self.mmap and payload_len:
+            try:
+                self._buffer = np.memmap(
+                    self.path,
+                    dtype=np.uint8,
+                    mode="r",
+                    offset=self._payload_start,
+                    shape=(payload_len,),
+                )
+            except ValueError as exc:  # the file is shorter than its header says
+                raise StorageError(
+                    f"segment file cut short: {self.path}: {exc}"
+                ) from exc
         if validity_len:
+            if 8 * validity_len < self.rows:
+                raise StorageError(f"validity bitmap cut short: {self.path}")
             raw = self._read(payload_len - validity_len, validity_len)
             self.validity = np.unpackbits(
                 np.frombuffer(raw, dtype=np.uint8), count=self.rows
             ).astype(np.bool_)
         dict_entry = header.get("dict")
         if dict_entry is not None:
-            raw = self._read(0, int(dict_entry["bytes"]))
-            count = int(dict_entry["count"])
-            offsets = np.frombuffer(raw, dtype=np.int64, count=count + 1)
-            pool = raw[8 * (count + 1) :]
-            self._dictionary = np.empty(count, dtype=object)
-            for position in range(count):
-                lo, hi = int(offsets[position]), int(offsets[position + 1])
-                self._dictionary[position] = pool[lo:hi].decode("utf-8")
+            try:
+                self._dictionary = _decode_raw_strings(
+                    self._read(0, int(dict_entry["bytes"])),
+                    int(dict_entry["count"]),
+                )
+            except StorageError as exc:
+                raise StorageError(
+                    f"corrupt dictionary of {self.path}: {exc}"
+                ) from exc
 
     # -- raw IO ---------------------------------------------------------
 
     def _read(self, offset: int, length: int) -> bytes:
         """Fetch *length* payload bytes at payload-relative *offset*."""
         if self._buffer is not None:
-            return bytes(self._buffer[offset : offset + length])
-        return os.pread(
-            self._handle.fileno(), length, self._payload_start + offset
-        )
+            data = bytes(self._buffer[offset : offset + length])
+        else:
+            data = os.pread(
+                self._handle.fileno(), length, self._payload_start + offset
+            )
+        if len(data) != length:
+            raise StorageError(
+                f"segment file cut short: {self.path} holds {len(data)} of "
+                f"{length} bytes at payload offset {offset}"
+            )
+        return data
 
     # -- block interface ------------------------------------------------
 
@@ -467,49 +505,101 @@ class SegmentReader:
 
     def decode_block(self, index: int) -> ColumnVector:
         """Decode block *index* into a column vector (validity applied)."""
-        block = self.stats[index]
+        return self.decode_run(index, index)
+
+    def decode_run(self, first: int, last: int) -> ColumnVector:
+        """Decode blocks *first* … *last* (inclusive) into one vector.
+
+        One read fetches the whole run and every block decodes straight
+        into its rows of one output array.  Neighbouring ``for`` blocks
+        of one shape and bit width — a dense column's full blocks —
+        decode together in one 2-D pass
+        (:func:`~repro.core.compression.decode_blocks_for`).
+        """
+        start, stop = self.stats[first].start, self.stats[last].stop
         if self._eager is not None:
-            return self._eager.slice(block.start, block.stop)
-        tag, offset, length = self._blocks[index]
-        data = self._read(offset, length)
-        count = block.row_count
-        if tag == "raw":
-            if self.dtype == DataType.STRING:
-                offsets = np.frombuffer(data, dtype=np.int64, count=count + 1)
-                pool = data[8 * (count + 1) :]
-                values = np.empty(count, dtype=object)
-                for position in range(count):
-                    lo, hi = int(offsets[position]), int(offsets[position + 1])
-                    values[position] = pool[lo:hi].decode("utf-8")
-            else:
-                values = np.frombuffer(
-                    data, dtype=numpy_dtype(self.dtype), count=count
-                )
-        elif tag == "rle":
-            values = decode_block_rle(data, count)
-        elif tag == "for":
-            values = decode_block_for(data, count)
-        elif tag == "pfor":
-            values = decode_block_pfor(data, count)
-        elif tag == "dict":
-            if self._dictionary is None:
+            return self._eager.slice(start, stop)
+        lo = self._blocks[first][1]
+        _, offset, length = self._blocks[last]
+        data = memoryview(self._read(lo, offset + length - lo))
+        values = np.empty(stop - start, dtype=numpy_dtype(self.dtype))
+        index = first
+        while index <= last:
+            tag, offset, length = self._blocks[index]
+            block = self.stats[index]
+            at = offset - lo
+            end = index + 1
+            try:
+                if tag == "for" and self.dtype in _INT_PHYSICAL:
+                    end = self._for_group_end(data, lo, index, last)
+                    rows = end - index
+                    out = values[block.start - start :][: rows * block.row_count]
+                    decode_blocks_for(
+                        data[at : at + rows * length],
+                        block.row_count,
+                        rows,
+                        out=out.reshape(rows, block.row_count),
+                    )
+                else:
+                    values[block.start - start : block.stop - start] = (
+                        self._decode_payload(
+                            tag, data[at : at + length], block.row_count
+                        )
+                    )
+            except StorageError as exc:
                 raise StorageError(
-                    f"dict block without dictionary: {self.path}"
-                )
-            codes = decode_block_codes(data, count)
-            values = self._dictionary[codes]
-        else:
-            raise StorageError(f"unknown block encoding {tag!r}: {self.path}")
-        if self.dtype in _INT_PHYSICAL and values.dtype != np.int64:
-            values = values.astype(np.int64)
-        if len(values) != count:
-            raise StorageError(f"corrupt segment block: {self.path}")
+                    f"corrupt block {index} of {self.path}: {exc}"
+                ) from exc
+            index = end
         validity = (
-            self.validity[block.start : block.stop]
-            if self.version == 2 and self.validity is not None
-            else None
+            self.validity[start:stop] if self.validity is not None else None
         )
         return ColumnVector(self.dtype, values, validity)
+
+    def _for_group_end(
+        self, data: memoryview, lo: int, index: int, last: int
+    ) -> int:
+        """End (exclusive) of the ``for`` blocks from *index* that decode
+        as one 2-D pass: back to back on disk, same rows, bytes and width."""
+        tag, offset, length = self._blocks[index]
+        count = self.stats[index].row_count
+        width = for_block_width(data, offset - lo)
+        end = index + 1
+        while end <= min(last, index + _FOR_GROUP_BLOCKS - 1):
+            offset += length
+            if (
+                self._blocks[end] != (tag, offset, length)
+                or self.stats[end].row_count != count
+                or for_block_width(data, offset - lo) != width
+            ):
+                break
+            end += 1
+        return end
+
+    def _decode_payload(
+        self, tag: str, data: memoryview, count: int
+    ) -> np.ndarray:
+        """The *count* values one block payload holds (``for`` aside)."""
+        if tag == "raw":
+            if self.dtype == DataType.STRING:
+                return _decode_raw_strings(data, count)
+            dtype = numpy_dtype(self.dtype)
+            if len(data) < dtype.itemsize * count:
+                raise StorageError(f"raw block cut short: {len(data)} bytes")
+            return np.frombuffer(data, dtype=dtype, count=count)
+        if self.dtype in _INT_PHYSICAL:
+            if tag == "rle":
+                return decode_block_rle(data, count)
+            if tag == "pfor":
+                return decode_block_pfor(data, count)
+        if tag == "dict" and self._dictionary is not None:
+            codes = decode_block_codes(data, count)
+            if count and int(codes.max()) >= len(self._dictionary):
+                raise StorageError("dictionary code out of range")
+            return self._dictionary[codes]
+        raise StorageError(
+            f"block encoding {tag!r} cannot hold a {self.dtype.name} column"
+        )
 
     def read_all(self) -> ColumnVector:
         """Materialize the whole segment as one column vector."""
@@ -517,9 +607,7 @@ class SegmentReader:
             return self._eager
         if not self.stats:
             return ColumnVector.empty(self.dtype)
-        return ColumnVector.concat(
-            [self.decode_block(index) for index in range(self.block_count)]
-        )
+        return self.decode_run(0, self.block_count - 1)
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -530,6 +618,30 @@ class SegmentReader:
             self.close()
         except Exception:
             pass
+
+
+def _decode_raw_strings(data: bytes | memoryview, count: int) -> np.ndarray:
+    """*count* strings from an ``int64`` offsets array plus a UTF-8 pool."""
+    if count < 0 or len(data) < 8 * (count + 1):
+        raise StorageError(f"string offsets cut short: {len(data)} bytes")
+    offsets = np.frombuffer(data, dtype=np.int64, count=count + 1)
+    pool = data[8 * (count + 1) :]
+    if (
+        offsets[0] < 0
+        or offsets[-1] > len(pool)
+        or (offsets[1:] < offsets[:-1]).any()
+    ):
+        raise StorageError("string offsets out of range or order")
+    values = np.empty(count, dtype=object)
+    bounds = offsets.tolist()
+    try:
+        for position in range(count):
+            values[position] = str(
+                pool[bounds[position] : bounds[position + 1]], "utf-8"
+            )
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"string pool is not UTF-8: {exc}") from exc
+    return values
 
 
 def _read_v1_payload(

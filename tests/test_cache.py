@@ -9,10 +9,12 @@ processes that attach the data directory and replay the WAL tail.
 """
 
 import io
+import itertools
 import random
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 
 import repro
@@ -23,11 +25,13 @@ from repro.storage.cache import (
     BlockCache,
     ENV_CACHE_BYTES,
     ScanIO,
+    SegmentColumnSource,
     cache_capacity_from_env,
     vector_nbytes,
 )
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
+from repro.storage.segment import open_segment, write_segment
 from repro.types import DataType
 
 SCHEMA = Schema([Field("k", DataType.INT64), Field("v", DataType.INT64)])
@@ -97,6 +101,146 @@ class TestBlockCache:
         io_stats = ScanIO(cache_hits=3, cache_misses=1)
         assert io_stats.hit_ratio == 0.75
         assert ScanIO().hit_ratio == 0.0
+
+
+@pytest.fixture
+def six_block_source(tmp_path):
+    """A 6-block column (the last block partial) behind a roomy cache."""
+    rng = np.random.default_rng(2)
+    items = np.cumsum(rng.integers(-50, 50, 5 * 32 + 9)).tolist()
+    items[40] = items[100] = None
+    column = ColumnVector.from_pylist(DataType.INT64, items)
+    path = tmp_path / "col.seg"
+    write_segment(path, column, block_size=32, sync=False)
+    reader = open_segment(path)
+    assert reader.block_count == 6
+    source = SegmentColumnSource(
+        reader,
+        BlockCache(1 << 20),
+        table="t",
+        column="c",
+        segment="col.seg",
+        generation=1,
+    )
+    yield source, column
+    reader.close()
+
+
+class TestSlice:
+    """``slice`` assembles cached blocks and decoded runs of missed ones."""
+
+    BOUNDS = [(0, 169), (0, 32), (5, 27), (31, 33), (17, 150), (64, 169), (96, 161)]
+
+    def test_every_hit_miss_pattern(self, six_block_source):
+        source, column = six_block_source
+        for resident in itertools.product([False, True], repeat=6):
+            for start, stop in self.BOUNDS:
+                source.cache.clear()
+                for index, present in enumerate(resident):
+                    if present:
+                        block = source.reader.decode_block(index)
+                        source.cache.put(
+                            source._key(index),
+                            ColumnVector.from_pylist(block.dtype, block.to_pylist()),
+                        )
+                io = ScanIO()
+                got = source.slice(start, stop, io)
+                assert got.to_pylist() == column.slice(start, stop).to_pylist()
+                touched = range(start // 32, (stop - 1) // 32 + 1)
+                hits = sum(resident[index] for index in touched)
+                assert io.cache_hits == hits
+                assert io.cache_misses == io.blocks_decoded == len(touched) - hits
+
+    def test_without_a_cache_the_slice_is_one_run(self, six_block_source):
+        source, column = six_block_source
+        source.cache = None
+        io = ScanIO()
+        assert source.slice(3, 165, io).to_pylist() == column.slice(3, 165).to_pylist()
+        assert (io.blocks_decoded, io.cache_hits, io.cache_misses) == (6, 0, 0)
+
+    def test_admitted_blocks_own_their_buffers(self, six_block_source):
+        source, __ = six_block_source
+        source.slice(0, 169)  # one run of six missed blocks, all admitted
+        assert source.cache.entry_count == 6
+        for vector, nbytes in source.cache._entries.values():
+            assert vector.values.base is None
+            assert vector.validity is None or vector.validity.base is None
+            assert nbytes == vector_nbytes(vector)
+
+    def test_sanitizer_flags_a_cached_view(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        cache = BlockCache(1 << 20)
+        run = vec(list(range(64)))
+        cache.put(("t", "s", "k", 0, 0), run.slice(0, 32))
+        assert "view" in cache.verify_accounting()
+        cache.clear()
+        cache.put(("t", "s", "k", 0, 0), vec(list(range(32))))
+        assert cache.verify_accounting() is None
+
+
+def reopened_two_column_table(tmp_path, rows, cache_bytes):
+    db = repro.connect(path=tmp_path / "db", parallelism=1, sync=False)
+    table = db.create_table("t", SCHEMA)
+    table.insert_rows([[i, i * 2] for i in range(rows)])
+    db.sql("CHECKPOINT")
+    db.close()
+    return repro.connect(
+        path=tmp_path / "db", parallelism=1, cache_bytes=cache_bytes
+    )
+
+
+class TestScanBypass:
+    """A scan that cannot fit the cache is read around it, and says so."""
+
+    ROWS = 40_000  # 10 blocks a column, 320 KB decoded a column
+
+    def test_oversized_scan_evicts_nothing_and_still_hits(self, tmp_path):
+        db = reopened_two_column_table(tmp_path, self.ROWS, 256 * 1024)
+        # Two blocks of k (64 KiB, fits): admitted as ever.
+        db.sql("SELECT SUM(k) AS s FROM t WHERE k < 8000")
+        before = db.cache_stats()
+        assert before["entries"] == 2 and before["scan_bypass"] == 0
+        # Both columns in full: 640 KB planned against 256 KiB.
+        result = db.sql("SELECT SUM(k) AS a, SUM(v) AS b FROM t", profile=True)
+        total = sum(range(self.ROWS))
+        assert result.to_pylist() == [(total, 2 * total)]
+        after = db.cache_stats()
+        assert after["evictions"] == 0
+        assert after["entries"] == 2 and after["bytes"] == before["bytes"]
+        assert after["hits"] - before["hits"] == 2  # the resident blocks
+        assert after["scan_bypass"] == 18
+        assert after["skip_count"] == 0
+        scan = result.profile.find("TableScan")[0]
+        assert scan.details["cache_bypass"] == f"{2 * 8 * self.ROWS} > {256 * 1024}"
+        assert scan.details["cache_hits"] == 2
+        assert scan.details["blocks_decoded"] == 18
+        assert db.metrics().export()["counters"]["cache.scan_bypass"] == 18
+        db.close()
+
+    def test_scan_that_fits_is_admitted_and_hits_on_the_second_pass(
+        self, tmp_path
+    ):
+        db = reopened_two_column_table(tmp_path, self.ROWS, 1 << 20)
+        query = "SELECT SUM(k) AS a, SUM(v) AS b FROM t"
+        cold = db.sql(query, profile=True).profile.find("TableScan")[0]
+        assert cold.details["cache_misses"] == 20
+        assert "cache_bypass" not in cold.details
+        warm = db.sql(query, profile=True).profile.find("TableScan")[0]
+        assert warm.details["cache_hit_ratio"] == 1.0
+        assert warm.details["blocks_decoded"] == 0
+        stats = db.cache_stats()
+        assert stats["entries"] == 20 and stats["scan_bypass"] == 0
+        assert stats["evictions"] == 0
+        db.close()
+
+    def test_repl_cache_command_shows_the_bypass(self, tmp_path):
+        from repro.__main__ import run_shell
+
+        db = reopened_two_column_table(tmp_path, self.ROWS, 65536)
+        out = io.StringIO()
+        run_shell(db, iter(["SELECT SUM(v) AS s FROM t;", "\\cache", "\\q"]), out)
+        db.close()
+        assert "scan_bypass=10" in out.getvalue()
 
 
 class TestCapacityKnobs:

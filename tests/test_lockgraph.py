@@ -420,6 +420,49 @@ class TestServeCodecBoundary:
     def test_frombuffer_beside_the_codec_still_fires(self, tmp_path, name):
         assert lint_planted(tmp_path, name, self.FROMBUFFER) == ["L8"]
 
+    #: Seeded mutations of the unpack kernel's window read: the same
+    #: strided raw-buffer access spelled three ways.
+    WINDOW_READS = {
+        "ndarray-buffer": """
+            import numpy as np
+
+            def windows(padded, groups, width):
+                return np.ndarray(
+                    (groups,), dtype="<u8", buffer=padded, strides=(width,)
+                )
+            """,
+        "as-strided-attribute": """
+            import numpy as np
+
+            def windows(words, groups, width):
+                return np.lib.stride_tricks.as_strided(
+                    words, shape=(groups,), strides=(width,)
+                )
+            """,
+        "as-strided-imported": """
+            from numpy.lib.stride_tricks import as_strided
+
+            def windows(words, groups, width):
+                return as_strided(words, shape=(groups,), strides=(width,))
+            """,
+    }
+
+    @pytest.mark.parametrize("spelling", sorted(WINDOW_READS))
+    def test_window_reads_belong_to_the_codec_layer(self, tmp_path, spelling):
+        source = self.WINDOW_READS[spelling]
+        assert lint_planted(tmp_path, "core/compression.py", source) == []
+        for name in ("storage/cache.py", "exec/operators/scan.py"):
+            assert lint_planted(tmp_path, name, source) == ["L8"]
+
+    def test_plain_ndarray_construction_is_not_a_buffer_read(self, tmp_path):
+        source = """
+            import numpy as np
+
+            def blank(rows):
+                return np.ndarray((rows,), dtype=np.int64)
+            """
+        assert lint_planted(tmp_path, "storage/cache.py", source) == []
+
     def test_result_encoding_in_a_coroutine_is_blocking_work(self, tmp_path):
         findings = lint_planted(
             tmp_path,

@@ -3,11 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cost_model import CostModel
 from repro.errors import PlanError, TypeMismatchError
 from repro.exec.operators.aggregate import AggregateSpec, HashAggregate
 from repro.exec.operators.distinct import Distinct
 from repro.exec.operators.scan import TableScan
 from repro.exec.result import collect
+from repro.plan.optimizer import Optimizer
+from repro.plan.physical import PhysicalPlanner
+from repro.sql.binder import Binder
+from repro.sql.parser import parse_statement
+from repro.storage.database import Database
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
@@ -185,6 +191,117 @@ class TestGroupedAggregates:
         for value in values:
             expected[value] = expected.get(value, 0) + 1
         assert got == expected
+
+
+#: Past 2**53 a float64 accumulator drops the low bits of an int sum.
+BIG = 2**53 + 1
+
+
+class TestIntegerSumIsExact:
+    """SUM over INT64 is computed in int64, scalar and grouped alike."""
+
+    SPECS = [
+        AggregateSpec("sum", "v", "s"),
+        AggregateSpec("count", "v", "c"),
+        AggregateSpec("min", "v", "lo"),
+        AggregateSpec("max", "v", "hi"),
+    ]
+
+    def test_scalar(self):
+        table = make_table({"g": ["a"] * 3, "v": [BIG, 1, 1]})
+        result = collect(HashAggregate(TableScan(table), [], self.SPECS))
+        assert result.to_pylist() == [(BIG + 2, 3, 1, BIG)]
+
+    def test_grouped_with_nulls_mixed_in(self):
+        table = make_table(
+            {
+                "g": ["a", "b", "a", None, "a", "b", "c", None],
+                "v": [BIG, -BIG, 1, BIG, 1, None, None, 2],
+            }
+        )
+        result = collect(HashAggregate(TableScan(table), ["g"], self.SPECS))
+        assert sorted(result.to_pylist(), key=repr) == sorted(
+            [
+                ("a", BIG + 2, 3, 1, BIG),
+                ("b", -BIG, 1, -BIG, -BIG),
+                ("c", None, 0, None, None),
+                (None, BIG + 2, 2, 2, BIG),
+            ],
+            key=repr,
+        )
+
+    def test_scalar_with_nulls_mixed_in(self):
+        table = make_table({"g": ["a"] * 4, "v": [None, BIG, None, 2]})
+        result = collect(HashAggregate(TableScan(table), [], self.SPECS))
+        assert result.to_pylist() == [(BIG + 2, 2, 2, BIG)]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(v) AS s, COUNT(*) AS n FROM t",
+            "SELECT g, SUM(v) AS s FROM t GROUP BY g ORDER BY g",
+        ],
+    )
+    def test_parallel_partials_merge_exactly(self, sql):
+        values = [BIG + i if i % 5 else None for i in range(96)]
+        groups = [i % 3 for i in range(96)]
+        db = Database()
+        db.create_table_from_pydict(
+            "t",
+            Schema([Field("g", DataType.INT64), Field("v", DataType.INT64)]),
+            {"g": groups, "v": values},
+            partition_count=3,
+        )
+        logical = Optimizer(db.catalog).optimize(
+            Binder(db.catalog).bind_select(parse_statement(sql))
+        )
+        plan = PhysicalPlanner(
+            parallelism=2,
+            morsel_size=16,
+            cost_model=CostModel(
+                parallel_startup_weight=0.0, morsel_dispatch_weight=0.0
+            ),
+        ).plan(logical)
+        assert "dop=2" in plan.explain()
+        rows = collect(plan).to_pylist()
+        if "GROUP BY" in sql:
+            assert rows == [
+                (g, sum(v for k, v in zip(groups, values) if k == g and v))
+                for g in range(3)
+            ]
+        else:
+            assert rows == [(sum(v for v in values if v), 96)]
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.integers(-(2**61), 2**61)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sum_matches_python_wherever_it_fits(self, values):
+        table = make_table({"g": ["a"] * len(values), "v": values})
+        present = [value for value in values if value is not None]
+        expected = sum(present) if present else None
+        for keys in ([], ["g"]):
+            result = collect(
+                HashAggregate(
+                    TableScan(table), keys, [AggregateSpec("sum", "v", "s")]
+                )
+            )
+            assert result.to_pylist()[0][-1] == expected
+
+    def test_float_sum_and_avg_keep_float_semantics(self):
+        schema = Schema([Field("g", DataType.STRING), Field("v", DataType.FLOAT64)])
+        table = make_table({"g": ["a", "a", "b"], "v": [0.5, None, 2.25]}, schema)
+        specs = [AggregateSpec("sum", "v", "s"), AggregateSpec("avg", "v", "a")]
+        assert collect(HashAggregate(TableScan(table), [], specs)).to_pylist() == [
+            (2.75, 1.375)
+        ]
+        assert sorted(
+            collect(HashAggregate(TableScan(table), ["g"], specs)).to_pylist()
+        ) == [("a", 0.5, 0.5), ("b", 2.25, 2.25)]
 
 
 class TestDistinct:

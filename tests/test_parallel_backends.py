@@ -59,7 +59,8 @@ def backend_db() -> Database:
     """The fuzz fixture's twin on a durable mmap'd engine (cached).
 
     Same data as ``tests.test_query_fuzz.fuzz_db`` — a nearly-unique
-    column, a nearly-sorted column, a category column, NULLs, two
+    column, a nearly-sorted column, a category column, a column of
+    magnitudes past 2**53, NULLs, two
     PatchIndexes and a join dimension — but checkpointed to a data
     directory mid-build so worker attaches exercise both the segment
     load and the WAL-tail replay (an update and an insert land after
@@ -74,12 +75,14 @@ def backend_db() -> Database:
         nearly_sorted = np.arange(n, dtype=np.int64)
         nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
         category = rng.integers(0, 5, n).astype(np.int64)
+        big = 2**53 + rng.permutation(n).astype(np.int64)
         db = Database(path=root, mmap=True, sync=False)
         schema = Schema(
             [
                 Field("u", DataType.INT64),
                 Field("s", DataType.INT64),
                 Field("g", DataType.INT64),
+                Field("b", DataType.INT64),
             ]
         )
         table = db.create_table("f", schema, partition_count=3, block_size=8)
@@ -88,6 +91,7 @@ def backend_db() -> Database:
                 "u": ColumnVector(DataType.INT64, unique),
                 "s": ColumnVector(DataType.INT64, nearly_sorted),
                 "g": ColumnVector(DataType.INT64, category),
+                "b": ColumnVector(DataType.INT64, big),
             },
             partition_by_round_robin_blocks=True,
         )
@@ -96,7 +100,10 @@ def backend_db() -> Database:
         db.sql("CHECKPOINT")
         # Past-checkpoint tail the worker attach must replay.
         table.update_rowid(300, "u", None)
-        db.sql("INSERT INTO f VALUES (1000, 400, 2), (1001, 401, 4)")
+        db.sql(
+            f"INSERT INTO f VALUES (1000, 400, 2, {2**53 + 1000}), "
+            "(1001, 401, 4, NULL)"
+        )
         db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
         db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
         db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
@@ -286,7 +293,7 @@ class TestWorkerFailures:
         # so the answer matches the plan-time snapshot, not the insert.
         # (Recycle the pool first: a warm worker could legitimately
         # serve the snapshot from its table cache without re-attaching.)
-        db.sql("INSERT INTO f VALUES (2000, 402, 1)")
+        db.sql("INSERT INTO f VALUES (2000, 402, 1, 5)")
         shutdown_process_pool()
         try:
             survived = collect(operator)

@@ -45,14 +45,17 @@ def _populate(db: Database) -> Database:
     nearly_sorted = np.arange(n, dtype=np.int64)
     nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
     category = rng.integers(0, 5, n)
-    db.sql("CREATE TABLE f (u BIGINT, s BIGINT, g BIGINT) PARTITIONS 3")
+    # Past 2**53, where a float64 accumulator stops counting by ones.
+    big = 2**53 + rng.permutation(n).astype(np.int64)
+    db.sql("CREATE TABLE f (u BIGINT, s BIGINT, g BIGINT, b BIGINT) PARTITIONS 3")
     rows = ", ".join(
-        f"({int(a)}, {int(b)}, {int(c)})"
-        for a, b, c in zip(unique, nearly_sorted, category)
+        f"({int(a)}, {int(b)}, {int(c)}, {int(d)})"
+        for a, b, c, d in zip(unique, nearly_sorted, category, big)
     )
     db.sql(f"INSERT INTO f VALUES {rows}")
     for rowid in (5, 100, 300):  # sprinkle NULLs (maintained patches)
         db.table("f").update_rowid(rowid, "u", None)
+    db.table("f").update_rowid(7, "b", None)
     db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
     db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
     db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
@@ -91,8 +94,12 @@ def predicates(draw):
 
 @st.composite
 def queries(draw):
-    shape = draw(st.integers(0, 4))
+    shape = draw(st.integers(0, 5))
     where = f" WHERE {draw(predicates())}" if draw(st.booleans()) else ""
+    if shape == 5:
+        if draw(st.booleans()):
+            return f"SELECT SUM(b) AS total, COUNT(b) AS n FROM f{where}"
+        return f"SELECT g, SUM(b) AS total FROM f{where} GROUP BY g ORDER BY g"
     if shape == 0:
         column = draw(columns)
         return f"SELECT DISTINCT {column} FROM f{where}"
@@ -139,6 +146,35 @@ class TestFuzz:
         ), query
         if "ORDER BY" in query and "GROUP BY" not in query:
             assert plain.to_pylist() == patched.to_pylist(), query
+
+    @given(st.integers(0, 400), st.integers(0, 400), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_big_magnitude_sums_match_python(self, low, high, rewrite):
+        db = fuzz_db()
+        options = OptimizerOptions(
+            use_patch_indexes=rewrite, always_rewrite=rewrite
+        )
+        kept = [
+            (g, b)
+            for s, g, b in db.sql("SELECT s, g, b FROM f").to_pylist()
+            if low <= s <= high and b is not None
+        ]
+        where = f"WHERE s BETWEEN {low} AND {high}"
+        scalar = db.sql(
+            f"SELECT SUM(b) AS total, COUNT(b) AS n FROM f {where}",
+            optimizer_options=options,
+        )
+        total = sum(b for __, b in kept) if kept else None
+        assert scalar.to_pylist() == [(total, len(kept))]
+        grouped = db.sql(
+            f"SELECT g, SUM(b) AS total FROM f {where} AND b IS NOT NULL "
+            "GROUP BY g ORDER BY g",
+            optimizer_options=options,
+        )
+        assert grouped.to_pylist() == [
+            (key, sum(b for g, b in kept if g == key))
+            for key in sorted({g for g, __ in kept})
+        ]
 
     @given(queries(), st.sampled_from([1, 4]))
     @settings(max_examples=60, deadline=None)

@@ -1,10 +1,18 @@
 """Unit tests for the columnar segment file format (RSEG1 + RSEG2)."""
 
 import datetime
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from repro.core.compression import (
+    encode_block_codes,
+    encode_block_for,
+    encode_block_pfor,
+    encode_block_rle,
+)
 from repro.errors import StorageError
 from repro.storage.column import ColumnVector
 from repro.storage.segment import (
@@ -190,6 +198,294 @@ class TestBlockReader:
         mapped.close()
 
 
+def mixed_column(dtype):
+    """Nine 64-row blocks (the last one partial) that between them use
+    every block encoding their dtype can take, with NULLs mixed in."""
+    rng = np.random.default_rng(11)
+    if dtype == DataType.STRING:
+        items = [f"s{rng.integers(0, 9)}" for _ in range(540)]
+        items[5] = items[70] = None
+        return ColumnVector.from_pylist(dtype, items), None
+    steps = np.concatenate(
+        [
+            rng.integers(-3, 4, 128),  # for, narrow
+            rng.integers(-900, 900, 128),  # for, wider: two 2-D groups
+            np.zeros(64, dtype=np.int64),  # rle
+            rng.integers(-(2**62), 2**62, 64),  # raw
+            rng.integers(0, 3, 156),  # sorted but for two patches: pfor
+        ]
+    )
+    values = np.concatenate([np.cumsum(steps[:320]), steps[320:384]])
+    values = np.concatenate([values, np.cumsum(steps[384:]) + 10_000])
+    patches = np.array([400, 470])
+    values[patches] = [-(2**40), 2**41]
+    items = values.tolist()
+    items[3] = items[200] = items[539] = None
+    return ColumnVector.from_pylist(dtype, items), patches
+
+
+class TestDecodeRun:
+    """``decode_run`` is ``decode_block`` over a range, value for value."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("dtype", [DataType.INT64, DataType.STRING])
+    def test_every_run_matches_its_blocks(self, tmp_path, dtype, mmap):
+        column, patches = mixed_column(dtype)
+        path = tmp_path / "col.seg"
+        info = write_segment(
+            path, column, block_size=64, sync=False, patch_rowids=patches
+        )
+        if dtype == DataType.INT64:
+            assert set(info.encodings) == {"for", "rle", "raw", "pfor"}
+        else:
+            assert set(info.encodings) == {"dict"}
+        reader = open_segment(path, mmap=mmap)
+        blocks = [
+            reader.decode_block(index) for index in range(reader.block_count)
+        ]
+        assert len(blocks[-1]) == 540 - 8 * 64  # the partial last block
+        for first in range(reader.block_count):
+            for last in range(first, reader.block_count):
+                run = reader.decode_run(first, last)
+                expected = ColumnVector.concat(blocks[first : last + 1])
+                assert run.to_pylist() == expected.to_pylist()
+                assert run.to_pylist() == column.slice(
+                    reader.stats[first].start, reader.stats[last].stop
+                ).to_pylist()
+        reader.close()
+
+    def test_run_of_raw_strings_and_floats(self, tmp_path):
+        for dtype, items in (
+            (DataType.STRING, [f"unique-{i}" for i in range(200)] + [None]),
+            (DataType.FLOAT64, [i / 7 for i in range(200)] + [None]),
+            (DataType.BOOL, [i % 3 == 0 for i in range(200)] + [None]),
+        ):
+            column = ColumnVector.from_pylist(dtype, items)
+            path = tmp_path / f"{dtype.name}.seg"
+            write_segment(path, column, block_size=32, sync=False)
+            reader = open_segment(path)
+            assert set(reader.encodings) == {"raw"}
+            assert reader.decode_run(1, 5).to_pylist() == items[32:192]
+            assert reader.read_all().to_pylist() == items
+            reader.close()
+
+    def test_full_size_blocks_group_across_widths(self, tmp_path):
+        # Real block size: 5 full for-blocks at one width, 3 at another,
+        # then a partial one; read_all decodes them as three passes.
+        rng = np.random.default_rng(5)
+        steps = np.concatenate(
+            [rng.integers(-500, 500, 5 * 4096), rng.integers(-9, 9, 3 * 4096 + 77)]
+        )
+        column = ColumnVector(DataType.INT64, np.cumsum(steps))
+        path = tmp_path / "col.seg"
+        info = write_segment(path, column, sync=False)
+        assert info.encodings == {"for": 9}
+        loaded, __ = read_segment(path)
+        np.testing.assert_array_equal(loaded.values, column.values)
+
+
+def handmade_segment(path, dtype, tag, payload, count, dictionary=()):
+    """An RSEG2 file around one hand-built block payload."""
+    dict_payload = b""
+    if dictionary:
+        pieces = [text.encode("utf-8") for text in dictionary]
+        offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+        np.cumsum([len(piece) for piece in pieces], out=offsets[1:])
+        dict_payload = offsets.tobytes() + b"".join(pieces)
+    header = {
+        "dtype": dtype.value,
+        "rows": count,
+        "block_size": 4096,
+        "validity_len": 0,
+        "payload_len": len(dict_payload) + len(payload),
+        "dict": (
+            {"count": len(dictionary), "bytes": len(dict_payload)}
+            if dictionary
+            else None
+        ),
+        "blocks": [
+            [0, count, None, None, 0, tag, len(dict_payload), len(payload)]
+        ],
+    }
+    path.write_bytes(
+        b"RSEG2\n"
+        + json.dumps(header).encode("utf-8")
+        + b"\n"
+        + dict_payload
+        + payload
+    )
+
+
+def set_byte(payload, position, value):
+    return payload[:position] + bytes([value]) + payload[position + 1 :]
+
+
+def corrupt_payloads():
+    """(case id, dtype, tag, payload, claimed row count, dictionary)."""
+    count = 100
+    values = np.cumsum(np.arange(count, dtype=np.int64) % 7)
+    cases = []
+
+    def add(name, dtype, tag, payload, rows=count, dictionary=()):
+        cases.append(
+            pytest.param(dtype, tag, payload, rows, dictionary, id=name)
+        )
+
+    good = encode_block_for(values)
+    for cut in (0, 4, 8, 9, 9 + (len(good) - 9) // 2, len(good) - 1):
+        add(f"for-cut-{cut}", DataType.INT64, "for", good[:cut])
+    for width in (0, 64, 200):
+        add(f"for-width-{width}", DataType.INT64, "for", set_byte(good, 8, width))
+    add("for-more-rows-than-packed", DataType.INT64, "for", good, 4 * count)
+
+    dirty = values.copy()
+    exceptions = np.array([10, 50], dtype=np.int64)
+    dirty[exceptions] = [-5, 10**12]
+    good = encode_block_pfor(dirty, exceptions)
+    packed_end = 17 + (98 * good[8] + 7) // 8
+    for cut in (0, 10, 17, packed_end - 1, packed_end, packed_end + 8, len(good) - 1):
+        add(f"pfor-cut-{cut}", DataType.INT64, "pfor", good[:cut])
+    for width in (0, 64, 200):
+        add(f"pfor-width-{width}", DataType.INT64, "pfor", set_byte(good, 8, width))
+    add(
+        "pfor-kept-count-lies",
+        DataType.INT64,
+        "pfor",
+        good[:9] + struct.pack("<I", 99) + good[13:],
+    )
+    add(
+        "pfor-exception-count-lies",
+        DataType.INT64,
+        "pfor",
+        good[:9] + struct.pack("<II", 90, 10) + good[17:],
+    )
+    add("pfor-block-rows-lie", DataType.INT64, "pfor", good, count + 1)
+    add(
+        "pfor-position-out-of-range",
+        DataType.INT64,
+        "pfor",
+        good[: packed_end + 4] + struct.pack("<I", count + 5) + good[packed_end + 8 :],
+    )
+    add(
+        "pfor-positions-repeat",
+        DataType.INT64,
+        "pfor",
+        good[: packed_end + 4] + struct.pack("<I", 10) + good[packed_end + 8 :],
+    )
+
+    runs = np.repeat(np.array([7, 8, 9], dtype=np.int64), [40, 30, 30])
+    good = encode_block_rle(runs)
+    for cut in (0, 2, 4, 4 + 12, 4 + 24, len(good) - 1):
+        add(f"rle-cut-{cut}", DataType.INT64, "rle", good[:cut])
+    add("rle-run-count-lies", DataType.INT64, "rle", struct.pack("<I", 2**31) + good[4:])
+    add(
+        "rle-lengths-claim-terabytes",
+        DataType.INT64,
+        "rle",
+        good[:-4] + struct.pack("<I", 2**32 - 1),
+    )
+    add("rle-block-rows-lie", DataType.INT64, "rle", good, count - 1)
+
+    words = ("a", "b", "c")
+    codes = np.arange(count, dtype=np.int64) % 3
+    good = encode_block_codes(codes, 2)
+    for cut in (0, 1, len(good) // 2, len(good) - 1):
+        add(f"dict-cut-{cut}", DataType.STRING, "dict", good[:cut], dictionary=words)
+    for width in (64, 200):
+        add(
+            f"dict-width-{width}",
+            DataType.STRING,
+            "dict",
+            set_byte(good, 0, width),
+            dictionary=words,
+        )
+    add(
+        "dict-code-out-of-range",
+        DataType.STRING,
+        "dict",
+        encode_block_codes(np.full(count, 3, dtype=np.int64), 2),
+        dictionary=words,
+    )
+    add("dict-block-rows-lie", DataType.STRING, "dict", good, 4 * count, words)
+    add("dict-without-dictionary", DataType.STRING, "dict", good)
+    add("int-codec-on-a-float-column", DataType.FLOAT64, "for", encode_block_for(values))
+    add("raw-cut-short", DataType.INT64, "raw", values.tobytes()[:-3])
+    return cases
+
+
+class TestCorruptBlock:
+    """A damaged block is a StorageError naming file and block — never
+    NumPy's ValueError, struct.error, or a silently wrong block."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "dtype, tag, payload, rows, dictionary", corrupt_payloads()
+    )
+    def test_typed_error_only(
+        self, tmp_path, dtype, tag, payload, rows, dictionary, mmap
+    ):
+        path = tmp_path / "bad.seg"
+        handmade_segment(path, dtype, tag, payload, rows, dictionary)
+        reader = open_segment(path, mmap=mmap)
+        try:
+            for decode in (
+                lambda: reader.decode_block(0),
+                lambda: reader.decode_run(0, 0),
+                reader.read_all,
+            ):
+                with pytest.raises(StorageError) as caught:
+                    decode()
+                assert "block 0" in str(caught.value)
+                assert str(path) in str(caught.value)
+        finally:
+            reader.close()
+
+    def test_the_handmade_container_reads_when_the_payload_is_sound(
+        self, tmp_path
+    ):
+        values = np.cumsum(np.arange(100, dtype=np.int64) % 7)
+        path = tmp_path / "good.seg"
+        handmade_segment(
+            path, DataType.INT64, "for", encode_block_for(values), 100
+        )
+        loaded, __ = read_segment(path)
+        np.testing.assert_array_equal(loaded.values, values)
+
+    def test_constant_dictionary_block_is_not_corruption(self, tmp_path):
+        # Width 0 is how a one-word dictionary block is written.
+        path = tmp_path / "const.seg"
+        handmade_segment(
+            path, DataType.STRING, "dict", encode_block_codes(None, 0), 5, ("w",)
+        )
+        loaded, __ = read_segment(path)
+        assert loaded.to_pylist() == ["w"] * 5
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_file_cut_inside_a_block_names_the_file(self, tmp_path, mmap):
+        column = ColumnVector(DataType.INT64, np.arange(20_000, dtype=np.int64) ** 2)
+        path = tmp_path / "col.seg"
+        write_segment(path, column, sync=False)
+        path.write_bytes(path.read_bytes()[:-500])
+        with pytest.raises(StorageError, match="col.seg"):
+            read_segment(path, mmap=mmap)
+
+    def test_block_directory_out_of_order_is_refused_at_open(self, tmp_path):
+        column = ColumnVector(DataType.INT64, np.arange(64, dtype=np.int64))
+        path = tmp_path / "col.seg"
+        write_segment(path, column, block_size=16, sync=False)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        parsed = json.loads(header)
+        parsed["blocks"][1][6], parsed["blocks"][2][6] = (
+            parsed["blocks"][2][6],
+            parsed["blocks"][1][6],
+        )
+        path.write_bytes(
+            magic + b"\n" + json.dumps(parsed).encode("utf-8") + b"\n" + payload
+        )
+        with pytest.raises(StorageError):
+            open_segment(path)
+
+
 class TestBlockStats:
     def test_stats_match_recomputation(self, tmp_path):
         from repro.storage.blocks import compute_block_stats
@@ -291,8 +587,9 @@ class TestCorruption:
         write_segment(path, column, sync=False, encoding="raw")
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
-        with pytest.raises((StorageError, ValueError)):
-            read_segment(path)
+        for mmap in (False, True):
+            with pytest.raises(StorageError):
+                read_segment(path, mmap=mmap)
 
     def test_unknown_block_encoding(self, tmp_path):
         column = ColumnVector.from_pylist(DataType.INT64, [1, 2, 3])

@@ -67,6 +67,10 @@ L8  no-raw-segment-decode
     formats stay changeable in one place.  ``serve/protocol.py`` is on
     the list because the result wire format is its own codec, not a
     segment payload; the server and the clients around it are not.
+    ``np.ndarray(..., buffer=...)`` and ``as_strided`` read raw buffers
+    the same way (the bit-unpack kernel's word windows are the one use)
+    and answer to the same list: a stride that outruns its buffer is a
+    read out of bounds, so the arithmetic stays where it is tested.
 
 L9  no-blocking-io-in-coroutines
     Inside ``repro/serve/`` coroutine bodies (``async def``), blocking
@@ -128,7 +132,8 @@ METRIC_NAMESPACES = (
     "sanitize",
 )
 
-#: Source files allowed to call ``np.frombuffer`` (L8): the two codec
+#: Source files allowed to read raw buffers — ``np.frombuffer``,
+#: ``np.ndarray(buffer=...)``, ``as_strided`` — (L8): the two codec
 #: modules that own the RSEG wire formats, plus the parallel transport
 #: (shm result frames and shipped patch-rowid blobs are its own wire
 #: format, not segment payloads) and the client/server protocol (the
@@ -699,24 +704,40 @@ def check_stale_markers(path: Path) -> list[Finding]:
 # -- L8 ------------------------------------------------------------------------
 
 
+def _raw_buffer_read(node: ast.Call) -> str | None:
+    """Name the raw-buffer construction *node* performs, if it is one."""
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name == "as_strided":
+        return "as_strided"
+    if not (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id in ("np", "numpy")
+    ):
+        return None
+    if name == "frombuffer":
+        return "np.frombuffer"
+    if name == "ndarray" and any(kw.arg == "buffer" for kw in node.keywords):
+        return "np.ndarray(buffer=...)"
+    return None
+
+
 def check_raw_segment_decode(path: Path, tree: ast.AST) -> list[Finding]:
     if posix(path).endswith(FROMBUFFER_ALLOWED_FILES):
         return []
     findings: list[Finding] = []
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "frombuffer"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy")
-        ):
+        if not isinstance(node, ast.Call):
+            continue
+        what = _raw_buffer_read(node)
+        if what is not None:
             findings.append(
                 Finding(
                     path,
                     node.lineno,
                     "L8",
-                    "np.frombuffer outside the storage codec layer; "
+                    f"{what} outside the storage codec layer; "
                     "decode segment payloads through SegmentReader / "
                     "the block cache instead",
                 )
