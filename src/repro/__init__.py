@@ -64,11 +64,6 @@ from repro.obs import CardinalityFeedback, MetricsRegistry, QueryProfile
 __version__ = "1.0.0"
 
 
-#: WAL-file suffixes the legacy ``connect(wal_path)`` positional used;
-#: part of the deprecation heuristic below.
-_LEGACY_WAL_SUFFIXES = (".wal", ".jsonl", ".log")
-
-
 def connect(
     target: "str | _os.PathLike | None" = None,
     *,
@@ -111,11 +106,8 @@ def connect(
     ``1`` forces serial execution); for a remote target it is applied
     to the server-side session.
 
-    .. deprecated:: 1.1
-        Passing a metadata-only WAL *file* path positionally
-        (``connect("x.wal")``) is deprecated; construct
-        ``Database(wal_path)`` directly for that mode.  The positional
-        now means a durable directory (or a ``repro://`` URI).
+    A *file* is not a connect target: the metadata-only WAL mode is
+    ``Database(wal_path)``.
     """
     if target is not None and path is not None:
         raise ReproError(
@@ -141,20 +133,12 @@ def connect(
             if parallelism is not None:
                 client.parallelism = parallelism
             return client
-        looks_like_wal_file = _os.path.isfile(text) or text.endswith(
-            _LEGACY_WAL_SUFFIXES
-        )
-        if looks_like_wal_file:
-            import warnings
-
-            warnings.warn(
-                "connect(<wal file>) is deprecated: the positional now "
-                "names a durable directory or repro:// URI; use "
-                "Database(wal_path) for a metadata-only WAL file",
-                DeprecationWarning,
-                stacklevel=2,
+        if _os.path.isfile(text):
+            raise ReproError(
+                f"connect() target {text!r} is a file: the positional names "
+                "a durable directory or a repro:// URI; use "
+                "Database(wal_path) for a metadata-only WAL file"
             )
-            return Database(target, parallelism=parallelism)
         path = target
     return Database(
         path=path,

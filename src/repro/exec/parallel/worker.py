@@ -20,8 +20,9 @@ describes a morsel's work as plain picklable *specs*:
 
 :func:`run_morsel_task` is the pool entrypoint (module-level, so it is
 importable under the ``spawn`` start method).  Each worker process
-attaches the engine once per snapshot and caches the resulting tables:
-the attach memory-maps checkpointed segment columns zero-copy
+attaches the data directory once per snapshot
+(:func:`repro.storage.materialize.attach_tables`) and caches the
+resulting tables: the attach memory-maps checkpointed segment payloads
 (``mmap=True`` engines) and deterministically replays the WAL data tail,
 so worker tables are byte-identical to the coordinator's.
 """
@@ -149,20 +150,19 @@ def _tables_for(snapshot: EngineSnapshot) -> dict[str, Table]:
     tables = _TABLE_CACHE.get(snapshot)
     if tables is None:
         from repro.storage.cache import process_cache
-        from repro.storage.engine import DurableEngine
+        from repro.storage.materialize import attach_tables
 
         # All snapshots share one per-process block cache: generation
         # keys keep entries from different checkpoints apart, and the
         # tail replay materializes mutated partitions, so a stale block
         # can never be served (decode happens worker-side, off the
         # memory-mapped encoded payload).
-        engine = DurableEngine(
+        tables = attach_tables(
             snapshot.root,
-            mmap=snapshot.mmap,
-            sync=False,
+            snapshot.wal_lsn,
             cache=process_cache(),
+            mmap=snapshot.mmap,
         )
-        tables = engine.attach_tables(expected_lsn=snapshot.wal_lsn)
         while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
             _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
         _TABLE_CACHE[snapshot] = tables

@@ -7,9 +7,7 @@ the first-class per-caller scope.  A session holds sticky knobs
 (parallelism, backend, profiling, snapshot reads) and is the unit the
 network server hands each connection;
 :meth:`repro.storage.database.Database.sql` delegates to an implicit
-default session so single-caller code never has to see one.  The
-module-level :func:`execute_sql` / :func:`run_select` remain as thin
-deprecation shims.
+default session so single-caller code never has to see one.
 
 Every statement bumps always-on counters in the owning database's
 :class:`~repro.obs.metrics.MetricsRegistry` (statement totals per kind,
@@ -25,7 +23,6 @@ fed to the database's cardinality feedback for the advisor.
 from __future__ import annotations
 
 import re
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -478,22 +475,6 @@ def _explain_read(
     return query_profile.to_text(), query_profile
 
 
-def _collect_select(
-    database: "Database",
-    select: ast.SqlSelect,
-    optimizer_options: OptimizerOptions | None,
-    parallelism: int | None,
-) -> QueryResult:
-    """Run an already-parsed SELECT that has no statement text to key a
-    cached plan on (DELETE's rowid probe, the deprecated shim)."""
-    logical = Binder(database.catalog).bind_select(select)
-    optimized = Optimizer(database.catalog, optimizer_options).optimize(logical)
-    operator = PhysicalPlanner(
-        parallelism=parallelism, database=database
-    ).plan(optimized)
-    return collect(operator)
-
-
 # -- observability plumbing ----------------------------------------------------
 
 
@@ -556,46 +537,6 @@ def _record_profile(database: "Database", profile: QueryProfile) -> None:
         feedback.record_profile(profile)
 
 
-# -- deprecated module-level entry points --------------------------------------
-
-
-def execute_sql(
-    database: "Database",
-    text: str,
-    optimizer_options: OptimizerOptions | None = None,
-    parallelism: int | None = None,
-) -> QueryResult:
-    """Deprecated: use :meth:`repro.storage.database.Database.sql`."""
-    warnings.warn(
-        "execute_sql() is deprecated; use Database.sql(text, "
-        "optimizer_options=..., parallelism=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_statement(
-        database,
-        text,
-        optimizer_options=optimizer_options,
-        parallelism=parallelism,
-    )
-
-
-def run_select(
-    database: "Database",
-    select: ast.SqlSelect,
-    optimizer_options: OptimizerOptions | None = None,
-    parallelism: int | None = None,
-) -> QueryResult:
-    """Deprecated: use :meth:`repro.storage.database.Database.sql`."""
-    warnings.warn(
-        "run_select() is deprecated; use Database.sql(text, "
-        "optimizer_options=..., parallelism=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _collect_select(database, select, optimizer_options, parallelism)
-
-
 # -- DML ----------------------------------------------------------------------
 
 
@@ -642,6 +583,12 @@ def _run_delete(
         from_table=ast.SqlNamedTable(statement.table),
         where=statement.where,
     )
-    result = _collect_select(database, select, optimizer_options, parallelism)
+    # An already-parsed SELECT has no statement text to key a cached plan on.
+    optimized = Optimizer(database.catalog, optimizer_options).optimize(
+        Binder(database.catalog).bind_select(select)
+    )
+    result = collect(
+        PhysicalPlanner(parallelism=parallelism, database=database).plan(optimized)
+    )
     rowids = [value for value in result.column(TID_COLUMN).to_pylist()]
     return table.delete_rowids(np.asarray(rowids, dtype=np.int64))

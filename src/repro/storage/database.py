@@ -24,7 +24,8 @@ selected at construction through the storage engine seam
 - durable (``Database(path=...)`` / ``repro.connect(path=...)``): row
   data is WAL-logged and checkpointed into columnar segment files, and
   reopening the same path runs full recovery — manifest load, WAL tail
-  replay, PatchIndex re-discovery from data — automatically.
+  replay, PatchIndex restore or re-discovery — automatically
+  (:mod:`repro.storage.materialize`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
-from repro.storage.wal import WriteAheadLog
 from repro.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -135,6 +135,7 @@ class Database:
         which an index is scheduled for a background rebuild (default
         ``REPRO_REBUILD_THRESHOLD``, else 0.02).
         """
+        from repro.obs import CardinalityFeedback, MetricsRegistry
         from repro.storage.engine import DurableEngine, MemoryEngine
 
         if wal_path is not None and path is not None:
@@ -152,9 +153,6 @@ class Database:
         #: instance; ``None`` lets the planner resolve ``REPRO_THREADS``
         #: / the CPU count, ``1`` forces serial plans.
         self.parallelism = parallelism
-        #: True while WAL replay re-applies records (suppresses
-        #: re-logging of the mutations the replay itself performs).
-        self._replaying = False
         #: Drift ratio past which :meth:`_on_patch_delta` marks an index
         #: ``rebuild_pending`` (the ``maintenance.rebuild_threshold`` knob).
         self.rebuild_threshold = _resolve_rebuild_threshold(rebuild_threshold)
@@ -162,7 +160,14 @@ class Database:
         #: table mutation; patch deltas derived from that mutation link
         #: to it via ``applies_to``.  None outside a logged mutation.
         self._last_data_lsn = None
-        self._init_observability()
+        #: Instance-wide metrics registry (see :meth:`metrics`).
+        self.obs = MetricsRegistry()
+        #: Observed scan selectivities from profiled queries; the
+        #: advisor consumes this (see repro.obs.feedback).
+        self.feedback = CardinalityFeedback()
+        #: Session bookkeeping.
+        self._implicit_session = None
+        self._open_sessions = 0
         if path is not None:
             self.engine = DurableEngine(
                 path,
@@ -176,19 +181,6 @@ class Database:
         else:
             self.engine = MemoryEngine()
             self.wal = self.engine.open_wal(self, wal_path)
-
-    def _init_observability(self) -> None:
-        from repro.obs import CardinalityFeedback, MetricsRegistry
-
-        #: Instance-wide metrics registry (see :meth:`metrics`).
-        self.obs = MetricsRegistry()
-        #: Observed scan selectivities from profiled queries; the
-        #: advisor consumes this (see repro.obs.feedback).
-        self.feedback = CardinalityFeedback()
-        #: Session bookkeeping (both construction paths run through
-        #: here, so ``Database.recover`` instances get it too).
-        self._implicit_session = None
-        self._open_sessions = 0
 
     # -- sessions -----------------------------------------------------------
 
@@ -280,26 +272,25 @@ class Database:
         elif event == "update":
             self.obs.counter("maintenance.updates").inc()
         self._last_data_lsn = None
-        if not self._replaying:
-            self.engine.table_event(self, event, payload)
-            if self.engine.logs_data:
-                # This listener runs before any index listener (it is
-                # registered first in _install_table), so the deltas the
-                # indexes are about to emit link to this data record.
-                self._last_data_lsn = self.wal.last_lsn
+        self.engine.table_event(self, event, payload)
+        if self.engine.logs_data:
+            # This listener runs before any index listener (it is
+            # registered first in _install_table), so the deltas the
+            # indexes are about to emit link to this data record.
+            self._last_data_lsn = self.wal.last_lsn
 
     def _on_patch_delta(self, index: "PatchIndex", delta) -> None:
         """Sink for every applied :class:`~repro.core.delta.PatchDelta`.
 
-        Logs the delta as a ``patch_delta`` WAL record (durable engines,
-        outside replay) linked via ``applies_to`` to the data record of
+        Logs the delta as a ``patch_delta`` WAL record (durable engines)
+        linked via ``applies_to`` to the data record of
         the mutation that produced it — rebuild-event deltas carry
         ``applies_to=None``; they only mark the stream invalid.  Feeds
         the per-index drift gauge and schedules a background rebuild
         (``rebuild_pending``) once drift exceeds
         :attr:`rebuild_threshold`.
         """
-        if self.engine.logs_data and not self._replaying:
+        if self.engine.logs_data:
             applies_to = (
                 None if delta.event == "rebuild" else self._last_data_lsn
             )
@@ -417,9 +408,6 @@ class Database:
         scope: str = "global",
         ascending: bool = True,
         strict: bool = False,
-        _log: bool = True,
-        _provenance: str = "user",
-        _enforce_threshold: bool = True,
     ) -> "PatchIndex":
         """Create a PatchIndex: run discovery, register, log to the WAL.
 
@@ -445,27 +433,28 @@ class Database:
             scope=scope,
             ascending=ascending,
             strict=strict,
-            provenance=_provenance,
-            enforce_threshold=_enforce_threshold,
         )
+        self._adopt_index(index)
+        self.wal.append(
+            "create_index",
+            {
+                "name": index_name,
+                "table": table_name,
+                "column": column_name,
+                "kind": kind,
+                "mode": mode,
+                "threshold": threshold,
+                "scope": scope,
+                "ascending": ascending,
+                "strict": strict,
+            },
+        )
+        return index
+
+    def _adopt_index(self, index: "PatchIndex") -> None:
+        """Register an index and route its deltas through this database."""
         self.catalog.add_index(index)
         index.delta_sink = self._on_patch_delta
-        if _log:
-            self.wal.append(
-                "create_index",
-                {
-                    "name": index_name,
-                    "table": table_name,
-                    "column": column_name,
-                    "kind": kind,
-                    "mode": mode,
-                    "threshold": threshold,
-                    "scope": scope,
-                    "ascending": ascending,
-                    "strict": strict,
-                },
-            )
-        return index
 
     def drop_patch_index(self, name: str) -> None:
         self.catalog.drop_index(name)
@@ -628,57 +617,30 @@ class Database:
         wal_path: str | os.PathLike,
         data_loaders: Mapping[str, DataLoader] | None = None,
     ) -> "Database":
-        """Rebuild a database instance by replaying the WAL.
+        """Rebuild a database instance by replaying a metadata WAL.
 
         Tables are recreated empty, repopulated through *data_loaders*
         (``table name → callable(table)``), and PatchIndexes are then
         rebuilt from the data by re-running discovery, exactly as the
-        paper's recovery path does.
+        paper's recovery path does — the same two functions a durable
+        open runs, with no generation to restore from.
         """
-        from repro.storage.engine import MemoryEngine
+        from repro.storage.materialize import (
+            materialize_indexes,
+            materialize_tables,
+        )
 
-        database = cls.__new__(cls)
-        database.catalog = Catalog()
-        database.parallelism = None
-        database._replaying = False
-        database.rebuild_threshold = _resolve_rebuild_threshold(None)
-        database._last_data_lsn = None
-        database._init_observability()
-        database.engine = MemoryEngine()
-        database.wal = WriteAheadLog(wal_path, metrics=database.obs)
+        database = cls(wal_path)
+        records = database.wal.records()
         loaders = dict(data_loaders or {})
-        for record in database.wal.live_records():
-            if record.kind == "create_table":
-                payload = record.payload
-                table = Table(
-                    payload["name"],
-                    payload_to_schema(payload["schema"]),
-                    int(payload.get("partition_count", 1)),
-                )
-                database._install_table(table)
-                loader = loaders.get(table.name)
-                if loader is not None:
-                    loader(table)
-            elif record.kind == "create_index":
-                payload = record.payload
-                if not database.catalog.has_table(payload["table"]):
-                    raise WalError(
-                        f"index {payload['name']!r} references missing table"
-                    )
-                database.create_patch_index(
-                    payload["name"],
-                    payload["table"],
-                    payload["column"],
-                    kind=payload["kind"],
-                    mode=payload.get("mode", "auto"),
-                    threshold=float(payload.get("threshold", 1.0)),
-                    scope=payload.get("scope", "global"),
-                    ascending=bool(payload.get("ascending", True)),
-                    strict=bool(payload.get("strict", False)),
-                    _log=False,
-                    _provenance="recovery",
-                    _enforce_threshold=False,
-                )
+        tables = materialize_tables(None, None, records, cache=None, mmap=False)
+        for table in tables.values():
+            database._install_table(table)
+            if table.name in loaders:
+                loaders[table.name](table)
+        built = materialize_indexes(tables, records, 0, None, provenance="recovery")
+        for index in built.indexes:
+            database._adopt_index(index)
         return database
 
     # -- introspection -----------------------------------------------------------

@@ -9,37 +9,28 @@ A :class:`~repro.storage.database.Database` delegates everything about
 - what a ``CHECKPOINT`` does,
 - and how a database instance is brought back after a restart.
 
-Two engines exist.  :class:`MemoryEngine` is the historical behaviour:
-row data lives purely in memory and the WAL (optional) covers metadata
-only.  :class:`DurableEngine` manages a *data directory*::
+Two engines exist.  :class:`MemoryEngine` keeps row data purely in
+memory; its WAL (optional) covers metadata only.  :class:`DurableEngine`
+manages a *data directory* (layout: :mod:`repro.storage.manifest`) and
+is the lifecycle around three modules that do the work:
 
-    <root>/wal.jsonl            metadata + data WAL (fsync per append)
-    <root>/manifest.json        versioned checkpoint manifest
-    <root>/segments/g<lsn>/     one generation of immutable per-column
-        <table>/p<k>.<col>.seg  segment files per checkpoint
+- :mod:`repro.storage.checkpoint` writes a generation: every partition
+  column as a segment file plus the PatchIndexes' patch sets;
+- :mod:`repro.storage.materialize` reads one back: tables from segments
+  plus the WAL tail, PatchIndexes restored from the persisted patch
+  sets or rebuilt from data (paper §V) — the one reconstruction behind
+  recovery, snapshot builds and advances, and worker attach;
+- :mod:`repro.storage.snapshot` pins ``(generation, LSN)`` states for
+  MVCC readers and serializes them with the checkpoint flip.
 
-Checkpoint flushes every column of every partition into a fresh segment
-generation — plus the materialized patch sets of every PatchIndex into
-the generation's ``patches.json`` — installs the manifest atomically,
-writes a ``checkpoint`` marker and compacts the WAL.  Recovery loads the
-manifest, replays the WAL tail beyond the checkpoint LSN, and then
-*restores* each index from its persisted patch sets by replaying the
-``patch_delta`` tail over them; any index whose persisted state or delta
-chain is absent, corrupt or gapped falls back to re-discovery from the
-recovered data — exactly the slim-WAL recovery path of paper §V, now as
-the safety net rather than the only path.
-
-The seam leaves query execution untouched: segment-backed columns are
-plain (optionally memory-mapped) NumPy arrays inside the same
-:class:`~repro.storage.partition.Partition` objects, so serial and
-morsel-parallel scans, block pruning and the PatchSelect rowid
-invariants (§VI-A1) work unchanged.
+The seam leaves query execution untouched: segment-backed columns sit
+inside the same :class:`~repro.storage.partition.Partition` objects, so
+serial and morsel-parallel scans, block pruning and the PatchSelect
+rowid invariants (§VI-A1) work unchanged.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import os
 import shutil
 import time
@@ -48,45 +39,35 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.check.sanitize import make_lock, release_resource, track_resource
-from repro.errors import StorageError, WalError
-from repro.storage.blocks import DEFAULT_BLOCK_SIZE
-from repro.storage.cache import (
-    BlockCache,
-    SegmentColumnSource,
-    cache_capacity_from_env,
-)
+from repro.errors import StorageError
+from repro.storage.cache import BlockCache, cache_capacity_from_env
+from repro.storage.checkpoint import flush_table, nsc_patch_rowids, write_patch_sets
 from repro.storage.column import ColumnVector
 from repro.storage.manifest import (
+    SEGMENTS_DIR,
+    WAL_NAME,
     Manifest,
-    PartitionManifest,
     TableManifest,
     read_manifest,
-    write_manifest,
 )
-from repro.storage.partition import Partition
-from repro.storage.segment import ENCODING_MODES, open_segment, write_segment
-from repro.storage.snapshot import SnapshotHandle
+from repro.storage.materialize import (
+    attach_tables,
+    load_tables,
+    materialize_indexes,
+    materialize_tables,
+)
+from repro.storage.segment import ENCODING_MODES
+from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry
 from repro.storage.table import Table
-from repro.storage.wal import (
-    DATA_KINDS,
-    PATCH_KINDS,
-    WalRecord,
-    WriteAheadLog,
-    live_records_of,
-)
+from repro.storage.wal import DATA_KINDS, WriteAheadLog, live_records_of
 from repro.types import DataType
-from repro.types.datatypes import coerce_scalar
+from repro.types.datatypes import coerce_scalar, numpy_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
-WAL_NAME = "wal.jsonl"
-SEGMENTS_DIR = "segments"
-PATCHES_NAME = "patches.json"
 
-
-# -- data-record (de)serialization ------------------------------------------
+# -- data-record serialization -----------------------------------------------
 
 
 def column_to_jsonable(column: ColumnVector) -> list:
@@ -101,11 +82,6 @@ def column_to_jsonable(column: ColumnVector) -> list:
     return out
 
 
-def column_from_jsonable(dtype: DataType, items: list) -> ColumnVector:
-    """Rebuild a column from the physical scalars of a WAL data record."""
-    return ColumnVector.from_pylist(dtype, items)
-
-
 def scalar_to_jsonable(value: object, dtype: DataType) -> object:
     """Physical representation of one cell value (dates → day numbers)."""
     coerced = coerce_scalar(value, dtype)
@@ -114,153 +90,34 @@ def scalar_to_jsonable(value: object, dtype: DataType) -> object:
     return coerced
 
 
-# -- persisted patch sets ----------------------------------------------------
+def encoded_stats(table: Table) -> tuple[float, float]:
+    """(encoded block fraction, encoded/raw byte ratio) of a loaded table.
 
-
-def persisted_index_entry(index) -> dict:
-    """Checksummed ``patches.json`` entry for one PatchIndex.
-
-    Captures everything a restore needs without touching table data: the
-    definition (to match against the WAL ``create_index`` record), the
-    physical design, the rebuild count, the drift counters and the
-    materialized per-partition patch sets as of the checkpoint.
+    Estimated from the segment headers behind the table's still-lazy
+    columns alone (strings lack an exact raw size there; their encoded
+    size stands in).
     """
-    from repro.core.delta import delta_checksum
-
-    stats = index.maintenance_stats()
-    body = {
-        "definition": {
-            "name": index.name,
-            "table": index.table_name,
-            "column": index.column_name,
-            "kind": index.kind,
-            "mode": index.mode.value if index.mode is not None else None,
-            "threshold": index.threshold,
-            "scope": index.scope,
-            "ascending": index.ascending,
-            "strict": index.strict,
-        },
-        "design": index.design,
-        "rebuild_count": index.rebuild_count,
-        "stats": stats.to_payload() if stats is not None else None,
-        "partitions": [
-            {
-                "row_count": index.partition_patches(pid).row_count,
-                "rowids": index.partition_patches(pid).rowids().tolist(),
-            }
-            for pid in range(index.table.partition_count)
-        ],
-    }
-    body["checksum"] = delta_checksum(body)
-    return body
-
-
-def restore_patch_index(
-    table: Table,
-    payload: dict,
-    entry: dict,
-    delta_records: list[WalRecord],
-    required_lsns: set[int],
-    provenance: str,
-):
-    """Restore one PatchIndex from a persisted entry plus its delta tail.
-
-    *payload* is the WAL ``create_index`` record, *entry* the matching
-    ``patches.json`` entry, *delta_records* the index's ``patch_delta``
-    records beyond the checkpoint in LSN order, and *required_lsns* the
-    LSNs of every post-checkpoint data record that must have produced a
-    delta (all appends/loads/deletes of the table, updates of the
-    indexed column).  Returns ``(index, deltas_replayed)`` on success or
-    ``(None, 0)`` when anything disqualifies the restore — checksum
-    mismatch, definition drift, a missing or corrupt delta, an
-    ``invalidate`` marker, or a final patch-set/partition row-count
-    disagreement — in which case the caller falls back to the paper's
-    rebuild-from-data path.
-    """
-    from repro.core.constraints import ConstraintKind
-    from repro.core.delta import PatchDelta, delta_checksum
-    from repro.core.maintenance import MaintenanceStats
-    from repro.core.patch_index import PatchIndex, PatchIndexMode
-    from repro.core.patches import PatchSet
-
-    index = None
-    try:
-        body = {key: value for key, value in entry.items() if key != "checksum"}
-        if entry.get("checksum") != delta_checksum(body):
-            return None, 0
-        definition = entry.get("definition", {})
-        expected = {
-            "name": payload["name"],
-            "table": payload["table"],
-            "column": payload["column"],
-            "kind": payload["kind"],
-            "threshold": float(payload.get("threshold", 1.0)),
-            "scope": payload.get("scope", "global"),
-            "ascending": bool(payload.get("ascending", True)),
-            "strict": bool(payload.get("strict", False)),
-        }
-        for key, value in expected.items():
-            if definition.get(key) != value:
-                return None, 0
-        deltas: list[PatchDelta] = []
-        seen_lsns: set[int] = set()
-        for record in delta_records:
-            delta, applies_to = PatchDelta.from_payload(record.payload)
-            if delta.invalidates:
-                return None, 0
-            deltas.append(delta)
-            if applies_to is not None:
-                seen_lsns.add(applies_to)
-        if required_lsns - seen_lsns:
-            return None, 0
-        partitions = entry["partitions"]
-        if len(partitions) != table.partition_count:
-            return None, 0
-        patch_sets = [
-            PatchSet.build(
-                np.asarray(part["rowids"], dtype=np.int64),
-                int(part["row_count"]),
-                entry["design"],
+    encoded_blocks = total_blocks = payload_total = raw_payload_total = 0
+    for partition in table.partitions:
+        for source in partition.sources():
+            reader = source.reader
+            item = (
+                numpy_dtype(reader.dtype).itemsize
+                if reader.dtype != DataType.STRING
+                else 0
             )
-            for part in partitions
-        ]
-        # The live index may legitimately carry a different mode than its
-        # create record (a rebuild re-resolves AUTO); the persisted
-        # definition records the live mode as of the checkpoint.
-        mode = definition.get("mode")
-        index = PatchIndex(
-            payload["name"],
-            table,
-            payload["column"],
-            ConstraintKind.from_name(payload["kind"]),
-            patch_sets,
-            expected["threshold"],
-            ascending=expected["ascending"],
-            strict=expected["strict"],
-            scope=expected["scope"],
-            provenance=provenance,
-            mode=PatchIndexMode(mode) if mode is not None else None,
-        )
-        index.rebuild_count = int(entry.get("rebuild_count", 0))
-        if entry.get("stats") is not None:
-            index.seed_maintenance_stats(
-                MaintenanceStats.from_payload(entry["stats"])
-            )
-        for delta in deltas:
-            index.apply_external_delta(delta)
-        for partition in table.partitions:
-            patches = index.partition_patches(partition.partition_id)
-            if patches.row_count != partition.row_count:
-                raise StorageError(
-                    f"restored patch set of {index.name!r} covers "
-                    f"{patches.row_count} rows, partition "
-                    f"{partition.partition_id} holds {partition.row_count}"
+            for index, tag in enumerate(reader.encodings):
+                total_blocks += 1
+                encoded_blocks += tag != "raw"
+                encoded_size = reader.block_payload_bytes(index)
+                payload_total += encoded_size
+                raw_payload_total += (
+                    reader.stats[index].row_count * item if item else encoded_size
                 )
-    except (StorageError, KeyError, TypeError, ValueError):
-        if index is not None:
-            index.detach()
-        return None, 0
-    return index, len(deltas)
+    return (
+        encoded_blocks / total_blocks if total_blocks else 0.0,
+        payload_total / raw_payload_total if raw_payload_total else 1.0,
+    )
 
 
 # -- the seam ----------------------------------------------------------------
@@ -269,17 +126,17 @@ def restore_patch_index(
 class StorageEngine:
     """Interface a Database persists through; also the in-memory engine.
 
-    The base class implements the metadata-only behaviour the engine
-    historically had: table data lives in memory, checkpoints write a
-    WAL marker and compact the metadata log, and recovery is a no-op
-    (``Database.recover`` with data loaders covers the legacy path).
+    The base class implements the metadata-only behaviour: table data
+    lives in memory, checkpoints write a WAL marker and compact the
+    metadata log, and recovery is a no-op (``Database.recover`` with
+    data loaders repopulates tables).
     """
 
     name = "memory"
     #: True when table mutations are logged as WAL data records.
     logs_data = False
     #: True when the engine can pin MVCC snapshots (durable only: a
-    #: snapshot is reconstructed from immutable segments + the WAL).
+    #: snapshot is materialized from immutable segments + the WAL).
     supports_snapshots = False
 
     def cache_stats(self) -> dict | None:
@@ -358,7 +215,6 @@ class DurableEngine(StorageEngine):
         sync: bool = True,
         cache_bytes: int | None = None,
         encoding: str = "auto",
-        cache: BlockCache | None = None,
     ):
         if encoding not in ENCODING_MODES:
             raise StorageError(
@@ -370,36 +226,16 @@ class DurableEngine(StorageEngine):
         #: Segment encoding mode for checkpoints: "auto" (cost-based
         #: per-block picker) or "raw".
         self.encoding = encoding
-        self.cache_bytes = (
-            cache_capacity_from_env() if cache_bytes is None else max(0, int(cache_bytes))
-        )
-        #: Shared decoded-block cache; ``None`` when disabled
-        #: (``cache_bytes=0``).  Workers inject a process-wide cache.
-        if cache is not None:
-            self._cache: BlockCache | None = cache
-        elif self.cache_bytes > 0:
-            self._cache = BlockCache(self.cache_bytes)
-        else:
-            self._cache = None
+        if cache_bytes is None:
+            cache_bytes = cache_capacity_from_env()
+        #: Shared decoded-block cache; ``None`` when disabled (``cache_bytes=0``).
+        self._cache = BlockCache(cache_bytes) if cache_bytes > 0 else None
         #: Per-table fraction of blocks carrying a non-raw encoding and
-        #: encoded/raw byte ratio, refreshed at checkpoint and load.
+        #: encoded/raw byte ratio, refreshed at checkpoint and recovery.
         self._encoded_fractions: dict[str, float] = {}
         self._encoded_ratios: dict[str, float] = {}
-        #: Snapshot machinery (see :mod:`repro.storage.snapshot`): the
-        #: lock serializes pinning with the checkpoint generation flip;
-        #: the cache shares one reconstruction per (generation, LSN)
-        #: key; pinned/deferred generation bookkeeping drives the
-        #: deferred GC of segment directories a checkpoint superseded.
-        self._snapshot_lock = make_lock("storage.engine.snapshot")
-        self._snapshots: dict[tuple[int, int], SnapshotHandle] = {}
-        self._pinned_generations: dict[str, int] = {}
-        self._deferred_generations: set[str] = set()
-        self._current_manifest: Manifest | None = None
-        self._metrics = None
-
-    @property
-    def cache(self) -> BlockCache | None:
-        return self._cache
+        #: Built by :meth:`recover`, which knows the manifest to start from.
+        self._snapshots: SnapshotRegistry | None = None
 
     def cache_stats(self) -> dict | None:
         if self._cache is None:
@@ -428,11 +264,6 @@ class DurableEngine(StorageEngine):
             )
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / SEGMENTS_DIR).mkdir(exist_ok=True)
-        # Publish the registry under the snapshot lock: checkpoint and
-        # pin paths read ``_metrics`` while holding it, and the lock is
-        # uncontended this early (open runs before any reader exists).
-        with self._snapshot_lock:
-            self._metrics = database.obs
         if self._cache is not None:
             self._cache.attach_metrics(database.obs)
         return WriteAheadLog(
@@ -447,941 +278,144 @@ class DurableEngine(StorageEngine):
 
     # -- mutation logging -------------------------------------------------
 
-    def table_event(
-        self, database: "Database", event: str, payload: dict
-    ) -> None:
+    def table_event(self, database: "Database", event: str, payload: dict) -> None:
         """Append the WAL data record mirroring one table mutation."""
         table_name = payload.get("table")
         if table_name is None:  # a listener fed us a foreign event
             return
-        if event == "append":
-            database.wal.append(
-                "append",
-                {
-                    "table": table_name,
-                    "columns": {
-                        name: column_to_jsonable(column)
-                        for name, column in payload["columns"].items()
-                    },
-                    "row_count": payload["row_count"],
-                },
-            )
-        elif event == "load":
-            database.wal.append(
-                "load",
-                {
-                    "table": table_name,
-                    "columns": {
-                        name: column_to_jsonable(column)
-                        for name, column in payload["columns"].items()
-                    },
-                    "round_robin": bool(payload.get("round_robin", False)),
-                },
-            )
+        record: dict = {"table": table_name}
+        if event in ("append", "load"):
+            record["columns"] = {
+                name: column_to_jsonable(column)
+                for name, column in payload["columns"].items()
+            }
+            if event == "append":
+                record["row_count"] = payload["row_count"]
+            else:
+                record["round_robin"] = bool(payload.get("round_robin", False))
         elif event == "delete":
-            database.wal.append(
-                "delete",
-                {
-                    "table": table_name,
-                    "rowids": np.asarray(payload["rowids"]).tolist(),
-                },
-            )
+            record["rowids"] = np.asarray(payload["rowids"]).tolist()
         elif event == "update":
-            table = database.catalog.table(table_name)
-            dtype = table.schema.field(payload["column"]).dtype
-            database.wal.append(
-                "update",
-                {
-                    "table": table_name,
-                    "rowid": int(payload["rowid"]),
-                    "column": payload["column"],
-                    "value": scalar_to_jsonable(payload["value"], dtype),
-                },
-            )
+            dtype = database.catalog.table(table_name).schema.field(
+                payload["column"]
+            ).dtype
+            record["rowid"] = int(payload["rowid"])
+            record["column"] = payload["column"]
+            record["value"] = scalar_to_jsonable(payload["value"], dtype)
+        else:
+            return
+        database.wal.append(event, record)
 
     # -- checkpoint -------------------------------------------------------
 
-    def _nsc_patch_rowids(
-        self, database: "Database", table: Table
-    ) -> dict[str, dict[int, np.ndarray]]:
-        """Partition-local NSC patch rowids per column of *table*.
-
-        The patch-aware ``pfor`` codec stores exactly these rows
-        verbatim so the kept values pack at the clean-column rate — the
-        compressor reusing the PatchIndex's knowledge (paper §VIII).
-        """
-        per_column: dict[str, dict[int, np.ndarray]] = {}
-        for index in database.catalog.indexes_on(table.name):
-            if index.kind != "sorted":
-                continue
-            by_partition = per_column.setdefault(index.column_name, {})
-            for partition in table.partitions:
-                rowids = index.partition_patches(
-                    partition.partition_id
-                ).rowids()
-                existing = by_partition.get(partition.partition_id)
-                if existing is not None:
-                    rowids = np.union1d(existing, rowids)
-                by_partition[partition.partition_id] = np.asarray(
-                    rowids, dtype=np.int64
-                )
-        return per_column
-
     def checkpoint(self, database: "Database") -> dict:
-        """Flush segments, install the manifest, mark and compact the WAL."""
+        """Flush a generation, flip the manifest to it, drop the old ones."""
         lsn = database.wal.last_lsn
-        generation = f"g{lsn:012d}"
+        obs = database.obs
         tables: dict[str, TableManifest] = {}
         table_details: dict[str, dict] = {}
-        segment_count = 0
-        segment_bytes = 0
+        segments = 0
         for table in database.catalog.tables():
-            partition_manifests: list[PartitionManifest] = []
-            table_dir = self.root / SEGMENTS_DIR / generation / table.name
-            table_dir.mkdir(parents=True, exist_ok=True)
-            table_bytes = 0
             patch_rowids = (
-                self._nsc_patch_rowids(database, table)
+                nsc_patch_rowids(database.catalog, table)
                 if self.encoding == "auto"
                 else {}
             )
-            column_details: dict[str, dict] = {
-                field.name: {"segment_bytes": 0, "encodings": {}}
-                for field in table.schema
-            }
-            encoded_blocks = 0
-            total_blocks = 0
-            payload_total = 0
-            raw_payload_total = 0
-            for partition in table.partitions:
-                segments: dict[str, str] = {}
-                for field in table.schema:
-                    filename = f"p{partition.partition_id}.{field.name}.seg"
-                    relative = (
-                        f"{SEGMENTS_DIR}/{generation}/{table.name}/{filename}"
-                    )
-                    info = write_segment(
-                        table_dir / filename,
-                        partition.column(field.name),
-                        table.block_size,
-                        sync=self.sync,
-                        encoding=self.encoding,
-                        patch_rowids=patch_rowids.get(field.name, {}).get(
-                            partition.partition_id
-                        ),
-                    )
-                    segments[field.name] = relative
-                    segment_count += 1
-                    table_bytes += info.bytes_written
-                    detail = column_details[field.name]
-                    detail["segment_bytes"] += info.bytes_written
-                    for tag, count in info.encodings.items():
-                        detail["encodings"][tag] = (
-                            detail["encodings"].get(tag, 0) + count
-                        )
-                        total_blocks += count
-                        if tag != "raw":
-                            encoded_blocks += count
-                    payload_total += info.payload_bytes
-                    raw_payload_total += info.raw_payload_bytes
-                partition_manifests.append(
-                    PartitionManifest(
-                        row_count=partition.row_count, segments=segments
-                    )
-                )
-            from repro.storage.database import schema_to_payload
-
-            tables[table.name] = TableManifest(
-                name=table.name,
-                schema=schema_to_payload(table.schema),
-                block_size=table.block_size,
-                partitions=partition_manifests,
+            name = table.name
+            tables[name], detail, fraction = flush_table(
+                self.root, lsn, table, patch_rowids, self.encoding, sync=self.sync
             )
-            segment_bytes += table_bytes
-            self._encoded_fractions[table.name] = (
-                encoded_blocks / total_blocks if total_blocks else 0.0
-            )
-            self._encoded_ratios[table.name] = (
-                payload_total / raw_payload_total if raw_payload_total else 1.0
-            )
-            table_details[table.name] = {
-                "segment_bytes": table_bytes,
-                "encoded_ratio": self._encoded_ratios[table.name],
-                "columns": column_details,
-            }
-            database.obs.gauge(f"storage.{table.name}.segments").set(
-                len(partition_manifests) * len(table.schema)
-            )
-            database.obs.gauge(f"storage.{table.name}.segment_bytes").set(
-                table_bytes
-            )
-            database.obs.gauge(f"storage.{table.name}.encoded_ratio").set(
-                self._encoded_ratios[table.name]
-            )
-        patches_path = self._write_patch_sets(database, generation, lsn)
-        # The flip — manifest install, WAL marker + compaction, old-
-        # generation GC — happens under the snapshot lock so a reader
-        # pinning concurrently sees either entirely the old or entirely
-        # the new generation, never a torn mix (the slow segment writes
-        # above ran outside the lock into the not-yet-visible directory).
-        manifest = Manifest(
-            checkpoint_lsn=lsn, tables=tables, patches=patches_path
-        )
-        with self._snapshot_lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
-            write_manifest(self.root, manifest, sync=self.sync)
-            self._current_manifest = manifest
-            database.wal.checkpoint({"checkpoint_lsn": lsn})
-            pruned = database.wal.compact()
-            doomed = self._collect_old_generations_locked(generation)
-            # The generation flipped: every cached block keyed by an older
-            # generation is unreachable from the new readers, so drop them
-            # eagerly rather than letting them age out of the LRU.
-            if self._cache is not None:
-                self._cache.clear()
-        # Directory deletion is slow and, once a generation is neither
-        # current nor pinned, invisible to the bookkeeping — do it after
-        # releasing the lock so concurrent pins don't stall behind rmtree.
+            table_details[name] = detail
+            self._encoded_fractions[name] = fraction
+            self._encoded_ratios[name] = detail["encoded_ratio"]
+            written = table.partition_count * len(table.schema)
+            segments += written
+            obs.gauge(f"storage.{name}.segments").set(written)
+            obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
+            obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
+        patches = write_patch_sets(self.root, lsn, database.catalog, sync=self.sync)
+        manifest = Manifest(checkpoint_lsn=lsn, tables=tables, patches=patches)
+        pruned, doomed = self._snapshots.flip(manifest, database.wal, sync=self.sync)
         for stale in doomed:
             shutil.rmtree(stale, ignore_errors=True)
-        database.obs.gauge("storage.checkpoint_lsn").set(lsn)
+        obs.gauge("storage.checkpoint_lsn").set(lsn)
         return {
             "engine": self.name,
             "lsn": lsn,
             "tables": len(tables),
-            "segments": segment_count,
-            "segment_bytes": segment_bytes,
+            "segments": segments,
+            "segment_bytes": sum(d["segment_bytes"] for d in table_details.values()),
             "wal_pruned": pruned,
             "table_details": table_details,
         }
 
-    def _write_patch_sets(
-        self, database: "Database", generation: str, lsn: int
-    ) -> str:
-        """Materialize every index's patch sets into the generation dir.
-
-        Runs outside the snapshot lock (into the not-yet-visible
-        generation directory, like the segment writes); the manifest's
-        ``patches`` pointer makes the file reachable only at the flip.
-        With the patch sets persisted per checkpoint, recovery and
-        snapshot reconstruction replay the ``patch_delta`` tail instead
-        of re-discovering non-drifted indexes from data.
-        """
-        entries: dict[str, dict] = {}
-        for table in database.catalog.tables():
-            for index in database.catalog.indexes_on(table.name):
-                entries[index.name] = persisted_index_entry(index)
-        relative = f"{SEGMENTS_DIR}/{generation}/{PATCHES_NAME}"
-        path = self.root / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"checkpoint_lsn": lsn, "indexes": entries}, handle)
-            handle.write("\n")
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
-        return relative
-
-    def _load_persisted_patches(self, manifest: Manifest | None) -> dict:
-        """Per-index ``patches.json`` entries, or ``{}`` when unusable.
-
-        A missing or unreadable file degrades every index to the
-        rebuild-from-data fallback rather than failing recovery: the
-        persisted patch sets are an optimization, never a correctness
-        requirement.
-        """
-        if manifest is None or manifest.patches is None:
-            return {}
-        path = self.root / manifest.patches
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return {}
-        indexes = raw.get("indexes") if isinstance(raw, dict) else None
-        return dict(indexes) if isinstance(indexes, dict) else {}
-
-    def _collect_old_generations_locked(self, current: str) -> list[Path]:
-        """Pick superseded segment generations to delete; defer pinned ones.
-
-        Called with the snapshot lock held (the ``_locked`` suffix is
-        the project convention the L13 lint rule understands).  A
-        generation still pinned by a live snapshot is left on disk and
-        queued for deferred GC — :meth:`release_snapshot` collects it
-        once the last pin drops — so a checkpoint never deletes files an
-        in-flight scan reads.  Returns the doomed directories; the
-        caller deletes them *after* releasing the lock (a directory that
-        is neither current nor pinned is unreachable from any future
-        pin, and a concurrent double-delete is harmless).
-        """
-        doomed: list[Path] = []
-        segments_root = self.root / SEGMENTS_DIR
-        for entry in segments_root.iterdir():
-            if entry.name == current or not entry.is_dir():
-                continue
-            if self._pinned_generations.get(entry.name, 0) > 0:
-                self._deferred_generations.add(entry.name)
-                continue
-            doomed.append(entry)
-            self._deferred_generations.discard(entry.name)
-        if self._metrics is not None:
-            self._metrics.gauge("storage.snapshot.deferred_generations").set(
-                len(self._deferred_generations)
-            )
-        return doomed
-
     # -- recovery ---------------------------------------------------------
 
     def recover(self, database: "Database") -> None:
-        """Manifest load → WAL tail replay → PatchIndex restore/rebuild.
+        """Materialize the directory's state into the live catalog.
 
-        Table recovery is unchanged: segments plus the data tail.  Each
-        index is then *restored* — persisted patch sets of the
-        checkpoint generation with the ``patch_delta`` tail replayed on
-        top (:func:`restore_patch_index`) — and only falls back to the
-        paper's rebuild-from-data discovery when the persisted state or
-        delta chain is unusable.  ``recovery.indexes_restored`` vs
-        ``recovery.indexes_rebuilt`` gauges report which path each index
-        took.
+        Tables first — manifest segments plus the WAL data tail — then
+        their PatchIndexes, restored from the checkpoint's patch sets
+        with the ``patch_delta`` tail replayed on top, or rebuilt from
+        data (:func:`~repro.storage.materialize.materialize_indexes`
+        holds the rule).  ``recovery.indexes_restored`` vs
+        ``recovery.indexes_rebuilt`` report which path each index took,
+        ``recovery.index_fallbacks`` how many rebuilds were refused
+        restores.
         """
         started = time.perf_counter()
         manifest = read_manifest(self.root)
-        with self._snapshot_lock:
-            # Recovery runs before the database is shared, but the
-            # manifest is lock-guarded state everywhere else — keep the
-            # discipline uniform so the static checker can prove it.
-            self._current_manifest = manifest
-        checkpoint_lsn = manifest.checkpoint_lsn if manifest else None
-        if manifest is not None:
-            for table_manifest in manifest.tables.values():
-                database._install_table(
-                    self._load_table(table_manifest, manifest.checkpoint_lsn)
-                )
-        # Tables dropped after the checkpoint are gone even though the
-        # manifest still carries them; apply those drops before replay.
-        for record in database.wal.records():
-            if (
-                record.kind == "drop_table"
-                and (checkpoint_lsn is None or record.lsn > checkpoint_lsn)
-                and database.catalog.has_table(record.payload["name"])
-            ):
-                database.catalog.drop_table(record.payload["name"])
-
-        from repro.storage.database import payload_to_schema
-
-        replayed = 0
-        index_records: list[WalRecord] = []
-        patch_records: dict[str, list[WalRecord]] = {}
-        # (table, kind, updated column, lsn) of every replayed data
-        # record — the gap-detection input for index restores.
-        data_tail: list[tuple[str, str, str | None, int]] = []
-        database._replaying = True
-        try:
-            for record in database.wal.live_records():
-                if record.kind == "create_table":
-                    name = record.payload["name"]
-                    if database.catalog.has_table(name):
-                        continue  # already loaded from the manifest
-                    table = Table(
-                        name,
-                        payload_to_schema(record.payload["schema"]),
-                        int(record.payload.get("partition_count", 1)),
-                        int(
-                            record.payload.get(
-                                "block_size", DEFAULT_BLOCK_SIZE
-                            )
-                        ),
-                    )
-                    database._install_table(table)
-                elif record.kind == "create_index":
-                    index_records.append(record)
-                elif record.kind in PATCH_KINDS:
-                    if (
-                        checkpoint_lsn is not None
-                        and record.lsn <= checkpoint_lsn
-                    ):
-                        continue  # reflected in the persisted patch sets
-                    patch_records.setdefault(
-                        record.payload.get("index"), []
-                    ).append(record)
-                elif record.kind in DATA_KINDS:
-                    if (
-                        checkpoint_lsn is not None
-                        and record.lsn <= checkpoint_lsn
-                    ):
-                        continue  # already flushed into segments
-                    self._apply_data_record(database, record)
-                    data_tail.append(
-                        (
-                            record.payload["table"],
-                            record.kind,
-                            record.payload.get("column"),
-                            record.lsn,
-                        )
-                    )
-                    replayed += 1
-            persisted = self._load_persisted_patches(manifest)
-            rebuilt = 0
-            restored = 0
-            deltas_replayed = 0
-            for record in index_records:
-                payload = record.payload
-                if not database.catalog.has_table(payload["table"]):
-                    raise WalError(
-                        f"index {payload['name']!r} references missing table"
-                    )
-                index = None
-                entry = persisted.get(payload["name"])
-                if (
-                    entry is not None
-                    and checkpoint_lsn is not None
-                    and record.lsn <= checkpoint_lsn
-                ):
-                    required = {
-                        lsn
-                        for tbl, kind, column, lsn in data_tail
-                        if tbl == payload["table"]
-                        and (
-                            kind != "update" or column == payload["column"]
-                        )
-                    }
-                    index, count = restore_patch_index(
-                        database.catalog.table(payload["table"]),
-                        payload,
-                        entry,
-                        patch_records.get(payload["name"], []),
-                        required,
-                        provenance="recovery",
-                    )
-                    deltas_replayed += count
-                if index is not None:
-                    database.catalog.add_index(index)
-                    index.delta_sink = database._on_patch_delta
-                    restored += 1
-                    continue
-                # Rebuild from data via discovery — the threshold was
-                # enforced at creation time; recovery must not fail just
-                # because maintenance drifted the column past it since.
-                database.create_patch_index(
-                    payload["name"],
-                    payload["table"],
-                    payload["column"],
-                    kind=payload["kind"],
-                    mode=payload.get("mode", "auto"),
-                    threshold=float(payload.get("threshold", 1.0)),
-                    scope=payload.get("scope", "global"),
-                    ascending=bool(payload.get("ascending", True)),
-                    strict=bool(payload.get("strict", False)),
-                    _log=False,
-                    _provenance="recovery",
-                    _enforce_threshold=False,
-                )
-                rebuilt += 1
-        finally:
-            database._replaying = False
-        elapsed = time.perf_counter() - started
-        database.obs.counter("recovery.count").inc()
-        database.obs.histogram("recovery.seconds").observe(elapsed)
-        database.obs.gauge("recovery.replayed_records").set(replayed)
-        database.obs.gauge("recovery.indexes_rebuilt").set(rebuilt)
-        database.obs.gauge("recovery.indexes_restored").set(restored)
-        database.obs.gauge("recovery.delta_records_replayed").set(
-            deltas_replayed
+        cache, mmap = self._cache, self.mmap
+        self._snapshots = SnapshotRegistry(
+            self.root, manifest, cache=cache, mmap=mmap, metrics=database.obs
         )
-
-    def attach_tables(
-        self, expected_lsn: int | None = None
-    ) -> dict[str, Table]:
-        """Read-only attach for a worker process: tables, no Database.
-
-        Reproduces the coordinator's table state from the data directory
-        alone — manifest load (memory-mapping segment columns when the
-        engine was opened with ``mmap=True``), post-checkpoint drops,
-        then a deterministic replay of the live WAL data tail.  The WAL
-        is opened without torn-tail tolerance: tolerating a torn tail
-        truncates the file, and an attach must never write to the
-        coordinator's live log.
-
-        *expected_lsn* is the coordinator WAL's last LSN at planning
-        time; a mismatch means the database changed (or the worker sees
-        a different directory) and the attach refuses rather than serve
-        divergent data — the coordinator falls back to serial execution.
-        """
-        manifest = read_manifest(self.root)
-        wal = WriteAheadLog(
-            self.root / WAL_NAME, sync=False, tolerate_torn_tail=False
-        )
-        if expected_lsn is not None and wal.last_lsn != expected_lsn:
-            raise StorageError(
-                f"worker attach at {self.root} saw WAL LSN {wal.last_lsn}, "
-                f"coordinator planned against {expected_lsn}"
+        generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
+        records = database.wal.records()
+        tables = load_tables(self.root, manifest, cache=cache, mmap=mmap)
+        for name, table in tables.items():
+            # Read off the segment headers now: the tail replay below
+            # materializes the partitions it mutates.
+            self._encoded_fractions[name], self._encoded_ratios[name] = (
+                encoded_stats(table)
             )
-        return self._reconstruct_tables(manifest, wal.records())
+        materialize_tables(
+            self.root, manifest, records, cache=cache, mmap=mmap, base=tables
+        )
+        # The database's listener must precede the index listeners on
+        # every table (see Database._on_table_event): install first.
+        for table in tables.values():
+            database._install_table(table)
+        built = materialize_indexes(
+            tables, records, generation_lsn, self.root, provenance="recovery"
+        )
+        for index in built.indexes:
+            database._adopt_index(index)
+        obs = database.obs
+        obs.counter("recovery.count").inc()
+        obs.histogram("recovery.seconds").observe(time.perf_counter() - started)
+        obs.gauge("recovery.replayed_records").set(
+            sum(
+                1
+                for record in live_records_of(records)
+                if record.kind in DATA_KINDS and record.lsn > generation_lsn
+            )
+        )
+        obs.gauge("recovery.indexes_restored").set(built.restored)
+        obs.gauge("recovery.indexes_rebuilt").set(len(built.indexes) - built.restored)
+        obs.gauge("recovery.delta_records_replayed").set(built.deltas_replayed)
+        obs.counter("recovery.index_fallbacks").inc(sum(built.fallbacks.values()))
+        for reason, count in built.fallbacks.items():
+            obs.counter(f"recovery.index_fallbacks.{reason}").inc(count)
 
-    def _reconstruct_tables(
-        self,
-        manifest: Manifest | None,
-        records: list[WalRecord],
-        *,
-        record_stats: bool = True,
-    ) -> dict[str, Table]:
-        """Table state at one point of the log: manifest + tail replay.
-
-        The shared core of :meth:`attach_tables` (worker processes) and
-        :meth:`pin_snapshot` (in-process MVCC readers): load every table
-        of *manifest* lazily from its segment files, apply post-
-        checkpoint drops, then replay the live data tail of *records*.
-        Callers choose the point in time by passing only the records at
-        or below their LSN.  ``record_stats=False`` keeps a snapshot
-        reconstruction from overwriting the live engine's encoded-ratio
-        gauges.
-        """
-        checkpoint_lsn = manifest.checkpoint_lsn if manifest else None
-        tables: dict[str, Table] = {}
-        if manifest is not None:
-            for table_manifest in manifest.tables.values():
-                tables[table_manifest.name] = self._load_table(
-                    table_manifest,
-                    manifest.checkpoint_lsn,
-                    record_stats=record_stats,
-                )
-        for record in records:
-            if (
-                record.kind == "drop_table"
-                and (checkpoint_lsn is None or record.lsn > checkpoint_lsn)
-            ):
-                tables.pop(record.payload["name"], None)
-
-        from repro.storage.database import payload_to_schema
-
-        for record in live_records_of(records):
-            if record.kind == "create_table":
-                name = record.payload["name"]
-                if name in tables:
-                    continue  # already loaded from the manifest
-                tables[name] = Table(
-                    name,
-                    payload_to_schema(record.payload["schema"]),
-                    int(record.payload.get("partition_count", 1)),
-                    int(record.payload.get("block_size", DEFAULT_BLOCK_SIZE)),
-                )
-            elif record.kind in DATA_KINDS:
-                if checkpoint_lsn is not None and record.lsn <= checkpoint_lsn:
-                    continue  # already flushed into segments
-                table = tables.get(record.payload["table"])
-                if table is None:
-                    raise WalError(
-                        f"data record for unknown table "
-                        f"{record.payload['table']!r} during attach"
-                    )
-                self._apply_record_to_table(table, record)
-        return tables
+    def attach_tables(self, expected_lsn: int | None = None) -> dict[str, Table]:
+        """This directory's table state as a worker process would see it."""
+        return attach_tables(self.root, expected_lsn, cache=self._cache, mmap=self.mmap)
 
     # -- snapshots ---------------------------------------------------------
 
     def pin_snapshot(self, database: "Database") -> SnapshotHandle:
-        """Pin the current (manifest generation, WAL LSN) for a reader.
-
-        Reconstructs the table state at exactly that pair — or reuses
-        the cached reconstruction when an earlier reader already pinned
-        the same key — and takes one refcount on it plus one on the
-        generation's segment directory, deferring its GC past any
-        checkpoint that supersedes it.  Runs under the snapshot lock so
-        it serializes only with the checkpoint *flip* (and other pins),
-        never with WAL appends: writers do not block readers.
-        """
-        wal = database.wal
-        with self._snapshot_lock:
-            manifest = self._current_manifest
-            generation_lsn = (
-                manifest.checkpoint_lsn if manifest is not None else 0
-            )
-            wal_lsn = wal.last_lsn
-            key = (generation_lsn, wal_lsn)
-            handle = self._snapshots.get(key)
-            if handle is None:
-                handle = self._advance_snapshot_locked(
-                    wal, generation_lsn, wal_lsn
-                )
-            if handle is None:
-                records = [
-                    record
-                    for record in wal.records()
-                    if record.lsn <= wal_lsn
-                ]
-                tables = self._reconstruct_tables(
-                    manifest, records, record_stats=False
-                )
-                handle = SnapshotHandle(
-                    key,
-                    generation_lsn,
-                    wal_lsn,
-                    tables,
-                    records=records,
-                    # Bind the registry here, under the lock: the
-                    # builder later runs under the handle's catalog
-                    # lock, where touching engine state would invert
-                    # the catalog/snapshot lock order.
-                    index_builder=functools.partial(
-                        self._build_snapshot_indexes,
-                        metrics=self._metrics,
-                    ),
-                )
-                # Retire unpinned reconstructions of superseded states;
-                # the cache then holds the pinned set plus this key.
-                for stale_key, stale in list(self._snapshots.items()):
-                    if stale.pins <= 0:
-                        del self._snapshots[stale_key]
-                self._snapshots[key] = handle
-                if self._metrics is not None:
-                    self._metrics.counter("storage.snapshot.builds").inc()
-            elif self._metrics is not None:
-                self._metrics.counter("storage.snapshot.reuses").inc()
-            handle.pins += 1
-            track_resource("snapshot_pin", str(handle.key))
-            generation_name = handle.generation_name
-            if generation_name is not None:
-                self._pinned_generations[generation_name] = (
-                    self._pinned_generations.get(generation_name, 0) + 1
-                )
-            if self._metrics is not None:
-                self._metrics.counter("storage.snapshot.pins").inc()
-                self._metrics.gauge("storage.snapshot.active").set(
-                    sum(h.pins for h in self._snapshots.values())
-                )
-        return handle
-
-    def _advance_snapshot_locked(
-        self, wal: WriteAheadLog, generation_lsn: int, wal_lsn: int
-    ) -> SnapshotHandle | None:
-        """Roll an unpinned cached handle forward to *wal_lsn* in place.
-
-        Called with the snapshot lock held on a cache miss.  When a
-        cached reconstruction of the *same* generation sits at a lower
-        LSN, is unpinned (no reader observes its tables), and the WAL
-        span between the two LSNs is DDL-free (only data and
-        ``patch_delta`` records), the handle's tables are advanced by
-        replaying just that tail — its PatchIndexes, attached as table
-        listeners, maintain themselves through the same incremental path
-        as the live database — and the handle is rekeyed.  Anything else
-        returns None and the caller reconstructs from scratch.
-        """
-        best = None
-        for cached in self._snapshots.values():
-            if (
-                cached.pins <= 0
-                and cached.generation_lsn == generation_lsn
-                and cached.wal_lsn < wal_lsn
-                and (best is None or cached.wal_lsn > best.wal_lsn)
-            ):
-                best = cached
-        if best is None:
-            return None
-        tail = [
-            record
-            for record in wal.records()
-            if best.wal_lsn < record.lsn <= wal_lsn
-        ]
-        for record in tail:
-            if record.kind not in DATA_KINDS and record.kind not in PATCH_KINDS:
-                return None  # DDL in the span: reconstruct from scratch
-            if (
-                record.kind in DATA_KINDS
-                and record.payload.get("table") not in best.tables
-            ):
-                return None
-        applied = 0
-        for record in tail:
-            if record.kind in DATA_KINDS:
-                self._apply_record_to_table(
-                    best.tables[record.payload["table"]], record
-                )
-                applied += 1
-        del self._snapshots[best.key]
-        best.key = (generation_lsn, wal_lsn)
-        best.wal_lsn = wal_lsn
-        best.records.extend(tail)
-        self._snapshots[best.key] = best
-        if self._metrics is not None:
-            self._metrics.counter("storage.snapshot.advances").inc()
-            self._metrics.counter("storage.snapshot.advance_records").inc(
-                applied
-            )
-        return best
-
-    def _build_snapshot_indexes(
-        self, handle: SnapshotHandle, catalog, *, metrics=None
-    ) -> None:
-        """Attach PatchIndexes to a snapshot catalog (lazy, per handle).
-
-        Mirrors recovery at the pinned point in time: each index that
-        existed at the pinned LSN is restored from the pinned
-        generation's ``patches.json`` plus its ``patch_delta`` tail at
-        or below the pin, falling back to fresh discovery over the
-        snapshot tables.  Snapshot indexes keep ``delta_sink=None`` —
-        their deltas are never logged — but stay attached as table
-        listeners so :meth:`_advance_snapshot_locked` maintains them.
-        """
-        from repro.core.patch_index import PatchIndex, PatchIndexMode
-
-        persisted: dict = {}
-        generation_name = handle.generation_name
-        if generation_name is not None:
-            path = (
-                self.root / SEGMENTS_DIR / generation_name / PATCHES_NAME
-            )
-            try:
-                raw = json.loads(path.read_text(encoding="utf-8"))
-                indexes = raw.get("indexes") if isinstance(raw, dict) else None
-                if isinstance(indexes, dict):
-                    persisted = dict(indexes)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                persisted = {}
-        live = live_records_of(handle.records)
-        index_records = [r for r in live if r.kind == "create_index"]
-        patch_records: dict[str, list[WalRecord]] = {}
-        data_tail: list[tuple[str, str, str | None, int]] = []
-        for record in live:
-            if record.lsn <= handle.generation_lsn:
-                continue
-            if record.kind in PATCH_KINDS:
-                patch_records.setdefault(
-                    record.payload.get("index"), []
-                ).append(record)
-            elif record.kind in DATA_KINDS:
-                data_tail.append(
-                    (
-                        record.payload["table"],
-                        record.kind,
-                        record.payload.get("column"),
-                        record.lsn,
-                    )
-                )
-        built = 0
-        for record in index_records:
-            payload = record.payload
-            table = handle.tables.get(payload["table"])
-            if table is None:
-                continue
-            index = None
-            entry = persisted.get(payload["name"])
-            if entry is not None and record.lsn <= handle.generation_lsn:
-                required = {
-                    lsn
-                    for tbl, kind, column, lsn in data_tail
-                    if tbl == payload["table"]
-                    and (kind != "update" or column == payload["column"])
-                }
-                index, _ = restore_patch_index(
-                    table,
-                    payload,
-                    entry,
-                    patch_records.get(payload["name"], []),
-                    required,
-                    provenance="snapshot",
-                )
-            if index is None:
-                try:
-                    index = PatchIndex.create(
-                        payload["name"],
-                        table,
-                        payload["column"],
-                        kind=payload["kind"],
-                        mode=PatchIndexMode(payload.get("mode", "auto")),
-                        threshold=float(payload.get("threshold", 1.0)),
-                        scope=payload.get("scope", "global"),
-                        ascending=bool(payload.get("ascending", True)),
-                        strict=bool(payload.get("strict", False)),
-                        provenance="snapshot",
-                        enforce_threshold=False,
-                    )
-                except StorageError:  # pragma: no cover - defensive
-                    continue
-            catalog.add_index(index)
-            built += 1
-        if metrics is not None and built:
-            metrics.counter("storage.snapshot.indexes_built").inc(built)
+        return self._snapshots.pin(database.wal)
 
     def release_snapshot(self, handle: SnapshotHandle) -> None:
-        """Drop one pin and garbage-collect deferred generations."""
-        with self._snapshot_lock:
-            if handle.pins > 0:
-                handle.pins -= 1
-                release_resource("snapshot_pin", str(handle.key))
-            generation_name = handle.generation_name
-            if generation_name is not None:
-                remaining = (
-                    self._pinned_generations.get(generation_name, 0) - 1
-                )
-                if remaining > 0:
-                    self._pinned_generations[generation_name] = remaining
-                else:
-                    self._pinned_generations.pop(generation_name, None)
-            doomed = self._sweep_deferred_generations_locked()
-            if self._metrics is not None:
-                self._metrics.gauge("storage.snapshot.active").set(
-                    sum(h.pins for h in self._snapshots.values())
-                )
-        # rmtree outside the lock: a swept generation is already gone
-        # from every bookkeeping structure, so no pin can reach it, and
-        # readers should not queue behind directory deletion.
-        for path in doomed:
-            shutil.rmtree(path, ignore_errors=True)
-
-    def _sweep_deferred_generations_locked(self) -> list[Path]:
-        """Pick deferred generation dirs that lost their last pin.
-
-        Called with the snapshot lock held (``_locked`` convention).
-        Cached (unpinned) reconstructions over a swept generation are
-        evicted with it so a later pin can never resurrect readers over
-        deleted files.  Returns the directories to delete; the caller
-        removes them after releasing the lock.
-        """
-        doomed: list[Path] = []
-        for generation_name in list(self._deferred_generations):
-            if self._pinned_generations.get(generation_name, 0) > 0:
-                continue
-            doomed.append(self.root / SEGMENTS_DIR / generation_name)
-            self._deferred_generations.discard(generation_name)
-            for key, cached in list(self._snapshots.items()):
-                if (
-                    cached.pins <= 0
-                    and cached.generation_name == generation_name
-                ):
-                    del self._snapshots[key]
-        if self._metrics is not None:
-            self._metrics.gauge("storage.snapshot.deferred_generations").set(
-                len(self._deferred_generations)
-            )
-        return doomed
-
-    def _load_table(
-        self,
-        table_manifest: TableManifest,
-        generation: int,
-        *,
-        record_stats: bool = True,
-    ) -> Table:
-        """Attach one table to its checkpointed segment files.
-
-        Columns stay *lazy*: each is backed by a
-        :class:`~repro.storage.cache.SegmentColumnSource` that decodes
-        blocks on demand through the shared cache, keyed by the manifest
-        *generation* (the checkpoint LSN) so a later checkpoint can
-        never serve stale blocks.  Block sketches come straight from the
-        segment headers, so range pruning works without touching any
-        value bytes.
-        """
-        from repro.storage.database import payload_to_schema
-
-        schema = payload_to_schema(table_manifest.schema)
-        table = Table(
-            table_manifest.name,
-            schema,
-            table_manifest.partition_count,
-            table_manifest.block_size,
-        )
-        partitions: list[Partition] = []
-        encoded_blocks = 0
-        total_blocks = 0
-        payload_total = 0
-        raw_payload_total = 0
-        for partition_id, partition_manifest in enumerate(
-            table_manifest.partitions
-        ):
-            sources: dict[str, SegmentColumnSource] = {}
-            stats = {}
-            for field in schema:
-                relative = partition_manifest.segments[field.name]
-                reader = open_segment(
-                    self.root / relative, mmap=self.mmap
-                )
-                sources[field.name] = SegmentColumnSource(
-                    reader,
-                    self._cache,
-                    table=table_manifest.name,
-                    column=field.name,
-                    segment=relative,
-                    generation=generation,
-                )
-                stats[field.name] = reader.stats
-                # Estimate the encoded/raw ratio from the header alone
-                # (strings lack an exact raw size there; use encoded).
-                from repro.types.datatypes import numpy_dtype
-
-                item = (
-                    numpy_dtype(reader.dtype).itemsize
-                    if reader.dtype != DataType.STRING
-                    else 0
-                )
-                for index, tag in enumerate(reader.encodings):
-                    total_blocks += 1
-                    if tag != "raw":
-                        encoded_blocks += 1
-                    encoded_size = reader.block_payload_bytes(index)
-                    payload_total += encoded_size
-                    raw_payload_total += (
-                        reader.stats[index].row_count * item
-                        if item
-                        else encoded_size
-                    )
-            partition = Partition(
-                partition_id,
-                schema,
-                {},
-                base_rowid=0,
-                block_size=table_manifest.block_size,
-                sources=sources,
-            )
-            for name, blocks in stats.items():
-                partition.preload_block_stats(name, blocks)
-            partitions.append(partition)
-        table.partitions = partitions
-        table._renumber()
-        if record_stats:
-            self._encoded_fractions[table_manifest.name] = (
-                encoded_blocks / total_blocks if total_blocks else 0.0
-            )
-            self._encoded_ratios[table_manifest.name] = (
-                payload_total / raw_payload_total if raw_payload_total else 1.0
-            )
-        return table
-
-    def _apply_data_record(
-        self, database: "Database", record: WalRecord
-    ) -> None:
-        """Re-apply one data record to the recovered catalog."""
-        table = database.catalog.table(record.payload["table"])
-        self._apply_record_to_table(table, record)
-
-    def _apply_record_to_table(self, table: Table, record: WalRecord) -> None:
-        """Re-apply one data record to an already-resolved table."""
-        payload = record.payload
-        if record.kind == "append":
-            names = table.schema.names
-            columns = {
-                name: payload["columns"][name] for name in names
-            }
-            rows = [
-                [columns[name][position] for name in names]
-                for position in range(int(payload["row_count"]))
-            ]
-            table.insert_rows(rows)
-        elif record.kind == "load":
-            table.load_columns(
-                {
-                    name: column_from_jsonable(
-                        table.schema.field(name).dtype, items
-                    )
-                    for name, items in payload["columns"].items()
-                },
-                partition_by_round_robin_blocks=bool(
-                    payload.get("round_robin", False)
-                ),
-            )
-        elif record.kind == "delete":
-            table.delete_rowids(
-                np.asarray(payload["rowids"], dtype=np.int64)
-            )
-        elif record.kind == "update":
-            table.update_rowid(
-                int(payload["rowid"]), payload["column"], payload["value"]
-            )
+        for stale in self._snapshots.release(handle):
+            shutil.rmtree(stale, ignore_errors=True)

@@ -4,16 +4,21 @@ The manifest is the root of the on-disk state: it names every table, its
 schema and partition layout, and the segment file backing each column of
 each partition, all as of one checkpoint LSN.  Everything in the WAL
 with an LSN at or below ``checkpoint_lsn`` is already reflected in the
-segments; recovery loads the manifest first and then replays only the
-WAL tail beyond it.  Since format version 3 the manifest may also point
-at a per-generation ``patches.json`` holding the materialized patch sets
-of every PatchIndex as of the checkpoint; recovery restores indexes from
-it and replays the ``patch_delta`` tail, falling back to the paper's
-rebuild-from-data path when the file (or any required delta) is absent.
+segments; :mod:`repro.storage.materialize` loads the manifest first and
+then replays only the WAL tail beyond it.  The manifest also points at
+the generation's ``patches.json``, the materialized patch sets of every
+PatchIndex as of the checkpoint, from which indexes are restored.
 
 The manifest is a single JSON document written atomically (temp file +
 fsync + rename), so a crash during checkpoint leaves either the old or
-the new manifest, never a torn one.
+the new manifest, never a torn one.  This module also owns the layout
+of the data directory around it::
+
+    <root>/wal.jsonl                    metadata + data WAL
+    <root>/manifest.json                this file
+    <root>/segments/g<lsn>/             one generation per checkpoint
+        <table>/p<k>.<col>.seg          one segment per partition column
+        patches.json                    the generation's patch sets
 """
 
 from __future__ import annotations
@@ -26,16 +31,30 @@ from pathlib import Path
 from repro.errors import StorageError
 
 #: Bump when the manifest or segment layout changes incompatibly.
-#: Version 2 introduced encoded RSEG2 segments; version 3 added the
-#: optional ``patches`` pointer to a per-generation patch-set file.
-#: Older manifests remain fully readable (they simply carry no
-#: persisted patches, so recovery rebuilds indexes from data).
+#: Version 3 is RSEG2 segments plus the ``patches`` pointer; nothing in
+#: the repo ever shipped a directory of versions 1-2 (raw RSEG1
+#: segments, no persisted patch sets), so they are rejected, not read.
 FORMAT_VERSION = 3
 
 #: Manifest versions this reader understands.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3})
+SUPPORTED_VERSIONS = frozenset({3})
 
 MANIFEST_NAME = "manifest.json"
+WAL_NAME = "wal.jsonl"
+SEGMENTS_DIR = "segments"
+PATCHES_NAME = "patches.json"
+
+
+def generation_name(checkpoint_lsn: int) -> str:
+    """Directory name of the generation a checkpoint at that LSN wrote."""
+    return f"g{checkpoint_lsn:012d}"
+
+
+def patches_path(root: str | os.PathLike, checkpoint_lsn: int) -> Path:
+    """Where the generation of *checkpoint_lsn* keeps its patch sets."""
+    return (
+        Path(root) / SEGMENTS_DIR / generation_name(checkpoint_lsn) / PATCHES_NAME
+    )
 
 
 @dataclass(frozen=True)
@@ -70,7 +89,9 @@ class Manifest:
     tables: dict[str, TableManifest] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
     #: Path (relative to the data directory) of the generation's
-    #: materialized patch-set file, or None when none was persisted.
+    #: patch-set file.  Informational: readers derive the same path
+    #: from ``checkpoint_lsn`` (:func:`patches_path`), which also works
+    #: for a pinned generation whose manifest has been superseded.
     patches: str | None = None
 
     def to_json(self) -> str:
@@ -156,4 +177,7 @@ def read_manifest(root: str | os.PathLike) -> Manifest | None:
     path = Path(root) / MANIFEST_NAME
     if not path.exists():
         return None
-    return Manifest.from_json(path.read_text(encoding="utf-8"))
+    try:
+        return Manifest.from_json(path.read_text(encoding="utf-8"))
+    except StorageError as exc:
+        raise StorageError(f"{path}: {exc}") from exc

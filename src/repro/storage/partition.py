@@ -112,6 +112,14 @@ class Partition:
         the block cache) instead of slicing a resident vector."""
         return name in self._sources and name not in self._columns
 
+    def sources(self) -> "list[SegmentColumnSource]":
+        """The segment sources of the columns that are still lazy."""
+        return [
+            source
+            for name, source in self._sources.items()
+            if name not in self._columns
+        ]
+
     def _materialize_all(self) -> None:
         """Resolve every lazy source before a mutation rewrites rows."""
         for name in list(self._sources):

@@ -1,33 +1,23 @@
 """Immutable per-column segment files (the durable columnar format).
 
 A *segment* persists one :class:`~repro.storage.column.ColumnVector` —
-one column of one partition — as a single self-describing file.  Two
-format versions exist:
-
-``RSEG1`` (legacy, read-only)
-    magic + JSON header + one raw NumPy value buffer (or an ``int64``
-    offsets array plus a UTF-8 pool for STRING columns) + packed
-    validity bits.  Still fully readable; new checkpoints write RSEG2.
-
-``RSEG2`` (current)
-    magic + JSON header + per-block *encoded* payloads.  Each block of
-    ``block_size`` rows is encoded independently by a cost-based picker
-    (:func:`repro.core.compression.pick_int_block_encoding`) driven by
-    the per-block min/max/null sketches: ``raw`` (the fallback), ``rle``
-    for runs, ``for`` (frame-of-reference + zig-zag delta) for dense
-    ints, ``pfor`` (patch-aware FOR — the table's PatchIndex rowids
-    store exceptions verbatim so the kept values pack at the
-    clean-column rate, the paper's §VIII outlook), and ``dict`` for
-    low-cardinality strings against a segment-level sorted dictionary.
-    The header records ``[start, stop, min, max, nulls, enc, offset,
-    length]`` per block, so a reader can prune *and* decode blocks
-    independently — the scan path decodes on demand through the block
-    cache (:mod:`repro.storage.cache`) instead of materializing whole
-    columns.
-
-Fixed-width RSEG1 value buffers can be memory-mapped on read
-(``mmap=True``); RSEG2 maps the encoded payload region instead and
-decodes per block (in the worker process for parallel scans).
+one column of one partition — as a single self-describing ``RSEG2``
+file: magic + JSON header + per-block *encoded* payloads + packed
+validity bits.  Each block of ``block_size`` rows is encoded
+independently by a cost-based picker
+(:func:`repro.core.compression.pick_int_block_encoding`) driven by the
+per-block min/max/null sketches: ``raw`` (the fallback), ``rle`` for
+runs, ``for`` (frame-of-reference + zig-zag delta) for dense ints,
+``pfor`` (patch-aware FOR — the table's PatchIndex rowids store
+exceptions verbatim so the kept values pack at the clean-column rate,
+the paper's §VIII outlook), and ``dict`` for low-cardinality strings
+against a segment-level sorted dictionary.  The header records
+``[start, stop, min, max, nulls, enc, offset, length]`` per block, so a
+reader can prune *and* decode blocks independently — the scan path
+decodes on demand through the block cache (:mod:`repro.storage.cache`)
+instead of materializing whole columns.  ``mmap=True`` maps the encoded
+payload region and decodes per block (in the worker process for
+parallel scans).
 
 Segments are immutable once written: a checkpoint writes a fresh
 generation of files and the manifest flips to it atomically.
@@ -58,13 +48,10 @@ from repro.storage.column import ColumnVector
 from repro.types import DataType
 from repro.types.datatypes import numpy_dtype
 
-_MAGIC_V1 = b"RSEG1\n"
-_MAGIC_V2 = b"RSEG2\n"
+_MAGIC = b"RSEG2\n"
+#: The single-buffer predecessor format; rejected by name, never read.
+_MAGIC_UNSUPPORTED = b"RSEG1\n"
 
-#: Logical dtypes stored as their raw fixed-width NumPy buffer.
-_FIXED_WIDTH = frozenset(
-    {DataType.INT64, DataType.FLOAT64, DataType.DATE, DataType.BOOL}
-)
 #: Dtypes whose physical values are int64 (eligible for int codecs).
 _INT_PHYSICAL = frozenset({DataType.INT64, DataType.DATE})
 
@@ -129,8 +116,7 @@ def write_segment(
     """Write *column* as an RSEG2 segment file at *path*.
 
     ``encoding="auto"`` runs the per-block cost-based picker;
-    ``encoding="raw"`` forces raw blocks (the RSEG1-equivalent layout in
-    the v2 container).  *patch_rowids* are the partition-local rowids of
+    ``encoding="raw"`` forces raw blocks.  *patch_rowids* are the partition-local rowids of
     the column's NSC PatchIndex patches: blocks containing them may use
     the patch-aware ``pfor`` codec, storing those rows verbatim.
 
@@ -272,7 +258,7 @@ def write_segment(
 
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(_MAGIC_V2)
+        handle.write(_MAGIC)
         handle.write(header_line)
         handle.write(dict_payload)
         for payload in block_payloads:
@@ -283,81 +269,12 @@ def write_segment(
             os.fsync(handle.fileno())
     os.replace(tmp, path)
     return SegmentWriteInfo(
-        bytes_written=len(_MAGIC_V2) + len(header_line) + payload_len,
+        bytes_written=len(_MAGIC) + len(header_line) + payload_len,
         rows=rows,
         encodings=encodings,
         payload_bytes=payload_bytes,
         raw_payload_bytes=raw_payload_bytes,
     )
-
-
-def write_segment_v1(
-    path: str | os.PathLike,
-    column: ColumnVector,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    *,
-    sync: bool = True,
-) -> int:
-    """Write the legacy RSEG1 layout (kept for mixed-version tests)."""
-    path = Path(path)
-    stats = compute_block_stats(column, block_size)
-    blocks = [
-        [
-            block.start,
-            block.stop,
-            _jsonable_stat(block.minimum),
-            _jsonable_stat(block.maximum),
-            block.null_count,
-        ]
-        for block in stats
-    ]
-
-    if column.dtype in _FIXED_WIDTH:
-        encoding = "fixed"
-        values_bytes = np.ascontiguousarray(column.values).tobytes()
-        offsets_bytes = b""
-    else:
-        encoding = "utf8"
-        pieces = [
-            (value if column.is_valid(position) else "").encode("utf-8")
-            for position, value in enumerate(column.values)
-        ]
-        offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
-        np.cumsum([len(piece) for piece in pieces], out=offsets[1:])
-        offsets_bytes = offsets.tobytes()
-        values_bytes = b"".join(pieces)
-
-    if column.validity is None:
-        validity_bytes = b""
-    else:
-        validity_bytes = np.packbits(column.validity).tobytes()
-
-    header = {
-        "dtype": column.dtype.value,
-        "rows": len(column),
-        "block_size": block_size,
-        "encoding": encoding,
-        "offsets_len": len(offsets_bytes),
-        "values_len": len(values_bytes),
-        "validity_len": len(validity_bytes),
-        "blocks": blocks,
-    }
-    header_line = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
-
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC_V1)
-        handle.write(header_line)
-        handle.write(offsets_bytes)
-        handle.write(values_bytes)
-        handle.write(validity_bytes)
-        handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return len(_MAGIC_V1) + len(header_line) + len(offsets_bytes) + len(
-        values_bytes
-    ) + len(validity_bytes)
 
 
 def _parse_stats(header: dict) -> list[BlockStats]:
@@ -368,28 +285,29 @@ def _parse_stats(header: dict) -> list[BlockStats]:
 
 
 class SegmentReader:
-    """Random per-block access to one segment file (RSEG1 or RSEG2).
+    """Random per-block access to one segment file.
 
-    RSEG2 blocks decode independently: :meth:`decode_block` reads only
-    that block's payload bytes (via ``os.pread`` on a shared handle, or
-    a slice of the memory-mapped payload with ``mmap=True``) and decodes
-    it.  RSEG1 files are materialized eagerly at open (their single
-    buffer cannot be decoded piecemeal) and served by slicing, so both
-    versions present the same block interface to the cache-aware scan
-    path.
+    Blocks decode independently: :meth:`decode_block` reads only that
+    block's payload bytes (via ``os.pread`` on a shared handle, or a
+    slice of the memory-mapped payload with ``mmap=True``) and decodes
+    it.
     """
+
+    #: Segment format version read (``RSEG<version>``).
+    version = 2
 
     def __init__(self, path: str | os.PathLike, *, mmap: bool = False):
         self.path = Path(path)
         self.mmap = mmap
         self._handle = open(self.path, "rb")
         magic = self._handle.readline()
-        if magic == _MAGIC_V2:
-            self.version = 2
-        elif magic == _MAGIC_V1:
-            self.version = 1
-        else:
+        if magic != _MAGIC:
             self._handle.close()
+            if magic == _MAGIC_UNSUPPORTED:
+                raise StorageError(
+                    f"unsupported segment format RSEG1 (only RSEG2 is "
+                    f"read): {path}"
+                )
             raise StorageError(f"not a segment file: {path}")
         try:
             header = json.loads(self._handle.readline().decode("utf-8"))
@@ -401,27 +319,16 @@ class SegmentReader:
         self.block_size = int(header["block_size"])
         self.stats = _parse_stats(header)
         self._payload_start = self._handle.tell()
-        self._eager: ColumnVector | None = None
         self._buffer: np.memmap | None = None
         self._dictionary: np.ndarray | None = None
         self.validity: np.ndarray | None = None
-
-        if self.version == 1:
-            self.encodings = ["raw"] * len(self.stats)
-            self._blocks: list[tuple[str, int, int]] = []
-            self._eager = _read_v1_payload(
-                self._handle, self.path, header, self._payload_start, mmap
-            )
-            self._handle.close()
-            return
-
         try:
-            self._open_v2(header)
+            self._open_payload(header)
         except StorageError:
             self._handle.close()
             raise
 
-    def _open_v2(self, header: dict) -> None:
+    def _open_payload(self, header: dict) -> None:
         """Block directory, payload mapping, validity and dictionary."""
         self.encodings = [str(entry[5]) for entry in header["blocks"]]
         self._blocks = [
@@ -496,11 +403,6 @@ class SegmentReader:
 
     def block_payload_bytes(self, index: int) -> int:
         """On-disk (encoded) payload bytes of block *index*."""
-        if self.version == 1:
-            block = self.stats[index]
-            if self.dtype in _FIXED_WIDTH:
-                return numpy_dtype(self.dtype).itemsize * block.row_count
-            return 8 * (block.row_count + 1)  # offsets only, pool unknown
         return self._blocks[index][2]
 
     def decode_block(self, index: int) -> ColumnVector:
@@ -517,8 +419,6 @@ class SegmentReader:
         (:func:`~repro.core.compression.decode_blocks_for`).
         """
         start, stop = self.stats[first].start, self.stats[last].stop
-        if self._eager is not None:
-            return self._eager.slice(start, stop)
         lo = self._blocks[first][1]
         _, offset, length = self._blocks[last]
         data = memoryview(self._read(lo, offset + length - lo))
@@ -603,8 +503,6 @@ class SegmentReader:
 
     def read_all(self) -> ColumnVector:
         """Materialize the whole segment as one column vector."""
-        if self._eager is not None:
-            return self._eager
         if not self.stats:
             return ColumnVector.empty(self.dtype)
         return self.decode_run(0, self.block_count - 1)
@@ -644,56 +542,10 @@ def _decode_raw_strings(data: bytes | memoryview, count: int) -> np.ndarray:
     return values
 
 
-def _read_v1_payload(
-    handle, path: Path, header: dict, payload_start: int, mmap: bool
-) -> ColumnVector:
-    """Materialize the single-buffer RSEG1 payload (legacy layout)."""
-    offsets_len = int(header["offsets_len"])
-    values_len = int(header["values_len"])
-    validity_len = int(header["validity_len"])
-    rows = int(header["rows"])
-    dtype = DataType(header["dtype"])
-
-    offsets_raw = handle.read(offsets_len)
-    if dtype in _FIXED_WIDTH and mmap and values_len:
-        handle.seek(values_len, os.SEEK_CUR)
-        values = np.memmap(
-            path,
-            dtype=numpy_dtype(dtype),
-            mode="r",
-            offset=payload_start + offsets_len,
-            shape=(rows,),
-        )
-    else:
-        values_raw = handle.read(values_len)
-        if dtype in _FIXED_WIDTH:
-            values = np.frombuffer(
-                values_raw, dtype=numpy_dtype(dtype), count=rows
-            ).copy()
-        else:
-            offsets = np.frombuffer(offsets_raw, dtype=np.int64)
-            if len(offsets) != rows + 1:
-                raise StorageError(f"corrupt segment offsets: {path}")
-            values = np.empty(rows, dtype=object)
-            for position in range(rows):
-                lo, hi = int(offsets[position]), int(offsets[position + 1])
-                values[position] = values_raw[lo:hi].decode("utf-8")
-    validity_raw = handle.read(validity_len)
-
-    if len(values) != rows:
-        raise StorageError(f"corrupt segment values: {path}")
-    validity = None
-    if validity_len:
-        validity = np.unpackbits(
-            np.frombuffer(validity_raw, dtype=np.uint8), count=rows
-        ).astype(np.bool_)
-    return ColumnVector(dtype, values, validity)
-
-
 def open_segment(
     path: str | os.PathLike, *, mmap: bool = False
 ) -> SegmentReader:
-    """Open a segment for per-block access (RSEG1 and RSEG2)."""
+    """Open a segment for per-block access."""
     return SegmentReader(path, mmap=mmap)
 
 
@@ -702,13 +554,11 @@ def read_segment(
 ) -> tuple[ColumnVector, list[BlockStats]]:
     """Load a segment file back into a column plus its block sketches.
 
-    Works for both format versions.  ``mmap=True`` memory-maps RSEG1
-    fixed-width value buffers (RSEG2 columns decode per block instead;
-    use :func:`open_segment` for lazy access).
+    Eager: every block is decoded (use :func:`open_segment` for lazy
+    access).
     """
     reader = SegmentReader(path, mmap=mmap)
     try:
         return reader.read_all(), reader.stats
     finally:
-        if reader.version == 2:
-            reader.close()
+        reader.close()

@@ -2,13 +2,18 @@
 
 Immutable segment files plus a versioned manifest make snapshots nearly
 free: a reader *pins* the pair ``(manifest generation, WAL LSN)`` at
-statement start and reconstructs exactly that table state — segment
-columns of the pinned generation (decoded lazily through the shared
-block cache) with the WAL data tail at or below the pinned LSN replayed
-on top.  This is the same reconstruction
-:meth:`repro.storage.engine.DurableEngine.attach_tables` performs for
-process workers, applied in-process and cached per key so N concurrent
-readers at the same snapshot share one table build.
+statement start and gets exactly that table state —
+:func:`repro.storage.materialize.materialize_tables` over the pinned
+generation and the WAL records at or below the pinned LSN, cached per
+key so N concurrent readers at the same snapshot share one table build.
+:class:`SnapshotRegistry` decides *which* of three things a pin costs:
+
+- **reuse** — a cached handle already sits at the key;
+- **advance** — an unpinned cached handle of the same generation sits
+  at a lower LSN and only data / ``patch_delta`` records lie between:
+  the span is replayed onto its tables in place
+  (``materialize_tables(base=handle.tables, records=span)``);
+- **build** — anything else: a fresh reconstruction.
 
 Writers and checkpoints never block a pinned reader and a reader never
 observes a partially-applied generation:
@@ -17,11 +22,11 @@ observes a partially-applied generation:
   is invisible to the snapshot by construction);
 - a checkpoint installs a new generation but must *defer* deleting the
   old generation's segment directory while any snapshot pins it
-  (:meth:`DurableEngine.release_snapshot` garbage-collects it once the
-  last pin drops);
-- the generation flip itself is serialized with pinning under the
-  engine's snapshot lock, so a pin sees either entirely the old or
-  entirely the new generation.
+  (:meth:`SnapshotRegistry.release` garbage-collects it once the last
+  pin drops);
+- the generation flip itself (:meth:`SnapshotRegistry.flip`) is
+  serialized with pinning under the registry's lock, so a pin sees
+  either entirely the old or entirely the new generation.
 
 :class:`SnapshotView` is the read-only ``Database`` facade query
 execution runs against; :class:`repro.sql.session.Session` pins one per
@@ -31,14 +36,26 @@ does this for every connection).
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.check.sanitize import make_lock
+from repro.check.sanitize import make_lock, release_resource, track_resource
 from repro.errors import ExecutionError
+from repro.storage.cache import BlockCache
 from repro.storage.catalog import Catalog
+from repro.storage.checkpoint import superseded_generations
+from repro.storage.manifest import (
+    SEGMENTS_DIR,
+    Manifest,
+    generation_name,
+    write_manifest,
+)
+from repro.storage.materialize import materialize_indexes, materialize_tables
+from repro.storage.wal import DATA_KINDS, PATCH_KINDS, WalRecord, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.result import QueryResult
+    from repro.obs.metrics import MetricsRegistry
     from repro.storage.database import Database
     from repro.storage.table import Table
 
@@ -46,74 +63,280 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SnapshotHandle:
     """A pinned ``(generation LSN, WAL LSN)`` pair and its table state.
 
-    Handles are created, refcounted and cached by
-    :meth:`~repro.storage.engine.DurableEngine.pin_snapshot` /
-    :meth:`~repro.storage.engine.DurableEngine.release_snapshot`; equal
-    keys share one handle, so repeated reads at an unchanged database
-    state reuse the same reconstructed tables.  ``pins`` is guarded by
-    the engine's snapshot lock.
+    Handles are created, refcounted and cached by :class:`SnapshotRegistry`;
+    equal keys share one handle, so repeated reads at an unchanged database
+    state reuse the same tables.  ``pins`` and ``wal_lsn`` are guarded by the
+    registry lock.
     """
 
     def __init__(
         self,
-        key: tuple[int, int],
         generation_lsn: int,
         wal_lsn: int,
         tables: dict[str, "Table"],
-        records: list | None = None,
-        index_builder=None,
+        records: list[WalRecord],
+        root: Path,
+        metrics: "MetricsRegistry",
     ):
-        self.key = key
         #: Checkpoint LSN of the pinned manifest generation (0 when the
         #: database has never checkpointed — the snapshot is WAL-only).
         self.generation_lsn = generation_lsn
         #: Last WAL LSN visible to the snapshot.
         self.wal_lsn = wal_lsn
         self.tables = tables
-        #: The WAL records at or below the pinned LSN the reconstruction
-        #: replayed; the index builder reads index DDL and the
-        #: ``patch_delta`` tail from here, and a hot-key advance appends
-        #: the records it rolled the handle forward over.
-        self.records = records if records is not None else []
-        #: Engine callback ``(handle, catalog)`` attaching PatchIndexes
-        #: to the lazily-built catalog; None leaves the catalog
-        #: index-free (tests, detached handles).
-        self.index_builder = index_builder
-        #: Active pin count; maintained under the engine snapshot lock.
+        #: The WAL records at or below the pinned LSN the tables were
+        #: materialized from; the catalog reads index DDL and the
+        #: ``patch_delta`` tail from here, and an advance appends its span.
+        self.records = records
+        #: Active pin count; maintained under the registry lock.
         self.pins = 0
+        self._root = root
+        self._metrics = metrics
         self._catalog: Catalog | None = None
         self._catalog_lock = make_lock("storage.snapshot.catalog")
 
     @property
+    def key(self) -> tuple[int, int]:
+        return (self.generation_lsn, self.wal_lsn)
+
+    @property
     def generation_name(self) -> str | None:
         """Segment directory name of the pinned generation, or None."""
-        if self.generation_lsn <= 0:
-            return None
-        return f"g{self.generation_lsn:012d}"
+        return generation_name(self.generation_lsn) if self.generation_lsn > 0 else None
 
     @property
     def catalog(self) -> Catalog:
         """A catalog over the snapshot tables, built once per handle.
 
-        The catalog carries the snapshot's **own** PatchIndexes: live
-        indexes track the live (moving) table state and their rowids
-        would not line up with a historical snapshot, so the engine's
-        index builder restores each index *as of the pinned LSN* from
-        the checkpointed patch sets plus the logged ``patch_delta``
-        tail (falling back to fresh discovery over the snapshot
-        tables).  Snapshot reads therefore get the same PatchSelect
-        rewrites as live reads, against patch sets pinned at the
-        snapshot's ``(generation, LSN)`` key.
+        It carries the snapshot's **own** PatchIndexes: live indexes track the
+        live (moving) tables and their rowids would not line up with a
+        historical snapshot, so :func:`materialize_indexes` brings each index
+        back *as of the pinned LSN* and snapshot reads get the same PatchSelect
+        rewrites as live reads.  Snapshot indexes keep ``delta_sink=None`` —
+        their deltas are never logged — but stay attached as table listeners,
+        which is how an advance maintains them.  Runs under the handle's own
+        lock and touches no registry state (that would invert the lock order).
         """
         with self._catalog_lock:
             if self._catalog is None:
                 catalog = Catalog()
                 for table in self.tables.values():
                     catalog.add_table(table)
-                if self.index_builder is not None:
-                    self.index_builder(self, catalog)
+                built = materialize_indexes(
+                    self.tables,
+                    self.records,
+                    self.generation_lsn,
+                    self._root,
+                    provenance="snapshot",
+                )
+                for index in built.indexes:
+                    catalog.add_index(index)
+                if built.indexes:
+                    self._metrics.counter("storage.snapshot.indexes_built").inc(
+                        len(built.indexes)
+                    )
+                    self._metrics.counter("storage.snapshot.index_fallbacks").inc(
+                        sum(built.fallbacks.values())
+                    )
                 self._catalog = catalog
             return self._catalog
+
+
+class SnapshotRegistry:
+    """Pin, release and flip for one durable data directory.
+
+    Everything a pin must see atomically lives here under one lock: the
+    current manifest, the cache of handles per ``(generation, LSN)`` key, and
+    the pinned / deferred generation refcounts.
+    """
+
+    def __init__(
+        self,
+        root: Path,
+        manifest: Manifest | None,
+        *,
+        cache: BlockCache | None,
+        mmap: bool,
+        metrics: "MetricsRegistry",
+    ):
+        self.root = root
+        self._cache = cache
+        self._mmap = mmap
+        self._metrics = metrics
+        self._lock = make_lock("storage.engine.snapshot")
+        self._manifest = manifest
+        self._handles: dict[tuple[int, int], SnapshotHandle] = {}
+        self._pinned_generations: dict[str, int] = {}
+        self._deferred_generations: set[str] = set()
+
+    def _count_locked(self, name: str, amount: int = 1) -> None:
+        self._metrics.counter(f"storage.snapshot.{name}").inc(amount)
+
+    def _set_active_gauge_locked(self) -> None:
+        self._metrics.gauge("storage.snapshot.active").set(
+            sum(handle.pins for handle in self._handles.values())
+        )
+
+    def _set_deferred_gauge_locked(self) -> None:
+        self._metrics.gauge("storage.snapshot.deferred_generations").set(
+            len(self._deferred_generations)
+        )
+
+    def pin(self, wal: WriteAheadLog) -> SnapshotHandle:
+        """Pin the current (manifest generation, WAL LSN) for a reader.
+
+        One refcount on the handle at that key — reused, advanced or built,
+        in that order of preference — plus one on the generation's segment
+        directory, deferring its GC past any checkpoint that supersedes it.
+        """
+        with self._lock:
+            manifest = self._manifest
+            generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
+            wal_lsn = wal.last_lsn
+            handle = self._handles.get(
+                (generation_lsn, wal_lsn)
+            ) or self._advance_locked(wal, generation_lsn, wal_lsn)
+            if handle is not None:
+                # Every pin served without a build, advanced ones included.
+                self._count_locked("reuses")
+            else:
+                records = [r for r in wal.records() if r.lsn <= wal_lsn]
+                tables = materialize_tables(
+                    self.root, manifest, records, cache=self._cache, mmap=self._mmap
+                )
+                handle = SnapshotHandle(
+                    generation_lsn, wal_lsn, tables, records, self.root, self._metrics
+                )
+                # Retire unpinned handles of superseded states; the cache
+                # then holds the pinned set plus this key.
+                for stale_key, stale in list(self._handles.items()):
+                    if stale.pins <= 0:
+                        del self._handles[stale_key]
+                self._handles[handle.key] = handle
+                self._count_locked("builds")
+            handle.pins += 1
+            track_resource("snapshot_pin", str(handle.key))
+            name = handle.generation_name
+            if name is not None:
+                self._pinned_generations[name] = (
+                    self._pinned_generations.get(name, 0) + 1
+                )
+            self._count_locked("pins")
+            self._set_active_gauge_locked()
+        return handle
+
+    def _advance_locked(
+        self, wal: WriteAheadLog, generation_lsn: int, wal_lsn: int
+    ) -> SnapshotHandle | None:
+        """Roll an unpinned cached handle forward to *wal_lsn* in place.
+
+        When a cached handle of the *same* generation sits at a lower LSN, is
+        unpinned (no reader observes its tables), and the WAL span between the
+        two LSNs is DDL-free (only data and ``patch_delta`` records, all on
+        tables the handle has), the span is replayed onto the handle's tables
+        — its PatchIndexes, attached as table listeners, maintain themselves
+        through the same incremental path as the live database — and the
+        handle is rekeyed.  Anything else returns None: build from scratch.
+        """
+        best = None
+        for cached in self._handles.values():
+            if (
+                cached.pins <= 0
+                and cached.generation_lsn == generation_lsn
+                and cached.wal_lsn < wal_lsn
+                and (best is None or cached.wal_lsn > best.wal_lsn)
+            ):
+                best = cached
+        if best is None:
+            return None
+        span = [r for r in wal.records() if best.wal_lsn < r.lsn <= wal_lsn]
+        for record in span:
+            if record.kind in DATA_KINDS:
+                if record.payload.get("table") not in best.tables:
+                    return None
+            elif record.kind not in PATCH_KINDS:
+                return None  # DDL in the span
+        materialize_tables(
+            self.root,
+            self._manifest,
+            span,
+            cache=self._cache,
+            mmap=self._mmap,
+            base=best.tables,
+        )
+        del self._handles[best.key]
+        best.wal_lsn = wal_lsn
+        best.records.extend(span)
+        self._handles[best.key] = best
+        self._count_locked("advances")
+        self._count_locked(
+            "advance_records", sum(1 for r in span if r.kind in DATA_KINDS)
+        )
+        return best
+
+    def release(self, handle: SnapshotHandle) -> list[Path]:
+        """Drop one pin; returns generation directories to delete.
+
+        Releasing a handle that holds no pin is a no-op: its generation's
+        refcount belongs to the other readers of that generation.  A deferred
+        generation that lost its last pin is swept from the bookkeeping —
+        with the unpinned handles over it, so a later pin can never resurrect
+        readers over deleted files — and returned; the caller deletes it
+        *after* this returns, since nothing can reach it any more and readers
+        should not queue behind directory deletion.
+        """
+        doomed: list[Path] = []
+        with self._lock:
+            if handle.pins > 0:
+                handle.pins -= 1
+                release_resource("snapshot_pin", str(handle.key))
+                name = handle.generation_name
+                if name is not None:
+                    remaining = self._pinned_generations.get(name, 0) - 1
+                    if remaining > 0:
+                        self._pinned_generations[name] = remaining
+                    else:
+                        self._pinned_generations.pop(name, None)
+            for name in list(self._deferred_generations):
+                if self._pinned_generations.get(name, 0) > 0:
+                    continue
+                doomed.append(self.root / SEGMENTS_DIR / name)
+                self._deferred_generations.discard(name)
+                for key, cached in list(self._handles.items()):
+                    if cached.pins <= 0 and cached.generation_name == name:
+                        del self._handles[key]
+            self._set_deferred_gauge_locked()
+            self._set_active_gauge_locked()
+        return doomed
+
+    def flip(
+        self, manifest: Manifest, wal: WriteAheadLog, *, sync: bool
+    ) -> tuple[int, list[Path]]:
+        """Make *manifest*'s generation the current one, atomically.
+
+        Manifest install, WAL marker + compaction and the choice of superseded
+        generations all happen under the lock.  Returns the number of WAL
+        records pruned and the directories the caller deletes once the lock
+        is released (concurrent pins should not stall behind ``rmtree``).
+        """
+        with self._lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
+            write_manifest(self.root, manifest, sync=sync)
+            self._manifest = manifest
+            wal.checkpoint({"checkpoint_lsn": manifest.checkpoint_lsn})
+            pruned = wal.compact()
+            doomed, deferred = superseded_generations(
+                self.root / SEGMENTS_DIR,
+                generation_name(manifest.checkpoint_lsn),
+                self._pinned_generations,
+            )
+            self._deferred_generations = deferred
+            self._set_deferred_gauge_locked()
+            # Every cached block keyed by an older generation is now
+            # unreachable from new readers: drop them eagerly rather than
+            # letting them age out of the LRU.
+            if self._cache is not None:
+                self._cache.clear()
+        return pruned, doomed
 
 
 class SnapshotView:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+from repro.errors import StorageError
 from repro.gen import sorted_with_exceptions, unique_with_exceptions
 from repro.storage.schema import Field, Schema
 from repro.storage.wal import DATA_KINDS, WalRecord
@@ -329,115 +330,26 @@ class TestCrashRecoveryFuzz:
             shutil.rmtree(crashed.parent, ignore_errors=True)
 
 
-def downgrade_to_v1(root: Path) -> None:
-    """Rewrite a checkpointed directory as a format-version-1 database.
-
-    Every RSEG2 segment is re-written in the legacy RSEG1 layout and the
-    manifest version is set back to 1 — the exact on-disk state a
-    pre-upgrade release would have left behind.
-    """
-    from repro.storage.segment import read_segment, write_segment_v1
-
-    manifest_path = root / "manifest.json"
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for table_entry in raw["tables"].values():
-        for partition in table_entry["partitions"]:
-            for relative in partition["segments"].values():
-                segment_path = root / Path(relative)
-                column, __ = read_segment(segment_path)
-                write_segment_v1(
-                    segment_path,
-                    column,
-                    int(table_entry["block_size"]),
-                    sync=False,
-                )
-    raw["format_version"] = 1
-    manifest_path.write_text(json.dumps(raw, indent=2), encoding="utf-8")
-
-
 class TestMixedVersion:
-    """RSEG1 directories written by the previous release stay readable."""
+    """A directory in a format this release does not read is refused."""
 
-    N = 2000
-
-    QUERIES = (
-        "SELECT COUNT(DISTINCT u) AS n FROM fig",
-        "SELECT s FROM fig WHERE s BETWEEN 100 AND 200 ORDER BY s",
-        "SELECT MIN(s) AS lo, MAX(s) AS hi, COUNT(*) AS n FROM fig",
-    )
-
-    def build_v1(self, root):
-        """A checkpointed database downgraded to the legacy format."""
-        db = repro.connect(path=root, parallelism=1)
-        schema = Schema(
-            [Field("u", DataType.INT64), Field("s", DataType.INT64)]
-        )
-        table = db.create_table("fig", schema, partition_count=3)
-        table.load_columns(
-            {
-                "u": unique_with_exceptions(self.N, 0.02, seed=11),
-                "s": sorted_with_exceptions(self.N, 0.02, seed=11),
-            }
-        )
-        db.create_patch_index("pi_s", "fig", "s", kind="sorted")
-        db.checkpoint()
-        expected = [db.sql(query).rows() for query in self.QUERIES]
-        db.close()
-        downgrade_to_v1(root)
-        return expected
-
-    def test_v1_directory_readable_with_identical_results(self, tmp_path):
+    def test_old_manifest_versions_rejected(self, tmp_path):
+        # Versions 1-2 (raw RSEG1 segments, no persisted patch sets)
+        # were never shipped in a directory; the reader names the file
+        # and the version instead of guessing at the layout.
         root = tmp_path / "db"
-        expected = self.build_v1(root)
-        for segment in root.rglob("*.seg"):
-            assert segment.read_bytes().startswith(b"RSEG1\n")
-
         db = repro.connect(path=root, parallelism=1)
-        for query, rows in zip(self.QUERIES, expected):
-            assert db.sql(query).rows() == rows
-        db.close()
-
-        # mmap'd attach exercises the legacy zero-copy path too.
-        mapped = repro.connect(path=root, parallelism=1, mmap=True)
-        for query, rows in zip(self.QUERIES, expected):
-            assert mapped.sql(query).rows() == rows
-        mapped.close()
-
-    def test_post_upgrade_checkpoint_rewrites_as_v2(self, tmp_path):
-        root = tmp_path / "db"
-        expected = self.build_v1(root)
-
-        db = repro.connect(path=root, parallelism=1)
+        db.create_table("t", SCHEMA).insert_rows([[1, 2]])
         db.checkpoint()
         db.close()
-
-        from repro.storage.manifest import FORMAT_VERSION
-
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["format_version"] == FORMAT_VERSION
-        for segment in root.rglob("*.seg"):
-            assert segment.read_bytes().startswith(b"RSEG2\n")
-
-        upgraded = repro.connect(path=root, parallelism=1)
-        for query, rows in zip(self.QUERIES, expected):
-            assert upgraded.sql(query).rows() == rows
-        upgraded.close()
-
-    def test_v1_tail_replay_then_upgrade(self, tmp_path):
-        root = tmp_path / "db"
-        self.build_v1(root)
-
-        db = repro.connect(path=root, parallelism=1)
-        db.table("fig").insert_rows([[self.N + 1, self.N + 1], [None, 7]])
-        db.table("fig").delete_rowids([0, 3])
-        expected = [db.sql(query).rows() for query in self.QUERIES]
-        db.checkpoint()  # upgrade happens mid-life, tail included
-        db.close()
-
-        reopened = repro.connect(path=root, parallelism=1)
-        for query, rows in zip(self.QUERIES, expected):
-            assert reopened.sql(query).rows() == rows
-        reopened.close()
+        manifest_path = root / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        for version in (1, 2):
+            raw["format_version"] = version
+            manifest_path.write_text(json.dumps(raw))
+            with pytest.raises(StorageError, match=f"version {version}") as info:
+                repro.connect(path=root, parallelism=1)
+            assert str(manifest_path) in str(info.value)
 
     def test_unsupported_manifest_version_rejected(self, tmp_path):
         root = tmp_path / "db"

@@ -12,6 +12,7 @@ subprocess invocations.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -558,3 +559,32 @@ class TestLintDriver:
         assert repro_lint._parse_select(None) == frozenset(
             repro_lint.ALL_RULES
         )
+
+
+class TestLintPathLists:
+    """The rule scopes are path strings; a rename must fail here, not
+    silently drop the renamed file out of every rule that named it."""
+
+    @pytest.mark.parametrize("name", sorted(repro_lint.PATH_LISTS))
+    def test_every_listed_path_exists(self, name):
+        source_root = REPO / "src" / "repro"
+        missing = [
+            relative
+            for relative in repro_lint.PATH_LISTS[name]
+            if not (source_root / relative).exists()
+        ]
+        assert missing == [], f"{name} names paths not under src/repro"
+
+    def test_storage_locks_and_fsyncs_are_all_in_scope(self):
+        # Exactly the storage modules that build a lock, or open a file
+        # for writing, are named by the rule that checks them.
+        owns_lock, writes = set(), set()
+        for path in sorted((REPO / "src" / "repro" / "storage").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+            if any(repro_lint._is_lock_factory(call) for call in calls):
+                owns_lock.add(f"storage/{path.name}")
+            if any(repro_lint._open_write_mode(call) for call in calls):
+                writes.add(f"storage/{path.name}")
+        assert owns_lock == set(repro_lint.LOCK_CHECKED_FILES)
+        assert writes == set(repro_lint.FSYNC_CHECKED_FILES)

@@ -1,12 +1,10 @@
-"""Public API surface: connect(), QueryResult ergonomics, deprecations."""
+"""Public API surface: connect(), QueryResult ergonomics."""
 
 import pytest
 
 import repro
 from repro import Database
 from repro.exec.result import QueryResult
-from repro.sql.parser import parse_statement
-from repro.sql.session import execute_sql, run_select
 
 
 @pytest.fixture
@@ -21,21 +19,21 @@ class TestConnect:
     def test_connect_returns_database(self):
         assert isinstance(repro.connect(), Database)
 
-    def test_connect_with_wal_file_is_deprecated(self, tmp_path):
+    def test_connect_with_existing_file_is_rejected(self, tmp_path):
+        # A file is not a connect target; the error names the way out.
         wal = tmp_path / "wal.jsonl"
-        with pytest.warns(DeprecationWarning, match="durable directory"):
-            db = repro.connect(wal)
-        db.sql("CREATE TABLE t (c BIGINT)")
-        assert wal.exists()
+        Database(wal).sql("CREATE TABLE t (c BIGINT)")
+        before = wal.read_text()
+        with pytest.raises(repro.ReproError, match=r"Database\(wal_path\)"):
+            repro.connect(wal)
+        assert wal.read_text() == before
 
-    def test_connect_with_existing_wal_file_is_deprecated(self, tmp_path):
-        # An existing file triggers the legacy path regardless of suffix.
-        wal = tmp_path / "metadata"
-        wal.touch()
-        with pytest.warns(DeprecationWarning):
-            db = repro.connect(wal)
-        db.sql("CREATE TABLE t (c BIGINT)")
-        assert wal.read_text() != ""
+    def test_connect_suffix_carries_no_meaning(self, tmp_path):
+        # A WAL-looking name that does not exist is a durable directory
+        # like any other (the old suffix heuristic is gone).
+        db = repro.connect(tmp_path / "data.wal", parallelism=1)
+        assert db.engine.name == "durable"
+        assert (tmp_path / "data.wal").is_dir()
 
     def test_connect_with_directory_opens_durable(self, tmp_path):
         db = repro.connect(tmp_path / "data", parallelism=1)
@@ -87,19 +85,6 @@ class TestKeywordOnlyKnobs:
         result = db.sql("SELECT c FROM t", parallelism=1, profile=True)
         assert result.row_count == 3
         assert result.profile is not None
-
-
-class TestDeprecatedShims:
-    def test_execute_sql_warns_and_works(self, db):
-        with pytest.warns(DeprecationWarning, match="Database.sql"):
-            result = execute_sql(db, "SELECT c FROM t")
-        assert result.row_count == 3
-
-    def test_run_select_warns_and_works(self, db):
-        statement = parse_statement("SELECT v FROM t WHERE c = 2")
-        with pytest.warns(DeprecationWarning, match="Database.sql"):
-            result = run_select(db, statement)
-        assert result.column("v").to_pylist() == ["b"]
 
 
 class TestQueryResultErgonomics:

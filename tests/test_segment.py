@@ -1,4 +1,4 @@
-"""Unit tests for the columnar segment file format (RSEG1 + RSEG2)."""
+"""Unit tests for the columnar segment file format (RSEG2)."""
 
 import datetime
 import json
@@ -19,7 +19,6 @@ from repro.storage.segment import (
     open_segment,
     read_segment,
     write_segment,
-    write_segment_v1,
 )
 from repro.types import DataType
 
@@ -520,48 +519,6 @@ class TestMmap:
         assert not isinstance(loaded.values, np.memmap)
 
 
-class TestLegacyV1:
-    def roundtrip_v1(self, tmp_path, dtype, items, *, mmap=False):
-        column = ColumnVector.from_pylist(dtype, items)
-        path = tmp_path / "col.seg"
-        written = write_segment_v1(path, column, sync=False)
-        assert written == path.stat().st_size
-        assert path.read_bytes().startswith(b"RSEG1\n")
-        loaded, stats = read_segment(path, mmap=mmap)
-        assert loaded.to_pylist() == column.to_pylist()
-        return loaded, stats
-
-    def test_v1_int_roundtrip(self, tmp_path):
-        self.roundtrip_v1(tmp_path, DataType.INT64, [1, -5, 2**40, 0])
-
-    def test_v1_string_nulls(self, tmp_path):
-        loaded, __ = self.roundtrip_v1(
-            tmp_path, DataType.STRING, ["", None, "x"]
-        )
-        assert loaded.to_pylist() == ["", None, "x"]
-
-    def test_v1_mmap_zero_copy(self, tmp_path):
-        # The legacy fixed-width buffer memory-maps directly — the one
-        # zero-copy path RSEG2's per-block decode intentionally gave up.
-        mapped, __ = self.roundtrip_v1(
-            tmp_path, DataType.INT64, [3, 1, 2], mmap=True
-        )
-        assert isinstance(mapped.values, np.memmap)
-        assert not mapped.values.flags.writeable
-
-    def test_v1_block_reader_interface(self, tmp_path):
-        column = ColumnVector.from_pylist(DataType.INT64, list(range(64)))
-        path = tmp_path / "col.seg"
-        write_segment_v1(path, column, block_size=16, sync=False)
-        reader = open_segment(path)
-        assert reader.version == 1
-        assert reader.encodings == ["raw"] * 4
-        decoded = reader.decode_block(2)
-        assert decoded.to_pylist() == list(range(32, 48))
-        assert reader.block_payload_bytes(0) == 16 * 8
-        reader.close()
-
-
 class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "col.seg"
@@ -569,9 +526,21 @@ class TestCorruption:
         with pytest.raises(StorageError):
             read_segment(path)
 
+    def test_rseg1_magic_rejected(self, tmp_path):
+        # The single-buffer predecessor format is named in the error,
+        # not mistaken for a foreign file and never parsed.
+        path = tmp_path / "col.seg"
+        path.write_bytes(
+            b'RSEG1\n{"dtype":"int64","rows":0,"block_size":4096,"blocks":[]}\n'
+        )
+        for opener in (read_segment, open_segment):
+            with pytest.raises(StorageError, match="RSEG1") as info:
+                opener(path)
+            assert str(path) in str(info.value)
+
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "col.seg"
-        path.write_bytes(b"RSEG1\nnot-json\n")
+        path.write_bytes(b"RSEG2\nnot-json\n")
         with pytest.raises(StorageError):
             read_segment(path)
 

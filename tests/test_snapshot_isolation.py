@@ -103,3 +103,28 @@ class TestSnapshotIsolationFuzz:
         generations = [p for p in segments.iterdir() if p.is_dir()]
         assert len(generations) == 1
         assert durable.obs.gauge("storage.snapshot.deferred_generations").value == 0
+
+    def test_double_release_leaves_other_readers_generation_pinned(
+        self, durable, tmp_path
+    ):
+        _insert_batch(durable, 0)
+        durable.checkpoint()
+        first = durable.snapshot()
+        _insert_batch(durable, 1)
+        second = durable.snapshot()  # same generation, its own handle
+        assert first.handle is not second.handle
+        generation = (
+            tmp_path / "data" / "segments" / second.handle.generation_name
+        )
+        query = "SELECT batch, x FROM t ORDER BY batch, x"
+        expected = second.sql(query).rows()
+        durable.checkpoint()  # supersedes the pinned generation: GC deferred
+        durable.engine.release_snapshot(first.handle)
+        # The handle holds no pin any more; releasing it again must not
+        # take the second reader's pin on the shared generation.
+        durable.engine.release_snapshot(first.handle)
+        assert generation.is_dir()
+        assert second.sql(query).rows() == expected
+        second.close()
+        assert not generation.exists()
+        first.close()

@@ -4,7 +4,7 @@
 Usage::
 
     python tools/repro_lint.py src tests
-    python tools/repro_lint.py --select L2,L11 src/repro/storage/engine.py
+    python tools/repro_lint.py --select L2,L11 src/repro/storage/snapshot.py
     python tools/repro_lint.py --format json src
     python tools/repro_lint.py --format github src tests   # CI annotations
 
@@ -30,11 +30,11 @@ L2  lock-discipline
     treatment inside functions that declare them ``global``.
 
 L3  fsync-discipline
-    In ``storage/wal.py`` / ``storage/engine.py``, every file opened
-    for writing must reach an ``os.fsync`` before the ``with`` block
-    ends, or carry an explicit ``# no-fsync: <reason>`` marker on the
-    ``with`` line — durability claims in the module docstrings must be
-    backed by actual syncs.
+    In the storage files that write durable state ({fsync_files}),
+    every file opened for writing must reach an ``os.fsync`` before the
+    ``with`` block ends, or carry an explicit ``# no-fsync: <reason>``
+    marker on the ``with`` line — durability claims in the module
+    docstrings must be backed by actual syncs.
 
 L4  metric-namespaces
     Metric names passed to ``.counter() / .gauge() / .histogram()``
@@ -43,11 +43,7 @@ L4  metric-namespaces
     within the enclosing function; anything still undecidable is a
     finding, so no name can dodge the registry taxonomy.
 
-L5  no-deprecated-api
-    The deprecated ``execute_sql`` / ``run_select`` shims must not be
-    used in source (outside their definition site) and may appear in
-    tests only inside a ``pytest.warns`` block that asserts the
-    deprecation fires.
+L5  (retired: the deprecated entry points it policed are deleted)
 
 L6  explicit-dtype
     ``np.empty / np.zeros / np.full / np.ndarray`` in operator code
@@ -154,29 +150,44 @@ DELTA_LAYER_FILES = (
     "core/patches.py",
 )
 
-__doc__ = __doc__.format(
-    namespaces=", ".join(METRIC_NAMESPACES),
-    frombuffer_files=", ".join(FROMBUFFER_ALLOWED_FILES),
-    delta_layer_files=", ".join(DELTA_LAYER_FILES),
-)
-
 #: Directories whose classes are touched by concurrent workers (L2).
 LOCK_CHECKED_DIRS = ("exec/parallel", "obs", "serve")
 
-#: Individual storage files under the same lock discipline: the
-#: checkpoint-flip lock, the snapshot catalog lock and the block cache.
+#: The storage files that own a lock, under the same discipline: the
+#: snapshot registry (its lock is the checkpoint-flip lock) with the
+#: per-handle catalog lock, and the block cache.  ``engine.py``,
+#: ``checkpoint.py`` and ``materialize.py`` hold none — they run under
+#: the registry's (tests/test_lockgraph.py keeps this list exact).
 LOCK_CHECKED_FILES = (
-    "storage/engine.py",
     "storage/snapshot.py",
     "storage/cache.py",
 )
 
-#: Files whose write paths must fsync (L3).
-FSYNC_CHECKED_FILES = ("storage/wal.py", "storage/engine.py")
+#: Files whose write paths must fsync (L3): the WAL, the checkpoint's
+#: patch-set sidecar, the manifest install and the segment writer.
+FSYNC_CHECKED_FILES = (
+    "storage/wal.py",
+    "storage/checkpoint.py",
+    "storage/manifest.py",
+    "storage/segment.py",
+)
 
-#: Deprecated module-level entry points (L5) and their definition site.
-DEPRECATED_NAMES = frozenset({"execute_sql", "run_select"})
-DEPRECATED_DEFINITION_FILE = "sql/session.py"
+#: Every repo-relative path list above, for the self-test that keeps a
+#: rename from silently dropping coverage (tests/test_lockgraph.py).
+PATH_LISTS = {
+    "FROMBUFFER_ALLOWED_FILES": FROMBUFFER_ALLOWED_FILES,
+    "DELTA_LAYER_FILES": DELTA_LAYER_FILES,
+    "LOCK_CHECKED_DIRS": LOCK_CHECKED_DIRS,
+    "LOCK_CHECKED_FILES": LOCK_CHECKED_FILES,
+    "FSYNC_CHECKED_FILES": FSYNC_CHECKED_FILES,
+}
+
+__doc__ = __doc__.format(
+    namespaces=", ".join(METRIC_NAMESPACES),
+    frombuffer_files=", ".join(FROMBUFFER_ALLOWED_FILES),
+    delta_layer_files=", ".join(DELTA_LAYER_FILES),
+    fsync_files=", ".join(FSYNC_CHECKED_FILES),
+)
 
 #: Method names that mutate their receiver in place (L2).
 MUTATING_METHODS = frozenset(
@@ -564,85 +575,6 @@ def check_metric_namespaces(path: Path, tree: ast.AST) -> list[Finding]:
     return findings
 
 
-# -- L5 ------------------------------------------------------------------------
-
-
-def _call_name(node: ast.Call) -> str | None:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
-def _is_pytest_warns(node: ast.With) -> bool:
-    for item in node.items:
-        expr = item.context_expr
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in ("warns", "deprecated_call")
-        ):
-            return True
-    return False
-
-
-def _flag_deprecated_calls(
-    path: Path, node: ast.AST, warned: bool, findings: list[Finding]
-) -> None:
-    if isinstance(node, ast.With) and _is_pytest_warns(node):
-        warned = True
-    if (
-        not warned
-        and isinstance(node, ast.Call)
-        and _call_name(node) in DEPRECATED_NAMES
-    ):
-        findings.append(
-            Finding(
-                path,
-                node.lineno,
-                "L5",
-                f"call to deprecated {_call_name(node)}() outside a "
-                "pytest.warns(DeprecationWarning) block",
-            )
-        )
-    for child in ast.iter_child_nodes(node):
-        _flag_deprecated_calls(path, child, warned, findings)
-
-
-def check_deprecated_api(
-    path: Path, tree: ast.Module, is_test: bool
-) -> list[Finding]:
-    if is_test:
-        findings: list[Finding] = []
-        _flag_deprecated_calls(path, tree, False, findings)
-        return findings
-    if posix(path).endswith(DEPRECATED_DEFINITION_FILE):
-        return []
-    findings = []
-    for node in ast.walk(tree):
-        name = None
-        if isinstance(node, ast.Name) and node.id in DEPRECATED_NAMES:
-            name = node.id
-        elif isinstance(node, ast.Attribute) and node.attr in DEPRECATED_NAMES:
-            name = node.attr
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in DEPRECATED_NAMES:
-                    name = alias.name
-        if name is not None:
-            findings.append(
-                Finding(
-                    path,
-                    node.lineno,
-                    "L5",
-                    f"in-tree use of deprecated {name}; call "
-                    "Database.sql() instead",
-                )
-            )
-    return findings
-
-
 # -- L6 ------------------------------------------------------------------------
 
 
@@ -856,13 +788,11 @@ def check_patch_mutation_layer(path: Path, tree: ast.AST) -> list[Finding]:
 
 
 def lint_file(path: Path) -> list[Finding]:
+    if is_test_file(path):
+        return []  # every rule is a source rule; tests assert freely
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
-    is_test = is_test_file(path)
     findings: list[Finding] = []
-    findings.extend(check_deprecated_api(path, tree, is_test))
-    if is_test:
-        return findings
     findings.extend(check_bare_asserts(path, tree))
     findings.extend(check_lock_discipline(path, tree))
     findings.extend(check_fsync_discipline(path, tree, source.splitlines()))
@@ -875,8 +805,9 @@ def lint_file(path: Path) -> list[Finding]:
     return findings
 
 
-#: Every rule this driver can emit (L11-L13 come from tools/lockgraph.py).
-ALL_RULES = tuple(f"L{n}" for n in range(1, 14))
+#: Every rule this driver can emit (L11-L13 come from tools/lockgraph.py;
+#: L5 is retired).
+ALL_RULES = tuple(f"L{n}" for n in range(1, 14) if n != 5)
 
 #: The lock-graph rules delegated to the whole-source analyzer.
 LOCKGRAPH_RULES = ("L11", "L12", "L13")
