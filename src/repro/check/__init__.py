@@ -9,7 +9,7 @@ order, and patch-partitioning properties, and rejects invalid plans with
 (``REPRO_SANITIZE=1``): instrumented engine locks that detect
 acquisition-order inversions, held-time histograms under the
 ``sanitize`` metric namespace, and a resource ledger that proves
-snapshot pins / shm segments / cache accounting return to zero.
+snapshot pins / cache accounting return to zero.
 
 The project-level lint rules (bare asserts, lock discipline, fsync
 discipline, metric namespaces, and the L11–L13 lock-graph rules) live in

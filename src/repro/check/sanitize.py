@@ -20,10 +20,11 @@ This module is the runtime half of the same contract:
     namespace (``sanitize.lock.<name>.held_seconds``).
 
 * :class:`ResourceLedger` tracks balanced acquire/release of leakable
-  resources — snapshot pins, shm segments — with the acquiring stack
-  kept per token.  :func:`assert_balanced` raises
+  resources — snapshot pins — with the acquiring stack kept per token.
+  :func:`assert_balanced` raises
   :class:`~repro.errors.ResourceLeakError` listing every outstanding
-  token; the test-suite teardown fixture calls it after each test.
+  token and every release of a token nobody tracked; the test-suite
+  teardown fixture calls it after each test.
 
 * :func:`register_cache` keeps a weak set of live
   :class:`~repro.storage.cache.BlockCache` instances so teardown can
@@ -237,18 +238,18 @@ class ResourceLedger:
     """Balanced acquire/release accounting for leakable resources.
 
     Tokens are counted per ``(kind, token)`` pair, each with the stack
-    of its most recent acquisition.  Releases of unknown tokens are
-    ignored rather than driven negative: with the process pool, shm
-    segments are created worker-side and unlinked coordinator-side, so
-    one process's ledger legitimately sees only one half of some pairs
-    (the authoritative cross-process check is the ``/dev/shm`` scan in
-    :func:`leaked_shm_segments`).
+    of its most recent acquisition.  Every resource is acquired and
+    released in this one process, so a release of a token that was
+    never tracked (or already fully released) is itself an imbalance:
+    it is kept, with the releasing stack, and reported by
+    :meth:`unmatched` rather than ignored.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._counts: dict[tuple[str, str], int] = {}
         self._stacks: dict[tuple[str, str], str] = {}
+        self._unmatched: list[tuple[str, str, str]] = []
 
     def track(self, kind: str, token: str) -> None:
         key = (kind, str(token))
@@ -265,6 +266,7 @@ class ResourceLedger:
         key = (kind, str(token))
         with self._lock:
             if key not in self._counts:
+                self._unmatched.append((*key, _capture_stack()))
                 return
             self._counts[key] -= 1
             if self._counts[key] <= 0:
@@ -291,11 +293,17 @@ class ResourceLedger:
                 for (kind, token), count in sorted(self._counts.items())
             ]
 
+    def unmatched(self) -> list[tuple[str, str, str]]:
+        """(kind, token, releasing stack) for each never-tracked release."""
+        with self._lock:
+            return list(self._unmatched)
+
     def reset(self) -> None:
         with self._lock:
             kinds = {kind for kind, _ in self._counts}
             self._counts.clear()
             self._stacks.clear()
+            self._unmatched.clear()
         for kind in kinds:
             registry().gauge(f"sanitize.resources.{kind}").set(0)
 
@@ -339,25 +347,6 @@ def verify_caches() -> list[str]:
     return problems
 
 
-# -- shm segment scan ----------------------------------------------------------
-
-
-def leaked_shm_segments() -> list[str]:
-    """Names of ``/dev/shm`` blocks left behind by *this* process's queries.
-
-    Block names embed the coordinator pid (``repro_<pid>_<seq>``), so
-    the scan cannot be confused by a concurrently running suite.  On
-    platforms without ``/dev/shm`` the check degrades to empty.
-    """
-    shm_dir = "/dev/shm"
-    prefix = f"repro_{os.getpid()}_"
-    try:
-        entries = os.listdir(shm_dir)
-    except OSError:  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(name for name in entries if name.startswith(prefix))
-
-
 # -- teardown assertion --------------------------------------------------------
 
 
@@ -369,11 +358,10 @@ def check_balances() -> list[str]:
         problems.append(
             f"{kind} {token!r} outstanding (count={count}){where}"
         )
+    for kind, token, stack in _ledger.unmatched():
+        where = f"\n  released at:\n{stack}" if stack else ""
+        problems.append(f"{kind} {token!r} released but never tracked{where}")
     problems.extend(verify_caches())
-    problems.extend(
-        f"shm segment {name!r} still present in /dev/shm"
-        for name in leaked_shm_segments()
-    )
     return problems
 
 

@@ -91,13 +91,6 @@ class CostModel:
     #: Per-morsel dispatch/gather overhead (one pool task plus one
     #: fragment operator tree), in row-cost units.
     morsel_dispatch_weight: float = 512.0
-    #: Fixed cost of fanning out to the worker-*process* pool: pool
-    #: warm-up amortized over its lifetime plus the engine attach the
-    #: first task per snapshot pays in each worker.
-    process_startup_weight: float = 65536.0
-    #: Per-morsel cost of the process backend: task pickling, the shm
-    #: (or pickle) result hop, and decode on gather.
-    process_dispatch_weight: float = 2048.0
 
     # -- use cases -----------------------------------------------------
 
@@ -164,7 +157,6 @@ class CostModel:
         n: int,
         workers: int,
         morsel_count: int,
-        backend: str = "thread",
         *,
         encoded_fraction: float = 0.0,
         cache_hit_ratio: float = 0.0,
@@ -173,28 +165,19 @@ class CostModel:
 
         The parallel plan divides the per-row work across *workers* but
         pays a fixed fan-out cost plus a per-morsel dispatch cost; small
-        inputs therefore stay serial.  The *backend* selects the weight
-        pair — the process backend's fan-out and dispatch are heavier
-        (process warm-up, task pickling, the shm result hop), so its
-        breakeven cardinality is higher.  The per-row weight reflects
+        inputs therefore stay serial.  The per-row weight reflects
         the storage state via :meth:`effective_scan_weight`: cold
         encoded scans carry extra decode work (which parallelizes), a
         warm cache removes it again.  ``patched_cost`` plays the role
         of the parallel plan.
         """
         workers = max(1, workers)
-        if backend == "process":
-            startup = self.process_startup_weight
-            dispatch = self.process_dispatch_weight
-        else:
-            startup = self.parallel_startup_weight
-            dispatch = self.morsel_dispatch_weight
         weight = self.effective_scan_weight(encoded_fraction, cache_hit_ratio)
         plain = weight * n
         parallel = (
             weight * n / workers
-            + dispatch * morsel_count
-            + startup
+            + self.morsel_dispatch_weight * morsel_count
+            + self.parallel_startup_weight
         )
         return CostEstimate("parallel_scan", plain, parallel)
 
@@ -203,7 +186,6 @@ class CostModel:
         n: int,
         workers: int,
         morsel_count: int,
-        backend: str = "thread",
         *,
         encoded_fraction: float = 0.0,
         cache_hit_ratio: float = 0.0,
@@ -215,7 +197,6 @@ class CostModel:
             n,
             workers,
             morsel_count,
-            backend,
             encoded_fraction=encoded_fraction,
             cache_hit_ratio=cache_hit_ratio,
         ).use_patches

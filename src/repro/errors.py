@@ -139,8 +139,8 @@ class ResourceLeakError(ReproError):
     """A sanitized resource balance did not return to zero.
 
     Raised by :func:`repro.check.sanitize.assert_balanced` when snapshot
-    pins, shm segments, or cache accounting are left outstanding at a
-    checkpoint the caller declared quiescent (test teardown).  The
-    message lists each unbalanced resource with the stack that acquired
-    it.
+    pins or cache accounting are left outstanding — or a token nobody
+    tracked was released — at a checkpoint the caller declared quiescent
+    (test teardown).  The message lists each unbalanced resource with
+    the stack that acquired (or released) it.
     """

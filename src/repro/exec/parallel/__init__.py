@@ -1,6 +1,6 @@
 """Morsel-driven parallel execution (paper §VI context: Actian Vector's
-parallel scan infrastructure, realized here as worker pools over
-contiguous rowid morsels).
+parallel scan infrastructure, realized here as one shared thread pool
+over contiguous rowid morsels).
 
 Components:
 
@@ -11,14 +11,10 @@ Components:
 - :mod:`~repro.exec.parallel.exchange` — the Exchange scatter/gather
   operator running a pipeline fragment per morsel;
 - :mod:`~repro.exec.parallel.terminals` — parallel-aware blocking
-  operators (distinct, two-phase aggregation, sort + k-way merge);
-- :mod:`~repro.exec.parallel.procpool` — the process execution backend
-  (``REPRO_PARALLEL_BACKEND``): a persistent worker-process pool plus
-  the per-operator transport with serial-retry failure recovery;
-- :mod:`~repro.exec.parallel.worker` — the picklable fragment/partial
-  specs and the worker-process entrypoint attaching mmap'd segments;
-- :mod:`~repro.exec.parallel.shm` — the shared-memory result transport
-  with its pickle fallback for small or ragged payloads.
+  operators (distinct, two-phase aggregation, sort + k-way merge).
+
+Fragments run on that pool only and read the tables and patch sets in
+place; why there is no worker-process pool beside it is DESIGN §5b-ii.
 """
 
 from repro.exec.parallel.exchange import BatchSource, Exchange
@@ -33,29 +29,15 @@ from repro.exec.parallel.pool import (
     get_pool,
     shutdown_pool,
 )
-from repro.exec.parallel.procpool import (
-    ProcessTransport,
-    default_backend,
-    get_process_pool,
-    reset_process_pool,
-    shutdown_process_pool,
-    start_method,
-)
 from repro.exec.parallel.terminals import (
     ParallelAggregate,
     ParallelDistinct,
     ParallelSort,
     merge_sorted_runs,
 )
-from repro.exec.parallel.worker import (
-    EngineSnapshot,
-    FragmentSpec,
-    MorselTask,
-    OpSpec,
-    PartialSpec,
-    PatchSpec,
-    run_morsel_task,
-)
+
+# Only caller: bench_e2e/tracing.py ("stop whatever parallelism=2 started").
+shutdown_process_pool = shutdown_pool
 
 __all__ = [
     "BatchSource",
@@ -67,21 +49,9 @@ __all__ = [
     "default_parallelism",
     "get_pool",
     "shutdown_pool",
-    "ProcessTransport",
-    "default_backend",
-    "get_process_pool",
-    "reset_process_pool",
     "shutdown_process_pool",
-    "start_method",
     "ParallelAggregate",
     "ParallelDistinct",
     "ParallelSort",
     "merge_sorted_runs",
-    "EngineSnapshot",
-    "FragmentSpec",
-    "MorselTask",
-    "OpSpec",
-    "PartialSpec",
-    "PatchSpec",
-    "run_morsel_task",
 ]

@@ -30,7 +30,6 @@ from repro.exec.batch import RecordBatch
 from repro.exec.operators.base import Operator
 from repro.exec.parallel.morsels import Morsel
 from repro.exec.parallel.pool import get_pool
-from repro.exec.parallel.worker import PartialSpec
 from repro.storage.schema import Schema
 
 #: Builds one pipeline-fragment operator restricted to the given
@@ -83,6 +82,26 @@ def run_fragment(factory: FragmentFactory, morsel: Morsel) -> list[RecordBatch]:
         fragment.close()
 
 
+def submit_morsels(
+    factory: FragmentFactory,
+    morsels: Sequence[Morsel],
+    parallelism: int,
+    obs: Any,
+) -> deque[Any]:
+    """Submit one :func:`run_fragment` task per morsel, in morsel order.
+
+    *obs* is the duck-typed pool observation hook the profiler installs
+    (a ``repro.obs.profile.ParallelObs``); ``None`` submits directly
+    with zero accounting.
+    """
+    pool = get_pool(parallelism)
+    if obs is None:
+        return deque(
+            pool.submit(run_fragment, factory, morsel) for morsel in morsels
+        )
+    return deque(obs.submit(pool, factory, morsel) for morsel in morsels)
+
+
 class Exchange(Operator):
     """Run a pipeline fragment per morsel on the pool; gather in order."""
 
@@ -100,15 +119,8 @@ class Exchange(Operator):
         self.template = template
         self.morsels = list(morsels)
         self.parallelism = parallelism
-        #: Pool observation hook (duck-typed — the profiler installs a
-        #: ``repro.obs.profile.ParallelObs``).  ``None`` means submit
-        #: directly with zero accounting.
+        #: Pool observation hook, see :func:`submit_morsels`.
         self.obs = None
-        #: Execution backend: ``None`` runs morsels on the shared thread
-        #: pool; the planner attaches a
-        #: :class:`~repro.exec.parallel.procpool.ProcessTransport` to
-        #: route them to worker processes instead.
-        self.backend: Any = None
         self._futures: deque[Any] | None = None
         self._pending: deque[RecordBatch] = deque()
 
@@ -123,25 +135,9 @@ class Exchange(Operator):
         # Note: the template stays closed — workers build their own
         # fragments.  All morsels are submitted up front; the pool's
         # worker count bounds actual concurrency.
-        if self.backend is not None:
-            self._futures = deque(
-                self.backend.submit_all(
-                    self.morsels, self.fragment_factory, self.obs
-                )
-            )
-            self._pending = deque()
-            return
-        pool = get_pool(self.parallelism)
-        if self.obs is None:
-            self._futures = deque(
-                pool.submit(run_fragment, self.fragment_factory, morsel)
-                for morsel in self.morsels
-            )
-        else:
-            self._futures = deque(
-                self.obs.submit(pool, self.fragment_factory, morsel)
-                for morsel in self.morsels
-            )
+        self._futures = submit_morsels(
+            self.fragment_factory, self.morsels, self.parallelism, self.obs
+        )
         self._pending = deque()
 
     def next_batch(self) -> RecordBatch | None:
@@ -160,13 +156,5 @@ class Exchange(Operator):
             self._futures = None
         self._pending = deque()
 
-    def partial_spec(self) -> PartialSpec:
-        """Worker-side partial wrap for the process backend (none)."""
-        return PartialSpec()
-
     def label(self) -> str:
-        suffix = ", backend=process" if self.backend is not None else ""
-        return (
-            f"Exchange(dop={self.parallelism}, "
-            f"morsels={len(self.morsels)}{suffix})"
-        )
+        return f"Exchange(dop={self.parallelism}, morsels={len(self.morsels)})"

@@ -16,10 +16,6 @@ When scan-range pruning already restricted the scan, morsels are carved
 from the *surviving* ranges only; several small pruned ranges within a
 partition coalesce into one morsel so dispatch overhead tracks real row
 counts, not range counts.
-
-Morsels are backend-neutral: the same ranges drive thread-pool fragments
-and process-backend :class:`~repro.exec.parallel.worker.MorselTask`
-specs, so thread and process plans cover identical row sets.
 """
 
 from __future__ import annotations

@@ -8,10 +8,6 @@ kernels are NumPy calls that release the GIL.
 
 The degree of parallelism is resolved once per planner from
 ``REPRO_THREADS`` (explicit override) or :func:`os.cpu_count`.
-
-The process backend (:mod:`repro.exec.parallel.procpool`) keeps a
-sibling worker-*process* pool with the same lazy-grow lifecycle for
-fragments routed around the GIL entirely.
 """
 
 from __future__ import annotations

@@ -38,10 +38,12 @@ from repro.exec.operators.merge_union import (
     merge_permutation,
 )
 from repro.exec.operators.sort import Sort, SortKey
-from repro.exec.parallel.exchange import BatchSource, FragmentFactory, run_fragment
+from repro.exec.parallel.exchange import (
+    BatchSource,
+    FragmentFactory,
+    submit_morsels,
+)
 from repro.exec.parallel.morsels import Morsel
-from repro.exec.parallel.pool import get_pool
-from repro.exec.parallel.worker import PartialSpec
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Schema
 from repro.types import DataType
@@ -70,11 +72,6 @@ class _ParallelBlocking(Operator):
         self.parallelism = parallelism
         #: Pool observation hook (duck-typed, see ``Exchange.obs``).
         self.obs = None
-        #: Execution backend (see ``Exchange.backend``): ``None`` for
-        #: the thread pool, a ``ProcessTransport`` for processes.  The
-        #: transport carries this operator's :meth:`partial_spec`, so
-        #: workers apply the same per-morsel partial as ``_wrap``.
-        self.backend: Any = None
         self._futures: deque[Any] | None = None
         self._done = False
 
@@ -82,29 +79,9 @@ class _ParallelBlocking(Operator):
         return [self.template]
 
     def open(self) -> None:
-        if self.backend is not None:
-            # The worker applies this operator's partial wrap from the
-            # transport's PartialSpec; the wrapped local factory is
-            # passed along for the serial-retry fallback only.
-            self._futures = deque(
-                self.backend.submit_all(
-                    self.morsels, self._wrapped_factory, self.obs
-                )
-            )
-            self._done = False
-            return
-        pool = get_pool(self.parallelism)
-        factory = self._wrapped_factory
-        if self.obs is None:
-            self._futures = deque(
-                pool.submit(run_fragment, factory, morsel)
-                for morsel in self.morsels
-            )
-        else:
-            self._futures = deque(
-                self.obs.submit(pool, factory, morsel)
-                for morsel in self.morsels
-            )
+        self._futures = submit_morsels(
+            self._wrapped_factory, self.morsels, self.parallelism, self.obs
+        )
         self._done = False
 
     def _wrapped_factory(self, ranges: list[tuple[int, int]]) -> Operator:
@@ -128,8 +105,7 @@ class _ParallelBlocking(Operator):
             self._futures = None
 
     def _detail(self) -> str:
-        suffix = ", backend=process" if self.backend is not None else ""
-        return f"dop={self.parallelism}, morsels={len(self.morsels)}{suffix}"
+        return f"dop={self.parallelism}, morsels={len(self.morsels)}"
 
     # -- subclass hooks ------------------------------------------------
 
@@ -137,10 +113,6 @@ class _ParallelBlocking(Operator):
         raise NotImplementedError
 
     def _combine(self, partials: list[RecordBatch]) -> RecordBatch | None:
-        raise NotImplementedError
-
-    def partial_spec(self) -> PartialSpec:
-        """Picklable description of :meth:`_wrap` for worker processes."""
         raise NotImplementedError
 
 
@@ -177,9 +149,6 @@ class ParallelDistinct(_ParallelBlocking):
         finally:
             final.close()
 
-    def partial_spec(self) -> PartialSpec:
-        return PartialSpec(kind="distinct")
-
     def label(self) -> str:
         return f"ParallelDistinct({self._detail()})"
 
@@ -210,9 +179,6 @@ class ParallelSort(_ParallelBlocking):
         if not partials:
             return None
         return merge_sorted_runs(partials, self.keys, self._schema)
-
-    def partial_spec(self) -> PartialSpec:
-        return PartialSpec(kind="sort", sort_keys=tuple(self.keys))
 
     def label(self) -> str:
         keys = ", ".join(str(key) for key in self.keys)
@@ -350,19 +316,6 @@ class ParallelAggregate(_ParallelBlocking):
             else:
                 columns[spec.alias] = merged.column(spec.alias)
         return RecordBatch(self._schema, columns)
-
-    def partial_spec(self) -> PartialSpec:
-        if self._distinct_mode:
-            spec = self.aggregates[0]
-            columns = list(self.group_by)
-            if spec.column not in columns:
-                columns.append(spec.column)
-            return PartialSpec(kind="distinct", columns=tuple(columns))
-        return PartialSpec(
-            kind="agg",
-            group_by=tuple(self.group_by),
-            aggregates=tuple(self._partial_specs),
-        )
 
     def label(self) -> str:
         keys = ", ".join(self.group_by) if self.group_by else "<global>"

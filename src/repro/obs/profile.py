@@ -237,10 +237,6 @@ class ParallelObs:
         self.queue_wait_seconds = 0.0
         self.worker_busy_seconds: dict[str, float] = {}
         self.fragment_roots: list[ProfileNode] = []
-        #: Shared-memory bytes shipped by process-backend tasks; > 0
-        #: remote tasks also marks the profile ``backend=process``.
-        self.shm_bytes = 0
-        self.remote_tasks = 0
 
     def submit(self, pool, factory: Callable, morsel: "Morsel"):
         """Submit one morsel task with wait/busy accounting."""
@@ -264,26 +260,6 @@ class ParallelObs:
                     )
 
         return pool.submit(task)
-
-    def record_remote(
-        self, pid: int, busy_s: float, queue_wait_s: float, shm_bytes: int
-    ) -> None:
-        """Account one process-backend task gathered from worker *pid*.
-
-        Called by the transport's gather handle on the coordinator
-        thread — remote fragments cannot be instrumented in place (their
-        operators live in another process), so the worker ships busy
-        time and transport bytes back inside the result payload.
-        """
-        with self._lock:
-            self.morsels_run += 1
-            self.remote_tasks += 1
-            self.queue_wait_seconds += queue_wait_s
-            worker = f"proc-{pid}"
-            self.worker_busy_seconds[worker] = (
-                self.worker_busy_seconds.get(worker, 0.0) + busy_s
-            )
-            self.shm_bytes += shm_bytes
 
     def wrap_factory(self, factory: Callable) -> Callable:
         """Instrument every fragment the factory builds."""
@@ -311,17 +287,12 @@ class ParallelObs:
             queue_wait = self.queue_wait_seconds
             busy = sum(self.worker_busy_seconds.values())
             roots = list(self.fragment_roots)
-            remote_tasks = self.remote_tasks
-            shm_bytes = self.shm_bytes
         node.details["dop"] = self.parallelism
         node.details["dop_used"] = dop_used
         node.details["morsels"] = self.morsel_count
         node.details["morsels_run"] = morsels_run
         node.details["queue_wait_s"] = round(queue_wait, 6)
         node.details["busy_s"] = round(busy, 6)
-        if remote_tasks:
-            node.details["backend"] = "process"
-            node.details["shm_bytes"] = shm_bytes
         if node.children:
             template = node.children[0]
             for root in roots:

@@ -25,10 +25,8 @@ Mostly a 1:1 mapping, plus three physical decisions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Any, Callable
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.check.plan_verifier import verify_plan
 from repro.core.cost_model import CostModel
@@ -72,25 +70,13 @@ from repro.exec.parallel import (
     default_parallelism,
     morsels_for_table,
 )
-from repro.exec.parallel.procpool import (
-    BACKENDS,
-    ProcessTransport,
-    default_backend,
-)
-from repro.exec.parallel.worker import (
-    EngineSnapshot,
-    FragmentSpec,
-    OpSpec,
-    PatchSpec,
-)
+from repro.exec.parallel.exchange import FragmentFactory
 from repro.plan import logical as lp
 from repro.plan.cardinality import estimate_rows
-from repro.storage.engine import DurableEngine
 from repro.types.datatypes import coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
-    from repro.storage.table import Table
 
 
 @dataclass
@@ -105,14 +91,16 @@ class _Fragment:
 
     build: Callable[[list[tuple[int, int]] | None], Operator]
     ranges: list[tuple[int, int]] | None
-    covered_rows: int
-    morsels: list[Morsel] = dataclass_field(default_factory=list)
-    #: Process-backend transport when the fragment is routed to worker
-    #: processes; ``None`` keeps the thread path.
-    transport: ProcessTransport | None = None
+    morsels: list[Morsel]
 
     def template(self) -> Operator:
         return self.build(self.ranges)
+
+    def operator_args(
+        self, parallelism: int
+    ) -> tuple[FragmentFactory, Operator, list[Morsel], int]:
+        """The leading arguments every parallel operator shares."""
+        return self.build, self.template(), self.morsels, parallelism
 
 
 class PhysicalPlanner:
@@ -139,17 +127,13 @@ class PhysicalPlanner:
         self.morsel_size = morsel_size
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.verify = verify
-        resolved = default_backend() if backend is None else backend
-        if resolved not in BACKENDS:
+        # Only caller: bench_e2e/tracing.py passes backend="thread".
+        if backend not in (None, "thread"):
             raise PlanError(
-                f"backend must be one of {', '.join(BACKENDS)}, got {backend!r}"
+                f"the thread pool is the only backend, got {backend!r}"
             )
-        #: Requested execution backend ("thread" | "process" | "auto");
-        #: resolved per fragment in :meth:`_resolve_backend`.
-        self.backend = resolved
-        #: The owning database — required for the process backend (the
-        #: engine snapshot workers attach comes from it).  ``None``
-        #: restricts planning to the thread path.
+        #: The owning database (or snapshot view): the parallel gate
+        #: reads its engine's encoded fraction and cache hit ratio.
         self.database = database
         self._depth = 0
 
@@ -246,31 +230,16 @@ class PhysicalPlanner:
             return None
         if isinstance(logical, lp.LogicalDistinct):
             fragment = self._match_fragment(logical.child)
-            if fragment is not None:
-                return self._attach_backend(
-                    ParallelDistinct(
-                        fragment.build,
-                        fragment.template(),
-                        fragment.morsels,
-                        self.parallelism,
-                    ),
-                    fragment,
-                )
-            return None
+            if fragment is None:
+                return None
+            return ParallelDistinct(*fragment.operator_args(self.parallelism))
         if isinstance(logical, lp.LogicalSort):
             fragment = self._match_fragment(logical.child)
-            if fragment is not None:
-                return self._attach_backend(
-                    ParallelSort(
-                        fragment.build,
-                        fragment.template(),
-                        fragment.morsels,
-                        self.parallelism,
-                        list(logical.keys),
-                    ),
-                    fragment,
-                )
-            return None
+            if fragment is None:
+                return None
+            return ParallelSort(
+                *fragment.operator_args(self.parallelism), list(logical.keys)
+            )
         if isinstance(logical, lp.LogicalAggregate):
             fragment = self._match_fragment(logical.child)
             if fragment is None:
@@ -280,50 +249,21 @@ class PhysicalPlanner:
                 1 for spec in specs if spec.func == "count_distinct"
             )
             if distinct_count == 0 or (distinct_count == 1 and len(specs) == 1):
-                return self._attach_backend(
-                    ParallelAggregate(
-                        fragment.build,
-                        fragment.template(),
-                        fragment.morsels,
-                        self.parallelism,
-                        list(logical.group_by),
-                        specs,
-                    ),
-                    fragment,
+                return ParallelAggregate(
+                    *fragment.operator_args(self.parallelism),
+                    list(logical.group_by),
+                    specs,
                 )
             # Mixed count_distinct shapes: parallelize the scan only.
             return HashAggregate(
-                self._attach_backend(
-                    Exchange(
-                        fragment.build,
-                        fragment.template(),
-                        fragment.morsels,
-                        self.parallelism,
-                    ),
-                    fragment,
-                ),
+                Exchange(*fragment.operator_args(self.parallelism)),
                 list(logical.group_by),
                 specs,
             )
         fragment = self._match_fragment(logical)
-        if fragment is not None:
-            return self._attach_backend(
-                Exchange(
-                    fragment.build,
-                    fragment.template(),
-                    fragment.morsels,
-                    self.parallelism,
-                ),
-                fragment,
-            )
-        return None
-
-    def _attach_backend(self, operator: Any, fragment: _Fragment) -> Operator:
-        """Route one parallel operator to the fragment's backend."""
-        if fragment.transport is not None:
-            fragment.transport.partial = operator.partial_spec()
-            operator.backend = fragment.transport
-        return operator
+        if fragment is None:
+            return None
+        return Exchange(*fragment.operator_args(self.parallelism))
 
     def _match_fragment(self, logical: lp.LogicalPlan) -> _Fragment | None:
         """Match a Filter/Project chain over (PatchSelect over) a scan,
@@ -390,121 +330,26 @@ class PhysicalPlanner:
             return operator
 
         morsels = morsels_for_table(scan.table, normalized, self.morsel_size)
-        backend = self._resolve_backend(scan.table, covered, len(morsels))
-        if backend is None:
-            return None
-        transport = (
-            self._process_transport(scan, patch, nodes)
-            if backend == "process"
-            else None
-        )
-        return _Fragment(build, normalized, covered, morsels, transport)
-
-    def _resolve_backend(
-        self, table: "Table", covered: int, morsel_count: int
-    ) -> str | None:
-        """Pick the execution backend for one fragment, or None = serial.
-
-        ``process`` needs a durable, catalog-live table another process
-        can attach by name; a MemoryEngine table (or a bare Table never
-        installed in the database) silently falls back to threads.  Each
-        backend is gated by its own cost curve — the process backend's
-        heavier fan-out keeps mid-size scans on threads under ``auto``.
-        The curves also see the table's storage state: the decode work
-        of encoded (RSEG2) segments parallelizes, so cold encoded scans
-        cross the breakeven earlier, while a warm block cache pulls the
-        weight back to the raw-scan baseline.
-        """
+        # The gate sees the table's storage state: the decode work of
+        # encoded (RSEG2) segments parallelizes, so cold encoded scans
+        # cross the breakeven earlier, while a warm block cache pulls
+        # the weight back to the raw-scan baseline.
         engine = self.database.engine if self.database is not None else None
-        encoded_fraction = (
-            engine.encoded_fraction(table.name) if engine is not None else 0.0
-        )
-        cache_hit_ratio = (
-            engine.cache_hit_ratio() if engine is not None else 0.0
-        )
-
-        def gate(backend: str) -> bool:
-            return self.cost_model.should_parallelize(
-                covered,
-                self.parallelism,
-                morsel_count,
-                backend,
-                encoded_fraction=encoded_fraction,
-                cache_hit_ratio=cache_hit_ratio,
-            )
-
-        attachable = self._process_attachable(table)
-        if self.backend == "process" and attachable:
-            return "process" if gate("process") else None
-        if self.backend == "auto" and attachable and gate("process"):
-            return "process"
-        return "thread" if gate("thread") else None
-
-    def _process_attachable(self, table: "Table") -> bool:
-        database = self.database
-        if database is None or not isinstance(database.engine, DurableEngine):
-            return False
-        return (
-            database.catalog.has_table(table.name)
-            and database.catalog.table(table.name) is table
-        )
-
-    def _process_transport(
-        self,
-        scan: lp.LogicalScan,
-        patch: lp.LogicalPatchSelect | None,
-        nodes: list[lp.LogicalPlan],
-    ) -> ProcessTransport:
-        """Describe the fragment as picklable specs plus the snapshot."""
-        database = self.database
-        if database is None:  # unreachable after _resolve_backend
-            raise PlanError("process backend requires a database")
-        ops: list[OpSpec] = []
-        for node in reversed(nodes):
-            if isinstance(node, lp.LogicalFilter):
-                ops.append(OpSpec("filter", predicate=node.predicate))
-            elif isinstance(node, lp.LogicalProject):
-                ops.append(OpSpec("project", outputs=tuple(node.outputs)))
-        patch_spec: PatchSpec | None = None
-        if patch is not None:
-            index = patch.index
-            patch_spec = PatchSpec(
-                name=index.name,
-                kind=index.kind,
-                column=index.column_name,
-                design=index.design,
-                threshold=index.threshold,
-                ascending=index.ascending,
-                strict=index.strict,
-                scope=index.scope,
-                use_patches=patch.use_patches,
-                partition_rowids=tuple(
-                    index.partition_patches(k)
-                    .rowids()
-                    .astype(np.int64, copy=False)
-                    .tobytes()
-                    for k in range(scan.table.partition_count)
-                ),
-            )
-        fragment_spec = FragmentSpec(
-            table=scan.table.name,
-            columns=(
-                tuple(scan.columns) if scan.columns is not None else None
+        if not self.cost_model.should_parallelize(
+            covered,
+            self.parallelism,
+            len(morsels),
+            encoded_fraction=(
+                engine.encoded_fraction(scan.table.name)
+                if engine is not None
+                else 0.0
             ),
-            with_tid=scan.with_tid,
-            batch_size=self.batch_size,
-            patch=patch_spec,
-            ops=tuple(ops),
-        )
-        engine = database.engine
-        if not isinstance(engine, DurableEngine):  # unreachable, see above
-            raise PlanError("process backend requires a durable engine")
-        snapshot = EngineSnapshot(
-            str(engine.root), bool(engine.mmap), database.wal.last_lsn
-        )
-        return ProcessTransport(
-            snapshot, fragment_spec, self.parallelism, metrics=database.obs
-        )
+            cache_hit_ratio=(
+                engine.cache_hit_ratio() if engine is not None else 0.0
+            ),
+        ):
+            return None
+        return _Fragment(build, normalized, morsels)
 
     # -- scans & filters ---------------------------------------------------
 

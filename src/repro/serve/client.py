@@ -159,7 +159,6 @@ class ServerClient:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         profile: bool = False,
         optimizer_options=None,
     ) -> QueryResult:
@@ -169,7 +168,6 @@ class ServerClient:
                 "optimizer_options do not travel over the wire; set "
                 "planner behaviour server-side"
             )
-        del backend  # backend is a server-side session knob; see set()
         response = self._call(
             {
                 "op": "sql",
@@ -185,7 +183,6 @@ class ServerClient:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         analyze: bool = False,
         optimizer_options=None,
     ) -> str:
@@ -194,7 +191,6 @@ class ServerClient:
                 "optimizer_options do not travel over the wire; set "
                 "planner behaviour server-side"
             )
-        del backend
         response = self._call(
             {
                 "op": "explain",

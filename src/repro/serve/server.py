@@ -66,7 +66,7 @@ DEFAULT_READ_THREADS = 8
 #: by part, so a big result is never assembled into one body.
 _SINGLE_WRITE_BYTES = 64 * 1024
 
-_SESSION_KNOBS = ("parallelism", "backend", "profile", "snapshot_reads")
+_SESSION_KNOBS = ("parallelism", "profile", "snapshot_reads")
 
 
 class _QueueItem:
@@ -413,10 +413,6 @@ class ReproServer:
         if knob == "parallelism":
             value = None if value is None else max(1, int(value))
             session.parallelism = value
-        elif knob == "backend":
-            if value is not None and value not in ("thread", "process", "auto"):
-                raise ProtocolError(f"invalid backend {value!r}")
-            session.backend = value
         elif knob == "profile":
             session.profile = bool(value)
         elif knob == "snapshot_reads":

@@ -4,7 +4,7 @@ This module wires the front end together: tokenize → (DDL / DML
 execution | optimized plan, from the catalog's plan cache or parse →
 bind → optimize → physical plan → collect) — and owns :class:`Session`,
 the first-class per-caller scope.  A session holds sticky knobs
-(parallelism, backend, profiling, snapshot reads) and is the unit the
+(parallelism, profiling, snapshot reads) and is the unit the
 network server hands each connection;
 :meth:`repro.storage.database.Database.sql` delegates to an implicit
 default session so single-caller code never has to see one.
@@ -78,8 +78,8 @@ class Session:
     """One caller's scope over a shared :class:`Database`.
 
     A session carries sticky per-caller knobs — *parallelism*,
-    *backend*, *profile* — that per-statement keyword arguments still
-    override, plus *snapshot_reads*: when enabled (and the engine
+    *profile* — that per-statement keyword arguments still override,
+    plus *snapshot_reads*: when enabled (and the engine
     supports it), every read statement pins an MVCC snapshot for its
     duration, so concurrent writers and ``CHECKPOINT``\\ s never tear an
     in-flight scan.  The network server opens one session per
@@ -95,7 +95,6 @@ class Session:
         database: "Database",
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         profile: bool = False,
         snapshot_reads: bool = False,
         label: str | None = None,
@@ -103,7 +102,6 @@ class Session:
     ):
         self.database = database
         self.parallelism = parallelism
-        self.backend = backend
         self.profile = profile
         #: Snapshot reads need an engine that can pin one; on a memory
         #: engine the flag quietly degrades to plain (still correct,
@@ -139,7 +137,6 @@ class Session:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         profile: bool | None = None,
         optimizer_options: OptimizerOptions | None = None,
     ) -> QueryResult:
@@ -166,7 +163,6 @@ class Session:
             text,
             optimizer_options=optimizer_options,
             parallelism=effective_parallelism,
-            backend=backend if backend is not None else self.backend,
             profile=effective_profile,
         )
 
@@ -175,7 +171,6 @@ class Session:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         analyze: bool = False,
         optimizer_options: OptimizerOptions | None = None,
     ) -> str:
@@ -195,7 +190,6 @@ class Session:
             text,
             optimizer_options=optimizer_options,
             parallelism=effective_parallelism,
-            backend=backend if backend is not None else self.backend,
             analyze=analyze,
         )
 
@@ -242,7 +236,6 @@ def _execute_statement(
     *,
     optimizer_options: OptimizerOptions | None = None,
     parallelism: int | None = None,
-    backend: str | None = None,
     profile: bool = False,
 ) -> QueryResult:
     """Execute one SQL statement and return its result.
@@ -251,17 +244,14 @@ def _execute_statement(
     (e.g. rows inserted); queries return their result set.
     *parallelism* caps the degree of parallelism of the physical plan
     (``None`` resolves ``REPRO_THREADS`` / the CPU count, ``1`` forces
-    serial execution).  *backend* picks the parallel execution backend
-    (``thread`` | ``process`` | ``auto``; ``None`` resolves
-    ``REPRO_PARALLEL_BACKEND``).  *profile* instruments the execution
-    and attaches a :class:`~repro.obs.profile.QueryProfile` to the
-    result.
+    serial execution).  *profile* instruments the execution and attaches
+    a :class:`~repro.obs.profile.QueryProfile` to the result.
     """
     tokens = tokenize(text)
     if tokens[0].is_keyword("select"):
         _count_statement(database, "select")
         __, operator, cache_state = _plan_read(
-            database, tokens, optimizer_options, parallelism, backend
+            database, tokens, optimizer_options, parallelism
         )
         result = _collect_read(database, operator, cache_state, profile, text)
         _count_rows(database, result.row_count)
@@ -275,7 +265,6 @@ def _execute_statement(
             text,
             optimizer_options,
             parallelism,
-            backend,
             analyze,
         )
         result = QueryResult.from_lines("plan", rendered.splitlines())
@@ -336,7 +325,6 @@ def explain_sql(
     text: str,
     optimizer_options: OptimizerOptions | None = None,
     parallelism: int | None = None,
-    backend: str | None = None,
     *,
     analyze: bool = False,
 ) -> str:
@@ -355,7 +343,7 @@ def explain_sql(
         parse_tokens(tokens)  # a syntax error outranks the wrong kind
         raise BindError("EXPLAIN supports SELECT statements only")
     return _explain_read(
-        database, tokens, text, optimizer_options, parallelism, backend, analyze
+        database, tokens, text, optimizer_options, parallelism, analyze
     )[0]
 
 
@@ -367,7 +355,6 @@ def _plan_read(
     tokens: list[Token],
     optimizer_options: OptimizerOptions | None,
     parallelism: int | None,
-    backend: str | None,
 ) -> tuple[lp.LogicalPlan, Operator, str]:
     """Plan the SELECT in *tokens*: optimized logical plan, verified
     physical plan, and ``"hit"`` / ``"miss"`` for the plan cache.
@@ -379,9 +366,9 @@ def _plan_read(
     has passed (EXPLAIN's ``verified: ok`` footer).
     """
     optimized, cache_state = _optimized_plan(database, tokens, optimizer_options)
-    operator = PhysicalPlanner(
-        parallelism=parallelism, backend=backend, database=database
-    ).plan(optimized)
+    operator = PhysicalPlanner(parallelism=parallelism, database=database).plan(
+        optimized
+    )
     return optimized, operator, cache_state
 
 
@@ -460,13 +447,12 @@ def _explain_read(
     text: str,
     optimizer_options: OptimizerOptions | None,
     parallelism: int | None,
-    backend: str | None,
     analyze: bool,
 ) -> tuple[str, QueryProfile | None]:
     """EXPLAIN text of the SELECT in *tokens*; with *analyze* the query
     is executed and the text is its profile, returned alongside."""
     optimized, operator, cache_state = _plan_read(
-        database, tokens, optimizer_options, parallelism, backend
+        database, tokens, optimizer_options, parallelism
     )
     if not analyze:
         return explain_both(optimized, operator, verified=True), None
@@ -528,10 +514,6 @@ def _record_profile(database: "Database", profile: QueryProfile) -> None:
             obs.gauge("parallel.last_dop_used").set(
                 int(node.details.get("dop_used", 0))
             )
-            if "shm_bytes" in node.details:
-                obs.counter("parallel.shm_bytes").inc(
-                    int(node.details["shm_bytes"])
-                )
     feedback = getattr(database, "feedback", None)
     if feedback is not None:
         feedback.record_profile(profile)

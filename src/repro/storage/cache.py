@@ -23,9 +23,8 @@ evict what is resident and then itself), plus ``cache.bytes`` /
 
 One cache is shared per :class:`~repro.storage.engine.DurableEngine`
 (all tables, all threads — a single lock guards the LRU book-keeping;
-decode happens outside it).  Worker processes share one process-wide
-cache across engine snapshots (:func:`process_cache`), sized by the
-``REPRO_CACHE_BYTES`` environment variable like the coordinator's.
+decode happens outside it), sized by ``cache_bytes=`` or the
+``REPRO_CACHE_BYTES`` environment variable.
 """
 
 from __future__ import annotations
@@ -414,16 +413,3 @@ class SegmentColumnSource:
             )
             io.bytes_decoded += vector_nbytes(vector)
         return vector
-
-
-# One cache per worker process, shared across engine snapshots so
-# repeated attaches of the same directory reuse decoded blocks.
-_PROCESS_CACHE: BlockCache | None = None
-
-
-def process_cache() -> BlockCache:
-    """The per-process block cache used by parallel worker attach."""
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = BlockCache(cache_capacity_from_env())
-    return _PROCESS_CACHE

@@ -188,7 +188,6 @@ class Database:
         self,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         profile: bool = False,
         snapshot_reads: bool = False,
         label: str | None = None,
@@ -196,7 +195,7 @@ class Database:
         """Open a :class:`~repro.sql.session.Session` on this database.
 
         The session carries sticky knobs every statement issued through
-        it inherits (*parallelism*, *backend*, *profile*), and
+        it inherits (*parallelism*, *profile*), and
         ``snapshot_reads=True`` gives each read statement its own MVCC
         snapshot pin (durable engines only; silently plain reads
         otherwise).  *label* tags the session's ``session.<label>.*``
@@ -210,7 +209,6 @@ class Database:
         return Session(
             self,
             parallelism=parallelism,
-            backend=backend,
             profile=profile,
             snapshot_reads=snapshot_reads,
             label=label,
@@ -497,7 +495,6 @@ class Database:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         profile: bool = False,
         optimizer_options=None,
     ) -> "QueryResult":
@@ -506,12 +503,10 @@ class Database:
         DDL and DML statements return a 1×1 status result; queries
         return a :class:`~repro.exec.result.QueryResult` with named
         columns.  All knobs are keyword-only: *parallelism* overrides
-        the instance default for this statement, *backend* picks the
-        parallel execution backend (``thread`` | ``process`` | ``auto``;
-        ``None`` resolves ``REPRO_PARALLEL_BACKEND``), *profile*
-        instruments the execution and attaches a ``QueryProfile`` to
-        the result (``result.profile``), and *optimizer_options* passes
-        a :class:`~repro.plan.optimizer.OptimizerOptions` through to the
+        the instance default for this statement, *profile* instruments
+        the execution and attaches a ``QueryProfile`` to the result
+        (``result.profile``), and *optimizer_options* passes a
+        :class:`~repro.plan.optimizer.OptimizerOptions` through to the
         optimizer (e.g. to disable PatchIndex rewrites).
 
         Statements run under the database's implicit default session;
@@ -521,7 +516,6 @@ class Database:
         return self._default_session().sql(
             text,
             parallelism=parallelism,
-            backend=backend,
             profile=profile,
             optimizer_options=optimizer_options,
         )
@@ -531,7 +525,6 @@ class Database:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         analyze: bool = False,
         optimizer_options=None,
     ) -> str:
@@ -544,7 +537,6 @@ class Database:
         return self._default_session().explain(
             text,
             parallelism=parallelism,
-            backend=backend,
             analyze=analyze,
             optimizer_options=optimizer_options,
         )

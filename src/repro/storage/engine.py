@@ -19,7 +19,7 @@ is the lifecycle around three modules that do the work:
 - :mod:`repro.storage.materialize` reads one back: tables from segments
   plus the WAL tail, PatchIndexes restored from the persisted patch
   sets or rebuilt from data (paper §V) — the one reconstruction behind
-  recovery, snapshot builds and advances, and worker attach;
+  recovery, snapshot builds and snapshot advances;
 - :mod:`repro.storage.snapshot` pins ``(generation, LSN)`` states for
   MVCC readers and serializes them with the checkpoint flip.
 
@@ -51,7 +51,6 @@ from repro.storage.manifest import (
     read_manifest,
 )
 from repro.storage.materialize import (
-    attach_tables,
     load_tables,
     materialize_indexes,
     materialize_tables,
@@ -406,10 +405,6 @@ class DurableEngine(StorageEngine):
         obs.counter("recovery.index_fallbacks").inc(sum(built.fallbacks.values()))
         for reason, count in built.fallbacks.items():
             obs.counter(f"recovery.index_fallbacks.{reason}").inc(count)
-
-    def attach_tables(self, expected_lsn: int | None = None) -> dict[str, Table]:
-        """This directory's table state as a worker process would see it."""
-        return attach_tables(self.root, expected_lsn, cache=self._cache, mmap=self.mmap)
 
     # -- snapshots ---------------------------------------------------------
 

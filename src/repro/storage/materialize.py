@@ -1,16 +1,15 @@
 """One reconstruction of durable state: tables first, then PatchIndexes.
 
 "Load a generation, replay the WAL up to LSN *x*, end with tables and their
-PatchIndexes" is what recovery, a snapshot build, a snapshot advance and a
-worker attach all need.  It is written once, as two functions, and each of
-those four is a thin caller::
+PatchIndexes" is what recovery, a snapshot build and a snapshot advance all
+need.  It is written once, as two functions, and each of those three is a
+thin caller::
 
                      materialize_tables          materialize_indexes
     recover()        manifest + whole log        yes  (provenance "recovery")
     snapshot build   manifest + log <= pin       lazily, on first catalog use
     snapshot advance base=handle.tables + span   no   (attached indexes follow
                                                        the replay as listeners)
-    attach_tables()  manifest + whole log        no   (patches ship by value)
 
 :func:`materialize_indexes` holds the one restore-vs-rebuild rule.  An index
 whose ``create_index`` record the generation's checkpoint covers is *restored*:
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,11 +40,9 @@ from repro.storage.cache import BlockCache, SegmentColumnSource
 from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema
 from repro.storage.manifest import (
-    WAL_NAME,
     Manifest,
     TableManifest,
     patches_path,
-    read_manifest,
 )
 from repro.storage.partition import Partition
 from repro.storage.segment import open_segment
@@ -55,7 +51,6 @@ from repro.storage.wal import (
     DATA_KINDS,
     PATCH_KINDS,
     WalRecord,
-    WriteAheadLog,
     live_records_of,
 )
 
@@ -216,34 +211,6 @@ def materialize_tables(
                 )
             apply_data_record(table, record)
     return tables
-
-
-def attach_tables(
-    root: str | os.PathLike,
-    expected_lsn: int | None = None,
-    *,
-    cache: BlockCache | None,
-    mmap: bool,
-) -> dict[str, Table]:
-    """Read-only table state of a data directory, as a worker process sees it.
-
-    The WAL is opened without torn-tail tolerance: tolerating a torn tail
-    truncates the file, and an attach must never write to the coordinator's
-    live log.  *expected_lsn* is the coordinator WAL's last LSN at planning
-    time; a mismatch means the database changed (or the worker sees a
-    different directory) and the attach refuses rather than serve divergent
-    data — the coordinator falls back to serial execution.
-    """
-    root = Path(root)
-    wal = WriteAheadLog(root / WAL_NAME, sync=False, tolerate_torn_tail=False)
-    if expected_lsn is not None and wal.last_lsn != expected_lsn:
-        raise StorageError(
-            f"worker attach at {root} saw WAL LSN {wal.last_lsn}, "
-            f"coordinator planned against {expected_lsn}"
-        )
-    return materialize_tables(
-        root, read_manifest(root), wal.records(), cache=cache, mmap=mmap
-    )
 
 
 # -- indexes -----------------------------------------------------------------

@@ -16,7 +16,7 @@ against a segment-level sorted dictionary.  The header records
 reader can prune *and* decode blocks independently — the scan path
 decodes on demand through the block cache (:mod:`repro.storage.cache`)
 instead of materializing whole columns.  ``mmap=True`` maps the encoded
-payload region and decodes per block (in the worker process for
+payload region and decodes per block (on the morsel thread for
 parallel scans).
 
 Segments are immutable once written: a checkpoint writes a fresh

@@ -346,9 +346,7 @@ class SnapshotView:
     (the snapshot tables), ``obs`` / ``feedback`` (shared with the
     owning database so served reads feed the same observability), and
     ``parallelism``.  Only ``SELECT`` / ``EXPLAIN`` statements may run;
-    the parallel backend is clamped to threads because a process worker
-    would re-attach the data directory at the *live* WAL LSN and escape
-    the snapshot.
+    morsel threads read the snapshot's own tables in place.
 
     The view owns its pin: :meth:`close` (or context-manager exit)
     releases it, allowing deferred generation GC to run.
@@ -377,7 +375,6 @@ class SnapshotView:
         text: str,
         *,
         parallelism: int | None = None,
-        backend: str | None = None,
         profile: bool = False,
         optimizer_options=None,
     ) -> "QueryResult":
@@ -391,13 +388,11 @@ class SnapshotView:
                 "run against a pinned snapshot"
             )
         effective = parallelism if parallelism is not None else self.parallelism
-        del backend  # clamped: process workers would escape the snapshot
         return _execute_statement(
             self,
             text,
             optimizer_options=optimizer_options,
             parallelism=effective,
-            backend="thread",
             profile=profile,
         )
 
@@ -419,7 +414,6 @@ class SnapshotView:
             text,
             optimizer_options=optimizer_options,
             parallelism=effective,
-            backend="thread",
             analyze=analyze,
         )
 

@@ -4,8 +4,7 @@ The cache must be boring in exactly one way: it can never change query
 results.  The mutation fuzz here runs the same operation stream against
 a durable cached database and an in-memory mirror and compares results
 after every step — append, delete, update and checkpoint must all
-invalidate (or bypass) cached blocks correctly, including in worker
-processes that attach the data directory and replay the WAL tail.
+invalidate (or bypass) cached blocks correctly.
 """
 
 import io
@@ -18,9 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.cost_model import CostModel
 from repro.errors import StorageError
-from repro.exec.parallel.procpool import shutdown_process_pool
 from repro.storage.cache import (
     BlockCache,
     ENV_CACHE_BYTES,
@@ -387,61 +384,3 @@ class TestNeverStale:
         assert reopened.sql(QUERY).rows() == expected
         assert reopened.sql(QUERY).rows() == expected  # warm pass
         reopened.close()
-
-
-#: Zeroed fan-out weights so the tiny fixture passes the process gate.
-FORCE = CostModel(
-    parallel_startup_weight=0,
-    morsel_dispatch_weight=0,
-    process_startup_weight=0,
-    process_dispatch_weight=0,
-)
-
-
-class TestProcessWorkers:
-    @pytest.fixture(autouse=True)
-    def _teardown(self):
-        yield
-        shutdown_process_pool()
-
-    def test_worker_replays_tail_after_checkpoint(self, tmp_path):
-        from repro.exec.result import collect
-        from repro.plan.optimizer import Optimizer
-        from repro.plan.physical import PhysicalPlanner
-        from repro.sql.binder import Binder
-        from repro.sql.parser import parse_statement
-
-        db = repro.connect(
-            path=tmp_path / "db", parallelism=2, mmap=True, sync=False
-        )
-        table = db.create_table("t", SCHEMA, partition_count=2, block_size=8)
-        table.insert_rows([[i % 7, i] for i in range(64)])
-        db.sql("CHECKPOINT")
-        db.sql(QUERY)  # warm the coordinator cache pre-mutation
-
-        def run_process(text):
-            statement = parse_statement(text)
-            logical = Binder(db.catalog).bind_select(statement)
-            optimized = Optimizer(db.catalog).optimize(logical)
-            plan = PhysicalPlanner(
-                parallelism=2,
-                morsel_size=16,
-                cost_model=FORCE,
-                backend="process",
-                database=db,
-            ).plan(optimized)
-            return collect(plan)
-
-        # Tail mutations after the checkpoint: workers must attach the
-        # segments AND replay these before serving blocks.
-        table.insert_rows([[100, 1], [101, 2]])
-        table.update_rowid(3, "v", 7777)
-        expected = db.sql(QUERY).rows()
-        assert run_process(QUERY).rows() == expected
-
-        # Mutate again: the snapshot LSN moves, so cached worker tables
-        # for the old snapshot must not leak into the new query.
-        table.insert_rows([[200, 5]])
-        expected = db.sql(QUERY).rows()
-        assert run_process(QUERY).rows() == expected
-        db.close()

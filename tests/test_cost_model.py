@@ -66,50 +66,41 @@ class TestBreakeven:
 
 
 class TestParallelGate:
-    """Pin the fan-out decisions the benchmarks depend on.
+    """Pin the fan-out decisions of the morsel thread pool.
 
-    The 10M-row ``COUNT(DISTINCT)`` bench table (8 partitions, 2^18
-    morsel size -> 40 morsels) must plan parallel on both backends even
-    at dop=2; the 1M-row CI bench variant must still clear the process
-    gate; and small inputs must stay serial.
+    A 10M-row scan (8 partitions, 2^18 morsel size -> 40 morsels) must
+    plan parallel even at dop=2, and small inputs must stay serial.
     """
 
     def test_bench_table_plans_parallel_thread(self):
         model = CostModel()
-        assert model.should_parallelize(10_000_000, 2, 40, "thread")
-        assert model.should_parallelize(10_000_000, 4, 40, "thread")
-
-    def test_bench_table_plans_parallel_process(self):
-        model = CostModel()
-        assert model.should_parallelize(10_000_000, 2, 40, "process")
-        assert model.should_parallelize(10_000_000, 4, 40, "process")
-
-    def test_ci_bench_table_clears_process_gate(self):
-        # REPRO_BENCH_PARALLEL_ROWS=1_000_000: 8 partitions, 8 morsels.
-        model = CostModel()
-        assert model.should_parallelize(1_000_000, 2, 8, "process")
+        assert model.should_parallelize(10_000_000, 2, 40)
+        assert model.should_parallelize(10_000_000, 4, 40)
 
     def test_small_input_stays_serial(self):
         model = CostModel()
-        assert not model.should_parallelize(200_000, 2, 8, "process")
-        assert not model.should_parallelize(10_000, 4, 8, "thread")
+        assert not model.should_parallelize(200_000, 2, 8)
+        assert not model.should_parallelize(10_000, 4, 8)
 
-    def test_process_breakeven_is_higher_than_thread(self):
+    def test_thread_breakeven(self):
         model = CostModel()
-        n = 300_000
-        assert model.should_parallelize(n, 2, 8, "thread")
-        assert not model.should_parallelize(n, 2, 8, "process")
+        assert model.should_parallelize(300_000, 2, 8)
+        assert not model.should_parallelize(240_000, 2, 8)
 
     def test_degenerate_shapes_stay_serial(self):
         model = CostModel()
-        assert not model.should_parallelize(10_000_000, 1, 40, "process")
-        assert not model.should_parallelize(10_000_000, 4, 1, "process")
+        assert not model.should_parallelize(10_000_000, 1, 40)
+        assert not model.should_parallelize(10_000_000, 4, 1)
 
-    def test_backend_defaults_to_thread_weights(self):
+    def test_parallel_cost_is_startup_plus_dispatch_plus_share(self):
         model = CostModel()
-        explicit = model.parallel_scan(1_000_000, 4, 16, "thread")
-        default = model.parallel_scan(1_000_000, 4, 16)
-        assert default.patched_cost == explicit.patched_cost
+        estimate = model.parallel_scan(1_000_000, 4, 16)
+        assert estimate.plain_cost == model.scan_weight * 1_000_000
+        assert estimate.patched_cost == (
+            model.scan_weight * 1_000_000 / 4
+            + model.morsel_dispatch_weight * 16
+            + model.parallel_startup_weight
+        )
 
 
 class TestCostEstimate:

@@ -1,10 +1,9 @@
-"""Four doors, one state.
+"""Three doors, one state.
 
 ``storage/materialize.py`` is the single reconstruction behind recovery,
-a cold snapshot build, a snapshot advance and a worker attach.  One
-scripted history is stopped after every step; at each stop all four
-doors must yield tables equal rowid-for-rowid (values and validity) to
-the live database, and the three that carry PatchIndexes must yield
+a cold snapshot build and a snapshot advance.  One scripted history is
+stopped after every step; at each stop all three doors must yield tables
+equal rowid-for-rowid (values and validity) to the live database and
 patch sets equal to the live ones — and to a from-scratch
 ``PatchIndex.create`` over the live tables, which the history is
 scripted to keep minimal (no maintenance drift), so a restore, an
@@ -23,7 +22,7 @@ import pytest
 import repro
 from repro.core.patch_index import PatchIndex
 from repro.storage.manifest import patches_path, read_manifest
-from repro.storage.materialize import FALLBACK_REASONS, attach_tables
+from repro.storage.materialize import FALLBACK_REASONS
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
 
@@ -248,7 +247,7 @@ def counters(db) -> dict:
 
 @pytest.fixture(scope="module")
 def stops(tmp_path_factory):
-    """Walk the history once, observing all four doors at every stop."""
+    """Walk the history once, observing all three doors at every stop."""
     root = tmp_path_factory.mktemp("materialize") / "db"
     db = repro.connect(root, parallelism=1, sync=False)
     observed: dict[str, Stop] = {}
@@ -273,10 +272,6 @@ def stops(tmp_path_factory):
             > before.get(f"storage.snapshot.{name}", 0)
         ]
         stop.snapshot_outcome = moved[0]
-        # (d) what a worker process computes on.
-        stop.doors_tables["attach"] = tables_state(
-            attach_tables(root, db.wal.last_lsn, cache=None, mmap=False)
-        )
         # (a) reopen — of a copy, so the live engine stays the only writer
         # of its directory — and (b) the copy's first snapshot, which is
         # a cold build by construction.
@@ -311,8 +306,8 @@ def stops(tmp_path_factory):
 
 
 @pytest.mark.parametrize("stop_name", STOPS)
-class TestFourDoorsOneState:
-    @pytest.mark.parametrize("door", ["reopen", "cold", "advanced", "attach"])
+class TestFourDoorsOneState:  # three doors; the name carries 100+ test ids
+    @pytest.mark.parametrize("door", ["reopen", "cold", "advanced"])
     def test_tables_equal_live(self, stops, stop_name, door):
         stop = stops[stop_name]
         assert stop.doors_tables[door] == stop.live_tables

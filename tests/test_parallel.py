@@ -5,10 +5,24 @@ ordered gather in morsel (= rowid) order, stable pairwise merges, and
 two-phase aggregation that preserves the serial group order.  The tests
 force parallel plans on small tables with a zero-overhead cost model;
 the default model keeps such tables serial (checked too).
+
+The durable half runs a fixed corpus and the query fuzzer's statements
+serially and on the thread pool against a checkpointed-then-indexed,
+memory-mapped database — PatchSelect in both modes, block-pruned scans
+and the ordered gather over lazily decoded segments plus a WAL tail —
+and a subprocess checks that nothing on that path starts a process.
 """
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.cost_model import CostModel
 from repro.errors import PlanError, StorageError
@@ -37,10 +51,12 @@ from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from repro.storage.column import ColumnVector
 from repro.storage.database import Database
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
+from tests.test_query_fuzz import queries
 
 #: Cost model that always says "parallelize" for >= 2 morsels.
 FORCE = CostModel(parallel_startup_weight=0.0, morsel_dispatch_weight=0.0)
@@ -548,3 +564,223 @@ class TestMorselDataclass:
         assert hash(morsel) == hash(Morsel(((0, 4),)))
         with pytest.raises(Exception):
             morsel.ranges = ()
+
+
+# -- thread-vs-serial parity on a durable, memory-mapped database -------------
+
+_DB_CACHE: list[Database] = []
+_DB_ROOT: list[str] = []
+
+
+def durable_db() -> Database:
+    """The fuzz fixture's twin on a durable mmap'd engine (cached).
+
+    Same data as ``tests.test_query_fuzz.fuzz_db`` — a nearly-unique
+    column, a nearly-sorted column, a category column, a column of
+    magnitudes past 2**53, NULLs, two PatchIndexes and a join dimension
+    — but checkpointed to a data directory mid-build, so the morsel
+    threads decode lazily loaded segment blocks *and* read rows that
+    only exist in the WAL tail (an update and an insert land after the
+    checkpoint, the indexes after both).
+    """
+    if not _DB_CACHE:
+        root = tempfile.mkdtemp(prefix="durable_db_")
+        rng = np.random.default_rng(77)
+        n = 400
+        unique = rng.permutation(n).astype(np.int64)
+        unique[rng.choice(n, 8, replace=False)] = 7  # duplicates
+        nearly_sorted = np.arange(n, dtype=np.int64)
+        nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
+        category = rng.integers(0, 5, n).astype(np.int64)
+        big = 2**53 + rng.permutation(n).astype(np.int64)
+        db = Database(path=root, mmap=True, sync=False)
+        schema = Schema(
+            [
+                Field("u", DataType.INT64),
+                Field("s", DataType.INT64),
+                Field("g", DataType.INT64),
+                Field("b", DataType.INT64),
+            ]
+        )
+        table = db.create_table("f", schema, partition_count=3, block_size=8)
+        table.load_columns(
+            {
+                "u": ColumnVector(DataType.INT64, unique),
+                "s": ColumnVector(DataType.INT64, nearly_sorted),
+                "g": ColumnVector(DataType.INT64, category),
+                "b": ColumnVector(DataType.INT64, big),
+            },
+            partition_by_round_robin_blocks=True,
+        )
+        for rowid in (5, 100):
+            table.update_rowid(rowid, "u", None)
+        db.sql("CHECKPOINT")
+        table.update_rowid(300, "u", None)
+        db.sql(
+            f"INSERT INTO f VALUES (1000, 400, 2, {2**53 + 1000}), "
+            "(1001, 401, 4, NULL)"
+        )
+        db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
+        db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
+        db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
+        dim_rows = ", ".join(f"({i}, {i * 10})" for i in range(0, n, 3))
+        db.sql(f"INSERT INTO dim VALUES {dim_rows}")
+        _DB_CACHE.append(db)
+        _DB_ROOT.append(root)
+    return _DB_CACHE[0]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_durable_db():
+    yield
+    if _DB_CACHE:
+        _DB_CACHE.pop().close()
+        shutil.rmtree(_DB_ROOT.pop(), ignore_errors=True)
+
+
+def plan_durable(db, text, parallelism=4, morsel_size=16):
+    """Plan *text* against *db* (a Database or a snapshot view), forced
+    past the cost gate, with the engine's storage state in view."""
+    return run_query(
+        db,
+        text,
+        PhysicalPlanner(
+            parallelism=parallelism,
+            morsel_size=morsel_size,
+            cost_model=FORCE,
+            database=db,
+        ),
+    )
+
+
+def assert_parity(query, reference, candidate):
+    assert sorted(map(str, reference.to_pylist())) == sorted(
+        map(str, candidate.to_pylist())
+    ), query
+    if "ORDER BY" in query and "GROUP BY" not in query:
+        assert reference.to_pylist() == candidate.to_pylist(), query
+
+
+FIXED_CORPUS = [
+    "SELECT u, s FROM f WHERE u < 100",
+    "SELECT COUNT(DISTINCT u) AS n FROM f",
+    "SELECT DISTINCT g FROM f",
+    "SELECT g, SUM(s) AS total FROM f GROUP BY g ORDER BY g",
+    "SELECT u FROM f ORDER BY u DESC",
+    "SELECT s FROM f WHERE s BETWEEN 40 AND 200 ORDER BY s",
+    "SELECT COUNT(*) AS n FROM f WHERE u IS NULL",
+    "SELECT u, s FROM f WHERE (u < 50 OR s > 350)",
+    "SELECT MIN(u) AS lo, MAX(s) AS hi, COUNT(*) AS n FROM f",
+]
+
+
+class TestDurableThreadParity:
+    def test_fixed_corpus(self):
+        db = durable_db()
+        for query in FIXED_CORPUS:
+            serial = collect(plan_durable(db, query, parallelism=1))
+            threaded = collect(plan_durable(db, query))
+            assert_parity(query, serial, threaded)
+
+    @given(queries())
+    @settings(max_examples=25, deadline=None)
+    def test_fuzz_corpus(self, query):
+        db = durable_db()
+        serial = collect(plan_durable(db, query, parallelism=1))
+        threaded = collect(plan_durable(db, query))
+        assert_parity(query, serial, threaded)
+
+    def test_both_patch_select_modes_run_in_fragments(self):
+        db = durable_db()
+        operator = plan_durable(db, "SELECT COUNT(DISTINCT u) AS n FROM f")
+        text = operator.explain()
+        exclude = text.index("PatchSelect(mode=exclude_patches")
+        use = text.index("PatchSelect(mode=use_patches")
+        assert text.index("Exchange(dop=4") < exclude, text
+        assert exclude < text.index("ParallelDistinct(dop=4") < use, text
+        serial = collect(
+            plan_durable(db, "SELECT COUNT(DISTINCT u) AS n FROM f", 1)
+        )
+        assert collect(operator).to_pylist() == serial.to_pylist()
+
+    def test_pruned_scan_morsels_cover_only_surviving_blocks(self):
+        db = durable_db()
+        query = "SELECT u, s FROM f WHERE s BETWEEN 40 AND 200"
+        operator = plan_durable(db, query)
+        assert isinstance(operator, Exchange)
+        covered = sum(morsel.rows for morsel in operator.morsels)
+        assert 0 < covered < db.table("f").row_count
+        serial = collect(plan_durable(db, query, parallelism=1))
+        assert collect(operator).to_pylist() == serial.to_pylist()
+
+    def test_ordered_gather_is_rowid_order(self):
+        db = durable_db()
+        query = "SELECT u, s, b FROM f WHERE g <> 1"
+        operator = plan_durable(db, query)
+        assert isinstance(operator, Exchange) and len(operator.morsels) > 4
+        serial = collect(plan_durable(db, query, parallelism=1))
+        assert collect(operator).to_pylist() == serial.to_pylist()
+
+
+class TestNoProcessesAnywhere:
+    def test_parallel_query_starts_no_process(self, tmp_path):
+        """``Database.sql(q, parallelism=2)`` on a durable directory is
+        the serial answer rowid-for-rowid, computed without importing a
+        process pool or leaving a child behind — the server imports the
+        same modules, so this is its guarantee too."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            import repro
+            import repro.plan.physical
+            import repro.serve
+
+            db = repro.connect(sys.argv[1], mmap=True, sync=False)
+            db.sql("CREATE TABLE big (k BIGINT, v BIGINT) PARTITIONS 4")
+            table = db.table("big")
+            n = 400_000
+            import numpy as np
+            from repro.storage.column import ColumnVector
+            from repro.types import DataType
+            table.load_columns(
+                {
+                    "k": ColumnVector(DataType.INT64, np.arange(n)),
+                    "v": ColumnVector(DataType.INT64, np.arange(n) % 97),
+                },
+                partition_by_round_robin_blocks=True,
+            )
+            db.sql("CHECKPOINT")
+            query = "SELECT k, v FROM big WHERE v < 3"
+            assert "Exchange(dop=2" in db.explain(query, parallelism=2)
+            serial = db.sql(query, parallelism=1)
+            parallel = db.sql(query, parallelism=2)
+            assert parallel.row_count > 0
+            assert parallel.to_pylist() == serial.to_pylist()
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                pass
+            else:
+                raise AssertionError("a child process exists")
+            db.close()
+            loaded = sorted(
+                name
+                for name in sys.modules
+                if name.startswith("multiprocessing")
+                or name == "concurrent.futures.process"
+            )
+            assert not loaded, loaded
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [path for path in sys.path if path]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "data")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

@@ -3,14 +3,15 @@
 Unit half: :class:`SanitizedLock` raises a typed
 :class:`~repro.errors.LockOrderError` (both stacks attached) the moment
 an acquisition inverts a recorded order — no deadlock interleaving
-required — and the :class:`ResourceLedger` turns unbalanced pins into
+required — and the :class:`ResourceLedger` turns unbalanced pins (a
+leak, or a release nobody tracked) into
 :class:`~repro.errors.ResourceLeakError` at teardown.
 
 Fuzz half (the ISSUE's concurrent-session scenario): a durable database
 behind a :class:`ServerThread` under ``REPRO_SANITIZE=1`` takes
-concurrent readers, a writer, a checkpoint, a forced worker death and a
+concurrent readers, a writer, a checkpoint, a morsel-parallel scan and a
 client that disconnects mid-query — and every balance (snapshot pins,
-shm segments, cache accounting) must land back on zero.
+cache accounting) must land back on zero.
 """
 
 from __future__ import annotations
@@ -145,12 +146,29 @@ class TestResourceLedger:
         ledger.release("pin", "t2")
         assert ledger.balances() == {}
 
-    def test_unknown_release_is_ignored(self):
-        # The coordinator unlinks worker-created shm blocks; its ledger
-        # never saw the create and must not go negative.
+    def test_unknown_release_is_caught(self, monkeypatch):
+        # Every resource lives in one process: a release nobody tracked
+        # is a double release or a bookkeeping bug, never "the other
+        # half happened elsewhere".
         ledger = ResourceLedger()
-        ledger.release("shm_segment", "never_tracked")
+        ledger.release("snapshot_pin", "never_tracked")
         assert ledger.balances() == {}
+        ((kind, token, stack),) = ledger.unmatched()
+        assert (kind, token) == ("snapshot_pin", "never_tracked")
+        assert "test_sanitize" in stack
+
+        monkeypatch.setenv(sanitize.ENV_FLAG, "1")
+        sanitize.reset()
+        sanitize.track_resource("snapshot_pin", "once")
+        sanitize.release_resource("snapshot_pin", "once")
+        sanitize.assert_balanced()
+        sanitize.release_resource("snapshot_pin", "once")
+        (problem,) = sanitize.check_balances()
+        assert "'once' released but never tracked" in problem
+        with pytest.raises(ResourceLeakError, match="never tracked"):
+            sanitize.assert_balanced()
+        sanitize.reset()
+        sanitize.assert_balanced()
 
     def test_outstanding_carries_acquiring_stack(self):
         ledger = ResourceLedger()
@@ -190,7 +208,7 @@ class TestCacheAccounting:
         assert problems and "drifted" in problems[0]
 
 
-# -- end-to-end: pins, shm and locks under real concurrency -------------------
+# -- end-to-end: pins and locks under real concurrency ------------------------
 
 
 def _build_db(root, monkeypatch):
@@ -224,8 +242,6 @@ def _build_db(root, monkeypatch):
 class TestConcurrentSessionFuzz:
     def test_fuzz_balances_return_to_zero(self, tmp_path, monkeypatch):
         import repro
-        from repro.exec.parallel import procpool
-        from repro.exec.parallel.procpool import shutdown_process_pool
         from repro.serve import ServerClient, ServerThread
         from repro.serve.protocol import encode_frame
 
@@ -284,26 +300,23 @@ class TestConcurrentSessionFuzz:
             if failures:
                 raise failures[0]
 
-            # Forced worker death: each affected morsel retries
-            # serially and the coordinator still reclaims every block.
-            from tests.test_parallel_backends import assert_parity, run_query
+            # A morsel-parallel scan through a pinned snapshot: the
+            # pool threads take the cache lock under the sanitizer too.
+            from repro.exec.result import collect
+            from tests.test_parallel import plan_durable
 
             query = "SELECT k, v FROM fuzz WHERE v >= 0"
-            serial = run_query(db, query, None, parallelism=1)
-            monkeypatch.setattr(procpool, "FAULT_INJECTION", "exit")
-            try:
-                survived = run_query(
-                    db, query, "process", parallelism=2, morsel_size=4096
+            with db.snapshot() as view:
+                serial = collect(plan_durable(view, query, parallelism=1))
+                operator = plan_durable(
+                    view, query, parallelism=2, morsel_size=2048
                 )
-            finally:
-                monkeypatch.setattr(procpool, "FAULT_INJECTION", None)
-            assert_parity(query, serial, survived)
+                assert "Exchange(dop=2" in operator.explain()
+                assert collect(operator).to_pylist() == serial.to_pylist()
         finally:
-            shutdown_process_pool()
             db.close()
 
         assert sanitize.check_balances() == []
-        assert sanitize.leaked_shm_segments() == []
         # The engine's hot locks really were sanitized: held-time
         # histograms exist for the snapshot lock the fuzz hammered.
         held = sanitize.registry().histogram(

@@ -124,7 +124,7 @@ class TestPruningNeverLosesRows:
     def test_parallel_fragments_prune_the_same(self, table, predicate):
         query = f"SELECT a, b, s FROM t WHERE {predicate}"
         free = CostModel(parallel_startup_weight=0.0, morsel_dispatch_weight=0.0)
-        knobs = dict(parallelism=2, morsel_size=4, cost_model=free, backend="thread")
+        knobs = dict(parallelism=2, morsel_size=4, cost_model=free)
         pruned = collect(_plan(table, query, **knobs)).to_pylist()
         unpruned = collect(
             _plan(table, query, derive_scan_ranges=False, **knobs)

@@ -152,6 +152,22 @@ class TestServerRoundTrip:
         with pytest.raises(ProtocolError, match="unknown session knob"):
             client.set("fsync", False)
 
+    def test_retired_backend_knob_is_refused_not_ignored(self, client):
+        with pytest.raises(ProtocolError) as excinfo:
+            client.set("backend", "process")
+        message = str(excinfo.value)
+        assert "unknown session knob 'backend'" in message
+        for knob in ("parallelism", "profile", "snapshot_reads"):
+            assert knob in message
+        # The connection survives the refusal.
+        assert client.set("parallelism", 2) == 2
+        assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        # A stale caller of the removed keyword fails loudly too.
+        with pytest.raises(TypeError):
+            client.sql("SELECT c FROM t", backend="process")
+        with pytest.raises(TypeError):
+            client.explain("SELECT c FROM t", backend="process")
+
     def test_typed_errors_propagate(self, client):
         with pytest.raises(BindError, match="nope"):
             client.sql("SELECT nope FROM t")

@@ -188,6 +188,30 @@ class TestSnapshotView:
         assert durable.obs.counter("storage.snapshot.pins").value >= 2
 
 
+class TestRetiredBackendKnob:
+    def test_every_local_surface_rejects_the_keyword(self, durable):
+        query = "SELECT c FROM t"
+        with pytest.raises(TypeError):
+            durable.session(backend="thread")
+        with durable.session() as session, durable.snapshot() as view:
+            for surface in (durable, session, view):
+                with pytest.raises(TypeError):
+                    surface.sql(query, backend="thread")
+                with pytest.raises(TypeError):
+                    surface.explain(query, backend="thread")
+
+    def test_planner_keeps_the_one_name_the_frozen_bench_passes(self):
+        from repro.errors import PlanError
+        from repro.exec.parallel import shutdown_pool, shutdown_process_pool
+        from repro.plan.physical import PhysicalPlanner
+
+        PhysicalPlanner(parallelism=1, backend="thread")
+        PhysicalPlanner(parallelism=1, backend=None)
+        with pytest.raises(PlanError, match="only backend"):
+            PhysicalPlanner(parallelism=1, backend="process")
+        assert shutdown_process_pool is shutdown_pool
+
+
 class TestGroupCommit:
     def test_deferred_sync_batches_fsyncs(self, durable):
         wal = durable.wal

@@ -130,15 +130,12 @@ METRIC_NAMESPACES = (
 
 #: Source files allowed to read raw buffers — ``np.frombuffer``,
 #: ``np.ndarray(buffer=...)``, ``as_strided`` — (L8): the two codec
-#: modules that own the RSEG wire formats, plus the parallel transport
-#: (shm result frames and shipped patch-rowid blobs are its own wire
-#: format, not segment payloads) and the client/server protocol (the
-#: result wire format is its own codec, not a segment payload).
+#: modules that own the RSEG wire formats, plus the client/server
+#: protocol (the result wire format is its own codec, not a segment
+#: payload).
 FROMBUFFER_ALLOWED_FILES = (
     "storage/segment.py",
     "core/compression.py",
-    "exec/parallel/shm.py",
-    "exec/parallel/worker.py",
     "serve/protocol.py",
 )
 
