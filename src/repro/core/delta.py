@@ -282,8 +282,7 @@ def record_delta_stats(stats: "MaintenanceStats", delta: PatchDelta) -> None:
     """Fold one applied delta into the drift counters.
 
     Shared by the live maintainer and WAL-delta replay so a restored
-    index reports exactly the drift it had accumulated before the crash
-    (cache-invalidation counts excepted — replay holds no caches).
+    index reports exactly the drift it had accumulated before the crash.
     """
     if delta.event == "append":
         stats.appends_handled += 1

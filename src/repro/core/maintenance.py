@@ -17,42 +17,53 @@ Every handler is a pure *classifier*: it derives a
 :class:`~repro.core.delta.PatchDelta` from the mutation event and
 applies it through the delta layer (:func:`repro.core.delta.apply_ops`)
 — never by mutating patch sets directly.  The owning database logs the
-delta into the WAL (durable engines), so recovery can replay the exact
-same membership changes over checkpoint-persisted patch sets instead of
-rebuilding every index from data.
+delta into the WAL (durable engines), so recovery and snapshot readers
+replay the exact same membership changes instead of re-deriving them.
+
+The classifier keeps **no state between events**.  Any valid patch set
+answers queries correctly, so membership is decided from the data at the
+moment of the mutation — a query over the mutated rows, the way the
+authors' follow-up maintains a NUC by joining the inserted tuples
+against the table (arXiv 2102.06557).  Each partition's patch set
+remembers how many rows it accounts for; whatever lies beyond that count
+in the partition is the event's new rows.  Nothing is built on first
+use, invalidated by a delete, or rebuilt after a restore.
 
 Policies per event:
 
-**append** (new rows at the end of the last partition)
-    - NSC: greedy extension — an appended value that does not break the
-      partition's sorted tail is kept, anything else (including NULL)
-      becomes a patch.  ``O(1)`` per row.
-    - NUC: a value equal to a kept value moves *both* rows into the
-      patch set (condition NUC2); values equal to existing patch values
-      and NULLs become patches; fresh values are kept.  ``O(1)``
-      expected per row using a kept-value hash map built lazily on the
-      first mutation.
-
-**load** (bulk rows appended to the tail of every partition)
-    - classified like appends, per partition in rowid order.  A
-      global-scope NSC additionally patches every new row landing in a
+**append / load** (new rows at the tail of one / every partition)
+    - NSC: greedy extension — a new value that does not break the sorted
+      tail (read from the partition's last kept row at the time of the
+      call) is kept, anything else (including NULL) becomes a patch.
+      A global-scope NSC additionally patches every new row landing in a
       partition *before* the last one — those rows sit between existing
       kept rows in global rowid order, so only the final partition's
-      tail can extend the global sorted subsequence.
+      tail can extend the global sorted subsequence.  ``O(batch)``.
+    - NUC: a new row is a patch when it is NULL, when its value occurs
+      twice among the new rows, or when any accounted row holds its
+      value; a *kept* row holding it moves into the patch set as well
+      (condition NUC2).  One ``np.unique`` over the batch, then per
+      partition one range comparison over the column and a
+      ``searchsorted`` of the rows whose value falls inside the batch's
+      value range — ``O(|column|)`` comparisons plus ``O(in-range rows ·
+      log batch)``, per batch however small.  On a numeric column the
+      comparisons are numpy's (~0.4 ms per statement at 200 k rows); a
+      STRING column is an object array, so each one calls into Python
+      once per row (~6 ms at 200 k rows, where the per-index hash map
+      this replaced answered in O(1) once its ~200 ms build was paid).
 
 **delete**
     - patch sets are remapped to the new dense rowid numbering; deleting
       rows never un-sorts a sorted remainder nor un-uniquifies unique
-      values, so no new patches arise.  Cached kept-value and
-      sorted-tail snapshots are invalidated in one place for both
-      constraint kinds (they rebuild lazily).
+      values, so no new patches arise.
 
 **update** (point update of the indexed column)
     - the updated row is re-classified: it joins the patch set when the
       new value violates the constraint (for NUC, a kept row holding the
       same value is demoted as well — NUC2), and a patched NUC row whose
-      new value is fresh is *promoted* back out of the patch set.
-      Updates to other columns are ignored.
+      new value no other row holds is *promoted* back out of the patch
+      set.  A NUC update looks its one value up like a one-row append:
+      ``O(|column|)`` comparisons.  Updates to other columns are ignored.
 """
 
 from __future__ import annotations
@@ -65,9 +76,15 @@ import numpy as np
 from repro.core import delta as delta_layer
 from repro.core.constraints import ConstraintKind
 from repro.core.delta import DeltaOp, PatchDelta
+from repro.storage.column import ColumnVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.patch_index import PatchIndex
+    from repro.core.patches import PatchSet
+    from repro.storage.partition import Partition
+
+#: (partition, first new local rowid, partition row count) of one event.
+Tail = tuple["Partition", int, int]
 
 
 @dataclass
@@ -82,39 +99,49 @@ class MaintenanceStats:
     patches_added: int = 0
     patches_removed: int = 0
     kept_rows_demoted: int = 0
-    invalidations: int = 0
     extra: dict = field(default_factory=dict)
+
+    _PERSISTED = (
+        "appends_handled",
+        "loads_handled",
+        "deletes_handled",
+        "updates_handled",
+        "rows_appended",
+        "patches_added",
+        "patches_removed",
+        "kept_rows_demoted",
+    )
 
     def to_payload(self) -> dict:
         """JSON form persisted with the checkpointed patch sets."""
-        return {
-            "appends_handled": self.appends_handled,
-            "loads_handled": self.loads_handled,
-            "deletes_handled": self.deletes_handled,
-            "updates_handled": self.updates_handled,
-            "rows_appended": self.rows_appended,
-            "patches_added": self.patches_added,
-            "patches_removed": self.patches_removed,
-            "kept_rows_demoted": self.kept_rows_demoted,
-            "invalidations": self.invalidations,
-        }
+        return {name: getattr(self, name) for name in self._PERSISTED}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MaintenanceStats":
-        stats = cls()
-        for name in (
-            "appends_handled",
-            "loads_handled",
-            "deletes_handled",
-            "updates_handled",
-            "rows_appended",
-            "patches_added",
-            "patches_removed",
-            "kept_rows_demoted",
-            "invalidations",
-        ):
-            setattr(stats, name, int(payload.get(name, 0)))
-        return stats
+        """Unknown keys (an older writer's counters) are ignored."""
+        return cls(**{name: int(payload.get(name, 0)) for name in cls._PERSISTED})
+
+
+def _is_patch(patches: "PatchSet", rows: np.ndarray) -> np.ndarray:
+    """Patch membership of the ascending local *rows*."""
+    if len(rows) == 0:
+        return np.zeros(0, dtype=np.bool_)
+    first = int(rows[0])
+    return patches.mask_for_range(first, int(rows[-1]) + 1)[rows - first]
+
+
+def _tail_row(patches: "PatchSet") -> int | None:
+    """Local rowid of the last accounted row that is not a patch."""
+    stop = patches.row_count
+    while stop > 0:
+        # 4096 rows at a time: the last kept row is almost always in the
+        # first window, and one mask over the partition would be O(partition).
+        start = max(0, stop - 4096)
+        kept = np.flatnonzero(~patches.mask_for_range(start, stop))
+        if len(kept):
+            return start + int(kept[-1])
+        stop = start
+    return None
 
 
 class IndexMaintainer:
@@ -123,17 +150,6 @@ class IndexMaintainer:
     def __init__(self, index: "PatchIndex"):
         self.index = index
         self.stats = MaintenanceStats()
-        # NUC state (lazy): python-level kept value -> global rowid, and
-        # the set of values currently present among (valid) patches.
-        self._kept_value_rowids: dict | None = None
-        self._patch_values: set | None = None
-        # NSC state (lazy): per-partition value of the last kept row.
-        self._last_kept: list[object] | None = None
-        # Demotions the lazy NUC state build discovered (self-healing a
-        # snapshot taken mid-update); drained into the next delta so the
-        # WAL stream stays complete.
-        self._pending_ops: list[DeltaOp] = []
-        self._pending_demoted = 0
 
     # -- event dispatch ---------------------------------------------------
 
@@ -144,10 +160,8 @@ class IndexMaintainer:
         update of another column, unknown event kinds) — replay expects
         a logged delta exactly when this returns one.
         """
-        if event == "append":
-            ops, rows, demoted = self._classify_append(payload)
-        elif event == "load":
-            ops, rows, demoted = self._classify_load()
+        if event in ("append", "load"):
+            ops, rows, demoted = self._classify_growth()
         elif event == "delete":
             ops, rows, demoted = self._classify_delete(payload)
         elif event == "update":
@@ -158,277 +172,164 @@ class IndexMaintainer:
             # Unknown events are ignored: forward compatibility with new
             # table mutations that do not affect constraint validity.
             return None
-        pending = self._pending_ops
-        pending_demoted = self._pending_demoted
-        self._pending_ops = []
-        self._pending_demoted = 0
         delta = PatchDelta(
             index_name=self.index.name,
             table_name=self.index.table_name,
             event=event,
-            ops=tuple(pending) + tuple(ops),
+            ops=tuple(ops),
             rows=rows,
-            demoted=demoted + pending_demoted,
+            demoted=demoted,
         )
-        self._apply(delta)
+        self.apply(delta)
         return delta
 
-    def _apply(self, delta: PatchDelta) -> None:
-        """Apply a classified delta and keep the lazy caches honest."""
+    def apply(self, delta: PatchDelta) -> None:
+        """Apply a delta — classified here or replayed from the log."""
         delta_layer.apply_ops(self.index._partition_patches, delta.ops)
         delta_layer.record_delta_stats(self.stats, delta)
-        if delta.event == "delete":
-            # Kept-value rowids and sorted tails shifted with the dense
-            # renumbering; both caches rebuild lazily — the one place
-            # that policy lives for both constraint kinds.
-            self._invalidate()
 
-    def apply_external(self, delta: PatchDelta) -> None:
-        """Apply a replayed delta (recovery / snapshot) with stats."""
-        delta_layer.apply_ops(self.index._partition_patches, delta.ops)
-        delta_layer.record_delta_stats(self.stats, delta)
-        self._invalidate()
+    # -- reading the data ----------------------------------------------------
 
-    # -- lazy state ----------------------------------------------------------
+    def _holders(
+        self, needles: np.ndarray, skip: tuple[int, int] | None = None
+    ) -> tuple[np.ndarray, list[DeltaOp]]:
+        """Which of *needles* some accounted row holds, and the NUC2 demotions.
 
-    def _ensure_nuc_state(self) -> tuple[dict, set]:
-        """Kept-value → rowid map and patch-value set, built lazily.
-
-        Returns the live state objects (never ``None``), so callers can
-        mutate them in place without re-checking optionals.
+        *needles* is sorted and unique.  Per partition, the
+        rows its patch set accounts for — an event's new rows lie beyond
+        them — are cut down to the non-NULL ones inside the needles' value
+        range and looked up by ``searchsorted``; *skip* names one
+        ``(partition_id, local rowid)`` to leave out (an updated row is not
+        its own twin).  Returns a mask over *needles* and one ``add`` op
+        per partition moving the *kept* holders into the patch set.
         """
-        if self._kept_value_rowids is not None and self._patch_values is not None:
-            return self._kept_value_rowids, self._patch_values
         index = self.index
-        kept: dict = {}
-        patch_values: set = set()
-        # The patch set's row_count is the number of rows it has already
-        # accounted for; during an append the partition may briefly hold
-        # more (the event's new rows are handled by the append logic,
-        # not by this snapshot).
-        masks: list[np.ndarray] = []
-        for partition, patches in zip(
-            index.table.partitions, index._partition_patches
-        ):
+        held = np.zeros(len(needles), dtype=np.bool_)
+        demotions: list[DeltaOp] = []
+        if len(needles) == 0:  # a batch of NULLs
+            return held, demotions
+        for partition, patches in zip(index.table.partitions, index._partition_patches):
             column = partition.column(index.column_name)
-            mask = patches.mask_for_range(0, patches.row_count)
-            masks.append(mask)
-            for local in np.flatnonzero(mask):
-                value = column[int(local)]
-                if value is not None:
-                    patch_values.add(value)
-        # Kept pass, after all patch values are known: a snapshot taken
-        # mid-update may show NUC2 violations, which are self-healed by
-        # queueing demotions for the offending kept rows (the ops ride
-        # along with the next delta, so the WAL stream stays complete).
-        for partition, mask in zip(index.table.partitions, masks):
-            column = partition.column(index.column_name)
-            for local in np.flatnonzero(~mask):
-                value = column[int(local)]
-                global_rowid = partition.base_rowid + int(local)
-                if value in patch_values:
-                    self._pending_ops.extend(self._demote_ops([global_rowid]))
-                    self._pending_demoted += 1
-                elif value in kept:
-                    self._pending_ops.extend(
-                        self._demote_ops([kept.pop(value), global_rowid])
-                    )
-                    patch_values.add(value)
-                    self._pending_demoted += 2
-                else:
-                    kept[value] = global_rowid
-        self._kept_value_rowids = kept
-        self._patch_values = patch_values
-        return kept, patch_values
+            values = column.values[: patches.row_count]
+            in_range = (values >= needles[0]) & (values <= needles[-1])
+            if column.validity is not None:
+                in_range &= column.validity[: patches.row_count]
+            if skip is not None and skip[0] == partition.partition_id:
+                in_range[skip[1]] = False
+            rows = np.flatnonzero(in_range)
+            candidates = values[rows]
+            slots = np.searchsorted(needles, candidates)
+            hit = needles[slots] == candidates
+            held[slots[hit]] = True
+            kept = rows[hit][~_is_patch(patches, rows[hit])]
+            if len(kept):
+                demotions.append(delta_layer.add_op(partition.partition_id, kept))
+        return held, demotions
 
-    def _ensure_nsc_state(self) -> list[object]:
-        """Per-partition sorted-tail snapshot, built lazily (never
-        ``None``; the returned list is the live state, mutated in
-        place by the append handler)."""
-        if self._last_kept is not None:
-            return self._last_kept
-        last_kept: list[object] = []
-        for partition, patches in zip(
-            self.index.table.partitions, self.index._partition_patches
-        ):
-            # See _ensure_nuc_state: only the rows the patch set has
-            # already accounted for belong in the snapshot.
-            mask = patches.mask_for_range(0, patches.row_count)
-            kept_positions = np.flatnonzero(~mask)
-            if len(kept_positions) == 0:
-                last_kept.append(None)
-            else:
-                column = partition.column(self.index.column_name)
-                last_kept.append(column[int(kept_positions[-1])])
-        if self.index.scope == "global":
-            # Appended rows must extend the *global* sorted order, whose
-            # tail is the last kept value of the last non-empty
-            # partition in rowid order.
-            tail = None
-            for value in last_kept:
-                if value is not None:
-                    tail = value
-            last_kept = [tail] * len(last_kept)
-        self._last_kept = last_kept
-        return last_kept
-
-    def _invalidate(self) -> None:
-        if (
-            self._kept_value_rowids is not None
-            or self._patch_values is not None
-            or self._last_kept is not None
-        ):
-            self.stats.invalidations += 1
-        self._kept_value_rowids = None
-        self._patch_values = None
-        self._last_kept = None
-
-    # -- append -----------------------------------------------------------------
-
-    def _classify_append(
-        self, payload: dict
-    ) -> tuple[list[DeltaOp], int, int]:
-        partition_id = payload["partition_id"]
-        column = payload["columns"][self.index.column_name]
-        row_count = payload["row_count"]
-        values = [column[offset] for offset in range(row_count)]
-        return self._classify_tail(partition_id, values, row_count)
-
-    def _classify_tail(
-        self, partition_id: int, values: list, row_count: int
-    ) -> tuple[list[DeltaOp], int, int]:
-        """Classify *values* appended to the tail of one partition."""
+    def _sorted_tail(self, partition_id: int) -> object | None:
+        """Value the sorted subsequence ends with before *partition_id*'s
+        new rows: its last kept row's, or under global scope the last
+        kept row's of the nearest partition before it that has one."""
         index = self.index
-        patches = index._partition_patches[partition_id]
-        old_partition_rows = patches.row_count
-        new_partition_rows = old_partition_rows + row_count
-        partition_base = index.table.partitions[partition_id].base_rowid
-        ops: list[DeltaOp] = []
-        demoted = 0
+        first = 0 if index.scope == "global" else partition_id
+        for candidate in range(partition_id, first - 1, -1):
+            local = _tail_row(index._partition_patches[candidate])
+            if local is not None:
+                partition = index.table.partitions[candidate]
+                return partition.column(index.column_name).values[local]
+        return None
 
+    # -- append / load -------------------------------------------------------
+
+    def _classify_growth(self) -> tuple[list[DeltaOp], int, int]:
+        """Classify the rows beyond what each patch set accounts for.
+
+        Neither payload is read: an append grew the last partition, a
+        load any of them, and the patch sets' row counts say by how much.
+        """
+        index = self.index
+        tails: list[Tail] = [
+            (partition, patches.row_count, partition.row_count)
+            for partition, patches in zip(
+                index.table.partitions, index._partition_patches
+            )
+            if partition.row_count > patches.row_count
+        ]
+        rows = sum(stop - start for _, start, stop in tails)
         if index.constraint_kind == ConstraintKind.SORTED:
-            last_kept = self._ensure_nsc_state()
-            last = last_kept[partition_id]
-            new_local_patches: list[int] = []
-            for offset, value in enumerate(values):
-                if value is None or not self._extends(last, value):
-                    new_local_patches.append(old_partition_rows + offset)
-                else:
-                    last = value
-            if index.scope == "global":
-                # The global tail is shared by every slot (see
-                # _ensure_nsc_state); keep the broadcast in sync.
-                for slot in range(len(last_kept)):
-                    last_kept[slot] = last
-            else:
-                last_kept[partition_id] = last
-            ops.append(
-                delta_layer.extend_op(
-                    partition_id, new_partition_rows, new_local_patches
-                )
-            )
-        else:
-            kept_value_rowids, patch_values = self._ensure_nuc_state()
-            new_local_patches = []
-            demoted_global: list[int] = []
-            for offset, value in enumerate(values):
-                local = old_partition_rows + offset
-                global_rowid = partition_base + local
-                if value is None:
-                    new_local_patches.append(local)
-                elif value in patch_values:
-                    new_local_patches.append(local)
-                elif value in kept_value_rowids:
-                    # NUC2: demote the previously-kept twin as well.
-                    demoted_global.append(kept_value_rowids.pop(value))
-                    patch_values.add(value)
-                    new_local_patches.append(local)
-                else:
-                    kept_value_rowids[value] = global_rowid
-            ops.append(
-                delta_layer.extend_op(
-                    partition_id, new_partition_rows, new_local_patches
-                )
-            )
-            ops.extend(self._demote_ops(demoted_global))
-            demoted = len(demoted_global)
-        return ops, row_count, demoted
+            return self._sorted_growth(tails), rows, 0
+        ops, demoted = self._unique_growth(tails)
+        return ops, rows, demoted
 
-    def _extends(self, last: object, value: object) -> bool:
-        """Does *value* extend the sorted tail ending at *last*?"""
-        if last is None:
-            return True
-        if self.index.ascending:
-            return last < value if self.index.strict else last <= value
-        return last > value if self.index.strict else last >= value
-
-    def _demote_ops(self, rowids: list[int]) -> list[DeltaOp]:
-        """Ops moving previously-kept rows (global rowids) into patches."""
+    def _sorted_growth(self, tails: list[Tail]) -> list[DeltaOp]:
+        index = self.index
+        last_partition = len(index.table.partitions) - 1
         ops: list[DeltaOp] = []
-        for global_rowid in rowids:
-            partition = self.index.table.partition_of_rowid(global_rowid)
-            ops.append(
-                delta_layer.add_op(
-                    partition.partition_id,
-                    [global_rowid - partition.base_rowid],
+        for partition, start, stop in tails:
+            if index.scope == "global" and partition.partition_id != last_partition:
+                new_patches = np.arange(start, stop)
+            else:
+                extends = self._extends(
+                    self._sorted_tail(partition.partition_id),
+                    partition.column(index.column_name).slice(start, stop),
                 )
+                new_patches = start + np.flatnonzero(~extends)
+            ops.append(
+                delta_layer.extend_op(partition.partition_id, stop, new_patches)
             )
         return ops
 
-    # -- load --------------------------------------------------------------------
+    def _extends(self, last: object | None, column: ColumnVector) -> np.ndarray:
+        """Which of *column*'s rows the greedy extension keeps.
 
-    def _classify_load(self) -> tuple[list[DeltaOp], int, int]:
-        """Classify the freshly-loaded tail of every partition.
-
-        The load payload does not say which partition received which
-        rows, but each patch set remembers the row count it has already
-        accounted for — everything beyond it in the partition is the
-        loaded tail.  A global-scope NSC can only extend its sorted
-        subsequence in the *last* partition: rows loaded into earlier
-        partitions sit between existing kept rows in global rowid order
-        and are patched wholesale (conservative, still correct).
+        The greedy tail only ever moves to the extreme of what it has
+        seen, so row ``i`` is kept iff it compares against the running
+        extreme of *last* and the non-NULL rows before it.
         """
-        index = self.index
-        # Loading into any partition but the last shifts the base rowids
-        # of the partitions after it, so cached kept-value maps (keyed by
-        # global rowid) and tail snapshots are stale; rebuild them lazily
-        # over the pre-load rows, which keep their local positions.
-        self._invalidate()
-        ops: list[DeltaOp] = []
-        rows = 0
-        demoted = 0
-        global_nsc = (
-            index.constraint_kind == ConstraintKind.SORTED
-            and index.scope == "global"
+        valid = column.validity_or_all_true()
+        values = column.values[valid]
+        kept = np.zeros(len(column), dtype=np.bool_)
+        if len(values) == 0:
+            return kept
+        head = values[:1] if last is None else np.array([last], dtype=values.dtype)
+        if self.index.ascending:
+            bound = np.maximum.accumulate(np.concatenate((head, values)))[:-1]
+            ok = values > bound if self.index.strict else values >= bound
+        else:
+            bound = np.minimum.accumulate(np.concatenate((head, values)))[:-1]
+            ok = values < bound if self.index.strict else values <= bound
+        if last is None:
+            ok[0] = True
+        kept[valid] = ok
+        return kept
+
+    def _unique_growth(self, tails: list[Tail]) -> tuple[list[DeltaOp], int]:
+        name = self.index.column_name
+        batch = ColumnVector.concat(
+            [
+                partition.column(name).slice(start, stop)
+                for partition, start, stop in tails
+            ]
         )
-        last_partition = len(index.table.partitions) - 1
-        for partition, patches in zip(
-            index.table.partitions, index._partition_patches
-        ):
-            old_rows = patches.row_count
-            new_rows = partition.row_count
-            if new_rows == old_rows:
-                continue
-            tail = partition.column(index.column_name)
-            values = [tail[offset] for offset in range(old_rows, new_rows)]
-            if global_nsc and partition.partition_id != last_partition:
-                self._ensure_nsc_state()  # keep the tail snapshot warm
-                ops.append(
-                    delta_layer.extend_op(
-                        partition.partition_id,
-                        new_rows,
-                        range(old_rows, new_rows),
-                    )
+        valid = batch.validity_or_all_true()
+        needles, inverse, counts = np.unique(
+            batch.values[valid], return_inverse=True, return_counts=True
+        )
+        held, demotions = self._holders(needles)
+        taken = held | (counts > 1)
+        is_patch = ~valid
+        is_patch[valid] = taken[inverse]
+        ops: list[DeltaOp] = []
+        offset = 0
+        for partition, start, stop in tails:
+            piece = is_patch[offset : offset + stop - start]
+            offset += stop - start
+            ops.append(
+                delta_layer.extend_op(
+                    partition.partition_id, stop, start + np.flatnonzero(piece)
                 )
-                rows += len(values)
-            else:
-                tail_ops, tail_rows, tail_demoted = self._classify_tail(
-                    partition.partition_id, values, len(values)
-                )
-                ops.extend(tail_ops)
-                rows += tail_rows
-                demoted += tail_demoted
-        return ops, rows, demoted
+            )
+        return ops + demotions, sum(len(op.rowids) for op in demotions)
 
     # -- delete ---------------------------------------------------------------------
 
@@ -449,53 +350,25 @@ class IndexMaintainer:
     def _classify_update(
         self, payload: dict
     ) -> tuple[list[DeltaOp], int, int]:
+        """Re-classify one row from the value the table now holds."""
         index = self.index
-        rowid = payload["rowid"]
-        partition = index.table.partitions[payload["partition_id"]]
-        patches = index._partition_patches[partition.partition_id]
-        local = rowid - partition.base_rowid
-        was_patch = patches.contains(local)
-        new_value = payload["value"]
-        old_value = payload["old_value"]
-        ops: list[DeltaOp] = []
-        demoted = 0
-
-        if index.constraint_kind == ConstraintKind.UNIQUE:
-            kept_value_rowids, patch_values = self._ensure_nuc_state()
-            if not was_patch and kept_value_rowids.get(old_value) == rowid:
-                del kept_value_rowids[old_value]
-            if new_value is None or new_value in patch_values:
-                if not was_patch:
-                    ops.append(delta_layer.add_op(partition.partition_id, [local]))
-                if new_value is not None:
-                    patch_values.add(new_value)
-            else:
-                twin = kept_value_rowids.get(new_value)
-                if twin is not None and twin != rowid:
-                    # NUC2: demote the kept row already holding the value.
-                    del kept_value_rowids[new_value]
-                    ops.extend(self._demote_ops([twin]))
-                    demoted += 1
-                    patch_values.add(new_value)
-                    if not was_patch:
-                        ops.append(
-                            delta_layer.add_op(partition.partition_id, [local])
-                        )
-                elif was_patch:
-                    # Fresh value: the patched row is unique again —
-                    # promote it back out of the patch set.
-                    ops.append(
-                        delta_layer.remove_op(partition.partition_id, [local])
-                    )
-                    kept_value_rowids[new_value] = rowid
-                else:
-                    kept_value_rowids[new_value] = rowid
-        else:
-            if not was_patch:
-                # The updated row leaves the sorted subsequence; any
-                # cached tail snapshot may reference it (and may even
-                # have been built after the new value was written), so
-                # recompute lazily once the row is in the patch set.
-                self._last_kept = None
-                ops.append(delta_layer.add_op(partition.partition_id, [local]))
-        return ops, 1, demoted
+        partition_id = payload["partition_id"]
+        partition = index.table.partitions[partition_id]
+        local = payload["rowid"] - partition.base_rowid
+        was_patch = index._partition_patches[partition_id].contains(local)
+        join = [] if was_patch else [delta_layer.add_op(partition_id, [local])]
+        if index.constraint_kind == ConstraintKind.SORTED:
+            # Conservative: a kept row that moved leaves the subsequence.
+            return join, 1, 0
+        column = partition.column(index.column_name)
+        if not column.is_valid(local):
+            return join, 1, 0
+        held, demotions = self._holders(
+            column.values[local : local + 1], skip=(partition_id, local)
+        )
+        if held[0]:  # by a patch, or by a kept row that NUC2 now demotes
+            return demotions + join, 1, sum(len(op.rowids) for op in demotions)
+        if was_patch:
+            # No other row holds the value: the row is unique again.
+            return [delta_layer.remove_op(partition_id, [local])], 1, 0
+        return [], 1, 0

@@ -117,7 +117,7 @@ class PatchIndex:
         #: ``None`` for detached indexes (snapshots, tests).
         self.delta_sink = None
         self._partition_patches = partition_patches
-        self._maintainer = None  # lazily built by repro.core.maintenance
+        self._maintainer = None  # see _maintenance()
         self._listener = self._on_table_event
         table.add_listener(self._listener)
 
@@ -407,32 +407,28 @@ class PatchIndex:
                 ),
             )
 
+    def _maintenance(self):
+        """The index's maintainer, created on the first mutation."""
+        from repro.core.maintenance import IndexMaintainer
+
+        if self._maintainer is None:
+            self._maintainer = IndexMaintainer(self)
+        return self._maintainer
+
     def apply_external_delta(self, delta) -> None:
         """Replay one :class:`~repro.core.delta.PatchDelta` produced
         elsewhere (WAL recovery, snapshot advance) onto this index,
         folding it into the maintenance stats."""
-        from repro.core.maintenance import IndexMaintainer
-
-        if self._maintainer is None:
-            self._maintainer = IndexMaintainer(self)
-        self._maintainer.apply_external(delta)
+        self._maintenance().apply(delta)
         self.table.touch()
 
     def seed_maintenance_stats(self, stats) -> None:
         """Install persisted drift counters on a restored index."""
-        from repro.core.maintenance import IndexMaintainer
-
-        if self._maintainer is None:
-            self._maintainer = IndexMaintainer(self)
-        self._maintainer.stats = stats
+        self._maintenance().stats = stats
 
     def _on_table_event(self, event: str, payload: dict) -> None:
         """Forward table mutations to the incremental maintainer."""
-        from repro.core.maintenance import IndexMaintainer
-
-        if self._maintainer is None:
-            self._maintainer = IndexMaintainer(self)
-        delta = self._maintainer.handle(event, payload)
+        delta = self._maintenance().handle(event, payload)
         if delta is not None and self.delta_sink is not None:
             self.delta_sink(self, delta)
 

@@ -580,9 +580,6 @@ class Database:
                     self.obs.gauge(f"{prefix}.patches_added").set(
                         stats.patches_added
                     )
-                    self.obs.gauge(f"{prefix}.invalidations").set(
-                        stats.invalidations
-                    )
         self.obs.gauge("maintenance.rebuild_threshold").set(
             self.rebuild_threshold
         )

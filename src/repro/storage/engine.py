@@ -399,8 +399,10 @@ class DurableEngine(StorageEngine):
                 if record.kind in DATA_KINDS and record.lsn > generation_lsn
             )
         )
-        obs.gauge("recovery.indexes_restored").set(built.restored)
-        obs.gauge("recovery.indexes_rebuilt").set(len(built.indexes) - built.restored)
+        obs.gauge("recovery.indexes_restored").set(len(built.restored))
+        obs.gauge("recovery.indexes_rebuilt").set(
+            len(built.indexes) - len(built.restored)
+        )
         obs.gauge("recovery.delta_records_replayed").set(built.deltas_replayed)
         obs.counter("recovery.index_fallbacks").inc(sum(built.fallbacks.values()))
         for reason, count in built.fallbacks.items():

@@ -8,8 +8,10 @@ thin caller::
                      materialize_tables          materialize_indexes
     recover()        manifest + whole log        yes  (provenance "recovery")
     snapshot build   manifest + log <= pin       lazily, on first catalog use
-    snapshot advance base=handle.tables + span   no   (attached indexes follow
-                                                       the replay as listeners)
+    snapshot advance base=handle.tables + span   no   (restored indexes apply the
+                                                       span's patch_delta records —
+                                                       :func:`delta_tails` — rebuilt
+                                                       ones follow as listeners)
 
 :func:`materialize_indexes` holds the one restore-vs-rebuild rule.  An index
 whose ``create_index`` record the generation's checkpoint covers is *restored*:
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -220,8 +222,9 @@ class MaterializedIndexes(NamedTuple):
     """What :func:`materialize_indexes` built, and by which path."""
 
     indexes: list[PatchIndex]
-    #: How many of *indexes* were restored; the rest were rebuilt from data.
-    restored: int
+    #: Those of *indexes* that were restored — each is the live index as of
+    #: the records' last LSN; the rest were rebuilt from data.
+    restored: list[PatchIndex]
     #: ``patch_delta`` records replayed over restored patch sets.
     deltas_replayed: int
     #: Refused restores, reason → count (a subset of the rebuilt ones: an
@@ -284,23 +287,67 @@ def index_from_payload(table: Table, payload: dict, provenance: str) -> PatchInd
     )
 
 
+def delta_tails(
+    records: Iterable[WalRecord], indexes: Iterable[tuple[str, str, str]]
+) -> dict[str, tuple[list[PatchDelta], str | None]]:
+    """Per index, the deltas it needs to follow *records*, or why it cannot.
+
+    The one rule for replaying a stretch of log onto patch sets, shared by a
+    restore (the tail beyond the checkpoint) and a snapshot advance (the span
+    between two pins), in one pass for all *indexes* — ``(index, table,
+    column)`` names: every ``patch_delta`` of an index parses and passes its
+    checksum, none is a rebuild marker, and every data record that must have
+    produced a delta — each append / load / delete of the table, each update
+    of the column — is named by one's ``applies_to``.  Maps each index name
+    to ``(deltas in LSN order, None)`` or ``([], reason)``.
+    """
+    on_table: dict[str, list[tuple[str, str]]] = {}
+    deltas: dict[str, list[PatchDelta]] = {}
+    owed: dict[str, set[int]] = {}
+    for index_name, table_name, column_name in indexes:
+        on_table.setdefault(table_name, []).append((index_name, column_name))
+        deltas[index_name] = []
+        owed[index_name] = set()
+    refused: dict[str, str] = {}
+    for record in records:
+        payload = record.payload
+        if record.kind in DATA_KINDS:
+            for name, column_name in on_table.get(payload["table"], ()):
+                if record.kind != "update" or payload.get("column") == column_name:
+                    owed[name].add(record.lsn)
+        elif record.kind in PATCH_KINDS and payload.get("index") in deltas:
+            name = payload["index"]
+            try:
+                delta, applies_to = PatchDelta.from_payload(payload)
+            except StorageError:
+                refused.setdefault(name, "malformed")
+                continue
+            if delta.invalidates:
+                refused.setdefault(name, "invalidated")
+            deltas[name].append(delta)
+            owed[name].discard(applies_to)  # a delta follows its data record
+    return {
+        name: ([], refused.get(name, "delta_gap"))
+        if name in refused or owed[name]
+        else (found, None)
+        for name, found in deltas.items()
+    }
+
+
 def restore_patch_index(
     table: Table,
     payload: dict,
     entry: dict,
-    delta_records: list[WalRecord],
-    required_lsns: set[int],
+    tail: tuple[list[PatchDelta], str | None],
     provenance: str,
 ) -> tuple[PatchIndex | None, int, str | None]:
     """Restore one PatchIndex from a persisted entry plus its delta tail.
 
     *payload* is the WAL ``create_index`` record, *entry* the matching
-    ``patches.json`` entry, *delta_records* the index's ``patch_delta``
-    records beyond the checkpoint in LSN order, and *required_lsns* the LSNs
-    of every post-checkpoint data record that must have produced a delta.
-    Returns ``(index, deltas_replayed, None)`` on success and ``(None, 0,
-    reason)`` — *reason* one of :data:`FALLBACK_REASONS` — when anything
-    disqualifies the restore.
+    ``patches.json`` entry and *tail* what :func:`delta_tails` made of the
+    records beyond the checkpoint for this index.  Returns ``(index,
+    deltas_replayed, None)`` on success and ``(None, 0, reason)`` — *reason*
+    one of :data:`FALLBACK_REASONS` — when anything disqualifies the restore.
     """
     index = None
     try:
@@ -311,17 +358,9 @@ def restore_patch_index(
         wanted = _definition(payload)
         if any(definition.get(key) != value for key, value in wanted.items()):
             return None, 0, "definition"
-        deltas: list[PatchDelta] = []
-        seen_lsns: set[int] = set()
-        for record in delta_records:
-            delta, applies_to = PatchDelta.from_payload(record.payload)
-            if delta.invalidates:
-                return None, 0, "invalidated"
-            deltas.append(delta)
-            if applies_to is not None:
-                seen_lsns.add(applies_to)
-        if required_lsns - seen_lsns:
-            return None, 0, "delta_gap"
+        deltas, reason = tail
+        if reason is not None:
+            return None, 0, reason
         partitions = entry["partitions"]
         if len(partitions) != table.partition_count:
             return None, 0, "partition_count"
@@ -384,24 +423,29 @@ def materialize_indexes(
     that generation's persisted patch sets plus its ``patch_delta`` tail; a
     refused restore, or an index created after the checkpoint, is rebuilt
     from data.  The indexes come back attached to their tables as listeners,
-    in creation order; registering them in a catalog (and wiring a
-    ``delta_sink``) is the caller's business.
+    in creation order; registering them in a catalog, wiring a ``delta_sink``
+    (the writer) or detaching the restored ones to feed them logged deltas
+    instead (a snapshot) is the caller's business.
     """
     persisted = read_patch_sets(root, generation_lsn)
     creates: list[WalRecord] = []
-    delta_tail: dict[str, list[WalRecord]] = {}
-    data_tail: list[WalRecord] = []
+    tail: list[WalRecord] = []  # what the segments and patch sets lack
     for record in live_records_of(records):
         if record.kind == "create_index":
             creates.append(record)
-        elif record.lsn <= generation_lsn:
-            continue  # reflected in the segments and persisted patch sets
-        elif record.kind in PATCH_KINDS:
-            delta_tail.setdefault(record.payload.get("index"), []).append(record)
-        elif record.kind in DATA_KINDS:
-            data_tail.append(record)
+        elif record.lsn > generation_lsn and record.kind in DATA_KINDS | PATCH_KINDS:
+            tail.append(record)
+    tails = delta_tails(
+        tail,
+        [
+            (create.payload["name"], create.payload["table"], create.payload["column"])
+            for create in creates
+            if create.lsn <= generation_lsn
+        ],
+    )
     indexes: list[PatchIndex] = []
-    restored = deltas_replayed = 0
+    restored: list[PatchIndex] = []
+    deltas_replayed = 0
     fallbacks: dict[str, int] = {}
     for record in creates:
         payload = record.payload
@@ -414,24 +458,8 @@ def materialize_indexes(
             if entry is None:
                 reason = "missing"
             else:
-                # Every data record that must have produced a delta: all
-                # appends/loads/deletes of the table, updates of the column.
-                required = {
-                    data.lsn
-                    for data in data_tail
-                    if data.payload["table"] == payload["table"]
-                    and (
-                        data.kind != "update"
-                        or data.payload.get("column") == payload["column"]
-                    )
-                }
                 index, count, reason = restore_patch_index(
-                    table,
-                    payload,
-                    entry,
-                    delta_tail.get(payload["name"], []),
-                    required,
-                    provenance,
+                    table, payload, entry, tails[payload["name"]], provenance
                 )
                 deltas_replayed += count
         if reason is not None:
@@ -445,7 +473,7 @@ def materialize_indexes(
                     reason,
                 )
         if index is not None:
-            restored += 1
+            restored.append(index)
         else:
             index = index_from_payload(table, payload, provenance)
         indexes.append(index)

@@ -11,9 +11,13 @@ key so N concurrent readers at the same snapshot share one table build.
 - **reuse** — a cached handle already sits at the key;
 - **advance** — an unpinned cached handle of the same generation sits
   at a lower LSN and only data / ``patch_delta`` records lie between:
-  the span is replayed onto its tables in place
-  (``materialize_tables(base=handle.tables, records=span)``);
-- **build** — anything else: a fresh reconstruction.
+  the span's data records are replayed onto its tables in place
+  (``materialize_tables(base=handle.tables, records=span)``) and its
+  ``patch_delta`` records onto the handle's restored PatchIndexes —
+  the reader consumes what the writer logged, it classifies nothing;
+- **build** — anything else, and every advance refused by name
+  (``storage.snapshot.advance_refused.<reason>``): a fresh
+  reconstruction.
 
 Writers and checkpoints never block a pinned reader and a reader never
 observes a partially-applied generation:
@@ -36,6 +40,7 @@ does this for every connection).
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -50,14 +55,44 @@ from repro.storage.manifest import (
     generation_name,
     write_manifest,
 )
-from repro.storage.materialize import materialize_indexes, materialize_tables
+from repro.storage.materialize import (
+    delta_tails,
+    materialize_indexes,
+    materialize_tables,
+)
 from repro.storage.wal import DATA_KINDS, PATCH_KINDS, WalRecord, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.delta import PatchDelta
+    from repro.core.patch_index import PatchIndex
     from repro.exec.result import QueryResult
     from repro.obs.metrics import MetricsRegistry
     from repro.storage.database import Database
     from repro.storage.table import Table
+
+
+_LOG = logging.getLogger(__name__)
+_LOGGED_REFUSALS: set[str] = set()
+
+
+def _replay_plan(
+    handle: "SnapshotHandle", span: list[WalRecord]
+) -> tuple[str | None, list[tuple["PatchIndex", list[PatchDelta]]]]:
+    """Why *span* cannot be replayed onto *handle* (``(reason, [])``), or
+    ``(None, the deltas each of its restored indexes is to apply)``."""
+    for record in span:
+        if record.kind in DATA_KINDS:
+            if record.payload.get("table") not in handle.tables:
+                return "unknown_table", []
+        elif record.kind not in PATCH_KINDS:
+            return "ddl", []
+    found = delta_tails(
+        span, [(i.name, i.table_name, i.column_name) for i in handle.delta_fed]
+    )
+    for _, reason in found.values():
+        if reason is not None:
+            return reason, []
+    return None, [(index, found[index.name][0]) for index in handle.delta_fed]
 
 
 class SnapshotHandle:
@@ -94,6 +129,9 @@ class SnapshotHandle:
         self._metrics = metrics
         self._catalog: Catalog | None = None
         self._catalog_lock = make_lock("storage.snapshot.catalog")
+        #: The catalog's *restored* indexes: detached from table events, an
+        #: advance feeds them the span's logged deltas (registry lock).
+        self.delta_fed: list["PatchIndex"] = []
 
     @property
     def key(self) -> tuple[int, int]:
@@ -112,10 +150,15 @@ class SnapshotHandle:
         live (moving) tables and their rowids would not line up with a
         historical snapshot, so :func:`materialize_indexes` brings each index
         back *as of the pinned LSN* and snapshot reads get the same PatchSelect
-        rewrites as live reads.  Snapshot indexes keep ``delta_sink=None`` —
-        their deltas are never logged — but stay attached as table listeners,
-        which is how an advance maintains them.  Runs under the handle's own
-        lock and touches no registry state (that would invert the lock order).
+        rewrites as live reads.  A *restored* index is by construction the
+        live index as of the pinned LSN, so it is detached from table events
+        and an advance applies the ``patch_delta`` records the writer logged
+        (:attr:`delta_fed`).  Only an index that had to be *rebuilt from data*
+        stays a table listener and classifies an advance's rows itself: live's
+        ops presuppose live's patch sets, and re-discovery may have kept a row
+        live holds as a drifted patch.  ``delta_sink`` stays ``None`` either
+        way.  Runs under the handle's own lock and touches no registry state
+        (that would invert the lock order).
         """
         with self._catalog_lock:
             if self._catalog is None:
@@ -131,6 +174,9 @@ class SnapshotHandle:
                 )
                 for index in built.indexes:
                     catalog.add_index(index)
+                for index in built.restored:
+                    index.detach()
+                self.delta_fed = built.restored
                 if built.indexes:
                     self._metrics.counter("storage.snapshot.indexes_built").inc(
                         len(built.indexes)
@@ -230,13 +276,16 @@ class SnapshotRegistry:
     ) -> SnapshotHandle | None:
         """Roll an unpinned cached handle forward to *wal_lsn* in place.
 
-        When a cached handle of the *same* generation sits at a lower LSN, is
-        unpinned (no reader observes its tables), and the WAL span between the
-        two LSNs is DDL-free (only data and ``patch_delta`` records, all on
-        tables the handle has), the span is replayed onto the handle's tables
-        — its PatchIndexes, attached as table listeners, maintain themselves
-        through the same incremental path as the live database — and the
-        handle is rekeyed.  Anything else returns None: build from scratch.
+        When a cached handle of the *same* generation sits at a lower LSN and
+        is unpinned (no reader observes its tables), the WAL span between the
+        two LSNs is replayed onto it and the handle is rekeyed: data records
+        onto its tables, ``patch_delta`` records onto its restored indexes
+        (an index it rebuilt from data follows the tables as a listener).
+        The span is checked *before* anything is touched — DDL-free, on
+        tables the handle has, and for every restored index a complete delta
+        tail (:func:`~repro.storage.materialize.delta_tails`; a pin can land
+        between a writer's data record and its deltas).  A refused advance
+        leaves the handle as it was and returns None: build from scratch.
         """
         best = None
         for cached in self._handles.values():
@@ -250,20 +299,32 @@ class SnapshotRegistry:
         if best is None:
             return None
         span = [r for r in wal.records() if best.wal_lsn < r.lsn <= wal_lsn]
-        for record in span:
-            if record.kind in DATA_KINDS:
-                if record.payload.get("table") not in best.tables:
-                    return None
-            elif record.kind not in PATCH_KINDS:
-                return None  # DDL in the span
-        materialize_tables(
-            self.root,
-            self._manifest,
-            span,
-            cache=self._cache,
-            mmap=self._mmap,
-            base=best.tables,
-        )
+        reason, tails = _replay_plan(best, span)
+        if reason is not None:
+            self._count_locked(f"advance_refused.{reason}")
+            if reason not in _LOGGED_REFUSALS:
+                _LOGGED_REFUSALS.add(reason)
+                _LOG.warning(
+                    "snapshot advance refused, building instead: %s "
+                    "(logged once per reason)",
+                    reason,
+                )
+            return None
+        try:
+            materialize_tables(
+                self.root,
+                self._manifest,
+                span,
+                cache=self._cache,
+                mmap=self._mmap,
+                base=best.tables,
+            )
+            for index, deltas in tails:
+                for delta in deltas:
+                    index.apply_external_delta(delta)
+        except BaseException:
+            del self._handles[best.key]  # half-replayed: never pin it again
+            raise
         del self._handles[best.key]
         best.wal_lsn = wal_lsn
         best.records.extend(span)

@@ -6,10 +6,14 @@ though it may exceed the minimal set (conservatism is allowed and
 measured).
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import check_nsc, check_nuc
-from repro.core.patch_index import PatchIndex
+from repro.core.maintenance import IndexMaintainer
+from repro.core.patch_index import PatchIndex, PatchIndexMode
+from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
@@ -237,3 +241,150 @@ class TestPropertyBased:
                 if table.row_count:
                     table.update_rowid(rowid % table.row_count, "c", value)
             assert_valid(index)
+
+
+class TestStatelessClassifier:
+    """The maintainer decides from the data at the moment of the mutation."""
+
+    def test_maintainer_holds_nothing_but_its_stats(self):
+        table = make_table([1, 2, 2, None], partition_count=2)
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.insert_rows([[2], [5]])
+        table.delete_rowids([0])
+        table.update_rowid(1, "c", 5)
+        assert set(vars(index._maintainer)) == {"index", "stats"}
+        assert not hasattr(index._maintainer.stats, "invalidations")
+
+    def test_in_batch_duplicates_of_a_fresh_value_are_both_patches(self):
+        table = make_table([1, 2, 3])
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.insert_rows([[8], [9], [8]])
+        assert index.rowids().tolist() == [3, 5]
+        assert index.maintenance_stats().kept_rows_demoted == 0
+        assert_valid(index)
+
+    def test_null_fill_value_is_not_a_held_value(self):
+        # NULL slots store 0 physically; an inserted 0 collides with nothing.
+        table = make_table([None, 4, None])
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.insert_rows([[0]])
+        assert index.rowids().tolist() == [0, 2]
+        table.update_rowid(1, "c", 0)  # now it does collide, with rowid 3
+        assert index.rowids().tolist() == [0, 1, 2, 3]
+        assert_valid(index)
+
+    def test_update_to_a_fresh_value_keeps_or_promotes_the_row(self):
+        table = make_table([1, 2, 2, 3])
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.update_rowid(0, "c", 7)  # kept stays kept: it is not its own twin
+        assert index.rowids().tolist() == [1, 2]
+        table.update_rowid(0, "c", 7)  # a no-op update neither
+        assert index.rowids().tolist() == [1, 2]
+        table.update_rowid(1, "c", 8)  # a patch whose value nobody holds
+        assert index.rowids().tolist() == [2]
+        assert index.maintenance_stats().patches_removed == 1
+        assert_valid(index)
+
+    def test_update_is_the_first_mutation_a_fresh_index_sees(self):
+        # The table already holds the new value when the index hears of it.
+        table = make_table([1, 2, 3], partition_count=2)
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.update_rowid(0, "c", 3)
+        assert index.rowids().tolist() == [0, 2]
+        assert index.maintenance_stats().kept_rows_demoted == 1
+        assert_valid(index)
+
+    def test_global_tail_is_found_in_an_earlier_partition(self):
+        table = make_table([1, 5, None, None], partition_count=2)
+        index = PatchIndex.create("pi", table, "c", "sorted", scope="global")
+        assert index.partition_patches(1).rowids().tolist() == [0, 1]
+        table.insert_rows([[3], [5], [6]])  # 3 < 5: only 5 and 6 extend
+        assert index.rowids().tolist() == [2, 3, 4]
+        assert_valid(index)
+
+    def test_delete_needs_no_rebuild_before_the_next_insert(self):
+        table = make_table([1, 5, 9, 9, 12])
+        unique = PatchIndex.create("pu", table, "c", "unique")
+        ordered = PatchIndex.create("ps", table, "c", "sorted")
+        table.delete_rowids([4])
+        table.insert_rows([[5], [10]])
+        assert unique.rowids().tolist() == [1, 2, 3, 4]
+        assert ordered.rowids().tolist() == [4]
+        assert_valid(unique)
+        assert_valid(ordered)
+
+    @given(
+        st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=14),
+        st.lists(st.one_of(st.none(), st.integers(0, 9)), min_size=1, max_size=8),
+        st.integers(1, 3),
+        st.sampled_from([PatchIndexMode.IDENTIFIER, PatchIndexMode.BITMAP]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nuc_growth_is_the_brute_force_rule(
+        self, initial, batch, partitions, mode, as_load
+    ):
+        """A new row is a patch iff NULL or its value occurs in any other
+        row; an old kept row is demoted iff a new row holds its value."""
+        table = make_table(initial, partition_count=partitions)
+        index = PatchIndex.create("pi", table, "c", "unique", mode=mode)
+        patched = {
+            (pid, local)
+            for pid in range(partitions)
+            for local in index.partition_patches(pid).rowids().tolist()
+        }
+        old_rows = [p.row_count for p in table.partitions]
+        if as_load:
+            table.load_columns({"c": ColumnVector.from_pylist(DataType.INT64, batch)})
+        else:
+            table.insert_rows([[value] for value in batch])
+        cells = [p.column("c").to_pylist() for p in table.partitions]
+        held = Counter(v for column in cells for v in column if v is not None)
+        new_values = {
+            v for pid, column in enumerate(cells) for v in column[old_rows[pid]:]
+        }
+        expected = set(patched)
+        for pid, column in enumerate(cells):
+            for local, value in enumerate(column):
+                if local >= old_rows[pid]:
+                    if value is None or held[value] > 1:
+                        expected.add((pid, local))
+                elif value is not None and value in new_values:
+                    expected.add((pid, local))
+        assert {
+            (pid, local)
+            for pid in range(partitions)
+            for local in index.partition_patches(pid).rowids().tolist()
+        } == expected
+        assert_valid(index)
+
+    @given(
+        st.one_of(st.none(), st.integers(0, 9)),
+        st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=12),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_vectorized_extension_is_the_greedy_loop(
+        self, last, values, ascending, strict
+    ):
+        table = make_table([0])
+        index = PatchIndex.create(
+            "pi", table, "c", "sorted", ascending=ascending, strict=strict
+        )
+        kept = IndexMaintainer(index)._extends(
+            last, ColumnVector.from_pylist(DataType.INT64, values)
+        )
+        expected, tail = [], last
+        for value in values:
+            if value is None:
+                extends = False
+            elif tail is None:
+                extends = True
+            elif ascending:
+                extends = tail < value if strict else tail <= value
+            else:
+                extends = tail > value if strict else tail >= value
+            expected.append(extends)
+            tail = value if extends else tail
+        assert kept.tolist() == expected
