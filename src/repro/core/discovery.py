@@ -9,8 +9,9 @@ with a vectorized unique/count, which computes the identical patch set;
 integration with external self-management tools.
 
 NSC discovery computes the longest sorted subsequence (Fredman 1975,
-``O(n log n)``) and inverts it, which yields a *minimum* patch set;
-NULLs are assigned to the patch set to keep sorting queries correct.
+walked one sorted run at a time: :mod:`repro.core.lis`) and inverts it,
+which yields a *minimum* patch set; NULLs are assigned to the patch set
+to keep sorting queries correct.
 
 Table-level discovery follows §VI-A2 partition semantics:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.constraints import ConstraintKind, exception_rate
-from repro.core.lis import longest_sorted_subsequence_indices
+from repro.core.lis import longest_sorted_subsequence
 from repro.storage.column import ColumnVector
 from repro.storage.table import Table
 
@@ -38,13 +39,20 @@ class DiscoveryResult:
     """Outcome of a discovery run over a (partitioned) column.
 
     ``per_partition_rowids`` holds partition-local patch rowids, one
-    sorted int64 array per partition in partition order.
+    sorted int64 array per partition in partition order.  ``runs`` and
+    ``scalar_steps`` say what an NSC discovery cost (both 0 for NUC): the
+    sorted runs the column fell into, and the rows placed one at a time
+    because their run was too short to batch — close to ``row_count``
+    when the column was not nearly sorted and discovery took the slow
+    path.
     """
 
     kind: ConstraintKind
     row_count: int
     per_partition_rowids: list[np.ndarray] = field(repr=False)
     partition_row_counts: list[int] = field(repr=False)
+    runs: int = 0
+    scalar_steps: int = 0
 
     @property
     def patch_count(self) -> int:
@@ -101,18 +109,22 @@ def discover_nsc_patches(
 ) -> np.ndarray:
     """Minimum patch rowids making *column* sorted, via longest sorted
     subsequence; NULLs are always patches.  Returned sorted ascending."""
-    n = len(column)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+    return _nsc_patches(column, ascending, strict)[0]
+
+
+def _nsc_patches(
+    column: ColumnVector, ascending: bool, strict: bool
+) -> tuple[np.ndarray, int, int]:
+    """:func:`discover_nsc_patches` plus the kernel's ``(runs,
+    scalar_steps)``."""
     validity = column.validity_or_all_true()
     valid_positions = np.flatnonzero(validity)
-    keep = np.zeros(n, dtype=np.bool_)
-    if len(valid_positions):
-        subsequence = longest_sorted_subsequence_indices(
-            column.values[valid_positions], ascending=ascending, strict=strict
-        )
-        keep[valid_positions[subsequence]] = True
-    return np.flatnonzero(~keep).astype(np.int64)
+    kept = longest_sorted_subsequence(
+        column.values[valid_positions], ascending=ascending, strict=strict
+    )
+    keep = np.zeros(len(column), dtype=np.bool_)
+    keep[valid_positions[kept.positions]] = True
+    return np.flatnonzero(~keep).astype(np.int64), kept.runs, kept.scalar_steps
 
 
 # -- table-level discovery (partition semantics, §VI-A2) -------------------------
@@ -160,17 +172,23 @@ def discover_table_nsc(
         raise ValueError(f"unknown NSC scope {scope!r}")
     row_counts = [partition.row_count for partition in table.partitions]
     if scope == "partition":
-        per_partition = [
-            discover_nsc_patches(
-                partition.column(column_name), ascending=ascending, strict=strict
+        # A table has at least one partition, so the zip is never empty.
+        per_partition, runs, scalar_steps = zip(
+            *(
+                _nsc_patches(partition.column(column_name), ascending, strict)
+                for partition in table.partitions
             )
-            for partition in table.partitions
-        ]
-        return DiscoveryResult(
-            ConstraintKind.SORTED, table.row_count, per_partition, row_counts
         )
-    global_patches = discover_nsc_patches(
-        table.read_column(column_name), ascending=ascending, strict=strict
+        return DiscoveryResult(
+            ConstraintKind.SORTED,
+            table.row_count,
+            list(per_partition),
+            row_counts,
+            runs=sum(runs),
+            scalar_steps=sum(scalar_steps),
+        )
+    global_patches, runs, scalar_steps = _nsc_patches(
+        table.read_column(column_name), ascending, strict
     )
     per_partition = []
     for partition in table.partitions:
@@ -179,7 +197,12 @@ def discover_table_nsc(
         hi = int(np.searchsorted(global_patches, stop, side="left"))
         per_partition.append(global_patches[lo:hi] - start)
     return DiscoveryResult(
-        ConstraintKind.SORTED, table.row_count, per_partition, row_counts
+        ConstraintKind.SORTED,
+        table.row_count,
+        per_partition,
+        row_counts,
+        runs=runs,
+        scalar_steps=scalar_steps,
     )
 
 

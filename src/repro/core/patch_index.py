@@ -116,6 +116,10 @@ class PatchIndex:
         #: wires this to log deltas into the WAL and feed drift gauges.
         #: ``None`` for detached indexes (snapshots, tests).
         self.delta_sink = None
+        #: ``(rows, runs, scalar_steps)`` of the NSC discovery that built
+        #: the current patch sets (see :class:`DiscoveryResult`); ``None``
+        #: for NUC and for patch sets that were restored, not discovered.
+        self.nsc_discovery: tuple[int, int, int] | None = None
         self._partition_patches = partition_patches
         self._maintainer = None  # see _maintenance()
         self._listener = self._on_table_event
@@ -191,7 +195,7 @@ class PatchIndex:
             )
         ]
         elapsed = time.perf_counter() - started
-        return cls(
+        index = cls(
             name,
             table,
             column_name,
@@ -205,6 +209,8 @@ class PatchIndex:
             provenance=provenance,
             mode=mode,
         )
+        index._note_discovery(result)
+        return index
 
     @classmethod
     def from_discovery(
@@ -231,7 +237,7 @@ class PatchIndex:
                 result.per_partition_rowids, result.partition_row_counts
             )
         ]
-        return cls(
+        index = cls(
             name,
             table,
             column_name,
@@ -243,6 +249,8 @@ class PatchIndex:
             scope=scope,
             mode=mode,
         )
+        index._note_discovery(result)
+        return index
 
     # -- query surface (used by PatchSelect) ------------------------------------
 
@@ -392,6 +400,7 @@ class PatchIndex:
             )
         ]
         self._maintainer = None
+        self._note_discovery(result)
         self.mode = PatchIndexMode.AUTO
         self.rebuild_count += 1
         self.rebuild_pending = False
@@ -406,6 +415,22 @@ class PatchIndex:
                     ops=(invalidate_op(),),
                 ),
             )
+
+    def _note_discovery(self, result: DiscoveryResult) -> None:
+        if result.kind == ConstraintKind.SORTED:
+            self.nsc_discovery = (
+                result.row_count, result.runs, result.scalar_steps
+            )
+
+    def publish_discovery(self, metrics) -> None:
+        """Add the discovery behind the current patch sets to the
+        ``core.discovery.nsc.{rows,runs,scalar_steps}`` counters of
+        *metrics*: ``scalar_steps`` near ``rows`` says the column was not
+        nearly sorted and discovery took its slow path."""
+        if self.nsc_discovery is None:
+            return
+        for name, amount in zip(("rows", "runs", "scalar_steps"), self.nsc_discovery):
+            metrics.counter(f"core.discovery.nsc.{name}").inc(amount)
 
     def _maintenance(self):
         """The index's maintainer, created on the first mutation."""

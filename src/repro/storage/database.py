@@ -295,6 +295,8 @@ class Database:
             self.wal.append("patch_delta", delta.to_payload(applies_to))
         self.obs.counter("maintenance.deltas").inc()
         self.obs.counter("maintenance.delta_ops").inc(len(delta.ops))
+        if delta.event == "rebuild":
+            index.publish_discovery(self.obs)
         drift = index.drift_rate()
         self.obs.gauge(f"patchindex.{index.name}.drift_rate").set(drift)
         if (
@@ -453,6 +455,8 @@ class Database:
         """Register an index and route its deltas through this database."""
         self.catalog.add_index(index)
         index.delta_sink = self._on_patch_delta
+        # Created or rebuilt from data; a restored index has none to report.
+        index.publish_discovery(self.obs)
 
     def drop_patch_index(self, name: str) -> None:
         self.catalog.drop_index(name)

@@ -174,6 +174,7 @@ class SnapshotHandle:
                 )
                 for index in built.indexes:
                     catalog.add_index(index)
+                    index.publish_discovery(self._metrics)
                 for index in built.restored:
                     index.detach()
                 self.delta_fed = built.restored

@@ -1,9 +1,11 @@
 """Property and unit tests for the longest sorted subsequence algorithm."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.lis import (
+    longest_sorted_subsequence,
     longest_sorted_subsequence_indices,
     longest_sorted_subsequence_length,
 )
@@ -113,3 +115,227 @@ class TestProperties:
         items.sort()
         values = np.array(items, dtype=np.int64)
         assert longest_sorted_subsequence_length(values) == len(items)
+
+
+# -- the per-row loop, kept as the oracle --------------------------------------
+#
+# ``core/lis.py`` as it stood before the kernel walked runs: one
+# ``searchsorted`` and one Python step per row, one more per kept row to
+# reconstruct.  The run-at-a-time kernel claims to return *these*
+# positions, not merely a subsequence of the same length.
+
+
+def reference_lis_numeric(values: np.ndarray, strict: bool) -> np.ndarray:
+    n = len(values)
+    tails = np.empty(n, dtype=values.dtype)
+    tail_positions = np.empty(n, dtype=np.int64)
+    predecessors = np.full(n, -1, dtype=np.int64)
+    length = 0
+    side = "left" if strict else "right"
+    for position in range(n):
+        value = values[position]
+        slot = int(np.searchsorted(tails[:length], value, side=side))
+        tails[slot] = value
+        tail_positions[slot] = position
+        if slot > 0:
+            predecessors[position] = tail_positions[slot - 1]
+        if slot == length:
+            length += 1
+    return reference_reconstruct(
+        predecessors, int(tail_positions[length - 1]), length
+    )
+
+
+def reference_reconstruct(predecessors, last_position, length) -> np.ndarray:
+    out = np.empty(length, dtype=np.int64)
+    position = last_position
+    for slot in range(length - 1, -1, -1):
+        out[slot] = position
+        position = predecessors[position]
+    return out
+
+
+def reference_positions(values: np.ndarray, ascending=True, strict=False):
+    """The per-row loop's answer.  Its descending transform was ``-v``
+    (``~v`` for booleans), exact wherever ``-v`` does not wrap — every
+    input below except the ones ``TestOrderReversal`` is about."""
+    if len(values) == 0:
+        return np.empty(0, dtype=np.int64)
+    if not ascending:
+        values = ~values if values.dtype == np.bool_ else -values
+    return reference_lis_numeric(values, strict)
+
+
+def assert_same_positions(values, ascending=True, strict=False):
+    got = longest_sorted_subsequence_indices(
+        values, ascending=ascending, strict=strict
+    )
+    expected = reference_positions(values, ascending, strict)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()
+
+
+def near_sorted(n: int, rate: float, seed: int) -> np.ndarray:
+    """0..n-1 with ``rate * n`` positions overwritten by random values."""
+    rng = np.random.default_rng(seed)
+    values = np.arange(n, dtype=np.int64)
+    where = rng.choice(n, int(n * rate), replace=False)
+    values[where] = rng.integers(0, n, len(where))
+    return values
+
+
+#: Concatenated arithmetic runs ``start, start + step, …``: long sorted
+#: stretches, plateaus (step 0) and single elements, which a list of
+#: independent integers almost never draws.
+runs_of_values = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(1, 14), st.integers(0, 3)),
+    max_size=12,
+).map(
+    lambda runs: np.array(
+        [start + step * i for start, count, step in runs for i in range(count)],
+        dtype=np.int64,
+    )
+)
+
+PROFILES = {
+    "sorted": np.arange(500, dtype=np.int64),
+    "reverse_sorted": np.arange(500, dtype=np.int64)[::-1].copy(),
+    "all_equal": np.full(500, 7, dtype=np.int64),
+    "zigzag_runs_of_2": np.arange(500, dtype=np.int64) - 3 * (np.arange(500) % 2),
+    "plateaus": np.arange(500, dtype=np.int64) // 7,
+    "sawtooth_runs_of_5": np.arange(500, dtype=np.int64) % 5
+    + np.arange(500, dtype=np.int64) // 5 * 3,
+    "one_percent_exceptions_20k": near_sorted(20_000, 0.01, seed=3),
+    "ten_percent_exceptions": near_sorted(4_000, 0.10, seed=4),
+    "random": np.random.default_rng(5).integers(0, 1_000, 3_000),
+}
+
+
+class TestSamePositionsAsPerRowLoop:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_run_length_profiles(self, profile, ascending, strict):
+        assert_same_positions(PROFILES[profile], ascending, strict)
+
+    @given(st.lists(st.integers(-50, 50), max_size=120), st.booleans(), st.booleans())
+    @settings(max_examples=200)
+    def test_int64(self, items, ascending, strict):
+        assert_same_positions(np.array(items, dtype=np.int64), ascending, strict)
+
+    @given(runs_of_values, st.booleans(), st.booleans())
+    @settings(max_examples=200)
+    def test_int64_drawn_as_runs(self, values, ascending, strict):
+        assert_same_positions(values, ascending, strict)
+
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=80),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_float64_with_nan_and_inf(self, items, ascending, strict):
+        assert_same_positions(np.array(items, dtype=np.float64), ascending, strict)
+
+    @given(st.lists(st.booleans(), max_size=80), st.booleans(), st.booleans())
+    def test_bool(self, items, ascending, strict):
+        assert_same_positions(np.array(items, dtype=np.bool_), ascending, strict)
+
+    @pytest.mark.parametrize("cut_over", [1, 2, 10**9])
+    @given(values=runs_of_values, strict=st.booleans())
+    @settings(max_examples=100)
+    def test_any_cut_over_gives_the_same_positions(self, cut_over, values, strict):
+        # The cut-over is a speed choice: batching every run, even of one
+        # element, or none must not change a single position.
+        from repro.core import lis
+
+        original = lis.BATCH_MIN_RUN
+        lis.BATCH_MIN_RUN = cut_over
+        try:
+            assert_same_positions(values, strict=strict)
+        finally:
+            lis.BATCH_MIN_RUN = original
+
+    def test_nan_always_ends_a_run(self):
+        # A NaN compares False both ways: with "next < prev" as the
+        # boundary it would sit inside a run and reach the batched step,
+        # which assumes ordered input.
+        rng = np.random.default_rng(11)
+        values = np.arange(2_000, dtype=np.float64)
+        values[rng.choice(2_000, 60, replace=False)] = np.nan
+        values[rng.choice(2_000, 20, replace=False)] = rng.random(20) * 2_000
+        for ascending in (True, False):
+            for strict in (False, True):
+                assert_same_positions(values, ascending, strict)
+        runs = longest_sorted_subsequence(values).runs
+        assert runs >= 2 * int(np.isnan(values).sum())
+
+
+class TestOrderReversal:
+    """Descending is ascending over an order-reversing transform; ``-v``
+    is not one at ``INT64_MIN`` (it wraps to itself) nor for unsigned."""
+
+    def test_int64_min_descending(self):
+        lowest = np.iinfo(np.int64).min
+        values = np.array([5, lowest, 3, 1], dtype=np.int64)
+        indices = longest_sorted_subsequence_indices(values, ascending=False)
+        check_subsequence(values.tolist(), indices, ascending=False)
+        assert indices.tolist() == [0, 2, 3]
+
+    def test_int64_extremes_descending_strict(self):
+        info = np.iinfo(np.int64)
+        values = np.array([info.min, info.max, 0, info.min + 1, info.min], dtype=np.int64)
+        indices = longest_sorted_subsequence_indices(
+            values, ascending=False, strict=True
+        )
+        assert indices.tolist() == [1, 2, 3, 4]
+
+    def test_uint64_above_float_precision(self):
+        values = np.array([2**63 + 2, 2**63 + 1, 2**63], dtype=np.uint64)
+        indices = longest_sorted_subsequence_indices(
+            values, ascending=False, strict=True
+        )
+        assert indices.tolist() == [0, 1, 2]
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1, -1, 0, 1,
+                 np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
+            ),
+            max_size=30,
+        ),
+        st.booleans(),
+    )
+    def test_extremes_match_brute_force(self, items, strict):
+        values = np.array(items, dtype=np.int64)
+        indices = longest_sorted_subsequence_indices(
+            values, ascending=False, strict=strict
+        )
+        check_subsequence(items, indices, ascending=False, strict=strict)
+        assert len(indices) == brute_force_length(items, False, strict)
+
+
+class TestStepCounts:
+    def test_sorted_input_is_one_batched_run(self):
+        found = longest_sorted_subsequence(np.arange(1_000, dtype=np.int64))
+        assert (found.runs, found.scalar_steps) == (1, 0)
+
+    def test_reverse_sorted_input_is_all_scalar(self):
+        found = longest_sorted_subsequence(np.arange(1_000, dtype=np.int64)[::-1])
+        assert (found.runs, found.scalar_steps) == (1_000, 1_000)
+
+    def test_short_runs_between_long_ones_are_scalar(self):
+        # long run, two runs of one, long run
+        values = np.array(list(range(20)) + [9, 8] + list(range(5, 25)))
+        found = longest_sorted_subsequence(values)
+        assert (found.runs, found.scalar_steps) == (4, 2)
+
+    def test_strings_are_not_cut_into_runs(self):
+        values = np.array(["a", "b", "a"], dtype=object)
+        found = longest_sorted_subsequence(values)
+        assert (found.runs, found.scalar_steps) == (0, 3)
+
+    def test_empty(self):
+        found = longest_sorted_subsequence(np.empty(0, dtype=np.int64))
+        assert (len(found.positions), found.runs, found.scalar_steps) == (0, 0, 0)

@@ -126,6 +126,7 @@ METRIC_NAMESPACES = (
     "server",
     "session",
     "sanitize",
+    "core",
 )
 
 #: Source files allowed to read raw buffers — ``np.frombuffer``,
