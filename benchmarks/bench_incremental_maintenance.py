@@ -8,7 +8,7 @@ durable database carrying a NUC PatchIndex:
 
 - ``incremental``: the delta layer classifies every mutation into
   :class:`~repro.core.delta.PatchDelta` ops; a full rebuild happens
-  only when drift crosses ``rebuild_threshold``
+  only when drift crosses ``REBUILD_THRESHOLD`` (0.02)
   (``run_pending_rebuilds`` after each batch, as the server does);
 - ``rebuild_every_batch``: the self-management strawman — call
   ``index.rebuild()`` after every batch, as an engine without

@@ -11,7 +11,7 @@ attributes.  This benchmark checks that promise and records it to
 - *disabled*: ``Database.sql(query)`` — the public path with profiling
   off (statement counters fire, no operator instrumentation);
 - *enabled*: ``Database.sql(query, profile=True)`` — full per-operator
-  timing, PatchSelect counters and cardinality feedback.
+  timing and PatchSelect counters.
 
 The concurrency sanitizer rides the same harness on a *durable* engine
 (its instrumented locks sit on the block-cache and snapshot paths,
@@ -79,7 +79,7 @@ def build_database(rows: int) -> Database:
 def build_durable(rows: int, root: str) -> Database:
     rng = np.random.default_rng(31)
     values = rng.permutation(rows).astype(np.int64)
-    database = Database(path=root, mmap=True, sync=False, parallelism=1)
+    database = Database(path=root, sync=False, parallelism=1)
     table = database.create_table(
         "t", Schema([Field("c", DataType.INT64)]), partition_count=4
     )

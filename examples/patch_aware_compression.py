@@ -4,15 +4,22 @@
 compression, potentially increasing compression ratios when treating
 discovered set of patches separately."
 
-This example compresses a nearly sorted event-id column three ways and
-prints the ratios: the handful of out-of-order rows that a PatchIndex
-already knows about are exactly the values that would otherwise force a
-wide delta encoding on everyone else.
+This example encodes a nearly sorted event-id column three ways — with
+the block codecs the engine writes at checkpoint, the whole column as
+one block — and prints the ratios: the handful of out-of-order rows that
+a PatchIndex already knows about are exactly the values that would
+otherwise force a wide delta encoding on everyone else.
 
 Run:  python examples/patch_aware_compression.py
 """
 
-from repro.core.compression import compress_for, compress_sorted
+import numpy as np
+
+from repro.core.compression import (
+    decode_block_pfor,
+    encode_block_for,
+    encode_block_pfor,
+)
 from repro.core.patch_index import PatchIndex
 from repro.gen.synthetic import synthetic_table
 
@@ -22,24 +29,24 @@ for rate in (0.001, 0.01, 0.05, 0.2):
     table = synthetic_table(
         "events", ROWS, sorted_exception_rate=rate, seed=int(rate * 1e4)
     )
-    column = table.read_column("s")
+    values = table.read_column("s").values
     raw_bytes = ROWS * 8
 
     # The PatchIndex already holds the minimal exception set; the
-    # compressor reuses it instead of re-discovering.
+    # codec reuses it instead of re-discovering.
     index = PatchIndex.create("pi", table, "s", "sorted")
     index.detach()
-    patched = compress_sorted(column, index.rowids())
-    plain = compress_for(column)
+    patched = encode_block_pfor(values, index.rowids())
+    plain = encode_block_for(values)
 
-    assert patched.decompress().to_pylist() == column.to_pylist()
+    assert np.array_equal(decode_block_pfor(patched, ROWS), values)
     print(
         f"rate={rate:<6g} raw={raw_bytes / 1024:8.1f} KiB   "
-        f"plain delta/FOR={plain.size_bytes() / 1024:8.1f} KiB "
-        f"({raw_bytes / plain.size_bytes():5.1f}x)   "
-        f"patch-aware={patched.size_bytes() / 1024:8.1f} KiB "
-        f"({raw_bytes / patched.size_bytes():5.1f}x, "
-        f"{index.patch_count} patches @ {patched.delta_width} bit deltas)"
+        f"plain delta/FOR={len(plain) / 1024:8.1f} KiB "
+        f"({raw_bytes / len(plain):5.1f}x)   "
+        f"patch-aware={len(patched) / 1024:8.1f} KiB "
+        f"({raw_bytes / len(patched):5.1f}x, "
+        f"{index.patch_count} patches)"
     )
 
 print(

@@ -59,7 +59,7 @@ from repro.core import (
     longest_sorted_subsequence_indices,
 )
 from repro.exec.result import QueryResult
-from repro.obs import CardinalityFeedback, MetricsRegistry, QueryProfile
+from repro.obs import MetricsRegistry, QueryProfile
 
 __version__ = "1.0.0"
 
@@ -69,11 +69,9 @@ def connect(
     *,
     path: "str | _os.PathLike | None" = None,
     parallelism: int | None = None,
-    mmap: bool = False,
     sync: bool = True,
     cache_bytes: int | None = None,
     encoding: str = "auto",
-    rebuild_threshold: float | None = None,
     timeout: float | None = None,
 ):
     """Open a database — local or remote — from one *target*.
@@ -91,20 +89,14 @@ def connect(
       ``python -m repro serve`` instance; it mirrors the ``Database``
       query surface, and *timeout* bounds the socket connect/replies.
 
-    Durable knobs: ``mmap=True`` memory-maps checkpointed segment
-    payloads instead of loading them eagerly; *cache_bytes* bounds the
-    shared decoded-block cache (default ``REPRO_CACHE_BYTES``, else
-    64 MiB; ``0`` disables it); *encoding* selects the checkpoint
-    segment encoding (``"auto"`` = cost-based per-block picker,
-    ``"raw"`` = uncompressed); ``sync=False`` skips fsync (benchmarks
-    only).  *rebuild_threshold* sets the drift ratio past which a
-    PatchIndex is scheduled for a background rebuild (default
-    ``REPRO_REBUILD_THRESHOLD``, else 0.02; local databases only — a
-    server configures its own).  *parallelism* sets the
-    instance-default degree of
-    parallelism (``None`` resolves ``REPRO_THREADS`` / the CPU count,
-    ``1`` forces serial execution); for a remote target it is applied
-    to the server-side session.
+    Durable knobs: *cache_bytes* bounds the shared decoded-block cache
+    (default ``REPRO_CACHE_BYTES``, else 64 MiB; ``0`` disables it);
+    *encoding* selects the checkpoint segment encoding (``"auto"`` =
+    cost-based per-block picker, ``"raw"`` = uncompressed);
+    ``sync=False`` skips fsync (benchmarks only).  *parallelism* sets
+    the instance-default degree of parallelism (``None`` resolves
+    ``REPRO_THREADS`` / the CPU count, ``1`` forces serial execution);
+    for a remote target it is applied to the server-side session.
 
     A *file* is not a connect target: the metadata-only WAL mode is
     ``Database(wal_path)``.
@@ -116,16 +108,10 @@ def connect(
     if target is not None:
         text = _os.fspath(target) if not isinstance(target, str) else target
         if text.startswith("repro://"):
-            if (
-                mmap
-                or not sync
-                or cache_bytes is not None
-                or encoding != "auto"
-                or rebuild_threshold is not None
-            ):
+            if not sync or cache_bytes is not None or encoding != "auto":
                 raise ReproError(
-                    "mmap/sync/cache_bytes/encoding/rebuild_threshold are "
-                    "storage knobs of the server's database, not the client"
+                    "sync/cache_bytes/encoding are storage knobs of the "
+                    "server's database, not the client"
                 )
             from repro.serve import ServerClient
 
@@ -143,11 +129,9 @@ def connect(
     return Database(
         path=path,
         parallelism=parallelism,
-        mmap=mmap,
         sync=sync,
         cache_bytes=cache_bytes,
         encoding=encoding,
-        rebuild_threshold=rebuild_threshold,
     )
 
 
@@ -187,5 +171,4 @@ __all__ = [
     "QueryResult",
     "QueryProfile",
     "MetricsRegistry",
-    "CardinalityFeedback",
 ]

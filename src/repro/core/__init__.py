@@ -40,13 +40,6 @@ from repro.core.discovery import (
 from repro.core.lis import longest_sorted_subsequence_indices
 from repro.core.advisor import ConstraintAdvisor, AdvisorProposal
 from repro.core.cost_model import CostModel, CostEstimate
-from repro.core.compression import (
-    compress_sorted,
-    compress_for,
-    compression_report,
-    CompressedSortedColumn,
-    CompressedForColumn,
-)
 
 __all__ = [
     "PatchSet",
@@ -69,9 +62,4 @@ __all__ = [
     "AdvisorProposal",
     "CostModel",
     "CostEstimate",
-    "compress_sorted",
-    "compress_for",
-    "compression_report",
-    "CompressedSortedColumn",
-    "CompressedForColumn",
 ]

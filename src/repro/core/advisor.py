@@ -27,7 +27,7 @@ from repro.core.discovery import (
     discover_table_nuc,
 )
 from repro.core.patches import CROSSOVER_RATE
-from repro.storage.database import Database
+from repro.storage.database import REBUILD_THRESHOLD, Database
 from repro.storage.table import Table
 from repro.types import is_orderable
 
@@ -44,10 +44,6 @@ class AdvisorProposal:
     row_count: int
     recommended_design: str
     estimated_speedup: float
-    #: Measured scan selectivity of the table from profiled queries
-    #: (EWMA, see :class:`repro.obs.feedback.CardinalityFeedback`);
-    #: ``None`` when the workload has not been profiled.
-    observed_selectivity: float | None = None
 
     @property
     def index_name(self) -> str:
@@ -55,14 +51,11 @@ class AdvisorProposal:
         return f"pidx_{self.table_name}_{self.column_name}_{suffix}"
 
     def describe(self) -> str:
-        base = (
+        return (
             f"{self.table_name}.{self.column_name}: {self.kind.value} "
             f"rate={self.exception_rate:.2%} design={self.recommended_design} "
             f"est. speedup {self.estimated_speedup:.2f}x"
         )
-        if self.observed_selectivity is not None:
-            base += f" (observed scan selectivity {self.observed_selectivity:.2%})"
-        return base
 
 
 class ConstraintAdvisor:
@@ -77,7 +70,6 @@ class ConstraintAdvisor:
         sample_rows: int | None = 100_000,
         cost_model: CostModel | None = None,
         min_speedup: float = 1.05,
-        feedback=None,
     ):
         """
         Parameters (all keyword-only)
@@ -93,13 +85,6 @@ class ConstraintAdvisor:
         min_speedup:
             Proposals whose cost-model speedup estimate for the
             representative query falls below this are dropped.
-        feedback:
-            A :class:`~repro.obs.feedback.CardinalityFeedback` with
-            measured scan selectivities from profiled queries; defaults
-            to the database's own.  Cost-model row counts are scaled by
-            the observed selectivity, so a table the workload reads at
-            2% selectivity is not costed as if queries materialized all
-            of it.
         """
         self.database = database
         self.nuc_threshold = nuc_threshold
@@ -107,9 +92,6 @@ class ConstraintAdvisor:
         self.sample_rows = sample_rows
         self.cost_model = cost_model or CostModel()
         self.min_speedup = min_speedup
-        self.feedback = (
-            feedback if feedback is not None else getattr(database, "feedback", None)
-        )
 
     # -- profiling -------------------------------------------------------
 
@@ -140,68 +122,36 @@ class ConstraintAdvisor:
         rows = table.row_count
         if rows == 0:
             return []
-        effective_rows, selectivity = self._effective_rows(table)
         out: list[AdvisorProposal] = []
         if self._worth_full_scan(table, name, ConstraintKind.UNIQUE):
             result = discover_table_nuc(table, name)
             rate = result.exception_rate
             if rate <= self.nuc_threshold:
-                estimate = self.cost_model.distinct(
-                    effective_rows, self._scale(result.patch_count, selectivity)
-                )
+                estimate = self.cost_model.distinct(rows, result.patch_count)
                 if estimate.speedup >= self.min_speedup:
-                    out.append(
-                        self._proposal(table, name, ConstraintKind.UNIQUE, result, estimate.speedup, selectivity)
-                    )
+                    out.append(self._proposal(table, name, result, estimate.speedup))
         if is_orderable(field.dtype) and self._worth_full_scan(
             table, name, ConstraintKind.SORTED
         ):
             result = discover_table_nsc(table, name)
             rate = result.exception_rate
             if rate <= self.nsc_threshold:
-                estimate = self.cost_model.sort(
-                    effective_rows, self._scale(result.patch_count, selectivity)
-                )
+                estimate = self.cost_model.sort(rows, result.patch_count)
                 if estimate.speedup >= self.min_speedup:
-                    out.append(
-                        self._proposal(table, name, ConstraintKind.SORTED, result, estimate.speedup, selectivity)
-                    )
+                    out.append(self._proposal(table, name, result, estimate.speedup))
         return out
 
-    def _effective_rows(self, table: Table) -> tuple[int, float | None]:
-        """Cost-model row count scaled by observed scan selectivity.
-
-        With no profiled observations for the table, the full row count
-        is used — exactly the pre-feedback behaviour.
-        """
-        rows = table.row_count
-        if self.feedback is None:
-            return rows, None
-        selectivity = self.feedback.selectivity(table.name)
-        if selectivity is None:
-            return rows, None
-        return max(1, round(rows * selectivity)), selectivity
-
-    @staticmethod
-    def _scale(count: int, selectivity: float | None) -> int:
-        if selectivity is None:
-            return count
-        return min(count, max(0, round(count * selectivity)))
-
-    def _proposal(
-        self, table, name, kind, result, speedup, selectivity=None
-    ) -> AdvisorProposal:
+    def _proposal(self, table, name, result, speedup) -> AdvisorProposal:
         rate = result.exception_rate
         return AdvisorProposal(
             table_name=table.name,
             column_name=name,
-            kind=kind,
+            kind=result.kind,
             exception_rate=rate,
             patch_count=result.patch_count,
             row_count=result.row_count,
             recommended_design="identifier" if rate <= CROSSOVER_RATE else "bitmap",
             estimated_speedup=speedup,
-            observed_selectivity=selectivity,
         )
 
     def _worth_full_scan(
@@ -281,12 +231,12 @@ class ConstraintAdvisor:
         Incremental maintenance keeps patch sets correct but not
         minimal (see :mod:`repro.core.maintenance`); once the drift — the
         fraction of rows the maintainer demoted — exceeds the threshold,
-        a rebuild restores minimality.  *max_drift* defaults to the
-        database's ``maintenance.rebuild_threshold`` knob, so the
+        a rebuild restores minimality.  *max_drift* defaults to
+        :data:`~repro.storage.database.REBUILD_THRESHOLD`, so the
         advisor and the background sweep agree on what "drifted" means.
         """
         if max_drift is None:
-            max_drift = getattr(self.database, "rebuild_threshold", 0.02)
+            max_drift = REBUILD_THRESHOLD
         return [
             index.name
             for index in self.database.catalog.indexes()

@@ -1,4 +1,4 @@
-"""Patch-aware column compression (paper §VIII outlook).
+"""Patch-aware block compression (paper §VIII outlook).
 
 The paper closes with: "we plan to investigate on opportunities the
 PatchIndex offers for data compression, potentially increasing
@@ -8,32 +8,28 @@ data."  That is the patch-processing lineage the paper cites — PFOR /
 PFOR-DELTA (Zukowski et al., ICDE 2006) make compression robust by
 storing outliers separately.
 
-This module implements the idea for nearly sorted columns: with the
-NSC patches removed, the remaining values are non-decreasing, so their
-deltas are small non-negative integers that bit-pack tightly
-(delta + frame-of-reference).  The patches — exactly the values that
-would otherwise blow up the delta width — are stored verbatim on the
-side, addressed by the same sorted rowid list the PatchIndex maintains.
-
-For comparison (and for the ablation benchmark), a plain
-frame-of-reference encoder without patch separation is included: on
-nearly sorted data with even a few exceptions its delta domain includes
-large *negative* jumps, forcing a zig-zag encoding with a much wider
-bit width.
+This module holds the bit-packing kernels and the per-block codecs the
+RSEG2 segment format writes at checkpoint.  ``pfor`` is the paper's
+idea for nearly sorted columns: with the NSC patches removed, the
+remaining values are non-decreasing, so their deltas are small
+non-negative integers that bit-pack tightly (delta +
+frame-of-reference); the patches — exactly the values that would
+otherwise blow up the delta width — are stored verbatim on the side,
+addressed by the rowids the PatchIndex maintains.  Plain ``for`` has no
+patch separation: on nearly sorted data with even a few exceptions its
+delta domain includes large *negative* jumps, forcing a zig-zag
+encoding with a much wider bit width
+(``benchmarks/bench_ablation_compression.py`` measures the two).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.discovery import discover_nsc_patches
 from repro.errors import StorageError
 from repro.storage.blocks import BlockStats
-from repro.storage.column import ColumnVector
-from repro.types import DataType
 
 
 def _required_width(values: np.ndarray) -> int:
@@ -151,175 +147,6 @@ def _unpack_rows(
 def unpack_bits(buffer: np.ndarray, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns int64 values."""
     return _unpack_rows(buffer, 0, 0, 1, width, count)[0]
-
-
-@dataclass(frozen=True)
-class CompressedSortedColumn:
-    """Delta+FOR encoding of a nearly sorted INT64 column with patches.
-
-    The kept (sorted) values are stored as ``base`` plus bit-packed
-    non-negative deltas; the patch rows are stored verbatim next to
-    their sorted rowids.  NULL rows are always patches (NSC invariant),
-    recorded in ``exception_nulls``.
-    """
-
-    row_count: int
-    base: int
-    delta_width: int
-    packed_deltas: np.ndarray
-    kept_count: int
-    exception_rowids: np.ndarray
-    exception_values: np.ndarray
-    exception_nulls: np.ndarray
-
-    def size_bytes(self) -> int:
-        """Payload bytes (ignoring Python object overhead)."""
-        return (
-            8  # base
-            + 1  # width
-            + len(self.packed_deltas)
-            + len(self.exception_rowids) * 8
-            + len(self.exception_values) * 8
-            + (len(self.exception_nulls) + 7) // 8
-        )
-
-    def decompress(self) -> ColumnVector:
-        """Reconstruct the exact original column (values and NULLs)."""
-        values = np.zeros(self.row_count, dtype=np.int64)
-        is_exception = np.zeros(self.row_count, dtype=np.bool_)
-        is_exception[self.exception_rowids] = True
-        if self.kept_count:
-            deltas = unpack_bits(
-                self.packed_deltas, self.delta_width, self.kept_count
-            ) if self.delta_width else np.zeros(self.kept_count, dtype=np.int64)
-            kept = np.cumsum(
-                np.concatenate([[self.base], deltas[1:]])
-            ) if self.kept_count > 1 else np.asarray([self.base])
-            values[~is_exception] = kept
-        values[self.exception_rowids] = self.exception_values
-        if self.exception_nulls.any():
-            validity = np.ones(self.row_count, dtype=np.bool_)
-            validity[self.exception_rowids[self.exception_nulls]] = False
-            return ColumnVector(DataType.INT64, values, validity)
-        return ColumnVector(DataType.INT64, values)
-
-
-def compress_sorted(
-    column: ColumnVector,
-    patch_rowids: np.ndarray | None = None,
-) -> CompressedSortedColumn:
-    """Compress a nearly sorted INT64 column using its patch set.
-
-    When *patch_rowids* is None the NSC patches are discovered first
-    (the self-managing path: the compressor reuses the PatchIndex's
-    knowledge when one exists, and falls back to discovery).
-    """
-    if column.dtype != DataType.INT64:
-        raise StorageError("compress_sorted supports INT64 columns")
-    n = len(column)
-    if patch_rowids is None:
-        patch_rowids = discover_nsc_patches(column)
-    patch_rowids = np.asarray(patch_rowids, dtype=np.int64)
-    is_exception = np.zeros(n, dtype=np.bool_)
-    is_exception[patch_rowids] = True
-    validity = column.validity_or_all_true()
-    if (~validity & ~is_exception).any():
-        raise StorageError("NULL rows must be patches")
-
-    kept = column.values[~is_exception]
-    if len(kept) > 1:
-        deltas = np.diff(kept)
-        if (deltas < 0).any():
-            raise StorageError("kept values are not sorted; bad patch set")
-        full = np.concatenate([[0], deltas])
-    else:
-        full = np.zeros(len(kept), dtype=np.int64)
-    width = _required_width(full) if len(full) else 0
-    packed = (
-        pack_bits(full, width)
-        if width and len(full)
-        else np.zeros(0, dtype=np.uint8)
-    )
-    exception_values = column.values[patch_rowids]
-    exception_nulls = ~validity[patch_rowids] if column.validity is not None else np.zeros(
-        len(patch_rowids), dtype=np.bool_
-    )
-    return CompressedSortedColumn(
-        row_count=n,
-        base=int(kept[0]) if len(kept) else 0,
-        delta_width=width,
-        packed_deltas=packed,
-        kept_count=len(kept),
-        exception_rowids=patch_rowids,
-        exception_values=np.asarray(exception_values, dtype=np.int64),
-        exception_nulls=exception_nulls,
-    )
-
-
-@dataclass(frozen=True)
-class CompressedForColumn:
-    """Plain frame-of-reference + zig-zag delta encoding (no patches).
-
-    The baseline the ablation compares against: one bit width must fit
-    *every* delta, including the large negative jumps that the
-    exceptions introduce.
-    """
-
-    row_count: int
-    base: int
-    width: int
-    packed: np.ndarray
-
-    def size_bytes(self) -> int:
-        return 8 + 1 + len(self.packed)
-
-    def decompress(self) -> ColumnVector:
-        if self.row_count == 0:
-            return ColumnVector.empty(DataType.INT64)
-        zigzag = unpack_bits(self.packed, self.width, self.row_count) if self.width else np.zeros(
-            self.row_count, dtype=np.int64
-        )
-        deltas = (zigzag >> 1) ^ -(zigzag & 1)
-        values = np.cumsum(np.concatenate([[self.base], deltas[1:]]))
-        return ColumnVector(DataType.INT64, values.astype(np.int64))
-
-
-def compress_for(column: ColumnVector) -> CompressedForColumn:
-    """Delta-encode without patch separation (zig-zag for negatives)."""
-    if column.dtype != DataType.INT64:
-        raise StorageError("compress_for supports INT64 columns")
-    if column.has_nulls:
-        raise StorageError("compress_for does not support NULLs")
-    n = len(column)
-    if n == 0:
-        return CompressedForColumn(0, 0, 0, np.zeros(0, dtype=np.uint8))
-    deltas = np.concatenate([[0], np.diff(column.values)])
-    zigzag = (deltas << 1) ^ (deltas >> 63)
-    width = _required_width(zigzag)
-    return CompressedForColumn(
-        row_count=n,
-        base=int(column.values[0]),
-        width=width,
-        packed=pack_bits(zigzag, width),
-    )
-
-
-def compression_report(
-    column: ColumnVector, patch_rowids: np.ndarray | None = None
-) -> dict[str, float]:
-    """Sizes and ratios of raw vs FOR vs patch-aware encodings."""
-    raw = len(column) * 8
-    patched = compress_sorted(column, patch_rowids)
-    out = {
-        "raw_bytes": float(raw),
-        "patch_aware_bytes": float(patched.size_bytes()),
-        "patch_aware_ratio": raw / max(1, patched.size_bytes()),
-    }
-    if not column.has_nulls:
-        plain = compress_for(column)
-        out["for_bytes"] = float(plain.size_bytes())
-        out["for_ratio"] = raw / max(1, plain.size_bytes())
-    return out
 
 
 # ---------------------------------------------------------------------------

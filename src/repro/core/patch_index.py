@@ -372,8 +372,10 @@ class PatchIndex:
         return stats.patches_added / self.table.row_count
 
     def rebuild(self) -> None:
-        """Re-run discovery to restore a minimal patch set (and the
-        design choice), discarding maintenance drift.
+        """Re-run discovery to restore a minimal patch set, discarding
+        maintenance drift.  The design is re-resolved through the mode
+        the index was created with, so an explicit ``identifier`` /
+        ``bitmap`` survives the rebuild as it survives a reopen.
 
         Emits an ``invalidate`` :class:`~repro.core.delta.PatchDelta`
         through the sink: the logged delta stream no longer describes
@@ -392,7 +394,7 @@ class PatchIndex:
             strict=self.strict,
             scope=self.scope,
         )
-        design = PatchIndexMode.AUTO.resolve(result.exception_rate)
+        design = (self.mode or PatchIndexMode.AUTO).resolve(result.exception_rate)
         self._partition_patches = [
             PatchSet.build(local_rowids, rows, design)
             for local_rowids, rows in zip(
@@ -401,7 +403,6 @@ class PatchIndex:
         ]
         self._maintainer = None
         self._note_discovery(result)
-        self.mode = PatchIndexMode.AUTO
         self.rebuild_count += 1
         self.rebuild_pending = False
         self.table.touch()

@@ -1,10 +1,9 @@
-"""Observability: metrics registry, query profiles, cardinality feedback.
+"""Observability: metrics registry and query profiles.
 
 See DESIGN.md § Observability for the metric-name catalogue and the
 profile tree format.
 """
 
-from repro.obs.feedback import CardinalityFeedback
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -19,7 +18,6 @@ from repro.obs.profile import (
 )
 
 __all__ = [
-    "CardinalityFeedback",
     "Counter",
     "Gauge",
     "Histogram",

@@ -13,9 +13,7 @@ time).  Three operator kinds carry extra detail:
 
 - ``PatchSelect`` — rows in, patch hits, mode, index name and physical
   design (via the operator's native opt-in counters);
-- ``TableScan`` — table name and base row count, which the cardinality
-  feedback loop (:mod:`repro.obs.feedback`) turns into measured scan
-  selectivities for the advisor;
+- ``TableScan`` — table name and base row count;
 - the parallel operators (``Exchange`` and the blocking terminals) —
   planned vs actually-used degree of parallelism, morsel counts, queue
   wait and per-worker busy time, collected by a :class:`ParallelObs`
@@ -163,38 +161,6 @@ class QueryProfile:
     def find(self, op_type: str) -> list[ProfileNode]:
         """All nodes of one operator type (e.g. ``"PatchSelect"``)."""
         return [node for node in self.root.walk() if node.op_type == op_type]
-
-    def scan_observations(self) -> list[tuple[str, int, int]]:
-        """Measured ``(table, base_rows, post-filter rows)`` per scan.
-
-        The observed rows are taken at the top of the Filter/PatchSelect
-        chain directly above each scan — the measured selectivity the
-        advisor's cost estimates can use instead of a fixed constant.
-        """
-        observations: list[tuple[str, int, int]] = []
-
-        def visit(node: ProfileNode, ancestors: list[ProfileNode]) -> None:
-            if node.op_type == "TableScan" and "table" in node.details:
-                observed = node.rows
-                for ancestor in reversed(ancestors):
-                    if ancestor.op_type in ("Filter", "PatchSelect"):
-                        observed = ancestor.rows
-                    else:
-                        break
-                observations.append(
-                    (
-                        str(node.details["table"]),
-                        int(node.details.get("table_rows", 0)),
-                        observed,
-                    )
-                )
-            ancestors.append(node)
-            for child in node.children:
-                visit(child, ancestors)
-            ancestors.pop()
-
-        visit(self.root, [])
-        return observations
 
     # -- rendering ---------------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.serve.protocol import (
     read_frame,
     result_from_wire,
 )
+from repro.storage.database import REBUILD_THRESHOLD
 
 _LENGTH = struct.Struct(">I")
 
@@ -235,13 +236,13 @@ class ServerClient:
         Mirrors :meth:`~repro.storage.database.Database.drift_report`
         without a dedicated wire op: the server-rendered metrics JSON
         already carries the ``patchindex.<name>.*`` gauges and the
-        ``maintenance.rebuild_threshold`` knob.
+        ``maintenance.rebuild_threshold`` gauge.
         """
         import json
 
         rendered = json.loads(self.metrics().to_json())
         gauges = rendered.get("gauges", {})
-        threshold = gauges.get("maintenance.rebuild_threshold", 0.02)
+        threshold = gauges.get("maintenance.rebuild_threshold", REBUILD_THRESHOLD)
         report: list[dict] = []
         for name, value in sorted(gauges.items()):
             if not name.startswith("patchindex.") or not name.endswith(

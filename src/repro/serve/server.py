@@ -346,17 +346,19 @@ class ReproServer:
         text = request.get("text")
         if not isinstance(text, str):
             raise ProtocolError("sql op requires a string 'text'")
+        kind = statement_kind(text)
+        on_snapshot = kind == "read" and session.snapshot_reads
         run = partial(
             self._sql_frame,
             partial(
-                session.sql,
+                session._sql,
                 text,
+                on_snapshot,
                 parallelism=_optional_int(request, "parallelism"),
                 profile=_optional_bool(request, "profile"),
             ),
         )
-        kind = statement_kind(text)
-        if kind == "read" and session.snapshot_reads:
+        if on_snapshot:
             return await asyncio.get_running_loop().run_in_executor(
                 self._read_executor, run
             )

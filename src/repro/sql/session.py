@@ -16,8 +16,7 @@ rows returned).  When a statement runs with ``profile=True`` — or as
 :func:`repro.obs.profile.profile_collect`, the resulting
 :class:`~repro.obs.profile.QueryProfile` is attached to the returned
 :class:`~repro.exec.result.QueryResult`, rolled into the registry
-(query latency histogram, PatchSelect and parallel-pool counters) and
-fed to the database's cardinality feedback for the advisor.
+(query latency histogram, PatchSelect and parallel-pool counters).
 """
 
 from __future__ import annotations
@@ -146,13 +145,36 @@ class Session:
         override the database defaults.  ``profile=None`` means "use
         the session's profile setting".
         """
+        return self._sql(
+            text,
+            self.snapshot_reads and statement_kind(text) == "read",
+            parallelism=parallelism,
+            profile=profile,
+            optimizer_options=optimizer_options,
+        )
+
+    def _sql(
+        self,
+        text: str,
+        on_snapshot: bool,
+        *,
+        parallelism: int | None = None,
+        profile: bool | None = None,
+        optimizer_options: OptimizerOptions | None = None,
+    ) -> QueryResult:
+        """:meth:`sql` for a caller that already classified *text*.
+
+        *on_snapshot* is "a read, on a session with snapshot reads" —
+        the server works that out to route the statement, so the
+        classifier runs once per served statement.
+        """
         self._check_open()
         self._count_session_statement()
         effective_profile = self.profile if profile is None else profile
         effective_parallelism = self._effective_parallelism(parallelism)
-        if self.snapshot_reads and statement_kind(text) == "read":
+        if on_snapshot:
             with self.database.snapshot() as view:
-                return view.sql(
+                return view._sql_read(
                     text,
                     parallelism=effective_parallelism,
                     profile=effective_profile,
@@ -487,7 +509,7 @@ def _count_rows(database: "Database", rows: int) -> None:
 
 
 def _record_profile(database: "Database", profile: QueryProfile) -> None:
-    """Roll one finished profile into the registry and the feedback."""
+    """Roll one finished profile into the registry."""
     obs = getattr(database, "obs", None)
     if obs is not None:
         obs.counter("query.profiled").inc()
@@ -514,9 +536,6 @@ def _record_profile(database: "Database", profile: QueryProfile) -> None:
             obs.gauge("parallel.last_dop_used").set(
                 int(node.details.get("dop_used", 0))
             )
-    feedback = getattr(database, "feedback", None)
-    if feedback is not None:
-        feedback.record_profile(profile)
 
 
 # -- DML ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ tail and only re-runs discovery against the table data as the fallback.
 The database is also where deltas meet self-management: every applied
 delta flows through :meth:`Database._on_patch_delta`, which logs it,
 feeds the per-index drift gauge, and schedules a background rebuild
-once drift exceeds ``rebuild_threshold``.  Two durability modes exist,
+once drift exceeds :data:`REBUILD_THRESHOLD`.  Two durability modes exist,
 selected at construction through the storage engine seam
 (:mod:`repro.storage.engine`):
 
@@ -50,28 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 DataLoader = Callable[[Table], None]
 
-#: Default drift ratio (patches added by maintenance / table rows) past
-#: which a PatchIndex is scheduled for a background rebuild.
-DEFAULT_REBUILD_THRESHOLD = 0.02
-
-
-def _resolve_rebuild_threshold(value: float | None) -> float:
-    """Explicit knob, else ``REPRO_REBUILD_THRESHOLD``, else 0.02."""
-    if value is None:
-        raw = os.environ.get("REPRO_REBUILD_THRESHOLD")
-        if raw is None:
-            return DEFAULT_REBUILD_THRESHOLD
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise StorageError(
-                f"REPRO_REBUILD_THRESHOLD must be a float, got {raw!r}"
-            ) from exc
-    if value <= 0:
-        raise StorageError(
-            f"rebuild_threshold must be positive, got {value!r}"
-        )
-    return float(value)
+#: Drift ratio (patches added by maintenance / table rows) past which a
+#: PatchIndex is scheduled for a background rebuild.  A constant, not a
+#: knob: maintenance keeps patch sets correct, not minimal, so one
+#: threshold is needed and no caller has ever asked for another.
+REBUILD_THRESHOLD = 0.02
 
 
 def schema_to_payload(schema: Schema) -> list[dict]:
@@ -110,11 +93,9 @@ class Database:
         *,
         path: str | os.PathLike | None = None,
         parallelism: int | None = None,
-        mmap: bool = False,
         sync: bool = True,
         cache_bytes: int | None = None,
         encoding: str = "auto",
-        rebuild_threshold: float | None = None,
     ):
         """Open a database.
 
@@ -123,19 +104,15 @@ class Database:
         managed by :class:`~repro.storage.engine.DurableEngine`: row
         data is WAL-logged, ``CHECKPOINT`` flushes columnar segment
         files, and reopening the same *path* recovers tables and
-        rebuilds PatchIndexes from data.  ``mmap=True`` memory-maps
-        checkpointed segment payloads instead of loading them;
-        ``sync=False`` skips fsync (benchmarks only).  *cache_bytes*
-        bounds the shared decoded-block cache (default: the
-        ``REPRO_CACHE_BYTES`` environment variable, else 64 MiB; ``0``
-        disables caching) and *encoding* picks the segment encoding
-        written at checkpoint (``"auto"`` = per-block cost-based picker,
-        ``"raw"`` = uncompressed blocks).  *rebuild_threshold* is the
-        ``maintenance.rebuild_threshold`` knob: the drift ratio past
-        which an index is scheduled for a background rebuild (default
-        ``REPRO_REBUILD_THRESHOLD``, else 0.02).
+        rebuilds PatchIndexes from data.  ``sync=False`` skips fsync
+        (benchmarks only).  *cache_bytes* bounds the shared
+        decoded-block cache (default: the ``REPRO_CACHE_BYTES``
+        environment variable, else 64 MiB; ``0`` disables caching) and
+        *encoding* picks the segment encoding written at checkpoint
+        (``"auto"`` = per-block cost-based picker, ``"raw"`` =
+        uncompressed blocks).
         """
-        from repro.obs import CardinalityFeedback, MetricsRegistry
+        from repro.obs import MetricsRegistry
         from repro.storage.engine import DurableEngine, MemoryEngine
 
         if wal_path is not None and path is not None:
@@ -153,25 +130,18 @@ class Database:
         #: instance; ``None`` lets the planner resolve ``REPRO_THREADS``
         #: / the CPU count, ``1`` forces serial plans.
         self.parallelism = parallelism
-        #: Drift ratio past which :meth:`_on_patch_delta` marks an index
-        #: ``rebuild_pending`` (the ``maintenance.rebuild_threshold`` knob).
-        self.rebuild_threshold = _resolve_rebuild_threshold(rebuild_threshold)
         #: LSN of the data record the engine just logged for the current
         #: table mutation; patch deltas derived from that mutation link
         #: to it via ``applies_to``.  None outside a logged mutation.
         self._last_data_lsn = None
         #: Instance-wide metrics registry (see :meth:`metrics`).
         self.obs = MetricsRegistry()
-        #: Observed scan selectivities from profiled queries; the
-        #: advisor consumes this (see repro.obs.feedback).
-        self.feedback = CardinalityFeedback()
         #: Session bookkeeping.
         self._implicit_session = None
         self._open_sessions = 0
         if path is not None:
             self.engine = DurableEngine(
                 path,
-                mmap=mmap,
                 sync=sync,
                 cache_bytes=cache_bytes,
                 encoding=encoding,
@@ -286,7 +256,7 @@ class Database:
         ``applies_to=None``; they only mark the stream invalid.  Feeds
         the per-index drift gauge and schedules a background rebuild
         (``rebuild_pending``) once drift exceeds
-        :attr:`rebuild_threshold`.
+        :data:`REBUILD_THRESHOLD`.
         """
         if self.engine.logs_data:
             applies_to = (
@@ -302,7 +272,7 @@ class Database:
         if (
             delta.event != "rebuild"
             and not index.rebuild_pending
-            and drift > self.rebuild_threshold
+            and drift > REBUILD_THRESHOLD
         ):
             index.rebuild_pending = True
             self.obs.counter("maintenance.rebuilds_scheduled").inc()
@@ -311,7 +281,7 @@ class Database:
         """Rebuild every index maintenance drift marked for it.
 
         The background half of drift-triggered self-management: the
-        delta sink marks indexes past :attr:`rebuild_threshold`, and
+        delta sink marks indexes past :data:`REBUILD_THRESHOLD`, and
         this sweep — called by the server's writer loop between batches,
         or directly — re-runs discovery on them.  Returns the number of
         indexes rebuilt.
@@ -335,7 +305,7 @@ class Database:
                     "column": index.column_name,
                     "patch_count": index.patch_count,
                     "drift_rate": index.drift_rate(),
-                    "rebuild_threshold": self.rebuild_threshold,
+                    "rebuild_threshold": REBUILD_THRESHOLD,
                     "rebuild_pending": index.rebuild_pending,
                     "rebuilds": index.rebuild_count,
                 }
@@ -584,9 +554,7 @@ class Database:
                     self.obs.gauge(f"{prefix}.patches_added").set(
                         stats.patches_added
                     )
-        self.obs.gauge("maintenance.rebuild_threshold").set(
-            self.rebuild_threshold
-        )
+        self.obs.gauge("maintenance.rebuild_threshold").set(REBUILD_THRESHOLD)
         cache_stats = self.engine.cache_stats()
         if cache_stats is not None:
             self.obs.gauge("cache.bytes").set(cache_stats["bytes"])
@@ -626,7 +594,7 @@ class Database:
         database = cls(wal_path)
         records = database.wal.records()
         loaders = dict(data_loaders or {})
-        tables = materialize_tables(None, None, records, cache=None, mmap=False)
+        tables = materialize_tables(None, None, records, cache=None)
         for table in tables.values():
             database._install_table(table)
             if table.name in loaders:

@@ -210,7 +210,6 @@ class DurableEngine(StorageEngine):
         self,
         root: str | os.PathLike,
         *,
-        mmap: bool = False,
         sync: bool = True,
         cache_bytes: int | None = None,
         encoding: str = "auto",
@@ -220,7 +219,6 @@ class DurableEngine(StorageEngine):
                 f"encoding must be one of {ENCODING_MODES}, got {encoding!r}"
             )
         self.root = Path(root)
-        self.mmap = mmap
         self.sync = sync
         #: Segment encoding mode for checkpoints: "auto" (cost-based
         #: per-block picker) or "raw".
@@ -364,22 +362,20 @@ class DurableEngine(StorageEngine):
         """
         started = time.perf_counter()
         manifest = read_manifest(self.root)
-        cache, mmap = self._cache, self.mmap
+        cache = self._cache
         self._snapshots = SnapshotRegistry(
-            self.root, manifest, cache=cache, mmap=mmap, metrics=database.obs
+            self.root, manifest, cache=cache, metrics=database.obs
         )
         generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
         records = database.wal.records()
-        tables = load_tables(self.root, manifest, cache=cache, mmap=mmap)
+        tables = load_tables(self.root, manifest, cache=cache)
         for name, table in tables.items():
             # Read off the segment headers now: the tail replay below
             # materializes the partitions it mutates.
             self._encoded_fractions[name], self._encoded_ratios[name] = (
                 encoded_stats(table)
             )
-        materialize_tables(
-            self.root, manifest, records, cache=cache, mmap=mmap, base=tables
-        )
+        materialize_tables(self.root, manifest, records, cache=cache, base=tables)
         # The database's listener must precede the index listeners on
         # every table (see Database._on_table_event): install first.
         for table in tables.values():

@@ -81,7 +81,6 @@ def load_table(
     generation: int,
     *,
     cache: BlockCache | None,
-    mmap: bool,
 ) -> Table:
     """Attach one table to its checkpointed segment files.
 
@@ -101,7 +100,7 @@ def load_table(
     for partition_id, partition_manifest in enumerate(table_manifest.partitions):
         sources = {
             column: SegmentColumnSource(
-                open_segment(root / relative, mmap=mmap),
+                open_segment(root / relative),
                 cache,
                 table=name,
                 column=column,
@@ -131,15 +130,12 @@ def load_tables(
     manifest: Manifest | None,
     *,
     cache: BlockCache | None,
-    mmap: bool,
 ) -> dict[str, Table]:
     """Every table of *manifest*, segment-backed (none without a manifest)."""
     if manifest is None:
         return {}
     return {
-        entry.name: load_table(
-            root, entry, manifest.checkpoint_lsn, cache=cache, mmap=mmap
-        )
+        entry.name: load_table(root, entry, manifest.checkpoint_lsn, cache=cache)
         for entry in manifest.tables.values()
     }
 
@@ -175,7 +171,6 @@ def materialize_tables(
     records: list[WalRecord],
     *,
     cache: BlockCache | None,
-    mmap: bool,
     base: dict[str, Table] | None = None,
 ) -> dict[str, Table]:
     """Table state of *manifest* with *records* replayed on top.
@@ -191,7 +186,7 @@ def materialize_tables(
     checkpoint_lsn = manifest.checkpoint_lsn if manifest is not None else 0
     tables = base
     if tables is None:
-        tables = load_tables(root, manifest, cache=cache, mmap=mmap)
+        tables = load_tables(root, manifest, cache=cache)
     for record in records:
         if record.kind == "drop_table" and record.lsn > checkpoint_lsn:
             tables.pop(record.payload["name"], None)

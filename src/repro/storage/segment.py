@@ -15,9 +15,7 @@ against a segment-level sorted dictionary.  The header records
 ``[start, stop, min, max, nulls, enc, offset, length]`` per block, so a
 reader can prune *and* decode blocks independently — the scan path
 decodes on demand through the block cache (:mod:`repro.storage.cache`)
-instead of materializing whole columns.  ``mmap=True`` maps the encoded
-payload region and decodes per block (on the morsel thread for
-parallel scans).
+instead of materializing whole columns.
 
 Segments are immutable once written: a checkpoint writes a fresh
 generation of files and the manifest flips to it atomically.
@@ -288,17 +286,15 @@ class SegmentReader:
     """Random per-block access to one segment file.
 
     Blocks decode independently: :meth:`decode_block` reads only that
-    block's payload bytes (via ``os.pread`` on a shared handle, or a
-    slice of the memory-mapped payload with ``mmap=True``) and decodes
-    it.
+    block's payload bytes (via ``os.pread`` on a shared handle) and
+    decodes it.
     """
 
     #: Segment format version read (``RSEG<version>``).
     version = 2
 
-    def __init__(self, path: str | os.PathLike, *, mmap: bool = False):
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self.mmap = mmap
         self._handle = open(self.path, "rb")
         magic = self._handle.readline()
         if magic != _MAGIC:
@@ -319,7 +315,6 @@ class SegmentReader:
         self.block_size = int(header["block_size"])
         self.stats = _parse_stats(header)
         self._payload_start = self._handle.tell()
-        self._buffer: np.memmap | None = None
         self._dictionary: np.ndarray | None = None
         self.validity: np.ndarray | None = None
         try:
@@ -329,7 +324,7 @@ class SegmentReader:
             raise
 
     def _open_payload(self, header: dict) -> None:
-        """Block directory, payload mapping, validity and dictionary."""
+        """Block directory, validity and dictionary."""
         self.encodings = [str(entry[5]) for entry in header["blocks"]]
         self._blocks = [
             (str(entry[5]), int(entry[6]), int(entry[7]))
@@ -346,19 +341,6 @@ class SegmentReader:
             floor = offset + length
         if floor > payload_len - validity_len:
             raise StorageError(f"corrupt segment header: {self.path}")
-        if self.mmap and payload_len:
-            try:
-                self._buffer = np.memmap(
-                    self.path,
-                    dtype=np.uint8,
-                    mode="r",
-                    offset=self._payload_start,
-                    shape=(payload_len,),
-                )
-            except ValueError as exc:  # the file is shorter than its header says
-                raise StorageError(
-                    f"segment file cut short: {self.path}: {exc}"
-                ) from exc
         if validity_len:
             if 8 * validity_len < self.rows:
                 raise StorageError(f"validity bitmap cut short: {self.path}")
@@ -382,12 +364,7 @@ class SegmentReader:
 
     def _read(self, offset: int, length: int) -> bytes:
         """Fetch *length* payload bytes at payload-relative *offset*."""
-        if self._buffer is not None:
-            data = bytes(self._buffer[offset : offset + length])
-        else:
-            data = os.pread(
-                self._handle.fileno(), length, self._payload_start + offset
-            )
+        data = os.pread(self._handle.fileno(), length, self._payload_start + offset)
         if len(data) != length:
             raise StorageError(
                 f"segment file cut short: {self.path} holds {len(data)} of "
@@ -542,22 +519,18 @@ def _decode_raw_strings(data: bytes | memoryview, count: int) -> np.ndarray:
     return values
 
 
-def open_segment(
-    path: str | os.PathLike, *, mmap: bool = False
-) -> SegmentReader:
+def open_segment(path: str | os.PathLike) -> SegmentReader:
     """Open a segment for per-block access."""
-    return SegmentReader(path, mmap=mmap)
+    return SegmentReader(path)
 
 
-def read_segment(
-    path: str | os.PathLike, *, mmap: bool = False
-) -> tuple[ColumnVector, list[BlockStats]]:
+def read_segment(path: str | os.PathLike) -> tuple[ColumnVector, list[BlockStats]]:
     """Load a segment file back into a column plus its block sketches.
 
     Eager: every block is decoded (use :func:`open_segment` for lazy
     access).
     """
-    reader = SegmentReader(path, mmap=mmap)
+    reader = SegmentReader(path)
     try:
         return reader.read_all(), reader.stats
     finally:

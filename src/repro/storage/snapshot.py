@@ -203,12 +203,10 @@ class SnapshotRegistry:
         manifest: Manifest | None,
         *,
         cache: BlockCache | None,
-        mmap: bool,
         metrics: "MetricsRegistry",
     ):
         self.root = root
         self._cache = cache
-        self._mmap = mmap
         self._metrics = metrics
         self._lock = make_lock("storage.engine.snapshot")
         self._manifest = manifest
@@ -249,7 +247,7 @@ class SnapshotRegistry:
             else:
                 records = [r for r in wal.records() if r.lsn <= wal_lsn]
                 tables = materialize_tables(
-                    self.root, manifest, records, cache=self._cache, mmap=self._mmap
+                    self.root, manifest, records, cache=self._cache
                 )
                 handle = SnapshotHandle(
                     generation_lsn, wal_lsn, tables, records, self.root, self._metrics
@@ -313,12 +311,7 @@ class SnapshotRegistry:
             return None
         try:
             materialize_tables(
-                self.root,
-                self._manifest,
-                span,
-                cache=self._cache,
-                mmap=self._mmap,
-                base=best.tables,
+                self.root, self._manifest, span, cache=self._cache, base=best.tables
             )
             for index, deltas in tails:
                 for delta in deltas:
@@ -405,10 +398,10 @@ class SnapshotView:
     """A read-only ``Database`` facade bound to one pinned snapshot.
 
     Exposes exactly the surface statement execution needs — ``catalog``
-    (the snapshot tables), ``obs`` / ``feedback`` (shared with the
-    owning database so served reads feed the same observability), and
-    ``parallelism``.  Only ``SELECT`` / ``EXPLAIN`` statements may run;
-    morsel threads read the snapshot's own tables in place.
+    (the snapshot tables), ``obs`` (shared with the owning database so
+    served reads feed the same observability), and ``parallelism``.
+    Only ``SELECT`` / ``EXPLAIN`` statements may run; morsel threads
+    read the snapshot's own tables in place.
 
     The view owns its pin: :meth:`close` (or context-manager exit)
     releases it, allowing deferred generation GC to run.
@@ -420,7 +413,6 @@ class SnapshotView:
         self.catalog = handle.catalog
         self.engine = database.engine
         self.obs = database.obs
-        self.feedback = database.feedback
         self.parallelism = database.parallelism
         self._released = False
 
@@ -441,14 +433,27 @@ class SnapshotView:
         optimizer_options=None,
     ) -> "QueryResult":
         """Execute one read statement against the pinned snapshot."""
-        from repro.sql.session import _execute_statement, statement_kind
+        from repro.sql.session import statement_kind
 
-        self._check_released()
         if statement_kind(text) != "read":
             raise ExecutionError(
                 "snapshot views are read-only: only SELECT / EXPLAIN may "
                 "run against a pinned snapshot"
             )
+        return self._sql_read(
+            text,
+            parallelism=parallelism,
+            profile=profile,
+            optimizer_options=optimizer_options,
+        )
+
+    def _sql_read(
+        self, text: str, *, parallelism, profile, optimizer_options
+    ) -> "QueryResult":
+        """:meth:`sql` for a caller that already classified *text* as a read."""
+        from repro.sql.session import _execute_statement
+
+        self._check_released()
         effective = parallelism if parallelism is not None else self.parallelism
         return _execute_statement(
             self,

@@ -1,4 +1,4 @@
-"""Tests for patch-aware compression (paper §VIII outlook)."""
+"""Tests for the bit-packing kernels and block codecs (paper §VIII outlook)."""
 
 import tracemalloc
 
@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compression import (
-    compress_for,
-    compress_sorted,
-    compression_report,
     decode_block_for,
+    decode_block_pfor,
     decode_blocks_for,
     encode_block_for,
+    encode_block_pfor,
     pack_bits,
     unpack_bits,
     unpack_bits_reference,
 )
+from repro.core.discovery import discover_nsc_patches
 from repro.errors import StorageError
 from repro.gen.synthetic import sorted_with_exceptions
 from repro.storage.column import ColumnVector
+from repro.storage.segment import write_segment
 from repro.types import DataType
 
 
@@ -129,8 +130,8 @@ class TestUnpackKernel:
                 unpack(np.zeros(4096, dtype=np.uint8), width, 8)
 
     def test_result_owns_its_memory(self):
-        # Payloads arrive as read-only views of bytes or of an mmap: the
-        # kernel works on its own padded copy and hands back fresh memory.
+        # Payloads arrive as read-only views of bytes: the kernel works
+        # on its own padded copy and hands back fresh memory.
         values = np.arange(8, dtype=np.int64)
         payload = np.frombuffer(pack_bits(values, 3).tobytes(), dtype=np.uint8)
         out = unpack_bits(payload, 3, 8)
@@ -185,101 +186,149 @@ class TestUnpackKernel:
             decode_blocks_for(joined, 64, 2)
 
 
+def exceptions_of(column):
+    """What the segment writer hands ``pfor``: NSC patches plus NULL slots."""
+    nulls = np.flatnonzero(~column.validity_or_all_true())
+    return np.union1d(discover_nsc_patches(column), nulls)
+
+
+def pfor_roundtrip(column, exceptions=None):
+    """Encode the whole column as one ``pfor`` block and decode it back;
+    the codec sees physical values (NULL slots hold their fill value)."""
+    if exceptions is None:
+        exceptions = exceptions_of(column)
+    payload = encode_block_pfor(column.values, exceptions)
+    assert payload is not None
+    np.testing.assert_array_equal(
+        decode_block_pfor(payload, len(column)), column.values
+    )
+    return payload
+
+
 class TestCompressSorted:
+    """``encode_block_pfor`` / ``decode_block_pfor`` over a column as one block."""
+
     def test_roundtrip_simple(self):
-        column = col([1, 3, 100, 4, 6])  # 100 is the exception
-        compressed = compress_sorted(column)
-        assert compressed.decompress().to_pylist() == column.to_pylist()
+        pfor_roundtrip(col([1, 3, 100, 4, 6]))  # 100 is the exception
 
     def test_roundtrip_with_nulls(self):
         column = col([1, None, 3, 4])
-        compressed = compress_sorted(column)
-        assert compressed.decompress().to_pylist() == [1, None, 3, 4]
+        assert exceptions_of(column).tolist() == [1]
+        pfor_roundtrip(column)
 
     def test_empty(self):
-        compressed = compress_sorted(col([]))
-        assert compressed.decompress().to_pylist() == []
+        empty = np.zeros(0, dtype=np.int64)
+        assert encode_block_pfor(empty, empty) is None  # raw fallback
 
     def test_all_patches(self):
-        column = col([5, 4, 3])
-        compressed = compress_sorted(column, np.array([1, 2], dtype=np.int64))
-        assert compressed.decompress().to_pylist() == [5, 4, 3]
+        values = np.array([5, 4, 3], dtype=np.int64)
+        assert encode_block_pfor(values, np.arange(3)) is None
+        # One kept value: representable, but 12 bytes an exception
+        # cannot beat 8 bytes a value.
+        assert encode_block_pfor(values, np.array([1, 2])) is None
 
     def test_explicit_patch_set(self):
-        column = col([1, 9, 2, 3])
-        compressed = compress_sorted(column, np.array([1], dtype=np.int64))
-        assert compressed.decompress().to_pylist() == [1, 9, 2, 3]
+        pfor_roundtrip(col([1, 9, 2, 3]), np.array([1], dtype=np.int64))
 
     def test_bad_patch_set_rejected(self):
-        column = col([5, 1, 2])  # 5 must be a patch
-        with pytest.raises(StorageError):
-            compress_sorted(column, np.array([], dtype=np.int64))
+        values = np.array([5, 1, 2, 3, 4, 6], dtype=np.int64)  # 5 must be a patch
+        assert encode_block_pfor(values, np.array([], dtype=np.int64)) is None
+        assert encode_block_pfor(values, np.array([0])) is not None
+
+    def test_exception_positions_out_of_range_rejected(self):
+        values = np.arange(16, dtype=np.int64)
+        assert encode_block_pfor(values, np.array([16])) is None
+        assert encode_block_pfor(values, np.array([-1])) is None
 
     def test_nulls_must_be_patches(self):
-        column = col([1, None, 3])
-        with pytest.raises(StorageError):
-            compress_sorted(column, np.array([], dtype=np.int64))
+        # A NULL slot's fill value breaks the order of the kept values
+        # unless the slot is among the exceptions.
+        column = col([1, None, 3, 4, 5, 6])
+        assert encode_block_pfor(column.values, np.array([], dtype=np.int64)) is None
+        pfor_roundtrip(column, np.array([1], dtype=np.int64))
 
-    def test_non_int_rejected(self):
-        column = ColumnVector.from_pylist(DataType.FLOAT64, [1.0])
-        with pytest.raises(StorageError):
-            compress_sorted(column)
+    def test_non_int_rejected(self, tmp_path):
+        # The int codecs are never offered a FLOAT64 column, patches or not.
+        column = ColumnVector.from_pylist(
+            DataType.FLOAT64, [float(i) for i in range(64)]
+        )
+        info = write_segment(
+            tmp_path / "f.seg", column, sync=False, patch_rowids=np.array([3])
+        )
+        assert info.encodings == {"raw": 1}
 
     @given(
-        st.integers(0, 300).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(
-                    st.one_of(st.none(), st.integers(-1000, 1000)),
-                    min_size=n,
-                    max_size=n,
-                ),
-            )
-        )
+        st.lists(st.integers(-1000, 1000), max_size=300),
+        st.lists(
+            st.tuples(
+                st.integers(0, 299), st.one_of(st.none(), st.integers(-1000, 1000))
+            ),
+            max_size=12,
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, case):
-        __, items = case
+    def test_roundtrip_property(self, base, dirt):
+        # A sorted run with up to a dozen slots overwritten by arbitrary
+        # values or NULLs: nearly sorted, as the codec expects.
+        items = sorted(base)
+        for position, value in dirt:
+            if position < len(items):
+                items[position] = value
         column = col(items)
-        compressed = compress_sorted(column)
-        assert compressed.decompress().to_pylist() == items
+        payload = encode_block_pfor(column.values, exceptions_of(column))
+        if len(items) >= 64:
+            assert payload is not None
+        if payload is not None:  # else: the raw fallback
+            np.testing.assert_array_equal(
+                decode_block_pfor(payload, len(items)), column.values
+            )
 
     def test_compresses_nearly_sorted_data_well(self):
         column = sorted_with_exceptions(20_000, 0.01, seed=5)
-        compressed = compress_sorted(column)
-        raw = 20_000 * 8
-        assert compressed.size_bytes() < raw / 10
+        assert len(pfor_roundtrip(column)) < 20_000 * 8 / 10
 
     def test_size_accounting(self):
-        column = col([1, 2, 3, 4])
-        compressed = compress_sorted(column)
-        # base 8 + width byte + 1 byte of 1-bit deltas + no exceptions.
-        assert compressed.size_bytes() == 8 + 1 + 1
+        payload = pfor_roundtrip(col([1, 2, 3, 4]))
+        # base 8 + width 1 + kept count 4 + exception count 4, then one
+        # byte of 1-bit deltas and no exceptions.
+        assert len(payload) == 17 + 1
 
 
 class TestCompressFor:
+    """``encode_block_for`` / ``decode_block_for`` over a column as one block."""
+
     @given(st.lists(st.integers(-(2**30), 2**30), max_size=150))
     @settings(max_examples=80)
     def test_roundtrip(self, items):
-        column = col(items)
-        compressed = compress_for(column)
-        assert compressed.decompress().to_pylist() == items
-
-    def test_rejects_nulls(self):
-        with pytest.raises(StorageError):
-            compress_for(col([1, None]))
+        values = np.array(items, dtype=np.int64)
+        payload = encode_block_for(values)
+        if len(items) >= 8:  # 32-bit zig-zag deltas: half of raw, plus 9
+            assert payload is not None
+        if payload is not None:  # else: the raw fallback
+            np.testing.assert_array_equal(
+                decode_block_for(payload, len(items)), values
+            )
 
     def test_wider_than_patch_aware_on_dirty_data(self):
         column = sorted_with_exceptions(20_000, 0.01, seed=6)
-        plain = compress_for(column)
-        patched = compress_sorted(column)
+        plain = encode_block_for(column.values)
         # Exceptions blow up the plain delta width; patch separation
         # keeps the main stream narrow (the §VIII hypothesis).
-        assert patched.size_bytes() < plain.size_bytes()
+        assert len(pfor_roundtrip(column)) < len(plain)
 
 
 class TestReport:
-    def test_report_keys(self):
+    def test_report_keys(self, tmp_path):
+        # The engine's own report, SegmentWriteInfo: knowing the patches
+        # turns the column's ``for`` blocks into smaller ``pfor`` ones.
         column = sorted_with_exceptions(5000, 0.02, seed=7)
-        report = compression_report(column)
-        assert report["patch_aware_ratio"] > report["for_ratio"] > 1.0
+        plain = write_segment(tmp_path / "plain.seg", column, sync=False)
+        patched = write_segment(
+            tmp_path / "patched.seg",
+            column,
+            sync=False,
+            patch_rowids=discover_nsc_patches(column),
+        )
+        assert set(plain.encodings) == {"for"}
+        assert set(patched.encodings) == {"pfor"}
+        assert patched.encoded_ratio < plain.encoded_ratio < 1.0

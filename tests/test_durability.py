@@ -212,17 +212,6 @@ class TestFig45Workloads:
                     "strict",
                 }
 
-    def test_mmap_reopen_matches(self, tmp_path):
-        root = tmp_path / "db"
-        db = self.build(root)
-        db.checkpoint()
-        expected = [db.sql(query).rows() for query in self.QUERIES]
-        db.close()
-        mapped = repro.connect(path=root, parallelism=1, mmap=True)
-        for query, rows in zip(self.QUERIES, expected):
-            assert mapped.sql(query).rows() == rows
-        mapped.close()
-
 
 def build_fuzz_base(base: Path) -> None:
     """A durable database with a checkpoint and a mutation-heavy tail."""

@@ -1,13 +1,10 @@
-"""EXPLAIN ANALYZE and query profiles: actuals, details, feedback."""
+"""EXPLAIN ANALYZE and query profiles: actuals and details."""
 
-import numpy as np
 import pytest
 
 from repro import Database, QueryProfile
-from repro.core.advisor import ConstraintAdvisor
 from repro.core.cost_model import CostModel
 from repro.exec.result import collect
-from repro.obs import CardinalityFeedback
 from repro.obs.profile import profile_collect
 from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
@@ -116,11 +113,6 @@ class TestProfileFlag:
         profiled = sorted_db.sql(query, profile=True)
         assert plain.to_pylist() == profiled.to_pylist()
 
-    def test_scan_observations(self, db):
-        result = db.sql("SELECT c FROM t WHERE c >= 6", profile=True)
-        observations = result.profile.scan_observations()
-        assert observations == [("t", 5, 2)]
-
 
 class TestParallelProfile:
     def test_parallel_operator_details(self):
@@ -165,43 +157,3 @@ class TestParallelProfile:
         # Worker fragment actuals were merged into the template subtree.
         template = node.children[0]
         assert sum(n.rows for n in template.walk()) > 0
-
-
-class TestCardinalityFeedback:
-    def test_ewma_smoothing(self):
-        feedback = CardinalityFeedback(alpha=0.3)
-        feedback.record_scan("t", 100, 60)
-        feedback.record_scan("t", 100, 40)
-        feedback.record_scan("t", 100, 80)
-        expected = 0.3 * 0.8 + 0.7 * (0.3 * 0.4 + 0.7 * 0.6)
-        assert feedback.selectivity("t") == pytest.approx(expected)
-        assert feedback.observations("t") == 3
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            CardinalityFeedback(alpha=0.0)
-
-    def test_profiled_queries_feed_database_feedback(self, db):
-        assert db.feedback.selectivity("t") is None
-        db.sql("SELECT c FROM t WHERE c >= 6", profile=True)
-        assert db.feedback.selectivity("t") == pytest.approx(0.4)
-
-    def test_advisor_consumes_observed_selectivity(self):
-        rng = np.random.default_rng(5)
-        n = 2000
-        values = rng.permutation(n).astype(np.int64)
-        values[rng.choice(n, 10, replace=False)] = 7
-        db = Database()
-        db.sql("CREATE TABLE w (u BIGINT)")
-        rows = ", ".join(f"({int(v)})" for v in values)
-        db.sql(f"INSERT INTO w VALUES {rows}")
-        db.sql("SELECT u FROM w WHERE u < 200", profile=True)
-        assert db.feedback.selectivity("w") is not None
-
-        advisor = ConstraintAdvisor(db, nuc_threshold=0.05)
-        proposals = advisor.analyze_all()
-        assert proposals
-        assert proposals[0].observed_selectivity == pytest.approx(
-            db.feedback.selectivity("w")
-        )
-        assert "observed scan selectivity" in proposals[0].describe()

@@ -573,7 +573,7 @@ _DB_ROOT: list[str] = []
 
 
 def durable_db() -> Database:
-    """The fuzz fixture's twin on a durable mmap'd engine (cached).
+    """The fuzz fixture's twin on a durable engine (cached).
 
     Same data as ``tests.test_query_fuzz.fuzz_db`` — a nearly-unique
     column, a nearly-sorted column, a category column, a column of
@@ -593,7 +593,7 @@ def durable_db() -> Database:
         nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
         category = rng.integers(0, 5, n).astype(np.int64)
         big = 2**53 + rng.permutation(n).astype(np.int64)
-        db = Database(path=root, mmap=True, sync=False)
+        db = Database(path=root, sync=False)
         schema = Schema(
             [
                 Field("u", DataType.INT64),
@@ -735,7 +735,7 @@ class TestNoProcessesAnywhere:
             import repro.plan.physical
             import repro.serve
 
-            db = repro.connect(sys.argv[1], mmap=True, sync=False)
+            db = repro.connect(sys.argv[1], sync=False)
             db.sql("CREATE TABLE big (k BIGINT, v BIGINT) PARTITIONS 4")
             table = db.table("big")
             n = 400_000

@@ -1,10 +1,15 @@
 """Public API surface: connect(), QueryResult ergonomics."""
 
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
-from repro import Database
+from repro import ConstraintAdvisor, Database
 from repro.exec.result import QueryResult
+from repro.storage.segment import open_segment
 
 
 @pytest.fixture
@@ -50,8 +55,10 @@ class TestConnect:
             repro.connect(tmp_path / "a", path=tmp_path / "b")
 
     def test_connect_uri_rejects_storage_knobs(self):
-        with pytest.raises(repro.ReproError, match="storage knobs"):
-            repro.connect("repro://localhost:1", mmap=True)
+        with pytest.raises(repro.ReproError, match="storage knobs") as caught:
+            repro.connect("repro://localhost:1", cache_bytes=1 << 20)
+        # The refusal names the knobs that exist, and only those.
+        assert "sync/cache_bytes/encoding are" in str(caught.value)
 
     def test_parallelism_is_keyword_only(self):
         with pytest.raises(TypeError):
@@ -67,9 +74,54 @@ class TestConnect:
             "Database",
             "QueryProfile",
             "MetricsRegistry",
-            "CardinalityFeedback",
         ):
             assert name in repro.__all__
+
+
+class TestOptionSurface:
+    """The settable surface, pinned: a new knob has to change this test."""
+
+    def test_connect_parameters(self):
+        assert list(inspect.signature(repro.connect).parameters) == [
+            "target",
+            "path",
+            "parallelism",
+            "sync",
+            "cache_bytes",
+            "encoding",
+            "timeout",
+        ]
+
+    def test_database_parameters(self):
+        assert list(inspect.signature(Database.__init__).parameters)[1:] == [
+            "wal_path",
+            "path",
+            "parallelism",
+            "sync",
+            "cache_bytes",
+            "encoding",
+        ]
+
+    def test_environment_variables(self):
+        source = Path(repro.__file__).parent
+        named = {
+            name
+            for path in source.rglob("*.py")
+            for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+        }
+        assert named == {"REPRO_THREADS", "REPRO_CACHE_BYTES", "REPRO_SANITIZE"}
+
+    def test_removed_keywords_are_plain_type_errors(self, tmp_path):
+        # No shim, no deprecation path: Python's own error.
+        with pytest.raises(TypeError, match="mmap"):
+            repro.connect(tmp_path / "a", mmap=True)
+        with pytest.raises(TypeError, match="rebuild_threshold"):
+            repro.connect(tmp_path / "b", rebuild_threshold=0.1)
+        with pytest.raises(TypeError, match="feedback"):
+            ConstraintAdvisor(repro.connect(), feedback=object())
+        with pytest.raises(TypeError, match="mmap"):
+            open_segment(tmp_path / "c.seg", mmap=True)
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 class TestKeywordOnlyKnobs:

@@ -1,9 +1,14 @@
 """Tests for drift tracking and index rebuilds (self-management upkeep)."""
 
+import pytest
 
+import repro
 from repro import Database
 from repro.core.advisor import ConstraintAdvisor
-from repro.core.patch_index import PatchIndex
+from repro.core.discovery import discover_table_nsc
+from repro.core.patch_index import PatchIndex, PatchIndexMode
+from repro.serve import ServerClient, ServerThread
+from repro.storage.database import REBUILD_THRESHOLD
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
@@ -69,3 +74,131 @@ class TestAdvisorUpkeep:
         assert rebuilt == ["pi"]
         assert db.catalog.index("pi").patch_count == 0
         assert advisor.recommend_rebuilds(max_drift=0.05) == []
+
+
+def designs(index):
+    return index.design, index.mode
+
+
+class TestRebuildKeepsTheDesign:
+    """Live, rebuilt and reopened indexes agree on design and mode: a
+    rebuild resolves through the mode the index was created with, as the
+    ``create_index`` WAL record makes a reopen do."""
+
+    @pytest.mark.parametrize("mode", ["identifier", "bitmap", "auto"])
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_live_rebuilt_and_reopened_agree(self, tmp_path, mode, durable):
+        # 2 patches in 201 rows is under the 1/64 crossover: auto picks
+        # the identifier design, and only an explicit mode gets a bitmap.
+        expected = ("bitmap" if mode == "bitmap" else "identifier", PatchIndexMode(mode))
+        db = repro.connect(tmp_path / "data" if durable else None)
+        db.create_table_from_pydict(
+            "t", Schema([Field("c", DataType.INT64)]), {"c": [*range(200), 7]}
+        )
+        index = db.create_patch_index("pi", "t", "c", kind="unique", mode=mode)
+        assert designs(index) == expected
+        index.rebuild()
+        assert designs(index) == expected
+        if durable:
+            db.close()
+            reopened = repro.connect(tmp_path / "data")
+            assert designs(reopened.catalog.index("pi")) == expected
+
+
+def counters(db):
+    return db.metrics().export()["counters"]
+
+
+def patch_rowids(db):
+    return db.catalog.index("pi").rowids().tolist()
+
+
+class TestDriftTriggeredRebuild:
+    """The self-management loop at the constant threshold: maintenance
+    drifts an index past 2 %, the delta sink schedules it once, the
+    sweep rebuilds it."""
+
+    @pytest.fixture(params=["memory", "durable"])
+    def db(self, request, tmp_path):
+        """100 rows, sorted but for row 50, under an NSC index.  A
+        same-value update conservatively demotes its row: 1 % drift."""
+        db = repro.connect(tmp_path / "data" if request.param == "durable" else None)
+        values = list(range(100))
+        values[50] = 0
+        db.create_table_from_pydict(
+            "t", Schema([Field("c", DataType.INT64)]), {"c": values}
+        )
+        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE SORTED")
+        assert patch_rowids(db) == [50]
+        return db
+
+    @staticmethod
+    def demote(db, rowids):
+        for rowid in rowids:
+            db.table("t").update_rowid(rowid, "c", rowid)
+
+    def test_at_the_threshold_nothing_is_scheduled(self, db):
+        self.demote(db, [10, 20])
+        index = db.catalog.index("pi")
+        assert index.drift_rate() == REBUILD_THRESHOLD
+        assert not index.rebuild_pending
+        assert "maintenance.rebuilds_scheduled" not in counters(db)
+        assert db.run_pending_rebuilds() == 0
+        assert patch_rowids(db) == [10, 20, 50]
+
+    def test_past_the_threshold_is_scheduled_once(self, db):
+        self.demote(db, [10, 20, 30, 40])  # crosses at the third
+        assert db.catalog.index("pi").rebuild_pending
+        assert counters(db)["maintenance.rebuilds_scheduled"] == 1
+        [entry] = db.drift_report()
+        assert entry["rebuild_pending"] and entry["rebuilds"] == 0
+        assert entry["rebuild_threshold"] == REBUILD_THRESHOLD
+
+    def test_the_sweep_restores_the_minimal_patch_set(self, db):
+        self.demote(db, [10, 20, 30])
+        assert db.run_pending_rebuilds() == 1
+        index = db.catalog.index("pi")
+        assert not index.rebuild_pending and index.rebuild_count == 1
+        assert index.drift_rate() == 0.0
+        assert counters(db)["maintenance.rebuilds_run"] == 1
+        scratch = discover_table_nsc(db.table("t"), "c")
+        assert patch_rowids(db) == scratch.global_rowids().tolist() == [50]
+        assert db.run_pending_rebuilds() == 0
+        if db.engine.logs_data:
+            last = db.wal.records()[-1]
+            assert last.kind == "patch_delta"
+            assert last.payload["event"] == "rebuild"
+            assert last.payload["applies_to"] is None
+
+    def test_a_reopen_after_the_sweep_rebuilds_from_data_and_says_why(self, tmp_path):
+        root = tmp_path / "data"
+        db = repro.connect(root)
+        db.create_table_from_pydict(
+            "t", Schema([Field("c", DataType.INT64)]), {"c": list(range(100))}
+        )
+        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE SORTED")
+        db.checkpoint()  # a patch set to restore, were the stream still valid
+        self.demote(db, [10, 20, 30])
+        assert db.run_pending_rebuilds() == 1
+        db.close()
+        reopened = repro.connect(root)
+        exported = reopened.metrics().export()
+        assert exported["counters"]["recovery.index_fallbacks.invalidated"] == 1
+        assert exported["gauges"]["recovery.indexes_rebuilt"] == 1
+        assert exported["gauges"]["recovery.indexes_restored"] == 0
+        assert patch_rowids(reopened) == []
+
+    def test_served_write_past_the_threshold_is_swept_before_its_ack(self, tmp_path):
+        db = repro.connect(tmp_path / "data", parallelism=1)
+        db.sql("CREATE TABLE t (c BIGINT)")
+        db.sql("INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(100)))
+        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
+        with ServerThread(db) as server, ServerClient(server.host, server.port) as client:
+            client.sql("INSERT INTO t VALUES (0), (1)")  # 4 patches / 102 rows
+            [entry] = client.drift_report()
+            assert entry["rebuilds"] == 1 and not entry["rebuild_pending"]
+            assert entry["drift_rate"] == 0.0 and entry["patch_count"] == 4
+            assert entry["rebuild_threshold"] == REBUILD_THRESHOLD
+            assert client.sql("SELECT COUNT(DISTINCT c) AS n FROM t").scalar() == 100
+        assert counters(db)["maintenance.rebuilds_scheduled"] == 1
+        assert counters(db)["maintenance.rebuilds_run"] == 1

@@ -221,7 +221,7 @@ def _build_db(root, monkeypatch):
 
     monkeypatch.setenv(sanitize.ENV_FLAG, "1")
     sanitize.reset()
-    db = Database(path=root, mmap=True, sync=False)
+    db = Database(path=root, sync=False)
     n = 8192
     schema = Schema([Field("k", DataType.INT64), Field("v", DataType.INT64)])
     table = db.create_table("fuzz", schema, partition_count=4)

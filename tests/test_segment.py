@@ -14,6 +14,7 @@ from repro.core.compression import (
     encode_block_rle,
 )
 from repro.errors import StorageError
+from repro.storage.cache import BlockCache, SegmentColumnSource
 from repro.storage.column import ColumnVector
 from repro.storage.segment import (
     open_segment,
@@ -23,13 +24,13 @@ from repro.storage.segment import (
 from repro.types import DataType
 
 
-def roundtrip(tmp_path, dtype, items, *, mmap=False, block_size=4096):
+def roundtrip(tmp_path, dtype, items, *, block_size=4096):
     column = ColumnVector.from_pylist(dtype, items)
     path = tmp_path / "col.seg"
     info = write_segment(path, column, block_size, sync=False)
     assert info.bytes_written == path.stat().st_size
     assert info.rows == len(items)
-    loaded, stats = read_segment(path, mmap=mmap)
+    loaded, stats = read_segment(path)
     assert loaded.dtype == dtype
     assert loaded.to_pylist() == column.to_pylist()
     return loaded, stats
@@ -181,20 +182,17 @@ class TestBlockReader:
         assert total == info.payload_bytes
         reader.close()
 
-    def test_mmap_reader_decodes_identically(self, tmp_path):
-        items = [i // 3 for i in range(200)]
-        column = ColumnVector.from_pylist(DataType.INT64, items)
-        path = tmp_path / "col.seg"
-        write_segment(path, column, block_size=32, sync=False)
-        eager = open_segment(path, mmap=False)
-        mapped = open_segment(path, mmap=True)
-        for index in range(eager.block_count):
-            np.testing.assert_array_equal(
-                eager.decode_block(index).values,
-                mapped.decode_block(index).values,
-            )
-        eager.close()
-        mapped.close()
+
+def scan_source(reader, cached):
+    """*reader* as a scan sees it: behind a block cache, or bare."""
+    return SegmentColumnSource(
+        reader,
+        BlockCache(1 << 20) if cached else None,
+        table="t",
+        column="c",
+        segment=reader.path.name,
+        generation=1,
+    )
 
 
 def mixed_column(dtype):
@@ -226,9 +224,9 @@ def mixed_column(dtype):
 class TestDecodeRun:
     """``decode_run`` is ``decode_block`` over a range, value for value."""
 
-    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("dtype", [DataType.INT64, DataType.STRING])
-    def test_every_run_matches_its_blocks(self, tmp_path, dtype, mmap):
+    def test_every_run_matches_its_blocks(self, tmp_path, dtype, cached):
         column, patches = mixed_column(dtype)
         path = tmp_path / "col.seg"
         info = write_segment(
@@ -238,7 +236,10 @@ class TestDecodeRun:
             assert set(info.encodings) == {"for", "rle", "raw", "pfor"}
         else:
             assert set(info.encodings) == {"dict"}
-        reader = open_segment(path, mmap=mmap)
+        reader = open_segment(path)
+        # The same rows as a scan pulls them: with a cache, every slice
+        # past the first mixes resident blocks and runs of missed ones.
+        source = scan_source(reader, cached)
         blocks = [
             reader.decode_block(index) for index in range(reader.block_count)
         ]
@@ -248,9 +249,9 @@ class TestDecodeRun:
                 run = reader.decode_run(first, last)
                 expected = ColumnVector.concat(blocks[first : last + 1])
                 assert run.to_pylist() == expected.to_pylist()
-                assert run.to_pylist() == column.slice(
-                    reader.stats[first].start, reader.stats[last].stop
-                ).to_pylist()
+                start, stop = reader.stats[first].start, reader.stats[last].stop
+                assert run.to_pylist() == column.slice(start, stop).to_pylist()
+                assert source.slice(start, stop).to_pylist() == run.to_pylist()
         reader.close()
 
     def test_run_of_raw_strings_and_floats(self, tmp_path):
@@ -416,26 +417,30 @@ class TestCorruptBlock:
     """A damaged block is a StorageError naming file and block — never
     NumPy's ValueError, struct.error, or a silently wrong block."""
 
-    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize(
         "dtype, tag, payload, rows, dictionary", corrupt_payloads()
     )
     def test_typed_error_only(
-        self, tmp_path, dtype, tag, payload, rows, dictionary, mmap
+        self, tmp_path, dtype, tag, payload, rows, dictionary, cached
     ):
         path = tmp_path / "bad.seg"
         handmade_segment(path, dtype, tag, payload, rows, dictionary)
-        reader = open_segment(path, mmap=mmap)
+        reader = open_segment(path)
+        source = scan_source(reader, cached)
         try:
             for decode in (
                 lambda: reader.decode_block(0),
                 lambda: reader.decode_run(0, 0),
                 reader.read_all,
+                lambda: source.slice(0, reader.rows),
             ):
                 with pytest.raises(StorageError) as caught:
                     decode()
                 assert "block 0" in str(caught.value)
                 assert str(path) in str(caught.value)
+            if cached:  # nothing of the damaged block was admitted
+                assert source.cache.entry_count == 0
         finally:
             reader.close()
 
@@ -459,14 +464,20 @@ class TestCorruptBlock:
         loaded, __ = read_segment(path)
         assert loaded.to_pylist() == ["w"] * 5
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_file_cut_inside_a_block_names_the_file(self, tmp_path, mmap):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_file_cut_inside_a_block_names_the_file(self, tmp_path, cached):
         column = ColumnVector(DataType.INT64, np.arange(20_000, dtype=np.int64) ** 2)
         path = tmp_path / "col.seg"
         write_segment(path, column, sync=False)
         path.write_bytes(path.read_bytes()[:-500])
         with pytest.raises(StorageError, match="col.seg"):
-            read_segment(path, mmap=mmap)
+            read_segment(path)
+        reader = open_segment(path)  # the directory is whole; the tail is not
+        try:
+            with pytest.raises(StorageError, match="col.seg"):
+                scan_source(reader, cached).slice(0, 20_000)
+        finally:
+            reader.close()
 
     def test_block_directory_out_of_order_is_refused_at_open(self, tmp_path):
         column = ColumnVector(DataType.INT64, np.arange(64, dtype=np.int64))
@@ -506,19 +517,6 @@ class TestBlockStats:
         assert prune_blocks(stats, ">", 47) == [(48, 64)]
 
 
-class TestMmap:
-    def test_mmap_matches_eager(self, tmp_path):
-        eager, __ = roundtrip(tmp_path, DataType.INT64, [3, 1, 2], mmap=False)
-        mapped, __ = roundtrip(tmp_path, DataType.INT64, [3, 1, 2], mmap=True)
-        np.testing.assert_array_equal(
-            np.asarray(mapped.values), np.asarray(eager.values)
-        )
-
-    def test_mmap_strings_fall_back_to_materialized(self, tmp_path):
-        loaded, __ = roundtrip(tmp_path, DataType.STRING, ["a", "b"], mmap=True)
-        assert not isinstance(loaded.values, np.memmap)
-
-
 class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "col.seg"
@@ -556,9 +554,8 @@ class TestCorruption:
         write_segment(path, column, sync=False, encoding="raw")
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
-        for mmap in (False, True):
-            with pytest.raises(StorageError):
-                read_segment(path, mmap=mmap)
+        with pytest.raises(StorageError):
+            read_segment(path)
 
     def test_unknown_block_encoding(self, tmp_path):
         column = ColumnVector.from_pylist(DataType.INT64, [1, 2, 3])

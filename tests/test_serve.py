@@ -1,6 +1,7 @@
 """The network server: wire protocol, routing, and failure modes."""
 
 import asyncio
+import re
 import socket
 import struct
 import threading
@@ -117,6 +118,27 @@ class TestServerRoundTrip:
         message = client.sql("INSERT INTO t VALUES (4, 'd')")
         assert "1 rows inserted" in message.scalar()
         assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 4
+
+    def test_a_statement_is_classified_once(self, client, monkeypatch):
+        # Server, session and snapshot view share one verdict: the
+        # leading-keyword regex runs once per served statement.
+        import repro.sql.session as session_module
+
+        searched = []
+
+        class CountingWord:
+            @staticmethod
+            def search(text):
+                searched.append(text)
+                return re.compile(r"[^\s(]+").search(text)
+
+        monkeypatch.setattr(session_module, "_WORD", CountingWord)
+        assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        client.sql("INSERT INTO t VALUES (4, 'd')")
+        assert searched == [
+            "SELECT COUNT(*) AS n FROM t",
+            "INSERT INTO t VALUES (4, 'd')",
+        ]
 
     def test_checkpoint_over_the_wire(self, client):
         info = client.checkpoint()

@@ -129,9 +129,11 @@ class TestSnapshotView:
             ]
 
     def test_snapshot_rejects_writes(self, durable):
+        # The public entry classifies for itself, whoever calls it.
         with durable.snapshot() as view:
             with pytest.raises(ExecutionError, match="read-only"):
                 view.sql("INSERT INTO t VALUES (9, 'z')")
+        assert durable.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
 
     def test_snapshot_view_closed_is_idempotent(self, durable):
         view = durable.snapshot()
