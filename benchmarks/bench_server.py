@@ -3,8 +3,9 @@
 The headline acceptance of the serving layer: a durable database behind
 :class:`~repro.serve.ReproServer` must scale snapshot-pinned reads with
 client concurrency — queries per second at 4 and 16 clients should not
-collapse below the single-client rate — because reads run on a thread
-pool against pinned MVCC snapshots and never queue behind writers.
+collapse below the single-client rate — because each read runs on its
+connection's thread against a pinned MVCC snapshot and never queues
+behind writers.
 
 Two workloads are swept over a durable database:
 
@@ -146,7 +147,7 @@ def main() -> int:
     try:
         database = build(root)
         reads: dict[str, dict] = {}
-        with ServerThread(database, read_threads=16) as server:
+        with ServerThread(database) as server:
             for clients in READ_CONCURRENCY:
                 reads[str(clients)] = run_clients(server, clients, _read_loop)
                 record = reads[str(clients)]

@@ -197,27 +197,20 @@ def run_server(
     threads: int | None,
 ) -> int:
     """Run ``python -m repro serve`` until interrupted."""
-    import asyncio
-
     from repro.serve import ReproServer
 
     database = Database(path=data_dir, parallelism=threads)
-    server = ReproServer(database, host=host, port=port)
-
-    async def serve() -> None:
-        await server.start()
-        storage = data_dir if data_dir is not None else "(in-memory)"
-        print(
-            f"repro server listening on repro://{server.host}:{server.port} "
-            f"— storage {storage}; ctrl-c stops",
-            flush=True,
-        )
-        await server.serve_forever()
-
+    server = ReproServer(database, host=host, port=port).start()
+    storage = data_dir if data_dir is not None else "(in-memory)"
+    print(
+        f"repro server listening on {server.uri} "
+        f"— storage {storage}; ctrl-c stops",
+        flush=True,
+    )
     try:
-        asyncio.run(serve())
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+        server.stop()
     return 0
 
 

@@ -1,43 +1,35 @@
-"""Clients for the repro wire protocol.
+"""The client for the repro wire protocol.
 
-Two flavours over the same frames:
+:class:`ServerClient` is synchronous, built on a plain socket.  It is
+what ``repro.connect("repro://host:port")`` returns; it mirrors the
+:class:`~repro.storage.database.Database` surface the REPL and
+examples use (``sql`` / ``explain`` / ``describe`` / ``metrics`` /
+``cache_stats`` / ``checkpoint`` / ``parallelism``), so remote and
+local handles are interchangeable for read/write workloads.  For
+concurrency, use one client per thread.
 
-- :class:`ServerClient` — synchronous, built on a plain socket.  This
-  is what ``repro.connect("repro://host:port")`` returns; it mirrors
-  the :class:`~repro.storage.database.Database` surface the REPL and
-  examples use (``sql`` / ``explain`` / ``describe`` / ``metrics`` /
-  ``cache_stats`` / ``checkpoint`` / ``parallelism``), so remote and
-  local handles are interchangeable for read/write workloads.
-- :class:`AsyncReproClient` — the asyncio twin for callers already
-  inside an event loop (the benchmark's concurrent clients).
-
-Both return full :class:`~repro.exec.result.QueryResult` objects
-rebuilt from the wire (fixed-width columns are read-only views over the
-received frame, DB-API cursor surface included) and re-raise server
+It returns full :class:`~repro.exec.result.QueryResult` objects rebuilt
+from the wire (fixed-width columns are read-only views over the
+received frame, DB-API cursor surface included) and re-raises server
 errors as their original :mod:`repro.errors` types.
 """
 
 from __future__ import annotations
 
 import socket
-import struct
 
 from repro.check.sanitize import make_lock
 from repro.errors import ConnectionClosedError, ProtocolError
 from repro.exec.result import QueryResult
 from repro.serve.protocol import (
     DEFAULT_PORT,
-    MAX_FRAME_BYTES,
     check_response,
     check_wire_version,
-    decode_body,
     encode_frame,
     read_frame,
     result_from_wire,
 )
 from repro.storage.database import REBUILD_THRESHOLD
-
-_LENGTH = struct.Struct(">I")
 
 
 def parse_uri(uri: str) -> tuple[str, int]:
@@ -111,44 +103,16 @@ class ServerClient:
                 raise ConnectionClosedError("client is closed")
             try:
                 self._socket.sendall(encode_frame(payload))
-                return self._read_frame()
-            except (OSError, ConnectionClosedError):
+                return read_frame(self._socket)
+            except ProtocolError:
+                # A bad or truncated frame cannot be resynchronized.
+                self._teardown_locked()
+                raise
+            except OSError:
                 self._teardown_locked()
                 raise ConnectionClosedError(
                     f"connection to {self.host}:{self.port} lost"
                 ) from None
-
-    def _read_frame(self) -> dict | None:
-        prefix = self._read_exactly(_LENGTH.size)
-        if prefix is None:
-            return None
-        (length,) = _LENGTH.unpack(prefix)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame length {length} outside (0, {MAX_FRAME_BYTES}]"
-            )
-        body = self._read_exactly(length)
-        if body is None:
-            raise ConnectionClosedError(
-                "server closed the connection inside a frame"
-            )
-        return decode_body(body)
-
-    def _read_exactly(self, count: int) -> bytearray | None:
-        """*count* bytes received in place; ``None`` on EOF before any."""
-        data = bytearray(count)
-        view = memoryview(data)
-        received = 0
-        while received < count:
-            got = self._socket.recv_into(view[received:])
-            if not got:
-                if received:
-                    raise ConnectionClosedError(
-                        "server closed the connection inside a frame"
-                    )
-                return None
-            received += got
-        return data
 
     def _call(self, payload: dict) -> dict:
         return check_response(self._request(payload))
@@ -280,8 +244,8 @@ class ServerClient:
                 return
             try:
                 self._socket.sendall(encode_frame({"op": "close"}))
-                self._read_frame()
-            except OSError:
+                read_frame(self._socket)
+            except (OSError, ProtocolError):
                 pass
             self._teardown_locked()
 
@@ -302,115 +266,3 @@ class ServerClient:
         with self._lock:
             state = "closed" if self._closed else "open"
         return f"ServerClient({self.host}:{self.port}, {state})"
-
-
-class AsyncReproClient:
-    """The asyncio twin of :class:`ServerClient`.
-
-    Create with :meth:`connect`; one request/response in flight per
-    client (an asyncio lock serializes), so concurrency means many
-    clients — exactly how the server bench drives load.
-    """
-
-    def __init__(self, reader, writer):
-        import asyncio
-
-        self._reader = reader
-        self._writer = writer
-        self._lock = asyncio.Lock()
-        self._closed = False
-        self.server_info: dict | None = None
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int = DEFAULT_PORT
-    ) -> "AsyncReproClient":
-        import asyncio
-
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer)
-        try:
-            client.server_info = check_wire_version(
-                await client._call({"op": "hello"})
-            )
-        except ProtocolError:
-            writer.close()
-            raise
-        return client
-
-    async def _call(self, payload: dict) -> dict:
-        async with self._lock:
-            if self._closed:
-                raise ConnectionClosedError("client is closed")
-            self._writer.write(encode_frame(payload))
-            await self._writer.drain()
-            return check_response(await read_frame(self._reader))
-
-    async def sql(
-        self,
-        text: str,
-        *,
-        parallelism: int | None = None,
-        profile: bool = False,
-    ) -> QueryResult:
-        response = await self._call(
-            {
-                "op": "sql",
-                "text": text,
-                "parallelism": parallelism,
-                "profile": profile,
-            }
-        )
-        return result_from_wire(response["result"])
-
-    async def explain(
-        self,
-        text: str,
-        *,
-        parallelism: int | None = None,
-        analyze: bool = False,
-    ) -> str:
-        response = await self._call(
-            {
-                "op": "explain",
-                "text": text,
-                "parallelism": parallelism,
-                "analyze": analyze,
-            }
-        )
-        return response["text"]
-
-    async def set(self, knob: str, value) -> object:
-        response = await self._call(
-            {"op": "set", "knob": knob, "value": value}
-        )
-        return response["value"]
-
-    async def ping(self) -> bool:
-        return bool((await self._call({"op": "ping"})).get("ok"))
-
-    async def checkpoint(self) -> dict:
-        return (await self._call({"op": "checkpoint"}))["result"]
-
-    async def close(self) -> None:
-        async with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                self._writer.write(encode_frame({"op": "close"}))
-                await self._writer.drain()
-                await read_frame(self._reader)
-            except (ConnectionClosedError, OSError):
-                pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-
-    async def __aenter__(self) -> "AsyncReproClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

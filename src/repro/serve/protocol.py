@@ -49,8 +49,8 @@ too large to send is sized from its parts, never assembled).
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import struct
 
 import numpy as np
@@ -284,35 +284,47 @@ def decode_body(body: bytes | bytearray | memoryview) -> dict:
     return payload
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+def _receive(
+    sock: socket.socket, count: int, what: str, *, at_boundary: bool = False
+) -> bytearray | None:
+    """*count* bytes of a frame's *what*, received in place.
+
+    EOF before the first byte is ``None`` *at_boundary* (between
+    frames); anywhere else it means the peer died mid-send.
+    """
+    data = bytearray(count)
+    view = memoryview(data)
+    received = 0
+    while received < count:
+        got = sock.recv_into(view[received:])
+        if not got:
+            if at_boundary and not received:
+                return None
+            raise ProtocolError(
+                f"connection closed inside a frame {what} "
+                f"({received}/{count} bytes)"
+            )
+        received += got
+    return data
+
+
+def read_frame(sock: socket.socket) -> dict | None:
+    """Read one frame off a blocking socket — the one reader both the
+    server and the client use; ``None`` on clean EOF at a frame boundary.
 
     EOF *inside* a frame (a truncated prefix or body) raises
     :class:`ProtocolError` — the peer died mid-send and the stream
     cannot be resynchronized.
     """
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed inside a frame length prefix "
-            f"({len(exc.partial)}/{_LENGTH.size} bytes)"
-        ) from exc
+    prefix = _receive(sock, _LENGTH.size, "length prefix", at_boundary=True)
+    if prefix is None:
+        return None
     (length,) = _LENGTH.unpack(prefix)
     if length == 0 or length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame length {length} outside (0, {MAX_FRAME_BYTES}]"
         )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed inside a frame body "
-            f"({len(exc.partial)}/{length} bytes)"
-        ) from exc
-    return decode_body(body)
+    return decode_body(_receive(sock, length, "body"))
 
 
 # -- error transport ----------------------------------------------------------

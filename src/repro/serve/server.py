@@ -1,17 +1,21 @@
 """The repro network server: many sessions, one Database.
 
-:class:`ReproServer` is an asyncio socket server multiplexing client
-connections onto one :class:`~repro.storage.database.Database`.  Each
-connection gets its own :class:`~repro.sql.session.Session` (opened
-with ``snapshot_reads=True``), and statements are routed by
+:class:`ReproServer` is a blocking socket server with one concurrency
+model, threads: an accept thread, **one thread per connection** and one
+writer thread, all over one
+:class:`~repro.storage.database.Database`.  Each connection gets its
+own :class:`~repro.sql.session.Session` (opened with
+``snapshot_reads=True``); its thread reads a frame, runs the statement
+and writes the reply itself.  Statements are routed by
 :func:`~repro.sql.session.statement_kind`:
 
-- **reads** run concurrently on a thread pool, each against its own
+- **reads** run on the connection's own thread, each against its own
   pinned MVCC snapshot — a read never waits for a writer and never
   observes a torn generation;
-- **writes and checkpoints** are serialized through a single writer
-  thread fed by a queue.  The writer drains the queue in batches and
-  executes consecutive writes under one
+- **writes and checkpoints** are serialized through the single writer
+  thread fed by a queue; the connection's thread waits on a
+  :class:`concurrent.futures.Future`.  The writer drains the queue in
+  batches and executes consecutive writes under one
   :meth:`~repro.storage.wal.WriteAheadLog.deferred_sync` scope — group
   commit: one fsync per batch instead of one per statement, which is
   where the throughput under concurrent write load comes from.
@@ -19,27 +23,28 @@ with ``snapshot_reads=True``), and statements are routed by
 On a memory-engine database (no snapshots) reads are serialized
 through the same writer queue, trading concurrency for correctness.
 
-All blocking work happens on executor threads; coroutine bodies only
-await and write.  That includes encoding a statement's result, which
-the thread that ran the statement does before handing the finished
-frame back to the loop.  Observability lands in the database's
-registry under the ``server.*`` namespace (connection counts, per-op
-request counters, write-queue depth, result encode time and response
-size) next to the WAL's ``wal.group_commit.*`` batching metrics.
+A statement's result is encoded by the thread that ran it.
+Observability lands in the database's registry under the ``server.*``
+namespace (connection counts, per-op request counters, write-queue
+depth, result encode time and response size) next to the WAL's
+``wal.group_commit.*`` batching metrics.
 
-:class:`ServerThread` runs the event loop on a background thread — the
-shape tests, benchmarks and ``python -m repro serve`` share.
+:class:`ServerThread` is the same server on an ephemeral port — the
+shape tests and benchmarks construct.
 """
 
 from __future__ import annotations
 
-import asyncio
+import logging
+import queue
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.check.sanitize import make_lock
 from repro.errors import ConnectionClosedError, ProtocolError
 from repro.serve.protocol import (
     DEFAULT_PORT,
@@ -58,15 +63,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Most write statements one group-commit batch will absorb.
 MAX_WRITE_BATCH = 64
 
-#: Threads for concurrent snapshot reads.
-DEFAULT_READ_THREADS = 8
-
 #: Result frames up to this size are joined into one part (one write,
-#: one packet for a small reply); larger ones go to the transport part
-#: by part, so a big result is never assembled into one body.
+#: one packet for a small reply); larger ones go to the socket part by
+#: part, so a big result is never assembled into one body.
 _SINGLE_WRITE_BYTES = 64 * 1024
 
 _SESSION_KNOBS = ("parallelism", "profile", "snapshot_reads")
+
+#: How long the accept loop waits after an ``accept()`` that failed.
+_ACCEPT_RETRY_SECONDS = 0.05
+
+_LOG = logging.getLogger(__name__)
 
 
 class _QueueItem:
@@ -74,14 +81,19 @@ class _QueueItem:
 
     __slots__ = ("kind", "run", "future")
 
-    def __init__(self, kind: str, run, future: asyncio.Future):
+    def __init__(self, kind: str, run, future: Future):
         self.kind = kind
         self.run = run
         self.future = future
 
 
 class ReproServer:
-    """Asyncio socket server over one shared Database."""
+    """Thread-per-connection socket server over one shared Database.
+
+    ``start()`` returns once the socket is bound (an ephemeral
+    ``port=0`` is resolved by then), ``stop()`` hangs up on every
+    client and joins every thread.  Usable as a context manager.
+    """
 
     def __init__(
         self,
@@ -89,96 +101,169 @@ class ReproServer:
         *,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        read_threads: int = DEFAULT_READ_THREADS,
     ):
         self.database = database
         self.host = host
         self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._writer_task: asyncio.Task | None = None
-        self._write_queue: asyncio.Queue[_QueueItem] = asyncio.Queue()
-        #: One thread: the total order of writes is the queue order.
-        self._write_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-writer"
-        )
-        self._read_executor = ThreadPoolExecutor(
-            max_workers=max(1, read_threads),
-            thread_name_prefix="repro-reader",
-        )
         self._snapshot_reads = database.engine.supports_snapshots
         self._obs = database.obs
-        self._sessions = 0
+        #: One thread drains it: the total order of writes is the queue
+        #: order.  ``None`` wakes the writer up to stop.
+        self._write_queue: queue.SimpleQueue[_QueueItem | None] = (
+            queue.SimpleQueue()
+        )
+        #: Guards what start() and the accept loop publish to stop() —
+        #: the listener, the threads, the connection registry and the
+        #: sessions opened and closed with it — and orders the stop flag
+        #: against a racing enqueue.
+        self._lock = make_lock("serve.server.connections")
+        self._listener: socket.socket | None = None
+        self._threads: list[threading.Thread] = []
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._stopping = threading.Event()
+
+    @property
+    def uri(self) -> str:
+        with self._lock:
+            return f"repro://{self.host}:{self.port}"
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket and start the writer loop."""
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+    def start(self) -> "ReproServer":
+        """Bind the socket, start the accept and writer threads."""
+        with self._lock:
+            address = (self.host, self.port)
+        listener = socket.create_server(
+            address,
+            family=socket.AF_INET6 if ":" in self.host else socket.AF_INET,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._writer_task = asyncio.get_running_loop().create_task(
-            self._writer_loop()
-        )
+        threads = [
+            threading.Thread(
+                target=self._accept_loop,
+                args=(listener,),
+                name="repro-accept",
+                daemon=True,
+            ),
+            threading.Thread(
+                target=self._writer_loop, name="repro-writer", daemon=True
+            ),
+        ]
+        with self._lock:
+            self._listener = listener
+            self._threads = threads
+            self.port = listener.getsockname()[1]
+        for thread in threads:
+            thread.start()
+        return self
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        server = self._server
-        if server is None:  # pragma: no cover - start() always binds
-            raise ProtocolError("server failed to start")
-        async with server:
-            await server.serve_forever()
+    def serve_forever(self) -> None:
+        """Once started, block until :meth:`stop` (or an interrupt)."""
+        with self._lock:
+            accept_thread = self._threads[0]
+        accept_thread.join()
 
-    async def stop(self) -> None:
-        """Close the listener, stop the writer, fail queued statements."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._writer_task is not None:
-            self._writer_task.cancel()
+    def stop(self) -> None:
+        """Hang up on everyone, fail queued statements, join every thread.
+
+        Idempotent.  A statement the writer is running finishes (its
+        reply is dropped); one still queued fails with
+        :class:`ConnectionClosedError`.
+        """
+        with self._lock:
+            listener = self._listener
+            if listener is None or self._stopping.is_set():
+                return
+            self._stopping.set()
+            threads = self._threads + list(self._connections.values())
+            connections = list(self._connections)
+        _hang_up(listener)  # a thread parked in accept or recv returns
+        listener.close()
+        for connection in connections:
+            _hang_up(connection)
+        self._write_queue.put(None)
+        for thread in threads:
+            thread.join()
+
+    def __enter__(self) -> "ReproServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # -- the accept loop ----------------------------------------------------
+
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
             try:
-                await self._writer_task
-            except asyncio.CancelledError:
-                pass
-        while not self._write_queue.empty():
-            item = self._write_queue.get_nowait()
-            if not item.future.done():
-                item.future.set_exception(
-                    ConnectionClosedError("server stopped")
+                connection, _ = listener.accept()
+            except OSError as error:
+                if self._stopping.is_set():
+                    return  # stop() closed the listener
+                # Out of descriptors, or a peer that reset before it
+                # was accepted: that connection is lost, the listener
+                # is not.  The pause lets a descriptor come free.
+                _LOG.warning("accept failed, still listening: %s", error)
+                time.sleep(_ACCEPT_RETRY_SECONDS)
+                continue
+            try:
+                # Replies go out part by part; Nagle would hold each
+                # small part back for the peer's delayed ACK.
+                connection.setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
                 )
-        self._write_executor.shutdown(wait=True)
-        self._read_executor.shutdown(wait=True)
+            except OSError:
+                connection.close()  # the peer is already gone
+                continue
+            thread = threading.Thread(
+                target=self._handle_client,
+                args=(connection,),
+                name="repro-conn",
+                daemon=True,
+            )
+            with self._lock:
+                if self._stopping.is_set():
+                    connection.close()
+                    return
+                self._connections[connection] = thread
+                self._obs.gauge("server.connections.active").set(
+                    len(self._connections)
+                )
+                thread.start()  # before stop() can see it, and join it
+            self._obs.counter("server.connections.total").inc()
 
     # -- the writer loop ----------------------------------------------------
 
-    async def _writer_loop(self) -> None:
-        """Drain the write queue into group-commit batches, forever."""
-        loop = asyncio.get_running_loop()
+    def _writer_loop(self) -> None:
+        """Drain the write queue into group-commit batches until stopped."""
+        pending = self._write_queue
         while True:
-            batch = [await self._write_queue.get()]
-            while len(batch) < MAX_WRITE_BATCH:
-                try:
-                    batch.append(self._write_queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self._obs.gauge("server.write_queue.depth").set(
-                self._write_queue.qsize()
-            )
+            item = pending.get()
+            if item is None or self._stopping.is_set():
+                break
+            batch = [item]
+            try:
+                while len(batch) < MAX_WRITE_BATCH:
+                    batch.append(pending.get_nowait())
+            except queue.Empty:
+                pass
+            if batch[-1] is None:  # stop() arrived behind this batch
+                batch.pop()
+                pending.put(None)
+            self._obs.gauge("server.write_queue.depth").set(pending.qsize())
             self._obs.counter("server.write_batches").inc()
             self._obs.histogram("server.write_batch.statements").observe(
                 len(batch)
             )
-            outcomes = await loop.run_in_executor(
-                self._write_executor, self._run_batch, batch
-            )
-            for item, value, error in outcomes:
-                if item.future.done():  # client vanished mid-statement
-                    continue
+            for item, value, error in self._run_batch(batch):
                 if error is not None:
                     item.future.set_exception(error)
                 else:
                     item.future.set_result(value)
+        # Nothing is enqueued once the stop flag is up (see _enqueue), so
+        # what is here now is all there will ever be.
+        while item is not None:
+            item.future.set_exception(ConnectionClosedError("server stopped"))
+            item = pending.get()
 
     def _run_batch(self, batch: list[_QueueItem]) -> list[tuple]:
         """Execute one queue batch on the writer thread, in order.
@@ -186,7 +271,8 @@ class ReproServer:
         Consecutive ``write`` statements share one ``deferred_sync``
         scope (group commit); checkpoints and serialized reads run
         alone so a checkpoint's own sync/compact never nests inside a
-        deferred-sync batch.
+        deferred-sync batch.  A scope that fails on the way out fails
+        its statements, not the writer thread.
         """
         outcomes: list[tuple] = []
 
@@ -198,89 +284,92 @@ class ReproServer:
 
         position = 0
         while position < len(batch):
-            if batch[position].kind == "write":
+            if batch[position].kind != "write":
+                run_one(batch[position])
+                position += 1
+                continue
+            end = position
+            while end < len(batch) and batch[end].kind == "write":
+                end += 1
+            group, position = batch[position:end], end
+            answered = len(outcomes)
+            try:
                 with self.database.wal.deferred_sync():
-                    while (
-                        position < len(batch)
-                        and batch[position].kind == "write"
-                    ):
-                        run_one(batch[position])
-                        position += 1
+                    for item in group:
+                        run_one(item)
                     # Drift-triggered background rebuilds run on the
                     # writer thread between client statements, inside
                     # the same group-commit scope so the rebuild's
                     # invalidate delta rides the batch fsync.
                     self.database.run_pending_rebuilds()
-            else:
-                run_one(batch[position])
-                position += 1
+            except Exception as error:  # noqa: BLE001 - shipped to client
+                # The group's one fsync (or its sweep) failed: none of
+                # its statements is known durable, so each is told.
+                outcomes[answered:] = [(item, None, error) for item in group]
         return outcomes
 
-    async def _enqueue(self, kind: str, run) -> object:
-        """Queue one statement for the writer thread and await it."""
-        future = asyncio.get_running_loop().create_future()
-        await self._write_queue.put(_QueueItem(kind, run, future))
+    def _enqueue(self, kind: str, run) -> object:
+        """Queue one statement for the writer thread and wait for it."""
+        future: Future = Future()
+        with self._lock:
+            # Under the lock stop() raises the flag with, so the writer
+            # sees every statement that got past this check.
+            if self._stopping.is_set():
+                raise ConnectionClosedError("server stopped")
+            self._write_queue.put(_QueueItem(kind, run, future))
         self._obs.gauge("server.write_queue.depth").set(
             self._write_queue.qsize()
         )
-        return await future
+        return future.result()
+
+    def _route(self, kind: str, on_snapshot: bool, run) -> object:
+        """The one statement router: a read of a pinned snapshot runs on
+        the calling connection's thread, everything else on the writer."""
+        if on_snapshot:
+            return run()
+        return self._enqueue(kind, run)
 
     # -- per-connection handling --------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = self.database.session(
-            snapshot_reads=self._snapshot_reads, label=None
-        )
-        self._sessions += 1
-        self._obs.counter("server.connections.total").inc()
-        self._obs.gauge("server.connections.active").set(self._sessions)
+    def _handle_client(self, connection: socket.socket) -> None:
+        with self._lock:
+            session = self.database.session(
+                snapshot_reads=self._snapshot_reads, label=None
+            )
         try:
-            await self._serve_connection(reader, writer, session)
-        except (ConnectionResetError, BrokenPipeError):
+            self._serve_connection(connection, session)
+        except OSError:
             pass  # client vanished; nothing left to tell it
         finally:
-            session.close()
-            self._sessions -= 1
-            self._obs.gauge("server.connections.active").set(self._sessions)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            connection.close()
+            with self._lock:
+                session.close()
+                del self._connections[connection]
+                self._obs.gauge("server.connections.active").set(
+                    len(self._connections)
+                )
 
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        session: Session,
+    def _serve_connection(
+        self, connection: socket.socket, session: Session
     ) -> None:
         while True:
             try:
-                request = await read_frame(reader)
+                request = read_frame(connection)
             except ProtocolError as error:
                 # The stream cannot be resynchronized after a bad
                 # frame: report once, then hang up.
-                await self._send(writer, self._error_frame(error))
+                _send(connection, self._error_frame(error))
                 return
             if request is None:
                 return
-            frame, keep_open = await self._dispatch(request, session)
-            await self._send(writer, frame)
+            frame, keep_open = self._dispatch(request, session)
+            _send(connection, frame)
             if not keep_open:
                 return
 
-    async def _send(self, writer: asyncio.StreamWriter, frame: list) -> None:
-        for part in frame:
-            writer.write(part)
-            await writer.drain()
-
     # -- request dispatch ---------------------------------------------------
 
-    async def _dispatch(
-        self, request: dict, session: Session
-    ) -> tuple[list, bool]:
+    def _dispatch(self, request: dict, session: Session) -> tuple[list, bool]:
         """One request → (response frame, keep connection open).
 
         The frame comes back encoded (:func:`frame_parts`), so a
@@ -301,8 +390,8 @@ class ReproServer:
             if op == "close":
                 return frame_parts({"ok": True}), False
             if op == "sql":  # encoded by the thread that ran it
-                return await self._run_sql(request, session), True
-            return frame_parts(await self._run_op(op, request, session)), True
+                return self._run_sql(request, session), True
+            return frame_parts(self._run_op(op, request, session)), True
         except Exception as error:  # noqa: BLE001 - shipped to client
             return self._error_frame(error), True
 
@@ -310,9 +399,7 @@ class ReproServer:
         self._obs.counter("server.errors").inc()
         return frame_parts(error_to_wire(error))
 
-    async def _run_op(
-        self, op: str, request: dict, session: Session
-    ) -> dict:
+    def _run_op(self, op: str, request: dict, session: Session) -> dict:
         database = self.database
         if op == "hello":
             import repro
@@ -327,7 +414,7 @@ class ReproServer:
         if op == "ping":
             return {"ok": True}
         if op == "explain":
-            return await self._run_explain(request, session)
+            return {"text": self._run_explain(request, session)}
         if op == "set":
             return self._run_set(request, session)
         if op == "describe":
@@ -338,38 +425,25 @@ class ReproServer:
         if op == "cache_stats":
             return {"stats": database.cache_stats()}
         if op == "checkpoint":
-            info = await self._enqueue("checkpoint", database.checkpoint)
-            return {"result": info}
+            return {"result": self._enqueue("checkpoint", database.checkpoint)}
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
-    async def _run_sql(self, request: dict, session: Session) -> list:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("sql op requires a string 'text'")
+    def _run_sql(self, request: dict, session: Session) -> list:
+        text = _required_text(request, "sql")
         kind = statement_kind(text)
         on_snapshot = kind == "read" and session.snapshot_reads
         run = partial(
-            self._sql_frame,
-            partial(
-                session._sql,
-                text,
-                on_snapshot,
-                parallelism=_optional_int(request, "parallelism"),
-                profile=_optional_bool(request, "profile"),
-            ),
+            session._sql,
+            text,
+            on_snapshot,
+            parallelism=_optional_int(request, "parallelism"),
+            profile=_optional_bool(request, "profile"),
         )
-        if on_snapshot:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._read_executor, run
-            )
-        return await self._enqueue(kind, run)
+        return self._route(kind, on_snapshot, partial(self._sql_frame, run))
 
     def _sql_frame(self, run) -> list:
-        """Run a statement and encode its result, on the calling thread.
-
-        Encoding is blocking work like the statement itself, so it
-        stays on the reader or writer thread; the loop gets the frame.
-        """
+        """Run a statement and encode its result, on the calling thread
+        (the connection's for a snapshot read, else the writer)."""
         result = run()
         started = time.perf_counter()
         try:
@@ -386,23 +460,14 @@ class ReproServer:
         self._obs.histogram("server.response.bytes").observe(size)
         return frame
 
-    async def _run_explain(self, request: dict, session: Session) -> dict:
-        text = request.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("explain op requires a string 'text'")
+    def _run_explain(self, request: dict, session: Session) -> str:
         run = partial(
             session.explain,
-            text,
+            _required_text(request, "explain"),
             parallelism=_optional_int(request, "parallelism"),
-            analyze=bool(request.get("analyze", False)),
+            analyze=_optional_bool(request, "analyze"),
         )
-        if session.snapshot_reads:
-            rendered = await asyncio.get_running_loop().run_in_executor(
-                self._read_executor, run
-            )
-        else:
-            rendered = await self._enqueue("read", run)
-        return {"text": rendered}
+        return self._route("read", session.snapshot_reads, run)
 
     def _run_set(self, request: dict, session: Session) -> dict:
         knob = request.get("knob")
@@ -426,6 +491,26 @@ class ReproServer:
         return {"ok": True, "knob": knob, "value": value}
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """Shut *sock* down both ways, waking any thread blocked on it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer is already gone
+
+
+def _send(connection: socket.socket, frame: list) -> None:
+    for part in frame:
+        connection.sendall(part)
+
+
+def _required_text(request: dict, op: str) -> str:
+    text = request.get("text")
+    if not isinstance(text, str):
+        raise ProtocolError(f"{op} op requires a string 'text'")
+    return text
+
+
 def _optional_int(request: dict, key: str) -> int | None:
     value = request.get(key)
     return None if value is None else int(value)
@@ -435,14 +520,9 @@ def _optional_bool(request: dict, key: str) -> bool:
     return bool(request.get(key, False))
 
 
-class ServerThread:
-    """A ReproServer running its event loop on a background thread.
-
-    The synchronous harness tests, benchmarks and the CLI share:
-    ``start()`` returns once the socket is bound (the ephemeral
-    ``port=0`` is resolved by then), ``stop()`` shuts the loop down and
-    joins the thread.  Usable as a context manager.
-    """
+class ServerThread(ReproServer):
+    """A :class:`ReproServer` that binds an ephemeral port by default —
+    what tests and benchmarks put in a ``with`` block."""
 
     def __init__(
         self,
@@ -450,74 +530,5 @@ class ServerThread:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        read_threads: int = DEFAULT_READ_THREADS,
     ):
-        self.server = ReproServer(
-            database, host=host, port=port, read_threads=read_threads
-        )
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def uri(self) -> str:
-        return f"repro://{self.server.host}:{self.server.port}"
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # pragma: no cover - defensive
-            if not self._ready.is_set():
-                self._startup_error = error
-                self._ready.set()
-            else:
-                raise
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            await self.server.start()
-        except OSError as error:
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.server.stop()
-
-    def stop(self) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        loop, stop_event = self._loop, self._stop_event
-        if stop_event is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(stop_event.set)
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        super().__init__(database, host=host, port=port)

@@ -200,11 +200,14 @@ class Session:
         self._check_open()
         self._count_session_statement()
         effective_parallelism = self._effective_parallelism(parallelism)
-        if self.snapshot_reads and not analyze:
+        if self.snapshot_reads:
+            # ANALYZE executes the query: it needs the pin as much as
+            # sql("EXPLAIN ANALYZE ...") does.
             with self.database.snapshot() as view:
                 return view.explain(
                     text,
                     parallelism=effective_parallelism,
+                    analyze=analyze,
                     optimizer_options=optimizer_options,
                 )
         return explain_sql(

@@ -238,13 +238,13 @@ class SnapshotRegistry:
             manifest = self._manifest
             generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
             wal_lsn = wal.last_lsn
-            handle = self._handles.get(
-                (generation_lsn, wal_lsn)
-            ) or self._advance_locked(wal, generation_lsn, wal_lsn)
+            handle = self._handles.get((generation_lsn, wal_lsn))
             if handle is not None:
-                # Every pin served without a build, advanced ones included.
                 self._count_locked("reuses")
             else:
+                # Counts itself: pins == builds + advances + reuses.
+                handle = self._advance_locked(wal, generation_lsn, wal_lsn)
+            if handle is None:
                 records = [r for r in wal.records() if r.lsn <= wal_lsn]
                 tables = materialize_tables(
                     self.root, manifest, records, cache=self._cache

@@ -465,6 +465,8 @@ class TestServeCodecBoundary:
         assert lint_planted(tmp_path, "storage/cache.py", source) == []
 
     def test_result_encoding_in_a_coroutine_is_blocking_work(self, tmp_path):
+        # L9 used to police what a serve/ coroutine may call; now there
+        # is no coroutine to police, and L9 keeps it that way.
         findings = lint_planted(
             tmp_path,
             "serve/server.py",
@@ -484,11 +486,21 @@ class TestServeCodecBoundary:
             def run_and_encode(run):
                 return {"result": result_to_wire(run())}
 
-            async def reply(run, loop, executor):
-                return await loop.run_in_executor(executor, run_and_encode, run)
+            def reply(run):
+                return run_and_encode(run)
             """,
         )
         assert findings == []
+
+    @pytest.mark.parametrize(
+        "line", ["import asyncio", "import asyncio.streams as s", "from asyncio import run"]
+    )
+    def test_importing_asyncio_anywhere_in_the_package_fires(self, tmp_path, line):
+        assert lint_planted(tmp_path, "storage/engine.py", line + "\n") == ["L9"]
+        path = tmp_path / "tools" / "helper.py"
+        path.parent.mkdir()
+        path.write_text(line + "\n", encoding="utf-8")
+        assert rules_of(repro_lint.lint_file(path)) == []
 
 
 # -- repro_lint driver plumbing ----------------------------------------------

@@ -2,6 +2,9 @@
 
 import inspect
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,69 @@ class TestOptionSurface:
         with pytest.raises(TypeError, match="mmap"):
             open_segment(tmp_path / "c.seg", mmap=True)
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+    def test_server_parameters(self):
+        from repro.serve import ReproServer, ServerThread
+
+        for cls in (ReproServer, ServerThread):
+            assert list(inspect.signature(cls).parameters) == [
+                "database", "host", "port",
+            ]
+        # The reader pool is gone and so is its size: a thread per
+        # connection needs no number.
+        with pytest.raises(TypeError, match="read_threads"):
+            ServerThread(repro.connect(), read_threads=8)
+
+    def test_serve_exports_one_client(self):
+        import repro.serve
+
+        assert repro.serve.__all__ == [
+            "DEFAULT_PORT",
+            "MAX_FRAME_BYTES",
+            "RemoteMetrics",
+            "RemoteProfile",
+            "ReproServer",
+            "ServerClient",
+            "ServerThread",
+        ]
+        assert not hasattr(repro.serve, "AsyncReproClient")
+
+    def test_a_serving_process_never_imports_asyncio(self, tmp_path):
+        """``python -m repro serve`` up to its ready line and through a
+        served read and write, in a process of its own."""
+        script = textwrap.dedent(
+            """
+            import os, sys, threading
+
+            read_end, write_end = os.pipe()
+            sys.stdout = os.fdopen(write_end, "w")
+            from repro.__main__ import main
+
+            arguments = ["serve", "--data-dir", sys.argv[1], "--port", "0"]
+            threading.Thread(target=main, args=(arguments,), daemon=True).start()
+            ready = os.fdopen(read_end).readline()
+            assert ready.startswith(
+                "repro server listening on repro://127.0.0.1:"
+            ), ready
+            import repro
+
+            with repro.connect(ready.split()[4]) as client:
+                client.sql("CREATE TABLE t (c BIGINT)")
+                client.sql("INSERT INTO t VALUES (1), (2)")
+                assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 2
+            loaded = sorted(name for name in sys.modules if "asyncio" in name)
+            assert not loaded, loaded
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "data")],
+            env={"PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestKeywordOnlyKnobs:

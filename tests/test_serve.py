@@ -1,14 +1,18 @@
 """The network server: wire protocol, routing, and failure modes."""
 
-import asyncio
+import errno
 import re
 import socket
 import struct
 import threading
+import time
 
+import numpy as np
 import pytest
 
 import repro
+from repro import DataType, Field, Schema
+from repro.check import sanitize
 from repro.errors import (
     BindError,
     ConnectionClosedError,
@@ -16,12 +20,10 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec.result import QueryResult
-from repro.serve import (
-    AsyncReproClient,
-    MAX_FRAME_BYTES,
-    ServerClient,
-    ServerThread,
-)
+from repro.serve import MAX_FRAME_BYTES, ServerClient, ServerThread
+from repro.serve import client as client_module
+from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.client import parse_uri
 from repro.serve.protocol import (
     decode_body,
@@ -29,6 +31,7 @@ from repro.serve.protocol import (
     error_from_wire,
     error_to_wire,
 )
+from repro.storage.column import ColumnVector
 
 
 @pytest.fixture
@@ -70,6 +73,42 @@ def _recv_frame(sock: socket.socket) -> dict | None:
             return None
         body += chunk
     return decode_body(body)
+
+
+def _run_threads(target, count: int) -> None:
+    """Run ``target(slot)`` on *count* threads; fail on the first error."""
+    failures: list[BaseException] = []
+
+    def guarded(slot: int) -> None:
+        try:
+            target(slot)
+        except BaseException as error:  # noqa: BLE001 - surfaced below
+            failures.append(error)
+
+    threads = [
+        threading.Thread(target=guarded, args=(slot,)) for slot in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not failures, failures
+
+
+def _serve_threads() -> list[str]:
+    """Names of the live threads a server started."""
+    return sorted(
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("repro-accept", "repro-conn", "repro-writer"))
+    )
+
+
+def _wait_until(condition, what: str, seconds: float = 30.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
 
 
 class TestWireHelpers:
@@ -227,34 +266,57 @@ class TestServerRoundTrip:
 
 class TestConcurrentClients:
     def test_parallel_writers_and_readers(self, server, durable):
-        failures: list[BaseException] = []
-
         def worker(slot: int) -> None:
-            try:
-                with ServerClient(server.host, server.port) as client:
-                    for i in range(10):
-                        client.sql(
-                            f"INSERT INTO t VALUES ({100 + slot * 10 + i}, 'w')"
-                        )
-                        count = client.sql(
-                            "SELECT COUNT(*) AS n FROM t"
-                        ).scalar()
-                        assert count >= 3 + i + 1 - 1
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                failures.append(error)
+            with ServerClient(server.host, server.port) as client:
+                for i in range(10):
+                    client.sql(
+                        f"INSERT INTO t VALUES ({100 + slot * 10 + i}, 'w')"
+                    )
+                    count = client.sql("SELECT COUNT(*) AS n FROM t").scalar()
+                    assert count >= 3 + i + 1 - 1
 
-        threads = [
-            threading.Thread(target=worker, args=(slot,)) for slot in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not failures, failures
+        _run_threads(worker, 4)
         assert durable.sql("SELECT COUNT(*) AS n FROM t").scalar() == 43
         # Group commit kicked in: batches were recorded by the writer loop.
         assert durable.obs.counter("server.write_batches").value >= 1
         assert durable.obs.counter("wal.group_commit.batches").value >= 1
+
+
+    def test_sixteen_readers_against_one_writer(self, server, durable):
+        """Each reader's thread pins its own snapshot: every reply is a
+        whole prefix of what the writer inserted, and never shrinks."""
+        done = threading.Event()
+
+        def writer() -> None:
+            with ServerClient(server.host, server.port) as client:
+                key = 100
+                while not done.is_set():
+                    client.sql(f"INSERT INTO t VALUES ({key}, 'w')")
+                    key += 1
+
+        def reader(slot: int) -> None:
+            seen = 0
+            with ServerClient(server.host, server.port) as client:
+                for _ in range(25):
+                    keys = client.sql(
+                        "SELECT c FROM t WHERE c >= 100 ORDER BY c"
+                    ).columns["c"].values.tolist()
+                    assert keys == list(range(100, 100 + len(keys)))
+                    assert len(keys) >= seen
+                    seen = len(keys)
+
+        writing = threading.Thread(target=writer)
+        writing.start()
+        try:
+            _run_threads(reader, 16)
+        finally:
+            done.set()
+            writing.join(timeout=120)
+        assert durable.obs.counter("server.connections.total").value == 17
+        _wait_until(
+            lambda: durable.obs.gauge("server.connections.active").value == 0,
+            "every connection thread to finish",
+        )
 
 
 class TestProtocolAbuse:
@@ -279,6 +341,74 @@ class TestProtocolAbuse:
             sock.shutdown(socket.SHUT_WR)
             response = _recv_frame(sock)
             assert response["error"]["type"] == "ProtocolError"
+            assert "frame body (14/100 bytes)" in response["error"]["message"]
+            assert _recv_frame(sock) is None  # reported once, then hung up
+
+    def test_truncated_prefix_gets_error_then_hangup(self, server):
+        with _raw_connection(server) as sock:
+            sock.sendall(b"\x00\x00")
+            sock.shutdown(socket.SHUT_WR)
+            response = _recv_frame(sock)
+            assert response["error"]["type"] == "ProtocolError"
+            assert "length prefix (2/4 bytes)" in response["error"]["message"]
+            assert _recv_frame(sock) is None
+
+    def test_both_ends_read_frames_through_one_function(self):
+        assert client_module.read_frame is protocol.read_frame
+        assert server_module.read_frame is protocol.read_frame
+        assert not hasattr(ServerClient, "_read_frame")
+        assert not hasattr(ServerClient, "_read_exactly")
+
+    def test_read_frame_checks(self, monkeypatch):
+        def read(sent: bytes):
+            ours, theirs = socket.socketpair()
+            with ours, theirs:
+                theirs.sendall(sent)
+                theirs.shutdown(socket.SHUT_WR)
+                return protocol.read_frame(ours)
+
+        assert read(b"") is None  # clean EOF at a frame boundary
+        assert read(encode_frame({"op": "ping"})) == {"op": "ping"}
+        with pytest.raises(ProtocolError, match=r"length prefix \(3/4 bytes\)"):
+            read(b"\x00\x00\x00")
+        with pytest.raises(ProtocolError, match=r"frame body \(0/7 bytes\)"):
+            read(struct.pack(">I", 7))
+        with pytest.raises(ProtocolError, match="frame length 0 outside"):
+            read(struct.pack(">I", 0))
+        # An oversized length is refused before its body is allocated.
+        allocated = []
+        monkeypatch.setattr(
+            protocol,
+            "bytearray",
+            lambda count: allocated.append(count) or bytearray(count),
+            raising=False,
+        )
+        with pytest.raises(ProtocolError, match="outside"):
+            read(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        assert allocated == [4]
+
+    def test_client_drops_the_connection_on_a_truncated_reply(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def fake_server() -> None:
+            peer, _ = listener.accept()
+            with peer:
+                protocol.read_frame(peer)
+                peer.sendall(encode_frame({"wire_version": protocol.WIRE_VERSION}))
+                protocol.read_frame(peer)
+                peer.sendall(struct.pack(">I", 50) + b'{"ok"')
+
+        serving = threading.Thread(target=fake_server)
+        serving.start()
+        try:
+            client = ServerClient(*listener.getsockname())
+            with pytest.raises(ProtocolError, match=r"frame body \(5/50 bytes\)"):
+                client.ping()
+            with pytest.raises(ConnectionClosedError, match="client is closed"):
+                client.ping()
+        finally:
+            serving.join(timeout=30)
+            listener.close()
 
     def test_unknown_op_keeps_connection_open(self, server):
         with _raw_connection(server) as sock:
@@ -304,40 +434,31 @@ class TestProtocolAbuse:
 
 
 class TestAsyncClient:
-    def test_async_round_trip(self, server):
-        async def scenario() -> None:
-            async with await AsyncReproClient.connect(
-                server.host, server.port
-            ) as client:
-                assert client.server_info["server"] == "repro"
-                assert await client.ping() is True
-                result = await client.sql("SELECT COUNT(*) AS n FROM t")
-                assert result.scalar() == 3
-                await client.sql("INSERT INTO t VALUES (9, 'z')")
-                assert "logical plan" in await client.explain(
-                    "SELECT c FROM t"
-                )
-                assert await client.set("profile", True) is True
-                info = await client.checkpoint()
-                assert info["engine"] == "durable"
+    """Once the asyncio client's tests; :class:`ServerClient` is the one
+    client now, driven from threads where those drove coroutines."""
 
-        asyncio.run(scenario())
+    def test_async_round_trip(self, server):
+        with ServerClient(server.host, server.port) as client:
+            assert client.server_info["server"] == "repro"
+            assert client.ping() is True
+            result = client.sql("SELECT COUNT(*) AS n FROM t")
+            assert result.scalar() == 3
+            client.sql("INSERT INTO t VALUES (9, 'z')")
+            assert "logical plan" in client.explain("SELECT c FROM t")
+            assert client.set("profile", True) is True
+            info = client.checkpoint()
+            assert info["engine"] == "durable"
 
     def test_many_async_clients(self, server):
-        async def one_client(slot: int) -> int:
-            async with await AsyncReproClient.connect(
-                server.host, server.port
-            ) as client:
-                total = 0
+        totals = [0] * 6
+
+        def one_client(slot: int) -> None:
+            with ServerClient(server.host, server.port) as client:
                 for _ in range(5):
-                    result = await client.sql("SELECT COUNT(*) AS n FROM t")
-                    total += result.scalar()
-                return total
+                    result = client.sql("SELECT COUNT(*) AS n FROM t")
+                    totals[slot] += result.scalar()
 
-        async def scenario() -> list[int]:
-            return await asyncio.gather(*(one_client(i) for i in range(6)))
-
-        totals = asyncio.run(scenario())
+        _run_threads(one_client, len(totals))
         assert totals == [15] * 6
 
 
@@ -364,6 +485,206 @@ class TestServerLifecycle:
             for _ in range(10):
                 client.ping()
         client.close()
+
+    def test_stop_with_idle_running_and_queued_statements(
+        self, durable, monkeypatch
+    ):
+        """stop() with one client parked in recv, one mid-INSERT on the
+        writer and one statement queued behind it."""
+        entered, release = threading.Event(), threading.Event()
+        sweep = durable.run_pending_rebuilds
+
+        def held_sweep():
+            entered.set()
+            assert release.wait(timeout=30)
+            return sweep()
+
+        monkeypatch.setattr(durable, "run_pending_rebuilds", held_sweep)
+        server = ServerThread(durable).start()
+        clients = {
+            name: ServerClient(server.host, server.port)
+            for name in ("idle", "running", "queued")
+        }
+        outcomes: dict[str, object] = {}
+
+        def statement(name: str, key: int) -> None:
+            try:
+                outcomes[name] = clients[name].sql(
+                    f"INSERT INTO t VALUES ({key}, 'x')"
+                )
+            except ReproError as error:
+                outcomes[name] = error
+
+        running = threading.Thread(target=statement, args=("running", 10))
+        running.start()
+        assert entered.wait(timeout=30)  # the writer is inside its batch
+        queued = threading.Thread(target=statement, args=("queued", 11))
+        queued.start()
+        depth = durable.obs.gauge("server.write_queue.depth")
+        _wait_until(lambda: depth.value == 1, "the second INSERT to queue")
+
+        stopping = threading.Thread(target=server.stop)
+        stopping.start()
+        # The idle connection is hung up on only once the stop flag is
+        # up, so from here on the writer takes nothing new off its queue.
+        with pytest.raises(ConnectionClosedError):
+            while True:
+                clients["idle"].ping()
+        release.set()
+        for thread in (stopping, running, queued):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+        assert isinstance(outcomes["queued"], ConnectionClosedError)
+        # The writer finished the statement it had; its reply was dropped.
+        assert isinstance(outcomes["running"], ConnectionClosedError)
+        keys = durable.sql("SELECT c FROM t WHERE c >= 10").columns["c"]
+        assert keys.values.tolist() == [10]
+        assert _serve_threads() == []
+        assert durable.obs.gauge("server.connections.active").value == 0
+        assert sanitize.check_balances() == []
+        server.stop()  # a second stop() is a no-op
+        with pytest.raises(OSError):
+            _raw_connection(server)
+        for client in clients.values():
+            client.close()
+
+    def test_client_vanishing_mid_reply_frees_its_thread(self, durable, server):
+        """A peer that reads only the length prefix of a multi-part
+        reply and closes: its thread exits, nothing stays pinned."""
+        rows = 200_000
+        big = durable.create_table(
+            "big", Schema([Field("k", DataType.INT64), Field("v", DataType.INT64)])
+        )
+        keys = np.arange(rows, dtype=np.int64)
+        big.load_columns(
+            {
+                "k": ColumnVector(DataType.INT64, keys),
+                "v": ColumnVector(DataType.INT64, keys * 3),
+            }
+        )
+        assert 16 * rows > 16 * server_module._SINGLE_WRITE_BYTES
+        with _raw_connection(server) as sock:
+            sock.sendall(encode_frame({"op": "sql", "text": "SELECT k, v FROM big"}))
+            prefix = sock.recv(4, socket.MSG_WAITALL)
+            assert struct.unpack(">I", prefix)[0] > 16 * rows
+        gauges = durable.obs.gauge
+        _wait_until(
+            lambda: gauges("server.connections.active").value == 0
+            and "repro-conn" not in _serve_threads(),
+            "the abandoned connection's thread to exit",
+        )
+        assert gauges("storage.snapshot.active").value == 0
+        assert sanitize.check_balances() == []
+        with ServerClient(server.host, server.port) as client:
+            assert client.sql("SELECT COUNT(*) AS n FROM big").scalar() == rows
+        assert durable.obs.counter("server.connections.total").value == 2
+
+    def test_a_failed_accept_does_not_end_accepting(
+        self, durable, monkeypatch, caplog
+    ):
+        """accept() out of descriptors once, then a peer that is gone by
+        setsockopt: each costs that one connection, not the listener."""
+        monkeypatch.setattr(server_module, "_ACCEPT_RETRY_SECONDS", 0.0)
+        failures = [OSError(errno.EMFILE, "Too many open files")]
+        accept, setsockopt = socket.socket.accept, socket.socket.setsockopt
+
+        def flaky_accept(listener):
+            if failures:
+                raise failures.pop()
+            return accept(listener)
+
+        nodelay_failures = [OSError(errno.EINVAL, "Invalid argument")]
+
+        def flaky_setsockopt(sock, level, option, *value):
+            if option == socket.TCP_NODELAY and nodelay_failures:
+                raise nodelay_failures.pop()
+            return setsockopt(sock, level, option, *value)
+
+        monkeypatch.setattr(socket.socket, "accept", flaky_accept)
+        monkeypatch.setattr(socket.socket, "setsockopt", flaky_setsockopt)
+        with ServerThread(durable) as server:
+            with pytest.raises(ConnectionClosedError):
+                ServerClient(server.host, server.port)  # lost to setsockopt
+            assert failures == [] and nodelay_failures == []
+            with ServerClient(server.host, server.port) as client:
+                assert client.ping() is True
+            assert "repro-accept" in _serve_threads()
+        assert "accept failed, still listening" in caplog.text
+        assert durable.obs.counter("server.connections.total").value == 1
+        assert _serve_threads() == []
+
+    def test_a_failed_group_fsync_fails_its_statements_not_the_writer(
+        self, durable, server, monkeypatch
+    ):
+        """The one fsync of a two-INSERT group raises: both clients are
+        told, the batch before it and the statement after it are not."""
+        entered, release = threading.Event(), threading.Event()
+        sweep, sync = durable.run_pending_rebuilds, durable.wal.sync
+        syncs: list[int] = []
+
+        def held_sweep():
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30)
+            return sweep()
+
+        def failing_sync():
+            syncs.append(len(syncs))
+            if len(syncs) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return sync()
+
+        monkeypatch.setattr(durable, "run_pending_rebuilds", held_sweep)
+        monkeypatch.setattr(durable.wal, "sync", failing_sync)
+        outcomes: dict[int, object] = {}
+
+        def insert(key: int) -> None:
+            with ServerClient(server.host, server.port) as client:
+                try:
+                    outcomes[key] = client.sql(f"INSERT INTO t VALUES ({key}, 'x')")
+                except ReproError as error:
+                    outcomes[key] = error
+
+        threads = [threading.Thread(target=insert, args=(10,))]
+        threads[0].start()
+        assert entered.wait(timeout=30)  # the writer is inside batch one
+        threads += [threading.Thread(target=insert, args=(key,)) for key in (11, 12)]
+        for thread in threads[1:]:
+            thread.start()
+        depth = durable.obs.gauge("server.write_queue.depth")
+        _wait_until(lambda: depth.value == 2, "both INSERTs to queue")
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+        assert isinstance(outcomes[10], QueryResult)
+        for key in (11, 12):
+            assert isinstance(outcomes[key], ReproError)
+            assert "No space left on device" in str(outcomes[key])
+        assert "repro-writer" in _serve_threads()
+        with ServerClient(server.host, server.port) as client:
+            client.sql("INSERT INTO t VALUES (13, 'x')")
+            keys = client.sql("SELECT c FROM t WHERE c >= 10").columns["c"]
+        # 11 and 12 were applied and logged, only not known durable —
+        # what an in-process INSERT whose own fsync raises leaves too.
+        assert sorted(keys.values.tolist()) == [10, 11, 12, 13]
+        assert len(syncs) == 3
+
+    def test_stop_leaves_no_thread_behind(self, durable):
+        with ServerThread(durable) as server:
+            with ServerClient(server.host, server.port) as client:
+                assert client.ping() is True
+                assert _serve_threads() == [
+                    "repro-accept", "repro-conn", "repro-writer",
+                ]
+            abandoned = ServerClient(server.host, server.port)
+        assert _serve_threads() == []
+        assert durable.obs.gauge("server.connections.active").value == 0
+        assert sanitize.check_balances() == []
+        with pytest.raises(ConnectionClosedError):
+            abandoned.ping()
 
     def test_server_metrics_namespaces(self, server, durable):
         with ServerClient(server.host, server.port) as client:

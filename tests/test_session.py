@@ -190,6 +190,33 @@ class TestSnapshotView:
         assert durable.obs.counter("storage.snapshot.pins").value >= 2
 
 
+    def test_every_spelling_of_explain_pins_exactly_once(self, durable):
+        """``explain(q, analyze=True)`` executes *q*: on a snapshot
+        session it must read a pinned snapshot, not the live tables a
+        writer thread may be mutating."""
+        from repro.serve import ServerClient, ServerThread
+
+        query = "SELECT COUNT(*) AS n FROM t"
+        pins = durable.obs.counter("storage.snapshot.pins")
+
+        def pinned(run) -> int:
+            before = pins.value
+            run()
+            return pins.value - before
+
+        with durable.session(snapshot_reads=True) as session:
+            assert pinned(lambda: session.explain(query)) == 1
+            assert pinned(lambda: session.explain(query, analyze=True)) == 1
+            assert pinned(lambda: session.sql("EXPLAIN ANALYZE " + query)) == 1
+            assert "rows=" in session.explain(query, analyze=True)
+        with ServerThread(durable) as server:
+            with ServerClient(server.host, server.port) as client:
+                assert pinned(lambda: client.explain(query)) == 1
+                assert pinned(lambda: client.explain(query, analyze=True)) == 1
+        with durable.session() as session:  # no snapshot reads: no pin
+            assert pinned(lambda: session.explain(query, analyze=True)) == 0
+
+
 class TestRetiredBackendKnob:
     def test_every_local_surface_rejects_the_keyword(self, durable):
         query = "SELECT c FROM t"

@@ -174,6 +174,46 @@ class TestSnapshotIsolationFuzz:
         first.close()
 
 
+class TestPinAccounting:
+    def test_every_pin_is_a_build_an_advance_or_a_reuse(self, durable):
+        """``pins == builds + advances + reuses``, each pin counted once
+        under the one way it was served."""
+
+        def counts() -> dict:
+            counters = _counters(durable)
+            return {
+                name: counters.get(f"storage.snapshot.{name}", 0)
+                for name in ("pins", "builds", "advances", "reuses")
+            }
+
+        def pin() -> dict:
+            before = counts()
+            durable.snapshot().close()
+            after = counts()
+            assert after["pins"] == before["pins"] + 1
+            assert (
+                after["pins"]
+                == after["builds"] + after["advances"] + after["reuses"]
+            )
+            return {
+                name: after[name] - before[name]
+                for name in ("builds", "advances", "reuses")
+            }
+
+        _insert_batch(durable, 0)
+        assert pin() == {"builds": 1, "advances": 0, "reuses": 0}
+        assert pin() == {"builds": 0, "advances": 0, "reuses": 1}
+        _insert_batch(durable, 1)
+        assert pin() == {"builds": 0, "advances": 1, "reuses": 0}
+        assert pin() == {"builds": 0, "advances": 0, "reuses": 1}
+        durable.checkpoint()
+        assert pin() == {"builds": 1, "advances": 0, "reuses": 0}
+        _insert_batch(durable, 2)
+        with durable.snapshot():  # advanced, and held ...
+            assert pin() == {"builds": 0, "advances": 0, "reuses": 1}
+        assert counts() == {"pins": 7, "builds": 2, "advances": 2, "reuses": 3}
+
+
 class TestRefusedAdvancesSayWhy:
     def pin_and_remember(self, db):
         """Leave an unpinned handle cached; return it with what it shows."""

@@ -1,21 +1,21 @@
-"""The result wire format: round trips, hostile frames, both clients.
+"""The result wire format: round trips, hostile frames, served replies.
 
 A result crosses the wire as a JSON header plus a tail of raw column
 buffers (``repro.serve.protocol``).  These tests pin the contract from
 the outside: whatever ``result_to_wire`` / ``encode_frame`` accept comes
 back from ``decode_body`` / ``result_from_wire`` bit for bit; a frame
 that lies about its own layout raises ``ProtocolError`` and nothing
-else; the sync and async clients agree; and the server sizes a reply
-before it writes one.
+else; a client on another thread agrees with one on this; and the
+server sizes a reply before it writes one.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import repro
 from repro.errors import ProtocolError
 from repro.exec.result import QueryResult
-from repro.serve import AsyncReproClient, ServerClient, ServerThread
+from repro.serve import ServerClient, ServerThread
 from repro.serve import protocol, server as server_module
 from repro.serve.protocol import (
     RESULT_MAGIC,
@@ -434,13 +434,19 @@ def server(durable):
 
 
 def fetch_async(server, text: str) -> QueryResult:
-    async def scenario() -> QueryResult:
-        async with await AsyncReproClient.connect(
-            server.host, server.port
-        ) as client:
-            return await client.sql(text)
+    """*text* through a second client on a thread of its own (where the
+    asyncio client used to be driven from a coroutine)."""
+    fetched: list[QueryResult] = []
 
-    return asyncio.run(scenario())
+    def scenario() -> None:
+        with ServerClient(server.host, server.port) as client:
+            fetched.append(client.sql(text))
+
+    thread = threading.Thread(target=scenario)
+    thread.start()
+    thread.join(timeout=60)
+    (result,) = fetched
+    return result
 
 
 class TestServedResults:
@@ -490,12 +496,13 @@ class TestServedResults:
         monkeypatch.setattr(server_module, "WIRE_VERSION", WIRE_VERSION + 1)
         with pytest.raises(ProtocolError, match="wire version"):
             ServerClient(server.host, server.port)
-
-        async def scenario() -> None:
-            await AsyncReproClient.connect(server.host, server.port)
-
         with pytest.raises(ProtocolError, match="wire version"):
-            asyncio.run(scenario())
+            repro.connect(server.uri)
+        # Each refusal closed its socket: the server is back to idle.
+        deadline = time.monotonic() + 30
+        while server.database.obs.gauge("server.connections.active").value:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
 
     def test_oversized_result_is_a_typed_error_on_an_open_connection(
         self, durable, server, monkeypatch
@@ -526,9 +533,8 @@ class TestServedResults:
         with ServerClient(server.host, server.port) as client:
             client.sql("SELECT k FROM t")
             client.sql("INSERT INTO t (k) VALUES (9)")
-        assert [name.split("_")[0] for name in threads] == [
-            "repro-reader", "repro-writer",
-        ]
+        # A read on its connection's own thread, a write on the writer.
+        assert threads == ["repro-conn", "repro-writer"]
 
     def test_each_reply_is_measured(self, durable, server):
         with ServerClient(server.host, server.port) as client:

@@ -26,7 +26,7 @@ L12 no-blocking-under-lock
     Blocking operations — ``os.fsync``, ``os.replace``, ``open()``,
     ``time.sleep``, ``shutil.rmtree``, synchronous socket calls, and
     ``await`` under a *threading* lock — stall every other thread
-    queued on that lock (and extend L3/L9 reasoning into lock scopes).
+    queued on that lock (and extend L3 reasoning into lock scopes).
     Checked directly and one resolved call hop deep.
 
 L13 guarded-attribute-access

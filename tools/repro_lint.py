@@ -68,15 +68,13 @@ L8  no-raw-segment-decode
     and answer to the same list: a stride that outruns its buffer is a
     read out of bounds, so the arithmetic stays where it is tested.
 
-L9  no-blocking-io-in-coroutines
-    Inside ``repro/serve/`` coroutine bodies (``async def``), blocking
-    calls — ``time.sleep``, synchronous ``socket.*`` constructors,
-    ``open()``, ``os.fsync`` — stall the event loop and every connected
-    client with it.  Encoding a query result (``result_to_wire``) counts
-    as blocking work too: it is proportional to the result, not to the
-    request.  Blocking work belongs on an executor thread
-    (``run_in_executor``); nested synchronous ``def`` helpers are
-    exempt because they only run when called, which is on the executor.
+L9  one-concurrency-model
+    No ``async def`` and no ``import asyncio`` under ``src/repro/``.
+    The server is a thread per connection plus one writer thread; the
+    lock rules below, the runtime sanitizer and the lock graph cover
+    threads end to end and see nothing of an event loop.  A coroutine
+    would bring the second model back, with its executors and
+    cross-thread futures.
 
 L10 patch-mutation-through-delta-layer
     Patch membership mutations — ``.extend`` / ``.add`` / ``.remove`` /
@@ -677,67 +675,34 @@ def check_raw_segment_decode(path: Path, tree: ast.AST) -> list[Finding]:
 
 # -- L9 ------------------------------------------------------------------------
 
-#: Directory whose coroutines must not block the event loop (L9).
-ASYNC_CHECKED_DIR = "serve"
+#: Tree that runs on threads alone (L9).
+THREADS_ONLY_TREE = "src/repro/"
 
 
-def _blocking_call_name(node: ast.Call) -> str | None:
-    """Dotted name of a blocking call, or None when the call is safe."""
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in ("open", "result_to_wire"):
-        return func.id
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        owner = func.value.id
-        if owner == "time" and func.attr == "sleep":
-            return "time.sleep"
-        if owner == "socket":
-            return f"socket.{func.attr}"
-        if owner == "os" and func.attr == "fsync":
-            return "os.fsync"
-    return None
+def _brings_an_event_loop(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return isinstance(node, ast.AsyncFunctionDef)
+    return any(module.split(".")[0] == "asyncio" for module in modules)
 
 
-def _flag_blocking_calls(
-    path: Path, body: list[ast.stmt], findings: list[Finding]
-) -> None:
-    """Flag blocking calls in a coroutine body, skipping nested defs.
-
-    Nested function definitions (sync or async, and lambdas) are
-    skipped: a sync helper only blocks whatever thread eventually calls
-    it, and nested ``async def``\\ s are visited as coroutines of their
-    own by the caller's walk.
-    """
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        if isinstance(node, ast.Call):
-            name = _blocking_call_name(node)
-            if name is not None:
-                findings.append(
-                    Finding(
-                        path,
-                        node.lineno,
-                        "L9",
-                        f"blocking call {name}() inside a repro.serve "
-                        "coroutine stalls the event loop; move it to "
-                        "run_in_executor",
-                    )
-                )
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def check_async_blocking_io(path: Path, tree: ast.AST) -> list[Finding]:
-    if ASYNC_CHECKED_DIR not in path.parts:
+def check_one_concurrency_model(path: Path, tree: ast.AST) -> list[Finding]:
+    if THREADS_ONLY_TREE not in posix(path):
         return []
-    findings: list[Finding] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AsyncFunctionDef):
-            _flag_blocking_calls(path, node.body, findings)
-    return findings
+    return [
+        Finding(
+            path,
+            node.lineno,
+            "L9",
+            "async def / import asyncio: repro runs on threads alone (a "
+            "thread per connection, one writer); no event loop",
+        )
+        for node in ast.walk(tree)
+        if _brings_an_event_loop(node)
+    ]
 
 
 # -- L10 -----------------------------------------------------------------------
@@ -797,7 +762,7 @@ def lint_file(path: Path) -> list[Finding]:
     findings.extend(check_metric_namespaces(path, tree))
     findings.extend(check_explicit_dtype(path, tree))
     findings.extend(check_raw_segment_decode(path, tree))
-    findings.extend(check_async_blocking_io(path, tree))
+    findings.extend(check_one_concurrency_model(path, tree))
     findings.extend(check_patch_mutation_layer(path, tree))
     findings.extend(check_stale_markers(path))
     return findings
