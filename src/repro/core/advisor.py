@@ -27,7 +27,7 @@ from repro.core.discovery import (
     discover_table_nuc,
 )
 from repro.core.patches import CROSSOVER_RATE
-from repro.storage.database import REBUILD_THRESHOLD, Database
+from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.types import is_orderable
 
@@ -222,30 +222,3 @@ class ConstraintAdvisor:
     def run(self) -> list[str]:
         """One full self-management cycle: analyze everything, apply."""
         return self.apply(self.analyze_all())
-
-    # -- index upkeep ----------------------------------------------------------
-
-    def recommend_rebuilds(self, max_drift: float | None = None) -> list[str]:
-        """Indexes whose conservative maintenance drifted past *max_drift*.
-
-        Incremental maintenance keeps patch sets correct but not
-        minimal (see :mod:`repro.core.maintenance`); once the drift — the
-        fraction of rows the maintainer demoted — exceeds the threshold,
-        a rebuild restores minimality.  *max_drift* defaults to
-        :data:`~repro.storage.database.REBUILD_THRESHOLD`, so the
-        advisor and the background sweep agree on what "drifted" means.
-        """
-        if max_drift is None:
-            max_drift = REBUILD_THRESHOLD
-        return [
-            index.name
-            for index in self.database.catalog.indexes()
-            if index.drift_rate() > max_drift
-        ]
-
-    def rebuild_drifted(self, max_drift: float | None = None) -> list[str]:
-        """Rebuild every index past the drift threshold; returns names."""
-        names = self.recommend_rebuilds(max_drift)
-        for name in names:
-            self.database.catalog.index(name).rebuild()
-        return names

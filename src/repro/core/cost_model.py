@@ -78,19 +78,6 @@ class CostModel:
     #: with PatchSelect plus the MergeUnion) relative to the baseline
     #: sort's linear pass; calibrated on this engine (breakeven ≈ 15 %).
     sort_overhead_weight: float = 0.85
-    #: Per-row cost of the scan pipeline, used by the parallel decision.
-    scan_weight: float = 0.3
-    #: Extra per-row cost of decoding an encoded (RSEG2) block on scan,
-    #: paid only on block-cache misses.  Decode is pure CPU work that
-    #: divides across workers, so cold encoded scans parallelize earlier
-    #: than raw ones; a warm cache cancels the term entirely.
-    decode_weight: float = 0.2
-    #: Fixed cost of fanning a query out to the worker pool (thread
-    #: wake-up, per-query bookkeeping), in row-cost units.
-    parallel_startup_weight: float = 32768.0
-    #: Per-morsel dispatch/gather overhead (one pool task plus one
-    #: fragment operator tree), in row-cost units.
-    morsel_dispatch_weight: float = 512.0
 
     # -- use cases -----------------------------------------------------
 
@@ -137,69 +124,6 @@ class CostModel:
             + self.union_weight * n_probe
         )
         return CostEstimate("join", plain, patched)
-
-    def effective_scan_weight(
-        self, encoded_fraction: float = 0.0, cache_hit_ratio: float = 0.0
-    ) -> float:
-        """Per-row scan weight given the table's storage state.
-
-        *encoded_fraction* is the fraction of the table's blocks stored
-        encoded (RSEG2) and *cache_hit_ratio* the block cache's observed
-        hit ratio: every encoded block that misses the cache pays
-        :attr:`decode_weight` on top of the base scan cost.
-        """
-        encoded = min(1.0, max(0.0, encoded_fraction))
-        hits = min(1.0, max(0.0, cache_hit_ratio))
-        return self.scan_weight + self.decode_weight * encoded * (1.0 - hits)
-
-    def parallel_scan(
-        self,
-        n: int,
-        workers: int,
-        morsel_count: int,
-        *,
-        encoded_fraction: float = 0.0,
-        cache_hit_ratio: float = 0.0,
-    ) -> CostEstimate:
-        """Serial vs morsel-parallel execution of an ``n``-row pipeline.
-
-        The parallel plan divides the per-row work across *workers* but
-        pays a fixed fan-out cost plus a per-morsel dispatch cost; small
-        inputs therefore stay serial.  The per-row weight reflects
-        the storage state via :meth:`effective_scan_weight`: cold
-        encoded scans carry extra decode work (which parallelizes), a
-        warm cache removes it again.  ``patched_cost`` plays the role
-        of the parallel plan.
-        """
-        workers = max(1, workers)
-        weight = self.effective_scan_weight(encoded_fraction, cache_hit_ratio)
-        plain = weight * n
-        parallel = (
-            weight * n / workers
-            + self.morsel_dispatch_weight * morsel_count
-            + self.parallel_startup_weight
-        )
-        return CostEstimate("parallel_scan", plain, parallel)
-
-    def should_parallelize(
-        self,
-        n: int,
-        workers: int,
-        morsel_count: int,
-        *,
-        encoded_fraction: float = 0.0,
-        cache_hit_ratio: float = 0.0,
-    ) -> bool:
-        """True when the morsel-parallel plan is estimated cheaper."""
-        if workers <= 1 or morsel_count < 2:
-            return False
-        return self.parallel_scan(
-            n,
-            workers,
-            morsel_count,
-            encoded_fraction=encoded_fraction,
-            cache_hit_ratio=cache_hit_ratio,
-        ).use_patches
 
     # -- decision surface -------------------------------------------------
 

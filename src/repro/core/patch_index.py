@@ -187,13 +187,7 @@ class PatchIndex:
             raise ThresholdExceededError(
                 column_name, result.exception_rate, threshold
             )
-        design = mode.resolve(result.exception_rate)
-        partition_patches = [
-            PatchSet.build(local_rowids, rows, design)
-            for local_rowids, rows in zip(
-                result.per_partition_rowids, result.partition_row_counts
-            )
-        ]
+        partition_patches = _patch_sets(result, mode)
         elapsed = time.perf_counter() - started
         index = cls(
             name,
@@ -207,46 +201,6 @@ class PatchIndex:
             scope=scope,
             creation_seconds=elapsed,
             provenance=provenance,
-            mode=mode,
-        )
-        index._note_discovery(result)
-        return index
-
-    @classmethod
-    def from_discovery(
-        cls,
-        name: str,
-        table: Table,
-        column_name: str,
-        result: DiscoveryResult,
-        mode: PatchIndexMode = PatchIndexMode.AUTO,
-        threshold: float = 1.0,
-        ascending: bool = True,
-        strict: bool = False,
-        scope: str = "global",
-    ) -> "PatchIndex":
-        """Build an index from an already-computed discovery result."""
-        if not result.satisfies(threshold):
-            raise ThresholdExceededError(
-                column_name, result.exception_rate, threshold
-            )
-        design = mode.resolve(result.exception_rate)
-        partition_patches = [
-            PatchSet.build(local_rowids, rows, design)
-            for local_rowids, rows in zip(
-                result.per_partition_rowids, result.partition_row_counts
-            )
-        ]
-        index = cls(
-            name,
-            table,
-            column_name,
-            result.kind,
-            partition_patches,
-            threshold,
-            ascending=ascending,
-            strict=strict,
-            scope=scope,
             mode=mode,
         )
         index._note_discovery(result)
@@ -383,8 +337,6 @@ class PatchIndex:
         falls back to the paper's rebuild-from-data recovery.
         """
         from repro.core.delta import PatchDelta, invalidate_op
-        from repro.core.discovery import discover
-        from repro.core.patches import PatchSet
 
         result = discover(
             self.table,
@@ -394,13 +346,9 @@ class PatchIndex:
             strict=self.strict,
             scope=self.scope,
         )
-        design = (self.mode or PatchIndexMode.AUTO).resolve(result.exception_rate)
-        self._partition_patches = [
-            PatchSet.build(local_rowids, rows, design)
-            for local_rowids, rows in zip(
-                result.per_partition_rowids, result.partition_row_counts
-            )
-        ]
+        self._partition_patches = _patch_sets(
+            result, self.mode or PatchIndexMode.AUTO
+        )
         self._maintainer = None
         self._note_discovery(result)
         self.rebuild_count += 1
@@ -460,3 +408,15 @@ class PatchIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PatchIndex({self.describe()})"
+
+
+def _patch_sets(result: DiscoveryResult, mode: PatchIndexMode) -> list[PatchSet]:
+    """One patch set per partition of *result*, in the design *mode*
+    resolves for the discovered exception rate."""
+    design = mode.resolve(result.exception_rate)
+    return [
+        PatchSet.build(local_rowids, rows, design)
+        for local_rowids, rows in zip(
+            result.per_partition_rowids, result.partition_row_counts
+        )
+    ]

@@ -14,13 +14,14 @@ Mostly a 1:1 mapping, plus three physical decisions:
   the hash table (§VI-B3); a projection restores the original column
   order when the sides were swapped.
 - **Morsel-driven parallelism**: a scan pipeline (Scan, optionally
-  PatchSelect, then Filter/Project chains) big enough for the cost
-  model's :meth:`~repro.core.cost_model.CostModel.should_parallelize`
-  becomes an Exchange over contiguous rowid morsels; a Distinct /
-  Aggregate / Sort directly on top becomes its parallel-aware
-  counterpart with per-worker partials.  The degree of parallelism
-  comes from the ``parallelism`` knob (default: ``REPRO_THREADS`` or
-  the CPU count), and EXPLAIN shows it on every parallel operator.
+  PatchSelect, then Filter/Project chains) that splits into at least
+  two morsels and covers more than one morsel's worth of rows
+  (``morsel_size``) becomes an Exchange over contiguous rowid morsels;
+  a Distinct / Aggregate / Sort directly on top becomes its
+  parallel-aware counterpart with per-worker partials.  The degree of
+  parallelism comes from the ``parallelism`` knob (default:
+  ``REPRO_THREADS`` or the CPU count) and does not enter the gate;
+  EXPLAIN shows it on every parallel operator.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.check.plan_verifier import verify_plan
-from repro.core.cost_model import CostModel
 from repro.errors import PlanError, TypeMismatchError
 from repro.exec.batch import DEFAULT_BATCH_SIZE
 from repro.exec.expressions import (
@@ -113,7 +113,6 @@ class PhysicalPlanner:
         choose_build_side: bool = True,
         parallelism: int | None = None,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
-        cost_model: CostModel | None = None,
         verify: bool = True,
         backend: str | None = None,
         database: "Database | None" = None,
@@ -125,16 +124,15 @@ class PhysicalPlanner:
             default_parallelism() if parallelism is None else max(1, parallelism)
         )
         self.morsel_size = morsel_size
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.verify = verify
         # Only caller: bench_e2e/tracing.py passes backend="thread".
         if backend not in (None, "thread"):
             raise PlanError(
                 f"the thread pool is the only backend, got {backend!r}"
             )
-        #: The owning database (or snapshot view): the parallel gate
-        #: reads its engine's encoded fraction and cache hit ratio.
-        self.database = database
+        # Only callers: bench_e2e/tracing.py and
+        # benchmarks/bench_profile_overhead.py pass database=; unread.
+        del database
         self._depth = 0
 
     def plan(self, logical: lp.LogicalPlan) -> Operator:
@@ -267,7 +265,7 @@ class PhysicalPlanner:
 
     def _match_fragment(self, logical: lp.LogicalPlan) -> _Fragment | None:
         """Match a Filter/Project chain over (PatchSelect over) a scan,
-        and accept it for parallel execution if the cost model agrees."""
+        and accept it for parallel execution if it is worth a fan-out."""
         nodes: list[lp.LogicalPlan] = []
         patch: lp.LogicalPatchSelect | None = None
         current = logical
@@ -330,24 +328,10 @@ class PhysicalPlanner:
             return operator
 
         morsels = morsels_for_table(scan.table, normalized, self.morsel_size)
-        # The gate sees the table's storage state: the decode work of
-        # encoded (RSEG2) segments parallelizes, so cold encoded scans
-        # cross the breakeven earlier, while a warm block cache pulls
-        # the weight back to the raw-scan baseline.
-        engine = self.database.engine if self.database is not None else None
-        if not self.cost_model.should_parallelize(
-            covered,
-            self.parallelism,
-            len(morsels),
-            encoded_fraction=(
-                engine.encoded_fraction(scan.table.name)
-                if engine is not None
-                else 0.0
-            ),
-            cache_hit_ratio=(
-                engine.cache_hit_ratio() if engine is not None else 0.0
-            ),
-        ):
+        # The gate: a morsel is the work that amortizes one dispatch, so
+        # fan out only past one morsel's worth of rows, and only when
+        # there are two morsels to share out.
+        if len(morsels) < 2 or covered <= self.morsel_size:
             return None
         return _Fragment(build, normalized, morsels)
 

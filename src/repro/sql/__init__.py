@@ -18,6 +18,5 @@ The supported subset covers everything the paper exercises:
 
 from repro.sql.parser import parse_statement
 from repro.sql.binder import Binder
-from repro.sql.session import explain_sql
 
-__all__ = ["parse_statement", "Binder", "explain_sql"]
+__all__ = ["parse_statement", "Binder"]

@@ -73,6 +73,16 @@ def statement_kind(text: str) -> str:
     return "write"
 
 
+def explain_statement(text: str, analyze: bool) -> str:
+    """``EXPLAIN [ANALYZE] <text>`` — the statement every ``explain()``
+    runs through ``sql()``; *text* already starting with EXPLAIN passes
+    through unchanged."""
+    leading = _WORD.search(text)
+    if leading is not None and leading.group().lower() == "explain":
+        return text
+    return f"EXPLAIN {'ANALYZE ' if analyze else ''}{text}"
+
+
 class Session:
     """One caller's scope over a shared :class:`Database`.
 
@@ -196,27 +206,15 @@ class Session:
         analyze: bool = False,
         optimizer_options: OptimizerOptions | None = None,
     ) -> str:
-        """Render the plan of a query with the session's knobs applied."""
-        self._check_open()
-        self._count_session_statement()
-        effective_parallelism = self._effective_parallelism(parallelism)
-        if self.snapshot_reads:
-            # ANALYZE executes the query: it needs the pin as much as
-            # sql("EXPLAIN ANALYZE ...") does.
-            with self.database.snapshot() as view:
-                return view.explain(
-                    text,
-                    parallelism=effective_parallelism,
-                    analyze=analyze,
-                    optimizer_options=optimizer_options,
-                )
-        return explain_sql(
-            self.database,
-            text,
+        """Render the plan of a query with the session's knobs applied:
+        :meth:`sql` of :func:`explain_statement`, its ``plan`` column
+        joined — so it pins a snapshot exactly when that statement
+        would."""
+        return self.sql(
+            explain_statement(text, analyze),
+            parallelism=parallelism,
             optimizer_options=optimizer_options,
-            parallelism=effective_parallelism,
-            analyze=analyze,
-        )
+        ).text()
 
     def _count_session_statement(self) -> None:
         self.statements += 1
@@ -283,14 +281,13 @@ def _execute_statement(
         return result
     if tokens[0].is_keyword("explain"):
         analyze = tokens[1].is_keyword("analyze")
+        query = tokens[2 if analyze else 1 :]
+        if not query[0].is_keyword("select"):
+            parse_tokens(query)  # a syntax error outranks the wrong kind
+            raise BindError("EXPLAIN supports SELECT statements only")
         _count_statement(database, "explain_analyze" if analyze else "explain")
         rendered, query_profile = _explain_read(
-            database,
-            tokens[2 if analyze else 1 :],
-            text,
-            optimizer_options,
-            parallelism,
-            analyze,
+            database, query, text, optimizer_options, parallelism, analyze
         )
         result = QueryResult.from_lines("plan", rendered.splitlines())
         result.profile = query_profile
@@ -345,33 +342,6 @@ def _execute_statement(
     raise BindError(f"unsupported statement type: {type(statement).__name__}")
 
 
-def explain_sql(
-    database: "Database",
-    text: str,
-    optimizer_options: OptimizerOptions | None = None,
-    parallelism: int | None = None,
-    *,
-    analyze: bool = False,
-) -> str:
-    """Return the plan of a query as indented text.
-
-    With ``analyze=True`` (or when *text* itself is an ``EXPLAIN
-    ANALYZE``) the query is executed and the rendering is the profiled
-    plan with actual row counts and timings.
-    """
-    tokens = tokenize(text)
-    if tokens[0].is_keyword("explain"):
-        statement_analyze = tokens[1].is_keyword("analyze")
-        analyze = analyze or statement_analyze
-        tokens = tokens[2 if statement_analyze else 1 :]
-    elif not tokens[0].is_keyword("select"):
-        parse_tokens(tokens)  # a syntax error outranks the wrong kind
-        raise BindError("EXPLAIN supports SELECT statements only")
-    return _explain_read(
-        database, tokens, text, optimizer_options, parallelism, analyze
-    )[0]
-
-
 # -- the read path -------------------------------------------------------------
 
 
@@ -385,15 +355,13 @@ def _plan_read(
     physical plan, and ``"hit"`` / ``"miss"`` for the plan cache.
 
     Whatever the cache says, the physical planner — scan-range
-    derivation from this execution's literals, the parallel cost gate,
+    derivation from this execution's literals, the parallel gate,
     ``verify_plan`` — runs on every call; it raises
     ``PlanInvariantError`` on a violation, so a plan returned from here
     has passed (EXPLAIN's ``verified: ok`` footer).
     """
     optimized, cache_state = _optimized_plan(database, tokens, optimizer_options)
-    operator = PhysicalPlanner(parallelism=parallelism, database=database).plan(
-        optimized
-    )
+    operator = PhysicalPlanner(parallelism=parallelism).plan(optimized)
     return optimized, operator, cache_state
 
 
@@ -591,8 +559,6 @@ def _run_delete(
     optimized = Optimizer(database.catalog, optimizer_options).optimize(
         Binder(database.catalog).bind_select(select)
     )
-    result = collect(
-        PhysicalPlanner(parallelism=parallelism, database=database).plan(optimized)
-    )
+    result = collect(PhysicalPlanner(parallelism=parallelism).plan(optimized))
     rowids = [value for value in result.column(TID_COLUMN).to_pylist()]
     return table.delete_rowids(np.asarray(rowids, dtype=np.int64))

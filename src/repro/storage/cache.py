@@ -216,11 +216,6 @@ class BlockCache:
         with self._lock:
             return len(self._entries)
 
-    def hit_ratio(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
     def verify_accounting(self) -> str | None:
         """Cross-check byte/entry bookkeeping against the actual entries.
 
@@ -399,8 +394,9 @@ class SegmentColumnSource:
 
         Bypasses the cache on purpose: the caller keeps the full column
         resident afterwards (``Partition`` installs it), so admitting
-        every block would only double the memory and skew the hit-ratio
-        statistics the cost model consumes with one-shot misses.
+        every block would only double the memory and skew the hit ratio
+        that ``\\cache`` and the ``cache.hit_ratio`` gauge report with
+        one-shot misses.
         """
         if not self.reader.rows:
             return ColumnVector.empty(self.reader.dtype)

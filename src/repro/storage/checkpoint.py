@@ -66,12 +66,12 @@ def flush_table(
     encoding: str,
     *,
     sync: bool,
-) -> tuple[TableManifest, dict, float]:
+) -> tuple[TableManifest, dict]:
     """Write every partition column of *table* into the new generation.
 
-    Returns the table's manifest entry, its checkpoint-summary detail
+    Returns the table's manifest entry and its checkpoint-summary detail
     (``segment_bytes``, ``encoded_ratio``, per-column bytes and encoding
-    counts) and the fraction of its blocks that carry a non-raw encoding.
+    counts).
     """
     relative_dir = f"{SEGMENTS_DIR}/{generation_name(checkpoint_lsn)}/{table.name}"
     table_dir = root / relative_dir
@@ -81,8 +81,6 @@ def flush_table(
         field.name: {"segment_bytes": 0, "encodings": {}} for field in table.schema
     }
     table_bytes = 0
-    encoded_blocks = 0
-    total_blocks = 0
     payload_total = 0
     raw_payload_total = 0
     for partition in table.partitions:
@@ -105,9 +103,6 @@ def flush_table(
             detail["segment_bytes"] += info.bytes_written
             for tag, count in info.encodings.items():
                 detail["encodings"][tag] = detail["encodings"].get(tag, 0) + count
-                total_blocks += count
-                if tag != "raw":
-                    encoded_blocks += count
             payload_total += info.payload_bytes
             raw_payload_total += info.raw_payload_bytes
         partition_manifests.append(
@@ -126,11 +121,7 @@ def flush_table(
         ),
         "columns": columns,
     }
-    return (
-        table_manifest,
-        detail,
-        encoded_blocks / total_blocks if total_blocks else 0.0,
-    )
+    return table_manifest, detail
 
 
 def persisted_index_entry(index) -> dict:

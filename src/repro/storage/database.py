@@ -425,6 +425,9 @@ class Database:
         """Register an index and route its deltas through this database."""
         self.catalog.add_index(index)
         index.delta_sink = self._on_patch_delta
+        # A reopen restores drift with the patch sets, so the pending
+        # rebuild it implies comes back with them.
+        index.rebuild_pending = index.drift_rate() > REBUILD_THRESHOLD
         # Created or rebuilt from data; a restored index has none to report.
         index.publish_discovery(self.obs)
 

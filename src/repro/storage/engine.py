@@ -89,14 +89,14 @@ def scalar_to_jsonable(value: object, dtype: DataType) -> object:
     return coerced
 
 
-def encoded_stats(table: Table) -> tuple[float, float]:
-    """(encoded block fraction, encoded/raw byte ratio) of a loaded table.
+def encoded_ratio(table: Table) -> float:
+    """Encoded/raw payload byte ratio of a loaded table.
 
     Estimated from the segment headers behind the table's still-lazy
     columns alone (strings lack an exact raw size there; their encoded
     size stands in).
     """
-    encoded_blocks = total_blocks = payload_total = raw_payload_total = 0
+    payload_total = raw_payload_total = 0
     for partition in table.partitions:
         for source in partition.sources():
             reader = source.reader
@@ -105,18 +105,13 @@ def encoded_stats(table: Table) -> tuple[float, float]:
                 if reader.dtype != DataType.STRING
                 else 0
             )
-            for index, tag in enumerate(reader.encodings):
-                total_blocks += 1
-                encoded_blocks += tag != "raw"
+            for index in range(len(reader.encodings)):
                 encoded_size = reader.block_payload_bytes(index)
                 payload_total += encoded_size
                 raw_payload_total += (
                     reader.stats[index].row_count * item if item else encoded_size
                 )
-    return (
-        encoded_blocks / total_blocks if total_blocks else 0.0,
-        payload_total / raw_payload_total if raw_payload_total else 1.0,
-    )
+    return payload_total / raw_payload_total if raw_payload_total else 1.0
 
 
 # -- the seam ----------------------------------------------------------------
@@ -149,17 +144,9 @@ class StorageEngine:
     def release_snapshot(self, handle: SnapshotHandle) -> None:
         """Drop one pin; deferred generation GC may run (no-op here)."""
 
-    def encoded_fraction(self, table_name: str) -> float:
-        """Fraction of *table_name*'s blocks with a non-raw encoding."""
-        return 0.0
-
     def encoded_ratios(self) -> dict[str, float]:
         """Per-table encoded/raw payload byte ratio (empty without one)."""
         return {}
-
-    def cache_hit_ratio(self) -> float:
-        """Lifetime block-cache hit ratio (0.0 without a cache)."""
-        return 0.0
 
     def open_wal(
         self, database: "Database", wal_path: str | os.PathLike | None
@@ -227,9 +214,8 @@ class DurableEngine(StorageEngine):
             cache_bytes = cache_capacity_from_env()
         #: Shared decoded-block cache; ``None`` when disabled (``cache_bytes=0``).
         self._cache = BlockCache(cache_bytes) if cache_bytes > 0 else None
-        #: Per-table fraction of blocks carrying a non-raw encoding and
-        #: encoded/raw byte ratio, refreshed at checkpoint and recovery.
-        self._encoded_fractions: dict[str, float] = {}
+        #: Per-table encoded/raw byte ratio, refreshed at checkpoint and
+        #: recovery.
         self._encoded_ratios: dict[str, float] = {}
         #: Built by :meth:`recover`, which knows the manifest to start from.
         self._snapshots: SnapshotRegistry | None = None
@@ -239,15 +225,9 @@ class DurableEngine(StorageEngine):
             return None
         return self._cache.stats()
 
-    def encoded_fraction(self, table_name: str) -> float:
-        return self._encoded_fractions.get(table_name, 0.0)
-
     def encoded_ratios(self) -> dict[str, float]:
         """Per-table encoded/raw payload byte ratio (≤ 1.0 when smaller)."""
         return dict(self._encoded_ratios)
-
-    def cache_hit_ratio(self) -> float:
-        return self._cache.hit_ratio() if self._cache is not None else 0.0
 
     # -- lifecycle --------------------------------------------------------
 
@@ -319,11 +299,10 @@ class DurableEngine(StorageEngine):
                 else {}
             )
             name = table.name
-            tables[name], detail, fraction = flush_table(
+            tables[name], detail = flush_table(
                 self.root, lsn, table, patch_rowids, self.encoding, sync=self.sync
             )
             table_details[name] = detail
-            self._encoded_fractions[name] = fraction
             self._encoded_ratios[name] = detail["encoded_ratio"]
             written = table.partition_count * len(table.schema)
             segments += written
@@ -372,9 +351,7 @@ class DurableEngine(StorageEngine):
         for name, table in tables.items():
             # Read off the segment headers now: the tail replay below
             # materializes the partitions it mutates.
-            self._encoded_fractions[name], self._encoded_ratios[name] = (
-                encoded_stats(table)
-            )
+            self._encoded_ratios[name] = encoded_ratio(table)
         materialize_tables(self.root, manifest, records, cache=cache, base=tables)
         # The database's listener must precede the index listeners on
         # every table (see Database._on_table_event): install first.

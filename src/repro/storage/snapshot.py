@@ -411,7 +411,6 @@ class SnapshotView:
         self._database = database
         self.handle = handle
         self.catalog = handle.catalog
-        self.engine = database.engine
         self.obs = database.obs
         self.parallelism = database.parallelism
         self._released = False
@@ -472,17 +471,13 @@ class SnapshotView:
         optimizer_options=None,
     ) -> str:
         """Render the plan of a query against the pinned snapshot."""
-        from repro.sql.session import explain_sql
+        from repro.sql.session import explain_statement
 
-        self._check_released()
-        effective = parallelism if parallelism is not None else self.parallelism
-        return explain_sql(
-            self,
-            text,
+        return self.sql(
+            explain_statement(text, analyze),
+            parallelism=parallelism,
             optimizer_options=optimizer_options,
-            parallelism=effective,
-            analyze=analyze,
-        )
+        ).text()
 
     def table(self, name: str) -> "Table":
         return self.catalog.table(name)

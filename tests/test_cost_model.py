@@ -1,8 +1,20 @@
-"""Unit tests for the rewrite cost model."""
+"""Unit tests for the rewrite cost model, and for the parallel gate
+that is deliberately not part of it."""
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import CostEstimate, CostModel
+from repro.exec.parallel import DEFAULT_MORSEL_SIZE
+from repro.plan.optimizer import Optimizer
+from repro.plan.physical import PhysicalPlanner
+from repro.sql.binder import Binder
+from repro.sql.parser import parse_statement
+from repro.storage.catalog import Catalog
+from repro.storage.column import ColumnVector
+from repro.storage.schema import Field, Schema
+from repro.storage.table import Table
+from repro.types import DataType
 
 
 class TestEstimates:
@@ -65,42 +77,59 @@ class TestBreakeven:
         assert rate > 0.0
 
 
+def plans_parallel(
+    rows, partitions, parallelism, morsel_size=DEFAULT_MORSEL_SIZE, block_size=None
+):
+    """Whether ``COUNT(*)`` over an INT64 table of *rows* rows in
+    *partitions* partitions plans a parallel operator."""
+    kwargs = {} if block_size is None else {"block_size": block_size}
+    table = Table("t", Schema([Field("x", DataType.INT64)]), partitions, **kwargs)
+    table.load_columns({"x": ColumnVector(DataType.INT64, np.arange(rows))})
+    catalog = Catalog()
+    catalog.add_table(table)
+    logical = Optimizer(catalog).optimize(
+        Binder(catalog).bind_select(parse_statement("SELECT COUNT(*) AS n FROM t"))
+    )
+    planner = PhysicalPlanner(parallelism=parallelism, morsel_size=morsel_size)
+    return "dop=" in planner.plan(logical).explain()
+
+
 class TestParallelGate:
     """Pin the fan-out decisions of the morsel thread pool.
 
-    A 10M-row scan (8 partitions, 2^18 morsel size -> 40 morsels) must
-    plan parallel even at dop=2, and small inputs must stay serial.
+    The cost model has no say in them: a scan pipeline goes parallel
+    iff dop > 1, it splits into at least two morsels, and it covers more
+    than ``morsel_size`` rows (2^18 by default).
     """
 
     def test_bench_table_plans_parallel_thread(self):
-        model = CostModel()
-        assert model.should_parallelize(10_000_000, 2, 40)
-        assert model.should_parallelize(10_000_000, 4, 40)
+        # A 10M-row scan over 8 partitions in 40 morsels, at 1/64 scale:
+        # the rule compares rows with the morsel size, so it scales.
+        rows, size = 10_000_000 // 64, DEFAULT_MORSEL_SIZE // 64
+        assert plans_parallel(rows, 8, 2, morsel_size=size)
+        assert plans_parallel(rows, 8, 4, morsel_size=size)
 
     def test_small_input_stays_serial(self):
-        model = CostModel()
-        assert not model.should_parallelize(200_000, 2, 8)
-        assert not model.should_parallelize(10_000, 4, 8)
+        assert not plans_parallel(200_000, 8, 2)
+        assert not plans_parallel(10_000, 8, 4)
 
     def test_thread_breakeven(self):
-        model = CostModel()
-        assert model.should_parallelize(300_000, 2, 8)
-        assert not model.should_parallelize(240_000, 2, 8)
+        assert plans_parallel(300_000, 8, 2)
+        assert not plans_parallel(240_000, 8, 2)
+        # The breakeven is the morsel size itself, not a row past it.
+        assert not plans_parallel(DEFAULT_MORSEL_SIZE, 8, 2)
+        assert plans_parallel(DEFAULT_MORSEL_SIZE + 1, 8, 2)
 
     def test_degenerate_shapes_stay_serial(self):
-        model = CostModel()
-        assert not model.should_parallelize(10_000_000, 1, 40)
-        assert not model.should_parallelize(10_000_000, 4, 1)
+        rows, size = 10_000_000 // 64, DEFAULT_MORSEL_SIZE // 64
+        assert not plans_parallel(rows, 8, 1, morsel_size=size)
+        # One 40-row block is one morsel, however small the morsel size.
+        assert not plans_parallel(40, 1, 4, morsel_size=16, block_size=64)
 
-    def test_parallel_cost_is_startup_plus_dispatch_plus_share(self):
-        model = CostModel()
-        estimate = model.parallel_scan(1_000_000, 4, 16)
-        assert estimate.plain_cost == model.scan_weight * 1_000_000
-        assert estimate.patched_cost == (
-            model.scan_weight * 1_000_000 / 4
-            + model.morsel_dispatch_weight * 16
-            + model.parallel_startup_weight
-        )
+    def test_dop_is_not_an_input(self):
+        for parallelism in (2, 4, 8):
+            assert plans_parallel(300_000, 8, parallelism)
+            assert not plans_parallel(240_000, 8, parallelism)
 
 
 class TestCostEstimate:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Database, QueryProfile
-from repro.core.cost_model import CostModel
 from repro.exec.result import collect
 from repro.obs.profile import profile_collect
 from repro.plan.optimizer import Optimizer
@@ -126,18 +125,12 @@ class TestParallelProfile:
             {"c": list(range(400))},
             partition_count=3,
         )
-        force = CostModel(
-            parallel_startup_weight=0.0, morsel_dispatch_weight=0.0
-        )
-        planner = PhysicalPlanner(
-            parallelism=4, morsel_size=16, cost_model=force
-        )
-
-        def plan(sql):
+        def plan(sql, parallelism=4):
             statement = parse_statement(sql)
             logical = Optimizer(db.catalog).optimize(
                 Binder(db.catalog).bind_select(statement)
             )
+            planner = PhysicalPlanner(parallelism=parallelism, morsel_size=16)
             return planner.plan(logical)
 
         sql = "SELECT c FROM p WHERE c > 100"
@@ -145,6 +138,7 @@ class TestParallelProfile:
         assert "dop=" in operator.explain()
         result, profile = profile_collect(operator, sql)
         assert result.to_pylist() == collect(plan(sql)).to_pylist()
+        assert result.to_pylist() == collect(plan(sql, 1)).to_pylist()
 
         [node] = [
             n for n in profile.root.walk() if "dop_used" in n.details

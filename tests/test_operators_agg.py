@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cost_model import CostModel
 from repro.errors import PlanError, TypeMismatchError
 from repro.exec.operators.aggregate import AggregateSpec, HashAggregate
 from repro.exec.operators.distinct import Distinct
@@ -255,15 +254,11 @@ class TestIntegerSumIsExact:
         logical = Optimizer(db.catalog).optimize(
             Binder(db.catalog).bind_select(parse_statement(sql))
         )
-        plan = PhysicalPlanner(
-            parallelism=2,
-            morsel_size=16,
-            cost_model=CostModel(
-                parallel_startup_weight=0.0, morsel_dispatch_weight=0.0
-            ),
-        ).plan(logical)
+        plan = PhysicalPlanner(parallelism=2, morsel_size=16).plan(logical)
         assert "dop=2" in plan.explain()
         rows = collect(plan).to_pylist()
+        serial = PhysicalPlanner(parallelism=1).plan(logical)
+        assert rows == collect(serial).to_pylist()
         if "GROUP BY" in sql:
             assert rows == [
                 (g, sum(v for k, v in zip(groups, values) if k == g and v))

@@ -3,12 +3,14 @@
 Every parallel plan must be byte-identical to its serial counterpart —
 ordered gather in morsel (= rowid) order, stable pairwise merges, and
 two-phase aggregation that preserves the serial group order.  The tests
-force parallel plans on small tables with a zero-overhead cost model;
-the default model keeps such tables serial (checked too).
+force parallel plans on small tables with a small ``morsel_size``: the
+gate fans out a pipeline of at least two morsels that covers more than
+``morsel_size`` rows, so at the default size such tables stay serial
+(checked too, with the gate itself).
 
 The durable half runs a fixed corpus and the query fuzzer's statements
-serially and on the thread pool against a checkpointed-then-indexed,
-memory-mapped database — PatchSelect in both modes, block-pruned scans
+serially and on the thread pool against a checkpointed-then-indexed
+database — PatchSelect in both modes, block-pruned scans
 and the ordered gather over lazily decoded segments plus a WAL tail —
 and a subprocess checks that nothing on that path starts a process.
 """
@@ -19,12 +21,13 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.cost_model import CostModel
+import repro
 from repro.errors import PlanError, StorageError
 from repro.exec.operators import (
     Distinct,
@@ -51,15 +54,13 @@ from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnVector
 from repro.storage.database import Database
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
 from tests.test_query_fuzz import queries
-
-#: Cost model that always says "parallelize" for >= 2 morsels.
-FORCE = CostModel(parallel_startup_weight=0.0, morsel_dispatch_weight=0.0)
 
 
 def make_table(n=100, partition_count=3, block_size=8, name="t"):
@@ -260,9 +261,7 @@ def run_query(db, sql, planner):
 
 
 def parallel_planner(workers=4, morsel_size=16):
-    return PhysicalPlanner(
-        parallelism=workers, morsel_size=morsel_size, cost_model=FORCE
-    )
+    return PhysicalPlanner(parallelism=workers, morsel_size=morsel_size)
 
 
 def serial_planner():
@@ -406,7 +405,7 @@ class TestPlannedEquivalence:
         op = run_query(
             db,
             "SELECT DISTINCT v FROM t",
-            PhysicalPlanner(parallelism=1, morsel_size=16, cost_model=FORCE),
+            PhysicalPlanner(parallelism=1, morsel_size=16),
         )
         assert "dop=" not in op.explain()
 
@@ -554,6 +553,64 @@ class TestSessionKnob:
         assert parallel.to_pylist() == serial.to_pylist() == [(n,)]
 
 
+class TestGate:
+    """At dop 2 a scan pipeline plans parallel iff it splits into at
+    least two morsels and covers more than ``morsel_size`` rows."""
+
+    @pytest.mark.parametrize(
+        "rows, partitions, block_size, morsel_size, where, parallel",
+        [
+            (64, 1, 8, 16, "", True),  # four morsels
+            (16, 1, 8, 16, "", False),  # exactly one morsel's worth
+            (33, 3, 8, 32, "", True),  # three morsels, one row past the size
+            (24, 3, 8, 32, "", False),  # three morsels, too few rows
+            (40, 1, 64, 16, "", False),  # enough rows, but one block = one morsel
+            (64, 1, 8, 16, "WHERE x < 16", False),  # pruned to 16 rows
+            (64, 1, 8, 16, "WHERE x < 24", True),  # pruned to 24 rows, two morsels
+        ],
+    )
+    def test_parallel_iff_two_morsels_and_more_rows_than_a_morsel(
+        self, rows, partitions, block_size, morsel_size, where, parallel
+    ):
+        catalog = Catalog()
+        catalog.add_table(make_table(rows, partitions, block_size))
+        db = SimpleNamespace(catalog=catalog)
+        sql = f"SELECT COUNT(*) AS n FROM t {where}"
+        operator = run_query(db, sql, parallel_planner(2, morsel_size))
+        assert ("dop=2" in operator.explain()) is parallel
+        serial = collect(run_query(db, sql, serial_planner()))
+        assert collect(operator).to_pylist() == serial.to_pylist()
+
+    def test_cold_and_warm_durable_table_plan_alike(self, tmp_path):
+        """The gate reads no storage state: a fresh handle behind a
+        2 MiB block cache and the same handle once the cache is warm
+        plan every statement the same."""
+        root = tmp_path / "data"
+        db = repro.connect(root, sync=False)
+        db.sql("CREATE TABLE big (k BIGINT, v BIGINT) PARTITIONS 4")
+        n = 300_000
+        db.table("big").load_columns(
+            {
+                "k": ColumnVector(DataType.INT64, np.arange(n)),
+                "v": ColumnVector(DataType.INT64, np.arange(n) % 97),
+            }
+        )
+        db.sql("CHECKPOINT")
+        db.close()
+        queries = [
+            "SELECT COUNT(DISTINCT v) AS n FROM big",
+            "SELECT SUM(v) AS s FROM big WHERE k < 200000",
+        ]
+        handle = repro.connect(root, cache_bytes=2 << 20)
+        cold = [handle.explain(query, parallelism=2) for query in queries]
+        assert "dop=2" in cold[0] and "dop=" not in cold[1]
+        for __ in range(3):  # small enough to be admitted, then hit
+            handle.sql("SELECT SUM(v) AS s FROM big WHERE k < 50000")
+        assert handle.cache_stats()["hits"] > 0
+        assert [handle.explain(query, parallelism=2) for query in queries] == cold
+        handle.close()
+
+
 class TestMorselDataclass:
     def test_rows_property(self):
         morsel = Morsel(((0, 4), (8, 10)))
@@ -639,17 +696,12 @@ def _close_durable_db():
 
 
 def plan_durable(db, text, parallelism=4, morsel_size=16):
-    """Plan *text* against *db* (a Database or a snapshot view), forced
-    past the cost gate, with the engine's storage state in view."""
+    """Plan *text* against *db* (a Database or a snapshot view), past
+    the gate by the small *morsel_size*."""
     return run_query(
         db,
         text,
-        PhysicalPlanner(
-            parallelism=parallelism,
-            morsel_size=morsel_size,
-            cost_model=FORCE,
-            database=db,
-        ),
+        PhysicalPlanner(parallelism=parallelism, morsel_size=morsel_size),
     )
 
 

@@ -60,8 +60,9 @@ class TestCreation:
     def test_from_discovery(self):
         table = make_table([1, 1, 2, 3])
         result = discover_table_nuc(table, "c")
-        index = PatchIndex.from_discovery("pi", table, "c", result)
-        assert index.patch_count == 2
+        index = PatchIndex.create("pi", table, "c", "unique")
+        assert index.patch_count == result.patch_count == 2
+        assert index.rowids().tolist() == result.global_rowids().tolist()
 
 
 class TestModeSelection:

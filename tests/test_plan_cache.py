@@ -62,7 +62,7 @@ def fresh(database, query, options=None):
     catalog = database.catalog
     logical = Binder(catalog).bind_select(parse_statement(query))
     optimized = Optimizer(catalog, options).optimize(logical)
-    operator = PhysicalPlanner(parallelism=1, database=database).plan(optimized)
+    operator = PhysicalPlanner(parallelism=1).plan(optimized)
     text = explain_both(optimized, operator, verified=True)
     return text, collect(operator).to_pylist()
 

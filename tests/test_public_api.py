@@ -1,5 +1,6 @@
 """Public API surface: connect(), QueryResult ergonomics."""
 
+import dataclasses
 import inspect
 import re
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 
 import repro
 from repro import ConstraintAdvisor, Database
+from repro.core.cost_model import CostModel
 from repro.exec.result import QueryResult
+from repro.plan.physical import PhysicalPlanner
 from repro.storage.segment import open_segment
 
 
@@ -126,6 +129,34 @@ class TestOptionSurface:
             open_segment(tmp_path / "c.seg", mmap=True)
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
+    def test_cost_model_fields(self):
+        # The paper's rewrite model only: the parallel gate is the morsel
+        # size, not a weight.
+        assert [field.name for field in dataclasses.fields(CostModel)] == [
+            "hash_agg_weight",
+            "sort_weight",
+            "hash_build_weight",
+            "hash_probe_weight",
+            "merge_weight",
+            "patch_select_weight",
+            "union_weight",
+            "exception_sort_factor",
+            "sort_overhead_weight",
+        ]
+
+    def test_physical_planner_parameters(self):
+        assert list(inspect.signature(PhysicalPlanner.__init__).parameters)[1:] == [
+            "batch_size",
+            "derive_scan_ranges",
+            "choose_build_side",
+            "parallelism",
+            "morsel_size",
+            "verify",
+            "backend",
+            "database",
+        ]
+        with pytest.raises(TypeError, match="cost_model"):
+            PhysicalPlanner(cost_model=None)
 
     def test_server_parameters(self):
         from repro.serve import ReproServer, ServerThread

@@ -229,7 +229,7 @@ def _fresh(database, query, options):
     """EXPLAIN text and rows from the pipeline called directly."""
     logical = Binder(database.catalog).bind_select(parse_statement(query))
     optimized = Optimizer(database.catalog, options).optimize(logical)
-    operator = PhysicalPlanner(parallelism=1, database=database).plan(optimized)
+    operator = PhysicalPlanner(parallelism=1).plan(optimized)
     return (
         explain_both(optimized, operator, verified=True),
         collect(operator).to_pylist(),

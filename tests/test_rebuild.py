@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro import Database
-from repro.core.advisor import ConstraintAdvisor
 from repro.core.discovery import discover_table_nsc
 from repro.core.patch_index import PatchIndex, PatchIndexMode
 from repro.serve import ServerClient, ServerThread
@@ -54,26 +53,6 @@ class TestDrift:
         index.rebuild()
         assert index.design == "bitmap"
         assert index.exception_rate > 0.4
-
-
-class TestAdvisorUpkeep:
-    def test_recommend_and_rebuild(self):
-        db = Database()
-        db.sql("CREATE TABLE t (c BIGINT)")
-        rows = ", ".join(f"({i})" for i in range(100))
-        db.sql(f"INSERT INTO t VALUES {rows}")
-        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE SORTED")
-        advisor = ConstraintAdvisor(db)
-        assert advisor.recommend_rebuilds() == []
-        # Ten conservative same-value updates: drift without real
-        # disorder.
-        for rowid in range(10):
-            db.table("t").update_rowid(rowid, "c", rowid)
-        assert advisor.recommend_rebuilds(max_drift=0.05) == ["pi"]
-        rebuilt = advisor.rebuild_drifted(max_drift=0.05)
-        assert rebuilt == ["pi"]
-        assert db.catalog.index("pi").patch_count == 0
-        assert advisor.recommend_rebuilds(max_drift=0.05) == []
 
 
 def designs(index):
@@ -169,6 +148,45 @@ class TestDriftTriggeredRebuild:
             assert last.kind == "patch_delta"
             assert last.payload["event"] == "rebuild"
             assert last.payload["applies_to"] is None
+
+    def test_the_sweep_rebuilds_only_what_drift_flagged(self):
+        db = Database()
+        db.sql("CREATE TABLE t (c BIGINT)")
+        rows = ", ".join(f"({i})" for i in range(100))
+        db.sql(f"INSERT INTO t VALUES {rows}")
+        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE SORTED")
+        db.sql("CREATE PATCHINDEX pu ON t(c) TYPE UNIQUE")
+        assert db.run_pending_rebuilds() == 0
+        # Ten conservative same-value updates: drift without real
+        # disorder, and none at all for the unique index.
+        self.demote(db, range(10))
+        assert db.catalog.index("pi").rebuild_pending
+        assert not db.catalog.index("pu").rebuild_pending
+        assert db.run_pending_rebuilds() == 1
+        assert db.catalog.index("pi").patch_count == 0
+        assert db.catalog.index("pu").rebuild_count == 0
+        assert db.run_pending_rebuilds() == 0
+
+    def test_a_reopen_keeps_a_pending_rebuild(self, tmp_path):
+        """Drift survives a checkpoint in ``patches.json``; the pending
+        rebuild it implies must survive with it."""
+        root = tmp_path / "data"
+        db = repro.connect(root)
+        db.create_table_from_pydict(
+            "t", Schema([Field("c", DataType.INT64)]), {"c": list(range(100))}
+        )
+        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE SORTED")
+        self.demote(db, range(5))
+        db.sql("CHECKPOINT")
+        index = db.catalog.index("pi")
+        assert (index.drift_rate(), index.rebuild_pending) == (0.05, True)
+        db.close()
+        reopened = repro.connect(root)
+        index = reopened.catalog.index("pi")
+        assert (index.drift_rate(), index.rebuild_pending) == (0.05, True)
+        assert reopened.run_pending_rebuilds() == 1
+        assert patch_rowids(reopened) == []
+        assert not index.rebuild_pending and index.drift_rate() == 0.0
 
     def test_a_reopen_after_the_sweep_rebuilds_from_data_and_says_why(self, tmp_path):
         root = tmp_path / "data"

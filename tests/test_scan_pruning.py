@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, Field, Schema, Table
 from repro.check import verify_plan
-from repro.core.cost_model import CostModel
 from repro.exec.result import collect
 from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
@@ -123,8 +122,7 @@ class TestPruningNeverLosesRows:
     @settings(max_examples=60, deadline=None)
     def test_parallel_fragments_prune_the_same(self, table, predicate):
         query = f"SELECT a, b, s FROM t WHERE {predicate}"
-        free = CostModel(parallel_startup_weight=0.0, morsel_dispatch_weight=0.0)
-        knobs = dict(parallelism=2, morsel_size=4, cost_model=free)
+        knobs = dict(parallelism=2, morsel_size=4)
         pruned = collect(_plan(table, query, **knobs)).to_pylist()
         unpruned = collect(
             _plan(table, query, derive_scan_ranges=False, **knobs)

@@ -217,6 +217,34 @@ class TestSnapshotView:
             assert pinned(lambda: session.explain(query, analyze=True)) == 0
 
 
+class TestOneExplainPath:
+    """``explain(q)`` is ``sql("EXPLAIN " + q)`` on every surface."""
+
+    def test_explain_is_the_plan_column_of_the_statement(self, durable):
+        query = "SELECT c, v FROM t WHERE c > 1 ORDER BY v DESC"
+        expected = durable.sql("EXPLAIN " + query).text()
+        assert durable.explain(query) == expected
+        assert durable.explain("EXPLAIN " + query) == expected  # passes through
+        with durable.session(snapshot_reads=True) as session:
+            assert session.explain(query) == expected
+        with durable.snapshot() as view:
+            assert view.explain(query) == expected
+        assert "== query profile ==" in durable.explain(query, analyze=True)
+
+    def test_explain_of_a_write_is_a_bind_error_in_both_spellings(self, durable):
+        from repro.errors import BindError
+
+        write = "INSERT INTO t VALUES (9, 'z')"
+        with durable.session(snapshot_reads=True) as session, durable.snapshot() as view:
+            for surface in (durable, session, view):
+                with pytest.raises(BindError, match="SELECT statements only"):
+                    surface.explain(write)
+                for prefix in ("EXPLAIN ", "EXPLAIN ANALYZE "):
+                    with pytest.raises(BindError, match="SELECT statements only"):
+                        surface.sql(prefix + write)
+        assert durable.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+
+
 class TestRetiredBackendKnob:
     def test_every_local_surface_rejects_the_keyword(self, durable):
         query = "SELECT c FROM t"
