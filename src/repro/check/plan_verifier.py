@@ -16,9 +16,8 @@ before any batch flows.
 or per partition).  Order is *established* by Sort / TopN /
 ParallelSort and by the exclude-patches branch of an NSC PatchSelect
 (the kept subsequence is sorted by construction, paper §IV), and
-*preserved* by Filter, Project (modulo renames), Limit, MergeUnion,
-the left side of MergeJoin, and Exchange (whose gather is ordered by
-morsel submission = rowid order).  Everything else destroys it.
+*preserved* by Filter, Project (modulo renames), Limit, MergeUnion and
+the left side of MergeJoin.  Everything else destroys it.
 
 Violations raise :class:`~repro.errors.PlanInvariantError` whose
 ``rule`` attribute names the violated invariant:
@@ -40,8 +39,9 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
     an index's partition patch sets must share one physical design and
     an AUTO-designed index must honor the 1/64 crossover (§V).
 ``exchange-ordering``
-    morsels at an Exchange boundary must be ascending, disjoint, and
-    partition-respecting, so the ordered gather preserves rowid order.
+    morsels under a parallel terminal (ParallelDistinct / ParallelSort /
+    ParallelAggregate) must be ascending, disjoint, and
+    partition-respecting, so partials are gathered in rowid order.
 ``limit-order``
     LIMIT / TopN must not sit below order-destroying operators, and
     Sort must not reorder an already-truncated result.
@@ -79,7 +79,6 @@ from repro.exec.operators.scan import TableScan
 from repro.exec.operators.sort import Sort, SortKey
 from repro.exec.operators.topn import TopN
 from repro.exec.operators.union import UnionAll
-from repro.exec.parallel.exchange import Exchange
 from repro.exec.parallel.morsels import validate_morsels
 from repro.exec.parallel.terminals import (
     ParallelAggregate,
@@ -180,8 +179,6 @@ class _Verifier:
             return self._verify_merge_join(op)
         if isinstance(op, HashJoin):
             return self._verify_hash_join(op)
-        if isinstance(op, Exchange):
-            return self._verify_exchange(op, under_distinct)
         if isinstance(op, ParallelSort):
             return self._verify_parallel_sort(op)
         if isinstance(op, ParallelDistinct):
@@ -454,15 +451,6 @@ class _Verifier:
         return PlanProperties(op.schema, left.ordering)
 
     # -- parallel operators ------------------------------------------------
-
-    def _verify_exchange(
-        self, op: Exchange, under_distinct: bool
-    ) -> PlanProperties:
-        template = self._verify_parallel_common(op, under_distinct)
-        # The gather returns batches in morsel-submission order, which
-        # validate_morsels proved to be ascending rowid order — so the
-        # Exchange boundary preserves the template's proven ordering.
-        return PlanProperties(op.schema, template.ordering)
 
     def _verify_parallel_sort(self, op: ParallelSort) -> PlanProperties:
         template = self._verify_parallel_common(op)

@@ -16,7 +16,10 @@ SQL semantics implemented:
 - COUNT(col) / COUNT(DISTINCT col) ignore NULLs, COUNT(*) does not;
 - SUM/MIN/MAX/AVG over an empty (all-NULL) group yield NULL;
 - aggregation without GROUP BY emits exactly one row even on empty
-  input (COUNT = 0, others NULL).
+  input (COUNT = 0, others NULL);
+- SUM and AVG over INT64 add exact integers: AVG of an INT64 column is
+  the int64 sums of each value's 32-bit halves, combined once in
+  float64, so it neither wraps nor depends on the summation order.
 """
 
 from __future__ import annotations
@@ -33,9 +36,18 @@ from repro.storage.schema import Field, Schema
 from repro.types import DataType, is_numeric
 from repro.types.datatypes import numpy_dtype
 
+#: The two halves an INT64 value splits into for an exact AVG: the
+#: signed high and the unsigned low 32 bits.  Their int64 sums cannot
+#: wrap below 2**31 rows.  SQL never names them; ``ParallelAggregate``
+#: carries them as its per-morsel AVG partials.
+INT64_HALVES = {
+    "sum_high": lambda values: values >> 32,
+    "sum_low": lambda values: values & 0xFFFFFFFF,
+}
+
 _AGG_FUNCS = frozenset(
     {"count", "count_star", "count_distinct", "sum", "min", "max", "avg"}
-)
+) | frozenset(INT64_HALVES)
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,10 @@ class AggregateSpec:
         if self.func in ("count", "count_star", "count_distinct"):
             return Field(self.alias, DataType.INT64, nullable=False)
         dtype = input_schema.field(self.column).dtype
+        if self.func in INT64_HALVES:
+            if dtype != DataType.INT64:
+                raise TypeMismatchError(f"{self.func} requires an INT64 column")
+            return Field(self.alias, DataType.INT64)
         if self.func == "avg":
             if not is_numeric(dtype):
                 raise TypeMismatchError("avg requires a numeric column")
@@ -252,10 +268,21 @@ def _compute_grouped(
     empty = counts == 0
     out_validity = None if not empty.any() else ~empty
 
-    if spec.func == "sum" and out_field.dtype == DataType.INT64:
-        # Summed in int64: a float64 accumulator drops low bits past 2**53.
-        exact = np.zeros(group_count, dtype=np.int64)
-        np.add.at(exact, group_of_valid, column.values[valid_positions])
+    # INT64 sums stay in int64: a float64 accumulator drops low bits
+    # past 2**53.
+    if spec.func == "avg" and column.dtype == DataType.INT64:
+        values = column.values[valid_positions]
+        high, low = (
+            _int64_sums(half(values), group_of_valid, group_count)
+            for half in INT64_HALVES.values()
+        )
+        means = np.where(empty, 0.0, int64_mean(high, low, counts))
+        return ColumnVector(DataType.FLOAT64, means, out_validity)
+    if spec.func in ("sum", *INT64_HALVES) and out_field.dtype == DataType.INT64:
+        values = column.values[valid_positions]
+        if spec.func in INT64_HALVES:
+            values = INT64_HALVES[spec.func](values)
+        exact = _int64_sums(values, group_of_valid, group_count)
         return ColumnVector(DataType.INT64, exact, out_validity)
     if spec.func in ("sum", "avg"):
         values = column.values[valid_positions].astype(np.float64)
@@ -322,11 +349,39 @@ def _compute_scalar(
             np.zeros(1, dtype=numpy_dtype(dtype)),
             np.zeros(1, dtype=np.bool_),
         )
+    if spec.func in INT64_HALVES:
+        return _one(dtype, INT64_HALVES[spec.func](values).sum())
     if spec.func == "sum":
         return _one(dtype, values.sum(dtype=numpy_dtype(dtype)))
+    if spec.func == "avg" and column.dtype == DataType.INT64:
+        high, low = (
+            np.asarray([half(values).sum()]) for half in INT64_HALVES.values()
+        )
+        return ColumnVector(dtype, int64_mean(high, low, len(values)))
     if spec.func == "avg":
         return _one(dtype, values.sum(dtype=np.float64) / len(values))
     return _one(dtype, values.min() if spec.func == "min" else values.max())
+
+
+def _int64_sums(
+    values: np.ndarray, group_ids: np.ndarray, group_count: int
+) -> np.ndarray:
+    exact = np.zeros(group_count, dtype=np.int64)
+    np.add.at(exact, group_ids, values)
+    return exact
+
+
+def int64_mean(
+    high: np.ndarray, low: np.ndarray, counts: np.ndarray | int
+) -> np.ndarray:
+    """Means from exact int64 sums of the two halves (:data:`INT64_HALVES`).
+
+    The sum is combined once in float64 and divided once, so the result
+    depends only on the integer sums — not on how rows were split or in
+    which order they were added.
+    """
+    totals = high.astype(np.float64) * 2.0**32 + low.astype(np.float64)
+    return totals / np.maximum(counts, 1)
 
 
 def _one(dtype: DataType, value: object) -> ColumnVector:

@@ -8,16 +8,15 @@ Components:
   ``REPRO_THREADS`` / CPU-count parallelism default;
 - :mod:`~repro.exec.parallel.morsels` — the morsel dispatcher splitting
   (range-restricted) scans into partition/block-aligned work units;
-- :mod:`~repro.exec.parallel.exchange` — the Exchange scatter/gather
-  operator running a pipeline fragment per morsel;
-- :mod:`~repro.exec.parallel.terminals` — parallel-aware blocking
-  operators (distinct, two-phase aggregation, sort + k-way merge).
+- :mod:`~repro.exec.parallel.terminals` — the parallel-aware blocking
+  operators (distinct, two-phase aggregation, sort + k-way merge), the
+  only operators that fan out: each runs a pipeline fragment per morsel
+  with its partial on top and merges the partials in morsel order.
 
 Fragments run on that pool only and read the tables and patch sets in
 place; why there is no worker-process pool beside it is DESIGN §5b-ii.
 """
 
-from repro.exec.parallel.exchange import BatchSource, Exchange
 from repro.exec.parallel.morsels import (
     DEFAULT_MORSEL_SIZE,
     Morsel,
@@ -30,6 +29,7 @@ from repro.exec.parallel.pool import (
     shutdown_pool,
 )
 from repro.exec.parallel.terminals import (
+    BatchSource,
     ParallelAggregate,
     ParallelDistinct,
     ParallelSort,
@@ -41,7 +41,6 @@ shutdown_process_pool = shutdown_pool
 
 __all__ = [
     "BatchSource",
-    "Exchange",
     "DEFAULT_MORSEL_SIZE",
     "Morsel",
     "morsels_for_table",

@@ -94,13 +94,13 @@ def morsels_for_table(
 def validate_morsels(morsels: list[Morsel], table: Table | None = None) -> None:
     """Check the morsel invariants this module promises.
 
-    The plan verifier calls this on every Exchange / parallel-terminal
-    boundary: morsel ranges must be ascending and disjoint, consecutive
-    morsels must stay in ascending rowid order (the ordered gather in
-    :class:`~repro.exec.parallel.exchange.Exchange` equates submission
-    order with rowid order), and — when *table* is known — no morsel may
-    cross a partition boundary, which is what keeps batch rowids usable
-    as tuple identifiers inside a fragment's PatchSelect.
+    The plan verifier calls this on every parallel-terminal boundary:
+    morsel ranges must be ascending and disjoint, consecutive morsels
+    must stay in ascending rowid order (the terminals gather partials in
+    submission order and equate it with rowid order), and — when
+    *table* is known — no morsel may cross a partition boundary, which
+    is what keeps batch rowids usable as tuple identifiers inside a
+    fragment's PatchSelect.
 
     Raises :class:`~repro.errors.PlanInvariantError` (rule
     ``exchange-ordering``) on the first violation.

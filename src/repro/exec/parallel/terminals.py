@@ -1,35 +1,50 @@
 """Parallel-aware terminal operators: distinct, aggregation, sort.
 
-Each operator here pushes a *partial* of its work into the morsel
-workers and finishes with a cheap merge at the gather point:
+These three are the parallel engine's only sources of concurrency.
+Each one instantiates the scan→PatchSelect→filter/project fragment once
+per morsel, runs the fragments on the shared worker pool with a
+*partial* of its own work on top, and finishes with a cheap merge at
+the gather point on the caller's thread:
 
 - :class:`ParallelDistinct` — per-worker duplicate elimination (hash
   sets built per morsel), unioned and deduplicated once at the gather;
 - :class:`ParallelAggregate` — classic two-phase aggregation: partial
   hash aggregation per morsel, merged by a final aggregation over the
-  partials (COUNT→sum, SUM→sum, MIN/MAX→min/max, AVG→sum+count pairs,
-  COUNT(DISTINCT) via per-morsel distinct partials);
+  partials (COUNT→sum, SUM→sum, MIN/MAX→min/max, AVG→exact integer
+  half-sums or float sums plus a count), or a lone COUNT(DISTINCT) via
+  per-morsel distinct partials;
 - :class:`ParallelSort` — per-morsel sort producing sorted runs,
   combined by a balanced k-way merge built from the MergeUnion kernels.
   This composes with the NSC sort rewrite: the exclude-patches branch's
   morsels are already sorted, so its per-morsel "sort" is a no-op pass
   of the run-adaptive kernel and the k-way merge does the real work.
 
-All three gather partials in morsel (= rowid) order and use
-order-insensitive or stable merges, so their output is byte-identical
-to the corresponding serial operator's.
+Partials are gathered in *morsel submission order* — morsels are
+created in ascending rowid order — and merged with order-insensitive or
+stable merges, so the output equals the serial operator's, row for row.
+
+Fragments hold no shared mutable state: each morsel gets its own
+operator instances, and the storage they read (column vectors, patch
+sets) is immutable during query execution.  The fragment kernels are
+NumPy calls that release the GIL, which is what makes thread-based
+morsel parallelism yield real wall-clock speedups.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import PlanError
 from repro.exec.batch import RecordBatch
-from repro.exec.operators.aggregate import AggregateSpec, HashAggregate
+from repro.exec.operators.aggregate import (
+    INT64_HALVES,
+    AggregateSpec,
+    HashAggregate,
+    int64_mean,
+)
 from repro.exec.operators.base import Operator
 from repro.exec.operators.distinct import Distinct
 from repro.exec.operators.merge_union import (
@@ -38,15 +53,80 @@ from repro.exec.operators.merge_union import (
     merge_permutation,
 )
 from repro.exec.operators.sort import Sort, SortKey
-from repro.exec.parallel.exchange import (
-    BatchSource,
-    FragmentFactory,
-    submit_morsels,
-)
 from repro.exec.parallel.morsels import Morsel
+from repro.exec.parallel.pool import get_pool
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Schema
 from repro.types import DataType
+
+#: Builds one pipeline-fragment operator restricted to the given
+#: global rowid ranges (one morsel's worth of the scan).
+FragmentFactory = Callable[[list[tuple[int, int]]], Operator]
+
+
+class BatchSource(Operator):
+    """Leaf operator replaying a fixed list of materialized batches."""
+
+    def __init__(self, schema: Schema, batches: Sequence[RecordBatch]):
+        self._schema = schema
+        self.batches = list(batches)
+        self._position = 0
+
+    @property
+    def schema(self) -> Schema:
+        return self._schema
+
+    def children(self) -> list[Operator]:
+        return []
+
+    def open(self) -> None:
+        self._position = 0
+
+    def next_batch(self) -> RecordBatch | None:
+        if self._position >= len(self.batches):
+            return None
+        batch = self.batches[self._position]
+        self._position += 1
+        return batch
+
+    def label(self) -> str:
+        return f"BatchSource({len(self.batches)} batches)"
+
+
+def run_fragment(factory: FragmentFactory, morsel: Morsel) -> list[RecordBatch]:
+    """Worker task: build, drain and close one morsel's fragment."""
+    fragment = factory(list(morsel.ranges))
+    fragment.open()
+    try:
+        batches: list[RecordBatch] = []
+        while True:
+            batch = fragment.next_batch()
+            if batch is None:
+                return batches
+            if len(batch):
+                batches.append(batch)
+    finally:
+        fragment.close()
+
+
+def submit_morsels(
+    factory: FragmentFactory,
+    morsels: Sequence[Morsel],
+    parallelism: int,
+    obs: Any,
+) -> deque[Any]:
+    """Submit one :func:`run_fragment` task per morsel, in morsel order.
+
+    *obs* is the duck-typed pool observation hook the profiler installs
+    (a ``repro.obs.profile.ParallelObs``); ``None`` submits directly
+    with zero accounting.
+    """
+    pool = get_pool(parallelism)
+    if obs is None:
+        return deque(
+            pool.submit(run_fragment, factory, morsel) for morsel in morsels
+        )
+    return deque(obs.submit(pool, factory, morsel) for morsel in morsels)
 
 
 class _ParallelBlocking(Operator):
@@ -67,10 +147,11 @@ class _ParallelBlocking(Operator):
         if parallelism < 1:
             raise PlanError("parallel operator needs parallelism >= 1")
         self.fragment_factory = fragment_factory
+        #: Unopened fragment instance used for schema and EXPLAIN only.
         self.template = template
         self.morsels = list(morsels)
         self.parallelism = parallelism
-        #: Pool observation hook (duck-typed, see ``Exchange.obs``).
+        #: Pool observation hook, see :func:`submit_morsels`.
         self.obs = None
         self._futures: deque[Any] | None = None
         self._done = False
@@ -236,9 +317,10 @@ class ParallelAggregate(_ParallelBlocking):
     Every worker aggregates its morsels into per-group partial states;
     the gather merges the partials with a second aggregation (COUNT and
     SUM partials merge by summing, MIN/MAX by min/max, AVG carries a
-    sum+count pair).  A single COUNT(DISTINCT c) aggregate instead uses
-    per-morsel *distinct* partials — the per-worker hash sets are
-    unioned at the gather and counted once.
+    count plus the int64 sums of an INT64 column's 32-bit halves, or a
+    FLOAT64 column's float sum).  A single COUNT(DISTINCT c) aggregate
+    instead uses per-morsel *distinct* partials — the per-worker hash
+    sets are unioned at the gather and counted once.
     """
 
     def __init__(
@@ -264,11 +346,11 @@ class ParallelAggregate(_ParallelBlocking):
         ):
             raise PlanError(
                 "ParallelAggregate supports count_distinct only as the "
-                "sole aggregate; plan a serial aggregate over an Exchange"
+                "sole aggregate; plan the aggregate serially"
             )
         if not self._distinct_mode:
             self._partial_specs, self._final_specs = _two_phase_specs(
-                self.aggregates
+                self.aggregates, template.schema
             )
 
     @property
@@ -309,10 +391,7 @@ class ParallelAggregate(_ParallelBlocking):
         }
         for spec in self.aggregates:
             if spec.func == "avg":
-                columns[spec.alias] = _finish_avg(
-                    merged.column(_sum_alias(spec)),
-                    merged.column(_count_alias(spec)),
-                )
+                columns[spec.alias] = _finish_avg(merged, spec)
             else:
                 columns[spec.alias] = merged.column(spec.alias)
         return RecordBatch(self._schema, columns)
@@ -330,16 +409,21 @@ class ParallelAggregate(_ParallelBlocking):
         )
 
 
-def _sum_alias(spec: AggregateSpec) -> str:
-    return f"__partial_sum__{spec.alias}"
+def _partial_alias(func: str, spec: AggregateSpec) -> str:
+    return f"__partial_{func}__{spec.alias}"
 
 
-def _count_alias(spec: AggregateSpec) -> str:
-    return f"__partial_count__{spec.alias}"
+def _avg_partials(spec: AggregateSpec, input_schema: Schema) -> list[str]:
+    """The partial functions one AVG carries.  Over INT64 they are
+    integers — a count and the sums of the two 32-bit halves — which add
+    associatively, so every dop yields the serial operator's bits."""
+    if input_schema.field(spec.column).dtype == DataType.INT64:
+        return ["count", *INT64_HALVES]
+    return ["count", "sum"]
 
 
 def _two_phase_specs(
-    aggregates: list[AggregateSpec],
+    aggregates: list[AggregateSpec], input_schema: Schema
 ) -> tuple[list[AggregateSpec], list[AggregateSpec]]:
     """Partial (worker) and final (merge) specs for two-phase aggregation."""
     partial: list[AggregateSpec] = []
@@ -352,28 +436,29 @@ def _two_phase_specs(
             partial.append(AggregateSpec(spec.func, spec.column, spec.alias))
             final.append(AggregateSpec(spec.func, spec.alias, spec.alias))
         elif spec.func == "avg":
-            partial.append(AggregateSpec("sum", spec.column, _sum_alias(spec)))
-            partial.append(
-                AggregateSpec("count", spec.column, _count_alias(spec))
-            )
-            final.append(AggregateSpec("sum", _sum_alias(spec), _sum_alias(spec)))
-            final.append(
-                AggregateSpec("sum", _count_alias(spec), _count_alias(spec))
-            )
+            for func in _avg_partials(spec, input_schema):
+                alias = _partial_alias(func, spec)
+                partial.append(AggregateSpec(func, spec.column, alias))
+                final.append(AggregateSpec("sum", alias, alias))
         else:  # pragma: no cover - guarded in the constructor
             raise PlanError(f"cannot parallelize aggregate {spec.func!r}")
     return partial, final
 
 
-def _finish_avg(sums: ColumnVector, counts: ColumnVector) -> ColumnVector:
-    """AVG from merged sum/count partials (NULL where no valid input)."""
-    count_values = counts.values.astype(np.int64)
-    empty = count_values == 0
-    sum_values = sums.values.astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(empty, 0.0, sum_values / np.maximum(count_values, 1))
+def _finish_avg(merged: RecordBatch, spec: AggregateSpec) -> ColumnVector:
+    """AVG from merged partials (NULL where no valid input)."""
+
+    def part(func: str) -> np.ndarray:
+        return merged.column(_partial_alias(func, spec)).values
+
+    counts = part("count").astype(np.int64)
+    empty = counts == 0
+    if _partial_alias("sum", spec) in merged.schema:
+        means = part("sum").astype(np.float64) / np.maximum(counts, 1)
+    else:
+        means = int64_mean(part("sum_high"), part("sum_low"), counts)
     validity = None if not empty.any() else ~empty
-    return ColumnVector(DataType.FLOAT64, means, validity)
+    return ColumnVector(DataType.FLOAT64, np.where(empty, 0.0, means), validity)
 
 
 def _drain_one(operator: Operator) -> RecordBatch:

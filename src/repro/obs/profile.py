@@ -14,12 +14,13 @@ time).  Three operator kinds carry extra detail:
 - ``PatchSelect`` — rows in, patch hits, mode, index name and physical
   design (via the operator's native opt-in counters);
 - ``TableScan`` — table name and base row count;
-- the parallel operators (``Exchange`` and the blocking terminals) —
-  planned vs actually-used degree of parallelism, morsel counts, queue
-  wait and per-worker busy time, collected by a :class:`ParallelObs`
-  hook.  Worker-side fragments are instrumented per morsel and merged
-  position-wise into the template subtree, so EXPLAIN ANALYZE shows
-  real per-operator actuals inside parallel pipelines too.
+- the parallel terminals (``ParallelDistinct`` / ``ParallelSort`` /
+  ``ParallelAggregate``) — planned vs actually-used degree of
+  parallelism, morsel counts, queue wait and per-worker busy time,
+  collected by a :class:`ParallelObs` hook.  Worker-side fragments are
+  instrumented per morsel and merged position-wise into the template
+  subtree, so EXPLAIN ANALYZE shows real per-operator actuals inside
+  parallel pipelines too.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ class ParallelObs:
 
     def submit(self, pool, factory: Callable, morsel: "Morsel"):
         """Submit one morsel task with wait/busy accounting."""
-        from repro.exec.parallel.exchange import run_fragment
+        from repro.exec.parallel.terminals import run_fragment
 
         submitted = time.perf_counter()
 

@@ -13,12 +13,14 @@ Mostly a 1:1 mapping, plus three physical decisions:
 - **Hash-join build-side choice**: the smaller estimated input builds
   the hash table (§VI-B3); a projection restores the original column
   order when the sides were swapped.
-- **Morsel-driven parallelism**: a scan pipeline (Scan, optionally
-  PatchSelect, then Filter/Project chains) that splits into at least
-  two morsels and covers more than one morsel's worth of rows
-  (``morsel_size``) becomes an Exchange over contiguous rowid morsels;
-  a Distinct / Aggregate / Sort directly on top becomes its
-  parallel-aware counterpart with per-worker partials.  The degree of
+- **Morsel-driven parallelism**: a Distinct, Sort or Aggregate directly
+  on a scan pipeline (Scan, optionally PatchSelect, then Filter/Project
+  chains) becomes its parallel-aware counterpart, with per-worker
+  partials over contiguous rowid morsels, when the pipeline splits into
+  at least two morsels and hands the terminal more than one morsel's
+  worth of rows (``morsel_size``).  Nothing else fans out: a pipeline
+  with no such terminal above it, and an aggregate mixing
+  COUNT(DISTINCT) with other aggregates, plan serial.  The degree of
   parallelism comes from the ``parallelism`` knob (default:
   ``REPRO_THREADS`` or the CPU count) and does not enter the gate;
   EXPLAIN shows it on every parallel operator.
@@ -62,7 +64,6 @@ from repro.exec.operators import (
 from repro.exec.operators.scan import normalize_ranges
 from repro.exec.parallel import (
     DEFAULT_MORSEL_SIZE,
-    Exchange,
     Morsel,
     ParallelAggregate,
     ParallelDistinct,
@@ -70,7 +71,7 @@ from repro.exec.parallel import (
     default_parallelism,
     morsels_for_table,
 )
-from repro.exec.parallel.exchange import FragmentFactory
+from repro.exec.parallel.terminals import FragmentFactory
 from repro.plan import logical as lp
 from repro.plan.cardinality import estimate_rows
 from repro.types.datatypes import coerce_scalar
@@ -84,8 +85,8 @@ class _Fragment:
     """A parallelizable scan pipeline matched in the logical plan.
 
     ``build`` reconstructs the physical fragment restricted to a set of
-    global rowid ranges — the planner hands it to the Exchange, which
-    calls it once per morsel (``None`` ranges = the unrestricted
+    global rowid ranges — the planner hands it to the parallel terminal,
+    which calls it once per morsel (``None`` ranges = the unrestricted
     template used for schema/EXPLAIN).
     """
 
@@ -219,49 +220,33 @@ class PhysicalPlanner:
     def _try_parallel(self, logical: lp.LogicalPlan) -> Operator | None:
         """Parallel plan for this node, or None to fall through to serial.
 
-        Blocking terminals directly over a scan pipeline push partial
-        work into the morsel workers; a bare pipeline becomes a plain
-        ordered Exchange.  Any other node returns None — its children
-        still get their own chance when the serial dispatch recurses.
+        Only a Distinct, a Sort or an Aggregate directly over a scan
+        pipeline fans out: each pushes partial work into the morsel
+        workers.  Any other node returns None — its children still get
+        their own chance when the serial dispatch recurses.
         """
-        if self.parallelism <= 1:
+        if self.parallelism <= 1 or not isinstance(
+            logical, (lp.LogicalDistinct, lp.LogicalSort, lp.LogicalAggregate)
+        ):
             return None
-        if isinstance(logical, lp.LogicalDistinct):
-            fragment = self._match_fragment(logical.child)
-            if fragment is None:
-                return None
-            return ParallelDistinct(*fragment.operator_args(self.parallelism))
-        if isinstance(logical, lp.LogicalSort):
-            fragment = self._match_fragment(logical.child)
-            if fragment is None:
-                return None
-            return ParallelSort(
-                *fragment.operator_args(self.parallelism), list(logical.keys)
-            )
-        if isinstance(logical, lp.LogicalAggregate):
-            fragment = self._match_fragment(logical.child)
-            if fragment is None:
-                return None
-            specs = list(logical.aggregates)
-            distinct_count = sum(
-                1 for spec in specs if spec.func == "count_distinct"
-            )
-            if distinct_count == 0 or (distinct_count == 1 and len(specs) == 1):
-                return ParallelAggregate(
-                    *fragment.operator_args(self.parallelism),
-                    list(logical.group_by),
-                    specs,
-                )
-            # Mixed count_distinct shapes: parallelize the scan only.
-            return HashAggregate(
-                Exchange(*fragment.operator_args(self.parallelism)),
-                list(logical.group_by),
-                specs,
-            )
-        fragment = self._match_fragment(logical)
+        if (
+            isinstance(logical, lp.LogicalAggregate)
+            and len(logical.aggregates) > 1
+            and any(spec.func == "count_distinct" for spec in logical.aggregates)
+        ):
+            # COUNT(DISTINCT) beside other aggregates has no partial form.
+            return None
+        fragment = self._match_fragment(logical.child)
         if fragment is None:
             return None
-        return Exchange(*fragment.operator_args(self.parallelism))
+        args = fragment.operator_args(self.parallelism)
+        if isinstance(logical, lp.LogicalDistinct):
+            return ParallelDistinct(*args)
+        if isinstance(logical, lp.LogicalSort):
+            return ParallelSort(*args, list(logical.keys))
+        return ParallelAggregate(
+            *args, list(logical.group_by), list(logical.aggregates)
+        )
 
     def _match_fragment(self, logical: lp.LogicalPlan) -> _Fragment | None:
         """Match a Filter/Project chain over (PatchSelect over) a scan,
@@ -297,11 +282,22 @@ class PhysicalPlanner:
             # filter sits directly on the scan.
             ranges = self._ranges_for_predicate(scan, nodes[-1].predicate)
         normalized = normalize_ranges(ranges, scan.table.row_count)
-        covered = (
+        terminal_rows = (
             sum(stop - start for start, stop in normalized)
             if normalized is not None
             else scan.table.row_count
         )
+        if patch is not None and patch.use_patches:
+            # The use branch hands its terminal only the exceptions.
+            terminal_rows = min(terminal_rows, patch.index.patch_count)
+        # The gate: a morsel is the work that amortizes one dispatch, so
+        # fan out only when the terminal gets more than one morsel's
+        # worth of rows, and only when there are two morsels to share out.
+        if terminal_rows <= self.morsel_size:
+            return None
+        morsels = morsels_for_table(scan.table, normalized, self.morsel_size)
+        if len(morsels) < 2:
+            return None
 
         def build(
             morsel_ranges: list[tuple[int, int]] | None,
@@ -327,12 +323,6 @@ class PhysicalPlanner:
                     operator = Project(operator, list(node.outputs))
             return operator
 
-        morsels = morsels_for_table(scan.table, normalized, self.morsel_size)
-        # The gate: a morsel is the work that amortizes one dispatch, so
-        # fan out only past one morsel's worth of rows, and only when
-        # there are two morsels to share out.
-        if len(morsels) < 2 or covered <= self.morsel_size:
-            return None
         return _Fragment(build, normalized, morsels)
 
     # -- scans & filters ---------------------------------------------------

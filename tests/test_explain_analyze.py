@@ -133,7 +133,7 @@ class TestParallelProfile:
             planner = PhysicalPlanner(parallelism=parallelism, morsel_size=16)
             return planner.plan(logical)
 
-        sql = "SELECT c FROM p WHERE c > 100"
+        sql = "SELECT c FROM p WHERE c > 100 ORDER BY c"
         operator = plan(sql)
         assert "dop=" in operator.explain()
         result, profile = profile_collect(operator, sql)

@@ -1,7 +1,7 @@
 """Unit and property tests for HashAggregate and Distinct."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import PlanError, TypeMismatchError
 from repro.exec.operators.aggregate import AggregateSpec, HashAggregate
@@ -267,13 +267,17 @@ class TestIntegerSumIsExact:
         else:
             assert rows == [(sum(v for v in values if v), 96)]
 
+    # Four values in [-2**61, 2**61 - 1] always sum inside INT64; the
+    # two extremes are pinned as explicit examples.
     @given(
         st.lists(
-            st.one_of(st.none(), st.integers(-(2**61), 2**61)),
+            st.one_of(st.none(), st.integers(-(2**61), 2**61 - 1)),
             min_size=1,
             max_size=4,
         )
     )
+    @example([-(2**61)] * 4)
+    @example([2**61 - 1] * 4)
     @settings(max_examples=60, deadline=None)
     def test_sum_matches_python_wherever_it_fits(self, values):
         table = make_table({"g": ["a"] * len(values), "v": values})

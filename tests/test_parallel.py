@@ -1,10 +1,13 @@
 """Morsel-driven parallel execution: dispatch, pool, equivalence.
 
 Every parallel plan must be byte-identical to its serial counterpart —
-ordered gather in morsel (= rowid) order, stable pairwise merges, and
-two-phase aggregation that preserves the serial group order.  The tests
-force parallel plans on small tables with a small ``morsel_size``: the
-gate fans out a pipeline of at least two morsels that covers more than
+partials gathered in morsel (= rowid) order, stable pairwise merges, and
+two-phase aggregation that preserves the serial group order and adds
+integers exactly.  Only three shapes fan out — DISTINCT, ORDER BY and
+aggregation directly over a scan pipeline; the shape table pins which
+operator every other statement shape plans.  The tests force parallel
+plans on small tables with a small ``morsel_size``: the gate fans out a
+pipeline of at least two morsels that hands its terminal more than
 ``morsel_size`` rows, so at the default size such tables stay serial
 (checked too, with the gate itself).
 
@@ -21,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +45,6 @@ from repro.exec.operators.aggregate import AggregateSpec
 from repro.exec.operators.sort import SortKey
 from repro.exec.parallel import (
     BatchSource,
-    Exchange,
     Morsel,
     ParallelAggregate,
     ParallelDistinct,
@@ -187,71 +190,6 @@ def scan_factory(table, **kwargs):
     return build
 
 
-class TestExchange:
-    def test_scan_equivalence_and_order(self):
-        table = make_table(n=100, partition_count=3, block_size=8)
-        build = scan_factory(table)
-        morsels = morsels_for_table(table, None, morsel_size=16)
-        parallel = collect(Exchange(build, build(None), morsels, 4))
-        serial = collect(build(None))
-        assert parallel.to_pylist() == serial.to_pylist()
-
-    def test_restricted_scan_equivalence(self):
-        table = make_table(n=100, partition_count=3, block_size=8)
-        requested = [(3, 30), (60, 95)]
-        build = scan_factory(table)
-        morsels = morsels_for_table(table, requested, morsel_size=8)
-        parallel = collect(Exchange(build, build(requested), morsels, 4))
-        serial = collect(build(requested))
-        assert parallel.to_pylist() == serial.to_pylist()
-
-    @pytest.mark.parametrize(
-        "mode", [PatchSelectMode.USE_PATCHES, PatchSelectMode.EXCLUDE_PATCHES]
-    )
-    def test_patch_select_per_morsel(self, mode):
-        rng = np.random.default_rng(7)
-        values = list(range(120))
-        for rowid in rng.choice(120, 15, replace=False):
-            values[int(rowid)] = 3  # duplicates become patches
-        db = Database()
-        db.create_table_from_pydict(
-            "p",
-            Schema([Field("x", DataType.INT64)]),
-            {"x": values},
-            partition_count=3,
-        )
-        index = db.create_patch_index("pi", "p", "x", kind="unique")
-        table = db.table("p")
-
-        def build(ranges):
-            return PatchSelect(
-                TableScan(table, scan_ranges=ranges, batch_size=16), index, mode
-            )
-
-        morsels = morsels_for_table(table, None, morsel_size=16)
-        parallel = collect(Exchange(build, build(None), morsels, 4))
-        serial = collect(build(None))
-        assert parallel.to_pylist() == serial.to_pylist()
-
-    def test_no_morsels_yields_empty(self):
-        table = Table("e", Schema([Field("x", DataType.INT64)]), 1)
-        build = scan_factory(table)
-        result = collect(Exchange(build, build(None), [], 4))
-        assert result.row_count == 0
-
-    def test_template_shown_in_explain_but_never_opened(self):
-        table = make_table(n=32)
-        build = scan_factory(table)
-        template = build(None)
-        morsels = morsels_for_table(table, None, morsel_size=8)
-        exchange = Exchange(build, template, morsels, 3)
-        text = exchange.explain()
-        assert "Exchange(dop=3" in text
-        assert "TableScan" in text
-        collect(exchange)  # template must survive untouched
-        assert collect(template).row_count == 32
-
-
 def run_query(db, sql, planner):
     statement = parse_statement(sql)
     logical = Optimizer(db.catalog).optimize(
@@ -300,11 +238,28 @@ def assert_equivalent(db, sql, workers=4, morsel_size=16):
     return parallel_op
 
 
-class TestPlannedEquivalence:
-    def test_bare_pipeline_becomes_exchange(self, db):
-        op = assert_equivalent(db, "SELECT v FROM t WHERE v > 10")
-        assert "Exchange(dop=4" in op.explain()
+def parallel_operators(operator):
+    """Class names of the operators anywhere in a plan that fan out."""
+    names = set()
+    if hasattr(operator, "morsels"):
+        names.add(type(operator).__name__)
+    for child in operator.children():
+        names |= parallel_operators(child)
+    return names
 
+
+def find(operator, cls):
+    """The first operator of type *cls* in a plan, depth first."""
+    if isinstance(operator, cls):
+        return operator
+    for child in operator.children():
+        found = find(child, cls)
+        if found is not None:
+            return found
+    return None
+
+
+class TestPlannedEquivalence:
     def test_distinct(self, db):
         op = assert_equivalent(db, "SELECT DISTINCT g, v FROM t")
         assert "ParallelDistinct(dop=4" in op.explain()
@@ -354,13 +309,6 @@ class TestPlannedEquivalence:
             db, "SELECT g, COUNT(DISTINCT v) AS n FROM t GROUP BY g"
         )
 
-    def test_mixed_count_distinct_uses_exchange_fallback(self, db):
-        sql = "SELECT COUNT(DISTINCT v) AS d, COUNT(*) AS n FROM t"
-        op = assert_equivalent(db, sql)
-        text = op.explain()
-        assert "HashAggregate" in text and "Exchange(dop=4" in text
-        assert "ParallelAggregate" not in text
-
     def test_avg_all_null_group(self):
         database = Database()
         database.create_table_from_pydict(
@@ -375,12 +323,27 @@ class TestPlannedEquivalence:
             morsel_size=4,
         )
 
-    def test_scan_range_pruning_composes(self, db):
-        sql = "SELECT v FROM t WHERE g >= 3"
-        parallel_op = run_query(db, sql, parallel_planner())
-        text = parallel_op.explain()
-        assert "Exchange(dop=4" in text
-        assert_equivalent(db, sql)
+    def test_scan_range_pruning_composes(self):
+        database = Database()
+        table = database.create_table(
+            "k",
+            Schema([Field("k", DataType.INT64), Field("v", DataType.INT64)]),
+            partition_count=3,
+            block_size=8,
+        )
+        keys = np.arange(400, dtype=np.int64)
+        table.load_columns(
+            {
+                "k": ColumnVector(DataType.INT64, keys),
+                "v": ColumnVector(DataType.INT64, keys % 11),
+            }
+        )
+        sql = "SELECT k, v FROM k WHERE k >= 100 AND k < 300 ORDER BY v"
+        sort = find(run_query(database, sql, parallel_planner()), ParallelSort)
+        # Morsels are carved from the surviving blocks only: the 200
+        # rows asked for plus at most a partial block at either end.
+        assert 200 <= sum(morsel.rows for morsel in sort.morsels) <= 214
+        assert_equivalent(database, sql)
 
     def test_nuc_distinct_rewrite_composes(self):
         rng = np.random.default_rng(3)
@@ -417,18 +380,154 @@ class TestPlannedEquivalence:
         )
         assert "dop=" not in op.explain()
 
-    def test_join_inputs_still_parallelize(self, db):
-        db.create_table_from_pydict(
-            "d",
-            Schema([Field("g", DataType.INT64), Field("name", DataType.INT64)]),
-            {"g": list(range(7)), "name": [x * 10 for x in range(7)]},
+
+def shape_db(scope: str) -> Database:
+    """400 rows in three partitions: a group column, a nullable value,
+    a nearly-unique column (six patches) and a nearly-sorted one (two
+    patches, discovered in *scope*), plus a join dimension."""
+    rng = np.random.default_rng(5)
+    n = 400
+    unique = rng.permutation(n)
+    unique[[10, 90, 170, 250, 330]] = unique[0]
+    nearly_sorted = np.arange(n)
+    nearly_sorted[[50, 260]] = [3, 7]
+    database = Database()
+    database.create_table_from_pydict(
+        "t",
+        Schema(
+            [
+                Field("g", DataType.INT64),
+                Field("v", DataType.INT64),
+                Field("u", DataType.INT64),
+                Field("s", DataType.INT64),
+            ]
+        ),
+        {
+            "g": [i % 7 for i in range(n)],
+            "v": [
+                None if i % 17 == 0 else int(x)
+                for i, x in enumerate(rng.integers(0, 50, n))
+            ],
+            "u": [int(x) for x in unique],
+            "s": [int(x) for x in nearly_sorted],
+        },
+        partition_count=3,
+    )
+    database.create_table_from_pydict(
+        "d",
+        Schema([Field("g", DataType.INT64), Field("name", DataType.INT64)]),
+        {"g": list(range(7)), "name": [x * 10 for x in range(7)]},
+    )
+    database.create_patch_index("tu", "t", "u", kind="unique")
+    database.create_patch_index("ts", "t", "s", kind="sorted", scope=scope)
+    return database
+
+
+_SHAPE_DBS: dict[str, Database] = {}
+
+#: (statement, NSC scope, the parallel terminals dop 2 plans).  A
+#: rewrite's use branch hands its terminal only the patches — fewer than
+#: a morsel's worth here, as at 1 % exceptions on a large table — so it
+#: stays serial; of the rewrite branches only the run-merging Sort on
+#: the exclude branch of a partition-scoped NSC fans out.
+SHAPES = {
+    "distinct": ("SELECT DISTINCT g FROM t", "global", {"ParallelDistinct"}),
+    "order by": ("SELECT v FROM t ORDER BY v", "global", {"ParallelSort"}),
+    "group by": (
+        "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g",
+        "global",
+        {"ParallelAggregate"},
+    ),
+    "ungrouped aggregate": (
+        "SELECT COUNT(*) AS n, MIN(v) AS lo, AVG(u) AS a FROM t",
+        "global",
+        {"ParallelAggregate"},
+    ),
+    "lone count distinct": (
+        "SELECT COUNT(DISTINCT v) AS n FROM t",
+        "global",
+        {"ParallelAggregate"},
+    ),
+    "grouped count distinct": (
+        "SELECT g, COUNT(DISTINCT v) AS n FROM t GROUP BY g",
+        "global",
+        {"ParallelAggregate"},
+    ),
+    "mixed count distinct": (
+        "SELECT COUNT(DISTINCT v) AS d, COUNT(*) AS n FROM t",
+        "global",
+        set(),
+    ),
+    "filtered fetch": ("SELECT g, v FROM t WHERE v > 10", "global", set()),
+    "join input": (
+        "SELECT t.v, d.name FROM t JOIN d ON t.g = d.g WHERE t.v > 20",
+        "global",
+        set(),
+    ),
+    "nuc distinct rewrite": ("SELECT DISTINCT u FROM t", "global", set()),
+    "nuc count distinct rewrite": (
+        "SELECT COUNT(DISTINCT u) AS n FROM t",
+        "global",
+        set(),
+    ),
+    "nsc sort rewrite, partition scope": (
+        "SELECT s FROM t ORDER BY s",
+        "partition",
+        {"ParallelSort"},
+    ),
+    "nsc sort rewrite, global scope": (
+        "SELECT s FROM t ORDER BY s",
+        "global",
+        set(),
+    ),
+}
+
+
+class TestShapes:
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_dop2_plan(self, shape):
+        sql, scope, expected = SHAPES[shape]
+        if scope not in _SHAPE_DBS:
+            _SHAPE_DBS[scope] = shape_db(scope)
+        database = _SHAPE_DBS[scope]
+        operator = assert_equivalent(database, sql, workers=2)
+        assert parallel_operators(operator) == expected, operator.explain()
+        if "rewrite" in shape:
+            assert "PatchSelect(mode=use_patches" in operator.explain()
+
+
+class TestExactIntegerAvg:
+    """AVG over INT64 adds exact integers on every path: the serial
+    kernels and the two-phase partials both sum the values' 32-bit
+    halves in int64, so neither wraps near 2**62 nor rounds differently
+    by dop near 2**53."""
+
+    @pytest.mark.parametrize("base", [2**53, 2**62], ids=["2**53", "2**62"])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "grouped"])
+    def test_parallel_equals_serial_and_the_exact_mean(self, base, grouped):
+        values = base + np.random.default_rng(3).integers(0, 2**20, 64)
+        groups = [i % 3 for i in range(64)]
+        database = Database()
+        database.create_table_from_pydict(
+            "w",
+            Schema([Field("g", DataType.INT64), Field("b", DataType.INT64)]),
+            {"g": groups, "b": [int(x) for x in values]},
+            partition_count=4,
         )
         sql = (
-            "SELECT t.v, d.name FROM t JOIN d ON t.g = d.g "
-            "WHERE t.v > 20"
+            "SELECT g, AVG(b) AS a FROM w GROUP BY g"
+            if grouped
+            else "SELECT AVG(b) AS a FROM w"
         )
-        op = assert_equivalent(db, sql)
-        assert "Exchange(dop=4" in op.explain()
+        for workers in (2, 4):
+            operator = assert_equivalent(database, sql, workers=workers)
+            assert find(operator, ParallelAggregate) is not None
+        for row in collect(operator).to_pylist():
+            members = [
+                int(x) for x, g in zip(values, groups) if not grouped or g == row[0]
+            ]
+            exact = Fraction(sum(members), len(members))
+            assert abs(Fraction(row[-1]) - exact) <= exact / 2**51
 
 
 class TestParallelOperatorsDirect:
@@ -471,6 +570,77 @@ class TestParallelOperatorsDirect:
         serial = collect(Sort(build(None), keys))
         # Stability: equal keys keep scan (rowid) order in both plans.
         assert parallel.to_pylist() == serial.to_pylist()
+
+    def test_scan_equivalence_and_order(self):
+        table = make_table(n=100, partition_count=3, block_size=8)
+        build = scan_factory(table)
+        morsels = morsels_for_table(table, None, morsel_size=16)
+        parallel = collect(
+            ParallelSort(build, build(None), morsels, 4, [SortKey("x")])
+        )
+        serial = collect(build(None))
+        # x is the rowid, so the merged morsels come back in scan order.
+        assert parallel.to_pylist() == serial.to_pylist()
+        assert parallel.column("x").to_pylist() == list(range(100))
+
+    def test_restricted_scan_equivalence(self):
+        table = make_table(n=100, partition_count=3, block_size=8)
+        requested = [(3, 30), (60, 95)]
+        build = scan_factory(table)
+        keys = [SortKey("x", False)]
+        morsels = morsels_for_table(table, requested, morsel_size=8)
+        parallel = collect(ParallelSort(build, build(requested), morsels, 4, keys))
+        serial = collect(Sort(build(requested), keys))
+        assert parallel.to_pylist() == serial.to_pylist()
+
+    @pytest.mark.parametrize(
+        "mode", [PatchSelectMode.USE_PATCHES, PatchSelectMode.EXCLUDE_PATCHES]
+    )
+    def test_patch_select_per_morsel(self, mode):
+        rng = np.random.default_rng(7)
+        values = list(range(120))
+        for rowid in rng.choice(120, 15, replace=False):
+            values[int(rowid)] = 3  # duplicates become patches
+        db = Database()
+        db.create_table_from_pydict(
+            "p",
+            Schema([Field("x", DataType.INT64)]),
+            {"x": values},
+            partition_count=3,
+        )
+        index = db.create_patch_index("pi", "p", "x", kind="unique")
+        table = db.table("p")
+
+        def build(ranges):
+            return PatchSelect(
+                TableScan(table, scan_ranges=ranges, batch_size=16), index, mode
+            )
+
+        specs = [AggregateSpec("count_star", None, "n")]
+        morsels = morsels_for_table(table, None, morsel_size=16)
+        parallel = collect(
+            ParallelAggregate(build, build(None), morsels, 4, ["x"], specs)
+        )
+        serial = collect(HashAggregate(build(None), ["x"], specs))
+        assert parallel.to_pylist() == serial.to_pylist()
+
+    def test_no_morsels_yields_empty(self):
+        table = Table("e", Schema([Field("x", DataType.INT64)]), 1)
+        build = scan_factory(table)
+        sort = ParallelSort(build, build(None), [], 4, [SortKey("x")])
+        assert collect(sort).row_count == 0
+
+    def test_template_shown_in_explain_but_never_opened(self):
+        table = make_table(n=32)
+        build = scan_factory(table)
+        template = build(None)
+        morsels = morsels_for_table(table, None, morsel_size=8)
+        sort = ParallelSort(build, template, morsels, 3, [SortKey("x")])
+        text = sort.explain()
+        assert "ParallelSort(x" in text and "dop=3" in text
+        assert "TableScan" in text
+        collect(sort)  # template must survive untouched
+        assert collect(template).row_count == 32
 
     def test_parallel_aggregate_empty_input_global(self):
         table = Table("e", Schema([Field("x", DataType.INT64)]), 1)
@@ -554,8 +724,10 @@ class TestSessionKnob:
 
 
 class TestGate:
-    """At dop 2 a scan pipeline plans parallel iff it splits into at
-    least two morsels and covers more than ``morsel_size`` rows."""
+    """At dop 2 a terminal over a scan pipeline plans parallel iff the
+    pipeline splits into at least two morsels and hands the terminal
+    more than ``morsel_size`` rows: the covered rows, or a use-patches
+    PatchSelect's patches."""
 
     @pytest.mark.parametrize(
         "rows, partitions, block_size, morsel_size, where, parallel",
@@ -580,6 +752,24 @@ class TestGate:
         assert ("dop=2" in operator.explain()) is parallel
         serial = collect(run_query(db, sql, serial_planner()))
         assert collect(operator).to_pylist() == serial.to_pylist()
+
+    @pytest.mark.parametrize("patches, parallel", [(16, False), (17, True)])
+    def test_use_branch_is_gated_on_its_patch_count(self, patches, parallel):
+        values = list(range(400))
+        values[1:patches] = [0] * (patches - 1)  # one group of duplicates
+        database = Database()
+        database.create_table_from_pydict(
+            "u", Schema([Field("c", DataType.INT64)]), {"c": values}, 3
+        )
+        index = database.create_patch_index("uc", "u", "c", kind="unique")
+        assert index.patch_count == patches
+        operator = assert_equivalent(
+            database, "SELECT DISTINCT c FROM u", workers=2
+        )
+        assert "PatchSelect(mode=use_patches" in operator.explain()
+        # The exclude branch has no terminal above it and stays serial.
+        expected = {"ParallelDistinct"} if parallel else set()
+        assert parallel_operators(operator) == expected
 
     def test_cold_and_warm_durable_table_plan_alike(self, tmp_path):
         """The gate reads no storage state: a fresh handle behind a
@@ -744,32 +934,44 @@ class TestDurableThreadParity:
 
     def test_both_patch_select_modes_run_in_fragments(self):
         db = durable_db()
-        operator = plan_durable(db, "SELECT COUNT(DISTINCT u) AS n FROM f")
-        text = operator.explain()
-        exclude = text.index("PatchSelect(mode=exclude_patches")
-        use = text.index("PatchSelect(mode=use_patches")
-        assert text.index("Exchange(dop=4") < exclude, text
-        assert exclude < text.index("ParallelDistinct(dop=4") < use, text
-        serial = collect(
-            plan_durable(db, "SELECT COUNT(DISTINCT u) AS n FROM f", 1)
-        )
-        assert collect(operator).to_pylist() == serial.to_pylist()
+        table, index = db.table("f"), db.catalog.find_index("f", "u", "unique")
+        specs = [
+            AggregateSpec("count_star", None, "n"),
+            AggregateSpec("sum", "b", "total"),
+            AggregateSpec("min", "u", "lo"),
+        ]
+        morsels = morsels_for_table(table, None, morsel_size=16)
+        for mode in PatchSelectMode:
+
+            def build(ranges, mode=mode):
+                scan = TableScan(table, scan_ranges=ranges, batch_size=16)
+                return PatchSelect(scan, index, mode)
+
+            operator = ParallelAggregate(
+                build, build(None), morsels, 4, ["g"], specs
+            )
+            serial = collect(HashAggregate(build(None), ["g"], specs))
+            assert collect(operator).to_pylist() == serial.to_pylist(), mode
 
     def test_pruned_scan_morsels_cover_only_surviving_blocks(self):
         db = durable_db()
-        query = "SELECT u, s FROM f WHERE s BETWEEN 40 AND 200"
-        operator = plan_durable(db, query)
-        assert isinstance(operator, Exchange)
-        covered = sum(morsel.rows for morsel in operator.morsels)
+        query = (
+            "SELECT g, COUNT(*) AS n, SUM(b) AS total FROM f "
+            "WHERE s BETWEEN 40 AND 200 GROUP BY g"
+        )
+        plan = plan_durable(db, query)
+        covered = sum(m.rows for m in find(plan, ParallelAggregate).morsels)
         assert 0 < covered < db.table("f").row_count
         serial = collect(plan_durable(db, query, parallelism=1))
-        assert collect(operator).to_pylist() == serial.to_pylist()
+        assert collect(plan).to_pylist() == serial.to_pylist()
 
     def test_ordered_gather_is_rowid_order(self):
+        """ParallelSort gathers its sorted runs in morsel order and
+        merges left first, so rows with equal keys keep rowid order."""
         db = durable_db()
-        query = "SELECT u, s, b FROM f WHERE g <> 1"
+        query = "SELECT u, s, b, g FROM f WHERE g <> 1 ORDER BY g"
         operator = plan_durable(db, query)
-        assert isinstance(operator, Exchange) and len(operator.morsels) > 4
+        assert isinstance(operator, ParallelSort) and len(operator.morsels) > 4
         serial = collect(plan_durable(db, query, parallelism=1))
         assert collect(operator).to_pylist() == serial.to_pylist()
 
@@ -802,8 +1004,8 @@ class TestNoProcessesAnywhere:
                 partition_by_round_robin_blocks=True,
             )
             db.sql("CHECKPOINT")
-            query = "SELECT k, v FROM big WHERE v < 3"
-            assert "Exchange(dop=2" in db.explain(query, parallelism=2)
+            query = "SELECT k, v FROM big WHERE v < 3 ORDER BY v"
+            assert "ParallelSort(v ASC; dop=2" in db.explain(query, parallelism=2)
             serial = db.sql(query, parallelism=1)
             parallel = db.sql(query, parallelism=2)
             assert parallel.row_count > 0

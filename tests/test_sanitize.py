@@ -300,18 +300,18 @@ class TestConcurrentSessionFuzz:
             if failures:
                 raise failures[0]
 
-            # A morsel-parallel scan through a pinned snapshot: the
+            # A morsel-parallel sort through a pinned snapshot: the
             # pool threads take the cache lock under the sanitizer too.
             from repro.exec.result import collect
             from tests.test_parallel import plan_durable
 
-            query = "SELECT k, v FROM fuzz WHERE v >= 0"
+            query = "SELECT k, v FROM fuzz WHERE v >= 0 ORDER BY v"
             with db.snapshot() as view:
                 serial = collect(plan_durable(view, query, parallelism=1))
                 operator = plan_durable(
                     view, query, parallelism=2, morsel_size=2048
                 )
-                assert "Exchange(dop=2" in operator.explain()
+                assert "ParallelSort(v ASC; dop=2" in operator.explain()
                 assert collect(operator).to_pylist() == serial.to_pylist()
         finally:
             db.close()
