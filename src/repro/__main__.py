@@ -40,6 +40,7 @@ identically over the wire.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.errors import ReproError
@@ -214,154 +215,72 @@ def run_server(
     return 0
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse and cross-check *argv*; a usage error exits with status 2."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="PatchIndex reproduction shell, or (serve) its server.",
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "target",
+        nargs="?",
+        metavar="serve | wal-path",
+        help="'serve' starts the server; a path opens a metadata-only WAL",
+    )
+    parser.add_argument("--threads", type=int, help="degree of parallelism")
+    parser.add_argument("--metrics-dump", metavar="PATH")
+    parser.add_argument("--data-dir", metavar="DIR")
+    parser.add_argument("--connect", metavar="URI")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int)
+    args = parser.parse_args(argv)
+    if args.threads is not None:
+        args.threads = max(1, args.threads)
+    if args.target == "serve":
+        if args.connect is not None:
+            parser.error("serve and --connect are exclusive")
+    elif args.connect is not None:
+        if args.target is not None or args.data_dir is not None:
+            parser.error("--connect is exclusive with local storage options")
+    elif args.target is not None and args.data_dir is not None:
+        parser.error("pass either --data-dir or a wal path, not both")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(argv) if argv is not None else sys.argv[1:]
-    threads: int | None = None
-    metrics_dump: str | None = None
-    data_dir: str | None = None
-    connect_uri: str | None = None
-    host = "127.0.0.1"
-    port: int | None = None
-    positional: list[str] = []
-    position = 0
-    while position < len(argv):
-        argument = argv[position]
-        if argument == "--threads":
-            if position + 1 >= len(argv):
-                print("error: --threads requires a value", file=sys.stderr)
-                return 2
-            value = argv[position + 1]
-            position += 2
-        elif argument.startswith("--threads="):
-            value = argument.split("=", 1)[1]
-            position += 1
-        elif argument == "--metrics-dump":
-            if position + 1 >= len(argv):
-                print("error: --metrics-dump requires a path", file=sys.stderr)
-                return 2
-            metrics_dump = argv[position + 1]
-            position += 2
-            continue
-        elif argument.startswith("--metrics-dump="):
-            metrics_dump = argument.split("=", 1)[1]
-            position += 1
-            continue
-        elif argument == "--data-dir":
-            if position + 1 >= len(argv):
-                print("error: --data-dir requires a path", file=sys.stderr)
-                return 2
-            data_dir = argv[position + 1]
-            position += 2
-            continue
-        elif argument.startswith("--data-dir="):
-            data_dir = argument.split("=", 1)[1]
-            position += 1
-            continue
-        elif argument == "--connect":
-            if position + 1 >= len(argv):
-                print("error: --connect requires a URI", file=sys.stderr)
-                return 2
-            connect_uri = argv[position + 1]
-            position += 2
-            continue
-        elif argument.startswith("--connect="):
-            connect_uri = argument.split("=", 1)[1]
-            position += 1
-            continue
-        elif argument == "--host":
-            if position + 1 >= len(argv):
-                print("error: --host requires a value", file=sys.stderr)
-                return 2
-            host = argv[position + 1]
-            position += 2
-            continue
-        elif argument.startswith("--host="):
-            host = argument.split("=", 1)[1]
-            position += 1
-            continue
-        elif argument == "--port":
-            if position + 1 >= len(argv):
-                print("error: --port requires a value", file=sys.stderr)
-                return 2
-            value = argv[position + 1]
-            position += 2
-            try:
-                port = int(value)
-            except ValueError:
-                print(
-                    f"error: --port expects an integer, got {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            continue
-        elif argument.startswith("--port="):
-            value = argument.split("=", 1)[1]
-            position += 1
-            try:
-                port = int(value)
-            except ValueError:
-                print(
-                    f"error: --port expects an integer, got {value!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            continue
-        else:
-            positional.append(argument)
-            position += 1
-            continue
-        try:
-            threads = max(1, int(value))
-        except ValueError:
-            print(f"error: --threads expects an integer, got {value!r}", file=sys.stderr)
-            return 2
-    if positional and positional[0] == "serve":
-        if len(positional) > 1:
-            print(
-                f"error: serve takes no positional arguments, got "
-                f"{positional[1:]!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if connect_uri is not None:
-            print("error: serve and --connect are exclusive", file=sys.stderr)
-            return 2
+    try:
+        args = _parse(argv)
+    except SystemExit as stop:  # --help, or a usage error already printed
+        return stop.code if isinstance(stop.code, int) else 2
+    if args.target == "serve":
         from repro.serve.protocol import DEFAULT_PORT
 
-        return run_server(
-            data_dir, host, port if port is not None else DEFAULT_PORT, threads
-        )
-    wal_path = positional[0] if positional else None
-    if connect_uri is not None:
-        if wal_path is not None or data_dir is not None:
-            print(
-                "error: --connect is exclusive with local storage options",
-                file=sys.stderr,
-            )
-            return 2
+        port = args.port if args.port is not None else DEFAULT_PORT
+        return run_server(args.data_dir, args.host, port, args.threads)
+    if args.connect is not None:
         from repro.serve import ServerClient
 
-        database = ServerClient.from_uri(connect_uri)
-        if threads is not None:
-            database.parallelism = threads
+        database = ServerClient.from_uri(args.connect)
+        if args.threads is not None:
+            database.parallelism = args.threads
     else:
-        if data_dir is not None and wal_path is not None:
-            print(
-                "error: pass either --data-dir or a wal path, not both",
-                file=sys.stderr,
-            )
-            return 2
-        database = Database(wal_path, path=data_dir, parallelism=threads)
+        database = Database(
+            args.target, path=args.data_dir, parallelism=args.threads
+        )
     code = run_shell(database)
-    if metrics_dump is not None:
+    if args.metrics_dump is not None:
         try:
-            with open(metrics_dump, "w", encoding="utf-8") as handle:
+            with open(args.metrics_dump, "w", encoding="utf-8") as handle:
                 handle.write(database.metrics().to_json())
                 handle.write("\n")
         except OSError as error:
-            print(f"error: cannot write metrics to {metrics_dump!r}: {error}", file=sys.stderr)
+            print(
+                f"error: cannot write metrics to {args.metrics_dump!r}: {error}",
+                file=sys.stderr,
+            )
             return 2
-    if connect_uri is not None:
+    if args.connect is not None:
         database.close()
     return code
 

@@ -20,9 +20,11 @@ creation time, which the Figure-6 benchmark reports.
 
 from __future__ import annotations
 
+import copy
 import enum
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,6 +149,33 @@ class PatchIndex:
             self.table.remove_listener(self._listener)
         except ValueError:  # already detached
             pass
+
+    def copy(self, table: Table) -> "PatchIndex":
+        """This index as of now, over *table* — a copy of its own table.
+
+        The copy has its own patch sets and drift counters, keeps the
+        mode, ``rebuild_count`` and ``rebuild_pending``, and has no table
+        listener and no ``delta_sink``: nothing moves it after the copy
+        (:meth:`repro.storage.catalog.Catalog.copy` is the caller).
+
+        It refers to itself through nothing but a weak proxy, so
+        reference counting frees it — and the superseded column vectors
+        its table shares — as soon as the last reader drops it, not at
+        some later cyclic collection.
+        """
+        from repro.core.maintenance import IndexMaintainer
+
+        twin = copy.copy(self)
+        twin.table = table
+        twin._partition_patches = [
+            patches.copy() for patches in self._partition_patches
+        ]
+        twin.delta_sink = None
+        twin._listener = None
+        if self._maintainer is not None:
+            twin._maintainer = IndexMaintainer(weakref.proxy(twin))
+            twin._maintainer.stats = replace(self._maintainer.stats)
+        return twin
 
     # -- creation ------------------------------------------------------------
 
@@ -334,36 +363,39 @@ class PatchIndex:
         Emits an ``invalidate`` :class:`~repro.core.delta.PatchDelta`
         through the sink: the logged delta stream no longer describes
         the rebuilt patch sets, so WAL replay encountering the marker
-        falls back to the paper's rebuild-from-data recovery.
+        falls back to the paper's rebuild-from-data recovery.  Runs
+        under the table's state lock, so a snapshot pin sees the index
+        before or after the rebuild, never during it.
         """
         from repro.core.delta import PatchDelta, invalidate_op
 
-        result = discover(
-            self.table,
-            self.column_name,
-            self.constraint_kind,
-            ascending=self.ascending,
-            strict=self.strict,
-            scope=self.scope,
-        )
-        self._partition_patches = _patch_sets(
-            result, self.mode or PatchIndexMode.AUTO
-        )
-        self._maintainer = None
-        self._note_discovery(result)
-        self.rebuild_count += 1
-        self.rebuild_pending = False
-        self.table.touch()
-        if self.delta_sink is not None:
-            self.delta_sink(
-                self,
-                PatchDelta(
-                    index_name=self.name,
-                    table_name=self.table_name,
-                    event="rebuild",
-                    ops=(invalidate_op(),),
-                ),
+        with self.table.state_lock:
+            result = discover(
+                self.table,
+                self.column_name,
+                self.constraint_kind,
+                ascending=self.ascending,
+                strict=self.strict,
+                scope=self.scope,
             )
+            self._partition_patches = _patch_sets(
+                result, self.mode or PatchIndexMode.AUTO
+            )
+            self._maintainer = None
+            self._note_discovery(result)
+            self.rebuild_count += 1
+            self.rebuild_pending = False
+            self.table.touch()
+            if self.delta_sink is not None:
+                self.delta_sink(
+                    self,
+                    PatchDelta(
+                        index_name=self.name,
+                        table_name=self.table_name,
+                        event="rebuild",
+                        ops=(invalidate_op(),),
+                    ),
+                )
 
     def _note_discovery(self, result: DiscoveryResult) -> None:
         if result.kind == ConstraintKind.SORTED:
@@ -391,8 +423,8 @@ class PatchIndex:
 
     def apply_external_delta(self, delta) -> None:
         """Replay one :class:`~repro.core.delta.PatchDelta` produced
-        elsewhere (WAL recovery, snapshot advance) onto this index,
-        folding it into the maintenance stats."""
+        elsewhere (WAL recovery) onto this index, folding it into the
+        maintenance stats."""
         self._maintenance().apply(delta)
         self.table.touch()
 

@@ -22,6 +22,7 @@ maintenance mutations used by :mod:`repro.core.maintenance`.
 from __future__ import annotations
 
 import abc
+import copy
 
 import numpy as np
 
@@ -115,6 +116,15 @@ class PatchSet(abc.ABC):
         """
 
     # -- shared helpers ------------------------------------------------------
+
+    def copy(self) -> "PatchSet":
+        """A patch set with the same membership that no later mutation of
+        this one reaches (a snapshot's, see :meth:`PatchIndex.copy`).
+
+        Shallow: the identifier design replaces its rowid array on every
+        mutation, so the copy may share it; the bitmap design writes its
+        bits in place and copies them."""
+        return copy.copy(self)
 
     def exception_rate(self) -> float:
         """``|P_c| / |R|`` (0.0 for an empty relation)."""
@@ -308,6 +318,11 @@ class BitmapPatches(PatchSet):
 
     def memory_usage_bytes(self) -> int:
         return len(self._bits)
+
+    def copy(self) -> "BitmapPatches":
+        twin = copy.copy(self)
+        twin._bits = self._bits.copy()
+        return twin
 
     # -- maintenance -----------------------------------------------------------
 

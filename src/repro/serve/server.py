@@ -10,8 +10,9 @@ and writes the reply itself.  Statements are routed by
 :func:`~repro.sql.session.statement_kind`:
 
 - **reads** run on the connection's own thread, each against its own
-  pinned MVCC snapshot — a read never waits for a writer and never
-  observes a torn generation;
+  snapshot pin, on either engine — a read never observes half a write
+  or a torn generation, and waits at most for one write's in-memory
+  step (never for its fsync);
 - **writes and checkpoints** are serialized through the single writer
   thread fed by a queue; the connection's thread waits on a
   :class:`concurrent.futures.Future`.  The writer drains the queue in
@@ -19,9 +20,6 @@ and writes the reply itself.  Statements are routed by
   :meth:`~repro.storage.wal.WriteAheadLog.deferred_sync` scope — group
   commit: one fsync per batch instead of one per statement, which is
   where the throughput under concurrent write load comes from.
-
-On a memory-engine database (no snapshots) reads are serialized
-through the same writer queue, trading concurrency for correctness.
 
 A statement's result is encoded by the thread that ran it.
 Observability lands in the database's registry under the ``server.*``
@@ -68,7 +66,7 @@ MAX_WRITE_BATCH = 64
 #: part, so a big result is never assembled into one body.
 _SINGLE_WRITE_BYTES = 64 * 1024
 
-_SESSION_KNOBS = ("parallelism", "profile", "snapshot_reads")
+_SESSION_KNOBS = ("parallelism", "profile")
 
 #: How long the accept loop waits after an ``accept()`` that failed.
 _ACCEPT_RETRY_SECONDS = 0.05
@@ -105,7 +103,6 @@ class ReproServer:
         self.database = database
         self.host = host
         self.port = port
-        self._snapshot_reads = database.engine.supports_snapshots
         self._obs = database.obs
         #: One thread drains it: the total order of writes is the queue
         #: order.  ``None`` wakes the writer up to stop.
@@ -269,10 +266,10 @@ class ReproServer:
         """Execute one queue batch on the writer thread, in order.
 
         Consecutive ``write`` statements share one ``deferred_sync``
-        scope (group commit); checkpoints and serialized reads run
-        alone so a checkpoint's own sync/compact never nests inside a
-        deferred-sync batch.  A scope that fails on the way out fails
-        its statements, not the writer thread.
+        scope (group commit); checkpoints run alone so a checkpoint's
+        own sync/compact never nests inside a deferred-sync batch.  A
+        scope that fails on the way out fails its statements, not the
+        writer thread.
         """
         outcomes: list[tuple] = []
 
@@ -322,20 +319,11 @@ class ReproServer:
         )
         return future.result()
 
-    def _route(self, kind: str, on_snapshot: bool, run) -> object:
-        """The one statement router: a read of a pinned snapshot runs on
-        the calling connection's thread, everything else on the writer."""
-        if on_snapshot:
-            return run()
-        return self._enqueue(kind, run)
-
     # -- per-connection handling --------------------------------------------
 
     def _handle_client(self, connection: socket.socket) -> None:
         with self._lock:
-            session = self.database.session(
-                snapshot_reads=self._snapshot_reads, label=None
-            )
+            session = self.database.session(snapshot_reads=True, label=None)
         try:
             self._serve_connection(connection, session)
         except OSError:
@@ -408,7 +396,6 @@ class ReproServer:
                 "server": "repro",
                 "version": repro.__version__,
                 "engine": database.engine.describe(),
-                "snapshot_reads": self._snapshot_reads,
                 "wire_version": WIRE_VERSION,
             }
         if op == "ping":
@@ -429,21 +416,27 @@ class ReproServer:
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
     def _run_sql(self, request: dict, session: Session) -> list:
+        """A read runs on the connection's thread against its own pin;
+        a write or a checkpoint runs on the writer thread."""
         text = _required_text(request, "sql")
         kind = statement_kind(text)
-        on_snapshot = kind == "read" and session.snapshot_reads
         run = partial(
-            session._sql,
-            text,
-            on_snapshot,
-            parallelism=_optional_int(request, "parallelism"),
-            profile=_optional_bool(request, "profile"),
+            self._sql_frame,
+            partial(
+                session._sql,
+                text,
+                kind == "read",
+                parallelism=_optional_int(request, "parallelism"),
+                profile=_optional_bool(request, "profile"),
+            ),
         )
-        return self._route(kind, on_snapshot, partial(self._sql_frame, run))
+        if kind == "read":
+            return run()
+        return self._enqueue(kind, run)
 
     def _sql_frame(self, run) -> list:
         """Run a statement and encode its result, on the calling thread
-        (the connection's for a snapshot read, else the writer)."""
+        (the connection's for a read, else the writer)."""
         result = run()
         started = time.perf_counter()
         try:
@@ -461,13 +454,11 @@ class ReproServer:
         return frame
 
     def _run_explain(self, request: dict, session: Session) -> str:
-        run = partial(
-            session.explain,
+        return session.explain(
             _required_text(request, "explain"),
             parallelism=_optional_int(request, "parallelism"),
             analyze=_optional_bool(request, "analyze"),
         )
-        return self._route("read", session.snapshot_reads, run)
 
     def _run_set(self, request: dict, session: Session) -> dict:
         knob = request.get("knob")
@@ -480,14 +471,8 @@ class ReproServer:
         if knob == "parallelism":
             value = None if value is None else max(1, int(value))
             session.parallelism = value
-        elif knob == "profile":
+        else:
             session.profile = bool(value)
-        elif knob == "snapshot_reads":
-            # Re-gated by engine support, exactly like Session.__init__.
-            session.snapshot_reads = (
-                bool(value) and self.database.engine.supports_snapshots
-            )
-            value = session.snapshot_reads
         return {"ok": True, "knob": knob, "value": value}
 
 

@@ -88,12 +88,12 @@ class Session:
 
     A session carries sticky per-caller knobs — *parallelism*,
     *profile* — that per-statement keyword arguments still override,
-    plus *snapshot_reads*: when enabled (and the engine
-    supports it), every read statement pins an MVCC snapshot for its
-    duration, so concurrent writers and ``CHECKPOINT``\\ s never tear an
-    in-flight scan.  The network server opens one session per
-    connection with ``snapshot_reads=True``; local callers get the same
-    object from :meth:`Database.session`.
+    plus *snapshot_reads*: when enabled, every read statement runs
+    against its own :meth:`Database.snapshot` pin, on either engine, so
+    concurrent writers and ``CHECKPOINT``\\ s never tear an in-flight
+    scan.  The network server opens one session per connection with
+    ``snapshot_reads=True``; local callers get the same object from
+    :meth:`Database.session`.
 
     Sessions are cheap: they hold no storage state beyond the knobs,
     and closing one only flips bookkeeping (the database stays open).
@@ -112,12 +112,7 @@ class Session:
         self.database = database
         self.parallelism = parallelism
         self.profile = profile
-        #: Snapshot reads need an engine that can pin one; on a memory
-        #: engine the flag quietly degrades to plain (still correct,
-        #: because single-threaded) reads rather than failing.
-        self.snapshot_reads = (
-            snapshot_reads and database.engine.supports_snapshots
-        )
+        self.snapshot_reads = snapshot_reads
         self.label = label
         #: Statements executed through this session (all kinds).
         self.statements = 0

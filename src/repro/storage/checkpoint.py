@@ -3,12 +3,12 @@
 A checkpoint at WAL LSN *n* writes a fresh *generation* directory
 ``segments/g<n>/`` — every column of every partition as an immutable
 segment file, plus ``patches.json``, the materialized patch sets of
-every PatchIndex — entirely outside the snapshot lock: nothing can see
-the directory until the manifest flips to it
-(:meth:`repro.storage.snapshot.SnapshotRegistry.flip`).  The functions
-here are the writers; :mod:`repro.storage.materialize` is the reader of
-everything they produce.  :func:`superseded_generations` picks what the
-flip may delete afterwards.
+every PatchIndex — from a snapshot copy of the catalog pinned at *n*,
+outside every lock: nothing can see the directory until the manifest
+flips to it (:meth:`repro.storage.snapshot.SnapshotRegistry.flip`).
+The functions here are the writers; :mod:`repro.storage.materialize` is
+the reader of everything they produce.  :func:`superseded_generations`
+picks what the flip may delete afterwards.
 """
 
 from __future__ import annotations

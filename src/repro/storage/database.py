@@ -166,10 +166,10 @@ class Database:
 
         The session carries sticky knobs every statement issued through
         it inherits (*parallelism*, *profile*), and
-        ``snapshot_reads=True`` gives each read statement its own MVCC
-        snapshot pin (durable engines only; silently plain reads
-        otherwise).  *label* tags the session's ``session.<label>.*``
-        metrics.  Sessions are context managers::
+        ``snapshot_reads=True`` runs each read statement against its own
+        :meth:`snapshot` pin, on either engine.  *label* tags the
+        session's ``session.<label>.*`` metrics.  Sessions are context
+        managers::
 
             with db.session(parallelism=4) as session:
                 session.sql("SELECT ...")
@@ -205,23 +205,18 @@ class Database:
         self.obs.gauge("session.active").set(self._open_sessions)
 
     def snapshot(self) -> "SnapshotView":
-        """Pin an MVCC snapshot and return a read-only view over it.
+        """Pin a snapshot and return a read-only view over it.
 
         The view exposes ``sql`` / ``explain`` for ``SELECT`` statements
-        against exactly the table state at pin time; close it (or use it
-        as a context manager) to release the pin so deferred segment GC
-        can run.  Requires a durable database — snapshots are
-        reconstructed from immutable segments plus the WAL.
+        against exactly the tables and PatchIndexes at pin time — a copy
+        of the live catalog taken under its state lock, shared by every
+        pin until the next mutation (:mod:`repro.storage.snapshot`).  Close
+        the view (or use it as a context manager) to release the pin so
+        deferred segment GC can run.  Works on every engine.
         """
         from repro.storage.snapshot import SnapshotView
 
-        handle = self.engine.pin_snapshot(self)
-        if handle is None:
-            raise StorageError(
-                f"snapshot reads require a durable database; the "
-                f"{self.engine.name!r} engine cannot pin one"
-            )
-        return SnapshotView(self, handle)
+        return SnapshotView(self, self.engine.pin_snapshot(self))
 
     def _on_table_event(self, event: str, payload: dict) -> None:
         """Always-on maintenance counters, plus engine data logging."""
@@ -329,16 +324,17 @@ class Database:
         """Create an empty table and log the DDL."""
         kwargs = {} if block_size is None else {"block_size": block_size}
         table = Table(name, schema, partition_count, **kwargs)
-        self._install_table(table)
-        self.wal.append(
-            "create_table",
-            {
-                "name": name,
-                "schema": schema_to_payload(schema),
-                "partition_count": partition_count,
-                "block_size": table.block_size,
-            },
-        )
+        with self.catalog.state_lock:
+            self._install_table(table)
+            self.wal.append(
+                "create_table",
+                {
+                    "name": name,
+                    "schema": schema_to_payload(schema),
+                    "partition_count": partition_count,
+                    "block_size": table.block_size,
+                },
+            )
         return table
 
     def create_table_from_pydict(
@@ -358,8 +354,9 @@ class Database:
         return table
 
     def drop_table(self, name: str) -> None:
-        self.catalog.drop_table(name)
-        self.wal.append("drop_table", {"name": name})
+        with self.catalog.state_lock:
+            self.catalog.drop_table(name)
+            self.wal.append("drop_table", {"name": name})
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
@@ -392,33 +389,33 @@ class Database:
         """
         from repro.core.patch_index import PatchIndex, PatchIndexMode
 
-        table = self.catalog.table(table_name)
-        index = PatchIndex.create(
-            index_name,
-            table,
-            column_name,
-            kind=kind,
-            mode=PatchIndexMode(mode),
-            threshold=threshold,
-            scope=scope,
-            ascending=ascending,
-            strict=strict,
-        )
-        self._adopt_index(index)
-        self.wal.append(
-            "create_index",
-            {
-                "name": index_name,
-                "table": table_name,
-                "column": column_name,
-                "kind": kind,
-                "mode": mode,
-                "threshold": threshold,
-                "scope": scope,
-                "ascending": ascending,
-                "strict": strict,
-            },
-        )
+        with self.catalog.state_lock:
+            index = PatchIndex.create(
+                index_name,
+                self.catalog.table(table_name),
+                column_name,
+                kind=kind,
+                mode=PatchIndexMode(mode),
+                threshold=threshold,
+                scope=scope,
+                ascending=ascending,
+                strict=strict,
+            )
+            self._adopt_index(index)
+            self.wal.append(
+                "create_index",
+                {
+                    "name": index_name,
+                    "table": table_name,
+                    "column": column_name,
+                    "kind": kind,
+                    "mode": mode,
+                    "threshold": threshold,
+                    "scope": scope,
+                    "ascending": ascending,
+                    "strict": strict,
+                },
+            )
         return index
 
     def _adopt_index(self, index: "PatchIndex") -> None:
@@ -432,8 +429,9 @@ class Database:
         index.publish_discovery(self.obs)
 
     def drop_patch_index(self, name: str) -> None:
-        self.catalog.drop_index(name)
-        self.wal.append("drop_index", {"name": name})
+        with self.catalog.state_lock:
+            self.catalog.drop_index(name)
+            self.wal.append("drop_index", {"name": name})
 
     # -- durability ---------------------------------------------------------
 

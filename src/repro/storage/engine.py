@@ -15,13 +15,17 @@ manages a *data directory* (layout: :mod:`repro.storage.manifest`) and
 is the lifecycle around three modules that do the work:
 
 - :mod:`repro.storage.checkpoint` writes a generation: every partition
-  column as a segment file plus the PatchIndexes' patch sets;
+  column as a segment file plus the PatchIndexes' patch sets, from a
+  snapshot copy of the catalog;
 - :mod:`repro.storage.materialize` reads one back: tables from segments
   plus the WAL tail, PatchIndexes restored from the persisted patch
-  sets or rebuilt from data (paper §V) — the one reconstruction behind
-  recovery, snapshot builds and snapshot advances;
-- :mod:`repro.storage.snapshot` pins ``(generation, LSN)`` states for
-  MVCC readers and serializes them with the checkpoint flip.
+  sets or rebuilt from data (paper §V) — recovery, and nothing else;
+- :mod:`repro.storage.snapshot` pins copies of the live catalog for
+  readers and serializes them with the checkpoint flip.
+
+Snapshots work on both engines: a pin copies in-memory state, it reads
+no file.  The durable engine adds what a copy of lazy, segment-backed
+columns needs: the generation it reads stays on disk while pinned.
 
 The seam leaves query execution untouched: segment-backed columns sit
 inside the same :class:`~repro.storage.partition.Partition` objects, so
@@ -129,20 +133,22 @@ class StorageEngine:
     name = "memory"
     #: True when table mutations are logged as WAL data records.
     logs_data = False
-    #: True when the engine can pin MVCC snapshots (durable only: a
-    #: snapshot is materialized from immutable segments + the WAL).
-    supports_snapshots = False
+    #: Built by :meth:`open_wal` (by :meth:`DurableEngine.recover`, which
+    #: knows the manifest to start from).
+    _snapshots: SnapshotRegistry
 
     def cache_stats(self) -> dict | None:
         """Block-cache snapshot, or None when the engine has no cache."""
         return None
 
-    def pin_snapshot(self, database: "Database") -> SnapshotHandle | None:
-        """Pin the current (generation, WAL LSN) state; None = unsupported."""
-        return None
+    def pin_snapshot(self, database: "Database") -> SnapshotHandle:
+        """Pin a copy of *database*'s catalog as it is now."""
+        return self._snapshots.pin(database.catalog, database.wal)
 
     def release_snapshot(self, handle: SnapshotHandle) -> None:
-        """Drop one pin; deferred generation GC may run (no-op here)."""
+        """Drop one pin; deferred generation GC may run."""
+        for stale in self._snapshots.release(handle):
+            shutil.rmtree(stale, ignore_errors=True)
 
     def encoded_ratios(self) -> dict[str, float]:
         """Per-table encoded/raw payload byte ratio (empty without one)."""
@@ -151,6 +157,9 @@ class StorageEngine:
     def open_wal(
         self, database: "Database", wal_path: str | os.PathLike | None
     ) -> WriteAheadLog:
+        self._snapshots = SnapshotRegistry(
+            None, None, cache=None, metrics=database.obs
+        )
         return WriteAheadLog(wal_path, metrics=database.obs)
 
     def recover(self, database: "Database") -> None:
@@ -191,7 +200,6 @@ class DurableEngine(StorageEngine):
 
     name = "durable"
     logs_data = True
-    supports_snapshots = True
 
     def __init__(
         self,
@@ -217,8 +225,6 @@ class DurableEngine(StorageEngine):
         #: Per-table encoded/raw byte ratio, refreshed at checkpoint and
         #: recovery.
         self._encoded_ratios: dict[str, float] = {}
-        #: Built by :meth:`recover`, which knows the manifest to start from.
-        self._snapshots: SnapshotRegistry | None = None
 
     def cache_stats(self) -> dict | None:
         if self._cache is None:
@@ -286,32 +292,46 @@ class DurableEngine(StorageEngine):
     # -- checkpoint -------------------------------------------------------
 
     def checkpoint(self, database: "Database") -> dict:
-        """Flush a generation, flip the manifest to it, drop the old ones."""
-        lsn = database.wal.last_lsn
+        """Flush a generation, flip the manifest to it, drop the old ones.
+
+        Under the state lock: decode every still-lazy live column (live
+        then reads no file of the generation this one supersedes) and
+        pin a copy.  Outside it: write the segments and patch sets from
+        the copy, flip, release.  No fsync runs under the state lock.
+        """
+        with database.catalog.state_lock:
+            for table in database.catalog.tables():
+                for partition in table.partitions:
+                    partition.materialize()
+            handle = self._snapshots.pin(database.catalog, database.wal)
+        catalog, lsn = handle.catalog, handle.wal_lsn
         obs = database.obs
         tables: dict[str, TableManifest] = {}
         table_details: dict[str, dict] = {}
         segments = 0
-        for table in database.catalog.tables():
-            patch_rowids = (
-                nsc_patch_rowids(database.catalog, table)
-                if self.encoding == "auto"
-                else {}
+        try:
+            for table in catalog.tables():
+                patch_rowids = (
+                    nsc_patch_rowids(catalog, table) if self.encoding == "auto" else {}
+                )
+                name = table.name
+                tables[name], detail = flush_table(
+                    self.root, lsn, table, patch_rowids, self.encoding, sync=self.sync
+                )
+                table_details[name] = detail
+                self._encoded_ratios[name] = detail["encoded_ratio"]
+                written = table.partition_count * len(table.schema)
+                segments += written
+                obs.gauge(f"storage.{name}.segments").set(written)
+                obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
+                obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
+            patches = write_patch_sets(self.root, lsn, catalog, sync=self.sync)
+            manifest = Manifest(checkpoint_lsn=lsn, tables=tables, patches=patches)
+            pruned, doomed = self._snapshots.flip(
+                manifest, database.wal, sync=self.sync
             )
-            name = table.name
-            tables[name], detail = flush_table(
-                self.root, lsn, table, patch_rowids, self.encoding, sync=self.sync
-            )
-            table_details[name] = detail
-            self._encoded_ratios[name] = detail["encoded_ratio"]
-            written = table.partition_count * len(table.schema)
-            segments += written
-            obs.gauge(f"storage.{name}.segments").set(written)
-            obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
-            obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
-        patches = write_patch_sets(self.root, lsn, database.catalog, sync=self.sync)
-        manifest = Manifest(checkpoint_lsn=lsn, tables=tables, patches=patches)
-        pruned, doomed = self._snapshots.flip(manifest, database.wal, sync=self.sync)
+        finally:
+            self.release_snapshot(handle)
         for stale in doomed:
             shutil.rmtree(stale, ignore_errors=True)
         obs.gauge("storage.checkpoint_lsn").set(lsn)
@@ -380,12 +400,3 @@ class DurableEngine(StorageEngine):
         obs.counter("recovery.index_fallbacks").inc(sum(built.fallbacks.values()))
         for reason, count in built.fallbacks.items():
             obs.counter(f"recovery.index_fallbacks.{reason}").inc(count)
-
-    # -- snapshots ---------------------------------------------------------
-
-    def pin_snapshot(self, database: "Database") -> SnapshotHandle:
-        return self._snapshots.pin(database.wal)
-
-    def release_snapshot(self, handle: SnapshotHandle) -> None:
-        for stale in self._snapshots.release(handle):
-            shutil.rmtree(stale, ignore_errors=True)

@@ -1,17 +1,13 @@
-"""One reconstruction of durable state: tables first, then PatchIndexes.
+"""Recovery: tables first, then PatchIndexes.
 
-"Load a generation, replay the WAL up to LSN *x*, end with tables and their
-PatchIndexes" is what recovery, a snapshot build and a snapshot advance all
-need.  It is written once, as two functions, and each of those three is a
-thin caller::
+"Load a generation, replay the WAL, end with tables and their PatchIndexes"
+is what a reopen needs, and only a reopen: a snapshot copies the live
+catalog (:mod:`repro.storage.snapshot`) and reads no log.  It is written
+once, as two functions, with two thin callers::
 
-                     materialize_tables          materialize_indexes
-    recover()        manifest + whole log        yes  (provenance "recovery")
-    snapshot build   manifest + log <= pin       lazily, on first catalog use
-    snapshot advance base=handle.tables + span   no   (restored indexes apply the
-                                                       span's patch_delta records —
-                                                       :func:`delta_tails` — rebuilt
-                                                       ones follow as listeners)
+                         materialize_tables      materialize_indexes
+    DurableEngine.recover  manifest + whole log  restore or rebuild
+    Database.recover       whole metadata log    rebuild (no generation)
 
 :func:`materialize_indexes` holds the one restore-vs-rebuild rule.  An index
 whose ``create_index`` record the generation's checkpoint covers is *restored*:
@@ -287,9 +283,8 @@ def delta_tails(
 ) -> dict[str, tuple[list[PatchDelta], str | None]]:
     """Per index, the deltas it needs to follow *records*, or why it cannot.
 
-    The one rule for replaying a stretch of log onto patch sets, shared by a
-    restore (the tail beyond the checkpoint) and a snapshot advance (the span
-    between two pins), in one pass for all *indexes* — ``(index, table,
+    The rule for replaying the tail beyond the checkpoint onto restored
+    patch sets, in one pass for all *indexes* — ``(index, table,
     column)`` names: every ``patch_delta`` of an index parses and passes its
     checksum, none is a rebuild marker, and every data record that must have
     produced a delta — each append / load / delete of the table, each update
@@ -418,9 +413,8 @@ def materialize_indexes(
     that generation's persisted patch sets plus its ``patch_delta`` tail; a
     refused restore, or an index created after the checkpoint, is rebuilt
     from data.  The indexes come back attached to their tables as listeners,
-    in creation order; registering them in a catalog, wiring a ``delta_sink``
-    (the writer) or detaching the restored ones to feed them logged deltas
-    instead (a snapshot) is the caller's business.
+    in creation order; registering them in a catalog and wiring a
+    ``delta_sink`` is the caller's business.
     """
     persisted = read_patch_sets(root, generation_lsn)
     creates: list[WalRecord] = []

@@ -13,6 +13,7 @@ exceptional path.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -120,11 +121,23 @@ class Partition:
             if name not in self._columns
         ]
 
-    def _materialize_all(self) -> None:
-        """Resolve every lazy source before a mutation rewrites rows."""
+    def materialize(self) -> None:
+        """Resolve every lazy source and drop it: before a mutation
+        rewrites rows, and at a checkpoint, whose new generation
+        supersedes the files the sources read."""
         for name in list(self._sources):
             self.column(name)
         self._sources.clear()
+
+    def copy(self) -> "Partition":
+        """A partition over the same column vectors and segment sources
+        with dicts of its own: mutations replace vectors and clear the
+        dicts in place, so neither side sees the other's later changes."""
+        twin = copy.copy(self)
+        twin._columns = dict(self._columns)
+        twin._sources = dict(self._sources)
+        twin._block_stats = dict(self._block_stats)
+        return twin
 
     @property
     def rowid_range(self) -> tuple[int, int]:
@@ -190,7 +203,7 @@ class Partition:
 
     def append(self, columns: Mapping[str, ColumnVector]) -> None:
         """Append rows; invalidates cached block statistics."""
-        self._materialize_all()
+        self.materialize()
         appended: dict[str, ColumnVector] = {}
         row_count: int | None = None
         for field in self.schema:
@@ -222,7 +235,7 @@ class Partition:
         """
         if len(keep_mask) != self.row_count:
             raise StorageError("keep_mask length mismatch")
-        self._materialize_all()
+        self.materialize()
         for name in list(self._columns):
             self._columns[name] = self._columns[name].filter(keep_mask)
         self.row_count = int(keep_mask.sum())

@@ -11,10 +11,17 @@ Mutations (append / delete) renumber rowids densely and notify
 registered listeners so PatchIndexes can maintain their patch sets
 incrementally (paper §VIII outlook, implemented in
 :mod:`repro.core.maintenance`).
+
+Each mutation and its listeners run under :attr:`Table.state_lock` —
+the owning catalog's state lock once the table is in one — and never
+write a column array another table may share: :meth:`Table.copy`, the
+snapshot's copy, shares every column vector with the live table.
 """
 
 from __future__ import annotations
 
+import copy
+from contextlib import nullcontext
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,7 +71,11 @@ class Table:
             for partition_id in range(partition_count)
         ]
         self._listeners: list[TableListener] = []
-        self._next_insert_partition = 0
+        #: Held by every mutation together with its listeners.
+        #: :meth:`repro.storage.catalog.Catalog.add_table` installs the
+        #: catalog's lock; a table in no catalog is seen by no snapshot
+        #: pin, so it has nothing to exclude.
+        self.state_lock = nullcontext()
         #: Advanced by every mutation and every PatchIndex maintenance
         #: event (:meth:`touch`); a plan optimized against an older
         #: value may rest on row counts, patch counts or sortedness that
@@ -94,6 +105,14 @@ class Table:
     def touch(self) -> None:
         """Advance :attr:`data_version`."""
         self.data_version += 1
+
+    def copy(self) -> "Table":
+        """This table as of now: new partitions over the same column
+        vectors and segment sources, and no listeners."""
+        twin = copy.copy(self)
+        twin.partitions = [partition.copy() for partition in self.partitions]
+        twin._listeners = []
+        return twin
 
     def _notify(self, event: str, payload: dict) -> None:
         try:
@@ -149,43 +168,44 @@ class Table:
             return
 
         count = self.partition_count
-        if partition_by_round_robin_blocks:
-            assignments = (
-                np.arange(total) // self.block_size % count
-            ).astype(np.int64)
-            slices = [np.flatnonzero(assignments == k) for k in range(count)]
-            for partition, indices in zip(self.partitions, slices):
-                if len(indices) == 0:
-                    continue
-                partition.append(
-                    {
-                        name: column.take(indices)
-                        for name, column in columns.items()
-                    }
-                )
-        else:
-            bounds = np.linspace(0, total, count + 1).astype(np.int64)
-            for partition, start, stop in zip(
-                self.partitions, bounds[:-1], bounds[1:]
-            ):
-                if start == stop:
-                    continue
-                partition.append(
-                    {
-                        name: column.slice(int(start), int(stop))
-                        for name, column in columns.items()
-                    }
-                )
-        self._renumber()
-        self._notify(
-            "load",
-            {
-                "table": self.name,
-                "columns": dict(columns),
-                "row_count": total,
-                "round_robin": partition_by_round_robin_blocks,
-            },
-        )
+        with self.state_lock:
+            if partition_by_round_robin_blocks:
+                assignments = (
+                    np.arange(total) // self.block_size % count
+                ).astype(np.int64)
+                slices = [np.flatnonzero(assignments == k) for k in range(count)]
+                for partition, indices in zip(self.partitions, slices):
+                    if len(indices) == 0:
+                        continue
+                    partition.append(
+                        {
+                            name: column.take(indices)
+                            for name, column in columns.items()
+                        }
+                    )
+            else:
+                bounds = np.linspace(0, total, count + 1).astype(np.int64)
+                for partition, start, stop in zip(
+                    self.partitions, bounds[:-1], bounds[1:]
+                ):
+                    if start == stop:
+                        continue
+                    partition.append(
+                        {
+                            name: column.slice(int(start), int(stop))
+                            for name, column in columns.items()
+                        }
+                    )
+            self._renumber()
+            self._notify(
+                "load",
+                {
+                    "table": self.name,
+                    "columns": dict(columns),
+                    "row_count": total,
+                    "round_robin": partition_by_round_robin_blocks,
+                },
+            )
 
     @classmethod
     def from_pydict(
@@ -230,21 +250,22 @@ class Table:
             )
             for position, field in enumerate(self.schema)
         }
-        target = self.partitions[-1]
-        start_rowid = target.base_rowid + target.row_count
-        target.append(columns)
-        # Appending to the last partition keeps all earlier base rowids
-        # valid; no renumbering required.
-        self._notify(
-            "append",
-            {
-                "table": self.name,
-                "partition_id": target.partition_id,
-                "start_rowid": start_rowid,
-                "columns": columns,
-                "row_count": len(materialized),
-            },
-        )
+        with self.state_lock:
+            target = self.partitions[-1]
+            start_rowid = target.base_rowid + target.row_count
+            target.append(columns)
+            # Appending to the last partition keeps all earlier base rowids
+            # valid; no renumbering required.
+            self._notify(
+                "append",
+                {
+                    "table": self.name,
+                    "partition_id": target.partition_id,
+                    "start_rowid": start_rowid,
+                    "columns": columns,
+                    "row_count": len(materialized),
+                },
+            )
         return len(materialized)
 
     def delete_rowids(self, rowids: Iterable[int]) -> int:
@@ -257,81 +278,81 @@ class Table:
         doomed = np.unique(np.fromiter(rowids, dtype=np.int64))
         if len(doomed) == 0:
             return 0
-        total = self.row_count
-        if len(doomed) and (doomed[0] < 0 or doomed[-1] >= total):
-            raise StorageError("delete rowid out of range")
         removed = 0
         per_partition: list[tuple[int, np.ndarray]] = []
-        for partition in self.partitions:
-            start, stop = partition.rowid_range
-            local = doomed[(doomed >= start) & (doomed < stop)] - start
-            per_partition.append((partition.partition_id, local))
-            if len(local) == 0:
-                continue
-            keep = np.ones(partition.row_count, dtype=np.bool_)
-            keep[local] = False
-            partition.replace_rows(keep)
-            removed += len(local)
-        self._renumber()
-        self._notify(
-            "delete",
-            {
-                "table": self.name,
-                "rowids": doomed,
-                "per_partition": per_partition,
-            },
-        )
+        with self.state_lock:
+            if doomed[0] < 0 or doomed[-1] >= self.row_count:
+                raise StorageError("delete rowid out of range")
+            for partition in self.partitions:
+                start, stop = partition.rowid_range
+                local = doomed[(doomed >= start) & (doomed < stop)] - start
+                per_partition.append((partition.partition_id, local))
+                if len(local) == 0:
+                    continue
+                keep = np.ones(partition.row_count, dtype=np.bool_)
+                keep[local] = False
+                partition.replace_rows(keep)
+                removed += len(local)
+            self._renumber()
+            self._notify(
+                "delete",
+                {
+                    "table": self.name,
+                    "rowids": doomed,
+                    "per_partition": per_partition,
+                },
+            )
         return removed
 
     def update_rowid(self, rowid: int, column: str, value: object) -> None:
         """Point-update a single cell (exceptional path in a column store).
 
-        Implemented as an in-place write to the owning partition's value
-        array; listeners receive an ``update`` event so PatchIndexes can
-        add the row to their patch set conservatively.
+        Copy-on-write: the owning partition gets a new column vector with
+        the cell changed, so a snapshot sharing the old one keeps it.
+        Listeners receive an ``update`` event so PatchIndexes can
+        re-classify the row.
         """
-        partition = self.partition_of_rowid(rowid)
-        local = rowid - partition.base_rowid
-        vector = partition.column(column)
-        field = self.schema.field(column)
         from repro.types.datatypes import coerce_scalar, numpy_dtype
 
-        old_value = vector[local]
-        coerced = coerce_scalar(value, field.dtype)
-        values = vector.values
-        if not values.flags.writeable:
-            values = values.copy()
-        validity = vector.validity
-        if coerced is None:
-            if validity is None:
-                validity = np.ones(len(vector), dtype=np.bool_)
+        with self.state_lock:
+            partition = self.partition_of_rowid(rowid)
+            local = rowid - partition.base_rowid
+            vector = partition.column(column)
+            field = self.schema.field(column)
+            old_value = vector[local]
+            coerced = coerce_scalar(value, field.dtype)
+            values = vector.values.copy()
+            validity = vector.validity
+            if coerced is None:
+                if validity is None:
+                    validity = np.ones(len(vector), dtype=np.bool_)
+                else:
+                    validity = validity.copy()
+                validity[local] = False
             else:
-                validity = validity.copy()
-            validity[local] = False
-        else:
-            if validity is not None:
-                validity = validity.copy()
-                validity[local] = True
-            if values.dtype == np.dtype(object):
-                # np.asarray would wrap the string in a 0-d object array.
-                values[local] = coerced
-            else:
-                values[local] = np.asarray(
-                    coerced, dtype=numpy_dtype(field.dtype)
-                )
-        partition._columns[column] = ColumnVector(field.dtype, values, validity)
-        partition._block_stats.clear()
-        self._notify(
-            "update",
-            {
-                "table": self.name,
-                "rowid": rowid,
-                "partition_id": partition.partition_id,
-                "column": column,
-                "value": value,
-                "old_value": old_value,
-            },
-        )
+                if validity is not None:
+                    validity = validity.copy()
+                    validity[local] = True
+                if values.dtype == np.dtype(object):
+                    # np.asarray would wrap the string in a 0-d object array.
+                    values[local] = coerced
+                else:
+                    values[local] = np.asarray(
+                        coerced, dtype=numpy_dtype(field.dtype)
+                    )
+            partition._columns[column] = ColumnVector(field.dtype, values, validity)
+            partition._block_stats.clear()
+            self._notify(
+                "update",
+                {
+                    "table": self.name,
+                    "rowid": rowid,
+                    "partition_id": partition.partition_id,
+                    "column": column,
+                    "value": value,
+                    "old_value": old_value,
+                },
+            )
 
     # -- whole-column access -------------------------------------------------
 

@@ -131,6 +131,35 @@ class TestL11LockOrder:
         )
         assert "L11" in rules_of(findings)
 
+    def test_state_lock_under_the_snapshot_lock_inverts_the_pin(self, tmp_path):
+        """A pin takes the catalog's state lock, then the registry's
+        (``storage.engine.snapshot``).  Seeded into copies of the real
+        modules, the reverse order is a cycle; the copies alone are clean."""
+        storage = REPO / "src" / "repro" / "storage"
+        paths = []
+        for name in ("catalog.py", "snapshot.py"):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(
+                (storage / name).read_text(encoding="utf-8"), encoding="utf-8"
+            )
+        assert lockgraph.analyze(paths) == []
+        with open(paths[-1], "a", encoding="utf-8") as module:
+            module.write(
+                textwrap.dedent(
+                    """
+
+                    def seeded(registry: SnapshotRegistry, catalog: Catalog):
+                        with registry._lock:
+                            with catalog.state_lock:
+                                pass
+                    """
+                )
+            )
+        findings = lockgraph.analyze(paths)
+        assert findings and set(rules_of(findings)) == {"L11"}
+        for finding in findings:
+            assert "Catalog.state_lock -> SnapshotRegistry._lock" in finding.message
+
     def test_consistent_order_is_fine(self, tmp_path):
         findings = analyze_source(
             tmp_path,

@@ -27,10 +27,10 @@ insert / delete / update / multi-partition ``load`` histories with NULLs
 and in-batch duplicates, an update as the very first mutation, an insert
 right after a reopen — for NUC and NSC (global and partition scope,
 strict, descending, both physical designs) over an INT64 and a string
-column.  After **every** step the patch sets of memory, durable, a
-snapshot *advanced* from the previous step, a snapshot *cold-built* at
-the same LSN and a reopened copy of the directory must be equal rowid
-for rowid, valid, and answer like the rebuild-from-scratch oracle.
+column.  After **every** step the table and the patch sets of memory,
+durable, a snapshot of each and a reopened copy of the directory must be
+equal rowid for rowid, valid, and answer like the rebuild-from-scratch
+oracle.
 """
 
 import json
@@ -362,6 +362,10 @@ def mutate(db, step, dtype):
         db.checkpoint()
 
 
+def rows_and_patches(catalog):
+    return catalog.table("t").read_column("c").to_pylist(), patch_sets(catalog)
+
+
 def patch_sets(catalog):
     index = catalog.index("pi")
     return [
@@ -413,9 +417,6 @@ class TestEveryDoorAfterEveryStep:
         durable = repro.connect(root, parallelism=1, sync=False)
         for db in (memory, durable):
             fuzz_setup(db, initial, spec, dtype)
-        with durable.snapshot():
-            pass  # leave a cached handle for the first step to advance
-        advances = 0
         for position, step in enumerate(history):
             where = f"step {position} {step!r}"
             if step[0] == "reopen":
@@ -436,106 +437,26 @@ class TestEveryDoorAfterEveryStep:
                         before, before_patches, step[1]
                     ), where
 
-            # memory == durable == advanced == cold == reopened, rowid for rowid
-            live = patch_sets(memory.catalog)
+            # memory == durable == either's snapshot == reopened, rowid for rowid
+            live = rows_and_patches(memory.catalog)
             expected = oracle_of(memory, spec, dtype)
             assert_valid(memory.catalog.index("pi"))
-            assert patch_sets(durable.catalog) == live, where
+            assert rows_and_patches(durable.catalog) == live, where
             assert observable_state(memory) == expected, where
             assert observable_state(durable) == expected, where
-            counters = durable.obs.export()["counters"]
-            with durable.snapshot() as view:
-                moved = durable.obs.export()["counters"]
-                assert patch_sets(view.catalog) == live, where
-                assert_valid(view.catalog.index("pi"))
-                assert observable_state(view) == expected, where
-            advances += moved.get("storage.snapshot.advances", 0) - counters.get(
-                "storage.snapshot.advances", 0
-            )
+            for db in (memory, durable):
+                with db.snapshot() as view:
+                    assert rows_and_patches(view.catalog) == live, where
+                    assert_valid(view.catalog.index("pi"))
+                    assert observable_state(view) == expected, where
             copy = tmp_path / "copy"
             shutil.copytree(root, copy)
             reopened = repro.connect(copy, parallelism=1, sync=False)
-            assert patch_sets(reopened.catalog) == live, where
+            assert rows_and_patches(reopened.catalog) == live, where
             assert observable_state(reopened) == expected, where
-            with reopened.snapshot() as view:  # a cold build, by construction
-                assert patch_sets(view.catalog) == live, where
-                assert_valid(view.catalog.index("pi"))
-                assert observable_state(view) == expected, where
             reopened.close()
             shutil.rmtree(copy)
-        refused = [
-            name
-            for name in durable.obs.export()["counters"]
-            if name.startswith("storage.snapshot.advance_refused")
-        ]
-        assert advances >= 4 and not refused
         durable.close()
-
-
-class TestSnapshotIndexRebuiltFromDataThenAdvanced:
-    """Live's ops presuppose live's patch sets.  Here live carries a drifted
-    patch (the one remaining 7) that a snapshot's re-discovery keeps: the
-    advance must classify the next 7 itself — replaying live's ``extend``
-    would leave two kept-and-patched 7s, NUC2 violated."""
-
-    def drifted(self, root, *, index_before_checkpoint):
-        db = repro.connect(root, parallelism=1, sync=False)
-        db.sql("CREATE TABLE t (c BIGINT)")
-        db.sql("INSERT INTO t VALUES (1), (7), (3), (9)")
-        if index_before_checkpoint:
-            db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
-        db.checkpoint()
-        if not index_before_checkpoint:
-            db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
-        db.sql("INSERT INTO t VALUES (7)")  # both 7s become patches
-        db.table("t").delete_rowids([1])  # the surviving 7 stays one: drift
-        assert db.catalog.index("pi").patch_count == 1
-        return db
-
-    def advance_past_a_colliding_insert(self, db, reason):
-        with db.snapshot() as view:
-            handle = view.handle
-            index = view.catalog.index("pi")
-            assert index.patch_count == 0  # re-discovered, minimal
-            assert handle.delta_fed == []
-            assert index._listener in index.table._listeners
-        counters = db.obs.export()["counters"]
-        assert counters["storage.snapshot.index_fallbacks"] == (reason is not None)
-        db.sql("INSERT INTO t VALUES (7), (11)")
-        db.table("t").update_rowid(0, "c", 9)
-        with db.snapshot() as view:
-            assert view.handle is handle  # advanced in place
-            assert db.obs.export()["counters"]["storage.snapshot.advances"] == 1
-            assert_valid(view.catalog.index("pi"))
-            assert view.catalog.index("pi").patch_count == 4  # 7, 7, 9, 9
-            assert observable_state(view) == observable_state(db)
-        assert_valid(db.catalog.index("pi"))
-        db.close()
-
-    def test_index_younger_than_the_checkpoint(self, tmp_path):
-        db = self.drifted(tmp_path / "data", index_before_checkpoint=False)
-        self.advance_past_a_colliding_insert(db, None)
-
-    def test_corrupted_patches_file(self, tmp_path):
-        root = tmp_path / "data"
-        db = self.drifted(root, index_before_checkpoint=True)
-        path = patches_path(root, read_manifest(root).checkpoint_lsn)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        raw["indexes"]["pi"]["partitions"][0]["rowids"] = [0]  # old checksum
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        self.advance_past_a_colliding_insert(db, "checksum")
-
-
-def test_a_restored_snapshot_index_is_fed_deltas_not_table_events(tmp_path):
-    db = repro.connect(tmp_path / "data", parallelism=1, sync=False)
-    setup(db, "unique", 7)
-    db.checkpoint()
-    with db.snapshot() as view:
-        index = view.catalog.index("pi")
-        assert view.handle.delta_fed == [index]
-        assert index._listener not in index.table._listeners
-        assert index.delta_sink is None
-    db.close()
 
 
 def test_patches_file_written_before_invalidations_was_retired(tmp_path):

@@ -1,14 +1,19 @@
 """Three doors, one state.
 
-``storage/materialize.py`` is the single reconstruction behind recovery,
-a cold snapshot build and a snapshot advance.  One scripted history is
-stopped after every step; at each stop all three doors must yield tables
-equal rowid-for-rowid (values and validity) to the live database and
-patch sets equal to the live ones — and to a from-scratch
-``PatchIndex.create`` over the live tables, which the history is
-scripted to keep minimal (no maintenance drift), so a restore, an
-incremental advance and a rebuild-from-data fallback all have to land on
-the same rowids.
+One scripted history is stopped after every step; at each stop three
+doors must yield tables equal rowid-for-rowid (values and validity) to
+the live database and patch sets equal to the live ones — and to a
+from-scratch ``PatchIndex.create`` over the live tables, which the
+history is scripted to keep minimal (no maintenance drift), so a
+restore, a rebuild-from-data fallback and a snapshot copy all have to
+land on the same rowids:
+
+- ``reopen``: a copy of the directory, reopened — recovery, the one
+  reconstruction ``storage/materialize.py`` performs;
+- ``cold``: that reopened copy's first snapshot, a copy of tables whose
+  columns are still lazy over the recovered generation's segments;
+- ``advanced``: the live database's own snapshot, pinned at the stop
+  and read only after the database advanced one more step past it.
 """
 
 from __future__ import annotations
@@ -148,20 +153,20 @@ def corrupt_patches_file(db):
 
 STASH: dict[str, str] = {}
 
-#: (step, how a snapshot pinned at the stop before gets to this one).
+#: (step, whether the pin after it copies or shares the previous stop's copy).
 HISTORY = [
     (load, "builds"),
-    (create_indexes, "builds"),  # DDL in the span
+    (create_indexes, "builds"),
     (checkpoint, "builds"),  # generation flipped
-    (insert, "advances"),
-    (delete, "advances"),
-    (update_indexed, "advances"),
-    (update_unindexed, "advances"),
+    (insert, "builds"),
+    (delete, "builds"),
+    (update_indexed, "builds"),
+    (update_unindexed, "builds"),
     (drop_and_recreate_table, "builds"),
     (drop_index, "builds"),
     (checkpoint, "builds"),
-    (more_dml, "advances"),
-    (delete_patches_file, "reuses"),  # same key: nothing was logged
+    (more_dml, "builds"),
+    (delete_patches_file, "reuses"),  # no table or index changed
     (corrupt_patches_file, "reuses"),
 ]
 STOPS = [f"{position:02d}-{step.__name__}" for position, (step, _) in enumerate(HISTORY)]
@@ -245,12 +250,18 @@ def counters(db) -> dict:
     return dict(db.obs.export()["counters"])
 
 
+def read_door(stop: Stop, door: str, catalog) -> None:
+    stop.doors_tables[door] = tables_state(catalog_tables(catalog))
+    stop.doors_patches[door] = patches_state(catalog)
+
+
 @pytest.fixture(scope="module")
 def stops(tmp_path_factory):
     """Walk the history once, observing all three doors at every stop."""
     root = tmp_path_factory.mktemp("materialize") / "db"
     db = repro.connect(root, parallelism=1, sync=False)
     observed: dict[str, Stop] = {}
+    held = None  # the previous stop and the snapshot pinned there
     for stop_name, (step, _) in zip(STOPS, HISTORY):
         step(db)
         stop = Stop(
@@ -258,28 +269,25 @@ def stops(tmp_path_factory):
             patches_state(db.catalog),
             fresh_patches(db.catalog),
         )
-        # (c) the live engine's own snapshot: advanced from the handle
-        # the previous stop left cached, wherever the span allows it.
+        if held is not None:  # the database just advanced past that pin
+            read_door(held[0], "advanced", held[1].catalog)
+            held[1].close()
         before = counters(db)
-        with db.snapshot() as view:
-            after = counters(db)
-            stop.doors_tables["advanced"] = tables_state(catalog_tables(view.catalog))
-            stop.doors_patches["advanced"] = patches_state(view.catalog)
-        moved = [
+        view = db.snapshot()
+        after = counters(db)
+        stop.snapshot_outcome = next(
             name
-            for name in ("builds", "advances", "reuses")
+            for name in ("builds", "reuses")
             if after.get(f"storage.snapshot.{name}", 0)
             > before.get(f"storage.snapshot.{name}", 0)
-        ]
-        stop.snapshot_outcome = moved[0]
-        # (a) reopen — of a copy, so the live engine stays the only writer
-        # of its directory — and (b) the copy's first snapshot, which is
-        # a cold build by construction.
+        )
+        held = (stop, view)
+        # A reopen — of a copy, so the live engine stays the only writer
+        # of its directory — and the copy's first snapshot.
         copy = root.parent / f"copy-{stop_name}"
         shutil.copytree(root, copy)
         reopened = repro.connect(copy, parallelism=1, sync=False)
-        stop.doors_tables["reopen"] = tables_state(catalog_tables(reopened.catalog))
-        stop.doors_patches["reopen"] = patches_state(reopened.catalog)
+        read_door(stop, "reopen", reopened.catalog)
         exported = reopened.obs.export()
         stop.recovery = {
             "restored": exported["gauges"]["recovery.indexes_restored"],
@@ -291,13 +299,14 @@ def stops(tmp_path_factory):
                 if name.startswith("recovery.index_fallbacks.")
             },
         }
-        with reopened.snapshot() as view:
-            assert counters(reopened)["storage.snapshot.builds"] == 1
-            stop.doors_tables["cold"] = tables_state(catalog_tables(view.catalog))
-            stop.doors_patches["cold"] = patches_state(view.catalog)
+        with reopened.snapshot() as cold:
+            read_door(stop, "cold", cold.catalog)
         reopened.close()
         shutil.rmtree(copy)
         observed[stop_name] = stop
+    more_dml(db)
+    read_door(held[0], "advanced", held[1].catalog)
+    held[1].close()
     db.close()
     return observed
 

@@ -286,16 +286,15 @@ class TestNoStalePlanSurvives:
 
     @pytest.mark.parametrize("mutation", [*MUTATIONS, "checkpoint"])
     def test_snapshot_session(self, durable, mutation):
-        """Served reads: a new generation or a DDL builds a new handle
-        (and with it an empty cache); a DDL-free tail advances the
-        handle in place, which must invalidate what it cached."""
+        """Served reads: every mutation, and a new generation, makes the
+        next pin copy the catalog — and with it start an empty cache, so
+        no plan of the old copy can be reused against the new one."""
         with durable.session(snapshot_reads=True) as session:
             for probe in PROBES:
                 session.sql(probe)
             for statement in MUTATIONS.get(mutation, ["CHECKPOINT"]):
                 durable.sql(statement)
             before = counters(durable)
-            advances = durable.obs.counter("storage.snapshot.advances").value
             for probe in PROBES:
                 with durable.snapshot() as view:
                     text, rows = fresh(view, probe)
@@ -303,15 +302,11 @@ class TestNoStalePlanSurvives:
                 assert session.sql(probe, parallelism=1).to_pylist() == rows
                 assert rows == durable.sql(probe, parallelism=1).to_pylist()
             change = moved(durable, before)
-            advanced = (
-                durable.obs.counter("storage.snapshot.advances").value - advances
-            )
-            assert advanced == (1 if mutation in ("insert", "delete") else 0)
             # per probe: the session plans once (explain misses, sql
             # hits) and so does the live database, which saw none before
             assert change["misses"] == 2 * len(PROBES)
             assert change["hits"] == len(PROBES)
-            assert change.get("invalidations", 0) == advanced * len(PROBES)
+            assert change.get("invalidations", 0) == 0
 
     def test_index_rebuild_is_a_maintenance_event(self, memory):
         query = "SELECT COUNT(DISTINCT u) AS n FROM t"

@@ -143,7 +143,7 @@ class TestWireHelpers:
 class TestServerRoundTrip:
     def test_hello_reports_engine(self, client):
         assert client.server_info["server"] == "repro"
-        assert client.server_info["snapshot_reads"] is True
+        assert "snapshot_reads" not in client.server_info  # every read pins
         assert "durable" in client.server_info["engine"]
 
     def test_select_over_the_wire(self, client):
@@ -218,8 +218,9 @@ class TestServerRoundTrip:
             client.set("backend", "process")
         message = str(excinfo.value)
         assert "unknown session knob 'backend'" in message
-        for knob in ("parallelism", "profile", "snapshot_reads"):
+        for knob in ("parallelism", "profile"):
             assert knob in message
+        assert "snapshot_reads" not in message  # not a knob: every read pins
         # The connection survives the refusal.
         assert client.set("parallelism", 2) == 2
         assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
@@ -463,16 +464,22 @@ class TestAsyncClient:
 
 
 class TestMemoryEngineServer:
-    def test_reads_serialize_through_writer_queue(self):
+    def test_reads_pin_snapshots_on_their_connection_thread(self):
         db = repro.connect()
         db.sql("CREATE TABLE t (c BIGINT)")
         db.sql("INSERT INTO t VALUES (1), (2)")
+        pins = db.obs.counter("storage.snapshot.pins")
         with ServerThread(db) as server:
             with ServerClient(server.host, server.port) as client:
-                assert client.server_info["snapshot_reads"] is False
                 assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 2
                 client.sql("INSERT INTO t VALUES (3)")
                 assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+                assert "rows=" in client.explain(
+                    "SELECT COUNT(*) AS n FROM t", analyze=True
+                )
+        assert pins.value == 3
+        # Only the write went through the writer queue.
+        assert db.obs.counter("server.write_batches").value == 1
 
 
 class TestServerLifecycle:

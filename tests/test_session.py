@@ -5,7 +5,7 @@ import os
 import pytest
 
 import repro
-from repro.errors import ExecutionError, StorageError
+from repro.errors import ExecutionError
 from repro.sql.session import Session, statement_kind
 
 
@@ -100,16 +100,27 @@ class TestSessionBasics:
         # The implicit session does not count as an opened session.
         assert db.obs.counter("session.opened").value == 0
 
-    def test_snapshot_reads_degrade_on_memory_engine(self, db):
+    def test_snapshot_reads_on_memory_engine(self, db):
+        pins = db.obs.counter("storage.snapshot.pins")
         with db.session(snapshot_reads=True) as session:
-            assert session.snapshot_reads is False
+            assert session.snapshot_reads is True
             assert session.sql("SELECT c FROM t").rowcount == 3
+            session.sql("INSERT INTO t VALUES (4, 'd')")
+            assert session.sql("SELECT c FROM t").rowcount == 4
+        assert pins.value == 2
 
 
 class TestSnapshotView:
-    def test_snapshot_requires_durable_engine(self, db):
-        with pytest.raises(StorageError, match="durable"):
-            db.snapshot()
+    def test_snapshot_works_on_memory_engine(self, db):
+        with db.snapshot() as view:
+            db.sql("INSERT INTO t VALUES (4, 'd')")
+            db.table("t").update_rowid(0, "c", 10)
+            assert view.sql("SELECT c FROM t ORDER BY c").column("c").to_pylist() == [
+                1,
+                2,
+                3,
+            ]
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 4
 
     def test_snapshot_is_stable_across_writes(self, durable):
         with durable.snapshot() as view:
@@ -173,8 +184,8 @@ class TestSnapshotView:
     def test_snapshot_catalog_carries_pinned_patchindexes(self, durable):
         durable.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
         with durable.snapshot() as view:
-            # The snapshot builds its own index over the pinned tables —
-            # never the live index, whose rowids track the moving state.
+            # The snapshot copies the index over its own tables — never
+            # the live index, whose rowids track the moving state.
             snapshot_indexes = view.catalog.indexes_on("t")
             assert [index.name for index in snapshot_indexes] == ["pi"]
             assert snapshot_indexes[0] is not durable.catalog.index("pi")

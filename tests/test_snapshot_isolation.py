@@ -4,27 +4,27 @@ One writer thread appends fixed-size batches (each batch is a single INSERT,
 hence a single WAL record) and periodically checkpoints.  Reader threads run
 snapshot-pinned scans the whole time and assert that every statement observes
 a state that lies exactly on a statement boundary: every batch group is either
-fully visible (BATCH_ROWS rows) or not visible at all — never torn.
+fully visible (BATCH_ROWS rows) or not visible at all — never torn.  Both
+engines run it: a pin is a copy of the live catalog, taken under the state
+lock every mutation holds, on either.
 
-A pin that finds an unpinned handle at a lower LSN *advances* it: the WAL
-span's data records are replayed onto its tables and the span's
-``patch_delta`` records onto its restored PatchIndexes.  It must refuse —
-before touching anything — a span it cannot replay faithfully, say why
-(``storage.snapshot.advance_refused.<reason>`` plus one WARNING per reason
-per process), and leave the cached handle exactly as it was.  The stall
-guard at the end counts ``ColumnVector.__getitem__`` calls instead of
-timing anything: neither the writer's first ``INSERT`` after a ``DELETE``
-or a reopen, nor the reader's first snapshot after it, may read the
-indexed column cell by cell.
+A pin copies, or shares the latest copy while nothing changed
+(``pins == builds + reuses``), and the copy is frozen: whatever mutation
+follows — data, a rebuild, index DDL, a checkpoint — the snapshot keeps
+returning the rows and patch rowids of its pin.  The stall guard at the end
+counts ``ColumnVector.__getitem__`` calls instead of timing anything:
+neither the writer's first ``INSERT`` after a ``DELETE`` or a reopen, nor
+the reader's first snapshot after it, may read the indexed column cell by
+cell.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
 import repro
-from repro.core.patch_index import PatchIndex
-from repro.storage import snapshot as snapshot_module
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
@@ -42,32 +42,19 @@ def durable(tmp_path):
     return db
 
 
-@pytest.fixture
-def indexed(durable):
-    """*durable* with a NUC on ``batch`` and an NSC on ``x``, checkpointed."""
-    durable.sql("CREATE TABLE d (k BIGINT)")
-    durable.sql("INSERT INTO t VALUES (1, 10), (2, 20), (2, 15), (4, 40)")
-    durable.sql("CREATE PATCHINDEX pu ON t(batch) TYPE UNIQUE")
-    durable.sql("CREATE PATCHINDEX ps ON t(x) TYPE SORTED")
-    durable.checkpoint()
-    return durable
+@pytest.fixture(params=["memory", "durable"])
+def db(request, tmp_path):
+    """An empty table ``t`` on each engine."""
+    db = repro.connect(
+        tmp_path / "data" if request.param == "durable" else None, parallelism=1
+    )
+    db.sql("CREATE TABLE t (batch BIGINT, x BIGINT)")
+    yield db
+    db.close()
 
 
 def _counters(db) -> dict:
     return db.obs.export()["counters"]
-
-
-def _refusals(db) -> dict:
-    prefix = "storage.snapshot.advance_refused."
-    return {
-        name[len(prefix):]: value
-        for name, value in _counters(db).items()
-        if name.startswith(prefix)
-    }
-
-
-def _patch_rowids(catalog) -> dict:
-    return {index.name: index.rowids().tolist() for index in catalog.indexes()}
 
 
 def _insert_batch(db, batch: int) -> None:
@@ -76,7 +63,7 @@ def _insert_batch(db, batch: int) -> None:
 
 
 class TestSnapshotIsolationFuzz:
-    def test_concurrent_readers_never_see_torn_batches(self, durable):
+    def test_concurrent_readers_never_see_torn_batches(self, db):
         done = threading.Event()
         failures: list[BaseException] = []
         reads = [0] * READERS
@@ -84,9 +71,9 @@ class TestSnapshotIsolationFuzz:
         def writer() -> None:
             try:
                 for batch in range(BATCHES):
-                    _insert_batch(durable, batch)
+                    _insert_batch(db, batch)
                     if batch % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1:
-                        durable.checkpoint()
+                        db.checkpoint()
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 failures.append(error)
             finally:
@@ -94,7 +81,7 @@ class TestSnapshotIsolationFuzz:
 
         def reader(slot: int) -> None:
             try:
-                with durable.session(snapshot_reads=True) as session:
+                with db.session(snapshot_reads=True) as session:
                     while not done.is_set() or reads[slot] == 0:
                         result = session.sql(
                             "SELECT batch, COUNT(*) AS n FROM t GROUP BY batch"
@@ -118,7 +105,7 @@ class TestSnapshotIsolationFuzz:
             thread.join(timeout=120)
         assert not failures, failures
         assert all(count > 0 for count in reads)
-        final = durable.sql("SELECT COUNT(*) AS n FROM t").scalar()
+        final = db.sql("SELECT COUNT(*) AS n FROM t").scalar()
         assert final == BATCHES * BATCH_ROWS
 
     def test_long_lived_snapshot_is_frozen_during_churn(self, durable):
@@ -175,183 +162,116 @@ class TestSnapshotIsolationFuzz:
 
 
 class TestPinAccounting:
-    def test_every_pin_is_a_build_an_advance_or_a_reuse(self, durable):
-        """``pins == builds + advances + reuses``, each pin counted once
-        under the one way it was served."""
+    def test_every_pin_is_a_build_or_a_reuse(self, durable):
+        """``pins == builds + reuses``, each pin counted once under the one
+        way it was served; a checkpoint pins the copy it writes too."""
 
         def counts() -> dict:
             counters = _counters(durable)
             return {
                 name: counters.get(f"storage.snapshot.{name}", 0)
-                for name in ("pins", "builds", "advances", "reuses")
+                for name in ("pins", "builds", "reuses")
             }
+
+        def moved(run) -> dict:
+            before = counts()
+            run()
+            after = counts()
+            assert after["pins"] == after["builds"] + after["reuses"]
+            return {name: after[name] - before[name] for name in after}
 
         def pin() -> dict:
-            before = counts()
-            durable.snapshot().close()
-            after = counts()
-            assert after["pins"] == before["pins"] + 1
-            assert (
-                after["pins"]
-                == after["builds"] + after["advances"] + after["reuses"]
-            )
-            return {
-                name: after[name] - before[name]
-                for name in ("builds", "advances", "reuses")
-            }
+            return moved(lambda: durable.snapshot().close())
 
         _insert_batch(durable, 0)
-        assert pin() == {"builds": 1, "advances": 0, "reuses": 0}
-        assert pin() == {"builds": 0, "advances": 0, "reuses": 1}
+        assert pin() == {"pins": 1, "builds": 1, "reuses": 0}
+        assert pin() == {"pins": 1, "builds": 0, "reuses": 1}
         _insert_batch(durable, 1)
-        assert pin() == {"builds": 0, "advances": 1, "reuses": 0}
-        assert pin() == {"builds": 0, "advances": 0, "reuses": 1}
-        durable.checkpoint()
-        assert pin() == {"builds": 1, "advances": 0, "reuses": 0}
+        assert pin() == {"pins": 1, "builds": 1, "reuses": 0}
+        # Nothing changed since that copy: the checkpoint writes it.
+        assert moved(durable.checkpoint) == {"pins": 1, "builds": 0, "reuses": 1}
+        assert pin() == {"pins": 1, "builds": 1, "reuses": 0}  # new generation
         _insert_batch(durable, 2)
-        with durable.snapshot():  # advanced, and held ...
-            assert pin() == {"builds": 0, "advances": 0, "reuses": 1}
-        assert counts() == {"pins": 7, "builds": 2, "advances": 2, "reuses": 3}
+        with durable.snapshot():  # built, and held ...
+            assert pin() == {"pins": 1, "builds": 0, "reuses": 1}
+        assert counts() == {"pins": 7, "builds": 4, "reuses": 3}
 
 
-class TestRefusedAdvancesSayWhy:
-    def pin_and_remember(self, db):
-        """Leave an unpinned handle cached; return it with what it shows."""
-        with db.snapshot() as view:
-            handle = view.handle
-            seen = (
-                handle.key,
-                {name: table.row_count for name, table in handle.tables.items()},
-                _patch_rowids(view.catalog),
-            )
-        assert [index.name for index in handle.delta_fed] == ["pu", "ps"]
-        return handle, seen
+class TestCopyLifetime:
+    def test_a_replaced_copy_is_freed_by_reference_counting(self, db):
+        """A copy shares the column vectors of its moment; a writer
+        replaces them on every statement, so a copy the cycle collector
+        had to find would keep a superseded set alive per write."""
+        _insert_batch(db, 0)
+        db.sql("CREATE PATCHINDEX pu ON t(batch) TYPE UNIQUE")
+        _insert_batch(db, 1)  # the index now has drift counters
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            with db.snapshot() as view:
+                view.sql("SELECT COUNT(DISTINCT batch) AS n FROM t")
+                copies = [weakref.ref(view.catalog), weakref.ref(view.table("t"))]
+                copies.append(weakref.ref(view.catalog.index("pu")))
+            _insert_batch(db, 2)
+            db.snapshot().close()  # the registry lets go of the old copy
+            del view
+            assert [ref() for ref in copies] == [None, None, None]
+        finally:
+            if collecting:
+                gc.enable()
 
-    def assert_refused(self, db, handle, seen, reason, caplog):
-        """The next pin refuses to advance *handle*, builds, and says why."""
-        snapshot_module._LOGGED_REFUSALS.discard(reason)
-        before = _counters(db)
-        with caplog.at_level("WARNING", logger="repro.storage.snapshot"):
-            for _ in range(2):  # the second refusal is counted, not logged
-                with db.snapshot() as view:
-                    assert view.handle is not handle
-                    assert _patch_rowids(view.catalog) == _patch_rowids(db.catalog)
-                    rows = view.sql("SELECT COUNT(*) AS n FROM t").scalar()
-                    assert rows == db.table("t").row_count
-                # The refused handle was not half-replayed: old key, old rows.
-                catalog = handle.catalog
-                assert (
-                    handle.key,
-                    {name: table.row_count for name, table in handle.tables.items()},
-                    _patch_rowids(catalog),
-                ) == seen
-                # Make it the only cached handle again: the next pin retries.
-                db.engine._snapshots._handles.clear()
-                db.engine._snapshots._handles[handle.key] = handle
-        after = _counters(db)
-        assert _refusals(db) == {reason: 2}
-        assert after["storage.snapshot.builds"] - before["storage.snapshot.builds"] == 2
-        assert after.get("storage.snapshot.advances", 0) == before.get(
-            "storage.snapshot.advances", 0
+
+def _frozen_state(catalog) -> tuple:
+    """Every cell of ``f`` and every index's patch rowids."""
+    table = catalog.table("f")
+    return (
+        {name: table.read_column(name).to_pylist() for name in table.schema.names},
+        {index.name: index.rowids().tolist() for index in catalog.indexes()},
+    )
+
+
+#: One of each kind of mutation a pinned snapshot must not see.
+MUTATIONS = {
+    "insert_rows": lambda db: db.table("f").insert_rows([[3, 1, 0], [50, 60, 70]]),
+    "load_columns": lambda db: db.table("f").load_columns(
+        {
+            name: ColumnVector.from_pylist(DataType.INT64, values)
+            for name, values in {"u": [9, 1], "s": [2, 99], "w": [0, 0]}.items()
+        }
+    ),
+    "delete_rowids": lambda db: db.table("f").delete_rowids([0, 4]),
+    "update_rowid indexed": lambda db: db.table("f").update_rowid(2, "u", 3),
+    "update_rowid unindexed": lambda db: db.table("f").update_rowid(2, "w", -5),
+    "rebuild": lambda db: db.catalog.index("pu").rebuild(),
+    "drop patchindex": lambda db: db.sql("DROP PATCHINDEX pu"),
+    "create patchindex": lambda db: db.sql("CREATE PATCHINDEX pw ON f(w) TYPE UNIQUE"),
+    "checkpoint": lambda db: db.checkpoint(),
+}
+
+
+class TestFrozenAtItsPin:
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_snapshot_keeps_the_rows_and_patches_of_its_pin(self, db, mutation):
+        db.sql("CREATE TABLE f (u BIGINT, s BIGINT, w BIGINT)")
+        db.sql(
+            "INSERT INTO f VALUES (1, 10, 5), (7, 20, 5), (3, 5, 6), "
+            "(7, 30, 7), (4, 40, 8), (5, 50, 9)"
         )
-        logged = [r.getMessage() for r in caplog.records if "refused" in r.getMessage()]
-        assert len(logged) == 1 and reason in logged[0]
-
-    def test_ddl_in_the_span(self, indexed, caplog):
-        handle, seen = self.pin_and_remember(indexed)
-        indexed.sql("INSERT INTO t VALUES (5, 50)")
-        indexed.sql("CREATE TABLE other (x BIGINT)")
-        self.assert_refused(indexed, handle, seen, "ddl", caplog)
-
-    def test_data_record_of_a_table_the_handle_lacks(self, indexed, caplog):
-        handle, seen = self.pin_and_remember(indexed)
-        del handle.tables["d"]
-        seen[1].pop("d")
-        indexed.sql("INSERT INTO d VALUES (7)")
-        self.assert_refused(indexed, handle, seen, "unknown_table", caplog)
-
-    def test_live_rebuild_marker(self, indexed, caplog):
-        handle, seen = self.pin_and_remember(indexed)
-        indexed.sql("INSERT INTO t VALUES (2, 60)")
-        indexed.catalog.index("pu").rebuild()  # logs the ``invalidate`` delta
-        self.assert_refused(indexed, handle, seen, "invalidated", caplog)
-
-    def test_delta_that_fails_its_checksum(self, indexed, caplog):
-        handle, seen = self.pin_and_remember(indexed)
-        indexed.sql("INSERT INTO t VALUES (4, 5)")
-        last_delta = [r for r in indexed.wal.records() if r.kind == "patch_delta"][-1]
-        last_delta.payload["rows"] += 1
-        self.assert_refused(indexed, handle, seen, "malformed", caplog)
-
-    def test_pin_between_a_data_record_and_its_deltas(self, indexed, caplog):
-        """A reader can pin ``wal.last_lsn`` while the writer has logged the
-        data record but not yet the ``patch_delta`` records derived from it."""
-        db = indexed
-        handle, seen = self.pin_and_remember(db)
-        snapshot_module._LOGGED_REFUSALS.discard("delta_gap")
-        index = db.catalog.index("pu")
-        log_delta = index.delta_sink
-        observed = []
-
-        def pin_first(index, delta):
-            with caplog.at_level("WARNING", logger="repro.storage.snapshot"):
-                with db.snapshot() as view:
-                    observed.append(
-                        (
-                            view.handle is handle,
-                            view.sql("SELECT COUNT(*) AS n FROM t").scalar(),
-                            view.sql(
-                                "SELECT COUNT(DISTINCT batch) AS n FROM t"
-                            ).scalar(),
-                            view.handle.delta_fed,
-                        )
-                    )
-            log_delta(index, delta)
-
-        index.delta_sink = pin_first
-        db.sql("INSERT INTO t VALUES (4, 70), (9, 80)")
-        index.delta_sink = log_delta
-        # Built, not advanced; the new rows are visible and the indexes —
-        # rebuilt from data, since the log owes them a delta — answer right.
-        assert observed == [(False, 6, 4, [])]
-        assert _refusals(db) == {"delta_gap": 1}
-        assert (handle.key, _patch_rowids(handle.catalog)) == (seen[0], seen[2])
-        assert handle.tables["t"].row_count == 4
-        logged = [r.getMessage() for r in caplog.records if "refused" in r.getMessage()]
-        assert len(logged) == 1 and "delta_gap" in logged[0]
-        # With the deltas in the log, the same handle advances.
-        db.engine._snapshots._handles.clear()
-        db.engine._snapshots._handles[handle.key] = handle
+        db.sql("CREATE PATCHINDEX pu ON f(u) TYPE UNIQUE")
+        db.sql("CREATE PATCHINDEX ps ON f(s) TYPE SORTED")
+        db.table("f").delete_rowids([1])  # the other 7 stays a patch: drift
+        pinned = _frozen_state(db.catalog)
+        assert pinned[1] == {"pu": [2], "ps": [1]}
+        query = "SELECT COUNT(DISTINCT u) AS n FROM f"
         with db.snapshot() as view:
-            assert view.handle is handle
-            assert _patch_rowids(view.catalog) == _patch_rowids(db.catalog)
-        assert _refusals(db) == {"delta_gap": 1}
-
-    def test_replay_that_raises_half_way_evicts_the_handle(self, indexed, monkeypatch):
-        """Past the checks nothing should fail; if something does, the handle's
-        tables have moved and its indexes have not, so it must never be pinned."""
-        handle, _ = self.pin_and_remember(indexed)
-        registry = indexed.engine._snapshots
-        assert list(registry._handles.values()) == [handle]
-        indexed.sql("INSERT INTO t VALUES (2, 60)")
-
-        def explode(self, delta):
-            raise RuntimeError("mid-replay")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(PatchIndex, "apply_external_delta", explode)
-            with pytest.raises(RuntimeError, match="mid-replay"):
-                indexed.snapshot()
-        assert registry._handles == {}
-        assert handle.tables["t"].row_count == 5  # half-replayed indeed
-        assert _patch_rowids(handle.catalog) != _patch_rowids(indexed.catalog)
-        builds = _counters(indexed)["storage.snapshot.builds"]
-        with indexed.snapshot() as view:
-            assert view.handle is not handle
-            assert _patch_rowids(view.catalog) == _patch_rowids(indexed.catalog)
-            assert view.sql("SELECT COUNT(DISTINCT batch) AS n FROM t").scalar() == 3
-        assert _counters(indexed)["storage.snapshot.builds"] == builds + 1
-        assert _refusals(indexed) == {}
+            MUTATIONS[mutation](db)
+            if mutation != "checkpoint":  # which changes no row and no patch
+                assert _frozen_state(db.catalog) != pinned
+            assert _frozen_state(view.catalog) == pinned
+            assert view.sql(query).scalar() == 5
+            assert view.sql("SELECT u, s, w FROM f").to_pylist() == list(
+                zip(*pinned[0].values())
+            )
 
 
 class TestNoStallAfterDeleteOrReopen:
@@ -404,7 +324,6 @@ class TestNoStallAfterDeleteOrReopen:
         assert cell_reads() <= bound, "first INSERT after a DELETE"
         assert session.sql(distinct).scalar() == self.ROWS - 50 + self.BATCH - 1
         assert cell_reads() <= bound, "first snapshot read after it"
-        assert _counters(db)["storage.snapshot.advances"] >= 1
         session.close()
         db.close()
 

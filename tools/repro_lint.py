@@ -150,11 +150,14 @@ DELTA_LAYER_FILES = (
 LOCK_CHECKED_DIRS = ("exec/parallel", "obs", "serve")
 
 #: The storage files that own a lock, under the same discipline: the
-#: snapshot registry (its lock is the checkpoint-flip lock) with the
-#: per-handle catalog lock, and the block cache.  ``engine.py``,
+#: catalog (its state lock is the one every live mutation and every
+#: snapshot pin holds), the snapshot registry (its lock is the
+#: checkpoint-flip lock) and the block cache.  ``engine.py``,
 #: ``checkpoint.py`` and ``materialize.py`` hold none — they run under
-#: the registry's (tests/test_lockgraph.py keeps this list exact).
+#: the catalog's or the registry's (tests/test_lockgraph.py keeps this
+#: list exact).
 LOCK_CHECKED_FILES = (
+    "storage/catalog.py",
     "storage/snapshot.py",
     "storage/cache.py",
 )
