@@ -9,8 +9,8 @@ detection, then iterative re-probing of only the unresolved lanes
 fixed load factor.
 
 Keys are int64; callers with other key types map them to int64 first
-(dates are already stored as day numbers; strings go through the
-dictionary-encoding fallback in the join/aggregate operators).
+(dates are already stored as day numbers, HashJoin maps a float to its
+bits; strings go through HashJoin's dict of positions).
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ def _next_power_of_two(value: int) -> int:
 class Int64HashTable:
     """Open-addressing (linear probing) map from int64 keys to int64 values.
 
-    Duplicate keys are rejected at insert: the engine's hash joins build
-    on the unique side (dimension keys), and the aggregate path inserts
-    pre-deduplicated group keys.  Use :meth:`insert_first_wins` when a
-    first-occurrence policy is wanted instead.
+    Duplicate keys are rejected at insert: a hash join whose build keys
+    repeat inserts one key per run of equal keys and keeps the runs
+    itself.
     """
 
     def __init__(self, expected: int, load_factor: float = 0.5):
@@ -64,24 +63,6 @@ class Int64HashTable:
 
     def insert_unique(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Insert key→value pairs; raises on any duplicate key."""
-        duplicates = self._insert(keys, values, first_wins=False)
-        if duplicates.any():
-            raise ExecutionError(
-                f"duplicate keys in hash table build "
-                f"({int(duplicates.sum())} collisions)"
-            )
-
-    def insert_first_wins(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Insert pairs, keeping the first value per key.
-
-        Returns a boolean array marking which input lanes were dropped
-        as duplicates (of an earlier lane or an existing entry).
-        """
-        return self._insert(keys, values, first_wins=True)
-
-    def _insert(
-        self, keys: np.ndarray, values: np.ndarray, first_wins: bool
-    ) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         if len(keys) != len(values):
@@ -132,7 +113,11 @@ class Int64HashTable:
             blocked = pending[~free]
             pending = np.concatenate([retry, blocked])
             slots[pending] = (slots[pending] + np.uint64(1)) & self._mask
-        return duplicates
+        if duplicates.any():
+            raise ExecutionError(
+                f"duplicate keys in hash table build "
+                f"({int(duplicates.sum())} collisions)"
+            )
 
     def _grow(self, needed: int) -> None:
         old_keys = self._keys[self._used]

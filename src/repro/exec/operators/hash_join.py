@@ -1,15 +1,19 @@
 """Hash join (inner equi-join).
 
 The build side is fully drained into a hash table, then probe batches
-stream through.  Integer-like keys (INT64 / DATE / BOOL) use the
-vectorized :class:`~repro.exec.hashtable.Int64HashTable`; string keys
-and duplicate-key build sides fall back to a dict-of-positions table.
-NULL keys never match (SQL equi-join semantics).
+stream through.  Numeric keys (INT64 / DATE / BOOL / FLOAT64) use the
+vectorized :class:`~repro.exec.hashtable.Int64HashTable` whether or not
+the build keys repeat: the build keys are sorted once, only the head of
+each run of equal keys is hashed, and a probe hit expands to its run —
+probe order first, build order within one probe row.  FLOAT64 keys join
+on value (``-0.0`` matches ``0.0``, NaN matches nothing), never on a
+truncated integer.  Only string keys use a dict of positions.  NULL keys
+never match (SQL equi-join semantics).
 
 The paper's join rewrite (§VI-B3) replaces this operator with a
 MergeJoin for the sorted subsequence and keeps a HashJoin only for the
-patches; its further improvement — building on the smaller input — is
-available through :func:`choose_build_side`.
+patches, built on the smaller input; an NSC's patches are the values
+that are out of place, so their keys repeat as a rule.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.exec.hashtable import Int64HashTable
 from repro.exec.operators.base import Operator
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Schema
+from repro.types import DataType
 
 
 def _joined_schema(probe: Schema, build: Schema) -> Schema:
@@ -33,6 +38,26 @@ def _joined_schema(probe: Schema, build: Schema) -> Schema:
                 f"(qualify or alias the columns first)"
             )
     return Schema(list(probe.fields) + list(build.fields))
+
+
+def expand_ranges(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand the ranges ``[starts[i], starts[i] + counts[i])`` into
+    pairs ``(i, position)``: ranges in order, each one ascending.  The
+    many-match paths of both joins emit their index pairs through it."""
+    owners = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
+    return owners, shift[owners] + np.arange(len(owners), dtype=np.int64)
+
+
+def _hash_keys(values: np.ndarray, as_float: bool) -> np.ndarray:
+    """The int64 the hash table stores per numeric key: the value itself,
+    or — when either side is FLOAT64 — the float's bits with ``-0.0``
+    folded into ``0.0``, so that equal values get equal keys."""
+    if as_float:
+        return (values + 0.0).view(np.int64)
+    return values.astype(np.int64, copy=False)
 
 
 class HashJoin(Operator):
@@ -58,8 +83,12 @@ class HashJoin(Operator):
         self.probe_key = probe_key
         self.build_key = build_key
         self.join_type = join_type
-        probe.schema.field(probe_key)
-        build.schema.field(build_key)
+        key_types = {
+            probe.schema.field(probe_key).dtype,
+            build.schema.field(build_key).dtype,
+        }
+        self._object_keys = DataType.STRING in key_types
+        self._float_keys = DataType.FLOAT64 in key_types
         probe_schema = probe.schema
         build_schema = build.schema
         if join_type == "left_outer":
@@ -73,6 +102,9 @@ class HashJoin(Operator):
         self._build_schema = build_schema
         self._build_data: RecordBatch | None = None
         self._int_table: Int64HashTable | None = None
+        # Repeated build keys: (run starts, run lengths, build positions
+        # in key order); the table maps a key to its run.
+        self._runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._dict_table: dict | None = None
 
     @property
@@ -86,6 +118,7 @@ class HashJoin(Operator):
         super().open()
         self._build_data = None
         self._int_table = None
+        self._runs = None
         self._dict_table = None
 
     # -- build phase --------------------------------------------------------
@@ -111,20 +144,34 @@ class HashJoin(Operator):
                 },
             )
         key_column = self._build_data.column(self.build_key)
-        validity = key_column.validity_or_all_true()
-        positions = np.flatnonzero(validity).astype(np.int64)
-        values = key_column.values[positions]
-        if values.dtype != np.dtype(object):
-            keys = values.astype(np.int64)
-            if len(np.unique(keys)) == len(keys):
-                self._int_table = Int64HashTable(len(keys))
-                self._int_table.insert_unique(keys, positions)
-                return
-        # Fallback: duplicates or object keys.
-        table: dict[object, list[int]] = {}
-        for position, value in zip(positions.tolist(), values.tolist()):
-            table.setdefault(value, []).append(position)
-        self._dict_table = table
+        values = key_column.values
+        valid = key_column.validity_or_all_true()
+        if self._object_keys:
+            table: dict[object, list[int]] = {}
+            positions = np.flatnonzero(valid)
+            for position, value in zip(
+                positions.tolist(), values[positions].tolist()
+            ):
+                table.setdefault(value, []).append(position)
+            self._dict_table = table
+            return
+        if self._float_keys:
+            valid = valid & (values == values)  # NaN equals nothing
+        positions = np.flatnonzero(valid).astype(np.int64)
+        keys = _hash_keys(values[positions], self._float_keys)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        is_head = np.ones(len(keys), dtype=np.bool_)
+        is_head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        heads = np.flatnonzero(is_head)
+        self._int_table = Int64HashTable(len(heads))
+        if len(heads) == len(keys):
+            self._int_table.insert_unique(keys, positions)
+            return
+        self._int_table.insert_unique(
+            sorted_keys[heads], np.arange(len(heads), dtype=np.int64)
+        )
+        self._runs = (heads, np.diff(heads, append=len(keys)), positions[order])
 
     # -- probe phase ----------------------------------------------------------
 
@@ -155,9 +202,17 @@ class HashJoin(Operator):
         key_column = batch.column(self.probe_key)
         validity = key_column.validity_or_all_true()
         if self._int_table is not None:
-            keys = np.where(validity, key_column.values, 0).astype(np.int64)
+            keys = _hash_keys(
+                np.where(validity, key_column.values, 0), self._float_keys
+            )
             found = self._int_table.lookup(keys)
             hit = (found != -1) & validity
+            if self._runs is not None:
+                starts, counts, positions = self._runs
+                probe_rows = np.flatnonzero(hit).astype(np.int64)
+                runs = found[probe_rows]
+                owners, slots = expand_ranges(starts[runs], counts[runs])
+                return probe_rows[owners], positions[slots], False
             if hit.all():
                 return (
                     np.arange(len(batch), dtype=np.int64),
@@ -248,16 +303,3 @@ def _pad_unmatched(
     order = np.argsort(probe_all, kind="stable")
     return probe_all[order], build_all[order]
 
-
-def choose_build_side(
-    left_rows: int, right_rows: int
-) -> tuple[str, str]:
-    """Pick the smaller input as the hash-table build side (paper §VI-B3).
-
-    Returns ``("left"|"right", reason)`` — the planner uses this when
-    estimated cardinalities are available (e.g. ``|P_c|`` from the
-    PatchIndex for the patches branch).
-    """
-    if left_rows <= right_rows:
-        return "left", f"left={left_rows} <= right={right_rows}"
-    return "right", f"right={right_rows} < left={left_rows}"

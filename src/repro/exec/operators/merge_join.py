@@ -1,17 +1,20 @@
 """Merge join (inner equi-join of two sorted inputs).
 
 Exploits that both inputs are sorted on the join key: the right side is
-materialized once, and each left batch locates its match ranges with
-two binary searches (``searchsorted``), then expands them — the
-vectorized equivalent of advancing two merge cursors.  Per probed row
-the cost is ``O(log |right|)`` with no hash table to build, which is
-why the paper's join rewrite (§VI-B3) prefers it over HashJoin for the
-sorted subsequence of an NSC.
+materialized once and each left batch is matched with binary searches
+(``searchsorted``) — the vectorized equivalent of advancing two merge
+cursors, with no hash table to build, which is why the paper's join
+rewrite (§VI-B3) prefers it over HashJoin for the sorted subsequence of
+an NSC.  When the right keys are unique (a dimension's key), a batch
+searches only the right keys between its own first and last key *into
+the batch*, so its cost follows the keys that can match, not the rows
+scanned; repeated right keys keep one range search per left row.
 
 Duplicates are allowed on both sides (full cross product per equal-key
-group); NULL keys never match.  Output order follows the left input, so
-the join preserves the left side's sortedness — a property the rewrite
-relies on when further operators expect sorted data.
+group); NULL keys never match, nor does NaN.  Output order follows the
+left input, so the join preserves the left side's sortedness — a
+property the rewrite relies on when further operators expect sorted
+data.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.exec.batch import RecordBatch
 from repro.exec.operators.base import Operator
-from repro.exec.operators.hash_join import _joined_schema
+from repro.exec.operators.hash_join import _joined_schema, expand_ranges
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Schema
 
@@ -81,11 +84,15 @@ class MergeJoin(Operator):
                 },
             )
         key_column = data.column(self.right_key)
-        if key_column.has_nulls:
-            # NULL keys never join; drop them once up front.
-            data = data.filter(key_column.validity_or_all_true())
-            key_column = data.column(self.right_key)
         keys = key_column.values
+        # NULL keys never join and NaN equals nothing: drop both once up
+        # front.
+        keep = key_column.validity_or_all_true()
+        if keys.dtype.kind == "f":
+            keep = keep & (keys == keys)
+        if not keep.all():
+            data = data.filter(keep)
+            keys = data.column(self.right_key).values
         if self.check_sorted and len(keys) > 1:
             if keys.dtype == np.dtype(object):
                 sorted_ok = all(a <= b for a, b in zip(keys[:-1], keys[1:]))
@@ -96,8 +103,8 @@ class MergeJoin(Operator):
         self._right_data = data
         self._right_keys = keys
         # Dimension tables join on their (sorted, unique) primary key;
-        # detecting uniqueness enables a cheaper probe without the
-        # duplicate-expansion machinery.
+        # then a left batch need only search the right keys in its own
+        # key range (``_match_window``).
         if len(keys) > 1 and keys.dtype != np.dtype(object):
             self._right_unique = bool((keys[1:] > keys[:-1]).all())
         else:
@@ -116,51 +123,45 @@ class MergeJoin(Operator):
             if len(batch) == 0:
                 continue
             key_column = batch.column(self.left_key)
-            validity = key_column.validity_or_all_true()
             keys = key_column.values
-            if self.check_sorted:
-                # NULL keys never join, so only the valid keys must be
-                # in order.
-                valid_keys = keys[validity]
-                if len(valid_keys) > 1 and keys.dtype != np.dtype(object):
-                    if not bool((valid_keys[:-1] <= valid_keys[1:]).all()):
-                        raise ExecutionError(
-                            "merge-join left input is not sorted"
-                        )
-            lo = np.searchsorted(self._right_keys, keys, side="left")
+            # NULL keys never join, so only the valid keys must be in order.
+            valid_rows = None
+            if key_column.has_nulls:
+                valid_rows = np.flatnonzero(key_column.validity)
+                keys = keys[valid_rows]
+                if len(keys) == 0:
+                    continue
+            if self.check_sorted and keys.dtype != np.dtype(object):
+                if not bool((keys[:-1] <= keys[1:]).all()):
+                    raise ExecutionError("merge-join left input is not sorted")
             if self._right_unique:
-                # Unique right keys: at most one match per probe row.
-                slots = np.minimum(lo, max(len(self._right_keys) - 1, 0))
-                if len(self._right_keys) == 0:
-                    continue
-                matched = (
-                    (lo < len(self._right_keys))
-                    & (self._right_keys[slots] == keys)
-                    & validity
-                )
-                if not matched.any():
-                    continue
-                if matched.all():
-                    # Every probe row matched once, in order: no gather
-                    # needed on the left side (the common PK/FK case).
-                    return self._emit(batch, None, lo, passthrough=True)
-                left_idx = np.flatnonzero(matched).astype(np.int64)
-                right_idx = lo[matched]
-                return self._emit(batch, left_idx, right_idx)
-            hi = np.searchsorted(self._right_keys, keys, side="right")
-            counts = (hi - lo) * validity
-            total = int(counts.sum())
-            if total == 0:
+                left_idx, right_idx = self._match_window(keys)
+            else:
+                lo = np.searchsorted(self._right_keys, keys, side="left")
+                hi = np.searchsorted(self._right_keys, keys, side="right")
+                left_idx, right_idx = expand_ranges(lo, hi - lo)
+            if len(left_idx) == 0:
                 continue
-            left_idx = np.repeat(
-                np.arange(len(batch), dtype=np.int64), counts
-            )
-            starts = np.repeat(lo, counts)
-            group_offsets = np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            right_idx = starts + (np.arange(total, dtype=np.int64) - group_offsets)
+            if valid_rows is not None:
+                left_idx = valid_rows[left_idx]
+            elif self._right_unique and len(left_idx) == len(batch):
+                # Every left row matched once, in order: no gather needed
+                # on the left side (the common PK/FK case).
+                return self._emit(batch, None, right_idx, passthrough=True)
             return self._emit(batch, left_idx, right_idx)
+
+    def _match_window(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unique right keys: search the right keys between the batch's
+        first and last key into the sorted batch, so the work follows
+        what can match rather than every left row.  Pairs come out in
+        left order, because the window and the batch ascend together."""
+        low = self._right_keys.searchsorted(keys[0], side="left")
+        high = self._right_keys.searchsorted(keys[-1], side="right")
+        window = self._right_keys[low:high]
+        starts = keys.searchsorted(window, side="left")
+        counts = keys.searchsorted(window, side="right") - starts
+        window_idx, left_idx = expand_ranges(starts, counts)
+        return left_idx, window_idx + low
 
     def _emit(
         self,

@@ -48,15 +48,6 @@ class TestBasics:
                 np.array([7], dtype=np.int64), np.array([1], dtype=np.int64)
             )
 
-    def test_first_wins(self):
-        table = Int64HashTable(4)
-        dropped = table.insert_first_wins(
-            np.array([5, 5, 6, 5], dtype=np.int64),
-            np.array([10, 20, 30, 40], dtype=np.int64),
-        )
-        assert dropped.tolist() == [False, True, False, True]
-        assert table.lookup(np.array([5, 6], dtype=np.int64)).tolist() == [10, 30]
-
     def test_negative_and_zero_keys(self):
         table = Int64HashTable(4)
         table.insert_unique(
@@ -102,18 +93,3 @@ class TestProperties:
         got = table.lookup(probe_array)
         expected = [reference.get(probe, -1) for probe in probes]
         assert got.tolist() == expected
-
-    @given(st.lists(st.integers(0, 50), max_size=200))
-    @settings(max_examples=100, deadline=None)
-    def test_first_wins_matches_dict_setdefault(self, keys):
-        table = Int64HashTable(len(keys))
-        key_array = np.array(keys, dtype=np.int64)
-        value_array = np.arange(len(keys), dtype=np.int64)
-        table.insert_first_wins(key_array, value_array)
-        reference: dict[int, int] = {}
-        for position, key in enumerate(keys):
-            reference.setdefault(key, position)
-        if keys:
-            unique_keys = np.array(sorted(set(keys)), dtype=np.int64)
-            got = table.lookup(unique_keys)
-            assert got.tolist() == [reference[key] for key in sorted(set(keys))]

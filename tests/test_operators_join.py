@@ -1,44 +1,60 @@
 """Unit and property tests for HashJoin and MergeJoin."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.errors import ExecutionError, PlanError
-from repro.exec.operators.hash_join import HashJoin, choose_build_side
+from repro.exec.operators.hash_join import HashJoin
 from repro.exec.operators.merge_join import MergeJoin
 from repro.exec.operators.scan import TableScan
-from repro.exec.operators.sort import Sort, SortKey
 from repro.exec.result import collect
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
 
 
-def probe_table(keys, name="p"):
+def probe_table(keys, name="p", dtype=DataType.INT64):
     return Table.from_pydict(
         name,
-        Schema([Field("pk", DataType.INT64), Field("ptag", DataType.INT64)]),
+        Schema([Field("pk", dtype), Field("ptag", DataType.INT64)]),
         {"pk": keys, "ptag": list(range(len(keys)))},
         partition_count=2 if len(keys) > 3 else 1,
     )
 
 
-def build_table(keys, name="b"):
+def build_table(keys, name="b", dtype=DataType.INT64):
     return Table.from_pydict(
         name,
-        Schema([Field("bk", DataType.INT64), Field("btag", DataType.INT64)]),
+        Schema([Field("bk", dtype), Field("btag", DataType.INT64)]),
         {"bk": keys, "btag": list(range(len(keys)))},
     )
 
 
+def pairs(result):
+    """(probe tag, build tag) per output row, in emission order."""
+    return list(
+        zip(result.column("ptag").to_pylist(), result.column("btag").to_pylist())
+    )
+
+
+def _joinable(key) -> bool:
+    """NULL and NaN keys never match."""
+    return key is not None and key == key
+
+
 def reference_join(probe_keys, build_keys, left_outer=False):
+    """Probe order, then build order within one probe row."""
     build_map: dict = {}
     for position, key in enumerate(build_keys):
-        if key is not None:
+        if _joinable(key):
             build_map.setdefault(key, []).append(position)
     out = []
     for position, key in enumerate(probe_keys):
-        matches = build_map.get(key, []) if key is not None else []
+        matches = build_map.get(key, []) if _joinable(key) else []
         if matches:
             for match in matches:
                 out.append((key, position, build_keys[match], match))
@@ -57,11 +73,14 @@ class TestHashJoinInner:
         )
         assert rows == [(1, 0), (2, 1), (2, 1)]
 
-    def test_duplicate_build_falls_back(self):
-        probe = probe_table([5, 6])
-        build = build_table([5, 5, 6])
-        result = collect(HashJoin(TableScan(probe), TableScan(build), "pk", "bk"))
-        assert result.row_count == 3
+    def test_duplicate_build_keys_stay_vectorized(self):
+        probe = probe_table([5, 6, 5])
+        build = build_table([6, 5, 5, 6, 6])
+        join = HashJoin(TableScan(probe), TableScan(build), "pk", "bk")
+        result = collect(join)
+        # Probe order, then build order within one probe row.
+        assert pairs(result) == [(0, 1), (0, 2), (1, 0), (1, 3), (1, 4), (2, 1), (2, 2)]
+        assert join._int_table is not None and join._dict_table is None
 
     def test_string_keys(self):
         schema = Schema([Field("k", DataType.STRING)])
@@ -141,6 +160,46 @@ class TestHashJoinLeftOuter:
         assert join.schema.field("bk").nullable
 
 
+class TestFloatKeys:
+    """FLOAT64 keys join on value: never truncated to an integer,
+    ``-0.0`` matches ``0.0`` and NaN matches nothing."""
+
+    def test_sql_join_on_doubles_does_not_truncate(self):
+        db = repro.connect()
+        db.sql("CREATE TABLE a (x DOUBLE, id BIGINT)")
+        db.sql("INSERT INTO a VALUES (1.5, 1), (2.25, 2), (-0.5, 3)")
+        db.sql("CREATE TABLE b (y DOUBLE, w BIGINT)")
+        db.sql("INSERT INTO b VALUES (1.7, 10), (2.0, 20), (0.4, 30)")
+        query = "SELECT a.id, b.w FROM a JOIN b ON a.x = b.y"
+        assert db.sql(query).to_pylist() == []
+        db.sql("INSERT INTO b VALUES (2.25, 40)")
+        assert db.sql(query).to_pylist() == [(2, 40)]
+
+    def test_inner(self):
+        probe = probe_table(
+            [1.5, -0.0, math.nan, 2.0, None, 0.0], dtype=DataType.FLOAT64
+        )
+        build = build_table(
+            [1.7, 0.0, math.nan, 2.0, 1.0, -0.0], dtype=DataType.FLOAT64
+        )
+        result = collect(HashJoin(TableScan(probe), TableScan(build), "pk", "bk"))
+        assert pairs(result) == [(1, 1), (1, 5), (3, 3), (5, 1), (5, 5)]
+
+    def test_left_outer(self):
+        probe = probe_table([1.5, 2.0, math.nan, -0.0], dtype=DataType.FLOAT64)
+        build = build_table([1.0, 2.0, math.nan, 0.0], dtype=DataType.FLOAT64)
+        result = collect(
+            HashJoin(TableScan(probe), TableScan(build), "pk", "bk", "left_outer")
+        )
+        assert pairs(result) == [(0, None), (1, 1), (2, None), (3, 3)]
+
+    def test_float_probe_against_integer_build(self):
+        probe = probe_table([1.5, 2.0, 3.0], dtype=DataType.FLOAT64)
+        build = build_table([1, 2, 2, 3])
+        result = collect(HashJoin(TableScan(probe), TableScan(build), "pk", "bk"))
+        assert pairs(result) == [(1, 1), (1, 2), (2, 3)]
+
+
 class TestMergeJoin:
     def test_sorted_inputs(self):
         probe = probe_table([1, 2, 2, 5])
@@ -193,83 +252,101 @@ class TestMergeJoin:
 
 
 class TestJoinEquivalenceProperties:
+    """Join output order is part of the contract: HashJoin emits probe
+    order, then build order within one probe row; MergeJoin emits left
+    order.  Probe batches of 5-7 rows make runs of equal keys span
+    batches."""
+
     keys = st.lists(st.one_of(st.none(), st.integers(0, 15)), max_size=40)
+    float_keys = st.lists(
+        st.one_of(
+            st.none(),
+            st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.25, math.inf, math.nan]),
+        ),
+        max_size=40,
+    )
+    batch_sizes = st.integers(5, 7)
 
-    @given(keys, keys)
+    @given(keys, keys, batch_sizes)
     @settings(max_examples=80, deadline=None)
-    def test_hash_join_matches_reference(self, probe_keys, build_keys):
-        probe = probe_table(probe_keys)
-        build = build_table(build_keys)
+    def test_hash_join_matches_reference(self, probe_keys, build_keys, batch_size):
         result = collect(
-            HashJoin(TableScan(probe, batch_size=7), TableScan(build), "pk", "bk")
-        )
-        got = sorted(
-            zip(result.column("ptag").to_pylist(), result.column("btag").to_pylist())
-        )
-        expected = sorted(
-            (p, b) for __, p, __, b in reference_join(probe_keys, build_keys)
-        )
-        assert got == expected
-
-    @given(keys, keys)
-    @settings(max_examples=80, deadline=None)
-    def test_merge_join_matches_hash_join(self, probe_keys, build_keys):
-        probe = probe_table(probe_keys)
-        build = build_table(build_keys)
-        merge = collect(
-            MergeJoin(
-                Sort(TableScan(probe), [SortKey("pk")]),
-                Sort(TableScan(build), [SortKey("bk")]),
+            HashJoin(
+                TableScan(probe_table(probe_keys), batch_size=batch_size),
+                TableScan(build_table(build_keys)),
                 "pk",
                 "bk",
             )
         )
-        hash_result = collect(
-            HashJoin(TableScan(probe), TableScan(build), "pk", "bk")
-        )
-        got = sorted(
-            zip(merge.column("ptag").to_pylist(), merge.column("btag").to_pylist())
-        )
-        expected = sorted(
-            zip(
-                hash_result.column("ptag").to_pylist(),
-                hash_result.column("btag").to_pylist(),
-            )
-        )
-        assert got == expected
+        assert pairs(result) == [
+            (p, b) for __, p, __, b in reference_join(probe_keys, build_keys)
+        ]
 
-    @given(keys, keys)
+    @given(keys, keys, batch_sizes, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_merge_join_matches_hash_join(
+        self, probe_keys, build_keys, batch_size, unique_right
+    ):
+        check_merge_matches_hash(
+            probe_keys, build_keys, batch_size, unique_right, DataType.INT64
+        )
+
+    @given(float_keys, float_keys, batch_sizes, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_merge_join_matches_hash_join_on_floats(
+        self, probe_keys, build_keys, batch_size, unique_right
+    ):
+        check_merge_matches_hash(
+            probe_keys, build_keys, batch_size, unique_right, DataType.FLOAT64
+        )
+
+    @given(keys, keys, batch_sizes)
     @settings(max_examples=60, deadline=None)
-    def test_left_outer_matches_reference(self, probe_keys, build_keys):
-        probe = probe_table(probe_keys)
-        build = build_table(build_keys)
+    def test_left_outer_matches_reference(self, probe_keys, build_keys, batch_size):
         result = collect(
             HashJoin(
-                TableScan(probe, batch_size=5),
-                TableScan(build),
+                TableScan(probe_table(probe_keys), batch_size=batch_size),
+                TableScan(build_table(build_keys)),
                 "pk",
                 "bk",
                 "left_outer",
             )
         )
-        got = sorted(
-            zip(result.column("ptag").to_pylist(), result.column("btag").to_pylist()),
-            key=str,
-        )
-        expected = sorted(
-            (
-                (p, b)
-                for __, p, __, b in reference_join(
-                    probe_keys, build_keys, left_outer=True
-                )
-            ),
-            key=str,
-        )
-        assert got == expected
+        assert pairs(result) == [
+            (p, b)
+            for __, p, __, b in reference_join(
+                probe_keys, build_keys, left_outer=True
+            )
+        ]
 
 
-class TestChooseBuildSide:
-    def test_smaller_side_wins(self):
-        assert choose_build_side(10, 100)[0] == "left"
-        assert choose_build_side(100, 10)[0] == "right"
-        assert choose_build_side(5, 5)[0] == "left"
+def sorted_keeping_nulls(keys):
+    """*keys* with the non-NULL values sorted (NaN last) and each NULL
+    where it was: a valid merge-join input, since NULLs never join."""
+    values = iter(np.sort(np.array([key for key in keys if key is not None])).tolist())
+    return [None if key is None else next(values) for key in keys]
+
+
+def check_merge_matches_hash(probe_keys, build_keys, batch_size, unique_right, dtype):
+    """Both joins over the same key-sorted inputs emit the reference's
+    pairs in the reference's order."""
+    if unique_right:
+        build_keys = list(dict.fromkeys(build_keys))
+    left_keys = sorted_keeping_nulls(probe_keys)
+    right_keys = sorted_keeping_nulls(build_keys)
+    left = probe_table(left_keys, dtype=dtype)
+    right = build_table(right_keys, dtype=dtype)
+    expected = [(p, b) for __, p, __, b in reference_join(left_keys, right_keys)]
+    merge = MergeJoin(
+        TableScan(left, batch_size=batch_size),
+        TableScan(right),
+        "pk",
+        "bk",
+        # NaN sorts last but fails the ``<=`` guard; floats run unguarded.
+        check_sorted=dtype == DataType.INT64,
+    )
+    assert pairs(collect(merge)) == expected
+    hashed = HashJoin(
+        TableScan(left, batch_size=batch_size), TableScan(right), "pk", "bk"
+    )
+    assert pairs(collect(hashed)) == expected

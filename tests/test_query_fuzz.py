@@ -119,9 +119,14 @@ def queries(draw):
             op = draw(comparisons)
             value = draw(st.integers(-10, 410))
             join_where = f" WHERE f.{column} {op} {value}"
+        join = f"FROM f JOIN dim ON f.{key} = dim.k{join_where}"
+        # dim.label checks the build side: a probe row paired with the
+        # wrong dim row changes it, where COUNT(*) and f.g cannot see it.
+        if draw(st.booleans()):
+            return f"SELECT f.s, dim.label {join} ORDER BY f.s, dim.label"
         return (
-            "SELECT COUNT(*) AS n, SUM(f.g) AS total FROM f "
-            f"JOIN dim ON f.{key} = dim.k{join_where}"
+            "SELECT COUNT(*) AS n, SUM(f.g) AS total, "
+            f"SUM(dim.label) AS labels {join}"
         )
     column = draw(columns)
     return (
