@@ -1,4 +1,4 @@
-"""Ablation: incremental delta maintenance vs rebuild-every-batch.
+"""Ablation: incremental maintenance vs rebuild-every-batch.
 
 The paper (§V) maintains PatchIndexes incrementally so table mutations
 never force the O(n log n) from-scratch discovery; this bench puts a
@@ -6,8 +6,8 @@ number on that choice.  Two arms run the same mutation stream — batches
 of mostly-unique appends plus a few updates and deletes — over a
 durable database carrying a NUC PatchIndex:
 
-- ``incremental``: the delta layer classifies every mutation into
-  :class:`~repro.core.delta.PatchDelta` ops; a full rebuild happens
+- ``incremental``: the maintainer (:mod:`repro.core.maintenance`)
+  re-classifies the rows of every mutation; a full rebuild happens
   only when drift crosses ``REBUILD_THRESHOLD`` (0.02)
   (``run_pending_rebuilds`` after each batch, as the server does);
 - ``rebuild_every_batch``: the self-management strawman — call
@@ -19,7 +19,8 @@ full-rebuild ratio (paper's motivation: ≥ 5× fewer rebuilds).
 
 The second half measures what the checkpointed patch sets buy recovery:
 the same directory is reopened twice — once as-is (patch sets restored,
-WAL deltas replayed, ``recovery.indexes_restored``) and once with the
+then maintained through the replayed WAL data tail,
+``recovery.indexes_restored``) and once with the
 ``patches.json`` sidecar deleted (forced rebuild-from-data fallback,
 ``recovery.indexes_rebuilt``).
 
@@ -116,9 +117,7 @@ def measure_recovery(root: Path) -> dict:
         "seconds": seconds,
         "indexes_restored": gauges.get("recovery.indexes_restored", 0),
         "indexes_rebuilt": gauges.get("recovery.indexes_rebuilt", 0),
-        "delta_records_replayed": gauges.get(
-            "recovery.delta_records_replayed", 0
-        ),
+        "records_replayed": gauges.get("recovery.replayed_records", 0),
         "distinct": database.sql(QUERY).scalar(),
     }
     database.close()
@@ -188,7 +187,7 @@ def main() -> int:
     print(
         f"recovery with patch sets: restored="
         f"{with_patches['indexes_restored']} "
-        f"replayed={with_patches['delta_records_replayed']} "
+        f"replayed={with_patches['records_replayed']} "
         f"in {with_patches['seconds'] * 1e3:.1f} ms; without: rebuilt="
         f"{without_patches['indexes_rebuilt']} in "
         f"{without_patches['seconds'] * 1e3:.1f} ms"

@@ -82,8 +82,8 @@ def connect(
     - ``repro.connect("/data/dir")`` — a **durable** database directory
       (created if missing): row data is WAL-logged, ``CHECKPOINT``
       flushes columnar segment files, and reconnecting to the same
-      directory recovers tables and rebuilds PatchIndexes from data
-      (paper §V);
+      directory recovers tables and PatchIndexes as they were — the
+      log carries data, never patches (paper §V);
     - ``repro.connect("repro://host:port")`` — a **network client**
       (:class:`repro.serve.ServerClient`) speaking to a running
       ``python -m repro serve`` instance; it mirrors the ``Database``

@@ -30,7 +30,7 @@ the morsel-parallel worker count; ``--threads 1`` forces serial plans.
 ``--data-dir DIR`` opens (or creates) a durable database directory:
 data survives restarts, ``CHECKPOINT`` / ``\checkpoint`` flushes
 segment files, and reopening the same directory recovers tables and
-rebuilds PatchIndexes from data.
+PatchIndexes as they were.
 
 The REPL drives remote databases through the same commands — a
 :class:`repro.serve.ServerClient` mirrors the ``Database`` surface the

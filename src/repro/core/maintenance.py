@@ -13,12 +13,12 @@ from **minimal**.  Re-creating the index re-establishes minimality; the
 drift is observable through :class:`MaintenanceStats` so a
 self-management tool can schedule a rebuild.
 
-Every handler is a pure *classifier*: it derives a
-:class:`~repro.core.delta.PatchDelta` from the mutation event and
-applies it through the delta layer (:func:`repro.core.delta.apply_ops`)
-— never by mutating patch sets directly.  The owning database logs the
-delta into the WAL (durable engines), so recovery and snapshot readers
-replay the exact same membership changes instead of re-deriving them.
+Every handler re-classifies the rows one mutation touched and changes
+patch-set membership itself — the only code outside
+:mod:`repro.core.patches` allowed to (lint rule L10).  The WAL carries
+the data mutation, never its patch changes: recovery replays the data
+records through :class:`~repro.storage.table.Table` and this same
+maintainer re-classifies them, exactly as it did live.
 
 The classifier keeps **no state between events**.  Any valid patch set
 answers queries correctly, so membership is decided from the data at the
@@ -73,9 +73,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core import delta as delta_layer
 from repro.core.constraints import ConstraintKind
-from repro.core.delta import DeltaOp, PatchDelta
 from repro.storage.column import ColumnVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,6 +83,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: (partition, first new local rowid, partition row count) of one event.
 Tail = tuple["Partition", int, int]
+
+#: (partition id, local rowids) of kept rows that NUC2 moves into the patch set.
+Demotion = tuple[int, np.ndarray]
 
 
 @dataclass
@@ -145,7 +146,7 @@ def _tail_row(patches: "PatchSet") -> int | None:
 
 
 class IndexMaintainer:
-    """Derives and applies PatchDeltas for one index's table mutations."""
+    """Re-classifies one index's rows under its table's mutations."""
 
     def __init__(self, index: "PatchIndex"):
         self.index = index
@@ -153,46 +154,52 @@ class IndexMaintainer:
 
     # -- event dispatch ---------------------------------------------------
 
-    def handle(self, event: str, payload: dict) -> PatchDelta | None:
-        """Classify one table mutation; apply and return its delta.
+    def handle(self, event: str, payload: dict) -> bool:
+        """Classify one table mutation and change the patch sets to match.
 
-        Returns ``None`` for events that do not concern the index (an
-        update of another column, unknown event kinds) — replay expects
-        a logged delta exactly when this returns one.
+        Returns False for events that do not concern the index (an
+        update of another column, unknown event kinds): forward
+        compatibility with table mutations that cannot affect validity.
         """
+        stats = self.stats
         if event in ("append", "load"):
-            ops, rows, demoted = self._classify_growth()
+            stats.rows_appended += self._grow()
+            if event == "append":
+                stats.appends_handled += 1
+            else:
+                stats.loads_handled += 1
         elif event == "delete":
-            ops, rows, demoted = self._classify_delete(payload)
-        elif event == "update":
-            if payload["column"] != self.index.column_name:
-                return None
-            ops, rows, demoted = self._classify_update(payload)
+            self._delete(payload)
+            stats.deletes_handled += 1
+        elif event == "update" and payload["column"] == self.index.column_name:
+            self._update(payload)
+            stats.updates_handled += 1
         else:
-            # Unknown events are ignored: forward compatibility with new
-            # table mutations that do not affect constraint validity.
-            return None
-        delta = PatchDelta(
-            index_name=self.index.name,
-            table_name=self.index.table_name,
-            event=event,
-            ops=tuple(ops),
-            rows=rows,
-            demoted=demoted,
-        )
-        self.apply(delta)
-        return delta
+            return False
+        return True
 
-    def apply(self, delta: PatchDelta) -> None:
-        """Apply a delta — classified here or replayed from the log."""
-        delta_layer.apply_ops(self.index._partition_patches, delta.ops)
-        delta_layer.record_delta_stats(self.stats, delta)
+    # -- changing membership ---------------------------------------------------
+
+    def _add(self, partition_id: int, rowids: np.ndarray) -> None:
+        self.index._partition_patches[partition_id].add(rowids)
+        self.stats.patches_added += len(rowids)
+
+    def _demote(self, demotions: list[Demotion]) -> None:
+        for partition_id, rowids in demotions:
+            self._add(partition_id, rowids)
+            self.stats.kept_rows_demoted += len(rowids)
+
+    def _extend(self, partition_id: int, row_count: int, rowids: np.ndarray) -> None:
+        """Account for a partition grown to *row_count*, *rowids* of the
+        new rows as patches."""
+        self.index._partition_patches[partition_id].extend(row_count, rowids)
+        self.stats.patches_added += len(rowids)
 
     # -- reading the data ----------------------------------------------------
 
     def _holders(
         self, needles: np.ndarray, skip: tuple[int, int] | None = None
-    ) -> tuple[np.ndarray, list[DeltaOp]]:
+    ) -> tuple[np.ndarray, list[Demotion]]:
         """Which of *needles* some accounted row holds, and the NUC2 demotions.
 
         *needles* is sorted and unique.  Per partition, the
@@ -200,12 +207,12 @@ class IndexMaintainer:
         them — are cut down to the non-NULL ones inside the needles' value
         range and looked up by ``searchsorted``; *skip* names one
         ``(partition_id, local rowid)`` to leave out (an updated row is not
-        its own twin).  Returns a mask over *needles* and one ``add`` op
-        per partition moving the *kept* holders into the patch set.
+        its own twin).  Returns a mask over *needles* and, per partition,
+        the *kept* holders that move into the patch set.
         """
         index = self.index
         held = np.zeros(len(needles), dtype=np.bool_)
-        demotions: list[DeltaOp] = []
+        demotions: list[Demotion] = []
         if len(needles) == 0:  # a batch of NULLs
             return held, demotions
         for partition, patches in zip(index.table.partitions, index._partition_patches):
@@ -223,7 +230,7 @@ class IndexMaintainer:
             held[slots[hit]] = True
             kept = rows[hit][~_is_patch(patches, rows[hit])]
             if len(kept):
-                demotions.append(delta_layer.add_op(partition.partition_id, kept))
+                demotions.append((partition.partition_id, kept))
         return held, demotions
 
     def _sorted_tail(self, partition_id: int) -> object | None:
@@ -241,8 +248,9 @@ class IndexMaintainer:
 
     # -- append / load -------------------------------------------------------
 
-    def _classify_growth(self) -> tuple[list[DeltaOp], int, int]:
-        """Classify the rows beyond what each patch set accounts for.
+    def _grow(self) -> int:
+        """Classify the rows beyond what each patch set accounts for, and
+        return how many there were.
 
         Neither payload is read: an append grew the last partition, a
         load any of them, and the patch sets' row counts say by how much.
@@ -255,16 +263,18 @@ class IndexMaintainer:
             )
             if partition.row_count > patches.row_count
         ]
-        rows = sum(stop - start for _, start, stop in tails)
         if index.constraint_kind == ConstraintKind.SORTED:
-            return self._sorted_growth(tails), rows, 0
-        ops, demoted = self._unique_growth(tails)
-        return ops, rows, demoted
+            self._sorted_growth(tails)
+        else:
+            self._unique_growth(tails)
+        return sum(stop - start for _, start, stop in tails)
 
-    def _sorted_growth(self, tails: list[Tail]) -> list[DeltaOp]:
+    def _sorted_growth(self, tails: list[Tail]) -> None:
+        # Extending one partition leaves the tail value of every other
+        # unchanged (its new rows are all patches under global scope),
+        # so each partition may be extended as soon as it is classified.
         index = self.index
         last_partition = len(index.table.partitions) - 1
-        ops: list[DeltaOp] = []
         for partition, start, stop in tails:
             if index.scope == "global" and partition.partition_id != last_partition:
                 new_patches = np.arange(start, stop)
@@ -274,10 +284,7 @@ class IndexMaintainer:
                     partition.column(index.column_name).slice(start, stop),
                 )
                 new_patches = start + np.flatnonzero(~extends)
-            ops.append(
-                delta_layer.extend_op(partition.partition_id, stop, new_patches)
-            )
-        return ops
+            self._extend(partition.partition_id, stop, new_patches)
 
     def _extends(self, last: object | None, column: ColumnVector) -> np.ndarray:
         """Which of *column*'s rows the greedy extension keeps.
@@ -303,7 +310,7 @@ class IndexMaintainer:
         kept[valid] = ok
         return kept
 
-    def _unique_growth(self, tails: list[Tail]) -> tuple[list[DeltaOp], int]:
+    def _unique_growth(self, tails: list[Tail]) -> None:
         name = self.index.column_name
         batch = ColumnVector.concat(
             [
@@ -315,60 +322,52 @@ class IndexMaintainer:
         needles, inverse, counts = np.unique(
             batch.values[valid], return_inverse=True, return_counts=True
         )
+        # Looked up before any patch set grows: the new rows are not
+        # accounted yet, so no new row counts as its own holder.
         held, demotions = self._holders(needles)
         taken = held | (counts > 1)
         is_patch = ~valid
         is_patch[valid] = taken[inverse]
-        ops: list[DeltaOp] = []
         offset = 0
         for partition, start, stop in tails:
             piece = is_patch[offset : offset + stop - start]
             offset += stop - start
-            ops.append(
-                delta_layer.extend_op(
-                    partition.partition_id, stop, start + np.flatnonzero(piece)
-                )
-            )
-        return ops + demotions, sum(len(op.rowids) for op in demotions)
+            self._extend(partition.partition_id, stop, start + np.flatnonzero(piece))
+        self._demote(demotions)
 
     # -- delete ---------------------------------------------------------------------
 
-    def _classify_delete(
-        self, payload: dict
-    ) -> tuple[list[DeltaOp], int, int]:
-        ops: list[DeltaOp] = []
-        rows = 0
+    def _delete(self, payload: dict) -> None:
+        """Drop the deleted rows and renumber the survivors densely."""
         for partition_id, local_deleted in payload["per_partition"]:
-            if len(local_deleted) == 0:
-                continue
-            ops.append(delta_layer.remap_op(partition_id, local_deleted))
-            rows += len(local_deleted)
-        return ops, rows, 0
+            if len(local_deleted):
+                self.index._partition_patches[partition_id].remap_after_delete(
+                    local_deleted
+                )
 
     # -- update ----------------------------------------------------------------------
 
-    def _classify_update(
-        self, payload: dict
-    ) -> tuple[list[DeltaOp], int, int]:
+    def _update(self, payload: dict) -> None:
         """Re-classify one row from the value the table now holds."""
         index = self.index
         partition_id = payload["partition_id"]
         partition = index.table.partitions[partition_id]
         local = payload["rowid"] - partition.base_rowid
-        was_patch = index._partition_patches[partition_id].contains(local)
-        join = [] if was_patch else [delta_layer.add_op(partition_id, [local])]
-        if index.constraint_kind == ConstraintKind.SORTED:
-            # Conservative: a kept row that moved leaves the subsequence.
-            return join, 1, 0
-        column = partition.column(index.column_name)
-        if not column.is_valid(local):
-            return join, 1, 0
-        held, demotions = self._holders(
-            column.values[local : local + 1], skip=(partition_id, local)
-        )
-        if held[0]:  # by a patch, or by a kept row that NUC2 now demotes
-            return demotions + join, 1, sum(len(op.rowids) for op in demotions)
-        if was_patch:
-            # No other row holds the value: the row is unique again.
-            return [delta_layer.remove_op(partition_id, [local])], 1, 0
-        return [], 1, 0
+        patches = index._partition_patches[partition_id]
+        was_patch = patches.contains(local)
+        if index.constraint_kind == ConstraintKind.UNIQUE:
+            column = partition.column(index.column_name)
+            if column.is_valid(local):
+                held, demotions = self._holders(
+                    column.values[local : local + 1], skip=(partition_id, local)
+                )
+                self._demote(demotions)  # the kept holders of the value (NUC2)
+                if not held[0]:  # no other row holds it: the row is unique
+                    if was_patch:
+                        patches.remove(np.array([local], dtype=np.int64))
+                        self.stats.patches_removed += 1
+                    return
+        # Conservative for NSC: a kept row that moved leaves the
+        # subsequence.  A NULL is always a patch.
+        if not was_patch:
+            self._add(partition_id, np.array([local], dtype=np.int64))

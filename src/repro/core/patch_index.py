@@ -67,7 +67,7 @@ class PatchIndexStats:
     creation_seconds: float
     partition_patch_counts: tuple[int, ...]
     #: How this index came to exist: "user" for explicit creation,
-    #: "recovery" for a rebuild-from-data during WAL replay (paper §V).
+    #: "recovery" for one a reopen restored or re-discovered (paper §V).
     provenance: str = "user"
 
 
@@ -113,10 +113,11 @@ class PatchIndex:
         #: background sweep (:meth:`Database.run_pending_rebuilds`, the
         #: server's writer loop) rebuilds and clears it.
         self.rebuild_pending = False
-        #: Callable ``(index, delta)`` observing every applied
-        #: :class:`~repro.core.delta.PatchDelta` — the owning database
-        #: wires this to log deltas into the WAL and feed drift gauges.
-        #: ``None`` for detached indexes (snapshots, tests).
+        #: Callable ``(index, event)`` told of every maintained table
+        #: event and of every rebuild (``"rebuild"``) — the owning
+        #: database wires this to the drift gauge, rebuild scheduling and
+        #: the WAL's ``rebuild_index`` record.  ``None`` for detached
+        #: indexes (snapshots, recovery, tests).
         self.delta_sink = None
         #: ``(rows, runs, scalar_steps)`` of the NSC discovery that built
         #: the current patch sets (see :class:`DiscoveryResult`); ``None``
@@ -360,15 +361,12 @@ class PatchIndex:
         the index was created with, so an explicit ``identifier`` /
         ``bitmap`` survives the rebuild as it survives a reopen.
 
-        Emits an ``invalidate`` :class:`~repro.core.delta.PatchDelta`
-        through the sink: the logged delta stream no longer describes
-        the rebuilt patch sets, so WAL replay encountering the marker
-        falls back to the paper's rebuild-from-data recovery.  Runs
-        under the table's state lock, so a snapshot pin sees the index
-        before or after the rebuild, never during it.
+        Tells the sink, which logs a ``rebuild_index`` record on a
+        durable engine: recovery re-runs the rebuild at that point of the
+        log, so a reopen lands on the same patch sets.  Runs under the
+        table's state lock, so a snapshot pin sees the index before or
+        after the rebuild, never during it.
         """
-        from repro.core.delta import PatchDelta, invalidate_op
-
         with self.table.state_lock:
             result = discover(
                 self.table,
@@ -387,15 +385,7 @@ class PatchIndex:
             self.rebuild_pending = False
             self.table.touch()
             if self.delta_sink is not None:
-                self.delta_sink(
-                    self,
-                    PatchDelta(
-                        index_name=self.name,
-                        table_name=self.table_name,
-                        event="rebuild",
-                        ops=(invalidate_op(),),
-                    ),
-                )
+                self.delta_sink(self, "rebuild")
 
     def _note_discovery(self, result: DiscoveryResult) -> None:
         if result.kind == ConstraintKind.SORTED:
@@ -421,22 +411,14 @@ class PatchIndex:
             self._maintainer = IndexMaintainer(self)
         return self._maintainer
 
-    def apply_external_delta(self, delta) -> None:
-        """Replay one :class:`~repro.core.delta.PatchDelta` produced
-        elsewhere (WAL recovery) onto this index, folding it into the
-        maintenance stats."""
-        self._maintenance().apply(delta)
-        self.table.touch()
-
     def seed_maintenance_stats(self, stats) -> None:
         """Install persisted drift counters on a restored index."""
         self._maintenance().stats = stats
 
     def _on_table_event(self, event: str, payload: dict) -> None:
         """Forward table mutations to the incremental maintainer."""
-        delta = self._maintenance().handle(event, payload)
-        if delta is not None and self.delta_sink is not None:
-            self.delta_sink(self, delta)
+        if self._maintenance().handle(event, payload) and self.delta_sink is not None:
+            self.delta_sink(self, event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PatchIndex({self.describe()})"

@@ -297,7 +297,7 @@ class ReproServer:
                     # Drift-triggered background rebuilds run on the
                     # writer thread between client statements, inside
                     # the same group-commit scope so the rebuild's
-                    # invalidate delta rides the batch fsync.
+                    # rebuild_index record rides the batch fsync.
                     self.database.run_pending_rebuilds()
             except Exception as error:  # noqa: BLE001 - shipped to client
                 # The group's one fsync (or its sweep) failed: none of

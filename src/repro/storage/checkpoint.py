@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.delta import delta_checksum
 from repro.storage.catalog import Catalog
 from repro.storage.database import schema_to_payload
 from repro.storage.manifest import (
@@ -124,6 +124,14 @@ def flush_table(
     return table_manifest, detail
 
 
+def entry_checksum(entry: dict) -> int:
+    """CRC-32 over the canonical JSON of a ``patches.json`` entry,
+    leaving out its own ``checksum`` key."""
+    body = {key: value for key, value in entry.items() if key != "checksum"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(canonical.encode("utf-8"))
+
+
 def persisted_index_entry(index) -> dict:
     """Checksummed ``patches.json`` entry for one PatchIndex.
 
@@ -156,7 +164,7 @@ def persisted_index_entry(index) -> dict:
             for pid in range(index.table.partition_count)
         ],
     }
-    body["checksum"] = delta_checksum(body)
+    body["checksum"] = entry_checksum(body)
     return body
 
 
@@ -165,10 +173,10 @@ def write_patch_sets(
 ) -> str:
     """Materialize every index's patch sets into the new generation.
 
-    With the patch sets persisted per checkpoint, every reconstruction
-    replays the ``patch_delta`` tail over them instead of re-discovering
-    non-drifted indexes from data.  Returns the file's path relative to
-    *root* (the manifest's ``patches`` pointer).
+    With the patch sets persisted per checkpoint, recovery restores them
+    and lets the indexes re-classify the WAL tail's data records, instead
+    of re-discovering every index from data.  Returns the file's path
+    relative to *root* (the manifest's ``patches`` pointer).
     """
     entries = {
         index.name: persisted_index_entry(index)

@@ -6,26 +6,27 @@ This is the top-level object users interact with.  It owns the
 the optimizer and the executor together.
 
 Recovery follows the paper's design (§V): the WAL records *that* a
-PatchIndex exists (name, table, column, kind, mode, threshold), and —
-since the delta layer (:mod:`repro.core.delta`) — the checksummed
-``patch_delta`` each maintained mutation produced.  Durable recovery
-restores indexes from checkpoint-persisted patch sets plus that delta
-tail and only re-runs discovery against the table data as the fallback.
-The database is also where deltas meet self-management: every applied
-delta flows through :meth:`Database._on_patch_delta`, which logs it,
-feeds the per-index drift gauge, and schedules a background rebuild
-once drift exceeds :data:`REBUILD_THRESHOLD`.  Two durability modes exist,
-selected at construction through the storage engine seam
+PatchIndex exists (name, table, column, kind, mode, threshold), never its
+patches.  A reopen restores indexes from the checkpoint's persisted patch
+sets (or discovers them from data) and replays the WAL's data tail
+through the tables, which the indexes re-classify exactly as they did
+live (:mod:`repro.storage.materialize`).  The database is also where
+maintenance meets self-management: every maintained mutation and every
+rebuild of an index reaches :meth:`Database._on_index_event`, which
+feeds the per-index drift gauge, schedules a background rebuild once
+drift exceeds :data:`REBUILD_THRESHOLD`, and logs each rebuild as a
+``rebuild_index`` record so recovery re-runs it.  Two durability modes
+exist, selected at construction through the storage engine seam
 (:mod:`repro.storage.engine`):
 
 - in-memory (the default): row data is volatile and the optional WAL
   covers metadata only; :meth:`Database.recover` accepts per-table data
-  loaders that repopulate tables before indexes are rebuilt.
+  loaders that repopulate each table as its ``create_table`` replays, so
+  every index is discovered over loaded data.
 - durable (``Database(path=...)`` / ``repro.connect(path=...)``): row
   data is WAL-logged and checkpointed into columnar segment files, and
-  reopening the same path runs full recovery — manifest load, WAL tail
-  replay, PatchIndex restore or re-discovery — automatically
-  (:mod:`repro.storage.materialize`).
+  reopening the same path runs full recovery — manifest load, PatchIndex
+  restore or re-discovery, WAL tail replay — automatically.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.result import QueryResult
     from repro.obs.metrics import MetricsRegistry
     from repro.sql.session import Session
+    from repro.storage.materialize import Recovered
     from repro.storage.snapshot import SnapshotView
 
 DataLoader = Callable[[Table], None]
@@ -104,7 +106,7 @@ class Database:
         managed by :class:`~repro.storage.engine.DurableEngine`: row
         data is WAL-logged, ``CHECKPOINT`` flushes columnar segment
         files, and reopening the same *path* recovers tables and
-        rebuilds PatchIndexes from data.  ``sync=False`` skips fsync
+        PatchIndexes as they were.  ``sync=False`` skips fsync
         (benchmarks only).  *cache_bytes* bounds the shared
         decoded-block cache (default: the ``REPRO_CACHE_BYTES``
         environment variable, else 64 MiB; ``0`` disables caching) and
@@ -130,10 +132,6 @@ class Database:
         #: instance; ``None`` lets the planner resolve ``REPRO_THREADS``
         #: / the CPU count, ``1`` forces serial plans.
         self.parallelism = parallelism
-        #: LSN of the data record the engine just logged for the current
-        #: table mutation; patch deltas derived from that mutation link
-        #: to it via ``applies_to``.  None outside a logged mutation.
-        self._last_data_lsn = None
         #: Instance-wide metrics registry (see :meth:`metrics`).
         self.obs = MetricsRegistry()
         #: Session bookkeeping.
@@ -234,38 +232,27 @@ class Database:
             self.obs.counter("maintenance.deletes").inc()
         elif event == "update":
             self.obs.counter("maintenance.updates").inc()
-        self._last_data_lsn = None
         self.engine.table_event(self, event, payload)
-        if self.engine.logs_data:
-            # This listener runs before any index listener (it is
-            # registered first in _install_table), so the deltas the
-            # indexes are about to emit link to this data record.
-            self._last_data_lsn = self.wal.last_lsn
 
-    def _on_patch_delta(self, index: "PatchIndex", delta) -> None:
-        """Sink for every applied :class:`~repro.core.delta.PatchDelta`.
+    def _on_index_event(self, index: "PatchIndex", event: str) -> None:
+        """Sink for every maintained table event and rebuild of an index.
 
-        Logs the delta as a ``patch_delta`` WAL record (durable engines)
-        linked via ``applies_to`` to the data record of
-        the mutation that produced it — rebuild-event deltas carry
-        ``applies_to=None``; they only mark the stream invalid.  Feeds
-        the per-index drift gauge and schedules a background rebuild
-        (``rebuild_pending``) once drift exceeds
-        :data:`REBUILD_THRESHOLD`.
+        Feeds the per-index drift gauge and schedules a background rebuild
+        (``rebuild_pending``) once drift exceeds :data:`REBUILD_THRESHOLD`.
+        A rebuild is logged as a ``rebuild_index`` record (durable
+        engines): the data records carry the mutations, but only this
+        says where the rebuild happened, so recovery re-runs it there.
         """
-        if self.engine.logs_data:
-            applies_to = (
-                None if delta.event == "rebuild" else self._last_data_lsn
-            )
-            self.wal.append("patch_delta", delta.to_payload(applies_to))
-        self.obs.counter("maintenance.deltas").inc()
-        self.obs.counter("maintenance.delta_ops").inc(len(delta.ops))
-        if delta.event == "rebuild":
+        if event == "rebuild":
+            if self.engine.logs_data:
+                self.wal.append(
+                    "rebuild_index", {"name": index.name, "table": index.table_name}
+                )
             index.publish_discovery(self.obs)
         drift = index.drift_rate()
         self.obs.gauge(f"patchindex.{index.name}.drift_rate").set(drift)
         if (
-            delta.event != "rebuild"
+            event != "rebuild"
             and not index.rebuild_pending
             and drift > REBUILD_THRESHOLD
         ):
@@ -276,7 +263,7 @@ class Database:
         """Rebuild every index maintenance drift marked for it.
 
         The background half of drift-triggered self-management: the
-        delta sink marks indexes past :data:`REBUILD_THRESHOLD`, and
+        index sink marks indexes past :data:`REBUILD_THRESHOLD`, and
         this sweep — called by the server's writer loop between batches,
         or directly — re-runs discovery on them.  Returns the number of
         indexes rebuilt.
@@ -419,14 +406,21 @@ class Database:
         return index
 
     def _adopt_index(self, index: "PatchIndex") -> None:
-        """Register an index and route its deltas through this database."""
+        """Register an index and route its events through this database."""
         self.catalog.add_index(index)
-        index.delta_sink = self._on_patch_delta
+        index.delta_sink = self._on_index_event
         # A reopen restores drift with the patch sets, so the pending
         # rebuild it implies comes back with them.
         index.rebuild_pending = index.drift_rate() > REBUILD_THRESHOLD
         # Created or rebuilt from data; a restored index has none to report.
         index.publish_discovery(self.obs)
+
+    def _install_recovered(self, recovered: "Recovered") -> None:
+        """Register what recovery's replay produced (tables, then indexes)."""
+        for table in recovered.tables.values():
+            self._install_table(table)
+        for index in recovered.indexes:
+            self._adopt_index(index)
 
     def drop_patch_index(self, name: str) -> None:
         with self.catalog.state_lock:
@@ -581,28 +575,19 @@ class Database:
     ) -> "Database":
         """Rebuild a database instance by replaying a metadata WAL.
 
-        Tables are recreated empty, repopulated through *data_loaders*
-        (``table name → callable(table)``), and PatchIndexes are then
-        rebuilt from the data by re-running discovery, exactly as the
-        paper's recovery path does — the same two functions a durable
-        open runs, with no generation to restore from.
+        The same one pass a durable open runs, with no generation to start
+        from: each table is recreated and filled through *data_loaders*
+        (``table name → callable(table)``) as its ``create_table``
+        replays, and each PatchIndex is then discovered from the loaded
+        data as its ``create_index`` replays, exactly as the paper's
+        recovery path does.
         """
-        from repro.storage.materialize import (
-            materialize_indexes,
-            materialize_tables,
-        )
+        from repro.storage.materialize import replay_log
 
         database = cls(wal_path)
-        records = database.wal.records()
-        loaders = dict(data_loaders or {})
-        tables = materialize_tables(None, None, records, cache=None)
-        for table in tables.values():
-            database._install_table(table)
-            if table.name in loaders:
-                loaders[table.name](table)
-        built = materialize_indexes(tables, records, 0, None, provenance="recovery")
-        for index in built.indexes:
-            database._adopt_index(index)
+        database._install_recovered(
+            replay_log(database.wal.records(), {}, 0, {}, data_loaders)
+        )
         return database
 
     # -- introspection -----------------------------------------------------------

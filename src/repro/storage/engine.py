@@ -18,8 +18,9 @@ is the lifecycle around three modules that do the work:
   column as a segment file plus the PatchIndexes' patch sets, from a
   snapshot copy of the catalog;
 - :mod:`repro.storage.materialize` reads one back: tables from segments
-  plus the WAL tail, PatchIndexes restored from the persisted patch
-  sets or rebuilt from data (paper §V) — recovery, and nothing else;
+  and PatchIndexes from the persisted patch sets (or discovered from
+  data, paper §V), then one pass over the WAL tail that the indexes
+  re-classify — recovery, and nothing else;
 - :mod:`repro.storage.snapshot` pins copies of the live catalog for
   readers and serializes them with the checkpoint flip.
 
@@ -54,11 +55,7 @@ from repro.storage.manifest import (
     TableManifest,
     read_manifest,
 )
-from repro.storage.materialize import (
-    load_tables,
-    materialize_indexes,
-    materialize_tables,
-)
+from repro.storage.materialize import load_tables, read_patch_sets, replay_log
 from repro.storage.segment import ENCODING_MODES
 from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry
 from repro.storage.table import Table
@@ -350,14 +347,13 @@ class DurableEngine(StorageEngine):
     def recover(self, database: "Database") -> None:
         """Materialize the directory's state into the live catalog.
 
-        Tables first — manifest segments plus the WAL data tail — then
-        their PatchIndexes, restored from the checkpoint's patch sets
-        with the ``patch_delta`` tail replayed on top, or rebuilt from
-        data (:func:`~repro.storage.materialize.materialize_indexes`
-        holds the rule).  ``recovery.indexes_restored`` vs
-        ``recovery.indexes_rebuilt`` report which path each index took,
-        ``recovery.index_fallbacks`` how many rebuilds were refused
-        restores.
+        The manifest's tables and the PatchIndexes its patch sets restore
+        (or that are discovered from data), then one pass over the WAL
+        tail in LSN order that the indexes re-classify as it replays
+        (:func:`~repro.storage.materialize.replay_log`).
+        ``recovery.indexes_restored`` vs ``recovery.indexes_rebuilt``
+        report which path each index took, ``recovery.index_fallbacks``
+        how many discoveries were refused restores.
         """
         started = time.perf_counter()
         manifest = read_manifest(self.root)
@@ -372,16 +368,10 @@ class DurableEngine(StorageEngine):
             # Read off the segment headers now: the tail replay below
             # materializes the partitions it mutates.
             self._encoded_ratios[name] = encoded_ratio(table)
-        materialize_tables(self.root, manifest, records, cache=cache, base=tables)
-        # The database's listener must precede the index listeners on
-        # every table (see Database._on_table_event): install first.
-        for table in tables.values():
-            database._install_table(table)
-        built = materialize_indexes(
-            tables, records, generation_lsn, self.root, provenance="recovery"
+        recovered = replay_log(
+            records, tables, generation_lsn, read_patch_sets(self.root, generation_lsn)
         )
-        for index in built.indexes:
-            database._adopt_index(index)
+        database._install_recovered(recovered)
         obs = database.obs
         obs.counter("recovery.count").inc()
         obs.histogram("recovery.seconds").observe(time.perf_counter() - started)
@@ -392,11 +382,10 @@ class DurableEngine(StorageEngine):
                 if record.kind in DATA_KINDS and record.lsn > generation_lsn
             )
         )
-        obs.gauge("recovery.indexes_restored").set(len(built.restored))
+        obs.gauge("recovery.indexes_restored").set(len(recovered.restored))
         obs.gauge("recovery.indexes_rebuilt").set(
-            len(built.indexes) - len(built.restored)
+            len(recovered.indexes) - len(recovered.restored)
         )
-        obs.gauge("recovery.delta_records_replayed").set(built.deltas_replayed)
-        obs.counter("recovery.index_fallbacks").inc(sum(built.fallbacks.values()))
-        for reason, count in built.fallbacks.items():
+        obs.counter("recovery.index_fallbacks").inc(sum(recovered.fallbacks.values()))
+        for reason, count in recovered.fallbacks.items():
             obs.counter(f"recovery.index_fallbacks.{reason}").inc(count)

@@ -1,21 +1,26 @@
-"""Recovery: tables first, then PatchIndexes.
+"""Recovery: one pass over the live WAL, in LSN order.
 
 "Load a generation, replay the WAL, end with tables and their PatchIndexes"
 is what a reopen needs, and only a reopen: a snapshot copies the live
-catalog (:mod:`repro.storage.snapshot`) and reads no log.  It is written
-once, as two functions, with two thin callers::
+catalog (:mod:`repro.storage.snapshot`) and reads no log.  It is one
+function, :func:`replay_log`, with two thin callers::
 
-                         materialize_tables      materialize_indexes
-    DurableEngine.recover  manifest + whole log  restore or rebuild
-    Database.recover       whole metadata log    rebuild (no generation)
+    DurableEngine.recover  the manifest's tables and patch sets, then the tail
+    Database.recover       no generation: the whole metadata log, loaders
+                           run as each create_table replays
 
-:func:`materialize_indexes` holds the one restore-vs-rebuild rule.  An index
-whose ``create_index`` record the generation's checkpoint covers is *restored*:
-its persisted patch sets (``patches.json`` of that generation) with the
-``patch_delta`` tail replayed on top.  Anything that makes the persisted state
-unusable — and every index younger than the checkpoint — is rebuilt from data
-by discovery, the paper's §V recovery (:func:`index_from_payload`).  Each
-refused restore names its reason (:data:`FALLBACK_REASONS`).
+The pass starts from the checkpoint's tables with the indexes it covers
+attached as table listeners: each *restored* from that generation's
+``patches.json``, or — when the entry is unusable — discovered from the
+checkpoint's data (a fallback, counted under one of
+:data:`FALLBACK_REASONS`).  Every later record then replays as it ran
+live: a data record through :class:`~repro.storage.table.Table`, whose
+events the restored indexes' maintainers re-classify; a ``create_index``
+by discovery at its LSN (the paper's §V recovery,
+:func:`index_from_payload`); a ``rebuild_index`` by ``rebuild()``.  So a
+reopen reproduces the live patch sets and drift counters exactly.  The
+log carries no patches, and no crash window separates a data record
+from its index maintenance.
 """
 
 from __future__ import annotations
@@ -23,18 +28,18 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.core.constraints import ConstraintKind
-from repro.core.delta import PatchDelta, delta_checksum
 from repro.core.maintenance import MaintenanceStats
 from repro.core.patch_index import PatchIndex, PatchIndexMode
 from repro.core.patches import PatchSet
 from repro.errors import StorageError, WalError
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE
 from repro.storage.cache import BlockCache, SegmentColumnSource
+from repro.storage.checkpoint import entry_checksum
 from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema
 from repro.storage.manifest import (
@@ -45,23 +50,16 @@ from repro.storage.manifest import (
 from repro.storage.partition import Partition
 from repro.storage.segment import open_segment
 from repro.storage.table import Table
-from repro.storage.wal import (
-    DATA_KINDS,
-    PATCH_KINDS,
-    WalRecord,
-    live_records_of,
-)
+from repro.storage.wal import DATA_KINDS, WalRecord, live_records_of
 
-#: Why a covered index was rebuilt from data instead of restored.
+#: Why a covered index was discovered from data instead of restored.
 FALLBACK_REASONS = (
     "missing",  # no readable patches.json entry for the index
     "checksum",  # the entry fails its checksum
     "definition",  # the entry describes a different index
-    "invalidated",  # a rebuild after the checkpoint voided the delta stream
-    "delta_gap",  # a data record of the tail has no patch_delta
-    "partition_count",  # entry and recovered table disagree on partitions
-    "row_count",  # replayed patch sets and partitions disagree on rows
-    "malformed",  # the entry or a delta does not parse
+    "partition_count",  # entry and checkpointed table disagree on partitions
+    "row_count",  # entry and checkpointed partitions disagree on rows
+    "malformed",  # the entry does not parse
 )
 
 _LOG = logging.getLogger(__name__)
@@ -161,65 +159,20 @@ def apply_data_record(table: Table, record: WalRecord) -> None:
         table.update_rowid(int(payload["rowid"]), payload["column"], payload["value"])
 
 
-def materialize_tables(
-    root: Path | None,
-    manifest: Manifest | None,
-    records: list[WalRecord],
-    *,
-    cache: BlockCache | None,
-    base: dict[str, Table] | None = None,
-) -> dict[str, Table]:
-    """Table state of *manifest* with *records* replayed on top.
-
-    Starts from *base* when given (tables already at some point of the log;
-    *records* then reaches from there on) and from the manifest's
-    segment-backed tables otherwise.  Tables dropped after the checkpoint are
-    gone even though the manifest still carries them, so those drops apply
-    first; then the live ``create_table`` and data records beyond the
-    checkpoint replay in LSN order.  The caller picks the point in time by
-    passing only the records at or below it.
-    """
-    checkpoint_lsn = manifest.checkpoint_lsn if manifest is not None else 0
-    tables = base
-    if tables is None:
-        tables = load_tables(root, manifest, cache=cache)
-    for record in records:
-        if record.kind == "drop_table" and record.lsn > checkpoint_lsn:
-            tables.pop(record.payload["name"], None)
-    for record in live_records_of(records):
-        payload = record.payload
-        if record.kind == "create_table":
-            if payload["name"] not in tables:  # else loaded from the manifest
-                tables[payload["name"]] = Table(
-                    payload["name"],
-                    payload_to_schema(payload["schema"]),
-                    int(payload.get("partition_count", 1)),
-                    int(payload.get("block_size", DEFAULT_BLOCK_SIZE)),
-                )
-        elif record.kind in DATA_KINDS and record.lsn > checkpoint_lsn:
-            table = tables.get(payload["table"])
-            if table is None:
-                raise WalError(
-                    f"data record {record.lsn} names unknown table {payload['table']!r}"
-                )
-            apply_data_record(table, record)
-    return tables
-
-
 # -- indexes -----------------------------------------------------------------
 
 
-class MaterializedIndexes(NamedTuple):
-    """What :func:`materialize_indexes` built, and by which path."""
+class Recovered(NamedTuple):
+    """What :func:`replay_log` rebuilt, and how each index came back."""
 
+    tables: dict[str, Table]
+    #: In creation order, each the live index as of the log's last LSN.
     indexes: list[PatchIndex]
-    #: Those of *indexes* that were restored — each is the live index as of
-    #: the records' last LSN; the rest were rebuilt from data.
+    #: Those of *indexes* restored from persisted patch sets; the rest
+    #: were discovered from data.
     restored: list[PatchIndex]
-    #: ``patch_delta`` records replayed over restored patch sets.
-    deltas_replayed: int
-    #: Refused restores, reason → count (a subset of the rebuilt ones: an
-    #: index younger than the checkpoint has nothing to fall back from).
+    #: Refused restores, reason → count (a subset of the discovered ones:
+    #: an index younger than the checkpoint has nothing to fall back from).
     fallbacks: dict[str, int]
 
 
@@ -227,8 +180,8 @@ def read_patch_sets(root: Path | None, generation_lsn: int) -> dict:
     """Per-index ``patches.json`` entries of one generation.
 
     A missing or unreadable file yields ``{}`` and degrades every index to
-    rebuild-from-data rather than failing the open: the persisted patch sets
-    are an optimization, never a correctness requirement.
+    discovery from data rather than failing the open: the persisted patch
+    sets are an optimization, never a correctness requirement.
     """
     if root is None or generation_lsn <= 0:
         return {}
@@ -254,13 +207,14 @@ def _definition(payload: dict) -> dict:
     }
 
 
-def index_from_payload(table: Table, payload: dict, provenance: str) -> PatchIndex:
-    """Rebuild a PatchIndex from data, given its ``create_index`` record.
+def index_from_payload(table: Table, payload: dict) -> PatchIndex:
+    """Discover a PatchIndex from *table*'s data, given its ``create_index``
+    record.
 
     The paper's recovery (§V): the log carries the definition only, and
     discovery recomputes the patches.  The threshold was enforced when the
-    index was created; a rebuild must not fail just because maintenance has
-    drifted the column past it since.
+    index was created; a fallback must not fail just because maintenance
+    had drifted the column past it by the checkpoint.
     """
     wanted = _definition(payload)
     return PatchIndex.create(
@@ -273,87 +227,38 @@ def index_from_payload(table: Table, payload: dict, provenance: str) -> PatchInd
         scope=wanted["scope"],
         ascending=wanted["ascending"],
         strict=wanted["strict"],
-        provenance=provenance,
+        provenance="recovery",
         enforce_threshold=False,
     )
 
 
-def delta_tails(
-    records: Iterable[WalRecord], indexes: Iterable[tuple[str, str, str]]
-) -> dict[str, tuple[list[PatchDelta], str | None]]:
-    """Per index, the deltas it needs to follow *records*, or why it cannot.
-
-    The rule for replaying the tail beyond the checkpoint onto restored
-    patch sets, in one pass for all *indexes* — ``(index, table,
-    column)`` names: every ``patch_delta`` of an index parses and passes its
-    checksum, none is a rebuild marker, and every data record that must have
-    produced a delta — each append / load / delete of the table, each update
-    of the column — is named by one's ``applies_to``.  Maps each index name
-    to ``(deltas in LSN order, None)`` or ``([], reason)``.
-    """
-    on_table: dict[str, list[tuple[str, str]]] = {}
-    deltas: dict[str, list[PatchDelta]] = {}
-    owed: dict[str, set[int]] = {}
-    for index_name, table_name, column_name in indexes:
-        on_table.setdefault(table_name, []).append((index_name, column_name))
-        deltas[index_name] = []
-        owed[index_name] = set()
-    refused: dict[str, str] = {}
-    for record in records:
-        payload = record.payload
-        if record.kind in DATA_KINDS:
-            for name, column_name in on_table.get(payload["table"], ()):
-                if record.kind != "update" or payload.get("column") == column_name:
-                    owed[name].add(record.lsn)
-        elif record.kind in PATCH_KINDS and payload.get("index") in deltas:
-            name = payload["index"]
-            try:
-                delta, applies_to = PatchDelta.from_payload(payload)
-            except StorageError:
-                refused.setdefault(name, "malformed")
-                continue
-            if delta.invalidates:
-                refused.setdefault(name, "invalidated")
-            deltas[name].append(delta)
-            owed[name].discard(applies_to)  # a delta follows its data record
-    return {
-        name: ([], refused.get(name, "delta_gap"))
-        if name in refused or owed[name]
-        else (found, None)
-        for name, found in deltas.items()
-    }
-
-
 def restore_patch_index(
-    table: Table,
-    payload: dict,
-    entry: dict,
-    tail: tuple[list[PatchDelta], str | None],
-    provenance: str,
-) -> tuple[PatchIndex | None, int, str | None]:
-    """Restore one PatchIndex from a persisted entry plus its delta tail.
+    table: Table, payload: dict, entry: dict | None
+) -> tuple[PatchIndex | None, str | None]:
+    """Restore one PatchIndex from its ``patches.json`` entry.
 
-    *payload* is the WAL ``create_index`` record, *entry* the matching
-    ``patches.json`` entry and *tail* what :func:`delta_tails` made of the
-    records beyond the checkpoint for this index.  Returns ``(index,
-    deltas_replayed, None)`` on success and ``(None, 0, reason)`` — *reason*
-    one of :data:`FALLBACK_REASONS` — when anything disqualifies the restore.
+    *payload* is the WAL ``create_index`` record and *table* is at the
+    checkpoint the entry was written at.  Returns ``(index, None)``, or
+    ``(None, reason)`` — *reason* one of :data:`FALLBACK_REASONS` — when
+    anything disqualifies the restore.
     """
-    index = None
+    if entry is None:
+        return None, "missing"
     try:
-        body = {key: value for key, value in entry.items() if key != "checksum"}
-        if entry.get("checksum") != delta_checksum(body):
-            return None, 0, "checksum"
+        if entry.get("checksum") != entry_checksum(entry):
+            return None, "checksum"
         definition = entry.get("definition", {})
         wanted = _definition(payload)
         if any(definition.get(key) != value for key, value in wanted.items()):
-            return None, 0, "definition"
-        deltas, reason = tail
-        if reason is not None:
-            return None, 0, reason
+            return None, "definition"
         partitions = entry["partitions"]
         if len(partitions) != table.partition_count:
-            return None, 0, "partition_count"
+            return None, "partition_count"
+        if any(
+            int(part["row_count"]) != partition.row_count
+            for part, partition in zip(partitions, table.partitions)
+        ):
+            return None, "row_count"
         patch_sets = [
             PatchSet.build(
                 np.asarray(part["rowids"], dtype=np.int64),
@@ -362,108 +267,118 @@ def restore_patch_index(
             )
             for part in partitions
         ]
+        rebuild_count = int(entry.get("rebuild_count", 0))
+        stats = entry.get("stats")
+        stats = MaintenanceStats.from_payload(stats) if stats is not None else None
         # The live index may legitimately carry a different mode than its
         # create record (a rebuild re-resolves AUTO); the persisted
         # definition records the live mode as of the checkpoint.
         mode = definition.get("mode")
-        index = PatchIndex(
-            wanted["name"],
-            table,
-            wanted["column"],
-            ConstraintKind.from_name(wanted["kind"]),
-            patch_sets,
-            wanted["threshold"],
-            ascending=wanted["ascending"],
-            strict=wanted["strict"],
-            scope=wanted["scope"],
-            provenance=provenance,
-            mode=PatchIndexMode(mode) if mode is not None else None,
-        )
-        index.rebuild_count = int(entry.get("rebuild_count", 0))
-        if entry.get("stats") is not None:
-            index.seed_maintenance_stats(MaintenanceStats.from_payload(entry["stats"]))
-        for delta in deltas:
-            index.apply_external_delta(delta)
+        mode = PatchIndexMode(mode) if mode is not None else None
     except (StorageError, KeyError, TypeError, ValueError):
-        if index is not None:
-            index.detach()
-        return None, 0, "malformed"
-    if any(
-        index.partition_patches(partition.partition_id).row_count != partition.row_count
-        for partition in table.partitions
-    ):
-        index.detach()
-        return None, 0, "row_count"
-    return index, len(deltas), None
-
-
-def materialize_indexes(
-    tables: dict[str, Table],
-    records: list[WalRecord],
-    generation_lsn: int,
-    root: Path | None,
-    *,
-    provenance: str,
-) -> MaterializedIndexes:
-    """The PatchIndexes live in *records*, attached to *tables*.
-
-    *tables* must already be at the state *records* describes
-    (:func:`materialize_tables` over the same records).  An index whose
-    ``create_index`` record is at or below *generation_lsn* is restored from
-    that generation's persisted patch sets plus its ``patch_delta`` tail; a
-    refused restore, or an index created after the checkpoint, is rebuilt
-    from data.  The indexes come back attached to their tables as listeners,
-    in creation order; registering them in a catalog and wiring a
-    ``delta_sink`` is the caller's business.
-    """
-    persisted = read_patch_sets(root, generation_lsn)
-    creates: list[WalRecord] = []
-    tail: list[WalRecord] = []  # what the segments and patch sets lack
-    for record in live_records_of(records):
-        if record.kind == "create_index":
-            creates.append(record)
-        elif record.lsn > generation_lsn and record.kind in DATA_KINDS | PATCH_KINDS:
-            tail.append(record)
-    tails = delta_tails(
-        tail,
-        [
-            (create.payload["name"], create.payload["table"], create.payload["column"])
-            for create in creates
-            if create.lsn <= generation_lsn
-        ],
+        return None, "malformed"
+    index = PatchIndex(
+        wanted["name"],
+        table,
+        wanted["column"],
+        ConstraintKind.from_name(wanted["kind"]),
+        patch_sets,
+        wanted["threshold"],
+        ascending=wanted["ascending"],
+        strict=wanted["strict"],
+        scope=wanted["scope"],
+        provenance="recovery",
+        mode=mode,
     )
-    indexes: list[PatchIndex] = []
+    index.rebuild_count = rebuild_count
+    if stats is not None:
+        index.seed_maintenance_stats(stats)
+    return index, None
+
+
+def _fall_back(name: str, reason: str, fallbacks: dict[str, int]) -> None:
+    """Count a refused restore, and log its reason once per process."""
+    fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    if reason not in _LOGGED_REASONS:
+        _LOGGED_REASONS.add(reason)
+        _LOG.warning(
+            "PatchIndex %r rebuilt from data, persisted patch sets not "
+            "usable: %s (logged once per reason)",
+            name,
+            reason,
+        )
+
+
+def _named(found: dict, name: str, record: WalRecord):
+    """``found[name]``, or a :class:`WalError` naming the record."""
+    try:
+        return found[name]
+    except KeyError:
+        raise WalError(
+            f"{record.kind} record {record.lsn} names unknown {name!r}"
+        ) from None
+
+
+def replay_log(
+    records: list[WalRecord],
+    tables: dict[str, Table],
+    generation_lsn: int,
+    persisted: dict,
+    loaders: Mapping[str, Callable[[Table], None]] | None = None,
+) -> Recovered:
+    """Tables and PatchIndexes as of the last of *records*.
+
+    *tables* are the checkpoint's at *generation_lsn* (empty, and
+    *generation_lsn* 0, without one) and *persisted* is that generation's
+    ``patches.json`` entries (:func:`read_patch_sets`).  One pass over the
+    live records in LSN order; what the checkpoint covers — its data and
+    rebuild records — is skipped, except that each index it covers is
+    restored from *persisted* (or discovered over the checkpoint's data
+    when the entry is refused) as its ``create_index`` comes by, before any
+    record of the tail.  *loaders* (table name → callable) fill a table as
+    its ``create_table`` replays.  The indexes come back attached to their
+    tables as listeners; *tables* is updated in place.
+    """
+    loaders = loaders or {}
+    # Tables dropped after the checkpoint are gone even though the
+    # manifest still carries them.
+    for record in records:
+        if record.kind == "drop_table" and record.lsn > generation_lsn:
+            tables.pop(record.payload["name"], None)
+    indexes: dict[str, PatchIndex] = {}
     restored: list[PatchIndex] = []
-    deltas_replayed = 0
     fallbacks: dict[str, int] = {}
-    for record in creates:
+    for record in live_records_of(records):
         payload = record.payload
-        table = tables.get(payload["table"])
-        if table is None:
-            raise WalError(f"index {payload['name']!r} references missing table")
-        index, reason = None, None
-        if record.lsn <= generation_lsn:  # the checkpoint covers this index
-            entry = persisted.get(payload["name"])
-            if entry is None:
-                reason = "missing"
-            else:
-                index, count, reason = restore_patch_index(
-                    table, payload, entry, tails[payload["name"]], provenance
+        if record.kind == "create_table":
+            name = payload["name"]
+            if name not in tables:  # else loaded from the manifest
+                tables[name] = Table(
+                    name,
+                    payload_to_schema(payload["schema"]),
+                    int(payload.get("partition_count", 1)),
+                    int(payload.get("block_size", DEFAULT_BLOCK_SIZE)),
                 )
-                deltas_replayed += count
-        if reason is not None:
-            fallbacks[reason] = fallbacks.get(reason, 0) + 1
-            if reason not in _LOGGED_REASONS:
-                _LOGGED_REASONS.add(reason)
-                _LOG.warning(
-                    "PatchIndex %r rebuilt from data, persisted patch sets not "
-                    "usable: %s (logged once per reason)",
-                    payload["name"],
-                    reason,
+                if name in loaders:
+                    loaders[name](tables[name])
+        elif record.kind == "create_index":
+            table = _named(tables, payload["table"], record)
+            index = None
+            if record.lsn <= generation_lsn:  # the checkpoint covers it
+                index, reason = restore_patch_index(
+                    table, payload, persisted.get(payload["name"])
                 )
-        if index is not None:
-            restored.append(index)
-        else:
-            index = index_from_payload(table, payload, provenance)
-        indexes.append(index)
-    return MaterializedIndexes(indexes, restored, deltas_replayed, fallbacks)
+                if index is None:
+                    _fall_back(payload["name"], reason, fallbacks)
+                else:
+                    restored.append(index)
+            if index is None:
+                index = index_from_payload(table, payload)
+            indexes[payload["name"]] = index
+        elif record.lsn <= generation_lsn:
+            continue  # in the checkpoint's segments and patch sets already
+        elif record.kind == "rebuild_index":
+            _named(indexes, payload["name"], record).rebuild()
+        elif record.kind in DATA_KINDS:
+            apply_data_record(_named(tables, payload["table"], record), record)
+    return Recovered(tables, list(indexes.values()), restored, fallbacks)

@@ -21,15 +21,14 @@ data records (durable storage engine, :mod:`repro.storage.engine`)
     ``delete``           global rowids removed from a table
     ``update``           one cell written in place
 
-patch records (incremental maintenance, :mod:`repro.core.delta`)
-    ``patch_delta``      the checksummed PatchDelta one index derived
-                         from one data record (linked by ``applies_to``)
+index records (durable storage engine)
+    ``rebuild_index``    a live PatchIndex rebuild (index and table name)
 
-A ``create_index`` record still never carries the discovered patches,
-and the paper's rebuild-from-data recovery remains the safety net: a
-``patch_delta`` is an *optimization* that lets recovery replay membership
-changes over checkpoint-persisted patch sets, and any missing or
-checksum-mismatching delta sends that index down the rebuild path.
+The log carries data and DDL only, never patches.  Recovery replays the
+tail beyond the last checkpoint through the tables, and the PatchIndexes
+— restored from the checkpoint's patch sets, or discovered at their
+``create_index`` — re-classify every replayed mutation as they did live;
+a ``rebuild_index`` re-runs the rebuild at its LSN.
 Data records carry *physical* scalar values (dates as day numbers, NULL
 as ``null``) so replay is byte-exact.
 """
@@ -55,12 +54,18 @@ _METADATA_KINDS = frozenset(
 #: prunable once a checkpoint has flushed them into segment files.
 DATA_KINDS = frozenset({"append", "load", "delete", "update"})
 
-#: Patch-maintenance record kinds; replayed over persisted patch sets
-#: and prunable alongside data records (a checkpoint persists the
-#: materialized patch sets they produced).
-PATCH_KINDS = frozenset({"patch_delta"})
+#: What a checkpoint makes redundant: the data it flushed and the
+#: rebuilds its persisted patch sets already reflect.
+_PRUNABLE_KINDS = DATA_KINDS | {"rebuild_index"}
 
-_KNOWN_KINDS = _METADATA_KINDS | DATA_KINDS | PATCH_KINDS
+_KNOWN_KINDS = _METADATA_KINDS | _PRUNABLE_KINDS
+
+#: Written by older releases and never again: still read, so their logs
+#: open, but no replay uses them (:func:`live_records_of` drops them and
+#: the next :meth:`WriteAheadLog.compact` prunes them).  A ``patch_delta``
+#: was one index's patch changes for one data record, which recovery now
+#: re-derives from the data record itself.
+_LEGACY_KINDS = frozenset({"patch_delta"})
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ class WalRecord:
         kind = raw["kind"]
         lsn = raw["lsn"]
         payload = raw.get("payload", {})
-        if not isinstance(kind, str) or kind not in _KNOWN_KINDS:
+        if not isinstance(kind, str) or kind not in _KNOWN_KINDS | _LEGACY_KINDS:
             raise WalError(f"unknown WAL record kind: {kind!r}")
         # JSON has no integer type of its own; bool is an int subclass in
         # Python, and floats/strings would corrupt LSN arithmetic later.
@@ -103,10 +108,10 @@ class WalRecord:
 def live_records_of(records: list[WalRecord]) -> list[WalRecord]:
     """The still-effective subset of *records*, in LSN order.
 
-    The shared core behind :meth:`WriteAheadLog.live_records`, also
-    applied by the snapshot machinery to a *prefix* of the log (every
-    record at or below a pinned LSN) — snapshot replay must elide
-    cancelled create/drop pairs exactly like full recovery does.
+    The shared core behind :meth:`WriteAheadLog.live_records` and
+    recovery's replay (:func:`repro.storage.materialize.replay_log`).
+    Checkpoint markers and legacy records fall through every branch and
+    are dropped.
     """
     dropped_tables: set[str] = set()
     dropped_indexes: set[str] = set()
@@ -129,16 +134,14 @@ def live_records_of(records: list[WalRecord]) -> list[WalRecord]:
                 dropped_indexes.discard(name)
             else:
                 live.append(record)
-        elif record.kind in DATA_KINDS:
-            if record.payload.get("table") not in dropped_tables:
-                live.append(record)
-        elif record.kind in PATCH_KINDS:
-            # A delta dies with its index or table; the reversed scan
-            # elides the deltas of a dropped incarnation before reaching
-            # (and cancelling) that incarnation's create record.
+        elif record.kind in _PRUNABLE_KINDS:
+            # A data record dies with its table, a rebuild with its index
+            # or table (only a rebuild names an index).  The reversed scan
+            # elides a dropped incarnation's records before reaching (and
+            # cancelling) its create record.
             if (
-                record.payload.get("index") not in dropped_indexes
-                and record.payload.get("table") not in dropped_tables
+                record.payload.get("table") not in dropped_tables
+                and record.payload.get("name") not in dropped_indexes
             ):
                 live.append(record)
     live.reverse()
@@ -254,8 +257,6 @@ class WriteAheadLog:
             self._metrics.counter("wal.bytes").inc(len(line))
             if kind in DATA_KINDS:
                 self._metrics.counter("wal.data_records").inc()
-            elif kind in PATCH_KINDS:
-                self._metrics.counter("wal.patch_records").inc()
         return record
 
     def checkpoint(self, payload: dict | None = None) -> WalRecord:
@@ -342,7 +343,7 @@ class WriteAheadLog:
         This implements the documented checkpoint contract ("earlier
         records may be pruned"): metadata records are condensed to the
         live set (cancelled create/drop pairs disappear), and data and
-        patch-delta records at or below the most recent checkpoint
+        ``rebuild_index`` records at or below the most recent checkpoint
         marker are dropped — a checkpoint has already flushed their
         effect into segment files and the per-generation patch sets, so
         only the WAL tail beyond it is ever replayed.  Metadata records
@@ -351,8 +352,8 @@ class WriteAheadLog:
         persisted generation, or from data as the fallback).
 
         Replay is unaffected: :meth:`live_records` before and after
-        compaction differ only in data and patch records covered by the
-        checkpoint.  LSNs are preserved, as is the next LSN to assign.
+        compaction differ only in data and rebuild records covered by
+        the checkpoint.  LSNs are preserved, as is the next LSN to assign.
         Returns the number of records pruned.
         """
         checkpoint_lsn = self.last_checkpoint_lsn()
@@ -360,7 +361,7 @@ class WriteAheadLog:
             record
             for record in self.live_records()
             if not (
-                record.kind in DATA_KINDS | PATCH_KINDS
+                record.kind in _PRUNABLE_KINDS
                 and checkpoint_lsn is not None
                 and record.lsn <= checkpoint_lsn
             )

@@ -532,6 +532,36 @@ class TestServeCodecBoundary:
         assert rules_of(repro_lint.lint_file(path)) == []
 
 
+# -- L10: patch membership changes belong to the maintainer --------------------
+
+
+class TestPatchMutationLayer:
+    MUTATIONS = """
+        def restore(index, rowids):
+            patches = index.partition_patches(0)
+            patches.add(rowids)
+            patches.remap_after_delete(rowids)
+        """
+
+    @pytest.mark.parametrize("name", ["core/maintenance.py", "core/patches.py"])
+    def test_the_maintainer_and_the_patch_sets_may_mutate(self, tmp_path, name):
+        assert lint_planted(tmp_path, name, self.MUTATIONS) == []
+
+    @pytest.mark.parametrize(
+        "name", ["storage/materialize.py", "core/patch_index.py", "storage/database.py"]
+    )
+    def test_a_mutation_anywhere_else_fires(self, tmp_path, name):
+        assert lint_planted(tmp_path, name, self.MUTATIONS) == ["L10", "L10"]
+
+    def test_plain_containers_are_not_patch_sets(self, tmp_path):
+        source = """
+            def collect(names, extra):
+                names.add(extra)
+                names.remove(extra)
+            """
+        assert lint_planted(tmp_path, "storage/materialize.py", source) == []
+
+
 # -- repro_lint driver plumbing ----------------------------------------------
 
 

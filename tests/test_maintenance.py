@@ -11,7 +11,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import check_nsc, check_nuc
-from repro.core.maintenance import IndexMaintainer
+from repro.core.maintenance import IndexMaintainer, MaintenanceStats
 from repro.core.patch_index import PatchIndex, PatchIndexMode
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
@@ -96,6 +96,33 @@ class TestNucAppend:
         assert index._maintainer is not None
         assert index._maintainer.stats.kept_rows_demoted == 1
         assert index._maintainer.stats.rows_appended == 2
+
+
+class TestStats:
+    def test_append_and_update_accounting(self):
+        table = make_table([1, 2, 3, 4, 5, 6])
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.insert_rows([[7], [8], [None], [None]])  # two NULL patches
+        table.update_rowid(6, "c", 9)  # stays kept
+        table.update_rowid(8, "c", 10)  # a fresh value: promoted back out
+        stats = index.maintenance_stats()
+        assert (stats.appends_handled, stats.updates_handled) == (1, 2)
+        assert stats.rows_appended == 4
+        assert (stats.patches_added, stats.patches_removed) == (2, 1)
+        assert index.rowids().tolist() == [9]
+
+    def test_stats_payload_round_trip(self):
+        stats = MaintenanceStats(appends_handled=3, patches_added=5)
+        restored = MaintenanceStats.from_payload(stats.to_payload())
+        assert restored.appends_handled == 3
+        assert restored.patches_added == 5
+
+    def test_changes_land_in_the_owning_partition(self):
+        table = make_table([1, 2, 3, 4, 5, 6], partition_count=2)
+        index = PatchIndex.create("pi", table, "c", "unique")
+        table.update_rowid(4, "c", 2)  # partition 1, local row 1, twin in 0
+        assert index.partition_patches(0).rowids().tolist() == [1]
+        assert index.partition_patches(1).rowids().tolist() == [1]
 
 
 class TestNscAppend:

@@ -1,12 +1,11 @@
 """Cross-path parity fuzz: incremental maintenance vs rebuild oracle.
 
-Random append/delete/update streams run through the incremental delta
-layer on both engines; every checkpoint of the fuzz asserts three
+Random append/delete/update streams run through the incremental
+maintainer on both engines; every checkpoint of the fuzz asserts three
 independent implementations agree:
 
 - the *live* incrementally-maintained index on a MemoryEngine database,
-- the same stream on a DurableEngine database (WAL-logged data records
-  plus ``patch_delta`` records),
+- the same stream on a DurableEngine database (WAL-logged data records),
 - a *rebuild-from-scratch oracle*: a fresh database loaded with the
   final table contents whose index is discovered from data.
 
@@ -17,20 +16,22 @@ classifier may keep more patches than a from-scratch discovery, but
 never an invalid or query-visible set.
 
 The crash half reopens the durable directory mid-stream and asserts
-recovery *restores* indexes from the checkpointed patch sets plus delta
-replay (``recovery.indexes_restored``), falling back to the paper's
-rebuild-from-data path only when a delta is corrupt or missing
-(``recovery.indexes_rebuilt``).
+recovery *restores* indexes from the checkpointed patch sets and lets
+them re-classify the replayed data tail (``recovery.indexes_restored``),
+landing on the live patch sets and drift counters — also after a torn
+last line, and from a log an older release wrote with ``patch_delta``
+lines in it.
 
 The differential fuzz (``TestEveryDoorAfterEveryStep``) widens the inputs:
 insert / delete / update / multi-partition ``load`` histories with NULLs
-and in-batch duplicates, an update as the very first mutation, an insert
-right after a reopen — for NUC and NSC (global and partition scope,
-strict, descending, both physical designs) over an INT64 and a string
-column.  After **every** step the table and the patch sets of memory,
-durable, a snapshot of each and a reopened copy of the directory must be
-equal rowid for rowid, valid, and answer like the rebuild-from-scratch
-oracle.
+and in-batch duplicates, an update as the very first mutation, a rebuild
+followed by mutations, an insert right after a reopen, and an index
+created before or after the last checkpoint — for NUC and NSC (global
+and partition scope, strict, descending, both physical designs) over an
+INT64 and a string column.  After **every** step the table, the patch
+sets and the drift counters of memory, durable, a snapshot of each and a
+reopened copy of the directory must be equal rowid for rowid, valid, and
+answer like the rebuild-from-scratch oracle, with no recovery fallback.
 """
 
 import json
@@ -42,7 +43,8 @@ import pytest
 
 import repro
 from repro.core.constraints import check_nsc, check_nuc
-from repro.core.delta import delta_checksum
+from repro.errors import WalError
+from repro.storage.checkpoint import entry_checksum
 from repro.storage.manifest import patches_path, read_manifest
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
@@ -174,6 +176,19 @@ class TestCrossEngineParity:
         assert_valid(oracle.catalog.index("pi"))
 
 
+def drift(index):
+    """The drift counters and rebuild count a reopen must reproduce."""
+    stats = index.maintenance_stats()
+    return (None if stats is None else stats.to_payload(), index.rebuild_count)
+
+
+def assert_restored_without_fallback(db, restored=1):
+    exported = db.obs.export()
+    assert exported["gauges"]["recovery.indexes_restored"] == restored
+    assert exported["gauges"]["recovery.indexes_rebuilt"] == 0
+    assert exported["counters"]["recovery.index_fallbacks"] == 0
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestCrashRecovery:
@@ -182,91 +197,105 @@ class TestCrashRecovery:
         db = repro.connect(path, parallelism=1)
         setup(db, kind, seed)
         # Checkpoint BEFORE the stream so the persisted patch sets plus
-        # the WAL delta tail are the only way to restore the index.
+        # the re-classified data tail are the only way to restore the index.
         db.checkpoint()
         apply_stream(db, random_stream(seed))
         expected_rowids = db.catalog.index("pi").rowids().tolist()
+        expected_drift = drift(db.catalog.index("pi"))
         expected_state = observable_state(db)
         db.close()  # crash: no checkpoint after the stream
 
         recovered = repro.connect(path, parallelism=1)
-        restored = recovered.obs.gauge("recovery.indexes_restored").value
-        rebuilt = recovered.obs.gauge("recovery.indexes_rebuilt").value
-        if (restored, rebuilt) != (1, 0):
-            raise AssertionError(
-                f"expected pure delta-replay recovery, got "
-                f"restored={restored} rebuilt={rebuilt}"
-            )
-        replayed = recovered.obs.gauge(
-            "recovery.delta_records_replayed"
-        ).value
-        if replayed <= 0:
-            raise AssertionError("recovery replayed no patch deltas")
+        assert_restored_without_fallback(recovered)
+        assert recovered.obs.gauge("recovery.replayed_records").value > 0
         assert recovered.catalog.index("pi").rowids().tolist() == (
             expected_rowids
         )
+        assert drift(recovered.catalog.index("pi")) == expected_drift
         assert observable_state(recovered) == expected_state
         assert_valid(recovered.catalog.index("pi"))
         recovered.close()
 
 
-def _corrupt_one_delta(path, mutate):
-    """Rewrite the WAL, applying *mutate* to the last patch_delta line."""
+def test_a_torn_last_data_line_restores_without_fallback(tmp_path):
+    """A crash mid-append tears the last data record: the reopen drops
+    it and lands on the state before that statement, index restored."""
+    path = tmp_path / "data"
+    db = repro.connect(path, parallelism=1)
+    setup(db, "unique", 7)
+    db.sql("CREATE PATCHINDEX ps ON t(c) TYPE SORTED")
+    db.checkpoint()
+    apply_stream(db, random_stream(7))
+    expected = {
+        name: (db.catalog.index(name).rowids().tolist(), drift(db.catalog.index(name)))
+        for name in ("pi", "ps")
+    }
+    expected_state = observable_state(db)
+    db.sql("INSERT INTO t VALUES (1), (2), (3)")  # the statement the crash tears
+    db.close()
     wal = path / "wal.jsonl"
-    lines = wal.read_text(encoding="utf-8").splitlines()
-    target = max(
-        i
-        for i, line in enumerate(lines)
-        if json.loads(line)["kind"] == "patch_delta"
+    text = wal.read_bytes()
+    last = text.rstrip(b"\n").rsplit(b"\n", 1)[1]
+    assert json.loads(last)["kind"] == "append"
+    wal.write_bytes(text[: len(text) - len(last) // 2 - 1])
+
+    recovered = repro.connect(path, parallelism=1)
+    assert_restored_without_fallback(recovered, restored=2)
+    for name, (rowids, counters) in expected.items():
+        index = recovered.catalog.index(name)
+        assert (index.rowids().tolist(), drift(index)) == (rowids, counters)
+    assert observable_state(recovered) == expected_state
+    recovered.close()
+
+
+#: What the release before ``rebuild_index`` wrote for the statements of
+#: :func:`legacy_history` after its checkpoint: every data record followed
+#: by the ``patch_delta`` the index derived from it.
+LEGACY_WAL = """\
+{"lsn": 1, "kind": "create_table", "payload": {"name": "t", "schema": [{"name": "c", "dtype": "int64", "nullable": true}], "partition_count": 1, "block_size": 4096}}
+{"lsn": 3, "kind": "create_index", "payload": {"name": "pi", "table": "t", "column": "c", "kind": "unique", "mode": "auto", "threshold": 1.0, "scope": "global", "ascending": true, "strict": false}}
+{"lsn": 4, "kind": "checkpoint", "payload": {"checkpoint_lsn": 3}}
+{"lsn": 5, "kind": "append", "payload": {"table": "t", "columns": {"c": [2, 9]}, "row_count": 2}}
+{"lsn": 6, "kind": "patch_delta", "payload": {"index": "pi", "table": "t", "event": "append", "applies_to": 5, "rows": 2, "demoted": 1, "ops": [{"op": "extend", "partition_id": 0, "rowids": [3], "row_count": 5}, {"op": "add", "partition_id": 0, "rowids": [1]}], "checksum": 990074707}}
+{"lsn": 7, "kind": "delete", "payload": {"table": "t", "rowids": [0]}}
+{"lsn": 8, "kind": "patch_delta", "payload": {"index": "pi", "table": "t", "event": "delete", "applies_to": 7, "rows": 1, "demoted": 0, "ops": [{"op": "remap", "partition_id": 0, "rowids": [0]}], "checksum": 2588055807}}
+"""
+
+
+def legacy_history(db):
+    db.sql("CREATE TABLE t (c BIGINT)")
+    db.sql("INSERT INTO t VALUES (1), (2), (3)")
+    db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
+    db.checkpoint()
+    db.sql("INSERT INTO t VALUES (2), (9)")
+    db.sql("DELETE FROM t WHERE c = 1")
+
+
+def test_a_log_with_legacy_patch_delta_lines_still_opens(tmp_path):
+    """An older release logged a ``patch_delta`` after every data record.
+    Such a directory opens, its index restored and equal to live, and the
+    next checkpoint's compaction prunes the legacy lines."""
+    path = tmp_path / "data"
+    db = repro.connect(path, parallelism=1)
+    legacy_history(db)
+    expected = (rows_and_patches(db.catalog), drift(db.catalog.index("pi")))
+    db.close()
+    # The segments and patches.json have the older release's format; only
+    # the log differs.
+    (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
+
+    reopened = repro.connect(path, parallelism=1)
+    assert_restored_without_fallback(reopened)
+    assert (rows_and_patches(reopened.catalog), drift(reopened.catalog.index("pi"))) == (
+        expected
     )
-    replacement = mutate(lines[target])
-    lines[target:target + 1] = [replacement] if replacement else []
-    wal.write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
-
-
-class TestRecoveryFallback:
-    def run_stream(self, path):
-        db = repro.connect(path, parallelism=1)
-        setup(db, "unique", 7)
-        db.checkpoint()
-        apply_stream(db, random_stream(7))
-        state = observable_state(db)
-        db.close()
-        return state
-
-    def reopen_and_check(self, path, expected_state):
-        recovered = repro.connect(path, parallelism=1)
-        restored = recovered.obs.gauge("recovery.indexes_restored").value
-        rebuilt = recovered.obs.gauge("recovery.indexes_rebuilt").value
-        if (restored, rebuilt) != (0, 1):
-            raise AssertionError(
-                f"expected rebuild-from-data fallback, got "
-                f"restored={restored} rebuilt={rebuilt}"
-            )
-        # The fallback still reconstructs a correct index from data.
-        assert observable_state(recovered) == expected_state
-        assert_valid(recovered.catalog.index("pi"))
-        recovered.close()
-
-    def test_corrupt_checksum_falls_back_to_rebuild(self, tmp_path):
-        path = tmp_path / "data"
-        state = self.run_stream(path)
-
-        def flip_rows(line):
-            record = json.loads(line)
-            record["payload"]["rows"] = record["payload"].get("rows", 0) + 1
-            return json.dumps(record)
-
-        _corrupt_one_delta(path, flip_rows)
-        self.reopen_and_check(path, state)
-
-    def test_missing_delta_falls_back_to_rebuild(self, tmp_path):
-        path = tmp_path / "data"
-        state = self.run_stream(path)
-        _corrupt_one_delta(path, lambda line: None)
-        self.reopen_and_check(path, state)
+    assert rows_and_patches(reopened.catalog)[0] == [2, 3, 2, 9]
+    reopened.checkpoint()
+    kinds = [json.loads(line)["kind"] for line in (path / "wal.jsonl").read_text().splitlines()]
+    assert "patch_delta" not in kinds
+    with pytest.raises(WalError, match="unknown WAL record kind"):
+        reopened.wal.append("patch_delta", {})  # read, never written
+    reopened.close()
 
 
 # -- differential fuzz: every door, after every step ---------------------------
@@ -340,6 +369,9 @@ def fuzz_history(seed, spec, dtype, length=7):
     history += [
         ("delete", [rng.random(), rng.random()]),
         ("insert", values.batch(2, 5)),  # delete-then-insert
+        ("rebuild",),
+        ("update", rng.random(), values.one()),  # mutations after the rebuild
+        ("insert", values.batch(2, 5)),
         ("reopen",),
         ("insert", values.batch(2, 5)),  # insert right after reopen
     ]
@@ -360,10 +392,17 @@ def mutate(db, step, dtype):
         table.update_rowid(int(args[0] * table.row_count), "c", args[1])
     elif op == "checkpoint":
         db.checkpoint()
+    elif op == "rebuild":
+        db.catalog.index("pi").rebuild()
 
 
 def rows_and_patches(catalog):
     return catalog.table("t").read_column("c").to_pylist(), patch_sets(catalog)
+
+
+def door_state(catalog):
+    """Rows, patch sets and drift counters: what every door must agree on."""
+    return rows_and_patches(catalog), drift(catalog.index("pi"))
 
 
 def patch_sets(catalog):
@@ -374,13 +413,17 @@ def patch_sets(catalog):
     ]
 
 
-def fuzz_setup(db, initial, spec, dtype):
+def fuzz_setup(db, initial, spec, dtype, index_first=True):
+    """The table and its index, and a checkpoint that covers the index
+    (every reopen *restores* it) or only the table (every reopen discovers
+    it at its ``create_index``)."""
     schema = Schema([Field("c", dtype)])
     db.create_table_from_pydict("t", schema, {"c": initial}, PARTITIONS)
-    db.create_patch_index("pi", "t", "c", **spec)
-    # The checkpoint covers the index, so every reopen and every snapshot
-    # build *restores* it instead of re-discovering a minimal one.
+    if index_first:
+        db.create_patch_index("pi", "t", "c", **spec)
     db.checkpoint()
+    if not index_first:
+        db.create_patch_index("pi", "t", "c", **spec)
 
 
 def oracle_of(db, spec, dtype):
@@ -410,53 +453,66 @@ class TestEveryDoorAfterEveryStep:
     def test_all_doors_agree_and_match_the_oracle(
         self, tmp_path, seed, spec_name, dtype_name
     ):
-        spec, dtype = INDEXES[spec_name], DTYPES[dtype_name]
-        initial, history = fuzz_history(seed, spec, dtype)
-        root = tmp_path / "data"
-        memory = repro.connect()
-        durable = repro.connect(root, parallelism=1, sync=False)
-        for db in (memory, durable):
-            fuzz_setup(db, initial, spec, dtype)
-        for position, step in enumerate(history):
-            where = f"step {position} {step!r}"
-            if step[0] == "reopen":
-                durable.close()
-                durable = repro.connect(root, parallelism=1, sync=False)
-                gauges = durable.obs.export()["gauges"]
-                assert gauges["recovery.indexes_restored"] == 1, where
-                assert gauges["recovery.indexes_rebuilt"] == 0, where
-            else:
-                before = memory.table("t").read_column("c").to_pylist()
-                before_patches = memory.catalog.index("pi").rowids().tolist()
-                for db in (memory, durable):
-                    mutate(db, step, dtype)
-                if step[0] == "insert" and spec["kind"] == "unique":
-                    assert memory.catalog.index(
-                        "pi"
-                    ).rowids().tolist() == brute_force_nuc_append(
-                        before, before_patches, step[1]
-                    ), where
+        walk_every_door(tmp_path, seed, spec_name, dtype_name, index_first=True)
 
-            # memory == durable == either's snapshot == reopened, rowid for rowid
-            live = rows_and_patches(memory.catalog)
-            expected = oracle_of(memory, spec, dtype)
-            assert_valid(memory.catalog.index("pi"))
-            assert rows_and_patches(durable.catalog) == live, where
-            assert observable_state(memory) == expected, where
-            assert observable_state(durable) == expected, where
+    def test_an_index_created_after_the_last_checkpoint(
+        self, tmp_path, seed, spec_name, dtype_name
+    ):
+        walk_every_door(tmp_path, seed, spec_name, dtype_name, index_first=False)
+
+
+def walk_every_door(tmp_path, seed, spec_name, dtype_name, index_first):
+    spec, dtype = INDEXES[spec_name], DTYPES[dtype_name]
+    initial, history = fuzz_history(seed, spec, dtype)
+    if not index_first:  # no checkpoint after the index is created
+        history = [step for step in history if step[0] != "checkpoint"]
+    restored = 1 if index_first else 0
+    root = tmp_path / "data"
+    memory = repro.connect()
+    durable = repro.connect(root, parallelism=1, sync=False)
+    for db in (memory, durable):
+        fuzz_setup(db, initial, spec, dtype, index_first)
+    for position, step in enumerate(history):
+        where = f"step {position} {step!r}"
+        if step[0] == "reopen":
+            durable.close()
+            durable = repro.connect(root, parallelism=1, sync=False)
+            gauges = durable.obs.export()["gauges"]
+            assert gauges["recovery.indexes_restored"] == restored, where
+            assert gauges["recovery.indexes_rebuilt"] == 1 - restored, where
+        else:
+            before = memory.table("t").read_column("c").to_pylist()
+            before_patches = memory.catalog.index("pi").rowids().tolist()
             for db in (memory, durable):
-                with db.snapshot() as view:
-                    assert rows_and_patches(view.catalog) == live, where
-                    assert_valid(view.catalog.index("pi"))
-                    assert observable_state(view) == expected, where
-            copy = tmp_path / "copy"
-            shutil.copytree(root, copy)
-            reopened = repro.connect(copy, parallelism=1, sync=False)
-            assert rows_and_patches(reopened.catalog) == live, where
-            assert observable_state(reopened) == expected, where
-            reopened.close()
-            shutil.rmtree(copy)
-        durable.close()
+                mutate(db, step, dtype)
+            if step[0] == "insert" and spec["kind"] == "unique":
+                assert memory.catalog.index(
+                    "pi"
+                ).rowids().tolist() == brute_force_nuc_append(
+                    before, before_patches, step[1]
+                ), where
+
+        # memory == durable == either's snapshot == reopened, rowid for rowid
+        live = door_state(memory.catalog)
+        expected = oracle_of(memory, spec, dtype)
+        assert_valid(memory.catalog.index("pi"))
+        assert door_state(durable.catalog) == live, where
+        assert observable_state(memory) == expected, where
+        assert observable_state(durable) == expected, where
+        for db in (memory, durable):
+            with db.snapshot() as view:
+                assert door_state(view.catalog) == live, where
+                assert_valid(view.catalog.index("pi"))
+                assert observable_state(view) == expected, where
+        copy = tmp_path / "copy"
+        shutil.copytree(root, copy)
+        reopened = repro.connect(copy, parallelism=1, sync=False)
+        assert door_state(reopened.catalog) == live, where
+        assert reopened.obs.export()["counters"]["recovery.index_fallbacks"] == 0, where
+        assert observable_state(reopened) == expected, where
+        reopened.close()
+        shutil.rmtree(copy)
+    durable.close()
 
 
 def test_patches_file_written_before_invalidations_was_retired(tmp_path):
@@ -475,8 +531,7 @@ def test_patches_file_written_before_invalidations_was_retired(tmp_path):
     for entry in raw["indexes"].values():
         assert "invalidations" not in entry["stats"]
         entry["stats"]["invalidations"] = 5
-        del entry["checksum"]
-        entry["checksum"] = delta_checksum(entry)
+        entry["checksum"] = entry_checksum(entry)
     path.write_text(json.dumps(raw), encoding="utf-8")
 
     reopened = repro.connect(root, parallelism=1, sync=False)

@@ -145,6 +145,17 @@ class TestMaintenanceMutations:
         assert patches.rowids().tolist() == [0, 2, 4]
 
     @pytest.mark.parametrize("design", ["identifier", "bitmap"])
+    def test_extend_add_remove(self, design):
+        patches = PatchSet.build(np.array([1], dtype=np.int64), 4, design)
+        patches.extend(7, np.array([5, 6], dtype=np.int64))
+        assert patches.row_count == 7
+        assert patches.rowids().tolist() == [1, 5, 6]
+        patches.add(np.array([3], dtype=np.int64))
+        patches.remove(np.array([1, 6], dtype=np.int64))
+        assert patches.rowids().tolist() == [3, 5]
+        assert patches.patch_count() == 2
+
+    @pytest.mark.parametrize("design", ["identifier", "bitmap"])
     def test_remap_after_delete(self, design):
         # rows 0..9, patches {1, 4, 8}; delete rows {0, 4, 7}
         patches = PatchSet.build(np.array([1, 4, 8], dtype=np.int64), 10, design)
@@ -152,6 +163,14 @@ class TestMaintenanceMutations:
         # survivors: 1,2,3,5,6,8,9 -> new ids 0..6; patch 1->0, 8->5
         assert patches.row_count == 7
         assert patches.rowids().tolist() == [0, 5]
+
+    @pytest.mark.parametrize("design", ["identifier", "bitmap"])
+    def test_remap_renumbers_survivors(self, design):
+        patches = PatchSet.build(np.array([1, 4, 5], dtype=np.int64), 6, design)
+        # Deleting rowids 1 and 3 drops patch 1 and shifts 4,5 -> 2,3.
+        patches.remap_after_delete(np.array([1, 3], dtype=np.int64))
+        assert patches.row_count == 4
+        assert patches.rowids().tolist() == [2, 3]
 
     @given(patch_sets, st.data())
     @settings(max_examples=100)

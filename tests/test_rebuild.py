@@ -94,7 +94,7 @@ def patch_rowids(db):
 
 class TestDriftTriggeredRebuild:
     """The self-management loop at the constant threshold: maintenance
-    drifts an index past 2 %, the delta sink schedules it once, the
+    drifts an index past 2 %, the index sink schedules it once, the
     sweep rebuilds it."""
 
     @pytest.fixture(params=["memory", "durable"])
@@ -145,9 +145,10 @@ class TestDriftTriggeredRebuild:
         assert db.run_pending_rebuilds() == 0
         if db.engine.logs_data:
             last = db.wal.records()[-1]
-            assert last.kind == "patch_delta"
-            assert last.payload["event"] == "rebuild"
-            assert last.payload["applies_to"] is None
+            assert (last.kind, last.payload) == (
+                "rebuild_index",
+                {"name": "pi", "table": "t"},
+            )
 
     def test_the_sweep_rebuilds_only_what_drift_flagged(self):
         db = Database()
@@ -189,22 +190,35 @@ class TestDriftTriggeredRebuild:
         assert not index.rebuild_pending and index.drift_rate() == 0.0
 
     def test_a_reopen_after_the_sweep_rebuilds_from_data_and_says_why(self, tmp_path):
+        """The sweep's ``rebuild_index`` record replays at its place in
+        the tail: the index is restored from the checkpoint, maintained
+        through the demotions, rebuilt, then maintained again."""
         root = tmp_path / "data"
         db = repro.connect(root)
         db.create_table_from_pydict(
             "t", Schema([Field("c", DataType.INT64)]), {"c": list(range(100))}
         )
         db.sql("CREATE PATCHINDEX pi ON t(c) TYPE SORTED")
-        db.checkpoint()  # a patch set to restore, were the stream still valid
+        db.checkpoint()
         self.demote(db, [10, 20, 30])
         assert db.run_pending_rebuilds() == 1
+        self.demote(db, [40])
+        live = db.catalog.index("pi")
+        expected = (patch_rowids(db), live.maintenance_stats(), live.rebuild_count)
         db.close()
         reopened = repro.connect(root)
         exported = reopened.metrics().export()
-        assert exported["counters"]["recovery.index_fallbacks.invalidated"] == 1
-        assert exported["gauges"]["recovery.indexes_rebuilt"] == 1
-        assert exported["gauges"]["recovery.indexes_restored"] == 0
-        assert patch_rowids(reopened) == []
+        assert exported["gauges"]["recovery.indexes_restored"] == 1
+        assert exported["gauges"]["recovery.indexes_rebuilt"] == 0
+        assert not any(
+            name.startswith("recovery.index_fallbacks.") for name in exported["counters"]
+        )
+        index = reopened.catalog.index("pi")
+        assert index.rebuild_count == 1
+        assert (patch_rowids(reopened), index.maintenance_stats(), index.rebuild_count) == (
+            expected
+        )
+        assert patch_rowids(reopened) == [40]
 
     def test_served_write_past_the_threshold_is_swept_before_its_ack(self, tmp_path):
         db = repro.connect(tmp_path / "data", parallelism=1)

@@ -76,14 +76,14 @@ L9  one-concurrency-model
     would bring the second model back, with its executors and
     cross-thread futures.
 
-L10 patch-mutation-through-delta-layer
+L10 patch-mutation-through-the-maintainer
     Patch membership mutations — ``.extend`` / ``.add`` / ``.remove`` /
     ``.remap_after_delete`` on a patch-set receiver — are allowed only
-    inside the delta layer ({delta_layer_files}).  Everything else must
-    route through ``repro.core.delta.apply_ops`` so every membership
-    change produces a loggable, replayable ``PatchDelta`` — a direct
-    mutation would silently diverge recovery and snapshots from the
-    live index.
+    inside the maintainer and the patch sets ({patch_mutation_files}).
+    Recovery replays data records and lets the maintainer re-classify
+    them, so only a change the maintainer makes from a table event is
+    one a reopen reproduces — a mutation anywhere else would silently
+    diverge the recovered index from the live one.
 
 L11 lock-order, L12 no-blocking-under-lock, L13 guarded-attribute-access
     The whole-source lock-graph rules, implemented in
@@ -139,10 +139,10 @@ FROMBUFFER_ALLOWED_FILES = (
 )
 
 #: Files allowed to mutate patch-set membership directly (L10): the
-#: delta layer that turns mutations into replayable PatchDelta ops, and
-#: the patch-set classes whose methods the ops resolve to.
-DELTA_LAYER_FILES = (
-    "core/delta.py",
+#: maintainer that re-classifies every table event, live and on replay,
+#: and the patch-set classes whose methods it calls.
+PATCH_MUTATION_FILES = (
+    "core/maintenance.py",
     "core/patches.py",
 )
 
@@ -175,7 +175,7 @@ FSYNC_CHECKED_FILES = (
 #: rename from silently dropping coverage (tests/test_lockgraph.py).
 PATH_LISTS = {
     "FROMBUFFER_ALLOWED_FILES": FROMBUFFER_ALLOWED_FILES,
-    "DELTA_LAYER_FILES": DELTA_LAYER_FILES,
+    "PATCH_MUTATION_FILES": PATCH_MUTATION_FILES,
     "LOCK_CHECKED_DIRS": LOCK_CHECKED_DIRS,
     "LOCK_CHECKED_FILES": LOCK_CHECKED_FILES,
     "FSYNC_CHECKED_FILES": FSYNC_CHECKED_FILES,
@@ -184,7 +184,7 @@ PATH_LISTS = {
 __doc__ = __doc__.format(
     namespaces=", ".join(METRIC_NAMESPACES),
     frombuffer_files=", ".join(FROMBUFFER_ALLOWED_FILES),
-    delta_layer_files=", ".join(DELTA_LAYER_FILES),
+    patch_mutation_files=", ".join(PATCH_MUTATION_FILES),
     fsync_files=", ".join(FSYNC_CHECKED_FILES),
 )
 
@@ -712,14 +712,14 @@ def check_one_concurrency_model(path: Path, tree: ast.AST) -> list[Finding]:
 
 #: Patch-set methods that change membership (L10).  ``remap_after_delete``
 #: is included even though it only renumbers: a renumber outside the
-#: delta layer is just as invisible to WAL replay as an add/remove.
+#: maintainer is just as invisible to WAL replay as an add/remove.
 PATCH_MUTATION_METHODS = frozenset(
     {"extend", "add", "remove", "remap_after_delete"}
 )
 
 
 def check_patch_mutation_layer(path: Path, tree: ast.AST) -> list[Finding]:
-    if posix(path).endswith(DELTA_LAYER_FILES):
+    if posix(path).endswith(PATCH_MUTATION_FILES):
         return []
     findings: list[Finding] = []
     for node in ast.walk(tree):
@@ -742,9 +742,9 @@ def check_patch_mutation_layer(path: Path, tree: ast.AST) -> list[Finding]:
                 node.lineno,
                 "L10",
                 f"direct patch-set mutation .{node.func.attr}() on "
-                f"{ast.unparse(node.func.value)!r}; route membership "
-                "changes through repro.core.delta.apply_ops so they "
-                "produce a replayable PatchDelta",
+                f"{ast.unparse(node.func.value)!r}; membership changes "
+                "belong to the maintainer (repro.core.maintenance), which "
+                "recovery re-runs over the replayed table events",
             )
         )
     return findings
