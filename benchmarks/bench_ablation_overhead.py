@@ -4,8 +4,9 @@ The paper (§VIII) notes that using PatchIndexes "comes along with
 overhead in query execution, mainly caused by additional operators in
 the query plan and by copying subtrees", motivating its cost-model
 future work.  This ablation quantifies exactly that overhead on this
-engine — the numbers behind the
-:class:`repro.core.cost_model.CostModel` calibration:
+engine — the per-row tax that puts each rewrite's breakeven
+(:data:`repro.core.patches.REWRITE_BREAKEVEN`, measured end to end by
+``bench_ablation_cost_model.py``) below 100 % exceptions:
 
 - a bare scan vs a scan + exclude-PatchSelect with an *empty* patch set
   (pure operator overhead);
@@ -86,8 +87,8 @@ def test_patch_select_overhead(benchmark, table, report):
             rows,
         )
     )
-    # The overhead must stay bounded — the cost model charges a small
-    # constant per row, which only holds if this factor is modest.
+    # The overhead must stay bounded: a rewrite can only pay off below
+    # some exception rate if the per-row tax of the select is modest.
     for row in rows[1:]:
         assert row[2] < 8.0, rows
     benchmark(lambda: collect(TableScan(table, columns=["u"])))

@@ -15,9 +15,10 @@ Substrate deviation (documented in EXPERIMENTS.md): in the paper the
 gain never goes negative; on this NumPy substrate the baseline sort is
 so cheap per row that the patched pipeline's copy overhead exceeds the
 savings above ≈15 % exceptions.  The PatchIndex wins in the realistic
-low-rate regime, and the engine's cost model — the paper's own §VIII
-future work — gates the rewrite beyond the breakeven (the sweep below
-bypasses the gate to expose the raw curves, as the paper's figure does).
+low-rate regime, and the engine's sort breakeven
+(``REWRITE_BREAKEVEN["sort"]``, measured by the §VIII ablation) gates
+the rewrite beyond it (the sweep below bypasses the gate to expose the
+raw curves, as the paper's figure does).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ ICDE 2020): a vectorized columnar engine substrate, the PatchIndex
 structure for nearly unique / nearly sorted columns, constraint
 discovery, the PatchedScan, and the distinct / sort / join query
 rewrites, plus a self-management advisor, incremental maintenance and a
-rewrite cost model.
+measured breakeven exception rate per rewrite.
 
 Quick start::
 
@@ -53,7 +53,6 @@ from repro.core import (
     BitmapPatches,
     ConstraintKind,
     ConstraintAdvisor,
-    CostModel,
     discover_nuc_patches,
     discover_nsc_patches,
     longest_sorted_subsequence_indices,
@@ -164,7 +163,6 @@ __all__ = [
     "BitmapPatches",
     "ConstraintKind",
     "ConstraintAdvisor",
-    "CostModel",
     "discover_nuc_patches",
     "discover_nsc_patches",
     "longest_sorted_subsequence_indices",

@@ -14,8 +14,9 @@ Public surface:
   proposing and creating PatchIndexes automatically.
 - :mod:`~repro.core.maintenance` — incremental patch maintenance under
   inserts/deletes/updates (paper §VIII outlook).
-- :mod:`~repro.core.cost_model` — rewrite cost model (paper §VIII
-  outlook).
+- :data:`~repro.core.patches.REWRITE_BREAKEVEN` — the measured
+  exception rate up to which each rewrite pays off: the optimizer's and
+  the advisor's one gate.
 """
 
 from repro.core.patches import (
@@ -24,6 +25,7 @@ from repro.core.patches import (
     BitmapPatches,
     IDENTIFIER_BITS,
     CROSSOVER_RATE,
+    REWRITE_BREAKEVEN,
 )
 from repro.core.patch_index import PatchIndex, PatchIndexMode, PatchIndexStats
 from repro.core.constraints import (
@@ -39,7 +41,6 @@ from repro.core.discovery import (
 )
 from repro.core.lis import longest_sorted_subsequence_indices
 from repro.core.advisor import ConstraintAdvisor, AdvisorProposal
-from repro.core.cost_model import CostModel, CostEstimate
 
 __all__ = [
     "PatchSet",
@@ -47,6 +48,7 @@ __all__ = [
     "BitmapPatches",
     "IDENTIFIER_BITS",
     "CROSSOVER_RATE",
+    "REWRITE_BREAKEVEN",
     "PatchIndex",
     "PatchIndexMode",
     "PatchIndexStats",
@@ -60,6 +62,4 @@ __all__ = [
     "longest_sorted_subsequence_indices",
     "ConstraintAdvisor",
     "AdvisorProposal",
-    "CostModel",
-    "CostEstimate",
 ]

@@ -7,9 +7,11 @@ sortedness, approximate constraints still capture the information.
 
 :class:`ConstraintAdvisor` is that tool: it profiles candidate columns,
 measures NUC/NSC exception rates (optionally on a row sample first, to
-cheaply prune hopeless candidates), ranks the survivors by estimated
-query-time benefit using the :class:`~repro.core.cost_model.CostModel`,
-and can create the chosen PatchIndexes through the
+cheaply prune hopeless candidates), keeps a candidate only where the
+optimizer would use it — below its threshold *and* below the breakeven
+rate of the rewrite it serves (:data:`~repro.core.patches.REWRITE_BREAKEVEN`:
+distinct for a NUC, sort for an NSC) — ranks the survivors by exception
+rate, lowest first, and can create the chosen PatchIndexes through the
 :class:`~repro.storage.database.Database` DDL path (so creation is
 WAL-logged like any user-issued DDL).
 """
@@ -19,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.constraints import ConstraintKind
-from repro.core.cost_model import CostModel
 from repro.core.discovery import (
     discover_nsc_patches,
     discover_nuc_patches,
     discover_table_nsc,
     discover_table_nuc,
 )
-from repro.core.patches import CROSSOVER_RATE
+from repro.core.patches import CROSSOVER_RATE, rewrite_pays_off
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.types import is_orderable
@@ -43,7 +44,6 @@ class AdvisorProposal:
     patch_count: int
     row_count: int
     recommended_design: str
-    estimated_speedup: float
 
     @property
     def index_name(self) -> str:
@@ -53,8 +53,7 @@ class AdvisorProposal:
     def describe(self) -> str:
         return (
             f"{self.table_name}.{self.column_name}: {self.kind.value} "
-            f"rate={self.exception_rate:.2%} design={self.recommended_design} "
-            f"est. speedup {self.estimated_speedup:.2f}x"
+            f"rate={self.exception_rate:.2%} design={self.recommended_design}"
         )
 
 
@@ -68,8 +67,6 @@ class ConstraintAdvisor:
         nuc_threshold: float = 0.1,
         nsc_threshold: float = 0.1,
         sample_rows: int | None = 100_000,
-        cost_model: CostModel | None = None,
-        min_speedup: float = 1.05,
     ):
         """
         Parameters (all keyword-only)
@@ -82,16 +79,11 @@ class ConstraintAdvisor:
             estimates the rate on a contiguous-block sample and drops
             candidates whose *sampled* rate already exceeds twice the
             threshold; ``None`` disables sampling.
-        min_speedup:
-            Proposals whose cost-model speedup estimate for the
-            representative query falls below this are dropped.
         """
         self.database = database
         self.nuc_threshold = nuc_threshold
         self.nsc_threshold = nsc_threshold
         self.sample_rows = sample_rows
-        self.cost_model = cost_model or CostModel()
-        self.min_speedup = min_speedup
 
     # -- profiling -------------------------------------------------------
 
@@ -106,7 +98,7 @@ class ConstraintAdvisor:
         proposals: list[AdvisorProposal] = []
         for name in names:
             proposals.extend(self._analyze_column(table, name))
-        proposals.sort(key=lambda proposal: -proposal.estimated_speedup)
+        proposals.sort(key=lambda proposal: proposal.exception_rate)
         return proposals
 
     def analyze_all(self) -> list[AdvisorProposal]:
@@ -114,7 +106,7 @@ class ConstraintAdvisor:
         proposals: list[AdvisorProposal] = []
         for name in self.database.catalog.table_names():
             proposals.extend(self.analyze_table(name))
-        proposals.sort(key=lambda proposal: -proposal.estimated_speedup)
+        proposals.sort(key=lambda proposal: proposal.exception_rate)
         return proposals
 
     def _analyze_column(self, table: Table, name: str) -> list[AdvisorProposal]:
@@ -125,23 +117,21 @@ class ConstraintAdvisor:
         out: list[AdvisorProposal] = []
         if self._worth_full_scan(table, name, ConstraintKind.UNIQUE):
             result = discover_table_nuc(table, name)
-            rate = result.exception_rate
-            if rate <= self.nuc_threshold:
-                estimate = self.cost_model.distinct(rows, result.patch_count)
-                if estimate.speedup >= self.min_speedup:
-                    out.append(self._proposal(table, name, result, estimate.speedup))
+            if result.exception_rate <= self.nuc_threshold and rewrite_pays_off(
+                "distinct", rows, result.patch_count
+            ):
+                out.append(self._proposal(table, name, result))
         if is_orderable(field.dtype) and self._worth_full_scan(
             table, name, ConstraintKind.SORTED
         ):
             result = discover_table_nsc(table, name)
-            rate = result.exception_rate
-            if rate <= self.nsc_threshold:
-                estimate = self.cost_model.sort(rows, result.patch_count)
-                if estimate.speedup >= self.min_speedup:
-                    out.append(self._proposal(table, name, result, estimate.speedup))
+            if result.exception_rate <= self.nsc_threshold and rewrite_pays_off(
+                "sort", rows, result.patch_count
+            ):
+                out.append(self._proposal(table, name, result))
         return out
 
-    def _proposal(self, table, name, result, speedup) -> AdvisorProposal:
+    def _proposal(self, table, name, result) -> AdvisorProposal:
         rate = result.exception_rate
         return AdvisorProposal(
             table_name=table.name,
@@ -151,7 +141,6 @@ class ConstraintAdvisor:
             patch_count=result.patch_count,
             row_count=result.row_count,
             recommended_design="identifier" if rate <= CROSSOVER_RATE else "bitmap",
-            estimated_speedup=speedup,
         )
 
     def _worth_full_scan(

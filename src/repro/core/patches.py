@@ -34,6 +34,21 @@ IDENTIFIER_BITS = 64
 #: Exception rate at which both designs use equal memory: 1 bit / 64 bit.
 CROSSOVER_RATE = 1.0 / IDENTIFIER_BITS
 
+#: Exception rate up to which each PatchIndex rewrite pays off on this
+#: engine (paper §VII-B: every rewrite wins up to some rate and no
+#: further).  The §VIII rewrite ablation measures all three
+#: (EXPERIMENTS.md): distinct wins at every rate it runs (up to 0.7) and
+#: sort crosses at 0.16-0.23, so both constants sit at or below their
+#: crossover; join is the lower of its crossovers at a build side of 5 %
+#: and of 50 % of the probe rows.
+REWRITE_BREAKEVEN = {"distinct": 0.88, "sort": 0.15, "join": 0.08}
+
+
+def rewrite_pays_off(use_case: str, rows: int, patches: int) -> bool:
+    """The rewrite gate shared by the optimizer and the advisor:
+    fewer *patches* than the use case's breakeven share of *rows*."""
+    return patches < REWRITE_BREAKEVEN[use_case] * rows
+
 
 class PatchSet(abc.ABC):
     """Abstract set of patch rowids over a relation of ``row_count`` tuples."""

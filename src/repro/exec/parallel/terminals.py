@@ -15,9 +15,9 @@ the gather point on the caller's thread:
   per-morsel distinct partials;
 - :class:`ParallelSort` — per-morsel sort producing sorted runs,
   combined by a balanced k-way merge built from the MergeUnion kernels.
-  This composes with the NSC sort rewrite: the exclude-patches branch's
-  morsels are already sorted, so its per-morsel "sort" is a no-op pass
-  of the run-adaptive kernel and the k-way merge does the real work.
+  The planner never puts it over an NSC rewrite's exclude-patches
+  branch: those morsels are already sorted runs, which the serial
+  run-adaptive kernel merges faster than a fan-out does.
 
 Partials are gathered in *morsel submission order* — morsels are
 created in ascending rowid order — and merged with order-insensitive or

@@ -1,8 +1,8 @@
 """PatchIndex-aware query optimization (paper §VI-B, Figure 3).
 
 The optimizer walks the logical plan bottom-up and applies three rewrite
-rules when a matching PatchIndex exists and the cost model predicts a
-win:
+rules when a matching PatchIndex exists and its exception rate is below
+the rewrite's breakeven:
 
 **Distinct rewrite** (NUC, §VI-B1).  ``Distinct(X(Scan T))`` — with X a
 pipeline of selections and non-arithmetic projections — becomes::
@@ -36,19 +36,21 @@ MergeJoin tolerates partition-local sortedness on its streaming side
 (the paper's "sorts and MergeJoins can also be evaluated locally"), so
 no partition merge is needed here.
 
-Every rewrite is gated by the :class:`~repro.core.cost_model.CostModel`
-using the exact ``|P_c|`` from the index (``always_rewrite`` bypasses
-the gate, used by benchmarks that sweep exception rates), and each
-rule can be disabled individually.
+Every rewrite is gated by its measured breakeven exception rate
+(:data:`~repro.core.patches.REWRITE_BREAKEVEN`): it fires iff the
+index's exact ``|P_c|`` is below that share of the estimated input rows.
+``always_rewrite`` bypasses the gate (used by benchmarks that sweep
+exception rates), each rule can be disabled individually, and every
+refusal is recorded in :attr:`Optimizer.refused`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.constraints import values_are_sorted
-from repro.core.cost_model import CostModel
+from repro.core.patches import rewrite_pays_off
 from repro.errors import PlanInvariantError
 from repro.exec.expressions import ColumnRef
 from repro.exec.operators.aggregate import AggregateSpec
@@ -72,7 +74,6 @@ class OptimizerOptions:
     rewrite_sort: bool = True
     rewrite_join: bool = True
     always_rewrite: bool = False
-    cost_model: CostModel = dataclass_field(default_factory=CostModel)
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,8 @@ class Optimizer:
         self.catalog = catalog
         self.options = options or OptimizerOptions()
         self._sorted_column_cache: dict[tuple[str, str], bool] = {}
+        #: The use case of each rewrite the breakeven gate refused.
+        self.refused: list[str] = []
 
     # -- entry point ----------------------------------------------------
 
@@ -191,10 +194,11 @@ class Optimizer:
     ) -> "PatchIndex | None":
         return self.catalog.find_index(table.name, column, kind)
 
-    def _accept(self, use_case: str, n: int, p: int, n_build: int | None = None) -> bool:
-        if self.options.always_rewrite:
+    def _accept(self, use_case: str, n: int, p: int) -> bool:
+        if self.options.always_rewrite or rewrite_pays_off(use_case, n, p):
             return True
-        return self.options.cost_model.should_rewrite(use_case, n, p, n_build)
+        self.refused.append(use_case)
+        return False
 
     @staticmethod
     def _patched_leaf(
@@ -361,9 +365,7 @@ class Optimizer:
             return None
         if not self._side_is_sorted(other, other_key):
             return None
-        n_probe = estimate_rows(indexed)
-        n_build = estimate_rows(other)
-        if not self._accept("join", n_probe, index.patch_count, n_build):
+        if not self._accept("join", estimate_rows(indexed), index.patch_count):
             return None
         exclude = self._patched_leaf(pipeline, index, use_patches=False)
         use = self._patched_leaf(pipeline, index, use_patches=True)

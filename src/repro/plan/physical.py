@@ -19,8 +19,9 @@ Mostly a 1:1 mapping, plus three physical decisions:
   partials over contiguous rowid morsels, when the pipeline splits into
   at least two morsels and hands the terminal more than one morsel's
   worth of rows (``morsel_size``).  Nothing else fans out: a pipeline
-  with no such terminal above it, and an aggregate mixing
-  COUNT(DISTINCT) with other aggregates, plan serial.  The degree of
+  with no such terminal above it, an exclude-patches pipeline (the run
+  merge of a partition-scoped NSC sort rewrite), and an aggregate mixing
+  COUNT(DISTINCT) with other aggregates plan serial.  The degree of
   parallelism comes from the ``parallelism`` knob (default:
   ``REPRO_THREADS`` or the CPU count) and does not enter the gate;
   EXPLAIN shows it on every parallel operator.
@@ -111,7 +112,6 @@ class PhysicalPlanner:
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         derive_scan_ranges: bool = True,
-        choose_build_side: bool = True,
         parallelism: int | None = None,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
         verify: bool = True,
@@ -120,7 +120,6 @@ class PhysicalPlanner:
     ):
         self.batch_size = batch_size
         self.derive_scan_ranges = derive_scan_ranges
-        self.choose_build_side = choose_build_side
         self.parallelism = (
             default_parallelism() if parallelism is None else max(1, parallelism)
         )
@@ -267,6 +266,11 @@ class PhysicalPlanner:
                 current = current.child
                 continue
             return None
+        if patch is not None and not patch.use_patches:
+            # An exclude branch is already sorted runs: per-morsel sorts
+            # plus a k-way merge measured 1.30-2.23x the serial run merge
+            # in every cell (EXPERIMENTS.md, *Parallel shapes*).
+            return None
 
         ranges = (
             list(scan.scan_ranges) if scan.scan_ranges is not None else None
@@ -287,7 +291,7 @@ class PhysicalPlanner:
             if normalized is not None
             else scan.table.row_count
         )
-        if patch is not None and patch.use_patches:
+        if patch is not None:
             # The use branch hands its terminal only the exceptions.
             terminal_rows = min(terminal_rows, patch.index.patch_count)
         # The gate: a morsel is the work that amortizes one dispatch, so
@@ -310,12 +314,9 @@ class PhysicalPlanner:
                 batch_size=self.batch_size,
             )
             if patch is not None:
-                mode = (
-                    PatchSelectMode.USE_PATCHES
-                    if patch.use_patches
-                    else PatchSelectMode.EXCLUDE_PATCHES
+                operator = PatchSelect(
+                    operator, patch.index, PatchSelectMode.USE_PATCHES
                 )
-                operator = PatchSelect(operator, patch.index, mode)
             for node in reversed(nodes):
                 if isinstance(node, lp.LogicalFilter):
                     operator = Filter(operator, node.predicate)
@@ -408,12 +409,7 @@ class PhysicalPlanner:
             return HashJoin(
                 left, right, logical.left_key, logical.right_key, "left_outer"
             )
-        if self.choose_build_side:
-            left_rows = estimate_rows(logical.left)
-            right_rows = estimate_rows(logical.right)
-        else:
-            left_rows, right_rows = 1, 0  # keep right as build side
-        if right_rows <= left_rows:
+        if estimate_rows(logical.right) <= estimate_rows(logical.left):
             return HashJoin(left, right, logical.left_key, logical.right_key)
         # Build on the (smaller) left side; restore column order after.
         swapped = HashJoin(right, left, logical.right_key, logical.left_key)

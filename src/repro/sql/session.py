@@ -11,7 +11,10 @@ default session so single-caller code never has to see one.
 
 Every statement bumps always-on counters in the owning database's
 :class:`~repro.obs.metrics.MetricsRegistry` (statement totals per kind,
-rows returned).  When a statement runs with ``profile=True`` — or as
+rows returned, plan-cache hits and misses, and on a miss each rewrite
+the optimizer's breakeven gate refused, as
+``plan.rewrite_refused.<distinct|sort|join>``).  When a statement runs
+with ``profile=True`` — or as
 ``EXPLAIN ANALYZE`` — the operator tree is instrumented with
 :func:`repro.obs.profile.profile_collect`, the resulting
 :class:`~repro.obs.profile.QueryProfile` is attached to the returned
@@ -213,11 +216,10 @@ class Session:
 
     def _count_session_statement(self) -> None:
         self.statements += 1
-        obs = getattr(self.database, "obs", None)
-        if obs is not None:
-            obs.counter("session.statements").inc()
-            if self.label:
-                obs.counter(f"session.{self.label}.statements").inc()
+        obs = self.database.obs
+        obs.counter("session.statements").inc()
+        if self.label:
+            obs.counter(f"session.{self.label}.statements").inc()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -376,7 +378,7 @@ def _optimized_plan(
     """
     catalog = database.catalog
     cache = catalog.plan_cache
-    obs = getattr(database, "obs", None)
+    obs = database.obs
     shape, values, lifted = parameterize(tokens)
     keys = [(shape, optimizer_options, ())]
     if lifted:
@@ -386,30 +388,30 @@ def _optimized_plan(
         if entry is None:
             continue
         if entry.is_current(catalog):
-            if obs is not None:
-                obs.counter("plan.cache.hits").inc()
+            obs.counter("plan.cache.hits").inc()
             if entry.parameterized:
                 return bind_parameters(entry.plan, values), "hit"
             return entry.plan, "hit"
         cache.discard(key)
-        if obs is not None:
-            obs.counter("plan.cache.invalidations").inc()
+        obs.counter("plan.cache.invalidations").inc()
     # Versions are read before the state they guard and advance after
     # it changed, so a mutation racing this planning leaves an entry
     # that is already stale.
     ddl_version = catalog.ddl_version
     logical = Binder(catalog).bind_select(parse_select(tokens))
     versions = table_versions(logical)
-    optimized = Optimizer(catalog, optimizer_options).optimize(logical)
+    optimizer = Optimizer(catalog, optimizer_options)
+    optimized = optimizer.optimize(logical)
     parameterized = sorted(literal_slots(optimized)) == list(lifted)
     cache.put(
         keys[0] if parameterized else keys[-1],
         CachedPlan(optimized, parameterized, ddl_version, versions),
     )
-    if obs is not None:
-        obs.counter("plan.cache.misses").inc()
-        if not parameterized:
-            obs.counter("plan.cache.uncacheable").inc()
+    obs.counter("plan.cache.misses").inc()
+    if not parameterized:
+        obs.counter("plan.cache.uncacheable").inc()
+    for use_case in optimizer.refused:
+        obs.counter(f"plan.rewrite_refused.{use_case}").inc()
     return optimized, "miss"
 
 
@@ -462,46 +464,41 @@ def _require_profile(result: QueryResult) -> QueryProfile:
 
 
 def _count_statement(database: "Database", kind: str) -> None:
-    obs = getattr(database, "obs", None)
-    if obs is not None:
-        obs.counter("statements").inc()
-        obs.counter(f"statements.{kind}").inc()
+    database.obs.counter("statements").inc()
+    database.obs.counter(f"statements.{kind}").inc()
 
 
 def _count_rows(database: "Database", rows: int) -> None:
-    obs = getattr(database, "obs", None)
-    if obs is not None:
-        obs.counter("query.rows_returned").inc(rows)
+    database.obs.counter("query.rows_returned").inc(rows)
 
 
 def _record_profile(database: "Database", profile: QueryProfile) -> None:
     """Roll one finished profile into the registry."""
-    obs = getattr(database, "obs", None)
-    if obs is not None:
-        obs.counter("query.profiled").inc()
-        obs.histogram("query.seconds").observe(profile.total_seconds)
-        for node in profile.find("PatchSelect"):
-            obs.counter("patchselect.rows_in").inc(
-                int(node.details.get("rows_in", 0))
-            )
-            obs.counter("patchselect.patch_hits").inc(
-                int(node.details.get("patch_hits", 0))
-            )
-        for node in profile.root.walk():
-            if "dop_used" not in node.details:
-                continue
-            obs.counter("parallel.morsels_total").inc(
-                int(node.details.get("morsels_run", 0))
-            )
-            obs.counter("parallel.queue_wait_seconds").inc(
-                float(node.details.get("queue_wait_s", 0.0))
-            )
-            obs.counter("parallel.busy_seconds").inc(
-                float(node.details.get("busy_s", 0.0))
-            )
-            obs.gauge("parallel.last_dop_used").set(
-                int(node.details.get("dop_used", 0))
-            )
+    obs = database.obs
+    obs.counter("query.profiled").inc()
+    obs.histogram("query.seconds").observe(profile.total_seconds)
+    for node in profile.find("PatchSelect"):
+        obs.counter("patchselect.rows_in").inc(
+            int(node.details.get("rows_in", 0))
+        )
+        obs.counter("patchselect.patch_hits").inc(
+            int(node.details.get("patch_hits", 0))
+        )
+    for node in profile.root.walk():
+        if "dop_used" not in node.details:
+            continue
+        obs.counter("parallel.morsels_total").inc(
+            int(node.details.get("morsels_run", 0))
+        )
+        obs.counter("parallel.queue_wait_seconds").inc(
+            float(node.details.get("queue_wait_s", 0.0))
+        )
+        obs.counter("parallel.busy_seconds").inc(
+            float(node.details.get("busy_s", 0.0))
+        )
+        obs.gauge("parallel.last_dop_used").set(
+            int(node.details.get("dop_used", 0))
+        )
 
 
 # -- DML ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 from repro import Database
 from repro.core.advisor import ConstraintAdvisor
 from repro.core.constraints import ConstraintKind
+from repro.core.discovery import discover_table_nsc
+from repro.gen.synthetic import sorted_with_exceptions
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
@@ -48,12 +50,13 @@ class TestAnalysis:
         assert ("s", ConstraintKind.SORTED) in found
         assert all(p.column_name != "noise" for p in proposals)
 
-    def test_proposals_ranked_by_speedup(self):
+    def test_proposals_ranked_by_rate(self):
         db = make_db()
         advisor = ConstraintAdvisor(db, nuc_threshold=0.05, nsc_threshold=0.05)
         proposals = advisor.analyze_all()
-        speedups = [p.estimated_speedup for p in proposals]
-        assert speedups == sorted(speedups, reverse=True)
+        assert len(proposals) >= 2
+        rates = [p.exception_rate for p in proposals]
+        assert rates == sorted(rates)
 
     def test_proposal_metadata(self):
         db = make_db()
@@ -69,6 +72,37 @@ class TestAnalysis:
         db.create_table("empty", Schema([Field("x", DataType.INT64)]))
         advisor = ConstraintAdvisor(db)
         assert advisor.analyze_table("empty") == []
+
+
+def disordered_db(rate: float, n: int = 20_000) -> Database:
+    """One ascending column with *rate* of its rows overwritten."""
+    db = Database()
+    table = db.create_table("d", Schema([Field("s", DataType.INT64)]))
+    table.load_columns({"s": sorted_with_exceptions(n, rate, seed=9)})
+    return db
+
+
+def nsc_proposals(db: Database, **thresholds) -> list:
+    return [
+        p
+        for p in ConstraintAdvisor(db, **thresholds).analyze_table("d")
+        if p.kind == ConstraintKind.SORTED
+    ]
+
+
+class TestBreakevenGate:
+    """The advisor proposes an index only where the optimizer's rewrite
+    gate would use it."""
+
+    def test_a_five_percent_nsc_is_proposed_at_default_thresholds(self):
+        (proposal,) = nsc_proposals(disordered_db(0.05))
+        assert 0.04 < proposal.exception_rate < 0.06
+
+    def test_an_nsc_above_the_sort_breakeven_is_not_proposed(self):
+        db = disordered_db(0.2)
+        assert nsc_proposals(db, nsc_threshold=0.3) == []
+        # The threshold alone would have let it through.
+        assert 0.15 < discover_table_nsc(db.table("d"), "s").exception_rate <= 0.3
 
 
 class TestSamplingPrefilter:

@@ -44,6 +44,7 @@ from repro.exec.operators import (
 from repro.exec.operators.aggregate import AggregateSpec
 from repro.exec.operators.sort import SortKey
 from repro.exec.parallel import (
+    DEFAULT_MORSEL_SIZE,
     BatchSource,
     Morsel,
     ParallelAggregate,
@@ -381,6 +382,59 @@ class TestPlannedEquivalence:
         assert "dop=" not in op.explain()
 
 
+def plans_parallel(
+    rows, partitions, parallelism, morsel_size=DEFAULT_MORSEL_SIZE, block_size=None
+):
+    """Whether ``COUNT(*)`` over an INT64 table of *rows* rows in
+    *partitions* partitions plans a parallel operator."""
+    kwargs = {} if block_size is None else {"block_size": block_size}
+    table = Table("t", Schema([Field("x", DataType.INT64)]), partitions, **kwargs)
+    table.load_columns({"x": ColumnVector(DataType.INT64, np.arange(rows))})
+    catalog = Catalog()
+    catalog.add_table(table)
+    logical = Optimizer(catalog).optimize(
+        Binder(catalog).bind_select(parse_statement("SELECT COUNT(*) AS n FROM t"))
+    )
+    planner = PhysicalPlanner(parallelism=parallelism, morsel_size=morsel_size)
+    return "dop=" in planner.plan(logical).explain()
+
+
+class TestParallelGate:
+    """Pin the fan-out decisions of the morsel thread pool: a scan
+    pipeline goes parallel iff dop > 1, it splits into at least two
+    morsels, and it covers more than ``morsel_size`` rows (2^18 by
+    default)."""
+
+    def test_bench_table_plans_parallel_thread(self):
+        # A 10M-row scan over 8 partitions in 40 morsels, at 1/64 scale:
+        # the rule compares rows with the morsel size, so it scales.
+        rows, size = 10_000_000 // 64, DEFAULT_MORSEL_SIZE // 64
+        assert plans_parallel(rows, 8, 2, morsel_size=size)
+        assert plans_parallel(rows, 8, 4, morsel_size=size)
+
+    def test_small_input_stays_serial(self):
+        assert not plans_parallel(200_000, 8, 2)
+        assert not plans_parallel(10_000, 8, 4)
+
+    def test_thread_breakeven(self):
+        assert plans_parallel(300_000, 8, 2)
+        assert not plans_parallel(240_000, 8, 2)
+        # The breakeven is the morsel size itself, not a row past it.
+        assert not plans_parallel(DEFAULT_MORSEL_SIZE, 8, 2)
+        assert plans_parallel(DEFAULT_MORSEL_SIZE + 1, 8, 2)
+
+    def test_degenerate_shapes_stay_serial(self):
+        rows, size = 10_000_000 // 64, DEFAULT_MORSEL_SIZE // 64
+        assert not plans_parallel(rows, 8, 1, morsel_size=size)
+        # One 40-row block is one morsel, however small the morsel size.
+        assert not plans_parallel(40, 1, 4, morsel_size=16, block_size=64)
+
+    def test_dop_is_not_an_input(self):
+        for parallelism in (2, 4, 8):
+            assert plans_parallel(300_000, 8, parallelism)
+            assert not plans_parallel(240_000, 8, parallelism)
+
+
 def shape_db(scope: str) -> Database:
     """400 rows in three partitions: a group column, a nullable value,
     a nearly-unique column (six patches) and a nearly-sorted one (two
@@ -428,8 +482,9 @@ _SHAPE_DBS: dict[str, Database] = {}
 #: (statement, NSC scope, the parallel terminals dop 2 plans).  A
 #: rewrite's use branch hands its terminal only the patches — fewer than
 #: a morsel's worth here, as at 1 % exceptions on a large table — so it
-#: stays serial; of the rewrite branches only the run-merging Sort on
-#: the exclude branch of a partition-scoped NSC fans out.
+#: stays serial, and no exclude branch fans out: the run-merging Sort of
+#: a partition-scoped NSC stays serial too, while a plain ORDER BY over
+#: the same table does not.
 SHAPES = {
     "distinct": ("SELECT DISTINCT g FROM t", "global", {"ParallelDistinct"}),
     "order by": ("SELECT v FROM t ORDER BY v", "global", {"ParallelSort"}),
@@ -472,6 +527,11 @@ SHAPES = {
     ),
     "nsc sort rewrite, partition scope": (
         "SELECT s FROM t ORDER BY s",
+        "partition",
+        set(),
+    ),
+    "order by, partition scope": (
+        "SELECT v FROM t ORDER BY v",
         "partition",
         {"ParallelSort"},
     ),

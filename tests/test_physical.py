@@ -109,13 +109,6 @@ class TestBuildSideChoice:
         result = collect(operator)
         assert result.row_count == 10
 
-    def test_choice_can_be_disabled(self):
-        operator = PhysicalPlanner(choose_build_side=False).plan(
-            self.make_join(10, 1000)
-        )
-        assert isinstance(operator, HashJoin)
-        assert operator.build.table.name == "r"
-
 
 class TestCardinality:
     def test_estimates(self):

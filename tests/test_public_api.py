@@ -12,8 +12,8 @@ import pytest
 
 import repro
 from repro import ConstraintAdvisor, Database
-from repro.core.cost_model import CostModel
 from repro.exec.result import QueryResult
+from repro.plan.optimizer import OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.storage.segment import open_segment
 
@@ -129,26 +129,29 @@ class TestOptionSurface:
             open_segment(tmp_path / "c.seg", mmap=True)
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
-    def test_cost_model_fields(self):
-        # The paper's rewrite model only: the parallel gate is the morsel
-        # size, not a weight.
-        assert [field.name for field in dataclasses.fields(CostModel)] == [
-            "hash_agg_weight",
-            "sort_weight",
-            "hash_build_weight",
-            "hash_probe_weight",
-            "merge_weight",
-            "patch_select_weight",
-            "union_weight",
-            "exception_sort_factor",
-            "sort_overhead_weight",
+    def test_optimizer_options_fields(self):
+        # Rule switches only: the rewrite gate is one measured breakeven
+        # rate per rewrite, not a weight.
+        assert [field.name for field in dataclasses.fields(OptimizerOptions)] == [
+            "use_patch_indexes",
+            "rewrite_distinct",
+            "rewrite_sort",
+            "rewrite_join",
+            "always_rewrite",
+        ]
+
+    def test_advisor_parameters(self):
+        assert list(inspect.signature(ConstraintAdvisor).parameters) == [
+            "database",
+            "nuc_threshold",
+            "nsc_threshold",
+            "sample_rows",
         ]
 
     def test_physical_planner_parameters(self):
         assert list(inspect.signature(PhysicalPlanner.__init__).parameters)[1:] == [
             "batch_size",
             "derive_scan_ranges",
-            "choose_build_side",
             "parallelism",
             "morsel_size",
             "verify",

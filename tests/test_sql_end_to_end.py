@@ -6,6 +6,7 @@ import pytest
 
 from repro import Database
 from repro.core.discovery import discover_nuc_patches
+from repro.plan.optimizer import OptimizerOptions
 
 
 @pytest.fixture
@@ -207,5 +208,15 @@ class TestExplain:
     def test_explain_cost_model_gates_high_rates(self, db):
         # tab's column c is 44% disordered: the sort rewrite does not pay.
         db.sql("CREATE PATCHINDEX pi ON tab(c) TYPE SORTED")
-        text = db.explain("SELECT c FROM tab ORDER BY c")
-        assert "MergeUnion" not in text
+        query = "SELECT c FROM tab ORDER BY c"
+        forced = OptimizerOptions(always_rewrite=True)
+        assert "MergeUnion" in db.explain(query, optimizer_options=forced)
+        assert refused_sorts(db) == 0
+        assert "MergeUnion" not in db.explain(query)
+        assert refused_sorts(db) == 1
+        db.explain(query)  # a plan-cache hit does not count again
+        assert refused_sorts(db) == 1
+
+
+def refused_sorts(db) -> int:
+    return db.metrics().export()["counters"].get("plan.rewrite_refused.sort", 0)
