@@ -70,7 +70,6 @@ def connect(
     parallelism: int | None = None,
     sync: bool = True,
     cache_bytes: int | None = None,
-    encoding: str = "auto",
     timeout: float | None = None,
 ):
     """Open a database — local or remote — from one *target*.
@@ -79,10 +78,12 @@ def connect(
 
     - ``repro.connect()`` — a fresh **in-memory** database;
     - ``repro.connect("/data/dir")`` — a **durable** database directory
-      (created if missing): row data is WAL-logged, ``CHECKPOINT``
-      flushes columnar segment files, and reconnecting to the same
-      directory recovers tables and PatchIndexes as they were — the
-      log carries data, never patches (paper §V);
+      (created if missing; an existing file is a
+      :class:`~repro.errors.StorageError`): row data is WAL-logged,
+      ``CHECKPOINT`` flushes block-encoded columnar segment files, and
+      reconnecting to the same directory recovers tables and
+      PatchIndexes as they were — the log carries data, never patches
+      (paper §V);
     - ``repro.connect("repro://host:port")`` — a **network client**
       (:class:`repro.serve.ServerClient`) speaking to a running
       ``python -m repro serve`` instance; it mirrors the ``Database``
@@ -90,15 +91,10 @@ def connect(
 
     Durable knobs: *cache_bytes* bounds the shared decoded-block cache
     (default ``REPRO_CACHE_BYTES``, else 64 MiB; ``0`` disables it);
-    *encoding* selects the checkpoint segment encoding (``"auto"`` =
-    cost-based per-block picker, ``"raw"`` = uncompressed);
     ``sync=False`` skips fsync (benchmarks only).  *parallelism* sets
     the instance-default degree of parallelism (``None`` resolves
     ``REPRO_THREADS`` / the CPU count, ``1`` forces serial execution);
     for a remote target it is applied to the server-side session.
-
-    A *file* is not a connect target: the metadata-only WAL mode is
-    ``Database(wal_path)``.
     """
     if target is not None and path is not None:
         raise ReproError(
@@ -107,9 +103,9 @@ def connect(
     if target is not None:
         text = _os.fspath(target) if not isinstance(target, str) else target
         if text.startswith("repro://"):
-            if not sync or cache_bytes is not None or encoding != "auto":
+            if not sync or cache_bytes is not None:
                 raise ReproError(
-                    "sync/cache_bytes/encoding are storage knobs of the "
+                    "sync/cache_bytes are storage knobs of the "
                     "server's database, not the client"
                 )
             from repro.serve import ServerClient
@@ -118,19 +114,9 @@ def connect(
             if parallelism is not None:
                 client.parallelism = parallelism
             return client
-        if _os.path.isfile(text):
-            raise ReproError(
-                f"connect() target {text!r} is a file: the positional names "
-                "a durable directory or a repro:// URI; use "
-                "Database(wal_path) for a metadata-only WAL file"
-            )
         path = target
     return Database(
-        path=path,
-        parallelism=parallelism,
-        sync=sync,
-        cache_bytes=cache_bytes,
-        encoding=encoding,
+        path=path, parallelism=parallelism, sync=sync, cache_bytes=cache_bytes
     )
 
 

@@ -1,8 +1,8 @@
 r"""Interactive SQL shell and network server.
 
-``python -m repro [--threads N] [--metrics-dump PATH] [--data-dir DIR]
-[wal-path]`` starts the REPL over a local
-:class:`repro.storage.database.Database`;
+``python -m repro [--threads N] [--metrics-dump PATH] [--data-dir DIR]``
+starts the REPL over a local :class:`repro.storage.database.Database`
+(in memory without ``--data-dir``);
 ``python -m repro --connect repro://host:port`` runs the same REPL
 against a remote server; ``python -m repro serve --data-dir DIR
 [--host H] [--port P]`` starts the server itself.
@@ -225,8 +225,8 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "target",
         nargs="?",
-        metavar="serve | wal-path",
-        help="'serve' starts the server; a path opens a metadata-only WAL",
+        choices=["serve"],
+        help="'serve' starts the server; without it, the shell",
     )
     parser.add_argument("--threads", type=int, help="degree of parallelism")
     parser.add_argument("--metrics-dump", metavar="PATH")
@@ -240,11 +240,8 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     if args.target == "serve":
         if args.connect is not None:
             parser.error("serve and --connect are exclusive")
-    elif args.connect is not None:
-        if args.target is not None or args.data_dir is not None:
-            parser.error("--connect is exclusive with local storage options")
-    elif args.target is not None and args.data_dir is not None:
-        parser.error("pass either --data-dir or a wal path, not both")
+    elif args.connect is not None and args.data_dir is not None:
+        parser.error("--connect is exclusive with --data-dir")
     return args
 
 
@@ -265,9 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads is not None:
             database.parallelism = args.threads
     else:
-        database = Database(
-            args.target, path=args.data_dir, parallelism=args.threads
-        )
+        database = Database(path=args.data_dir, parallelism=args.threads)
     code = run_shell(database)
     if args.metrics_dump is not None:
         try:

@@ -63,11 +63,11 @@ def flush_table(
     checkpoint_lsn: int,
     table: Table,
     patch_rowids: dict[str, dict[int, np.ndarray]],
-    encoding: str,
     *,
     sync: bool,
 ) -> tuple[TableManifest, dict]:
-    """Write every partition column of *table* into the new generation.
+    """Write every partition column of *table* into the new generation,
+    each block in the encoding the per-block picker chooses.
 
     Returns the table's manifest entry and its checkpoint-summary detail
     (``segment_bytes``, ``encoded_ratio``, per-column bytes and encoding
@@ -92,7 +92,6 @@ def flush_table(
                 partition.column(field.name),
                 table.block_size,
                 sync=sync,
-                encoding=encoding,
                 patch_rowids=patch_rowids.get(field.name, {}).get(
                     partition.partition_id
                 ),
@@ -170,13 +169,13 @@ def persisted_index_entry(index) -> dict:
 
 def write_patch_sets(
     root: Path, checkpoint_lsn: int, catalog: Catalog, *, sync: bool
-) -> str:
+) -> None:
     """Materialize every index's patch sets into the new generation.
 
     With the patch sets persisted per checkpoint, recovery restores them
     and lets the indexes re-classify the WAL tail's data records, instead
-    of re-discovering every index from data.  Returns the file's path
-    relative to *root* (the manifest's ``patches`` pointer).
+    of re-discovering every index from data.  Readers find the file by
+    *checkpoint_lsn* (:func:`~repro.storage.manifest.patches_path`).
     """
     entries = {
         index.name: persisted_index_entry(index)
@@ -191,7 +190,6 @@ def write_patch_sets(
         handle.flush()
         if sync:
             os.fsync(handle.fileno())
-    return path.relative_to(root).as_posix()
 
 
 def superseded_generations(

@@ -10,7 +10,9 @@ PatchIndex exists (name, table, column, kind, mode, threshold), never its
 patches.  A reopen restores indexes from the checkpoint's persisted patch
 sets (or discovers them from data) and replays the WAL's data tail
 through the tables, which the indexes re-classify exactly as they did
-live (:mod:`repro.storage.materialize`).  The database is also where
+live (:mod:`repro.storage.materialize`); an index no checkpoint covers
+yet is discovered from data as its ``create_index`` replays.  The
+database is also where
 maintenance meets self-management: every maintained mutation and every
 rebuild of an index reaches :meth:`Database._on_index_event`, which
 feeds the per-index drift gauge, schedules a background rebuild once
@@ -19,10 +21,7 @@ drift exceeds :data:`REBUILD_THRESHOLD`, and logs each rebuild as a
 exist, selected at construction through the storage engine seam
 (:mod:`repro.storage.engine`):
 
-- in-memory (the default): row data is volatile and the optional WAL
-  covers metadata only; :meth:`Database.recover` accepts per-table data
-  loaders that repopulate each table as its ``create_table`` replays, so
-  every index is discovered over loaded data.
+- in-memory (the default): nothing is persisted.
 - durable (``Database(path=...)`` / ``repro.connect(path=...)``): row
   data is WAL-logged and checkpointed into columnar segment files, and
   reopening the same path runs full recovery — manifest load, PatchIndex
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import StorageError, WalError
 from repro.storage.catalog import Catalog
@@ -49,8 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sql.session import Session
     from repro.storage.materialize import Recovered
     from repro.storage.snapshot import SnapshotView
-
-DataLoader = Callable[[Table], None]
 
 #: Drift ratio (patches added by maintenance / table rows) past which a
 #: PatchIndex is scheduled for a background rebuild.  A constant, not a
@@ -91,41 +88,29 @@ class Database:
 
     def __init__(
         self,
-        wal_path: str | os.PathLike | None = None,
         *,
         path: str | os.PathLike | None = None,
         parallelism: int | None = None,
         sync: bool = True,
         cache_bytes: int | None = None,
-        encoding: str = "auto",
     ):
-        """Open a database.
+        """Open a database: in memory, or a durable data directory.
 
-        *wal_path* keeps the historical metadata-only WAL behaviour.
-        *path* instead opens (or creates) a durable data directory
-        managed by :class:`~repro.storage.engine.DurableEngine`: row
-        data is WAL-logged, ``CHECKPOINT`` flushes columnar segment
-        files, and reopening the same *path* recovers tables and
-        PatchIndexes as they were.  ``sync=False`` skips fsync
+        *path* opens (or creates) a durable data directory managed by
+        :class:`~repro.storage.engine.DurableEngine`: row data is
+        WAL-logged, ``CHECKPOINT`` flushes block-encoded columnar
+        segment files, and reopening the same *path* recovers tables
+        and PatchIndexes as they were.  ``sync=False`` skips fsync
         (benchmarks only).  *cache_bytes* bounds the shared
         decoded-block cache (default: the ``REPRO_CACHE_BYTES``
-        environment variable, else 64 MiB; ``0`` disables caching) and
-        *encoding* picks the segment encoding written at checkpoint
-        (``"auto"`` = per-block cost-based picker, ``"raw"`` =
-        uncompressed blocks).
+        environment variable, else 64 MiB; ``0`` disables caching).
         """
         from repro.obs import MetricsRegistry
         from repro.storage.engine import DurableEngine, MemoryEngine
 
-        if wal_path is not None and path is not None:
+        if path is None and cache_bytes is not None:
             raise StorageError(
-                "pass either wal_path (metadata-only WAL) or path "
-                "(durable data directory), not both"
-            )
-        if path is None and (cache_bytes is not None or encoding != "auto"):
-            raise StorageError(
-                "cache_bytes= and encoding= require a durable database "
-                "(pass path=)"
+                "cache_bytes= requires a durable database (pass path=)"
             )
         self.catalog = Catalog()
         #: Default degree of parallelism for queries issued through this
@@ -138,17 +123,12 @@ class Database:
         self._implicit_session = None
         self._open_sessions = 0
         if path is not None:
-            self.engine = DurableEngine(
-                path,
-                sync=sync,
-                cache_bytes=cache_bytes,
-                encoding=encoding,
-            )
-            self.wal = self.engine.open_wal(self, None)
+            self.engine = DurableEngine(path, sync=sync, cache_bytes=cache_bytes)
+            self.wal = self.engine.open_wal(self)
             self.engine.recover(self)
         else:
             self.engine = MemoryEngine()
-            self.wal = self.engine.open_wal(self, wal_path)
+            self.wal = self.engine.open_wal(self)
 
     # -- sessions -----------------------------------------------------------
 
@@ -564,31 +544,6 @@ class Database:
     def cache_stats(self) -> dict | None:
         """Block-cache counters and occupancy (None without a cache)."""
         return self.engine.cache_stats()
-
-    # -- recovery -------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        wal_path: str | os.PathLike,
-        data_loaders: Mapping[str, DataLoader] | None = None,
-    ) -> "Database":
-        """Rebuild a database instance by replaying a metadata WAL.
-
-        The same one pass a durable open runs, with no generation to start
-        from: each table is recreated and filled through *data_loaders*
-        (``table name → callable(table)``) as its ``create_table``
-        replays, and each PatchIndex is then discovered from the loaded
-        data as its ``create_index`` replays, exactly as the paper's
-        recovery path does.
-        """
-        from repro.storage.materialize import replay_log
-
-        database = cls(wal_path)
-        database._install_recovered(
-            replay_log(database.wal.records(), {}, 0, {}, data_loaders)
-        )
-        return database
 
     # -- introspection -----------------------------------------------------------
 

@@ -9,10 +9,10 @@ A :class:`~repro.storage.database.Database` delegates everything about
 - what a ``CHECKPOINT`` does,
 - and how a database instance is brought back after a restart.
 
-Two engines exist.  :class:`MemoryEngine` keeps row data purely in
-memory; its WAL (optional) covers metadata only.  :class:`DurableEngine`
-manages a *data directory* (layout: :mod:`repro.storage.manifest`) and
-is the lifecycle around three modules that do the work:
+Two engines exist.  :class:`MemoryEngine` persists nothing: its WAL is
+an in-memory list.  :class:`DurableEngine` manages a *data directory*
+(layout: :mod:`repro.storage.manifest`) and is the lifecycle around
+three modules that do the work:
 
 - :mod:`repro.storage.checkpoint` writes a generation: every partition
   column as a segment file plus the PatchIndexes' patch sets, from a
@@ -56,7 +56,6 @@ from repro.storage.manifest import (
     read_manifest,
 )
 from repro.storage.materialize import load_tables, read_patch_sets, replay_log
-from repro.storage.segment import ENCODING_MODES
 from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry
 from repro.storage.table import Table
 from repro.storage.wal import DATA_KINDS, WriteAheadLog, live_records_of
@@ -121,10 +120,9 @@ def encoded_ratio(table: Table) -> float:
 class StorageEngine:
     """Interface a Database persists through; also the in-memory engine.
 
-    The base class implements the metadata-only behaviour: table data
-    lives in memory, checkpoints write a WAL marker and compact the
-    metadata log, and recovery is a no-op (``Database.recover`` with
-    data loaders repopulates tables).
+    The base class implements the in-memory behaviour: table data and
+    the WAL live in memory, a checkpoint writes a WAL marker and
+    compacts the log, and there is nothing to recover.
     """
 
     name = "memory"
@@ -151,13 +149,11 @@ class StorageEngine:
         """Per-table encoded/raw payload byte ratio (empty without one)."""
         return {}
 
-    def open_wal(
-        self, database: "Database", wal_path: str | os.PathLike | None
-    ) -> WriteAheadLog:
+    def open_wal(self, database: "Database") -> WriteAheadLog:
         self._snapshots = SnapshotRegistry(
             None, None, cache=None, metrics=database.obs
         )
-        return WriteAheadLog(wal_path, metrics=database.obs)
+        return WriteAheadLog(metrics=database.obs)
 
     def recover(self, database: "Database") -> None:
         """Restore durable state on open (no-op for the memory engine)."""
@@ -189,7 +185,7 @@ class StorageEngine:
 
 
 class MemoryEngine(StorageEngine):
-    """Volatile row storage with an optional metadata-only WAL."""
+    """Volatile storage: nothing survives the process."""
 
 
 class DurableEngine(StorageEngine):
@@ -204,17 +200,13 @@ class DurableEngine(StorageEngine):
         *,
         sync: bool = True,
         cache_bytes: int | None = None,
-        encoding: str = "auto",
     ):
-        if encoding not in ENCODING_MODES:
-            raise StorageError(
-                f"encoding must be one of {ENCODING_MODES}, got {encoding!r}"
-            )
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise StorageError(
+                f"data directory {str(self.root)!r} exists and is not a directory"
+            )
         self.sync = sync
-        #: Segment encoding mode for checkpoints: "auto" (cost-based
-        #: per-block picker) or "raw".
-        self.encoding = encoding
         if cache_bytes is None:
             cache_bytes = cache_capacity_from_env()
         #: Shared decoded-block cache; ``None`` when disabled (``cache_bytes=0``).
@@ -234,14 +226,7 @@ class DurableEngine(StorageEngine):
 
     # -- lifecycle --------------------------------------------------------
 
-    def open_wal(
-        self, database: "Database", wal_path: str | os.PathLike | None
-    ) -> WriteAheadLog:
-        if wal_path is not None:
-            raise StorageError(
-                "the durable engine owns the WAL location; do not pass "
-                "wal_path together with path="
-            )
+    def open_wal(self, database: "Database") -> WriteAheadLog:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / SEGMENTS_DIR).mkdir(exist_ok=True)
         if self._cache is not None:
@@ -308,12 +293,13 @@ class DurableEngine(StorageEngine):
         segments = 0
         try:
             for table in catalog.tables():
-                patch_rowids = (
-                    nsc_patch_rowids(catalog, table) if self.encoding == "auto" else {}
-                )
                 name = table.name
                 tables[name], detail = flush_table(
-                    self.root, lsn, table, patch_rowids, self.encoding, sync=self.sync
+                    self.root,
+                    lsn,
+                    table,
+                    nsc_patch_rowids(catalog, table),
+                    sync=self.sync,
                 )
                 table_details[name] = detail
                 self._encoded_ratios[name] = detail["encoded_ratio"]
@@ -322,8 +308,8 @@ class DurableEngine(StorageEngine):
                 obs.gauge(f"storage.{name}.segments").set(written)
                 obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
                 obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
-            patches = write_patch_sets(self.root, lsn, catalog, sync=self.sync)
-            manifest = Manifest(checkpoint_lsn=lsn, tables=tables, patches=patches)
+            write_patch_sets(self.root, lsn, catalog, sync=self.sync)
+            manifest = Manifest(checkpoint_lsn=lsn, tables=tables)
             pruned, doomed = self._snapshots.flip(
                 manifest, database.wal, sync=self.sync
             )

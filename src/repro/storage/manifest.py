@@ -5,9 +5,10 @@ schema and partition layout, and the segment file backing each column of
 each partition, all as of one checkpoint LSN.  Everything in the WAL
 with an LSN at or below ``checkpoint_lsn`` is already reflected in the
 segments; :mod:`repro.storage.materialize` loads the manifest first and
-then replays only the WAL tail beyond it.  The manifest also points at
-the generation's ``patches.json``, the materialized patch sets of every
-PatchIndex as of the checkpoint, from which indexes are restored.
+then replays only the WAL tail beyond it.  Next to the segments, the
+generation keeps ``patches.json``, the materialized patch sets of every
+PatchIndex as of the checkpoint, from which indexes are restored; its
+path follows from ``checkpoint_lsn`` (:func:`patches_path`).
 
 The manifest is a single JSON document written atomically (temp file +
 fsync + rename), so a crash during checkpoint leaves either the old or
@@ -31,9 +32,11 @@ from pathlib import Path
 from repro.errors import StorageError
 
 #: Bump when the manifest or segment layout changes incompatibly.
-#: Version 3 is RSEG2 segments plus the ``patches`` pointer; nothing in
-#: the repo ever shipped a directory of versions 1-2 (raw RSEG1
-#: segments, no persisted patch sets), so they are rejected, not read.
+#: Version 3 is RSEG2 segments plus a ``patches.json`` per generation
+#: (older version-3 manifests also carry a ``patches`` key naming it,
+#: which readers ignore); nothing in the repo ever shipped a directory
+#: of versions 1-2 (raw RSEG1 segments, no persisted patch sets), so
+#: they are rejected, not read.
 FORMAT_VERSION = 3
 
 #: Manifest versions this reader understands.
@@ -88,18 +91,12 @@ class Manifest:
     checkpoint_lsn: int
     tables: dict[str, TableManifest] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
-    #: Path (relative to the data directory) of the generation's
-    #: patch-set file.  Informational: readers derive the same path
-    #: from ``checkpoint_lsn`` (:func:`patches_path`), which also works
-    #: for a pinned generation whose manifest has been superseded.
-    patches: str | None = None
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "format_version": self.format_version,
                 "checkpoint_lsn": self.checkpoint_lsn,
-                "patches": self.patches,
                 "tables": {
                     name: {
                         "schema": table.schema,
@@ -146,12 +143,10 @@ class Manifest:
                     for partition in entry["partitions"]
                 ],
             )
-        patches = raw.get("patches")
         return cls(
             checkpoint_lsn=int(raw["checkpoint_lsn"]),
             tables=tables,
             format_version=version,
-            patches=str(patches) if patches is not None else None,
         )
 
 

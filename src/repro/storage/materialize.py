@@ -3,11 +3,9 @@
 "Load a generation, replay the WAL, end with tables and their PatchIndexes"
 is what a reopen needs, and only a reopen: a snapshot copies the live
 catalog (:mod:`repro.storage.snapshot`) and reads no log.  It is one
-function, :func:`replay_log`, with two thin callers::
-
-    DurableEngine.recover  the manifest's tables and patch sets, then the tail
-    Database.recover       no generation: the whole metadata log, loaders
-                           run as each create_table replays
+function, :func:`replay_log`, with one caller,
+:meth:`~repro.storage.engine.DurableEngine.recover`, which hands it the
+manifest's tables and patch sets (none before the first checkpoint).
 
 The pass starts from the checkpoint's tables with the indexes it covers
 attached as table listeners: each *restored* from that generation's
@@ -28,7 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +118,7 @@ def load_table(
 
 
 def load_tables(
-    root: Path | None,
+    root: Path,
     manifest: Manifest | None,
     *,
     cache: BlockCache | None,
@@ -176,14 +174,14 @@ class Recovered(NamedTuple):
     fallbacks: dict[str, int]
 
 
-def read_patch_sets(root: Path | None, generation_lsn: int) -> dict:
+def read_patch_sets(root: Path, generation_lsn: int) -> dict:
     """Per-index ``patches.json`` entries of one generation.
 
     A missing or unreadable file yields ``{}`` and degrades every index to
     discovery from data rather than failing the open: the persisted patch
     sets are an optimization, never a correctness requirement.
     """
-    if root is None or generation_lsn <= 0:
+    if generation_lsn <= 0:
         return {}
     try:
         text = patches_path(root, generation_lsn).read_text(encoding="utf-8")
@@ -324,7 +322,6 @@ def replay_log(
     tables: dict[str, Table],
     generation_lsn: int,
     persisted: dict,
-    loaders: Mapping[str, Callable[[Table], None]] | None = None,
 ) -> Recovered:
     """Tables and PatchIndexes as of the last of *records*.
 
@@ -335,11 +332,11 @@ def replay_log(
     rebuild records — is skipped, except that each index it covers is
     restored from *persisted* (or discovered over the checkpoint's data
     when the entry is refused) as its ``create_index`` comes by, before any
-    record of the tail.  *loaders* (table name → callable) fill a table as
-    its ``create_table`` replays.  The indexes come back attached to their
-    tables as listeners; *tables* is updated in place.
+    record of the tail; an index created after the checkpoint is discovered
+    from the data replayed so far, as its ``create_index`` comes by.  The
+    indexes come back attached to their tables as listeners; *tables* is
+    updated in place.
     """
-    loaders = loaders or {}
     # Tables dropped after the checkpoint are gone even though the
     # manifest still carries them.
     for record in records:
@@ -359,8 +356,6 @@ def replay_log(
                     int(payload.get("partition_count", 1)),
                     int(payload.get("block_size", DEFAULT_BLOCK_SIZE)),
                 )
-                if name in loaders:
-                    loaders[name](tables[name])
         elif record.kind == "create_index":
             table = _named(tables, payload["table"], record)
             index = None

@@ -53,7 +53,8 @@ _MAGIC_UNSUPPORTED = b"RSEG1\n"
 #: Dtypes whose physical values are int64 (eligible for int codecs).
 _INT_PHYSICAL = frozenset({DataType.INT64, DataType.DATE})
 
-#: Segment-level encoding knob values.
+#: ``write_segment`` encoding modes: checkpoints always write ``auto``;
+#: ``raw`` is the uncompressed floor the codec tests compare against.
 ENCODING_MODES = ("auto", "raw")
 
 #: Most ``for`` blocks one 2-D decode pass takes: past a few blocks the
@@ -113,10 +114,11 @@ def write_segment(
 ) -> SegmentWriteInfo:
     """Write *column* as an RSEG2 segment file at *path*.
 
-    ``encoding="auto"`` runs the per-block cost-based picker;
-    ``encoding="raw"`` forces raw blocks.  *patch_rowids* are the partition-local rowids of
-    the column's NSC PatchIndex patches: blocks containing them may use
-    the patch-aware ``pfor`` codec, storing those rows verbatim.
+    ``encoding="auto"`` (what a checkpoint writes) runs the per-block
+    cost-based picker; ``encoding="raw"`` forces raw blocks.
+    *patch_rowids* are the partition-local rowids of the column's NSC
+    PatchIndex patches: blocks containing them may use the patch-aware
+    ``pfor`` codec, storing those rows verbatim.
 
     The file is written to a temporary sibling and renamed into place so
     a crash mid-write never leaves a torn segment behind a manifest.

@@ -60,13 +60,6 @@ _PRUNABLE_KINDS = DATA_KINDS | {"rebuild_index"}
 
 _KNOWN_KINDS = _METADATA_KINDS | _PRUNABLE_KINDS
 
-#: Written by older releases and never again: still read, so their logs
-#: open, but no replay uses them (:func:`live_records_of` drops them and
-#: the next :meth:`WriteAheadLog.compact` prunes them).  A ``patch_delta``
-#: was one index's patch changes for one data record, which recovery now
-#: re-derives from the data record itself.
-_LEGACY_KINDS = frozenset({"patch_delta"})
-
 
 @dataclass(frozen=True)
 class WalRecord:
@@ -94,7 +87,7 @@ class WalRecord:
         kind = raw["kind"]
         lsn = raw["lsn"]
         payload = raw.get("payload", {})
-        if not isinstance(kind, str) or kind not in _KNOWN_KINDS | _LEGACY_KINDS:
+        if not isinstance(kind, str) or kind not in _KNOWN_KINDS:
             raise WalError(f"unknown WAL record kind: {kind!r}")
         # JSON has no integer type of its own; bool is an int subclass in
         # Python, and floats/strings would corrupt LSN arithmetic later.
@@ -110,8 +103,7 @@ def live_records_of(records: list[WalRecord]) -> list[WalRecord]:
 
     The shared core behind :meth:`WriteAheadLog.live_records` and
     recovery's replay (:func:`repro.storage.materialize.replay_log`).
-    Checkpoint markers and legacy records fall through every branch and
-    are dropped.
+    Checkpoint markers fall through every branch and are dropped.
     """
     dropped_tables: set[str] = set()
     dropped_indexes: set[str] = set()
@@ -151,9 +143,9 @@ def live_records_of(records: list[WalRecord]) -> list[WalRecord]:
 class WriteAheadLog:
     """Append-only JSONL log with replay support.
 
-    When *path* is ``None`` the log is kept in memory only, which is the
-    convenient mode for tests and benchmarks; passing a path gives
-    on-disk durability with fsync-on-append.
+    When *path* is ``None`` the log is kept in memory only (the
+    in-memory engine's log); a durable data directory passes its
+    ``wal.jsonl``, which gives on-disk durability with fsync-on-append.
 
     ``tolerate_torn_tail=True`` accepts a final line torn by a crash
     mid-append: the partial record was never acknowledged, so it is
@@ -185,14 +177,6 @@ class WriteAheadLog:
             self._records = self._read_from_disk(self._path, tolerate_torn_tail)
             if self._records:
                 self._next_lsn = self._records[-1].lsn + 1
-
-    @property
-    def path(self) -> Path | None:
-        return self._path
-
-    def set_metrics(self, metrics: "MetricsRegistry | None") -> None:
-        """Attach (or detach) the registry counting appends."""
-        self._metrics = metrics
 
     def _read_from_disk(
         self, path: Path, tolerate_torn_tail: bool
@@ -388,12 +372,6 @@ class WriteAheadLog:
                     os.fsync(handle.fileno())
             os.replace(tmp, self._path)
         return pruned
-
-    def truncate(self) -> None:
-        """Discard all records (after an external full checkpoint)."""
-        self._records.clear()
-        if self._path is not None and self._path.exists():
-            self._path.unlink()
 
     def __len__(self) -> int:
         return len(self._records)

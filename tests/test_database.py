@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database, DataType, Field, Schema
-from repro.errors import ThresholdExceededError, WalError
+from repro.errors import StorageError, ThresholdExceededError, WalError
 from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema, schema_to_payload
 
@@ -88,10 +88,22 @@ class TestDdl:
         assert "patchindex pi" in text
 
 
+def reopened(path) -> tuple[Database, dict]:
+    """A database closed before its first checkpoint, opened again."""
+    recovered = Database(path=path, parallelism=1)
+    gauges = recovered.metrics().export()["gauges"]
+    assert not (path / "manifest.json").exists()
+    return recovered, gauges
+
+
 class TestRecovery:
+    """The paper's §V recovery: the log carries each index's definition,
+    never its patches, and a reopen discovers the index from the data
+    replayed before its ``create_index``."""
+
     def test_recovery_rebuilds_indexes_from_data(self, tmp_path):
-        wal_path = tmp_path / "wal.jsonl"
-        db = Database(wal_path)
+        path = tmp_path / "data"
+        db = Database(path=path, parallelism=1)
         db.create_table("t", two_cols(), partition_count=2)
         db.table("t").load_columns(
             {
@@ -101,40 +113,42 @@ class TestRecovery:
         )
         db.create_patch_index("pi", "t", "c", "unique", mode="bitmap")
         original = db.catalog.index("pi").rowids().tolist()
+        db.close()
 
-        def load(table):
-            table.load_columns(
-                {
-                    "c": ColumnVector.from_pylist(
-                        DataType.INT64, [1, 2, 2, None]
-                    ),
-                    "s": ColumnVector.from_pylist(DataType.STRING, list("wxyz")),
-                }
-            )
-
-        recovered = Database.recover(wal_path, {"t": load})
+        recovered, gauges = reopened(path)
         index = recovered.catalog.index("pi")
         assert index.rowids().tolist() == original
         assert index.design == "bitmap"
         assert recovered.table("t").row_count == 4
+        assert gauges["recovery.indexes_rebuilt"] == 1
+        assert gauges["recovery.indexes_restored"] == 0
 
     def test_recovery_skips_dropped_objects(self, tmp_path):
-        wal_path = tmp_path / "wal.jsonl"
-        db = Database(wal_path)
+        path = tmp_path / "data"
+        db = Database(path=path, parallelism=1)
         db.create_table("gone", two_cols())
         db.drop_table("gone")
         db.create_table("kept", two_cols())
-        recovered = Database.recover(wal_path)
+        db.close()
+        recovered, _ = reopened(path)
         assert recovered.catalog.table_names() == ["kept"]
 
     def test_recovery_index_missing_table(self, tmp_path):
-        wal_path = tmp_path / "wal.jsonl"
-        wal_path.write_text(
+        path = tmp_path / "data"
+        path.mkdir()
+        (path / "wal.jsonl").write_text(
             '{"lsn": 1, "kind": "create_index", "payload": {"name": "i", '
             '"table": "t", "column": "c", "kind": "unique", "mode": "auto", '
             '"threshold": 1.0}}\n'
         )
         # The record survives live_records (no matching create_table), so
         # recovery must fail loudly rather than silently skip.
-        with pytest.raises(WalError):
-            Database.recover(wal_path)
+        with pytest.raises(WalError, match="names unknown 't'"):
+            Database(path=path)
+
+    def test_a_file_is_not_a_data_directory(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text("")
+        with pytest.raises(StorageError, match="not a directory"):
+            Database(path=path)
+        assert path.read_text() == ""

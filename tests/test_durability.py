@@ -352,3 +352,30 @@ class TestMixedVersion:
         manifest_path.write_text(json.dumps(raw))
         with pytest.raises(repro.ReproError):
             repro.connect(path=root, parallelism=1)
+
+    def test_a_manifest_naming_its_patches_file_still_opens(self, tmp_path):
+        # Older version-3 manifests carry a ``patches`` key naming the
+        # generation's patch-set file.  Nothing reads it (the path
+        # follows from checkpoint_lsn): such a manifest opens with its
+        # index restored, and the next checkpoint drops the key.
+        root = tmp_path / "db"
+        db = repro.connect(path=root, parallelism=1)
+        db.create_table("t", SCHEMA).insert_rows([[1, 2], [1, 3]])
+        db.sql("CREATE PATCHINDEX pi_k ON t(k) TYPE UNIQUE")
+        db.checkpoint()
+        expected = structural_stats(db.catalog.index("pi_k"))
+        db.close()
+        manifest_path = root / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        assert "patches" not in raw
+        raw["patches"] = f"segments/g{raw['checkpoint_lsn']:012d}/patches.json"
+        manifest_path.write_text(json.dumps(raw))
+
+        reopened = repro.connect(path=root, parallelism=1)
+        gauges = reopened.metrics().export()["gauges"]
+        assert gauges["recovery.indexes_restored"] == 1
+        assert structural_stats(reopened.catalog.index("pi_k")) == expected
+        reopened.sql("INSERT INTO t VALUES (4, 4)")
+        reopened.checkpoint()
+        assert "patches" not in json.loads(manifest_path.read_text())
+        reopened.close()

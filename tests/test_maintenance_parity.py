@@ -19,8 +19,8 @@ The crash half reopens the durable directory mid-stream and asserts
 recovery *restores* indexes from the checkpointed patch sets and lets
 them re-classify the replayed data tail (``recovery.indexes_restored``),
 landing on the live patch sets and drift counters — also after a torn
-last line, and from a log an older release wrote with ``patch_delta``
-lines in it.
+last line.  A log an older release wrote with ``patch_delta`` lines in
+it is refused with a :class:`~repro.errors.WalError`.
 
 The differential fuzz (``TestEveryDoorAfterEveryStep``) widens the inputs:
 insert / delete / update / multi-partition ``load`` histories with NULLs
@@ -271,31 +271,24 @@ def legacy_history(db):
     db.sql("DELETE FROM t WHERE c = 1")
 
 
-def test_a_log_with_legacy_patch_delta_lines_still_opens(tmp_path):
+def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
     """An older release logged a ``patch_delta`` after every data record.
-    Such a directory opens, its index restored and equal to live, and the
-    next checkpoint's compaction prunes the legacy lines."""
+    This release neither writes nor reads that kind: such a directory is
+    refused with the typed error any unknown kind gets, and left as it
+    was."""
     path = tmp_path / "data"
     db = repro.connect(path, parallelism=1)
     legacy_history(db)
-    expected = (rows_and_patches(db.catalog), drift(db.catalog.index("pi")))
     db.close()
     # The segments and patches.json have the older release's format; only
     # the log differs.
     (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
 
-    reopened = repro.connect(path, parallelism=1)
-    assert_restored_without_fallback(reopened)
-    assert (rows_and_patches(reopened.catalog), drift(reopened.catalog.index("pi"))) == (
-        expected
-    )
-    assert rows_and_patches(reopened.catalog)[0] == [2, 3, 2, 9]
-    reopened.checkpoint()
-    kinds = [json.loads(line)["kind"] for line in (path / "wal.jsonl").read_text().splitlines()]
-    assert "patch_delta" not in kinds
+    with pytest.raises(WalError, match="unknown WAL record kind: 'patch_delta'"):
+        repro.connect(path, parallelism=1)
+    assert (path / "wal.jsonl").read_text(encoding="utf-8") == LEGACY_WAL
     with pytest.raises(WalError, match="unknown WAL record kind"):
-        reopened.wal.append("patch_delta", {})  # read, never written
-    reopened.close()
+        db.wal.append("patch_delta", {})
 
 
 # -- differential fuzz: every door, after every step ---------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro import ConstraintAdvisor, Database
+from repro.errors import StorageError
 from repro.exec.result import QueryResult
 from repro.plan.optimizer import OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
@@ -31,13 +32,16 @@ class TestConnect:
         assert isinstance(repro.connect(), Database)
 
     def test_connect_with_existing_file_is_rejected(self, tmp_path):
-        # A file is not a connect target; the error names the way out.
+        # A file is not a data directory: a typed error, and the file is
+        # left alone.
         wal = tmp_path / "wal.jsonl"
-        Database(wal).sql("CREATE TABLE t (c BIGINT)")
-        before = wal.read_text()
-        with pytest.raises(repro.ReproError, match=r"Database\(wal_path\)"):
-            repro.connect(wal)
-        assert wal.read_text() == before
+        wal.write_text("keep\n")
+        for target in (wal, str(wal)):
+            with pytest.raises(StorageError, match="not a directory"):
+                repro.connect(target)
+        with pytest.raises(StorageError, match="not a directory"):
+            repro.connect(path=wal)
+        assert wal.read_text() == "keep\n"
 
     def test_connect_suffix_carries_no_meaning(self, tmp_path):
         # A WAL-looking name that does not exist is a durable directory
@@ -64,7 +68,7 @@ class TestConnect:
         with pytest.raises(repro.ReproError, match="storage knobs") as caught:
             repro.connect("repro://localhost:1", cache_bytes=1 << 20)
         # The refusal names the knobs that exist, and only those.
-        assert "sync/cache_bytes/encoding are" in str(caught.value)
+        assert "sync/cache_bytes are" in str(caught.value)
 
     def test_parallelism_is_keyword_only(self):
         with pytest.raises(TypeError):
@@ -94,18 +98,15 @@ class TestOptionSurface:
             "parallelism",
             "sync",
             "cache_bytes",
-            "encoding",
             "timeout",
         ]
 
     def test_database_parameters(self):
         assert list(inspect.signature(Database.__init__).parameters)[1:] == [
-            "wal_path",
             "path",
             "parallelism",
             "sync",
             "cache_bytes",
-            "encoding",
         ]
 
     def test_environment_variables(self):
@@ -123,6 +124,10 @@ class TestOptionSurface:
             repro.connect(tmp_path / "a", mmap=True)
         with pytest.raises(TypeError, match="rebuild_threshold"):
             repro.connect(tmp_path / "b", rebuild_threshold=0.1)
+        with pytest.raises(TypeError, match="encoding"):
+            repro.connect(tmp_path / "b", encoding="raw")
+        with pytest.raises(TypeError, match="positional"):
+            Database(tmp_path / "b")
         with pytest.raises(TypeError, match="feedback"):
             ConstraintAdvisor(repro.connect(), feedback=object())
         with pytest.raises(TypeError, match="mmap"):

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.__main__ import run_shell
+from repro.__main__ import main, run_shell
 from repro.storage.database import Database
 
 
@@ -139,3 +139,13 @@ class TestCacheCommand:
         assert "hit_ratio=" in text
         assert "oversized_skips=" in text
         database.close()
+
+
+class TestCommandLine:
+    def test_a_path_argument_is_a_usage_error(self, tmp_path, capsys):
+        # The positional takes only ``serve``: storage is ``--data-dir``.
+        wal = tmp_path / "wal.jsonl"
+        wal.write_text("")
+        assert main([str(wal)]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert wal.read_text() == ""

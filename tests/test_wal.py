@@ -29,12 +29,6 @@ class TestInMemory:
         record = wal.checkpoint()
         assert record.kind == "checkpoint"
 
-    def test_truncate(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.truncate()
-        assert len(wal) == 0
-
 
 class TestLiveRecords:
     def test_drop_cancels_create(self):
@@ -122,13 +116,6 @@ class TestFileBacked:
         record = reloaded.records()[0]
         assert record.kind == "create_index"
         assert record.payload["kind"] == "unique"
-
-    def test_truncate_removes_file(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path, sync=False)
-        wal.append("create_table", {"name": "t"})
-        wal.truncate()
-        assert not path.exists()
 
 
 class TestWalRecord:
