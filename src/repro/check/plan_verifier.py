@@ -33,8 +33,8 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
     in a distinct rewrite over a nearly-unique column the use-patches
     branch carries the duplicates and must pass through a Distinct.
 ``merge-input-order``
-    MergeUnion / MergeJoin inputs must carry a proven sort order (or,
-    for MergeJoin, an explicit ``check_sorted`` runtime guard).
+    MergeUnion inputs must carry a proven sort order (MergeJoin checks
+    the order of its inputs at run time instead).
 ``patch-design``
     an index's partition patch sets must share one physical design and
     an AUTO-designed index must honor the 1/64 crossover (§V).
@@ -424,30 +424,7 @@ class _Verifier:
                 f"MergeJoin right key {op.right_key!r} missing from "
                 "right schema",
             )
-        if not op.check_sorted:
-            # Without the runtime sortedness guard both inputs need a
-            # static proof: the right side is binary-searched (global
-            # order is a correctness requirement), the left side
-            # streams and may be partition-locally ordered.
-            left_keys = (SortKey(op.left_key, True),)
-            if left.ordering is None or not left.ordering.covers(
-                left_keys, require_global=False
-            ):
-                raise PlanInvariantError(
-                    "merge-input-order",
-                    f"MergeJoin left input has no proven order on "
-                    f"{op.left_key!r} and check_sorted is off",
-                )
-            right_keys = (SortKey(op.right_key, True),)
-            if right.ordering is None or not right.ordering.covers(
-                right_keys
-            ):
-                raise PlanInvariantError(
-                    "merge-input-order",
-                    f"MergeJoin right input has no proven global order "
-                    f"on {op.right_key!r} and check_sorted is off; "
-                    "binary search over an unsorted side drops matches",
-                )
+        # No order rule: MergeJoin checks both inputs' order at run time.
         return PlanProperties(op.schema, left.ordering)
 
     # -- parallel operators ------------------------------------------------

@@ -55,6 +55,13 @@ class RecordBatch:
             raise ExecutionError("batch rowids length mismatch")
         self.rowids = rowids
 
+    @classmethod
+    def empty(cls, schema: Schema) -> "RecordBatch":
+        """A zero-row batch of *schema*."""
+        return cls(
+            schema, {field.name: ColumnVector.empty(field.dtype) for field in schema}
+        )
+
     def __len__(self) -> int:
         for vector in self.columns.values():
             return len(vector)

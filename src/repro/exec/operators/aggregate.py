@@ -121,23 +121,9 @@ class HashAggregate(Operator):
         if self._done:
             return None
         self._done = True
-        batches: list[RecordBatch] = []
-        while True:
-            batch = self.child.next_batch()
-            if batch is None:
-                break
-            if len(batch):
-                batches.append(batch)
-        if batches:
-            data = RecordBatch.concat(batches)
-        else:
-            data = RecordBatch(
-                self.child.schema,
-                {
-                    field.name: ColumnVector.empty(field.dtype)
-                    for field in self.child.schema
-                },
-            )
+        data = self.child.drain()
+        if data is None:
+            data = RecordBatch.empty(self.child.schema)
         if self.group_by:
             return self._grouped(data)
         return self._scalar(data)

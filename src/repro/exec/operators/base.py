@@ -45,6 +45,16 @@ class Operator(abc.ABC):
         for child in self.children():
             child.close()
 
+    def drain(self) -> RecordBatch | None:
+        """Pull every batch and concatenate the non-empty ones, or return
+        ``None`` when there are none.  Blocking operators read their
+        input through it; each decides what an empty input produces."""
+        batches: list[RecordBatch] = []
+        while (batch := self.next_batch()) is not None:
+            if len(batch):
+                batches.append(batch)
+        return RecordBatch.concat(batches) if batches else None
+
     # -- plan introspection (EXPLAIN) ----------------------------------
 
     def label(self) -> str:

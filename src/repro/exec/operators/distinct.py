@@ -44,22 +44,9 @@ class Distinct(Operator):
         if self._done:
             return None
         self._done = True
-        batches: list[RecordBatch] = []
-        while True:
-            batch = self.child.next_batch()
-            if batch is None:
-                break
-            if len(batch):
-                batches.append(batch)
-        if not batches:
-            return RecordBatch(
-                self._schema,
-                {
-                    field.name: ColumnVector.empty(field.dtype)
-                    for field in self._schema
-                },
-            )
-        data = RecordBatch.concat(batches)
+        data = self.child.drain()
+        if data is None:
+            return RecordBatch.empty(self._schema)
         if len(self.column_names) == 1:
             return self._distinct_single(data)
         keys = [data.column(name) for name in self.column_names]

@@ -1,19 +1,20 @@
-"""Hash join (inner equi-join).
+"""Hash join (inner equi-join), and the run directory both joins match with.
 
-The build side is fully drained into a hash table, then probe batches
-stream through.  Numeric keys (INT64 / DATE / BOOL / FLOAT64) use the
-vectorized :class:`~repro.exec.hashtable.Int64HashTable` whether or not
-the build keys repeat: the build keys are sorted once, only the head of
-each run of equal keys is hashed, and a probe hit expands to its run —
-probe order first, build order within one probe row.  FLOAT64 keys join
-on value (``-0.0`` matches ``0.0``, NaN matches nothing), never on a
-truncated integer.  Only string keys use a dict of positions.  NULL keys
-never match (SQL equi-join semantics).
+The build side is fully drained and its keys sorted once into a
+:class:`RunDirectory`: the distinct keys in ascending order, each with
+its run of build rows.  A probe batch then costs one ``searchsorted``
+over those keys, an equality check, and an expansion of each hit to its
+run — probe order first, build order within one probe row.  There is no
+hash table and no per-type path: both key columns are cast to one NumPy
+dtype (INT64 ⋈ FLOAT64 widens to FLOAT64, as in a comparison), and
+STRING keys sort by Python comparison as in ``Distinct``.  NULL keys
+never match, nor does NaN; ``-0.0`` matches ``0.0``.
 
 The paper's join rewrite (§VI-B3) replaces this operator with a
 MergeJoin for the sorted subsequence and keeps a HashJoin only for the
 patches, built on the smaller input; an NSC's patches are the values
-that are out of place, so their keys repeat as a rule.
+that are out of place, so their keys repeat as a rule.  MergeJoin
+searches the same directory, built over its sorted right side.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import numpy as np
 
 from repro.errors import ExecutionError, PlanError
 from repro.exec.batch import RecordBatch
-from repro.exec.hashtable import Int64HashTable
 from repro.exec.operators.base import Operator
 from repro.storage.column import ColumnVector
-from repro.storage.schema import Schema
-from repro.types import DataType
+from repro.storage.schema import Field, Schema
+from repro.types import DataType, common_type, numpy_dtype
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _joined_schema(probe: Schema, build: Schema) -> Schema:
@@ -40,24 +42,97 @@ def _joined_schema(probe: Schema, build: Schema) -> Schema:
     return Schema(list(probe.fields) + list(build.fields))
 
 
+def key_dtype(left: DataType, right: DataType) -> np.dtype:
+    """The one NumPy dtype both join keys are matched in; a pair of
+    types a comparison would refuse raises ``TypeMismatchError``."""
+    return numpy_dtype(common_type(left, right))
+
+
 def expand_ranges(
     starts: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand the ranges ``[starts[i], starts[i] + counts[i])`` into
-    pairs ``(i, position)``: ranges in order, each one ascending.  The
-    many-match paths of both joins emit their index pairs through it."""
+    pairs ``(i, position)``: ranges in order, each one ascending."""
     owners = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
     return owners, shift[owners] + np.arange(len(owners), dtype=np.int64)
 
 
-def _hash_keys(values: np.ndarray, as_float: bool) -> np.ndarray:
-    """The int64 the hash table stores per numeric key: the value itself,
-    or — when either side is FLOAT64 — the float's bits with ``-0.0``
-    folded into ``0.0``, so that equal values get equal keys."""
-    if as_float:
-        return (values + 0.0).view(np.int64)
-    return values.astype(np.int64, copy=False)
+def joinable_keys(
+    column: ColumnVector, dtype: np.dtype
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The keys of *column* that can match, cast to *dtype*, and their
+    rows (``None`` when every row can): NULL never joins and NaN equals
+    nothing."""
+    keys = column.values.astype(dtype, copy=False)
+    keep = column.validity
+    if keys.dtype.kind == "f":  # only floats hold NaN
+        keep = keys == keys if keep is None else keep & (keys == keys)
+    if keep is None or keep.all():
+        return None, keys
+    rows = np.flatnonzero(keep)
+    return rows, keys[rows]
+
+
+def is_ascending(keys: np.ndarray) -> bool:
+    return bool((keys[:-1] <= keys[1:]).all())
+
+
+class RunDirectory:
+    """Build rows grouped by key, for binary search.
+
+    ``heads`` are the distinct keys in ascending order; run ``r`` — the
+    build rows whose key is ``heads[r]`` — is
+    ``positions[starts[r]:starts[r] + counts[r]]``, in build order.
+    """
+
+    def __init__(self, keys: np.ndarray, positions: np.ndarray):
+        """*keys* ascending, without NULL or NaN; *positions* their rows."""
+        is_head = np.ones(len(keys), dtype=np.bool_)
+        is_head[1:] = keys[1:] != keys[:-1]
+        self.starts = np.flatnonzero(is_head)
+        self.heads = keys[self.starts]
+        self.counts = np.diff(self.starts, append=len(keys))
+        self.positions = positions
+        #: Every run holds one row (a dimension's key): a match is final.
+        self.unique = len(self.starts) == len(keys)
+
+    def find(
+        self, keys: np.ndarray, validity: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, runs)``: the rows of *keys*, in any order, whose key
+        has a run, and that run; rows ascend."""
+        if len(self.heads) == 0:
+            return _EMPTY, _EMPTY
+        runs = self.heads.searchsorted(keys)
+        np.minimum(runs, len(self.heads) - 1, out=runs)
+        hit = self.heads[runs] == keys
+        if validity is not None:
+            hit &= validity
+        rows = np.flatnonzero(hit)
+        return rows, runs[rows]
+
+    def find_sorted(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`find` for ascending *keys* without NULL or NaN: only the
+        heads between the first and the last key are searched, into
+        *keys*, so the work follows what can match, not the rows."""
+        low = self.heads.searchsorted(keys[0], side="left")
+        high = self.heads.searchsorted(keys[-1], side="right")
+        window = self.heads[low:high]
+        starts = keys.searchsorted(window, side="left")
+        counts = keys.searchsorted(window, side="right") - starts
+        runs, rows = expand_ranges(starts, counts)
+        return rows, runs + low
+
+    def expand(
+        self, rows: np.ndarray, runs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One ``(row, build position)`` pair per build row of each
+        ``(row, run)``: in the order of *rows*, then build order."""
+        if self.unique:
+            return rows, self.positions[runs]
+        owners, slots = expand_ranges(self.starts[runs], self.counts[runs])
+        return rows[owners], self.positions[slots]
 
 
 class HashJoin(Operator):
@@ -83,29 +158,20 @@ class HashJoin(Operator):
         self.probe_key = probe_key
         self.build_key = build_key
         self.join_type = join_type
-        key_types = {
+        self._key_dtype = key_dtype(
             probe.schema.field(probe_key).dtype,
             build.schema.field(build_key).dtype,
-        }
-        self._object_keys = DataType.STRING in key_types
-        self._float_keys = DataType.FLOAT64 in key_types
-        probe_schema = probe.schema
+        )
         build_schema = build.schema
         if join_type == "left_outer":
             # Build columns become nullable in the output.
-            from repro.storage.schema import Field
-
             build_schema = Schema(
                 Field(field.name, field.dtype, True) for field in build_schema
             )
-        self._schema = _joined_schema(probe_schema, build_schema)
+        self._schema = _joined_schema(probe.schema, build_schema)
         self._build_schema = build_schema
         self._build_data: RecordBatch | None = None
-        self._int_table: Int64HashTable | None = None
-        # Repeated build keys: (run starts, run lengths, build positions
-        # in key order); the table maps a key to its run.
-        self._runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._dict_table: dict | None = None
+        self._directory: RunDirectory | None = None
 
     @property
     def schema(self) -> Schema:
@@ -117,130 +183,50 @@ class HashJoin(Operator):
     def open(self) -> None:
         super().open()
         self._build_data = None
-        self._int_table = None
-        self._runs = None
-        self._dict_table = None
+        self._directory = None
 
     # -- build phase --------------------------------------------------------
 
-    def _ensure_built(self) -> None:
-        if self._build_data is not None:
-            return
-        batches: list[RecordBatch] = []
-        while True:
-            batch = self.build.next_batch()
-            if batch is None:
-                break
-            if len(batch):
-                batches.append(batch)
-        if batches:
-            self._build_data = RecordBatch.concat(batches)
-        else:
-            self._build_data = RecordBatch(
-                self.build.schema,
-                {
-                    field.name: ColumnVector.empty(field.dtype)
-                    for field in self.build.schema
-                },
-            )
-        key_column = self._build_data.column(self.build_key)
-        values = key_column.values
-        valid = key_column.validity_or_all_true()
-        if self._object_keys:
-            table: dict[object, list[int]] = {}
-            positions = np.flatnonzero(valid)
-            for position, value in zip(
-                positions.tolist(), values[positions].tolist()
-            ):
-                table.setdefault(value, []).append(position)
-            self._dict_table = table
-            return
-        if self._float_keys:
-            valid = valid & (values == values)  # NaN equals nothing
-        positions = np.flatnonzero(valid).astype(np.int64)
-        keys = _hash_keys(values[positions], self._float_keys)
+    def _ensure_built(self) -> RunDirectory:
+        if self._directory is not None:
+            return self._directory
+        data = self.build.drain()
+        if data is None:
+            data = RecordBatch.empty(self.build.schema)
+        rows, keys = joinable_keys(data.column(self.build_key), self._key_dtype)
         order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        is_head = np.ones(len(keys), dtype=np.bool_)
-        is_head[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        heads = np.flatnonzero(is_head)
-        self._int_table = Int64HashTable(len(heads))
-        if len(heads) == len(keys):
-            self._int_table.insert_unique(keys, positions)
-            return
-        self._int_table.insert_unique(
-            sorted_keys[heads], np.arange(len(heads), dtype=np.int64)
+        self._build_data = data
+        self._directory = RunDirectory(
+            keys[order], order if rows is None else rows[order]
         )
-        self._runs = (heads, np.diff(heads, append=len(keys)), positions[order])
+        return self._directory
 
     # -- probe phase ----------------------------------------------------------
 
     def next_batch(self) -> RecordBatch | None:
-        self._ensure_built()
+        directory = self._ensure_built()
         while True:
             batch = self.probe.next_batch()
             if batch is None:
                 return None
             if len(batch) == 0:
                 continue
-            probe_idx, build_idx, passthrough = self._match(batch)
+            key_column = batch.column(self.probe_key)
+            probe_idx, build_idx = directory.expand(
+                *directory.find(
+                    key_column.values.astype(self._key_dtype, copy=False),
+                    key_column.validity,
+                )
+            )
             if self.join_type == "left_outer":
                 probe_idx, build_idx = _pad_unmatched(
                     len(batch), probe_idx, build_idx
                 )
-                passthrough = len(probe_idx) == len(batch) and passthrough
             if len(build_idx) == 0:
                 continue
+            # Every probe row matched once: its columns pass through.
+            passthrough = directory.unique and len(probe_idx) == len(batch)
             return self._emit(batch, probe_idx, build_idx, passthrough)
-
-    def _match(
-        self, batch: RecordBatch
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Match one probe batch; the third element flags the
-        every-row-matched-once case where probe columns can pass through
-        without a gather."""
-        key_column = batch.column(self.probe_key)
-        validity = key_column.validity_or_all_true()
-        if self._int_table is not None:
-            keys = _hash_keys(
-                np.where(validity, key_column.values, 0), self._float_keys
-            )
-            found = self._int_table.lookup(keys)
-            hit = (found != -1) & validity
-            if self._runs is not None:
-                starts, counts, positions = self._runs
-                probe_rows = np.flatnonzero(hit).astype(np.int64)
-                runs = found[probe_rows]
-                owners, slots = expand_ranges(starts[runs], counts[runs])
-                return probe_rows[owners], positions[slots], False
-            if hit.all():
-                return (
-                    np.arange(len(batch), dtype=np.int64),
-                    found,
-                    True,
-                )
-            return (
-                np.flatnonzero(hit).astype(np.int64),
-                found[hit],
-                False,
-            )
-        if self._dict_table is None:
-            raise ExecutionError(
-                "HashJoin hash table unavailable; next_batch() before open()?"
-            )
-        probe_idx: list[int] = []
-        build_idx: list[int] = []
-        values = key_column.values
-        for position in np.flatnonzero(validity).tolist():
-            matches = self._dict_table.get(values[position])
-            if matches:
-                probe_idx.extend([position] * len(matches))
-                build_idx.extend(matches)
-        return (
-            np.asarray(probe_idx, dtype=np.int64),
-            np.asarray(build_idx, dtype=np.int64),
-            False,
-        )
 
     def _emit(
         self,
@@ -302,4 +288,3 @@ def _pad_unmatched(
     )
     order = np.argsort(probe_all, kind="stable")
     return probe_all[order], build_all[order]
-

@@ -58,8 +58,17 @@ class MergeUnion(Operator):
         if self._done:
             return None
         self._done = True
-        left = _drain(self.left)
-        right = _drain(self.right, rename_to=self._schema)
+        left = self.left.drain()
+        right = self.right.drain()
+        if right is not None and right.schema != self._schema:
+            # The right branch may name its columns differently.
+            right = RecordBatch(
+                self._schema,
+                {
+                    field.name: right.column(original.name)
+                    for field, original in zip(self._schema, right.schema)
+                },
+            )
         if left is None and right is None:
             return None
         if left is None:
@@ -89,26 +98,6 @@ class MergeUnion(Operator):
 
     def label(self) -> str:
         return f"MergeUnion({', '.join(str(key) for key in self.keys)})"
-
-
-def _drain(operator: Operator, rename_to: Schema | None = None) -> RecordBatch | None:
-    batches: list[RecordBatch] = []
-    while True:
-        batch = operator.next_batch()
-        if batch is None:
-            break
-        if len(batch):
-            batches.append(batch)
-    if not batches:
-        return None
-    merged = RecordBatch.concat(batches)
-    if rename_to is not None and merged.schema != rename_to:
-        columns = {
-            field.name: merged.column(original.name)
-            for field, original in zip(rename_to, merged.schema)
-        }
-        merged = RecordBatch(rename_to, columns)
-    return merged
 
 
 class _ReverseKey:

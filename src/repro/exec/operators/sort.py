@@ -57,16 +57,9 @@ class Sort(Operator):
         if self._done:
             return None
         self._done = True
-        batches: list[RecordBatch] = []
-        while True:
-            batch = self.child.next_batch()
-            if batch is None:
-                break
-            if len(batch):
-                batches.append(batch)
-        if not batches:
+        data = self.child.drain()
+        if data is None:
             return None
-        data = RecordBatch.concat(batches)
         order = sort_order(
             [data.column(key.column) for key in self.keys],
             [key.ascending for key in self.keys],

@@ -60,16 +60,9 @@ class TopN(Operator):
         if self._done:
             return None
         self._done = True
-        batches: list[RecordBatch] = []
-        while True:
-            batch = self.child.next_batch()
-            if batch is None:
-                break
-            if len(batch):
-                batches.append(batch)
-        if not batches or self.limit == 0:
+        data = self.child.drain()
+        if data is None or self.limit == 0:
             return None
-        data = RecordBatch.concat(batches)
         wanted = self.limit + self.offset
         order = self._top_order(data, wanted)
         selected = order[self.offset : wanted]

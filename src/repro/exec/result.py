@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.exec.batch import RecordBatch
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field as SchemaField, Schema
 
@@ -65,15 +64,6 @@ class QueryResult:
         vector = ColumnVector.from_pylist(DataType.STRING, list(lines))
         schema = Schema([SchemaField(column, DataType.STRING, nullable=False)])
         return cls(schema, {column: vector})
-
-    @classmethod
-    def from_batches(
-        cls, schema: Schema, batches: list[RecordBatch]
-    ) -> "QueryResult":
-        if not batches:
-            return cls.empty(schema)
-        merged = RecordBatch.concat(batches)
-        return cls(schema, merged.columns)
 
     @property
     def row_count(self) -> int:
@@ -229,13 +219,9 @@ def collect(operator: "Operator") -> QueryResult:
     """Open, drain and close an operator tree into a QueryResult."""
     operator.open()
     try:
-        batches: list[RecordBatch] = []
-        while True:
-            batch = operator.next_batch()
-            if batch is None:
-                break
-            if len(batch):
-                batches.append(batch)
-        return QueryResult.from_batches(operator.schema, batches)
+        batch = operator.drain()
+        if batch is None:
+            return QueryResult.empty(operator.schema)
+        return QueryResult(operator.schema, batch.columns)
     finally:
         operator.close()

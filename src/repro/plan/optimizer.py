@@ -404,10 +404,14 @@ class Optimizer:
                 return True
         cache_key = (pipeline.table.name, base_column)
         if cache_key not in self._sorted_column_cache:
+            # NULL keys never join, and MergeJoin skips them: only the
+            # values need to be in order.
             column = pipeline.table.read_column(base_column)
-            self._sorted_column_cache[cache_key] = (
-                not column.has_nulls
-                and values_are_sorted(column.values, ascending=True)
+            values = column.values
+            if column.validity is not None:
+                values = values[column.validity]
+            self._sorted_column_cache[cache_key] = values_are_sorted(
+                values, ascending=True
             )
         return self._sorted_column_cache[cache_key]
 

@@ -11,7 +11,7 @@ Mostly a 1:1 mapping, plus three physical decisions:
   This is the paper's "small materialized aggregates" scan-range path
   that the PatchSelect then merges with (§VI-A3).
 - **Hash-join build-side choice**: the smaller estimated input builds
-  the hash table (§VI-B3); a projection restores the original column
+  the join's key directory (§VI-B3); a projection restores the original column
   order when the sides were swapped.
 - **Morsel-driven parallelism**: a Distinct, Sort or Aggregate directly
   on a scan pipeline (Scan, optionally PatchSelect, then Filter/Project
@@ -195,14 +195,13 @@ class PhysicalPlanner:
         if isinstance(logical, lp.LogicalMergeJoin):
             # The optimizer proved the right side sorted from *data*
             # (a zero-patch NSC or a cached column check), which the
-            # static verifier cannot re-derive — keep the cheap
-            # vectorized runtime guard on as defense in depth.
+            # static verifier cannot re-derive; MergeJoin checks the
+            # order of both inputs as it reads them.
             return MergeJoin(
                 self.plan(logical.left),
                 self.plan(logical.right),
                 logical.left_key,
                 logical.right_key,
-                check_sorted=True,
             )
         if isinstance(logical, lp.LogicalUnionAll):
             return UnionAll([self.plan(child) for child in logical.inputs])

@@ -36,7 +36,7 @@ from repro.exec.operators.sort import SortKey
 from repro.plan import logical as lp
 from repro.sql import ast
 from repro.storage.catalog import Catalog
-from repro.types import DataType
+from repro.types import DataType, common_type
 
 
 @dataclass
@@ -198,6 +198,11 @@ class Binder:
         right_scope = _Scope([new_source])
         left_key, right_key = self._resolve_join_keys(
             join, left_scope, right_scope
+        )
+        # The keys compare as ``=`` does: same type, or INT64 with FLOAT64.
+        common_type(
+            plan.schema.field(left_key).dtype,
+            new_source.plan.schema.field(right_key).dtype,
         )
         return lp.LogicalJoin(
             plan, new_source.plan, left_key, right_key, join.kind

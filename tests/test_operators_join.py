@@ -1,13 +1,13 @@
 """Unit and property tests for HashJoin and MergeJoin."""
 
+import datetime
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError, PlanError, TypeMismatchError
 from repro.exec.operators.hash_join import HashJoin
 from repro.exec.operators.merge_join import MergeJoin
 from repro.exec.operators.scan import TableScan
@@ -80,7 +80,10 @@ class TestHashJoinInner:
         result = collect(join)
         # Probe order, then build order within one probe row.
         assert pairs(result) == [(0, 1), (0, 2), (1, 0), (1, 3), (1, 4), (2, 1), (2, 2)]
-        assert join._int_table is not None and join._dict_table is None
+        directory = join._directory
+        assert directory.heads.tolist() == [5, 6]
+        assert directory.counts.tolist() == [2, 3]
+        assert not directory.unique
 
     def test_string_keys(self):
         schema = Schema([Field("k", DataType.STRING)])
@@ -204,11 +207,7 @@ class TestMergeJoin:
     def test_sorted_inputs(self):
         probe = probe_table([1, 2, 2, 5])
         build = build_table([1, 2, 4, 5])
-        result = collect(
-            MergeJoin(
-                TableScan(probe), TableScan(build), "pk", "bk", check_sorted=True
-            )
-        )
+        result = collect(MergeJoin(TableScan(probe), TableScan(build), "pk", "bk"))
         assert result.column("pk").to_pylist() == [1, 2, 2, 5]
 
     def test_duplicates_both_sides(self):
@@ -221,21 +220,25 @@ class TestMergeJoin:
         probe = probe_table([1])
         build = build_table([5, 1])
         with pytest.raises(ExecutionError):
-            collect(
-                MergeJoin(
-                    TableScan(probe), TableScan(build), "pk", "bk", check_sorted=True
-                )
-            )
+            collect(MergeJoin(TableScan(probe), TableScan(build), "pk", "bk"))
 
     def test_unsorted_left_detected(self):
         probe = probe_table([5, 1])
         build = build_table([1, 5])
         with pytest.raises(ExecutionError):
-            collect(
-                MergeJoin(
-                    TableScan(probe), TableScan(build), "pk", "bk", check_sorted=True
-                )
-            )
+            collect(MergeJoin(TableScan(probe), TableScan(build), "pk", "bk"))
+
+    def test_unsorted_string_left_detected(self):
+        probe = probe_table(["b", "a"], dtype=DataType.STRING)
+        build = build_table(["a", "b"], dtype=DataType.STRING)
+        with pytest.raises(ExecutionError, match="left input is not sorted"):
+            collect(MergeJoin(TableScan(probe), TableScan(build), "pk", "bk"))
+
+    def test_nan_and_null_keys_are_not_order_checked(self):
+        probe = probe_table([1.0, math.nan, None, 2.0], dtype=DataType.FLOAT64)
+        build = build_table([math.nan, 1.0, None, 2.0], dtype=DataType.FLOAT64)
+        result = collect(MergeJoin(TableScan(probe), TableScan(build), "pk", "bk"))
+        assert pairs(result) == [(0, 1), (3, 3)]
 
     def test_null_keys_never_match(self):
         probe = probe_table([1, None, 2])
@@ -251,6 +254,91 @@ class TestMergeJoin:
         assert result.column("pk").to_pylist() == [1, 3, 7, 9]
 
 
+class TestKeyTypes:
+    """Join keys follow the rule ``=`` uses: the same type, or INT64 with
+    FLOAT64 (which widen)."""
+
+    @pytest.fixture
+    def db(self):
+        db = repro.connect()
+        db.sql("CREATE TABLE a (i BIGINT, x DOUBLE, s VARCHAR, d DATE, b BOOLEAN)")
+        db.sql("INSERT INTO a VALUES (1, 1.0, '1', DATE '1970-01-02', true)")
+        db.sql("CREATE TABLE c (j BIGINT, y DOUBLE)")
+        db.sql("INSERT INTO c VALUES (1, 1.0), (2, 1.5)")
+        return db
+
+    @pytest.mark.parametrize("column", ["s", "d", "b"])
+    def test_mismatched_keys_raise_at_bind(self, db, column):
+        # Each of these once ran: STRING matched nothing, DATE matched on
+        # day numbers and BOOL on 0/1.
+        with pytest.raises(TypeMismatchError):
+            db.sql(f"SELECT a.i FROM a JOIN c ON a.{column} = c.j")
+
+    def test_integer_joins_double(self, db):
+        query = "SELECT a.i, c.j FROM a JOIN c ON a.i = c.y"
+        assert db.sql(query).to_pylist() == [(1, 1)]
+
+    def test_operators_refuse_mismatched_keys(self):
+        probe = probe_table(["a"], dtype=DataType.STRING)
+        build = build_table([1])
+        for join in (HashJoin, MergeJoin):
+            with pytest.raises(TypeMismatchError):
+                join(TableScan(probe), TableScan(build), "pk", "bk")
+
+
+def nullable(values):
+    return st.one_of(st.none(), values)
+
+
+#: (probe type, build type, key values) for every key-type pair a join
+#: accepts.
+KEY_KINDS = {
+    "int": (DataType.INT64, DataType.INT64, st.integers(0, 15)),
+    "float": (
+        DataType.FLOAT64,
+        DataType.FLOAT64,
+        st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.25, math.inf, math.nan]),
+    ),
+    # "" is also what a NULL slot stores: it must match "" and NULL never.
+    "string": (
+        DataType.STRING,
+        DataType.STRING,
+        st.sampled_from(["", "a", "ab", "b", "ba", "c", "\u00e9"]),
+    ),
+    "date": (
+        DataType.DATE,
+        DataType.DATE,
+        st.dates(datetime.date(1969, 12, 25), datetime.date(1970, 1, 5)),
+    ),
+    "int_float": (
+        DataType.INT64,
+        DataType.FLOAT64,
+        st.sampled_from([-0.0, 0.0, 1.0, 1.5, 2.0, 3.0, math.nan]),
+    ),
+}
+
+
+PROBE_SAMPLES = {
+    "int": [3, 0, 3],
+    "float": [0.0, math.nan, -0.0],
+    "string": ["", "a", ""],
+    "date": [datetime.date(1970, 1, 1)],
+    "int_float": [1, 0],
+}
+
+
+def key_lists(kind):
+    """Probe and build key lists; builds are sometimes all NULL."""
+    probe_type, build_type, values = KEY_KINDS[kind]
+    # INT64 probes a FLOAT64 build with integers.
+    probe_values = values if probe_type == build_type else st.integers(-1, 3)
+    build_lists = st.one_of(
+        st.lists(nullable(values), max_size=40),
+        st.lists(st.none(), max_size=5),
+    )
+    return st.lists(nullable(probe_values), max_size=40), build_lists
+
+
 class TestJoinEquivalenceProperties:
     """Join output order is part of the contract: HashJoin emits probe
     order, then build order within one probe row; MergeJoin emits left
@@ -258,29 +346,13 @@ class TestJoinEquivalenceProperties:
     batches."""
 
     keys = st.lists(st.one_of(st.none(), st.integers(0, 15)), max_size=40)
-    float_keys = st.lists(
-        st.one_of(
-            st.none(),
-            st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.25, math.inf, math.nan]),
-        ),
-        max_size=40,
-    )
+    float_keys = st.lists(nullable(KEY_KINDS["float"][2]), max_size=40)
     batch_sizes = st.integers(5, 7)
 
     @given(keys, keys, batch_sizes)
     @settings(max_examples=80, deadline=None)
     def test_hash_join_matches_reference(self, probe_keys, build_keys, batch_size):
-        result = collect(
-            HashJoin(
-                TableScan(probe_table(probe_keys), batch_size=batch_size),
-                TableScan(build_table(build_keys)),
-                "pk",
-                "bk",
-            )
-        )
-        assert pairs(result) == [
-            (p, b) for __, p, __, b in reference_join(probe_keys, build_keys)
-        ]
+        check_hash_joins(probe_keys, build_keys, batch_size, "int", ("inner",))
 
     @given(keys, keys, batch_sizes, st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -288,7 +360,7 @@ class TestJoinEquivalenceProperties:
         self, probe_keys, build_keys, batch_size, unique_right
     ):
         check_merge_matches_hash(
-            probe_keys, build_keys, batch_size, unique_right, DataType.INT64
+            probe_keys, build_keys, batch_size, unique_right, "int"
         )
 
     @given(float_keys, float_keys, batch_sizes, st.booleans())
@@ -297,25 +369,63 @@ class TestJoinEquivalenceProperties:
         self, probe_keys, build_keys, batch_size, unique_right
     ):
         check_merge_matches_hash(
-            probe_keys, build_keys, batch_size, unique_right, DataType.FLOAT64
+            probe_keys, build_keys, batch_size, unique_right, "float"
         )
 
     @given(keys, keys, batch_sizes)
     @settings(max_examples=60, deadline=None)
     def test_left_outer_matches_reference(self, probe_keys, build_keys, batch_size):
+        check_hash_joins(probe_keys, build_keys, batch_size, "int", ("left_outer",))
+
+    @pytest.mark.parametrize("kind", ["float", "string", "date", "int_float"])
+    @given(data=st.data(), batch_size=batch_sizes, unique_right=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_every_key_type_matches_reference(
+        self, kind, data, batch_size, unique_right
+    ):
+        probe_lists, build_lists = key_lists(kind)
+        probe_keys = data.draw(probe_lists)
+        build_keys = data.draw(build_lists)
+        check_hash_joins(probe_keys, build_keys, batch_size, kind)
+        check_merge_matches_hash(
+            probe_keys, build_keys, batch_size, unique_right, kind
+        )
+
+    @pytest.mark.parametrize("kind", sorted(KEY_KINDS))
+    @pytest.mark.parametrize("build_keys", [[], [None, None, None]])
+    def test_empty_and_all_null_build(self, kind, build_keys):
+        probe_keys = [None, *PROBE_SAMPLES[kind]]
+        check_hash_joins(probe_keys, build_keys, 5, kind)
+        check_merge_matches_hash(probe_keys, build_keys, 5, False, kind)
+
+
+def tables(probe_keys, build_keys, kind):
+    probe_type, build_type, __ = KEY_KINDS[kind]
+    return (
+        probe_table(probe_keys, dtype=probe_type),
+        build_table(build_keys, dtype=build_type),
+    )
+
+
+def check_hash_joins(
+    probe_keys, build_keys, batch_size, kind, join_types=("inner", "left_outer")
+):
+    """HashJoin emits the reference's pairs in the reference's order."""
+    probe, build = tables(probe_keys, build_keys, kind)
+    for join_type in join_types:
         result = collect(
             HashJoin(
-                TableScan(probe_table(probe_keys), batch_size=batch_size),
-                TableScan(build_table(build_keys)),
+                TableScan(probe, batch_size=batch_size),
+                TableScan(build),
                 "pk",
                 "bk",
-                "left_outer",
+                join_type,
             )
         )
         assert pairs(result) == [
             (p, b)
             for __, p, __, b in reference_join(
-                probe_keys, build_keys, left_outer=True
+                probe_keys, build_keys, left_outer=join_type == "left_outer"
             )
         ]
 
@@ -323,27 +433,24 @@ class TestJoinEquivalenceProperties:
 def sorted_keeping_nulls(keys):
     """*keys* with the non-NULL values sorted (NaN last) and each NULL
     where it was: a valid merge-join input, since NULLs never join."""
-    values = iter(np.sort(np.array([key for key in keys if key is not None])).tolist())
+    values = iter(sorted(
+        (key for key in keys if key is not None),
+        key=lambda key: (key != key, key if key == key else 0),
+    ))
     return [None if key is None else next(values) for key in keys]
 
 
-def check_merge_matches_hash(probe_keys, build_keys, batch_size, unique_right, dtype):
+def check_merge_matches_hash(probe_keys, build_keys, batch_size, unique_right, kind):
     """Both joins over the same key-sorted inputs emit the reference's
     pairs in the reference's order."""
     if unique_right:
         build_keys = list(dict.fromkeys(build_keys))
     left_keys = sorted_keeping_nulls(probe_keys)
     right_keys = sorted_keeping_nulls(build_keys)
-    left = probe_table(left_keys, dtype=dtype)
-    right = build_table(right_keys, dtype=dtype)
+    left, right = tables(left_keys, right_keys, kind)
     expected = [(p, b) for __, p, __, b in reference_join(left_keys, right_keys)]
     merge = MergeJoin(
-        TableScan(left, batch_size=batch_size),
-        TableScan(right),
-        "pk",
-        "bk",
-        # NaN sorts last but fails the ``<=`` guard; floats run unguarded.
-        check_sorted=dtype == DataType.INT64,
+        TableScan(left, batch_size=batch_size), TableScan(right), "pk", "bk"
     )
     assert pairs(collect(merge)) == expected
     hashed = HashJoin(

@@ -295,6 +295,18 @@ class TestJoinRewrite:
         optimized = optimizer(catalog).optimize(plan)
         assert not plan_contains(optimized, lp.LogicalMergeJoin)
 
+    def test_null_keys_do_not_unsort_the_other_side(self):
+        # NULL keys never join, and MergeJoin skips them.
+        catalog, fact, dim = self.make_catalog(
+            [1, 9, 2, 3, None], [None, 1, 2, None, 3, 9]
+        )
+        plan = lp.LogicalJoin(
+            lp.LogicalScan(fact, ("c",)), lp.LogicalScan(dim), "c", "k"
+        )
+        optimized = optimizer(catalog).optimize(plan)
+        assert plan_contains(optimized, lp.LogicalMergeJoin)
+        assert sorted(run(optimized).to_pylist()) == sorted(run(plan).to_pylist())
+
     def test_left_outer_not_rewritten(self):
         catalog, fact, dim = self.make_catalog([1, 2], [1, 2])
         plan = lp.LogicalJoin(

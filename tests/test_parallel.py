@@ -64,7 +64,7 @@ from repro.storage.database import Database
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
-from tests.test_query_fuzz import queries
+from tests.test_query_fuzz import add_dimensions, queries
 
 
 def make_table(n=100, partition_count=3, block_size=8, name="t"):
@@ -884,8 +884,8 @@ def durable_db() -> Database:
 
     Same data as ``tests.test_query_fuzz.fuzz_db`` — a nearly-unique
     column, a nearly-sorted column, a category column, a column of
-    magnitudes past 2**53, NULLs, two PatchIndexes and a join dimension
-    — but checkpointed to a data directory mid-build, so the morsel
+    magnitudes past 2**53, NULLs, two PatchIndexes and the join
+    dimensions — but checkpointed to a data directory mid-build, so the morsel
     threads decode lazily loaded segment blocks *and* read rows that
     only exist in the WAL tail (an update and an insert land after the
     checkpoint, the indexes after both).
@@ -929,9 +929,7 @@ def durable_db() -> Database:
         )
         db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
         db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
-        db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
-        dim_rows = ", ".join(f"({i}, {i * 10})" for i in range(0, n, 3))
-        db.sql(f"INSERT INTO dim VALUES {dim_rows}")
+        add_dimensions(db, n)
         _DB_CACHE.append(db)
         _DB_ROOT.append(root)
     return _DB_CACHE[0]

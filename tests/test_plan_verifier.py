@@ -14,7 +14,7 @@ import pytest
 from repro import Database
 from repro.check import OrderProperty, verify_plan
 from repro.core.patch_index import PatchIndex, PatchIndexMode
-from repro.errors import PlanInvariantError
+from repro.errors import ExecutionError, PlanInvariantError
 from repro.exec.expressions import ColumnRef, Comparison, Literal
 from repro.exec.operators import (
     AggregateSpec,
@@ -39,6 +39,7 @@ from repro.exec.parallel import (
     ParallelSort,
     morsels_for_table,
 )
+from repro.exec.result import collect
 from repro.plan.optimizer import OptimizerOptions
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
@@ -295,15 +296,16 @@ class TestMergeRules:
         )
         rejects("merge-input-order", plan)
 
-    def test_merge_join_unsorted_without_runtime_guard(self, table):
+    def test_merge_join_unsorted_input_fails_at_run_time(self, table):
         plan = MergeJoin(
-            TableScan(table),  # no proven order on the left
+            TableScan(table),  # no proven order on the left, and unsorted
             Sort(TableScan(make_dim()), [SortKey("k", True)]),
             "s",
             "k",
-            check_sorted=False,
         )
-        rejects("merge-input-order", plan)
+        verify_plan(plan)
+        with pytest.raises(ExecutionError, match="left input is not sorted"):
+            collect(plan)
 
     def test_merge_join_runtime_guard_accepted(self, table):
         plan = MergeJoin(
@@ -311,7 +313,6 @@ class TestMergeRules:
             Sort(TableScan(make_dim()), [SortKey("k", True)]),
             "s",
             "k",
-            check_sorted=True,
         )
         verify_plan(plan)
 

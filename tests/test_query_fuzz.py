@@ -58,10 +58,24 @@ def _populate(db: Database) -> Database:
     db.table("f").update_rowid(7, "b", None)
     db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
     db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
+    add_dimensions(db, n)
+    return db
+
+
+def add_dimensions(db, n: int) -> None:
+    """The join shape's two dimensions of an *n*-row ``f``: ``dim`` has
+    unique keys; ``dup`` has keys in runs of three with NULLs between
+    them, and fewer rows than ``f``, so the plain join builds on it, the
+    rewrite's MergeJoin reads its runs and its patch-side HashJoin
+    probes them."""
     db.sql("CREATE TABLE dim (k BIGINT, label BIGINT)")
     dim_rows = ", ".join(f"({i}, {i * 10})" for i in range(0, n, 3))
     db.sql(f"INSERT INTO dim VALUES {dim_rows}")
-    return db
+    db.sql("CREATE TABLE dup (k BIGINT, label BIGINT)")
+    dup_rows = ", ".join(
+        f"({'NULL' if i % 11 == 5 else i // 3 * 4}, {i})" for i in range(3 * n // 4)
+    )
+    db.sql(f"INSERT INTO dup VALUES {dup_rows}")
 
 
 columns = st.sampled_from(["u", "s", "g"])
@@ -112,6 +126,7 @@ def queries(draw):
         return f"SELECT {column} FROM f{where} ORDER BY {column} {direction}"
     if shape == 3:
         key = draw(st.sampled_from(["u", "s"]))
+        dim = draw(st.sampled_from(["dim", "dup"]))
         join_where = ""
         if draw(st.booleans()):
             # A simple qualified predicate (joins need f. prefixes).
@@ -119,14 +134,14 @@ def queries(draw):
             op = draw(comparisons)
             value = draw(st.integers(-10, 410))
             join_where = f" WHERE f.{column} {op} {value}"
-        join = f"FROM f JOIN dim ON f.{key} = dim.k{join_where}"
-        # dim.label checks the build side: a probe row paired with the
-        # wrong dim row changes it, where COUNT(*) and f.g cannot see it.
+        join = f"FROM f JOIN {dim} ON f.{key} = {dim}.k{join_where}"
+        # The label checks the build side: a probe row paired with the
+        # wrong dimension row changes it, where COUNT(*) and f.g cannot.
         if draw(st.booleans()):
-            return f"SELECT f.s, dim.label {join} ORDER BY f.s, dim.label"
+            return f"SELECT f.s, {dim}.label {join} ORDER BY f.s, {dim}.label"
         return (
             "SELECT COUNT(*) AS n, SUM(f.g) AS total, "
-            f"SUM(dim.label) AS labels {join}"
+            f"SUM({dim}.label) AS labels {join}"
         )
     column = draw(columns)
     return (
