@@ -24,11 +24,13 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
 
 ``patchselect-placement``
     PatchSelect must sit directly on a TableScan of the index's table
-    (batch rowids must be contiguous tuple identifiers, §VI-A1).
+    (batch rowids must be contiguous tuple identifiers, §VI-A1), and a
+    PatchCount must count the index's own table.
 ``patchselect-partitioning``
     use/exclude branches of a rewrite union must partition one scan
     with one PatchIndex — same index + mode in two branches, or the
     two modes over different row sets, is a broken ``R \\ P ∪ P``.
+    A PatchCount is a PatchSelect whose scan is its covered ranges.
 ``nuc-use-distinct``
     in a distinct rewrite over a nearly-unique column the use-patches
     branch carries the duplicates and must pass through a Distinct.
@@ -73,7 +75,11 @@ from repro.exec.operators.hash_join import HashJoin
 from repro.exec.operators.limit import Limit
 from repro.exec.operators.merge_join import MergeJoin
 from repro.exec.operators.merge_union import MergeUnion
-from repro.exec.operators.patch_select import PatchSelect, PatchSelectMode
+from repro.exec.operators.patch_select import (
+    PatchCount,
+    PatchSelect,
+    PatchSelectMode,
+)
 from repro.exec.operators.project import Project
 from repro.exec.operators.scan import TableScan
 from repro.exec.operators.sort import Sort, SortKey
@@ -126,7 +132,7 @@ class PlanProperties:
 
 @dataclass(frozen=True)
 class _PatchUse:
-    """One PatchSelect found inside a union branch."""
+    """One PatchSelect (or PatchCount) found inside a union branch."""
 
     index: object
     mode: PatchSelectMode
@@ -156,6 +162,8 @@ class _Verifier:
             return self._verify_scan(op)
         if isinstance(op, PatchSelect):
             return self._verify_patch_select(op)
+        if isinstance(op, PatchCount):
+            return self._verify_patch_count(op)
         if isinstance(op, Filter):
             return self._verify_filter(op, under_distinct)
         if isinstance(op, Project):
@@ -193,7 +201,7 @@ class _Verifier:
 
     # -- leaves ------------------------------------------------------------
 
-    def _verify_scan(self, op: TableScan) -> PlanProperties:
+    def _verify_scan(self, op: TableScan | PatchCount) -> PlanProperties:
         ranges = op.scan_ranges
         if ranges is not None:
             previous_stop = 0
@@ -249,6 +257,17 @@ class _Verifier:
                 (SortKey(op.index.column_name, op.index.ascending),), scope
             )
         return PlanProperties(op.schema, ordering)
+
+    def _verify_patch_count(self, op: PatchCount) -> PlanProperties:
+        if op.table is not op.index.table:
+            raise PlanInvariantError(
+                "patchselect-placement",
+                f"PatchCount({op.index.name}) counts table "
+                f"{op.table.name!r} but the index patches "
+                f"{op.index.table.name!r}",
+            )
+        self._verify_patch_design(op.index)
+        return self._verify_scan(op)
 
     def _verify_patch_design(self, index) -> None:
         designs = {
@@ -603,11 +622,12 @@ def _project_ordering(
 def _collect_patch_uses(
     op: Operator, deduped: bool
 ) -> list[_PatchUse]:
-    """PatchSelects reachable from a union branch, with dedup context.
+    """PatchSelects and PatchCounts reachable from a union branch, with
+    dedup context.
 
     The walk stops at nested UnionAll/MergeUnion nodes — those verify
     their own partitioning — and records whether a Distinct lies
-    between the union and each PatchSelect.
+    between the union and each patch use.
     """
     if isinstance(op, (UnionAll, MergeUnion)):
         return []
@@ -617,18 +637,23 @@ def _collect_patch_uses(
         child = op.child
         signature: tuple = (type(child).__name__,)
         if isinstance(child, TableScan):
-            ranges = child.scan_ranges
-            covered = (
-                tuple(ranges)
-                if ranges is not None
-                else ((0, child.table.row_count),)
-            )
-            signature = (id(child.table), covered)
+            signature = _scan_signature(child)
         return [_PatchUse(op.index, op.mode, deduped, signature)]
+    if isinstance(op, PatchCount):
+        return [_PatchUse(op.index, op.mode, deduped, _scan_signature(op))]
     uses: list[_PatchUse] = []
     for child in op.children():
         uses.extend(_collect_patch_uses(child, deduped))
     return uses
+
+
+def _scan_signature(op: TableScan | PatchCount) -> tuple:
+    """(table identity, covered rowid ranges) of a scan or count."""
+    ranges = op.scan_ranges
+    covered = (
+        tuple(ranges) if ranges is not None else ((0, op.table.row_count),)
+    )
+    return (id(op.table), covered)
 
 
 def _scan_table(op: Operator):

@@ -242,13 +242,39 @@ class PatchIndex:
         """Boolean patch-membership mask for the global rowid range
         ``[start, stop)``, stitched across partitions.
 
-        This is what both PatchSelect modes consume: ``use_patches``
-        keeps rows where the mask is True, ``exclude_patches`` keeps the
-        complement.
+        This is what the ``exclude_patches`` PatchSelect consumes: it
+        keeps the rows where the mask is False.
         """
         if start == stop:
             return np.zeros(0, dtype=np.bool_)
-        pieces: list[np.ndarray] = []
+        pieces = [
+            patches.mask_for_range(lo, hi)
+            for patches, lo, hi, __ in self._local_ranges(start, stop)
+        ]
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces)
+
+    def rowids_in_range(self, start: int, stop: int) -> np.ndarray:
+        """The patch rowids of the global range ``[start, stop)``,
+        ascending, stitched across partitions: the rows a
+        ``use_patches`` scan gathers (paper §VI-A3)."""
+        pieces = [
+            patches.rowids_in_range(lo, hi) + base
+            for patches, lo, hi, base in self._local_ranges(start, stop)
+        ]
+        if not pieces:
+            return np.empty(0, dtype=np.int64)
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces)
+
+    def _local_ranges(
+        self, start: int, stop: int
+    ) -> list[tuple[PatchSet, int, int, int]]:
+        """``(patch set, local start, local stop, base rowid)`` for each
+        partition the global range ``[start, stop)`` overlaps."""
+        pieces: list[tuple[PatchSet, int, int, int]] = []
         covered = start
         for partition, patches in zip(
             self.table.partitions, self._partition_patches
@@ -258,18 +284,14 @@ class PatchIndex:
             hi = min(stop, p_stop)
             if lo >= hi:
                 continue
-            pieces.append(
-                patches.mask_for_range(lo - p_start, hi - p_start)
-            )
+            pieces.append((patches, lo - p_start, hi - p_start, p_start))
             covered = hi
         if covered != stop:
             raise StorageError(
                 f"rowid range [{start}, {stop}) exceeds table "
                 f"(covered up to {covered})"
             )
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
+        return pieces
 
     def partition_patches(self, partition_id: int) -> PatchSet:
         """The partition-local patch set (partition-transparent access)."""
@@ -277,15 +299,7 @@ class PatchIndex:
 
     def rowids(self) -> np.ndarray:
         """All patch rowids in the global rowid space, ascending."""
-        pieces = [
-            patches.rowids() + partition.base_rowid
-            for partition, patches in zip(
-                self.table.partitions, self._partition_patches
-            )
-        ]
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces)
+        return self.rowids_in_range(0, self.table.row_count)
 
     def contains(self, rowid: int) -> bool:
         partition = self.table.partition_of_rowid(rowid)

@@ -13,10 +13,11 @@ physical designs are implemented, exactly as in paper §V:
 With 1 bit vs 64 bits per element, the identifier design wins on memory
 whenever ``|P_c| / |R| <= 1/64 ≈ 1.56 %`` (:data:`CROSSOVER_RATE`).
 
-Both designs answer the same interface: membership masks for contiguous
-rowid ranges (the vectorized equivalent of the paper's Algorithm 1 merge
-strategy and of the bitmap lookup), full rowid enumeration, and the
-maintenance mutations used by :mod:`repro.core.maintenance`.
+Both designs answer the same interface: membership masks and patch
+rowids for contiguous rowid ranges (the vectorized equivalent of the
+paper's Algorithm 1 merge strategy and of the bitmap lookup), full rowid
+enumeration, and the maintenance mutations used by
+:mod:`repro.core.maintenance`.
 """
 
 from __future__ import annotations
@@ -92,9 +93,15 @@ class PatchSet(abc.ABC):
         ``start + i`` is a patch.
 
         This is the batch-at-a-time realization of the paper's
-        ``use_patches`` / ``exclude_patches`` selection: callers keep the
-        mask for ``use_patches`` and its negation for ``exclude_patches``.
+        ``exclude_patches`` selection: the caller keeps the rows where
+        the mask is False.
         """
+
+    @abc.abstractmethod
+    def rowids_in_range(self, start: int, stop: int) -> np.ndarray:
+        """The patch rowids in ``[start, stop)``, ascending, as int64:
+        what ``use_patches`` reads, and whose count ``exclude_patches``
+        subtracts, without touching the rows in between (§VI-A3)."""
 
     @abc.abstractmethod
     def contains(self, rowid: int) -> bool:
@@ -199,17 +206,21 @@ class IdentifierPatches(PatchSet):
         return self._rowids
 
     def mask_for_range(self, start: int, stop: int) -> np.ndarray:
+        found = self.rowids_in_range(start, stop)
+        mask = np.zeros(stop - start, dtype=np.bool_)
+        mask[found - start] = True
+        return mask
+
+    def rowids_in_range(self, start: int, stop: int) -> np.ndarray:
         if not 0 <= start <= stop <= self.row_count:
             raise StorageError(f"range [{start}, {stop}) out of bounds")
-        mask = np.zeros(stop - start, dtype=np.bool_)
         # Merge strategy, batch formulation: locate the slice of the
         # sorted patch array overlapping [start, stop) with two binary
         # searches — the batched equivalent of advancing Algorithm 1's
         # patch pointer.
         lo = int(np.searchsorted(self._rowids, start, side="left"))
         hi = int(np.searchsorted(self._rowids, stop, side="left"))
-        mask[self._rowids[lo:hi] - start] = True
-        return mask
+        return self._rowids[lo:hi]
 
     def contains(self, rowid: int) -> bool:
         slot = int(np.searchsorted(self._rowids, rowid, side="left"))
@@ -325,6 +336,10 @@ class BitmapPatches(PatchSet):
         )
         offset = start - (first_byte << 3)
         return unpacked[offset : offset + (stop - start)].astype(np.bool_)
+
+    def rowids_in_range(self, start: int, stop: int) -> np.ndarray:
+        found = np.flatnonzero(self.mask_for_range(start, stop))
+        return found.astype(np.int64) + start
 
     def contains(self, rowid: int) -> bool:
         if not 0 <= rowid < self.row_count:

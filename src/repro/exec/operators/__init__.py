@@ -2,7 +2,11 @@
 
 from repro.exec.operators.base import Operator
 from repro.exec.operators.scan import TableScan
-from repro.exec.operators.patch_select import PatchSelect, PatchSelectMode
+from repro.exec.operators.patch_select import (
+    PatchCount,
+    PatchSelect,
+    PatchSelectMode,
+)
 from repro.exec.operators.filter import Filter
 from repro.exec.operators.project import Project
 from repro.exec.operators.aggregate import HashAggregate, AggregateSpec
@@ -18,6 +22,7 @@ from repro.exec.operators.merge_join import MergeJoin
 __all__ = [
     "Operator",
     "TableScan",
+    "PatchCount",
     "PatchSelect",
     "PatchSelectMode",
     "Filter",

@@ -2,7 +2,10 @@
 
 The scan walks partitions in order and emits batches whose rowids are
 contiguous runs of global tuple identifiers — the property the
-PatchSelect operator depends on (paper §VI-A1).
+PatchSelect operator depends on (paper §VI-A1).  A ``use_patches``
+PatchSelect instead hands the scan the patch rowids of its ranges
+(:attr:`TableScan.gather`); the scan then emits only those rows, in
+rowid order, reading only the blocks that hold one.
 
 Scan ranges (global ``[start, stop)`` rowid intervals) restrict the scan
 to the given intervals; they are typically produced by evaluating
@@ -24,6 +27,7 @@ from repro.exec.batch import DEFAULT_BATCH_SIZE, RecordBatch
 from repro.exec.operators.base import Operator
 from repro.storage.cache import ScanIO
 from repro.storage.column import ColumnVector
+from repro.storage.partition import Partition
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
@@ -81,7 +85,10 @@ class TableScan(Operator):
         self.with_tid = with_tid
         self.batch_size = batch_size
         self.scan_ranges = self._normalize_ranges(scan_ranges)
-        self._cursor: list[tuple[int, int]] | None = None
+        #: Ascending global rowids, inside the scan ranges, to emit
+        #: instead of every covered row; set before :meth:`open`.
+        self.gather: np.ndarray | None = None
+        self._cursor: list[tuple[int, int] | np.ndarray] | None = None
         #: Decode / block-cache accounting for segment-backed columns
         #: (surfaced as EXPLAIN ANALYZE details).
         self.io = ScanIO()
@@ -100,9 +107,10 @@ class TableScan(Operator):
         return []
 
     def open(self) -> None:
-        # Pre-compute the batch work list: (start, stop) global ranges
-        # never crossing a partition boundary, each at most batch_size.
-        pieces: list[tuple[int, int]] = []
+        # Pre-compute the batch work list: global (start, stop) ranges,
+        # or arrays of gathered rowids, never crossing a partition
+        # boundary and each at most batch_size rows.
+        pieces: list[tuple[int, int] | np.ndarray] = []
         ranges = (
             self.scan_ranges
             if self.scan_ranges is not None
@@ -116,6 +124,15 @@ class TableScan(Operator):
                 for field in self._schema
                 if partition.is_lazy(field.name)
             )
+            if self.gather is not None:
+                lo, hi = np.searchsorted(self.gather, (p_start, p_stop))
+                rowids = self.gather[lo:hi]
+                pieces.extend(
+                    rowids[at : at + self.batch_size]
+                    for at in range(0, len(rowids), self.batch_size)
+                )
+                planned += _block_rows(partition, rowids - p_start) * row_bytes
+                continue
             for r_start, r_stop in ranges:
                 lo = max(p_start, r_start)
                 hi = min(p_stop, r_stop)
@@ -136,15 +153,27 @@ class TableScan(Operator):
             raise PlanError("scan used before open()")
         if not self._cursor:
             return None
-        start, stop = self._cursor.pop()
-        partition = self.table.partition_of_rowid(start)
-        local_start = start - partition.base_rowid
-        local_stop = stop - partition.base_rowid
-        columns: dict[str, ColumnVector] = {
-            name: partition.column_slice(name, local_start, local_stop, self.io)
-            for name in self.column_names
-        }
-        rowids = np.arange(start, stop, dtype=np.int64)
+        piece = self._cursor.pop()
+        if isinstance(piece, tuple):
+            start, stop = piece
+            partition = self.table.partition_of_rowid(start)
+            local_start = start - partition.base_rowid
+            local_stop = stop - partition.base_rowid
+            columns: dict[str, ColumnVector] = {
+                name: partition.column_slice(
+                    name, local_start, local_stop, self.io
+                )
+                for name in self.column_names
+            }
+            rowids = np.arange(start, stop, dtype=np.int64)
+        else:
+            rowids = piece
+            partition = self.table.partition_of_rowid(int(rowids[0]))
+            positions = rowids - partition.base_rowid
+            columns = {
+                name: partition.column_take(name, positions, self.io)
+                for name in self.column_names
+            }
         if self.with_tid:
             columns[TID_COLUMN] = ColumnVector(DataType.INT64, rowids)
         return RecordBatch(self._schema, columns, rowids)
@@ -161,3 +190,15 @@ class TableScan(Operator):
             parts.append(", +tid")
         parts.append(")")
         return "".join(parts)
+
+
+def _block_rows(partition: Partition, positions: np.ndarray) -> int:
+    """Rows of the *partition* blocks that hold one of *positions*."""
+    if not len(positions):
+        return 0
+    size = partition.block_size
+    blocks = positions // size
+    touched = 1 + int(np.count_nonzero(np.diff(blocks)))
+    # Only the partition's last block can be short.
+    short = (int(blocks[-1]) + 1) * size - partition.row_count
+    return touched * size - max(0, short)

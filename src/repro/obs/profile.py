@@ -9,10 +9,13 @@ property the benchmark ``benchmarks/bench_profile_overhead.py`` checks.
 
 Each operator gets one :class:`ProfileNode` recording rows out, batches
 produced, and inclusive wall time (self time is derived at render
-time).  Three operator kinds carry extra detail:
+time).  Four operator kinds carry extra detail:
 
 - ``PatchSelect`` — rows in, patch hits, mode, index name and physical
-  design (via the operator's native opt-in counters);
+  design (via the operator's native opt-in counters; a use-patches
+  PatchSelect reads only the patches, so its rows in are its hits);
+- ``PatchCount`` — mode, index name, design, and the covered rows and
+  patches it counted;
 - ``TableScan`` — table name and base row count;
 - the parallel terminals (``ParallelDistinct`` / ``ParallelSort`` /
   ``ParallelAggregate``) — planned vs actually-used degree of
@@ -31,7 +34,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.exec.operators.base import Operator
-from repro.exec.operators.patch_select import PatchSelect
+from repro.exec.operators.patch_select import PatchCount, PatchSelect
 from repro.exec.operators.scan import TableScan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -315,6 +318,10 @@ def _instrument_tree(
         node.details["drift_rate"] = f"{operator.index.drift_rate():.4f}"
         if getattr(operator.index, "rebuild_pending", False):
             node.details["rebuild_pending"] = True
+    elif isinstance(operator, PatchCount):
+        node.details["mode"] = operator.mode.value
+        node.details["index"] = operator.index.name
+        node.details["design"] = operator.index.design
     elif isinstance(operator, TableScan):
         node.details["table"] = operator.table.name
         node.details["table_rows"] = operator.table.row_count
@@ -355,12 +362,17 @@ def _instrument_tree(
 
 
 def _finalize_tree(root: ProfileNode) -> None:
-    """Pull deferred native counters (PatchSelect) into the nodes."""
+    """Pull deferred native counters (PatchSelect, PatchCount, TableScan)
+    into the nodes."""
     for node in root.walk():
         operator = node._operator
         if isinstance(operator, PatchSelect) and operator.stats is not None:
             node.details["rows_in"] = operator.stats.rows_in
             node.details["patch_hits"] = operator.stats.patch_hits
+        elif isinstance(operator, PatchCount) and operator.counted is not None:
+            node.details["covered_rows"], node.details["patches"] = (
+                operator.counted
+            )
         elif isinstance(operator, TableScan):
             io = operator.io
             if io.blocks_decoded or io.cache_hits or io.bytes_decoded:

@@ -12,10 +12,20 @@ pipeline of selections and non-arithmetic projections — becomes::
         Distinct(X(PatchSelect[use](Scan T))),      # only the patches
     )
 
-A COUNT(DISTINCT c) aggregation over such a pipeline is rewritten the
-same way, with the final aggregate turned into a plain COUNT(c) over
-the union (the exclude branch contributes no NULLs, condition NUC2
-guarantees no cross-branch duplicates).
+A COUNT(DISTINCT c) aggregation over such a pipeline becomes the sum of
+the two branches' counts::
+
+    SUM(UnionAll(
+        COUNT(*) over X(PatchSelect[exclude](Scan T)),
+        COUNT(c) over Distinct(Project_c(X(PatchSelect[use](Scan T)))),
+    ))
+
+The exclude branch contributes no NULLs (NULLs are always patches) and
+no duplicates (NUC1), and condition NUC2 rules out cross-branch
+duplicates, so its COUNT(*) is its distinct count.  When X selects
+nothing, the exclude branch drops it (projections do not change a
+COUNT(*)): the count then sits directly on the PatchSelect, and the
+physical planner answers it from the patch set alone (``PatchCount``).
 
 **Sort rewrite** (NSC, §VI-B2).  ``Sort(X(Scan T))`` on the indexed
 column becomes a merge of the already-sorted exclude branch with a sort
@@ -249,21 +259,29 @@ class Optimizer:
         if not self._accept("distinct", n, index.patch_count):
             return None
         project = ((spec.column, ColumnRef(spec.column)),)
-        exclude = lp.LogicalProject(
-            self._patched_leaf(pipeline, index, use_patches=False), project
+        exclude: lp.LogicalPlan = lp.LogicalPatchSelect(
+            pipeline.scan, index, use_patches=False
         )
+        if any(isinstance(node, lp.LogicalFilter) for node in pipeline.nodes):
+            exclude = pipeline.rebuild(exclude)
         use = lp.LogicalDistinct(
             lp.LogicalProject(
                 self._patched_leaf(pipeline, index, use_patches=True), project
             )
         )
-        union = lp.LogicalUnionAll((exclude, use))
-        # COUNT(c) over the union: the exclude branch has no NULLs (NULLs
-        # are always patches) and NUC2 rules out cross-branch duplicates.
+        alias = spec.alias
+        union = lp.LogicalUnionAll(
+            (
+                lp.LogicalAggregate(
+                    exclude, (), (AggregateSpec("count_star", None, alias),)
+                ),
+                lp.LogicalAggregate(
+                    use, (), (AggregateSpec("count", spec.column, alias),)
+                ),
+            )
+        )
         return lp.LogicalAggregate(
-            union,
-            (),
-            (AggregateSpec("count", spec.column, spec.alias),),
+            union, (), (AggregateSpec("sum", alias, alias),)
         )
 
     def _nuc_index_for_any(

@@ -1,15 +1,18 @@
 """Physical planning: logical plan → executable operator tree.
 
-Mostly a 1:1 mapping, plus three physical decisions:
+Mostly a 1:1 mapping, plus four physical decisions:
 
-- **Scan-range derivation**: a filter directly above a scan is
-  evaluated against the per-block min/max sketches — every
-  ``column <op> literal`` / ``column IN (...)`` conjunct, ANDs
-  intersecting and ORs (of two prunable arms) uniting the surviving
-  blocks — and the surviving rowid ranges are pushed into the scan
-  (the filter itself is kept — block pruning is conservative).
+- **Scan-range derivation**: a filter directly above a scan, or above
+  the PatchSelect over one, is evaluated against the per-block min/max
+  sketches — every ``column <op> literal`` / ``column IN (...)``
+  conjunct, ANDs intersecting and ORs (of two prunable arms) uniting
+  the surviving blocks — and the surviving rowid ranges are pushed into
+  the scan (the filter itself is kept — block pruning is conservative).
   This is the paper's "small materialized aggregates" scan-range path
   that the PatchSelect then merges with (§VI-A3).
+- **Counting from the patch set**: an ungrouped ``COUNT(*)`` directly
+  over a PatchSelect becomes a ``PatchCount`` leaf — covered rows minus
+  (or, for use_patches, just) the patches among them, with no scan.
 - **Hash-join build-side choice**: the smaller estimated input builds
   the join's key directory (§VI-B3); a projection restores the original column
   order when the sides were swapped.
@@ -54,6 +57,7 @@ from repro.exec.operators import (
     MergeJoin,
     MergeUnion,
     Operator,
+    PatchCount,
     PatchSelect,
     PatchSelectMode,
     Project,
@@ -152,6 +156,9 @@ class PhysicalPlanner:
         return operator
 
     def _plan_node(self, logical: lp.LogicalPlan) -> Operator:
+        count = _try_patch_count(logical)
+        if count is not None:
+            return count
         parallel = self._try_parallel(logical)
         if parallel is not None:
             return parallel
@@ -277,12 +284,11 @@ class PhysicalPlanner:
         if (
             ranges is None
             and self.derive_scan_ranges
-            and patch is None
             and nodes
             and isinstance(nodes[-1], lp.LogicalFilter)
         ):
             # Same rule as the serial path: block-prune only when the
-            # filter sits directly on the scan.
+            # filter sits directly on the scan or its PatchSelect.
             ranges = self._ranges_for_predicate(scan, nodes[-1].predicate)
         normalized = normalize_ranges(ranges, scan.table.row_count)
         terminal_rows = (
@@ -343,21 +349,25 @@ class PhysicalPlanner:
         )
 
     def _plan_filter(self, logical: lp.LogicalFilter) -> Operator:
+        """A filter directly on a scan, or on the PatchSelect over one,
+        restricts that scan to the blocks its predicate can match.  Both
+        branches of a rewrite carry the same filter, so they derive the
+        same ranges and still partition one scan."""
         child = logical.child
+        scan = child.child if isinstance(child, lp.LogicalPatchSelect) else child
         if (
             self.derive_scan_ranges
-            and isinstance(child, lp.LogicalScan)
-            and child.scan_ranges is None
+            and isinstance(scan, lp.LogicalScan)
+            and scan.scan_ranges is None
         ):
-            ranges = self._ranges_for_predicate(child, logical.predicate)
+            ranges = self._ranges_for_predicate(scan, logical.predicate)
             if ranges is not None:
-                child = lp.LogicalScan(
-                    child.table,
-                    child.columns,
-                    child.with_tid,
-                    scan_ranges=tuple(ranges),
+                ranged = lp.LogicalScan(
+                    scan.table, scan.columns, scan.with_tid, tuple(ranges)
                 )
-                return Filter(self._plan_scan(child), logical.predicate)
+                if child is scan:
+                    return Filter(self._plan_scan(ranged), logical.predicate)
+                child = child.with_children([ranged])
         return Filter(self.plan(child), logical.predicate)
 
     def _ranges_for_predicate(
@@ -416,6 +426,32 @@ class PhysicalPlanner:
             (name, ColumnRef(name)) for name in logical.schema.names
         ]
         return Project(swapped, outputs)
+
+
+def _try_patch_count(logical: lp.LogicalPlan) -> PatchCount | None:
+    """An ungrouped ``COUNT(*)`` directly over a PatchSelect, planned
+    as the leaf that counts from the patch set (no scan below it)."""
+    if not (
+        isinstance(logical, lp.LogicalAggregate)
+        and isinstance(logical.child, lp.LogicalPatchSelect)
+        and not logical.group_by
+        and len(logical.aggregates) == 1
+        and logical.aggregates[0].func == "count_star"
+    ):
+        return None
+    patch = logical.child
+    scan = patch.child
+    if not isinstance(scan, lp.LogicalScan):
+        raise PlanError("PatchSelect child must plan to a scan")
+    return PatchCount(
+        scan.table,
+        patch.index,
+        PatchSelectMode.USE_PATCHES
+        if patch.use_patches
+        else PatchSelectMode.EXCLUDE_PATCHES,
+        logical.aggregates[0].alias,
+        list(scan.scan_ranges) if scan.scan_ranges is not None else None,
+    )
 
 
 def _prunable_conjunct(

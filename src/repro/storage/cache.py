@@ -97,7 +97,9 @@ class ScanIO:
     #: Decoded vector bytes those payloads expanded into.
     bytes_decoded: int = 0
     #: Decoded bytes the scan expects to pull through the cache in
-    #: total (``TableScan.open``): rows x the lazy columns' item sizes.
+    #: total (``TableScan.open``): the rows of the blocks it reads (all
+    #: covered rows, or the blocks holding a gathered row) x the lazy
+    #: columns' item sizes.
     planned_bytes: int = 0
     #: ``"<planned> > <capacity>"`` once the scan decoded a block it did
     #: not admit because it cannot fit the cache as a whole.
@@ -143,22 +145,31 @@ class BlockCache:
     # -- core operations ------------------------------------------------
 
     def get(self, key: tuple) -> ColumnVector | None:
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: list[tuple]) -> list[ColumnVector | None]:
+        """Look up *keys* in order under one lock acquisition; a hit
+        becomes the most recently used entry, as with :meth:`get`."""
+        found: list[ColumnVector | None] = []
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                hit = False
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                hit = True
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is None:
+                    found.append(None)
+                else:
+                    self._entries.move_to_end(key)
+                    found.append(entry[0])
+            misses = found.count(None)
+            hits = len(keys) - misses
+            self.hits += hits
+            self.misses += misses
             metrics = self._metrics
         if metrics is not None:
-            if hit:
-                metrics.counter("cache.hits").inc()
-            else:
-                metrics.counter("cache.misses").inc()
-        return entry[0] if entry is not None else None
+            if hits:
+                metrics.counter("cache.hits").inc(hits)
+            if misses:
+                metrics.counter("cache.misses").inc(misses)
+        return found
 
     def put(
         self, key: tuple, vector: ColumnVector, nbytes: int | None = None
@@ -275,9 +286,10 @@ class SegmentColumnSource:
 
     Stands in for a materialized :class:`ColumnVector` inside a
     :class:`~repro.storage.partition.Partition`: scans pull contiguous
-    row slices through :meth:`slice`, which decodes only the blocks the
-    slice touches (through the shared :class:`BlockCache`), so pruned
-    blocks cost neither I/O nor decode work.
+    row slices through :meth:`slice`, and gather scattered rows through
+    :meth:`take`; both decode only the blocks they touch (through the
+    shared :class:`BlockCache`), so pruned blocks cost neither I/O nor
+    decode work.
     """
 
     __slots__ = ("reader", "cache", "table", "column", "segment", "generation")
@@ -352,35 +364,12 @@ class SegmentColumnSource:
     def slice(
         self, start: int, stop: int, io: ScanIO | None = None
     ) -> ColumnVector:
-        """Assemble rows ``[start, stop)`` from decoded blocks.
-
-        Cached blocks are used as they are; each maximal run of missed
-        neighbours is decoded in one go (``SegmentReader.decode_run``).
-        """
+        """Assemble rows ``[start, stop)`` from decoded blocks."""
         if stop <= start:
             return ColumnVector.empty(self.reader.dtype)
         size = self.reader.block_size
         first, last = start // size, (stop - 1) // size
-        cache = self.cache
-        parts: list[ColumnVector] = []
-        if cache is None:
-            parts.append(self._decode_run(first, last, io))
-        else:
-            missed_from = -1
-            for index in range(first, last + 1):
-                cached = cache.get(self._key(index))
-                if cached is None:
-                    if missed_from < 0:
-                        missed_from = index
-                    continue
-                if missed_from >= 0:
-                    parts.append(self._decode_run(missed_from, index - 1, io))
-                    missed_from = -1
-                if io is not None:
-                    io.cache_hits += 1
-                parts.append(cached)
-            if missed_from >= 0:
-                parts.append(self._decode_run(missed_from, last, io))
+        parts = self._blocks(first, last, io)
         head = start - first * size
         if head:
             parts[0] = parts[0].slice(head, len(parts[0]))
@@ -388,6 +377,78 @@ class SegmentColumnSource:
         if tail:
             parts[-1] = parts[-1].slice(0, len(parts[-1]) - tail)
         return parts[0] if len(parts) == 1 else ColumnVector.concat(parts)
+
+    def take(
+        self, positions: np.ndarray, io: ScanIO | None = None
+    ) -> ColumnVector:
+        """Gather the rows at the ascending *positions*, decoding only
+        the blocks that hold one."""
+        if not len(positions):
+            return ColumnVector.empty(self.reader.dtype)
+        size = self.reader.block_size
+        blocks = positions // size
+        # Runs of neighbouring touched blocks go through _blocks together,
+        # so missed neighbours still decode in one call.
+        breaks = (np.flatnonzero(np.diff(blocks) > 1) + 1).tolist()
+        values: list[np.ndarray] = []
+        validity: list[np.ndarray | None] = []
+        for lo, hi in zip([0, *breaks], [*breaks, len(blocks)]):
+            first, last = int(blocks[lo]), int(blocks[hi - 1])
+            parts = self._blocks(first, last, io)
+            starts = np.cumsum([first * size] + [len(part) for part in parts])
+            edges = np.searchsorted(positions, starts).tolist()
+            for part, start, begin, end in zip(
+                parts, starts.tolist(), edges, edges[1:]
+            ):
+                if end > begin:
+                    local = positions[begin:end] - start
+                    values.append(part.values[local])
+                    validity.append(
+                        None if part.validity is None else part.validity[local]
+                    )
+        if all(mask is None for mask in validity):
+            return ColumnVector(self.reader.dtype, np.concatenate(values))
+        return ColumnVector(
+            self.reader.dtype,
+            np.concatenate(values),
+            np.concatenate(
+                [
+                    np.ones(len(chunk), dtype=np.bool_) if mask is None else mask
+                    for chunk, mask in zip(values, validity)
+                ]
+            ),
+        )
+
+    def _blocks(
+        self, first: int, last: int, io: ScanIO | None
+    ) -> list[ColumnVector]:
+        """Blocks *first* … *last* as consecutive vectors.
+
+        Cached blocks are used as they are; each maximal run of missed
+        neighbours is decoded in one go (``SegmentReader.decode_run``).
+        """
+        cache = self.cache
+        if cache is None:
+            return [self._decode_run(first, last, io)]
+        found = cache.get_many(
+            [self._key(index) for index in range(first, last + 1)]
+        )
+        parts: list[ColumnVector] = []
+        missed_from = -1
+        for index, cached in enumerate(found, first):
+            if cached is None:
+                if missed_from < 0:
+                    missed_from = index
+                continue
+            if missed_from >= 0:
+                parts.append(self._decode_run(missed_from, index - 1, io))
+                missed_from = -1
+            if io is not None:
+                io.cache_hits += 1
+            parts.append(cached)
+        if missed_from >= 0:
+            parts.append(self._decode_run(missed_from, last, io))
+        return parts
 
     def materialize(self, io: ScanIO | None = None) -> ColumnVector:
         """Decode the whole column (mutation and discovery paths).

@@ -108,6 +108,20 @@ class Partition:
             return source.slice(start, stop, io)
         return self.column(name).slice(start, stop)
 
+    def column_take(
+        self, name: str, positions: np.ndarray, io: "ScanIO | None" = None
+    ) -> ColumnVector:
+        """Rows at the ascending local *positions* of column *name*,
+        decoding only the blocks that hold one when the column is
+        segment-backed."""
+        vector = self._columns.get(name)
+        if vector is not None:
+            return vector.take(positions)
+        source = self._sources.get(name)
+        if source is not None:
+            return source.take(positions, io)
+        return self.column(name).take(positions)
+
     def is_lazy(self, name: str) -> bool:
         """Whether slices of *name* still decode segment blocks (through
         the block cache) instead of slicing a resident vector."""

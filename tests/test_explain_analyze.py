@@ -52,7 +52,7 @@ class TestExplainAnalyzeStatement:
         assert "actual rows=5" in text
 
     def test_exclude_patches_details(self, db):
-        result = db.sql("EXPLAIN ANALYZE SELECT COUNT(DISTINCT c) AS n FROM t")
+        result = db.sql("EXPLAIN ANALYZE SELECT DISTINCT c FROM t")
         text = result.text()
         assert "mode=exclude_patches" in text
         assert "index=pi" in text
@@ -66,6 +66,29 @@ class TestExplainAnalyzeStatement:
         assert exclude.details["rows_in"] == 5
         assert exclude.details["patch_hits"] == 4
         assert exclude.rows == 1
+
+    def test_patch_count_details(self, db):
+        query = "SELECT COUNT(DISTINCT c) AS n FROM t"
+        plain = db.explain(query)
+        assert (
+            "PatchCount(mode=exclude_patches, index=pi, table=t, "
+            "covered=5, patches=4)" in plain
+        )
+        result = db.sql("EXPLAIN ANALYZE " + query)
+        [count] = result.profile.find("PatchCount")
+        assert count.details["mode"] == "exclude_patches"
+        assert count.details["index"] == "pi"
+        assert count.details["design"] == "bitmap"  # 4 of 5 rows
+        assert count.details["covered_rows"] == 5
+        assert count.details["patches"] == 4
+        assert count.rows == 1
+        # The use branch gathers only the four patches.
+        [use] = result.profile.find("PatchSelect")
+        assert use.details["mode"] == "use_patches"
+        assert use.details["rows_in"] == use.details["patch_hits"] == 4
+        [scan] = result.profile.find("TableScan")
+        assert scan.rows == 4
+        assert db.sql(query).scalar() == 3
 
     def test_both_modes_in_sort_rewrite(self, sorted_db):
         result = sorted_db.sql("EXPLAIN ANALYZE SELECT c FROM big ORDER BY c")

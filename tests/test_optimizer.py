@@ -162,8 +162,15 @@ class TestCountDistinctRewrite:
         catalog, table, __ = build_catalog([1, 1, 2, 3], "unique")
         optimized = optimizer(catalog).optimize(self.make_plan(table))
         assert isinstance(optimized, lp.LogicalAggregate)
-        assert optimized.aggregates[0].func == "count"
-        assert plan_contains(optimized, lp.LogicalPatchSelect)
+        assert optimized.aggregates[0].func == "sum"
+        union = optimized.child
+        assert isinstance(union, lp.LogicalUnionAll)
+        assert [branch.aggregates[0].func for branch in union.inputs] == [
+            "count_star",
+            "count",
+        ]
+        for branch in union.inputs:
+            assert plan_contains(branch, lp.LogicalPatchSelect)
 
     def test_group_by_not_rewritten(self):
         catalog, table, __ = build_catalog([1, 1, 2, 3], "unique")

@@ -176,11 +176,9 @@ class TestCleanPlans:
 
 class TestPatchSelectRules:
     def test_patchselect_above_filter(self, table, nsc):
-        plan = PatchSelect(
-            Filter(TableScan(table), Comparison(">", ColumnRef("s"), Literal(3))),
-            nsc,
-            EXCLUDE,
-            enforce_scan_child=False,
+        plan = PatchSelect(TableScan(table), nsc, EXCLUDE)
+        plan.child = Filter(
+            TableScan(table), Comparison(">", ColumnRef("s"), Literal(3))
         )
         rejects("patchselect-placement", plan)
 

@@ -108,8 +108,20 @@ def predicates(draw):
 
 @st.composite
 def queries(draw):
-    shape = draw(st.integers(0, 5))
+    shape = draw(st.integers(0, 6))
     where = f" WHERE {draw(predicates())}" if draw(st.booleans()) else ""
+    if shape == 6:
+        # COUNT(DISTINCT) bare (its exclude branch is a PatchCount) or
+        # under a range on the nearly sorted s, which prunes blocks
+        # below the PatchSelects of both branches.
+        column = draw(columns)
+        if draw(st.booleans()):
+            low = draw(st.integers(-10, 410))
+            high = draw(st.integers(low, 420))
+            where = f" WHERE s BETWEEN {low} AND {high}"
+        else:
+            where = ""
+        return f"SELECT COUNT(DISTINCT {column}) AS n FROM f{where}"
     if shape == 5:
         if draw(st.booleans()):
             return f"SELECT SUM(b) AS total, COUNT(b) AS n FROM f{where}"

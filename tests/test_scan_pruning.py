@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database, DataType, Field, Schema, Table
 from repro.check import verify_plan
 from repro.exec.result import collect
-from repro.plan.optimizer import Optimizer
+from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
@@ -197,3 +197,73 @@ class TestEveryConjunctPrunes:
     def test_predicate_on_the_virtual_tid_column(self, database):
         rows = database.sql("SELECT k, tid FROM t WHERE tid < 3").to_pylist()
         assert rows == [(0, 0), (1, 1), (2, 2)]
+
+
+def _find(operator, name):
+    if type(operator).__name__ == name:
+        yield operator
+    for child in operator.children():
+        yield from _find(child, name)
+
+
+class TestRewrittenPipelinesPrune:
+    """A rewrite puts a PatchSelect between the filter and the scan; the
+    filter still restricts that scan, and both branches to the same
+    ranges."""
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        db = Database()
+        db.create_table(
+            "t",
+            Schema([Field("k", DataType.INT64), Field("u", DataType.INT64)]),
+            partition_count=4,
+        )
+        keys = np.arange(200_000, dtype=np.int64)
+        u = keys.copy()
+        u[::97] = 5  # ~1 % duplicates of one value: the NUC's patches
+        db.table("t").load_columns(
+            {
+                "k": ColumnVector(DataType.INT64, keys),
+                "u": ColumnVector(DataType.INT64, u),
+            }
+        )
+        db.sql("CREATE PATCHINDEX tu ON t(u) TYPE UNIQUE")
+        return db
+
+    def test_count_distinct_branches_scan_only_the_pruned_blocks(self, database):
+        query = "SELECT COUNT(DISTINCT u) AS n FROM t WHERE k BETWEEN 1000 AND 1999"
+        rewritten = database.sql(query, parallelism=1, profile=True)
+        selects = rewritten.profile.find("PatchSelect")
+        assert {node.details["mode"] for node in selects} == {
+            "exclude_patches",
+            "use_patches",
+        }
+        scans = rewritten.profile.find("TableScan")
+        assert len(scans) == 2
+        assert all(node.rows <= 4096 for node in scans)
+        plain = database.sql(
+            query, optimizer_options=OptimizerOptions(use_patch_indexes=False)
+        )
+        assert rewritten.to_pylist() == plain.to_pylist()
+
+    def test_parallel_use_branch_prunes_its_morsels(self, database):
+        query = "SELECT DISTINCT u FROM t WHERE k BETWEEN 3000 AND 5000"
+        logical = Binder(database.catalog).bind_select(parse_statement(query))
+        operator = PhysicalPlanner(parallelism=2, morsel_size=16).plan(
+            Optimizer(database.catalog).optimize(logical)
+        )
+        [parallel] = _find(operator, "ParallelDistinct")
+        assert sum(morsel.rows for morsel in parallel.morsels) <= 2 * 4096
+        # The exclude branch's scan carries the same ranges.
+        ranges = {
+            tuple(scan.scan_ranges) for scan in _scans(parallel.template)
+        } | {
+            tuple(scan.scan_ranges)
+            for scan in _scans(operator)
+        }
+        assert len(ranges) == 1
+        plain = PhysicalPlanner(parallelism=1).plan(logical)
+        assert sorted(collect(operator).to_pylist()) == sorted(
+            collect(plain).to_pylist()
+        )
