@@ -9,17 +9,22 @@ PFOR-DELTA (Zukowski et al., ICDE 2006) make compression robust by
 storing outliers separately.
 
 This module holds the bit-packing kernels and the per-block codecs the
-RSEG2 segment format writes at checkpoint.  ``pfor`` is the paper's
-idea for nearly sorted columns: with the NSC patches removed, the
-remaining values are non-decreasing, so their deltas are small
-non-negative integers that bit-pack tightly (delta +
-frame-of-reference); the patches — exactly the values that would
-otherwise blow up the delta width — are stored verbatim on the side,
-addressed by the rowids the PatchIndex maintains.  Plain ``for`` has no
-patch separation: on nearly sorted data with even a few exceptions its
-delta domain includes large *negative* jumps, forcing a zig-zag
-encoding with a much wider bit width
-(``benchmarks/bench_ablation_compression.py`` measures the two).
+RSEG2 segment format writes at checkpoint.  ``bp`` is plain frame of
+reference: offsets from the block minimum, bit-packed, decoded with one
+add.  ``for`` is zig-zag delta frame of reference: it packs the
+differences between neighbours, so it wins where a block climbs in
+small steps (a ramp) and pays a prefix sum on decode.  The picker
+chooses between the two by bit width before it packs anything.
+``pfor`` is the paper's idea for nearly sorted columns: with the NSC
+patches removed, the remaining values are non-decreasing, so their
+deltas are small non-negative integers that bit-pack tightly; the
+patches — exactly the values that would otherwise blow up the delta
+width — are stored verbatim on the side, addressed by the rowids the
+PatchIndex maintains.  ``for`` has no patch separation: on nearly
+sorted data with even a few exceptions its delta domain includes large
+*negative* jumps, forcing a much wider zig-zag width, and ``bp`` must
+span the exceptions' values
+(``benchmarks/bench_ablation_compression.py`` measures all three).
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ def unpack_bits_reference(
 
     The readable definition of the format, 40x the output in
     temporaries: it serves widths 58-63, which one 8-byte window cannot
-    hold, and is the oracle the tests hold :func:`unpack_bits` to.
+    hold and no block codec packs but the format admits, and is the
+    oracle the tests hold :func:`unpack_bits` to.
     """
     needed = _check_packed(len(buffer), width, count)
     bits = np.unpackbits(buffer[:needed], bitorder="little")[: count * width]
@@ -94,7 +100,9 @@ def unpack_bits_reference(
 
 
 #: Widest value one little-endian 8-byte window holds at any bit
-#: offset: the value starts at most 7 bits into its first byte.
+#: offset: the value starts at most 7 bits into its first byte.  It is
+#: also the widest field a writer packs, so every block a checkpoint
+#: writes decodes through the window kernel.
 _WINDOW_MAX_WIDTH = 57
 
 
@@ -162,9 +170,9 @@ def unpack_bits(buffer: np.ndarray, width: int, count: int) -> np.ndarray:
 # raw size, so raw is always the fallback.
 
 #: Block encoding tags as stored in the RSEG2 header.
-BLOCK_ENCODINGS = ("raw", "rle", "for", "pfor", "dict")
+BLOCK_ENCODINGS = ("raw", "rle", "for", "bp", "pfor", "dict")
 
-_FOR_HEADER = struct.Struct("<qB")  # base, delta bit width
+_FOR_HEADER = struct.Struct("<qB")  # base, bit width (``for`` and ``bp``)
 _PFOR_HEADER = struct.Struct("<qBII")  # base, width, kept count, exc count
 _RLE_HEADER = struct.Struct("<I")  # run count
 
@@ -224,55 +232,86 @@ def decode_block_rle(data: bytes, count: int) -> np.ndarray:
     return np.repeat(run_values.astype(np.int64), lengths)
 
 
-def encode_block_for(values: np.ndarray) -> bytes | None:
-    """Frame-of-reference + zig-zag delta encode; ``None`` if not smaller."""
-    n = len(values)
-    if n == 0:
-        return None
+def _zigzag_deltas(values: np.ndarray) -> np.ndarray | None:
+    """Zig-zag neighbour deltas of *values*, ``None`` if one overflows."""
     deltas = _delta_chain(values)
     zigzag = (deltas << 1) ^ (deltas >> 63)
     if (zigzag < 0).any():  # delta overflow: the domain needs 64+ bits
         return None
-    width = _required_width(zigzag)
-    if _FOR_HEADER.size + (n * width + 7) // 8 >= 8 * n:
+    return zigzag
+
+
+def _span_width(values: np.ndarray) -> tuple[int, int]:
+    """Minimum of *values* and the bits its offsets need (``bp``'s frame).
+
+    Python ints: the span of an int64 block may need 64 bits.
+    """
+    base = int(values.min())
+    return base, max(1, (int(values.max()) - base).bit_length())
+
+
+def _frame_payload(base: int, width: int, fields: np.ndarray) -> bytes | None:
+    """``_FOR_HEADER`` + *fields* packed at *width*; ``None`` past the
+    window kernel's width or unless smaller than raw."""
+    n = len(fields)
+    if width > _WINDOW_MAX_WIDTH or _FOR_HEADER.size + (n * width + 7) // 8 >= 8 * n:
         return None
-    return _FOR_HEADER.pack(int(values[0]), width) + pack_bits(
-        zigzag, width
-    ).tobytes()
+    return _FOR_HEADER.pack(base, width) + pack_bits(fields, width).tobytes()
+
+
+def encode_block_for(values: np.ndarray) -> bytes | None:
+    """Zig-zag delta frame of reference; ``None`` if not smaller than raw."""
+    if len(values) == 0:
+        return None
+    zigzag = _zigzag_deltas(values)
+    if zigzag is None:
+        return None
+    return _frame_payload(int(values[0]), _required_width(zigzag), zigzag)
+
+
+def encode_block_bp(values: np.ndarray) -> bytes | None:
+    """Plain frame of reference: offsets from the block minimum, packed.
+
+    ``None`` if not smaller than raw, or if the span needs more bits than
+    the window kernel reads (an int64 overflow among them).  *values*
+    are physical: NULL slots hold fill values and count toward the span.
+    """
+    if len(values) == 0:
+        return None
+    base, width = _span_width(values)
+    if width > _WINDOW_MAX_WIDTH:
+        return None
+    return _frame_payload(base, width, values - np.int64(base))
 
 
 def for_block_width(data: bytes, offset: int = 0) -> int:
-    """Bit width the FOR payload at *offset* declares (0 if cut short).
+    """Bit width the ``for`` / ``bp`` payload at *offset* declares (0 if
+    cut short).
 
     Lets a reader group neighbouring blocks for :func:`decode_blocks_for`
-    without knowing the header layout.
+    and :func:`decode_blocks_bp` without knowing the header layout.
     """
     at = offset + _FOR_HEADER.size - 1
     return data[at] if at < len(data) else 0
 
 
-def decode_blocks_for(
-    data: bytes, count: int, blocks: int = 1, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Decode *blocks* FOR payloads laid back to back in *data*.
-
-    The payloads must be equally long and share one bit width (full
-    blocks of one segment column usually do); each holds *count* values.
-    All of them are unpacked, un-zig-zagged, prefix-summed and re-based
-    in one 2-D pass into ``(blocks, count)`` int64 — *out* when given.
-    """
+def _unpack_frames(
+    data: bytes, count: int, blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bases ``(blocks, 1)`` and packed fields ``(blocks, count)`` of
+    *blocks* equally long ``_FOR_HEADER`` payloads of one bit width."""
     stride, ragged = divmod(len(data), blocks)
     if ragged or stride < _FOR_HEADER.size:
         raise StorageError(
-            f"FOR payload cut short: {len(data)} bytes for {blocks} blocks"
+            f"frame payload cut short: {len(data)} bytes for {blocks} blocks"
         )
     headers = [
         _FOR_HEADER.unpack_from(data, row * stride) for row in range(blocks)
     ]
     width = headers[0][1]
     if any(header[1] != width for header in headers):
-        raise StorageError("FOR blocks of one run differ in bit width")
-    zigzag = _unpack_rows(
+        raise StorageError("frame blocks of one run differ in bit width")
+    fields = _unpack_rows(
         np.frombuffer(data, dtype=np.uint8),
         _FOR_HEADER.size,
         stride,
@@ -280,21 +319,51 @@ def decode_blocks_for(
         width,
         count,
     )
+    bases = np.asarray([header[0] for header in headers], dtype=np.int64)
+    return bases[:, None], fields
+
+
+def decode_blocks_for(
+    data: bytes, count: int, blocks: int = 1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Decode *blocks* ``for`` payloads laid back to back in *data*.
+
+    The payloads must be equally long and share one bit width (full
+    blocks of one segment column usually do); each holds *count* values.
+    All of them are unpacked, un-zig-zagged, prefix-summed and re-based
+    in one 2-D pass into ``(blocks, count)`` int64 — *out* when given.
+    """
+    bases, zigzag = _unpack_frames(data, count, blocks)
     sign = zigzag & 1
     np.negative(sign, out=sign)
     zigzag >>= 1
     zigzag ^= sign  # (z >> 1) ^ -(z & 1), in the array _unpack_rows made
     # int64 wraparound round-trips, as in _restore_chain.
     values = np.cumsum(zigzag, axis=1, dtype=np.int64, out=out)
-    values += np.asarray([header[0] for header in headers], dtype=np.int64)[
-        :, None
-    ]
+    values += bases
     return values
 
 
 def decode_block_for(data: bytes, count: int) -> np.ndarray:
-    """Decode a FOR block payload back into int64 values."""
+    """Decode a ``for`` block payload back into int64 values."""
     return decode_blocks_for(data, count)[0]
+
+
+def decode_blocks_bp(
+    data: bytes, count: int, blocks: int = 1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Decode *blocks* ``bp`` payloads laid back to back in *data*.
+
+    The same layout rules as :func:`decode_blocks_for`; the decode is
+    the 2-D unpack and one broadcast add of the bases — no prefix sum.
+    """
+    bases, offsets = _unpack_frames(data, count, blocks)
+    return np.add(offsets, bases, out=offsets if out is None else out)
+
+
+def decode_block_bp(data: bytes, count: int) -> np.ndarray:
+    """Decode a ``bp`` block payload back into int64 values."""
+    return decode_blocks_bp(data, count)[0]
 
 
 def encode_block_pfor(
@@ -323,6 +392,8 @@ def encode_block_pfor(
         if (deltas < 0).any():  # patch set does not cover the disorder
             return None
         width = _required_width(deltas)
+        if width > _WINDOW_MAX_WIDTH:
+            return None
     else:
         width = 0
     size = (
@@ -419,10 +490,13 @@ def pick_int_block_encoding(
     """Choose the cheapest encoding for one int64 block.
 
     Cost-based: candidate payloads are produced and the smallest wins,
-    with raw (``None`` payload) as the floor.  The per-block min/max/null
-    sketch short-circuits hopeless candidates: a constant block goes
-    straight to RLE, and a value span needing 60+ delta bits skips the
-    FOR attempt entirely.
+    with raw (``None`` payload) as the floor.  Of the two frame codecs
+    only one is packed: ``bp`` unless the zig-zag deltas need fewer
+    bits than the span, then ``for`` — a tie goes to ``bp``, whose
+    decode skips the prefix sum.  Neither packs wider than 57 bits.
+    The per-block min/max/null sketch short-circuits hopeless
+    candidates: a constant block goes straight to RLE, and a value span
+    wider than 57 bits skips both frame codecs.
     """
     n = len(values)
     best: tuple[str, bytes | None] = ("raw", None)
@@ -442,7 +516,7 @@ def pick_int_block_encoding(
         if constant:
             return best  # nothing beats one run
 
-    try_for = True
+    try_frame = True
     if (
         stats is not None
         and stats.minimum is not None
@@ -451,11 +525,18 @@ def pick_int_block_encoding(
         and isinstance(stats.maximum, int)
     ):
         span = stats.maximum - stats.minimum
-        try_for = span >= 0 and (2 * span).bit_length() < 60
-    if try_for:
-        encoded = encode_block_for(values)
+        try_frame = 0 <= span and span.bit_length() <= _WINDOW_MAX_WIDTH
+    if try_frame:
+        zigzag = _zigzag_deltas(values)
+        delta_width = 64 if zigzag is None else _required_width(zigzag)
+        encoded: bytes | None = None
+        if _span_width(values)[1] <= delta_width:
+            tag, encoded = "bp", encode_block_bp(values)
+        elif zigzag is not None:  # always: the span never needs 65 bits
+            tag = "for"
+            encoded = _frame_payload(int(values[0]), delta_width, zigzag)
         if encoded is not None and len(encoded) < best_size:
-            best, best_size = ("for", encoded), len(encoded)
+            best, best_size = (tag, encoded), len(encoded)
 
     if exception_positions is not None and len(exception_positions):
         encoded = encode_block_pfor(values, exception_positions)

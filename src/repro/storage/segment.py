@@ -7,11 +7,13 @@ validity bits.  Each block of ``block_size`` rows is encoded
 independently by a cost-based picker
 (:func:`repro.core.compression.pick_int_block_encoding`) driven by the
 per-block min/max/null sketches: ``raw`` (the fallback), ``rle`` for
-runs, ``for`` (frame-of-reference + zig-zag delta) for dense ints,
-``pfor`` (patch-aware FOR — the table's PatchIndex rowids store
-exceptions verbatim so the kept values pack at the clean-column rate,
-the paper's §VIII outlook), and ``dict`` for low-cardinality strings
-against a segment-level sorted dictionary.  The header records
+runs, ``bp`` (frame of reference: offsets from the block minimum) for
+dense ints, ``for`` (zig-zag delta frame of reference) where neighbour
+deltas need fewer bits than the span, ``pfor`` (patch-aware delta FOR
+— the table's PatchIndex rowids store exceptions verbatim so the kept
+values pack at the clean-column rate, the paper's §VIII outlook), and
+``dict`` for low-cardinality strings against a segment-level sorted
+dictionary.  The header records
 ``[start, stop, min, max, nulls, enc, offset, length]`` per block, so a
 reader can prune *and* decode blocks independently — the scan path
 decodes on demand through the block cache (:mod:`repro.storage.cache`)
@@ -35,6 +37,7 @@ from repro.core.compression import (
     decode_block_codes,
     decode_block_pfor,
     decode_block_rle,
+    decode_blocks_bp,
     decode_blocks_for,
     encode_block_codes,
     for_block_width,
@@ -57,10 +60,14 @@ _INT_PHYSICAL = frozenset({DataType.INT64, DataType.DATE})
 #: ``raw`` is the uncompressed floor the codec tests compare against.
 ENCODING_MODES = ("auto", "raw")
 
-#: Most ``for`` blocks one 2-D decode pass takes: past a few blocks the
-#: per-call overhead is already spread thin, and the pass's temporaries
-#: (a handful of arrays the size of its output) stay cache-sized.
+#: Most ``for`` or ``bp`` blocks one 2-D decode pass takes: past a few
+#: blocks the per-call overhead is already spread thin, and the pass's
+#: temporaries (a handful of arrays the size of its output) stay
+#: cache-sized.
 _FOR_GROUP_BLOCKS = 16
+
+#: The frame codecs whose neighbouring blocks decode as one 2-D pass.
+_GROUP_DECODERS = {"for": decode_blocks_for, "bp": decode_blocks_bp}
 
 
 def _jsonable_stat(value: object) -> object:
@@ -395,7 +402,8 @@ class SegmentReader:
         into its rows of one output array.  Neighbouring ``for`` blocks
         of one shape and bit width — a dense column's full blocks —
         decode together in one 2-D pass
-        (:func:`~repro.core.compression.decode_blocks_for`).
+        (:func:`~repro.core.compression.decode_blocks_for`), and so do
+        neighbouring ``bp`` blocks; the two tags never share a pass.
         """
         start, stop = self.stats[first].start, self.stats[last].stop
         lo = self._blocks[first][1]
@@ -409,11 +417,11 @@ class SegmentReader:
             at = offset - lo
             end = index + 1
             try:
-                if tag == "for" and self.dtype in _INT_PHYSICAL:
+                if tag in _GROUP_DECODERS and self.dtype in _INT_PHYSICAL:
                     end = self._for_group_end(data, lo, index, last)
                     rows = end - index
                     out = values[block.start - start :][: rows * block.row_count]
-                    decode_blocks_for(
+                    _GROUP_DECODERS[tag](
                         data[at : at + rows * length],
                         block.row_count,
                         rows,
@@ -438,8 +446,8 @@ class SegmentReader:
     def _for_group_end(
         self, data: memoryview, lo: int, index: int, last: int
     ) -> int:
-        """End (exclusive) of the ``for`` blocks from *index* that decode
-        as one 2-D pass: back to back on disk, same rows, bytes and width."""
+        """End (exclusive) of the blocks from *index* that decode as one
+        2-D pass: back to back on disk, same tag, rows, bytes and width."""
         tag, offset, length = self._blocks[index]
         count = self.stats[index].row_count
         width = for_block_width(data, offset - lo)
@@ -458,7 +466,8 @@ class SegmentReader:
     def _decode_payload(
         self, tag: str, data: memoryview, count: int
     ) -> np.ndarray:
-        """The *count* values one block payload holds (``for`` aside)."""
+        """The *count* values one block payload holds (``for`` and
+        ``bp`` aside)."""
         if tag == "raw":
             if self.dtype == DataType.STRING:
                 return _decode_raw_strings(data, count)

@@ -1,18 +1,27 @@
 """Tests for the bit-packing kernels and block codecs (paper §VIII outlook)."""
 
+import datetime
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.core import compression
 from repro.core.compression import (
+    decode_block_bp,
     decode_block_for,
     decode_block_pfor,
+    decode_blocks_bp,
     decode_blocks_for,
+    encode_block_bp,
     encode_block_for,
     encode_block_pfor,
+    for_block_width,
     pack_bits,
+    pick_int_block_encoding,
     unpack_bits,
     unpack_bits_reference,
 )
@@ -20,7 +29,8 @@ from repro.core.discovery import discover_nsc_patches
 from repro.errors import StorageError
 from repro.gen.synthetic import sorted_with_exceptions
 from repro.storage.column import ColumnVector
-from repro.storage.segment import write_segment
+from repro.storage.schema import Field, Schema
+from repro.storage.segment import open_segment, write_segment
 from repro.types import DataType
 
 
@@ -317,10 +327,206 @@ class TestCompressFor:
         assert len(pfor_roundtrip(column)) < len(plain)
 
 
+def bp_values(rng, width, count, base):
+    """*count* values at *base* whose span needs exactly *width* bits
+    (a single value: width 1)."""
+    values = rng.integers(0, 2**width, size=count, dtype=np.uint64)
+    if count > 1:
+        values[0], values[-1] = 0, 2**width - 1
+    return values.astype(np.int64) + np.int64(base)
+
+
+def fits_raw(width, count):
+    """Whether a frame payload of *count* values at *width* beats raw."""
+    return 9 + (count * width + 7) // 8 < 8 * count
+
+
+class TestCompressBp:
+    """``encode_block_bp`` / ``decode_blocks_bp``: offsets from the block
+    minimum, bit-packed, decoded with one add."""
+
+    @given(
+        st.integers(1, 57),
+        st.sampled_from([1, 2, 7, 8, 9, 100, 4096]),
+        st.integers(-(2**63), 2**63 - 2**57),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_roundtrip(self, width, count, base, seed):
+        values = bp_values(np.random.default_rng(seed), width, count, base)
+        payload = encode_block_bp(values)
+        expected_width = width if count > 1 else 1
+        assert (payload is not None) == fits_raw(expected_width, count)
+        if payload is not None:
+            assert for_block_width(payload) == expected_width
+            np.testing.assert_array_equal(decode_block_bp(payload, count), values)
+
+    @given(
+        st.integers(1, 5),
+        st.sampled_from([8, 64, 100, 4096]),
+        st.integers(1, 57),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_decode_together_as_they_do_alone(
+        self, blocks, count, width, seed
+    ):
+        rng = np.random.default_rng(seed)
+        payloads = [
+            encode_block_bp(
+                bp_values(rng, width, count, int(rng.integers(-(2**62), 2**62)))
+            )
+            for _ in range(blocks)
+        ]
+        if payloads[0] is None:  # too wide to beat raw at this count
+            assert not fits_raw(width, count)
+            return
+        out = np.empty((blocks, count), dtype=np.int64)
+        together = decode_blocks_bp(b"".join(payloads), count, blocks, out=out)
+        assert together is out
+        for row, payload in zip(together, payloads):
+            np.testing.assert_array_equal(row, decode_block_bp(payload, count))
+
+    def test_blocks_of_different_width_do_not_decode_together(self):
+        narrow = encode_block_bp(np.arange(64, dtype=np.int64))
+        wide = encode_block_bp(np.arange(64, dtype=np.int64) * 1000)
+        with pytest.raises(StorageError):
+            decode_blocks_bp(narrow + wide[: len(narrow)], 64, 2)
+
+    def test_int64_extremes_never_yield_bp(self):
+        values = np.array([-(2**63), 2**63 - 1] * 32, dtype=np.int64)
+        assert encode_block_bp(values) is None
+        assert encode_block_bp(values[::-1].copy()) is None
+        # Zig-zag deltas wrap around to +-1 here, and ``for`` round-trips.
+        tag, payload = pick_int_block_encoding(values)
+        assert tag == "for"
+        np.testing.assert_array_equal(decode_block_for(payload, 64), values)
+
+    def test_widths_past_the_window_kernel_are_refused(self):
+        rng = np.random.default_rng(4)
+        assert encode_block_bp(bp_values(rng, 57, 4096, -5)) is not None
+        for width in (58, 60, 63):
+            values = bp_values(rng, width, 4096, -(2**62))
+            assert encode_block_bp(values) is None
+            assert encode_block_for(values) is None
+            assert pick_int_block_encoding(values) == ("raw", None)
+        # Sorted but for one jump of 2^60: the kept deltas need 61 bits.
+        jump = np.concatenate([np.arange(4096), np.arange(4096) + 2**60])
+        assert encode_block_pfor(jump, np.array([5])) is None
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.integers(0, 2**20)),
+            min_size=1,
+            max_size=300,
+        ),
+        st.integers(-(2**40), 2**40),
+        st.sampled_from([DataType.INT64, DataType.DATE]),
+        st.sampled_from([1, 7, 64, 4096]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_segment_roundtrip(
+        self, tmp_path_factory, items, shift, dtype, block_size
+    ):
+        # NULL slots hold the fill value 0 wherever the shifted valid
+        # values lie; single-row and short last blocks come with the
+        # block sizes.
+        if dtype == DataType.DATE:
+            shift %= 100_000
+            epoch = datetime.date(1970, 1, 1)
+            items = [
+                None if item is None else epoch + datetime.timedelta(item + shift)
+                for item in items
+            ]
+        else:
+            items = [None if item is None else item + shift for item in items]
+        column = ColumnVector.from_pylist(dtype, items)
+        path = tmp_path_factory.mktemp("bp") / "col.seg"
+        write_segment(path, column, block_size, sync=False)
+        reader = open_segment(path)
+        try:
+            assert reader.read_all().to_pylist() == column.to_pylist()
+            last = reader.block_count - 1
+            assert reader.decode_run(last, last).to_pylist() == (
+                column.slice(reader.stats[last].start, len(items)).to_pylist()
+            )
+        finally:
+            reader.close()
+
+    def test_null_fill_below_the_valid_minimum(self, tmp_path):
+        # The sketch's minimum is 5000; the physical block's is the
+        # NULL slots' fill value 0, and that is the frame's base.
+        items = [5000 + (i * 37) % 1000 for i in range(200)]
+        items[3] = items[150] = None
+        column = ColumnVector.from_pylist(DataType.INT64, items)
+        payload = encode_block_bp(column.values)
+        assert struct.unpack_from("<q", payload)[0] == 0
+        info = write_segment(tmp_path / "col.seg", column, sync=False)
+        assert info.encodings == {"bp": 1}
+        reader = open_segment(tmp_path / "col.seg")
+        try:
+            assert reader.stats[0].minimum == 5000
+            assert reader.read_all().to_pylist() == items
+        finally:
+            reader.close()
+
+
+class TestPicker:
+    """``pick_int_block_encoding`` between the two frame codecs."""
+
+    def test_a_width_tie_goes_to_bp(self):
+        values = np.arange(64, dtype=np.int64)
+        values[32:] += 200  # span 263 and largest delta 201: 9 bits each
+        assert for_block_width(encode_block_for(values)) == 9
+        assert for_block_width(encode_block_bp(values)) == 9
+        assert pick_int_block_encoding(values)[0] == "bp"
+
+    def test_a_ramp_stays_for(self):
+        values = np.arange(4096, dtype=np.int64)
+        tag, payload = pick_int_block_encoding(values)
+        assert tag == "for" and payload == encode_block_for(values)
+
+    def test_uniform_values_take_bp(self):
+        values = np.random.default_rng(8).integers(-(2**19), 2**19, 4096)
+        tag, payload = pick_int_block_encoding(values)
+        assert tag == "bp" and payload == encode_block_bp(values)
+        assert len(payload) < len(encode_block_for(values))
+
+    def test_nsc_patch_rowids_still_give_pfor(self):
+        column = sorted_with_exceptions(4096, 0.01, seed=9)
+        tag, payload = pick_int_block_encoding(
+            column.values, discover_nsc_patches(column)
+        )
+        assert tag == "pfor"
+        assert len(payload) < len(encode_block_bp(column.values))
+
+
+def test_wide_spans_never_reach_the_reference_kernel(tmp_path, monkeypatch):
+    # Blocks spanning 2^60 checkpoint to raw: no writer packs a width
+    # only unpack_bits_reference can read.
+    values = np.random.default_rng(10).integers(0, 2**60, 10_000).tolist()
+    schema = Schema([Field("c", DataType.INT64)])
+    db = repro.connect(path=tmp_path)
+    db.create_table_from_pydict("t", schema, {"c": values})
+    detail = db.checkpoint()["table_details"]["t"]["columns"]["c"]
+    assert set(detail["encodings"]) == {"raw"}
+    db.close()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan decoded through the reference kernel")
+
+    monkeypatch.setattr(compression, "unpack_bits_reference", refuse)
+    reopened = repro.connect(path=tmp_path)
+    try:
+        assert reopened.sql("SELECT c FROM t").to_pydict()["c"] == values
+    finally:
+        reopened.close()
+
+
 class TestReport:
     def test_report_keys(self, tmp_path):
         # The engine's own report, SegmentWriteInfo: knowing the patches
-        # turns the column's ``for`` blocks into smaller ``pfor`` ones.
+        # turns the column's ``bp`` blocks into smaller ``pfor`` ones.
         column = sorted_with_exceptions(5000, 0.02, seed=7)
         plain = write_segment(tmp_path / "plain.seg", column, sync=False)
         patched = write_segment(
@@ -329,6 +535,6 @@ class TestReport:
             sync=False,
             patch_rowids=discover_nsc_patches(column),
         )
-        assert set(plain.encodings) == {"for"}
+        assert set(plain.encodings) == {"bp"}
         assert set(patched.encodings) == {"pfor"}
         assert patched.encoded_ratio < plain.encoded_ratio < 1.0

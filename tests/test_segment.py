@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.compression import (
+    encode_block_bp,
     encode_block_codes,
     encode_block_for,
     encode_block_pfor,
@@ -16,6 +17,7 @@ from repro.core.compression import (
 from repro.errors import StorageError
 from repro.storage.cache import BlockCache, SegmentColumnSource
 from repro.storage.column import ColumnVector
+from repro.storage import segment
 from repro.storage.segment import (
     open_segment,
     read_segment,
@@ -233,7 +235,7 @@ class TestDecodeRun:
             path, column, block_size=64, sync=False, patch_rowids=patches
         )
         if dtype == DataType.INT64:
-            assert set(info.encodings) == {"for", "rle", "raw", "pfor"}
+            assert set(info.encodings) == {"for", "bp", "rle", "raw", "pfor"}
         else:
             assert set(info.encodings) == {"dict"}
         reader = open_segment(path)
@@ -282,6 +284,82 @@ class TestDecodeRun:
         assert info.encodings == {"for": 9}
         loaded, __ = read_segment(path)
         np.testing.assert_array_equal(loaded.values, column.values)
+
+
+    def test_full_size_bp_blocks_group_across_widths(self, tmp_path, monkeypatch):
+        # The bp twin: 5 full blocks of 20-bit offsets, 3 of 10-bit ones,
+        # then a partial one; read_all decodes them as three passes.
+        rng = np.random.default_rng(6)
+        values = np.concatenate(
+            [
+                rng.integers(-(2**19), 2**19, 5 * 4096),
+                rng.integers(0, 2**10, 3 * 4096 + 77) + 2**40,
+            ]
+        )
+        column = ColumnVector(DataType.INT64, values)
+        path = tmp_path / "col.seg"
+        info = write_segment(path, column, sync=False)
+        assert info.encodings == {"bp": 9}
+        passes = spy_on_passes(monkeypatch)
+        loaded, __ = read_segment(path)
+        np.testing.assert_array_equal(loaded.values, values)
+        assert passes == [("bp", 5), ("bp", 3), ("bp", 1)]
+
+    def test_mixed_frame_neighbours_never_share_a_pass(self, tmp_path, monkeypatch):
+        # 64-row blocks: 18 bp, 2 for, 1 bp, 1 pfor, 1 raw, 2 bp.  A pass
+        # takes at most 16 blocks of one tag; every run reads back.
+        rng = np.random.default_rng(7)
+
+        def uniform():
+            return rng.integers(0, 2**12, 64)
+
+        blocks = [uniform() for _ in range(18)]
+        blocks += [np.arange(64) * 3, np.arange(64) * 3 + 500, uniform()]
+        sorted_block = np.arange(64) * 2
+        sorted_block[[9, 40]] = [10**9, -(10**9)]
+        blocks += [sorted_block, rng.integers(-(2**62), 2**62, 64)]
+        blocks += [uniform(), uniform()]
+        column = ColumnVector(DataType.INT64, np.concatenate(blocks))
+        path = tmp_path / "col.seg"
+        write_segment(
+            path,
+            column,
+            block_size=64,
+            sync=False,
+            patch_rowids=np.array([21 * 64 + 9, 21 * 64 + 40]),
+        )
+        reader = open_segment(path)
+        try:
+            assert reader.encodings == (
+                ["bp"] * 18 + ["for"] * 2 + ["bp", "pfor", "raw", "bp", "bp"]
+            )
+            passes = spy_on_passes(monkeypatch)
+            np.testing.assert_array_equal(reader.read_all().values, column.values)
+            assert passes == [
+                ("bp", 16), ("bp", 2), ("for", 2), ("bp", 1), ("bp", 2)
+            ]
+            for first in range(reader.block_count):
+                for last in range(first, reader.block_count):
+                    start, stop = reader.stats[first].start, reader.stats[last].stop
+                    np.testing.assert_array_equal(
+                        reader.decode_run(first, last).values,
+                        column.values[start:stop],
+                    )
+        finally:
+            reader.close()
+
+
+def spy_on_passes(monkeypatch):
+    """Record ``(tag, blocks)`` for every 2-D frame decode pass."""
+    passes = []
+    for tag, decode in list(segment._GROUP_DECODERS.items()):
+
+        def spy(data, count, blocks=1, out=None, tag=tag, decode=decode):
+            passes.append((tag, blocks))
+            return decode(data, count, blocks, out=out)
+
+        monkeypatch.setitem(segment._GROUP_DECODERS, tag, spy)
+    return passes
 
 
 def handmade_segment(path, dtype, tag, payload, count, dictionary=()):
@@ -337,6 +415,13 @@ def corrupt_payloads():
     for width in (0, 64, 200):
         add(f"for-width-{width}", DataType.INT64, "for", set_byte(good, 8, width))
     add("for-more-rows-than-packed", DataType.INT64, "for", good, 4 * count)
+
+    good = encode_block_bp(values)
+    for cut in (0, 4, 8, 9, 9 + (len(good) - 9) // 2, len(good) - 1):
+        add(f"bp-cut-{cut}", DataType.INT64, "bp", good[:cut])
+    for width in (0, 64, 200):
+        add(f"bp-width-{width}", DataType.INT64, "bp", set_byte(good, 8, width))
+    add("bp-more-rows-than-packed", DataType.INT64, "bp", good, 4 * count)
 
     dirty = values.copy()
     exceptions = np.array([10, 50], dtype=np.int64)
@@ -409,6 +494,7 @@ def corrupt_payloads():
     add("dict-block-rows-lie", DataType.STRING, "dict", good, 4 * count, words)
     add("dict-without-dictionary", DataType.STRING, "dict", good)
     add("int-codec-on-a-float-column", DataType.FLOAT64, "for", encode_block_for(values))
+    add("bp-on-a-float-column", DataType.FLOAT64, "bp", encode_block_bp(values))
     add("raw-cut-short", DataType.INT64, "raw", values.tobytes()[:-3])
     return cases
 
@@ -561,12 +647,13 @@ class TestCorruption:
         column = ColumnVector.from_pylist(DataType.INT64, [1, 2, 3])
         path = tmp_path / "col.seg"
         write_segment(path, column, sync=False)
-        raw = path.read_bytes()
-        head, sep, tail = raw.partition(b'"for"')
-        if not sep:
-            head, sep, tail = raw.partition(b'"raw"')
-        path.write_bytes(head + b'"xxx"' + tail)
-        with pytest.raises(StorageError):
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        parsed = json.loads(header)
+        parsed["blocks"][0][5] = "xxx"
+        path.write_bytes(
+            magic + b"\n" + json.dumps(parsed).encode("utf-8") + b"\n" + payload
+        )
+        with pytest.raises(StorageError, match="block 0"):
             read_segment(path)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
