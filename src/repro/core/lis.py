@@ -19,7 +19,8 @@ step take the classic one, so the worst case (``r ≈ n``) stays
 Fredman's ``O(n log n)``.
 
 The paper's order relation ``⊲`` is arbitrary; we support ascending and
-descending, strict and non-strict variants.  The default matches the
+descending, strict and non-strict variants; a string column runs on
+its dense codes, which keep every comparison.  The default matches the
 paper's evaluation ("we focused on discovering ascending orders") with
 duplicates allowed (non-strict), since equal neighboring values do not
 violate a sortedness guarantee used by MergeJoin/MergeUnion.
@@ -27,7 +28,6 @@ violate a sortedness guarantee used by MergeJoin/MergeUnion.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +44,7 @@ class SortedSubsequence(NamedTuple):
 
     #: Positions of the subsequence in the input, ascending (int64).
     positions: np.ndarray
-    #: Sorted runs the input was cut into (0 when it was not cut:
-    #: empty input, object dtype).
+    #: Sorted runs the input was cut into (0 for empty input).
     runs: int
     #: Elements placed by the classic one-at-a-time step.
     scalar_steps: int
@@ -62,7 +61,8 @@ def longest_sorted_subsequence_indices(
     ----------
     values:
         One-dimensional array.  Any dtype with a total order works,
-        including ``object`` arrays of strings.
+        including ``object`` arrays of strings, which run on their
+        dense codes.
     ascending:
         Direction of the order relation.
     strict:
@@ -71,9 +71,9 @@ def longest_sorted_subsequence_indices(
 
     Notes
     -----
-    ``O(n)`` NumPy work plus ``O(r log n)`` for the ``r`` sorted runs of
-    numeric input (worst case ``O(n log n)``), ``O(n)`` space; object
-    input takes one :mod:`bisect` step per element.  Ties in length are
+    ``O(n)`` NumPy work plus ``O(r log n)`` for the ``r`` sorted runs
+    (worst case ``O(n log n)``), ``O(n)`` space; object input adds the
+    stable sort that codes it.  Ties in length are
     broken toward the lexicographically earliest positions that the
     classic algorithm produces.
     """
@@ -87,9 +87,21 @@ def longest_sorted_subsequence(
     if len(values) == 0:
         return SortedSubsequence(np.empty(0, dtype=np.int64), 0, 0)
     if values.dtype == np.dtype(object):
-        return _lis_object(values, ascending=ascending, strict=strict)
+        values = _dense_codes(values)
     # Descending is ascending over an order-reversing transform.
     return _lis_numeric(values if ascending else _negate(values), strict=strict)
+
+
+def _dense_codes(values: np.ndarray) -> np.ndarray:
+    """Integer codes keeping every <, = and > between *values*: the
+    ranks of the distinct values (what ``np.unique(values,
+    return_inverse=True)`` returns).  A stable sort finds them, which
+    costs a nearly sorted column little more than one pass."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    codes = np.empty(len(values), dtype=np.int64)
+    codes[order] = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    return codes
 
 
 def _negate(values: np.ndarray) -> np.ndarray:
@@ -166,54 +178,6 @@ def _lis_numeric(values: np.ndarray, strict: bool) -> SortedSubsequence:
         runs=len(starts),
         scalar_steps=scalar_steps,
     )
-
-
-def _lis_object(
-    values: np.ndarray, ascending: bool, strict: bool
-) -> SortedSubsequence:
-    """Patience algorithm using bisect, one step per element (object dtype)."""
-    n = len(values)
-    tails: list[object] = []
-    tail_positions: list[int] = []
-    predecessors = np.full(n, -1, dtype=np.int64)
-    locate = bisect_left if strict else bisect_right
-    key = None if ascending else _ReverseKey
-
-    for position in range(n):
-        value = values[position]
-        probe = key(value) if key is not None else value
-        slot = locate(tails, probe)
-        if slot == len(tails):
-            tails.append(probe)
-            tail_positions.append(position)
-        else:
-            tails[slot] = probe
-            tail_positions[slot] = position
-        if slot > 0:
-            predecessors[position] = tail_positions[slot - 1]
-    return SortedSubsequence(
-        _reconstruct(predecessors, tail_positions[len(tails) - 1], len(tails)),
-        runs=0,
-        scalar_steps=n,
-    )
-
-
-class _ReverseKey:
-    """Wrapper inverting comparisons, turning descending into ascending."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object):
-        self.value = value
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        return other.value < self.value
-
-    def __le__(self, other: "_ReverseKey") -> bool:
-        return other.value <= self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseKey) and other.value == self.value
 
 
 def _reconstruct(

@@ -11,8 +11,10 @@ side's keys into the larger side's keys produces the interleaving
 permutation in ``O(m log n + n)``, which preserves the asymptotic
 advantage over re-sorting (``O(n log n)``).
 
-On equal keys the *left* input's rows are emitted first (``side="right"``
-in the search), making the merge deterministic.
+It merges on exactly one key, the rewrite's, and orders as the Sort
+operator does: values compared as stored, each side's NULL run placed
+by position.  On equal keys the *left* input's rows are emitted first
+(``side="right"`` in the search), making the merge deterministic.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ from repro.storage.schema import Schema
 
 
 class MergeUnion(Operator):
-    """Order-preserving union of two sorted inputs."""
+    """Order-preserving union of two inputs sorted on one key."""
 
     def __init__(self, left: Operator, right: Operator, keys: list[SortKey]):
         if tuple(field.dtype for field in left.schema) != tuple(
             field.dtype for field in right.schema
         ):
             raise PlanError("merge-union inputs have mismatched column types")
-        if not keys:
-            raise PlanError("merge-union requires at least one sort key")
+        if len(keys) != 1:
+            raise PlanError("merge-union takes exactly one sort key")
         self.left = left
         self.right = right
         self.keys = list(keys)
@@ -75,16 +77,10 @@ class MergeUnion(Operator):
             return right
         if right is None:
             return left
-        # Keys must share a dtype across the two sides; only promote to
-        # float64 (for the NULL sentinel) when either side has NULLs.
-        promote = any(
-            batch.column(key.column).has_nulls
-            for batch in (left, right)
-            for key in self.keys
+        key = self.keys[0]
+        take_left, take_right = _merge_sides(
+            left.column(key.column), right.column(key.column), key.ascending
         )
-        left_keys = merge_keys(left, self.keys, promote)
-        right_keys = merge_keys(right, self.keys, promote)
-        take_left, take_right = merge_permutation(left_keys, right_keys)
         columns = {
             field.name: _interleave(
                 left.column(field.name),
@@ -100,74 +96,59 @@ class MergeUnion(Operator):
         return f"MergeUnion({', '.join(str(key) for key in self.keys)})"
 
 
-class _ReverseKey:
-    """Comparison-inverting wrapper for descending object keys."""
+def _merge_sides(
+    left: ColumnVector, right: ColumnVector, ascending: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output positions of two sides sorted on one key, as Sort orders it.
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: object):
-        self.value = value
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        return other.value < self.value
-
-    def __le__(self, other: "_ReverseKey") -> bool:
-        return other.value <= self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseKey) and other.value == self.value
-
-
-def merge_keys(
-    batch: RecordBatch, keys: list[SortKey], promote: bool = True
-) -> np.ndarray:
-    """Produce an ascending-comparable key array for a sorted batch.
-
-    Single numeric keys stay NumPy-native (fast path); everything else
-    falls back to an object array of comparable per-row keys.  NULLs
-    compare greater than all values (NULLS LAST under ascending), the
-    same convention as the Sort operator.
-
-    *promote* forces float64 keys; the caller sets it when *either*
-    merge side carries NULLs so the two key arrays keep one dtype.
-    (Integers beyond 2**53 would lose precision under promotion; the
-    engine's key domains are far below that.)
+    The values merge as stored.  Each side's NULL run (at its end, or
+    its start when descending) goes after the merged values (before
+    them when descending), the left side's run first.
     """
-    if len(keys) == 1:
-        column = batch.column(keys[0].column)
-        if column.values.dtype != np.dtype(object):
-            if not promote and column.validity is None:
-                if keys[0].ascending:
-                    return column.values
-                return -column.values.astype(np.float64)
-            out = column.values.astype(np.float64, copy=True)
-            if column.validity is not None:
-                out[~column.validity] = np.inf
-            return out if keys[0].ascending else -out
-    parts: list[list[object]] = []
-    for key in keys:
-        column = batch.column(key.column)
-        validity = column.validity_or_all_true()
-        values = column.values
-        part: list[object] = []
-        for position in range(len(column)):
-            is_null = not validity[position]
-            raw = None if is_null else values[position]
-            if key.ascending:
-                # NULLS LAST: (True, _) sorts after every (False, value).
-                part.append((is_null, raw) if not is_null else (True, 0))
-            else:
-                # NULL compares greater than every value, so under a
-                # descending key it comes FIRST — same convention as
-                # the Sort operator and the numeric fast path above.
-                part.append(
-                    (True, _ReverseKey(raw)) if not is_null else (False, 0)
-                )
-        parts.append(part)
-    out = np.empty(len(parts[0]), dtype=object)
-    for position in range(len(parts[0])):
-        out[position] = tuple(part[position] for part in parts)
-    return out
+    if left.validity is None and right.validity is None:
+        return _merge_values(left.values, right.values, ascending)
+    left_nulls, right_nulls = left.null_count(), right.null_count()
+    nulls = left_nulls + right_nulls
+    if ascending:
+        left_values = left.values[: len(left) - left_nulls]
+        right_values = right.values[: len(right) - right_nulls]
+        values_at, nulls_at = 0, len(left_values) + len(right_values)
+    else:
+        left_values = left.values[left_nulls:]
+        right_values = right.values[right_nulls:]
+        values_at, nulls_at = nulls, 0
+    take_left, take_right = _merge_values(left_values, right_values, ascending)
+    run = np.arange(nulls, dtype=np.int64) + nulls_at
+    left_run, right_run = run[:left_nulls], run[left_nulls:]
+    take_left += values_at
+    take_right += values_at
+    if ascending:
+        return (
+            np.concatenate((take_left, left_run)),
+            np.concatenate((take_right, right_run)),
+        )
+    return (
+        np.concatenate((left_run, take_left)),
+        np.concatenate((right_run, take_right)),
+    )
+
+
+def _merge_values(
+    left: np.ndarray, right: np.ndarray, ascending: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`merge_permutation` in either direction.
+
+    A descending merge searches contiguous reversed copies, with the
+    sides swapped so that ties still emit the left rows first once the
+    output is turned back around.
+    """
+    if ascending:
+        return merge_permutation(left, right)
+    last = len(left) + len(right) - 1
+    reversed_right, reversed_left = merge_permutation(
+        np.ascontiguousarray(right[::-1]), np.ascontiguousarray(left[::-1])
+    )
+    return last - reversed_left[::-1], last - reversed_right[::-1]
 
 
 def merge_permutation(

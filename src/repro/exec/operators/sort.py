@@ -6,8 +6,12 @@ qualitative behaviour as the engine-internal QuickSort the paper
 describes ("behaving better the more sorted the data values already
 are", §VII-B1), which is what the Figure-5 baseline curve relies on.
 
-NULL ordering: NULLS LAST for ascending keys, NULLS FIRST for
-descending (i.e. NULL compares greater than every value).
+Order: every key compares its values as stored (no promotion, so an
+INT64 beyond 2**53 keeps its place), NaN after every number as NumPy
+orders it, and NULL after every value — NULLS LAST for an ascending
+key, NULLS FIRST for a descending one.  NULLs are placed by position,
+never given a sentinel value; a descending key reverses the sort,
+never the values.  TopN and MergeUnion follow the same rule.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ class Sort(Operator):
     def __init__(self, child: Operator, keys: list[SortKey]):
         self.child = child
         self.keys = list(keys)
-        self._pending: list[RecordBatch] | None = None
         self._done = False
 
     @property
@@ -77,30 +80,23 @@ def sort_order(
     n = len(columns[0]) if columns else 0
     order = np.arange(n, dtype=np.int64)
     for column, asc in list(zip(columns, ascending))[::-1]:
-        values = column.values[order]
-        keys = _null_aware_keys(column, values, order)
-        suborder = _stable_argsort(keys, asc)
-        order = order[suborder]
+        validity = None if column.validity is None else column.validity[order]
+        order = order[key_order(column.values[order], validity, asc)]
     return order
 
 
-def _null_aware_keys(
-    column: ColumnVector, values: np.ndarray, order: np.ndarray
+def key_order(
+    values: np.ndarray, validity: np.ndarray | None, ascending: bool
 ) -> np.ndarray:
-    """Keys where NULL sorts after everything (in the ascending view)."""
-    if column.validity is None:
-        return values
-    validity = column.validity[order]
-    if values.dtype == np.dtype(object):
-        # Object arrays cannot hold a +inf sentinel; sort by
-        # (is_null, value) tuples instead (bool compares before value).
-        out = np.empty(len(values), dtype=object)
-        for position, (valid, value) in enumerate(zip(validity, values)):
-            out[position] = (not valid, value)
-        return out
-    out = values.astype(np.float64, copy=True)
-    out[~validity] = np.inf
-    return out
+    """Stable permutation ordering one key: the valid values as stored,
+    then the NULL rows in their input order (NULLs first when
+    descending)."""
+    if validity is None:
+        return _stable_argsort(values, ascending)
+    present = np.flatnonzero(validity)
+    nulls = np.flatnonzero(~validity)
+    ranked = present[_stable_argsort(values[present], ascending)]
+    return np.concatenate((ranked, nulls) if ascending else (nulls, ranked))
 
 
 def _stable_argsort(keys: np.ndarray, ascending: bool) -> np.ndarray:

@@ -6,12 +6,12 @@ partial partition (``np.argpartition``, O(n)) and sorts only that
 slice — the standard analytic-engine optimization, applied by the
 physical planner whenever a Limit sits directly on a Sort.
 
-Single-key numeric/date sorts take the partition fast path; multi-key
-and string sorts fall back to a full sort followed by a slice (still
-one operator, no semantic difference).  Ties are broken arbitrarily on
-the fast path (SQL leaves ORDER BY ties unordered); NULL ordering
-matches the Sort operator (NULLS LAST ascending, NULLS FIRST
-descending).
+A single numeric/date key takes the partition fast path over its valid
+values as stored (a descending key takes the top of the partition);
+multi-key and string sorts fall back to a full sort followed by a
+slice (still one operator, no semantic difference).  Ties are broken
+arbitrarily on the fast path (SQL leaves ORDER BY ties unordered); the
+order, NULLs and NaN included, is the Sort operator's.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import PlanError
 from repro.exec.batch import RecordBatch
 from repro.exec.operators.base import Operator
-from repro.exec.operators.sort import SortKey, sort_order
+from repro.exec.operators.sort import SortKey, key_order, sort_order
 from repro.storage.schema import Schema
 
 
@@ -71,30 +71,46 @@ class TopN(Operator):
         return data.take(selected).drop_rowids()
 
     def _top_order(self, data: RecordBatch, wanted: int) -> np.ndarray:
-        n = len(data)
         key = self.keys[0]
         column = data.column(key.column)
-        partitionable = (
-            len(self.keys) == 1
-            and column.values.dtype != np.dtype(object)
-            and wanted < n
-        )
-        if not partitionable:
+        if (
+            len(self.keys) > 1
+            or column.values.dtype == np.dtype(object)
+            or wanted >= len(data)
+        ):
             full = sort_order(
                 [data.column(k.column) for k in self.keys],
                 [k.ascending for k in self.keys],
             )
-            return full[: min(wanted, n)]
-        # Null-aware ascending-comparable keys, as in the Sort operator.
-        keys = column.values.astype(np.float64, copy=True)
-        if column.validity is not None:
-            keys[~column.validity] = np.inf
-        if not key.ascending:
-            keys = -keys
-        top = np.argpartition(keys, wanted)[:wanted]
-        return top[np.argsort(keys[top], kind="stable")]
+            return full[:wanted]
+        values, validity = column.values, column.validity
+        if validity is None:
+            top = _top_positions(values, wanted, key.ascending)
+            return top[key_order(values[top], None, key.ascending)]
+        # The best valid values plus the first NULL rows: key_order puts
+        # each where Sort would and the slice keeps the first *wanted*.
+        # A valid value's position is its rank among the valid values
+        # plus the NULL rows before it (``nulls[j] - j`` valid rows
+        # precede NULL row j).
+        nulls = np.flatnonzero(~validity)
+        top = _top_positions(values[validity], wanted, key.ascending)
+        top = top + np.searchsorted(nulls - np.arange(len(nulls)), top, side="right")
+        top = np.concatenate((top, nulls[:wanted]))
+        order = key_order(values[top], validity[top], key.ascending)
+        return top[order[:wanted]]
 
     def label(self) -> str:
         rendered = ", ".join(str(key) for key in self.keys)
         suffix = f" OFFSET {self.offset}" if self.offset else ""
         return f"TopN({rendered} LIMIT {self.limit}{suffix})"
+
+
+def _top_positions(values: np.ndarray, wanted: int, ascending: bool) -> np.ndarray:
+    """Positions of the *wanted* first values (all of them when fewer),
+    in no particular order."""
+    n = len(values)
+    if wanted >= n:
+        return np.arange(n, dtype=np.int64)
+    if ascending:
+        return np.argpartition(values, wanted - 1)[:wanted]
+    return np.argpartition(values, n - wanted)[n - wanted :]

@@ -9,7 +9,7 @@ Components:
 - :mod:`~repro.exec.parallel.morsels` — the morsel dispatcher splitting
   (range-restricted) scans into partition/block-aligned work units;
 - :mod:`~repro.exec.parallel.terminals` — the parallel-aware blocking
-  operators (distinct, two-phase aggregation, sort + k-way merge), the
+  operators (distinct, two-phase aggregation, sort), the
   only operators that fan out: each runs a pipeline fragment per morsel
   with its partial on top and merges the partials in morsel order.
 
@@ -33,7 +33,6 @@ from repro.exec.parallel.terminals import (
     ParallelAggregate,
     ParallelDistinct,
     ParallelSort,
-    merge_sorted_runs,
 )
 
 # Only caller: bench_e2e/tracing.py ("stop whatever parallelism=2 started").
@@ -52,5 +51,4 @@ __all__ = [
     "ParallelAggregate",
     "ParallelDistinct",
     "ParallelSort",
-    "merge_sorted_runs",
 ]

@@ -14,10 +14,11 @@ the gather point on the caller's thread:
   half-sums or float sums plus a count), or a lone COUNT(DISTINCT) via
   per-morsel distinct partials;
 - :class:`ParallelSort` — per-morsel sort producing sorted runs,
-  combined by a balanced k-way merge built from the MergeUnion kernels.
-  The planner never puts it over an NSC rewrite's exclude-patches
-  branch: those morsels are already sorted runs, which the serial
-  run-adaptive kernel merges faster than a fan-out does.
+  combined by the serial Sort over the runs in morsel order (its
+  stable sort finds the runs and merges them).  The planner never puts
+  it over an NSC rewrite's exclude-patches branch: those morsels are
+  already sorted runs, which the serial run-adaptive kernel merges
+  faster than a fan-out does.
 
 Partials are gathered in *morsel submission order* — morsels are
 created in ascending rowid order — and merged with order-insensitive or
@@ -47,11 +48,6 @@ from repro.exec.operators.aggregate import (
 )
 from repro.exec.operators.base import Operator
 from repro.exec.operators.distinct import Distinct
-from repro.exec.operators.merge_union import (
-    _interleave,
-    merge_keys,
-    merge_permutation,
-)
 from repro.exec.operators.sort import Sort, SortKey
 from repro.exec.parallel.morsels import Morsel
 from repro.exec.parallel.pool import get_pool
@@ -235,7 +231,12 @@ class ParallelDistinct(_ParallelBlocking):
 
 
 class ParallelSort(_ParallelBlocking):
-    """Per-morsel sort plus a balanced k-way merge of the sorted runs."""
+    """Per-morsel sorts, gathered by the serial Sort over the runs.
+
+    A stable sort of the runs in morsel order is the serial Sort of the
+    input, row for row, the way :class:`ParallelDistinct`'s gather is a
+    :class:`Distinct`.
+    """
 
     def __init__(
         self,
@@ -259,56 +260,11 @@ class ParallelSort(_ParallelBlocking):
     def _combine(self, partials: list[RecordBatch]) -> RecordBatch | None:
         if not partials:
             return None
-        return merge_sorted_runs(partials, self.keys, self._schema)
+        return _drain_one(Sort(BatchSource(self._schema, partials), self.keys))
 
     def label(self) -> str:
         keys = ", ".join(str(key) for key in self.keys)
         return f"ParallelSort({keys}; {self._detail()})"
-
-
-def merge_sorted_runs(
-    runs: list[RecordBatch], keys: list[SortKey], schema: Schema
-) -> RecordBatch:
-    """K-way merge of sorted runs via a balanced tree of 2-way merges.
-
-    Adjacent runs merge pairwise (ties taking the left / earlier run
-    first), so the result is exactly what one stable sort of the
-    concatenated input would produce — runs must be given in input
-    order for that equivalence.
-    """
-    while len(runs) > 1:
-        merged: list[RecordBatch] = []
-        for position in range(0, len(runs) - 1, 2):
-            merged.append(
-                _merge_pair(runs[position], runs[position + 1], keys, schema)
-            )
-        if len(runs) % 2:
-            merged.append(runs[-1])
-        runs = merged
-    return runs[0]
-
-
-def _merge_pair(
-    left: RecordBatch, right: RecordBatch, keys: list[SortKey], schema: Schema
-) -> RecordBatch:
-    promote = any(
-        batch.column(key.column).has_nulls
-        for batch in (left, right)
-        for key in keys
-    )
-    left_keys = merge_keys(left, keys, promote)
-    right_keys = merge_keys(right, keys, promote)
-    left_positions, right_positions = merge_permutation(left_keys, right_keys)
-    columns = {
-        field.name: _interleave(
-            left.column(field.name),
-            right.column(field.name),
-            left_positions,
-            right_positions,
-        )
-        for field in schema
-    }
-    return RecordBatch(schema, columns)
 
 
 class ParallelAggregate(_ParallelBlocking):
@@ -468,6 +424,6 @@ def _drain_one(operator: Operator) -> RecordBatch:
         batch = operator.next_batch()
     finally:
         operator.close()
-    if batch is None:  # pragma: no cover - blocking aggregates always emit
+    if batch is None:  # pragma: no cover - callers never pass empty input
         raise PlanError("blocking operator produced no batch")
     return batch

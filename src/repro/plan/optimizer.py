@@ -31,7 +31,7 @@ physical planner answers it from the patch set alone (``PatchCount``).
 column becomes a merge of the already-sorted exclude branch with a sort
 of only the patches.  Since NSC discovery is partition-local (§VI-A2),
 the exclude branch of a multi-partition table is a set of sorted *runs*
-— one per partition — merged by a balanced tree of MergeUnions.
+— one per partition — merged by a run-merging Sort.
 
 **Join rewrite** (NSC, §VI-B3).  A join whose probe side is a pipeline
 over the indexed table and whose other side is sorted on the join key

@@ -1,5 +1,8 @@
 """Property and unit tests for the longest sorted subsequence algorithm."""
 
+import bisect
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +169,28 @@ def reference_positions(values: np.ndarray, ascending=True, strict=False):
     return reference_lis_numeric(values, strict)
 
 
+def reference_lis_object(values, ascending=True, strict=False) -> np.ndarray:
+    """The per-row loop by Python comparisons, which ran for strings
+    until they were coded; a descending order compares the other way
+    round."""
+    sign = 1 if ascending else -1
+    order = functools.cmp_to_key(lambda a, b: sign * ((a > b) - (a < b)))
+    locate = bisect.bisect_left if strict else bisect.bisect_right
+    tails: list = []
+    tail_positions: list[int] = []
+    predecessors = np.full(len(values), -1, dtype=np.int64)
+    for position, value in enumerate(values):
+        probe = order(value)
+        slot = locate(tails, probe)
+        tails[slot : slot + 1] = [probe]
+        tail_positions[slot : slot + 1] = [position]
+        if slot > 0:
+            predecessors[position] = tail_positions[slot - 1]
+    if not tails:
+        return np.empty(0, dtype=np.int64)
+    return reference_reconstruct(predecessors, tail_positions[-1], len(tails))
+
+
 def assert_same_positions(values, ascending=True, strict=False):
     got = longest_sorted_subsequence_indices(
         values, ascending=ascending, strict=strict
@@ -236,6 +261,19 @@ class TestSamePositionsAsPerRowLoop:
     @settings(max_examples=200)
     def test_float64_with_nan_and_inf(self, items, ascending, strict):
         assert_same_positions(np.array(items, dtype=np.float64), ascending, strict)
+
+    @given(
+        st.lists(st.text(alphabet="abc", max_size=3), max_size=80),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_strings_on_their_codes(self, items, ascending, strict):
+        values = np.empty(len(items), dtype=object)
+        values[:] = items
+        got = longest_sorted_subsequence_indices(values, ascending, strict)
+        expected = reference_lis_object(items, ascending, strict)
+        assert got.tolist() == expected.tolist()
 
     @given(st.lists(st.booleans(), max_size=80), st.booleans(), st.booleans())
     def test_bool(self, items, ascending, strict):
@@ -332,9 +370,10 @@ class TestStepCounts:
         assert (found.runs, found.scalar_steps) == (4, 2)
 
     def test_strings_are_not_cut_into_runs(self):
+        # Strings run on their dense codes, cut into runs like numbers.
         values = np.array(["a", "b", "a"], dtype=object)
         found = longest_sorted_subsequence(values)
-        assert (found.runs, found.scalar_steps) == (0, 3)
+        assert (found.runs, found.scalar_steps) == (2, 3)
 
     def test_empty(self):
         found = longest_sorted_subsequence(np.empty(0, dtype=np.int64))

@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import Database
 from repro.check import verify_plan
+from repro.exec.operators.sort import SortKey
 from repro.exec.result import collect
 from repro.plan.explain import explain_both
 from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from tests.test_operators_sort import rule_key
 
 _DB_CACHE: list[Database] = []
 
@@ -47,15 +49,22 @@ def _populate(db: Database) -> Database:
     category = rng.integers(0, 5, n)
     # Past 2**53, where a float64 accumulator stops counting by ones.
     big = 2**53 + rng.permutation(n).astype(np.int64)
-    db.sql("CREATE TABLE f (u BIGINT, s BIGINT, g BIGINT, b BIGINT) PARTITIONS 3")
+    # Near -2**62 and 2**62, where float64 keys turn neighbours into ties.
+    wide = rng.integers(-3, 4, n) + rng.choice([-(2**62), 2**62], n)
+    db.sql(
+        "CREATE TABLE f (u BIGINT, s BIGINT, g BIGINT, b BIGINT, w BIGINT) "
+        "PARTITIONS 3"
+    )
     rows = ", ".join(
-        f"({int(a)}, {int(b)}, {int(c)}, {int(d)})"
-        for a, b, c, d in zip(unique, nearly_sorted, category, big)
+        f"({int(a)}, {int(b)}, {int(c)}, {int(d)}, {int(e)})"
+        for a, b, c, d, e in zip(unique, nearly_sorted, category, big, wide)
     )
     db.sql(f"INSERT INTO f VALUES {rows}")
     for rowid in (5, 100, 300):  # sprinkle NULLs (maintained patches)
         db.table("f").update_rowid(rowid, "u", None)
     db.table("f").update_rowid(7, "b", None)
+    for rowid in (2, 150, 151, 399):
+        db.table("f").update_rowid(rowid, "w", None)
     db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
     db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
     add_dimensions(db, n)
@@ -162,6 +171,28 @@ def queries(draw):
     )
 
 
+@st.composite
+def ordered_queries(draw):
+    """An ORDER BY over one or two keys, each in either direction, maybe
+    filtered and maybe with a LIMIT.  It selects only its keys, so every
+    path must return the same rows in the same order; also returned are
+    the same statement without ORDER BY / LIMIT, the keys with their
+    directions, and the limit."""
+    names = draw(
+        st.lists(
+            st.sampled_from(["w", "s", "u", "g"]), min_size=1, max_size=2, unique=True
+        )
+    )
+    keys = [SortKey(name, draw(st.booleans())) for name in names]
+    where = f" WHERE {draw(predicates())}" if draw(st.booleans()) else ""
+    limit = draw(st.one_of(st.none(), st.integers(0, 30)))
+    unordered = f"SELECT {', '.join(names)} FROM f{where}"
+    query = f"{unordered} ORDER BY {', '.join(map(str, keys))}"
+    if limit is not None:
+        query += f" LIMIT {limit}"
+    return query, unordered, keys, limit
+
+
 class TestFuzz:
     @given(queries())
     @settings(max_examples=150, deadline=None)
@@ -178,6 +209,32 @@ class TestFuzz:
         ), query
         if "ORDER BY" in query and "GROUP BY" not in query:
             assert plain.to_pylist() == patched.to_pylist(), query
+
+    @given(ordered_queries())
+    @settings(max_examples=80, deadline=None)
+    def test_order_by_same_rows_on_every_path(self, drawn):
+        """Serial and dop 2 (small morsels, so ParallelSort fans out),
+        rewrite off and forced, all return Python ``sorted`` order."""
+        query, unordered, keys, limit = drawn
+        db = fuzz_db()
+        rows = db.sql(unordered).to_pylist()
+        for position, key in reversed(list(enumerate(keys))):
+            rows = sorted(
+                rows,
+                key=lambda row: rule_key(row[position]),
+                reverse=not key.ascending,
+            )
+        expected = rows if limit is None else rows[:limit]
+        logical = Binder(db.catalog).bind_select(parse_statement(query))
+        for options in (
+            OptimizerOptions(use_patch_indexes=False),
+            OptimizerOptions(always_rewrite=True),
+        ):
+            optimized = Optimizer(db.catalog, options).optimize(logical)
+            for parallelism in (1, 2):
+                planner = PhysicalPlanner(parallelism=parallelism, morsel_size=16)
+                got = collect(planner.plan(optimized)).to_pylist()
+                assert got == expected, (query, options, parallelism)
 
     @given(st.integers(0, 400), st.integers(0, 400), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -11,6 +11,14 @@ from repro.exec.result import collect
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
+from tests.test_operators_sort import (
+    BIG,
+    SHUFFLED_BIG,
+    bigint_db,
+    comparable,
+    keyed_tables,
+    reference_tags,
+)
 
 
 def make_table(values, partition_count=2):
@@ -126,3 +134,37 @@ class TestFusion:
         assert "MergeUnion" in plan
         result = db.sql("SELECT v FROM t ORDER BY v LIMIT 3")
         assert result.column("v").to_pylist() == [0, 1, 2]
+
+
+class TestExactKeys:
+    """TopN picks and orders its rows by the values as stored."""
+
+    def run(self, query):
+        db = bigint_db(SHUFFLED_BIG)
+        assert "TopN" in db.explain(query)
+        return db.sql(query).column("v").to_pylist()
+
+    def test_ascending_past_2_53(self):
+        assert self.run("SELECT v FROM t ORDER BY v LIMIT 5") == sorted(
+            SHUFFLED_BIG
+        )[:5]
+
+    def test_descending_past_2_53(self):
+        assert self.run("SELECT v FROM t ORDER BY v DESC LIMIT 3") == [
+            BIG + 3,
+            BIG + 2,
+            BIG + 1,
+        ]
+
+    @given(keyed_tables(), st.integers(1, 45), st.integers(0, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_key_values_equal_sort_then_limit(self, drawn, limit, offset):
+        table, data, keys = drawn
+        got = collect(TopN(TableScan(table), keys, limit, offset))
+        expected = reference_tags(data, keys)[offset : offset + limit]
+        for key in keys:
+            column = data[key.column]
+            values = got.column(key.column).to_pylist() if expected else []
+            assert comparable(values) == comparable(
+                [column[row] for row in expected]
+            )
