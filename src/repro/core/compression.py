@@ -107,54 +107,62 @@ _WINDOW_MAX_WIDTH = 57
 
 
 def _unpack_rows(
-    data: np.ndarray, first: int, stride: int, rows: int, width: int, count: int
+    data: np.ndarray,
+    first: int,
+    stride: int,
+    rows: int,
+    width: int,
+    count: int,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Unpack *rows* packed runs of *count* values into ``(rows, count)``.
+    """Unpack *rows* packed runs of *count* values into *out*, int64
+    ``(rows, count)``, and return it.
 
     Row ``r`` starts at byte ``first + r * stride`` of *data*.  Eight
     consecutive values fill exactly *width* bytes, so value ``8g + lane``
-    starts ``lane * width`` bits into the group at byte ``g * width``:
-    per lane, one strided read of 8-byte words, a shift and a mask.  The
-    words are read from an owned copy padded with 8 zero bytes — never
-    from *data* itself, whose last windows would run past its end.
+    starts ``lane * width`` bits into the group at byte ``g * width``.
+    Per lane, one strided read of the 8-byte words that *end* at each
+    value's last byte, shifted straight into that lane's columns of
+    *out*; then one mask over *out*.  A word never reads past the packed
+    bytes, and starts at most 7 bytes before them: a frame's header lies
+    there.  Only a run with fewer than 7 bytes in front of it is read
+    from a copy with 8 zero bytes prepended.  Nothing else is allocated.
     """
     needed = _check_packed(len(data) - first - (rows - 1) * stride, width, count)
     if not count:
-        return np.zeros((rows, 0), dtype=np.int64)
+        return out
     if width > _WINDOW_MAX_WIDTH:
-        return np.stack(
-            [
-                unpack_bits_reference(
-                    data[first + row * stride :][:needed], width, count
-                )
-                for row in range(rows)
-            ]
-        )
-    groups = (count + 7) // 8
-    span = (rows - 1) * stride + groups * width
-    padded = np.zeros(span + 8, dtype=np.uint8)
-    held = min(span, len(data) - first)
-    padded[:held] = data[first : first + held]
-    lanes = np.empty((8, rows, groups), dtype=np.uint64)
-    for lane in range(8):
+        for row in range(rows):
+            out[row] = unpack_bits_reference(
+                data[first + row * stride :][:needed], width, count
+            )
+        return out
+    if first < 7:
+        span = (rows - 1) * stride + needed
+        padded = np.zeros(8 + span, dtype=np.uint8)
+        padded[8:] = data[first : first + span]
+        data, first = padded, 8
+    fields = out.view(np.uint64)
+    for lane in range(min(8, count)):
         bit = lane * width
+        last_byte = (bit + width - 1) >> 3
         windows = np.ndarray(
-            (rows, groups),
+            (rows, (count - lane + 7) // 8),
             dtype="<u8",
-            buffer=padded,
-            offset=bit >> 3,
+            buffer=data,
+            offset=first + last_byte - 7,
             strides=(stride, width),
         )
-        np.right_shift(windows, np.uint64(bit & 7), out=lanes[lane])
-    lanes &= np.uint64((1 << width) - 1)
-    values = np.empty((rows, groups, 8), dtype=np.uint64)
-    values[...] = lanes.transpose(1, 2, 0)
-    return values.reshape(rows, groups * 8)[:, :count].view(np.int64)
+        shift = np.uint64(bit - 8 * (last_byte - 7))
+        np.right_shift(windows, shift, out=fields[:, lane::8])
+    np.bitwise_and(fields, np.uint64((1 << width) - 1), out=fields)
+    return out
 
 
 def unpack_bits(buffer: np.ndarray, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns int64 values."""
-    return _unpack_rows(buffer, 0, 0, 1, width, count)[0]
+    out = np.empty((1, max(0, count)), dtype=np.int64)
+    return _unpack_rows(buffer, 0, 0, 1, width, count, out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +304,11 @@ def for_block_width(data: bytes, offset: int = 0) -> int:
 
 
 def _unpack_frames(
-    data: bytes, count: int, blocks: int
+    data: bytes, count: int, blocks: int, out: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bases ``(blocks, 1)`` and packed fields ``(blocks, count)`` of
-    *blocks* equally long ``_FOR_HEADER`` payloads of one bit width."""
+    """Bases ``(blocks, 1)`` and the packed fields of *blocks* equally
+    long ``_FOR_HEADER`` payloads of one bit width, unpacked into *out*
+    (a new C-contiguous ``(blocks, count)`` int64 array when ``None``)."""
     stride, ragged = divmod(len(data), blocks)
     if ragged or stride < _FOR_HEADER.size:
         raise StorageError(
@@ -311,16 +320,51 @@ def _unpack_frames(
     width = headers[0][1]
     if any(header[1] != width for header in headers):
         raise StorageError("frame blocks of one run differ in bit width")
-    fields = _unpack_rows(
+    if out is None:
+        out = np.empty((blocks, count), dtype=np.int64)
+    elif (
+        out.shape != (blocks, count)
+        or out.dtype != np.int64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be C-contiguous int64 of shape {(blocks, count)}"
+        )
+    _unpack_rows(
         np.frombuffer(data, dtype=np.uint8),
         _FOR_HEADER.size,
         stride,
         blocks,
         width,
         count,
+        out,
     )
     bases = np.asarray([header[0] for header in headers], dtype=np.int64)
-    return bases[:, None], fields
+    return bases[:, None], out
+
+
+#: Values one pass of :func:`_unzigzag` takes: its scratch (256 KiB)
+#: stays cache-sized, and the passes are long enough that their calls
+#: cost nothing measurable.
+_ZIGZAG_CHUNK = 32768
+
+
+def _unzigzag(values: np.ndarray) -> None:
+    """``(z >> 1) ^ -(z & 1)`` over C-contiguous *values*, in place.
+
+    The sign term is a second operand; it goes through one scratch of
+    at most :data:`_ZIGZAG_CHUNK` values, a chunk at a time.
+    """
+    fields = values.view(np.uint64).reshape(-1)
+    scratch = np.empty(min(len(fields), _ZIGZAG_CHUNK), dtype=np.uint64)
+    one = np.uint64(1)
+    for lo in range(0, len(fields), _ZIGZAG_CHUNK):
+        part = fields[lo : lo + _ZIGZAG_CHUNK]
+        sign = scratch[: len(part)]
+        np.bitwise_and(part, one, out=sign)
+        np.negative(sign, out=sign)
+        part >>= one
+        part ^= sign
 
 
 def decode_blocks_for(
@@ -331,15 +375,13 @@ def decode_blocks_for(
     The payloads must be equally long and share one bit width (full
     blocks of one segment column usually do); each holds *count* values.
     All of them are unpacked, un-zig-zagged, prefix-summed and re-based
-    in one 2-D pass into ``(blocks, count)`` int64 — *out* when given.
+    in one 2-D pass into ``(blocks, count)`` int64 — *out* when given,
+    which every step writes in place.
     """
-    bases, zigzag = _unpack_frames(data, count, blocks)
-    sign = zigzag & 1
-    np.negative(sign, out=sign)
-    zigzag >>= 1
-    zigzag ^= sign  # (z >> 1) ^ -(z & 1), in the array _unpack_rows made
+    bases, values = _unpack_frames(data, count, blocks, out)
+    _unzigzag(values)
     # int64 wraparound round-trips, as in _restore_chain.
-    values = np.cumsum(zigzag, axis=1, dtype=np.int64, out=out)
+    np.cumsum(values, axis=1, dtype=np.int64, out=values)
     values += bases
     return values
 
@@ -357,8 +399,9 @@ def decode_blocks_bp(
     The same layout rules as :func:`decode_blocks_for`; the decode is
     the 2-D unpack and one broadcast add of the bases — no prefix sum.
     """
-    bases, offsets = _unpack_frames(data, count, blocks)
-    return np.add(offsets, bases, out=offsets if out is None else out)
+    bases, values = _unpack_frames(data, count, blocks, out)
+    values += bases
+    return values
 
 
 def decode_block_bp(data: bytes, count: int) -> np.ndarray:

@@ -20,11 +20,19 @@ SQL semantics implemented:
 - SUM and AVG over INT64 add exact integers: AVG of an INT64 column is
   the int64 sums of each value's 32-bit halves, combined once in
   float64, so it neither wraps nor depends on the summation order.
+
+Aggregation without GROUP BY or COUNT(DISTINCT) holds at most
+:data:`FOLD_ROWS` rows of its input: it folds batches into *partial*
+rows as they arrive and combines those rows at the end of input
+(:func:`two_phase_specs`), the same two phases ``ParallelAggregate``
+runs across morsels.  Grouped and COUNT(DISTINCT) aggregation drain and
+concatenate their input first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +52,14 @@ INT64_HALVES = {
     "sum_high": lambda values: values >> 32,
     "sum_low": lambda values: values & 0xFFFFFFFF,
 }
+
+#: Rows an ungrouped aggregate holds before it reduces them to one
+#: partial row.  Partial rows cost Python per batch (a two-row UnionAll
+#: folded in 28 us against 12 us concatenated and reduced once), more
+#: than concatenating a few thousand rows, so smaller batches (a
+#: UnionAll of one-row counts, a point read's rows) are concatenated and
+#: reduced together; scan batches are reduced one by one.
+FOLD_ROWS = 4096
 
 _AGG_FUNCS = frozenset(
     {"count", "count_star", "count_distinct", "sum", "min", "max", "avg"}
@@ -102,7 +118,10 @@ class HashAggregate(Operator):
         if not fields:
             raise PlanError("aggregation produces no columns")
         self._schema = Schema(fields)
-        self._result: RecordBatch | None = None
+        #: Whether the input folds batch by batch (see :meth:`_fold`).
+        self._folds = not self.group_by and all(
+            spec.func != "count_distinct" for spec in self.aggregates
+        )
         self._done = False
 
     @property
@@ -114,19 +133,60 @@ class HashAggregate(Operator):
 
     def open(self) -> None:
         super().open()
-        self._result = None
         self._done = False
 
     def next_batch(self) -> RecordBatch | None:
         if self._done:
             return None
         self._done = True
+        if self._folds:
+            return self._fold()
         data = self.child.drain()
         if data is None:
             data = RecordBatch.empty(self.child.schema)
         if self.group_by:
             return self._grouped(data)
-        return self._scalar(data)
+        return _reduce(self.aggregates, data, self._schema)
+
+    def _fold(self) -> RecordBatch:
+        """Reduce the input to partial rows as it arrives, then the rows.
+
+        Batches are held until they reach :data:`FOLD_ROWS` rows and
+        reduced together; an input that never does is reduced whole,
+        with no partials.
+        """
+        held: list[RecordBatch] = []
+        rows = 0
+        partials: list[RecordBatch] = []
+        while (batch := self.child.next_batch()) is not None:
+            if not len(batch):
+                continue
+            held.append(batch)
+            rows += len(batch)
+            if rows >= FOLD_ROWS:
+                partials.append(self._partial_row(held))
+                held, rows = [], 0
+        if not partials:
+            data = _one_batch(held) if held else RecordBatch.empty(self.child.schema)
+            return _reduce(self.aggregates, data, self._schema)
+        if held:
+            partials.append(self._partial_row(held))
+        __, __, final, final_schema = self._two_phase
+        merged = _reduce(final, RecordBatch.concat(partials), final_schema)
+        return finish_aggregates(merged, [], self.aggregates, self._schema)
+
+    def _partial_row(self, held: list[RecordBatch]) -> RecordBatch:
+        partial, partial_schema, __, __ = self._two_phase
+        return _reduce(partial, _one_batch(held), partial_schema)
+
+    @cached_property
+    def _two_phase(
+        self,
+    ) -> tuple[list[AggregateSpec], Schema, list[AggregateSpec], Schema]:
+        """Partial specs and their row schema, final specs and theirs."""
+        partial, final = two_phase_specs(self.aggregates, self.child.schema)
+        partial_schema = _output_schema(partial, self.child.schema)
+        return partial, partial_schema, final, _output_schema(final, partial_schema)
 
     # -- grouping ---------------------------------------------------------
 
@@ -143,12 +203,6 @@ class HashAggregate(Operator):
             )
         return RecordBatch(self._schema, columns)
 
-    def _scalar(self, data: RecordBatch) -> RecordBatch:
-        columns: dict[str, ColumnVector] = {}
-        for spec in self.aggregates:
-            columns[spec.alias] = _compute_scalar(spec, data, self._schema)
-        return RecordBatch(self._schema, columns)
-
     def label(self) -> str:
         keys = ", ".join(self.group_by) if self.group_by else "<global>"
         aggs = ", ".join(
@@ -156,6 +210,102 @@ class HashAggregate(Operator):
             for spec in self.aggregates
         )
         return f"HashAggregate(by=[{keys}], aggs=[{aggs}])"
+
+
+# -- two-phase aggregation ------------------------------------------------------
+
+
+def _partial_alias(func: str, spec: AggregateSpec) -> str:
+    return f"__partial_{func}__{spec.alias}"
+
+
+def _avg_partials(spec: AggregateSpec, input_schema: Schema) -> list[str]:
+    """The partial functions one AVG carries.  Over INT64 they are
+    integers — a count and the sums of the two 32-bit halves — which add
+    associatively, so every split of the input yields the same bits."""
+    if input_schema.field(spec.column).dtype == DataType.INT64:
+        return ["count", *INT64_HALVES]
+    return ["count", "sum"]
+
+
+def two_phase_specs(
+    aggregates: list[AggregateSpec], input_schema: Schema
+) -> tuple[list[AggregateSpec], list[AggregateSpec]]:
+    """Partial specs (over a piece of the input) and final specs (over
+    the partial rows) that together compute *aggregates*: COUNT merges
+    by summing, SUM / MIN / MAX by themselves, AVG through the partials
+    of :func:`_avg_partials`, finished by :func:`finish_aggregates`."""
+    partial: list[AggregateSpec] = []
+    final: list[AggregateSpec] = []
+    for spec in aggregates:
+        if spec.func in ("count", "count_star"):
+            partial.append(spec)
+            final.append(AggregateSpec("sum", spec.alias, spec.alias))
+        elif spec.func in ("sum", "min", "max", *INT64_HALVES):
+            partial.append(spec)
+            merge = "sum" if spec.func in INT64_HALVES else spec.func
+            final.append(AggregateSpec(merge, spec.alias, spec.alias))
+        elif spec.func == "avg":
+            for func in _avg_partials(spec, input_schema):
+                alias = _partial_alias(func, spec)
+                partial.append(AggregateSpec(func, spec.column, alias))
+                final.append(AggregateSpec("sum", alias, alias))
+        else:
+            raise PlanError(f"{spec.func!r} does not aggregate in two phases")
+    return partial, final
+
+
+def finish_aggregates(
+    merged: RecordBatch,
+    group_by: list[str],
+    aggregates: list[AggregateSpec],
+    schema: Schema,
+) -> RecordBatch:
+    """The *aggregates* of *schema* from the merged partials: AVG divides
+    its merged sums by its count, every other column passes through."""
+    columns: dict[str, ColumnVector] = {
+        name: merged.column(name) for name in group_by
+    }
+    for spec in aggregates:
+        if spec.func == "avg":
+            columns[spec.alias] = _finish_avg(merged, spec)
+        else:
+            columns[spec.alias] = merged.column(spec.alias)
+    return RecordBatch(schema, columns)
+
+
+def _finish_avg(merged: RecordBatch, spec: AggregateSpec) -> ColumnVector:
+    """AVG from merged partials (NULL where no valid input)."""
+
+    def part(func: str) -> np.ndarray:
+        return merged.column(_partial_alias(func, spec)).values
+
+    counts = part("count").astype(np.int64)
+    empty = counts == 0
+    if _partial_alias("sum", spec) in merged.schema:
+        means = part("sum").astype(np.float64) / np.maximum(counts, 1)
+    else:
+        means = int64_mean(part("sum_high"), part("sum_low"), counts)
+    validity = None if not empty.any() else ~empty
+    return ColumnVector(DataType.FLOAT64, np.where(empty, 0.0, means), validity)
+
+
+def _output_schema(aggregates: list[AggregateSpec], input_schema: Schema) -> Schema:
+    return Schema(spec.output_field(input_schema) for spec in aggregates)
+
+
+def _one_batch(batches: list[RecordBatch]) -> RecordBatch:
+    return batches[0] if len(batches) == 1 else RecordBatch.concat(batches)
+
+
+def _reduce(
+    aggregates: list[AggregateSpec], data: RecordBatch, schema: Schema
+) -> RecordBatch:
+    """One row: each of *aggregates* over all of *data*."""
+    return RecordBatch(
+        schema,
+        {spec.alias: _compute_scalar(spec, data, schema) for spec in aggregates},
+    )
 
 
 # -- vectorized kernels ---------------------------------------------------------

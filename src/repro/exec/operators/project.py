@@ -42,7 +42,7 @@ class Project(Operator):
             alias: expression.evaluate(batch)
             for alias, expression in self.outputs
         }
-        return RecordBatch(self._schema, columns, batch.rowids)
+        return batch.with_columns(self._schema, columns)
 
     def label(self) -> str:
         rendered = ", ".join(

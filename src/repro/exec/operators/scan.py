@@ -7,6 +7,13 @@ PatchSelect instead hands the scan the patch rowids of its ranges
 (:attr:`TableScan.gather`); the scan then emits only those rows, in
 rowid order, reading only the blocks that hold one.
 
+A range scan reads each column in *runs* of several batches
+(:data:`MAX_RUN_BATCHES`), so a segment-backed column decodes many
+blocks per call, and emits batch-sized views of the run.  Its batches
+carry their rowids as a ``(start, stop)`` window
+(:class:`~repro.exec.batch.RecordBatch`), built into an array only if
+something reads it.
+
 Scan ranges (global ``[start, stop)`` rowid intervals) restrict the scan
 to the given intervals; they are typically produced by evaluating
 selection predicates against the per-block min/max sketches
@@ -35,6 +42,17 @@ from repro.types.datatypes import numpy_dtype
 
 #: Name of the virtual tuple-identifier column.
 TID_COLUMN = "tid"
+
+#: One batch of work: a ``(start, stop, run)`` rowid range, or an
+#: array of gathered rowids.
+_Piece = tuple[int, int, tuple[int, int]] | np.ndarray
+
+#: Most batches one run reads per column.  A range scan reads its
+#: columns in runs of 1, 2, 4 and then 8 batches (clipped to the
+#: partition and the scan range) and emits batch-sized views of them:
+#: a long scan decodes 32 blocks a call, a ``LIMIT`` that stops after
+#: its first batch decodes only that batch's blocks.
+MAX_RUN_BATCHES = 8
 
 
 def normalize_ranges(
@@ -88,7 +106,10 @@ class TableScan(Operator):
         #: Ascending global rowids, inside the scan ranges, to emit
         #: instead of every covered row; set before :meth:`open`.
         self.gather: np.ndarray | None = None
-        self._cursor: list[tuple[int, int] | np.ndarray] | None = None
+        self._cursor: list[_Piece] | None = None
+        #: The run the last range batch came from and its column vectors.
+        self._run: tuple[int, int] | None = None
+        self._run_columns: dict[str, ColumnVector] = {}
         #: Decode / block-cache accounting for segment-backed columns
         #: (surfaced as EXPLAIN ANALYZE details).
         self.io = ScanIO()
@@ -107,16 +128,19 @@ class TableScan(Operator):
         return []
 
     def open(self) -> None:
-        # Pre-compute the batch work list: global (start, stop) ranges,
-        # or arrays of gathered rowids, never crossing a partition
-        # boundary and each at most batch_size rows.
-        pieces: list[tuple[int, int] | np.ndarray] = []
+        # Pre-compute the batch work list: global (start, stop, run)
+        # pieces, or arrays of gathered rowids, never crossing a
+        # partition boundary and each at most batch_size rows.  A run is
+        # the (start, stop) window of consecutive pieces whose columns
+        # are read in one go.
+        pieces: list[_Piece] = []
         ranges = (
             self.scan_ranges
             if self.scan_ranges is not None
             else [(0, self.table.row_count)]
         )
         planned = 0
+        run_batches = 1
         for partition in self.table.partitions:
             p_start, p_stop = partition.rowid_range
             row_bytes = sum(
@@ -139,11 +163,17 @@ class TableScan(Operator):
                 planned += max(0, hi - lo) * row_bytes
                 position = lo
                 while position < hi:
-                    stop = min(position + self.batch_size, hi)
-                    pieces.append((position, stop))
-                    position = stop
+                    run_stop = min(position + run_batches * self.batch_size, hi)
+                    run = (position, run_stop)
+                    run_batches = min(2 * run_batches, MAX_RUN_BATCHES)
+                    while position < run_stop:
+                        stop = min(position + self.batch_size, run_stop)
+                        pieces.append((position, stop, run))
+                        position = stop
         pieces.reverse()  # pop() from the end keeps order
         self._cursor = pieces
+        self._run = None
+        self._run_columns = {}
         # What this scan will pull through the block cache; one that
         # cannot fit is read around it (SegmentColumnSource._decode_run).
         self.io.planned_bytes = planned
@@ -155,16 +185,16 @@ class TableScan(Operator):
             return None
         piece = self._cursor.pop()
         if isinstance(piece, tuple):
-            start, stop = piece
-            partition = self.table.partition_of_rowid(start)
-            local_start = start - partition.base_rowid
-            local_stop = stop - partition.base_rowid
+            start, stop, run = piece
+            if run != self._run:
+                self._read_run(run)
+            offset = start - run[0]
             columns: dict[str, ColumnVector] = {
-                name: partition.column_slice(
-                    name, local_start, local_stop, self.io
-                )
-                for name in self.column_names
+                name: vector.slice(offset, offset + stop - start)
+                for name, vector in self._run_columns.items()
             }
+            if not self.with_tid:
+                return RecordBatch(self._schema, columns, window=(start, stop))
             rowids = np.arange(start, stop, dtype=np.int64)
         else:
             rowids = piece
@@ -178,8 +208,24 @@ class TableScan(Operator):
             columns[TID_COLUMN] = ColumnVector(DataType.INT64, rowids)
         return RecordBatch(self._schema, columns, rowids)
 
+    def _read_run(self, run: tuple[int, int]) -> None:
+        """Read every column's rows of *run*; batches are views of them.
+
+        Each run gets fresh vectors, never a reused buffer, since the
+        batches of the last run may still be held downstream.
+        """
+        partition = self.table.partition_of_rowid(run[0])
+        lo, hi = run[0] - partition.base_rowid, run[1] - partition.base_rowid
+        self._run = run
+        self._run_columns = {
+            name: partition.column_slice(name, lo, hi, self.io)
+            for name in self.column_names
+        }
+
     def close(self) -> None:
         self._cursor = None
+        self._run = None
+        self._run_columns = {}
 
     def label(self) -> str:
         parts = [f"TableScan({self.table.name}"]

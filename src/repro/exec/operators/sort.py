@@ -67,7 +67,7 @@ class Sort(Operator):
             [data.column(key.column) for key in self.keys],
             [key.ascending for key in self.keys],
         )
-        return data.take(order).drop_rowids()
+        return data.take(order)
 
     def label(self) -> str:
         return f"Sort({', '.join(str(key) for key in self.keys)})"

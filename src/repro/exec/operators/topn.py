@@ -68,7 +68,7 @@ class TopN(Operator):
         selected = order[self.offset : wanted]
         if len(selected) == 0:
             return None
-        return data.take(selected).drop_rowids()
+        return data.take(selected)
 
     def _top_order(self, data: RecordBatch, wanted: int) -> np.ndarray:
         key = self.keys[0]

@@ -36,24 +36,20 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from repro.errors import PlanError
 from repro.exec.batch import RecordBatch
 from repro.exec.operators.aggregate import (
-    INT64_HALVES,
     AggregateSpec,
     HashAggregate,
-    int64_mean,
+    finish_aggregates,
+    two_phase_specs,
 )
 from repro.exec.operators.base import Operator
 from repro.exec.operators.distinct import Distinct
 from repro.exec.operators.sort import Sort, SortKey
 from repro.exec.parallel.morsels import Morsel
 from repro.exec.parallel.pool import get_pool
-from repro.storage.column import ColumnVector
 from repro.storage.schema import Schema
-from repro.types import DataType
 
 #: Builds one pipeline-fragment operator restricted to the given
 #: global rowid ranges (one morsel's worth of the scan).
@@ -305,7 +301,7 @@ class ParallelAggregate(_ParallelBlocking):
                 "sole aggregate; plan the aggregate serially"
             )
         if not self._distinct_mode:
-            self._partial_specs, self._final_specs = _two_phase_specs(
+            self._partial_specs, self._final_specs = two_phase_specs(
                 self.aggregates, template.schema
             )
 
@@ -342,15 +338,9 @@ class ParallelAggregate(_ParallelBlocking):
         merged = _drain_one(
             HashAggregate(source, self.group_by, self._final_specs)
         )
-        columns: dict[str, ColumnVector] = {
-            name: merged.column(name) for name in self.group_by
-        }
-        for spec in self.aggregates:
-            if spec.func == "avg":
-                columns[spec.alias] = _finish_avg(merged, spec)
-            else:
-                columns[spec.alias] = merged.column(spec.alias)
-        return RecordBatch(self._schema, columns)
+        return finish_aggregates(
+            merged, self.group_by, self.aggregates, self._schema
+        )
 
     def label(self) -> str:
         keys = ", ".join(self.group_by) if self.group_by else "<global>"
@@ -363,58 +353,6 @@ class ParallelAggregate(_ParallelBlocking):
             f"ParallelAggregate(by=[{keys}], aggs=[{aggs}], "
             f"{strategy}; {self._detail()})"
         )
-
-
-def _partial_alias(func: str, spec: AggregateSpec) -> str:
-    return f"__partial_{func}__{spec.alias}"
-
-
-def _avg_partials(spec: AggregateSpec, input_schema: Schema) -> list[str]:
-    """The partial functions one AVG carries.  Over INT64 they are
-    integers — a count and the sums of the two 32-bit halves — which add
-    associatively, so every dop yields the serial operator's bits."""
-    if input_schema.field(spec.column).dtype == DataType.INT64:
-        return ["count", *INT64_HALVES]
-    return ["count", "sum"]
-
-
-def _two_phase_specs(
-    aggregates: list[AggregateSpec], input_schema: Schema
-) -> tuple[list[AggregateSpec], list[AggregateSpec]]:
-    """Partial (worker) and final (merge) specs for two-phase aggregation."""
-    partial: list[AggregateSpec] = []
-    final: list[AggregateSpec] = []
-    for spec in aggregates:
-        if spec.func in ("count", "count_star"):
-            partial.append(AggregateSpec(spec.func, spec.column, spec.alias))
-            final.append(AggregateSpec("sum", spec.alias, spec.alias))
-        elif spec.func in ("sum", "min", "max"):
-            partial.append(AggregateSpec(spec.func, spec.column, spec.alias))
-            final.append(AggregateSpec(spec.func, spec.alias, spec.alias))
-        elif spec.func == "avg":
-            for func in _avg_partials(spec, input_schema):
-                alias = _partial_alias(func, spec)
-                partial.append(AggregateSpec(func, spec.column, alias))
-                final.append(AggregateSpec("sum", alias, alias))
-        else:  # pragma: no cover - guarded in the constructor
-            raise PlanError(f"cannot parallelize aggregate {spec.func!r}")
-    return partial, final
-
-
-def _finish_avg(merged: RecordBatch, spec: AggregateSpec) -> ColumnVector:
-    """AVG from merged partials (NULL where no valid input)."""
-
-    def part(func: str) -> np.ndarray:
-        return merged.column(_partial_alias(func, spec)).values
-
-    counts = part("count").astype(np.int64)
-    empty = counts == 0
-    if _partial_alias("sum", spec) in merged.schema:
-        means = part("sum").astype(np.float64) / np.maximum(counts, 1)
-    else:
-        means = int64_mean(part("sum_high"), part("sum_low"), counts)
-    validity = None if not empty.any() else ~empty
-    return ColumnVector(DataType.FLOAT64, np.where(empty, 0.0, means), validity)
 
 
 def _drain_one(operator: Operator) -> RecordBatch:

@@ -60,11 +60,13 @@ _INT_PHYSICAL = frozenset({DataType.INT64, DataType.DATE})
 #: ``raw`` is the uncompressed floor the codec tests compare against.
 ENCODING_MODES = ("auto", "raw")
 
-#: Most ``for`` or ``bp`` blocks one 2-D decode pass takes: past a few
-#: blocks the per-call overhead is already spread thin, and the pass's
-#: temporaries (a handful of arrays the size of its output) stay
-#: cache-sized.
-_FOR_GROUP_BLOCKS = 16
+#: Most ``for`` or ``bp`` blocks one 2-D decode pass takes.  A pass
+#: writes its output in place, with no temporaries, but sweeps it about
+#: ten times (eight strided lane shifts, the mask, the bases), so the
+#: output should stay in L2: 32 blocks of 4096 rows are 1 MiB, one full
+#: scan run.  Measured (EXPERIMENTS.md, "Statement-sized temporaries"):
+#: the cost per value falls to 16 blocks, is flat to 32 and rises at 64.
+_FOR_GROUP_BLOCKS = 32
 
 #: The frame codecs whose neighbouring blocks decode as one 2-D pass.
 _GROUP_DECODERS = {"for": decode_blocks_for, "bp": decode_blocks_bp}

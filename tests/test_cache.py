@@ -10,6 +10,7 @@ invalidate (or bypass) cached blocks correctly.
 import io
 import itertools
 import random
+import re
 import shutil
 import tempfile
 
@@ -238,6 +239,63 @@ class TestScanBypass:
         run_shell(db, iter(["SELECT SUM(v) AS s FROM t;", "\\cache", "\\q"]), out)
         db.close()
         assert "scan_bypass=10" in out.getvalue()
+
+
+class TestScanRuns:
+    """A range scan reads each column in runs of 1, 2, 4, then 8 batches
+    and emits batch-sized views of them."""
+
+    ROWS = 100_000  # 25 blocks a column, 7 batches; 800 KB per column
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        db = repro.connect(path=tmp_path / "db", parallelism=1, sync=False)
+        table = db.create_table("t", SCHEMA)
+        keys = np.arange(self.ROWS, dtype=np.int64)
+        table.load_columns(
+            {
+                "k": ColumnVector(DataType.INT64, keys),
+                "v": ColumnVector(DataType.INT64, keys * 2),
+            }
+        )
+        db.sql("CHECKPOINT")
+        db.close()
+        reopened = repro.connect(
+            path=tmp_path / "db", parallelism=1, cache_bytes=256 * 1024
+        )
+        yield reopened
+        reopened.close()
+
+    def test_limit_decodes_one_batch_of_blocks(self, db):
+        from repro.exec.batch import DEFAULT_BATCH_SIZE
+        from repro.storage.blocks import DEFAULT_BLOCK_SIZE
+
+        text = db.explain("SELECT v FROM t LIMIT 5", analyze=True)
+        scan_line = next(line for line in text.splitlines() if "TableScan" in line)
+        decoded = int(re.search(r"blocks_decoded=(\d+)", scan_line).group(1))
+        assert 1 <= decoded <= DEFAULT_BATCH_SIZE // DEFAULT_BLOCK_SIZE
+        assert db.sql("SELECT v FROM t LIMIT 5").to_pylist() == [
+            (0,), (2,), (4,), (6,), (8,)
+        ]
+
+    def test_long_scan_ramps_its_runs(self, db, monkeypatch):
+        from repro.storage.segment import SegmentReader
+
+        runs = []
+        decode_run = SegmentReader.decode_run
+
+        def counting(reader, first, last):
+            runs.append(last - first + 1)
+            return decode_run(reader, first, last)
+
+        monkeypatch.setattr(SegmentReader, "decode_run", counting)
+        result = db.sql("SELECT SUM(v) AS s FROM t", profile=True)
+        assert result.to_pylist() == [(self.ROWS * (self.ROWS - 1),)]
+        # Runs of 1 and 2 batches (4 and 8 blocks), then 4 batches cut
+        # at the end of the table: 25 blocks in three calls, not seven.
+        assert runs == [4, 8, 13]
+        scan = result.profile.find("TableScan")[0]
+        assert scan.details["blocks_decoded"] == 25
 
 
 class TestCapacityKnobs:

@@ -196,6 +196,78 @@ class TestUnpackKernel:
             decode_blocks_for(joined, 64, 2)
 
 
+def frames(rng, width, count, blocks):
+    """*blocks* frame payloads (header + fields packed at *width*) and
+    their bases and fields, built without the encoders' size checks."""
+    bases = rng.integers(-(2**62), 2**62, size=blocks)
+    fields = rng.integers(0, 2**width, size=(blocks, count), dtype=np.uint64)
+    fields = fields.astype(np.int64)
+    payload = b"".join(
+        struct.pack("<qB", int(base), width) + pack_bits(row, width).tobytes()
+        for base, row in zip(bases, fields)
+    )
+    return payload, bases, fields
+
+
+class TestInPlaceFrameDecode:
+    """``decode_blocks_bp`` / ``decode_blocks_for`` write the caller's
+    output and allocate nothing the size of it."""
+
+    @pytest.mark.parametrize("width", range(1, 58))
+    def test_frames_match_reference_at_every_width(self, width):
+        rng = np.random.default_rng(width)
+        for count in (1, 7, 9, 100, 4093):
+            payload, bases, fields = frames(rng, width, count, 3)
+            stride = len(payload) // 3
+            reference = np.stack(
+                [
+                    unpack_bits_reference(
+                        np.frombuffer(payload[row * stride + 9 :], np.uint8),
+                        width,
+                        count,
+                    )
+                    for row in range(3)
+                ]
+            )
+            np.testing.assert_array_equal(reference, fields)
+            out = np.empty((3, count), dtype=np.int64)
+            assert decode_blocks_bp(payload, count, 3, out=out) is out
+            np.testing.assert_array_equal(out, reference + bases[:, None])
+            deltas = (reference >> 1) ^ -(reference & 1)
+            expected = np.cumsum(deltas, axis=1) + bases[:, None]
+            assert decode_blocks_for(payload, count, 3, out=out) is out
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("decode", [decode_blocks_bp, decode_blocks_for])
+    def test_peak_stays_below_one_output(self, decode):
+        # 25 blocks of 4096 values: an output of 800 KiB.  A pass that
+        # allocated lane or value arrays the size of its output would
+        # peak at twice that or more.
+        blocks, count = 25, 4096
+        payload, __, __ = frames(np.random.default_rng(5), 20, count, blocks)
+        out = np.empty((blocks, count), dtype=np.int64)
+        expected = decode(payload, count, blocks).copy()
+        tracemalloc.start()
+        try:
+            result = decode(payload, count, blocks, out=out)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is out
+        np.testing.assert_array_equal(out, expected)
+        assert peak < out.nbytes
+
+    def test_out_must_match_the_run(self):
+        payload, __, __ = frames(np.random.default_rng(1), 9, 64, 2)
+        for out in (
+            np.empty((2, 63), dtype=np.int64),
+            np.empty((2, 64), dtype=np.uint64),
+            np.empty((2, 128), dtype=np.int64)[:, ::2],
+        ):
+            with pytest.raises(ValueError):
+                decode_blocks_bp(payload, 64, 2, out=out)
+
+
 def exceptions_of(column):
     """What the segment writer hands ``pfor``: NSC patches plus NULL slots."""
     nulls = np.flatnonzero(~column.validity_or_all_true())

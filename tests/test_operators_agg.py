@@ -1,12 +1,23 @@
 """Unit and property tests for HashAggregate and Distinct."""
 
+import math
+import struct
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import PlanError, TypeMismatchError
-from repro.exec.operators.aggregate import AggregateSpec, HashAggregate
+from repro.exec.batch import RecordBatch
+from repro.exec.operators import aggregate
+from repro.exec.operators.aggregate import (
+    AggregateSpec,
+    HashAggregate,
+    _compute_scalar,
+)
 from repro.exec.operators.distinct import Distinct
 from repro.exec.operators.scan import TableScan
+from repro.exec.parallel.terminals import BatchSource
 from repro.exec.result import collect
 from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
@@ -301,6 +312,168 @@ class TestIntegerSumIsExact:
         assert sorted(
             collect(HashAggregate(TableScan(table), ["g"], specs)).to_pylist()
         ) == [("a", 0.5, 0.5), ("b", 2.25, 2.25)]
+
+
+#: ``FOLD_ROWS`` settings: every batch its own partial row, pairs of
+#: four-row batches held and reduced together, and the whole (small)
+#: input reduced at once.
+FOLDS = [1, 6, aggregate.FOLD_ROWS]
+
+
+class TestFoldMatchesDrained:
+    """Ungrouped aggregation folds batches into partial rows; the answer
+    is the one reduction over the whole, concatenated input."""
+
+    SCHEMA = Schema(
+        [
+            Field("i", DataType.INT64),
+            Field("f", DataType.FLOAT64),
+            Field("s", DataType.STRING),
+        ]
+    )
+    #: Four rows a batch: a NULL in the first, an all-NULL second, INT64
+    #: sums that wrap past 2**63, a NaN, and a short last batch.
+    DATA = {
+        "i": [2**62 - 1, None, -(2**62), 7]
+        + [None] * 4
+        + [2**62 + 5, 2**62 - 3, 2**62, -1]
+        + [2**62 - 9, 3],
+        "f": [1.5, None, -2.0, 0.25]
+        + [None] * 4
+        + [float("nan"), 3.0, None, -0.5]
+        + [9.0, -7.5],
+        "s": ["m", None, "b", "zz"] + [None] * 4 + ["a", "q", None, "c"] + ["y", "k"],
+    }
+    SPECS = [
+        AggregateSpec("count_star", None, "n"),
+        AggregateSpec("count", "i", "ci"),
+        AggregateSpec("sum", "i", "si"),
+        AggregateSpec("avg", "i", "ai"),
+        AggregateSpec("min", "i", "lo"),
+        AggregateSpec("max", "i", "hi"),
+        AggregateSpec("min", "f", "flo"),
+        AggregateSpec("max", "f", "fhi"),
+        AggregateSpec("min", "s", "slo"),
+        AggregateSpec("max", "s", "shi"),
+    ]
+
+    def drained(self, batches):
+        """``_compute_scalar`` over the concatenated input, per spec."""
+        kept = [batch for batch in batches if len(batch)]
+        data = RecordBatch.concat(kept) if kept else RecordBatch.empty(self.SCHEMA)
+        schema = HashAggregate(BatchSource(self.SCHEMA, []), [], self.SPECS).schema
+        return tuple(
+            _compute_scalar(spec, data, schema).to_pylist()[0] for spec in self.SPECS
+        )
+
+    @staticmethod
+    def same(left, right):
+        assert len(left) == len(right)
+        for a, b in zip(left, right):
+            if isinstance(a, float) and math.isnan(a):
+                assert isinstance(b, float) and math.isnan(b)
+            elif isinstance(a, float):
+                assert struct.pack("<d", a) == struct.pack("<d", b)
+            else:
+                assert a == b
+
+    def batches(self, batch_size):
+        table = Table.from_pydict("t", self.SCHEMA, self.DATA)
+        scan = TableScan(table, batch_size=batch_size)
+        scan.open()
+        batches = []
+        while (batch := scan.next_batch()) is not None:
+            batches.append(batch)
+        scan.close()
+        return batches
+
+    @pytest.mark.parametrize("fold_rows", FOLDS)
+    def test_scan_in_batches_of_four(self, fold_rows, monkeypatch):
+        monkeypatch.setattr(aggregate, "FOLD_ROWS", fold_rows)
+        table = Table.from_pydict("t", self.SCHEMA, self.DATA)
+        folded = collect(
+            HashAggregate(TableScan(table, batch_size=4), [], self.SPECS)
+        ).to_pylist()
+        assert len(folded) == 1
+        batches = self.batches(4)
+        assert [len(batch) for batch in batches] == [4, 4, 4, 2]
+        self.same(folded[0], self.drained(batches))
+        # The INT64 sum wrapped: the drained reference is not Python's.
+        total = sum(value for value in self.DATA["i"] if value is not None)
+        assert folded[0][2] != total
+        assert folded[0][2] == (total + 2**63) % 2**64 - 2**63
+
+    @pytest.mark.parametrize("fold_rows", FOLDS)
+    def test_empty_batches_and_no_input(self, fold_rows, monkeypatch):
+        monkeypatch.setattr(aggregate, "FOLD_ROWS", fold_rows)
+        batches = self.batches(4)
+        empty = RecordBatch.empty(self.SCHEMA)
+        for source in ([empty, *batches[:2], empty, *batches[2:], empty], [empty], []):
+            folded = collect(
+                HashAggregate(BatchSource(self.SCHEMA, source), [], self.SPECS)
+            ).to_pylist()
+            self.same(folded[0], self.drained(source))
+        assert collect(
+            HashAggregate(BatchSource(self.SCHEMA, []), [], self.SPECS)
+        ).to_pylist() == [(0, 0) + (None,) * 8]
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)), max_size=24
+        ),
+        st.integers(1, 5),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int64_fold_matches_drained_at_any_batch_size(
+        self, values, size, fold_rows
+    ):
+        data = {
+            "i": values,
+            "f": [None] * len(values),
+            "s": [None] * len(values),
+        }
+        table = Table.from_pydict("t", self.SCHEMA, data)
+        specs = self.SPECS[:6]
+        with mock.patch.object(aggregate, "FOLD_ROWS", fold_rows):
+            folded = collect(
+                HashAggregate(TableScan(table, batch_size=size), [], specs)
+            ).to_pylist()[0]
+        whole = collect(
+            HashAggregate(TableScan(table, batch_size=len(values) + 1), [], specs)
+        ).to_pylist()[0]
+        self.same(folded, whole)
+
+    @pytest.mark.parametrize("fold_rows", [1, aggregate.FOLD_ROWS])
+    def test_int64_aggregates_are_bit_identical_to_parallel(
+        self, fold_rows, monkeypatch
+    ):
+        monkeypatch.setattr(aggregate, "FOLD_ROWS", fold_rows)
+        specs = "COUNT(*) AS n, COUNT(i) AS ci, SUM(i) AS si, AVG(i) AS ai, " \
+            "MIN(i) AS lo, MAX(i) AS hi"
+        values = [
+            None if k % 7 == 3 else (2**62 - k if k % 2 else -(2**62) + 3 * k)
+            for k in range(96)
+        ]
+        db = Database()
+        db.create_table_from_pydict(
+            "t",
+            Schema([Field("i", DataType.INT64)]),
+            {"i": values},
+            partition_count=3,
+        )
+        logical = Optimizer(db.catalog).optimize(
+            Binder(db.catalog).bind_select(
+                parse_statement(f"SELECT {specs} FROM t")
+            )
+        )
+        parallel = PhysicalPlanner(parallelism=2, morsel_size=16).plan(logical)
+        assert "dop=2" in parallel.explain()
+        serial = PhysicalPlanner(parallelism=1).plan(logical)
+        assert "ParallelAggregate" not in serial.explain()
+        self.same(
+            collect(serial).to_pylist()[0], collect(parallel).to_pylist()[0]
+        )
 
 
 class TestDistinct:

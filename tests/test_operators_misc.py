@@ -38,6 +38,41 @@ class TestRecordBatch:
         no_rowids = RecordBatch(schema, {"v": vector})
         assert no_rowids.contiguous_range is None
 
+    def test_window_builds_rowids_only_when_read(self):
+        schema = Schema([Field("v", DataType.INT64)])
+        vector = ColumnVector.from_pylist(DataType.INT64, [1, 2, 3, 4])
+        batch = RecordBatch(schema, {"v": vector}, window=(10, 14))
+        assert batch.contiguous_range == (10, 14)
+        assert batch._rowids is None
+        kept = batch.filter(np.array([True, False, True, True]))
+        again = kept.filter(np.array([False, True, True]))
+        assert kept._rowids is None and again._rowids is None
+        assert kept.project(["v"])._rowids is None
+        assert kept.contiguous_range is None
+        assert kept.rowids.tolist() == [10, 12, 13]
+        assert again.contiguous_range == (12, 14)
+        assert again.rowids.tolist() == [12, 13]
+        assert batch.rowids.tolist() == [10, 11, 12, 13]
+        assert batch.take(np.array([3, 0])).rowids.tolist() == [13, 10]
+
+    def test_concat_drops_rowids(self):
+        schema = Schema([Field("v", DataType.INT64)])
+        vector = ColumnVector.from_pylist(DataType.INT64, [1, 2])
+        windowed = RecordBatch(schema, {"v": vector}, window=(4, 6))
+        merged = RecordBatch.concat([windowed, windowed])
+        assert merged.rowids is None and merged.contiguous_range is None
+        assert merged.column("v").to_pylist() == [1, 2, 1, 2]
+
+    def test_window_length_must_match(self):
+        schema = Schema([Field("v", DataType.INT64)])
+        vector = ColumnVector.from_pylist(DataType.INT64, [1, 2])
+        with pytest.raises(ExecutionError):
+            RecordBatch(schema, {"v": vector}, window=(0, 3))
+        with pytest.raises(ExecutionError):
+            RecordBatch(
+                schema, {"v": vector}, window=(0, 3), keep=np.array([True] * 3)
+            )
+
     def test_length_mismatch_rejected(self):
         schema = Schema([Field("v", DataType.INT64)])
         vector = ColumnVector.from_pylist(DataType.INT64, [1, 2])
@@ -91,18 +126,23 @@ class TestFilter:
         assert result.column("v").to_pylist() == [1, 3]
 
     def test_rowids_propagate(self):
-        table = make_table([1, 2, 3, 4])
+        # One partition, one batch: the filter keeps part of it, so the
+        # rowids go through RecordBatch.filter.
+        table = make_table([1, 2, 3, 4, 0, 5], partition_count=1)
         operator = Filter(
             TableScan(table), Comparison(">", ColumnRef("v"), Literal(2))
         )
         operator.open()
         rowids = []
+        values = []
         while True:
             batch = operator.next_batch()
             if batch is None:
                 break
             rowids.extend(batch.rowids.tolist())
-        assert rowids == [2, 3]
+            values.extend(batch.column("v").to_pylist())
+        assert rowids == [2, 3, 5]
+        assert values == [3, 4, 5]
 
 
 class TestProject:

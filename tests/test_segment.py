@@ -306,14 +306,16 @@ class TestDecodeRun:
         assert passes == [("bp", 5), ("bp", 3), ("bp", 1)]
 
     def test_mixed_frame_neighbours_never_share_a_pass(self, tmp_path, monkeypatch):
-        # 64-row blocks: 18 bp, 2 for, 1 bp, 1 pfor, 1 raw, 2 bp.  A pass
-        # takes at most 16 blocks of one tag; every run reads back.
+        # 64-row blocks: cap + 2 bp, 2 for, 1 bp, 1 pfor, 1 raw, 2 bp.  A
+        # pass takes at most _FOR_GROUP_BLOCKS blocks of one tag; every
+        # run reads back.
+        cap = segment._FOR_GROUP_BLOCKS
         rng = np.random.default_rng(7)
 
         def uniform():
             return rng.integers(0, 2**12, 64)
 
-        blocks = [uniform() for _ in range(18)]
+        blocks = [uniform() for _ in range(cap + 2)]
         blocks += [np.arange(64) * 3, np.arange(64) * 3 + 500, uniform()]
         sorted_block = np.arange(64) * 2
         sorted_block[[9, 40]] = [10**9, -(10**9)]
@@ -321,22 +323,23 @@ class TestDecodeRun:
         blocks += [uniform(), uniform()]
         column = ColumnVector(DataType.INT64, np.concatenate(blocks))
         path = tmp_path / "col.seg"
+        pfor_block = cap + 5
         write_segment(
             path,
             column,
             block_size=64,
             sync=False,
-            patch_rowids=np.array([21 * 64 + 9, 21 * 64 + 40]),
+            patch_rowids=np.array([pfor_block * 64 + 9, pfor_block * 64 + 40]),
         )
         reader = open_segment(path)
         try:
             assert reader.encodings == (
-                ["bp"] * 18 + ["for"] * 2 + ["bp", "pfor", "raw", "bp", "bp"]
+                ["bp"] * (cap + 2) + ["for"] * 2 + ["bp", "pfor", "raw", "bp", "bp"]
             )
             passes = spy_on_passes(monkeypatch)
             np.testing.assert_array_equal(reader.read_all().values, column.values)
             assert passes == [
-                ("bp", 16), ("bp", 2), ("for", 2), ("bp", 1), ("bp", 2)
+                ("bp", cap), ("bp", 2), ("for", 2), ("bp", 1), ("bp", 2)
             ]
             for first in range(reader.block_count):
                 for last in range(first, reader.block_count):
