@@ -62,7 +62,7 @@ def build(root: Path, rows: int) -> tuple[float, dict, list]:
     checkpoint_s = time.perf_counter() - started
     tail = max(1, int(rows * TAIL_FRACTION))
     table.insert_rows([[rows + i] for i in range(tail)])
-    truth = database.sql(QUERY).rows()
+    truth = database.sql(QUERY).to_pylist()
     database.close()
     return checkpoint_s, info, truth
 
@@ -83,7 +83,7 @@ def main() -> int:
             segment_bytes = info["segment_bytes"]
             detail = info["table_details"]["t"]
             recover_s, database = reopen(root)
-            recovered = database.sql(QUERY).rows()
+            recovered = database.sql(QUERY).to_pylist()
             index = database.catalog.index("pi")
             ok = recovered == truth and index.provenance == "recovery"
             failures += 0 if ok else 1

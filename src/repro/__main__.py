@@ -51,8 +51,12 @@ _BANNER = (
     "repro — PatchIndex reproduction shell. "
     "End statements with ';'.  \\d describes, \\threads sets "
     "parallelism, \\profile toggles profiling, \\metrics dumps "
-    "metrics, \\cache shows the block cache, \\drift shows PatchIndex "
-    "maintenance drift, \\checkpoint flushes durable state, \\q quits."
+    "metrics, \\cache shows the block cache, \\checkpoint flushes "
+    "durable state, \\q quits."
+)
+_COMMANDS = (
+    "commands: \\d, \\threads [N], \\profile [on|off], \\metrics, "
+    "\\cache, \\checkpoint, \\q"
 )
 
 
@@ -139,30 +143,6 @@ def run_shell(
                     f"scan_bypass={stats['scan_bypass']}"
                 )
             continue
-        if not buffer and stripped == "\\drift":
-            try:
-                report = database.drift_report()
-            except AttributeError:
-                emit("(drift reporting unavailable on this connection)")
-                continue
-            if not report:
-                emit("(no patch indexes)")
-                continue
-            for entry in report:
-                marker = " REBUILD PENDING" if entry["rebuild_pending"] else ""
-                location = (
-                    f" on {entry['table']}({entry['column']})"
-                    if "table" in entry
-                    else ""
-                )
-                emit(
-                    f"{entry['index']}{location}: "
-                    f"drift={entry['drift_rate']:.4f} "
-                    f"threshold={entry['rebuild_threshold']:.4f} "
-                    f"patches={entry['patch_count']} "
-                    f"rebuilds={entry['rebuilds']}{marker}"
-                )
-            continue
         if not buffer and stripped == "\\checkpoint":
             try:
                 info = database.checkpoint()
@@ -174,6 +154,10 @@ def run_shell(
                 )
             except ReproError as error:
                 emit(f"error: {error}")
+            continue
+        if not buffer and stripped.startswith("\\"):
+            emit(f"error: unknown command {stripped.split()[0]}")
+            emit(_COMMANDS)
             continue
         if not stripped and not buffer:
             continue

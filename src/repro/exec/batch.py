@@ -189,12 +189,5 @@ class RecordBatch:
         }
         return cls(schema, columns)
 
-    def to_pydict(self) -> dict[str, list[object]]:
-        """Materialize as Python lists keyed by column name."""
-        return {
-            field.name: self.column(field.name).to_pylist()
-            for field in self.schema
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RecordBatch(rows={len(self)}, cols={list(self.columns)})"

@@ -7,13 +7,15 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field as SchemaField, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.operators.base import Operator
+    from repro.obs.profile import QueryProfile
+    from repro.serve.protocol import RemoteProfile
 
 
 class QueryResult:
@@ -21,27 +23,21 @@ class QueryResult:
 
     This is the stable result surface for *both* local and remote
     callers: :meth:`repro.storage.database.Database.sql`,
-    :meth:`repro.sql.session.Session.sql` and the network clients in
-    :mod:`repro.serve` all return it.  Besides the columnar accessors
-    (:meth:`column`, :meth:`to_pydict`) it carries a DB-API-flavoured
-    cursor surface — iteration yields row tuples, :meth:`fetchone` /
-    :meth:`fetchmany` / :meth:`fetchall` consume them incrementally,
-    :attr:`rowcount` mirrors the DB-API attribute, and ``result[name]``
-    gives column access by name.
+    :meth:`repro.sql.session.Session.sql` and the network client in
+    :mod:`repro.serve` all return it.  Rows come out as tuples through
+    :meth:`to_pylist`, columns through :meth:`column`, and text through
+    :meth:`text`, :meth:`pretty` and :meth:`scalar`.
     """
 
     #: The :class:`~repro.obs.profile.QueryProfile` of the execution when
     #: the statement ran with ``profile=True`` (EXPLAIN ANALYZE or
     #: ``Database.sql(..., profile=True)``); ``None`` otherwise.  Remote
     #: results carry a render-only stand-in with the same ``to_text()``.
-    profile = None
+    profile: "QueryProfile | RemoteProfile | None" = None
 
     def __init__(self, schema: Schema, columns: dict[str, ColumnVector]):
         self.schema = schema
         self.columns = columns
-        #: Cursor position for fetchone()/fetchmany() (DB-API surface).
-        self._cursor = 0
-        self._rows: list[tuple[object, ...]] | None = None
 
     @classmethod
     def empty(cls, schema: Schema | None = None) -> "QueryResult":
@@ -78,81 +74,9 @@ class QueryResult:
     def column(self, name: str) -> ColumnVector:
         return self.columns[name]
 
-    def __getitem__(self, name: str) -> ColumnVector:
-        """Column access by name: ``result["total"]``."""
-        if not isinstance(name, str):
-            raise TypeError(
-                f"QueryResult columns are addressed by name, got "
-                f"{type(name).__name__}"
-            )
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise KeyError(
-                f"no column {name!r}; columns are {list(self.column_names)}"
-            ) from None
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.columns
-
-    def to_pydict(self) -> dict[str, list[object]]:
-        return {
-            field.name: self.columns[field.name].to_pylist()
-            for field in self.schema
-        }
-
     def to_pylist(self) -> list[tuple[object, ...]]:
         """Rows as tuples, in result order."""
-        materialized = [
-            self.columns[field.name].to_pylist() for field in self.schema
-        ]
-        return list(zip(*materialized)) if materialized else []
-
-    # -- DB-API-flavoured cursor surface -----------------------------------
-
-    @property
-    def rowcount(self) -> int:
-        """Number of rows in the result (DB-API spelling)."""
-        return self.row_count
-
-    def _materialized_rows(self) -> list[tuple[object, ...]]:
-        if self._rows is None:
-            self._rows = self.to_pylist()
-        return self._rows
-
-    def fetchone(self) -> tuple[object, ...] | None:
-        """The next row tuple, or ``None`` when the cursor is exhausted."""
-        rows = self._materialized_rows()
-        if self._cursor >= len(rows):
-            return None
-        row = rows[self._cursor]
-        self._cursor += 1
-        return row
-
-    def fetchmany(self, size: int = 1) -> list[tuple[object, ...]]:
-        """Up to *size* next row tuples (empty list when exhausted)."""
-        if size < 0:
-            raise ValueError(f"fetchmany size must be >= 0, got {size}")
-        rows = self._materialized_rows()
-        chunk = rows[self._cursor : self._cursor + size]
-        self._cursor += len(chunk)
-        return chunk
-
-    def fetchall(self) -> list[tuple[object, ...]]:
-        """All remaining row tuples from the cursor position on."""
-        rows = self._materialized_rows()
-        chunk = rows[self._cursor :]
-        self._cursor = len(rows)
-        return chunk
-
-    def rows(self) -> list[tuple[object, ...]]:
-        """Alias of :meth:`to_pylist`: rows as tuples, in result order."""
-        return self.to_pylist()
-
-    def to_dicts(self) -> list[dict[str, object]]:
-        """Rows as ``{column: value}`` dicts, in result order."""
-        names = self.column_names
-        return [dict(zip(names, row)) for row in self.to_pylist()]
+        return _rows(self.columns[name] for name in self.column_names)
 
     def text(self) -> str:
         """A single-STRING-column result joined into one string.
@@ -177,16 +101,11 @@ class QueryResult:
             )
         return self.columns[self.schema.names[0]][0]
 
-    def __iter__(self) -> Iterator[tuple[object, ...]]:
-        return iter(self.to_pylist())
-
-    def __len__(self) -> int:
-        return self.row_count
-
     def pretty(self, limit: int = 20) -> str:
         """Fixed-width textual rendering (for examples and debugging)."""
         names = list(self.column_names)
-        rows = self.to_pylist()[:limit]
+        stop = min(limit, self.row_count)
+        rows = _rows(self.columns[name].slice(0, stop) for name in names)
         cells = [[_fmt(value) for value in row] for row in rows]
         widths = [
             max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
@@ -205,6 +124,11 @@ class QueryResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryResult(rows={self.row_count}, cols={list(self.column_names)})"
+
+
+def _rows(vectors: Iterable[ColumnVector]) -> list[tuple[object, ...]]:
+    materialized = [vector.to_pylist() for vector in vectors]
+    return list(zip(*materialized)) if materialized else []
 
 
 def _fmt(value: object) -> str:

@@ -127,11 +127,6 @@ class Histogram:
                 position += 1
             self.bucket_counts[position] += 1
 
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self.total / self.count if self.count else 0.0
-
     def summary(self) -> dict:
         """Exportable summary (omits empty-histogram infinities).
 

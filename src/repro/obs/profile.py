@@ -28,7 +28,6 @@ time).  Four operator kinds carry extra detail:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -102,22 +101,6 @@ class ProfileNode:
             lines.extend(child.render(indent + 1))
         return lines
 
-    def to_dict(self) -> dict:
-        out: dict[str, object] = {
-            "label": self.label,
-            "op": self.op_type,
-            "rows": self.rows,
-            "batches": self.batches,
-            "seconds": self.seconds,
-        }
-        if self.estimated_rows is not None:
-            out["estimated_rows"] = self.estimated_rows
-        if self.details:
-            out["details"] = dict(self.details)
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProfileNode({self.op_type}, rows={self.rows})"
 
@@ -171,18 +154,6 @@ class QueryProfile:
     def to_text(self) -> str:
         header = f"== query profile ==  (total {self.total_seconds * 1e3:.3f}ms)"
         return "\n".join([header, *self.root.render()])
-
-    def to_dict(self) -> dict:
-        out: dict[str, object] = {
-            "total_seconds": self.total_seconds,
-            "plan": self.root.to_dict(),
-        }
-        if self.query is not None:
-            out["query"] = self.query
-        return out
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryProfile(total={self.total_seconds:.6f}s)"

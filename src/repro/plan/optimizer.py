@@ -80,9 +80,6 @@ class OptimizerOptions:
     cache's key)."""
 
     use_patch_indexes: bool = True
-    rewrite_distinct: bool = True
-    rewrite_sort: bool = True
-    rewrite_join: bool = True
     always_rewrite: bool = False
 
 
@@ -163,19 +160,13 @@ class Optimizer:
         plan = plan.with_children(children) if children else plan
         if not self.options.use_patch_indexes:
             return plan
-        if self.options.rewrite_distinct:
-            rewritten = self._try_distinct(plan)
-            if rewritten is not None:
-                return self._check_rewrite(plan, rewritten)
-            rewritten = self._try_count_distinct(plan)
-            if rewritten is not None:
-                return self._check_rewrite(plan, rewritten)
-        if self.options.rewrite_sort:
-            rewritten = self._try_sort(plan)
-            if rewritten is not None:
-                return self._check_rewrite(plan, rewritten)
-        if self.options.rewrite_join:
-            rewritten = self._try_join(plan)
+        for rule in (
+            self._try_distinct,
+            self._try_count_distinct,
+            self._try_sort,
+            self._try_join,
+        ):
+            rewritten = rule(plan)
             if rewritten is not None:
                 return self._check_rewrite(plan, rewritten)
         return plan

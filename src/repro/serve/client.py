@@ -29,7 +29,6 @@ from repro.serve.protocol import (
     read_frame,
     result_from_wire,
 )
-from repro.storage.database import REBUILD_THRESHOLD
 
 
 def parse_uri(uri: str) -> tuple[str, int]:
@@ -193,41 +192,6 @@ class ServerClient:
 
     def cache_stats(self) -> dict | None:
         return self._call({"op": "cache_stats"})["stats"]
-
-    def drift_report(self) -> list[dict]:
-        """Per-index drift summary, derived from the server's metrics.
-
-        Mirrors :meth:`~repro.storage.database.Database.drift_report`
-        without a dedicated wire op: the server-rendered metrics JSON
-        already carries the ``patchindex.<name>.*`` gauges and the
-        ``maintenance.rebuild_threshold`` gauge.
-        """
-        import json
-
-        rendered = json.loads(self.metrics().to_json())
-        gauges = rendered.get("gauges", {})
-        threshold = gauges.get("maintenance.rebuild_threshold", REBUILD_THRESHOLD)
-        report: list[dict] = []
-        for name, value in sorted(gauges.items()):
-            if not name.startswith("patchindex.") or not name.endswith(
-                ".drift_rate"
-            ):
-                continue
-            index = name[len("patchindex."):-len(".drift_rate")]
-            prefix = f"patchindex.{index}"
-            report.append(
-                {
-                    "index": index,
-                    "patch_count": int(gauges.get(f"{prefix}.patch_count", 0)),
-                    "drift_rate": float(value),
-                    "rebuild_threshold": float(threshold),
-                    "rebuild_pending": bool(
-                        gauges.get(f"{prefix}.rebuild_pending", 0)
-                    ),
-                    "rebuilds": int(gauges.get(f"{prefix}.rebuilds", 0)),
-                }
-            )
-        return report
 
     def checkpoint(self) -> dict:
         return self._call({"op": "checkpoint"})["result"]

@@ -12,7 +12,7 @@ mutating in place.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,11 +157,6 @@ class ColumnVector:
         """Materialize the vector as a list of Python scalars."""
         return [self[position] for position in range(len(self))]
 
-    def iter_values(self) -> Iterator[object]:
-        """Iterate Python-level values (``None`` for NULL)."""
-        for position in range(len(self)):
-            yield self[position]
-
     # -- vectorized transforms ----------------------------------------
 
     def slice(self, start: int, stop: int) -> "ColumnVector":
@@ -183,18 +178,6 @@ class ColumnVector:
         validity = None if self.validity is None else self.validity[mask]
         return ColumnVector(self.dtype, self.values[mask], validity)
 
-    def fill_nulls_for_compare(self) -> np.ndarray:
-        """Return the value array with NULL slots replaced by a fill value.
-
-        Used when an operator needs a dense array but will separately
-        mask out NULL positions (e.g. hashing, sorting).
-        """
-        if self.validity is None:
-            return self.values
-        values = self.values.copy()
-        values[~self.validity] = _null_fill(self.dtype)
-        return values
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = ", ".join(repr(value) for value in self.to_pylist()[:6])
         suffix = ", ..." if len(self) > 6 else ""
@@ -211,9 +194,3 @@ def _null_fill(dtype: DataType) -> object:
         return False
     return ""
 
-
-def column_from_iterable(
-    dtype: DataType, items: Iterable[object]
-) -> ColumnVector:
-    """Convenience wrapper accepting any iterable of Python scalars."""
-    return ColumnVector.from_pylist(dtype, list(items))

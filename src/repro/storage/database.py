@@ -256,24 +256,6 @@ class Database:
                 ran += 1
         return ran
 
-    def drift_report(self) -> list[dict]:
-        """Per-index drift summary (the REPL's ``\\drift`` command)."""
-        report = []
-        for index in self.catalog.indexes():
-            report.append(
-                {
-                    "index": index.name,
-                    "table": index.table_name,
-                    "column": index.column_name,
-                    "patch_count": index.patch_count,
-                    "drift_rate": index.drift_rate(),
-                    "rebuild_threshold": REBUILD_THRESHOLD,
-                    "rebuild_pending": index.rebuild_pending,
-                    "rebuilds": index.rebuild_count,
-                }
-            )
-        return report
-
     # -- table DDL ----------------------------------------------------------
 
     def _install_table(self, table: Table) -> None:

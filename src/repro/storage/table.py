@@ -92,9 +92,6 @@ class Table:
     def partition_count(self) -> int:
         return len(self.partitions)
 
-    def column_names(self) -> tuple[str, ...]:
-        return self.schema.names
-
     def add_listener(self, listener: TableListener) -> None:
         """Register a mutation listener (used by PatchIndex maintenance)."""
         self._listeners.append(listener)

@@ -313,7 +313,7 @@ class TestCapacityKnobs:
         table = db.create_table("t", SCHEMA)
         table.insert_rows([[1, 2], [3, 4]])
         db.sql("CHECKPOINT")
-        assert db.sql("SELECT SUM(v) AS s FROM t").rows() == [(6,)]
+        assert db.sql("SELECT SUM(v) AS s FROM t").to_pylist() == [(6,)]
         assert db.cache_stats() is None
         db.close()
 
@@ -390,7 +390,7 @@ class TestNeverStale:
             db.table("t").insert_rows([[100, 1], [101, None]])
             db.table("t").delete_rowids([0, 5])
             db.table("t").update_rowid(10, "v", 9999)
-        assert durable.sql(QUERY).rows() == memory.sql(QUERY).rows()
+        assert durable.sql(QUERY).to_pylist() == memory.sql(QUERY).to_pylist()
         durable.close()
         memory.close()
 
@@ -423,7 +423,7 @@ class TestNeverStale:
                         db.table("t").update_rowid(rowid, "v", value)
             else:
                 durable.sql("CHECKPOINT")
-            assert durable.sql(QUERY).rows() == memory.sql(QUERY).rows(), (
+            assert durable.sql(QUERY).to_pylist() == memory.sql(QUERY).to_pylist(), (
                 f"diverged at step {step} after {op}"
             )
         durable.close()
@@ -434,11 +434,11 @@ class TestNeverStale:
         durable.sql("CHECKPOINT")
         for db in (durable, memory):
             db.table("t").insert_rows([[500, 1]])
-        expected = memory.sql(QUERY).rows()
+        expected = memory.sql(QUERY).to_pylist()
         durable.close()
         memory.close()
 
         reopened = repro.connect(path=tmp_path / "db", parallelism=1)
-        assert reopened.sql(QUERY).rows() == expected
-        assert reopened.sql(QUERY).rows() == expected  # warm pass
+        assert reopened.sql(QUERY).to_pylist() == expected
+        assert reopened.sql(QUERY).to_pylist() == expected  # warm pass
         reopened.close()

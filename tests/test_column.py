@@ -97,13 +97,6 @@ class TestTransforms:
 
 
 class TestNullHandling:
-    def test_fill_nulls_for_compare(self):
-        vector = ColumnVector.from_pylist(DataType.INT64, [5, None, 7])
-        filled = vector.fill_nulls_for_compare()
-        assert filled.tolist() == [5, 0, 7]
-        # The original is untouched.
-        assert vector.to_pylist() == [5, None, 7]
-
     def test_is_valid(self):
         vector = ColumnVector.from_pylist(DataType.INT64, [5, None])
         assert vector.is_valid(0)

@@ -590,7 +590,7 @@ def test_wide_spans_never_reach_the_reference_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(compression, "unpack_bits_reference", refuse)
     reopened = repro.connect(path=tmp_path)
     try:
-        assert reopened.sql("SELECT c FROM t").to_pydict()["c"] == values
+        assert reopened.sql("SELECT c FROM t").column("c").to_pylist() == values
     finally:
         reopened.close()
 

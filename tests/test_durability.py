@@ -78,16 +78,16 @@ class TestRoundtripProperty:
                 if doomed:
                     table.delete_rowids(doomed)
             query = "SELECT k, v FROM t"
-            before_rows = db.sql(query).rows()
+            before_rows = db.sql(query).to_pylist()
             before_distinct = db.sql(
                 "SELECT COUNT(DISTINCT k) AS n FROM t"
-            ).rows()
+            ).to_pylist()
             db.close()
 
             reopened = repro.connect(path=root, parallelism=1)
-            assert reopened.sql(query).rows() == before_rows
+            assert reopened.sql(query).to_pylist() == before_rows
             assert (
-                reopened.sql("SELECT COUNT(DISTINCT k) AS n FROM t").rows()
+                reopened.sql("SELECT COUNT(DISTINCT k) AS n FROM t").to_pylist()
                 == before_distinct
             )
             index = reopened.catalog.index("pi_k")
@@ -112,11 +112,11 @@ class TestRoundtripProperty:
             db.create_patch_index("pi_k", "t", "k", kind="unique")
             db.close()
             first = repro.connect(path=root, parallelism=1)
-            rows_1 = first.sql("SELECT k, v FROM t").rows()
+            rows_1 = first.sql("SELECT k, v FROM t").to_pylist()
             stats_1 = structural_stats(first.catalog.index("pi_k"))
             first.close()
             second = repro.connect(path=root, parallelism=1)
-            assert second.sql("SELECT k, v FROM t").rows() == rows_1
+            assert second.sql("SELECT k, v FROM t").to_pylist() == rows_1
             assert structural_stats(second.catalog.index("pi_k")) == stats_1
             second.close()
         finally:
@@ -158,7 +158,7 @@ class TestFig45Workloads:
     def test_reopen_yields_identical_results(self, tmp_path):
         root = tmp_path / "db"
         db = self.build(root)
-        expected = [db.sql(query).rows() for query in self.QUERIES]
+        expected = [db.sql(query).to_pylist() for query in self.QUERIES]
         expected_stats = {
             name: structural_stats(db.catalog.index(name))
             for name in ("pi_u", "pi_s")
@@ -167,7 +167,7 @@ class TestFig45Workloads:
 
         reopened = repro.connect(path=root, parallelism=1)
         for query, rows in zip(self.QUERIES, expected):
-            assert reopened.sql(query).rows() == rows
+            assert reopened.sql(query).to_pylist() == rows
         for name, stats in expected_stats.items():
             index = reopened.catalog.index(name)
             assert structural_stats(index) == stats
@@ -182,14 +182,14 @@ class TestFig45Workloads:
         db.checkpoint()
         db.table("fig").insert_rows([[self.N + 1, self.N + 1], [None, 5]])
         db.table("fig").delete_rowids([0, 1, 2])
-        expected = [db.sql(query).rows() for query in self.QUERIES]
+        expected = [db.sql(query).to_pylist() for query in self.QUERIES]
         metrics = db.metrics().export()
         assert metrics["histograms"]["checkpoint.seconds"]["count"] == 1
         db.close()
 
         reopened = repro.connect(path=root, parallelism=1)
         for query, rows in zip(self.QUERIES, expected):
-            assert reopened.sql(query).rows() == rows
+            assert reopened.sql(query).to_pylist() == rows
         reopened.close()
 
     def test_wal_never_contains_patches(self, tmp_path):
@@ -288,14 +288,14 @@ class TestCrashRecoveryFuzz:
         assert db.table("t").row_count == expected_rows_after(
             crashed, wal_bytes[:cut]
         )
-        rows = db.sql("SELECT k, v FROM t").rows()
+        rows = db.sql("SELECT k, v FROM t").to_pylist()
         index_stats = structural_stats(db.catalog.index("pi_k"))
         db.close()
 
         # Convergence: recovering the recovered directory again is a
         # fixed point — same rows, same rebuilt index.
         again = repro.connect(path=crashed, parallelism=1)
-        assert again.sql("SELECT k, v FROM t").rows() == rows
+        assert again.sql("SELECT k, v FROM t").to_pylist() == rows
         assert structural_stats(again.catalog.index("pi_k")) == index_stats
         again.close()
 
@@ -313,7 +313,7 @@ class TestCrashRecoveryFuzz:
                 crashed, wal_bytes[:cut]
             )
             # The recovered database is fully functional.
-            db.sql("SELECT COUNT(DISTINCT k) AS n FROM t").rows()
+            db.sql("SELECT COUNT(DISTINCT k) AS n FROM t").to_pylist()
             db.close()
         finally:
             shutil.rmtree(crashed.parent, ignore_errors=True)

@@ -97,13 +97,6 @@ class TestDistinctRewrite:
         assert isinstance(optimized, lp.LogicalUnionAll)
         assert plan_contains(optimized, lp.LogicalPatchSelect)
 
-    def test_disabled_by_option(self):
-        catalog, table, __ = build_catalog([1, 1, 2, 3], "unique")
-        plan = lp.LogicalDistinct(lp.LogicalScan(table, ("c",)))
-        options = OptimizerOptions(rewrite_distinct=False, always_rewrite=True)
-        optimized = Optimizer(catalog, options).optimize(plan)
-        assert not plan_contains(optimized, lp.LogicalPatchSelect)
-
     def test_no_index_no_rewrite(self):
         catalog, table, index = build_catalog([1, 1, 2, 3], "sorted")
         plan = lp.LogicalDistinct(lp.LogicalScan(table, ("c",)))

@@ -1,5 +1,7 @@
 """Tests for drift tracking and index rebuilds (self-management upkeep)."""
 
+import json
+
 import pytest
 
 import repro
@@ -88,6 +90,11 @@ def counters(db):
     return db.metrics().export()["counters"]
 
 
+def gauges(db):
+    """The metrics gauges of a database or a client (its rendered JSON)."""
+    return json.loads(db.metrics().to_json())["gauges"]
+
+
 def patch_rowids(db):
     return db.catalog.index("pi").rowids().tolist()
 
@@ -129,9 +136,10 @@ class TestDriftTriggeredRebuild:
         self.demote(db, [10, 20, 30, 40])  # crosses at the third
         assert db.catalog.index("pi").rebuild_pending
         assert counters(db)["maintenance.rebuilds_scheduled"] == 1
-        [entry] = db.drift_report()
-        assert entry["rebuild_pending"] and entry["rebuilds"] == 0
-        assert entry["rebuild_threshold"] == REBUILD_THRESHOLD
+        shown = gauges(db)
+        assert shown["patchindex.pi.rebuild_pending"] == 1.0
+        assert shown["patchindex.pi.rebuilds"] == 0
+        assert shown["maintenance.rebuild_threshold"] == REBUILD_THRESHOLD
 
     def test_the_sweep_restores_the_minimal_patch_set(self, db):
         self.demote(db, [10, 20, 30])
@@ -227,10 +235,12 @@ class TestDriftTriggeredRebuild:
         db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
         with ServerThread(db) as server, ServerClient(server.host, server.port) as client:
             client.sql("INSERT INTO t VALUES (0), (1)")  # 4 patches / 102 rows
-            [entry] = client.drift_report()
-            assert entry["rebuilds"] == 1 and not entry["rebuild_pending"]
-            assert entry["drift_rate"] == 0.0 and entry["patch_count"] == 4
-            assert entry["rebuild_threshold"] == REBUILD_THRESHOLD
+            shown = gauges(client)
+            assert shown["patchindex.pi.rebuilds"] == 1
+            assert shown["patchindex.pi.rebuild_pending"] == 0.0
+            assert shown["patchindex.pi.drift_rate"] == 0.0
+            assert shown["patchindex.pi.patch_count"] == 4
+            assert shown["maintenance.rebuild_threshold"] == REBUILD_THRESHOLD
             assert client.sql("SELECT COUNT(DISTINCT c) AS n FROM t").scalar() == 100
         assert counters(db)["maintenance.rebuilds_scheduled"] == 1
         assert counters(db)["maintenance.rebuilds_run"] == 1

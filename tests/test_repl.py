@@ -69,6 +69,36 @@ class TestShell:
         assert code == 0
 
 
+    def test_unknown_command_leaves_the_next_statement_alone(self):
+        code, text, __ = drive(
+            [
+                "CREATE TABLE t (c BIGINT);",
+                "INSERT INTO t VALUES (7), (8);",
+                "\\drfit",
+                "SELECT COUNT(*) AS n FROM t;",
+            ]
+        )
+        assert code == 0
+        assert "error: unknown command \\drfit" in text
+        assert "\\metrics" in text.split("unknown command", 1)[1]
+        assert "unexpected character" not in text
+        assert text.rstrip().splitlines()[-1].strip() == "2"
+
+    def test_metrics_show_patchindex_drift(self):
+        code, text, __ = drive(
+            [
+                "CREATE TABLE t (c BIGINT);",
+                "INSERT INTO t VALUES (1), (2), (3);",
+                "CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE;",
+                "INSERT INTO t VALUES (1);",
+                "\\metrics",
+            ]
+        )
+        assert code == 0
+        assert "patchindex.pi.drift_rate" in text
+        assert "maintenance.rebuild_threshold" in text
+
+
 class TestCheckpoint:
     def test_checkpoint_statement(self):
         code, text, __ = drive(

@@ -21,12 +21,9 @@ class TestQueryResult:
     def test_basic_accessors(self):
         result = make_result([1, 2, None])
         assert result.row_count == 3
-        assert len(result) == 3
         assert result.column_names == ("v",)
         assert result.column("v").to_pylist() == [1, 2, None]
-        assert result.to_pydict() == {"v": [1, 2, None]}
         assert result.to_pylist() == [(1,), (2,), (None,)]
-        assert list(result) == [(1,), (2,), (None,)]
 
     def test_scalar(self):
         assert make_result([42]).scalar() == 42
@@ -57,6 +54,77 @@ class TestQueryResult:
         text = result.pretty()
         assert "NULL" in text
         assert "1.5" in text
+
+    def three_columns(self, n):
+        schema = Schema(
+            [
+                Field("k", DataType.INT64),
+                Field("f", DataType.FLOAT64),
+                Field("s", DataType.STRING),
+            ]
+        )
+        columns = {
+            "k": ColumnVector.from_pylist(DataType.INT64, [1, None, 30, 4][:n]),
+            "f": ColumnVector.from_pylist(
+                DataType.FLOAT64, [1.5, None, 2.0 / 3, 1e9][:n]
+            ),
+            "s": ColumnVector.from_pylist(
+                DataType.STRING, ["a", "bb", None, "dddd"][:n]
+            ),
+        }
+        return QueryResult(schema, columns)
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (0, ["k | f | s", "--+---+--"]),
+            (
+                2,
+                [
+                    "k    | f    | s ",
+                    "-----+------+---",
+                    "1    | 1.5  | a ",
+                    "NULL | NULL | bb",
+                ],
+            ),
+            (
+                3,
+                [
+                    "k    | f        | s   ",
+                    "-----+----------+-----",
+                    "1    | 1.5      | a   ",
+                    "NULL | NULL     | bb  ",
+                    "30   | 0.666667 | NULL",
+                ],
+            ),
+            (
+                4,  # the unprinted 1e+09 row widens nothing
+                [
+                    "k    | f        | s   ",
+                    "-----+----------+-----",
+                    "1    | 1.5      | a   ",
+                    "NULL | NULL     | bb  ",
+                    "30   | 0.666667 | NULL",
+                    "... (4 rows total)",
+                ],
+            ),
+        ],
+    )
+    def test_pretty_below_at_and_above_limit(self, n, expected):
+        assert self.three_columns(n).pretty(limit=3) == "\n".join(expected)
+
+    def test_pretty_converts_only_the_printed_rows(self, monkeypatch):
+        converted = []
+        original = ColumnVector.to_pylist
+
+        def recording(vector):
+            converted.append(len(vector))
+            return original(vector)
+
+        monkeypatch.setattr(ColumnVector, "to_pylist", recording)
+        text = make_result(list(range(100_000))).pretty(limit=5)
+        assert text.endswith("... (100000 rows total)")
+        assert converted == [5]
 
 
 class TestCollect:

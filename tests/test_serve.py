@@ -150,8 +150,7 @@ class TestServerRoundTrip:
         result = client.sql("SELECT c, v FROM t ORDER BY c")
         assert isinstance(result, QueryResult)
         assert result.column_names == ("c", "v")
-        assert result.rows() == [(1, "a"), (2, "b"), (3, "c")]
-        assert result.fetchone() == (1, "a")
+        assert result.to_pylist() == [(1, "a"), (2, "b"), (3, "c")]
 
     def test_write_then_read_back(self, client):
         message = client.sql("INSERT INTO t VALUES (4, 'd')")

@@ -50,7 +50,7 @@ class TestSessionBasics:
     def test_database_session_returns_session(self, db):
         session = db.session()
         assert isinstance(session, Session)
-        assert session.sql("SELECT c FROM t").rowcount == 3
+        assert session.sql("SELECT c FROM t").row_count == 3
         session.close()
 
     def test_context_manager_closes(self, db):
@@ -104,9 +104,9 @@ class TestSessionBasics:
         pins = db.obs.counter("storage.snapshot.pins")
         with db.session(snapshot_reads=True) as session:
             assert session.snapshot_reads is True
-            assert session.sql("SELECT c FROM t").rowcount == 3
+            assert session.sql("SELECT c FROM t").row_count == 3
             session.sql("INSERT INTO t VALUES (4, 'd')")
-            assert session.sql("SELECT c FROM t").rowcount == 4
+            assert session.sql("SELECT c FROM t").row_count == 4
         assert pins.value == 2
 
 

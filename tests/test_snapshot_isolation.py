@@ -86,7 +86,7 @@ class TestSnapshotIsolationFuzz:
                         result = session.sql(
                             "SELECT batch, COUNT(*) AS n FROM t GROUP BY batch"
                         )
-                        for batch, n in result.rows():
+                        for batch, n in result.to_pylist():
                             if n != BATCH_ROWS:
                                 raise AssertionError(
                                     f"torn batch {batch}: saw {n} rows"
@@ -148,14 +148,14 @@ class TestSnapshotIsolationFuzz:
             tmp_path / "data" / "segments" / second.handle.generation_name
         )
         query = "SELECT batch, x FROM t ORDER BY batch, x"
-        expected = second.sql(query).rows()
+        expected = second.sql(query).to_pylist()
         durable.checkpoint()  # supersedes the pinned generation: GC deferred
         durable.engine.release_snapshot(first.handle)
         # The handle holds no pin any more; releasing it again must not
         # take the second reader's pin on the shared generation.
         durable.engine.release_snapshot(first.handle)
         assert generation.is_dir()
-        assert second.sql(query).rows() == expected
+        assert second.sql(query).to_pylist() == expected
         second.close()
         assert not generation.exists()
         first.close()
