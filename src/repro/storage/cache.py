@@ -5,10 +5,9 @@ trade the I/O win for CPU.  The :class:`BlockCache` holds decoded
 :class:`~repro.storage.column.ColumnVector` blocks keyed by
 ``(table, segment, column, block, generation)`` — the *generation* is
 the manifest checkpoint LSN the segment was loaded under, so a
-checkpoint (which writes a fresh segment generation) can never collide
-with stale entries: new readers carry the new generation and the old
-keys simply age out (the engine also clears the cache eagerly at
-checkpoint).
+checkpoint can never collide with stale entries: a segment it carries
+keeps its source, key and warm blocks, readers of a later load carry
+the new generation, and keys nothing reads any more age out of the LRU.
 
 The cache is byte-capacity-bounded and fully observable — the ROADMAP's
 pg-xpatch cautionary tale is a cache that silently rejected large
@@ -210,7 +209,7 @@ class BlockCache:
             metrics.counter("cache.scan_bypass").inc(blocks)
 
     def clear(self) -> None:
-        """Drop every entry (checkpoint generation flip)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0

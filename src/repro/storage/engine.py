@@ -15,8 +15,9 @@ an in-memory list.  :class:`DurableEngine` manages a *data directory*
 three modules that do the work:
 
 - :mod:`repro.storage.checkpoint` writes a generation: every partition
-  column as a segment file plus the PatchIndexes' patch sets, from a
-  snapshot copy of the catalog;
+  column as a segment file (hard-linked from the previous generation
+  when the column is unchanged) plus the PatchIndexes' patch sets, from
+  a snapshot copy of the catalog;
 - :mod:`repro.storage.materialize` reads one back: tables from segments
   and PatchIndexes from the persisted patch sets (or discovered from
   data, paper §V), then one pass over the WAL tail that the indexes
@@ -46,13 +47,20 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.cache import BlockCache, cache_capacity_from_env
-from repro.storage.checkpoint import flush_table, nsc_patch_rowids, write_patch_sets
+from repro.storage.checkpoint import (
+    flush_table,
+    nsc_patch_rowids,
+    superseded_generations,
+    write_patch_sets,
+    written_patch_rowids,
+)
 from repro.storage.column import ColumnVector
 from repro.storage.manifest import (
     SEGMENTS_DIR,
     WAL_NAME,
     Manifest,
     TableManifest,
+    generation_name,
     read_manifest,
 )
 from repro.storage.materialize import load_tables, read_patch_sets, replay_log
@@ -60,7 +68,7 @@ from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry
 from repro.storage.table import Table
 from repro.storage.wal import DATA_KINDS, WriteAheadLog, live_records_of
 from repro.types import DataType
-from repro.types.datatypes import coerce_scalar, numpy_dtype
+from repro.types.datatypes import coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
@@ -90,27 +98,16 @@ def scalar_to_jsonable(value: object, dtype: DataType) -> object:
 
 
 def encoded_ratio(table: Table) -> float:
-    """Encoded/raw payload byte ratio of a loaded table.
-
-    Estimated from the segment headers behind the table's still-lazy
-    columns alone (strings lack an exact raw size there; their encoded
-    size stands in).
-    """
+    """Encoded/raw payload byte ratio of a loaded table, read from the
+    segment headers behind its still-lazy columns: what the checkpoint
+    that wrote them reported (:meth:`~repro.storage.segment.SegmentReader.
+    write_info`)."""
     payload_total = raw_payload_total = 0
     for partition in table.partitions:
         for source in partition.sources():
-            reader = source.reader
-            item = (
-                numpy_dtype(reader.dtype).itemsize
-                if reader.dtype != DataType.STRING
-                else 0
-            )
-            for index in range(len(reader.encodings)):
-                encoded_size = reader.block_payload_bytes(index)
-                payload_total += encoded_size
-                raw_payload_total += (
-                    reader.stats[index].row_count * item if item else encoded_size
-                )
+            info = source.reader.write_info()
+            payload_total += info.payload_bytes
+            raw_payload_total += info.raw_payload_bytes
     return payload_total / raw_payload_total if raw_payload_total else 1.0
 
 
@@ -150,9 +147,7 @@ class StorageEngine:
         return {}
 
     def open_wal(self, database: "Database") -> WriteAheadLog:
-        self._snapshots = SnapshotRegistry(
-            None, None, cache=None, metrics=database.obs
-        )
+        self._snapshots = SnapshotRegistry(None, None, metrics=database.obs)
         return WriteAheadLog(metrics=database.obs)
 
     def recover(self, database: "Database") -> None:
@@ -173,6 +168,8 @@ class StorageEngine:
             "lsn": lsn,
             "tables": len(database.catalog.table_names()),
             "segments": 0,
+            "segments_written": 0,
+            "segments_carried": 0,
             "segment_bytes": 0,
             "wal_pruned": pruned,
         }
@@ -276,36 +273,39 @@ class DurableEngine(StorageEngine):
     def checkpoint(self, database: "Database") -> dict:
         """Flush a generation, flip the manifest to it, drop the old ones.
 
-        Under the state lock: decode every still-lazy live column (live
-        then reads no file of the generation this one supersedes) and
-        pin a copy.  Outside it: write the segments and patch sets from
-        the copy, flip, release.  No fsync runs under the state lock.
+        Pin a copy (under the state lock, as every pin); outside every
+        lock, carry the copy's clean segments into the new generation,
+        write the rest and the patch sets, flip, release.  Live
+        partitions keep their segment sources: their readers' open files
+        stay valid after the old generation's names are gone.
         """
-        with database.catalog.state_lock:
-            for table in database.catalog.tables():
-                for partition in table.partitions:
-                    partition.materialize()
-            handle = self._snapshots.pin(database.catalog, database.wal)
+        handle = self._snapshots.pin(database.catalog, database.wal)
         catalog, lsn = handle.catalog, handle.wal_lsn
         obs = database.obs
         tables: dict[str, TableManifest] = {}
         table_details: dict[str, dict] = {}
-        segments = 0
+        segments = carried = 0
         try:
+            written_rowids = written_patch_rowids(self.root, handle.generation_lsn)
             for table in catalog.tables():
                 name = table.name
-                tables[name], detail = flush_table(
+                tables[name], detail, table_carried = flush_table(
                     self.root,
                     lsn,
                     table,
                     nsc_patch_rowids(catalog, table),
+                    previous_lsn=handle.generation_lsn,
+                    written_rowids=(
+                        None if written_rowids is None else written_rowids.get(name, {})
+                    ),
                     sync=self.sync,
                 )
                 table_details[name] = detail
                 self._encoded_ratios[name] = detail["encoded_ratio"]
-                written = table.partition_count * len(table.schema)
-                segments += written
-                obs.gauge(f"storage.{name}.segments").set(written)
+                table_segments = table.partition_count * len(table.schema)
+                segments += table_segments
+                carried += table_carried
+                obs.gauge(f"storage.{name}.segments").set(table_segments)
                 obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
                 obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
             write_patch_sets(self.root, lsn, catalog, sync=self.sync)
@@ -318,11 +318,15 @@ class DurableEngine(StorageEngine):
         for stale in doomed:
             shutil.rmtree(stale, ignore_errors=True)
         obs.gauge("storage.checkpoint_lsn").set(lsn)
+        obs.counter("checkpoint.segments_written").inc(segments - carried)
+        obs.counter("checkpoint.segments_carried").inc(carried)
         return {
             "engine": self.name,
             "lsn": lsn,
             "tables": len(tables),
             "segments": segments,
+            "segments_written": segments - carried,
+            "segments_carried": carried,
             "segment_bytes": sum(d["segment_bytes"] for d in table_details.values()),
             "wal_pruned": pruned,
             "table_details": table_details,
@@ -343,11 +347,16 @@ class DurableEngine(StorageEngine):
         """
         started = time.perf_counter()
         manifest = read_manifest(self.root)
-        cache = self._cache
-        self._snapshots = SnapshotRegistry(
-            self.root, manifest, cache=cache, metrics=database.obs
-        )
         generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
+        # A crash before a flip leaves a half-written generation, one
+        # after it the superseded one: nothing pins either.
+        orphans, _ = superseded_generations(
+            self.root / SEGMENTS_DIR, generation_name(generation_lsn), {}
+        )
+        for orphan in orphans:
+            shutil.rmtree(orphan, ignore_errors=True)
+        cache = self._cache
+        self._snapshots = SnapshotRegistry(self.root, manifest, metrics=database.obs)
         records = database.wal.records()
         tables = load_tables(self.root, manifest, cache=cache)
         for name, table in tables.items():

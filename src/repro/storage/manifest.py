@@ -20,6 +20,11 @@ of the data directory around it::
     <root>/segments/g<lsn>/             one generation per checkpoint
         <table>/p<k>.<col>.seg          one segment per partition column
         patches.json                    the generation's patch sets
+
+A segment a checkpoint did not need to rewrite is a hard link to the
+previous generation's file (:func:`repro.storage.checkpoint.flush_table`),
+so two generations may share inodes; deleting the older one frees only
+the files that were rewritten.
 """
 
 from __future__ import annotations

@@ -135,13 +135,28 @@ class Partition:
             if name not in self._columns
         ]
 
+    def segment_source(self, name: str) -> "SegmentColumnSource | None":
+        """The segment column *name* was loaded from, while the column
+        still holds exactly its rows: every mutation drops the source
+        (:meth:`materialize`, :meth:`replace_column`), so a checkpoint
+        can carry that file into its generation instead of rewriting it.
+        A column decoded by a read keeps its source."""
+        return self._sources.get(name)
+
     def materialize(self) -> None:
-        """Resolve every lazy source and drop it: before a mutation
-        rewrites rows, and at a checkpoint, whose new generation
-        supersedes the files the sources read."""
+        """Resolve every lazy source and drop it, before a mutation
+        rewrites rows (a checkpoint does not call it: clean partitions
+        keep reading their segments)."""
         for name in list(self._sources):
             self.column(name)
         self._sources.clear()
+
+    def replace_column(self, name: str, vector: ColumnVector) -> None:
+        """Install a changed vector for column *name* (a cell update):
+        its segment source and block sketches no longer describe it."""
+        self._columns[name] = vector
+        self._sources.pop(name, None)
+        self._block_stats.pop(name, None)
 
     def copy(self) -> "Partition":
         """A partition over the same column vectors and segment sources

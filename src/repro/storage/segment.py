@@ -102,6 +102,14 @@ class SegmentWriteInfo:
         return self.payload_bytes / self.raw_payload_bytes
 
 
+def _raw_block_bytes(dtype: DataType, rows: int, text_bytes: int = 0) -> int:
+    """What a block of *rows* would cost raw: fixed-width values, or a
+    string block's ``rows + 1`` int64 offsets plus its UTF-8 text."""
+    if dtype == DataType.STRING:
+        return 8 * (rows + 1) + text_bytes
+    return numpy_dtype(dtype).itemsize * rows
+
+
 def _raw_fixed_payload(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values).tobytes()
 
@@ -190,8 +198,10 @@ def write_segment(
     for block_index, block in enumerate(stats):
         values = column.values[block.start : block.stop]
         if column.dtype == DataType.STRING:
-            raw_cost = 8 * (block.row_count + 1) + sum(
-                len(piece) for piece in pieces_by_block[block_index]
+            raw_cost = _raw_block_bytes(
+                column.dtype,
+                block.row_count,
+                sum(len(piece) for piece in pieces_by_block[block_index]),
             )
             if dict_codes is not None:
                 tag = "dict"
@@ -202,7 +212,7 @@ def write_segment(
                 tag = "raw"
                 payload = _raw_string_payload(pieces_by_block[block_index])
         else:
-            raw_cost = values.dtype.itemsize * block.row_count
+            raw_cost = _raw_block_bytes(column.dtype, block.row_count)
             tag, encoded = "raw", None
             if encoding == "auto" and column.dtype in _INT_PHYSICAL:
                 exceptions: np.ndarray | None = None
@@ -392,6 +402,45 @@ class SegmentReader:
     def block_payload_bytes(self, index: int) -> int:
         """On-disk (encoded) payload bytes of block *index*."""
         return self._blocks[index][2]
+
+    def file_id(self) -> tuple[int, int]:
+        """``(st_dev, st_ino)`` of the file this reader has open, which
+        is the file it reads whatever names it has by now."""
+        status = os.fstat(self._handle.fileno())
+        return status.st_dev, status.st_ino
+
+    def write_info(self) -> SegmentWriteInfo:
+        """What :func:`write_segment` returned when it wrote this file,
+        read back from the header (a ``dict`` block's codes are decoded
+        for the text bytes its raw form would hold)."""
+        encodings: dict[str, int] = {}
+        payload_bytes = raw_payload_bytes = 0
+        text_lengths: np.ndarray | None = None
+        if self._dictionary is not None:
+            text_lengths = np.array(
+                [len(text.encode("utf-8")) for text in self._dictionary],
+                dtype=np.int64,
+            )
+        for index, (tag, offset, length) in enumerate(self._blocks):
+            rows = self.stats[index].row_count
+            encodings[tag] = encodings.get(tag, 0) + 1
+            payload_bytes += length
+            if self.dtype != DataType.STRING:
+                raw_payload_bytes += _raw_block_bytes(self.dtype, rows)
+            elif tag == "dict" and text_lengths is not None:
+                codes = decode_block_codes(self._read(offset, length), rows)
+                raw_payload_bytes += _raw_block_bytes(
+                    self.dtype, rows, int(text_lengths[codes].sum())
+                )
+            else:  # a raw string block is its own raw form
+                raw_payload_bytes += length
+        return SegmentWriteInfo(
+            bytes_written=os.fstat(self._handle.fileno()).st_size,
+            rows=self.rows,
+            encodings=encodings,
+            payload_bytes=payload_bytes,
+            raw_payload_bytes=raw_payload_bytes,
+        )
 
     def decode_block(self, index: int) -> ColumnVector:
         """Decode block *index* into a column vector (validity applied)."""

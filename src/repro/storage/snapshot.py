@@ -21,11 +21,13 @@ drift-triggered rebuild's discovery — never for an fsync the writer
 batches outside its statements.  Checkpoints never block a pinned
 reader:
 
-- a copy taken before the first checkpoint after a reopen shares the
-  recovered generation's segment sources, so every pin also pins the
-  current generation; a checkpoint that supersedes it *defers* deleting
-  the directory while any snapshot pins it (:meth:`SnapshotRegistry.
-  release` garbage-collects it once the last pin drops);
+- a copy shares the segment sources of every partition still clean
+  since the last reopen, which read their files through descriptors
+  opened at load (a checkpoint carries those files forward by hard
+  link); every pin also pins the current generation, and a checkpoint
+  that supersedes it *defers* deleting the directory while any snapshot
+  pins it (:meth:`SnapshotRegistry.release` garbage-collects it once the
+  last pin drops);
 - the generation flip itself (:meth:`SnapshotRegistry.flip`) is
   serialized with pinning under the registry's lock, so a pin sees
   either entirely the old or entirely the new generation.
@@ -43,7 +45,6 @@ from typing import TYPE_CHECKING
 
 from repro.check.sanitize import make_lock, release_resource, track_resource
 from repro.errors import ExecutionError
-from repro.storage.cache import BlockCache
 from repro.storage.catalog import Catalog
 from repro.storage.checkpoint import superseded_generations
 from repro.storage.manifest import (
@@ -113,11 +114,9 @@ class SnapshotRegistry:
         root: Path | None,
         manifest: Manifest | None,
         *,
-        cache: BlockCache | None,
         metrics: "MetricsRegistry",
     ):
         self.root = root
-        self._cache = cache
         self._metrics = metrics
         self._lock = make_lock("storage.engine.snapshot")
         self._manifest = manifest
@@ -223,11 +222,9 @@ class SnapshotRegistry:
             )
             self._deferred_generations = deferred
             self._set_gauges_locked()
-            # Every cached block keyed by an older generation is now
-            # unreachable from new readers: drop them eagerly rather than
-            # letting them age out of the LRU.
-            if self._cache is not None:
-                self._cache.clear()
+            # The block cache stays: its keys carry the generation a
+            # source was loaded from, so none can name stale bytes, and
+            # a carried segment keeps serving its warm blocks.
         return pruned, doomed
 
 

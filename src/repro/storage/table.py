@@ -337,8 +337,9 @@ class Table:
                     values[local] = np.asarray(
                         coerced, dtype=numpy_dtype(field.dtype)
                     )
-            partition._columns[column] = ColumnVector(field.dtype, values, validity)
-            partition._block_stats.clear()
+            partition.replace_column(
+                column, ColumnVector(field.dtype, values, validity)
+            )
             self._notify(
                 "update",
                 {
