@@ -11,7 +11,7 @@ and writes the reply itself.  Statements are routed by
 
 - **reads** run on the connection's own thread, each against its own
   snapshot pin, on either engine — a read never observes half a write
-  or a torn generation, and waits at most for one write's in-memory
+  or a torn checkpoint, and waits at most for one write's in-memory
   step (never for its fsync);
 - **writes and checkpoints** are serialized through the single writer
   thread fed by a queue; the connection's thread waits on a

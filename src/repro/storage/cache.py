@@ -3,11 +3,13 @@
 RSEG2 segments store encoded blocks; decoding them on every scan would
 trade the I/O win for CPU.  The :class:`BlockCache` holds decoded
 :class:`~repro.storage.column.ColumnVector` blocks keyed by
-``(table, segment, column, block, generation)`` — the *generation* is
-the manifest checkpoint LSN the segment was loaded under, so a
-checkpoint can never collide with stale entries: a segment it carries
-keeps its source, key and warm blocks, readers of a later load carry
-the new generation, and keys nothing reads any more age out of the LRU.
+``(table, segment, column, block, generation)`` — *segment* is the
+partition file, which is written once under a name no later file
+reuses, and the *generation* is the manifest checkpoint LSN the segment
+was loaded under, so a checkpoint can never collide with stale entries:
+a file it keeps keeps its sources, keys and warm blocks, readers of a
+later load carry the new generation, and keys nothing reads any more age
+out of the LRU.
 
 The cache is byte-capacity-bounded and fully observable — the ROADMAP's
 pg-xpatch cautionary tale is a cache that silently rejected large

@@ -1,23 +1,27 @@
-"""What a checkpoint writes: one generation of segments and patch sets.
+"""What a checkpoint writes: partition files and the manifest's patch sets.
 
-A checkpoint at WAL LSN *n* fills a fresh *generation* directory
-``segments/g<n>/`` — every column of every partition as an immutable
-segment file, plus ``patches.json``, the materialized patch sets of
-every PatchIndex — from a snapshot copy of the catalog pinned at *n*,
-outside every lock: nothing can see the directory until the manifest
-flips to it (:meth:`repro.storage.snapshot.SnapshotRegistry.flip`).
+A checkpoint at WAL LSN *n* works from a snapshot copy of the catalog
+pinned at *n*, outside every lock, and produces the next manifest:
+every partition as one file in ``segments/`` holding its columns'
+segments back to back, plus ``patches``, the materialized patch sets of
+every PatchIndex.  Nothing can see what it writes until the manifest
+flips (:meth:`repro.storage.snapshot.SnapshotRegistry.flip`).
 
 Only what changed is written.  A partition column that still holds the
 segment it was loaded from (:meth:`~repro.storage.partition.Partition.
-segment_source`), whose file in the current generation is still that
-segment, and whose NSC patch rowids (the ``pfor`` hint) match the ones
-that generation recorded, is *carried*: hard-linked into the new
-directory, byte-identical to what a rewrite would produce.  Deleting the
-superseded generation then frees only the inodes of rewritten files.
+segment_source`), at the file and offset the previous manifest names for
+it, and whose NSC patch rowids (the ``pfor`` hint) have the digest that
+manifest recorded for the segment (:func:`hint_digest`), is *clean*: its
+encoded bytes are what a rewrite would produce.  A partition whose
+columns are all clean, and whose file on disk is still the inode its
+readers hold, *keeps* that file: the new manifest names it again and
+nothing is written.  Any other partition gets a new file
+``<table>.p<k>.<n>.seg`` in which clean columns are copied as encoded
+bytes and the rest are encoded afresh.  Superseding the previous
+manifest then frees only the files of rewritten partitions.
 
 The functions here are the writers; :mod:`repro.storage.materialize` is
-the reader of everything they produce.  :func:`superseded_generations`
-picks what the flip (or a reopen) may delete.
+the reader of everything they produce.
 """
 
 from __future__ import annotations
@@ -26,33 +30,23 @@ import json
 import os
 import zlib
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from repro.storage.catalog import Catalog
 from repro.storage.database import schema_to_payload
-from repro.storage.manifest import (
-    SEGMENTS_DIR,
-    PartitionManifest,
-    TableManifest,
-    generation_name,
-    patches_path,
+from repro.storage.manifest import PartitionManifest, TableManifest, partition_file
+from repro.storage.segment import (
+    SegmentReader,
+    SegmentWriteInfo,
+    encode_segment,
+    write_segments,
 )
-from repro.storage.segment import SegmentReader, write_segment
 from repro.storage.table import Table
 
 #: Partition-local NSC patch rowids per column, then per partition id.
 PatchRowids = dict[str, dict[int, np.ndarray]]
-
-
-def _add_rowids(
-    per_column: PatchRowids, column: str, partition_id: int, rowids
-) -> None:
-    by_partition = per_column.setdefault(column, {})
-    existing = by_partition.get(partition_id)
-    if existing is not None:
-        rowids = np.union1d(existing, rowids)
-    by_partition[partition_id] = np.asarray(rowids, dtype=np.int64)
 
 
 def nsc_patch_rowids(catalog: Catalog, table: Table) -> PatchRowids:
@@ -66,71 +60,40 @@ def nsc_patch_rowids(catalog: Catalog, table: Table) -> PatchRowids:
     for index in catalog.indexes_on(table.name):
         if index.kind != "sorted":
             continue
+        by_partition = per_column.setdefault(index.column_name, {})
         for partition in table.partitions:
-            rowids = index.partition_patches(partition.partition_id).rowids()
-            _add_rowids(per_column, index.column_name, partition.partition_id, rowids)
+            pid = partition.partition_id
+            rowids = index.partition_patches(pid).rowids()
+            if pid in by_partition:  # a second sorted index on the column
+                rowids = np.union1d(by_partition[pid], rowids)
+            by_partition[pid] = np.asarray(rowids, dtype=np.int64)
     return per_column
 
 
-def written_patch_rowids(
-    root: Path, generation_lsn: int
-) -> dict[str, PatchRowids] | None:
-    """Per table, the :func:`nsc_patch_rowids` the segments of generation
-    *generation_lsn* were written with, read back from its
-    ``patches.json`` (written from the same catalog copy).  ``None`` when
-    there is no such generation or its file cannot be read: then nothing
-    is carried from it.  A hint only picks encodings, so a wrong one
-    could cost compression, never rows.
-    """
-    if generation_lsn <= 0:
-        return None
-    per_table: dict[str, PatchRowids] = {}
-    try:
-        text = patches_path(root, generation_lsn).read_text(encoding="utf-8")
-        for entry in json.loads(text)["indexes"].values():
-            definition = entry["definition"]
-            if definition["kind"] != "sorted":
-                continue
-            per_column = per_table.setdefault(definition["table"], {})
-            for partition_id, patches in enumerate(entry["partitions"]):
-                _add_rowids(
-                    per_column, definition["column"], partition_id, patches["rowids"]
-                )
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-    return per_table
-
-
-def _same_rowids(left: np.ndarray | None, right: np.ndarray | None) -> bool:
-    """Whether two ``pfor`` hints are the same row set (None = empty)."""
+def hint_digest(rowids: np.ndarray | None) -> int:
+    """CRC-32 of a ``pfor`` hint's distinct rowids (that of no rowids
+    when *rowids* is None): what the manifest records next to each
+    segment, so a later checkpoint can tell whether the hint it would
+    encode with has changed.  A hint only picks encodings, so a
+    colliding digest could cost compression, never rows."""
     empty = np.empty(0, dtype=np.int64)
-    return np.array_equal(
-        np.unique(empty if left is None else left),
-        np.unique(empty if right is None else right),
-    )
+    unique = np.unique(empty if rowids is None else np.asarray(rowids))
+    return zlib.crc32(unique.astype("<i8").tobytes())
 
 
-def link_segment(
-    reader: SegmentReader, previous: Path, target: Path, *, sync: bool
-) -> bool:
-    """Hard-link *previous* to *target* when it is the very file *reader*
-    has open; False (the caller rewrites) when it is not, or when the
-    file system refuses the link."""
+def _file_is_held(path: Path, readers: list[SegmentReader], *, sync: bool) -> bool:
+    """Whether *path* is still the very file every one of *readers* has
+    open (with ``sync``, then fsynced: the checkpoint that wrote it may
+    have run with ``sync=False``, and a manifest must not name unsynced
+    data)."""
     try:
-        status = os.stat(previous)
-        if (status.st_dev, status.st_ino) != reader.file_id():
-            return False
-        try:
-            os.link(previous, target)
-        except FileExistsError:  # left by a checkpoint that failed before its flip
-            os.unlink(target)
-            os.link(previous, target)
+        status = os.stat(path)
     except OSError:
         return False
+    if any((status.st_dev, status.st_ino) != reader.file_id() for reader in readers):
+        return False
     if sync:
-        # The generation the file came from may have been written with
-        # sync=False; the manifest must not point at unsynced data.
-        descriptor = os.open(target, os.O_RDONLY)
+        descriptor = os.open(path, os.O_RDONLY)
         try:
             os.fsync(descriptor)
         finally:
@@ -144,26 +107,20 @@ def flush_table(
     table: Table,
     patch_rowids: PatchRowids,
     *,
-    previous_lsn: int,
-    written_rowids: PatchRowids | None,
+    previous: TableManifest | None,
     sync: bool,
 ) -> tuple[TableManifest, dict, int]:
-    """Fill *table*'s directory of the new generation: carry each clean
-    partition column's segment from generation *previous_lsn* by hard
-    link, write every other one, each block in the encoding the
-    per-block picker chooses.
+    """Keep or write each partition file of *table* for the checkpoint at
+    *checkpoint_lsn*, each block of a newly encoded segment in the
+    encoding the per-block picker chooses.
 
-    *written_rowids* is the ``pfor`` hint the previous generation's
-    segments were written with (:func:`written_patch_rowids`; ``None``
-    carries nothing).  Returns the table's manifest entry, its
-    checkpoint-summary detail (``segment_bytes``, ``encoded_ratio``,
-    per-column bytes and encoding counts — the same for a carried
-    segment as for a rewritten one) and how many segments were carried.
+    *previous* is the table's entry in the manifest being superseded
+    (``None`` makes nothing clean).  Returns the table's manifest entry,
+    its checkpoint-summary detail (``segment_bytes``, ``encoded_ratio``,
+    per-column bytes and encoding counts — the same for a reused segment
+    as for a re-encoded one) and how many column segments were reused,
+    kept or copied.
     """
-    relative_dir = f"{SEGMENTS_DIR}/{generation_name(checkpoint_lsn)}/{table.name}"
-    table_dir = root / relative_dir
-    table_dir.mkdir(parents=True, exist_ok=True)
-    previous_dir = root / SEGMENTS_DIR / generation_name(previous_lsn) / table.name
     carried = 0
     partition_manifests: list[PartitionManifest] = []
     columns: dict[str, dict] = {
@@ -173,36 +130,63 @@ def flush_table(
     payload_total = 0
     raw_payload_total = 0
     for partition in table.partitions:
-        segments: dict[str, str] = {}
-        for field in table.schema:
-            filename = f"p{partition.partition_id}.{field.name}.seg"
-            hint = patch_rowids.get(field.name, {}).get(partition.partition_id)
-            source = partition.segment_source(field.name)
-            if (
-                source is not None
-                and written_rowids is not None
-                and _same_rowids(
-                    hint,
-                    written_rowids.get(field.name, {}).get(partition.partition_id),
-                )
-                and link_segment(
-                    source.reader,
-                    previous_dir / filename,
-                    table_dir / filename,
-                    sync=sync,
-                )
-            ):
-                info = source.reader.write_info()
-                carried += 1
-            else:
-                info = write_segment(
-                    table_dir / filename,
-                    partition.column(field.name),
-                    table.block_size,
-                    sync=sync,
-                    patch_rowids=hint,
-                )
-            segments[field.name] = f"{relative_dir}/{filename}"
+        pid = partition.partition_id
+        before = (
+            previous.partitions[pid]
+            if previous is not None and pid < previous.partition_count
+            else None
+        )
+        hints = {
+            name: hint_digest(patch_rowids.get(name, {}).get(pid))
+            for name in table.schema.names
+        }
+        clean: dict[str, SegmentReader] = {}
+        for name in table.schema.names:
+            source = partition.segment_source(name)
+            if source is None or before is None or source.segment != before.file:
+                continue
+            offset, _, hint = before.segments[name]
+            if (offset, hint) == (source.reader.offset, hints[name]):
+                clean[name] = source.reader
+        infos: list[SegmentWriteInfo] = []
+        if (
+            before is not None
+            and len(clean) == len(table.schema)
+            and _file_is_held(root / before.file, list(clean.values()), sync=sync)
+        ):
+            entry = before
+            infos = [clean[name].write_info() for name in table.schema.names]
+        else:
+
+            def segments() -> Iterator[list[bytes]]:
+                """Each column's segment pieces, the clean ones copied."""
+                for name in table.schema.names:
+                    reader = clean.get(name)
+                    if reader is not None:
+                        infos.append(reader.write_info())
+                        yield [reader.raw_bytes()]
+                    else:
+                        pieces, info = encode_segment(
+                            partition.column(name),
+                            table.block_size,
+                            patch_rowids=patch_rowids.get(name, {}).get(pid),
+                        )
+                        infos.append(info)
+                        yield pieces
+
+            file = partition_file(table.name, pid, checkpoint_lsn)
+            extents = write_segments(root / file, segments(), sync=sync)
+            entry = PartitionManifest(
+                row_count=partition.row_count,
+                file=file,
+                segments={
+                    name: (offset, length, hints[name])
+                    for name, (offset, length) in zip(table.schema.names, extents)
+                },
+            )
+        carried += len(clean)
+        partition_manifests.append(entry)
+        for field, info in zip(table.schema, infos):
             table_bytes += info.bytes_written
             detail = columns[field.name]
             detail["segment_bytes"] += info.bytes_written
@@ -210,9 +194,6 @@ def flush_table(
                 detail["encodings"][tag] = detail["encodings"].get(tag, 0) + count
             payload_total += info.payload_bytes
             raw_payload_total += info.raw_payload_bytes
-        partition_manifests.append(
-            PartitionManifest(row_count=partition.row_count, segments=segments)
-        )
     table_manifest = TableManifest(
         name=table.name,
         schema=schema_to_payload(table.schema),
@@ -230,7 +211,7 @@ def flush_table(
 
 
 def entry_checksum(entry: dict) -> int:
-    """CRC-32 over the canonical JSON of a ``patches.json`` entry,
+    """CRC-32 over the canonical JSON of a manifest ``patches`` entry,
     leaving out its own ``checksum`` key."""
     body = {key: value for key, value in entry.items() if key != "checksum"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -238,7 +219,7 @@ def entry_checksum(entry: dict) -> int:
 
 
 def persisted_index_entry(index) -> dict:
-    """Checksummed ``patches.json`` entry for one PatchIndex.
+    """Checksummed manifest ``patches`` entry for one PatchIndex.
 
     Captures everything a restore needs without touching table data: the
     definition (to match against the WAL ``create_index`` record), the
@@ -273,49 +254,16 @@ def persisted_index_entry(index) -> dict:
     return body
 
 
-def write_patch_sets(
-    root: Path, checkpoint_lsn: int, catalog: Catalog, *, sync: bool
-) -> None:
-    """Materialize every index's patch sets into the new generation.
+def patch_sets(catalog: Catalog) -> dict[str, dict]:
+    """Every index's :func:`persisted_index_entry`, by index name: the
+    manifest's ``patches``.
 
     With the patch sets persisted per checkpoint, recovery restores them
     and lets the indexes re-classify the WAL tail's data records, instead
-    of re-discovering every index from data.  Readers find the file by
-    *checkpoint_lsn* (:func:`~repro.storage.manifest.patches_path`).
+    of re-discovering every index from data.
     """
-    entries = {
+    return {
         index.name: persisted_index_entry(index)
         for table in catalog.tables()
         for index in catalog.indexes_on(table.name)
     }
-    path = patches_path(root, checkpoint_lsn)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"checkpoint_lsn": checkpoint_lsn, "indexes": entries}, handle)
-        handle.write("\n")
-        handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
-
-
-def superseded_generations(
-    segments_root: Path, current: str, pinned: dict[str, int]
-) -> tuple[list[Path], set[str]]:
-    """Split the generations other than *current* into (doomed, deferred).
-
-    A generation still pinned by a live snapshot is *deferred*: it stays
-    on disk until its last pin drops, so a checkpoint never deletes
-    files an in-flight scan reads.  Everything else that is not
-    *current* is *doomed*: unreachable from any future pin, safe to
-    delete once the caller has released the snapshot lock.
-    """
-    doomed: list[Path] = []
-    deferred: set[str] = set()
-    for entry in segments_root.iterdir():
-        if entry.name == current or not entry.is_dir():
-            continue
-        if pinned.get(entry.name, 0) > 0:
-            deferred.add(entry.name)
-        else:
-            doomed.append(entry)
-    return doomed, deferred

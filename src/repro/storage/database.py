@@ -394,8 +394,8 @@ class Database:
     def checkpoint(self) -> dict:
         """Durably flush state through the storage engine.
 
-        For a durable database this writes a fresh generation of segment
-        files, installs the manifest, marks the WAL and prunes records
+        For a durable database this writes a file for every partition
+        that changed, installs the manifest, marks the WAL and prunes records
         the checkpoint made redundant; for an in-memory database it
         writes the marker and compacts metadata.  Returns a summary dict
         (engine, lsn, segment counts/bytes, records pruned, seconds) and

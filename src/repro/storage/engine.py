@@ -14,20 +14,21 @@ an in-memory list.  :class:`DurableEngine` manages a *data directory*
 (layout: :mod:`repro.storage.manifest`) and is the lifecycle around
 three modules that do the work:
 
-- :mod:`repro.storage.checkpoint` writes a generation: every partition
-  column as a segment file (hard-linked from the previous generation
-  when the column is unchanged) plus the PatchIndexes' patch sets, from
-  a snapshot copy of the catalog;
-- :mod:`repro.storage.materialize` reads one back: tables from segments
+- :mod:`repro.storage.checkpoint` writes what the next manifest names:
+  a file per changed partition (a partition nothing changed keeps the
+  file it has) plus the PatchIndexes' patch sets, from a snapshot copy
+  of the catalog;
+- :mod:`repro.storage.materialize` reads it back: tables from segments
   and PatchIndexes from the persisted patch sets (or discovered from
   data, paper §V), then one pass over the WAL tail that the indexes
   re-classify — recovery, and nothing else;
 - :mod:`repro.storage.snapshot` pins copies of the live catalog for
-  readers and serializes them with the checkpoint flip.
+  readers, serializes them with the checkpoint flip, and decides which
+  files a flip or a release frees.
 
 Snapshots work on both engines: a pin copies in-memory state, it reads
 no file.  The durable engine adds what a copy of lazy, segment-backed
-columns needs: the generation it reads stays on disk while pinned.
+columns needs: the files its manifest names stay on disk while pinned.
 
 The seam leaves query execution untouched: segment-backed columns sit
 inside the same :class:`~repro.storage.partition.Partition` objects, so
@@ -38,33 +39,26 @@ rowid invariants (§VI-A1) work unchanged.
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.check.sanitize import make_lock
 from repro.errors import StorageError
 from repro.storage.cache import BlockCache, cache_capacity_from_env
-from repro.storage.checkpoint import (
-    flush_table,
-    nsc_patch_rowids,
-    superseded_generations,
-    write_patch_sets,
-    written_patch_rowids,
-)
+from repro.storage.checkpoint import flush_table, nsc_patch_rowids, patch_sets
 from repro.storage.column import ColumnVector
 from repro.storage.manifest import (
     SEGMENTS_DIR,
     WAL_NAME,
     Manifest,
     TableManifest,
-    generation_name,
     read_manifest,
 )
-from repro.storage.materialize import load_tables, read_patch_sets, replay_log
-from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry
+from repro.storage.materialize import load_tables, replay_log
+from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry, delete_files
 from repro.storage.table import Table
 from repro.storage.wal import DATA_KINDS, WriteAheadLog, live_records_of
 from repro.types import DataType
@@ -138,9 +132,8 @@ class StorageEngine:
         return self._snapshots.pin(database.catalog, database.wal)
 
     def release_snapshot(self, handle: SnapshotHandle) -> None:
-        """Drop one pin; deferred generation GC may run."""
-        for stale in self._snapshots.release(handle):
-            shutil.rmtree(stale, ignore_errors=True)
+        """Drop one pin; files only it kept alive are deleted."""
+        self._snapshots.release(handle)
 
     def encoded_ratios(self) -> dict[str, float]:
         """Per-table encoded/raw payload byte ratio (empty without one)."""
@@ -171,6 +164,7 @@ class StorageEngine:
             "segments_written": 0,
             "segments_carried": 0,
             "segment_bytes": 0,
+            "patches_bytes": 0,
             "wal_pruned": pruned,
         }
 
@@ -211,6 +205,9 @@ class DurableEngine(StorageEngine):
         #: Per-table encoded/raw byte ratio, refreshed at checkpoint and
         #: recovery.
         self._encoded_ratios: dict[str, float] = {}
+        #: One checkpoint at a time: two would write the same file names
+        #: and flip manifests out of order.
+        self._checkpoint_lock = make_lock("storage.engine.checkpoint")
 
     def cache_stats(self) -> dict | None:
         if self._cache is None:
@@ -271,22 +268,28 @@ class DurableEngine(StorageEngine):
     # -- checkpoint -------------------------------------------------------
 
     def checkpoint(self, database: "Database") -> dict:
-        """Flush a generation, flip the manifest to it, drop the old ones.
+        """Write what changed, flip the manifest to it, free what it
+        superseded.
 
         Pin a copy (under the state lock, as every pin); outside every
-        lock, carry the copy's clean segments into the new generation,
-        write the rest and the patch sets, flip, release.  Live
-        partitions keep their segment sources: their readers' open files
-        stay valid after the old generation's names are gone.
+        lock but this engine's checkpoint lock, keep the copy's clean
+        partition files, write the rest, and flip to a manifest naming
+        them and carrying the patch sets; the release of the pin deletes
+        the files no live manifest names.  Live partitions keep their
+        segment sources: their readers' open files stay valid after a
+        name is gone.
         """
+        with self._checkpoint_lock:  # lock-ok: serializes whole checkpoints; their file writes are what it orders
+            return self._checkpoint_locked(database)
+
+    def _checkpoint_locked(self, database: "Database") -> dict:
         handle = self._snapshots.pin(database.catalog, database.wal)
-        catalog, lsn = handle.catalog, handle.wal_lsn
+        catalog, lsn, previous = handle.catalog, handle.wal_lsn, handle.manifest
         obs = database.obs
         tables: dict[str, TableManifest] = {}
         table_details: dict[str, dict] = {}
         segments = carried = 0
         try:
-            written_rowids = written_patch_rowids(self.root, handle.generation_lsn)
             for table in catalog.tables():
                 name = table.name
                 tables[name], detail, table_carried = flush_table(
@@ -294,10 +297,7 @@ class DurableEngine(StorageEngine):
                     lsn,
                     table,
                     nsc_patch_rowids(catalog, table),
-                    previous_lsn=handle.generation_lsn,
-                    written_rowids=(
-                        None if written_rowids is None else written_rowids.get(name, {})
-                    ),
+                    previous=None if previous is None else previous.tables.get(name),
                     sync=self.sync,
                 )
                 table_details[name] = detail
@@ -308,16 +308,16 @@ class DurableEngine(StorageEngine):
                 obs.gauge(f"storage.{name}.segments").set(table_segments)
                 obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
                 obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
-            write_patch_sets(self.root, lsn, catalog, sync=self.sync)
-            manifest = Manifest(checkpoint_lsn=lsn, tables=tables)
-            pruned, doomed = self._snapshots.flip(
+            manifest = Manifest(
+                checkpoint_lsn=lsn, tables=tables, patches=patch_sets(catalog)
+            )
+            pruned, patches_bytes = self._snapshots.flip(
                 manifest, database.wal, sync=self.sync
             )
         finally:
             self.release_snapshot(handle)
-        for stale in doomed:
-            shutil.rmtree(stale, ignore_errors=True)
         obs.gauge("storage.checkpoint_lsn").set(lsn)
+        obs.gauge("storage.patches_bytes").set(patches_bytes)
         obs.counter("checkpoint.segments_written").inc(segments - carried)
         obs.counter("checkpoint.segments_carried").inc(carried)
         return {
@@ -328,6 +328,7 @@ class DurableEngine(StorageEngine):
             "segments_written": segments - carried,
             "segments_carried": carried,
             "segment_bytes": sum(d["segment_bytes"] for d in table_details.values()),
+            "patches_bytes": patches_bytes,
             "wal_pruned": pruned,
             "table_details": table_details,
         }
@@ -348,23 +349,34 @@ class DurableEngine(StorageEngine):
         started = time.perf_counter()
         manifest = read_manifest(self.root)
         generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
-        # A crash before a flip leaves a half-written generation, one
-        # after it the superseded one: nothing pins either.
-        orphans, _ = superseded_generations(
-            self.root / SEGMENTS_DIR, generation_name(generation_lsn), {}
+        # A crash before a flip leaves files no manifest names yet, one
+        # after it files only the superseded manifest named: nothing
+        # pins either.
+        named = manifest.files() if manifest is not None else frozenset()
+        delete_files(
+            [
+                entry
+                for entry in sorted((self.root / SEGMENTS_DIR).iterdir())
+                if entry.is_file()
+                and f"{SEGMENTS_DIR}/{entry.name}" not in named
+            ],
+            database.obs,
         )
-        for orphan in orphans:
-            shutil.rmtree(orphan, ignore_errors=True)
-        cache = self._cache
-        self._snapshots = SnapshotRegistry(self.root, manifest, metrics=database.obs)
         records = database.wal.records()
-        tables = load_tables(self.root, manifest, cache=cache)
-        for name, table in tables.items():
-            # Read off the segment headers now: the tail replay below
-            # materializes the partitions it mutates.
-            self._encoded_ratios[name] = encoded_ratio(table)
+        tables = load_tables(self.root, manifest, cache=self._cache)
+        # Read off the segment headers now: the tail replay below
+        # materializes the partitions it mutates.
+        ratios = {name: encoded_ratio(table) for name, table in tables.items()}
+        with self._checkpoint_lock:  # what a checkpoint reads and writes
+            self._snapshots = SnapshotRegistry(
+                self.root, manifest, metrics=database.obs
+            )
+            self._encoded_ratios.update(ratios)
         recovered = replay_log(
-            records, tables, generation_lsn, read_patch_sets(self.root, generation_lsn)
+            records,
+            tables,
+            generation_lsn,
+            manifest.patches if manifest is not None else {},
         )
         database._install_recovered(recovered)
         obs = database.obs

@@ -1,30 +1,33 @@
 """The versioned manifest of a durable database directory.
 
 The manifest is the root of the on-disk state: it names every table, its
-schema and partition layout, and the segment file backing each column of
-each partition, all as of one checkpoint LSN.  Everything in the WAL
-with an LSN at or below ``checkpoint_lsn`` is already reflected in the
-segments; :mod:`repro.storage.materialize` loads the manifest first and
-then replays only the WAL tail beyond it.  Next to the segments, the
-generation keeps ``patches.json``, the materialized patch sets of every
-PatchIndex as of the checkpoint, from which indexes are restored; its
-path follows from ``checkpoint_lsn`` (:func:`patches_path`).
+schema and partition layout, the file backing each partition and where
+in it each column's segment sits, all as of one checkpoint LSN.
+Everything in the WAL with an LSN at or below ``checkpoint_lsn`` is
+already reflected in the segments; :mod:`repro.storage.materialize`
+loads the manifest first and then replays only the WAL tail beyond it.
+It also carries ``patches``, the materialized patch sets of every
+PatchIndex as of the checkpoint (one checksummed entry per index), from
+which indexes are restored.
 
-The manifest is a single JSON document written atomically (temp file +
-fsync + rename), so a crash during checkpoint leaves either the old or
-the new manifest, never a torn one.  This module also owns the layout
+The manifest is a single compact JSON document written atomically (temp
+file + fsync + rename), so a crash during checkpoint leaves either the
+old or the new manifest, never a torn one, and one rename installs the
+segments and the patch sets together.  This module also owns the layout
 of the data directory around it::
 
-    <root>/wal.jsonl                    metadata + data WAL
-    <root>/manifest.json                this file
-    <root>/segments/g<lsn>/             one generation per checkpoint
-        <table>/p<k>.<col>.seg          one segment per partition column
-        patches.json                    the generation's patch sets
+    <root>/wal.jsonl                        metadata + data WAL
+    <root>/manifest.json                    this file
+    <root>/segments/<table>.p<k>.<lsn>.seg  one file per partition
 
-A segment a checkpoint did not need to rewrite is a hard link to the
-previous generation's file (:func:`repro.storage.checkpoint.flush_table`),
-so two generations may share inodes; deleting the older one frees only
-the files that were rewritten.
+A partition file holds its columns' segments back to back and is
+written once, by the checkpoint at ``<lsn>``; every later manifest that
+keeps the partition unchanged names the same file, with each column's
+``[offset, length, hint]`` (the hint a digest of the NSC patch rowids
+the segment was encoded around).  So a checkpoint adds only the files
+of partitions it rewrote, and superseding a manifest frees only the
+files no live manifest names
+(:class:`repro.storage.snapshot.SnapshotRegistry`).
 """
 
 from __future__ import annotations
@@ -33,45 +36,49 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import quote
 
 from repro.errors import StorageError
 
 #: Bump when the manifest or segment layout changes incompatibly.
-#: Version 3 is RSEG2 segments plus a ``patches.json`` per generation
-#: (older version-3 manifests also carry a ``patches`` key naming it,
-#: which readers ignore); nothing in the repo ever shipped a directory
-#: of versions 1-2 (raw RSEG1 segments, no persisted patch sets), so
-#: they are rejected, not read.
-FORMAT_VERSION = 3
+#: Version 4 is one file per partition in a flat ``segments/``, with the
+#: patch sets inside the manifest.  Versions 1-3 are rejected, not read:
+#: 1-2 (raw RSEG1 segments, no persisted patch sets) never shipped in a
+#: directory, 3 kept one directory of per-column files and a
+#: ``patches.json`` per checkpoint.
+FORMAT_VERSION = 4
 
 #: Manifest versions this reader understands.
-SUPPORTED_VERSIONS = frozenset({3})
+SUPPORTED_VERSIONS = frozenset({4})
+
+#: JSON separators of the manifest: compact, so a patch set's rowids
+#: take one comma each.
+_COMPACT = (",", ":")
 
 MANIFEST_NAME = "manifest.json"
 WAL_NAME = "wal.jsonl"
 SEGMENTS_DIR = "segments"
-PATCHES_NAME = "patches.json"
 
 
-def generation_name(checkpoint_lsn: int) -> str:
-    """Directory name of the generation a checkpoint at that LSN wrote."""
-    return f"g{checkpoint_lsn:012d}"
-
-
-def patches_path(root: str | os.PathLike, checkpoint_lsn: int) -> Path:
-    """Where the generation of *checkpoint_lsn* keeps its patch sets."""
-    return (
-        Path(root) / SEGMENTS_DIR / generation_name(checkpoint_lsn) / PATCHES_NAME
-    )
+def partition_file(table: str, partition_id: int, checkpoint_lsn: int) -> str:
+    """Data-directory-relative name of the file the checkpoint at
+    *checkpoint_lsn* writes for one partition of *table* (a quoted table
+    name may hold ``/``: it is percent-encoded, never a path)."""
+    name = quote(table, safe="")
+    return f"{SEGMENTS_DIR}/{name}.p{partition_id}.{checkpoint_lsn:012d}.seg"
 
 
 @dataclass(frozen=True)
 class PartitionManifest:
-    """One partition: its row count and column → segment path mapping."""
+    """One partition: its row count, its file, and each column's segment
+    in that file as ``(offset, length, hint)``.  *hint* is the digest of
+    the NSC patch rowids the segment's ``pfor`` blocks were encoded
+    around (:func:`repro.storage.checkpoint.hint_digest`)."""
 
     row_count: int
-    #: Column name → segment file path relative to the data directory.
-    segments: dict[str, str]
+    #: Partition file path relative to the data directory.
+    file: str
+    segments: dict[str, tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,22 @@ class Manifest:
 
     checkpoint_lsn: int
     tables: dict[str, TableManifest] = field(default_factory=dict)
+    #: Index name → checksummed patch-set entry
+    #: (:func:`repro.storage.checkpoint.persisted_index_entry`).
+    patches: dict[str, dict] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
 
-    def to_json(self) -> str:
+    def files(self) -> frozenset[str]:
+        """Every partition file this manifest names."""
+        return frozenset(
+            partition.file
+            for table in self.tables.values()
+            for partition in table.partitions
+        )
+
+    def catalog_json(self) -> str:
+        """The manifest as compact JSON, but for its ``patches`` key
+        (:func:`write_manifest` streams that one)."""
         return json.dumps(
             {
                 "format_version": self.format_version,
@@ -109,7 +129,11 @@ class Manifest:
                         "partitions": [
                             {
                                 "row_count": partition.row_count,
-                                "segments": partition.segments,
+                                "file": partition.file,
+                                "segments": {
+                                    column: list(extent)
+                                    for column, extent in partition.segments.items()
+                                },
                             }
                             for partition in table.partitions
                         ],
@@ -117,7 +141,7 @@ class Manifest:
                     for name, table in sorted(self.tables.items())
                 },
             },
-            indent=2,
+            separators=_COMPACT,
         )
 
     @classmethod
@@ -134,42 +158,69 @@ class Manifest:
                 f"manifest format version {version} is not supported "
                 f"(expected one of {sorted(SUPPORTED_VERSIONS)})"
             )
-        tables: dict[str, TableManifest] = {}
-        for name, entry in raw.get("tables", {}).items():
-            tables[name] = TableManifest(
-                name=name,
-                schema=list(entry["schema"]),
-                block_size=int(entry["block_size"]),
-                partitions=[
-                    PartitionManifest(
-                        row_count=int(partition["row_count"]),
-                        segments=dict(partition["segments"]),
-                    )
-                    for partition in entry["partitions"]
-                ],
-            )
+        try:
+            tables = {
+                name: _table_from_json(name, entry)
+                for name, entry in raw.get("tables", {}).items()
+            }
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise StorageError(f"corrupt manifest: bad table entry ({exc!r})") from exc
+        patches = raw.get("patches")
         return cls(
             checkpoint_lsn=int(raw["checkpoint_lsn"]),
             tables=tables,
+            patches=dict(patches) if isinstance(patches, dict) else {},
             format_version=version,
         )
 
 
+def _table_from_json(name: str, entry: dict) -> TableManifest:
+    return TableManifest(
+        name=name,
+        schema=list(entry["schema"]),
+        block_size=int(entry["block_size"]),
+        partitions=[
+            PartitionManifest(
+                row_count=int(partition["row_count"]),
+                file=str(partition["file"]),
+                segments={
+                    column: (int(offset), int(length), int(hint))
+                    for column, (offset, length, hint) in partition[
+                        "segments"
+                    ].items()
+                },
+            )
+            for partition in entry["partitions"]
+        ],
+    )
+
+
 def write_manifest(
     root: str | os.PathLike, manifest: Manifest, *, sync: bool = True
-) -> Path:
-    """Atomically install *manifest* as ``<root>/manifest.json``."""
+) -> int:
+    """Atomically install *manifest* as ``<root>/manifest.json``; returns
+    the bytes its patch sets take in it.
+
+    The patch sets are encoded chunk by chunk straight into the file, so
+    no string of them all is ever built.
+    """
     root = Path(root)
     path = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")
+    patches_bytes = 0
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(manifest.to_json())
-        handle.write("\n")
+        handle.write(manifest.catalog_json()[:-1] + ',"patches":')
+        for chunk in json.JSONEncoder(separators=_COMPACT).iterencode(
+            manifest.patches
+        ):
+            handle.write(chunk)
+            patches_bytes += len(chunk)  # ASCII: ensure_ascii is on
+        handle.write("}\n")
         handle.flush()
         if sync:
             os.fsync(handle.fileno())
     os.replace(tmp, path)
-    return path
+    return patches_bytes
 
 
 def read_manifest(root: str | os.PathLike) -> Manifest | None:

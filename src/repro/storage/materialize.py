@@ -1,6 +1,6 @@
 """Recovery: one pass over the live WAL, in LSN order.
 
-"Load a generation, replay the WAL, end with tables and their PatchIndexes"
+"Load a checkpoint, replay the WAL, end with tables and their PatchIndexes"
 is what a reopen needs, and only a reopen: a snapshot copies the live
 catalog (:mod:`repro.storage.snapshot`) and reads no log.  It is one
 function, :func:`replay_log`, with one caller,
@@ -8,8 +8,8 @@ function, :func:`replay_log`, with one caller,
 manifest's tables and patch sets (none before the first checkpoint).
 
 The pass starts from the checkpoint's tables with the indexes it covers
-attached as table listeners: each *restored* from that generation's
-``patches.json``, or — when the entry is unusable — discovered from the
+attached as table listeners: each *restored* from the manifest's
+``patches`` entry, or — when the entry is unusable — discovered from the
 checkpoint's data (a fallback, counted under one of
 :data:`FALLBACK_REASONS`).  Every later record then replays as it ran
 live: a data record through :class:`~repro.storage.table.Table`, whose
@@ -23,7 +23,6 @@ from its index maintenance.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import NamedTuple
@@ -40,11 +39,7 @@ from repro.storage.cache import BlockCache, SegmentColumnSource
 from repro.storage.checkpoint import entry_checksum
 from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema
-from repro.storage.manifest import (
-    Manifest,
-    TableManifest,
-    patches_path,
-)
+from repro.storage.manifest import Manifest, TableManifest
 from repro.storage.partition import Partition
 from repro.storage.segment import open_segment
 from repro.storage.table import Table
@@ -52,7 +47,7 @@ from repro.storage.wal import DATA_KINDS, WalRecord, live_records_of
 
 #: Why a covered index was discovered from data instead of restored.
 FALLBACK_REASONS = (
-    "missing",  # no readable patches.json entry for the index
+    "missing",  # the manifest holds no patch-set entry for the index
     "checksum",  # the entry fails its checksum
     "definition",  # the entry describes a different index
     "partition_count",  # entry and checkpointed table disagree on partitions
@@ -92,14 +87,14 @@ def load_table(
     for partition_id, partition_manifest in enumerate(table_manifest.partitions):
         sources = {
             column: SegmentColumnSource(
-                open_segment(root / relative),
+                open_segment(root / partition_manifest.file, offset, length),
                 cache,
                 table=name,
                 column=column,
-                segment=relative,
+                segment=partition_manifest.file,
                 generation=generation,
             )
-            for column, relative in partition_manifest.segments.items()
+            for column, (offset, length, _) in partition_manifest.segments.items()
         }
         partition = Partition(
             partition_id,
@@ -174,23 +169,6 @@ class Recovered(NamedTuple):
     fallbacks: dict[str, int]
 
 
-def read_patch_sets(root: Path, generation_lsn: int) -> dict:
-    """Per-index ``patches.json`` entries of one generation.
-
-    A missing or unreadable file yields ``{}`` and degrades every index to
-    discovery from data rather than failing the open: the persisted patch
-    sets are an optimization, never a correctness requirement.
-    """
-    if generation_lsn <= 0:
-        return {}
-    try:
-        text = patches_path(root, generation_lsn).read_text(encoding="utf-8")
-        indexes = json.loads(text)["indexes"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return {}
-    return dict(indexes) if isinstance(indexes, dict) else {}
-
-
 def _definition(payload: dict) -> dict:
     """The definition in a ``create_index`` payload, defaults filled in."""
     return {
@@ -233,7 +211,7 @@ def index_from_payload(table: Table, payload: dict) -> PatchIndex:
 def restore_patch_index(
     table: Table, payload: dict, entry: dict | None
 ) -> tuple[PatchIndex | None, str | None]:
-    """Restore one PatchIndex from its ``patches.json`` entry.
+    """Restore one PatchIndex from its manifest ``patches`` entry.
 
     *payload* is the WAL ``create_index`` record and *table* is at the
     checkpoint the entry was written at.  Returns ``(index, None)``, or
@@ -326,8 +304,8 @@ def replay_log(
     """Tables and PatchIndexes as of the last of *records*.
 
     *tables* are the checkpoint's at *generation_lsn* (empty, and
-    *generation_lsn* 0, without one) and *persisted* is that generation's
-    ``patches.json`` entries (:func:`read_patch_sets`).  One pass over the
+    *generation_lsn* 0, without one) and *persisted* is that manifest's
+    ``patches`` (``{}`` without one).  One pass over the
     live records in LSN order; what the checkpoint covers — its data and
     rebuild records — is skipped, except that each index it covers is
     restored from *persisted* (or discovered over the checkpoint's data

@@ -139,7 +139,7 @@ class Partition:
         """The segment column *name* was loaded from, while the column
         still holds exactly its rows: every mutation drops the source
         (:meth:`materialize`, :meth:`replace_column`), so a checkpoint
-        can carry that file into its generation instead of rewriting it.
+        can keep or copy that segment instead of re-encoding it.
         A column decoded by a read keeps its source."""
         return self._sources.get(name)
 

@@ -19,8 +19,10 @@ reader can prune *and* decode blocks independently — the scan path
 decodes on demand through the block cache (:mod:`repro.storage.cache`)
 instead of materializing whole columns.
 
-Segments are immutable once written: a checkpoint writes a fresh
-generation of files and the manifest flips to it atomically.
+Segments are immutable once written.  A checkpoint writes the columns
+of one partition back to back into one file (:func:`write_segments`),
+each still a complete segment that :class:`SegmentReader` opens at the
+offset and length the manifest records.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -120,29 +123,24 @@ def _raw_string_payload(pieces: list[bytes]) -> bytes:
     return offsets.tobytes() + b"".join(pieces)
 
 
-def write_segment(
-    path: str | os.PathLike,
+def encode_segment(
     column: ColumnVector,
     block_size: int = DEFAULT_BLOCK_SIZE,
     *,
-    sync: bool = True,
     encoding: str = "auto",
     patch_rowids: np.ndarray | None = None,
-) -> SegmentWriteInfo:
-    """Write *column* as an RSEG2 segment file at *path*.
+) -> tuple[list[bytes], SegmentWriteInfo]:
+    """*column* as one RSEG2 segment — its pieces in file order, joined
+    by nothing so a writer streams them — and what they hold.
 
     ``encoding="auto"`` (what a checkpoint writes) runs the per-block
     cost-based picker; ``encoding="raw"`` forces raw blocks.
     *patch_rowids* are the partition-local rowids of the column's NSC
     PatchIndex patches: blocks containing them may use the patch-aware
     ``pfor`` codec, storing those rows verbatim.
-
-    The file is written to a temporary sibling and renamed into place so
-    a crash mid-write never leaves a torn segment behind a manifest.
     """
     if encoding not in ENCODING_MODES:
         raise StorageError(f"unknown segment encoding mode: {encoding!r}")
-    path = Path(path)
     stats = compute_block_stats(column, block_size)
     rows = len(column)
     validity = column.validity
@@ -274,26 +272,60 @@ def write_segment(
         "blocks": block_entries,
     }
     header_line = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
-
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(header_line)
-        handle.write(dict_payload)
-        for payload in block_payloads:
-            handle.write(payload)
-        handle.write(validity_bytes)
-        handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return SegmentWriteInfo(
-        bytes_written=len(_MAGIC) + len(header_line) + payload_len,
+    pieces = [_MAGIC, header_line, dict_payload, *block_payloads, validity_bytes]
+    return pieces, SegmentWriteInfo(
+        bytes_written=sum(map(len, pieces)),
         rows=rows,
         encodings=encodings,
         payload_bytes=payload_bytes,
         raw_payload_bytes=raw_payload_bytes,
     )
+
+
+def write_segments(
+    path: str | os.PathLike, segments: Iterable[list[bytes]], *, sync: bool
+) -> list[tuple[int, int]]:
+    """Write *segments*, each given as its pieces, back to back as a new
+    file at *path*; returns the ``(offset, length)`` of each, what
+    :class:`SegmentReader` opens.  *segments* may be a generator: only
+    the segment being written need be in memory.
+
+    The file is written in place, never renamed over another: a crash
+    mid-write leaves a file no manifest names, which the next reopen
+    deletes (:meth:`repro.storage.engine.DurableEngine.recover`).
+    """
+    extents: list[tuple[int, int]] = []
+    offset = 0
+    with open(path, "wb") as handle:
+        for pieces in segments:
+            length = 0
+            for piece in pieces:
+                handle.write(piece)
+                length += len(piece)
+            extents.append((offset, length))
+            offset += length
+        handle.flush()
+        if sync:
+            os.fsync(handle.fileno())
+    return extents
+
+
+def write_segment(
+    path: str | os.PathLike,
+    column: ColumnVector,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    *,
+    sync: bool = True,
+    encoding: str = "auto",
+    patch_rowids: np.ndarray | None = None,
+) -> SegmentWriteInfo:
+    """Write *column* as a file holding one RSEG2 segment at *path*
+    (:func:`encode_segment`'s arguments)."""
+    pieces, info = encode_segment(
+        column, block_size, encoding=encoding, patch_rowids=patch_rowids
+    )
+    write_segments(path, [pieces], sync=sync)
+    return info
 
 
 def _parse_stats(header: dict) -> list[BlockStats]:
@@ -304,7 +336,9 @@ def _parse_stats(header: dict) -> list[BlockStats]:
 
 
 class SegmentReader:
-    """Random per-block access to one segment file.
+    """Random per-block access to one segment: a whole file, or the
+    *length* bytes at *offset* of a file holding several back to back
+    (:func:`write_segments`).
 
     Blocks decode independently: :meth:`decode_block` reads only that
     block's payload bytes (via ``os.pread`` on a shared handle) and
@@ -314,9 +348,13 @@ class SegmentReader:
     #: Segment format version read (``RSEG<version>``).
     version = 2
 
-    def __init__(self, path: str | os.PathLike):
+    def __init__(
+        self, path: str | os.PathLike, offset: int = 0, length: int | None = None
+    ):
         self.path = Path(path)
+        self.offset = offset
         self._handle = open(self.path, "rb")
+        self._handle.seek(offset)
         magic = self._handle.readline()
         if magic != _MAGIC:
             self._handle.close()
@@ -336,9 +374,16 @@ class SegmentReader:
         self.block_size = int(header["block_size"])
         self.stats = _parse_stats(header)
         self._payload_start = self._handle.tell()
+        #: Bytes of the segment, magic to validity bitmap.
+        self.length = self._payload_start - offset + int(header["payload_len"])
         self._dictionary: np.ndarray | None = None
         self.validity: np.ndarray | None = None
         try:
+            if length is not None and length != self.length:
+                raise StorageError(
+                    f"corrupt segment header: {path} at {offset} spans "
+                    f"{self.length} bytes, not {length}"
+                )
             self._open_payload(header)
         except StorageError:
             self._handle.close()
@@ -409,6 +454,17 @@ class SegmentReader:
         status = os.fstat(self._handle.fileno())
         return status.st_dev, status.st_ino
 
+    def raw_bytes(self) -> bytes:
+        """The segment as :func:`encode_segment` produced it, read from
+        the file this reader has open."""
+        data = os.pread(self._handle.fileno(), self.length, self.offset)
+        if len(data) != self.length:
+            raise StorageError(
+                f"segment file cut short: {self.path} holds {len(data)} of "
+                f"{self.length} bytes at offset {self.offset}"
+            )
+        return data
+
     def write_info(self) -> SegmentWriteInfo:
         """What :func:`write_segment` returned when it wrote this file,
         read back from the header (a ``dict`` block's codes are decoded
@@ -435,7 +491,7 @@ class SegmentReader:
             else:  # a raw string block is its own raw form
                 raw_payload_bytes += length
         return SegmentWriteInfo(
-            bytes_written=os.fstat(self._handle.fileno()).st_size,
+            bytes_written=self.length,
             rows=self.rows,
             encodings=encodings,
             payload_bytes=payload_bytes,
@@ -581,9 +637,11 @@ def _decode_raw_strings(data: bytes | memoryview, count: int) -> np.ndarray:
     return values
 
 
-def open_segment(path: str | os.PathLike) -> SegmentReader:
+def open_segment(
+    path: str | os.PathLike, offset: int = 0, length: int | None = None
+) -> SegmentReader:
     """Open a segment for per-block access."""
-    return SegmentReader(path)
+    return SegmentReader(path, offset, length)
 
 
 def read_segment(path: str | os.PathLike) -> tuple[ColumnVector, list[BlockStats]]:

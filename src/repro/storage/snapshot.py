@@ -23,14 +23,19 @@ reader:
 
 - a copy shares the segment sources of every partition still clean
   since the last reopen, which read their files through descriptors
-  opened at load (a checkpoint carries those files forward by hard
-  link); every pin also pins the current generation, and a checkpoint
-  that supersedes it *defers* deleting the directory while any snapshot
-  pins it (:meth:`SnapshotRegistry.release` garbage-collects it once the
-  last pin drops);
-- the generation flip itself (:meth:`SnapshotRegistry.flip`) is
+  opened at load (a checkpoint keeps such a file, unchanged, under the
+  same name); every pin also pins the current manifest, and a
+  checkpoint that supersedes it *defers* deleting the files only that
+  manifest names while any snapshot pins it
+  (:meth:`SnapshotRegistry.release` deletes them once the last pin
+  drops);
+- the manifest flip itself (:meth:`SnapshotRegistry.flip`) is
   serialized with pinning under the registry's lock, so a pin sees
-  either entirely the old or entirely the new generation.
+  either entirely the old or entirely the new manifest.
+
+Deleting is file by file (:func:`delete_files`): each file deleted
+counts ``checkpoint.files_deleted``, each one that could not be
+``fallback.gc_delete_failed``, its reason logged once per process.
 
 :class:`SnapshotView` is the read-only ``Database`` facade query
 execution runs against; :class:`repro.sql.session.Session` pins one per
@@ -40,19 +45,16 @@ does this for every connection).
 
 from __future__ import annotations
 
+import logging
+import os
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.check.sanitize import make_lock, release_resource, track_resource
 from repro.errors import ExecutionError
 from repro.storage.catalog import Catalog
-from repro.storage.checkpoint import superseded_generations
-from repro.storage.manifest import (
-    SEGMENTS_DIR,
-    Manifest,
-    generation_name,
-    write_manifest,
-)
+from repro.storage.manifest import Manifest, write_manifest
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,6 +62,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.storage.database import Database
     from repro.storage.table import Table
+
+
+_LOG = logging.getLogger(__name__)
+_LOGGED_REASONS: set[str] = set()
+
+
+def delete_files(paths: list[Path], metrics: "MetricsRegistry") -> None:
+    """Delete each of *paths*, counting ``checkpoint.files_deleted``.
+
+    A file already gone is not a failure; any other error leaves the
+    file, counts ``fallback.gc_delete_failed`` and logs its reason once
+    per process.  The next reopen retries: it deletes every file the
+    manifest does not name.
+    """
+    for path in paths:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            metrics.counter("fallback.gc_delete_failed").inc()
+            reason = exc.strerror or type(exc).__name__
+            if reason not in _LOGGED_REASONS:
+                _LOGGED_REASONS.add(reason)
+                _LOG.warning(
+                    "could not delete superseded file %s: %s (logged once "
+                    "per reason; a reopen retries)",
+                    path,
+                    reason,
+                )
+            continue
+        metrics.counter("checkpoint.files_deleted").inc()
+
+
+def _without_patches(manifest: Manifest | None) -> Manifest | None:
+    """*manifest* as pins and the next checkpoint read it: without its
+    patch sets, which only a restore reads, so that no rowid list stays
+    in memory for the life of the database."""
+    return None if manifest is None else replace(manifest, patches={})
 
 
 class SnapshotHandle:
@@ -73,14 +114,14 @@ class SnapshotHandle:
 
     def __init__(
         self,
-        generation_lsn: int,
+        manifest: Manifest | None,
         wal_lsn: int,
         versions: tuple,
         catalog: Catalog,
     ):
-        #: Checkpoint LSN of the manifest generation current at the pin
-        #: (0 when the database has never checkpointed).
-        self.generation_lsn = generation_lsn
+        #: The manifest current at the pin, without its patch sets (None
+        #: when the database has never checkpointed).
+        self.manifest = manifest
         #: Last WAL LSN at the pin.
         self.wal_lsn = wal_lsn
         #: :meth:`Catalog.versions` of the live catalog at the pin.
@@ -90,23 +131,24 @@ class SnapshotHandle:
         self.pins = 0
 
     @property
+    def generation_lsn(self) -> int:
+        """Checkpoint LSN of the manifest current at the pin (0 without)."""
+        return self.manifest.checkpoint_lsn if self.manifest is not None else 0
+
+    @property
     def key(self) -> tuple:
         """What a later pin must match to share this handle."""
         return (self.generation_lsn, self.versions)
-
-    @property
-    def generation_name(self) -> str | None:
-        """Segment directory name of the pinned generation, or None."""
-        return generation_name(self.generation_lsn) if self.generation_lsn > 0 else None
 
 
 class SnapshotRegistry:
     """Pin, release and flip for one database.
 
     Everything a pin must see atomically lives here under one lock: the
-    current manifest, the latest handle, and the pinned / deferred
-    generation refcounts.  The pin takes the catalog's state lock first,
-    then this one; nothing takes them the other way round.
+    current manifest, the latest handle, the pin count of each manifest
+    and the file sets of superseded manifests still pinned.  The pin
+    takes the catalog's state lock first, then this one; nothing takes
+    them the other way round.
     """
 
     def __init__(
@@ -119,11 +161,13 @@ class SnapshotRegistry:
         self.root = root
         self._metrics = metrics
         self._lock = make_lock("storage.engine.snapshot")
-        self._manifest = manifest
+        self._manifest = _without_patches(manifest)
         self._latest: SnapshotHandle | None = None
         self._active = 0
-        self._pinned_generations: dict[str, int] = {}
-        self._deferred_generations: set[str] = set()
+        #: Checkpoint LSN → pins on that manifest.
+        self._pinned: dict[int, int] = {}
+        #: Superseded manifests still pinned: checkpoint LSN → its files.
+        self._deferred: dict[int, frozenset[str]] = {}
 
     def _count_locked(self, name: str) -> None:
         self._metrics.counter(f"storage.snapshot.{name}").inc()
@@ -131,16 +175,15 @@ class SnapshotRegistry:
     def _set_gauges_locked(self) -> None:
         self._metrics.gauge("storage.snapshot.active").set(self._active)
         self._metrics.gauge("storage.snapshot.deferred_generations").set(
-            len(self._deferred_generations)
+            len(self._deferred)
         )
 
     def pin(self, catalog: Catalog, wal: WriteAheadLog) -> SnapshotHandle:
         """Pin *catalog* as it is now, for a reader.
 
         One refcount on the latest handle when its key still matches,
-        else on a fresh copy, plus one on the current generation's
-        segment directory, deferring its GC past any checkpoint that
-        supersedes it.
+        else on a fresh copy, plus one on the current manifest, deferring
+        the deletion of its files past any checkpoint that supersedes it.
         """
         with catalog.state_lock:
             versions = catalog.versions()
@@ -152,32 +195,26 @@ class SnapshotRegistry:
                     self._count_locked("reuses")
                 else:
                     handle = SnapshotHandle(
-                        generation_lsn, wal.last_lsn, versions, catalog.copy()
+                        manifest, wal.last_lsn, versions, catalog.copy()
                     )
                     self._latest = handle
                     self._count_locked("builds")
                 handle.pins += 1
                 self._active += 1
                 track_resource("snapshot_pin", str(id(handle)))
-                name = handle.generation_name
-                if name is not None:
-                    self._pinned_generations[name] = (
-                        self._pinned_generations.get(name, 0) + 1
-                    )
+                self._pinned[generation_lsn] = self._pinned.get(generation_lsn, 0) + 1
                 self._count_locked("pins")
                 self._set_gauges_locked()
         return handle
 
-    def release(self, handle: SnapshotHandle) -> list[Path]:
-        """Drop one pin; returns generation directories to delete.
+    def release(self, handle: SnapshotHandle) -> None:
+        """Drop one pin, then delete the files it alone kept alive.
 
-        Releasing a handle that holds no pin is a no-op: its generation's
-        refcount belongs to the other readers of that generation.  A
-        deferred generation that lost its last pin is swept from the
-        bookkeeping and returned; the caller deletes it *after* this
-        returns, since nothing can reach it any more (a pin only ever
-        shares a handle of the current generation) and readers should
-        not queue behind directory deletion.
+        Releasing a handle that holds no pin is a no-op: its manifest's
+        refcount belongs to the other readers of that manifest.  The
+        files are deleted *after* the lock is released, since nothing can
+        reach them any more (a pin only ever shares a handle of the
+        current manifest) and readers should not queue behind deletes.
         """
         doomed: list[Path] = []
         with self._lock:
@@ -185,47 +222,58 @@ class SnapshotRegistry:
                 handle.pins -= 1
                 self._active -= 1
                 release_resource("snapshot_pin", str(id(handle)))
-                name = handle.generation_name
-                if name is not None:
-                    remaining = self._pinned_generations.get(name, 0) - 1
-                    if remaining > 0:
-                        self._pinned_generations[name] = remaining
-                    else:
-                        self._pinned_generations.pop(name, None)
-            for name in list(self._deferred_generations):
-                if self._pinned_generations.get(name, 0) > 0:
-                    continue
-                doomed.append(self.root / SEGMENTS_DIR / name)
-                self._deferred_generations.discard(name)
+                lsn = handle.generation_lsn
+                remaining = self._pinned.get(lsn, 0) - 1
+                if remaining > 0:
+                    self._pinned[lsn] = remaining
+                else:
+                    self._pinned.pop(lsn, None)
+                    if lsn in self._deferred:
+                        doomed = self._unnamed_locked(self._deferred.pop(lsn))
             self._set_gauges_locked()
-        return doomed
+        delete_files(doomed, self._metrics)
+
+    def _unnamed_locked(self, files: frozenset[str]) -> list[Path]:
+        """Those of *files* that neither the current manifest nor any
+        pinned superseded one names, as paths to delete."""
+        root = self.root
+        if root is None:  # the memory engine names no files
+            return []
+        named = set(self._manifest.files()) if self._manifest is not None else set()
+        for other in self._deferred.values():
+            named |= other
+        return [root / name for name in sorted(files - named)]
 
     def flip(
         self, manifest: Manifest, wal: WriteAheadLog, *, sync: bool
-    ) -> tuple[int, list[Path]]:
-        """Make *manifest*'s generation the current one, atomically.
+    ) -> tuple[int, int]:
+        """Make *manifest* the current one, atomically; returns the
+        number of WAL records pruned and the bytes the patch sets take
+        in the manifest file.
 
-        Manifest install, WAL marker + compaction and the choice of superseded
-        generations all happen under the lock.  Returns the number of WAL
-        records pruned and the directories the caller deletes once the lock
-        is released (concurrent pins should not stall behind ``rmtree``).
+        Manifest install, WAL marker + compaction and the choice of the
+        superseded manifest's files to free all happen under the lock.
+        If that manifest is still pinned, its files wait for
+        :meth:`release`; otherwise the ones *manifest* does not name are
+        deleted once the lock is released.
         """
+        doomed: list[Path] = []
         with self._lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
-            write_manifest(self.root, manifest, sync=sync)
-            self._manifest = manifest
+            patches_bytes = write_manifest(self.root, manifest, sync=sync)
+            previous, self._manifest = self._manifest, _without_patches(manifest)
             wal.checkpoint({"checkpoint_lsn": manifest.checkpoint_lsn})
             pruned = wal.compact()
-            doomed, deferred = superseded_generations(
-                self.root / SEGMENTS_DIR,
-                generation_name(manifest.checkpoint_lsn),
-                self._pinned_generations,
-            )
-            self._deferred_generations = deferred
+            if previous is not None:
+                if self._pinned.get(previous.checkpoint_lsn, 0) > 0:
+                    self._deferred[previous.checkpoint_lsn] = previous.files()
+                else:
+                    doomed = self._unnamed_locked(previous.files())
             self._set_gauges_locked()
-            # The block cache stays: its keys carry the generation a
-            # source was loaded from, so none can name stale bytes, and
-            # a carried segment keeps serving its warm blocks.
-        return pruned, doomed
+            # The block cache stays: its keys carry the manifest a source
+            # was loaded from, so none can name stale bytes, and a kept
+            # file keeps serving its warm blocks.
+        delete_files(doomed, self._metrics)
+        return pruned, patches_bytes
 
 
 class SnapshotView:
@@ -238,7 +286,7 @@ class SnapshotView:
     read the snapshot's own tables in place.
 
     The view owns its pin: :meth:`close` (or context-manager exit)
-    releases it, allowing deferred generation GC to run.
+    releases it, allowing deferred file deletion to run.
     """
 
     def __init__(self, database: "Database", handle: SnapshotHandle):

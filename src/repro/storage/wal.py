@@ -329,11 +329,11 @@ class WriteAheadLog:
         live set (cancelled create/drop pairs disappear), and data and
         ``rebuild_index`` records at or below the most recent checkpoint
         marker are dropped — a checkpoint has already flushed their
-        effect into segment files and the per-generation patch sets, so
+        effect into segment files and the manifest's patch sets, so
         only the WAL tail beyond it is ever replayed.  Metadata records
         are kept across checkpoints because index *definitions* are
         always replayed from the log (their patch sets come from the
-        persisted generation, or from data as the fallback).
+        checkpoint's manifest, or from data as the fallback).
 
         Replay is unaffected: :meth:`live_records` before and after
         compaction differ only in data and rebuild records covered by

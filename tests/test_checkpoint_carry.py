@@ -1,15 +1,17 @@
-"""A checkpoint carries clean segments into its generation by hard link.
+"""A checkpoint keeps clean partition files and copies clean segments.
 
 A partition column that still holds the segment it was loaded from is
-*clean*: the checkpoint links that file into the new generation instead
-of rewriting it, and deleting the superseded generation then frees only
-the rewritten files' inodes (``storage/checkpoint.py``).  These tests
-pin what must not change because of it: every mutation still reaches
-disk, a carried file is the file a rewrite would write, the summary is a
-rewrite's, carried files are synced, pinned snapshots and reopened
-copies read the same rows, no file descriptor leaks, and the block cache
-keeps a carried segment's warm blocks.  They also pin that a reopen
-removes generation directories the manifest does not name.
+*clean*.  A partition whose columns are all clean keeps its file: the
+new manifest names it again.  Any other partition gets a new file, with
+its clean columns copied as encoded bytes and only the changed ones
+re-encoded (``storage/checkpoint.py``).  Superseding the old manifest
+then frees only the files of rewritten partitions.  These tests pin what
+must not change because of it: every mutation still reaches disk, a
+kept or copied segment is the segment a rewrite would write, the
+summary is a rewrite's, kept files are synced, pinned snapshots and
+reopened copies read the same rows, no file descriptor leaks, and the
+block cache keeps a kept file's warm blocks.  They also pin that a
+reopen removes files the manifest does not name.
 """
 
 from __future__ import annotations
@@ -23,18 +25,13 @@ import pytest
 
 import repro
 from repro.storage.checkpoint import nsc_patch_rowids
-from repro.storage.manifest import SEGMENTS_DIR, generation_name, read_manifest
-from repro.storage.segment import write_segment
+from repro.storage.manifest import SEGMENTS_DIR, partition_file, read_manifest
+from repro.storage.segment import encode_segment
 
 PARTITIONS = 4
 ROWS_PER_PARTITION = 600
 COLUMNS = ("k", "s", "v", "w")
 QUERY = "SELECT k, s, v, w FROM t"
-
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "link"), reason="the carry needs hard links"
-)
-
 
 def populate(db) -> None:
     """Table ``t``: k a key, s nearly sorted, v a low-cardinality string
@@ -83,14 +80,19 @@ def insert(db, key: int) -> None:
     db.sql(f"INSERT INTO t VALUES ({key}, {key}, 'v{key % 3}', 'n{key}')")
 
 
-def table_dir(root: Path) -> Path:
-    """``t``'s directory in the generation the manifest names."""
-    lsn = read_manifest(root).checkpoint_lsn
-    return root / SEGMENTS_DIR / generation_name(lsn) / "t"
+def files(root: Path) -> dict[int, Path]:
+    """Partition id → the file the manifest names for it in ``t``."""
+    table = read_manifest(root).tables["t"]
+    return {pid: root / entry.file for pid, entry in enumerate(table.partitions)}
 
 
-def inodes(root: Path) -> dict[str, int]:
-    return {path.name: path.stat().st_ino for path in table_dir(root).glob("*.seg")}
+def inodes(root: Path) -> dict[int, tuple[str, int]]:
+    """Partition id → (file name, inode) of ``t``'s partition files."""
+    return {pid: (path.name, path.stat().st_ino) for pid, path in files(root).items()}
+
+
+def on_disk(root: Path) -> set[str]:
+    return {f"{SEGMENTS_DIR}/{path.name}" for path in (root / SEGMENTS_DIR).iterdir()}
 
 
 def counter(db, name: str) -> int:
@@ -105,21 +107,24 @@ class TestCarry:
         insert(db, 10_000)  # lands in the last partition, p3
         summary = db.checkpoint()
         after = inodes(root)
-        assert sorted(after) == sorted(before)
-        for name, inode in after.items():
-            if name.startswith("p3."):
-                assert inode != before[name], name
+        for pid in range(PARTITIONS):
+            if pid == PARTITIONS - 1:
+                assert after[pid][0] != before[pid][0]
+                assert after[pid][0] == Path(
+                    partition_file("t", pid, summary["lsn"])
+                ).name
             else:
-                assert inode == before[name], name
+                assert after[pid] == before[pid], pid
+        # p3's clean columns are copied, its changed ones re-encoded; every
+        # column of it changed (one more row).
         carried = (PARTITIONS - 1) * len(COLUMNS)
         assert summary["segments_carried"] == carried
         assert summary["segments_written"] == len(COLUMNS)
         assert counter(db, "checkpoint.segments_carried") == carried
         assert counter(db, "checkpoint.segments_written") == len(COLUMNS)
-        # The superseded generation is gone; the carried inodes live on.
-        assert [entry.name for entry in (root / SEGMENTS_DIR).iterdir()] == [
-            table_dir(root).parent.name
-        ]
+        # The superseded p3 file is gone; the kept ones live on.
+        assert on_disk(root) == read_manifest(root).files()
+        assert counter(db, "checkpoint.files_deleted") == 1
         db.close()
 
     def test_the_first_checkpoint_carries_nothing(self, tmp_path):
@@ -134,6 +139,7 @@ class TestCarry:
     def test_point_update_on_a_clean_partition_reaches_disk(self, tmp_path, replayed):
         root = build(tmp_path / "db")
         db = repro.connect(str(root))
+        before = inodes(root)
         db.table("t").update_rowid(1, "s", 99)
         db.table("t").update_rowid(1, "v", "changed")
         if replayed:  # the update comes back from the WAL tail instead
@@ -141,9 +147,32 @@ class TestCarry:
             db = repro.connect(str(root))
         summary = db.checkpoint()
         assert summary["segments_written"] == 2  # p0.s and p0.v
+        assert summary["segments_carried"] == PARTITIONS * len(COLUMNS) - 2
+        after = inodes(root)
+        assert after[0] != before[0]  # p0 rewritten: k and w copied
+        assert all(after[pid] == before[pid] for pid in range(1, PARTITIONS))
         db.close()
         db = repro.connect(str(root))
         assert db.sql("SELECT s, v FROM t WHERE k = 1").to_pylist() == [(99, "changed")]
+        db.close()
+
+    def test_updated_clean_partition_file_equals_a_fresh_write(self, tmp_path):
+        root = build(tmp_path / "db")
+        db = repro.connect(str(root))
+        db.table("t").update_rowid(2, "w", "updated")
+        assert db.checkpoint()["segments_written"] == 1
+        table = db.table("t")
+        hints = nsc_patch_rowids(db.catalog, table)
+        fresh = b"".join(
+            piece
+            for name in COLUMNS
+            for piece in encode_segment(
+                table.partitions[0].column(name),
+                table.block_size,
+                patch_rowids=hints.get(name, {}).get(0),
+            )[0]
+        )
+        assert files(root)[0].read_bytes() == fresh
         db.close()
 
     @pytest.mark.parametrize("damage", ["replaced", "removed"])
@@ -151,7 +180,8 @@ class TestCarry:
         root = build(tmp_path / "db")
         db = repro.connect(str(root))
         expected = db.sql(QUERY).to_pylist()
-        victim = table_dir(root) / "p0.w.seg"
+        before = inodes(root)
+        victim = files(root)[0]
         if damage == "replaced":  # same name, another inode, other bytes
             stand_in = victim.with_name("stand_in")
             stand_in.write_bytes(b"not the segment the reader has open")
@@ -159,10 +189,14 @@ class TestCarry:
         else:
             victim.unlink()
         summary = db.checkpoint()
-        assert summary["segments_written"] == 1
-        scratch = tmp_path / "fresh"
-        scratch.mkdir()
-        assert_files_match_a_rewrite(db, root, scratch)
+        # p0 is not kept under a name that no longer holds its bytes: a
+        # new file copies them from the files the readers have open.
+        assert summary["segments_written"] == 0
+        after = inodes(root)
+        assert after[0][0] != before[0][0]
+        assert all(after[pid] == before[pid] for pid in range(1, PARTITIONS))
+        assert not victim.exists()
+        assert_files_match_a_rewrite(db, root)
         db.close()
         db = repro.connect(str(root))
         assert db.sql(QUERY).to_pylist() == expected
@@ -176,27 +210,35 @@ class TestCarry:
         assert summary["segments_carried"] == PARTITIONS * len(COLUMNS)
         assert summary["segments_written"] == 0
         assert inodes(root) == before
+        assert counter(db, "checkpoint.files_deleted") == 0
         db.close()
 
 
-def assert_files_match_a_rewrite(db, root: Path, scratch: Path) -> None:
-    """Every segment of the current generation is byte for byte what
-    ``write_segment`` writes now for its column and NSC hint."""
+def assert_files_match_a_rewrite(db, root: Path) -> None:
+    """Every partition file the manifest names is byte for byte its
+    columns' segments as ``encode_segment`` writes them now for each
+    column and NSC hint, at the offsets the manifest records."""
     table = db.table("t")
     hints = nsc_patch_rowids(db.catalog, table)
-    directory = table_dir(root)
-    for partition in table.partitions:
+    for partition, entry in zip(
+        table.partitions, read_manifest(root).tables["t"].partitions
+    ):
         pid = partition.partition_id
-        for name in table.schema.names:
-            fresh = scratch / f"p{pid}.{name}.seg"
-            write_segment(
-                fresh,
-                partition.column(name),
-                table.block_size,
-                sync=False,
-                patch_rowids=hints.get(name, {}).get(pid),
+        data = (root / entry.file).read_bytes()
+        fresh = [
+            b"".join(
+                encode_segment(
+                    partition.column(name),
+                    table.block_size,
+                    patch_rowids=hints.get(name, {}).get(pid),
+                )[0]
             )
-            assert (directory / fresh.name).read_bytes() == fresh.read_bytes(), fresh.name
+            for name in table.schema.names
+        ]
+        assert data == b"".join(fresh), entry.file
+        for name, segment in zip(table.schema.names, fresh):
+            offset, length, _ = entry.segments[name]
+            assert data[offset : offset + length] == segment, (entry.file, name)
 
 
 def build_for_rebuild(root: Path) -> Path:
@@ -227,9 +269,7 @@ class TestCompressionHint:
         db = repro.connect(str(root))
         insert(db, 10_000)
         assert db.checkpoint()["segments_carried"] > 0
-        scratch = tmp_path / "fresh"
-        scratch.mkdir()
-        assert_files_match_a_rewrite(db, root, scratch)
+        assert_files_match_a_rewrite(db, root)
         db.close()
 
     def test_a_rebuild_that_moves_clean_patches_rewrites_them(self, tmp_path):
@@ -248,13 +288,10 @@ class TestCompressionHint:
         index.rebuild()
         assert len(index.partition_patches(0).rowids()) == 300
         summary = db.checkpoint()
-        after = inodes(root)
-        assert after["p0.k.seg"] == before["p0.k.seg"]  # carried
-        assert after["p0.s.seg"] != before["p0.s.seg"]  # new hint: rewritten
+        # p0 is rewritten for its new hint: k copied, s re-encoded.
+        assert inodes(root)[0] != before[0]
         assert summary["segments_carried"] == 1
-        scratch = tmp_path / "fresh"
-        scratch.mkdir()
-        assert_files_match_a_rewrite(db, root, scratch)
+        assert_files_match_a_rewrite(db, root)
         db.close()
 
     @pytest.mark.parametrize(
@@ -273,13 +310,12 @@ class TestCompressionHint:
         db.sql(statement)
         summary = db.checkpoint()
         after = inodes(root)
-        for name, inode in after.items():
-            changed = name.split(".")[1] == column
-            assert (inode != before[name]) == changed, name
+        # Every partition holds patches on s: each file is rewritten,
+        # with only that column re-encoded.
+        assert all(after[pid] != before[pid] for pid in range(PARTITIONS))
         assert summary["segments_written"] == PARTITIONS
-        scratch = tmp_path / "fresh"
-        scratch.mkdir()
-        assert_files_match_a_rewrite(db, root, scratch)
+        assert summary["segments_carried"] == PARTITIONS * (len(COLUMNS) - 1)
+        assert_files_match_a_rewrite(db, root)
         db.close()
 
 
@@ -301,8 +337,10 @@ class TestSummaryAndDurability:
         assert carried["segment_bytes"] == rewritten["segment_bytes"]
         assert carried["table_details"] == rewritten["table_details"]
         assert carry.engine.encoded_ratios() == rewrite.engine.encoded_ratios()
-        for path in table_dir(carry_root).glob("*.seg"):
-            assert path.read_bytes() == (table_dir(rewrite_root) / path.name).read_bytes()
+        kept, fresh = files(carry_root), files(rewrite_root)
+        assert all(kept[pid].name != fresh[pid].name for pid in kept)
+        for pid, path in kept.items():
+            assert path.read_bytes() == fresh[pid].read_bytes()
         carry.close()
         rewrite.close()
         # A reopen reads the same ratio off the headers, strings included.
@@ -330,9 +368,10 @@ class TestSummaryAndDurability:
         monkeypatch.setattr(os, "fsync", fsync)
         summary = db.checkpoint()
         monkeypatch.undo()
-        carried = sorted(table_dir(root).glob("*.seg"))
-        assert summary["segments_carried"] == len(carried) == PARTITIONS * len(COLUMNS)
-        for path in carried:
+        kept = sorted(files(root).values())
+        assert summary["segments_carried"] == PARTITIONS * len(COLUMNS)
+        assert len(kept) == PARTITIONS
+        for path in kept:
             assert synced.count(os.path.realpath(path)) == 1, path.name
         db.close()
 
@@ -426,17 +465,16 @@ class TestReadsAcrossCarries:
 class TestOrphanGenerations:
     def test_reopen_removes_generations_the_manifest_does_not_name(self, tmp_path):
         root = build(tmp_path / "db")
-        current = table_dir(root).parent
-        segments = root / SEGMENTS_DIR
+        named = read_manifest(root).files()
+        current = files(root)[0].read_bytes()
         # One left by a crash after a flip (older), one by a crash
         # before it (newer, half written).
-        for lsn in (1, read_manifest(root).checkpoint_lsn + 50):
-            orphan = segments / generation_name(lsn) / "t"
-            orphan.mkdir(parents=True)
-            shutil.copy(current / "t" / "p0.k.seg", orphan / "p0.k.seg")
-        (segments / generation_name(2)).mkdir()
+        lsn = read_manifest(root).checkpoint_lsn
+        (root / partition_file("t", 0, 1)).write_bytes(current)
+        (root / partition_file("t", 2, lsn + 50)).write_bytes(current[:100])
         db = repro.connect(str(root))
         rows = PARTITIONS * ROWS_PER_PARTITION
         assert db.sql("SELECT COUNT(*) AS n FROM t").to_pylist() == [(rows,)]
+        assert counter(db, "checkpoint.files_deleted") == 2
         db.close()
-        assert [entry.name for entry in segments.iterdir()] == [current.name]
+        assert on_disk(root) == named

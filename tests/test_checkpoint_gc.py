@@ -1,0 +1,303 @@
+"""What a checkpoint frees, and that checkpoints never trip over each other.
+
+Each inode a checkpoint frees costs a fixed, large amount on some file
+systems (an ext4 mount with ``discard``), so the durable layout is built
+to free only what a checkpoint actually replaced: one file per
+partition in a flat ``segments/`` directory, written once and named by
+every later manifest that keeps it, with the patch sets inside the
+manifest (``storage/manifest.py``).  These tests count the calls that
+free an inode during a checkpoint on the ``mixed_ingest`` shape, pin
+that ``segments/`` holds exactly the files live manifests name, that a
+failed delete is counted and logged instead of swallowed, that the
+patch-set bytes stay observable, and that concurrent ``checkpoint()``
+calls leave a directory that reopens whole.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import stat
+import threading
+
+import numpy as np
+
+import repro
+from repro.storage import snapshot
+from repro.storage.manifest import SEGMENTS_DIR, read_manifest
+
+
+def on_disk(root) -> set[str]:
+    return {f"{SEGMENTS_DIR}/{path.name}" for path in (root / SEGMENTS_DIR).iterdir()}
+
+
+def counter(db, name: str) -> int:
+    return db.metrics().export()["counters"].get(name, 0)
+
+
+class InodeFrees:
+    """Counts the calls that free an inode while installed: an
+    ``unlink`` of a file's last link, any ``rmdir``, and an
+    ``os.replace`` / ``os.rename`` onto an existing name."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[str, str]] = []
+        for name in ("unlink", "remove", "rmdir", "replace", "rename"):
+            monkeypatch.setattr(os, name, self._wrap(name, getattr(os, name)))
+
+    def _wrap(self, name, real):
+        def counted(path, *args, **kwargs):
+            if name in ("replace", "rename"):
+                target = args[0]
+                dir_fd = kwargs.get("dst_dir_fd")
+            else:
+                target = path
+                dir_fd = kwargs.get("dir_fd")
+            try:
+                status = os.stat(target, dir_fd=dir_fd, follow_symlinks=False)
+            except OSError:
+                status = None
+            if status is not None and (
+                name == "rmdir"
+                or (not stat.S_ISDIR(status.st_mode) and status.st_nlink == 1)
+            ):
+                self.calls.append((name, os.fspath(target)))
+            return real(path, *args, **kwargs)
+
+        return counted
+
+
+def mixed_ingest_shape(root, rows: int = 200_000):
+    """``bench_e2e``'s ``mixed_ingest`` table, checkpointed and reopened:
+    k ascending, u nearly unique, s nearly sorted, v payload, four
+    partitions, a UNIQUE and a SORTED PatchIndex."""
+    rng = np.random.default_rng(7)
+    keys = np.arange(rows, dtype=np.int64)
+    u = keys.copy()
+    u[rng.choice(rows, rows // 100, replace=False)] = rng.integers(0, rows, rows // 100)
+    s = keys.copy()
+    s[rng.choice(rows, rows // 100, replace=False)] = rng.integers(0, rows, rows // 100)
+    db = repro.connect(root, parallelism=1, sync=False)
+    schema = repro.Schema(
+        repro.Field(name, repro.DataType.INT64) for name in ("k", "u", "s", "v")
+    )
+    table = db.create_table("t", schema, partition_count=4)
+    table.load_columns(
+        {
+            name: repro.ColumnVector(repro.DataType.INT64, values)
+            for name, values in (
+                ("k", keys),
+                ("u", u),
+                ("s", s),
+                ("v", rng.integers(0, 1_000, rows, dtype=np.int64)),
+            )
+        }
+    )
+    db.sql("CREATE PATCHINDEX pi_u ON t(u) TYPE UNIQUE")
+    db.sql("CREATE PATCHINDEX pi_s ON t(s) TYPE SORTED")
+    db.checkpoint()
+    db.close()
+    return repro.connect(root, parallelism=1, sync=False)
+
+
+class TestInodeFrees:
+    def test_a_mixed_ingest_checkpoint_frees_at_most_three(self, tmp_path, monkeypatch):
+        root = tmp_path / "db"
+        db = mixed_ingest_shape(root)
+        rows = db.table("t").row_count
+        next_key = rows
+        for round_ in range(3):
+            for _ in range(5):
+                values = ", ".join(
+                    f"({k}, {k + 4 * rows}, {k}, {k % 1000})"
+                    for k in range(next_key, next_key + 100)
+                )
+                db.sql(f"INSERT INTO t VALUES {values}")
+                next_key += 100
+            low = next_key - 500
+            db.sql(f"DELETE FROM t WHERE k BETWEEN {low} AND {low + 49}")
+            before = read_manifest(root).files()
+            deleted = counter(db, "checkpoint.files_deleted")
+            frees = InodeFrees(monkeypatch)
+            summary = db.checkpoint()
+            monkeypatch.undo()
+            # The last partition's old file, the manifest, the WAL.
+            assert len(frees.calls) <= 3, frees.calls
+            assert counter(db, "checkpoint.files_deleted") - deleted == 1, round_
+            after = read_manifest(root).files()
+            assert len(before - after) == len(after - before) == 1
+            assert summary["segments_carried"] == 12
+            assert on_disk(root) == after
+        db.close()
+
+
+class TestOnlyNamedFilesStay:
+    def test_segments_holds_what_live_manifests_name(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.create_table_from_pydict(
+            "t",
+            repro.Schema([repro.Field("k", repro.DataType.INT64)]),
+            {"k": list(range(400))},
+            partition_count=4,
+        )
+        db.checkpoint()
+        db.close()
+        db = repro.connect(root, parallelism=1, sync=False)
+        views = []
+        pinned: list[frozenset[str]] = []
+        for step in range(6):
+            db.sql(f"INSERT INTO t VALUES ({1000 + step})")
+            if step % 2 == 0:
+                views.append(db.snapshot())
+                pinned.append(read_manifest(root).files())
+            db.checkpoint()
+            live = set(read_manifest(root).files()).union(*pinned)
+            assert on_disk(root) == live, step
+        for view, files in list(zip(views, pinned)):
+            view.close()
+            pinned.remove(files)
+            live = set(read_manifest(root).files()).union(*pinned)
+            assert on_disk(root) == live
+        assert db.obs.gauge("storage.snapshot.deferred_generations").value == 0
+        # A copy taken while a pin defers files stands for a crash: its
+        # reopen deletes what its manifest does not name.
+        with db.snapshot():
+            db.sql("INSERT INTO t VALUES (2000)")
+            db.checkpoint()
+            assert on_disk(root) > read_manifest(root).files()
+            shutil.copytree(root, tmp_path / "crashed")
+        db.close()
+        crashed = tmp_path / "crashed"
+        db = repro.connect(crashed, parallelism=1, sync=False)
+        assert on_disk(crashed) == read_manifest(crashed).files()
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 407
+        db.close()
+
+
+class TestFileNames:
+    def test_a_quoted_table_name_is_never_a_path(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.sql('CREATE TABLE "../a/b" (k BIGINT)')
+        db.sql('INSERT INTO "../a/b" VALUES (1), (2)')
+        lsn = db.checkpoint()["lsn"]
+        db.close()
+        assert sorted(path.name for path in root.iterdir()) == [
+            "manifest.json",
+            "segments",
+            "wal.jsonl",
+        ]
+        assert [path.name for path in (root / SEGMENTS_DIR).iterdir()] == [
+            f"..%2Fa%2Fb.p0.{lsn:012d}.seg"
+        ]
+        db = repro.connect(root, parallelism=1, sync=False)
+        assert db.sql('SELECT k FROM "../a/b"').to_pylist() == [(1,), (2,)]
+        db.close()
+
+
+class TestFailedDeletes:
+    def test_a_failed_delete_is_counted_logged_once_and_retried(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        db.checkpoint()
+        real_unlink = os.unlink
+
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path).endswith(".seg"):
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return real_unlink(path, *args, **kwargs)
+
+        snapshot._LOGGED_REASONS.discard("Permission denied")
+        monkeypatch.setattr(os, "unlink", refuse)
+        stale = []
+        with caplog.at_level("WARNING", logger="repro.storage.snapshot"):
+            for key in (2, 3):
+                stale.append(read_manifest(root).files())
+                db.sql(f"INSERT INTO t VALUES ({key})")
+                db.checkpoint()
+        monkeypatch.undo()
+        assert counter(db, "fallback.gc_delete_failed") == 2
+        assert counter(db, "checkpoint.files_deleted") == 0
+        lines = [
+            record.getMessage()
+            for record in caplog.records
+            if "could not delete" in record.getMessage()
+        ]
+        assert len(lines) == 1 and "Permission denied" in lines[0]
+        assert set().union(*stale) <= on_disk(root)
+        db.close()
+        reopened = repro.connect(root, parallelism=1, sync=False)
+        assert on_disk(root) == read_manifest(root).files()
+        assert counter(reopened, "checkpoint.files_deleted") == 2
+        reopened.close()
+
+
+class TestPatchBytes:
+    def test_patch_bytes_are_reported_and_match_the_manifest(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.create_table_from_pydict(
+            "t",
+            repro.Schema([repro.Field("k", repro.DataType.INT64)]),
+            {"k": [1, 2, 2, 3, 5, 4]},
+        )
+        db.sql("CREATE PATCHINDEX pu ON t(k) TYPE UNIQUE")
+        summary = db.checkpoint()
+        patches = json.loads((root / "manifest.json").read_text())["patches"]
+        assert patches["pu"]["partitions"][0]["rowids"] == [1, 2]
+        expected = len(json.dumps(patches, separators=(",", ":")))
+        assert summary["patches_bytes"] == expected
+        assert db.obs.gauge("storage.patches_bytes").value == expected
+        assert not list(root.rglob("patches.json"))
+        db.close()
+        assert repro.connect().checkpoint()["patches_bytes"] == 0
+
+
+class TestConcurrentCheckpoints:
+    TRIALS = 20
+
+    def test_three_threads_checkpointing_at_once(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.create_table_from_pydict(
+            "t",
+            repro.Schema([repro.Field("k", repro.DataType.INT64)]),
+            {"k": list(range(20_000))},
+            partition_count=4,
+        )
+        db.sql("CREATE PATCHINDEX pu ON t(k) TYPE UNIQUE")
+        expected = list(range(20_000))
+        for trial in range(self.TRIALS):
+            db.sql(f"INSERT INTO t VALUES ({100_000 + trial})")
+            expected.append(100_000 + trial)
+            start = threading.Barrier(3)
+            errors: list[BaseException] = []
+
+            def checkpoint():
+                try:
+                    start.wait(timeout=60)
+                    db.checkpoint()
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=checkpoint) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), trial
+            assert errors == [], trial
+            db.close()
+            db = repro.connect(root, parallelism=1, sync=False)
+            assert db.sql("SELECT k FROM t ORDER BY k").column("k").to_pylist() == (
+                expected
+            ), trial
+            assert on_disk(root) == read_manifest(root).files()
+        db.close()
+

@@ -353,29 +353,44 @@ class TestMixedVersion:
         with pytest.raises(repro.ReproError):
             repro.connect(path=root, parallelism=1)
 
-    def test_a_manifest_naming_its_patches_file_still_opens(self, tmp_path):
-        # Older version-3 manifests carry a ``patches`` key naming the
-        # generation's patch-set file.  Nothing reads it (the path
-        # follows from checkpoint_lsn): such a manifest opens with its
-        # index restored, and the next checkpoint drops the key.
+    def test_a_malformed_partition_entry_is_a_storage_error(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(path=root, parallelism=1)
+        db.create_table("t", SCHEMA).insert_rows([[1, 2]])
+        db.checkpoint()
+        db.close()
+        manifest_path = root / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        del raw["tables"]["t"]["partitions"][0]["file"]
+        manifest_path.write_text(json.dumps(raw))
+        with pytest.raises(StorageError, match="corrupt manifest") as info:
+            repro.connect(path=root, parallelism=1)
+        assert str(manifest_path) in str(info.value)
+
+    def test_version_3_is_rejected_by_name(self, tmp_path):
+        # Version 3 kept a directory of per-column segment files and a
+        # patches.json per checkpoint.  Such a directory is refused with
+        # a typed error naming the file and the version, and left as it
+        # was: nothing in it is taken for an orphan and deleted.
         root = tmp_path / "db"
         db = repro.connect(path=root, parallelism=1)
         db.create_table("t", SCHEMA).insert_rows([[1, 2], [1, 3]])
         db.sql("CREATE PATCHINDEX pi_k ON t(k) TYPE UNIQUE")
         db.checkpoint()
-        expected = structural_stats(db.catalog.index("pi_k"))
         db.close()
         manifest_path = root / "manifest.json"
         raw = json.loads(manifest_path.read_text())
-        assert "patches" not in raw
-        raw["patches"] = f"segments/g{raw['checkpoint_lsn']:012d}/patches.json"
+        generation = root / "segments" / f"g{raw['checkpoint_lsn']:012d}"
+        (generation / "t").mkdir(parents=True)
+        for column in ("k", "v"):
+            (generation / "t" / f"p0.{column}.seg").write_bytes(b"RSEG2\n")
+        (generation / "patches.json").write_text(json.dumps(raw.pop("patches")))
+        raw["format_version"] = 3
+        raw["patches"] = f"segments/{generation.name}/patches.json"
         manifest_path.write_text(json.dumps(raw))
+        before = sorted(root.rglob("*"))
 
-        reopened = repro.connect(path=root, parallelism=1)
-        gauges = reopened.metrics().export()["gauges"]
-        assert gauges["recovery.indexes_restored"] == 1
-        assert structural_stats(reopened.catalog.index("pi_k")) == expected
-        reopened.sql("INSERT INTO t VALUES (4, 4)")
-        reopened.checkpoint()
-        assert "patches" not in json.loads(manifest_path.read_text())
-        reopened.close()
+        with pytest.raises(StorageError, match="version 3") as info:
+            repro.connect(path=root, parallelism=1)
+        assert str(manifest_path) in str(info.value)
+        assert sorted(root.rglob("*")) == before

@@ -45,7 +45,6 @@ import repro
 from repro.core.constraints import check_nsc, check_nuc
 from repro.errors import WalError
 from repro.storage.checkpoint import entry_checksum
-from repro.storage.manifest import patches_path, read_manifest
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
 
@@ -280,7 +279,7 @@ def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
     db = repro.connect(path, parallelism=1)
     legacy_history(db)
     db.close()
-    # The segments and patches.json have the older release's format; only
+    # The segments and patch sets have the older release's format; only
     # the log differs.
     (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
 
@@ -519,9 +518,9 @@ def test_patches_file_written_before_invalidations_was_retired(tmp_path):
     db.checkpoint()
     expected = {name: db.catalog.index(name).rowids().tolist() for name in ("pi", "ps")}
     db.close()
-    path = patches_path(root, read_manifest(root).checkpoint_lsn)
+    path = root / "manifest.json"
     raw = json.loads(path.read_text(encoding="utf-8"))
-    for entry in raw["indexes"].values():
+    for entry in raw["patches"].values():
         assert "invalidations" not in entry["stats"]
         entry["stats"]["invalidations"] = 5
         entry["checksum"] = entry_checksum(entry)

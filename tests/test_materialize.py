@@ -11,7 +11,7 @@ land on the same rowids:
 - ``reopen``: a copy of the directory, reopened — recovery, the one
   reconstruction ``storage/materialize.py`` performs;
 - ``cold``: that reopened copy's first snapshot, a copy of tables whose
-  columns are still lazy over the recovered generation's segments;
+  columns are still lazy over the recovered checkpoint's segments;
 - ``advanced``: the live database's own snapshot, pinned at the stop
   and read only after the database advanced one more step past it.
 """
@@ -26,7 +26,6 @@ import pytest
 
 import repro
 from repro.core.patch_index import PatchIndex
-from repro.storage.manifest import patches_path, read_manifest
 from repro.storage.materialize import FALLBACK_REASONS
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
@@ -130,25 +129,33 @@ def more_dml(db):
     db.sql("INSERT INTO d VALUES (11, 'c')")
 
 
-def current_patches_file(db):
-    return patches_path(
-        db.engine.root, read_manifest(db.engine.root).checkpoint_lsn
-    )
+def edit_manifest_patches(root, edit):
+    """Replace the manifest's ``patches`` with ``edit(patches)``."""
+    path = root / "manifest.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["patches"] = edit(raw["patches"])
+    path.write_text(json.dumps(raw), encoding="utf-8")
 
 
 def delete_patches_file(db):
-    path = current_patches_file(db)
-    STASH["patches"] = path.read_text(encoding="utf-8")
-    path.unlink()
+    # The patch sets live in the manifest: strip every entry.
+    def strip(patches):
+        STASH["patches"] = json.dumps(patches)
+        return {}
+
+    edit_manifest_patches(db.engine.root, strip)
 
 
 def corrupt_patches_file(db):
-    # Put the file back with one rowid moved but the old checksums.
-    raw = json.loads(STASH["patches"])
-    for entry in raw["indexes"].values():
-        rowids = entry["partitions"][0]["rowids"]
-        entry["partitions"][0]["rowids"] = [r + 1 for r in rowids] or [0]
-    current_patches_file(db).write_text(json.dumps(raw), encoding="utf-8")
+    # Put the entries back with one rowid moved but the old checksums.
+    def corrupt(_):
+        patches = json.loads(STASH["patches"])
+        for entry in patches.values():
+            rowids = entry["partitions"][0]["rowids"]
+            entry["partitions"][0]["rowids"] = [r + 1 for r in rowids] or [0]
+        return patches
+
+    edit_manifest_patches(db.engine.root, corrupt)
 
 
 STASH: dict[str, str] = {}
@@ -170,7 +177,7 @@ HISTORY = [
     (corrupt_patches_file, "reuses"),
 ]
 STOPS = [f"{position:02d}-{step.__name__}" for position, (step, _) in enumerate(HISTORY)]
-#: Stops whose reopen / cold build finds the patches file unusable.
+#: Stops whose reopen / cold build finds the manifest's patch sets unusable.
 BROKEN = {"11-delete_patches_file": "missing", "12-corrupt_patches_file": "checksum"}
 
 
@@ -370,8 +377,7 @@ def test_fallback_names_its_reason(tmp_path, caplog):
     create_indexes(db)
     db.checkpoint()
     db.close()
-    manifest = json.loads((root / "manifest.json").read_text())
-    patches_path(root, manifest["checkpoint_lsn"]).unlink()
+    edit_manifest_patches(root, lambda patches: {})
 
     materialize._LOGGED_REASONS.discard("missing")
     with caplog.at_level("WARNING", logger="repro.storage.materialize"):

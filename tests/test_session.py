@@ -169,16 +169,17 @@ class TestSnapshotView:
     def test_deferred_generation_gc(self, durable, tmp_path):
         durable.checkpoint()
         segments = tmp_path / "data" / "segments"
-        old_generations = set(os.listdir(segments))
+        old_files = set(os.listdir(segments))
         view = durable.snapshot()
         durable.sql("INSERT INTO t VALUES (4, 'd')")
         durable.checkpoint()
-        # The pinned generation survives the checkpoint that superseded it.
-        assert old_generations <= set(os.listdir(segments))
+        # The pinned manifest's files survive the checkpoint that
+        # superseded it.
+        assert old_files <= set(os.listdir(segments))
         assert view.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         view.close()
         remaining = set(os.listdir(segments))
-        assert old_generations.isdisjoint(remaining)
+        assert old_files.isdisjoint(remaining)
         assert len(remaining) == 1
 
     def test_snapshot_catalog_carries_pinned_patchindexes(self, durable):

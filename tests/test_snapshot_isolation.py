@@ -25,6 +25,7 @@ import weakref
 import pytest
 
 import repro
+from repro.storage.manifest import read_manifest
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
@@ -130,9 +131,9 @@ class TestSnapshotIsolationFuzz:
             durable.checkpoint()
         for view in views:
             view.close()
-        segments = tmp_path / "data" / "segments"
-        generations = [p for p in segments.iterdir() if p.is_dir()]
-        assert len(generations) == 1
+        root = tmp_path / "data"
+        named = read_manifest(root).files()
+        assert {f"segments/{p.name}" for p in (root / "segments").iterdir()} == named
         assert durable.obs.gauge("storage.snapshot.deferred_generations").value == 0
 
     def test_double_release_leaves_other_readers_generation_pinned(
@@ -144,20 +145,20 @@ class TestSnapshotIsolationFuzz:
         _insert_batch(durable, 1)
         second = durable.snapshot()  # same generation, its own handle
         assert first.handle is not second.handle
-        generation = (
-            tmp_path / "data" / "segments" / second.handle.generation_name
-        )
+        root = tmp_path / "data"
+        pinned = [root / name for name in second.handle.manifest.files()]
         query = "SELECT batch, x FROM t ORDER BY batch, x"
         expected = second.sql(query).to_pylist()
-        durable.checkpoint()  # supersedes the pinned generation: GC deferred
+        durable.checkpoint()  # supersedes the pinned manifest: GC deferred
+        assert not set(pinned) & {root / name for name in read_manifest(root).files()}
         durable.engine.release_snapshot(first.handle)
         # The handle holds no pin any more; releasing it again must not
-        # take the second reader's pin on the shared generation.
+        # take the second reader's pin on the shared manifest.
         durable.engine.release_snapshot(first.handle)
-        assert generation.is_dir()
+        assert all(path.is_file() for path in pinned)
         assert second.sql(query).to_pylist() == expected
         second.close()
-        assert not generation.exists()
+        assert not any(path.exists() for path in pinned)
         first.close()
 
 

@@ -125,6 +125,7 @@ METRIC_NAMESPACES = (
     "session",
     "sanitize",
     "core",
+    "fallback",
 )
 
 #: Source files allowed to read raw buffers — ``np.frombuffer``,
@@ -152,21 +153,22 @@ LOCK_CHECKED_DIRS = ("exec/parallel", "obs", "serve")
 #: The storage files that own a lock, under the same discipline: the
 #: catalog (its state lock is the one every live mutation and every
 #: snapshot pin holds), the snapshot registry (its lock is the
-#: checkpoint-flip lock) and the block cache.  ``engine.py``,
-#: ``checkpoint.py`` and ``materialize.py`` hold none — they run under
-#: the catalog's or the registry's (tests/test_lockgraph.py keeps this
-#: list exact).
+#: checkpoint-flip lock), the block cache and the durable engine (its
+#: lock serializes whole checkpoints).  ``checkpoint.py`` and
+#: ``materialize.py`` hold none — they run under the engine's, the
+#: catalog's or the registry's (tests/test_lockgraph.py keeps this list
+#: exact).
 LOCK_CHECKED_FILES = (
     "storage/catalog.py",
     "storage/snapshot.py",
     "storage/cache.py",
+    "storage/engine.py",
 )
 
-#: Files whose write paths must fsync (L3): the WAL, the checkpoint's
-#: patch-set sidecar, the manifest install and the segment writer.
+#: Files whose write paths must fsync (L3): the WAL, the manifest install
+#: and the segment writer.
 FSYNC_CHECKED_FILES = (
     "storage/wal.py",
-    "storage/checkpoint.py",
     "storage/manifest.py",
     "storage/segment.py",
 )
