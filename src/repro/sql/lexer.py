@@ -2,8 +2,11 @@
 
 Produces a flat list of :class:`Token` with kinds: ``keyword``,
 ``identifier``, ``number``, ``string``, ``operator``, ``punct`` and
-``eof``.  Keywords are case-insensitive; identifiers are normalized to
-lower case (quoted identifiers via double quotes preserve case).
+``eof``, in one ``re.finditer`` pass.  Keywords are case-insensitive;
+identifiers are normalized to lower case (quoted identifiers via double
+quotes preserve case).  A token's ``position`` is the offset of its
+first character.  Numbers are ASCII digits with an optional fraction
+and a complete exponent; any other digit run is a syntax error.
 
 Number and string tokens carry their ordinal among the statement's
 literal tokens as ``slot``; :func:`parameterize` lifts them out of a
@@ -14,7 +17,7 @@ cache's key (:mod:`repro.plan.cache`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
@@ -33,14 +36,11 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/")
-_PUNCT = "(),.;"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
+    #: Offset of the token's first character (the text's length for eof).
     position: int
     #: Ordinal among the statement's number/string tokens, else None.
     slot: int | None = None
@@ -52,121 +52,107 @@ class Token:
         return f"{self.value!r}" if self.kind != "eof" else "<end of input>"
 
 
+# One match per token, with the whitespace and comments before it.  A
+# character no token starts with lands in ``other`` and the end of the
+# text in ``eof``, so the scan never skips a character and never
+# backtracks into the prefix.  A string's closing quote is not followed
+# by another quote: an unterminated ``'a''`` is an error at its opening
+# quote, not the string ``'a'``.  ``\s`` is ``str.isspace`` and ``\w`` is
+# ``str.isalnum`` plus ``_``.  Numbers are
+# ASCII with a complete exponent; a number or ``.`` directly followed by
+# ``e`` or a non-ASCII word character matches a ``_tail`` group, which
+# :func:`_rare_token` checks for a malformed number.
+_TOKEN = re.compile(
+    r"""
+    (?:\s+|--[^\n]*)*
+    (?:
+        (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+        (?:(?=(?P<number_tail>[eE]|[^\W\x00-\x7f])))?
+      | (?P<dot_tail>\.(?=[^\W\x00-\x7f]))
+      | (?P<punct>[(),.;])
+      | (?P<word>[A-Za-z_]\w*)
+      | (?P<operator><>|!=|<=|>=|[-=<>+*/])
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<quoted>"[^"]*")
+      | (?P<uword>[^\W\d\x00-\x7f]\w*)
+      | (?P<eof>\Z)
+      | (?P<other>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text, raising :class:`SqlSyntaxError` on bad input."""
     tokens: list[Token] = []
-    position = 0
-    length = len(text)
+    append = tokens.append
     literals = 0
-    while position < length:
-        char = text[position]
-        if char.isspace():
-            position += 1
-            continue
-        if text.startswith("--", position):
-            newline = text.find("\n", position)
-            position = length if newline == -1 else newline + 1
-            continue
-        if char == "'":
-            value, position = _read_string(text, position)
-            tokens.append(Token("string", value, position, literals))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup or "other"  # every alternative is named
+        start, end = match.span(kind)
+        if kind == "number":
+            append(_make(("number", text[start:end], start, literals)))
             literals += 1
-            continue
-        if char == '"':
-            value, position = _read_quoted_identifier(text, position)
-            tokens.append(Token("identifier", value, position))
-            continue
-        if char.isdigit() or (
-            char == "." and position + 1 < length and text[position + 1].isdigit()
-        ):
-            value, position = _read_number(text, position)
-            tokens.append(Token("number", value, position, literals))
+        elif kind == "punct":
+            append(_make(("punct", text[start], start, None)))
+        elif kind == "word":
+            word = text[start:end].lower()
+            kind = "keyword" if word in KEYWORDS else "identifier"
+            append(_make((kind, word, start, None)))
+        elif kind == "operator":
+            append(_make(("operator", text[start:end], start, None)))
+        elif kind == "string":
+            value = text[start + 1 : end - 1].replace("''", "'")
+            append(_make(("string", value, start, literals)))
             literals += 1
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (
-                text[position].isalnum() or text[position] == "_"
-            ):
-                position += 1
-            word = text[start:position]
-            lowered = word.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token("keyword", lowered, start))
-            else:
-                tokens.append(Token("identifier", lowered, start))
-            continue
-        matched = False
-        for operator in _OPERATORS:
-            if text.startswith(operator, position):
-                tokens.append(Token("operator", operator, position))
-                position += len(operator)
-                matched = True
-                break
-        if matched:
-            continue
-        if char in _PUNCT:
-            tokens.append(Token("punct", char, position))
-            position += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {char!r}", position)
-    tokens.append(Token("eof", "", length))
+        elif kind == "eof":
+            append(Token("eof", "", start))
+            break
+        else:
+            token = _rare_token(text, match, kind, literals)
+            if token.slot is not None:
+                literals += 1
+            append(token)
     return tokens
 
 
-def _read_string(text: str, position: int) -> tuple[str, int]:
-    """Read a single-quoted string literal ('' escapes a quote)."""
-    start = position
-    position += 1
-    pieces: list[str] = []
-    while position < len(text):
-        char = text[position]
-        if char == "'":
-            if text.startswith("''", position):
-                pieces.append("'")
-                position += 2
-                continue
-            return "".join(pieces), position + 1
-        pieces.append(char)
-        position += 1
-    raise SqlSyntaxError("unterminated string literal", start)
+#: Builds a token from one tuple, skipping the Python-level ``__new__``
+#: that ``Token(...)`` runs (a third of a token's cost).
+_make = Token._make
 
 
-def _read_quoted_identifier(text: str, position: int) -> tuple[str, int]:
-    start = position
-    position += 1
-    end = text.find('"', position)
-    if end == -1:
+def _rare_token(text: str, match: re.Match[str], kind: str, slot: int) -> Token:
+    """The token of a match outside :func:`tokenize`'s common kinds."""
+    if kind == "number_tail":
+        start, end = match.span("number")
+        tail = match.group(kind)
+        if tail.isdigit() or (tail in "eE" and "e" not in text[start:end].lower()):
+            raise SqlSyntaxError(f"malformed number {text[start:end + 1]!r}", start)
+        return Token("number", text[start:end], start, slot)
+    start, end = match.span(kind)
+    if kind == "dot_tail":
+        if text[end].isdigit():
+            raise SqlSyntaxError(f"malformed number {text[start:end + 1]!r}", start)
+        return Token("punct", ".", start)
+    if kind == "quoted":
+        return Token("identifier", text[start + 1 : end - 1], start)
+    char = text[start]
+    if kind == "uword" and char.isalpha():
+        word = text[start:end].lower()
+        return Token("keyword" if word in KEYWORDS else "identifier", word, start)
+    if char == "'":
+        raise SqlSyntaxError("unterminated string literal", start)
+    if char == '"':
         raise SqlSyntaxError("unterminated quoted identifier", start)
-    return text[position:end], end + 1
-
-
-def _read_number(text: str, position: int) -> tuple[str, int]:
-    start = position
-    seen_dot = False
-    seen_exp = False
-    while position < len(text):
-        char = text[position]
-        if char.isdigit():
-            position += 1
-        elif char == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            position += 1
-        elif char in "eE" and not seen_exp and position > start:
-            seen_exp = True
-            position += 1
-            if position < len(text) and text[position] in "+-":
-                position += 1
-        else:
-            break
-    return text[start:position], position
+    if char.isdigit():
+        raise SqlSyntaxError(f"malformed number {char!r}", start)
+    raise SqlSyntaxError(f"unexpected character {char!r}", start)
 
 
 def number_value(text: str) -> int | float:
     """The Python value of a number token's text."""
-    if any(char in text for char in ".eE"):
-        return float(text)
-    return int(text)
+    return int(text) if text.isdigit() else float(text)
 
 
 class StatementKey(NamedTuple):

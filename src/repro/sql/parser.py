@@ -14,6 +14,9 @@ from repro.sql import ast
 from repro.sql.lexer import Token, number_value, tokenize
 
 _AGG_KEYWORDS = ("count", "sum", "min", "max", "avg")
+_KEYWORD_LITERALS = {"null": None, "true": True, "false": False}
+#: What :meth:`_Parser._literal_leaf` returns when no literal starts.
+_MISSING = object()
 _TYPE_KEYWORDS = (
     "integer",
     "bigint",
@@ -62,7 +65,13 @@ class _Parser:
     # -- token plumbing ---------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._position + offset, len(self._tokens) - 1)]
+        # Past the end reads the eof token.  A try rather than min():
+        # peek runs a few times per token, and a try that does not
+        # raise costs nothing.
+        try:
+            return self._tokens[self._position + offset]
+        except IndexError:
+            return self._tokens[-1]
 
     def advance(self) -> Token:
         token = self.peek()
@@ -85,8 +94,9 @@ class _Parser:
         return token
 
     def accept_punct(self, char: str) -> bool:
-        if self.peek().kind == "punct" and self.peek().value == char:
-            self.advance()
+        token = self.peek()
+        if token.kind == "punct" and token.value == char:
+            self._position += 1
             return True
         return False
 
@@ -180,7 +190,10 @@ class _Parser:
             # Consume a parenthesized length, e.g. VARCHAR(20).
             if self.accept_punct("("):
                 while not self.accept_punct(")"):
-                    self.advance()
+                    if self.advance().kind == "eof":
+                        raise SqlSyntaxError(
+                            f"expected ')', found {self.peek()}", self.peek().position
+                        )
             nullable = True
             if self.accept_keyword("not"):
                 self.expect_keyword("null")
@@ -474,25 +487,9 @@ class _Parser:
 
     def _primary(self) -> ast.SqlExpr:
         token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return ast.SqlLiteral(number_value(token.value), token.slot)
-        if token.kind == "string":
-            self.advance()
-            return ast.SqlLiteral(token.value, token.slot)
-        if token.is_keyword("null"):
-            self.advance()
-            return ast.SqlLiteral(None)
-        if token.is_keyword("true"):
-            self.advance()
-            return ast.SqlLiteral(True)
-        if token.is_keyword("false"):
-            self.advance()
-            return ast.SqlLiteral(False)
-        if token.is_keyword("date") and self.peek(1).kind == "string":
-            self.advance()
-            literal = self.advance()
-            return ast.SqlLiteral(_parse_date(literal.value, literal.position))
+        value = self._literal_leaf()
+        if value is not _MISSING:
+            return ast.SqlLiteral(value, token.slot)
         if token.is_keyword(*_AGG_KEYWORDS):
             return self._aggregate()
         if self.accept_punct("("):
@@ -532,11 +529,49 @@ class _Parser:
         self.advance()
         return number_value(token.value)
 
+    def _literal_leaf(self) -> object:
+        """Consume a number, string, NULL, TRUE, FALSE or DATE 'x' and
+        return its value; return ``_MISSING``, consuming nothing, if the
+        next token starts none of them."""
+        token = self.peek()
+        kind = token.kind
+        if kind == "number":
+            self.advance()
+            return number_value(token.value)
+        if kind == "string":
+            self.advance()
+            return token.value
+        if kind == "keyword":
+            if token.value in _KEYWORD_LITERALS:
+                self.advance()
+                return _KEYWORD_LITERALS[token.value]
+            if token.value == "date" and self.peek(1).kind == "string":
+                self.advance()
+                literal = self.advance()
+                return _parse_date(literal.value, literal.position)
+        return _MISSING
+
     def _literal_value(self) -> object:
-        expression = self.expression()
-        if isinstance(expression, ast.SqlLiteral):
-            return expression.value
-        raise SqlSyntaxError("INSERT values must be literals")
+        """One literal of a VALUES row or an IN list: a literal leaf,
+        negated or in parentheses.
+
+        Accepts exactly the input whose :meth:`expression` is an
+        :class:`ast.SqlLiteral`, with the same value, without climbing
+        the expression ladder per literal.
+        """
+        value = self._literal_leaf()
+        if value is not _MISSING:
+            return value
+        token = self.advance()
+        if token.kind == "punct" and token.value == "(":
+            value = self._literal_value()
+            self.expect_punct(")")
+            return value
+        if token.kind == "operator" and token.value == "-":
+            value = self._literal_value()
+            if isinstance(value, (int, float)):
+                return -value
+        raise SqlSyntaxError("INSERT values must be literals", token.position)
 
 
 def _parse_date(text: str, position: int) -> _dt.date:

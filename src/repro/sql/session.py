@@ -508,24 +508,21 @@ def _run_insert(database: "Database", statement: ast.SqlInsert) -> int:
     table = database.table(statement.table)
     width = len(table.schema)
     if statement.columns is None:
-        rows = [list(row) for row in statement.rows]
-        for row in rows:
+        for row in statement.rows:
             if len(row) != width:
                 raise BindError(
                     f"INSERT row has {len(row)} values, table has {width}"
                 )
-    else:
-        positions = {
-            name: table.schema.index_of(name) for name in statement.columns
-        }
-        rows = []
-        for row in statement.rows:
-            if len(row) != len(statement.columns):
-                raise BindError("INSERT row width mismatch")
-            full: list[object] = [None] * width
-            for name, value in zip(statement.columns, row):
-                full[positions[name]] = value
-            rows.append(full)
+        return table.insert_rows(statement.rows)
+    positions = {name: table.schema.index_of(name) for name in statement.columns}
+    rows = []
+    for row in statement.rows:
+        if len(row) != len(statement.columns):
+            raise BindError("INSERT row width mismatch")
+        full: list[object] = [None] * width
+        for name, value in zip(statement.columns, row):
+            full[positions[name]] = value
+        rows.append(full)
     return table.insert_rows(rows)
 
 

@@ -58,9 +58,17 @@ class ColumnVector:
     @classmethod
     def from_pylist(cls, dtype: DataType, items: Sequence[object]) -> "ColumnVector":
         """Build a vector from Python scalars; ``None`` becomes NULL."""
+        np_dtype = numpy_dtype(dtype)
+        plain = _PLAIN_TYPES.get(dtype)
+        if plain is not None and set(map(type, items)) <= plain:
+            # A type check on every item: plain ints and floats are what
+            # coerce_scalar would return, so one np.array call converts
+            # them all.  Anything else (NULL, bool, str, numpy scalars)
+            # goes through coerce_scalar, which accepts or raises as
+            # always.
+            return cls(dtype, np.array(items, dtype=np_dtype))
         coerced = [coerce_scalar(item, dtype) for item in items]
         validity = np.array([item is not None for item in coerced], dtype=np.bool_)
-        np_dtype = numpy_dtype(dtype)
         if np_dtype == np.dtype(object):
             values = np.empty(len(coerced), dtype=object)
             for position, item in enumerate(coerced):
@@ -182,6 +190,15 @@ class ColumnVector:
         preview = ", ".join(repr(value) for value in self.to_pylist()[:6])
         suffix = ", ..." if len(self) > 6 else ""
         return f"ColumnVector({self.dtype.name}, [{preview}{suffix}], n={len(self)})"
+
+
+#: Item types a numeric column converts in one ``np.array`` call with the
+#: values :func:`coerce_scalar` would give them (``float(int)`` rounds as
+#: numpy's int-to-double conversion does).
+_PLAIN_TYPES: dict[DataType, frozenset[type]] = {
+    DataType.INT64: frozenset({int}),
+    DataType.FLOAT64: frozenset({float, int}),
+}
 
 
 def _null_fill(dtype: DataType) -> object:

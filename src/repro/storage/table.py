@@ -232,7 +232,7 @@ class Table:
         mutation event carries the new rows so PatchIndexes can extend
         their patch sets without a full rescan.
         """
-        materialized = [list(row) for row in rows]
+        materialized = list(rows)
         if not materialized:
             return 0
         width = len(self.schema)
@@ -242,10 +242,8 @@ class Table:
                     f"insert row has {len(row)} values, schema has {width}"
                 )
         columns = {
-            field.name: ColumnVector.from_pylist(
-                field.dtype, [row[position] for row in materialized]
-            )
-            for position, field in enumerate(self.schema)
+            field.name: ColumnVector.from_pylist(field.dtype, values)
+            for field, values in zip(self.schema, zip(*materialized))
         }
         with self.state_lock:
             target = self.partitions[-1]

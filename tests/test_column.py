@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.column import ColumnVector
 from repro.types import DataType
+from repro.types.datatypes import coerce_scalar, numpy_dtype
 
 int_or_none = st.one_of(st.none(), st.integers(-(2**31), 2**31))
 
@@ -52,6 +53,104 @@ class TestConstruction:
         vector = ColumnVector.empty(DataType.FLOAT64)
         assert len(vector) == 0
         assert vector.to_pylist() == []
+
+
+def coerced_per_item(dtype, items):
+    """``from_pylist`` as it was: ``coerce_scalar`` on every item, NULLs
+    filled with zero, then one array."""
+    coerced = [coerce_scalar(item, dtype) for item in items]
+    fill = 0.0 if dtype == DataType.FLOAT64 else 0
+    values = np.array(
+        [fill if item is None else item for item in coerced], dtype=numpy_dtype(dtype)
+    )
+    return values, np.array([item is not None for item in coerced], dtype=np.bool_)
+
+
+def outcome(build):
+    try:
+        return build()
+    except (TypeMismatchError, OverflowError) as error:
+        return type(error), str(error)
+
+
+class TestNumericFromPylist:
+    """INT64 and FLOAT64 convert in one ``np.array`` call after a type
+    check on every item; what that check does not pass goes through
+    ``coerce_scalar`` and behaves as before."""
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [(True, "expected INT64, got True"), (1.5, "expected INT64, got 1.5"),
+         ("1", "expected INT64, got '1'")],
+    )
+    def test_int64_rejects_bool_float_and_str(self, item, message):
+        for items in ([item], [1, item], [None, 2, item]):
+            with pytest.raises(TypeMismatchError, match=message):
+                ColumnVector.from_pylist(DataType.INT64, items)
+
+    @pytest.mark.parametrize("item", [False, "2.5"])
+    def test_float64_rejects_bool_and_str(self, item):
+        with pytest.raises(TypeMismatchError, match="expected FLOAT64"):
+            ColumnVector.from_pylist(DataType.FLOAT64, [1.0, 2, item])
+
+    def test_null_sets_validity_and_fills_zero(self):
+        vector = ColumnVector.from_pylist(DataType.INT64, [None, 7, None])
+        assert vector.validity.tolist() == [False, True, False]
+        assert vector.values.tolist() == [0, 7, 0]
+        vector = ColumnVector.from_pylist(DataType.FLOAT64, [None, 2, 0.5])
+        assert vector.validity.tolist() == [False, True, True]
+        assert vector.values.tolist() == [0.0, 2.0, 0.5]
+        assert ColumnVector.from_pylist(DataType.INT64, [None]).to_pylist() == [None]
+
+    def test_int64_bounds(self):
+        edges = [2**63 - 1, -(2**63), 0]
+        assert ColumnVector.from_pylist(DataType.INT64, edges).to_pylist() == edges
+        for beyond in (2**63, -(2**63) - 1, 2**80):
+            with pytest.raises(OverflowError):
+                ColumnVector.from_pylist(DataType.INT64, [1, beyond])
+            with pytest.raises(OverflowError):
+                ColumnVector.from_pylist(DataType.INT64, [None, beyond])
+
+    def test_float64_takes_ints_as_float_does(self):
+        items = [2**53 + 1, -(2**63) - 1, 2**70 + 12345, 3]
+        vector = ColumnVector.from_pylist(DataType.FLOAT64, items)
+        assert vector.values.tolist() == [float(item) for item in items]
+        with pytest.raises(OverflowError):
+            ColumnVector.from_pylist(DataType.FLOAT64, [2**1024])
+
+    def test_numpy_scalars_still_accepted(self):
+        vector = ColumnVector.from_pylist(DataType.INT64, [np.int64(4), 5, None])
+        assert vector.to_pylist() == [4, 5, None]
+        vector = ColumnVector.from_pylist(DataType.FLOAT64, [np.float32(0.5), 1])
+        assert vector.to_pylist() == [0.5, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([DataType.INT64, DataType.FLOAT64]),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.integers(-(2**64), 2**64),
+                st.floats(allow_nan=False),
+                st.booleans(),
+                st.sampled_from(["x", np.int64(3), np.float64(2.5)]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_matches_coerce_per_item(self, dtype, items):
+        def built():
+            vector = ColumnVector.from_pylist(dtype, items)
+            return vector.values, vector.validity_or_all_true()
+
+        expected = outcome(lambda: coerced_per_item(dtype, items))
+        actual = outcome(built)
+        if isinstance(expected[0], np.ndarray):
+            assert actual[0].dtype == expected[0].dtype
+            assert actual[0].tolist() == expected[0].tolist()
+            assert actual[1].tolist() == expected[1].tolist()
+        else:
+            assert actual == expected
 
 
 class TestTransforms:

@@ -3,10 +3,13 @@
 import datetime as dt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.parser import parse_statement
+from repro.sql.lexer import tokenize
+from repro.sql.parser import _Parser, parse_statement
 
 
 class TestSelect:
@@ -179,6 +182,31 @@ class TestDdl:
         with pytest.raises(SqlSyntaxError):
             parse_statement("INSERT INTO t VALUES (a + 1)")
 
+    def test_insert_literal_forms(self):
+        statement = parse_statement(
+            "INSERT INTO t VALUES (-1, - -2.5, -(3), ((NULL)), -TRUE, "
+            "(DATE '2020-01-02'), 'it''s', 1e3, -FALSE)"
+        )
+        assert statement.rows == (
+            (-1, 2.5, -3, None, -1, dt.date(2020, 1, 2), "it's", 1000.0, 0),
+        )
+        assert [type(value) for value in statement.rows[0]] == [
+            int, float, int, type(None), int, dt.date, str, float, int,
+        ]
+
+    @pytest.mark.parametrize(
+        "value", ["x", "-NULL", "-'a'", "-DATE '2020-01-02'", "NOT TRUE", "count(a)"]
+    )
+    def test_non_literal_reports_its_offset(self, value):
+        text = f"INSERT INTO t VALUES (1, {value})"
+        with pytest.raises(SqlSyntaxError, match="must be literals") as raised:
+            parse_statement(text)
+        assert raised.value.position is not None
+
+    def test_unclosed_type_length_is_an_error(self):
+        with pytest.raises(SqlSyntaxError, match="expected '\\)'"):
+            parse_statement("CREATE TABLE t (a VARCHAR(10")
+
     def test_delete(self):
         statement = parse_statement("DELETE FROM t WHERE a = 1")
         assert isinstance(statement, ast.SqlDelete)
@@ -199,3 +227,73 @@ class TestDdl:
     def test_checkpoint_usable_as_table_name(self):
         statement = parse_statement("SELECT c FROM checkpoint")
         assert isinstance(statement, ast.SqlSelect)
+
+
+class _ExpressionLiterals(_Parser):
+    """The literal rule as it was: a whole expression, then a type check."""
+
+    def _literal_value(self):
+        expression = self.expression()
+        if isinstance(expression, ast.SqlLiteral):
+            return expression.value
+        raise SqlSyntaxError("INSERT values must be literals")
+
+
+def _outcome(parser_class, text):
+    """The literal values *text* parses to, or ``"error"``."""
+    parser = parser_class(tokenize(text))
+    try:
+        statement = parser.statement()
+        parser.accept_punct(";")
+        parser.expect_eof()
+    except SqlSyntaxError:
+        return "error"
+    if isinstance(statement, ast.SqlInsert):
+        values = [value for row in statement.rows for value in row]
+    else:
+        values = list(statement.where.values)
+    # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0 and True.
+    return [(type(value), repr(value)) for value in values]
+
+
+_LITERALS = st.recursive(
+    st.sampled_from(
+        ["1", "0", "007", "2.5", "1e3", "2.5E-2", ".5", "NULL", "TRUE", "FALSE",
+         "DATE '2020-01-02'", "DATE 'nope'", "'it''s'", "''", "'x'"]
+    ),
+    lambda inner: st.one_of(
+        inner.map(lambda text: f"- {text}"),
+        inner.map(lambda text: f"({text})"),
+        inner.map(lambda text: f"( {text} )"),
+    ),
+    max_leaves=6,
+)
+_PIECES = st.lists(
+    st.sampled_from(
+        ["-", "(", ")", "1", "2.5", "1e-3", "NULL", "TRUE", "FALSE", "DATE",
+         "'2020-01-02'", "'a''b'", "x", "t.x", "+", "*", "/", "1+2", "IS", "NOT",
+         "IN", "AND", "OR", "BETWEEN", "count", "(a)", "=", "<", "CAST"]
+    ),
+    min_size=1,
+    max_size=6,
+).map(" ".join)
+_ROWS = st.lists(st.one_of(_LITERALS, _PIECES), min_size=1, max_size=3).map(", ".join)
+
+
+class TestLiteralRuleMatchesExpressions:
+    """The literal rule accepts exactly what ``expression()`` turned into
+    an ``SqlLiteral``, with the same values, in VALUES rows and IN lists."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ROWS, st.sampled_from(["values", "in", "not in"]))
+    @example("-NULL", "values")
+    @example("- - (-(1))", "values")
+    @example("-(1+2)", "in")
+    @example("- DATE '2020-01-02'", "values")
+    @example("(1) + 2", "values")
+    def test_random_token_streams(self, row, where):
+        if where == "values":
+            text = f"INSERT INTO t VALUES ({row}), (1)"
+        else:
+            text = f"SELECT a FROM t WHERE a {where.upper()} ({row})"
+        assert _outcome(_Parser, text) == _outcome(_ExpressionLiterals, text)
