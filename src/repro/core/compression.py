@@ -462,13 +462,29 @@ def encode_block_pfor(
     )
 
 
-def decode_block_pfor(data: bytes, count: int) -> np.ndarray:
-    """Decode a patch-aware FOR block payload back into int64 values."""
+def _pfor_header(data: bytes, count: int) -> tuple[int, int, int, int]:
+    """A ``pfor`` payload's base, width, kept count and exception count."""
     if len(data) < _PFOR_HEADER.size:
         raise StorageError(f"PFOR header cut short: {len(data)} bytes")
     base, width, kept_count, exc_count = _PFOR_HEADER.unpack_from(data)
     if kept_count + exc_count != count:
         raise StorageError("corrupt PFOR block: counts do not cover block")
+    return base, width, kept_count, exc_count
+
+
+def pfor_exception_positions(data: bytes, count: int) -> np.ndarray:
+    """The block-local rows a ``pfor`` payload of *count* rows stores
+    verbatim, ascending, read without decoding the kept values."""
+    _, width, kept_count, exc_count = _pfor_header(data, count)
+    offset = _PFOR_HEADER.size + (kept_count * width + 7) // 8
+    return _section(
+        data, "<u4", exc_count, offset, "PFOR exception positions"
+    ).astype(np.int64)
+
+
+def decode_block_pfor(data: bytes, count: int) -> np.ndarray:
+    """Decode a patch-aware FOR block payload back into int64 values."""
+    base, width, kept_count, exc_count = _pfor_header(data, count)
     offset = _PFOR_HEADER.size
     if kept_count:
         packed = np.frombuffer(data, dtype=np.uint8, offset=offset)

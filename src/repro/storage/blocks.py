@@ -27,7 +27,10 @@ class BlockStats:
     """Min/max/null statistics for one column over one block of rows.
 
     ``minimum``/``maximum`` are ``None`` when the block contains only
-    NULLs (then nothing can be said about its value range).
+    NULLs (then nothing can be said about its value range).  They leave
+    out NaN, which compares false with everything; a NaN bound (a block
+    of NaN only, or a header written before NaN was left out) means the
+    range is unknown, and the block is never pruned.
     """
 
     start: int
@@ -48,6 +51,8 @@ class BlockStats:
         """
         if self.minimum is None or self.maximum is None:
             return False
+        if self.minimum != self.minimum or self.maximum != self.maximum:
+            return True  # a NaN bound: unknown range
         if op == "=":
             return self.minimum <= literal <= self.maximum
         if op == "<":
@@ -59,10 +64,39 @@ class BlockStats:
         if op == ">=":
             return self.maximum >= literal
         if op in ("!=", "<>"):
-            # Only prunable when the whole block equals the literal.
-            return not (self.minimum == self.maximum == literal)
+            # Only prunable when the whole block equals the literal; a
+            # float block may also hold a NaN, which the bounds leave
+            # out and which differs from every literal.
+            return isinstance(self.minimum, float) or not (
+                self.minimum == self.maximum == literal
+            )
         # Unknown operator: never prune.
         return True
+
+
+def block_stats(column: ColumnVector, start: int, stop: int) -> BlockStats:
+    """The :class:`BlockStats` of rows ``[start, stop)`` of *column*."""
+    chunk = column.slice(start, stop)
+    if chunk.validity is None:
+        valid_values = chunk.values
+        nulls = 0
+    else:
+        valid_values = chunk.values[chunk.validity]
+        nulls = int((~chunk.validity).sum())
+    if len(valid_values) == 0:
+        return BlockStats(start, stop, None, None, nulls)
+    if valid_values.dtype == np.dtype(object):
+        minimum: object = min(valid_values)
+        maximum: object = max(valid_values)
+    else:
+        minimum = valid_values.min().item()
+        if minimum != minimum:  # a NaN: bound the other values
+            finite = valid_values[~np.isnan(valid_values)]
+            if len(finite):
+                valid_values = finite
+                minimum = valid_values.min().item()
+        maximum = valid_values.max().item()
+    return BlockStats(start, stop, minimum, maximum, nulls)
 
 
 def compute_block_stats(
@@ -74,28 +108,11 @@ def compute_block_stats(
     callers translate them to global rowids by adding the partition's
     base rowid.
     """
-    stats: list[BlockStats] = []
     total = len(column)
-    for start in range(0, total, block_size):
-        stop = min(start + block_size, total)
-        chunk = column.slice(start, stop)
-        if chunk.validity is None:
-            valid_values = chunk.values
-            nulls = 0
-        else:
-            valid_values = chunk.values[chunk.validity]
-            nulls = int((~chunk.validity).sum())
-        if len(valid_values) == 0:
-            stats.append(BlockStats(start, stop, None, None, nulls))
-            continue
-        if valid_values.dtype == np.dtype(object):
-            minimum: object = min(valid_values)
-            maximum: object = max(valid_values)
-        else:
-            minimum = valid_values.min().item()
-            maximum = valid_values.max().item()
-        stats.append(BlockStats(start, stop, minimum, maximum, nulls))
-    return stats
+    return [
+        block_stats(column, start, min(start + block_size, total))
+        for start in range(0, total, block_size)
+    ]
 
 
 def prune_blocks(

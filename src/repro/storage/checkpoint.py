@@ -17,8 +17,16 @@ columns are all clean, and whose file on disk is still the inode its
 readers hold, *keeps* that file: the new manifest names it again and
 nothing is written.  Any other partition gets a new file
 ``<table>.p<k>.<n>.seg`` in which clean columns are copied as encoded
-bytes and the rest are encoded afresh.  Superseding the previous
-manifest then frees only the files of rewritten partitions.
+bytes and the rest are encoded with *block carry*: each column's
+segment in the previous manifest (the checkpoint's pin keeps its file)
+is decoded and compared with the column bit for bit, and a block whose
+rows are unchanged in place, under a ``pfor`` hint that would not change
+its encoding, is copied as its encoded bytes with its header entry
+(:func:`repro.storage.segment.encode_segment`); only the other blocks
+are encoded.  Appends and a delete near the end of the last partition
+so re-encode the last one or two blocks of each column, and the file is
+byte for byte a full re-encode.  Superseding the previous manifest then
+frees only the files of rewritten partitions.
 
 The functions here are the writers; :mod:`repro.storage.materialize` is
 the reader of everything they produce.
@@ -34,6 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import StorageError
 from repro.storage.catalog import Catalog
 from repro.storage.database import schema_to_payload
 from repro.storage.manifest import PartitionManifest, TableManifest, partition_file
@@ -81,6 +90,28 @@ def hint_digest(rowids: np.ndarray | None) -> int:
     return zlib.crc32(unique.astype("<i8").tobytes())
 
 
+#: What :func:`flush_table` counts: column segments kept or copied
+#: whole, and the blocks of the segments it encoded, carried as bytes
+#: from the previous segment or encoded afresh.
+CHECKPOINT_COUNTS = ("segments_carried", "blocks_carried", "blocks_encoded")
+
+
+def _previous_segment(
+    root: Path, before: PartitionManifest | None, name: str
+) -> SegmentReader | None:
+    """The segment of column *name* that *before* names, whose blocks a
+    new encode may carry; ``None`` when there is none, or when its file
+    no longer opens as one (a full encode writes the same bytes).  The
+    checkpoint's pin keeps the file on disk."""
+    if before is None or name not in before.segments:
+        return None
+    offset, length, _ = before.segments[name]
+    try:
+        return SegmentReader(root / before.file, offset, length)
+    except (OSError, StorageError):
+        return None
+
+
 def _file_is_held(path: Path, readers: list[SegmentReader], *, sync: bool) -> bool:
     """Whether *path* is still the very file every one of *readers* has
     open (with ``sync``, then fsynced: the checkpoint that wrote it may
@@ -109,19 +140,19 @@ def flush_table(
     *,
     previous: TableManifest | None,
     sync: bool,
-) -> tuple[TableManifest, dict, int]:
+) -> tuple[TableManifest, dict, dict[str, int]]:
     """Keep or write each partition file of *table* for the checkpoint at
-    *checkpoint_lsn*, each block of a newly encoded segment in the
-    encoding the per-block picker chooses.
+    *checkpoint_lsn*, each block of a newly encoded segment carried or in
+    the encoding the per-block picker chooses.
 
     *previous* is the table's entry in the manifest being superseded
-    (``None`` makes nothing clean).  Returns the table's manifest entry,
-    its checkpoint-summary detail (``segment_bytes``, ``encoded_ratio``,
-    per-column bytes and encoding counts — the same for a reused segment
-    as for a re-encoded one) and how many column segments were reused,
-    kept or copied.
+    (``None`` makes nothing clean and carries no block).  Returns the
+    table's manifest entry, its checkpoint-summary detail
+    (``segment_bytes``, ``encoded_ratio``, per-column bytes and encoding
+    counts — the same for a reused segment or a carried block as for a
+    re-encoded one) and its :data:`CHECKPOINT_COUNTS`.
     """
-    carried = 0
+    counts = dict.fromkeys(CHECKPOINT_COUNTS, 0)
     partition_manifests: list[PartitionManifest] = []
     columns: dict[str, dict] = {
         field.name: {"segment_bytes": 0, "encodings": {}} for field in table.schema
@@ -159,20 +190,31 @@ def flush_table(
         else:
 
             def segments() -> Iterator[list[bytes]]:
-                """Each column's segment pieces, the clean ones copied."""
+                """Each column's segment pieces, the clean ones copied,
+                the others encoded with the unchanged blocks carried."""
                 for name in table.schema.names:
                     reader = clean.get(name)
                     if reader is not None:
                         infos.append(reader.write_info())
                         yield [reader.raw_bytes()]
-                    else:
+                        continue
+                    previous_segment = _previous_segment(root, before, name)
+                    try:
                         pieces, info = encode_segment(
                             partition.column(name),
                             table.block_size,
                             patch_rowids=patch_rowids.get(name, {}).get(pid),
+                            previous=previous_segment,
                         )
-                        infos.append(info)
-                        yield pieces
+                    finally:
+                        if previous_segment is not None:
+                            previous_segment.close()
+                    counts["blocks_carried"] += info.blocks_carried
+                    counts["blocks_encoded"] += (
+                        sum(info.encodings.values()) - info.blocks_carried
+                    )
+                    infos.append(info)
+                    yield pieces
 
             file = partition_file(table.name, pid, checkpoint_lsn)
             extents = write_segments(root / file, segments(), sync=sync)
@@ -184,7 +226,7 @@ def flush_table(
                     for name, (offset, length) in zip(table.schema.names, extents)
                 },
             )
-        carried += len(clean)
+        counts["segments_carried"] += len(clean)
         partition_manifests.append(entry)
         for field, info in zip(table.schema, infos):
             table_bytes += info.bytes_written
@@ -207,7 +249,7 @@ def flush_table(
         ),
         "columns": columns,
     }
-    return table_manifest, detail, carried
+    return table_manifest, detail, counts
 
 
 def entry_checksum(entry: dict) -> int:

@@ -48,7 +48,12 @@ import numpy as np
 from repro.check.sanitize import make_lock
 from repro.errors import StorageError
 from repro.storage.cache import BlockCache, cache_capacity_from_env
-from repro.storage.checkpoint import flush_table, nsc_patch_rowids, patch_sets
+from repro.storage.checkpoint import (
+    CHECKPOINT_COUNTS,
+    flush_table,
+    nsc_patch_rowids,
+    patch_sets,
+)
 from repro.storage.column import ColumnVector
 from repro.storage.manifest import (
     SEGMENTS_DIR,
@@ -163,6 +168,8 @@ class StorageEngine:
             "segments": 0,
             "segments_written": 0,
             "segments_carried": 0,
+            "blocks_carried": 0,
+            "blocks_encoded": 0,
             "segment_bytes": 0,
             "patches_bytes": 0,
             "wal_pruned": pruned,
@@ -288,11 +295,12 @@ class DurableEngine(StorageEngine):
         obs = database.obs
         tables: dict[str, TableManifest] = {}
         table_details: dict[str, dict] = {}
-        segments = carried = 0
+        segments = 0
+        counts = dict.fromkeys(CHECKPOINT_COUNTS, 0)
         try:
             for table in catalog.tables():
                 name = table.name
-                tables[name], detail, table_carried = flush_table(
+                tables[name], detail, table_counts = flush_table(
                     self.root,
                     lsn,
                     table,
@@ -304,7 +312,8 @@ class DurableEngine(StorageEngine):
                 self._encoded_ratios[name] = detail["encoded_ratio"]
                 table_segments = table.partition_count * len(table.schema)
                 segments += table_segments
-                carried += table_carried
+                for key, count in table_counts.items():
+                    counts[key] += count
                 obs.gauge(f"storage.{name}.segments").set(table_segments)
                 obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
                 obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
@@ -318,15 +327,17 @@ class DurableEngine(StorageEngine):
             self.release_snapshot(handle)
         obs.gauge("storage.checkpoint_lsn").set(lsn)
         obs.gauge("storage.patches_bytes").set(patches_bytes)
+        carried = counts["segments_carried"]
         obs.counter("checkpoint.segments_written").inc(segments - carried)
-        obs.counter("checkpoint.segments_carried").inc(carried)
+        for key, count in counts.items():
+            obs.counter(f"checkpoint.{key}").inc(count)
         return {
             "engine": self.name,
             "lsn": lsn,
             "tables": len(tables),
             "segments": segments,
             "segments_written": segments - carried,
-            "segments_carried": carried,
+            **counts,
             "segment_bytes": sum(d["segment_bytes"] for d in table_details.values()),
             "patches_bytes": patches_bytes,
             "wal_pruned": pruned,

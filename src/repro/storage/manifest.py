@@ -201,21 +201,22 @@ def write_manifest(
     """Atomically install *manifest* as ``<root>/manifest.json``; returns
     the bytes its patch sets take in it.
 
-    The patch sets are encoded chunk by chunk straight into the file, so
-    no string of them all is ever built.
+    The patch sets are written one index at a time, each encoded in one
+    call of the C encoder (``iterencode`` would run the pure-Python
+    one), so no string holds more than one index's patch sets.
     """
     root = Path(root)
     path = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")
-    patches_bytes = 0
+    encode = json.JSONEncoder(separators=_COMPACT).encode
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(manifest.catalog_json()[:-1] + ',"patches":')
-        for chunk in json.JSONEncoder(separators=_COMPACT).iterencode(
-            manifest.patches
-        ):
+        handle.write(manifest.catalog_json()[:-1] + ',"patches":{')
+        patches_bytes = 2  # the braces; ASCII: ensure_ascii is on
+        for position, (name, entry) in enumerate(manifest.patches.items()):
+            chunk = ("," if position else "") + encode(name) + ":" + encode(entry)
             handle.write(chunk)
-            patches_bytes += len(chunk)  # ASCII: ensure_ascii is on
-        handle.write("}\n")
+            patches_bytes += len(chunk)
+        handle.write("}}\n")
         handle.flush()
         if sync:
             os.fsync(handle.fileno())

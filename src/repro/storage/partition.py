@@ -9,6 +9,13 @@ Partitions are append-only at this level; logical deletes are handled by
 the table through rewriting (and by PatchIndex maintenance through patch
 updates), mirroring how column stores treat in-place mutation as the
 exceptional path.
+
+An append writes its rows after the live ones, into spare room at the
+end of the column's buffer (:class:`_Spare`), and installs a longer view
+of it: it costs the rows appended, not the partition.  A vector once
+handed out is never written into: the room past its end belongs to the
+one vector the buffer handed out last, so a snapshot's copy, a batch or a
+checkpoint holding an older vector reads exactly the rows it had.
 """
 
 from __future__ import annotations
@@ -30,6 +37,51 @@ from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.cache import ScanIO, SegmentColumnSource
+
+
+#: Spare rows an append leaves after the live rows when it must move a
+#: non-empty column to a new buffer, as a fraction of the rows: 1/8.
+_SLACK_DIVISOR = 8
+
+
+class _Spare:
+    """A column's buffer, with room after the live rows, and the vector
+    over its head that the buffer handed out last: only that vector may
+    grow into the room."""
+
+    __slots__ = ("values", "validity", "latest", "rows")
+
+    def __init__(self, vector: ColumnVector, capacity: int, nullable: bool):
+        rows = len(vector)
+        self.values = np.empty(capacity, dtype=vector.values.dtype)
+        self.values[:rows] = vector.values
+        self.validity: np.ndarray | None = None
+        if nullable:
+            self.validity = np.empty(capacity, dtype=np.bool_)
+            self.validity[:rows] = vector.validity_or_all_true()
+        self.latest = vector
+        #: Rows of the buffer some vector reads; the room starts here.
+        self.rows = rows
+
+    def owns(self, vector: ColumnVector) -> bool:
+        """Whether *vector* is the latest this buffer handed out and ends
+        where the room starts: then no other vector reads past its end."""
+        return self.latest is vector and len(vector) == self.rows
+
+    def grow(self, vector: ColumnVector, tail: ColumnVector) -> ColumnVector:
+        """*vector* (:meth:`owns`) followed by *tail*, written in place."""
+        total = self.rows + len(tail)
+        self.values[self.rows : total] = tail.values
+        if self.validity is not None:
+            self.validity[self.rows : total] = tail.validity_or_all_true()
+        grown = ColumnVector(
+            vector.dtype,
+            self.values[:total],
+            None if self.validity is None else self.validity[:total],
+        )
+        self.latest = grown
+        self.rows = total
+        return grown
 
 
 class Partition:
@@ -54,6 +106,8 @@ class Partition:
         #: shadows its source.
         self._sources: dict[str, "SegmentColumnSource"] = {}
         self._block_stats: dict[str, list[BlockStats]] = {}
+        #: Append buffers by column, shared with copies (:meth:`copy`).
+        self._spare: dict[str, _Spare] = {}
 
         row_count: int | None = None
         for field in schema:
@@ -157,15 +211,19 @@ class Partition:
         self._columns[name] = vector
         self._sources.pop(name, None)
         self._block_stats.pop(name, None)
+        self._spare.pop(name, None)
 
     def copy(self) -> "Partition":
-        """A partition over the same column vectors and segment sources
-        with dicts of its own: mutations replace vectors and clear the
-        dicts in place, so neither side sees the other's later changes."""
+        """A partition over the same column vectors, segment sources and
+        append buffers with dicts of its own: mutations replace vectors
+        and clear the dicts in place, and only the first side to append
+        grows into a shared buffer's room, so neither side sees the
+        other's later changes."""
         twin = copy.copy(self)
         twin._columns = dict(self._columns)
         twin._sources = dict(self._sources)
         twin._block_stats = dict(self._block_stats)
+        twin._spare = dict(self._spare)
         return twin
 
     @property
@@ -231,7 +289,8 @@ class Partition:
     # -- mutation -------------------------------------------------------
 
     def append(self, columns: Mapping[str, ColumnVector]) -> None:
-        """Append rows; invalidates cached block statistics."""
+        """Append rows (:meth:`_grow`); invalidates cached block
+        statistics."""
         self.materialize()
         appended: dict[str, ColumnVector] = {}
         row_count: int | None = None
@@ -252,9 +311,30 @@ class Partition:
         if not row_count:
             return
         for name, column in appended.items():
-            self._columns[name] = ColumnVector.concat([self._columns[name], column])
+            self._columns[name] = self._grow(name, column)
         self.row_count += row_count
         self._block_stats.clear()
+
+    def _grow(self, name: str, tail: ColumnVector) -> ColumnVector:
+        """Column *name* followed by *tail*: written into the spare room
+        of the column's buffer when the partition's vector is the one the
+        buffer handed out last and the rows fit, else copied with *tail* into
+        a new buffer with an eighth of the rows spare (none for the first
+        rows of an empty partition, a bulk load)."""
+        vector = self._columns[name]
+        total = len(vector) + len(tail)
+        spare = self._spare.get(name)
+        nullable = vector.validity is not None or tail.validity is not None
+        if (
+            spare is None
+            or not spare.owns(vector)
+            or total > len(spare.values)
+            or (nullable and spare.validity is None)
+        ):
+            slack = total // _SLACK_DIVISOR if len(vector) else 0
+            spare = _Spare(vector, total + slack, nullable)
+            self._spare[name] = spare
+        return spare.grow(vector, tail)
 
     def replace_rows(self, keep_mask: np.ndarray) -> None:
         """Rewrite the partition keeping only rows where *keep_mask* is True.
@@ -269,6 +349,7 @@ class Partition:
             self._columns[name] = self._columns[name].filter(keep_mask)
         self.row_count = int(keep_mask.sum())
         self._block_stats.clear()
+        self._spare.clear()
 
     def project(self, names: Sequence[str]) -> dict[str, ColumnVector]:
         """Return references to the requested column vectors."""

@@ -44,10 +44,11 @@ from repro.core.compression import (
     decode_blocks_for,
     encode_block_codes,
     for_block_width,
+    pfor_exception_positions,
     pick_int_block_encoding,
 )
 from repro.errors import StorageError
-from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockStats, compute_block_stats
+from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockStats, block_stats
 from repro.storage.column import ColumnVector
 from repro.types import DataType
 from repro.types.datatypes import numpy_dtype
@@ -97,6 +98,9 @@ class SegmentWriteInfo:
     encodings: dict[str, int] = field(default_factory=dict)
     payload_bytes: int = 0
     raw_payload_bytes: int = 0
+    #: Blocks copied as encoded bytes from the previous segment
+    #: (:func:`encode_segment`'s *previous*); the rest were encoded.
+    blocks_carried: int = 0
 
     @property
     def encoded_ratio(self) -> float:
@@ -129,6 +133,7 @@ def encode_segment(
     *,
     encoding: str = "auto",
     patch_rowids: np.ndarray | None = None,
+    previous: "SegmentReader | None" = None,
 ) -> tuple[list[bytes], SegmentWriteInfo]:
     """*column* as one RSEG2 segment — its pieces in file order, joined
     by nothing so a writer streams them — and what they hold.
@@ -138,18 +143,38 @@ def encode_segment(
     *patch_rowids* are the partition-local rowids of the column's NSC
     PatchIndex patches: blocks containing them may use the patch-aware
     ``pfor`` codec, storing those rows verbatim.
+
+    *previous* is the segment the last checkpoint wrote for the column.
+    Each block that encoding it now would write exactly as *previous*
+    holds it (:func:`_carried_blocks`) is copied from there as encoded
+    bytes, with its header entry, so the pieces are what a full encode
+    returns either way; ``info.blocks_carried`` counts them.
     """
     if encoding not in ENCODING_MODES:
         raise StorageError(f"unknown segment encoding mode: {encoding!r}")
-    stats = compute_block_stats(column, block_size)
     rows = len(column)
     validity = column.validity
+    bounds = [
+        (start, min(start + block_size, rows)) for start in range(0, rows, block_size)
+    ]
 
     patch_positions: np.ndarray | None = None
     if patch_rowids is not None and len(patch_rowids):
         patch_positions = np.unique(
             np.asarray(patch_rowids, dtype=np.int64)
         )
+    carried: dict[int, tuple[list, bytes]] = {}
+    if (
+        previous is not None
+        and encoding == "auto"
+        and column.dtype != DataType.STRING
+    ):
+        try:
+            carried = _carried_blocks(
+                column, block_size, previous, patch_positions
+            )
+        except StorageError:  # a damaged previous segment: encode it all
+            carried = {}
 
     # Segment-level string dictionary: profitable when the per-block
     # packed codes plus the dictionary undercut the raw offsets + pool.
@@ -164,9 +189,7 @@ def encode_segment(
             for position, value in enumerate(column.values)
         ]
         pieces = [text.encode("utf-8") for text in physical]
-        pieces_by_block = [
-            pieces[block.start : block.stop] for block in stats
-        ]
+        pieces_by_block = [pieces[start:stop] for start, stop in bounds]
         if encoding == "auto" and rows:
             values = np.empty(rows, dtype=object)
             for position, text in enumerate(physical):
@@ -176,10 +199,10 @@ def encode_segment(
             offsets = np.zeros(len(unique) + 1, dtype=np.int64)
             np.cumsum([len(u.encode("utf-8")) for u in unique], out=offsets[1:])
             dict_size = len(offsets.tobytes()) + len(pool) + sum(
-                1 + (block.row_count * width + 7) // 8 for block in stats
+                1 + ((stop - start) * width + 7) // 8 for start, stop in bounds
             )
             raw_size = sum(
-                8 * (block.row_count + 1) for block in stats
+                8 * (stop - start + 1) for start, stop in bounds
             ) + sum(len(piece) for piece in pieces)
             if dict_size < raw_size:
                 dictionary = unique
@@ -193,61 +216,48 @@ def encode_segment(
     payload_bytes = 0
     raw_payload_bytes = 0
     offset = len(dict_payload)
-    for block_index, block in enumerate(stats):
-        values = column.values[block.start : block.stop]
-        if column.dtype == DataType.STRING:
-            raw_cost = _raw_block_bytes(
-                column.dtype,
-                block.row_count,
-                sum(len(piece) for piece in pieces_by_block[block_index]),
-            )
-            if dict_codes is not None:
-                tag = "dict"
-                payload = encode_block_codes(
-                    dict_codes[block.start : block.stop], dict_width
-                )
-            else:
-                tag = "raw"
-                payload = _raw_string_payload(pieces_by_block[block_index])
+    for block_index, (start, stop) in enumerate(bounds):
+        carry = carried.get(block_index)
+        if carry is not None:
+            entry, payload = carry
+            head, tag = entry[:5], entry[5]
+            raw_cost = _raw_block_bytes(column.dtype, stop - start)
         else:
-            raw_cost = _raw_block_bytes(column.dtype, block.row_count)
-            tag, encoded = "raw", None
-            if encoding == "auto" and column.dtype in _INT_PHYSICAL:
-                exceptions: np.ndarray | None = None
-                local: list[np.ndarray] = []
-                if patch_positions is not None:
-                    inside = patch_positions[
-                        (patch_positions >= block.start)
-                        & (patch_positions < block.stop)
-                    ]
-                    if len(inside):
-                        local.append(inside - block.start)
-                if validity is not None:
-                    nulls = np.flatnonzero(
-                        ~validity[block.start : block.stop]
-                    )
-                    if len(nulls):
-                        local.append(nulls.astype(np.int64))
-                if local:
-                    exceptions = np.concatenate(local)
-                tag, encoded = pick_int_block_encoding(
-                    values, exceptions, stats=block
-                )
-            payload = (
-                encoded if encoded is not None else _raw_fixed_payload(values)
-            )
-        block_entries.append(
-            [
-                block.start,
-                block.stop,
+            block = block_stats(column, start, stop)
+            head = [
+                start,
+                stop,
                 _jsonable_stat(block.minimum),
                 _jsonable_stat(block.maximum),
                 block.null_count,
-                tag,
-                offset,
-                len(payload),
             ]
-        )
+            values = column.values[start:stop]
+            if column.dtype == DataType.STRING:
+                raw_cost = _raw_block_bytes(
+                    column.dtype,
+                    block.row_count,
+                    sum(len(piece) for piece in pieces_by_block[block_index]),
+                )
+                if dict_codes is not None:
+                    tag = "dict"
+                    payload = encode_block_codes(dict_codes[start:stop], dict_width)
+                else:
+                    tag = "raw"
+                    payload = _raw_string_payload(pieces_by_block[block_index])
+            else:
+                raw_cost = _raw_block_bytes(column.dtype, block.row_count)
+                tag, encoded = "raw", None
+                if encoding == "auto" and column.dtype in _INT_PHYSICAL:
+                    exceptions = _block_exceptions(
+                        column, start, stop, patch_positions
+                    )
+                    tag, encoded = pick_int_block_encoding(
+                        values, exceptions if len(exceptions) else None, stats=block
+                    )
+                payload = (
+                    encoded if encoded is not None else _raw_fixed_payload(values)
+                )
+        block_entries.append([*head, tag, offset, len(payload)])
         block_payloads.append(payload)
         encodings[tag] = encodings.get(tag, 0) + 1
         payload_bytes += len(payload)
@@ -279,7 +289,94 @@ def encode_segment(
         encodings=encodings,
         payload_bytes=payload_bytes,
         raw_payload_bytes=raw_payload_bytes,
+        blocks_carried=len(carried),
     )
+
+
+def _block_exceptions(
+    column: ColumnVector, start: int, stop: int, patch_positions: np.ndarray | None
+) -> np.ndarray:
+    """The block-local rows of ``[start, stop)`` an int block stores
+    verbatim under ``pfor``: its patch rows and its NULL slots,
+    ascending."""
+    local = np.empty(0, dtype=np.int64)
+    if patch_positions is not None:
+        lo, hi = np.searchsorted(patch_positions, (start, stop))
+        local = patch_positions[lo:hi] - start
+    if column.validity is not None:
+        nulls = np.flatnonzero(~column.validity[start:stop])
+        if len(nulls):
+            local = np.union1d(local, nulls)
+    return local
+
+
+def _bit_pattern(values: np.ndarray) -> np.ndarray:
+    """*values* compared bit for bit: a float as its int64 pattern, so
+    NaN equals the same NaN and ``-0.0`` differs from ``0.0``."""
+    return values.view(np.int64) if values.dtype.kind == "f" else values
+
+
+def _carried_blocks(
+    column: ColumnVector,
+    block_size: int,
+    previous: "SegmentReader",
+    patch_positions: np.ndarray | None,
+) -> dict[int, tuple[list, bytes]]:
+    """Block index → header entry and encoded payload, in *previous*, of
+    each block of *column* that *previous* holds as encoding it now
+    would write it.
+
+    That is so when the block spans the same rows in both, they are
+    unchanged in place bit for bit (values, NULL slots and what those
+    slots store), and the picker would see the same ``pfor`` exceptions:
+    a ``pfor`` block's stored exception rows must be the block's patch
+    rows and NULLs now, and any other int block must have neither (an
+    exception the old hint had might have made ``pfor`` lose to it, where
+    now it would win).  A
+    block whose stored bounds are NaN was bounded by a writer that did
+    not leave NaN out: it is encoded afresh.
+    """
+    if previous.dtype != column.dtype or previous.block_size != block_size:
+        return {}
+    rows = len(column)
+    last = -1
+    for index, block in enumerate(previous.stats):
+        if block.start != index * block_size or block.stop != min(
+            block.start + block_size, rows
+        ):
+            break
+        last = index
+    if last < 0:
+        return {}
+    old = previous.decode_run(0, last)
+    shared = len(old)
+    changed = _bit_pattern(old.values) != _bit_pattern(column.values[:shared])
+    if old.validity is not None or column.validity is not None:
+        changed |= (
+            old.validity_or_all_true()
+            != column.validity_or_all_true()[:shared]
+        )
+    dirty = set((np.flatnonzero(changed) // block_size).tolist())
+    hinted = column.dtype in _INT_PHYSICAL
+    carried: dict[int, tuple[list, bytes]] = {}
+    for index in range(last + 1):
+        entry = previous.block_entry(index)
+        if index in dirty or any(
+            isinstance(bound, float) and bound != bound for bound in entry[2:4]
+        ):
+            continue
+        payload = previous.block_payload(index)
+        if hinted:
+            start, stop = entry[0], entry[1]
+            exceptions = _block_exceptions(column, start, stop, patch_positions)
+            if entry[5] == "pfor":
+                stored = pfor_exception_positions(payload, stop - start)
+                if not np.array_equal(stored, exceptions):
+                    continue
+            elif len(exceptions):
+                continue
+        carried[index] = (entry, payload)
+    return carried
 
 
 def write_segments(
@@ -392,6 +489,7 @@ class SegmentReader:
     def _open_payload(self, header: dict) -> None:
         """Block directory, validity and dictionary."""
         self.encodings = [str(entry[5]) for entry in header["blocks"]]
+        self._entries: list[list] = header["blocks"]
         self._blocks = [
             (str(entry[5]), int(entry[6]), int(entry[7]))
             for entry in header["blocks"]
@@ -447,6 +545,16 @@ class SegmentReader:
     def block_payload_bytes(self, index: int) -> int:
         """On-disk (encoded) payload bytes of block *index*."""
         return self._blocks[index][2]
+
+    def block_entry(self, index: int) -> list:
+        """Block *index*'s header entry as written: ``[start, stop, min,
+        max, nulls, enc, offset, length]``."""
+        return self._entries[index]
+
+    def block_payload(self, index: int) -> bytes:
+        """Block *index*'s encoded payload bytes."""
+        _, offset, length = self._blocks[index]
+        return self._read(offset, length)
 
     def file_id(self) -> tuple[int, int]:
         """``(st_dev, st_ino)`` of the file this reader has open, which

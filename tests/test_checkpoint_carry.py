@@ -4,29 +4,36 @@ A partition column that still holds the segment it was loaded from is
 *clean*.  A partition whose columns are all clean keeps its file: the
 new manifest names it again.  Any other partition gets a new file, with
 its clean columns copied as encoded bytes and only the changed ones
-re-encoded (``storage/checkpoint.py``).  Superseding the old manifest
+re-encoded (``storage/checkpoint.py``), and in those the blocks that are
+unchanged in place since the previous segment, under the same ``pfor``
+hint, are carried as encoded bytes too.  Superseding the old manifest
 then frees only the files of rewritten partitions.  These tests pin what
 must not change because of it: every mutation still reaches disk, a
-kept or copied segment is the segment a rewrite would write, the
-summary is a rewrite's, kept files are synced, pinned snapshots and
-reopened copies read the same rows, no file descriptor leaks, and the
-block cache keeps a kept file's warm blocks.  They also pin that a
-reopen removes files the manifest does not name.
+kept, copied or block-carried segment is the segment a rewrite would
+write, the summary is a rewrite's, kept files are synced, pinned
+snapshots and reopened copies read the same rows, no file descriptor
+leaks, and the block cache keeps a kept file's warm blocks.  They also
+pin that a reopen removes files the manifest does not name.
 """
 
 from __future__ import annotations
 
+import datetime
 import gc
+import math
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.storage.checkpoint import nsc_patch_rowids
 from repro.storage.manifest import SEGMENTS_DIR, partition_file, read_manifest
 from repro.storage.segment import encode_segment
+from tests.test_checkpoint_gc import mixed_ingest_shape
 
 PARTITIONS = 4
 ROWS_PER_PARTITION = 600
@@ -478,3 +485,236 @@ class TestOrphanGenerations:
         assert counter(db, "checkpoint.files_deleted") == 2
         db.close()
         assert on_disk(root) == named
+
+
+def rewrite_detail(db) -> dict:
+    """The ``table_details`` entry of ``t`` a checkpoint that encodes
+    every segment afresh reports."""
+    table = db.table("t")
+    hints = nsc_patch_rowids(db.catalog, table)
+    columns: dict[str, dict] = {
+        name: {"segment_bytes": 0, "encodings": {}} for name in table.schema.names
+    }
+    total = payload = raw = 0
+    for partition in table.partitions:
+        for name in table.schema.names:
+            _, info = encode_segment(
+                partition.column(name),
+                table.block_size,
+                patch_rowids=hints.get(name, {}).get(partition.partition_id),
+            )
+            total += info.bytes_written
+            payload += info.payload_bytes
+            raw += info.raw_payload_bytes
+            detail = columns[name]
+            detail["segment_bytes"] += info.bytes_written
+            for tag, count in info.encodings.items():
+                detail["encodings"][tag] = detail["encodings"].get(tag, 0) + count
+    return {
+        "segment_bytes": total,
+        "encoded_ratio": payload / raw if raw else 1.0,
+        "columns": columns,
+    }
+
+
+#: One column of each kind a block can carry: an ascending key, a DATE,
+#: a nullable int, a float with NaN and -0.0, a string, and a nearly
+#: sorted int with a SORTED PatchIndex (``pfor`` blocks).
+HISTORY_SCHEMA = repro.Schema(
+    [
+        repro.Field("k", repro.DataType.INT64),
+        repro.Field("d", repro.DataType.DATE),
+        repro.Field("n", repro.DataType.INT64),
+        repro.Field("f", repro.DataType.FLOAT64),
+        repro.Field("w", repro.DataType.STRING),
+        repro.Field("s", repro.DataType.INT64),
+    ]
+)
+_FLOATS = [0.0, -0.0, 0.0, math.inf]
+_CELLS = {
+    "d": [datetime.date(2020, 1, 1), None],
+    "n": [None, 0, 7],
+    "f": [-0.0, 0.0, math.nan, None],
+    "w": ["changed", None],
+    "s": [-1, 10**9, None],
+}
+
+
+def history_row(key: int) -> tuple:
+    """Row *key* of the history table: ``s`` follows ``k`` but for a
+    far outlier every ninth row, the PatchIndex's patches, which the
+    ``pfor`` blocks store verbatim."""
+    return (
+        key,
+        datetime.date(2000, 1, 1) + datetime.timedelta(days=key % 50),
+        None if key % 5 == 0 else key % 7,
+        math.nan if key % 37 == 3 else _FLOATS[key % len(_FLOATS)],
+        f"w{key % 4}",
+        10**9 + (key * 7919) % 1000 if key % 9 == 4 else key,
+    )
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 40)),
+        st.tuples(
+            st.just("delete"),
+            st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
+        ),
+        st.tuples(
+            st.just("update"),
+            st.floats(0, 1, exclude_max=True),
+            st.sampled_from(sorted(_CELLS)),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("rebuild")),
+        st.tuples(st.just("index_ddl")),
+        st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("reopen")),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestBlockCarry:
+    """A rewritten segment carries the blocks whose rows and ``pfor``
+    exceptions did not change, and is byte for byte a fresh encode."""
+
+    @given(operations)
+    @settings(max_examples=100, deadline=None)
+    def test_files_with_carried_blocks_equal_a_full_encode(self, history):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "db"
+            db = repro.connect(str(root), sync=False)
+            table = db.create_table(
+                "t", HISTORY_SCHEMA, partition_count=2, block_size=16
+            )
+            rows = [history_row(key) for key in range(80)]
+            table.load_columns(
+                {
+                    field.name: repro.ColumnVector.from_pylist(
+                        field.dtype, [row[i] for row in rows]
+                    )
+                    for i, field in enumerate(HISTORY_SCHEMA)
+                }
+            )
+            db.sql("CREATE PATCHINDEX ps ON t(s) TYPE SORTED")
+            db.checkpoint()
+            next_key = 80
+            try:
+                for step in history + [("checkpoint",)]:
+                    table = db.table("t")
+                    kind = step[0]
+                    if kind == "append":
+                        count = step[1]
+                        table.insert_rows(
+                            history_row(key)
+                            for key in range(next_key, next_key + count)
+                        )
+                        next_key += count
+                    elif kind == "delete" and table.row_count:
+                        table.delete_rowids(
+                            int(at * table.row_count) for at in step[1]
+                        )
+                    elif kind == "update" and table.row_count:
+                        _, at, column, choice = step
+                        cells = _CELLS[column]
+                        table.update_rowid(
+                            int(at * table.row_count), column, cells[choice % len(cells)]
+                        )
+                    elif kind == "rebuild" and db.catalog.has_index("ps"):
+                        with table.state_lock:
+                            db.catalog.index("ps").rebuild()
+                    elif kind == "index_ddl":
+                        if db.catalog.has_index("ps"):
+                            db.sql("DROP PATCHINDEX ps")
+                        else:
+                            db.sql("CREATE PATCHINDEX ps ON t(s) TYPE SORTED")
+                    elif kind == "checkpoint":
+                        summary = db.checkpoint()
+                        assert_files_match_a_rewrite(db, root)
+                        assert summary["table_details"]["t"] == rewrite_detail(db)
+                    elif kind == "reopen":
+                        db.close()
+                        db = repro.connect(str(root), sync=False)
+            finally:
+                db.close()
+
+    def test_a_zero_that_changes_sign_is_a_changed_row(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(str(root), sync=False)
+        schema = repro.Schema([repro.Field("f", repro.DataType.FLOAT64)])
+        db.create_table("t", schema, block_size=16)
+        db.table("t").insert_rows([(0.0,)] * 40 + [(math.nan,)])
+        db.checkpoint()
+        db.table("t").update_rowid(5, "f", -0.0)
+        summary = db.checkpoint()
+        # Block 0 differs in one bit; blocks 1 and 2 (NaN and all) carry.
+        assert (summary["blocks_carried"], summary["blocks_encoded"]) == (2, 1)
+        assert_files_match_a_rewrite(db, root)
+        db.close()
+
+    @pytest.mark.parametrize("damage", ["replaced", "removed", "truncated"])
+    def test_a_damaged_previous_file_is_encoded_afresh(self, tmp_path, damage):
+        root = build(tmp_path / "db")
+        db = repro.connect(str(root))
+        db.sql("DELETE FROM t WHERE k = 3")  # every column of p0 changes
+        victim = files(root)[0]
+        if damage == "replaced":
+            stand_in = victim.with_name("stand_in")
+            stand_in.write_bytes(b"not a segment")
+            os.replace(stand_in, victim)
+        elif damage == "removed":
+            victim.unlink()
+        else:  # the header of k survives, its blocks do not
+            with open(victim, "rb") as handle:
+                handle.readline()
+                handle.readline()
+                os.truncate(victim, handle.tell() + 10)
+        summary = db.checkpoint()
+        assert summary["segments_written"] == len(COLUMNS)
+        assert_files_match_a_rewrite(db, root)
+        db.close()
+
+    def test_an_append_carries_every_block_but_the_tail(self, tmp_path):
+        root = build(tmp_path / "db")
+        db = repro.connect(str(root))
+        # 600 rows of 256-row blocks: p3's k and s hold two full blocks
+        # and a partial one; the two strings are re-encoded whole.
+        insert(db, 10_000)
+        summary = db.checkpoint()
+        assert summary["blocks_carried"] == 4
+        assert summary["blocks_encoded"] == 2 + 2 * 3
+        assert counter(db, "checkpoint.blocks_carried") == 4
+        assert counter(db, "checkpoint.blocks_encoded") == 8
+        assert_files_match_a_rewrite(db, root)
+        db.close()
+
+    def test_a_mixed_ingest_round_encodes_only_the_changed_tail(self, tmp_path):
+        root = tmp_path / "db"
+        db = mixed_ingest_shape(root)
+        rows = db.table("t").row_count
+        counts = []
+        for cycle in range(30):
+            key = rows + cycle * 100
+            db.sql(
+                "INSERT INTO t VALUES "
+                + ", ".join(
+                    f"({k}, {k + 4 * rows}, {k if k % 100 else k // 7}, {k % 1000})"
+                    for k in range(key, key + 100)
+                )
+            )
+            if cycle % 10 == 9:
+                low = rows + (cycle - 9) * 100
+                db.sql(f"DELETE FROM t WHERE k BETWEEN {low} AND {low + 49}")
+            if cycle % 10 == 5:
+                summary = db.checkpoint()
+                counts.append((summary["blocks_carried"], summary["blocks_encoded"]))
+                assert summary["segments_carried"] == 12
+                assert_files_match_a_rewrite(db, root)
+        # p3 holds 13-14 blocks a column: all but the last one or two,
+        # which the appends and the delete changed, are carried.
+        for carried, encoded in counts:
+            assert encoded <= 8 and carried >= 48, counts
+        db.close()

@@ -258,6 +258,23 @@ class TestPatchBytes:
         db.close()
         assert repro.connect().checkpoint()["patches_bytes"] == 0
 
+    def test_the_manifest_is_the_one_shot_compact_dump(self, tmp_path):
+        """Written one index entry at a time, the manifest is still the
+        compact ``json.dumps`` of the whole document, byte for byte."""
+        root = tmp_path / "db"
+        db = mixed_ingest_shape(root, rows=20_000)
+        db.sql("CREATE TABLE e (k BIGINT)")
+        db.sql("CREATE PATCHINDEX pe ON e(k) TYPE UNIQUE")  # no patches
+        db.sql("INSERT INTO t VALUES (1, 1, 1, 1), (20001, 2, 0, 2)")
+        summary = db.checkpoint()
+        text = (root / "manifest.json").read_text(encoding="utf-8")
+        document = json.loads(text)
+        assert list(document["patches"]) == ["pi_u", "pi_s", "pe"]
+        assert text == json.dumps(document, separators=(",", ":")) + "\n"
+        patches = json.dumps(document["patches"], separators=(",", ":"))
+        assert summary["patches_bytes"] == len(patches)
+        db.close()
+
 
 class TestConcurrentCheckpoints:
     TRIALS = 20

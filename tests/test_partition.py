@@ -93,6 +93,25 @@ class TestMutation:
         partition.append({"x": ColumnVector.empty(DataType.INT64)})
         assert partition.row_count == 1
 
+    def test_appends_keep_nulls_and_every_earlier_vector(self):
+        """Tails with and without NULLs, into spare room and across
+        reallocations: the column reads every row with its NULLs, its
+        mask is None exactly while all rows are valid, and each vector
+        handed out earlier still reads its own rows."""
+        partition = make_partition([])
+        expected: list = []
+        earlier = []
+        tails = [[1, 2], [3], [None, 4], [5] * 9, [6, None], [7] * 40, [8]]
+        for tail in tails:
+            partition.append({"x": ColumnVector.from_pylist(DataType.INT64, tail)})
+            expected += tail
+            vector = partition.column("x")
+            assert vector.to_pylist() == expected
+            assert (vector.validity is None) == (None not in expected)
+            earlier.append((vector, list(expected)))
+        for vector, rows in earlier:
+            assert vector.to_pylist() == rows
+
     def test_replace_rows(self):
         partition = make_partition([1, 2, 3, 4])
         partition.replace_rows(np.array([True, False, True, False]))

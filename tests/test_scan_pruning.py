@@ -4,10 +4,16 @@ The physical planner turns a filter directly above a scan into rowid
 ranges by evaluating the predicate against the per-block min/max
 sketches.  Pruning is only ever allowed to drop blocks no row of which
 can satisfy the predicate, so the property is simple: the same query
-with ``derive_scan_ranges=False`` returns the same rows.
+with ``derive_scan_ranges=False`` returns the same rows — in memory, and
+after a checkpoint and a reopen, where the sketches come from segment
+headers.  A FLOAT64 column holds NaN (which compares false with
+everything but ``!=``), the infinities and ``-0.0``.
 """
 
 from __future__ import annotations
+
+import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -28,15 +34,19 @@ _SCHEMA = Schema(
         Field("a", DataType.INT64),
         Field("b", DataType.INT64),
         Field("s", DataType.STRING),
+        Field("f", DataType.FLOAT64),
     ]
 )
 _OPS = ["=", "<", "<=", ">", ">=", "!=", "<>"]
+#: Float cells besides small whole numbers and halves.
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0]
 
 
 @st.composite
 def tables(draw):
     """Up to 60 rows over 1-3 partitions of 4-row blocks: NULLs, an
-    unsorted column, a clustered one, strings, a partial last block."""
+    unsorted column, a clustered one, strings, floats with NaN, the
+    infinities and -0.0, a partial last block."""
     rows = draw(st.integers(0, 60))
     integers = st.one_of(st.none(), st.integers(0, 30))
     a = draw(st.lists(integers, min_size=rows, max_size=rows))
@@ -44,12 +54,19 @@ def tables(draw):
         a = sorted(a, key=lambda v: (v is None, v))
     b = draw(st.lists(integers, min_size=rows, max_size=rows))
     s = [None if v is None else f"k{v:02d}" for v in b]
+    floats = st.one_of(
+        st.none(),
+        st.sampled_from(_SPECIAL_FLOATS),
+        st.integers(-4, 60).map(lambda v: v / 2),
+    )
+    f = draw(st.lists(floats, min_size=rows, max_size=rows))
     table = Table("t", _SCHEMA, draw(st.integers(1, 3)), block_size=4)
     table.load_columns(
         {
             "a": ColumnVector.from_pylist(DataType.INT64, a),
             "b": ColumnVector.from_pylist(DataType.INT64, b),
             "s": ColumnVector.from_pylist(DataType.STRING, s),
+            "f": ColumnVector.from_pylist(DataType.FLOAT64, f),
         }
     )
     return table
@@ -58,10 +75,12 @@ def tables(draw):
 @st.composite
 def predicates(draw, depth=0):
     shape = draw(st.integers(0, 5 if depth < 2 else 3))
-    column = draw(st.sampled_from(["a", "b", "s"]))
+    column = draw(st.sampled_from(["a", "b", "s", "f"]))
 
     def literal() -> str:
         value = draw(st.integers(-2, 32))
+        if column == "f":
+            return draw(st.sampled_from(["-0.0", "0.0", f"{value / 2}"]))
         return f"'k{value:02d}'" if column == "s" else str(value)
 
     if shape == 0:
@@ -88,9 +107,37 @@ def predicates(draw, depth=0):
 def _plan(table: Table, query: str, **planner_knobs):
     catalog = Catalog()
     catalog.add_table(table)
+    return _plan_in(catalog, query, **planner_knobs)
+
+
+def _plan_in(catalog: Catalog, query: str, **planner_knobs):
     logical = Binder(catalog).bind_select(parse_statement(query))
     optimized = Optimizer(catalog).optimize(logical)
     return PhysicalPlanner(**planner_knobs).plan(optimized)
+
+
+def _rows(operator) -> list[tuple]:
+    """The rows *operator* returns, NaN spelled out so that equal rows
+    compare equal."""
+    return [
+        tuple("NaN" if value != value else value for value in row)
+        for row in collect(operator).to_pylist()
+    ]
+
+
+def _reopened(table: Table, root: str) -> Database:
+    """A durable database holding *table*'s rows, checkpointed and
+    reopened: its block sketches are the segment headers'."""
+    db = Database(path=root, sync=False)
+    copy = db.create_table(
+        "t", _SCHEMA, partition_count=table.partition_count, block_size=4
+    )
+    copy.load_columns(
+        {name: table.read_column(name) for name in _SCHEMA.names}
+    )
+    db.checkpoint()
+    db.close()
+    return Database(path=root, sync=False)
 
 
 def _scans(operator):
@@ -104,10 +151,10 @@ class TestPruningNeverLosesRows:
     @given(tables(), predicates())
     @settings(max_examples=300, deadline=None)
     def test_same_rows_with_and_without_ranges(self, table, predicate):
-        query = f"SELECT a, b, s, tid FROM t WHERE {predicate}"
+        query = f"SELECT a, b, s, f, tid FROM t WHERE {predicate}"
         pruned = _plan(table, query, parallelism=1)
         unpruned = _plan(table, query, parallelism=1, derive_scan_ranges=False)
-        assert collect(pruned).to_pylist() == collect(unpruned).to_pylist()
+        assert _rows(pruned) == _rows(unpruned)
         verify_plan(pruned)
         for scan in _scans(pruned):
             ranges = scan.scan_ranges
@@ -123,13 +170,74 @@ class TestPruningNeverLosesRows:
     def test_parallel_fragments_prune_the_same(self, table, predicate):
         # ORDER BY: only a terminal fans out, and a stable parallel
         # sort returns ties in rowid order however the morsels split.
-        query = f"SELECT a, b, s FROM t WHERE {predicate} ORDER BY b"
+        query = f"SELECT a, b, s, f FROM t WHERE {predicate} ORDER BY b"
         knobs = dict(parallelism=2, morsel_size=4)
-        pruned = collect(_plan(table, query, **knobs)).to_pylist()
-        unpruned = collect(
-            _plan(table, query, derive_scan_ranges=False, **knobs)
-        ).to_pylist()
+        pruned = _rows(_plan(table, query, **knobs))
+        unpruned = _rows(_plan(table, query, derive_scan_ranges=False, **knobs))
         assert pruned == unpruned
+
+    @given(tables(), predicates())
+    @settings(max_examples=60, deadline=None)
+    def test_same_rows_after_a_reopen(self, table, predicate):
+        query = f"SELECT a, b, s, f, tid FROM t WHERE {predicate}"
+        with tempfile.TemporaryDirectory() as root:
+            db = _reopened(table, root)
+            try:
+                pruned = _plan_in(db.catalog, query, parallelism=1)
+                unpruned = _plan_in(
+                    db.catalog, query, parallelism=1, derive_scan_ranges=False
+                )
+                assert _rows(pruned) == _rows(unpruned)
+            finally:
+                db.close()
+
+
+class TestNaNBounds:
+    """A NaN in a FLOAT64 block once made its bounds NaN, every
+    comparison with them false, and the block pruned: rows that matched
+    were dropped, in memory and after a reopen."""
+
+    @staticmethod
+    def _counts(db: Database, queries: list[str]) -> list[int]:
+        return [db.sql(f"SELECT COUNT(*) AS n FROM t WHERE {q}").scalar() for q in queries]
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "reopened"])
+    def test_a_nan_does_not_hide_its_block(self, tmp_path, durable):
+        root = str(tmp_path / "db") if durable else None
+        db = Database(path=root, sync=False)
+        db.sql("CREATE TABLE t (x DOUBLE)")
+        x = np.concatenate([np.arange(5000.0), [math.nan], np.full(10, 5.0)])
+        db.table("t").load_columns({"x": ColumnVector(DataType.FLOAT64, x)})
+        wide = np.arange(10_000.0)
+        wide[0] = math.nan
+        db.sql("CREATE TABLE w (x DOUBLE)")
+        db.table("w").load_columns({"x": ColumnVector(DataType.FLOAT64, wide)})
+        if durable:
+            db.checkpoint()
+            db.close()
+            db = Database(path=root, sync=False)
+        narrow = ["x = 5.0", "x + 0.0 = 5.0", "x != 5.0", "x + 0.0 != 5.0"]
+        assert self._counts(db, narrow) == [11, 11, 5000, 5000]
+        counts = [
+            db.sql(f"SELECT COUNT(*) AS n FROM w WHERE {q}").scalar()
+            for q in ("x >= 0.0", "x < 100.0", "x = 4095.0", "x != 1.0")
+        ]
+        assert counts == [9999, 99, 1, 9999]
+        db.close()
+
+    def test_a_float_block_equal_to_the_literal_keeps_its_nan_for_not_equal(self):
+        db = Database()
+        db.sql("CREATE TABLE t (x DOUBLE)")
+        x = np.array([2.0, math.nan, 2.0, 2.0, 2.0, 2.0])
+        db.table("t").load_columns({"x": ColumnVector(DataType.FLOAT64, x)})
+        assert self._counts(db, ["x != 2.0", "x <> 2.0", "x = 2.0"]) == [1, 1, 5]
+        db.close()
+
+    def test_nan_bounds_from_an_older_header_never_prune(self):
+        from repro.storage.blocks import BlockStats
+
+        legacy = BlockStats(0, 4, math.nan, math.nan, 0)
+        assert all(legacy.may_contain(op, 1.0) for op in _OPS)
 
 
 def _covered(operator) -> int:

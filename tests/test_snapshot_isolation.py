@@ -22,9 +22,11 @@ import gc
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 import repro
+from repro.storage.blocks import compute_block_stats
 from repro.storage.manifest import read_manifest
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
@@ -273,6 +275,75 @@ class TestFrozenAtItsPin:
             assert view.sql("SELECT u, s, w FROM f").to_pylist() == list(
                 zip(*pinned[0].values())
             )
+
+
+class TestAppendsIntoSpareRoom:
+    """An append writes past the live rows of a buffer its partition
+    shares with every pin and copy taken before it; those vectors end
+    where the spare room begins, so nothing written later shows in them,
+    and a copy that appends too claims no room another vector reads."""
+
+    ROWS = "SELECT batch, x FROM t"
+    CHECKSUM = "SELECT COUNT(*) AS n, COUNT(x) AS c, SUM(x) AS s, SUM(batch) AS b FROM t"
+
+    def test_a_pin_never_sees_a_later_append(self, db):
+        table = db.table("t")
+        expected = [(0, i if i % 7 else None) for i in range(5000)]
+        table.insert_rows(expected)
+        table.insert_rows([(1, 1)])  # a second append: now there is room
+        expected.append((1, 1))
+        view = db.snapshot()
+        twin = table.copy()  # a copy that will append, as either side may
+        rows = view.sql(self.ROWS).to_pylist()
+        checksum = view.sql(self.CHECKSUM).to_pylist()
+        pruned = view.sql("SELECT COUNT(*) AS n FROM t WHERE batch = 1").to_pylist()
+        pinned = {
+            name: view.table("t").partitions[-1].column(name)
+            for name in ("batch", "x")
+        }
+        stats = {name: compute_block_stats(vector, 4096) for name, vector in pinned.items()}
+        assert rows == expected
+
+        def tail_is_private() -> None:
+            live = db.table("t").partitions[-1]
+            for name, vector in pinned.items():
+                grown = live.column(name)
+                tail = slice(len(vector), None)
+                assert not np.shares_memory(grown.values[tail], vector.values)
+                if grown.validity is not None and vector.validity is not None:
+                    assert not np.shares_memory(
+                        grown.validity[tail], vector.validity
+                    )
+
+        for i in range(1000):
+            row = (2, i if i % 5 else None)
+            table.insert_rows([row])
+            expected.append(row)
+            if i % 100 == 99:
+                tail_is_private()
+            if i == 100:  # the live rows still fill the buffer both share
+                twin.insert_rows([(9, 9)])
+        assert twin.read_column("batch").to_pylist() == [b for b, _ in rows] + [9]
+        db.sql("DELETE FROM t WHERE x = 3")
+        expected = [row for row in expected if row[1] != 3]
+        table.update_rowid(0, "x", 42)
+        expected[0] = (0, 42)
+        db.checkpoint()
+        for i in range(100):
+            table.insert_rows([(3, i)])
+            expected.append((3, i))
+        assert db.sql(self.ROWS).to_pylist() == expected
+        assert view.sql(self.ROWS).to_pylist() == rows
+        assert view.sql(self.CHECKSUM).to_pylist() == checksum
+        assert (
+            view.sql("SELECT COUNT(*) AS n FROM t WHERE batch = 1").to_pylist()
+            == pruned
+        )
+        for name, vector in pinned.items():
+            again = view.table("t").partitions[-1].column(name)
+            assert again is vector
+            assert compute_block_stats(again, 4096) == stats[name]
+        view.close()
 
 
 class TestNoStallAfterDeleteOrReopen:
