@@ -134,15 +134,16 @@ def main() -> int:
         strawman = run_arm(workdir / "strawman", True)
 
         # Recovery: reopen the incremental directory as-is (restore
-        # path), then again with the manifest's patch-set entries
-        # stripped (forced rebuild-from-data fallback).
+        # path), then again with the patch-set entries stripped from the
+        # log's head record (forced rebuild-from-data fallback).
         with_patches = measure_recovery(workdir / "incremental")
         stripped = workdir / "stripped"
         shutil.copytree(workdir / "incremental", stripped)
-        manifest = stripped / "manifest.json"
-        raw = json.loads(manifest.read_text(encoding="utf-8"))
-        raw["patches"] = {}
-        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        log = stripped / "wal.jsonl"
+        head, tail = log.read_bytes().split(b"\n", 1)
+        record = json.loads(head)
+        record["payload"]["patches"] = {}
+        log.write_bytes(json.dumps(record).encode("utf-8") + b"\n" + tail)
         without_patches = measure_recovery(stripped)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -3,16 +3,18 @@
 Measures the durable engine's two end-of-life paths over a nearly
 unique column carrying a NUC PatchIndex:
 
-- ``checkpoint``: flush every partition to columnar segment files,
-  write the manifest, log the WAL marker and compact the log;
-- ``recover``: reopen the directory cold — load segments (block
-  sketches included), replay the WAL tail and rebuild the PatchIndex
-  from data (paper §V: patches are never logged).
+- ``checkpoint``: write one segment file per partition and install the
+  manifest (tables, partition files, index definitions and the
+  PatchIndex's patch sets) as the log's head record, with one rename;
+- ``recover``: reopen the directory cold — read the log once, load the
+  segments the head names (block sketches included), restore the
+  PatchIndex from the head's patch sets (discovery from data, paper
+  §V, is the fallback when they are unusable) and replay the records
+  after the head: one append of 5 % more rows, which the index
+  re-classifies.
 
-A reopen after a clean checkpoint is segment-bound; a reopen of a
-directory whose tail still holds row appends is replay-bound.  Both
-are measured, results are sanity-checked (identical COUNT DISTINCT
-before and after), and the sweep lands in ``BENCH_recovery.json``.
+Results are sanity-checked (identical COUNT DISTINCT before and after,
+a recovered index), and the sweep lands in ``BENCH_recovery.json``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_recovery.py
 

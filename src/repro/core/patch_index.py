@@ -144,6 +144,21 @@ class PatchIndex:
         """Physical design actually in use ("identifier" / "bitmap")."""
         return self._partition_patches[0].design if self._partition_patches else "identifier"
 
+    def definition(self) -> dict:
+        """What a ``create_index`` record and the checkpoint's head carry
+        for this index: enough to discover it again (paper §V)."""
+        return {
+            "name": self.name,
+            "table": self.table_name,
+            "column": self.column_name,
+            "kind": self.kind,
+            "mode": self.mode.value if self.mode is not None else None,
+            "threshold": self.threshold,
+            "scope": self.scope,
+            "ascending": self.ascending,
+            "strict": self.strict,
+        }
+
     def detach(self) -> None:
         """Unregister from table mutation events (called on DROP)."""
         try:

@@ -267,7 +267,7 @@ class ReproServer:
 
         Consecutive ``write`` statements share one ``deferred_sync``
         scope (group commit); checkpoints run alone so a checkpoint's
-        own sync/compact never nests inside a deferred-sync batch.  A
+        own sync and log install never nest inside a deferred-sync batch.  A
         scope that fails on the way out fails its statements, not the
         writer thread.
         """

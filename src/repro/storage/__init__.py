@@ -16,7 +16,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.wal import WriteAheadLog, WalRecord
 from repro.storage.database import Database
 from repro.storage.segment import read_segment, write_segment
-from repro.storage.manifest import Manifest, read_manifest, write_manifest
+from repro.storage.manifest import Manifest
 from repro.storage.engine import DurableEngine, MemoryEngine, StorageEngine
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "read_segment",
     "write_segment",
     "Manifest",
-    "read_manifest",
-    "write_manifest",
     "StorageEngine",
     "MemoryEngine",
     "DurableEngine",

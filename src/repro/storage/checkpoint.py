@@ -264,23 +264,13 @@ def persisted_index_entry(index) -> dict:
     """Checksummed manifest ``patches`` entry for one PatchIndex.
 
     Captures everything a restore needs without touching table data: the
-    definition (to match against the WAL ``create_index`` record), the
+    definition (to match against the one the log's head carries), the
     physical design, the rebuild count, the drift counters and the
     materialized per-partition patch sets as of the checkpoint.
     """
     stats = index.maintenance_stats()
     body = {
-        "definition": {
-            "name": index.name,
-            "table": index.table_name,
-            "column": index.column_name,
-            "kind": index.kind,
-            "mode": index.mode.value if index.mode is not None else None,
-            "threshold": index.threshold,
-            "scope": index.scope,
-            "ascending": index.ascending,
-            "strict": index.strict,
-        },
+        "definition": index.definition(),
         "design": index.design,
         "rebuild_count": index.rebuild_count,
         "stats": stats.to_payload() if stats is not None else None,
@@ -301,7 +291,8 @@ def patch_sets(catalog: Catalog) -> dict[str, dict]:
     manifest's ``patches``.
 
     With the patch sets persisted per checkpoint, recovery restores them
-    and lets the indexes re-classify the WAL tail's data records, instead
+    and lets the indexes re-classify the data records after the log's
+    head, instead
     of re-discovering every index from data.
     """
     return {

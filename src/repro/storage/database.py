@@ -8,10 +8,10 @@ the optimizer and the executor together.
 Recovery follows the paper's design (§V): the WAL records *that* a
 PatchIndex exists (name, table, column, kind, mode, threshold), never its
 patches.  A reopen restores indexes from the checkpoint's persisted patch
-sets (or discovers them from data) and replays the WAL's data tail
-through the tables, which the indexes re-classify exactly as they did
-live (:mod:`repro.storage.materialize`); an index no checkpoint covers
-yet is discovered from data as its ``create_index`` replays.  The
+sets (or discovers them from data) and replays the records after the
+log's head through the tables, which the indexes re-classify exactly as
+they did live (:mod:`repro.storage.materialize`); an index no checkpoint
+covers yet is discovered from data as its ``create_index`` replays.  The
 database is also where
 maintenance meets self-management: every maintained mutation and every
 rebuild of an index reaches :meth:`Database._on_index_event`, which
@@ -24,8 +24,9 @@ exist, selected at construction through the storage engine seam
 - in-memory (the default): nothing is persisted.
 - durable (``Database(path=...)`` / ``repro.connect(path=...)``): row
   data is WAL-logged and checkpointed into columnar segment files, and
-  reopening the same path runs full recovery — manifest load, PatchIndex
-  restore or re-discovery, WAL tail replay — automatically.
+  reopening the same path runs full recovery — the log's head record,
+  PatchIndex restore or re-discovery, replay of the records after it —
+  automatically.
 """
 
 from __future__ import annotations
@@ -351,20 +352,7 @@ class Database:
                 strict=strict,
             )
             self._adopt_index(index)
-            self.wal.append(
-                "create_index",
-                {
-                    "name": index_name,
-                    "table": table_name,
-                    "column": column_name,
-                    "kind": kind,
-                    "mode": mode,
-                    "threshold": threshold,
-                    "scope": scope,
-                    "ascending": ascending,
-                    "strict": strict,
-                },
-            )
+            self.wal.append("create_index", index.definition())
         return index
 
     def _adopt_index(self, index: "PatchIndex") -> None:
@@ -395,9 +383,9 @@ class Database:
         """Durably flush state through the storage engine.
 
         For a durable database this writes a file for every partition
-        that changed, installs the manifest, marks the WAL and prunes records
-        the checkpoint made redundant; for an in-memory database it
-        writes the marker and compacts metadata.  Returns a summary dict
+        that changed and installs the manifest naming them as the log's
+        head record, dropping the records it covers; for an in-memory
+        database it writes nothing.  Returns a summary dict
         (engine, lsn, segment counts/bytes, records pruned, seconds) and
         feeds ``checkpoint.seconds`` / ``checkpoint.count`` metrics.
         """

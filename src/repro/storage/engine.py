@@ -9,19 +9,21 @@ A :class:`~repro.storage.database.Database` delegates everything about
 - what a ``CHECKPOINT`` does,
 - and how a database instance is brought back after a restart.
 
-Two engines exist.  :class:`MemoryEngine` persists nothing: its WAL is
-an in-memory list.  :class:`DurableEngine` manages a *data directory*
-(layout: :mod:`repro.storage.manifest`) and is the lifecycle around
-three modules that do the work:
+Two engines exist.  :class:`MemoryEngine` persists nothing: its WAL
+assigns LSNs and keeps no record.  :class:`DurableEngine` manages a
+*data directory* (layout: :mod:`repro.storage.manifest`) and is the
+lifecycle around the modules that do the work:
 
 - :mod:`repro.storage.checkpoint` writes what the next manifest names:
   a file per changed partition (a partition nothing changed keeps the
   file it has) plus the PatchIndexes' patch sets, from a snapshot copy
   of the catalog;
+- :mod:`repro.storage.wal` installs that manifest as the log's head
+  record, in front of the records the checkpoint does not cover;
 - :mod:`repro.storage.materialize` reads it back: tables from segments
   and PatchIndexes from the persisted patch sets (or discovered from
-  data, paper §V), then one pass over the WAL tail that the indexes
-  re-classify — recovery, and nothing else;
+  data, paper §V), then one pass over the records after the head that
+  the indexes re-classify — recovery, and nothing else;
 - :mod:`repro.storage.snapshot` pins copies of the live catalog for
   readers, serializes them with the checkpoint flip, and decides which
   files a flip or a release frees.
@@ -38,6 +40,7 @@ rowid invariants (§VI-A1) work unchanged.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from pathlib import Path
@@ -60,12 +63,12 @@ from repro.storage.manifest import (
     WAL_NAME,
     Manifest,
     TableManifest,
-    read_manifest,
+    refuse_manifest_file,
 )
 from repro.storage.materialize import load_tables, replay_log
 from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry, delete_files
 from repro.storage.table import Table
-from repro.storage.wal import DATA_KINDS, WriteAheadLog, live_records_of
+from repro.storage.wal import WriteAheadLog, fsync_directory
 from repro.types import DataType
 from repro.types.datatypes import coerce_scalar
 
@@ -116,9 +119,9 @@ def encoded_ratio(table: Table) -> float:
 class StorageEngine:
     """Interface a Database persists through; also the in-memory engine.
 
-    The base class implements the in-memory behaviour: table data and
-    the WAL live in memory, a checkpoint writes a WAL marker and
-    compacts the log, and there is nothing to recover.
+    The base class implements the in-memory behaviour: table data lives
+    in memory, the WAL keeps no record, a checkpoint writes nothing, and
+    there is nothing to recover.
     """
 
     name = "memory"
@@ -134,7 +137,7 @@ class StorageEngine:
 
     def pin_snapshot(self, database: "Database") -> SnapshotHandle:
         """Pin a copy of *database*'s catalog as it is now."""
-        return self._snapshots.pin(database.catalog, database.wal)
+        return self._snapshots.pin(database.catalog)
 
     def release_snapshot(self, handle: SnapshotHandle) -> None:
         """Drop one pin; files only it kept alive are deleted."""
@@ -158,12 +161,9 @@ class StorageEngine:
 
     def checkpoint(self, database: "Database") -> dict:
         """Durably flush state; returns a summary for the caller."""
-        lsn = database.wal.last_lsn
-        database.wal.checkpoint({"checkpoint_lsn": lsn})
-        pruned = database.wal.compact()
         return {
             "engine": self.name,
-            "lsn": lsn,
+            "lsn": database.wal.last_lsn,
             "tables": len(database.catalog.table_names()),
             "segments": 0,
             "segments_written": 0,
@@ -172,7 +172,7 @@ class StorageEngine:
             "blocks_encoded": 0,
             "segment_bytes": 0,
             "patches_bytes": 0,
-            "wal_pruned": pruned,
+            "wal_pruned": 0,  # the in-memory log keeps no record
         }
 
     def close(self, database: "Database") -> None:
@@ -228,8 +228,11 @@ class DurableEngine(StorageEngine):
     # -- lifecycle --------------------------------------------------------
 
     def open_wal(self, database: "Database") -> WriteAheadLog:
+        refuse_manifest_file(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / SEGMENTS_DIR).mkdir(exist_ok=True)
+        # An install that crashed before its rename: the log is whole.
+        (self.root / (WAL_NAME + ".tmp")).unlink(missing_ok=True)
         if self._cache is not None:
             self._cache.attach_metrics(database.obs)
         return WriteAheadLog(
@@ -275,23 +278,26 @@ class DurableEngine(StorageEngine):
     # -- checkpoint -------------------------------------------------------
 
     def checkpoint(self, database: "Database") -> dict:
-        """Write what changed, flip the manifest to it, free what it
-        superseded.
+        """Write what changed, install a head record naming it, free what
+        it superseded.
 
         Pin a copy (under the state lock, as every pin); outside every
         lock but this engine's checkpoint lock, keep the copy's clean
         partition files, write the rest, and flip to a manifest naming
-        them and carrying the patch sets; the release of the pin deletes
-        the files no live manifest names.  Live partitions keep their
-        segment sources: their readers' open files stay valid after a
-        name is gone.
+        them and carrying the patch sets: the log's new head
+        (:meth:`~repro.storage.wal.WriteAheadLog.install`); the release
+        of the pin deletes the files no live manifest names.  Live
+        partitions keep their segment sources: their readers' open files
+        stay valid after a name is gone.
         """
         with self._checkpoint_lock:  # lock-ok: serializes whole checkpoints; their file writes are what it orders
             return self._checkpoint_locked(database)
 
     def _checkpoint_locked(self, database: "Database") -> dict:
-        handle = self._snapshots.pin(database.catalog, database.wal)
-        catalog, lsn, previous = handle.catalog, handle.wal_lsn, handle.manifest
+        with database.catalog.state_lock:  # no append between pin and reserve
+            handle = self._snapshots.pin(database.catalog)
+            lsn, since = database.wal.reserve()
+        catalog, previous = handle.catalog, handle.manifest
         obs = database.obs
         tables: dict[str, TableManifest] = {}
         table_details: dict[str, dict] = {}
@@ -318,13 +324,22 @@ class DurableEngine(StorageEngine):
                 obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
                 obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
             manifest = Manifest(
-                checkpoint_lsn=lsn, tables=tables, patches=patch_sets(catalog)
+                checkpoint_lsn=lsn,
+                tables=tables,
+                indexes=[index.definition() for index in catalog.indexes()],
+                patches=patch_sets(catalog),
             )
-            pruned, patches_bytes = self._snapshots.flip(
-                manifest, database.wal, sync=self.sync
-            )
+            kept = previous.files() if previous is not None else frozenset()
+            if self.sync and manifest.files() - kept:
+                # The new files' names, before the log names them.
+                fsync_directory(self.root / SEGMENTS_DIR)
+            patches_bytes = self._snapshots.flip(manifest, database.wal, since)
         finally:
             self.release_snapshot(handle)
+        # The old log held its head (if any) and one record per LSN up to
+        # this checkpoint's (LSNs are consecutive but for one a failed
+        # checkpoint reserved).
+        pruned = lsn - (1 if previous is None else previous.checkpoint_lsn)
         obs.gauge("storage.checkpoint_lsn").set(lsn)
         obs.gauge("storage.patches_bytes").set(patches_bytes)
         carried = counts["segments_carried"]
@@ -344,25 +359,36 @@ class DurableEngine(StorageEngine):
             "table_details": table_details,
         }
 
+    def close(self, database: "Database") -> None:
+        database.wal.close()
+
     # -- recovery ---------------------------------------------------------
 
     def recover(self, database: "Database") -> None:
         """Materialize the directory's state into the live catalog.
 
-        The manifest's tables and the PatchIndexes its patch sets restore
-        (or that are discovered from data), then one pass over the WAL
-        tail in LSN order that the indexes re-classify as it replays
+        One read of the log: its head record's tables and the
+        PatchIndexes its patch sets restore (or that are discovered from
+        data), then every later record in order, which the indexes
+        re-classify as it replays
         (:func:`~repro.storage.materialize.replay_log`).
         ``recovery.indexes_restored`` vs ``recovery.indexes_rebuilt``
         report which path each index took, ``recovery.index_fallbacks``
         how many discoveries were refused restores.
         """
         started = time.perf_counter()
-        manifest = read_manifest(self.root)
-        generation_lsn = manifest.checkpoint_lsn if manifest is not None else 0
-        # A crash before a flip leaves files no manifest names yet, one
-        # after it files only the superseded manifest named: nothing
-        # pins either.
+        records = database.wal.records()
+        first = next(records, None)
+        manifest = None
+        if first is not None and first.kind == "checkpoint":
+            try:
+                manifest = Manifest.from_payload(first.payload)
+            except StorageError as exc:
+                raise StorageError(f"{self.root / WAL_NAME}: {exc}") from exc
+            first = None
+        # A crash before an install leaves files no head names yet, one
+        # after it files only the superseded head named: nothing pins
+        # either.
         named = manifest.files() if manifest is not None else frozenset()
         delete_files(
             [
@@ -373,9 +399,8 @@ class DurableEngine(StorageEngine):
             ],
             database.obs,
         )
-        records = database.wal.records()
         tables = load_tables(self.root, manifest, cache=self._cache)
-        # Read off the segment headers now: the tail replay below
+        # Read off the segment headers now: the replay below
         # materializes the partitions it mutates.
         ratios = {name: encoded_ratio(table) for name, table in tables.items()}
         with self._checkpoint_lock:  # what a checkpoint reads and writes
@@ -384,22 +409,15 @@ class DurableEngine(StorageEngine):
             )
             self._encoded_ratios.update(ratios)
         recovered = replay_log(
-            records,
+            records if first is None else itertools.chain([first], records),
             tables,
-            generation_lsn,
-            manifest.patches if manifest is not None else {},
+            manifest,
         )
         database._install_recovered(recovered)
         obs = database.obs
         obs.counter("recovery.count").inc()
         obs.histogram("recovery.seconds").observe(time.perf_counter() - started)
-        obs.gauge("recovery.replayed_records").set(
-            sum(
-                1
-                for record in live_records_of(records)
-                if record.kind in DATA_KINDS and record.lsn > generation_lsn
-            )
-        )
+        obs.gauge("recovery.replayed_records").set(recovered.replayed)
         obs.gauge("recovery.indexes_restored").set(len(recovered.restored))
         obs.gauge("recovery.indexes_rebuilt").set(
             len(recovered.indexes) - len(recovered.restored)

@@ -1,23 +1,19 @@
-"""The versioned manifest of a durable database directory.
+"""The manifest: what a checkpoint record holds, and the directory layout.
 
-The manifest is the root of the on-disk state: it names every table, its
-schema and partition layout, the file backing each partition and where
-in it each column's segment sits, all as of one checkpoint LSN.
-Everything in the WAL with an LSN at or below ``checkpoint_lsn`` is
-already reflected in the segments; :mod:`repro.storage.materialize`
-loads the manifest first and then replays only the WAL tail beyond it.
-It also carries ``patches``, the materialized patch sets of every
-PatchIndex as of the checkpoint (one checksummed entry per index), from
-which indexes are restored.
+A checkpoint is the head record of the log (:mod:`repro.storage.wal`):
+the first line of ``wal.jsonl``, a ``checkpoint`` record whose payload
+is a :class:`Manifest`.  It names every table, its schema and partition
+layout, the file backing each partition and where in it each column's
+segment sits, the definition of every PatchIndex, and ``patches``, the
+materialized patch sets of every PatchIndex (one checksummed entry per
+index), all as of one ``checkpoint_lsn``.  Every later line of the log
+is a record with a greater LSN: recovery
+(:mod:`repro.storage.materialize`) loads the manifest and replays them.
 
-The manifest is a single compact JSON document written atomically (temp
-file + fsync + rename), so a crash during checkpoint leaves either the
-old or the new manifest, never a torn one, and one rename installs the
-segments and the patch sets together.  This module also owns the layout
-of the data directory around it::
+This module owns the payload's JSON and the layout of the data
+directory::
 
-    <root>/wal.jsonl                        metadata + data WAL
-    <root>/manifest.json                    this file
+    <root>/wal.jsonl                        head record + the log after it
     <root>/segments/<table>.p<k>.<lsn>.seg  one file per partition
 
 A partition file holds its columns' segments back to back and is
@@ -33,29 +29,26 @@ files no live manifest names
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 from urllib.parse import quote
 
 from repro.errors import StorageError
 
 #: Bump when the manifest or segment layout changes incompatibly.
-#: Version 4 is one file per partition in a flat ``segments/``, with the
-#: patch sets inside the manifest.  Versions 1-3 are rejected, not read:
-#: 1-2 (raw RSEG1 segments, no persisted patch sets) never shipped in a
-#: directory, 3 kept one directory of per-column files and a
-#: ``patches.json`` per checkpoint.
-FORMAT_VERSION = 4
-
-#: Manifest versions this reader understands.
-SUPPORTED_VERSIONS = frozenset({4})
+#: Version 5 is the checkpoint as the log's head record.  Older
+#: directories are refused, not read: they keep a ``manifest.json``
+#: (:func:`refuse_manifest_file`).  1-2 (raw RSEG1 segments, no
+#: persisted patch sets) never shipped in a directory, 3 kept one
+#: directory of per-column files and a ``patches.json`` per checkpoint,
+#: 4 the manifest in its own file beside the log.
+FORMAT_VERSION = 5
 
 #: JSON separators of the manifest: compact, so a patch set's rowids
 #: take one comma each.
-_COMPACT = (",", ":")
+COMPACT = (",", ":")
 
-MANIFEST_NAME = "manifest.json"
 WAL_NAME = "wal.jsonl"
 SEGMENTS_DIR = "segments"
 
@@ -66,6 +59,22 @@ def partition_file(table: str, partition_id: int, checkpoint_lsn: int) -> str:
     name may hold ``/``: it is percent-encoded, never a path)."""
     name = quote(table, safe="")
     return f"{SEGMENTS_DIR}/{name}.p{partition_id}.{checkpoint_lsn:012d}.seg"
+
+
+def refuse_manifest_file(root: Path) -> None:
+    """Raise :class:`StorageError` when *root* holds a ``manifest.json``:
+    a directory of format 4 or older, named by the version it records."""
+    path = root / "manifest.json"
+    if not path.exists():
+        return
+    try:
+        version = json.loads(path.read_text(encoding="utf-8")).get("format_version")
+    except (OSError, ValueError, AttributeError):
+        version = "unknown"
+    raise StorageError(
+        f"{path}: manifest format version {version} is not supported "
+        f"(expected {FORMAT_VERSION}: the checkpoint is the head of {WAL_NAME})"
+    )
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,13 @@ class Manifest:
 
     checkpoint_lsn: int
     tables: dict[str, TableManifest] = field(default_factory=dict)
+    #: Every PatchIndex's definition, a ``create_index`` payload
+    #: (:meth:`repro.core.patch_index.PatchIndex.definition`), in catalog
+    #: order.
+    indexes: list[dict] = field(default_factory=list)
     #: Index name → checksummed patch-set entry
     #: (:func:`repro.storage.checkpoint.persisted_index_entry`).
     patches: dict[str, dict] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def files(self) -> frozenset[str]:
         """Every partition file this manifest names."""
@@ -115,12 +127,18 @@ class Manifest:
             for partition in table.partitions
         )
 
-    def catalog_json(self) -> str:
-        """The manifest as compact JSON, but for its ``patches`` key
-        (:func:`write_manifest` streams that one)."""
-        return json.dumps(
+    def write(self, out: BinaryIO) -> int:
+        """Write the manifest to *out* as one compact JSON object; returns
+        the bytes its patch sets take.
+
+        The patch sets are written one index at a time, each encoded in one
+        call of the C encoder (``iterencode`` would run the pure-Python
+        one), so no string holds more than one index's patch sets.
+        """
+        encode = json.JSONEncoder(separators=COMPACT).encode
+        head = encode(
             {
-                "format_version": self.format_version,
+                "format_version": FORMAT_VERSION,
                 "checkpoint_lsn": self.checkpoint_lsn,
                 "tables": {
                     name: {
@@ -140,37 +158,44 @@ class Manifest:
                     }
                     for name, table in sorted(self.tables.items())
                 },
-            },
-            separators=_COMPACT,
+                "indexes": self.indexes,
+            }
         )
+        # ASCII throughout: ensure_ascii is on.
+        out.write((head[:-1] + ',"patches":{').encode("ascii"))
+        patches_bytes = 2  # the braces
+        for position, (name, entry) in enumerate(self.patches.items()):
+            chunk = ("," if position else "") + encode(name) + ":" + encode(entry)
+            out.write(chunk.encode("ascii"))
+            patches_bytes += len(chunk)
+        out.write(b"}}")
+        return patches_bytes
 
     @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StorageError("corrupt manifest: not valid JSON") from exc
-        if not isinstance(raw, dict) or "checkpoint_lsn" not in raw:
+    def from_payload(cls, raw: dict) -> "Manifest":
+        """The manifest a checkpoint record's payload holds."""
+        if "checkpoint_lsn" not in raw:
             raise StorageError("corrupt manifest: missing checkpoint_lsn")
-        version = int(raw.get("format_version", 0))
-        if version not in SUPPORTED_VERSIONS:
+        version = raw.get("format_version")
+        if version != FORMAT_VERSION:
             raise StorageError(
                 f"manifest format version {version} is not supported "
-                f"(expected one of {sorted(SUPPORTED_VERSIONS)})"
+                f"(expected {FORMAT_VERSION})"
             )
         try:
             tables = {
                 name: _table_from_json(name, entry)
                 for name, entry in raw.get("tables", {}).items()
             }
+            indexes = [dict(definition) for definition in raw.get("indexes", [])]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise StorageError(f"corrupt manifest: bad table entry ({exc!r})") from exc
         patches = raw.get("patches")
         return cls(
             checkpoint_lsn=int(raw["checkpoint_lsn"]),
             tables=tables,
+            indexes=indexes,
             patches=dict(patches) if isinstance(patches, dict) else {},
-            format_version=version,
         )
 
 
@@ -193,43 +218,3 @@ def _table_from_json(name: str, entry: dict) -> TableManifest:
             for partition in entry["partitions"]
         ],
     )
-
-
-def write_manifest(
-    root: str | os.PathLike, manifest: Manifest, *, sync: bool = True
-) -> int:
-    """Atomically install *manifest* as ``<root>/manifest.json``; returns
-    the bytes its patch sets take in it.
-
-    The patch sets are written one index at a time, each encoded in one
-    call of the C encoder (``iterencode`` would run the pure-Python
-    one), so no string holds more than one index's patch sets.
-    """
-    root = Path(root)
-    path = root / MANIFEST_NAME
-    tmp = root / (MANIFEST_NAME + ".tmp")
-    encode = json.JSONEncoder(separators=_COMPACT).encode
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(manifest.catalog_json()[:-1] + ',"patches":{')
-        patches_bytes = 2  # the braces; ASCII: ensure_ascii is on
-        for position, (name, entry) in enumerate(manifest.patches.items()):
-            chunk = ("," if position else "") + encode(name) + ":" + encode(entry)
-            handle.write(chunk)
-            patches_bytes += len(chunk)
-        handle.write("}}\n")
-        handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return patches_bytes
-
-
-def read_manifest(root: str | os.PathLike) -> Manifest | None:
-    """Load ``<root>/manifest.json``, or None when no checkpoint exists."""
-    path = Path(root) / MANIFEST_NAME
-    if not path.exists():
-        return None
-    try:
-        return Manifest.from_json(path.read_text(encoding="utf-8"))
-    except StorageError as exc:
-        raise StorageError(f"{path}: {exc}") from exc

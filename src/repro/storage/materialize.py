@@ -1,31 +1,33 @@
-"""Recovery: one pass over the live WAL, in LSN order.
+"""Recovery: one pass over the log, in the order it ran live.
 
 "Load a checkpoint, replay the WAL, end with tables and their PatchIndexes"
 is what a reopen needs, and only a reopen: a snapshot copies the live
 catalog (:mod:`repro.storage.snapshot`) and reads no log.  It is one
 function, :func:`replay_log`, with one caller,
 :meth:`~repro.storage.engine.DurableEngine.recover`, which hands it the
-manifest's tables and patch sets (none before the first checkpoint).
+manifest of the log's head record (none before the first checkpoint),
+that manifest's tables, and the records after the head.
 
-The pass starts from the checkpoint's tables with the indexes it covers
-attached as table listeners: each *restored* from the manifest's
-``patches`` entry, or — when the entry is unusable — discovered from the
-checkpoint's data (a fallback, counted under one of
+The pass starts from the checkpoint's tables with its indexes attached as
+table listeners: each *restored* from the manifest's ``patches`` entry,
+or — when the entry is unusable — discovered from the checkpoint's data
+by the definition the head carries (a fallback, counted under one of
 :data:`FALLBACK_REASONS`).  Every later record then replays as it ran
 live: a data record through :class:`~repro.storage.table.Table`, whose
-events the restored indexes' maintainers re-classify; a ``create_index``
-by discovery at its LSN (the paper's §V recovery,
-:func:`index_from_payload`); a ``rebuild_index`` by ``rebuild()``.  So a
-reopen reproduces the live patch sets and drift counters exactly.  The
-log carries no patches, and no crash window separates a data record
-from its index maintenance.
+events the indexes' maintainers re-classify; a ``create_table`` or
+``drop_table``, a ``create_index`` by discovery at its LSN (the paper's
+§V recovery, :func:`index_from_payload`), a ``drop_index`` by detaching
+its index; a ``rebuild_index`` by ``rebuild()``.  So a reopen
+reproduces the live patch sets and drift counters exactly.  The log
+carries no patches outside its head, and no crash window separates a
+data record from its index maintenance.
 """
 
 from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from repro.storage.manifest import Manifest, TableManifest
 from repro.storage.partition import Partition
 from repro.storage.segment import open_segment
 from repro.storage.table import Table
-from repro.storage.wal import DATA_KINDS, WalRecord, live_records_of
+from repro.storage.wal import DATA_KINDS, WalRecord
 
 #: Why a covered index was discovered from data instead of restored.
 FALLBACK_REASONS = (
@@ -159,7 +161,7 @@ class Recovered(NamedTuple):
     """What :func:`replay_log` rebuilt, and how each index came back."""
 
     tables: dict[str, Table]
-    #: In creation order, each the live index as of the log's last LSN.
+    #: In catalog order, each the live index as of the log's last LSN.
     indexes: list[PatchIndex]
     #: Those of *indexes* restored from persisted patch sets; the rest
     #: were discovered from data.
@@ -167,6 +169,8 @@ class Recovered(NamedTuple):
     #: Refused restores, reason → count (a subset of the discovered ones:
     #: an index younger than the checkpoint has nothing to fall back from).
     fallbacks: dict[str, int]
+    #: Data records replayed.
+    replayed: int
 
 
 def _definition(payload: dict) -> dict:
@@ -198,7 +202,7 @@ def index_from_payload(table: Table, payload: dict) -> PatchIndex:
         table,
         wanted["column"],
         kind=wanted["kind"],
-        mode=PatchIndexMode(payload.get("mode", "auto")),
+        mode=PatchIndexMode(payload.get("mode") or "auto"),
         threshold=wanted["threshold"],
         scope=wanted["scope"],
         ascending=wanted["ascending"],
@@ -213,7 +217,8 @@ def restore_patch_index(
 ) -> tuple[PatchIndex | None, str | None]:
     """Restore one PatchIndex from its manifest ``patches`` entry.
 
-    *payload* is the WAL ``create_index`` record and *table* is at the
+    *payload* is the index's definition in the log's head (a
+    ``create_index`` payload) and *table* is at the
     checkpoint the entry was written at.  Returns ``(index, None)``, or
     ``(None, reason)`` — *reason* one of :data:`FALLBACK_REASONS` — when
     anything disqualifies the restore.
@@ -296,62 +301,60 @@ def _named(found: dict, name: str, record: WalRecord):
 
 
 def replay_log(
-    records: list[WalRecord],
+    records: Iterable[WalRecord],
     tables: dict[str, Table],
-    generation_lsn: int,
-    persisted: dict,
+    manifest: Manifest | None,
 ) -> Recovered:
     """Tables and PatchIndexes as of the last of *records*.
 
-    *tables* are the checkpoint's at *generation_lsn* (empty, and
-    *generation_lsn* 0, without one) and *persisted* is that manifest's
-    ``patches`` (``{}`` without one).  One pass over the
-    live records in LSN order; what the checkpoint covers — its data and
-    rebuild records — is skipped, except that each index it covers is
-    restored from *persisted* (or discovered over the checkpoint's data
-    when the entry is refused) as its ``create_index`` comes by, before any
-    record of the tail; an index created after the checkpoint is discovered
-    from the data replayed so far, as its ``create_index`` comes by.  The
-    indexes come back attached to their tables as listeners; *tables* is
-    updated in place.
+    *tables* are *manifest*'s (empty, and *manifest* None, before the
+    first checkpoint) and *records* the log after its head.  Each index
+    the manifest defines is restored from its ``patches`` entry (or
+    discovered over the checkpoint's data when the entry is refused);
+    then every record replays in order.  The indexes come back attached
+    to their tables as listeners; *tables* is updated in place.
     """
-    # Tables dropped after the checkpoint are gone even though the
-    # manifest still carries them.
-    for record in records:
-        if record.kind == "drop_table" and record.lsn > generation_lsn:
-            tables.pop(record.payload["name"], None)
     indexes: dict[str, PatchIndex] = {}
     restored: list[PatchIndex] = []
     fallbacks: dict[str, int] = {}
-    for record in live_records_of(records):
+    for definition in manifest.indexes if manifest is not None else ():
+        name = definition["name"]
+        try:
+            table = tables[definition["table"]]
+        except KeyError:
+            raise StorageError(
+                f"corrupt manifest: index {name!r} names an unknown table"
+            ) from None
+        index, reason = restore_patch_index(
+            table, definition, manifest.patches.get(name)
+        )
+        if index is None:
+            _fall_back(name, reason, fallbacks)
+            index = index_from_payload(table, definition)
+        else:
+            restored.append(index)
+        indexes[name] = index
+    replayed = 0
+    for record in records:
         payload = record.payload
         if record.kind == "create_table":
-            name = payload["name"]
-            if name not in tables:  # else loaded from the manifest
-                tables[name] = Table(
-                    name,
-                    payload_to_schema(payload["schema"]),
-                    int(payload.get("partition_count", 1)),
-                    int(payload.get("block_size", DEFAULT_BLOCK_SIZE)),
-                )
+            tables[payload["name"]] = Table(
+                payload["name"],
+                payload_to_schema(payload["schema"]),
+                int(payload.get("partition_count", 1)),
+                int(payload.get("block_size", DEFAULT_BLOCK_SIZE)),
+            )
+        elif record.kind == "drop_table":
+            dropped = tables.pop(_named(tables, payload["name"], record).name)
+            indexes = {n: i for n, i in indexes.items() if i.table is not dropped}
         elif record.kind == "create_index":
             table = _named(tables, payload["table"], record)
-            index = None
-            if record.lsn <= generation_lsn:  # the checkpoint covers it
-                index, reason = restore_patch_index(
-                    table, payload, persisted.get(payload["name"])
-                )
-                if index is None:
-                    _fall_back(payload["name"], reason, fallbacks)
-                else:
-                    restored.append(index)
-            if index is None:
-                index = index_from_payload(table, payload)
-            indexes[payload["name"]] = index
-        elif record.lsn <= generation_lsn:
-            continue  # in the checkpoint's segments and patch sets already
+            indexes[payload["name"]] = index_from_payload(table, payload)
+        elif record.kind == "drop_index":
+            indexes.pop(_named(indexes, payload["name"], record).name).detach()
         elif record.kind == "rebuild_index":
             _named(indexes, payload["name"], record).rebuild()
         elif record.kind in DATA_KINDS:
             apply_data_record(_named(tables, payload["table"], record), record)
-    return Recovered(tables, list(indexes.values()), restored, fallbacks)
+            replayed += 1
+    return Recovered(tables, list(indexes.values()), restored, fallbacks, replayed)

@@ -29,7 +29,7 @@ from repro.errors import SchemaError, StorageError
 from repro.storage.blocks import (
     DEFAULT_BLOCK_SIZE,
     BlockStats,
-    compute_block_stats,
+    block_stats,
     prune_blocks,
 )
 from repro.storage.column import ColumnVector
@@ -239,12 +239,19 @@ class Partition:
     # -- block statistics / scan ranges ---------------------------------
 
     def block_stats(self, name: str) -> list[BlockStats]:
-        """Per-block min/max sketches for column *name* (cached)."""
-        if name not in self._block_stats:
-            self._block_stats[name] = compute_block_stats(
-                self.column(name), self.block_size
-            )
-        return self._block_stats[name]
+        """Per-block min/max sketches for column *name* (cached; after
+        an append only the blocks past the cached full ones are
+        computed)."""
+        stats = self._block_stats.get(name)
+        covered = stats[-1].stop if stats else 0
+        if stats is None or covered < self.row_count:
+            column = self.column(name)
+            stats = (stats or []) + [
+                block_stats(column, start, min(start + self.block_size, self.row_count))
+                for start in range(covered, self.row_count, self.block_size)
+            ]
+            self._block_stats[name] = stats
+        return stats
 
     def preload_block_stats(self, name: str, stats: list[BlockStats]) -> None:
         """Prime the sketch cache from persisted segment headers.
@@ -289,8 +296,8 @@ class Partition:
     # -- mutation -------------------------------------------------------
 
     def append(self, columns: Mapping[str, ColumnVector]) -> None:
-        """Append rows (:meth:`_grow`); invalidates cached block
-        statistics."""
+        """Append rows (:meth:`_grow`); keeps the cached sketches of the
+        full blocks before them, which no appended row touches."""
         self.materialize()
         appended: dict[str, ColumnVector] = {}
         row_count: int | None = None
@@ -312,8 +319,13 @@ class Partition:
             return
         for name, column in appended.items():
             self._columns[name] = self._grow(name, column)
+        full = self.row_count - self.row_count % self.block_size
         self.row_count += row_count
-        self._block_stats.clear()
+        # New lists: a snapshot's copy shares the old ones.
+        self._block_stats = {
+            name: [block for block in stats if block.stop <= full]
+            for name, stats in self._block_stats.items()
+        }
 
     def _grow(self, name: str, tail: ColumnVector) -> ColumnVector:
         """Column *name* followed by *tail*: written into the spare room

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 from repro.check.sanitize import make_lock, release_resource, track_resource
 from repro.errors import ExecutionError
 from repro.storage.catalog import Catalog
-from repro.storage.manifest import Manifest, write_manifest
+from repro.storage.manifest import Manifest
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,18 +112,10 @@ class SnapshotHandle:
     registry lock.
     """
 
-    def __init__(
-        self,
-        manifest: Manifest | None,
-        wal_lsn: int,
-        versions: tuple,
-        catalog: Catalog,
-    ):
+    def __init__(self, manifest: Manifest | None, versions: tuple, catalog: Catalog):
         #: The manifest current at the pin, without its patch sets (None
         #: when the database has never checkpointed).
         self.manifest = manifest
-        #: Last WAL LSN at the pin.
-        self.wal_lsn = wal_lsn
         #: :meth:`Catalog.versions` of the live catalog at the pin.
         self.versions = versions
         self.catalog = catalog
@@ -178,7 +170,7 @@ class SnapshotRegistry:
             len(self._deferred)
         )
 
-    def pin(self, catalog: Catalog, wal: WriteAheadLog) -> SnapshotHandle:
+    def pin(self, catalog: Catalog) -> SnapshotHandle:
         """Pin *catalog* as it is now, for a reader.
 
         One refcount on the latest handle when its key still matches,
@@ -194,9 +186,7 @@ class SnapshotRegistry:
                 if handle is not None and handle.key == (generation_lsn, versions):
                     self._count_locked("reuses")
                 else:
-                    handle = SnapshotHandle(
-                        manifest, wal.last_lsn, versions, catalog.copy()
-                    )
+                    handle = SnapshotHandle(manifest, versions, catalog.copy())
                     self._latest = handle
                     self._count_locked("builds")
                 handle.pins += 1
@@ -244,25 +234,21 @@ class SnapshotRegistry:
             named |= other
         return [root / name for name in sorted(files - named)]
 
-    def flip(
-        self, manifest: Manifest, wal: WriteAheadLog, *, sync: bool
-    ) -> tuple[int, int]:
-        """Make *manifest* the current one, atomically; returns the
-        number of WAL records pruned and the bytes the patch sets take
-        in the manifest file.
+    def flip(self, manifest: Manifest, wal: WriteAheadLog, since: int) -> int:
+        """Make *manifest* the current one, atomically; returns the bytes
+        the patch sets take in the log's head.
 
-        Manifest install, WAL marker + compaction and the choice of the
-        superseded manifest's files to free all happen under the lock.
-        If that manifest is still pinned, its files wait for
-        :meth:`release`; otherwise the ones *manifest* does not name are
-        deleted once the lock is released.
+        The install of the log's new head (the records after byte offset
+        *since* kept behind it) and the choice of the superseded
+        manifest's files to free happen under the lock.  If that manifest
+        is still pinned, its files wait for :meth:`release`; otherwise the
+        ones *manifest* does not name are deleted once the lock is
+        released.
         """
         doomed: list[Path] = []
         with self._lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
-            patches_bytes = write_manifest(self.root, manifest, sync=sync)
+            patches_bytes = wal.install(manifest, since)
             previous, self._manifest = self._manifest, _without_patches(manifest)
-            wal.checkpoint({"checkpoint_lsn": manifest.checkpoint_lsn})
-            pruned = wal.compact()
             if previous is not None:
                 if self._pinned.get(previous.checkpoint_lsn, 0) > 0:
                     self._deferred[previous.checkpoint_lsn] = previous.files()
@@ -273,7 +259,7 @@ class SnapshotRegistry:
             # was loaded from, so none can name stale bytes, and a kept
             # file keeps serving its warm blocks.
         delete_files(doomed, self._metrics)
-        return pruned, patches_bytes
+        return patches_bytes
 
 
 class SnapshotView:
@@ -375,5 +361,5 @@ class SnapshotView:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SnapshotView(generation={self.handle.generation_lsn}, "
-            f"lsn={self.handle.wal_lsn}, tables={self.catalog.table_names()})"
+            f"tables={self.catalog.table_names()})"
         )

@@ -1,9 +1,18 @@
-"""Write-ahead log for DDL, PatchIndex creation, and row data.
+"""Write-ahead log: the one durable file of a data directory.
 
 The paper keeps the WAL slim: a ``CREATE PATCHINDEX`` record is logged
 *without* the discovered patches, and on log replay the index is rebuilt
 from the data using the same discovery mechanism as at creation time
-(paper §V).  This module implements that design as a JSON-lines log.
+(paper §V).  This module implements that design as a JSON-lines file,
+``<root>/wal.jsonl``:
+
+- once a checkpoint has run, its first line is the ``checkpoint`` head
+  record: the :class:`~repro.storage.manifest.Manifest` of the state
+  the records before it left (tables, partition files, index
+  definitions and the patch sets the indexes are restored from), with
+  the checkpoint's own LSN, ``checkpoint_lsn``;
+- every later line is a record whose LSN is greater, one per statement
+  step, in the order they ran live.
 
 Record kinds:
 
@@ -12,8 +21,7 @@ metadata records
     ``drop_table``       table name
     ``create_index``     index name, table, column, kind, mode, threshold
     ``drop_index``       index name
-    ``checkpoint``       marker after which earlier records may be pruned
-                         (see :meth:`WriteAheadLog.compact`)
+    ``checkpoint``       the head record (:meth:`WriteAheadLog.install`)
 
 data records (durable storage engine, :mod:`repro.storage.engine`)
     ``append``           rows appended to a table (column → values)
@@ -24,41 +32,48 @@ data records (durable storage engine, :mod:`repro.storage.engine`)
 index records (durable storage engine)
     ``rebuild_index``    a live PatchIndex rebuild (index and table name)
 
-The log carries data and DDL only, never patches.  Recovery replays the
-tail beyond the last checkpoint through the tables, and the PatchIndexes
-— restored from the checkpoint's patch sets, or discovered at their
-``create_index`` — re-classify every replayed mutation as they did live;
-a ``rebuild_index`` re-runs the rebuild at its LSN.
-Data records carry *physical* scalar values (dates as day numbers, NULL
-as ``null``) so replay is byte-exact.
+Only the head carries patch sets; the per-statement records carry data
+and DDL, never patches.  Recovery (:mod:`repro.storage.materialize`)
+loads the head and replays every later record through the tables, which
+the PatchIndexes re-classify as they did live.  Data records carry
+*physical* scalar values (dates as day numbers, NULL as ``null``) so
+replay is byte-exact.
+
+In memory the log keeps its next LSN, the file's end offset and one
+open append handle; records are read back from the file, by recovery
+only.  A checkpoint takes its LSN and the end offset together with its
+pin (:meth:`WriteAheadLog.reserve`); appends are sequential, so the
+bytes after that offset are exactly the records with a greater LSN.
+It installs its head with one rename
+(:meth:`WriteAheadLog.install`): the head followed by those bytes,
+written to ``wal.jsonl.tmp``, fsynced, renamed over the log, the data
+directory fsynced.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from repro.check.sanitize import make_lock
 from repro.errors import WalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
+    from repro.storage.manifest import Manifest
 
-_METADATA_KINDS = frozenset(
-    {"create_table", "drop_table", "create_index", "drop_index", "checkpoint"}
-)
-#: Row-data record kinds; replayed by the durable storage engine and
-#: prunable once a checkpoint has flushed them into segment files.
+#: Row-data record kinds, replayed by the durable storage engine.
 DATA_KINDS = frozenset({"append", "load", "delete", "update"})
 
-#: What a checkpoint makes redundant: the data it flushed and the
-#: rebuilds its persisted patch sets already reflect.
-_PRUNABLE_KINDS = DATA_KINDS | {"rebuild_index"}
-
-_KNOWN_KINDS = _METADATA_KINDS | _PRUNABLE_KINDS
+_KNOWN_KINDS = DATA_KINDS | {
+    "create_table", "drop_table", "create_index", "drop_index", "checkpoint",
+    "rebuild_index",
+}
 
 
 @dataclass(frozen=True)
@@ -77,13 +92,13 @@ class WalRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "WalRecord":
+    def from_json(cls, line: str | bytes) -> "WalRecord":
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise WalError(f"corrupt WAL line: {line!r}") from exc
+            raise WalError(f"corrupt WAL line: {line[:200]!r}") from exc
         if not isinstance(raw, dict) or "kind" not in raw or "lsn" not in raw:
-            raise WalError(f"malformed WAL record: {line!r}")
+            raise WalError(f"malformed WAL record: {line[:200]!r}")
         kind = raw["kind"]
         lsn = raw["lsn"]
         payload = raw.get("payload", {})
@@ -94,64 +109,57 @@ class WalRecord:
         if isinstance(lsn, bool) or not isinstance(lsn, int):
             raise WalError(f"malformed WAL LSN: {lsn!r}")
         if not isinstance(payload, dict):
-            raise WalError(f"malformed WAL payload: {line!r}")
+            raise WalError(f"malformed WAL payload: {line[:200]!r}")
         return cls(lsn=lsn, kind=kind, payload=payload)
 
 
-def live_records_of(records: list[WalRecord]) -> list[WalRecord]:
-    """The still-effective subset of *records*, in LSN order.
+def _last_lsn(path: Path, tolerate_torn_tail: bool, sync: bool) -> int:
+    """LSN of the last record of the log at *path* (0 for none).
 
-    The shared core behind :meth:`WriteAheadLog.live_records` and
-    recovery's replay (:func:`repro.storage.materialize.replay_log`).
-    Checkpoint markers fall through every branch and are dropped.
+    An append writes its line and newline at once, so bytes after the
+    last newline are a torn append that was never acknowledged: they are
+    truncated when tolerated, else raise.
     """
-    dropped_tables: set[str] = set()
-    dropped_indexes: set[str] = set()
-    live: list[WalRecord] = []
-    for record in reversed(records):
-        if record.kind == "drop_table":
-            dropped_tables.add(record.payload["name"])
-        elif record.kind == "drop_index":
-            dropped_indexes.add(record.payload["name"])
-        elif record.kind == "create_table":
-            name = record.payload["name"]
-            if name in dropped_tables:
-                dropped_tables.discard(name)
-            else:
-                live.append(record)
-        elif record.kind == "create_index":
-            name = record.payload["name"]
-            table = record.payload["table"]
-            if name in dropped_indexes or table in dropped_tables:
-                dropped_indexes.discard(name)
-            else:
-                live.append(record)
-        elif record.kind in _PRUNABLE_KINDS:
-            # A data record dies with its table, a rebuild with its index
-            # or table (only a rebuild names an index).  The reversed scan
-            # elides a dropped incarnation's records before reaching (and
-            # cancelling) its create record.
-            if (
-                record.payload.get("table") not in dropped_tables
-                and record.payload.get("name") not in dropped_indexes
-            ):
-                live.append(record)
-    live.reverse()
-    return live
+    data = path.read_bytes() if path.exists() else b""
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        if not tolerate_torn_tail:
+            raise WalError(f"torn last line in {path}: {data[end:end + 200]!r}")
+        # The truncation must be as durable as the appends were — a
+        # crash right after recovery must not resurrect the torn bytes.
+        with open(path, "r+b") as handle:
+            handle.truncate(end)
+            if sync:
+                os.fsync(handle.fileno())
+    stop = len(data[:end].rstrip())
+    last = data[data.rfind(b"\n", 0, stop) + 1 : stop]
+    return WalRecord.from_json(last).lsn if last else 0
+
+
+def fsync_directory(path: Path) -> None:
+    """fsync directory *path*, so the names created or replaced in it
+    survive a crash."""
+    descriptor = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 class WriteAheadLog:
-    """Append-only JSONL log with replay support.
+    """Append-only JSON-lines log.
 
-    When *path* is ``None`` the log is kept in memory only (the
-    in-memory engine's log); a durable data directory passes its
-    ``wal.jsonl``, which gives on-disk durability with fsync-on-append.
+    When *path* is ``None`` the log is the in-memory engine's: it assigns
+    LSNs, and writes and keeps nothing.  A durable data directory passes
+    its ``wal.jsonl``, appended through one open handle and fsynced per
+    record (``sync=True``) or per :meth:`deferred_sync` batch.
 
-    ``tolerate_torn_tail=True`` accepts a final line torn by a crash
-    mid-append: the partial record was never acknowledged, so it is
-    discarded and the file truncated back to the last complete record.
-    A corrupt record *followed by complete ones* still raises — that is
-    real corruption, not a torn write.  ``metrics`` optionally wires a
+    Opening reads only the last line.  ``tolerate_torn_tail=True``
+    accepts a final line torn by a crash mid-append (no newline after
+    it): the partial record was never acknowledged, so the file is
+    truncated back to the last complete record.  A corrupt complete
+    record still raises, from :meth:`records` — that is real corruption,
+    not a torn write.  ``metrics`` optionally wires a
     :class:`~repro.obs.metrics.MetricsRegistry` that counts appended
     records and bytes (``wal.records`` / ``wal.bytes``).
     """
@@ -167,56 +175,22 @@ class WriteAheadLog:
         self._path = Path(path) if path is not None else None
         self._sync = sync
         self._metrics = metrics
-        self._records: list[WalRecord] = []
+        #: Orders appends, :meth:`install` and :meth:`sync` on the file.
+        #: Taken under the catalog's state lock and the snapshot
+        #: registry's lock, never the other way round.
+        self._lock = make_lock("storage.wal")
         self._next_lsn = 1
+        #: Byte length of the log file: where the next append lands.
+        self._end = 0
+        self._handle = None
         #: True inside a :meth:`deferred_sync` block — appends skip
         #: their per-record fsync and the batch syncs once at exit.
         self._defer_sync = False
         self._deferred_appends = 0
-        if self._path is not None and self._path.exists():
-            self._records = self._read_from_disk(self._path, tolerate_torn_tail)
-            if self._records:
-                self._next_lsn = self._records[-1].lsn + 1
-
-    def _read_from_disk(
-        self, path: Path, tolerate_torn_tail: bool
-    ) -> list[WalRecord]:
-        raw = path.read_bytes()
-        records: list[WalRecord] = []
-        previous_lsn = 0
-        good_end = 0
-        position = 0
-        lines: list[tuple[int, bytes]] = []
-        for chunk in raw.split(b"\n"):
-            lines.append((position, chunk))
-            position += len(chunk) + 1
-        nonblank = [
-            (offset, chunk) for offset, chunk in lines if chunk.strip()
-        ]
-        for index, (offset, chunk) in enumerate(nonblank):
-            try:
-                record = WalRecord.from_json(chunk.decode("utf-8", "replace"))
-                if record.lsn <= previous_lsn:
-                    raise WalError(
-                        f"non-monotonic LSN {record.lsn} after {previous_lsn}"
-                    )
-            except WalError:
-                if tolerate_torn_tail and index == len(nonblank) - 1:
-                    # A torn final append: drop it and truncate the file
-                    # so subsequent appends start on a clean boundary.
-                    # The truncation must be as durable as the appends
-                    # were — a crash right after recovery must not
-                    # resurrect the torn bytes.
-                    with open(path, "r+b") as handle:
-                        handle.truncate(good_end)
-                        if self._sync:
-                            os.fsync(handle.fileno())
-                    break
-                raise
-            previous_lsn = record.lsn
-            records.append(record)
-            good_end = offset + len(chunk) + 1
-        return records
+        if self._path is not None:
+            self._next_lsn = _last_lsn(self._path, tolerate_torn_tail, sync) + 1
+            self._handle = open(self._path, "ab")
+            self._end = self._handle.tell()
 
     # -- appending ---------------------------------------------------------
 
@@ -224,18 +198,18 @@ class WriteAheadLog:
         """Append a record, durably when the log is file-backed."""
         if kind not in _KNOWN_KINDS:
             raise WalError(f"unknown WAL record kind: {kind!r}")
-        record = WalRecord(self._next_lsn, kind, dict(payload or {}))
-        self._next_lsn += 1
-        self._records.append(record)
-        line = record.to_json() + "\n"
-        if self._path is not None:
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
+        with self._lock:  # lock-ok: the write and its fsync are the append
+            record = WalRecord(self._next_lsn, kind, dict(payload or {}))
+            self._next_lsn += 1
+            line = (record.to_json() + "\n").encode("utf-8")
+            if self._path is not None:
+                self._handle.write(line)
+                self._handle.flush()
                 if self._sync and not self._defer_sync:
-                    os.fsync(handle.fileno())
-        if self._defer_sync:
-            self._deferred_appends += 1
+                    os.fsync(self._handle.fileno())
+                self._end += len(line)
+            if self._defer_sync:
+                self._deferred_appends += 1
         if self._metrics is not None:
             self._metrics.counter("wal.records").inc()
             self._metrics.counter("wal.bytes").inc(len(line))
@@ -243,18 +217,13 @@ class WriteAheadLog:
                 self._metrics.counter("wal.data_records").inc()
         return record
 
-    def checkpoint(self, payload: dict | None = None) -> WalRecord:
-        """Write a checkpoint marker (optionally carrying manifest info)."""
-        return self.append("checkpoint", payload)
-
     # -- group commit --------------------------------------------------------
 
     def sync(self) -> None:
         """fsync the log file (closes a deferred group-commit batch)."""
-        if self._path is None or not self._path.exists():
-            return
-        with open(self._path, "a", encoding="utf-8") as handle:
-            os.fsync(handle.fileno())
+        with self._lock:  # lock-ok: an install swaps the handle this syncs
+            if self._handle is not None:  # the in-memory log has none
+                os.fsync(self._handle.fileno())
 
     @contextmanager
     def deferred_sync(self) -> Iterator[None]:
@@ -269,17 +238,20 @@ class WriteAheadLog:
         unchanged.  Re-entrant blocks are no-ops (the outermost block
         owns the sync).
         """
-        if self._defer_sync:
+        with self._lock:
+            outer = not self._defer_sync
+            if outer:
+                self._defer_sync = True
+                self._deferred_appends = 0
+        if not outer:
             yield
             return
-        self._defer_sync = True
-        self._deferred_appends = 0
         try:
             yield
         finally:
-            self._defer_sync = False
-            batched = self._deferred_appends
-            self._deferred_appends = 0
+            with self._lock:
+                self._defer_sync = False
+                batched = self._deferred_appends
             if batched and self._sync:
                 self.sync()
             if batched and self._metrics is not None:
@@ -291,87 +263,80 @@ class WriteAheadLog:
 
     # -- reading -------------------------------------------------------------
 
-    def records(self) -> list[WalRecord]:
-        """All records in LSN order."""
-        return list(self._records)
+    def reserve(self) -> tuple[int, int]:
+        """Take the next LSN for a checkpoint; returns it with the log's
+        end offset, behind which the records the checkpoint covers lie."""
+        with self._lock:
+            self._next_lsn += 1
+            return self._next_lsn - 1, self._end
 
     @property
     def last_lsn(self) -> int:
         """LSN of the newest record, or 0 for an empty log."""
-        return self._records[-1].lsn if self._records else 0
+        with self._lock:
+            return self._next_lsn - 1
 
-    def last_checkpoint_lsn(self) -> int | None:
-        """LSN of the most recent checkpoint marker, or None."""
-        for record in reversed(self._records):
-            if record.kind == "checkpoint":
-                return record.lsn
-        return None
+    def records(self) -> Iterator[WalRecord]:
+        """The file's records in order, read from disk one at a time
+        (none for the in-memory log).
 
-    def live_records(self) -> list[WalRecord]:
-        """Records that still have an effect after replay.
-
-        Create records cancelled by a later matching drop are elided,
-        drop records themselves never survive (they only cancel), and
-        data records of dropped tables disappear with the table.
-        Checkpoint markers are bookkeeping, not replay input, so they
-        are excluded.  The result is what a replay actually needs to
-        apply.
+        Raises :class:`WalError` on a corrupt line, a non-increasing LSN
+        or a ``checkpoint`` record anywhere but the head.
         """
-        return live_records_of(self._records)
+        if self._path is None:
+            return
+        previous = 0
+        with open(self._path, "rb") as handle:
+            for number, line in enumerate(handle):
+                if not line.strip():
+                    continue
+                record = WalRecord.from_json(line)
+                if record.lsn <= previous:
+                    raise WalError(
+                        f"non-monotonic LSN {record.lsn} after {previous}"
+                    )
+                if record.kind == "checkpoint" and number:
+                    raise WalError(
+                        f"checkpoint record {record.lsn} is not the log's head"
+                    )
+                previous = record.lsn
+                yield record
 
-    # -- compaction ---------------------------------------------------------
+    # -- checkpoint ----------------------------------------------------------
 
-    def compact(self) -> int:
-        """Prune records made redundant by drops and the last checkpoint.
+    def install(self, manifest: "Manifest", since: int) -> int:
+        """Make *manifest* the log's head record, keeping the records
+        after byte offset *since* (those with LSN above its
+        ``checkpoint_lsn``, from :meth:`reserve`); returns the bytes its
+        patch sets take.
 
-        This implements the documented checkpoint contract ("earlier
-        records may be pruned"): metadata records are condensed to the
-        live set (cancelled create/drop pairs disappear), and data and
-        ``rebuild_index`` records at or below the most recent checkpoint
-        marker are dropped — a checkpoint has already flushed their
-        effect into segment files and the manifest's patch sets, so
-        only the WAL tail beyond it is ever replayed.  Metadata records
-        are kept across checkpoints because index *definitions* are
-        always replayed from the log (their patch sets come from the
-        checkpoint's manifest, or from data as the fallback).
-
-        Replay is unaffected: :meth:`live_records` before and after
-        compaction differ only in data and rebuild records covered by
-        the checkpoint.  LSNs are preserved, as is the next LSN to assign.
-        Returns the number of records pruned.
+        Under the log's lock, which appends take too: the head and those
+        bytes, copied unparsed, go to ``wal.jsonl.tmp``, which is fsynced
+        and renamed over the log; the append handle is reopened on the new
+        file and the data directory fsynced.  A crash before the rename
+        leaves the old log whole, one after it the new one.
         """
-        checkpoint_lsn = self.last_checkpoint_lsn()
-        kept = [
-            record
-            for record in self.live_records()
-            if not (
-                record.kind in _PRUNABLE_KINDS
-                and checkpoint_lsn is not None
-                and record.lsn <= checkpoint_lsn
-            )
-        ]
-        if checkpoint_lsn is not None:
-            marker = next(
-                record
-                for record in self._records
-                if record.lsn == checkpoint_lsn
-            )
-            kept.append(marker)
-            kept.sort(key=lambda record: record.lsn)
-        pruned = len(self._records) - len(kept)
-        if pruned == 0:
-            return 0
-        self._records = kept
-        if self._path is not None:
-            tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for record in kept:
-                    handle.write(record.to_json() + "\n")
-                handle.flush()
+        path = self._path
+        tmp = path.with_name(path.name + ".tmp")
+        with self._lock:  # lock-ok: the install's fsyncs and rename ARE the checkpoint
+            with open(tmp, "wb") as out, open(path, "rb") as log:
+                out.write(b'{"lsn":%d,"kind":"checkpoint","payload":' % manifest.checkpoint_lsn)
+                patches_bytes = manifest.write(out)
+                out.write(b"}\n")
+                log.seek(since)
+                shutil.copyfileobj(log, out)
+                out.flush()
                 if self._sync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self._path)
-        return pruned
+                    os.fsync(out.fileno())
+            os.replace(tmp, path)
+            self._handle.close()
+            self._handle = open(path, "ab")
+            self._end = self._handle.tell()
+            if self._sync:
+                fsync_directory(path.parent)
+        return patches_bytes
 
-    def __len__(self) -> int:
-        return len(self._records)
+    def close(self) -> None:
+        """Close the append handle; a later append raises."""
+        with self._lock:
+            self._handle.close()

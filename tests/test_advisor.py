@@ -12,16 +12,16 @@ from repro.storage.schema import Field, Schema
 from repro.types import DataType
 
 
-def make_db(n=2000, seed=3) -> Database:
+def make_db(n=2000, seed=3, path=None) -> Database:
     """A table with a clean NUC candidate, a clean NSC candidate and a
-    hopeless column."""
+    hopeless column (in a durable directory at *path*, if given)."""
     rng = np.random.default_rng(seed)
     unique = rng.permutation(n).astype(np.int64)
     unique[:10] = 0  # ten duplicates -> 0.5% exceptions
     nearly_sorted = np.arange(n, dtype=np.int64)
     nearly_sorted[rng.choice(n, 20, replace=False)] = rng.integers(0, n, 20)
     noise = rng.integers(0, 3, n).astype(np.int64)  # 3 values: hopeless
-    db = Database()
+    db = Database(path=path, sync=False)
     schema = Schema(
         [
             Field("u", DataType.INT64),
@@ -125,8 +125,8 @@ class TestSamplingPrefilter:
 
 
 class TestApply:
-    def test_apply_creates_indexes_via_ddl(self):
-        db = make_db()
+    def test_apply_creates_indexes_via_ddl(self, tmp_path):
+        db = make_db(path=tmp_path / "db")
         advisor = ConstraintAdvisor(db, nuc_threshold=0.05, nsc_threshold=0.05)
         created = advisor.run()
         # The nearly sorted column is also nearly unique (its few random

@@ -31,8 +31,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.storage.checkpoint import nsc_patch_rowids
-from repro.storage.manifest import SEGMENTS_DIR, partition_file, read_manifest
+from repro.storage.manifest import SEGMENTS_DIR, partition_file
 from repro.storage.segment import encode_segment
+from tests.log_head import read_manifest
 from tests.test_checkpoint_gc import mixed_ingest_shape
 
 PARTITIONS = 4

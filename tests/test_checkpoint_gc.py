@@ -4,13 +4,14 @@ Each inode a checkpoint frees costs a fixed, large amount on some file
 systems (an ext4 mount with ``discard``), so the durable layout is built
 to free only what a checkpoint actually replaced: one file per
 partition in a flat ``segments/`` directory, written once and named by
-every later manifest that keeps it, with the patch sets inside the
-manifest (``storage/manifest.py``).  These tests count the calls that
-free an inode during a checkpoint on the ``mixed_ingest`` shape, pin
-that ``segments/`` holds exactly the files live manifests name, that a
-failed delete is counted and logged instead of swallowed, that the
-patch-set bytes stay observable, and that concurrent ``checkpoint()``
-calls leave a directory that reopens whole.
+every later manifest that keeps it, with the manifest and its patch
+sets as the log's head record (``storage/wal.py``).  These tests count
+the calls that free an inode during a checkpoint on the
+``mixed_ingest`` shape, pin that ``segments/`` holds exactly the files
+live manifests name, that a failed delete is counted and logged instead
+of swallowed, that the patch-set bytes stay observable, that a
+checkpoint that wrote a file fsyncs both directories, and that
+concurrent ``checkpoint()`` calls leave a directory that reopens whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 import repro
 from repro.storage import snapshot
-from repro.storage.manifest import SEGMENTS_DIR, read_manifest
+from repro.storage.manifest import SEGMENTS_DIR
+from tests.log_head import head_payload, read_manifest
 
 
 def on_disk(root) -> set[str]:
@@ -102,7 +104,7 @@ def mixed_ingest_shape(root, rows: int = 200_000):
 
 
 class TestInodeFrees:
-    def test_a_mixed_ingest_checkpoint_frees_at_most_three(self, tmp_path, monkeypatch):
+    def test_a_mixed_ingest_checkpoint_frees_at_most_two(self, tmp_path, monkeypatch):
         root = tmp_path / "db"
         db = mixed_ingest_shape(root)
         rows = db.table("t").row_count
@@ -122,8 +124,8 @@ class TestInodeFrees:
             frees = InodeFrees(monkeypatch)
             summary = db.checkpoint()
             monkeypatch.undo()
-            # The last partition's old file, the manifest, the WAL.
-            assert len(frees.calls) <= 3, frees.calls
+            # The last partition's old file, the log's rename.
+            assert len(frees.calls) <= 2, frees.calls
             assert counter(db, "checkpoint.files_deleted") - deleted == 1, round_
             after = read_manifest(root).files()
             assert len(before - after) == len(after - before) == 1
@@ -185,7 +187,6 @@ class TestFileNames:
         lsn = db.checkpoint()["lsn"]
         db.close()
         assert sorted(path.name for path in root.iterdir()) == [
-            "manifest.json",
             "segments",
             "wal.jsonl",
         ]
@@ -249,7 +250,7 @@ class TestPatchBytes:
         )
         db.sql("CREATE PATCHINDEX pu ON t(k) TYPE UNIQUE")
         summary = db.checkpoint()
-        patches = json.loads((root / "manifest.json").read_text())["patches"]
+        patches = head_payload(root)["patches"]
         assert patches["pu"]["partitions"][0]["rowids"] == [1, 2]
         expected = len(json.dumps(patches, separators=(",", ":")))
         assert summary["patches_bytes"] == expected
@@ -259,20 +260,79 @@ class TestPatchBytes:
         assert repro.connect().checkpoint()["patches_bytes"] == 0
 
     def test_the_manifest_is_the_one_shot_compact_dump(self, tmp_path):
-        """Written one index entry at a time, the manifest is still the
-        compact ``json.dumps`` of the whole document, byte for byte."""
+        """Written one index entry at a time, the log's head record is
+        still the compact ``json.dumps`` of the whole record, byte for
+        byte."""
         root = tmp_path / "db"
         db = mixed_ingest_shape(root, rows=20_000)
         db.sql("CREATE TABLE e (k BIGINT)")
         db.sql("CREATE PATCHINDEX pe ON e(k) TYPE UNIQUE")  # no patches
         db.sql("INSERT INTO t VALUES (1, 1, 1, 1), (20001, 2, 0, 2)")
         summary = db.checkpoint()
-        text = (root / "manifest.json").read_text(encoding="utf-8")
-        document = json.loads(text)
+        text = (root / "wal.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        record = json.loads(text)
+        document = record["payload"]
         assert list(document["patches"]) == ["pi_u", "pi_s", "pe"]
-        assert text == json.dumps(document, separators=(",", ":")) + "\n"
+        assert text == json.dumps(record, separators=(",", ":"))
         patches = json.dumps(document["patches"], separators=(",", ":"))
         assert summary["patches_bytes"] == len(patches)
+        db.close()
+
+
+class DirectorySyncs:
+    """Records, in order, each fsync of a directory (by path) and each
+    ``os.replace``, while installed."""
+
+    def __init__(self, monkeypatch, *directories):
+        self.events: list[str] = []
+        inodes = {(os.stat(d).st_dev, os.stat(d).st_ino): d.name for d in directories}
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            status = os.fstat(fd)
+            if stat.S_ISDIR(status.st_mode):
+                self.events.append(inodes.get((status.st_dev, status.st_ino), "?"))
+            return real_fsync(fd)
+
+        def replace(*args, **kwargs):
+            self.events.append("replace")
+            return real_replace(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+
+
+class TestDirectorySyncs:
+    def test_a_checkpoint_that_wrote_a_file_syncs_both_directories(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        syncs = DirectorySyncs(monkeypatch, root, root / SEGMENTS_DIR)
+        db.checkpoint()
+        # segments/ before the log names its new file, the data
+        # directory after the log's rename.
+        assert syncs.events == [SEGMENTS_DIR, "replace", "db"]
+        monkeypatch.undo()
+        db.close()
+        db = repro.connect(root, parallelism=1)
+        syncs = DirectorySyncs(monkeypatch, root, root / SEGMENTS_DIR)
+        db.checkpoint()  # kept every file: only the log was renamed
+        assert syncs.events == ["replace", "db"]
+        monkeypatch.undo()
+        db.close()
+
+    def test_nothing_is_synced_without_sync(self, tmp_path, monkeypatch):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        syncs = DirectorySyncs(monkeypatch, root, root / SEGMENTS_DIR)
+        db.checkpoint()
+        assert syncs.events == ["replace"]
+        monkeypatch.undo()
         db.close()
 
 

@@ -7,9 +7,12 @@ at an arbitrary byte must recover to exactly the state of the last
 complete record.
 """
 
+import builtins
 import json
+import os
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,9 +21,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.errors import StorageError
 from repro.gen import sorted_with_exceptions, unique_with_exceptions
+from repro.storage import engine
 from repro.storage.schema import Field, Schema
-from repro.storage.wal import DATA_KINDS, WalRecord
+from repro.storage.wal import WalRecord
 from repro.types import DataType
+from tests.log_head import edit_head, head_payload
+from tests.test_materialize import catalog_tables, patches_state, tables_state
 
 SCHEMA = Schema([Field("k", DataType.INT64), Field("v", DataType.INT64)])
 
@@ -230,23 +236,21 @@ def build_fuzz_base(base: Path) -> None:
     db.close()
 
 
-def expected_rows_after(base: Path, wal_bytes: bytes) -> int:
-    """Row count implied by the manifest plus the complete WAL records."""
-    manifest = json.loads((base / "manifest.json").read_text())
-    checkpoint_lsn = manifest["checkpoint_lsn"]
-    rows = sum(
-        partition["row_count"]
-        for table in manifest["tables"].values()
-        for partition in table["partitions"]
-    )
-    for line in wal_bytes.decode("utf-8", "replace").splitlines():
-        try:
-            record = WalRecord.from_json(line)
-        except Exception:
-            break  # torn tail: everything after is discarded
-        if record.kind not in DATA_KINDS or record.lsn <= checkpoint_lsn:
-            continue
-        if record.kind == "append":
+def expected_rows_after(wal_bytes: bytes) -> int:
+    """Row count implied by the log's head record plus the complete
+    records after it (a record is complete with its newline)."""
+    rows = 0
+    for line in wal_bytes.decode("utf-8", "replace").splitlines(keepends=True):
+        if not line.endswith("\n"):
+            break  # torn tail: discarded
+        record = WalRecord.from_json(line)
+        if record.kind == "checkpoint":
+            rows = sum(
+                partition["row_count"]
+                for table in record.payload["tables"].values()
+                for partition in table["partitions"]
+            )
+        elif record.kind == "append":
             rows += record.payload["row_count"]
         elif record.kind == "load":
             rows += len(next(iter(record.payload["columns"].values())))
@@ -256,16 +260,13 @@ def expected_rows_after(base: Path, wal_bytes: bytes) -> int:
 
 
 def tail_start(wal_bytes: bytes) -> int:
-    """Byte offset just past the checkpoint marker.  Everything before
-    it is made durable by fsync-on-append plus the atomic compaction
-    rewrite, so a crash can only tear bytes at or after this offset."""
-    offset = 0
-    for line in wal_bytes.splitlines(keepends=True):
-        record = WalRecord.from_json(line.decode("utf-8"))
-        offset += len(line)
-        if record.kind == "checkpoint":
-            return offset
-    return offset
+    """Byte offset just past the checkpoint head record.  The head is
+    installed by an atomic rename, so a crash can only tear bytes at or
+    after this offset."""
+    head = wal_bytes.split(b"\n", 1)[0]
+    if WalRecord.from_json(head.decode("utf-8")).kind == "checkpoint":
+        return len(head) + 1
+    return 0
 
 
 class TestCrashRecoveryFuzz:
@@ -285,9 +286,7 @@ class TestCrashRecoveryFuzz:
         (crashed / "wal.jsonl").write_bytes(wal_bytes[:cut])
 
         db = repro.connect(path=crashed, parallelism=1)
-        assert db.table("t").row_count == expected_rows_after(
-            crashed, wal_bytes[:cut]
-        )
+        assert db.table("t").row_count == expected_rows_after(wal_bytes[:cut])
         rows = db.sql("SELECT k, v FROM t").to_pylist()
         index_stats = structural_stats(db.catalog.index("pi_k"))
         db.close()
@@ -309,9 +308,7 @@ class TestCrashRecoveryFuzz:
             shutil.copytree(base_dir, crashed)
             (crashed / "wal.jsonl").write_bytes(wal_bytes[:cut])
             db = repro.connect(path=crashed, parallelism=1)
-            assert db.table("t").row_count == expected_rows_after(
-                crashed, wal_bytes[:cut]
-            )
+            assert db.table("t").row_count == expected_rows_after(wal_bytes[:cut])
             # The recovered database is fully functional.
             db.sql("SELECT COUNT(DISTINCT k) AS n FROM t").to_pylist()
             db.close()
@@ -322,17 +319,22 @@ class TestCrashRecoveryFuzz:
 class TestMixedVersion:
     """A directory in a format this release does not read is refused."""
 
+    @staticmethod
+    def checkpointed(root, rows=([1, 2],)):
+        db = repro.connect(path=root, parallelism=1)
+        db.create_table("t", SCHEMA).insert_rows([list(row) for row in rows])
+        db.sql("CREATE PATCHINDEX pi_k ON t(k) TYPE UNIQUE")
+        db.checkpoint()
+        db.close()
+
     def test_old_manifest_versions_rejected(self, tmp_path):
         # Versions 1-2 (raw RSEG1 segments, no persisted patch sets)
         # were never shipped in a directory; the reader names the file
         # and the version instead of guessing at the layout.
         root = tmp_path / "db"
-        db = repro.connect(path=root, parallelism=1)
-        db.create_table("t", SCHEMA).insert_rows([[1, 2]])
-        db.checkpoint()
-        db.close()
+        self.checkpointed(root)
         manifest_path = root / "manifest.json"
-        raw = json.loads(manifest_path.read_text())
+        raw = head_payload(root)
         for version in (1, 2):
             raw["format_version"] = version
             manifest_path.write_text(json.dumps(raw))
@@ -342,30 +344,29 @@ class TestMixedVersion:
 
     def test_unsupported_manifest_version_rejected(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(path=root, parallelism=1)
-        db.create_table("t", SCHEMA).insert_rows([[1, 2]])
-        db.checkpoint()
-        db.close()
-        manifest_path = root / "manifest.json"
-        raw = json.loads(manifest_path.read_text())
-        raw["format_version"] = 99
-        manifest_path.write_text(json.dumps(raw))
-        with pytest.raises(repro.ReproError):
+        self.checkpointed(root)
+
+        def bump(raw):
+            raw["format_version"] = 99
+            return raw
+
+        edit_head(root, bump)
+        with pytest.raises(StorageError, match="version 99") as info:
             repro.connect(path=root, parallelism=1)
+        assert str(root / "wal.jsonl") in str(info.value)
 
     def test_a_malformed_partition_entry_is_a_storage_error(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(path=root, parallelism=1)
-        db.create_table("t", SCHEMA).insert_rows([[1, 2]])
-        db.checkpoint()
-        db.close()
-        manifest_path = root / "manifest.json"
-        raw = json.loads(manifest_path.read_text())
-        del raw["tables"]["t"]["partitions"][0]["file"]
-        manifest_path.write_text(json.dumps(raw))
+        self.checkpointed(root)
+
+        def drop_file(raw):
+            del raw["tables"]["t"]["partitions"][0]["file"]
+            return raw
+
+        edit_head(root, drop_file)
         with pytest.raises(StorageError, match="corrupt manifest") as info:
             repro.connect(path=root, parallelism=1)
-        assert str(manifest_path) in str(info.value)
+        assert str(root / "wal.jsonl") in str(info.value)
 
     def test_version_3_is_rejected_by_name(self, tmp_path):
         # Version 3 kept a directory of per-column segment files and a
@@ -373,13 +374,9 @@ class TestMixedVersion:
         # a typed error naming the file and the version, and left as it
         # was: nothing in it is taken for an orphan and deleted.
         root = tmp_path / "db"
-        db = repro.connect(path=root, parallelism=1)
-        db.create_table("t", SCHEMA).insert_rows([[1, 2], [1, 3]])
-        db.sql("CREATE PATCHINDEX pi_k ON t(k) TYPE UNIQUE")
-        db.checkpoint()
-        db.close()
+        self.checkpointed(root, rows=([1, 2], [1, 3]))
         manifest_path = root / "manifest.json"
-        raw = json.loads(manifest_path.read_text())
+        raw = head_payload(root)
         generation = root / "segments" / f"g{raw['checkpoint_lsn']:012d}"
         (generation / "t").mkdir(parents=True)
         for column in ("k", "v"):
@@ -394,3 +391,208 @@ class TestMixedVersion:
             repro.connect(path=root, parallelism=1)
         assert str(manifest_path) in str(info.value)
         assert sorted(root.rglob("*")) == before
+
+    def test_version_4_is_rejected_by_name(self, tmp_path):
+        # Version 4 kept the manifest in manifest.json beside a log that
+        # carried checkpoint markers and the create records of every
+        # live table and index.  Such a directory is refused by name and
+        # left as it was.
+        root = tmp_path / "db"
+        self.checkpointed(root)
+        raw = head_payload(root)
+        raw["format_version"] = 4
+        del raw["indexes"]
+        manifest_path = root / "manifest.json"
+        manifest_path.write_text(json.dumps(raw, separators=(",", ":")) + "\n")
+        (root / "wal.jsonl").write_text(
+            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t", '
+            '"schema": [{"name": "k", "dtype": "int64", "nullable": true}, '
+            '{"name": "v", "dtype": "int64", "nullable": true}], '
+            '"partition_count": 1, "block_size": 4096}}\n'
+            f'{{"lsn": {raw["checkpoint_lsn"] + 1}, "kind": "checkpoint", '
+            f'"payload": {{"checkpoint_lsn": {raw["checkpoint_lsn"]}}}}}\n'
+        )
+        before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+        with pytest.raises(StorageError, match="version 4") as info:
+            repro.connect(path=root, parallelism=1)
+        assert str(manifest_path) in str(info.value)
+        after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        assert after == before
+
+
+def durable_state(db) -> tuple:
+    """Rows (cell by cell, so rowids are positions), partition splits,
+    every index's patch sets, rebuild count and drift counters."""
+    indexes = {
+        index.name: (
+            index.rebuild_count,
+            None if index.maintenance_stats() is None
+            else index.maintenance_stats().to_payload(),
+        )
+        for index in db.catalog.indexes()
+    }
+    return (
+        tables_state(catalog_tables(db.catalog)),
+        patches_state(db.catalog),
+        indexes,
+    )
+
+
+class TestWritesDuringACheckpoint:
+    """A write committed while a checkpoint runs lands after the pin the
+    checkpoint's head stands for, so the log keeps it: a reopen equals
+    the live database."""
+
+    @pytest.mark.parametrize("write", ["insert", "rebuild_index"])
+    def test_a_write_in_the_checkpoint_window_survives_reopen(
+        self, tmp_path, monkeypatch, write
+    ):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1), (2), (3)")
+        db.sql("CREATE PATCHINDEX pi ON t(k) TYPE SORTED")
+        db.table("t").update_rowid(1, "k", 2)  # drift for a rebuild to undo
+        db.checkpoint()
+        flush_table = engine.flush_table
+
+        def flush_with_a_write(*args, **kwargs):
+            def run():
+                if write == "insert":
+                    db.sql("INSERT INTO t VALUES (4), (0)")
+                else:
+                    db.catalog.index("pi").rebuild()
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+            return flush_table(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "flush_table", flush_with_a_write)
+        db.checkpoint()
+        monkeypatch.undo()
+        live = durable_state(db)
+        db.close()
+        reopened = repro.connect(root, parallelism=1)
+        assert durable_state(reopened) == live
+        reopened.close()
+
+
+class Failpoint:
+    """Makes the *k*-th filesystem call raise :class:`OSError` while
+    installed: a write to a file opened for writing, an ``os.fsync``, an
+    ``os.replace`` or an ``os.unlink``.  ``fired`` names the call that
+    raised, if one did."""
+
+    def __init__(self, monkeypatch, k: int):
+        self.k = k
+        self.calls = 0
+        self.fired: str | None = None
+        for name in ("fsync", "replace", "unlink"):
+            monkeypatch.setattr(os, name, self._wrap(name, getattr(os, name)))
+        real_open = builtins.open
+        step = self._step
+
+        class Writes:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, data):
+                step("write")
+                return self._handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return self._handle.__exit__(*exc_info)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return Writes(handle) if any(flag in mode for flag in "wax+") else handle
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+
+    def _step(self, name: str) -> None:
+        self.calls += 1
+        if self.calls == self.k:
+            self.fired = name
+            raise OSError(5, f"failpoint: {name} #{self.k}")
+
+    def _wrap(self, name, real):
+        def failing(*args, **kwargs):
+            self._step(name)
+            return real(*args, **kwargs)
+
+        return failing
+
+
+#: What the database acknowledges before the checkpoint that fails:
+#: a checkpointed history, then a tail of every data-record kind.
+BEFORE_CHECKPOINT = [
+    "CREATE TABLE t (k BIGINT, s BIGINT)",
+    "INSERT INTO t VALUES " + ", ".join(f"({k % 97}, {k})" for k in range(300)),
+    "CREATE PATCHINDEX pk ON t(k) TYPE UNIQUE",
+    "CREATE PATCHINDEX ps ON t(s) TYPE SORTED",
+    "CREATE TABLE gone (k BIGINT)",
+]
+AFTER_CHECKPOINT = [
+    "INSERT INTO t VALUES (1000, 5), (1001, 301), (3, 302)",
+    "DELETE FROM t WHERE s BETWEEN 10 AND 14",
+    "DROP TABLE gone",
+    "INSERT INTO t VALUES (1002, 303)",
+]
+
+
+class TestCrashAtEveryCheckpointStep:
+    def test_every_failed_step_recovers_the_acknowledged_state(
+        self, tmp_path, monkeypatch
+    ):
+        """The k-th filesystem call of one ``CHECKPOINT`` raises, for
+        every k; the database is abandoned and the directory reopened
+        fresh, and its rows, rowids and patch sets must equal an
+        in-memory database fed the same acknowledged statements.
+
+        A raised exception keeps whatever the page cache holds, so this
+        checks the order of the steps, not where the fsyncs sit: killing
+        the process at each step, losing un-synced data, is the stronger
+        test this is not.
+        """
+        oracle = repro.connect(parallelism=1)
+        for statement in BEFORE_CHECKPOINT + AFTER_CHECKPOINT:
+            oracle.sql(statement)
+        oracle.table("t").update_rowid(0, "s", -1)
+        expected = durable_state(oracle)[:2]
+        fired: set[str] = set()
+        for k in range(1, 1000):
+            root = tmp_path / f"k{k}"
+            db = repro.connect(root, parallelism=1)
+            for statement in BEFORE_CHECKPOINT:
+                db.sql(statement)
+            db.checkpoint()
+            for statement in AFTER_CHECKPOINT:
+                db.sql(statement)
+            db.table("t").update_rowid(0, "s", -1)
+            failpoint = Failpoint(monkeypatch, k)
+            try:
+                db.checkpoint()
+            except OSError:
+                assert failpoint.fired is not None
+            finally:
+                monkeypatch.undo()
+            del db  # abandoned, never closed
+            reopened = repro.connect(root, parallelism=1)
+            assert durable_state(reopened)[:2] == expected, (k, failpoint.fired)
+            assert sorted(path.name for path in root.iterdir()) == [
+                "segments",
+                "wal.jsonl",
+            ]
+            reopened.close()
+            if failpoint.fired is None:
+                break
+            fired.add(failpoint.fired)
+        assert fired == {"write", "fsync", "replace", "unlink"}, fired

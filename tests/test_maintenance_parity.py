@@ -47,6 +47,7 @@ from repro.errors import WalError
 from repro.storage.checkpoint import entry_checksum
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
+from tests.log_head import edit_head
 
 KINDS = ["unique", "sorted"]
 SEEDS = [7, 23, 101]
@@ -518,13 +519,15 @@ def test_patches_file_written_before_invalidations_was_retired(tmp_path):
     db.checkpoint()
     expected = {name: db.catalog.index(name).rowids().tolist() for name in ("pi", "ps")}
     db.close()
-    path = root / "manifest.json"
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    for entry in raw["patches"].values():
-        assert "invalidations" not in entry["stats"]
-        entry["stats"]["invalidations"] = 5
-        entry["checksum"] = entry_checksum(entry)
-    path.write_text(json.dumps(raw), encoding="utf-8")
+
+    def add_invalidations(raw):
+        for entry in raw["patches"].values():
+            assert "invalidations" not in entry["stats"]
+            entry["stats"]["invalidations"] = 5
+            entry["checksum"] = entry_checksum(entry)
+        return raw
+
+    edit_head(root, add_invalidations)
 
     reopened = repro.connect(root, parallelism=1, sync=False)
     exported = reopened.obs.export()

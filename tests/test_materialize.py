@@ -29,6 +29,7 @@ from repro.core.patch_index import PatchIndex
 from repro.storage.materialize import FALLBACK_REASONS
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
+from tests.log_head import edit_head
 
 T_SCHEMA = Schema(
     [
@@ -130,11 +131,13 @@ def more_dml(db):
 
 
 def edit_manifest_patches(root, edit):
-    """Replace the manifest's ``patches`` with ``edit(patches)``."""
-    path = root / "manifest.json"
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["patches"] = edit(raw["patches"])
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    """Replace the log head's ``patches`` with ``edit(patches)``."""
+
+    def replace(payload):
+        payload["patches"] = edit(payload["patches"])
+        return payload
+
+    edit_head(root, replace)
 
 
 def delete_patches_file(db):

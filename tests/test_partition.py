@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError, StorageError
+from repro.storage.blocks import compute_block_stats
 from repro.storage.column import ColumnVector
 from repro.storage.partition import Partition
 from repro.storage.schema import Field, Schema
@@ -58,6 +59,35 @@ class TestBlockStats:
         partition.append({"x": ColumnVector.from_pylist(DataType.INT64, [7])})
         second = partition.block_stats("x")
         assert second is not first
+
+    def test_an_append_recomputes_only_the_blocks_it_touches(self, monkeypatch):
+        """A 100-row append to a 13-block partition (the last block
+        partial) recomputes at most two blocks' sketches; the full blocks
+        before it keep theirs, and the result equals a fresh computation."""
+        from repro.storage import partition as partition_module
+
+        partition = make_partition(list(range(50_000)), block_size=4096)
+        before = partition.block_stats("x")
+        assert len(before) == 13
+        twin = partition.copy()  # a snapshot shares the cached lists
+        computed = []
+        real = partition_module.block_stats
+
+        def counted(*args):
+            computed.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(partition_module, "block_stats", counted)
+        tail = ColumnVector.from_pylist(DataType.INT64, list(range(-100, 0)))
+        partition.append({"x": tail})
+        after = partition.block_stats("x")
+        assert len(computed) <= 2, computed
+        assert after[:12] == before[:12]
+        assert after == compute_block_stats(partition.column("x"), 4096)
+        assert after[-1].minimum == -100
+        # The snapshot's sketches are untouched.
+        assert twin.block_stats("x") is before and len(before) == 13
+        assert before[-1].minimum == 49_152
 
     def test_scan_ranges_for_predicate(self):
         partition = make_partition(list(range(16)), block_size=4)

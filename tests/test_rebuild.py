@@ -152,7 +152,7 @@ class TestDriftTriggeredRebuild:
         assert patch_rowids(db) == scratch.global_rowids().tolist() == [50]
         assert db.run_pending_rebuilds() == 0
         if db.engine.logs_data:
-            last = db.wal.records()[-1]
+            last = list(db.wal.records())[-1]
             assert (last.kind, last.payload) == (
                 "rebuild_index",
                 {"name": "pi", "table": "t"},

@@ -1,6 +1,7 @@
 """Tests for the interactive shell (python -m repro)."""
 
 import io
+import json
 
 from repro.__main__ import main, run_shell
 from repro.storage.database import Database
@@ -137,7 +138,8 @@ class TestCheckpoint:
         )
         assert code == 0
         assert "1 segments" in output.getvalue()
-        assert (tmp_path / "db" / "manifest.json").exists()
+        head = (tmp_path / "db" / "wal.jsonl").read_text().splitlines()[0]
+        assert json.loads(head)["kind"] == "checkpoint"
 
 
 class TestCacheCommand:

@@ -26,6 +26,7 @@ from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from repro.storage.blocks import compute_block_stats
 from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnVector
 
@@ -190,6 +191,56 @@ class TestPruningNeverLosesRows:
                 assert _rows(pruned) == _rows(unpruned)
             finally:
                 db.close()
+
+
+@st.composite
+def appended_rows(draw):
+    """One to three batches of up to six rows, each appended between
+    two reads."""
+    integers = st.one_of(st.none(), st.integers(0, 30))
+    floats = st.one_of(st.none(), st.sampled_from(_SPECIAL_FLOATS))
+    row = st.tuples(integers, integers, floats).map(
+        lambda r: [r[0], r[1], None if r[1] is None else f"k{r[1]:02d}", r[2]]
+    )
+    return draw(st.lists(st.lists(row, min_size=1, max_size=6), min_size=1, max_size=3))
+
+
+class TestAppendsBetweenReads:
+    """An append keeps the sketches of the full blocks before it and
+    computes the rest on the next read: every read prunes as a fresh
+    computation would, in memory and over segment headers."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    @given(tables(), appended_rows(), predicates())
+    @settings(max_examples=40, deadline=None)
+    def test_pruning_equals_a_fresh_computation(self, durable, table, batches, predicate):
+        query = f"SELECT a, b, s, f, tid FROM t WHERE {predicate}"
+        with tempfile.TemporaryDirectory() as root:
+            db = _reopened(table, root) if durable else None
+            live = db.table("t") if durable else table
+            catalog = db.catalog if durable else Catalog()
+            if not durable:
+                catalog.add_table(table)
+            try:
+                for rows in batches:
+                    for partition in live.partitions:  # cache every sketch
+                        for name in _SCHEMA.names:
+                            partition.block_stats(name)
+                    live.insert_rows(rows)
+                    for partition in live.partitions:
+                        for name in _SCHEMA.names:
+                            fresh = compute_block_stats(
+                                partition.column(name), partition.block_size
+                            )
+                            assert repr(partition.block_stats(name)) == repr(fresh)
+                    pruned = _plan_in(catalog, query, parallelism=1)
+                    unpruned = _plan_in(
+                        catalog, query, parallelism=1, derive_scan_ranges=False
+                    )
+                    assert _rows(pruned) == _rows(unpruned)
+            finally:
+                if db is not None:
+                    db.close()
 
 
 class TestNaNBounds:

@@ -27,7 +27,7 @@ import pytest
 
 import repro
 from repro.storage.blocks import compute_block_stats
-from repro.storage.manifest import read_manifest
+from tests.log_head import read_manifest
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.types import DataType

@@ -1,23 +1,67 @@
-"""Unit tests for the write-ahead log."""
+"""Unit tests for the write-ahead log: appends, the checkpoint head
+record, torn tails, and what a replay of the records leaves live."""
+
+import gc
+import json
+import sys
+import types
 
 import pytest
 
+import repro
 from repro.errors import WalError
+from repro.storage.manifest import Manifest
+from repro.storage.materialize import replay_log
 from repro.storage.wal import WalRecord, WriteAheadLog
+
+SCHEMA = [{"name": "c", "dtype": "int64", "nullable": True}]
+
+
+def replayed(*steps):
+    """What replaying *steps* — ``(kind, payload)`` pairs, LSNs 1, 2, …
+    — from an empty directory leaves: tables and indexes by name."""
+    records = [
+        WalRecord(lsn, kind, payload) for lsn, (kind, payload) in enumerate(steps, 1)
+    ]
+    recovered = replay_log(records, {}, None)
+    return recovered.tables, {index.name: index for index in recovered.indexes}
+
+
+def create_table(name):
+    return ("create_table", {"name": name, "schema": SCHEMA})
+
+
+def drop_table(name):
+    return ("drop_table", {"name": name})
+
+
+def create_index(name, table):
+    return (
+        "create_index",
+        {"name": name, "table": table, "column": "c", "kind": "unique"},
+    )
+
+
+def append(table, *values):
+    return (
+        "append",
+        {"table": table, "columns": {"c": list(values)}, "row_count": len(values)},
+    )
+
+
+def kinds(wal):
+    return [record.kind for record in wal.records()]
 
 
 class TestInMemory:
     def test_append_and_read(self):
         wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("create_index", {"name": "i", "table": "t"})
-        records = wal.records()
-        assert [record.kind for record in records] == [
-            "create_table",
-            "create_index",
-        ]
-        assert records[0].lsn == 1
-        assert records[1].lsn == 2
+        first = wal.append("create_table", {"name": "t"})
+        second = wal.append("create_index", {"name": "i", "table": "t"})
+        assert (first.lsn, second.lsn) == (1, 2)
+        assert wal.last_lsn == 2
+        # The in-memory engine's log assigns LSNs and keeps nothing.
+        assert list(wal.records()) == []
 
     def test_unknown_kind_rejected(self):
         wal = WriteAheadLog()
@@ -25,49 +69,50 @@ class TestInMemory:
             wal.append("compact", {})
 
     def test_checkpoint(self):
-        wal = WriteAheadLog()
-        record = wal.checkpoint()
-        assert record.kind == "checkpoint"
+        db = repro.connect()
+        db.sql("CREATE TABLE t (c BIGINT)")
+        summary = db.checkpoint()
+        assert (summary["lsn"], summary["wal_pruned"]) == (1, 0)
+        assert db.wal.last_lsn == 1
 
 
 class TestLiveRecords:
+    """What a replay of the log in order leaves live."""
+
     def test_drop_cancels_create(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("drop_table", {"name": "t"})
-        assert wal.live_records() == []
+        assert replayed(create_table("t"), drop_table("t")) == ({}, {})
 
     def test_recreate_after_drop_survives(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("drop_table", {"name": "t"})
-        wal.append("create_table", {"name": "t"})
-        live = wal.live_records()
-        assert len(live) == 1
-        assert live[0].lsn == 3
+        tables, _ = replayed(
+            create_table("t"), append("t", 1), drop_table("t"), create_table("t")
+        )
+        assert list(tables) == ["t"]
+        assert tables["t"].row_count == 0
 
     def test_drop_table_cancels_its_indexes(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("create_index", {"name": "i", "table": "t"})
-        wal.append("drop_table", {"name": "t"})
-        assert wal.live_records() == []
+        steps = (create_table("t"), create_index("i", "t"), drop_table("t"))
+        assert replayed(*steps) == ({}, {})
 
     def test_drop_index_only(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("create_index", {"name": "i", "table": "t"})
-        wal.append("drop_index", {"name": "i"})
-        live = wal.live_records()
-        assert [record.kind for record in live] == ["create_table"]
+        tables, indexes = replayed(
+            create_table("t"),
+            create_index("i", "t"),
+            ("drop_index", {"name": "i"}),
+            append("t", 1, 1),
+        )
+        assert list(tables) == ["t"] and indexes == {}
+        assert tables["t"].row_count == 2
 
     def test_alternating_create_drop(self):
-        wal = WriteAheadLog()
-        for __ in range(2):
-            wal.append("create_table", {"name": "t"})
-            wal.append("drop_table", {"name": "t"})
-        wal.append("create_table", {"name": "t"})
-        assert len(wal.live_records()) == 1
+        steps = [create_table("t"), drop_table("t")] * 2 + [create_table("t")]
+        tables, _ = replayed(*steps)
+        assert list(tables) == ["t"]
+
+    def test_an_index_maintains_the_records_after_its_create(self):
+        _, indexes = replayed(
+            create_table("t"), append("t", 1, 2), create_index("i", "t"), append("t", 2)
+        )
+        assert indexes["i"].rowids().tolist() == [1, 2]
 
 
 class TestFileBacked:
@@ -77,10 +122,7 @@ class TestFileBacked:
         wal.append("create_table", {"name": "t", "schema": []})
         wal.append("create_index", {"name": "i", "table": "t"})
         reloaded = WriteAheadLog(path)
-        assert [record.kind for record in reloaded.records()] == [
-            "create_table",
-            "create_index",
-        ]
+        assert kinds(reloaded) == ["create_table", "create_index"]
         # New appends continue the LSN sequence.
         record = reloaded.append("drop_index", {"name": "i"})
         assert record.lsn == 3
@@ -101,7 +143,7 @@ class TestFileBacked:
             '{"lsn": 1, "kind": "create_table", "payload": {"name": "b"}}\n'
         )
         with pytest.raises(WalError):
-            WriteAheadLog(path)
+            list(WriteAheadLog(path).records())
 
     def test_payload_keys_cannot_collide_with_envelope(self, tmp_path):
         # An index's own "kind" (unique/sorted) must survive a
@@ -112,10 +154,26 @@ class TestFileBacked:
             "create_index",
             {"name": "i", "table": "t", "column": "c", "kind": "unique"},
         )
-        reloaded = WriteAheadLog(path)
-        record = reloaded.records()[0]
+        record = next(WriteAheadLog(path).records())
         assert record.kind == "create_index"
         assert record.payload["kind"] == "unique"
+
+    def test_one_handle_serves_every_append(self, tmp_path, monkeypatch):
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync=False)
+        opened = []
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open", lambda *a, **k: opened.append(a) or real_open(*a, **k)
+        )
+        for position in range(3):
+            wal.append("create_table", {"name": f"t{position}"})
+        monkeypatch.undo()
+        assert opened == []
+        assert wal.last_lsn == 3
+        wal.close()
+        with pytest.raises(ValueError, match="closed"):
+            wal.append("drop_table", {"name": "t0"})
 
 
 class TestWalRecord:
@@ -177,102 +235,110 @@ class TestFromJsonHardening:
 
 
 class TestDataRecords:
-    def test_data_record_roundtrip(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("append", {"table": "t", "columns": {"c": [1, 2]}})
-        assert [record.kind for record in wal.live_records()] == [
-            "create_table",
-            "append",
-        ]
+    def test_data_record_roundtrip(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync=False)
+        wal.append(*create_table("t"))
+        wal.append(*append("t", 1, None))
+        records = list(WriteAheadLog(path).records())
+        assert [record.kind for record in records] == ["create_table", "append"]
+        assert records[1].payload["columns"] == {"c": [1, None]}
 
     def test_drop_table_elides_its_data(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("append", {"table": "t", "columns": {"c": [1]}})
-        wal.append("drop_table", {"name": "t"})
-        assert wal.live_records() == []
+        steps = (create_table("t"), append("t", 1), drop_table("t"))
+        assert replayed(*steps) == ({}, {})
 
     def test_other_tables_data_survives_a_drop(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("create_table", {"name": "u"})
-        wal.append("append", {"table": "u", "columns": {"c": [1]}})
-        wal.append("drop_table", {"name": "t"})
-        live = wal.live_records()
-        assert [record.kind for record in live] == ["create_table", "append"]
-        assert live[1].payload["table"] == "u"
+        tables, _ = replayed(
+            create_table("t"), create_table("u"), append("u", 1), drop_table("t")
+        )
+        assert list(tables) == ["u"]
+        assert tables["u"].read_column("c").to_pylist() == [1]
 
-    def test_checkpoint_markers_not_replayed(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.checkpoint()
-        assert [record.kind for record in wal.live_records()] == [
-            "create_table"
-        ]
-        assert wal.last_checkpoint_lsn() == 2
+    def test_checkpoint_markers_not_replayed(self, tmp_path):
+        # A checkpoint record is the log's head or nothing: one anywhere
+        # else is refused, not replayed.
+        path = tmp_path / "wal.jsonl"
+        path.write_text(
+            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
+            '{"lsn": 2, "kind": "checkpoint", "payload": {"checkpoint_lsn": 1}}\n'
+        )
+        with pytest.raises(WalError, match="not the log's head"):
+            list(WriteAheadLog(path).records())
+
+
+def checkpoint(wal):
+    """Install an empty manifest at a reserved LSN, keeping nothing."""
+    lsn, since = wal.reserve()
+    wal.install(Manifest(checkpoint_lsn=lsn), since)
+    return lsn
 
 
 class TestCompact:
-    def test_replay_unchanged_without_checkpoint(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("drop_table", {"name": "t"})
-        wal.append("create_table", {"name": "t"})
-        wal.append("append", {"table": "t", "columns": {"c": [1]}})
-        before = wal.live_records()
-        pruned = wal.compact()
-        assert pruned == 2  # the cancelled create/drop pair
-        assert wal.live_records() == before
+    """A checkpoint's install rewrites the log as its head record plus
+    the records after the pin."""
 
-    def test_checkpoint_prunes_covered_data_records(self):
-        wal = WriteAheadLog()
-        wal.append("create_table", {"name": "t"})
-        wal.append("append", {"table": "t", "columns": {"c": [1]}})
-        wal.checkpoint()
-        wal.append("append", {"table": "t", "columns": {"c": [2]}})
-        before = [
-            record for record in wal.live_records() if record.kind != "append"
-        ]
-        tail = [record for record in wal.live_records() if record.lsn > 3]
-        wal.compact()
-        live = wal.live_records()
-        # Metadata and the post-checkpoint tail survive; the covered
-        # data record is gone.
-        assert [record.kind for record in live] == ["create_table", "append"]
-        assert live[1].lsn == 4
-        assert before[0] in live
-        assert tail == [live[1]]
-        # The marker itself survives so the checkpoint LSN is known.
-        assert wal.last_checkpoint_lsn() == 3
+    def test_replay_unchanged_without_checkpoint(self, tmp_path):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1, sync=False)
+        db.sql("CREATE TABLE t (c BIGINT)")
+        db.sql("DROP TABLE t")
+        db.sql("CREATE TABLE t (c BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        db.close()
+        # Without a checkpoint every record stays, cancelled pairs too.
+        assert kinds(db.wal) == ["create_table", "drop_table", "create_table", "append"]
+        reopened = repro.connect(root, parallelism=1, sync=False)
+        assert reopened.sql("SELECT c FROM t").to_pylist() == [(1,)]
+        reopened.close()
+
+    def test_checkpoint_prunes_covered_data_records(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync=False)
+        wal.append(*create_table("t"))
+        wal.append(*append("t", 1))
+        lsn, since = wal.reserve()
+        wal.append(*append("t", 2))  # lands after the pin
+        wal.install(Manifest(checkpoint_lsn=lsn), since)
+        records = list(wal.records())
+        # The head stands for everything before it; the later record
+        # survives, bytes unchanged.
+        assert [(r.lsn, r.kind) for r in records] == [(3, "checkpoint"), (4, "append")]
+        assert records[0].payload["checkpoint_lsn"] == 3
+        assert records[1].payload["columns"] == {"c": [2]}
 
     def test_lsns_preserved_across_compaction(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, sync=False)
-        wal.append("create_table", {"name": "t"})
-        wal.append("append", {"table": "t", "columns": {"c": [1]}})
-        wal.checkpoint()
-        wal.compact()
-        record = wal.append("create_table", {"name": "u"})
+        wal.append(*create_table("t"))
+        wal.append(*append("t", 1))
+        assert checkpoint(wal) == 3
+        record = wal.append(*create_table("u"))
         assert record.lsn == 4
         reloaded = WriteAheadLog(path)
-        assert [r.lsn for r in reloaded.records()] == [1, 3, 4]
+        assert [r.lsn for r in reloaded.records()] == [3, 4]
+        assert reloaded.append(*drop_table("u")).lsn == 5
 
     def test_compact_rewrites_file(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, sync=False)
         for position in range(5):
-            wal.append("append", {"table": "t", "columns": {"c": [position]}})
-        wal.checkpoint()
-        wal.compact()
+            wal.append(*append("t", position))
+        checkpoint(wal)
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1  # only the checkpoint marker remains
-        reloaded = WriteAheadLog(path)
-        assert reloaded.last_checkpoint_lsn() == 6
+        assert len(lines) == 1  # only the head record remains
+        head = json.loads(lines[0])
+        assert (head["lsn"], head["kind"]) == (6, "checkpoint")
+        assert WriteAheadLog(path).last_lsn == 6
+        assert not (tmp_path / "wal.jsonl.tmp").exists()
 
-    def test_compact_empty_log_is_noop(self):
-        wal = WriteAheadLog()
-        assert wal.compact() == 0
+    def test_compact_empty_log_is_noop(self, tmp_path):
+        # A checkpoint of an empty log installs a head and nothing else.
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync=False)
+        assert checkpoint(wal) == 1
+        assert wal.append(*create_table("t")).lsn == 2
+        assert [r.lsn for r in WriteAheadLog(path).records()] == [1, 2]
 
 
 class TestTornTail:
@@ -283,7 +349,7 @@ class TestTornTail:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"lsn": 2, "kind": "crea')  # torn mid-append
         recovered = WriteAheadLog(path, tolerate_torn_tail=True)
-        assert len(recovered) == 1
+        assert kinds(recovered) == ["create_table"]
         # The file was truncated back to the last complete record.
         assert path.read_text().count("\n") == 1
         assert recovered.append("drop_table", {"name": "t"}).lsn == 2
@@ -305,7 +371,25 @@ class TestTornTail:
             '{"lsn": 3, "kind": "drop_table", "payload": {"name": "t"}}\n'
         )
         with pytest.raises(WalError):
+            list(WriteAheadLog(path, tolerate_torn_tail=True).records())
+
+    def test_a_whole_last_record_of_an_unknown_kind_is_not_torn(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        text = '{"lsn": 1, "kind": "vacuum", "payload": {}}\n'
+        path.write_text(text)
+        with pytest.raises(WalError, match="unknown WAL record kind"):
             WriteAheadLog(path, tolerate_torn_tail=True)
+        assert path.read_text() == text
+
+    def test_a_last_record_without_its_newline_is_torn(self, tmp_path):
+        # An append writes its line and newline at once: a record whose
+        # newline is missing was never acknowledged.
+        path = tmp_path / "wal.jsonl"
+        first = '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
+        path.write_text(first + first.replace('"lsn": 1', '"lsn": 2').rstrip())
+        wal = WriteAheadLog(path, sync=False, tolerate_torn_tail=True)
+        assert path.read_text() == first
+        assert wal.append("drop_table", {"name": "t"}).lsn == 2
 
 
 class TestMetricsHook:
@@ -319,3 +403,35 @@ class TestMetricsHook:
         assert metrics.counter("wal.records").value == 2
         assert metrics.counter("wal.data_records").value == 1
         assert metrics.counter("wal.bytes").value > 0
+
+
+def retained_bytes(wal) -> int:
+    """Bytes of every object the log reaches, but its metrics registry."""
+    seen: set[int] = set()
+    stack = [value for name, value in vars(wal).items() if name != "_metrics"]
+    total = 0
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(
+            item, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        stack.extend(gc.get_referents(item))
+    return total
+
+
+class TestMemory:
+    def test_the_log_keeps_no_rows_in_memory(self, tmp_path):
+        """200 INSERTs of 1 000 rows x 3 INT64 into a durable directory,
+        no checkpoint: the rows are on disk only, not in the log's memory
+        too."""
+        db = repro.connect(tmp_path / "db", parallelism=1, sync=False)
+        db.sql("CREATE TABLE t (a BIGINT, b BIGINT, c BIGINT)")
+        values = ", ".join(f"({k}, {k * 2}, {k * 3})" for k in range(1_000))
+        for _ in range(200):
+            db.sql(f"INSERT INTO t VALUES {values}")
+        assert db.table("t").row_count == 200_000
+        assert retained_bytes(db.wal) < 1 << 20
+        db.close()

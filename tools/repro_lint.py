@@ -163,13 +163,13 @@ LOCK_CHECKED_FILES = (
     "storage/snapshot.py",
     "storage/cache.py",
     "storage/engine.py",
+    "storage/wal.py",
 )
 
-#: Files whose write paths must fsync (L3): the WAL, the manifest install
-#: and the segment writer.
+#: Files whose write paths must fsync (L3): the WAL (with the checkpoint
+#: install) and the segment writer.
 FSYNC_CHECKED_FILES = (
     "storage/wal.py",
-    "storage/manifest.py",
     "storage/segment.py",
 )
 
