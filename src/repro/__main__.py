@@ -41,6 +41,8 @@ identically over the wire.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import platform
 import sys
 
 from repro.errors import ReproError
@@ -58,6 +60,36 @@ _COMMANDS = (
     "commands: \\d, \\threads [N], \\profile [on|off], \\metrics, "
     "\\cache, \\checkpoint, \\q"
 )
+
+
+#: glibc's ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: glibc's ceiling for its dynamic mmap threshold on 64-bit, and the
+#: trim threshold its dynamic rule pairs with it (twice that).
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def keep_heap() -> None:
+    """Let freed statement buffers stay in the heap, on glibc.
+
+    By default glibc serves an allocation over 128 KiB with its own
+    mapping and unmaps it on free, and trims the heap top past 128 KiB,
+    until frees raise both thresholds; a fresh process then hands each
+    statement's large numpy buffers back to the kernel and faults them
+    in again on the next statement.  These are the values the dynamic
+    rule reaches after freeing one 32 MiB mapping.  Only the processes
+    ``python -m repro`` owns call this: a library leaves its host's
+    allocator alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def run_shell(
@@ -265,4 +297,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry point
+    keep_heap()
     sys.exit(main())

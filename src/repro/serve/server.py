@@ -55,6 +55,11 @@ from repro.serve.protocol import (
 )
 from repro.sql.session import Session, statement_kind
 
+try:
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no per-thread fault count on this platform
+    RUSAGE_THREAD = None
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
@@ -436,7 +441,13 @@ class ReproServer:
 
     def _sql_frame(self, run) -> list:
         """Run a statement and encode its result, on the calling thread
-        (the connection's for a read, else the writer)."""
+        (the connection's for a read, else the writer).
+
+        The minor page faults the thread took for both land in
+        ``server.statement.minor_faults``: what a statement re-faults
+        of its working set is seen only from the served process.
+        """
+        faults = _minor_faults()
         result = run()
         started = time.perf_counter()
         try:
@@ -451,6 +462,10 @@ class ReproServer:
             time.perf_counter() - started
         )
         self._obs.histogram("server.response.bytes").observe(size)
+        if faults is not None:
+            self._obs.histogram("server.statement.minor_faults").observe(
+                _minor_faults() - faults
+            )
         return frame
 
     def _run_explain(self, request: dict, session: Session) -> str:
@@ -474,6 +489,14 @@ class ReproServer:
         else:
             session.profile = bool(value)
         return {"ok": True, "knob": knob, "value": value}
+
+
+def _minor_faults() -> int | None:
+    """Minor page faults of the calling thread so far (None where the
+    platform cannot count per thread)."""
+    if RUSAGE_THREAD is None:
+        return None
+    return getrusage(RUSAGE_THREAD).ru_minflt
 
 
 def _hang_up(sock: socket.socket) -> None:

@@ -243,23 +243,35 @@ class SnapshotRegistry:
         manifest's files to free happen under the lock.  If that manifest
         is still pinned, its files wait for :meth:`release`; otherwise the
         ones *manifest* does not name are deleted once the lock is
-        released.
+        released.  The registry follows the log from its rename on, so an
+        install that raises after it still frees what it superseded.
         """
         doomed: list[Path] = []
-        with self._lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
-            patches_bytes = wal.install(manifest, since)
-            previous, self._manifest = self._manifest, _without_patches(manifest)
-            if previous is not None:
-                if self._pinned.get(previous.checkpoint_lsn, 0) > 0:
-                    self._deferred[previous.checkpoint_lsn] = previous.files()
-                else:
-                    doomed = self._unnamed_locked(previous.files())
-            self._set_gauges_locked()
-            # The block cache stays: its keys carry the manifest a source
-            # was loaded from, so none can name stale bytes, and a kept
-            # file keeps serving its warm blocks.
-        delete_files(doomed, self._metrics)
-        return patches_bytes
+
+        def follow() -> None:
+            doomed.extend(self._follow_locked(manifest))  # lock-ok: the install below runs this under the lock
+
+        try:
+            with self._lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
+                return wal.install(manifest, since, renamed=follow)
+        finally:
+            delete_files(doomed, self._metrics)
+
+    def _follow_locked(self, manifest: Manifest) -> list[Path]:
+        """Make *manifest*, which the log now names, the current one;
+        returns the superseded files to delete now."""
+        previous, self._manifest = self._manifest, _without_patches(manifest)
+        doomed: list[Path] = []
+        if previous is not None:
+            if self._pinned.get(previous.checkpoint_lsn, 0) > 0:
+                self._deferred[previous.checkpoint_lsn] = previous.files()
+            else:
+                doomed = self._unnamed_locked(previous.files())
+        self._set_gauges_locked()
+        # The block cache stays: its keys carry the manifest a source
+        # was loaded from, so none can name stale bytes, and a kept
+        # file keeps serving its warm blocks.
+        return doomed
 
 
 class SnapshotView:

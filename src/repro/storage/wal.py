@@ -58,10 +58,10 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.check.sanitize import make_lock
-from repro.errors import WalError
+from repro.errors import StorageError, WalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -199,14 +199,15 @@ class WriteAheadLog:
         if kind not in _KNOWN_KINDS:
             raise WalError(f"unknown WAL record kind: {kind!r}")
         with self._lock:  # lock-ok: the write and its fsync are the append
+            handle = self._append_handle_locked()
             record = WalRecord(self._next_lsn, kind, dict(payload or {}))
             self._next_lsn += 1
             line = (record.to_json() + "\n").encode("utf-8")
-            if self._path is not None:
-                self._handle.write(line)
-                self._handle.flush()
+            if handle is not None:
+                handle.write(line)
+                handle.flush()
                 if self._sync and not self._defer_sync:
-                    os.fsync(self._handle.fileno())
+                    os.fsync(handle.fileno())
                 self._end += len(line)
             if self._defer_sync:
                 self._deferred_appends += 1
@@ -222,8 +223,9 @@ class WriteAheadLog:
     def sync(self) -> None:
         """fsync the log file (closes a deferred group-commit batch)."""
         with self._lock:  # lock-ok: an install swaps the handle this syncs
-            if self._handle is not None:  # the in-memory log has none
-                os.fsync(self._handle.fileno())
+            handle = self._append_handle_locked()
+            if handle is not None:  # the in-memory log has none
+                os.fsync(handle.fileno())
 
     @contextmanager
     def deferred_sync(self) -> Iterator[None]:
@@ -304,7 +306,9 @@ class WriteAheadLog:
 
     # -- checkpoint ----------------------------------------------------------
 
-    def install(self, manifest: "Manifest", since: int) -> int:
+    def install(
+        self, manifest: "Manifest", since: int, renamed: Callable[[], None]
+    ) -> int:
         """Make *manifest* the log's head record, keeping the records
         after byte offset *since* (those with LSN above its
         ``checkpoint_lsn``, from :meth:`reserve`); returns the bytes its
@@ -312,13 +316,17 @@ class WriteAheadLog:
 
         Under the log's lock, which appends take too: the head and those
         bytes, copied unparsed, go to ``wal.jsonl.tmp``, which is fsynced
-        and renamed over the log; the append handle is reopened on the new
-        file and the data directory fsynced.  A crash before the rename
-        leaves the old log whole, one after it the new one.
+        and renamed over the log; *renamed* runs right after the rename,
+        before the steps that can still raise: the append handle is
+        reopened on the new file and the data directory fsynced.  A crash
+        before the rename leaves the old log whole, one after it the new
+        one.  If the reopen fails, every later append, sync and install
+        raises :class:`StorageError`.
         """
         path = self._path
         tmp = path.with_name(path.name + ".tmp")
         with self._lock:  # lock-ok: the install's fsyncs and rename ARE the checkpoint
+            superseded = self._append_handle_locked()
             with open(tmp, "wb") as out, open(path, "rb") as log:
                 out.write(b'{"lsn":%d,"kind":"checkpoint","payload":' % manifest.checkpoint_lsn)
                 patches_bytes = manifest.write(out)
@@ -329,14 +337,27 @@ class WriteAheadLog:
                 if self._sync:
                     os.fsync(out.fileno())
             os.replace(tmp, path)
-            self._handle.close()
+            renamed()
+            self._handle = None  # until the new file is open
+            superseded.close()
             self._handle = open(path, "ab")
             self._end = self._handle.tell()
             if self._sync:
                 fsync_directory(path.parent)
         return patches_bytes
 
+    def _append_handle_locked(self):
+        """The open append handle (None for the in-memory log); raises
+        :class:`StorageError` once an install failed to reopen it."""
+        if self._path is not None and self._handle is None:
+            raise StorageError(
+                f"{self._path} has no append handle: a checkpoint renamed "
+                "the log but could not reopen it; reopen the database"
+            )
+        return self._handle
+
     def close(self) -> None:
         """Close the append handle; a later append raises."""
         with self._lock:
-            self._handle.close()
+            if self._handle is not None:
+                self._handle.close()

@@ -23,8 +23,10 @@ import stat
 import threading
 
 import numpy as np
+import pytest
 
 import repro
+from repro.errors import StorageError
 from repro.storage import snapshot
 from repro.storage.manifest import SEGMENTS_DIR
 from tests.log_head import head_payload, read_manifest
@@ -276,6 +278,66 @@ class TestPatchBytes:
         assert text == json.dumps(record, separators=(",", ":"))
         patches = json.dumps(document["patches"], separators=(",", ":"))
         assert summary["patches_bytes"] == len(patches)
+        db.close()
+
+
+class TestFailureAfterTheRename:
+    """Once the log is renamed it names the new manifest, whatever the
+    install does next; the registry must follow it."""
+
+    def test_a_failed_directory_fsync_still_frees_what_it_superseded(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        db.checkpoint()
+        db.sql("INSERT INTO t VALUES (2)")
+
+        def failing(path):
+            raise OSError("injected: directory fsync")
+
+        monkeypatch.setattr("repro.storage.wal.fsync_directory", failing)
+        with pytest.raises(OSError, match="injected"):
+            db.checkpoint()
+        monkeypatch.undo()
+        assert on_disk(root) == read_manifest(root).files()
+        db.sql("INSERT INTO t VALUES (3)")
+        db.checkpoint()
+        assert on_disk(root) == read_manifest(root).files()
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        db.close()
+        db = repro.connect(root, parallelism=1)
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        db.close()
+
+    def test_a_log_that_could_not_be_reopened_refuses_with_a_storage_error(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        real_open = open
+
+        def failing(file, mode="r", *args, **kwargs):
+            if mode == "ab":
+                raise OSError("injected: reopen")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", failing)
+        with pytest.raises(OSError, match="injected"):
+            db.checkpoint()
+        monkeypatch.undo()
+        with pytest.raises(StorageError, match="append handle"):
+            db.sql("INSERT INTO t VALUES (2)")
+        with pytest.raises(StorageError, match="append handle"):
+            db.checkpoint()
+        db.close()
+        db = repro.connect(root, parallelism=1)
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 1
+        assert on_disk(root) == read_manifest(root).files()
         db.close()
 
 

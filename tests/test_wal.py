@@ -270,7 +270,7 @@ class TestDataRecords:
 def checkpoint(wal):
     """Install an empty manifest at a reserved LSN, keeping nothing."""
     lsn, since = wal.reserve()
-    wal.install(Manifest(checkpoint_lsn=lsn), since)
+    wal.install(Manifest(checkpoint_lsn=lsn), since, renamed=lambda: None)
     return lsn
 
 
@@ -299,7 +299,7 @@ class TestCompact:
         wal.append(*append("t", 1))
         lsn, since = wal.reserve()
         wal.append(*append("t", 2))  # lands after the pin
-        wal.install(Manifest(checkpoint_lsn=lsn), since)
+        wal.install(Manifest(checkpoint_lsn=lsn), since, renamed=lambda: None)
         records = list(wal.records())
         # The head stands for everything before it; the later record
         # survives, bytes unchanged.
