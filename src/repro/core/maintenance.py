@@ -47,7 +47,9 @@ Policies per event:
       ``searchsorted`` of the rows whose value falls inside the batch's
       value range — ``O(|column|)`` comparisons plus ``O(in-range rows ·
       log batch)``, per batch however small.  On a numeric column the
-      comparisons are numpy's (~0.4 ms per statement at 200 k rows); a
+      comparisons are numpy's (0.3–0.7 ms per 100-row statement at
+      200 k rows in four partitions, by the machine's speed; EXPERIMENTS.md
+      measures it beside the statement's text); a
       STRING column is an object array, so each one calls into Python
       once per row (~6 ms at 200 k rows, where the per-index hash map
       this replaced answered in O(1) once its ~200 ms build was paid).

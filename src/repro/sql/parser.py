@@ -8,10 +8,11 @@ primary (literal / column / parenthesized expression / aggregate).
 from __future__ import annotations
 
 import datetime as _dt
+import re
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import Token, number_value, tokenize
+from repro.sql.lexer import KEYWORDS, Token, number_value, tokenize
 
 _AGG_KEYWORDS = ("count", "sum", "min", "max", "avg")
 _KEYWORD_LITERALS = {"null": None, "true": True, "false": False}
@@ -36,7 +37,7 @@ _TYPE_KEYWORDS = (
 
 def parse_statement(text: str) -> ast.SqlStatement:
     """Parse one SQL statement (a trailing semicolon is allowed)."""
-    return parse_tokens(tokenize(text))
+    return scan_insert(text) or parse_tokens(tokenize(text))
 
 
 def parse_tokens(tokens: list[Token]) -> ast.SqlStatement:
@@ -55,6 +56,89 @@ def _parse(tokens: list[Token], rule):
     parser.accept_punct(";")
     parser.expect_eof()
     return statement
+
+
+# -- the VALUES scan -----------------------------------------------------------
+#
+# An INSERT's text is almost all literals, and tokenizing it costs a
+# Token per literal and per comma and parenthesis.  scan_insert reads
+# the common form in two regex passes instead: one match checks the
+# whole VALUES body, one findall pulls out its literals and row ends.
+# It accepts a strict subset of what _Parser._insert accepts, to the
+# same SqlInsert: unquoted non-keyword names, and literals that are
+# numbers in the lexer's syntax with an optional ``-`` directly before
+# them, strings, NULL, TRUE and FALSE.  A word is ``[A-Za-z_]\w*`` and
+# ends at ``\b``, as the lexer's words do.  No pattern is
+# case-insensitive: under re.IGNORECASE ``[a-z]`` also matches U+0130,
+# U+0131, U+017F and U+212A, so ``FAL\u017fE`` would read as FALSE.
+# Digits are ``[0-9]``: ``\d`` matches the non-ASCII digits the lexer
+# rejects.  Anything else (a comment, ``DATE '...'``, a parenthesised
+# or doubly negated literal, a quoted or keyword name, any error) is
+# declined, and parse_tokens reads it with its errors and positions.
+
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_STRING = r"'[^']*(?:''[^']*)*'"
+_LITERAL = (
+    rf"(?:-?{_NUMBER}|{_STRING}"
+    r"|(?:[Nn][Uu][Ll][Ll]|[Tt][Rr][Uu][Ee]|[Ff][Aa][Ll][Ss][Ee])\b)"
+)
+_VALUES_ROW = rf"\(\s*{_LITERAL}\s*(?:,\s*{_LITERAL}\s*)*\)"
+#: ``INSERT INTO <table> [(<columns>)] VALUES``, its words as groups.
+_INSERT_HEAD = re.compile(
+    r"""
+    \s*([A-Za-z_]\w*)\s+([A-Za-z_]\w*)\s+([A-Za-z_]\w*)\b\s*
+    (?:\(\s*([A-Za-z_]\w*\b\s*(?:,\s*[A-Za-z_]\w*\b\s*)*)\)\s*)?
+    ([A-Za-z_]\w*)\b\s*
+    """,
+    re.VERBOSE,
+)
+#: The rest of the text after VALUES: rows, then an optional ``;``.
+_VALUES_BODY = re.compile(rf"{_VALUES_ROW}(?:\s*,\s*{_VALUES_ROW})*\s*(?:;\s*)?")
+#: One item of a checked body, after the separators before it: a
+#: literal, or the ``)`` that ends a row.
+_VALUES_ITEM = re.compile(rf"[\s,(]*(\)|-?{_NUMBER}|{_STRING}|[A-Za-z]+)")
+
+
+def scan_insert(text: str) -> ast.SqlInsert | None:
+    """*text* as the :class:`ast.SqlInsert` :func:`parse_tokens` builds
+    for it, when it is an INSERT of the form the VALUES scan reads;
+    otherwise None."""
+    head = _INSERT_HEAD.match(text)
+    if head is None:
+        return None
+    insert, into, table, names, values = head.groups()
+    if (
+        insert.lower() != "insert"
+        or into.lower() != "into"
+        or values.lower() != "values"
+        or (table := table.lower()) in KEYWORDS
+    ):
+        return None
+    columns: tuple[str, ...] | None = None
+    if names is not None:
+        columns = tuple(name.strip().lower() for name in names.split(","))
+        if not KEYWORDS.isdisjoint(columns):
+            return None
+    start = head.end()
+    if _VALUES_BODY.fullmatch(text, start) is None:
+        return None
+    rows: list[tuple[object, ...]] = []
+    row: list[object] = []
+    for item in _VALUES_ITEM.findall(text, start):
+        if item.isdigit():  # number_value's int case, inlined
+            row.append(int(item))
+        elif item == ")":
+            rows.append(tuple(row))
+            row = []
+        elif item[0] == "'":
+            row.append(item[1:-1].replace("''", "'"))
+        elif item[0] == "-":
+            row.append(-number_value(item[1:]))
+        elif item[0].isalpha():
+            row.append(_KEYWORD_LITERALS[item.lower()])
+        else:
+            row.append(number_value(item))
+    return ast.SqlInsert(table, tuple(rows), columns)
 
 
 class _Parser:

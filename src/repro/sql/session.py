@@ -2,10 +2,12 @@
 
 This module wires the front end together: tokenize → (DDL / DML
 execution | optimized plan, from the catalog's plan cache or parse →
-bind → optimize → physical plan → collect) — and owns :class:`Session`,
-the first-class per-caller scope.  A session holds sticky knobs
-(parallelism, profiling, snapshot reads) and is the unit the
-network server hands each connection;
+bind → optimize → physical plan → collect), where a plain-literal
+``INSERT`` skips the tokenizer (:func:`repro.sql.parser.scan_insert`;
+one it declines counts ``fallback.insert_values_parse``) — and owns
+:class:`Session`, the first-class per-caller scope.  A session holds
+sticky knobs (parallelism, profiling, snapshot reads) and is the unit
+the network server hands each connection;
 :meth:`repro.storage.database.Database.sql` delegates to an implicit
 default session so single-caller code never has to see one.
 
@@ -47,7 +49,7 @@ from repro.plan.physical import PhysicalPlanner
 from repro.sql import ast
 from repro.sql.binder import Binder
 from repro.sql.lexer import Token, parameterize, tokenize
-from repro.sql.parser import parse_select, parse_tokens
+from repro.sql.parser import parse_select, parse_tokens, scan_insert
 from repro.storage.schema import Field, Schema
 from repro.types import DataType
 
@@ -267,29 +269,37 @@ def _execute_statement(
     serial execution).  *profile* instruments the execution and attaches
     a :class:`~repro.obs.profile.QueryProfile` to the result.
     """
-    tokens = tokenize(text)
-    if tokens[0].is_keyword("select"):
-        _count_statement(database, "select")
-        __, operator, cache_state = _plan_read(
-            database, tokens, optimizer_options, parallelism
-        )
-        result = _collect_read(database, operator, cache_state, profile, text)
-        _count_rows(database, result.row_count)
-        return result
-    if tokens[0].is_keyword("explain"):
-        analyze = tokens[1].is_keyword("analyze")
-        query = tokens[2 if analyze else 1 :]
-        if not query[0].is_keyword("select"):
-            parse_tokens(query)  # a syntax error outranks the wrong kind
-            raise BindError("EXPLAIN supports SELECT statements only")
-        _count_statement(database, "explain_analyze" if analyze else "explain")
-        rendered, query_profile = _explain_read(
-            database, query, text, optimizer_options, parallelism, analyze
-        )
-        result = QueryResult.from_lines("plan", rendered.splitlines())
-        result.profile = query_profile
-        return result
-    statement = parse_tokens(tokens)
+    # Only a text that starts with INSERT pays for the VALUES scan.
+    statement: ast.SqlStatement | None = (
+        scan_insert(text) if text.lstrip()[:6].lower() == "insert" else None
+    )
+    if statement is None:
+        tokens = tokenize(text)
+        if tokens[0].is_keyword("select"):
+            _count_statement(database, "select")
+            __, operator, cache_state = _plan_read(
+                database, tokens, optimizer_options, parallelism
+            )
+            result = _collect_read(database, operator, cache_state, profile, text)
+            _count_rows(database, result.row_count)
+            return result
+        if tokens[0].is_keyword("explain"):
+            analyze = tokens[1].is_keyword("analyze")
+            query = tokens[2 if analyze else 1 :]
+            if not query[0].is_keyword("select"):
+                parse_tokens(query)  # a syntax error outranks the wrong kind
+                raise BindError("EXPLAIN supports SELECT statements only")
+            _count_statement(database, "explain_analyze" if analyze else "explain")
+            rendered, query_profile = _explain_read(
+                database, query, text, optimizer_options, parallelism, analyze
+            )
+            result = QueryResult.from_lines("plan", rendered.splitlines())
+            result.profile = query_profile
+            return result
+        statement = parse_tokens(tokens)
+        if isinstance(statement, ast.SqlInsert):
+            # An INSERT the VALUES scan declined pays a token per literal.
+            database.obs.counter("fallback.insert_values_parse").inc()
     if isinstance(statement, ast.SqlCreateTable):
         _count_statement(database, "ddl")
         schema = Schema(

@@ -63,6 +63,7 @@ from repro.storage.manifest import (
     WAL_NAME,
     Manifest,
     TableManifest,
+    checkpoint_files,
     refuse_manifest_file,
 )
 from repro.storage.materialize import load_tables, replay_log
@@ -334,6 +335,14 @@ class DurableEngine(StorageEngine):
                 # The new files' names, before the log names them.
                 fsync_directory(self.root / SEGMENTS_DIR)
             patches_bytes = self._snapshots.flip(manifest, database.wal, since)
+        except BaseException:
+            if self._snapshots.checkpoint_lsn != lsn:
+                # The log never named this checkpoint and no later one
+                # will: what it wrote goes now rather than at the next
+                # reopen.
+                written = checkpoint_files(self.root, lsn)
+                delete_files([*written, self.root / (WAL_NAME + ".tmp")], obs)
+            raise
         finally:
             self.release_snapshot(handle)
         # The old log held its head (if any) and one record per LSN up to

@@ -61,6 +61,18 @@ def partition_file(table: str, partition_id: int, checkpoint_lsn: int) -> str:
     return f"{SEGMENTS_DIR}/{name}.p{partition_id}.{checkpoint_lsn:012d}.seg"
 
 
+def checkpoint_files(root: Path, checkpoint_lsn: int) -> list[Path]:
+    """The partition files in *root* that the checkpoint at
+    *checkpoint_lsn* wrote: each name :func:`partition_file` gives it
+    ends in that LSN."""
+    suffix = f".{checkpoint_lsn:012d}.seg"
+    return sorted(
+        entry
+        for entry in (root / SEGMENTS_DIR).iterdir()
+        if entry.name.endswith(suffix)
+    )
+
+
 def refuse_manifest_file(root: Path) -> None:
     """Raise :class:`StorageError` when *root* holds a ``manifest.json``:
     a directory of format 4 or older, named by the version it records."""

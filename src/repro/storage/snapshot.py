@@ -161,6 +161,13 @@ class SnapshotRegistry:
         #: Superseded manifests still pinned: checkpoint LSN → its files.
         self._deferred: dict[int, frozenset[str]] = {}
 
+    @property
+    def checkpoint_lsn(self) -> int:
+        """Checkpoint LSN of the manifest the log names (0 without one)."""
+        with self._lock:
+            manifest = self._manifest
+        return manifest.checkpoint_lsn if manifest is not None else 0
+
     def _count_locked(self, name: str) -> None:
         self._metrics.counter(f"storage.snapshot.{name}").inc()
 

@@ -183,6 +183,8 @@ class WriteAheadLog:
         #: Byte length of the log file: where the next append lands.
         self._end = 0
         self._handle = None
+        #: Set by :meth:`close`; every later append raises.
+        self._closed = False
         #: True inside a :meth:`deferred_sync` block — appends skip
         #: their per-record fsync and the batch syncs once at exit.
         self._defer_sync = False
@@ -348,16 +350,21 @@ class WriteAheadLog:
 
     def _append_handle_locked(self):
         """The open append handle (None for the in-memory log); raises
-        :class:`StorageError` once an install failed to reopen it."""
+        :class:`StorageError` after :meth:`close` or once an install
+        failed to reopen it."""
         if self._path is not None and self._handle is None:
             raise StorageError(
-                f"{self._path} has no append handle: a checkpoint renamed "
-                "the log but could not reopen it; reopen the database"
+                f"{self._path} is closed"
+                if self._closed
+                else f"{self._path} has no append handle: a checkpoint "
+                "renamed the log but could not reopen it; reopen the database"
             )
         return self._handle
 
     def close(self) -> None:
         """Close the append handle; a later append raises."""
         with self._lock:
+            self._closed = True
             if self._handle is not None:
                 self._handle.close()
+                self._handle = None

@@ -281,6 +281,60 @@ class TestPatchBytes:
         db.close()
 
 
+def _failing_rename(monkeypatch):
+    def replace(*args, **kwargs):
+        raise OSError("injected: rename")
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def _failing_segments_sync(monkeypatch):
+    def fsync_directory(path):
+        raise OSError("injected: segments fsync")
+
+    monkeypatch.setattr("repro.storage.engine.fsync_directory", fsync_directory)
+
+
+def _failing_segment_write(monkeypatch):
+    def write_segments(path, segments, *, sync):
+        with open(path, "wb") as handle:
+            handle.write(b"torn")
+        raise OSError("injected: segment write")
+
+    monkeypatch.setattr("repro.storage.checkpoint.write_segments", write_segments)
+
+
+class TestFailureBeforeTheRename:
+    """A checkpoint that raises before the log names it deletes the
+    files it wrote; no later checkpoint would."""
+
+    @pytest.mark.parametrize(
+        "inject", [_failing_rename, _failing_segments_sync, _failing_segment_write]
+    )
+    def test_the_files_it_wrote_are_deleted(self, tmp_path, monkeypatch, inject):
+        root = tmp_path / "db"
+        db = repro.connect(root, parallelism=1)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1)")
+        db.checkpoint()
+        named = read_manifest(root).files()
+        db.sql("INSERT INTO t VALUES (2)")
+        inject(monkeypatch)
+        with pytest.raises(OSError, match="injected"):
+            db.checkpoint()
+        monkeypatch.undo()
+        assert on_disk(root) == named == read_manifest(root).files()
+        assert not (root / "wal.jsonl.tmp").exists()
+        db.sql("INSERT INTO t VALUES (3)")
+        db.checkpoint()
+        assert on_disk(root) == read_manifest(root).files()
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        db.close()
+        db = repro.connect(root, parallelism=1)
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        db.close()
+
+
 class TestFailureAfterTheRename:
     """Once the log is renamed it names the new manifest, whatever the
     install does next; the registry must follow it."""

@@ -135,6 +135,25 @@ class TestDatabaseMetrics:
         assert counters["statements.insert"] == 1
         assert counters["query.rows_returned"] == 5
 
+    def test_an_insert_the_values_scan_declines_is_counted(self):
+        db = Database()
+        db.sql("CREATE TABLE t (k BIGINT, u BIGINT, s BIGINT, v BIGINT)")
+        db.sql("CREATE TABLE e (k BIGINT, d DATE)")
+
+        def fallbacks():
+            counters = db.metrics().export()["counters"]
+            return counters.get("fallback.insert_values_parse", 0)
+
+        values = ", ".join(f"({k}, {k + 800}, {k}, {k % 997})" for k in range(100))
+        db.sql(f"INSERT INTO t VALUES {values}")  # mixed_ingest's shape
+        db.sql("SELECT COUNT(*) AS n FROM t WHERE k = 3")
+        assert fallbacks() == 0
+        db.sql("INSERT INTO e VALUES (1, DATE '2020-01-02')")
+        assert fallbacks() == 1
+        db.sql("INSERT INTO t VALUES (1, 2, 3, 4 -- one\n)")
+        assert fallbacks() == 2
+        assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 101
+
     def test_maintenance_counters(self, db):
         db.sql("INSERT INTO t VALUES (9)")
         db.sql("DELETE FROM t WHERE c = 2")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SqlSyntaxError
 from repro.sql.lexer import _TOKEN, tokenize
-from repro.sql.parser import parse_statement
+from repro.sql.parser import _INSERT_HEAD, _VALUES_BODY, _VALUES_ITEM, parse_statement
 from tests import sql_lexer_reference as reference
 
 
@@ -253,8 +253,9 @@ class TestMatchesReference:
     def test_pattern_has_no_python_3_11_only_syntax(self):
         # Possessive quantifiers and atomic groups need Python 3.11's re;
         # on 3.10 the pattern would not compile and the package would
-        # not import.
-        assert not re.search(r"[*+?}]\+|\(\?>", _TOKEN.pattern)
+        # not import.  The parser's VALUES scan patterns too.
+        for pattern in (_TOKEN, _INSERT_HEAD, _VALUES_BODY, _VALUES_ITEM):
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern
 
     def test_every_kind_of_character(self):
         # One character per combination of the str predicates either

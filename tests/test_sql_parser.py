@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import tokenize
-from repro.sql.parser import _Parser, parse_statement
+from repro.sql.parser import _Parser, parse_statement, parse_tokens, scan_insert
 
 
 class TestSelect:
@@ -297,3 +297,108 @@ class TestLiteralRuleMatchesExpressions:
         else:
             text = f"SELECT a FROM t WHERE a {where.upper()} ({row})"
         assert _outcome(_Parser, text) == _outcome(_ExpressionLiterals, text)
+
+
+def _insert_outcome(parse, text):
+    """What *parse* makes of *text*: the table, columns and each value
+    with its type, or the error's type and position."""
+    try:
+        statement = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), getattr(exc, "position", None)
+    assert isinstance(statement, ast.SqlInsert)
+    # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0 and True.
+    rows = [[(type(value), repr(value)) for value in row] for row in statement.rows]
+    return statement.table, statement.columns, rows
+
+
+#: Pieces the VALUES scan reads; a text built only from them must not
+#: fall back to the token parser.
+_SCANNED_HEADS = [
+    "INSERT INTO t VALUES", "insert into T values", "InSeRt\tINTO\nt_1 VALUES",
+    "  INSERT INTO t (a, B) VALUES", "INSERT INTO t(a)VALUES", "INSERT INTO té VALUES",
+]
+_SCANNED_LITERALS = [
+    "1", "0", "007", "-1", "-0", "-0.0", "0.0", "2.5", "-2.5", "1.", "-1.", ".5",
+    "-.5", "1e3", "1E-3", "2.5e+2", "-1.5e-300", "1e999", "123456789012345678901234",
+    "NULL", "null", "TRUE", "true", "FALSE", "False", "'x'", "''", "'it''s'",
+    "'a, b)'", "'(1), (2'", "'--'", "'é\n'",
+]
+_SCANNED_TAILS = ["", ";", " ; ", "\n"]
+#: Pieces it declines or that are errors: the token parser decides.
+_OTHER_HEADS = [
+    'INSERT INTO "T" VALUES', "INSERT INTO type VALUES", "INSERT INTO values VALUES",
+    "INSERT INTO t (count) VALUES", "INSERT INTO tvalues", "INSERT INTO t VALUE",
+    "INSERT -- c\nINTO t VALUES", "INSERTINTO t VALUES", "INSERT INTO ıt VALUES",
+    "INSERT INTO t x VALUES", "INSERT INTO t () VALUES", "INSERT t VALUES",
+    "INSERT INTO K VALUES", "INSERT INTO tK VALUES", "INSERT INTO t (a,) VALUES",
+    "INSERT INTO select VALUES", "INSERT INTO t (a, null) VALUES",
+]
+_OTHER_LITERALS = [
+    "DATE '2020-01-02'", "DATE 'nope'", "- 1", "- -1", "--1", "(1)", "-NULL", "-TRUE",
+    "+1", "1e", "1E+", "12abc", "1.2.3", "1..", ".", "e5", "١", "1١",
+    "1.١", "nullx", "NULLé", "x", "'open", "1 2", "1 -- c\n", "/* */",
+    "1-2", "ſ", "FALſE", "TRUE'x'",
+]
+_OTHER_TAILS = [";;", " x", " -- c", "; 1", ")", ",", ", (1"]
+
+
+@st.composite
+def _insert_texts(draw):
+    """An INSERT text built from pieces the VALUES scan reads, with at
+    most one piece it does not; and whether it has none."""
+    head = draw(st.sampled_from(_SCANNED_HEADS))
+    rows = [
+        [draw(st.sampled_from(_SCANNED_LITERALS)) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    tail = draw(st.sampled_from(_SCANNED_TAILS))
+    odd = draw(st.sampled_from(["none", "head", "literal", "tail"]))
+    if odd == "head":
+        head = draw(st.sampled_from(_OTHER_HEADS))
+    elif odd == "literal":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_OTHER_LITERALS))
+    elif odd == "tail":
+        tail = draw(st.sampled_from(_OTHER_TAILS))
+    texts = [
+        draw(st.sampled_from(["({})", "( {} )", "(\t{}\n)"])).format(
+            draw(st.sampled_from([", ", ",", " , ", ",\n  "])).join(row)
+        )
+        for row in rows
+    ]
+    body = draw(st.sampled_from([", ", ",", "\n, "])).join(texts)
+    space = draw(st.sampled_from([" ", "", "\n  "]))
+    return f"{head}{space}{body}{tail}", odd == "none"
+
+
+class TestValuesScanMatchesTheTokenParser:
+    """The VALUES scan reads exactly what the token parser reads, to the
+    same values of the same types; what it declines, the token parser
+    reads with its own errors and positions."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_insert_texts())
+    @example(("INSERT INTO t VALUES (1, -0.0, -0, 1.0, TRUE)", True))
+    @example(("INSERT INTO t VALUES (12abc)", False))
+    @example(("INSERT INTO t VALUES (1e)", False))
+    @example(("INSERT INTO t VALUES (١)", False))
+    @example(("INSERT INTO tvalues (1)", False))
+    @example(("INSERT INTO select VALUES (1)", False))
+    @example(("INSERT INTO t (null) VALUES (1)", False))
+    def test_generated_inserts(self, case):
+        text, scanned = case
+        oracle = _insert_outcome(lambda text: parse_tokens(tokenize(text)), text)
+        assert _insert_outcome(parse_statement, text) == oracle
+        statement = scan_insert(text)
+        if scanned:
+            assert statement is not None, text
+        if statement is not None:
+            assert _insert_outcome(lambda text: statement, text) == oracle
+
+    def test_the_benchmark_insert_is_scanned(self):
+        values = ", ".join(f"({k}, {k + 800}, {k}, {k % 997})" for k in range(100))
+        statement = scan_insert(f"INSERT INTO t VALUES {values}")
+        assert statement is not None
+        assert statement == parse_tokens(tokenize(f"INSERT INTO t VALUES {values}"))
+        assert len(statement.rows) == 100 and statement.rows[-1] == (99, 899, 99, 99)

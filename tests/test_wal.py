@@ -9,7 +9,7 @@ import types
 import pytest
 
 import repro
-from repro.errors import WalError
+from repro.errors import StorageError, WalError
 from repro.storage.manifest import Manifest
 from repro.storage.materialize import replay_log
 from repro.storage.wal import WalRecord, WriteAheadLog
@@ -172,7 +172,7 @@ class TestFileBacked:
         assert opened == []
         assert wal.last_lsn == 3
         wal.close()
-        with pytest.raises(ValueError, match="closed"):
+        with pytest.raises(StorageError, match="closed"):
             wal.append("drop_table", {"name": "t0"})
 
 
