@@ -45,21 +45,3 @@ def measure(
         result = func()
         times.append(time.perf_counter() - started)
     return MeasuredRun(min(times), repeats, tuple(times), result)
-
-
-class Timer:
-    """Context manager measuring one wall-clock interval."""
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.seconds = time.perf_counter() - self._start
-
-    @property
-    def milliseconds(self) -> float:
-        return self.seconds * 1e3

@@ -322,8 +322,9 @@ class Not(Expression):
 class InList(Expression):
     """``expr [NOT] IN (literal, ...)`` — vectorized membership test.
 
-    NULL operands yield NULL (SQL semantics for a non-empty list
-    without NULLs, the only list shape the parser produces).
+    Answers as ``expr = v1 OR expr = v2 ...`` (and ``NOT`` of it) does:
+    NULL operands yield NULL (SQL semantics for a non-empty list without
+    NULLs, the only list shape the parser produces).
     """
 
     operand: Expression
@@ -332,11 +333,19 @@ class InList(Expression):
 
     def evaluate(self, batch: RecordBatch) -> ColumnVector:
         operand = self.operand.evaluate(batch)
-        needles = np.array(
-            [coerce_scalar(value, operand.dtype) for value in self.values],
-            dtype=operand.values.dtype,
-        )
-        mask = np.isin(operand.values, needles)
+        mask = np.zeros(len(operand), dtype=np.bool_)
+        needles: list[object] = []
+        for value in self.values:
+            try:
+                needles.append(coerce_scalar(value, operand.dtype))
+            except TypeMismatchError:
+                # Not a value of the operand's type (an int beyond INT64,
+                # 1.5 against INT64): match it as ``expr = value`` does.
+                mask |= _compare_with_literal(operand, "=", Literal(value)).values
+        if needles:
+            mask |= np.isin(
+                operand.values, np.array(needles, dtype=operand.values.dtype)
+            )
         if self.negated:
             mask = ~mask
         return ColumnVector(DataType.BOOL, mask, operand.validity)
@@ -425,7 +434,14 @@ def _compare_with_literal(
             np.zeros(len(vector), dtype=np.bool_),
             np.zeros(len(vector), dtype=np.bool_),
         )
-    scalar = coerce_scalar(literal.value, dtype)
+    try:
+        scalar = coerce_scalar(literal.value, dtype)
+    except TypeMismatchError:
+        if dtype != DataType.INT64 or type(literal.value) is not int:
+            raise
+        # An int beyond INT64 equals no stored value and orders past
+        # every one; NumPy compares the Python int exactly.
+        scalar = literal.value
     if widen:
         values = values.astype(np.float64, copy=False)
         scalar = float(scalar)  # type: ignore[arg-type]

@@ -69,10 +69,6 @@ class Gauge:
         with self._lock:
             self._value = value
 
-    def add(self, amount: int | float) -> None:
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> int | float:
         with self._lock:
@@ -233,13 +229,6 @@ class MetricsRegistry:
             lines.append(f"{name}_count {summary['count']}")
             lines.append(f"{name}_sum {summary['sum']:g}")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Drop every instrument (tests and benchmark isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

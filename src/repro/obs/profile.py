@@ -4,8 +4,8 @@ Profiling is strictly opt-in: :func:`attach_profile` walks a physical
 operator tree *after planning* and swaps each operator's ``open`` /
 ``next_batch`` for timing wrappers (instance attributes shadowing the
 class methods), so an unprofiled query executes the exact same bytecode
-as before this module existed — the near-zero-disabled-overhead
-property the benchmark ``benchmarks/bench_profile_overhead.py`` checks.
+as before this module existed: the path every ``bench_e2e`` run
+measures.
 
 Each operator gets one :class:`ProfileNode` recording rows out, batches
 produced, and inclusive wall time (self time is derived at render

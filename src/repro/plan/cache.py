@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterator
 
 from repro.check.sanitize import make_lock
-from repro.exec.expressions import Expression, Literal, map_literals
+from repro.exec.expressions import Expression, Literal, literal, map_literals
 from repro.plan import logical as lp
-from repro.types.datatypes import coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.catalog import Catalog
@@ -104,10 +103,10 @@ def literal_slots(plan: lp.LogicalPlan) -> list[int]:
     """Slots of the slotted literals in *plan*, one entry per occurrence."""
     found: list[int] = []
 
-    def record(literal: Literal) -> Literal:
-        if literal.slot is not None:
-            found.append(literal.slot)
-        return literal
+    def record(slotted: Literal) -> Literal:
+        if slotted.slot is not None:
+            found.append(slotted.slot)
+        return slotted
 
     for node in _walk(plan):
         for expression in _expressions(node):
@@ -120,19 +119,15 @@ def bind_parameters(
 ) -> lp.LogicalPlan:
     """*plan* with every slotted literal carrying ``values[slot]``.
 
-    The value goes through the same :func:`coerce_scalar` the binder
-    applied; nodes without slotted literals below them are shared with
-    the cached plan, not copied.
+    The value goes through the same :func:`literal` constructor the
+    binder applied; nodes without slotted literals below them are shared
+    with the cached plan, not copied.
     """
 
-    def rebind(literal: Literal) -> Literal:
-        if literal.slot is None or literal.dtype is None:
-            return literal
-        return Literal(
-            coerce_scalar(values[literal.slot], literal.dtype),
-            literal.dtype,
-            literal.slot,
-        )
+    def rebind(slotted: Literal) -> Literal:
+        if slotted.slot is None or slotted.dtype is None:
+            return slotted
+        return literal(values[slotted.slot], slotted.dtype, slotted.slot)
 
     def visit(node: lp.LogicalPlan) -> lp.LogicalPlan:
         children = node.children()

@@ -134,8 +134,7 @@ class PhysicalPlanner:
             raise PlanError(
                 f"the thread pool is the only backend, got {backend!r}"
             )
-        # Only callers: bench_e2e/tracing.py and
-        # benchmarks/bench_profile_overhead.py pass database=; unread.
+        # Only caller: bench_e2e/tracing.py passes database=; unread.
         del database
         self._depth = 0
 

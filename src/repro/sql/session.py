@@ -525,6 +525,11 @@ def _run_insert(database: "Database", statement: ast.SqlInsert) -> int:
                 )
         return table.insert_rows(statement.rows)
     positions = {name: table.schema.index_of(name) for name in statement.columns}
+    if len(positions) != len(statement.columns):
+        repeated = next(
+            name for name in positions if statement.columns.count(name) > 1
+        )
+        raise BindError(f"column {repeated!r} appears twice in the INSERT column list")
     rows = []
     for row in statement.rows:
         if len(row) != len(statement.columns):

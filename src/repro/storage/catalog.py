@@ -62,9 +62,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown table: {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     def drop_table(self, name: str) -> None:
         with self.state_lock:
             if name not in self._tables:

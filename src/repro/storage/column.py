@@ -65,8 +65,13 @@ class ColumnVector:
             # coerce_scalar would return, so one np.array call converts
             # them all.  Anything else (NULL, bool, str, numpy scalars)
             # goes through coerce_scalar, which accepts or raises as
-            # always.
-            return cls(dtype, np.array(items, dtype=np_dtype))
+            # always.  An int out of the type's range makes NumPy raise
+            # OverflowError, so the fast path checks no range itself:
+            # coerce_scalar below names the value.
+            try:
+                return cls(dtype, np.array(items, dtype=np_dtype))
+            except OverflowError:
+                pass
         coerced = [coerce_scalar(item, dtype) for item in items]
         validity = np.array([item is not None for item in coerced], dtype=np.bool_)
         if np_dtype == np.dtype(object):

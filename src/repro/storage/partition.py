@@ -21,7 +21,7 @@ checkpoint holding an older vector reads exactly the rows it had.
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -362,10 +362,6 @@ class Partition:
         self.row_count = int(keep_mask.sum())
         self._block_stats.clear()
         self._spare.clear()
-
-    def project(self, names: Sequence[str]) -> dict[str, ColumnVector]:
-        """Return references to the requested column vectors."""
-        return {name: self.column(name) for name in names}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

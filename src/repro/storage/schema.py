@@ -87,13 +87,6 @@ class Schema:
         """Return a new schema projecting the given columns, in order."""
         return Schema(self.field(name) for name in names)
 
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Return a new schema with columns renamed per *mapping*."""
-        return Schema(
-            Field(mapping.get(field.name, field.name), field.dtype, field.nullable)
-            for field in self._fields
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(str(field) for field in self._fields)
         return f"Schema({inner})"

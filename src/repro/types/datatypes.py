@@ -159,13 +159,18 @@ def coerce_scalar(value: object, dtype: DataType) -> object:
     if dtype == DataType.INT64:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeMismatchError(f"expected INT64, got {value!r}")
-        return int(value)
+        return _int64(value, dtype)
     if dtype == DataType.FLOAT64:
         if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)
         ):
             raise TypeMismatchError(f"expected FLOAT64, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise TypeMismatchError(
+                f"value out of range for FLOAT64: {value!r}"
+            ) from None
     if dtype == DataType.STRING:
         if not isinstance(value, str):
             raise TypeMismatchError(f"expected STRING, got {value!r}")
@@ -174,10 +179,18 @@ def coerce_scalar(value: object, dtype: DataType) -> object:
         if isinstance(value, _dt.date) and not isinstance(value, _dt.datetime):
             return date_to_days(value)
         if isinstance(value, (int, np.integer)):
-            return int(value)
+            return _int64(value, dtype)
         raise TypeMismatchError(f"expected DATE, got {value!r}")
     if dtype == DataType.BOOL:
         if not isinstance(value, (bool, np.bool_)):
             raise TypeMismatchError(f"expected BOOL, got {value!r}")
         return bool(value)
     raise TypeMismatchError(f"unhandled data type {dtype}")  # pragma: no cover
+
+
+def _int64(value: int | np.integer, dtype: DataType) -> int:
+    """*value* as a Python int, or a mismatch when int64 cannot hold it."""
+    value = int(value)
+    if not -(2**63) <= value < 2**63:
+        raise TypeMismatchError(f"value out of range for {dtype.name}: {value!r}")
+    return value

@@ -1,8 +1,6 @@
 """Tests for the benchmark support modules (harness, reporting)."""
 
-import time
-
-from repro.bench.harness import MeasuredRun, Timer, measure
+from repro.bench.harness import MeasuredRun, measure
 from repro.bench.reporting import format_series, format_table
 
 
@@ -23,14 +21,6 @@ class TestMeasure:
         calls = []
         measure(lambda: calls.append(1), repeats=2, warmup=3)
         assert len(calls) == 5
-
-
-class TestTimer:
-    def test_measures_interval(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.seconds >= 0.009
-        assert timer.milliseconds >= 9
 
 
 class TestFormatTable:

@@ -22,7 +22,6 @@ class TestTables:
         table = make_table()
         catalog.add_table(table)
         assert catalog.table("t") is table
-        assert catalog.has_table("t")
         assert catalog.table_names() == ["t"]
 
     def test_duplicate_rejected(self):
@@ -39,7 +38,7 @@ class TestTables:
         catalog = Catalog()
         catalog.add_table(make_table())
         catalog.drop_table("t")
-        assert not catalog.has_table("t")
+        assert catalog.table_names() == []
         with pytest.raises(CatalogError):
             catalog.drop_table("t")
 

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro import Database
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -34,14 +34,6 @@ class TestCounter:
         for thread in threads:
             thread.join()
         assert counter.value == 4000
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.add(-3)
-        assert gauge.value == 7
 
 
 class TestHistogram:
@@ -109,12 +101,6 @@ class TestRegistry:
         assert "ratio 0.25" in lines
         assert "lat_count 1" in lines
         assert "lat_sum 1.5" in lines
-
-    def test_reset_clears_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.reset()
-        assert registry.export()["counters"] == {}
 
 
 @pytest.fixture

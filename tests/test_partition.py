@@ -152,8 +152,3 @@ class TestMutation:
         partition = make_partition([1, 2])
         with pytest.raises(StorageError):
             partition.replace_rows(np.array([True]))
-
-    def test_project(self):
-        partition = make_partition([1, 2])
-        projected = partition.project(["x"])
-        assert list(projected) == ["x"]

@@ -53,12 +53,6 @@ class TestSchema:
         projected = schema.select(["c", "a"])
         assert projected.names == ("c", "a")
 
-    def test_rename(self):
-        schema = Schema([Field("a", DataType.INT64), Field("b", DataType.BOOL)])
-        renamed = schema.rename({"a": "x"})
-        assert renamed.names == ("x", "b")
-        assert renamed.field("x").dtype == DataType.INT64
-
     def test_equality_and_hash(self):
         first = Schema([Field("a", DataType.INT64)])
         second = Schema([Field("a", DataType.INT64)])

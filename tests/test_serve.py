@@ -18,6 +18,7 @@ from repro.errors import (
     ConnectionClosedError,
     ProtocolError,
     ReproError,
+    TypeMismatchError,
 )
 from repro.exec.result import QueryResult
 from repro.serve import MAX_FRAME_BYTES, ServerClient, ServerThread
@@ -238,6 +239,12 @@ class TestServerRoundTrip:
             client.sql("SELEC c FROM t")
         # The connection survives an error response.
         assert client.ping() is True
+
+    def test_out_of_range_insert_is_a_typed_error(self, client):
+        with pytest.raises(TypeMismatchError, match="out of range for INT64"):
+            client.sql("INSERT INTO t VALUES (9223372036854775808, 'x')")
+        # The same connection answers, and nothing was inserted.
+        assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
 
     def test_connection_error_does_not_poison_session(self, client):
         with pytest.raises(ReproError):

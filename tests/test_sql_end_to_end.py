@@ -6,7 +6,9 @@ import pytest
 
 from repro import Database
 from repro.core.discovery import discover_nuc_patches
+from repro.errors import BindError, TypeMismatchError
 from repro.plan.optimizer import OptimizerOptions
+from repro.sql.parser import scan_insert
 
 
 @pytest.fixture
@@ -158,6 +160,28 @@ class TestDml:
         db.sql("INSERT INTO tab (v, c) VALUES ('k', 11)")
         result = db.sql("SELECT f FROM tab WHERE c = 11")
         assert result.column("f").to_pylist() == [None]
+
+    @pytest.mark.parametrize("comment", ["", "-- token path\n"])
+    def test_out_of_range_int64_literal_is_a_type_mismatch(self, db, comment):
+        text = f"INSERT INTO tab VALUES ({comment}9223372036854775808, 'x', 1.0)"
+        # The comment sends the statement past the VALUES scanner to the
+        # token parser; both must reject the literal the same way.
+        assert (scan_insert(text) is None) == bool(comment)
+        before = db.sql("SELECT COUNT(*) AS n FROM tab").scalar()
+        with pytest.raises(TypeMismatchError, match="out of range for INT64"):
+            db.sql(text)
+        with pytest.raises(TypeMismatchError, match="out of range for INT64"):
+            db.sql(f"INSERT INTO tab (c) VALUES ({comment}1), (-9223372036854775809)")
+        assert db.sql("SELECT COUNT(*) AS n FROM tab").scalar() == before
+
+    @pytest.mark.parametrize("comment", ["", "-- token path\n"])
+    def test_repeated_insert_column_is_a_bind_error(self, db, comment):
+        text = f"INSERT INTO tab (c, v, c) VALUES ({comment}1, 'x', 2)"
+        assert (scan_insert(text) is None) == bool(comment)
+        before = db.sql("SELECT COUNT(*) AS n FROM tab").scalar()
+        with pytest.raises(BindError, match="'c' appears twice"):
+            db.sql(text)
+        assert db.sql("SELECT COUNT(*) AS n FROM tab").scalar() == before
 
     def test_delete_where(self, db):
         db.sql("DELETE FROM tab WHERE c = 3")

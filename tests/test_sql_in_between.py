@@ -90,6 +90,35 @@ class TestExecution:
         assert result.row_count == 5
 
 
+class TestInMatchesTheOrRewrite:
+    """``c IN (v, ...)`` answers as ``c = v OR ...`` does, and ``NOT IN``
+    as ``NOT (...)`` of it, NULL rows included."""
+
+    LISTS = [
+        (1, 99999999999999999999),
+        (-99999999999999999999, 5),
+        (9223372036854775808, -9223372036854775809),
+        (1.0, 1.5, 3),
+        (2, 2, 2),
+    ]
+
+    @pytest.mark.parametrize("values", LISTS)
+    @pytest.mark.parametrize("column", ["c", "f"])
+    def test_in_and_not_in(self, db, column, values):
+        db.sql("CREATE TABLE n (c BIGINT, f DOUBLE)")
+        db.sql("INSERT INTO n VALUES (1, 1.0), (2, NULL), (NULL, 3.0), (5, 5.0)")
+        listed = ", ".join(str(value) for value in values)
+        rewrite = " OR ".join(f"{column} = {value}" for value in values)
+        for keyword, oracle in (("IN", f"({rewrite})"), ("NOT IN", f"NOT ({rewrite})")):
+            predicate = f"{column} {keyword} ({listed})"
+            for text in (
+                "SELECT c, {} AS x FROM n ORDER BY c",
+                "SELECT c FROM n WHERE {} ORDER BY c",
+            ):
+                expected = db.sql(text.format(oracle)).to_pylist()
+                assert db.sql(text.format(predicate)).to_pylist() == expected, predicate
+
+
 class TestInListExpression:
     def test_evaluate(self):
         schema = Schema([Field("v", DataType.INT64)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchemaError, StorageError
+from repro.errors import SchemaError, StorageError, TypeMismatchError
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
@@ -162,6 +162,14 @@ class TestUpdate:
         )
         table.update_rowid(0, "x", None)
         assert table.read_column("x").to_pylist() == [None, 2]
+
+    def test_update_out_of_range_is_a_type_mismatch(self):
+        table = Table.from_pydict(
+            "t", two_col_schema(), {"x": [1, 2], "y": ["a", "b"]}
+        )
+        with pytest.raises(TypeMismatchError, match="out of range for INT64"):
+            table.update_rowid(1, "x", 2**63)
+        assert table.read_column("x").to_pylist() == [1, 2]
 
     def test_update_event_has_old_value(self):
         table = Table.from_pydict(

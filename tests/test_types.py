@@ -89,6 +89,14 @@ class TestCoercion:
         with pytest.raises(TypeMismatchError):
             coerce_scalar(True, DataType.INT64)
 
+    def test_int64_and_date_day_numbers_out_of_range(self):
+        for dtype in (DataType.INT64, DataType.DATE):
+            assert coerce_scalar(2**63 - 1, dtype) == 2**63 - 1
+            assert coerce_scalar(-(2**63), dtype) == -(2**63)
+            for beyond in (2**63, -(2**63) - 1):
+                with pytest.raises(TypeMismatchError, match="out of range"):
+                    coerce_scalar(beyond, dtype)
+
     def test_float_accepts_int(self):
         assert coerce_scalar(5, DataType.FLOAT64) == 5.0
         assert isinstance(coerce_scalar(5, DataType.FLOAT64), float)
