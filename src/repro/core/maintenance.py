@@ -20,14 +20,22 @@ the data mutation, never its patch changes: recovery replays the data
 records through :class:`~repro.storage.table.Table` and this same
 maintainer re-classifies them, exactly as it did live.
 
-The classifier keeps **no state between events**.  Any valid patch set
-answers queries correctly, so membership is decided from the data at the
-moment of the mutation — a query over the mutated rows, the way the
-authors' follow-up maintains a NUC by joining the inserted tuples
-against the table (arXiv 2102.06557).  Each partition's patch set
-remembers how many rows it accounts for; whatever lies beyond that count
-in the partition is the event's new rows.  Nothing is built on first
-use, invalidated by a delete, or rebuilt after a restore.
+The classifier holds nothing but its drift counters.  Any valid patch
+set answers queries correctly, so membership is decided from the data at
+the moment of the mutation — a lookup of the mutated rows' values in the
+table, the way the authors' follow-up maintains a NUC by joining the
+inserted tuples against the table (arXiv 2102.06557).  Each partition's
+patch set remembers how many rows it accounts for; whatever lies beyond
+that count in the partition is the event's new rows.  The lookup goes
+through the partition's key order
+(:meth:`~repro.storage.partition.Partition.key_holders`): a sort of the
+column's rows, derived from data and not from patch sets, so two NUCs on
+one column share it, a rebuild or a restore of the patch sets leaves it
+alone, and a delete or an update adjusts it instead of re-sorting.  It
+is not the kept-value hash map an earlier version built per index
+(12–25 MiB and 160–320 ms per build at 200 k rows, rebuilt after every
+delete, restore and snapshot): the order costs 8 B per row, ~1.5 ms per
+50 k INT64 rows once, and no snapshot copy builds or carries one.
 
 Policies per event:
 
@@ -43,16 +51,11 @@ Policies per event:
       twice among the new rows, or when any accounted row holds its
       value; a *kept* row holding it moves into the patch set as well
       (condition NUC2).  One ``np.unique`` over the batch, then per
-      partition one range comparison over the column and a
-      ``searchsorted`` of the rows whose value falls inside the batch's
-      value range — ``O(|column|)`` comparisons plus ``O(in-range rows ·
-      log batch)``, per batch however small.  On a numeric column the
-      comparisons are numpy's (0.3–0.7 ms per 100-row statement at
-      200 k rows in four partitions, by the machine's speed; EXPERIMENTS.md
-      measures it beside the statement's text); a
-      STRING column is an object array, so each one calls into Python
-      once per row (~6 ms at 200 k rows, where the per-index hash map
-      this replaced answered in O(1) once its ~200 ms build was paid).
+      partition two binary searches per needle through the key order —
+      ``O(batch · log |partition|)`` plus the rows appended since the
+      partition's last lookup, which are merged into the order first.
+      A STRING order searches ``hash()`` keys and checks each hit against
+      the value (EXPERIMENTS.md, "Key orders").
 
 **delete**
     - patch sets are remapped to the new dense rowid numbering; deleting
@@ -64,8 +67,9 @@ Policies per event:
       new value violates the constraint (for NUC, a kept row holding the
       same value is demoted as well — NUC2), and a patched NUC row whose
       new value no other row holds is *promoted* back out of the patch
-      set.  A NUC update looks its one value up like a one-row append:
-      ``O(|column|)`` comparisons.  Updates to other columns are ignored.
+      set.  A NUC update looks its one value up like a one-row append,
+      after the table moved the row's entry in the key order.  Updates to
+      other columns are ignored.
 """
 
 from __future__ import annotations
@@ -123,14 +127,6 @@ class MaintenanceStats:
     def from_payload(cls, payload: dict) -> "MaintenanceStats":
         """Unknown keys (an older writer's counters) are ignored."""
         return cls(**{name: int(payload.get(name, 0)) for name in cls._PERSISTED})
-
-
-def _is_patch(patches: "PatchSet", rows: np.ndarray) -> np.ndarray:
-    """Patch membership of the ascending local *rows*."""
-    if len(rows) == 0:
-        return np.zeros(0, dtype=np.bool_)
-    first = int(rows[0])
-    return patches.mask_for_range(first, int(rows[-1]) + 1)[rows - first]
 
 
 def _tail_row(patches: "PatchSet") -> int | None:
@@ -204,13 +200,13 @@ class IndexMaintainer:
     ) -> tuple[np.ndarray, list[Demotion]]:
         """Which of *needles* some accounted row holds, and the NUC2 demotions.
 
-        *needles* is sorted and unique.  Per partition, the
-        rows its patch set accounts for — an event's new rows lie beyond
-        them — are cut down to the non-NULL ones inside the needles' value
-        range and looked up by ``searchsorted``; *skip* names one
-        ``(partition_id, local rowid)`` to leave out (an updated row is not
-        its own twin).  Returns a mask over *needles* and, per partition,
-        the *kept* holders that move into the patch set.
+        *needles* is sorted and unique.  Per partition, the rows its
+        patch set accounts for — an event's new rows lie beyond them — are
+        searched through the partition's key order
+        (:meth:`~repro.storage.partition.Partition.key_holders`); *skip*
+        names one ``(partition_id, local rowid)`` to leave out (an updated
+        row is not its own twin).  Returns a mask over *needles* and, per
+        partition, the *kept* holders that move into the patch set.
         """
         index = self.index
         held = np.zeros(len(needles), dtype=np.bool_)
@@ -218,21 +214,18 @@ class IndexMaintainer:
         if len(needles) == 0:  # a batch of NULLs
             return held, demotions
         for partition, patches in zip(index.table.partitions, index._partition_patches):
-            column = partition.column(index.column_name)
-            values = column.values[: patches.row_count]
-            in_range = (values >= needles[0]) & (values <= needles[-1])
-            if column.validity is not None:
-                in_range &= column.validity[: patches.row_count]
+            which, rows = partition.key_holders(
+                index.column_name, needles, patches.row_count
+            )
             if skip is not None and skip[0] == partition.partition_id:
-                in_range[skip[1]] = False
-            rows = np.flatnonzero(in_range)
-            candidates = values[rows]
-            slots = np.searchsorted(needles, candidates)
-            hit = needles[slots] == candidates
-            held[slots[hit]] = True
-            kept = rows[hit][~_is_patch(patches, rows[hit])]
+                other = rows != skip[1]
+                which, rows = which[other], rows[other]
+            if len(rows) == 0:
+                continue
+            held[which] = True
+            kept = rows[~patches.contains_rows(rows)]
             if len(kept):
-                demotions.append((partition.partition_id, kept))
+                demotions.append((partition.partition_id, np.sort(kept)))
         return held, demotions
 
     def _sorted_tail(self, partition_id: int) -> object | None:

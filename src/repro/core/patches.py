@@ -108,6 +108,11 @@ class PatchSet(abc.ABC):
         """Membership test for a single rowid."""
 
     @abc.abstractmethod
+    def contains_rows(self, rowids: np.ndarray) -> np.ndarray:
+        """Membership mask of *rowids* (each in range, in any order),
+        costing the rowids asked about, not the range they span."""
+
+    @abc.abstractmethod
     def memory_usage_bytes(self) -> int:
         """Payload bytes of the physical representation."""
 
@@ -225,6 +230,12 @@ class IdentifierPatches(PatchSet):
     def contains(self, rowid: int) -> bool:
         slot = int(np.searchsorted(self._rowids, rowid, side="left"))
         return slot < len(self._rowids) and int(self._rowids[slot]) == rowid
+
+    def contains_rows(self, rowids: np.ndarray) -> np.ndarray:
+        if len(self._rowids) == 0:
+            return np.zeros(len(rowids), dtype=np.bool_)
+        slots = np.searchsorted(self._rowids, rowids)
+        return self._rowids.take(slots, mode="clip") == rowids
 
     def memory_usage_bytes(self) -> int:
         return len(self._rowids) * (IDENTIFIER_BITS // 8)
@@ -345,6 +356,9 @@ class BitmapPatches(PatchSet):
         if not 0 <= rowid < self.row_count:
             return False
         return bool(self._bits[rowid >> 3] & (1 << (rowid & 7)))
+
+    def contains_rows(self, rowids: np.ndarray) -> np.ndarray:
+        return (self._bits[rowids >> 3] >> (rowids & 7) & 1).astype(np.bool_)
 
     def memory_usage_bytes(self) -> int:
         return len(self._bits)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -417,14 +418,16 @@ def _compare_with_literal(
 ) -> ColumnVector:
     """``vector <op> literal`` against the coerced scalar.
 
-    Same result as aligning *vector* with ``literal.evaluate(batch)``:
-    mixed numerics widen to float64, any other type pair is a mismatch,
-    and a NULL literal makes every row NULL.
+    An INT64 / FLOAT64 pair compares the way Python compares an int with
+    a float, exactly at any size: the literal becomes an operator and a
+    bound of the column's own type, so nothing widens to float64.  Any
+    other pair of types is a mismatch, and a NULL literal makes every
+    row NULL.
     """
     dtype = literal._resolved_type()
     values = vector.values
-    widen = vector.dtype != dtype
-    if widen and not (is_numeric(vector.dtype) and is_numeric(dtype)):
+    mixed = vector.dtype != dtype
+    if mixed and not (is_numeric(vector.dtype) and is_numeric(dtype)):
         raise TypeMismatchError(
             f"cannot compare {vector.dtype.name} with {dtype.name}"
         )
@@ -442,13 +445,53 @@ def _compare_with_literal(
         # An int beyond INT64 equals no stored value and orders past
         # every one; NumPy compares the Python int exactly.
         scalar = literal.value
-    if widen:
-        values = values.astype(np.float64, copy=False)
-        scalar = float(scalar)  # type: ignore[arg-type]
+    if mixed and vector.dtype == DataType.FLOAT64:
+        op, scalar = _float_operand(op, scalar)  # type: ignore[arg-type]
+    elif mixed:
+        op, scalar = _int_operand(op, scalar)  # type: ignore[arg-type]
     out = _COMPARE_OPS[op](values, scalar)
     return ColumnVector(
         DataType.BOOL, np.asarray(out, dtype=np.bool_), vector.validity
     )
+
+
+#: An int no INT64 value equals and every one orders below.
+_BEYOND_INT64 = 2**64
+
+
+def _float_operand(op: str, value: int) -> tuple[str, float]:
+    """An operator and a float that compare every float64 ``x`` the way
+    Python compares ``x <op> value``: exactly, where ``float(value)``
+    would round or overflow."""
+    try:
+        near = float(value)
+    except OverflowError:
+        near = math.inf if value > 0 else -math.inf
+    if near == value:
+        return op, near
+    # value lies strictly between two adjacent floats, one of them near.
+    if op in ("<", "<="):
+        return "<=", near if near < value else math.nextafter(near, -math.inf)
+    if op in (">", ">="):
+        return ">=", near if near > value else math.nextafter(near, math.inf)
+    return op, math.nan  # no float equals value: "=" never holds, "!=" always
+
+
+def _int_operand(op: str, value: float) -> tuple[str, int]:
+    """An operator and an int that compare every int64 ``x`` the way
+    Python compares ``x <op> value``: exactly, where ``float(x)`` would
+    round (NumPy compares a Python int beyond INT64 exactly too)."""
+    if value != value:  # NaN: only "!=" holds
+        return ("!=" if op in ("!=", "<>") else "="), _BEYOND_INT64
+    if math.isinf(value):
+        return op, _BEYOND_INT64 if value > 0 else -_BEYOND_INT64
+    if value.is_integer():
+        return op, int(value)
+    if op in ("<", "<="):
+        return "<=", math.floor(value)
+    if op in (">", ">="):
+        return ">=", math.ceil(value)
+    return op, _BEYOND_INT64  # no int equals value: "=" never holds, "!=" always
 
 
 def _combine_validity(

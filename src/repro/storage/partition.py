@@ -3,7 +3,9 @@
 Each partition owns a contiguous range of global rowids
 ``[base_rowid, base_rowid + row_count)`` and stores one
 :class:`~repro.storage.column.ColumnVector` per column, plus lazily
-computed per-block min/max sketches for scan-range pruning.
+computed per-block min/max sketches for scan-range pruning, and, for
+the columns a NUC index looks keys up in, a sort order of the rows
+(:class:`~repro.storage.key_order.KeyOrder`).
 
 Partitions are append-only at this level; logical deletes are handled by
 the table through rewriting (and by PatchIndex maintenance through patch
@@ -33,6 +35,7 @@ from repro.storage.blocks import (
     prune_blocks,
 )
 from repro.storage.column import ColumnVector
+from repro.storage.key_order import KeyOrder
 from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,6 +109,8 @@ class Partition:
         #: shadows its source.
         self._sources: dict[str, "SegmentColumnSource"] = {}
         self._block_stats: dict[str, list[BlockStats]] = {}
+        #: Sort orders by column, built on first use by :meth:`key_holders`.
+        self._key_orders: dict[str, KeyOrder] = {}
         #: Append buffers by column, shared with copies (:meth:`copy`).
         self._spare: dict[str, _Spare] = {}
 
@@ -205,9 +210,14 @@ class Partition:
             self.column(name)
         self._sources.clear()
 
-    def replace_column(self, name: str, vector: ColumnVector) -> None:
-        """Install a changed vector for column *name* (a cell update):
-        its segment source and block sketches no longer describe it."""
+    def replace_column(self, name: str, vector: ColumnVector, row: int) -> None:
+        """Install the vector of column *name* with the cell at *row*
+        changed: its segment source and block sketches no longer describe
+        it, and its key order moves that row's entry."""
+        order = self._key_orders.get(name)
+        if order is not None:
+            old = self.column(name).values
+            self._key_orders[name] = order.after_update(old, vector.values, row)
         self._columns[name] = vector
         self._sources.pop(name, None)
         self._block_stats.pop(name, None)
@@ -218,11 +228,14 @@ class Partition:
         append buffers with dicts of its own: mutations replace vectors
         and clear the dicts in place, and only the first side to append
         grows into a shared buffer's room, so neither side sees the
-        other's later changes."""
+        other's later changes.  The copy has no key orders: only a live
+        partition's maintainers look keys up, and an order a copy held
+        would outlive the one the live side replaces it with."""
         twin = copy.copy(self)
         twin._columns = dict(self._columns)
         twin._sources = dict(self._sources)
         twin._block_stats = dict(self._block_stats)
+        twin._key_orders = {}
         twin._spare = dict(self._spare)
         return twin
 
@@ -268,6 +281,29 @@ class Partition:
     ) -> list[tuple[int, int]]:
         """Partition-local row ranges that may satisfy ``name <op> literal``."""
         return prune_blocks(self.block_stats(name), op, literal)
+
+    # -- key lookup ---------------------------------------------------------
+
+    def key_holders(
+        self, name: str, needles: np.ndarray, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(needle index, local rowid)`` of every non-NULL row below
+        *stop* whose value in column *name* equals one of the sorted,
+        unique *needles*, by binary search in the column's key order
+        (built on first use; rows appended since the last call are merged
+        in first).  The column becomes resident."""
+        column = self.column(name)
+        order = self._key_orders.get(name)
+        if order is None:
+            order = KeyOrder.build(column.values, stop)
+        else:
+            order = order.covering(column.values, stop)
+        self._key_orders[name] = order
+        which, rows = order.holders(column.values, needles, stop)
+        if column.validity is not None:
+            valid = column.validity[rows]
+            which, rows = which[valid], rows[valid]
+        return which, rows
 
     # -- morsel iteration -------------------------------------------------
 
@@ -360,7 +396,21 @@ class Partition:
         for name in list(self._columns):
             self._columns[name] = self._columns[name].filter(keep_mask)
         self.row_count = int(keep_mask.sum())
-        self._block_stats.clear()
+        self._key_orders = {
+            name: order.after_delete(keep_mask)
+            for name, order in self._key_orders.items()
+        }
+        # The blocks before the first deleted row keep their rows; the
+        # rest are sketched here, once, rather than by every snapshot
+        # copy that reads them (a copy's sketches stay with the copy).
+        first_deleted = int(np.argmin(keep_mask))
+        stale = self._block_stats
+        self._block_stats = {
+            name: [block for block in stats if block.stop <= first_deleted]
+            for name, stats in stale.items()
+        }
+        for name in stale:
+            self.block_stats(name)
         self._spare.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

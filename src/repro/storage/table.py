@@ -336,7 +336,7 @@ class Table:
                         coerced, dtype=numpy_dtype(field.dtype)
                     )
             partition.replace_column(
-                column, ColumnVector(field.dtype, values, validity)
+                column, ColumnVector(field.dtype, values, validity), local
             )
             self._notify(
                 "update",

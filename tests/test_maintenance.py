@@ -89,6 +89,17 @@ class TestNucAppend:
         assert index.rowids().tolist() == [2]
         assert_valid(index)
 
+    def test_a_nan_in_the_batch_hides_no_duplicate(self):
+        # NaN sorts last among the batch's values; it holds nothing, but
+        # the other values are still looked up.
+        table = Table.from_pydict(
+            "t", Schema([Field("f", DataType.FLOAT64)]), {"f": [1.0, 2.0]}
+        )
+        index = PatchIndex.create("pi", table, "f", "unique")
+        table.insert_rows([[1.0], [float("nan")]])
+        assert index.rowids().tolist() == [0, 2]
+        assert_valid(index)
+
     def test_stats_track_demotions(self):
         table = make_table([1, 2, 3])
         index = PatchIndex.create("pi", table, "c", "unique")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from operator import eq, ge, gt, le, lt, ne
 
 import numpy as np
 import pytest
@@ -426,3 +427,94 @@ class TestRewrittenPipelinesPrune:
         assert sorted(collect(operator).to_pylist()) == sorted(
             collect(plain).to_pylist()
         )
+
+
+class TestMixedNumericLiterals:
+    """An int literal compares with a FLOAT64 cell, and a float literal
+    with an INT64 cell, the way Python compares an int with a float:
+    exactly, however large, with NULL never matching.  Block pruning must
+    agree: a query planned with ranges returns the oracle's rows too."""
+
+    _FLOATS = [
+        None, 1.5, -2.0, 1e308, -1e308, 2.0**53, -(2.0**53), 2.0**63,
+        math.inf, -math.inf, math.nan, -0.0, 0.0, 3.0, None, 9.0,
+    ]
+    _INT_LITERALS = [
+        "1" + "0" * 400, "-1" + "0" * 400, str(2**53 + 1), str(-(2**53 + 1)),
+        str(2**53), str(2**63), str(2**63 + 1), str(-(2**63)), "3", "0",
+    ]
+    _INTS = [
+        None, 0, 1, -1, 2, 3, 2**53, 2**53 + 1, -(2**53 + 1), 2**63 - 1,
+        -(2**63), None, 7, -7, 2**62, 5,
+    ]
+    _FLOAT_LITERALS = [
+        "9007199254740992.0", "-9007199254740994.0", "2.5", "-2.5", "0.5",
+        "-0.0", "1e300", "-1e300", "1e400", "-1e400", "9.223372036854775807e18",
+    ]
+
+    @staticmethod
+    def _check(op, dtype, cells, literals):
+        schema = Schema([Field("k", DataType.INT64), Field("x", dtype)])
+        table = Table("t", schema, 2, block_size=4)
+        table.load_columns(
+            {
+                "k": ColumnVector.from_pylist(DataType.INT64, list(range(len(cells)))),
+                "x": ColumnVector.from_pylist(dtype, cells),
+            }
+        )
+        python_op = {
+            "=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge
+        }[op]
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+        for text in literals:
+            literal = float(text) if "." in text or "e" in text else int(text)
+            expected = [
+                (k,)
+                for k, x in enumerate(cells)
+                if x is not None and python_op(x, literal)
+            ]
+            for query in (
+                f"SELECT k FROM t WHERE x {op} {text}",
+                f"SELECT k FROM t WHERE {text} {flipped} x",
+            ):
+                assert sorted(_rows(_plan(table, query))) == expected, query
+
+    @pytest.mark.parametrize("op", _OPS)
+    def test_int_literals_against_a_float_column(self, op):
+        self._check(op, DataType.FLOAT64, self._FLOATS, self._INT_LITERALS)
+
+    @pytest.mark.parametrize("op", _OPS)
+    def test_float_literals_against_an_int_column(self, op):
+        self._check(op, DataType.INT64, self._INTS, self._FLOAT_LITERALS)
+
+
+class TestSketchesSurviveADelete:
+    """A delete keeps the sketches of the blocks before its first row and
+    sketches the rest on the live partition, so the snapshot pins that
+    serve reads inherit them instead of each sketching them anew."""
+
+    def test_a_pin_after_a_delete_sketches_no_block(self, monkeypatch):
+        from repro.storage import partition as partition_module
+
+        db = Database()
+        schema = Schema([Field("a", DataType.INT64)])
+        table = db.create_table("t", schema, block_size=4)
+        table.load_columns(
+            {"a": ColumnVector.from_pylist(DataType.INT64, list(range(40)))}
+        )
+        query = "SELECT COUNT(*) AS n FROM t WHERE a = 33"
+        assert db.sql(query).scalar() == 1  # sketches every block of the live partition
+        table.delete_rowids([30])
+        calls = []
+        original = partition_module.block_stats
+
+        def counted(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(partition_module, "block_stats", counted)
+        with db.snapshot() as view:
+            assert view.sql(query).scalar() == 1
+        assert calls == []
+        [live] = table.partitions
+        assert live.block_stats("a") == compute_block_stats(live.column("a"), 4)
