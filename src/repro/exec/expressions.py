@@ -338,10 +338,16 @@ class InList(Expression):
         needles: list[object] = []
         for value in self.values:
             try:
-                needles.append(coerce_scalar(value, operand.dtype))
+                needle = coerce_scalar(value, operand.dtype)
+                exact = operand.dtype != DataType.FLOAT64 or needle == value
             except TypeMismatchError:
+                exact = False
+            if exact:
+                needles.append(needle)
+            else:
                 # Not a value of the operand's type (an int beyond INT64,
-                # 1.5 against INT64): match it as ``expr = value`` does.
+                # 1.5 against INT64), or an int a float64 only rounds to:
+                # match it as ``expr = value`` does, exactly.
                 mask |= _compare_with_literal(operand, "=", Literal(value)).values
         if needles:
             mask |= np.isin(

@@ -79,7 +79,7 @@ from repro.exec.parallel import (
 from repro.exec.parallel.terminals import FragmentFactory
 from repro.plan import logical as lp
 from repro.plan.cardinality import estimate_rows
-from repro.types.datatypes import coerce_scalar
+from repro.types.datatypes import DataType, coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
@@ -477,9 +477,19 @@ def _prunable_conjunct(
         return None
     dtype = scan.table.schema.field(column).dtype
     try:
-        return column, op, [coerce_scalar(value, dtype) for value in candidates]
+        return column, op, [_sketch_literal(value, dtype) for value in candidates]
     except TypeMismatchError:
         return None
+
+
+def _sketch_literal(value: object, dtype: DataType) -> object:
+    """*value* as a block sketch's bounds compare with it.  An int
+    against a FLOAT64 column stays an int: Python compares it with the
+    float bounds exactly, as the filter does, where ``float(value)``
+    rounds (or overflows) and would prune blocks that match."""
+    if dtype == DataType.FLOAT64 and type(value) is int:
+        return value
+    return coerce_scalar(value, dtype)
 
 
 def _intersect_ranges(

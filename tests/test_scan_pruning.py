@@ -438,6 +438,9 @@ class TestMixedNumericLiterals:
     _FLOATS = [
         None, 1.5, -2.0, 1e308, -1e308, 2.0**53, -(2.0**53), 2.0**63,
         math.inf, -math.inf, math.nan, -0.0, 0.0, 3.0, None, 9.0,
+        # Blocks whose bounds a rounded literal would wrongly prune.
+        2.0**53, 2.0**53, 2.0**53, 2.0**53,
+        -(2.0**53), -(2.0**53), -(2.0**53), -(2.0**53),
     ]
     _INT_LITERALS = [
         "1" + "0" * 400, "-1" + "0" * 400, str(2**53 + 1), str(-(2**53 + 1)),

@@ -100,13 +100,19 @@ class TestInMatchesTheOrRewrite:
         (9223372036854775808, -9223372036854775809),
         (1.0, 1.5, 3),
         (2, 2, 2),
+        (9007199254740993,),
+        (99999999999999999999,),
     ]
 
     @pytest.mark.parametrize("values", LISTS)
     @pytest.mark.parametrize("column", ["c", "f"])
     def test_in_and_not_in(self, db, column, values):
         db.sql("CREATE TABLE n (c BIGINT, f DOUBLE)")
-        db.sql("INSERT INTO n VALUES (1, 1.0), (2, NULL), (NULL, 3.0), (5, 5.0)")
+        db.sql(
+            "INSERT INTO n VALUES (1, 1.0), (2, NULL), (NULL, 3.0), (5, 5.0),"
+            " (9007199254740992, 9007199254740992.0),"
+            " (7, 100000000000000000000.0)"
+        )
         listed = ", ".join(str(value) for value in values)
         rewrite = " OR ".join(f"{column} = {value}" for value in values)
         for keyword, oracle in (("IN", f"({rewrite})"), ("NOT IN", f"NOT ({rewrite})")):
