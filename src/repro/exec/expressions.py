@@ -158,8 +158,7 @@ class Comparison(Expression):
             )
         left = self.left.evaluate(batch)
         right = self.right.evaluate(batch)
-        left_values, right_values = _align_for_compare(left, right)
-        out = _COMPARE_OPS[self.op](left_values, right_values)
+        out = _compare_columns(self.op, left, right)
         return ColumnVector(
             DataType.BOOL,
             np.asarray(out, dtype=np.bool_),
@@ -403,20 +402,28 @@ class IsNull(Expression):
 # -- helpers -------------------------------------------------------------
 
 
-def _align_for_compare(
-    left: ColumnVector, right: ColumnVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return comparable value arrays, widening numerics when mixed."""
+def _compare_columns(op: str, left: ColumnVector, right: ColumnVector) -> np.ndarray:
+    """``left <op> right`` row by row.  An INT64 / FLOAT64 pair compares
+    the way Python compares an int with a float, exactly: rounding to
+    float64 keeps order, so only where the widened int ties the float is
+    an exact look needed, and a tie's float is whole, in ``±2**63``."""
     if left.dtype == right.dtype:
-        return left.values, right.values
-    if is_numeric(left.dtype) and is_numeric(right.dtype):
-        return (
-            left.values.astype(np.float64, copy=False),
-            right.values.astype(np.float64, copy=False),
+        return _COMPARE_OPS[op](left.values, right.values)
+    if not (is_numeric(left.dtype) and is_numeric(right.dtype)):
+        raise TypeMismatchError(
+            f"cannot compare {left.dtype.name} with {right.dtype.name}"
         )
-    raise TypeMismatchError(
-        f"cannot compare {left.dtype.name} with {right.dtype.name}"
-    )
+    if left.dtype != DataType.INT64:
+        return _compare_columns(FLIPPED_OPS[op], right, left)
+    widened = left.values.astype(np.float64)
+    out = _COMPARE_OPS[op](widened, right.values)
+    tie = widened == right.values
+    if tie.any():
+        tied = right.values[tie]
+        past = tied >= 2.0**63  # beyond INT64: every int is below it
+        exact = np.where(past, 0.0, tied).astype(np.int64)
+        out[tie] = _COMPARE_OPS[op](np.where(past, -1, left.values[tie]), exact)
+    return out
 
 
 def _compare_with_literal(

@@ -9,33 +9,37 @@ out of the text marked as slots (:attr:`Literal.slot`), and
 planning, :func:`~repro.check.plan_verifier.verify_plan` and execution
 run every time.
 
-A plan is only reusable while what the optimizer looked at still holds:
-which tables and indexes exist (the catalog's ``ddl_version``) and each
-scanned table's rows, patch counts and sortedness (its
-``data_version``).  :class:`CachedPlan` records both at planning time
-and :meth:`CachedPlan.is_current` compares them on lookup.
-
-The cache is a fixed-size LRU owned by a
-:class:`~repro.storage.catalog.Catalog`, so its plans reference only
-that catalog's tables and are collected with it.
+Each :class:`~repro.storage.catalog.Catalog` (the live one, every
+snapshot copy) keeps :class:`CachedPlan` entries bound to its own tables,
+current while its ``ddl_version`` and each scanned table's
+``data_version`` are unchanged; they die with the catalog.  The database
+keeps one :class:`PlanTemplate` per shape, shared by all its catalogs:
+the plan by table and index name, and every input the optimizer read
+from data (:func:`repro.plan.optimizer.observe`).  A catalog without a
+current entry re-checks the template — same ``ddl_version``, every input
+the same — and re-binds it by name; otherwise it plans afresh.  A
+template holds no table, index or patch set, so it keeps no pin alive.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Hashable, Iterator, NamedTuple
 
 from repro.check.sanitize import make_lock
 from repro.exec.expressions import Expression, Literal, literal, map_literals
 from repro.plan import logical as lp
+from repro.plan.optimizer import observe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan.optimizer import Optimizer
     from repro.storage.catalog import Catalog
     from repro.storage.table import Table
 
-#: Plans kept per catalog.  A served workload repeats a handful of
-#: statement shapes; the bound is what keeps a catalog's footprint fixed.
+#: Plans kept per catalog, and templates per database.  A served workload
+#: repeats a handful of statement shapes; the bound keeps the footprint fixed.
 CAPACITY = 64
 
 
@@ -57,8 +61,39 @@ class CachedPlan:
         )
 
 
+@dataclass(frozen=True)
+class PlanTemplate:
+    """An optimized plan by name, and what it was chosen on."""
+
+    plan: lp.LogicalPlan  # scans' tables and PatchSelects' indexes: names
+    parameterized: bool
+    ddl_version: int
+    tables: tuple[str, ...]  # the scanned tables
+    observed: tuple[tuple[tuple, object], ...]  # Optimizer.observed
+
+    def holds(self, catalog: "Catalog") -> bool:
+        """Would the optimizer choose this plan again on *catalog*?"""
+        return all(observe(catalog, probe) == seen for probe, seen in self.observed)
+
+
+#: A template's tables and indexes: their names and nothing else.
+_Named = NamedTuple("_Named", [("name", str)])
+_BY_NAME = SimpleNamespace(table=_Named, index=_Named)
+
+
+def template(entry: CachedPlan, optimizer: "Optimizer") -> PlanTemplate:
+    """*entry*, which *optimizer* just built, as a catalog-free template."""
+    return PlanTemplate(
+        bind_parameters(entry.plan, None, _BY_NAME),
+        entry.parameterized,
+        entry.ddl_version,
+        tuple(table.name for table, _ in entry.table_versions),
+        tuple(optimizer.observed.items()),
+    )
+
+
 class PlanCache:
-    """A small thread-safe LRU of :class:`CachedPlan` entries.
+    """A small thread-safe LRU of :class:`CachedPlan` or :class:`PlanTemplate`.
 
     The lock is a leaf: it guards the dictionary only and is never held
     across binding, optimization, planning or execution.
@@ -115,21 +150,27 @@ def literal_slots(plan: lp.LogicalPlan) -> list[int]:
 
 
 def bind_parameters(
-    plan: lp.LogicalPlan, values: tuple[object, ...]
+    plan: lp.LogicalPlan,
+    values: tuple[object, ...] | None,
+    catalog: "Catalog | SimpleNamespace | None" = None,
 ) -> lp.LogicalPlan:
-    """*plan* with every slotted literal carrying ``values[slot]``.
+    """*plan* with every slotted literal carrying ``values[slot]`` (none
+    when *values* is None) and, given a *catalog*, each scan's table and
+    PatchSelect's index that catalog's object of the same name.
 
     The value goes through the same :func:`literal` constructor the
-    binder applied; nodes without slotted literals below them are shared
-    with the cached plan, not copied.
+    binder applied; nodes that change in neither way are shared.
     """
 
     def rebind(slotted: Literal) -> Literal:
-        if slotted.slot is None or slotted.dtype is None:
+        if values is None or slotted.slot is None or slotted.dtype is None:
             return slotted
         return literal(values[slotted.slot], slotted.dtype, slotted.slot)
 
     def visit(node: lp.LogicalPlan) -> lp.LogicalPlan:
+        if catalog is not None and type(node) is lp.LogicalScan:
+            table = catalog.table(node.table.name)
+            return lp.LogicalScan(table, node.columns, node.with_tid, node.scan_ranges)
         children = node.children()
         rebound = [visit(child) for child in children]
         shared = all(new is old for new, old in zip(rebound, children))
@@ -148,6 +189,10 @@ def bind_parameters(
             ):
                 return node
             return lp.LogicalProject(rebound[0], outputs)
+        if catalog is not None and type(node) is lp.LogicalPatchSelect:
+            return lp.LogicalPatchSelect(
+                rebound[0], catalog.index(node.index.name), node.use_patches
+            )
         return node if shared else node.with_children(rebound)
 
     return visit(plan)

@@ -52,6 +52,10 @@ index's exact ``|P_c|`` is below that share of the estimated input rows.
 ``always_rewrite`` bypasses the gate (used by benchmarks that sweep
 exception rates), each rule can be disabled individually, and every
 refusal is recorded in :attr:`Optimizer.refused`.
+
+Besides DDL the optimizer reads data through :func:`observe` only, and
+:attr:`Optimizer.observed` records each value it saw, so the plan cache
+can re-check a plan on new data (:class:`repro.plan.cache.PlanTemplate`).
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from repro.exec.expressions import ColumnRef
 from repro.exec.operators.aggregate import AggregateSpec
 from repro.exec.operators.sort import SortKey
 from repro.plan import logical as lp
-from repro.plan.cardinality import estimate_rows
+from repro.plan.cardinality import predicate_selectivity
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -143,6 +147,25 @@ def match_scan_pipeline(plan: lp.LogicalPlan) -> _Pipeline | None:
     return _Pipeline(scan, tuple(nodes), column_map)
 
 
+def observe(catalog: Catalog, probe: tuple) -> object:
+    """What *probe* reads from data: ``("gate", use case, table, index,
+    filter selectivities)`` (rows estimated as ``estimate_rows`` does),
+    ``("partitions", table)``, ``("zero_patches", index)`` or, for a
+    column read directly, ``("version", table)``."""
+    kind, *names = probe
+    if kind == "gate":
+        use_case, table, index, selectivities = names
+        rows = catalog.table(table).row_count
+        for selectivity in selectivities:
+            rows = max(1, int(rows * selectivity))
+        return rewrite_pays_off(use_case, rows, catalog.index(index).patch_count)
+    if kind == "partitions":
+        return catalog.table(names[0]).partition_count
+    if kind == "version":
+        return catalog.table(names[0]).data_version
+    return catalog.index(names[0]).patch_count == 0
+
+
 class Optimizer:
     """Rule-driven logical plan optimizer."""
 
@@ -152,6 +175,8 @@ class Optimizer:
         self._sorted_column_cache: dict[tuple[str, str], bool] = {}
         #: The use case of each rewrite the breakeven gate refused.
         self.refused: list[str] = []
+        #: Each :func:`observe` probe the plan rests on, with its value.
+        self.observed: dict[tuple, object] = {}
 
     # -- entry point ----------------------------------------------------
 
@@ -195,8 +220,21 @@ class Optimizer:
     ) -> "PatchIndex | None":
         return self.catalog.find_index(table.name, column, kind)
 
-    def _accept(self, use_case: str, n: int, p: int) -> bool:
-        if self.options.always_rewrite or rewrite_pays_off(use_case, n, p):
+    def _observe(self, *probe: object) -> object:
+        """:func:`observe`, read once per plan and recorded."""
+        if probe not in self.observed:
+            self.observed[probe] = observe(self.catalog, probe)
+        return self.observed[probe]
+
+    def _accept(self, use_case: str, pipeline: _Pipeline, index: "PatchIndex") -> bool:
+        selectivities = tuple(
+            predicate_selectivity(node.predicate)
+            for node in reversed(pipeline.nodes)
+            if isinstance(node, lp.LogicalFilter)
+        )
+        if self.options.always_rewrite or self._observe(
+            "gate", use_case, pipeline.table.name, index.name, selectivities
+        ):
             return True
         self.refused.append(use_case)
         return False
@@ -220,8 +258,7 @@ class Optimizer:
         index = self._nuc_index_for_any(pipeline, plan.child.schema.names)
         if index is None:
             return None
-        n = estimate_rows(plan.child)
-        if not self._accept("distinct", n, index.patch_count):
+        if not self._accept("distinct", pipeline, index):
             return None
         exclude = self._patched_leaf(pipeline, index, use_patches=False)
         use = lp.LogicalDistinct(
@@ -246,8 +283,7 @@ class Optimizer:
         index = self._find_index(pipeline.table, base_column, "unique")
         if index is None:
             return None
-        n = estimate_rows(plan.child)
-        if not self._accept("distinct", n, index.patch_count):
+        if not self._accept("distinct", pipeline, index):
             return None
         project = ((spec.column, ColumnRef(spec.column)),)
         exclude: lp.LogicalPlan = lp.LogicalPatchSelect(
@@ -306,8 +342,7 @@ class Optimizer:
         index = self._find_index(pipeline.table, base_column, "sorted")
         if index is None or index.ascending != key.ascending:
             return None
-        n = estimate_rows(plan.child)
-        if not self._accept("sort", n, index.patch_count):
+        if not self._accept("sort", pipeline, index):
             return None
         exclude = self._exclude_runs_merged(pipeline, index, (key,))
         use = lp.LogicalSort(
@@ -333,7 +368,7 @@ class Optimizer:
         to exactly a K-way merge over K presorted runs.
         """
         exclude = self._patched_leaf(pipeline, index, use_patches=False)
-        if index.scope == "global" or pipeline.table.partition_count == 1:
+        if index.scope == "global" or self._observe("partitions", index.table_name) == 1:
             return exclude
         return lp.LogicalSort(exclude, keys)
 
@@ -374,7 +409,7 @@ class Optimizer:
             return None
         if not self._side_is_sorted(other, other_key):
             return None
-        if not self._accept("join", estimate_rows(indexed), index.patch_count):
+        if not self._accept("join", pipeline, index):
             return None
         exclude = self._patched_leaf(pipeline, index, use_patches=False)
         use = self._patched_leaf(pipeline, index, use_patches=True)
@@ -405,17 +440,21 @@ class Optimizer:
         base_column = pipeline.column_map.get(key)
         if base_column is None:
             return False
-        index = self._find_index(pipeline.table, base_column, "sorted")
-        if index is not None and index.ascending and index.patch_count == 0:
+        table = pipeline.table
+        index = self._find_index(table, base_column, "sorted")
+        if index is not None and index.ascending:
             # Zero patches still only certifies partition-local order;
             # fall through to the global check for multi-partition tables.
-            if pipeline.table.partition_count == 1:
+            if self._observe("zero_patches", index.name) and (
+                self._observe("partitions", table.name) == 1
+            ):
                 return True
-        cache_key = (pipeline.table.name, base_column)
+        cache_key = (table.name, base_column)
         if cache_key not in self._sorted_column_cache:
+            self._observe("version", table.name)
             # NULL keys never join, and MergeJoin skips them: only the
             # values need to be in order.
-            column = pipeline.table.read_column(base_column)
+            column = table.read_column(base_column)
             values = column.values
             if column.validity is not None:
                 values = values[column.validity]

@@ -13,8 +13,8 @@ default session so single-caller code never has to see one.
 
 Every statement bumps always-on counters in the owning database's
 :class:`~repro.obs.metrics.MetricsRegistry` (statement totals per kind,
-rows returned, plan-cache hits and misses, and on a miss each rewrite
-the optimizer's breakeven gate refused, as
+rows returned, plan-cache hits, re-checks and misses, and on a miss
+each rewrite the optimizer's breakeven gate refused, as
 ``plan.rewrite_refused.<distinct|sort|join>``).  When a statement runs
 with ``profile=True`` — or as
 ``EXPLAIN ANALYZE`` — the operator tree is instrumented with
@@ -42,6 +42,7 @@ from repro.plan.cache import (
     bind_parameters,
     literal_slots,
     table_versions,
+    template,
 )
 from repro.plan.explain import explain_both
 from repro.plan.optimizer import Optimizer, OptimizerOptions
@@ -377,46 +378,59 @@ def _optimized_plan(
     tokens: list[Token],
     optimizer_options: OptimizerOptions | None,
 ) -> tuple[lp.LogicalPlan, str]:
-    """The optimized logical plan of the SELECT in *tokens*.
-
-    Served from the catalog's plan cache when an entry for this
-    statement shape is still current — its slotted literals re-bound to
-    this execution's values — else built by parse → bind → optimize and
-    cached: for any values when every lifted literal survived
-    optimization as exactly one slotted ``Literal``, else for exactly
-    these values.
+    """The optimized logical plan of the SELECT in *tokens*, and how
+    the cache served it: ``"hit"`` (the catalog's current entry),
+    ``"recheck"`` (the database's template, re-bound after its choices
+    held) or ``"miss"`` (parse → bind → optimize, cached both ways).
+    An entry serves any values when every lifted literal survived
+    optimization as exactly one slotted ``Literal``, else exactly these.
     """
     catalog = database.catalog
-    cache = catalog.plan_cache
     obs = database.obs
     shape, values, lifted = parameterize(tokens)
     keys = [(shape, optimizer_options, ())]
     if lifted:
         keys.append((shape, optimizer_options, values))
-    for key in keys:
-        entry = cache.get(key)
-        if entry is None:
-            continue
-        if entry.is_current(catalog):
-            obs.counter("plan.cache.hits").inc()
-            if entry.parameterized:
-                return bind_parameters(entry.plan, values), "hit"
-            return entry.plan, "hit"
-        cache.discard(key)
-        obs.counter("plan.cache.invalidations").inc()
     # Versions are read before the state they guard and advance after
     # it changed, so a mutation racing this planning leaves an entry
     # that is already stale.
     ddl_version = catalog.ddl_version
+    for key in keys:
+        entry = catalog.plan_cache.get(key)
+        if entry is not None and entry.is_current(catalog):
+            obs.counter("plan.cache.hits").inc()
+            if entry.parameterized and lifted:
+                return bind_parameters(entry.plan, values), "hit"
+            return entry.plan, "hit"
+        shared = catalog.templates.get(key)
+        if shared is None:
+            continue
+        if shared.ddl_version != ddl_version:
+            catalog.templates.discard(key)
+            obs.counter("plan.cache.invalidations").inc()
+            continue
+        versions = tuple((t, t.data_version) for t in map(catalog.table, shared.tables))
+        if not shared.holds(catalog):
+            catalog.templates.discard(key)
+            obs.counter("plan.cache.recheck_failed").inc()
+            break
+        plan = bind_parameters(
+            shared.plan, values if shared.parameterized and lifted else None, catalog
+        )
+        catalog.plan_cache.put(
+            key, CachedPlan(plan, shared.parameterized, ddl_version, versions)
+        )
+        obs.counter("plan.cache.rechecks").inc()
+        return plan, "recheck"
     logical = Binder(catalog).bind_select(parse_select(tokens))
     versions = table_versions(logical)
     optimizer = Optimizer(catalog, optimizer_options)
     optimized = optimizer.optimize(logical)
     parameterized = sorted(literal_slots(optimized)) == list(lifted)
-    cache.put(
-        keys[0] if parameterized else keys[-1],
-        CachedPlan(optimized, parameterized, ddl_version, versions),
-    )
+    key = keys[0] if parameterized else keys[-1]
+    entry = CachedPlan(optimized, parameterized, ddl_version, versions)
+    catalog.plan_cache.put(key, entry)
+    catalog.templates.put(key, template(entry, optimizer))
     obs.counter("plan.cache.misses").inc()
     if not parameterized:
         obs.counter("plan.cache.uncacheable").inc()

@@ -5,13 +5,13 @@ interface (``table_name``, ``column_name``, ``kind``, ``copy``) so the
 storage layer does not depend on :mod:`repro.core`; the concrete class
 lives in :mod:`repro.core.patch_index`.
 
-The catalog also owns the plans cached for statements bound against it
-(:class:`repro.plan.cache.PlanCache`), so cached plans live exactly as
-long as the tables they reference: a snapshot's plans die with the
-snapshot's catalog.  ``ddl_version`` advances on every table or index
-DDL; together with :attr:`repro.storage.table.Table.data_version` it
-tells a cached plan from a stale one — and a snapshot copy that is
-still current from one that is not (:meth:`Catalog.versions`).
+The catalog also owns the plans bound against it (:mod:`repro.plan.cache`),
+so a snapshot's plans die with the snapshot's catalog; the plan templates
+it shares with every copy hold names, not tables.  ``ddl_version``
+advances on every table or index DDL; together with
+:attr:`repro.storage.table.Table.data_version` it tells a current plan
+from one to re-check — and a snapshot copy that is still current from
+one that is not (:meth:`Catalog.versions`).
 
 :attr:`Catalog.state_lock` is the database's one state lock.  Every
 in-memory step of a live mutation holds it — table DDL here, the four
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Catalog:
     """Name → object mapping for tables and patch indexes."""
 
-    def __init__(self) -> None:
+    def __init__(self, templates: "PlanCache | None" = None) -> None:
         # repro.plan imports this module, so the import cannot be global.
         from repro.plan.cache import PlanCache
 
@@ -43,6 +43,8 @@ class Catalog:
         self._indexes: dict[str, Any] = {}
         self.ddl_version = 0
         self.plan_cache: "PlanCache" = PlanCache()
+        #: The database's plans by name, shared with every copy.
+        self.templates: "PlanCache" = PlanCache() if templates is None else templates
         #: Reentrant: DDL that holds it calls the catalog methods below.
         self.state_lock = make_lock("storage.catalog.state", reentrant=True)
 
@@ -110,6 +112,10 @@ class Catalog:
                 raise CatalogError(f"unknown index: {name!r}")
             index = self._indexes.pop(name)
             self.ddl_version += 1
+            table, column = index.table_name, index.column_name
+            if index.kind == "unique" and not self.find_index(table, column, "unique"):
+                for partition in self._tables[table].partitions:
+                    partition.drop_key_order(column)
             detach = getattr(index, "detach", None)
             if detach is not None:
                 detach()
@@ -155,11 +161,13 @@ class Catalog:
         Tables share the live column vectors and segment sources
         (:meth:`Table.copy`), indexes get copied patch sets
         (``index.copy``), and the copy has a state lock and a plan cache
-        of its own.  The caller holds :attr:`state_lock`, so no mutation
-        is half done in the copy; this method takes no lock, because the
-        snapshot registry calls it under its own.
+        of its own; it keeps ``ddl_version`` and shares :attr:`templates`.
+        The caller holds :attr:`state_lock`, so no mutation is half done
+        in the copy; this method takes no lock, because the snapshot
+        registry calls it under its own.
         """
-        twin = Catalog()
+        twin = Catalog(self.templates)
+        twin.ddl_version = self.ddl_version  # lock-ok: the caller holds it
         for name, table in self._tables.items():
             copied = table.copy()
             copied.state_lock = twin.state_lock

@@ -223,6 +223,10 @@ class Partition:
         self._block_stats.pop(name, None)
         self._spare.pop(name, None)
 
+    def drop_key_order(self, name: str) -> None:
+        """Forget column *name*'s key order (its last NUC was dropped)."""
+        self._key_orders.pop(name, None)
+
     def copy(self) -> "Partition":
         """A partition over the same column vectors, segment sources and
         append buffers with dicts of its own: mutations replace vectors

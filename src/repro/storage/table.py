@@ -79,7 +79,7 @@ class Table:
         #: Advanced by every mutation and every PatchIndex maintenance
         #: event (:meth:`touch`); a plan optimized against an older
         #: value may rest on row counts, patch counts or sortedness that
-        #: no longer hold, so the plan cache re-plans.
+        #: no longer hold, so the plan cache re-checks it.
         self.data_version = 0
 
     # -- basic properties ------------------------------------------------

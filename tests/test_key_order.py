@@ -99,3 +99,31 @@ def test_partition_leaves_out_null_rows_and_copies_carry_no_order():
     which, rows = partition.key_holders("c", np.array([0, 5]), 4)
     assert sorted(zip(which.tolist(), rows.tolist())) == [(0, 1), (1, 2)]
     assert partition.copy()._key_orders == {}
+
+
+def test_dropping_the_last_nuc_on_a_column_frees_its_orders():
+    import repro
+
+    db = repro.connect()
+    db.sql("CREATE TABLE t (u BIGINT, w BIGINT) PARTITIONS 2")
+    db.sql("INSERT INTO t VALUES " + ", ".join(f"({i}, {i})" for i in range(40)))
+    db.sql("CREATE PATCHINDEX a ON t(u) TYPE UNIQUE")
+    db.sql("CREATE PATCHINDEX b ON t(u) TYPE UNIQUE")
+    db.sql("CREATE PATCHINDEX c ON t(w) TYPE UNIQUE")
+    db.sql("INSERT INTO t VALUES (3, 3), (99, 99)")
+    partitions = db.table("t").partitions
+
+    def ordered() -> list[set[str]]:
+        return [set(partition._key_orders) for partition in partitions]
+
+    assert ordered() == [{"u", "w"}, {"u", "w"}]
+    db.sql("DROP PATCHINDEX a")  # b still looks u up
+    assert ordered() == [{"u", "w"}, {"u", "w"}]
+    db.sql("DROP PATCHINDEX b")
+    assert ordered() == [{"w"}, {"w"}]
+    db.sql("DROP PATCHINDEX c")
+    assert ordered() == [set(), set()]
+    db.sql("CREATE PATCHINDEX d ON t(u) TYPE UNIQUE")
+    db.sql("INSERT INTO t VALUES (5, 5)")
+    assert ordered() == [{"u"}, {"u"}]
+    assert db.catalog.index("d").patch_count == 4  # 3, 3, 5, 5

@@ -78,8 +78,15 @@ def counters(db) -> dict[str, int]:
     exported = db.metrics().export()["counters"]
     return {
         name: int(exported.get(f"plan.cache.{name}", 0))
-        for name in ("hits", "misses", "invalidations", "uncacheable")
+        for name in (
+            "hits", "misses", "invalidations", "uncacheable",
+            "rechecks", "recheck_failed",
+        )
     }
+
+
+def refused_sorts(db) -> int:
+    return int(db.metrics().export()["counters"].get("plan.rewrite_refused.sort", 0))
 
 
 def moved(db, before) -> dict[str, int]:
@@ -152,6 +159,9 @@ class TestHitsAndMisses:
         profile = memory.sql(query, profile=True).profile
         assert profile.root.details["plan_cache"] == "hit"
         assert memory.sql(query).profile is None
+        memory.sql("INSERT INTO t VALUES (1, 1, 1, 'x')")
+        written = memory.sql("EXPLAIN ANALYZE " + query).text().splitlines()[1]
+        assert "plan_cache=recheck" in written
 
     def test_fixed_size(self, memory):
         for width in range(plan_cache.CAPACITY + 20):
@@ -281,14 +291,21 @@ class TestNoStalePlanSurvives:
         for probe in PROBES:
             agrees_with_fresh(db, probe)
         change = moved(db, before)
-        assert change["misses"] == len(PROBES) == change["invalidations"]
         assert change["hits"] == len(PROBES)
+        if mutation in ("insert", "delete"):
+            # A write re-checks each plan's choices, and they held.
+            assert change == {"hits": len(PROBES), "rechecks": len(PROBES)}
+        else:
+            # DDL retires every template: each probe plans afresh.
+            assert change["misses"] == len(PROBES) == change["invalidations"]
+            assert "rechecks" not in change
 
     @pytest.mark.parametrize("mutation", [*MUTATIONS, "checkpoint"])
     def test_snapshot_session(self, durable, mutation):
         """Served reads: every mutation, and a new generation, makes the
-        next pin copy the catalog — and with it start an empty cache, so
-        no plan of the old copy can be reused against the new one."""
+        next pin copy the catalog, with an empty cache of its own; the
+        plans it binds come from the database's templates, re-checked
+        against the copy, so no plan of the old copy is reused."""
         with durable.session(snapshot_reads=True) as session:
             for probe in PROBES:
                 session.sql(probe)
@@ -302,11 +319,15 @@ class TestNoStalePlanSurvives:
                 assert session.sql(probe, parallelism=1).to_pylist() == rows
                 assert rows == durable.sql(probe, parallelism=1).to_pylist()
             change = moved(durable, before)
-            # per probe: the session plans once (explain misses, sql
-            # hits) and so does the live database, which saw none before
-            assert change["misses"] == 2 * len(PROBES)
+            # per probe: the session's EXPLAIN binds the plan to its new
+            # copy (a re-check, or a miss after DDL), its SELECT hits on
+            # that copy, and the live database re-checks the template
+            ddl = mutation not in ("insert", "delete", "checkpoint")
             assert change["hits"] == len(PROBES)
-            assert change.get("invalidations", 0) == 0
+            assert change["rechecks"] == (1 if ddl else 2) * len(PROBES)
+            assert change.get("misses", 0) == (len(PROBES) if ddl else 0)
+            assert change.get("invalidations", 0) == change.get("misses", 0)
+            assert "recheck_failed" not in change
 
     def test_index_rebuild_is_a_maintenance_event(self, memory):
         query = "SELECT COUNT(DISTINCT u) AS n FROM t"
@@ -316,12 +337,12 @@ class TestNoStalePlanSurvives:
         assert memory.table("t").data_version == version + 1
         before = counters(memory)
         agrees_with_fresh(memory, query)
-        assert moved(memory, before) == {"hits": 1, "misses": 1, "invalidations": 1}
+        assert moved(memory, before) == {"hits": 1, "rechecks": 1}
 
     def test_plan_built_during_a_mutation_is_stale_after_it(self, memory):
         """``data_version`` advances after the listeners (the PatchIndex
         maintainers) ran, so whatever was planned while they were at
-        work carries the old version."""
+        work carries the old version and is re-checked after it."""
         query = "SELECT COUNT(DISTINCT u) AS n FROM t"
         table = memory.table("t")
         seen = []
@@ -337,13 +358,14 @@ class TestNoStalePlanSurvives:
         assert seen == [version] and table.data_version > version
         before = counters(memory)
         agrees_with_fresh(memory, query)
-        assert moved(memory, before) == {"hits": 1, "misses": 1, "invalidations": 1}
+        assert moved(memory, before) == {"hits": 1, "rechecks": 1}
 
     def test_sortedness_proof_does_not_outlive_the_data(self, memory):
         """The join rewrite puts a MergeJoin over ``d`` because its
         zero-patch NSC index proves it sorted.  An insert that breaks
-        the order must re-plan: were the cached plan reused, the
-        MergeJoin's runtime ``check_sorted`` guard would fire."""
+        the order gives the index a patch, so the re-check fails and the
+        query re-plans: were the cached plan reused, the MergeJoin's
+        runtime order check would fire."""
         memory.sql("CREATE PATCHINDEX pi_s ON t(s) TYPE SORTED")
         memory.sql("CREATE TABLE d (dk BIGINT, w BIGINT)")
         memory.sql(
@@ -360,7 +382,51 @@ class TestNoStalePlanSurvives:
         before = counters(memory)
         assert "MergeJoin" not in memory.explain(query, optimizer_options=forced)
         agrees_with_fresh(memory, query, forced)
-        assert moved(memory, before) == {"hits": 2, "misses": 1, "invalidations": 1}
+        assert moved(memory, before) == {"hits": 2, "misses": 1, "recheck_failed": 1}
+
+    def test_a_gate_that_crosses_its_breakeven_re_plans(self, memory):
+        """Unsorted inserts carry the NSC's patch rate past the sort
+        rewrite's breakeven (0.15) and a delete carries it back: each
+        crossing fails the re-check, each write inside a side passes,
+        and a refusal counts once per plan built, not per re-check."""
+        memory.sql("CREATE PATCHINDEX pi_s ON t(s) TYPE SORTED")
+        query = "SELECT s FROM t WHERE k >= 0 ORDER BY s"
+        agrees_with_fresh(memory, query)
+        assert "MergeUnion" in memory.explain(query)
+        steps = [
+            ("INSERT INTO t VALUES (1000, 1, 1, 'x')", "rechecks", True),
+            (
+                "INSERT INTO t VALUES "
+                + ", ".join(f"({2000 + i}, 0, {-i}, 'y')" for i in range(150)),
+                "recheck_failed",
+                False,
+            ),
+            ("INSERT INTO t VALUES (3000, 2, -9999, 'z')", "rechecks", False),
+            ("DELETE FROM t WHERE k >= 2000", "recheck_failed", True),
+        ]
+        refusals = []
+        for write, outcome, rewritten in steps:
+            memory.sql(write)
+            before = counters(memory)
+            refused = refused_sorts(memory)
+            agrees_with_fresh(memory, query)
+            assert ("MergeUnion" in memory.explain(query)) is rewritten, write
+            assert moved(memory, before)[outcome] == 1, write
+            refusals.append(refused_sorts(memory) - refused)
+        assert refusals == [0, 1, 0, 0]
+
+    def test_a_new_pin_after_an_insert_rechecks(self, durable):
+        """The served read after a write: a new copy, the same plan."""
+        query = POINT.format(0, 20)
+        with durable.session(snapshot_reads=True) as session:
+            session.sql(query)
+            durable.sql("INSERT INTO t VALUES (5, 5, 5, 'again')")
+            before = counters(durable)
+            profile = session.sql(POINT.format(3, 30), profile=True).profile
+            assert profile.root.details["plan_cache"] == "recheck"
+            assert moved(durable, before) == {"rechecks": 1}
+            assert session.sql(query).to_pylist() == durable.sql(query).to_pylist()
+            assert moved(durable, before) == {"rechecks": 2, "hits": 1}
 
 
 class TestLifetime:

@@ -8,7 +8,9 @@ same *order* for ORDER BY queries.
 The second property covers the plan cache: every generated shape runs
 with several literal sets on a memory database, a durable one and a
 snapshot-reading session, and each execution must be indistinguishable
-— EXPLAIN text, rows, row order — from planning it afresh.
+— EXPLAIN text, rows, row order — from planning it afresh; also between
+writes that carry the patch rates across the rewrites' breakevens and
+back, where the cache re-checks each plan's choices.
 """
 
 import re
@@ -325,7 +327,71 @@ def _fresh(database, query, options):
     )
 
 
+@pytest.fixture(scope="module")
+def written_engines(tmp_path_factory):
+    """:func:`engines` over data of their own, which the writes change."""
+    durable = _populate(
+        repro.connect(tmp_path_factory.mktemp("written") / "data", sync=False)
+    )
+    durable.checkpoint()
+    session = durable.session(snapshot_reads=True)
+    yield {"memory": _populate(Database()), "durable": durable, "snapshot": session}
+    session.close()
+    durable.close()
+
+
+#: Duplicate ``u`` and descending ``s`` rows (``b = 1`` marks them) that
+#: carry fu's and fs's patch rates past the breakevens of the filtered
+#: rewrites, one more row on the same side, and the delete that carries
+#: them back.
+CROSSING_WRITES = [
+    "INSERT INTO f VALUES "
+    + ", ".join(f"(7, {-i}, {i % 5}, 1, 0)" for i in range(400)),
+    "INSERT INTO f VALUES (7, -1000, 0, 1, 0)",
+    "DELETE FROM f WHERE b = 1",
+]
+#: Reads whose gate those writes flip: rewritten, refused twice, again.
+GATED_READS = [
+    "SELECT COUNT(DISTINCT u) AS n FROM f WHERE g = 3",
+    "SELECT s FROM f WHERE g < 3 ORDER BY s",
+]
+
+
 class TestPlanCacheFuzz:
+    @given(literal_sets())
+    @settings(max_examples=12, deadline=None)
+    def test_writes_between_reads_equal_fresh_planning(
+        self, written_engines, variants
+    ):
+        queries = [*GATED_READS, *variants[:2]]
+        rewritten = []
+        for write in [None, *CROSSING_WRITES]:
+            if write is not None:
+                written_engines["memory"].sql(write)
+                written_engines["durable"].sql(write)
+            for options in (None, OptimizerOptions(always_rewrite=True)):
+                for query in queries:
+                    answers = []
+                    for name, engine in written_engines.items():
+                        if name == "snapshot":
+                            with written_engines["durable"].snapshot() as view:
+                                text, rows = _fresh(view, query, options)
+                        else:
+                            text, rows = _fresh(engine, query, options)
+                        knobs = dict(parallelism=1, optimizer_options=options)
+                        assert engine.explain(query, **knobs) == text, (name, query)
+                        assert engine.sql(query, **knobs).to_pylist() == rows, (
+                            name,
+                            query,
+                        )
+                        answers.append(rows)
+                    assert answers[0] == answers[1] == answers[2], query
+            rewritten.append(
+                ["PatchSelect" in written_engines["memory"].explain(query)
+                 for query in GATED_READS]
+            )
+        assert rewritten == [[True, True], [False, False], [False, False], [True, True]]
+
     @given(literal_sets())
     @settings(max_examples=80, deadline=None)
     def test_cached_execution_equals_fresh_planning(self, engines, variants):

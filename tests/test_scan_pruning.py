@@ -491,6 +491,55 @@ class TestMixedNumericLiterals:
         self._check(op, DataType.INT64, self._INTS, self._FLOAT_LITERALS)
 
 
+class TestMixedNumericColumns:
+    """An INT64 column compares with a FLOAT64 column the way Python
+    compares an int with a float: exactly, where widening the int to
+    float64 would round (``9007199254740993`` is not ``2.0**53``), NaN
+    matching nothing but ``!=`` and NULL never matching."""
+
+    _PAIRS = [
+        (2**53 + 1, 2.0**53), (2**53 + 1, 2.0**53 + 2), (2**53, 2.0**53),
+        (-(2**53) - 1, -(2.0**53)), (2**63 - 1, 2.0**63), (-(2**63), -(2.0**63)),
+        (2**62 + 1, 2.0**62), (5, 5.5), (5, 5.0), (-3, -3.5), (0, -0.0),
+        (7, math.nan), (7, math.inf), (7, -math.inf), (None, 1.0), (1, None),
+    ]
+
+    @pytest.mark.parametrize("op", _OPS)
+    def test_an_int_column_against_a_float_column(self, op):
+        schema = Schema(
+            [Field("r", DataType.INT64), Field("k", DataType.INT64),
+             Field("f", DataType.FLOAT64)]
+        )
+        table = Table("t", schema, 2, block_size=4)
+        table.load_columns(
+            {
+                "r": ColumnVector.from_pylist(
+                    DataType.INT64, list(range(len(self._PAIRS)))
+                ),
+                "k": ColumnVector.from_pylist(
+                    DataType.INT64, [k for k, _ in self._PAIRS]
+                ),
+                "f": ColumnVector.from_pylist(
+                    DataType.FLOAT64, [f for _, f in self._PAIRS]
+                ),
+            }
+        )
+        python_op = {
+            "=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge
+        }[op]
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+        expected = [
+            (r,)
+            for r, (k, f) in enumerate(self._PAIRS)
+            if k is not None and f is not None and python_op(k, f)
+        ]
+        for query in (
+            f"SELECT r FROM t WHERE k {op} f",
+            f"SELECT r FROM t WHERE f {flipped} k",
+        ):
+            assert sorted(_rows(_plan(table, query))) == expected, query
+
+
 class TestSketchesSurviveADelete:
     """A delete keeps the sketches of the blocks before its first row and
     sketches the rest on the live partition, so the snapshot pins that
