@@ -384,6 +384,30 @@ class TestNoStalePlanSurvives:
         agrees_with_fresh(memory, query, forced)
         assert moved(memory, before) == {"hits": 2, "misses": 1, "recheck_failed": 1}
 
+    def test_a_directly_read_order_does_not_outlive_the_data(self, memory):
+        """With no index on ``d``, the join rewrite learns that ``d`` is
+        sorted by reading its column, so the plan holds only while ``d``
+        is unchanged: a write to ``t`` re-checks, one to ``d`` re-plans."""
+        memory.sql("CREATE PATCHINDEX pi_s ON t(s) TYPE SORTED")
+        memory.sql("CREATE TABLE d (dk BIGINT, w BIGINT)")
+        memory.sql(
+            "INSERT INTO d VALUES "
+            + ", ".join(f"({i}, {i % 3})" for i in range(0, ROWS, 2))
+        )
+        forced = OptimizerOptions(always_rewrite=True)
+        query = "SELECT COUNT(*) AS n, SUM(d.w) AS sw FROM t JOIN d ON t.s = d.dk"
+        agrees_with_fresh(memory, query, forced)
+        assert "MergeJoin" in memory.explain(query, optimizer_options=forced)
+        memory.sql("INSERT INTO t VALUES (7, 7, 7, 'x')")
+        before = counters(memory)
+        agrees_with_fresh(memory, query, forced)
+        assert moved(memory, before) == {"hits": 1, "rechecks": 1}
+        memory.sql("INSERT INTO d VALUES (1, 1)")
+        before = counters(memory)
+        assert "MergeJoin" not in memory.explain(query, optimizer_options=forced)
+        agrees_with_fresh(memory, query, forced)
+        assert moved(memory, before) == {"hits": 2, "misses": 1, "recheck_failed": 1}
+
     def test_a_gate_that_crosses_its_breakeven_re_plans(self, memory):
         """Unsorted inserts carry the NSC's patch rate past the sort
         rewrite's breakeven (0.15) and a delete carries it back: each
