@@ -6,9 +6,10 @@ its run of build rows.  A probe batch then costs one ``searchsorted``
 over those keys, an equality check, and an expansion of each hit to its
 run — probe order first, build order within one probe row.  There is no
 hash table and no per-type path: both key columns are cast to one NumPy
-dtype (INT64 ⋈ FLOAT64 widens to FLOAT64, as in a comparison), and
-STRING keys sort by Python comparison as in ``Distinct``.  NULL keys
-never match, nor does NaN; ``-0.0`` matches ``0.0``.
+dtype (INT64 ⋈ FLOAT64 in int64, so the match is exact: a float that
+no int64 equals matches nothing), and STRING keys sort by Python
+comparison as in ``Distinct``.  NULL keys never match, nor does NaN;
+``-0.0`` matches ``0.0``.
 
 The paper's join rewrite (§VI-B3) replaces this operator with a
 MergeJoin for the sorted subsequence and keeps a HashJoin only for the
@@ -44,8 +45,13 @@ def _joined_schema(probe: Schema, build: Schema) -> Schema:
 
 def key_dtype(left: DataType, right: DataType) -> np.dtype:
     """The one NumPy dtype both join keys are matched in; a pair of
-    types a comparison would refuse raises ``TypeMismatchError``."""
-    return numpy_dtype(common_type(left, right))
+    types a comparison would refuse raises ``TypeMismatchError``.
+    INT64 with FLOAT64 matches in int64: float64 would round integers
+    beyond 2**53 onto their neighbours."""
+    common = numpy_dtype(common_type(left, right))
+    if common.kind == "f" and DataType.INT64 in (left, right):
+        return np.dtype(np.int64)
+    return common
 
 
 def expand_ranges(
@@ -63,11 +69,18 @@ def joinable_keys(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The keys of *column* that can match, cast to *dtype*, and their
     rows (``None`` when every row can): NULL never joins and NaN equals
-    nothing."""
-    keys = column.values.astype(dtype, copy=False)
-    keep = column.validity
-    if keys.dtype.kind == "f":  # only floats hold NaN
-        keep = keys == keys if keep is None else keep & (keys == keys)
+    nothing, nor does a float that no int64 equals when *dtype* is
+    int64.  The cast keeps ascending keys ascending."""
+    values, keep = column.values, column.validity
+    if values.dtype.kind == "f":  # only floats hold NaN
+        if dtype.kind == "i":  # an integral float in int64's range
+            matchable = values == np.floor(values)
+            matchable &= (values >= -(2.0**63)) & (values < 2.0**63)
+            values = np.where(matchable, values, 0.0)
+        else:
+            matchable = values == values
+        keep = matchable if keep is None else keep & matchable
+    keys = values.astype(dtype, copy=False)
     if keep is None or keep.all():
         return None, keys
     rows = np.flatnonzero(keep)
@@ -97,19 +110,14 @@ class RunDirectory:
         #: Every run holds one row (a dimension's key): a match is final.
         self.unique = len(self.starts) == len(keys)
 
-    def find(
-        self, keys: np.ndarray, validity: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, runs)``: the rows of *keys*, in any order, whose key
-        has a run, and that run; rows ascend."""
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, runs)``: the rows of *keys* (in any order, without
+        NULL or NaN) whose key has a run, and that run; rows ascend."""
         if len(self.heads) == 0:
             return _EMPTY, _EMPTY
         runs = self.heads.searchsorted(keys)
         np.minimum(runs, len(self.heads) - 1, out=runs)
-        hit = self.heads[runs] == keys
-        if validity is not None:
-            hit &= validity
-        rows = np.flatnonzero(hit)
+        rows = np.flatnonzero(self.heads[runs] == keys)
         return rows, runs[rows]
 
     def find_sorted(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,12 +219,10 @@ class HashJoin(Operator):
                 return None
             if len(batch) == 0:
                 continue
-            key_column = batch.column(self.probe_key)
+            rows, keys = joinable_keys(batch.column(self.probe_key), self._key_dtype)
+            found, runs = directory.find(keys)
             probe_idx, build_idx = directory.expand(
-                *directory.find(
-                    key_column.values.astype(self._key_dtype, copy=False),
-                    key_column.validity,
-                )
+                found if rows is None else rows[found], runs
             )
             if self.join_type == "left_outer":
                 probe_idx, build_idx = _pad_unmatched(

@@ -43,6 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import StorageError
+from repro.storage import disk
 from repro.storage.catalog import Catalog
 from repro.storage.database import schema_to_payload
 from repro.storage.manifest import PartitionManifest, TableManifest, partition_file
@@ -124,11 +125,7 @@ def _file_is_held(path: Path, readers: list[SegmentReader], *, sync: bool) -> bo
     if any((status.st_dev, status.st_ino) != reader.file_id() for reader in readers):
         return False
     if sync:
-        descriptor = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
+        disk.DISK.fsync_path("segments.carried_fsync", path)
     return True
 
 

@@ -40,6 +40,7 @@ rowid invariants (§VI-A1) work unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import time
@@ -50,6 +51,7 @@ import numpy as np
 
 from repro.check.sanitize import make_lock
 from repro.errors import StorageError
+from repro.storage import disk
 from repro.storage.cache import BlockCache, cache_capacity_from_env
 from repro.storage.checkpoint import (
     CHECKPOINT_COUNTS,
@@ -69,7 +71,7 @@ from repro.storage.manifest import (
 from repro.storage.materialize import load_tables, replay_log
 from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry, delete_files
 from repro.storage.table import Table
-from repro.storage.wal import WriteAheadLog, fsync_directory
+from repro.storage.wal import WriteAheadLog
 from repro.types import DataType
 from repro.types.datatypes import coerce_scalar
 
@@ -230,18 +232,30 @@ class DurableEngine(StorageEngine):
 
     def open_wal(self, database: "Database") -> WriteAheadLog:
         refuse_manifest_file(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / SEGMENTS_DIR).mkdir(exist_ok=True)
+        log, segments = self.root / WAL_NAME, self.root / SEGMENTS_DIR
+        created = [
+            path
+            for path in (*reversed(self.root.parents), self.root, segments)
+            if not path.exists()
+        ]
+        for directory in created:
+            disk.DISK.mkdir("open.mkdir", directory)
+        if not log.exists():
+            created.append(log)
         # An install that crashed before its rename: the log is whole.
-        (self.root / (WAL_NAME + ".tmp")).unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            disk.DISK.delete("open.stale_tmp_unlink", self.root / (WAL_NAME + ".tmp"))
         if self._cache is not None:
             self._cache.attach_metrics(database.obs)
-        return WriteAheadLog(
-            self.root / WAL_NAME,
-            sync=self.sync,
-            tolerate_torn_tail=True,
-            metrics=database.obs,
+        wal = WriteAheadLog(
+            log, sync=self.sync, tolerate_torn_tail=True, metrics=database.obs
         )
+        if self.sync:
+            # What this open created is named durably before the first
+            # append is acknowledged; a reopen creates nothing.
+            for parent in dict.fromkeys(path.parent for path in created):
+                disk.DISK.fsync_path("open.dir_fsync", parent)
+        return wal
 
     def describe(self) -> str:
         return f"durable({self.root})"
@@ -333,7 +347,7 @@ class DurableEngine(StorageEngine):
             kept = previous.files() if previous is not None else frozenset()
             if self.sync and manifest.files() - kept:
                 # The new files' names, before the log names them.
-                fsync_directory(self.root / SEGMENTS_DIR)
+                disk.DISK.fsync_path("segments.dir_fsync", self.root / SEGMENTS_DIR)
             patches_bytes = self._snapshots.flip(manifest, database.wal, since)
         except BaseException:
             if self._snapshots.checkpoint_lsn != lsn:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import Callable
 from urllib.parse import quote
 
 from repro.errors import StorageError
@@ -139,9 +139,9 @@ class Manifest:
             for partition in table.partitions
         )
 
-    def write(self, out: BinaryIO) -> int:
-        """Write the manifest to *out* as one compact JSON object; returns
-        the bytes its patch sets take.
+    def write(self, write: Callable[[bytes], object]) -> int:
+        """Write the manifest as one compact JSON object, in pieces passed
+        to *write*; returns the bytes its patch sets take.
 
         The patch sets are written one index at a time, each encoded in one
         call of the C encoder (``iterencode`` would run the pure-Python
@@ -174,13 +174,13 @@ class Manifest:
             }
         )
         # ASCII throughout: ensure_ascii is on.
-        out.write((head[:-1] + ',"patches":{').encode("ascii"))
+        write((head[:-1] + ',"patches":{').encode("ascii"))
         patches_bytes = 2  # the braces
         for position, (name, entry) in enumerate(self.patches.items()):
             chunk = ("," if position else "") + encode(name) + ":" + encode(entry)
-            out.write(chunk.encode("ascii"))
+            write(chunk.encode("ascii"))
             patches_bytes += len(chunk)
-        out.write(b"}}")
+        write(b"}}")
         return patches_bytes
 
     @classmethod

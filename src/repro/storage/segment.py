@@ -48,6 +48,7 @@ from repro.core.compression import (
     pick_int_block_encoding,
 )
 from repro.errors import StorageError
+from repro.storage import disk
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockStats, block_stats
 from repro.storage.column import ColumnVector
 from repro.types import DataType
@@ -393,17 +394,19 @@ def write_segments(
     """
     extents: list[tuple[int, int]] = []
     offset = 0
-    with open(path, "wb") as handle:
-        for pieces in segments:
-            length = 0
-            for piece in pieces:
-                handle.write(piece)
-                length += len(piece)
-            extents.append((offset, length))
-            offset += length
-        handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
+    try:
+        with disk.DISK.create("segments.create", Path(path)) as handle:
+            for pieces in segments:
+                length = 0
+                for piece in pieces:
+                    disk.DISK.write("segments.write", handle, piece)
+                    length += len(piece)
+                extents.append((offset, length))
+                offset += length
+            if sync:
+                disk.DISK.fsync("segments.fsync", handle)
+    except OSError as exc:
+        raise StorageError(f"could not write {path}: {exc}") from exc
     return extents
 
 

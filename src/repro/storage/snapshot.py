@@ -49,13 +49,13 @@ does this for every connection).
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.check.sanitize import make_lock, release_resource, track_resource
 from repro.errors import ExecutionError
+from repro.storage import disk
 from repro.storage.catalog import Catalog
 from repro.storage.manifest import Manifest
 from repro.storage.wal import WriteAheadLog
@@ -81,7 +81,7 @@ def delete_files(paths: list[Path], metrics: "MetricsRegistry") -> None:
     """
     for path in paths:
         try:
-            os.unlink(path)
+            disk.DISK.delete("gc.unlink", path)
         except FileNotFoundError:
             continue
         except OSError as exc:

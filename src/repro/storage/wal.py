@@ -54,14 +54,15 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.check.sanitize import make_lock
 from repro.errors import StorageError, WalError
+from repro.storage import disk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -127,23 +128,13 @@ def _last_lsn(path: Path, tolerate_torn_tail: bool, sync: bool) -> int:
             raise WalError(f"torn last line in {path}: {data[end:end + 200]!r}")
         # The truncation must be as durable as the appends were — a
         # crash right after recovery must not resurrect the torn bytes.
-        with open(path, "r+b") as handle:
-            handle.truncate(end)
+        with disk.DISK.open_append("wal.torn_tail_open", path) as handle:
+            disk.DISK.shrink("wal.torn_tail", handle, end)
             if sync:
-                os.fsync(handle.fileno())
+                disk.DISK.fsync("wal.torn_tail_fsync", handle)
     stop = len(data[:end].rstrip())
     last = data[data.rfind(b"\n", 0, stop) + 1 : stop]
     return WalRecord.from_json(last).lsn if last else 0
-
-
-def fsync_directory(path: Path) -> None:
-    """fsync directory *path*, so the names created or replaced in it
-    survive a crash."""
-    descriptor = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        os.fsync(descriptor)
-    finally:
-        os.close(descriptor)
 
 
 class WriteAheadLog:
@@ -191,7 +182,7 @@ class WriteAheadLog:
         self._deferred_appends = 0
         if self._path is not None:
             self._next_lsn = _last_lsn(self._path, tolerate_torn_tail, sync) + 1
-            self._handle = open(self._path, "ab")
+            self._handle = disk.DISK.open_append("wal.open", self._path)
             self._end = self._handle.tell()
 
     # -- appending ---------------------------------------------------------
@@ -206,10 +197,15 @@ class WriteAheadLog:
             self._next_lsn += 1
             line = (record.to_json() + "\n").encode("utf-8")
             if handle is not None:
-                handle.write(line)
-                handle.flush()
-                if self._sync and not self._defer_sync:
-                    os.fsync(handle.fileno())
+                try:
+                    disk.DISK.write("wal.append", handle, line)
+                    if self._sync and not self._defer_sync:
+                        disk.DISK.fsync("wal.append_fsync", handle)
+                except OSError as exc:
+                    self._abandon_handle_locked(handle)
+                    raise StorageError(
+                        f"could not append to {self._path}: {exc}"
+                    ) from exc
                 self._end += len(line)
             if self._defer_sync:
                 self._deferred_appends += 1
@@ -227,7 +223,7 @@ class WriteAheadLog:
         with self._lock:  # lock-ok: an install swaps the handle this syncs
             handle = self._append_handle_locked()
             if handle is not None:  # the in-memory log has none
-                os.fsync(handle.fileno())
+                disk.DISK.fsync("wal.sync", handle)
 
     @contextmanager
     def deferred_sync(self) -> Iterator[None]:
@@ -329,37 +325,51 @@ class WriteAheadLog:
         tmp = path.with_name(path.name + ".tmp")
         with self._lock:  # lock-ok: the install's fsyncs and rename ARE the checkpoint
             superseded = self._append_handle_locked()
-            with open(tmp, "wb") as out, open(path, "rb") as log:
-                out.write(b'{"lsn":%d,"kind":"checkpoint","payload":' % manifest.checkpoint_lsn)
-                patches_bytes = manifest.write(out)
-                out.write(b"}\n")
+            with open(path, "rb") as log:
                 log.seek(since)
-                shutil.copyfileobj(log, out)
-                out.flush()
+                tail = log.read()  # the appends since the pin
+            with disk.DISK.create("wal.install.create", tmp) as out:
+                write = partial(disk.DISK.write, "wal.install.write", out)
+                write(b'{"lsn":%d,"kind":"checkpoint","payload":' % manifest.checkpoint_lsn)
+                patches_bytes = manifest.write(write)
+                write(b"}\n" + tail)
                 if self._sync:
-                    os.fsync(out.fileno())
-            os.replace(tmp, path)
+                    disk.DISK.fsync("wal.install.fsync", out)
+            disk.DISK.replace("wal.install.rename", tmp, path)
             renamed()
             self._handle = None  # until the new file is open
             superseded.close()
-            self._handle = open(path, "ab")
+            self._handle = disk.DISK.open_append("wal.install.reopen", path)
             self._end = self._handle.tell()
             if self._sync:
-                fsync_directory(path.parent)
+                disk.DISK.fsync_path("wal.install.dir_fsync", path.parent)
         return patches_bytes
 
     def _append_handle_locked(self):
         """The open append handle (None for the in-memory log); raises
-        :class:`StorageError` after :meth:`close` or once an install
-        failed to reopen it."""
+        :class:`StorageError` after :meth:`close`, once an append failed
+        or once an install failed to reopen it."""
         if self._path is not None and self._handle is None:
             raise StorageError(
                 f"{self._path} is closed"
                 if self._closed
-                else f"{self._path} has no append handle: a checkpoint "
-                "renamed the log but could not reopen it; reopen the database"
+                else f"{self._path} has no append handle: an append failed, "
+                "or a checkpoint renamed the log but could not reopen it; "
+                "reopen the database"
             )
         return self._handle
+
+    def _abandon_handle_locked(self, handle) -> None:
+        """After a failed append: cut the log back to its last whole
+        record and drop the handle, so that nothing unacknowledged is
+        written later and every later append, sync and install raises."""
+        self._handle = None
+        try:
+            disk.DISK.shrink("wal.append_rollback", handle, self._end)
+        except OSError:
+            pass  # a reopen truncates a torn tail
+        finally:
+            handle.close()
 
     def close(self) -> None:
         """Close the append handle; a later append raises."""

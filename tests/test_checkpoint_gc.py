@@ -27,8 +27,9 @@ import pytest
 
 import repro
 from repro.errors import StorageError
-from repro.storage import snapshot
+from repro.storage import disk, snapshot
 from repro.storage.manifest import SEGMENTS_DIR
+from tests.disks import FaultyDisk
 from tests.log_head import head_payload, read_manifest
 
 
@@ -289,10 +290,7 @@ def _failing_rename(monkeypatch):
 
 
 def _failing_segments_sync(monkeypatch):
-    def fsync_directory(path):
-        raise OSError("injected: segments fsync")
-
-    monkeypatch.setattr("repro.storage.engine.fsync_directory", fsync_directory)
+    monkeypatch.setattr(disk, "DISK", FaultyDisk("segments.dir_fsync"))
 
 
 def _failing_segment_write(monkeypatch):
@@ -349,10 +347,7 @@ class TestFailureAfterTheRename:
         db.checkpoint()
         db.sql("INSERT INTO t VALUES (2)")
 
-        def failing(path):
-            raise OSError("injected: directory fsync")
-
-        monkeypatch.setattr("repro.storage.wal.fsync_directory", failing)
+        monkeypatch.setattr(disk, "DISK", FaultyDisk("wal.install.dir_fsync"))
         with pytest.raises(OSError, match="injected"):
             db.checkpoint()
         monkeypatch.undo()

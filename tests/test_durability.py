@@ -7,9 +7,7 @@ at an arbitrary byte must recover to exactly the state of the last
 complete record.
 """
 
-import builtins
 import json
-import os
 import shutil
 import tempfile
 import threading
@@ -21,10 +19,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.errors import StorageError
 from repro.gen import sorted_with_exceptions, unique_with_exceptions
-from repro.storage import engine
+from repro.storage import disk, engine
 from repro.storage.schema import Field, Schema
 from repro.storage.wal import WalRecord
 from repro.types import DataType
+from tests.disks import ObservedDisk
 from tests.log_head import edit_head, head_payload
 from tests.test_materialize import catalog_tables, patches_state, tables_state
 
@@ -479,56 +478,34 @@ class TestWritesDuringACheckpoint:
         reopened.close()
 
 
-class Failpoint:
-    """Makes the *k*-th filesystem call raise :class:`OSError` while
-    installed: a write to a file opened for writing, an ``os.fsync``, an
-    ``os.replace`` or an ``os.unlink``.  ``fired`` names the call that
-    raised, if one did."""
+class Failpoint(ObservedDisk):
+    """Makes the *k*-th write, fsync (of a file or a directory), rename or
+    unlink through the disk seam raise :class:`OSError`.  ``fired``
+    names the call that raised, if one did; a call whose site is in
+    *skip* is not made."""
 
-    def __init__(self, monkeypatch, k: int):
+    KINDS = {
+        "write": "write",
+        "fsync": "fsync",
+        "fsync_path": "fsync",
+        "replace": "replace",
+        "delete": "unlink",
+    }
+
+    def __init__(self, k: int, skip=frozenset()):
         self.k = k
+        self.skip = skip
         self.calls = 0
         self.fired: str | None = None
-        for name in ("fsync", "replace", "unlink"):
-            monkeypatch.setattr(os, name, self._wrap(name, getattr(os, name)))
-        real_open = builtins.open
-        step = self._step
 
-        class Writes:
-            def __init__(self, handle):
-                self._handle = handle
-
-            def write(self, data):
-                step("write")
-                return self._handle.write(data)
-
-            def __getattr__(self, name):
-                return getattr(self._handle, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return self._handle.__exit__(*exc_info)
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            handle = real_open(file, mode, *args, **kwargs)
-            return Writes(handle) if any(flag in mode for flag in "wax+") else handle
-
-        monkeypatch.setattr(builtins, "open", failing_open)
-
-    def _step(self, name: str) -> None:
-        self.calls += 1
-        if self.calls == self.k:
-            self.fired = name
-            raise OSError(5, f"failpoint: {name} #{self.k}")
-
-    def _wrap(self, name, real):
-        def failing(*args, **kwargs):
-            self._step(name)
-            return real(*args, **kwargs)
-
-        return failing
+    def call(self, operation, site, make, *args):
+        kind = self.KINDS.get(operation)
+        if kind is not None:
+            self.calls += 1
+            if self.calls == self.k:
+                self.fired = kind
+                raise OSError(5, f"failpoint: {kind} #{self.k} ({site})")
+        return None if site in self.skip else make()
 
 
 #: What the database acknowledges before the checkpoint that fails:
@@ -548,51 +525,56 @@ AFTER_CHECKPOINT = [
 ]
 
 
+def sweep_failed_checkpoint_steps(tmp_path, monkeypatch, skip=frozenset()) -> set:
+    """The k-th seam call of one ``CHECKPOINT`` raises, for every k; the
+    database is abandoned and the directory reopened fresh, and its
+    rows, rowids and patch sets must equal an in-memory database fed the
+    same acknowledged statements.  Returns the kinds of call that fired.
+
+    A raised exception keeps whatever the page cache holds, so this
+    checks the order of the steps, not where the fsyncs sit (the
+    recording disk of ``tests/test_crash_simulator.py`` does).
+    """
+    oracle = repro.connect(parallelism=1)
+    for statement in BEFORE_CHECKPOINT + AFTER_CHECKPOINT:
+        oracle.sql(statement)
+    oracle.table("t").update_rowid(0, "s", -1)
+    expected = durable_state(oracle)[:2]
+    fired: set[str] = set()
+    for k in range(1, 1000):
+        root = tmp_path / f"k{k}"
+        db = repro.connect(root, parallelism=1)
+        for statement in BEFORE_CHECKPOINT:
+            db.sql(statement)
+        db.checkpoint()
+        for statement in AFTER_CHECKPOINT:
+            db.sql(statement)
+        db.table("t").update_rowid(0, "s", -1)
+        failpoint = Failpoint(k, skip)
+        monkeypatch.setattr(disk, "DISK", failpoint)
+        try:
+            db.checkpoint()
+        except (OSError, StorageError):
+            assert failpoint.fired is not None
+        finally:
+            monkeypatch.undo()
+        del db  # abandoned, never closed
+        reopened = repro.connect(root, parallelism=1)
+        assert durable_state(reopened)[:2] == expected, (k, failpoint.fired)
+        assert sorted(path.name for path in root.iterdir()) == [
+            "segments",
+            "wal.jsonl",
+        ]
+        reopened.close()
+        if failpoint.fired is None:
+            return fired
+        fired.add(failpoint.fired)
+    raise AssertionError("the checkpoint never finished")
+
+
 class TestCrashAtEveryCheckpointStep:
     def test_every_failed_step_recovers_the_acknowledged_state(
         self, tmp_path, monkeypatch
     ):
-        """The k-th filesystem call of one ``CHECKPOINT`` raises, for
-        every k; the database is abandoned and the directory reopened
-        fresh, and its rows, rowids and patch sets must equal an
-        in-memory database fed the same acknowledged statements.
-
-        A raised exception keeps whatever the page cache holds, so this
-        checks the order of the steps, not where the fsyncs sit: killing
-        the process at each step, losing un-synced data, is the stronger
-        test this is not.
-        """
-        oracle = repro.connect(parallelism=1)
-        for statement in BEFORE_CHECKPOINT + AFTER_CHECKPOINT:
-            oracle.sql(statement)
-        oracle.table("t").update_rowid(0, "s", -1)
-        expected = durable_state(oracle)[:2]
-        fired: set[str] = set()
-        for k in range(1, 1000):
-            root = tmp_path / f"k{k}"
-            db = repro.connect(root, parallelism=1)
-            for statement in BEFORE_CHECKPOINT:
-                db.sql(statement)
-            db.checkpoint()
-            for statement in AFTER_CHECKPOINT:
-                db.sql(statement)
-            db.table("t").update_rowid(0, "s", -1)
-            failpoint = Failpoint(monkeypatch, k)
-            try:
-                db.checkpoint()
-            except OSError:
-                assert failpoint.fired is not None
-            finally:
-                monkeypatch.undo()
-            del db  # abandoned, never closed
-            reopened = repro.connect(root, parallelism=1)
-            assert durable_state(reopened)[:2] == expected, (k, failpoint.fired)
-            assert sorted(path.name for path in root.iterdir()) == [
-                "segments",
-                "wal.jsonl",
-            ]
-            reopened.close()
-            if failpoint.fired is None:
-                break
-            fired.add(failpoint.fired)
+        fired = sweep_failed_checkpoint_steps(tmp_path, monkeypatch)
         assert fired == {"write", "fsync", "replace", "unlink"}, fired

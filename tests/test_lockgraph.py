@@ -214,6 +214,26 @@ class TestL12BlockingUnderLock:
         messages = " ".join(finding.message for finding in findings)
         assert "os.fsync" in messages and "time.sleep" in messages
 
+    def test_a_durable_io_seam_call_under_lock(self, tmp_path):
+        findings = analyze_source(
+            tmp_path,
+            """
+            import threading
+
+            from repro.storage import disk
+
+            class Log:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def append(self, handle, line):
+                    with self._lock:
+                        disk.DISK.write("wal.append", handle, line)
+            """,
+        )
+        assert rules_of(findings) == ["L12"]
+        assert "DISK.write" in findings[0].message
+
     def test_await_under_threading_lock(self, tmp_path):
         findings = analyze_source(
             tmp_path,
@@ -562,6 +582,49 @@ class TestPatchMutationLayer:
         assert lint_planted(tmp_path, "storage/materialize.py", source) == []
 
 
+# -- L3: durable I/O goes through the seam -------------------------------------
+
+
+class TestDurableIoSeam:
+    #: One of each call L3 keeps inside ``storage/disk.py``.
+    DURABLE_CALLS = """
+        import os
+
+        def install(tmp, path, handle, old):
+            with open(tmp, "wb") as out:
+                out.write(b"head")
+                os.fsync(out.fileno())
+            os.replace(tmp, path)
+            os.rename(tmp, path)
+            os.link(path, old)
+            old.unlink(missing_ok=True)
+            handle.truncate(0)
+            os.ftruncate(handle.fileno(), 0)
+        """
+
+    def test_the_seam_may_make_them(self, tmp_path):
+        assert lint_planted(tmp_path, "storage/disk.py", self.DURABLE_CALLS) == []
+
+    @pytest.mark.parametrize(
+        "name", ["storage/wal.py", "storage/segment.py", "storage/engine.py"]
+    )
+    def test_any_other_storage_module_fires(self, tmp_path, name):
+        assert lint_planted(tmp_path, name, self.DURABLE_CALLS) == ["L3"] * 8
+
+    def test_calls_through_the_seam_and_string_replace_are_fine(self, tmp_path):
+        source = """
+            from repro.storage import disk
+
+            def append(handle, line, name):
+                disk.DISK.write("wal.append", handle, line)
+                disk.DISK.fsync("wal.append_fsync", handle)
+                with open(name, "rb") as log:
+                    log.read()
+                return name.replace("a", "b")
+            """
+        assert lint_planted(tmp_path, "storage/wal.py", source) == []
+
+
 # -- repro_lint driver plumbing ----------------------------------------------
 
 
@@ -658,4 +721,4 @@ class TestLintPathLists:
             if any(repro_lint._open_write_mode(call) for call in calls):
                 writes.add(f"storage/{path.name}")
         assert owns_lock == set(repro_lint.LOCK_CHECKED_FILES)
-        assert writes == set(repro_lint.FSYNC_CHECKED_FILES)
+        assert writes == set(repro_lint.DURABLE_IO_FILES)

@@ -197,10 +197,12 @@ class TestFloatKeys:
         assert pairs(result) == [(0, None), (1, 1), (2, None), (3, 3)]
 
     def test_float_probe_against_integer_build(self):
-        probe = probe_table([1.5, 2.0, 3.0], dtype=DataType.FLOAT64)
-        build = build_table([1, 2, 2, 3])
-        result = collect(HashJoin(TableScan(probe), TableScan(build), "pk", "bk"))
-        assert pairs(result) == [(1, 1), (1, 2), (2, 3)]
+        # 2**53 + 1 is no float: float64 rounds it onto 2.0**53.
+        probe = probe_table([1.5, 2.0, 3.0, 2.0**53], dtype=DataType.FLOAT64)
+        build = build_table([1, 2, 2, 3, 2**53 + 1])
+        for join in (HashJoin, MergeJoin):
+            result = collect(join(TableScan(probe), TableScan(build), "pk", "bk"))
+            assert pairs(result) == [(1, 1), (1, 2), (2, 3)]
 
 
 class TestMergeJoin:
@@ -265,6 +267,9 @@ class TestKeyTypes:
         db.sql("INSERT INTO a VALUES (1, 1.0, '1', DATE '1970-01-02', true)")
         db.sql("CREATE TABLE c (j BIGINT, y DOUBLE)")
         db.sql("INSERT INTO c VALUES (1, 1.0), (2, 1.5)")
+        # Equal in float64, unequal as numbers: they must not join.
+        db.sql("INSERT INTO a (i) VALUES (9007199254740993)")
+        db.sql("INSERT INTO c VALUES (3, 9007199254740992.0)")
         return db
 
     @pytest.mark.parametrize("column", ["s", "d", "b"])
@@ -277,6 +282,7 @@ class TestKeyTypes:
     def test_integer_joins_double(self, db):
         query = "SELECT a.i, c.j FROM a JOIN c ON a.i = c.y"
         assert db.sql(query).to_pylist() == [(1, 1)]
+        assert db.sql(query + " WHERE a.i = c.y").to_pylist() == [(1, 1)]
 
     def test_operators_refuse_mismatched_keys(self):
         probe = probe_table(["a"], dtype=DataType.STRING)

@@ -680,8 +680,7 @@ class TestServerLifecycle:
         with ServerClient(server.host, server.port) as client:
             client.sql("INSERT INTO t VALUES (13, 'x')")
             keys = client.sql("SELECT c FROM t WHERE c >= 10").columns["c"]
-        # 11 and 12 were applied and logged, only not known durable —
-        # what an in-process INSERT whose own fsync raises leaves too.
+        # 11 and 12 were applied and logged, only not known durable.
         assert sorted(keys.values.tolist()) == [10, 11, 12, 13]
         assert len(syncs) == 3
 

@@ -24,9 +24,9 @@ L11 lock-order
 
 L12 no-blocking-under-lock
     Blocking operations — ``os.fsync``, ``os.replace``, ``open()``,
-    ``time.sleep``, ``shutil.rmtree``, synchronous socket calls, and
-    ``await`` under a *threading* lock — stall every other thread
-    queued on that lock (and extend L3 reasoning into lock scopes).
+    any call of the durable-I/O seam's ``DISK``, ``time.sleep``,
+    ``shutil.rmtree``, synchronous socket calls, and ``await`` under a
+    *threading* lock — stall every other thread queued on that lock.
     Checked directly and one resolved call hop deep.
 
 L13 guarded-attribute-access
@@ -208,6 +208,8 @@ def _blocking_name(call: ast.Call) -> str | None:
                 return "shutil.rmtree"
         if func.attr in BLOCKING_METHODS:
             return f"<receiver>.{func.attr}"
+        if ast.unparse(func.value).endswith("DISK"):  # the durable-I/O seam
+            return f"DISK.{func.attr}"
     return None
 
 

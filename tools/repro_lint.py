@@ -29,12 +29,13 @@ L2  lock-discipline
     yet).  Module-level globals guarded by a module lock get the same
     treatment inside functions that declare them ``global``.
 
-L3  fsync-discipline
-    In the storage files that write durable state ({fsync_files}),
-    every file opened for writing must reach an ``os.fsync`` before the
-    ``with`` block ends, or carry an explicit ``# no-fsync: <reason>``
-    marker on the ``with`` line — durability claims in the module
-    docstrings must be backed by actual syncs.
+L3  durable-io-seam
+    Under ``storage/``, only {durable_io_files} may open a file for
+    writing or call ``fsync``, ``replace``, ``rename``, ``link``,
+    ``unlink``, ``truncate`` or ``ftruncate``: every other module goes
+    through its ``DISK``, naming the call site, so one place holds the
+    order of what reaches the disk and a test disk can replay a crash
+    at any of those calls.
 
 L4  metric-namespaces
     Metric names passed to ``.counter() / .gauge() / .histogram()``
@@ -166,12 +167,9 @@ LOCK_CHECKED_FILES = (
     "storage/wal.py",
 )
 
-#: Files whose write paths must fsync (L3): the WAL (with the checkpoint
-#: install) and the segment writer.
-FSYNC_CHECKED_FILES = (
-    "storage/wal.py",
-    "storage/segment.py",
-)
+#: The one storage module allowed to write, sync, rename or delete a
+#: file (L3): the durable-I/O seam.
+DURABLE_IO_FILES = ("storage/disk.py",)
 
 #: Every repo-relative path list above, for the self-test that keeps a
 #: rename from silently dropping coverage (tests/test_lockgraph.py).
@@ -180,14 +178,14 @@ PATH_LISTS = {
     "PATCH_MUTATION_FILES": PATCH_MUTATION_FILES,
     "LOCK_CHECKED_DIRS": LOCK_CHECKED_DIRS,
     "LOCK_CHECKED_FILES": LOCK_CHECKED_FILES,
-    "FSYNC_CHECKED_FILES": FSYNC_CHECKED_FILES,
+    "DURABLE_IO_FILES": DURABLE_IO_FILES,
 }
 
 __doc__ = __doc__.format(
     namespaces=", ".join(METRIC_NAMESPACES),
     frombuffer_files=", ".join(FROMBUFFER_ALLOWED_FILES),
     patch_mutation_files=", ".join(PATCH_MUTATION_FILES),
-    fsync_files=", ".join(FSYNC_CHECKED_FILES),
+    durable_io_files=", ".join(DURABLE_IO_FILES),
 )
 
 #: Method names that mutate their receiver in place (L2).
@@ -447,45 +445,39 @@ def _open_write_mode(call: ast.Call) -> bool:
     return any(flag in mode.value for flag in ("w", "a", "+", "x"))
 
 
-def _contains_fsync(body: list[ast.stmt]) -> bool:
-    for statement in body:
-        for node in ast.walk(statement):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "fsync"
-            ):
-                return True
-    return False
+#: Calls that change what a file holds or which names a directory has.
+DURABLE_CALLS = frozenset(
+    {"fsync", "replace", "rename", "link", "unlink", "truncate", "ftruncate"}
+)
 
 
-def check_fsync_discipline(
-    path: Path, tree: ast.AST, source_lines: list[str]
-) -> list[Finding]:
-    if not posix(path).endswith(FSYNC_CHECKED_FILES):
+def check_durable_io_seam(path: Path, tree: ast.AST) -> list[Finding]:
+    where = posix(path)
+    if "/storage/" not in where or where.endswith(DURABLE_IO_FILES):
         return []
     findings: list[Finding] = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.With):
+        if not isinstance(node, ast.Call):
             continue
-        opens_for_write = any(
-            isinstance(item.context_expr, ast.Call)
-            and _open_write_mode(item.context_expr)
-            for item in node.items
-        )
-        if not opens_for_write or _contains_fsync(node.body):
-            continue
-        line = source_lines[node.lineno - 1]
-        if "# no-fsync:" in line:
+        func = node.func
+        if _open_write_mode(node):
+            name = "open() for writing"
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in DURABLE_CALLS
+            and not ast.unparse(func.value).endswith("DISK")
+            and (func.attr != "replace" or ast.unparse(func.value) == "os")
+        ):  # str.replace is not a rename
+            name = f"{ast.unparse(func)}()"
+        else:
             continue
         findings.append(
             Finding(
                 path,
                 node.lineno,
                 "L3",
-                "file opened for writing without an os.fsync on the "
-                "write path; sync it or mark the line '# no-fsync: "
-                "<reason>'",
+                f"{name} outside the durable-I/O seam; call "
+                "repro.storage.disk.DISK with the name of this site",
             )
         )
     return findings
@@ -763,7 +755,7 @@ def lint_file(path: Path) -> list[Finding]:
     findings: list[Finding] = []
     findings.extend(check_bare_asserts(path, tree))
     findings.extend(check_lock_discipline(path, tree))
-    findings.extend(check_fsync_discipline(path, tree, source.splitlines()))
+    findings.extend(check_durable_io_seam(path, tree))
     findings.extend(check_metric_namespaces(path, tree))
     findings.extend(check_explicit_dtype(path, tree))
     findings.extend(check_raw_segment_decode(path, tree))
