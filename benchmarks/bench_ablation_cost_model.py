@@ -146,7 +146,7 @@ def _crossover(points: list[tuple[float, float]]) -> str:
 
 
 def test_rewrite_breakevens(benchmark, report):
-    planner = PhysicalPlanner(parallelism=1)
+    planner = PhysicalPlanner()
     forced = OptimizerOptions(always_rewrite=True)
     series = [("distinct", None), ("sort", None)] + [
         ("join", share) for share in BUILD_SHARES

@@ -67,6 +67,7 @@ def connect(
     target: "str | _os.PathLike | None" = None,
     *,
     path: "str | _os.PathLike | None" = None,
+    # 1 only; bench_e2e/harness.py and bench_e2e/tracing.py pass it.
     parallelism: int | None = None,
     sync: bool = True,
     cache_bytes: int | None = None,
@@ -91,11 +92,13 @@ def connect(
 
     Durable knobs: *cache_bytes* bounds the shared decoded-block cache
     (default ``REPRO_CACHE_BYTES``, else 64 MiB; ``0`` disables it);
-    ``sync=False`` skips fsync (benchmarks only).  *parallelism* sets
-    the instance-default degree of parallelism (``None`` resolves
-    ``REPRO_THREADS`` / the CPU count, ``1`` forces serial execution);
-    for a remote target it is applied to the server-side session.
+    ``sync=False`` skips fsync (benchmarks only).  Execution is serial:
+    *parallelism* accepts ``1`` and nothing else.
     """
+    if parallelism not in (None, 1):
+        raise ReproError(
+            f"execution is serial: parallelism must be 1, got {parallelism!r}"
+        )
     if target is not None and path is not None:
         raise ReproError(
             "pass either a connect target positionally or path=, not both"
@@ -110,14 +113,9 @@ def connect(
                 )
             from repro.serve import ServerClient
 
-            client = ServerClient.from_uri(text, timeout=timeout)
-            if parallelism is not None:
-                client.parallelism = parallelism
-            return client
+            return ServerClient.from_uri(text, timeout=timeout)
         path = target
-    return Database(
-        path=path, parallelism=parallelism, sync=sync, cache_bytes=cache_bytes
-    )
+    return Database(path=path, sync=sync, cache_bytes=cache_bytes)
 
 
 __all__ = [

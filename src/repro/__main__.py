@@ -1,6 +1,6 @@
 r"""Interactive SQL shell and network server.
 
-``python -m repro [--threads N] [--metrics-dump PATH] [--data-dir DIR]``
+``python -m repro [--metrics-dump PATH] [--data-dir DIR]``
 starts the REPL over a local :class:`repro.storage.database.Database`
 (in memory without ``--data-dir``);
 ``python -m repro --connect repro://host:port`` runs the same REPL
@@ -15,7 +15,6 @@ A minimal REPL — enough to poke at PatchIndexes interactively:
     repro> CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE;
     repro> SELECT COUNT(DISTINCT c) AS n FROM t;
     repro> \d            -- describe tables and indexes
-    repro> \threads 4    -- set the degree of parallelism (\threads shows it)
     repro> \profile on   -- print a query profile after every statement
     repro> \metrics      -- dump the instance's metrics registry
     repro> \cache        -- show block cache occupancy and hit ratio
@@ -24,8 +23,6 @@ A minimal REPL — enough to poke at PatchIndexes interactively:
     repro> \q
 
 Statements may span lines; they execute at the terminating semicolon.
-``--threads N`` (or the ``REPRO_THREADS`` environment variable) sets
-the morsel-parallel worker count; ``--threads 1`` forces serial plans.
 ``--metrics-dump PATH`` writes the metrics registry as JSON on exit.
 ``--data-dir DIR`` opens (or creates) a durable database directory:
 data survives restarts, ``CHECKPOINT`` / ``\checkpoint`` flushes
@@ -46,18 +43,17 @@ import platform
 import sys
 
 from repro.errors import ReproError
-from repro.exec.parallel import default_parallelism
 from repro.storage.database import Database
 
 _BANNER = (
     "repro — PatchIndex reproduction shell. "
-    "End statements with ';'.  \\d describes, \\threads sets "
-    "parallelism, \\profile toggles profiling, \\metrics dumps "
+    "End statements with ';'.  \\d describes, "
+    "\\profile toggles profiling, \\metrics dumps "
     "metrics, \\cache shows the block cache, \\checkpoint flushes "
     "durable state, \\q quits."
 )
 _COMMANDS = (
-    "commands: \\d, \\threads [N], \\profile [on|off], \\metrics, "
+    "commands: \\d, \\profile [on|off], \\metrics, "
     "\\cache, \\checkpoint, \\q"
 )
 
@@ -125,22 +121,6 @@ def run_shell(
             return 0
         if not buffer and stripped == "\\d":
             emit(database.describe() or "(empty catalog)")
-            continue
-        if not buffer and stripped.startswith("\\threads"):
-            argument = stripped[len("\\threads"):].strip()
-            if not argument:
-                effective = (
-                    database.parallelism
-                    if database.parallelism is not None
-                    else default_parallelism()
-                )
-                emit(f"parallelism: {effective}")
-            else:
-                try:
-                    database.parallelism = max(1, int(argument))
-                    emit(f"parallelism set to {database.parallelism}")
-                except ValueError:
-                    emit(f"error: \\threads expects an integer, got {argument!r}")
             continue
         if not buffer and stripped.startswith("\\profile"):
             argument = stripped[len("\\profile"):].strip().lower()
@@ -211,12 +191,11 @@ def run_server(
     data_dir: str | None,
     host: str,
     port: int,
-    threads: int | None,
 ) -> int:
     """Run ``python -m repro serve`` until interrupted."""
     from repro.serve import ReproServer
 
-    database = Database(path=data_dir, parallelism=threads)
+    database = Database(path=data_dir)
     server = ReproServer(database, host=host, port=port).start()
     storage = data_dir if data_dir is not None else "(in-memory)"
     print(
@@ -244,15 +223,16 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
         choices=["serve"],
         help="'serve' starts the server; without it, the shell",
     )
-    parser.add_argument("--threads", type=int, help="degree of parallelism")
+    # Execution is serial; only bench_e2e/harness.py passes --threads 1.
+    parser.add_argument(
+        "--threads", type=int, choices=[1], help=argparse.SUPPRESS
+    )
     parser.add_argument("--metrics-dump", metavar="PATH")
     parser.add_argument("--data-dir", metavar="DIR")
     parser.add_argument("--connect", metavar="URI")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int)
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        args.threads = max(1, args.threads)
     if args.target == "serve":
         if args.connect is not None:
             parser.error("serve and --connect are exclusive")
@@ -270,15 +250,13 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.protocol import DEFAULT_PORT
 
         port = args.port if args.port is not None else DEFAULT_PORT
-        return run_server(args.data_dir, args.host, port, args.threads)
+        return run_server(args.data_dir, args.host, port)
     if args.connect is not None:
         from repro.serve import ServerClient
 
         database = ServerClient.from_uri(args.connect)
-        if args.threads is not None:
-            database.parallelism = args.threads
     else:
-        database = Database(path=args.data_dir, parallelism=args.threads)
+        database = Database(path=args.data_dir)
     code = run_shell(database)
     if args.metrics_dump is not None:
         try:

@@ -1,8 +1,7 @@
 """Pre-execution verification of physical plans.
 
 The optimizer rewrites queries into patched plans (distinct / sort /
-join over ``R \\ P_c ∪ P_c``, paper §VI-B) and the physical planner
-layers morsel-driven parallelism on top.  Each rewrite is only correct
+join over ``R \\ P_c ∪ P_c``, paper §VI-B).  Each rewrite is only correct
 under invariants that the operator constructors cannot see — a
 MergeUnion is a sort-preserving union *only if* both inputs really are
 globally sorted, a PatchSelect pair reconstructs the relation *only if*
@@ -13,8 +12,8 @@ before any batch flows.
 :func:`verify_plan` walks the operator tree bottom-up and propagates
 :class:`PlanProperties` — the output schema plus a proven
 :class:`OrderProperty` (sort keys and whether the order holds globally
-or per partition).  Order is *established* by Sort / TopN /
-ParallelSort and by the exclude-patches branch of an NSC PatchSelect
+or per partition).  Order is *established* by Sort / TopN and by
+the exclude-patches branch of an NSC PatchSelect
 (the kept subsequence is sorted by construction, paper §IV), and
 *preserved* by Filter, Project (modulo renames), Limit, MergeUnion and
 the left side of MergeJoin.  Everything else destroys it.
@@ -40,10 +39,6 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
 ``patch-design``
     an index's partition patch sets must share one physical design and
     an AUTO-designed index must honor the 1/64 crossover (§V).
-``exchange-ordering``
-    morsels under a parallel terminal (ParallelDistinct / ParallelSort /
-    ParallelAggregate) must be ascending, disjoint, and
-    partition-respecting, so partials are gathered in rowid order.
 ``limit-order``
     LIMIT / TopN must not sit below order-destroying operators, and
     Sort must not reorder an already-truncated result.
@@ -85,12 +80,6 @@ from repro.exec.operators.scan import TableScan
 from repro.exec.operators.sort import Sort, SortKey
 from repro.exec.operators.topn import TopN
 from repro.exec.operators.union import UnionAll
-from repro.exec.parallel.morsels import validate_morsels
-from repro.exec.parallel.terminals import (
-    ParallelAggregate,
-    ParallelDistinct,
-    ParallelSort,
-)
 from repro.storage.schema import Schema
 
 #: Ordering scopes: proven across the whole input vs. only within each
@@ -187,12 +176,6 @@ class _Verifier:
             return self._verify_merge_join(op)
         if isinstance(op, HashJoin):
             return self._verify_hash_join(op)
-        if isinstance(op, ParallelSort):
-            return self._verify_parallel_sort(op)
-        if isinstance(op, ParallelDistinct):
-            return self._verify_parallel_distinct(op)
-        if isinstance(op, ParallelAggregate):
-            return self._verify_parallel_aggregate(op)
         # Unknown operator (e.g. a test double): verify the subtrees,
         # claim nothing about the output order.
         for child in op.children():
@@ -446,35 +429,6 @@ class _Verifier:
         # No order rule: MergeJoin checks both inputs' order at run time.
         return PlanProperties(op.schema, left.ordering)
 
-    # -- parallel operators ------------------------------------------------
-
-    def _verify_parallel_sort(self, op: ParallelSort) -> PlanProperties:
-        template = self._verify_parallel_common(op)
-        self._bind_keys(op.keys, template.schema, "ParallelSort")
-        return PlanProperties(op.schema, OrderProperty(tuple(op.keys)))
-
-    def _verify_parallel_distinct(self, op: ParallelDistinct) -> PlanProperties:
-        self._verify_parallel_common(op, under_distinct=True)
-        return PlanProperties(op.schema)
-
-    def _verify_parallel_aggregate(
-        self, op: ParallelAggregate
-    ) -> PlanProperties:
-        template = self._verify_parallel_common(op)
-        self._bind_aggregates(op.group_by, op.aggregates, template.schema)
-        return PlanProperties(op.schema)
-
-    def _verify_parallel_common(
-        self, op, under_distinct: bool = False
-    ) -> PlanProperties:
-        if op.parallelism < 1:
-            raise PlanInvariantError(
-                "exchange-ordering",
-                f"{type(op).__name__} has parallelism {op.parallelism}",
-            )
-        validate_morsels(op.morsels, _scan_table(op.template))
-        return self.verify(op.template, under_distinct)
-
     # -- shared checks -----------------------------------------------------
 
     def _reject_limit_below(self, op: Operator, child: Operator) -> None:
@@ -631,7 +585,7 @@ def _collect_patch_uses(
     """
     if isinstance(op, (UnionAll, MergeUnion)):
         return []
-    if isinstance(op, (Distinct, ParallelDistinct)):
+    if isinstance(op, Distinct):
         deduped = True
     if isinstance(op, PatchSelect):
         child = op.child
@@ -654,14 +608,3 @@ def _scan_signature(op: TableScan | PatchCount) -> tuple:
         tuple(ranges) if ranges is not None else ((0, op.table.row_count),)
     )
     return (id(op.table), covered)
-
-
-def _scan_table(op: Operator):
-    """The table of the unique TableScan under a fragment template."""
-    if isinstance(op, TableScan):
-        return op.table
-    for child in op.children():
-        table = _scan_table(child)
-        if table is not None:
-            return table
-    return None

@@ -159,12 +159,13 @@ def discover_table_nsc(
     ``scope="partition"`` is the paper's §VI-A2 design: the longest
     sorted subsequence is computed per partition, so the exclude stream
     of each partition is an independently sorted run — the right choice
-    for partition-parallel execution where an exchange merges streams.
+    for the paper's partition-parallel engine, where an exchange merges
+    the streams.
 
     ``scope="global"`` (default here) computes one subsequence across
     the whole table in rowid order, so the exclude stream is *globally*
-    sorted.  In this serial engine that is the performance-equivalent
-    realization: there is no parallel exchange to absorb the run merge,
+    sorted.  In this serial engine (DESIGN.md, "Why serial") that is the
+    performance-equivalent realization: no exchange absorbs the run merge,
     and a globally sorted exclude stream feeds MergeUnion/MergeJoin
     directly.  Patches are still stored partition-locally.
     """

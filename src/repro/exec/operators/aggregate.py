@@ -24,8 +24,7 @@ SQL semantics implemented:
 Aggregation without GROUP BY or COUNT(DISTINCT) holds at most
 :data:`FOLD_ROWS` rows of its input: it folds batches into *partial*
 rows as they arrive and combines those rows at the end of input
-(:func:`two_phase_specs`), the same two phases ``ParallelAggregate``
-runs across morsels.  Grouped and COUNT(DISTINCT) aggregation drain and
+(:func:`two_phase_specs`).  Grouped and COUNT(DISTINCT) aggregation drain and
 concatenate their input first.
 """
 
@@ -46,8 +45,8 @@ from repro.types.datatypes import numpy_dtype
 
 #: The two halves an INT64 value splits into for an exact AVG: the
 #: signed high and the unsigned low 32 bits.  Their int64 sums cannot
-#: wrap below 2**31 rows.  SQL never names them; ``ParallelAggregate``
-#: carries them as its per-morsel AVG partials.
+#: wrap below 2**31 rows.  SQL never names them; an ungrouped AVG
+#: carries them as its partial rows.
 INT64_HALVES = {
     "sum_high": lambda values: values >> 32,
     "sum_low": lambda values: values & 0xFFFFFFFF,

@@ -6,9 +6,9 @@ PatchIndexes pay off.  Three instrument kinds cover everything the
 engine reports:
 
 - :class:`Counter` — monotonically increasing totals (statements
-  executed, patch hits, morsels dispatched);
+  executed, patch hits, rows returned);
 - :class:`Gauge` — last-written values (current patch ratio of an
-  index, the degree of parallelism a query actually used);
+  index, open connections);
 - :class:`Histogram` — streaming summaries (count / sum / min / max
   plus fixed power-of-two buckets) for durations and row counts.
 

@@ -1,8 +1,8 @@
 """The plan cache: optimized logical plans keyed by statement shape.
 
 Parse, bind and optimize never read a literal's value — only its type —
-while the physical planner (scan-range derivation, the parallel cost
-gate, plan verification) and execution do.  The cache therefore keeps
+while the physical planner (scan-range derivation, plan verification)
+and execution do.  The cache therefore keeps
 the *optimized logical* plan of a statement, with the literals lifted
 out of the text marked as slots (:attr:`Literal.slot`), and
 :func:`bind_parameters` swaps this execution's values in; physical

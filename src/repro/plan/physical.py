@@ -1,6 +1,6 @@
 """Physical planning: logical plan → executable operator tree.
 
-Mostly a 1:1 mapping, plus four physical decisions:
+Mostly a 1:1 mapping, plus three physical decisions:
 
 - **Scan-range derivation**: a filter directly above a scan, or above
   the PatchSelect over one, is evaluated against the per-block min/max
@@ -16,24 +16,14 @@ Mostly a 1:1 mapping, plus four physical decisions:
 - **Hash-join build-side choice**: the smaller estimated input builds
   the join's key directory (§VI-B3); a projection restores the original column
   order when the sides were swapped.
-- **Morsel-driven parallelism**: a Distinct, Sort or Aggregate directly
-  on a scan pipeline (Scan, optionally PatchSelect, then Filter/Project
-  chains) becomes its parallel-aware counterpart, with per-worker
-  partials over contiguous rowid morsels, when the pipeline splits into
-  at least two morsels and hands the terminal more than one morsel's
-  worth of rows (``morsel_size``).  Nothing else fans out: a pipeline
-  with no such terminal above it, an exclude-patches pipeline (the run
-  merge of a partition-scoped NSC sort rewrite), and an aggregate mixing
-  COUNT(DISTINCT) with other aggregates plan serial.  The degree of
-  parallelism comes from the ``parallelism`` knob (default:
-  ``REPRO_THREADS`` or the CPU count) and does not enter the gate;
-  EXPLAIN shows it on every parallel operator.
+
+Execution is serial: every operator runs on the caller's thread (why
+is DESIGN.md, "Why serial").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.check.plan_verifier import verify_plan
 from repro.errors import PlanError, TypeMismatchError
@@ -67,46 +57,12 @@ from repro.exec.operators import (
     UnionAll,
 )
 from repro.exec.operators.scan import normalize_ranges
-from repro.exec.parallel import (
-    DEFAULT_MORSEL_SIZE,
-    Morsel,
-    ParallelAggregate,
-    ParallelDistinct,
-    ParallelSort,
-    default_parallelism,
-    morsels_for_table,
-)
-from repro.exec.parallel.terminals import FragmentFactory
 from repro.plan import logical as lp
 from repro.plan.cardinality import estimate_rows
 from repro.types.datatypes import DataType, coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
-
-
-@dataclass
-class _Fragment:
-    """A parallelizable scan pipeline matched in the logical plan.
-
-    ``build`` reconstructs the physical fragment restricted to a set of
-    global rowid ranges — the planner hands it to the parallel terminal,
-    which calls it once per morsel (``None`` ranges = the unrestricted
-    template used for schema/EXPLAIN).
-    """
-
-    build: Callable[[list[tuple[int, int]] | None], Operator]
-    ranges: list[tuple[int, int]] | None
-    morsels: list[Morsel]
-
-    def template(self) -> Operator:
-        return self.build(self.ranges)
-
-    def operator_args(
-        self, parallelism: int
-    ) -> tuple[FragmentFactory, Operator, list[Morsel], int]:
-        """The leading arguments every parallel operator shares."""
-        return self.build, self.template(), self.morsels, parallelism
 
 
 class PhysicalPlanner:
@@ -116,23 +72,23 @@ class PhysicalPlanner:
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         derive_scan_ranges: bool = True,
-        parallelism: int | None = None,
-        morsel_size: int = DEFAULT_MORSEL_SIZE,
+        parallelism: int = 1,
         verify: bool = True,
         backend: str | None = None,
         database: "Database | None" = None,
     ):
         self.batch_size = batch_size
         self.derive_scan_ranges = derive_scan_ranges
-        self.parallelism = (
-            default_parallelism() if parallelism is None else max(1, parallelism)
-        )
-        self.morsel_size = morsel_size
         self.verify = verify
+        # Only caller: bench_e2e/tracing.py passes parallelism=1.
+        if parallelism != 1:
+            raise PlanError(
+                f"execution is serial, got parallelism={parallelism!r}"
+            )
         # Only caller: bench_e2e/tracing.py passes backend="thread".
         if backend not in (None, "thread"):
             raise PlanError(
-                f"the thread pool is the only backend, got {backend!r}"
+                f"serial execution is the only backend, got {backend!r}"
             )
         # Only caller: bench_e2e/tracing.py passes database=; unread.
         del database
@@ -158,9 +114,6 @@ class PhysicalPlanner:
         count = _try_patch_count(logical)
         if count is not None:
             return count
-        parallel = self._try_parallel(logical)
-        if parallel is not None:
-            return parallel
         if isinstance(logical, lp.LogicalScan):
             return self._plan_scan(logical)
         if isinstance(logical, lp.LogicalPatchSelect):
@@ -218,117 +171,6 @@ class PhysicalPlanner:
                 list(logical.keys),
             )
         raise PlanError(f"cannot plan logical node {type(logical).__name__}")
-
-    # -- morsel-driven parallelism ------------------------------------------
-
-    def _try_parallel(self, logical: lp.LogicalPlan) -> Operator | None:
-        """Parallel plan for this node, or None to fall through to serial.
-
-        Only a Distinct, a Sort or an Aggregate directly over a scan
-        pipeline fans out: each pushes partial work into the morsel
-        workers.  Any other node returns None — its children still get
-        their own chance when the serial dispatch recurses.
-        """
-        if self.parallelism <= 1 or not isinstance(
-            logical, (lp.LogicalDistinct, lp.LogicalSort, lp.LogicalAggregate)
-        ):
-            return None
-        if (
-            isinstance(logical, lp.LogicalAggregate)
-            and len(logical.aggregates) > 1
-            and any(spec.func == "count_distinct" for spec in logical.aggregates)
-        ):
-            # COUNT(DISTINCT) beside other aggregates has no partial form.
-            return None
-        fragment = self._match_fragment(logical.child)
-        if fragment is None:
-            return None
-        args = fragment.operator_args(self.parallelism)
-        if isinstance(logical, lp.LogicalDistinct):
-            return ParallelDistinct(*args)
-        if isinstance(logical, lp.LogicalSort):
-            return ParallelSort(*args, list(logical.keys))
-        return ParallelAggregate(
-            *args, list(logical.group_by), list(logical.aggregates)
-        )
-
-    def _match_fragment(self, logical: lp.LogicalPlan) -> _Fragment | None:
-        """Match a Filter/Project chain over (PatchSelect over) a scan,
-        and accept it for parallel execution if it is worth a fan-out."""
-        nodes: list[lp.LogicalPlan] = []
-        patch: lp.LogicalPatchSelect | None = None
-        current = logical
-        while True:
-            if isinstance(current, lp.LogicalScan):
-                scan = current
-                break
-            if isinstance(current, lp.LogicalPatchSelect):
-                patch = current
-                scan = current.child
-                break
-            if isinstance(current, (lp.LogicalFilter, lp.LogicalProject)):
-                nodes.append(current)
-                current = current.child
-                continue
-            return None
-        if patch is not None and not patch.use_patches:
-            # An exclude branch is already sorted runs: sorting them per
-            # morsel and merging the runs measured 1.30-2.23x the serial
-            # run merge in every cell (EXPERIMENTS.md, *Parallel shapes*).
-            return None
-
-        ranges = (
-            list(scan.scan_ranges) if scan.scan_ranges is not None else None
-        )
-        if (
-            ranges is None
-            and self.derive_scan_ranges
-            and nodes
-            and isinstance(nodes[-1], lp.LogicalFilter)
-        ):
-            # Same rule as the serial path: block-prune only when the
-            # filter sits directly on the scan or its PatchSelect.
-            ranges = self._ranges_for_predicate(scan, nodes[-1].predicate)
-        normalized = normalize_ranges(ranges, scan.table.row_count)
-        terminal_rows = (
-            sum(stop - start for start, stop in normalized)
-            if normalized is not None
-            else scan.table.row_count
-        )
-        if patch is not None:
-            # The use branch hands its terminal only the exceptions.
-            terminal_rows = min(terminal_rows, patch.index.patch_count)
-        # The gate: a morsel is the work that amortizes one dispatch, so
-        # fan out only when the terminal gets more than one morsel's
-        # worth of rows, and only when there are two morsels to share out.
-        if terminal_rows <= self.morsel_size:
-            return None
-        morsels = morsels_for_table(scan.table, normalized, self.morsel_size)
-        if len(morsels) < 2:
-            return None
-
-        def build(
-            morsel_ranges: list[tuple[int, int]] | None,
-        ) -> Operator:
-            operator: Operator = TableScan(
-                scan.table,
-                list(scan.columns) if scan.columns is not None else None,
-                scan_ranges=morsel_ranges,
-                with_tid=scan.with_tid,
-                batch_size=self.batch_size,
-            )
-            if patch is not None:
-                operator = PatchSelect(
-                    operator, patch.index, PatchSelectMode.USE_PATCHES
-                )
-            for node in reversed(nodes):
-                if isinstance(node, lp.LogicalFilter):
-                    operator = Filter(operator, node.predicate)
-                else:
-                    operator = Project(operator, list(node.outputs))
-            return operator
-
-        return _Fragment(build, normalized, morsels)
 
     # -- scans & filters ---------------------------------------------------
 

@@ -4,7 +4,7 @@
 what ``repro.connect("repro://host:port")`` returns; it mirrors the
 :class:`~repro.storage.database.Database` surface the REPL and
 examples use (``sql`` / ``explain`` / ``describe`` / ``metrics`` /
-``cache_stats`` / ``checkpoint`` / ``parallelism``), so remote and
+``cache_stats`` / ``checkpoint``), so remote and
 local handles are interchangeable for read/write workloads.  For
 concurrency, use one client per thread.
 
@@ -81,7 +81,6 @@ class ServerClient:
         self.port = port
         self._lock = make_lock("serve.client.request")
         self._closed = False
-        self._parallelism: int | None = None
         self._socket = socket.create_connection((host, port), timeout=timeout)
         try:
             self.server_info = check_wire_version(self._call({"op": "hello"}))
@@ -122,7 +121,6 @@ class ServerClient:
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         profile: bool = False,
         optimizer_options=None,
     ) -> QueryResult:
@@ -136,7 +134,6 @@ class ServerClient:
             {
                 "op": "sql",
                 "text": text,
-                "parallelism": parallelism,
                 "profile": profile,
             }
         )
@@ -146,7 +143,6 @@ class ServerClient:
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         analyze: bool = False,
         optimizer_options=None,
     ) -> str:
@@ -159,7 +155,6 @@ class ServerClient:
             {
                 "op": "explain",
                 "text": text,
-                "parallelism": parallelism,
                 "analyze": analyze,
             }
         )
@@ -169,18 +164,6 @@ class ServerClient:
         """Set a server-side session knob; returns the applied value."""
         response = self._call({"op": "set", "knob": knob, "value": value})
         return response["value"]
-
-    @property
-    def parallelism(self) -> int | None:
-        """Per-session degree of parallelism (mirrors Database.parallelism)."""
-        with self._lock:
-            return self._parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: int | None) -> None:
-        applied = self.set("parallelism", value)
-        with self._lock:
-            self._parallelism = applied
 
     def describe(self) -> str:
         return self._call({"op": "describe"})["text"]

@@ -71,7 +71,7 @@ MAX_WRITE_BATCH = 64
 #: part, so a big result is never assembled into one body.
 _SINGLE_WRITE_BYTES = 64 * 1024
 
-_SESSION_KNOBS = ("parallelism", "profile")
+_SESSION_KNOBS = ("profile",)
 
 #: How long the accept loop waits after an ``accept()`` that failed.
 _ACCEPT_RETRY_SECONDS = 0.05
@@ -431,7 +431,6 @@ class ReproServer:
                 session._sql,
                 text,
                 kind == "read",
-                parallelism=_optional_int(request, "parallelism"),
                 profile=_optional_bool(request, "profile"),
             ),
         )
@@ -471,7 +470,6 @@ class ReproServer:
     def _run_explain(self, request: dict, session: Session) -> str:
         return session.explain(
             _required_text(request, "explain"),
-            parallelism=_optional_int(request, "parallelism"),
             analyze=_optional_bool(request, "analyze"),
         )
 
@@ -482,12 +480,8 @@ class ReproServer:
                 f"unknown session knob {knob!r}; expected one of "
                 f"{_SESSION_KNOBS}"
             )
-        value = request.get("value")
-        if knob == "parallelism":
-            value = None if value is None else max(1, int(value))
-            session.parallelism = value
-        else:
-            session.profile = bool(value)
+        value = bool(request.get("value"))
+        session.profile = value
         return {"ok": True, "knob": knob, "value": value}
 
 
@@ -517,11 +511,6 @@ def _required_text(request: dict, op: str) -> str:
     if not isinstance(text, str):
         raise ProtocolError(f"{op} op requires a string 'text'")
     return text
-
-
-def _optional_int(request: dict, key: str) -> int | None:
-    value = request.get(key)
-    return None if value is None else int(value)
 
 
 def _optional_bool(request: dict, key: str) -> bool:

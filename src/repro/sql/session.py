@@ -6,7 +6,7 @@ bind → optimize → physical plan → collect), where a plain-literal
 ``INSERT`` skips the tokenizer (:func:`repro.sql.parser.scan_insert`;
 one it declines counts ``fallback.insert_values_parse``) — and owns
 :class:`Session`, the first-class per-caller scope.  A session holds
-sticky knobs (parallelism, profiling, snapshot reads) and is the unit
+sticky knobs (profiling, snapshot reads) and is the unit
 the network server hands each connection;
 :meth:`repro.storage.database.Database.sql` delegates to an implicit
 default session so single-caller code never has to see one.
@@ -21,7 +21,7 @@ with ``profile=True`` — or as
 :func:`repro.obs.profile.profile_collect`, the resulting
 :class:`~repro.obs.profile.QueryProfile` is attached to the returned
 :class:`~repro.exec.result.QueryResult`, rolled into the registry
-(query latency histogram, PatchSelect and parallel-pool counters).
+(query latency histogram, PatchSelect counters).
 """
 
 from __future__ import annotations
@@ -92,12 +92,12 @@ def explain_statement(text: str, analyze: bool) -> str:
 class Session:
     """One caller's scope over a shared :class:`Database`.
 
-    A session carries sticky per-caller knobs — *parallelism*,
-    *profile* — that per-statement keyword arguments still override,
-    plus *snapshot_reads*: when enabled, every read statement runs
-    against its own :meth:`Database.snapshot` pin, on either engine, so
-    concurrent writers and ``CHECKPOINT``\\ s never tear an in-flight
-    scan.  The network server opens one session per connection with
+    A session carries a sticky per-caller *profile* knob that the
+    per-statement keyword still overrides, plus *snapshot_reads*: when
+    enabled, every read statement runs against its own
+    :meth:`Database.snapshot` pin, on either engine, so concurrent
+    writers and ``CHECKPOINT``\\ s never tear an in-flight scan.  The
+    network server opens one session per connection with
     ``snapshot_reads=True``; local callers get the same object from
     :meth:`Database.session`.
 
@@ -109,14 +109,12 @@ class Session:
         self,
         database: "Database",
         *,
-        parallelism: int | None = None,
         profile: bool = False,
         snapshot_reads: bool = False,
         label: str | None = None,
         _implicit: bool = False,
     ):
         self.database = database
-        self.parallelism = parallelism
         self.profile = profile
         self.snapshot_reads = snapshot_reads
         self.label = label
@@ -126,15 +124,6 @@ class Session:
         self._closed = False
         if not _implicit:
             database._session_opened()
-
-    # -- knob resolution ----------------------------------------------------
-
-    def _effective_parallelism(self, override: int | None) -> int | None:
-        if override is not None:
-            return override
-        if self.parallelism is not None:
-            return self.parallelism
-        return self.database.parallelism
 
     def _check_open(self) -> None:
         if self._closed:
@@ -146,20 +135,16 @@ class Session:
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         profile: bool | None = None,
         optimizer_options: OptimizerOptions | None = None,
     ) -> QueryResult:
         """Execute one statement with the session's knobs applied.
 
-        Per-statement keywords override the session knobs, which
-        override the database defaults.  ``profile=None`` means "use
-        the session's profile setting".
+        ``profile=None`` means "use the session's profile setting".
         """
         return self._sql(
             text,
             self.snapshot_reads and statement_kind(text) == "read",
-            parallelism=parallelism,
             profile=profile,
             optimizer_options=optimizer_options,
         )
@@ -169,7 +154,6 @@ class Session:
         text: str,
         on_snapshot: bool,
         *,
-        parallelism: int | None = None,
         profile: bool | None = None,
         optimizer_options: OptimizerOptions | None = None,
     ) -> QueryResult:
@@ -182,12 +166,10 @@ class Session:
         self._check_open()
         self._count_session_statement()
         effective_profile = self.profile if profile is None else profile
-        effective_parallelism = self._effective_parallelism(parallelism)
         if on_snapshot:
             with self.database.snapshot() as view:
                 return view._sql_read(
                     text,
-                    parallelism=effective_parallelism,
                     profile=effective_profile,
                     optimizer_options=optimizer_options,
                 )
@@ -195,7 +177,6 @@ class Session:
             self.database,
             text,
             optimizer_options=optimizer_options,
-            parallelism=effective_parallelism,
             profile=effective_profile,
         )
 
@@ -203,7 +184,6 @@ class Session:
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         analyze: bool = False,
         optimizer_options: OptimizerOptions | None = None,
     ) -> str:
@@ -213,7 +193,6 @@ class Session:
         would."""
         return self.sql(
             explain_statement(text, analyze),
-            parallelism=parallelism,
             optimizer_options=optimizer_options,
         ).text()
 
@@ -258,16 +237,13 @@ def _execute_statement(
     text: str,
     *,
     optimizer_options: OptimizerOptions | None = None,
-    parallelism: int | None = None,
     profile: bool = False,
 ) -> QueryResult:
     """Execute one SQL statement and return its result.
 
     DDL and DML statements return a 1×1 result describing the effect
     (e.g. rows inserted); queries return their result set.
-    *parallelism* caps the degree of parallelism of the physical plan
-    (``None`` resolves ``REPRO_THREADS`` / the CPU count, ``1`` forces
-    serial execution).  *profile* instruments the execution and attaches
+    *profile* instruments the execution and attaches
     a :class:`~repro.obs.profile.QueryProfile` to the result.
     """
     # Only a text that starts with INSERT pays for the VALUES scan.
@@ -279,7 +255,7 @@ def _execute_statement(
         if tokens[0].is_keyword("select"):
             _count_statement(database, "select")
             __, operator, cache_state = _plan_read(
-                database, tokens, optimizer_options, parallelism
+                database, tokens, optimizer_options
             )
             result = _collect_read(database, operator, cache_state, profile, text)
             _count_rows(database, result.row_count)
@@ -292,7 +268,7 @@ def _execute_statement(
                 raise BindError("EXPLAIN supports SELECT statements only")
             _count_statement(database, "explain_analyze" if analyze else "explain")
             rendered, query_profile = _explain_read(
-                database, query, text, optimizer_options, parallelism, analyze
+                database, query, text, optimizer_options, analyze
             )
             result = QueryResult.from_lines("plan", rendered.splitlines())
             result.profile = query_profile
@@ -336,7 +312,7 @@ def _execute_statement(
         return QueryResult.message(f"{inserted} rows inserted")
     if isinstance(statement, ast.SqlDelete):
         _count_statement(database, "delete")
-        deleted = _run_delete(database, statement, optimizer_options, parallelism)
+        deleted = _run_delete(database, statement, optimizer_options)
         return QueryResult.message(f"{deleted} rows deleted")
     if isinstance(statement, ast.SqlCheckpoint):
         _count_statement(database, "checkpoint")
@@ -357,19 +333,18 @@ def _plan_read(
     database: "Database",
     tokens: list[Token],
     optimizer_options: OptimizerOptions | None,
-    parallelism: int | None,
 ) -> tuple[lp.LogicalPlan, Operator, str]:
     """Plan the SELECT in *tokens*: optimized logical plan, verified
     physical plan, and ``"hit"`` / ``"miss"`` for the plan cache.
 
     Whatever the cache says, the physical planner — scan-range
-    derivation from this execution's literals, the parallel gate,
-    ``verify_plan`` — runs on every call; it raises
-    ``PlanInvariantError`` on a violation, so a plan returned from here
-    has passed (EXPLAIN's ``verified: ok`` footer).
+    derivation from this execution's literals, ``verify_plan`` — runs on
+    every call; it raises ``PlanInvariantError`` on a violation, so a
+    plan returned from here has passed (EXPLAIN's ``verified: ok``
+    footer).
     """
     optimized, cache_state = _optimized_plan(database, tokens, optimizer_options)
-    operator = PhysicalPlanner(parallelism=parallelism).plan(optimized)
+    operator = PhysicalPlanner().plan(optimized)
     return optimized, operator, cache_state
 
 
@@ -460,13 +435,12 @@ def _explain_read(
     tokens: list[Token],
     text: str,
     optimizer_options: OptimizerOptions | None,
-    parallelism: int | None,
     analyze: bool,
 ) -> tuple[str, QueryProfile | None]:
     """EXPLAIN text of the SELECT in *tokens*; with *analyze* the query
     is executed and the text is its profile, returned alongside."""
     optimized, operator, cache_state = _plan_read(
-        database, tokens, optimizer_options, parallelism
+        database, tokens, optimizer_options
     )
     if not analyze:
         return explain_both(optimized, operator, verified=True), None
@@ -508,21 +482,6 @@ def _record_profile(database: "Database", profile: QueryProfile) -> None:
         obs.counter("patchselect.patch_hits").inc(
             int(node.details.get("patch_hits", 0))
         )
-    for node in profile.root.walk():
-        if "dop_used" not in node.details:
-            continue
-        obs.counter("parallel.morsels_total").inc(
-            int(node.details.get("morsels_run", 0))
-        )
-        obs.counter("parallel.queue_wait_seconds").inc(
-            float(node.details.get("queue_wait_s", 0.0))
-        )
-        obs.counter("parallel.busy_seconds").inc(
-            float(node.details.get("busy_s", 0.0))
-        )
-        obs.gauge("parallel.last_dop_used").set(
-            int(node.details.get("dop_used", 0))
-        )
 
 
 # -- DML ----------------------------------------------------------------------
@@ -559,7 +518,6 @@ def _run_delete(
     database: "Database",
     statement: ast.SqlDelete,
     optimizer_options: OptimizerOptions | None,
-    parallelism: int | None = None,
 ) -> int:
     table = database.table(statement.table)
     if statement.where is None:
@@ -577,6 +535,6 @@ def _run_delete(
     optimized = Optimizer(database.catalog, optimizer_options).optimize(
         Binder(database.catalog).bind_select(select)
     )
-    result = collect(PhysicalPlanner(parallelism=parallelism).plan(optimized))
+    result = collect(PhysicalPlanner().plan(optimized))
     rowids = [value for value in result.column(TID_COLUMN).to_pylist()]
     return table.delete_rowids(np.asarray(rowids, dtype=np.int64))

@@ -91,7 +91,6 @@ class Database:
         self,
         *,
         path: str | os.PathLike | None = None,
-        parallelism: int | None = None,
         sync: bool = True,
         cache_bytes: int | None = None,
     ):
@@ -114,10 +113,6 @@ class Database:
                 "cache_bytes= requires a durable database (pass path=)"
             )
         self.catalog = Catalog()
-        #: Default degree of parallelism for queries issued through this
-        #: instance; ``None`` lets the planner resolve ``REPRO_THREADS``
-        #: / the CPU count, ``1`` forces serial plans.
-        self.parallelism = parallelism
         #: Instance-wide metrics registry (see :meth:`metrics`).
         self.obs = MetricsRegistry()
         #: Session bookkeeping.
@@ -136,7 +131,6 @@ class Database:
     def session(
         self,
         *,
-        parallelism: int | None = None,
         profile: bool = False,
         snapshot_reads: bool = False,
         label: str | None = None,
@@ -144,20 +138,19 @@ class Database:
         """Open a :class:`~repro.sql.session.Session` on this database.
 
         The session carries sticky knobs every statement issued through
-        it inherits (*parallelism*, *profile*), and
+        it inherits (*profile*), and
         ``snapshot_reads=True`` runs each read statement against its own
         :meth:`snapshot` pin, on either engine.  *label* tags the
         session's ``session.<label>.*`` metrics.  Sessions are context
         managers::
 
-            with db.session(parallelism=4) as session:
+            with db.session(profile=True) as session:
                 session.sql("SELECT ...")
         """
         from repro.sql.session import Session
 
         return Session(
             self,
-            parallelism=parallelism,
             profile=profile,
             snapshot_reads=snapshot_reads,
             label=label,
@@ -413,6 +406,7 @@ class Database:
         self,
         text: str,
         *,
+        # Unread: execution is serial; only bench_e2e/tracing.py passes it.
         parallelism: int | None = None,
         profile: bool = False,
         optimizer_options=None,
@@ -421,8 +415,7 @@ class Database:
 
         DDL and DML statements return a 1×1 status result; queries
         return a :class:`~repro.exec.result.QueryResult` with named
-        columns.  All knobs are keyword-only: *parallelism* overrides
-        the instance default for this statement, *profile* instruments
+        columns.  All knobs are keyword-only: *profile* instruments
         the execution and attaches a ``QueryProfile`` to the result
         (``result.profile``), and *optimizer_options* passes a
         :class:`~repro.plan.optimizer.OptimizerOptions` through to the
@@ -434,7 +427,6 @@ class Database:
         """
         return self._default_session().sql(
             text,
-            parallelism=parallelism,
             profile=profile,
             optimizer_options=optimizer_options,
         )
@@ -443,7 +435,6 @@ class Database:
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         analyze: bool = False,
         optimizer_options=None,
     ) -> str:
@@ -455,7 +446,6 @@ class Database:
         """
         return self._default_session().explain(
             text,
-            parallelism=parallelism,
             analyze=analyze,
             optimizer_options=optimizer_options,
         )

@@ -34,8 +34,8 @@ columns needs: the files its manifest names stay on disk while pinned.
 
 The seam leaves query execution untouched: segment-backed columns sit
 inside the same :class:`~repro.storage.partition.Partition` objects, so
-serial and morsel-parallel scans, block pruning and the PatchSelect
-rowid invariants (§VI-A1) work unchanged.
+scans, block pruning and the PatchSelect rowid invariants (§VI-A1)
+work unchanged.
 """
 
 from __future__ import annotations

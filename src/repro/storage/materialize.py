@@ -41,7 +41,7 @@ from repro.storage.cache import BlockCache, SegmentColumnSource
 from repro.storage.checkpoint import entry_checksum
 from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema
-from repro.storage.manifest import Manifest, TableManifest
+from repro.storage.manifest import Manifest, PartitionManifest, TableManifest
 from repro.storage.partition import Partition
 from repro.storage.segment import open_segment
 from repro.storage.table import Table
@@ -78,7 +78,9 @@ def load_table(
     demand through *cache*, keyed by the manifest *generation* (the checkpoint
     LSN) so a later checkpoint can never serve stale blocks.  Block sketches
     come straight from the segment headers, so range pruning works without
-    touching any value bytes.
+    touching any value bytes.  A partition file that is missing, or
+    shorter than the segments the manifest places in it, is a
+    :class:`~repro.errors.StorageError` naming the file and *generation*.
     """
     name = table_manifest.name
     schema = payload_to_schema(table_manifest.schema)
@@ -87,6 +89,7 @@ def load_table(
     )
     partitions: list[Partition] = []
     for partition_id, partition_manifest in enumerate(table_manifest.partitions):
+        _check_partition_file(root, partition_manifest, generation)
         sources = {
             column: SegmentColumnSource(
                 open_segment(root / partition_manifest.file, offset, length),
@@ -112,6 +115,27 @@ def load_table(
     table.partitions = partitions
     table._renumber()
     return table
+
+
+def _check_partition_file(
+    root: Path, partition_manifest: PartitionManifest, generation: int
+) -> None:
+    """Raise unless the file holds every segment the manifest places in it."""
+    path = root / partition_manifest.file
+    segments = partition_manifest.segments.values()
+    span = max((offset + length for offset, length, _ in segments), default=0)
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        raise StorageError(
+            f"partition file {partition_manifest.file} is missing; the log's "
+            f"head (checkpoint lsn {generation}) names it"
+        ) from None
+    if size < span:
+        raise StorageError(
+            f"partition file {partition_manifest.file} is {size} bytes; the "
+            f"log's head (checkpoint lsn {generation}) records {span}"
+        )
 
 
 def load_tables(

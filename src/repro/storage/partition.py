@@ -309,30 +309,6 @@ class Partition:
             which, rows = which[valid], rows[valid]
         return which, rows
 
-    # -- morsel iteration -------------------------------------------------
-
-    def morsel_ranges(self, morsel_size: int) -> list[tuple[int, int]]:
-        """Partition-local ``[start, stop)`` chunks of ~*morsel_size* rows.
-
-        Chunk boundaries fall on the block grid (except the final,
-        partial chunk), so a morsel-restricted scan covers whole blocks
-        and the per-block min/max sketches keep their pruning value.
-        Morsels never cross the partition boundary.
-        """
-        if morsel_size <= 0:
-            raise StorageError("morsel_size must be positive")
-        step = max(
-            self.block_size,
-            (morsel_size // self.block_size) * self.block_size,
-        )
-        ranges: list[tuple[int, int]] = []
-        position = 0
-        while position < self.row_count:
-            stop = min(self.row_count, position + step)
-            ranges.append((position, stop))
-            position = stop
-        return ranges
-
     # -- mutation -------------------------------------------------------
 
     def append(self, columns: Mapping[str, ColumnVector]) -> None:

@@ -289,9 +289,8 @@ class SnapshotView:
 
     Exposes exactly the surface statement execution needs — ``catalog``
     (the snapshot's copy), ``obs`` (shared with the owning database so
-    served reads feed the same observability), and ``parallelism``.
-    Only ``SELECT`` / ``EXPLAIN`` statements may run; morsel threads
-    read the snapshot's own tables in place.
+    served reads feed the same observability).
+    Only ``SELECT`` / ``EXPLAIN`` statements may run.
 
     The view owns its pin: :meth:`close` (or context-manager exit)
     releases it, allowing deferred file deletion to run.
@@ -302,14 +301,12 @@ class SnapshotView:
         self.handle = handle
         self.catalog = handle.catalog
         self.obs = database.obs
-        self.parallelism = database.parallelism
         self._released = False
 
     def sql(
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         profile: bool = False,
         optimizer_options=None,
     ) -> "QueryResult":
@@ -323,24 +320,21 @@ class SnapshotView:
             )
         return self._sql_read(
             text,
-            parallelism=parallelism,
             profile=profile,
             optimizer_options=optimizer_options,
         )
 
     def _sql_read(
-        self, text: str, *, parallelism, profile, optimizer_options
+        self, text: str, *, profile, optimizer_options
     ) -> "QueryResult":
         """:meth:`sql` for a caller that already classified *text* as a read."""
         from repro.sql.session import _execute_statement
 
         self._check_released()
-        effective = parallelism if parallelism is not None else self.parallelism
         return _execute_statement(
             self,
             text,
             optimizer_options=optimizer_options,
-            parallelism=effective,
             profile=profile,
         )
 
@@ -348,7 +342,6 @@ class SnapshotView:
         self,
         text: str,
         *,
-        parallelism: int | None = None,
         analyze: bool = False,
         optimizer_options=None,
     ) -> str:
@@ -357,7 +350,6 @@ class SnapshotView:
 
         return self.sql(
             explain_statement(text, analyze),
-            parallelism=parallelism,
             optimizer_options=optimizer_options,
         ).text()
 

@@ -83,7 +83,7 @@ def mixed_ingest_shape(root, rows: int = 200_000):
     u[rng.choice(rows, rows // 100, replace=False)] = rng.integers(0, rows, rows // 100)
     s = keys.copy()
     s[rng.choice(rows, rows // 100, replace=False)] = rng.integers(0, rows, rows // 100)
-    db = repro.connect(root, parallelism=1, sync=False)
+    db = repro.connect(root, sync=False)
     schema = repro.Schema(
         repro.Field(name, repro.DataType.INT64) for name in ("k", "u", "s", "v")
     )
@@ -103,7 +103,7 @@ def mixed_ingest_shape(root, rows: int = 200_000):
     db.sql("CREATE PATCHINDEX pi_s ON t(s) TYPE SORTED")
     db.checkpoint()
     db.close()
-    return repro.connect(root, parallelism=1, sync=False)
+    return repro.connect(root, sync=False)
 
 
 class TestInodeFrees:
@@ -140,7 +140,7 @@ class TestInodeFrees:
 class TestOnlyNamedFilesStay:
     def test_segments_holds_what_live_manifests_name(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.create_table_from_pydict(
             "t",
             repro.Schema([repro.Field("k", repro.DataType.INT64)]),
@@ -149,7 +149,7 @@ class TestOnlyNamedFilesStay:
         )
         db.checkpoint()
         db.close()
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         views = []
         pinned: list[frozenset[str]] = []
         for step in range(6):
@@ -175,7 +175,7 @@ class TestOnlyNamedFilesStay:
             shutil.copytree(root, tmp_path / "crashed")
         db.close()
         crashed = tmp_path / "crashed"
-        db = repro.connect(crashed, parallelism=1, sync=False)
+        db = repro.connect(crashed, sync=False)
         assert on_disk(crashed) == read_manifest(crashed).files()
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 407
         db.close()
@@ -184,7 +184,7 @@ class TestOnlyNamedFilesStay:
 class TestFileNames:
     def test_a_quoted_table_name_is_never_a_path(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.sql('CREATE TABLE "../a/b" (k BIGINT)')
         db.sql('INSERT INTO "../a/b" VALUES (1), (2)')
         lsn = db.checkpoint()["lsn"]
@@ -196,7 +196,7 @@ class TestFileNames:
         assert [path.name for path in (root / SEGMENTS_DIR).iterdir()] == [
             f"..%2Fa%2Fb.p0.{lsn:012d}.seg"
         ]
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         assert db.sql('SELECT k FROM "../a/b"').to_pylist() == [(1,), (2,)]
         db.close()
 
@@ -206,7 +206,7 @@ class TestFailedDeletes:
         self, tmp_path, monkeypatch, caplog
     ):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1)")
         db.checkpoint()
@@ -236,7 +236,7 @@ class TestFailedDeletes:
         assert len(lines) == 1 and "Permission denied" in lines[0]
         assert set().union(*stale) <= on_disk(root)
         db.close()
-        reopened = repro.connect(root, parallelism=1, sync=False)
+        reopened = repro.connect(root, sync=False)
         assert on_disk(root) == read_manifest(root).files()
         assert counter(reopened, "checkpoint.files_deleted") == 2
         reopened.close()
@@ -245,7 +245,7 @@ class TestFailedDeletes:
 class TestPatchBytes:
     def test_patch_bytes_are_reported_and_match_the_manifest(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.create_table_from_pydict(
             "t",
             repro.Schema([repro.Field("k", repro.DataType.INT64)]),
@@ -311,7 +311,7 @@ class TestFailureBeforeTheRename:
     )
     def test_the_files_it_wrote_are_deleted(self, tmp_path, monkeypatch, inject):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1)")
         db.checkpoint()
@@ -328,7 +328,7 @@ class TestFailureBeforeTheRename:
         assert on_disk(root) == read_manifest(root).files()
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         db.close()
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         db.close()
 
@@ -341,7 +341,7 @@ class TestFailureAfterTheRename:
         self, tmp_path, monkeypatch
     ):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1)")
         db.checkpoint()
@@ -357,7 +357,7 @@ class TestFailureAfterTheRename:
         assert on_disk(root) == read_manifest(root).files()
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         db.close()
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         db.close()
 
@@ -365,7 +365,7 @@ class TestFailureAfterTheRename:
         self, tmp_path, monkeypatch
     ):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1)")
         real_open = open
@@ -384,7 +384,7 @@ class TestFailureAfterTheRename:
         with pytest.raises(StorageError, match="append handle"):
             db.checkpoint()
         db.close()
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 1
         assert on_disk(root) == read_manifest(root).files()
         db.close()
@@ -418,7 +418,7 @@ class TestDirectorySyncs:
         self, tmp_path, monkeypatch
     ):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1)")
         syncs = DirectorySyncs(monkeypatch, root, root / SEGMENTS_DIR)
@@ -428,7 +428,7 @@ class TestDirectorySyncs:
         assert syncs.events == [SEGMENTS_DIR, "replace", "db"]
         monkeypatch.undo()
         db.close()
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         syncs = DirectorySyncs(monkeypatch, root, root / SEGMENTS_DIR)
         db.checkpoint()  # kept every file: only the log was renamed
         assert syncs.events == ["replace", "db"]
@@ -437,7 +437,7 @@ class TestDirectorySyncs:
 
     def test_nothing_is_synced_without_sync(self, tmp_path, monkeypatch):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1)")
         syncs = DirectorySyncs(monkeypatch, root, root / SEGMENTS_DIR)
@@ -452,7 +452,7 @@ class TestConcurrentCheckpoints:
 
     def test_three_threads_checkpointing_at_once(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.create_table_from_pydict(
             "t",
             repro.Schema([repro.Field("k", repro.DataType.INT64)]),
@@ -482,7 +482,7 @@ class TestConcurrentCheckpoints:
                 assert not thread.is_alive(), trial
             assert errors == [], trial
             db.close()
-            db = repro.connect(root, parallelism=1, sync=False)
+            db = repro.connect(root, sync=False)
             assert db.sql("SELECT k FROM t ORDER BY k").column("k").to_pylist() == (
                 expected
             ), trial

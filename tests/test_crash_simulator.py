@@ -75,7 +75,7 @@ def run(db, step: str):
     elif step == REOPEN:
         if db.engine.logs_data:
             db.close()
-            return repro.connect(db.engine.root, parallelism=1)
+            return repro.connect(db.engine.root)
     else:
         db.sql(step)
     return db
@@ -88,7 +88,7 @@ def state(db) -> tuple:
 
 def oracle_states(history) -> list:
     """The state after each prefix of *history*, in memory."""
-    db = repro.connect(parallelism=1)
+    db = repro.connect()
     states = [state(db)]
     for step in history:
         db = run(db, step)
@@ -104,7 +104,7 @@ def crash_divergences(tmp_path, monkeypatch, history, skip=frozenset()) -> list:
     base.mkdir()
     recorder = RecordingDisk(base, skip)
     monkeypatch.setattr(disk, "DISK", recorder)
-    db = repro.connect(base / "db", parallelism=1)
+    db = repro.connect(base / "db")
     for step in history:
         db = run(db, step)
         recorder.acknowledge()
@@ -118,7 +118,7 @@ def crash_divergences(tmp_path, monkeypatch, history, skip=frozenset()) -> list:
             target = tmp_path / f"crash{len(found)}"
             recorder.materialize(image, target)
             try:
-                reopened = repro.connect(target / "db", parallelism=1)
+                reopened = repro.connect(target / "db")
             except Exception as exc:  # a file the log names may be missing
                 found[key] = exc
             else:
@@ -166,7 +166,11 @@ class TestSeededMutations:
         (tmp_path / "sweep").mkdir()
         fired = sweep_failed_checkpoint_steps(tmp_path / "sweep", monkeypatch, {site})
         assert fired == {"write", "fsync", "replace", "unlink"}
-        assert crash_divergences(tmp_path, monkeypatch, HISTORY, skip={site})
+        divergences = crash_divergences(tmp_path, monkeypatch, HISTORY, skip={site})
+        assert divergences
+        # A head naming a partition file the crash lost is a typed error.
+        raised = [found for _, _, found in divergences if isinstance(found, Exception)]
+        assert all(isinstance(error, StorageError) for error in raised), raised
 
 
 def count(db) -> int:
@@ -180,7 +184,7 @@ class TestFullDisk:
 
     def test_a_failed_append_is_not_written_later(self, tmp_path, monkeypatch, short):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1), (2), (3)")
         faulty = FaultyDisk("wal.append", short=short)
@@ -197,13 +201,13 @@ class TestFullDisk:
             db.checkpoint()
         assert sanitize.check_balances() == []
         db.close()
-        reopened = repro.connect(root, parallelism=1)
+        reopened = repro.connect(root)
         assert count(reopened) == 3
         reopened.close()
 
     def test_a_failed_segment_write_keeps_the_log(self, tmp_path, monkeypatch, short):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1)
+        db = repro.connect(root)
         db.sql("CREATE TABLE t (k BIGINT)")
         db.sql("INSERT INTO t VALUES (1), (2), (3)")
         db.checkpoint()
@@ -217,6 +221,6 @@ class TestFullDisk:
         assert sanitize.check_balances() == []
         db.sql("INSERT INTO t VALUES (5)")
         db.close()
-        reopened = repro.connect(root, parallelism=1)
+        reopened = repro.connect(root)
         assert count(reopened) == 5
         reopened.close()

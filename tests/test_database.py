@@ -90,7 +90,7 @@ class TestDdl:
 
 def reopened(path) -> tuple[Database, dict]:
     """A database closed before its first checkpoint, opened again."""
-    recovered = Database(path=path, parallelism=1)
+    recovered = Database(path=path)
     gauges = recovered.metrics().export()["gauges"]
     assert not any(record.kind == "checkpoint" for record in recovered.wal.records())
     return recovered, gauges
@@ -103,7 +103,7 @@ class TestRecovery:
 
     def test_recovery_rebuilds_indexes_from_data(self, tmp_path):
         path = tmp_path / "data"
-        db = Database(path=path, parallelism=1)
+        db = Database(path=path)
         db.create_table("t", two_cols(), partition_count=2)
         db.table("t").load_columns(
             {
@@ -125,7 +125,7 @@ class TestRecovery:
 
     def test_recovery_skips_dropped_objects(self, tmp_path):
         path = tmp_path / "data"
-        db = Database(path=path, parallelism=1)
+        db = Database(path=path)
         db.create_table("gone", two_cols())
         db.drop_table("gone")
         db.create_table("kept", two_cols())

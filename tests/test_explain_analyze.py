@@ -3,12 +3,6 @@
 import pytest
 
 from repro import Database, QueryProfile
-from repro.exec.result import collect
-from repro.obs.profile import profile_collect
-from repro.plan.optimizer import Optimizer
-from repro.plan.physical import PhysicalPlanner
-from repro.sql.binder import Binder
-from repro.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -134,43 +128,3 @@ class TestProfileFlag:
         plain = sorted_db.sql(query)
         profiled = sorted_db.sql(query, profile=True)
         assert plain.to_pylist() == profiled.to_pylist()
-
-
-class TestParallelProfile:
-    def test_parallel_operator_details(self):
-        from repro.storage.schema import Field, Schema
-        from repro.types import DataType
-
-        db = Database()
-        db.create_table_from_pydict(
-            "p",
-            Schema([Field("c", DataType.INT64)]),
-            {"c": list(range(400))},
-            partition_count=3,
-        )
-        def plan(sql, parallelism=4):
-            statement = parse_statement(sql)
-            logical = Optimizer(db.catalog).optimize(
-                Binder(db.catalog).bind_select(statement)
-            )
-            planner = PhysicalPlanner(parallelism=parallelism, morsel_size=16)
-            return planner.plan(logical)
-
-        sql = "SELECT c FROM p WHERE c > 100 ORDER BY c"
-        operator = plan(sql)
-        assert "dop=" in operator.explain()
-        result, profile = profile_collect(operator, sql)
-        assert result.to_pylist() == collect(plan(sql)).to_pylist()
-        assert result.to_pylist() == collect(plan(sql, 1)).to_pylist()
-
-        [node] = [
-            n for n in profile.root.walk() if "dop_used" in n.details
-        ]
-        assert node.details["dop"] == 4
-        assert 1 <= node.details["dop_used"] <= 4
-        assert node.details["morsels_run"] == node.details["morsels"] > 1
-        assert node.details["queue_wait_s"] >= 0.0
-        assert node.details["busy_s"] > 0.0
-        # Worker fragment actuals were merged into the template subtree.
-        template = node.children[0]
-        assert sum(n.rows for n in template.walk()) > 0

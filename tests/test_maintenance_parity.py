@@ -145,7 +145,7 @@ class TestCrossEngineParity:
     def test_memory_and_durable_agree(self, tmp_path, kind, seed):
         stream = random_stream(seed)
         memory = repro.connect()
-        durable = repro.connect(tmp_path / "data", parallelism=1)
+        durable = repro.connect(tmp_path / "data")
         for db in (memory, durable):
             setup(db, kind, seed)
             apply_stream(db, stream)
@@ -194,7 +194,7 @@ def assert_restored_without_fallback(db, restored=1):
 class TestCrashRecovery:
     def test_recovery_restores_without_rebuilding(self, tmp_path, kind, seed):
         path = tmp_path / "data"
-        db = repro.connect(path, parallelism=1)
+        db = repro.connect(path)
         setup(db, kind, seed)
         # Checkpoint BEFORE the stream so the persisted patch sets plus
         # the re-classified data tail are the only way to restore the index.
@@ -205,7 +205,7 @@ class TestCrashRecovery:
         expected_state = observable_state(db)
         db.close()  # crash: no checkpoint after the stream
 
-        recovered = repro.connect(path, parallelism=1)
+        recovered = repro.connect(path)
         assert_restored_without_fallback(recovered)
         assert recovered.obs.gauge("recovery.replayed_records").value > 0
         assert recovered.catalog.index("pi").rowids().tolist() == (
@@ -221,7 +221,7 @@ def test_a_torn_last_data_line_restores_without_fallback(tmp_path):
     """A crash mid-append tears the last data record: the reopen drops
     it and lands on the state before that statement, index restored."""
     path = tmp_path / "data"
-    db = repro.connect(path, parallelism=1)
+    db = repro.connect(path)
     setup(db, "unique", 7)
     db.sql("CREATE PATCHINDEX ps ON t(c) TYPE SORTED")
     db.checkpoint()
@@ -239,7 +239,7 @@ def test_a_torn_last_data_line_restores_without_fallback(tmp_path):
     assert json.loads(last)["kind"] == "append"
     wal.write_bytes(text[: len(text) - len(last) // 2 - 1])
 
-    recovered = repro.connect(path, parallelism=1)
+    recovered = repro.connect(path)
     assert_restored_without_fallback(recovered, restored=2)
     for name, (rowids, counters) in expected.items():
         index = recovered.catalog.index(name)
@@ -277,7 +277,7 @@ def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
     refused with the typed error any unknown kind gets, and left as it
     was."""
     path = tmp_path / "data"
-    db = repro.connect(path, parallelism=1)
+    db = repro.connect(path)
     legacy_history(db)
     db.close()
     # The segments and patch sets have the older release's format; only
@@ -285,7 +285,7 @@ def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
     (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
 
     with pytest.raises(WalError, match="unknown WAL record kind: 'patch_delta'"):
-        repro.connect(path, parallelism=1)
+        repro.connect(path)
     assert (path / "wal.jsonl").read_text(encoding="utf-8") == LEGACY_WAL
     with pytest.raises(WalError, match="unknown WAL record kind"):
         db.wal.append("patch_delta", {})
@@ -462,14 +462,14 @@ def walk_every_door(tmp_path, seed, spec_name, dtype_name, index_first):
     restored = 1 if index_first else 0
     root = tmp_path / "data"
     memory = repro.connect()
-    durable = repro.connect(root, parallelism=1, sync=False)
+    durable = repro.connect(root, sync=False)
     for db in (memory, durable):
         fuzz_setup(db, initial, spec, dtype, index_first)
     for position, step in enumerate(history):
         where = f"step {position} {step!r}"
         if step[0] == "reopen":
             durable.close()
-            durable = repro.connect(root, parallelism=1, sync=False)
+            durable = repro.connect(root, sync=False)
             gauges = durable.obs.export()["gauges"]
             assert gauges["recovery.indexes_restored"] == restored, where
             assert gauges["recovery.indexes_rebuilt"] == 1 - restored, where
@@ -499,7 +499,7 @@ def walk_every_door(tmp_path, seed, spec_name, dtype_name, index_first):
                 assert observable_state(view) == expected, where
         copy = tmp_path / "copy"
         shutil.copytree(root, copy)
-        reopened = repro.connect(copy, parallelism=1, sync=False)
+        reopened = repro.connect(copy, sync=False)
         assert door_state(reopened.catalog) == live, where
         assert reopened.obs.export()["counters"]["recovery.index_fallbacks"] == 0, where
         assert observable_state(reopened) == expected, where
@@ -512,7 +512,7 @@ def test_patches_file_written_before_invalidations_was_retired(tmp_path):
     """The parent persisted ``stats.invalidations`` inside the checksummed
     entry body; such a directory restores every index, rebuilding none."""
     root = tmp_path / "data"
-    db = repro.connect(root, parallelism=1, sync=False)
+    db = repro.connect(root, sync=False)
     setup(db, "unique", 7)
     db.sql("CREATE PATCHINDEX ps ON t(c) TYPE SORTED")
     apply_stream(db, random_stream(7))
@@ -529,7 +529,7 @@ def test_patches_file_written_before_invalidations_was_retired(tmp_path):
 
     edit_head(root, add_invalidations)
 
-    reopened = repro.connect(root, parallelism=1, sync=False)
+    reopened = repro.connect(root, sync=False)
     exported = reopened.obs.export()
     assert exported["gauges"]["recovery.indexes_restored"] == 2
     assert exported["gauges"]["recovery.indexes_rebuilt"] == 0

@@ -269,7 +269,7 @@ def read_door(stop: Stop, door: str, catalog) -> None:
 def stops(tmp_path_factory):
     """Walk the history once, observing all three doors at every stop."""
     root = tmp_path_factory.mktemp("materialize") / "db"
-    db = repro.connect(root, parallelism=1, sync=False)
+    db = repro.connect(root, sync=False)
     observed: dict[str, Stop] = {}
     held = None  # the previous stop and the snapshot pinned there
     for stop_name, (step, _) in zip(STOPS, HISTORY):
@@ -296,7 +296,7 @@ def stops(tmp_path_factory):
         # of its directory — and the copy's first snapshot.
         copy = root.parent / f"copy-{stop_name}"
         shutil.copytree(root, copy)
-        reopened = repro.connect(copy, parallelism=1, sync=False)
+        reopened = repro.connect(copy, sync=False)
         read_door(stop, "reopen", reopened.catalog)
         exported = reopened.obs.export()
         stop.recovery = {
@@ -375,7 +375,7 @@ def test_fallback_names_its_reason(tmp_path, caplog):
     from repro.storage import materialize
 
     root = tmp_path / "db"
-    db = repro.connect(root, parallelism=1, sync=False)
+    db = repro.connect(root, sync=False)
     load(db)
     create_indexes(db)
     db.checkpoint()
@@ -385,7 +385,7 @@ def test_fallback_names_its_reason(tmp_path, caplog):
     materialize._LOGGED_REASONS.discard("missing")
     with caplog.at_level("WARNING", logger="repro.storage.materialize"):
         for _ in range(2):
-            reopened = repro.connect(root, parallelism=1, sync=False)
+            reopened = repro.connect(root, sync=False)
             exported = reopened.obs.export()
             assert exported["counters"]["recovery.index_fallbacks"] == 4
             assert exported["gauges"]["recovery.indexes_rebuilt"] == 4

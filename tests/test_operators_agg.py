@@ -2,9 +2,11 @@
 
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import PlanError, TypeMismatchError
@@ -17,7 +19,6 @@ from repro.exec.operators.aggregate import (
 )
 from repro.exec.operators.distinct import Distinct
 from repro.exec.operators.scan import TableScan
-from repro.exec.parallel.terminals import BatchSource
 from repro.exec.result import collect
 from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
@@ -27,6 +28,7 @@ from repro.storage.database import Database
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
+from tests.batch_source import BatchSource
 
 
 def make_table(data, schema=None, partition_count=2):
@@ -252,7 +254,9 @@ class TestIntegerSumIsExact:
             "SELECT g, SUM(v) AS s FROM t GROUP BY g ORDER BY g",
         ],
     )
-    def test_parallel_partials_merge_exactly(self, sql):
+    def test_partials_merge_exactly(self, sql, monkeypatch):
+        # One partial row per 16-row batch: the sums merge in int64.
+        monkeypatch.setattr(aggregate, "FOLD_ROWS", 16)
         values = [BIG + i if i % 5 else None for i in range(96)]
         groups = [i % 3 for i in range(96)]
         db = Database()
@@ -265,11 +269,7 @@ class TestIntegerSumIsExact:
         logical = Optimizer(db.catalog).optimize(
             Binder(db.catalog).bind_select(parse_statement(sql))
         )
-        plan = PhysicalPlanner(parallelism=2, morsel_size=16).plan(logical)
-        assert "dop=2" in plan.explain()
-        rows = collect(plan).to_pylist()
-        serial = PhysicalPlanner(parallelism=1).plan(logical)
-        assert rows == collect(serial).to_pylist()
+        rows = collect(PhysicalPlanner(batch_size=16).plan(logical)).to_pylist()
         if "GROUP BY" in sql:
             assert rows == [
                 (g, sum(v for k, v in zip(groups, values) if k == g and v))
@@ -444,36 +444,50 @@ class TestFoldMatchesDrained:
         ).to_pylist()[0]
         self.same(folded, whole)
 
-    @pytest.mark.parametrize("fold_rows", [1, aggregate.FOLD_ROWS])
-    def test_int64_aggregates_are_bit_identical_to_parallel(
-        self, fold_rows, monkeypatch
-    ):
-        monkeypatch.setattr(aggregate, "FOLD_ROWS", fold_rows)
-        specs = "COUNT(*) AS n, COUNT(i) AS ci, SUM(i) AS si, AVG(i) AS ai, " \
-            "MIN(i) AS lo, MAX(i) AS hi"
-        values = [
-            None if k % 7 == 3 else (2**62 - k if k % 2 else -(2**62) + 3 * k)
-            for k in range(96)
-        ]
-        db = Database()
-        db.create_table_from_pydict(
-            "t",
-            Schema([Field("i", DataType.INT64)]),
-            {"i": values},
-            partition_count=3,
+
+class TestExactIntegerAvg:
+    """AVG over INT64 adds exact integers: the kernels sum the values'
+    32-bit halves in int64, so the mean neither wraps near 2**62 nor
+    rounds by more than float64 must near 2**53."""
+
+    @pytest.mark.parametrize("base", [2**53, 2**62], ids=["2**53", "2**62"])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "grouped"])
+    def test_the_exact_mean(self, base, grouped, monkeypatch):
+        # Sixteen-row batches, one partial row each: the ungrouped fold
+        # merges its halves across partials too.
+        monkeypatch.setattr(aggregate, "FOLD_ROWS", 16)
+        values = base + np.random.default_rng(3).integers(0, 2**20, 64)
+        groups = [i % 3 for i in range(64)]
+        table = Table.from_pydict(
+            "w",
+            Schema([Field("g", DataType.INT64), Field("b", DataType.INT64)]),
+            {"g": groups, "b": [int(x) for x in values]},
+            partition_count=4,
         )
-        logical = Optimizer(db.catalog).optimize(
-            Binder(db.catalog).bind_select(
-                parse_statement(f"SELECT {specs} FROM t")
+        keys = ["g"] if grouped else []
+        result = collect(
+            HashAggregate(
+                TableScan(table, batch_size=16), keys, [AggregateSpec("avg", "b", "a")]
             )
         )
-        parallel = PhysicalPlanner(parallelism=2, morsel_size=16).plan(logical)
-        assert "dop=2" in parallel.explain()
-        serial = PhysicalPlanner(parallelism=1).plan(logical)
-        assert "ParallelAggregate" not in serial.explain()
-        self.same(
-            collect(serial).to_pylist()[0], collect(parallel).to_pylist()[0]
+        assert result.row_count == (3 if grouped else 1)
+        for row in result.to_pylist():
+            members = [
+                int(x) for x, g in zip(values, groups) if not grouped or g == row[0]
+            ]
+            exact = Fraction(sum(members), len(members))
+            assert abs(Fraction(row[-1]) - exact) <= exact / 2**51
+
+    def test_avg_all_null_group(self):
+        table = Table.from_pydict(
+            "n",
+            Schema([Field("g", DataType.INT64), Field("v", DataType.INT64)]),
+            {"g": [1, 1, 2, 2] * 10, "v": [None, None, 5, 7] * 10},
+            partition_count=2,
         )
+        specs = [AggregateSpec("avg", "v", "a"), AggregateSpec("count", "v", "n")]
+        result = collect(HashAggregate(TableScan(table), ["g"], specs))
+        assert sorted(result.to_pylist()) == [(1, None, 0), (2, 6.0, 20)]
 
 
 class TestDistinct:

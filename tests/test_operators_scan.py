@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import PlanError
 from repro.exec.operators.scan import TID_COLUMN, TableScan, normalize_ranges
-from repro.exec.parallel import morsels_for_table
 from repro.exec.result import collect
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
@@ -129,8 +128,8 @@ class TestRescan:
 
 
 class TestNormalizeRanges:
-    """Edge cases of the shared range normalizer (also used by the
-    morsel dispatcher, so its invariants protect parallel plans too)."""
+    """Edge cases of the shared range normalizer (block pruning's
+    range unions go through it)."""
 
     def test_none_passes_through(self):
         assert normalize_ranges(None, 100) is None
@@ -169,25 +168,28 @@ class TestNormalizeRanges:
         assert normalize_ranges([(0, 5), (7, 9)], 100) == [(0, 5), (7, 9)]
 
 
-class TestMorselBoundaries:
-    """Morsel boundaries fall between rowids — never inside one, and
-    never splitting a rowid between two fragments' batches."""
+def chunks(n, size):
+    """``[start, stop)`` ranges of *size* rows covering ``range(n)``."""
+    return [[(start, min(n, start + size))] for start in range(0, n, size)]
 
-    def test_every_rowid_scanned_exactly_once_across_morsels(self):
+
+class TestRangeBoundaries:
+    """Adjacent scan ranges meet between rowids — never inside one, and
+    never splitting a rowid between two scans' batches, also where a
+    range crosses a partition boundary."""
+
+    def test_every_rowid_scanned_exactly_once_across_ranges(self):
         table = make_table(n=50, partition_count=3, block_size=4)
         seen = []
-        for morsel in morsels_for_table(table, None, morsel_size=8):
-            result = collect(
-                TableScan(table, scan_ranges=list(morsel.ranges))
-            )
+        for ranges in chunks(50, 7):
+            result = collect(TableScan(table, scan_ranges=ranges))
             seen.extend(result.column("x").to_pylist())
         assert seen == list(range(50))
 
-    def test_batches_within_a_morsel_stay_contiguous(self):
+    def test_batches_within_a_range_stay_contiguous(self):
         table = make_table(n=40, partition_count=2, block_size=4)
-        for morsel in morsels_for_table(table, None, morsel_size=8):
-            scan = TableScan(table, scan_ranges=list(morsel.ranges),
-                             batch_size=4)
+        for ranges in chunks(40, 7):
+            scan = TableScan(table, scan_ranges=ranges, batch_size=4)
             scan.open()
             while True:
                 batch = scan.next_batch()

@@ -9,7 +9,6 @@ from repro.errors import PlanError
 from repro.exec.operators.merge_union import MergeUnion, merge_permutation
 from repro.exec.operators.scan import TableScan
 from repro.exec.operators.sort import Sort, SortKey
-from repro.exec.parallel import ParallelSort, morsels_for_table
 from repro.exec.result import collect
 from repro.plan.optimizer import OptimizerOptions
 from repro.storage.column import ColumnVector
@@ -163,7 +162,7 @@ class TestMergeUnion:
             MergeUnion(TableScan(left), TableScan(right), keys)
 
 
-# -- exact keys: one order for Sort, TopN, ParallelSort and MergeUnion -----
+# -- exact keys: one order for Sort, TopN and MergeUnion -----------------
 
 BIG = 2**60
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -280,7 +279,7 @@ class TestExactKeys:
         got = db.sql(query, optimizer_options=options).column("v").to_pylist()
         assert got == sorted(values.tolist(), reverse=True)
 
-    def test_parallel_sort_descending_past_2_53(self):
+    def test_sort_descending_past_2_53(self):
         rng = np.random.default_rng(35)
         values = BIG + rng.integers(0, 1000, 400_000)
         db = Database()
@@ -289,8 +288,8 @@ class TestExactKeys:
             {"v": ColumnVector.from_numpy(DataType.INT64, values)}
         )
         query = "SELECT v FROM t ORDER BY v DESC"
-        assert "ParallelSort" in db.explain(query, parallelism=2)
-        got = db.sql(query, parallelism=2).column("v").to_pylist()
+        assert "Sort(v DESC)" in db.explain(query)
+        got = db.sql(query).column("v").to_pylist()
         assert got == sorted(values.tolist(), reverse=True)
 
     @given(keyed_tables())
@@ -298,21 +297,6 @@ class TestExactKeys:
     def test_sort_matches_python_sorted(self, drawn):
         table, data, keys = drawn
         got = sorted_tags(Sort(TableScan(table, batch_size=7), keys))
-        assert got == reference_tags(data, keys)
-
-    @given(keyed_tables())
-    @settings(max_examples=100, deadline=None)
-    def test_parallel_sort_equals_sort(self, drawn):
-        table, data, keys = drawn
-        morsels = morsels_for_table(table, None, morsel_size=4)
-        parallel = ParallelSort(
-            lambda ranges: TableScan(table, scan_ranges=ranges),
-            TableScan(table),
-            morsels,
-            2,
-            keys,
-        )
-        got = sorted_tags(parallel) if data["tag"] else []
         assert got == reference_tags(data, keys)
 
     @given(keyed_tables(max_keys=1), st.integers(0, 40))

@@ -62,15 +62,15 @@ def fresh(database, query, options=None):
     catalog = database.catalog
     logical = Binder(catalog).bind_select(parse_statement(query))
     optimized = Optimizer(catalog, options).optimize(logical)
-    operator = PhysicalPlanner(parallelism=1).plan(optimized)
+    operator = PhysicalPlanner().plan(optimized)
     text = explain_both(optimized, operator, verified=True)
     return text, collect(operator).to_pylist()
 
 
 def agrees_with_fresh(db, query, options=None) -> None:
     text, rows = fresh(db, query, options)
-    assert db.explain(query, parallelism=1, optimizer_options=options) == text
-    served = db.sql(query, parallelism=1, optimizer_options=options)
+    assert db.explain(query, optimizer_options=options) == text
+    served = db.sql(query, optimizer_options=options)
     assert served.to_pylist() == rows
 
 
@@ -315,9 +315,9 @@ class TestNoStalePlanSurvives:
             for probe in PROBES:
                 with durable.snapshot() as view:
                     text, rows = fresh(view, probe)
-                assert session.explain(probe, parallelism=1) == text
-                assert session.sql(probe, parallelism=1).to_pylist() == rows
-                assert rows == durable.sql(probe, parallelism=1).to_pylist()
+                assert session.explain(probe) == text
+                assert session.sql(probe).to_pylist() == rows
+                assert rows == durable.sql(probe).to_pylist()
             change = moved(durable, before)
             # per probe: the session's EXPLAIN binds the plan to its new
             # copy (a re-check, or a miss after DDL), its SELECT hits on

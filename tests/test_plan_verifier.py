@@ -33,12 +33,6 @@ from repro.exec.operators import (
     TopN,
     UnionAll,
 )
-from repro.exec.parallel import (
-    Morsel,
-    ParallelAggregate,
-    ParallelSort,
-    morsels_for_table,
-)
 from repro.exec.result import collect
 from repro.plan.optimizer import OptimizerOptions
 from repro.storage.schema import Field, Schema
@@ -134,21 +128,6 @@ class TestCleanPlans:
             )
         )
         assert verify_plan(plan).ordering is None
-
-    def test_parallel_sort_merges_partition_runs_into_global_order(self, table):
-        local = PatchIndex.create(
-            "nsc_local", table, "s", "sorted", scope="partition"
-        )
-
-        def build(ranges):
-            return PatchSelect(
-                TableScan(table, scan_ranges=ranges), local, EXCLUDE
-            )
-
-        keys = [SortKey("s", True)]
-        assert verify_plan(build(None)).ordering.scope == "partition"
-        plan = ParallelSort(build, build(None), morsels_for_table(table), 2, keys)
-        assert verify_plan(plan).ordering == OrderProperty(tuple(keys), "global")
 
     def test_planner_output_verifies_end_to_end(self):
         db = Database()
@@ -336,55 +315,10 @@ class TestLimitOrderRules:
         rejects("limit-order", plan)
 
 
-# -- exchange-ordering / scan-ranges -------------------------------------------
+# -- scan-ranges ---------------------------------------------------------------
 
 
-def _scan_factory(table):
-    def build(ranges):
-        return TableScan(table, scan_ranges=ranges)
-
-    return build
-
-
-def _parallel_sort(table, morsels):
-    build = _scan_factory(table)
-    return ParallelSort(build, build(None), morsels, 2, [SortKey("s", True)])
-
-
-def _parallel_aggregate(table, morsels):
-    build = _scan_factory(table)
-    specs = [AggregateSpec("count_star", None, "n")]
-    return ParallelAggregate(build, build(None), morsels, 2, ["g"], specs)
-
-
-_TERMINALS = (_parallel_sort, _parallel_aggregate)
-
-
-class TestParallelRules:
-    """Each mutation seeds both a ParallelSort and a ParallelAggregate."""
-
-    def test_shuffled_morsels(self, table):
-        morsels = list(reversed(morsels_for_table(table)))
-        assert len(morsels) >= 2
-        for terminal in _TERMINALS:
-            rejects("exchange-ordering", terminal(table, morsels))
-
-    def test_overlapping_morsel_ranges(self, table):
-        for terminal in _TERMINALS:
-            plan = terminal(table, [Morsel(((0, 16), (8, 32)))])
-            rejects("exchange-ordering", plan)
-
-    def test_morsel_crossing_partition_boundary(self, table):
-        for terminal in _TERMINALS:
-            plan = terminal(table, [Morsel(((0, table.row_count),))])
-            rejects("exchange-ordering", plan)
-
-    def test_corrupted_parallelism(self, table):
-        for terminal in _TERMINALS:
-            plan = terminal(table, morsels_for_table(table))
-            plan.parallelism = 0  # post-construction corruption
-            rejects("exchange-ordering", plan)
-
+class TestScanRangeRules:
     def test_inverted_scan_range(self, table):
         plan = TableScan(table)
         plan.scan_ranges = [(16, 4)]  # post-construction corruption

@@ -6,18 +6,24 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro import ConstraintAdvisor, Database
 from repro.serve import ServerClient
-from repro.errors import StorageError
+from repro.__main__ import main
+from repro.errors import PlanError, StorageError
 from repro.exec.result import QueryResult
 from repro.plan.optimizer import OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
+from repro.sql.session import Session
+from repro.storage.column import ColumnVector
 from repro.storage.segment import open_segment
+from repro.types import DataType
 
 
 @pytest.fixture
@@ -47,18 +53,18 @@ class TestConnect:
     def test_connect_suffix_carries_no_meaning(self, tmp_path):
         # A WAL-looking name that does not exist is a durable directory
         # like any other (the old suffix heuristic is gone).
-        db = repro.connect(tmp_path / "data.wal", parallelism=1)
+        db = repro.connect(tmp_path / "data.wal")
         assert db.engine.name == "durable"
         assert (tmp_path / "data.wal").is_dir()
 
     def test_connect_with_directory_opens_durable(self, tmp_path):
-        db = repro.connect(tmp_path / "data", parallelism=1)
+        db = repro.connect(tmp_path / "data")
         assert db.engine.name == "durable"
         db.sql("CREATE TABLE t (c BIGINT)")
         db.sql("INSERT INTO t VALUES (7)")
         db.checkpoint()
         db.close()
-        reopened = repro.connect(tmp_path / "data", parallelism=1)
+        reopened = repro.connect(tmp_path / "data")
         assert reopened.sql("SELECT c FROM t").scalar() == 7
 
     def test_connect_rejects_target_and_path(self, tmp_path):
@@ -105,7 +111,6 @@ class TestOptionSurface:
     def test_database_parameters(self):
         assert list(inspect.signature(Database.__init__).parameters)[1:] == [
             "path",
-            "parallelism",
             "sync",
             "cache_bytes",
         ]
@@ -117,7 +122,62 @@ class TestOptionSurface:
             for path in source.rglob("*.py")
             for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
         }
-        assert named == {"REPRO_THREADS", "REPRO_CACHE_BYTES", "REPRO_SANITIZE"}
+        assert named == {"REPRO_CACHE_BYTES", "REPRO_SANITIZE"}
+
+    def test_parallelism_is_refused_everywhere_but_its_vestiges(self, tmp_path):
+        # connect() and the planner take 1 and nothing else; Database.sql
+        # takes the keyword and reads nothing from it.
+        with pytest.raises(repro.ReproError, match="serial"):
+            repro.connect(tmp_path / "a", parallelism=2)
+        assert not (tmp_path / "a").exists()
+        with pytest.raises(PlanError, match="serial"):
+            PhysicalPlanner(parallelism=2)
+        db = repro.connect(tmp_path / "b", parallelism=1)
+        db.sql("CREATE TABLE t (c BIGINT)")
+        assert db.sql("SELECT c FROM t", parallelism=2).row_count == 0
+        with pytest.raises(TypeError):
+            Session(db, parallelism=2)
+        with pytest.raises(TypeError):
+            db.session(parallelism=2)
+        with pytest.raises(TypeError):
+            db.explain("SELECT c FROM t", parallelism=1)
+        with db.session() as session, db.snapshot() as view:
+            for surface in (session, view):
+                with pytest.raises(TypeError):
+                    surface.sql("SELECT c FROM t", parallelism=1)
+                with pytest.raises(TypeError):
+                    surface.explain("SELECT c FROM t", parallelism=1)
+        assert not hasattr(db, "parallelism")
+        db.close()
+
+    def test_serve_threads_takes_one_only(self, capsys):
+        assert main(["serve", "--threads", "2"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "--threads" not in capsys.readouterr().out
+
+    def test_a_400k_row_query_starts_no_thread(self, monkeypatch):
+        n = 400_000
+        db = repro.connect()
+        db.sql("CREATE TABLE big (k BIGINT, v BIGINT) PARTITIONS 4")
+        db.table("big").load_columns(
+            {
+                "k": ColumnVector(DataType.INT64, np.arange(n)),
+                "v": ColumnVector(DataType.INT64, np.arange(n) % 97),
+            }
+        )
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for query in (
+            "SELECT v, SUM(k) AS s FROM big GROUP BY v",
+            "SELECT k, v FROM big WHERE v < 3 ORDER BY v",
+            "SELECT COUNT(DISTINCT v) AS n FROM big",
+            "SELECT DISTINCT v FROM big",
+        ):
+            assert db.sql(query).row_count > 0, query
 
     def test_removed_keywords_are_plain_type_errors(self, tmp_path):
         # No shim, no deprecation path: Python's own error.
@@ -161,7 +221,6 @@ class TestOptionSurface:
             "batch_size",
             "derive_scan_ranges",
             "parallelism",
-            "morsel_size",
             "verify",
             "backend",
             "database",
@@ -242,7 +301,7 @@ class TestKeywordOnlyKnobs:
             db.explain("SELECT c FROM t", True)
 
     def test_sql_accepts_keyword_knobs(self, db):
-        result = db.sql("SELECT c FROM t", parallelism=1, profile=True)
+        result = db.sql("SELECT c FROM t", profile=True)
         assert result.row_count == 3
         assert result.profile is not None
 

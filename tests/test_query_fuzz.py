@@ -5,7 +5,11 @@ with PatchIndex rewrites enabled (forced past the cost model) returns
 the same multiset of rows as executing with rewrites disabled — and the
 same *order* for ORDER BY queries.
 
-The second property covers the plan cache: every generated shape runs
+A durable twin of the data — lazily decoded segments behind a log
+tail, with the indexes created after both — answers every query as the
+same data in memory does.
+
+The last property covers the plan cache: every generated shape runs
 with several literal sets on a memory database, a durable one and a
 snapshot-reading session, and each execution must be indistinguishable
 — EXPLAIN text, rows, row order — from planning it afresh; also between
@@ -29,6 +33,9 @@ from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from repro.storage.column import ColumnVector
+from repro.storage.schema import Field, Schema
+from repro.types import DataType
 from tests.test_operators_sort import rule_key
 
 _DB_CACHE: list[Database] = []
@@ -215,8 +222,8 @@ class TestFuzz:
     @given(ordered_queries())
     @settings(max_examples=80, deadline=None)
     def test_order_by_same_rows_on_every_path(self, drawn):
-        """Serial and dop 2 (small morsels, so ParallelSort fans out),
-        rewrite off and forced, all return Python ``sorted`` order."""
+        """Rewrite off and forced, in batches of 16 rows and of the
+        default size, all return Python ``sorted`` order."""
         query, unordered, keys, limit = drawn
         db = fuzz_db()
         rows = db.sql(unordered).to_pylist()
@@ -233,10 +240,14 @@ class TestFuzz:
             OptimizerOptions(always_rewrite=True),
         ):
             optimized = Optimizer(db.catalog, options).optimize(logical)
-            for parallelism in (1, 2):
-                planner = PhysicalPlanner(parallelism=parallelism, morsel_size=16)
+            for batch_size in (16, None):
+                planner = (
+                    PhysicalPlanner(batch_size=batch_size)
+                    if batch_size
+                    else PhysicalPlanner()
+                )
                 got = collect(planner.plan(optimized)).to_pylist()
-                assert got == expected, (query, options, parallelism)
+                assert got == expected, (query, options, batch_size)
 
     @given(st.integers(0, 400), st.integers(0, 400), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -267,9 +278,9 @@ class TestFuzz:
             for key in sorted({g for g, __ in kept})
         ]
 
-    @given(queries(), st.sampled_from([1, 4]))
+    @given(queries())
     @settings(max_examples=60, deadline=None)
-    def test_every_generated_plan_verifies(self, query, parallelism):
+    def test_every_generated_plan_verifies(self, query):
         """Plain and rewritten plans both satisfy the plan invariants.
 
         The planner already verifies every plan it emits; this calls
@@ -285,9 +296,87 @@ class TestFuzz:
             OptimizerOptions(always_rewrite=True),
         ):
             optimized = Optimizer(db.catalog, options).optimize(logical)
-            operator = PhysicalPlanner(parallelism=parallelism).plan(optimized)
+            operator = PhysicalPlanner().plan(optimized)
             properties = verify_plan(operator)
             assert properties.schema.names == operator.schema.names, query
+
+
+def _build_twin(db: Database) -> Database:
+    """Data like :func:`fuzz_db`'s, with no ``w`` column, in partitions
+    of round-robin 8-row blocks, checkpointed mid-build: on a durable
+    engine the reads decode segment blocks *and* rows that only the log
+    tail holds (an update and an insert after the checkpoint, the
+    indexes after both)."""
+    rng = np.random.default_rng(77)
+    n = 400
+    unique = rng.permutation(n).astype(np.int64)
+    unique[rng.choice(n, 8, replace=False)] = 7  # duplicates
+    nearly_sorted = np.arange(n, dtype=np.int64)
+    nearly_sorted[rng.choice(n, 8, replace=False)] = rng.integers(0, n, 8)
+    category = rng.integers(0, 5, n).astype(np.int64)
+    big = 2**53 + rng.permutation(n).astype(np.int64)
+    schema = Schema([Field(name, DataType.INT64) for name in "usgb"])
+    table = db.create_table("f", schema, partition_count=3, block_size=8)
+    table.load_columns(
+        {
+            name: ColumnVector(DataType.INT64, values)
+            for name, values in zip("usgb", (unique, nearly_sorted, category, big))
+        },
+        partition_by_round_robin_blocks=True,
+    )
+    for rowid in (5, 100):
+        table.update_rowid(rowid, "u", None)
+    db.sql("CHECKPOINT")
+    table.update_rowid(300, "u", None)
+    db.sql(
+        f"INSERT INTO f VALUES (1000, 400, 2, {2**53 + 1000}), (1001, 401, 4, NULL)"
+    )
+    db.sql("CREATE PATCHINDEX fu ON f(u) TYPE UNIQUE")
+    db.sql("CREATE PATCHINDEX fs ON f(s) TYPE SORTED")
+    add_dimensions(db, n)
+    return db
+
+
+@pytest.fixture(scope="module")
+def twins(tmp_path_factory):
+    """:func:`_build_twin` in memory and on a durable engine."""
+    durable = _build_twin(
+        repro.connect(tmp_path_factory.mktemp("twin") / "data", sync=False)
+    )
+    yield _build_twin(Database()), durable
+    durable.close()
+
+
+FIXED_CORPUS = [
+    "SELECT u, s FROM f WHERE u < 100",
+    "SELECT COUNT(DISTINCT u) AS n FROM f",
+    "SELECT DISTINCT g FROM f",
+    "SELECT g, SUM(s) AS total FROM f GROUP BY g ORDER BY g",
+    "SELECT u FROM f ORDER BY u DESC",
+    "SELECT s FROM f WHERE s BETWEEN 40 AND 200 ORDER BY s",
+    "SELECT COUNT(*) AS n FROM f WHERE u IS NULL",
+    "SELECT u, s FROM f WHERE (u < 50 OR s > 350)",
+    "SELECT MIN(u) AS lo, MAX(s) AS hi, COUNT(*) AS n FROM f",
+    "SELECT g, COUNT(*) AS n, SUM(b) AS total FROM f "
+    "WHERE s BETWEEN 40 AND 200 GROUP BY g",
+    "SELECT u, s, b, g FROM f WHERE g <> 1 ORDER BY g",
+]
+
+
+def assert_same_answer(twins, query):
+    memory, durable = (db.sql(query).to_pylist() for db in twins)
+    assert memory == durable, query
+
+
+class TestDurableParity:
+    def test_fixed_corpus(self, twins):
+        for query in FIXED_CORPUS:
+            assert_same_answer(twins, query)
+
+    @given(queries())
+    @settings(max_examples=25, deadline=None)
+    def test_fuzz_corpus(self, twins, query):
+        assert_same_answer(twins, query)
 
 
 @st.composite
@@ -320,7 +409,7 @@ def _fresh(database, query, options):
     """EXPLAIN text and rows from the pipeline called directly."""
     logical = Binder(database.catalog).bind_select(parse_statement(query))
     optimized = Optimizer(database.catalog, options).optimize(logical)
-    operator = PhysicalPlanner(parallelism=1).plan(optimized)
+    operator = PhysicalPlanner().plan(optimized)
     return (
         explain_both(optimized, operator, verified=True),
         collect(operator).to_pylist(),
@@ -378,7 +467,7 @@ class TestPlanCacheFuzz:
                                 text, rows = _fresh(view, query, options)
                         else:
                             text, rows = _fresh(engine, query, options)
-                        knobs = dict(parallelism=1, optimizer_options=options)
+                        knobs = dict(optimizer_options=options)
                         assert engine.explain(query, **knobs) == text, (name, query)
                         assert engine.sql(query, **knobs).to_pylist() == rows, (
                             name,
@@ -407,7 +496,7 @@ class TestPlanCacheFuzz:
                             text, rows = _fresh(view, query, options)
                     else:
                         text, rows = _fresh(engine, query, options)
-                    knobs = dict(parallelism=1, optimizer_options=options)
+                    knobs = dict(optimizer_options=options)
                     assert engine.explain(query, **knobs) == text, (name, query)
                     assert engine.sql(query, **knobs).to_pylist() == rows, (
                         name,

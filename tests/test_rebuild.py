@@ -229,7 +229,7 @@ class TestDriftTriggeredRebuild:
         assert patch_rowids(reopened) == [40]
 
     def test_served_write_past_the_threshold_is_swept_before_its_ack(self, tmp_path):
-        db = repro.connect(tmp_path / "data", parallelism=1)
+        db = repro.connect(tmp_path / "data")
         db.sql("CREATE TABLE t (c BIGINT)")
         db.sql("INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(100)))
         db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")

@@ -154,8 +154,8 @@ class TestPruningNeverLosesRows:
     @settings(max_examples=300, deadline=None)
     def test_same_rows_with_and_without_ranges(self, table, predicate):
         query = f"SELECT a, b, s, f, tid FROM t WHERE {predicate}"
-        pruned = _plan(table, query, parallelism=1)
-        unpruned = _plan(table, query, parallelism=1, derive_scan_ranges=False)
+        pruned = _plan(table, query)
+        unpruned = _plan(table, query, derive_scan_ranges=False)
         assert _rows(pruned) == _rows(unpruned)
         verify_plan(pruned)
         for scan in _scans(pruned):
@@ -169,13 +169,11 @@ class TestPruningNeverLosesRows:
 
     @given(tables(), predicates())
     @settings(max_examples=60, deadline=None)
-    def test_parallel_fragments_prune_the_same(self, table, predicate):
-        # ORDER BY: only a terminal fans out, and a stable parallel
-        # sort returns ties in rowid order however the morsels split.
+    def test_sorted_results_prune_the_same(self, table, predicate):
+        # A stable sort returns ties in rowid order, pruned or not.
         query = f"SELECT a, b, s, f FROM t WHERE {predicate} ORDER BY b"
-        knobs = dict(parallelism=2, morsel_size=4)
-        pruned = _rows(_plan(table, query, **knobs))
-        unpruned = _rows(_plan(table, query, derive_scan_ranges=False, **knobs))
+        pruned = _rows(_plan(table, query, batch_size=4))
+        unpruned = _rows(_plan(table, query, derive_scan_ranges=False, batch_size=4))
         assert pruned == unpruned
 
     @given(tables(), predicates())
@@ -185,9 +183,9 @@ class TestPruningNeverLosesRows:
         with tempfile.TemporaryDirectory() as root:
             db = _reopened(table, root)
             try:
-                pruned = _plan_in(db.catalog, query, parallelism=1)
+                pruned = _plan_in(db.catalog, query)
                 unpruned = _plan_in(
-                    db.catalog, query, parallelism=1, derive_scan_ranges=False
+                    db.catalog, query, derive_scan_ranges=False
                 )
                 assert _rows(pruned) == _rows(unpruned)
             finally:
@@ -234,9 +232,9 @@ class TestAppendsBetweenReads:
                                 partition.column(name), partition.block_size
                             )
                             assert repr(partition.block_stats(name)) == repr(fresh)
-                    pruned = _plan_in(catalog, query, parallelism=1)
+                    pruned = _plan_in(catalog, query)
                     unpruned = _plan_in(
-                        catalog, query, parallelism=1, derive_scan_ranges=False
+                        catalog, query, derive_scan_ranges=False
                     )
                     assert _rows(pruned) == _rows(unpruned)
             finally:
@@ -318,8 +316,7 @@ class TestEveryConjunctPrunes:
         )
         return db
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_between_scans_at_most_two_blocks(self, database, parallelism):
+    def test_between_scans_at_most_two_blocks(self, database):
         """Both bounds of a BETWEEN prune: a 1000-row range on an
         ascending key touches the one or two 4096-row blocks holding it,
         not every block from the lower bound to the end of the table."""
@@ -327,7 +324,6 @@ class TestEveryConjunctPrunes:
             result = database.sql(
                 f"SELECT COUNT(*) AS n, SUM(v) AS x FROM t "
                 f"WHERE k BETWEEN {low} AND {low + 999}",
-                parallelism=parallelism,
                 profile=True,
             )
             assert result.to_pylist()[0][0] == 1000
@@ -338,7 +334,7 @@ class TestEveryConjunctPrunes:
         table = database.table("t")
 
         def covered(where: str) -> int:
-            return _covered(_plan(table, f"SELECT v FROM t WHERE {where}", parallelism=1))
+            return _covered(_plan(table, f"SELECT v FROM t WHERE {where}"))
 
         block = 4096
         assert covered("k >= 100 AND k <= 200") == block
@@ -393,7 +389,7 @@ class TestRewrittenPipelinesPrune:
 
     def test_count_distinct_branches_scan_only_the_pruned_blocks(self, database):
         query = "SELECT COUNT(DISTINCT u) AS n FROM t WHERE k BETWEEN 1000 AND 1999"
-        rewritten = database.sql(query, parallelism=1, profile=True)
+        rewritten = database.sql(query, profile=True)
         selects = rewritten.profile.find("PatchSelect")
         assert {node.details["mode"] for node in selects} == {
             "exclude_patches",
@@ -407,23 +403,17 @@ class TestRewrittenPipelinesPrune:
         )
         assert rewritten.to_pylist() == plain.to_pylist()
 
-    def test_parallel_use_branch_prunes_its_morsels(self, database):
+    def test_use_branch_prunes_like_the_exclude_branch(self, database):
         query = "SELECT DISTINCT u FROM t WHERE k BETWEEN 3000 AND 5000"
         logical = Binder(database.catalog).bind_select(parse_statement(query))
-        operator = PhysicalPlanner(parallelism=2, morsel_size=16).plan(
+        operator = PhysicalPlanner().plan(
             Optimizer(database.catalog).optimize(logical)
         )
-        [parallel] = _find(operator, "ParallelDistinct")
-        assert sum(morsel.rows for morsel in parallel.morsels) <= 2 * 4096
-        # The exclude branch's scan carries the same ranges.
-        ranges = {
-            tuple(scan.scan_ranges) for scan in _scans(parallel.template)
-        } | {
-            tuple(scan.scan_ranges)
-            for scan in _scans(operator)
-        }
-        assert len(ranges) == 1
-        plain = PhysicalPlanner(parallelism=1).plan(logical)
+        assert len(list(_find(operator, "PatchSelect"))) == 2
+        # Both branches' scans carry the same ranges: at most two blocks.
+        [ranges] = {tuple(scan.scan_ranges) for scan in _scans(operator)}
+        assert sum(stop - start for start, stop in ranges) <= 2 * 4096
+        plain = PhysicalPlanner(derive_scan_ranges=False).plan(logical)
         assert sorted(collect(operator).to_pylist()) == sorted(
             collect(plain).to_pylist()
         )

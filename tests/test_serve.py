@@ -37,7 +37,7 @@ from repro.storage.column import ColumnVector
 
 @pytest.fixture
 def durable(tmp_path):
-    db = repro.connect(tmp_path / "data", parallelism=1)
+    db = repro.connect(tmp_path / "data")
     db.sql("CREATE TABLE t (c BIGINT, v VARCHAR(5))")
     db.sql("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
     return db
@@ -205,9 +205,14 @@ class TestServerRoundTrip:
         assert client.ping() is True
 
     def test_set_parallelism_knob(self, client):
-        client.parallelism = 2
-        assert client.parallelism == 2
+        # Execution is serial: neither the wire nor the client has a
+        # parallelism knob, and the refusal leaves the connection open.
+        with pytest.raises(ProtocolError, match="unknown session knob 'parallelism'"):
+            client.set("parallelism", 2)
         assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+        assert not hasattr(client, "parallelism")
+        with pytest.raises(TypeError):
+            client.sql("SELECT c FROM t", parallelism=1)
 
     def test_set_unknown_knob_is_protocol_error(self, client):
         with pytest.raises(ProtocolError, match="unknown session knob"):
@@ -218,11 +223,10 @@ class TestServerRoundTrip:
             client.set("backend", "process")
         message = str(excinfo.value)
         assert "unknown session knob 'backend'" in message
-        for knob in ("parallelism", "profile"):
-            assert knob in message
+        assert "('profile',)" in message
         assert "snapshot_reads" not in message  # not a knob: every read pins
         # The connection survives the refusal.
-        assert client.set("parallelism", 2) == 2
+        assert client.set("profile", False) is False
         assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         # A stale caller of the removed keyword fails loudly too.
         with pytest.raises(TypeError):

@@ -51,7 +51,7 @@ def served(tmp_path):
     """A ``python -m repro serve`` child over a nearly sorted column with a
     SORTED PatchIndex; yields (pid, client)."""
     root = tmp_path / "db"
-    db = repro.connect(root, parallelism=1)
+    db = repro.connect(root)
     db.create_table_from_pydict(
         "t",
         repro.Schema([repro.Field("s", repro.DataType.INT64)]),

@@ -19,7 +19,7 @@ def db():
 
 @pytest.fixture
 def durable(tmp_path):
-    db = repro.connect(tmp_path / "data", parallelism=1)
+    db = repro.connect(tmp_path / "data")
     db.sql("CREATE TABLE t (c BIGINT, v VARCHAR(5))")
     db.sql("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
     return db
@@ -66,18 +66,8 @@ class TestSessionBasics:
         session.close()
 
     def test_explain_goes_through_session(self, db):
-        with db.session(parallelism=1) as session:
+        with db.session() as session:
             assert "logical plan" in session.explain("SELECT c FROM t")
-
-    def test_sticky_parallelism_knob(self, db):
-        with db.session(parallelism=1) as session:
-            result = session.sql("SELECT c FROM t", profile=True)
-        dop_values = [
-            node.details.get("dop_used")
-            for node in result.profile.root.walk()
-            if "dop_used" in node.details
-        ]
-        assert all(value == 1 for value in dop_values)
 
     def test_sticky_profile_knob(self, db):
         with db.session(profile=True) as session:
@@ -271,14 +261,14 @@ class TestRetiredBackendKnob:
 
     def test_planner_keeps_the_one_name_the_frozen_bench_passes(self):
         from repro.errors import PlanError
-        from repro.exec.parallel import shutdown_pool, shutdown_process_pool
+        from repro.exec.parallel import shutdown_process_pool
         from repro.plan.physical import PhysicalPlanner
 
-        PhysicalPlanner(parallelism=1, backend="thread")
-        PhysicalPlanner(parallelism=1, backend=None)
+        PhysicalPlanner(parallelism=1, backend="thread", database=None)
+        PhysicalPlanner(backend=None)
         with pytest.raises(PlanError, match="only backend"):
-            PhysicalPlanner(parallelism=1, backend="process")
-        assert shutdown_process_pool is shutdown_pool
+            PhysicalPlanner(backend="process")
+        assert shutdown_process_pool() is None
 
 
 class TestGroupCommit:
@@ -298,11 +288,11 @@ class TestGroupCommit:
         assert durable.obs.counter("wal.group_commit.batches").value == 1
 
     def test_records_survive_reopen_after_deferred_sync(self, tmp_path):
-        db = repro.connect(tmp_path / "gc", parallelism=1)
+        db = repro.connect(tmp_path / "gc")
         db.sql("CREATE TABLE t (c BIGINT)")
         with db.wal.deferred_sync():
             db.sql("INSERT INTO t VALUES (1)")
             db.sql("INSERT INTO t VALUES (2)")
         db.close()
-        reopened = repro.connect(tmp_path / "gc", parallelism=1)
+        reopened = repro.connect(tmp_path / "gc")
         assert reopened.sql("SELECT COUNT(*) AS n FROM t").scalar() == 2

@@ -40,7 +40,7 @@ READERS = 4
 
 @pytest.fixture
 def durable(tmp_path):
-    db = repro.connect(tmp_path / "data", parallelism=1)
+    db = repro.connect(tmp_path / "data")
     db.sql("CREATE TABLE t (batch BIGINT, x BIGINT)")
     return db
 
@@ -49,7 +49,7 @@ def durable(tmp_path):
 def db(request, tmp_path):
     """An empty table ``t`` on each engine."""
     db = repro.connect(
-        tmp_path / "data" if request.param == "durable" else None, parallelism=1
+        tmp_path / "data" if request.param == "durable" else None
     )
     db.sql("CREATE TABLE t (batch BIGINT, x BIGINT)")
     yield db
@@ -399,7 +399,7 @@ class TestNoStallAfterDeleteOrReopen:
         session.close()
         db.close()
 
-        db = repro.connect(tmp_path / "data", parallelism=1)
+        db = repro.connect(tmp_path / "data")
         session = db.session(snapshot_reads=True)
         cell_reads()
         db.sql(self.batch(2 * self.ROWS))

@@ -280,7 +280,7 @@ class TestCompact:
 
     def test_replay_unchanged_without_checkpoint(self, tmp_path):
         root = tmp_path / "db"
-        db = repro.connect(root, parallelism=1, sync=False)
+        db = repro.connect(root, sync=False)
         db.sql("CREATE TABLE t (c BIGINT)")
         db.sql("DROP TABLE t")
         db.sql("CREATE TABLE t (c BIGINT)")
@@ -288,7 +288,7 @@ class TestCompact:
         db.close()
         # Without a checkpoint every record stays, cancelled pairs too.
         assert kinds(db.wal) == ["create_table", "drop_table", "create_table", "append"]
-        reopened = repro.connect(root, parallelism=1, sync=False)
+        reopened = repro.connect(root, sync=False)
         assert reopened.sql("SELECT c FROM t").to_pylist() == [(1,)]
         reopened.close()
 
@@ -427,7 +427,7 @@ class TestMemory:
         """200 INSERTs of 1 000 rows x 3 INT64 into a durable directory,
         no checkpoint: the rows are on disk only, not in the log's memory
         too."""
-        db = repro.connect(tmp_path / "db", parallelism=1, sync=False)
+        db = repro.connect(tmp_path / "db", sync=False)
         db.sql("CREATE TABLE t (a BIGINT, b BIGINT, c BIGINT)")
         values = ", ".join(f"({k}, {k * 2}, {k * 3})" for k in range(1_000))
         for _ in range(200):

@@ -415,7 +415,7 @@ class TestDecodeHardening:
 
 @pytest.fixture
 def durable(tmp_path):
-    db = repro.connect(tmp_path / "data", parallelism=1)
+    db = repro.connect(tmp_path / "data")
     db.sql("CREATE TABLE t (k BIGINT, f DOUBLE, s VARCHAR(8), d DATE, b BOOLEAN)")
     db.sql(
         "INSERT INTO t VALUES "

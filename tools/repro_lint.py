@@ -22,8 +22,8 @@ L1  no-bare-assert
     ``repro.errors`` instead.  (Tests may assert freely.)
 
 L2  lock-discipline
-    In ``exec/parallel/`` and ``obs/`` — the only modules touched by
-    concurrent workers — any class that owns a ``threading.Lock`` must
+    In ``obs/`` and ``serve/`` — the modules every connection thread
+    touches — any class that owns a ``threading.Lock`` must
     mutate its attributes inside a ``with self._lock`` block
     (constructors are exempt: no other thread can hold a reference
     yet).  Module-level globals guarded by a module lock get the same
@@ -119,7 +119,6 @@ METRIC_NAMESPACES = (
     "plan",
     "statements",
     "patchselect",
-    "parallel",
     "patchindex",
     "maintenance",
     "server",
@@ -148,8 +147,8 @@ PATCH_MUTATION_FILES = (
     "core/patches.py",
 )
 
-#: Directories whose classes are touched by concurrent workers (L2).
-LOCK_CHECKED_DIRS = ("exec/parallel", "obs", "serve")
+#: Directories whose classes every connection thread touches (L2).
+LOCK_CHECKED_DIRS = ("obs", "serve")
 
 #: The storage files that own a lock, under the same discipline: the
 #: catalog (its state lock is the one every live mutation and every
