@@ -66,7 +66,6 @@ __version__ = "1.0.0"
 def connect(
     target: "str | _os.PathLike | None" = None,
     *,
-    path: "str | _os.PathLike | None" = None,
     # 1 only; bench_e2e/harness.py and bench_e2e/tracing.py pass it.
     parallelism: int | None = None,
     sync: bool = True,
@@ -99,23 +98,16 @@ def connect(
         raise ReproError(
             f"execution is serial: parallelism must be 1, got {parallelism!r}"
         )
-    if target is not None and path is not None:
-        raise ReproError(
-            "pass either a connect target positionally or path=, not both"
-        )
-    if target is not None:
-        text = _os.fspath(target) if not isinstance(target, str) else target
-        if text.startswith("repro://"):
-            if not sync or cache_bytes is not None:
-                raise ReproError(
-                    "sync/cache_bytes are storage knobs of the "
-                    "server's database, not the client"
-                )
-            from repro.serve import ServerClient
+    if isinstance(target, str) and target.startswith("repro://"):
+        if not sync or cache_bytes is not None:
+            raise ReproError(
+                "sync/cache_bytes are storage knobs of the "
+                "server's database, not the client"
+            )
+        from repro.serve import ServerClient
 
-            return ServerClient.from_uri(text, timeout=timeout)
-        path = target
-    return Database(path=path, sync=sync, cache_bytes=cache_bytes)
+        return ServerClient.from_uri(target, timeout=timeout)
+    return Database(path=target, sync=sync, cache_bytes=cache_bytes)
 
 
 __all__ = [

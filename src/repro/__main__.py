@@ -156,17 +156,9 @@ def run_shell(
                 )
             continue
         if not buffer and stripped == "\\checkpoint":
-            try:
-                info = database.checkpoint()
-                emit(
-                    f"checkpoint at lsn {info['lsn']}: "
-                    f"{info['segments']} segments, "
-                    f"{info['wal_pruned']} wal records pruned "
-                    f"({info['seconds']:.3f}s)"
-                )
-            except ReproError as error:
-                emit(f"error: {error}")
-            continue
+            # The statement, run below like any other: one path for a
+            # local database and a server.
+            stripped = line = "CHECKPOINT;"
         if not buffer and stripped.startswith("\\"):
             emit(f"error: unknown command {stripped.split()[0]}")
             emit(_COMMANDS)

@@ -49,6 +49,10 @@ class ExecutionError(ReproError):
     """A physical operator failed during query execution."""
 
 
+class NumericOverflowError(ExecutionError):
+    """An exact result left its type's range (an INT64 ``SUM``)."""
+
+
 class PlanError(ReproError):
     """A logical plan is invalid or cannot be converted to physical form."""
 

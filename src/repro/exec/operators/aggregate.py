@@ -19,7 +19,10 @@ SQL semantics implemented:
   input (COUNT = 0, others NULL);
 - SUM and AVG over INT64 add exact integers: AVG of an INT64 column is
   the int64 sums of each value's 32-bit halves, combined once in
-  float64, so it neither wraps nor depends on the summation order.
+  float64, so it neither wraps nor depends on the summation order; an
+  INT64 SUM whose exact value leaves INT64 raises
+  :class:`~repro.errors.NumericOverflowError` (PostgreSQL's ``bigint
+  out of range``) instead of wrapping (:func:`check_int64_sum`).
 
 Aggregation without GROUP BY or COUNT(DISTINCT) holds at most
 :data:`FOLD_ROWS` rows of its input: it folds batches into *partial*
@@ -35,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.errors import PlanError, TypeMismatchError
+from repro.errors import NumericOverflowError, PlanError, TypeMismatchError
 from repro.exec.batch import RecordBatch
 from repro.exec.operators.base import Operator
 from repro.storage.column import ColumnVector
@@ -52,6 +55,16 @@ INT64_HALVES = {
     "sum_low": lambda values: values & 0xFFFFFFFF,
 }
 
+#: The partials an ungrouped INT64 SUM folds with, and their types: its
+#: int64 sum, which may wrap, and the same sum added in float64, from
+#: which the final step tells whether it did (:func:`check_int64_sum`).
+#: SQL never names them.
+INT64_SUM_PARTS = {"sum_wrapping": DataType.INT64, "sum_shadow": DataType.FLOAT64}
+
+#: A float64 shadow of an INT64 sum under this magnitude proves the sum
+#: did not wrap (:func:`check_int64_sum`).
+_SHADOW_BOUND = 2.0**62
+
 #: Rows an ungrouped aggregate holds before it reduces them to one
 #: partial row.  Partial rows cost Python per batch (a two-row UnionAll
 #: folded in 28 us against 12 us concatenated and reduced once), more
@@ -62,7 +75,7 @@ FOLD_ROWS = 4096
 
 _AGG_FUNCS = frozenset(
     {"count", "count_star", "count_distinct", "sum", "min", "max", "avg"}
-) | frozenset(INT64_HALVES)
+) | frozenset(INT64_HALVES) | frozenset(INT64_SUM_PARTS)
 
 
 @dataclass(frozen=True)
@@ -85,10 +98,10 @@ class AggregateSpec:
         if self.func in ("count", "count_star", "count_distinct"):
             return Field(self.alias, DataType.INT64, nullable=False)
         dtype = input_schema.field(self.column).dtype
-        if self.func in INT64_HALVES:
+        if self.func in INT64_HALVES or self.func in INT64_SUM_PARTS:
             if dtype != DataType.INT64:
                 raise TypeMismatchError(f"{self.func} requires an INT64 column")
-            return Field(self.alias, DataType.INT64)
+            return Field(self.alias, INT64_SUM_PARTS.get(self.func, DataType.INT64))
         if self.func == "avg":
             if not is_numeric(dtype):
                 raise TypeMismatchError("avg requires a numeric column")
@@ -233,11 +246,20 @@ def two_phase_specs(
     """Partial specs (over a piece of the input) and final specs (over
     the partial rows) that together compute *aggregates*: COUNT merges
     by summing, SUM / MIN / MAX by themselves, AVG through the partials
-    of :func:`_avg_partials`, finished by :func:`finish_aggregates`."""
+    of :func:`_avg_partials` and an INT64 SUM through
+    :data:`INT64_SUM_PARTS`, both finished by :func:`finish_aggregates`."""
     partial: list[AggregateSpec] = []
     final: list[AggregateSpec] = []
     for spec in aggregates:
-        if spec.func in ("count", "count_star"):
+        if (
+            spec.func == "sum"
+            and input_schema.field(spec.column).dtype == DataType.INT64
+        ):
+            for func, merge in zip(INT64_SUM_PARTS, ("sum_wrapping", "sum")):
+                alias = _partial_alias(func, spec)
+                partial.append(AggregateSpec(func, spec.column, alias))
+                final.append(AggregateSpec(merge, alias, alias))
+        elif spec.func in ("count", "count_star"):
             partial.append(spec)
             final.append(AggregateSpec("sum", spec.alias, spec.alias))
         elif spec.func in ("sum", "min", "max", *INT64_HALVES):
@@ -261,13 +283,19 @@ def finish_aggregates(
     schema: Schema,
 ) -> RecordBatch:
     """The *aggregates* of *schema* from the merged partials: AVG divides
-    its merged sums by its count, every other column passes through."""
+    its merged sums by its count, an INT64 SUM is its merged int64 sum
+    once checked against its shadow, every other column passes through."""
     columns: dict[str, ColumnVector] = {
         name: merged.column(name) for name in group_by
     }
     for spec in aggregates:
         if spec.func == "avg":
             columns[spec.alias] = _finish_avg(merged, spec)
+        elif _partial_alias("sum_wrapping", spec) in merged.schema:
+            wrapped = merged.column(_partial_alias("sum_wrapping", spec))
+            shadow = merged.column(_partial_alias("sum_shadow", spec))
+            check_int64_sum(wrapped.values[0], shadow.values[0], spec.column)
+            columns[spec.alias] = wrapped
         else:
             columns[spec.alias] = merged.column(spec.alias)
     return RecordBatch(schema, columns)
@@ -418,6 +446,10 @@ def _compute_grouped(
         if spec.func in INT64_HALVES:
             values = INT64_HALVES[spec.func](values)
         exact = _int64_sums(values, group_of_valid, group_count)
+        if spec.func == "sum":
+            shadow = np.bincount(group_of_valid, weights=values, minlength=group_count)
+            for group in np.flatnonzero(np.abs(shadow) >= _SHADOW_BOUND):
+                check_int64_sum(exact[group], shadow[group], spec.column)
         return ColumnVector(DataType.INT64, exact, out_validity)
     if spec.func in ("sum", "avg"):
         values = column.values[valid_positions].astype(np.float64)
@@ -486,7 +518,13 @@ def _compute_scalar(
         )
     if spec.func in INT64_HALVES:
         return _one(dtype, INT64_HALVES[spec.func](values).sum())
-    if spec.func == "sum":
+    if spec.func == "sum_shadow":
+        return _one(dtype, values.sum(dtype=np.float64))
+    if spec.func == "sum" and dtype == DataType.INT64:
+        total = values.sum()
+        check_int64_sum(total, values.sum(dtype=np.float64), spec.column)
+        return _one(dtype, total)
+    if spec.func in ("sum", "sum_wrapping"):
         return _one(dtype, values.sum(dtype=numpy_dtype(dtype)))
     if spec.func == "avg" and column.dtype == DataType.INT64:
         high, low = (
@@ -504,6 +542,23 @@ def _int64_sums(
     exact = np.zeros(group_count, dtype=np.int64)
     np.add.at(exact, group_ids, values)
     return exact
+
+
+def check_int64_sum(wrapped: int, shadow: float, column: str) -> None:
+    """Raise :class:`NumericOverflowError` unless *wrapped*, an int64 sum
+    of *column*'s values, is their exact sum.
+
+    *shadow* is the same sum added in float64.  Over n values of at most
+    2**63 each, float64 ends within about n**2 * 2**10 of the exact sum
+    S: under 2**60 below 2**25 rows.  So a shadow under
+    :data:`_SHADOW_BOUND` proves that S fits, and for any other, S is
+    *wrapped* plus the multiple of 2**64 nearest to ``shadow -
+    wrapped``, which is 0 exactly when S fits.
+    """
+    if abs(shadow) < _SHADOW_BOUND:
+        return
+    if round((float(shadow) - int(wrapped)) / 2.0**64):
+        raise NumericOverflowError(f"SUM({column}) is out of the INT64 range")
 
 
 def int64_mean(

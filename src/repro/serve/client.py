@@ -4,9 +4,9 @@
 what ``repro.connect("repro://host:port")`` returns; it mirrors the
 :class:`~repro.storage.database.Database` surface the REPL and
 examples use (``sql`` / ``explain`` / ``describe`` / ``metrics`` /
-``cache_stats`` / ``checkpoint``), so remote and
-local handles are interchangeable for read/write workloads.  For
-concurrency, use one client per thread.
+``cache_stats``), so remote and local handles are interchangeable for
+read/write workloads; every statement, ``CHECKPOINT`` included, goes
+through ``sql``.  For concurrency, use one client per thread.
 
 It returns full :class:`~repro.exec.result.QueryResult` objects rebuilt
 from the wire (fixed-width columns are read-only views over the
@@ -29,6 +29,7 @@ from repro.serve.protocol import (
     read_frame,
     result_from_wire,
 )
+from repro.sql.session import explain_statement
 
 
 def parse_uri(uri: str) -> tuple[str, int]:
@@ -130,13 +131,7 @@ class ServerClient:
                 "optimizer_options do not travel over the wire; set "
                 "planner behaviour server-side"
             )
-        response = self._call(
-            {
-                "op": "sql",
-                "text": text,
-                "profile": profile,
-            }
-        )
+        response = self._call({"op": "sql", "text": text, "profile": profile})
         return result_from_wire(response["result"])
 
     def explain(
@@ -146,24 +141,11 @@ class ServerClient:
         analyze: bool = False,
         optimizer_options=None,
     ) -> str:
-        if optimizer_options is not None:
-            raise ProtocolError(
-                "optimizer_options do not travel over the wire; set "
-                "planner behaviour server-side"
-            )
-        response = self._call(
-            {
-                "op": "explain",
-                "text": text,
-                "analyze": analyze,
-            }
-        )
-        return response["text"]
-
-    def set(self, knob: str, value) -> object:
-        """Set a server-side session knob; returns the applied value."""
-        response = self._call({"op": "set", "knob": knob, "value": value})
-        return response["value"]
+        """:meth:`sql` of :func:`~repro.sql.session.explain_statement`,
+        its ``plan`` column joined — as on a local database."""
+        return self.sql(
+            explain_statement(text, analyze), optimizer_options=optimizer_options
+        ).text()
 
     def describe(self) -> str:
         return self._call({"op": "describe"})["text"]
@@ -175,9 +157,6 @@ class ServerClient:
 
     def cache_stats(self) -> dict | None:
         return self._call({"op": "cache_stats"})["stats"]
-
-    def checkpoint(self) -> dict:
-        return self._call({"op": "checkpoint"})["result"]
 
     def ping(self) -> bool:
         return bool(self._call({"op": "ping"}).get("ok"))

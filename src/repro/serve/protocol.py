@@ -34,7 +34,10 @@ column is an aligned :func:`numpy.frombuffer` view over the received
 body: no value is copied or boxed on either side, and the values under
 a NULL cross as they are.
 
-Requests carry an ``op`` (see :data:`OPS`); responses either carry the
+Requests carry an ``op`` (see :data:`OPS`).  Every statement —
+``EXPLAIN`` and ``CHECKPOINT`` included — is one ``sql`` request
+(``{"op": "sql", "text", "profile"}``); the other ops read the
+server's state or manage the connection.  Responses either carry the
 op's payload (``{"result": ...}``, ``{"text": ...}``, …) or an
 ``{"error": {"type", "message"}}`` object, where ``type`` is the
 :mod:`repro.errors` class name so clients re-raise the same typed
@@ -65,25 +68,14 @@ DEFAULT_PORT = 7376
 #: Upper bound on one frame's payload (64 MiB).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Version of the frame layout above, reported by ``hello``.
-WIRE_VERSION = 2
+#: Version of the frame layout and op set above, reported by ``hello``.
+WIRE_VERSION = 3
 
 #: First bytes of a result body; the first is not ``{`` and not ASCII.
 RESULT_MAGIC = b"\x93RPR"
 
 #: Request operations the server understands.
-OPS = (
-    "hello",
-    "ping",
-    "sql",
-    "explain",
-    "set",
-    "describe",
-    "metrics",
-    "cache_stats",
-    "checkpoint",
-    "close",
-)
+OPS = ("hello", "ping", "sql", "describe", "metrics", "cache_stats", "close")
 
 _LENGTH = struct.Struct(">I")
 

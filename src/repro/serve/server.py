@@ -71,8 +71,6 @@ MAX_WRITE_BATCH = 64
 #: part, so a big result is never assembled into one body.
 _SINGLE_WRITE_BYTES = 64 * 1024
 
-_SESSION_KNOBS = ("profile",)
-
 #: How long the accept loop waits after an ``accept()`` that failed.
 _ACCEPT_RETRY_SECONDS = 0.05
 
@@ -384,7 +382,7 @@ class ReproServer:
                 return frame_parts({"ok": True}), False
             if op == "sql":  # encoded by the thread that ran it
                 return self._run_sql(request, session), True
-            return frame_parts(self._run_op(op, request, session)), True
+            return frame_parts(self._run_op(op)), True
         except Exception as error:  # noqa: BLE001 - shipped to client
             return self._error_frame(error), True
 
@@ -392,7 +390,7 @@ class ReproServer:
         self._obs.counter("server.errors").inc()
         return frame_parts(error_to_wire(error))
 
-    def _run_op(self, op: str, request: dict, session: Session) -> dict:
+    def _run_op(self, op: str) -> dict:
         database = self.database
         if op == "hello":
             import repro
@@ -405,10 +403,6 @@ class ReproServer:
             }
         if op == "ping":
             return {"ok": True}
-        if op == "explain":
-            return {"text": self._run_explain(request, session)}
-        if op == "set":
-            return self._run_set(request, session)
         if op == "describe":
             return {"text": database.describe()}
         if op == "metrics":
@@ -416,14 +410,12 @@ class ReproServer:
             return {"text": registry.to_text(), "json": registry.to_json()}
         if op == "cache_stats":
             return {"stats": database.cache_stats()}
-        if op == "checkpoint":
-            return {"result": self._enqueue("checkpoint", database.checkpoint)}
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
     def _run_sql(self, request: dict, session: Session) -> list:
         """A read runs on the connection's thread against its own pin;
         a write or a checkpoint runs on the writer thread."""
-        text = _required_text(request, "sql")
+        text = _required_text(request)
         kind = statement_kind(text)
         run = partial(
             self._sql_frame,
@@ -431,7 +423,7 @@ class ReproServer:
                 session._sql,
                 text,
                 kind == "read",
-                profile=_optional_bool(request, "profile"),
+                profile=bool(request.get("profile", False)),
             ),
         )
         if kind == "read":
@@ -467,23 +459,6 @@ class ReproServer:
             )
         return frame
 
-    def _run_explain(self, request: dict, session: Session) -> str:
-        return session.explain(
-            _required_text(request, "explain"),
-            analyze=_optional_bool(request, "analyze"),
-        )
-
-    def _run_set(self, request: dict, session: Session) -> dict:
-        knob = request.get("knob")
-        if knob not in _SESSION_KNOBS:
-            raise ProtocolError(
-                f"unknown session knob {knob!r}; expected one of "
-                f"{_SESSION_KNOBS}"
-            )
-        value = bool(request.get("value"))
-        session.profile = value
-        return {"ok": True, "knob": knob, "value": value}
-
 
 def _minor_faults() -> int | None:
     """Minor page faults of the calling thread so far (None where the
@@ -506,15 +481,11 @@ def _send(connection: socket.socket, frame: list) -> None:
         connection.sendall(part)
 
 
-def _required_text(request: dict, op: str) -> str:
+def _required_text(request: dict) -> str:
     text = request.get("text")
     if not isinstance(text, str):
-        raise ProtocolError(f"{op} op requires a string 'text'")
+        raise ProtocolError("sql op requires a string 'text'")
     return text
-
-
-def _optional_bool(request: dict, key: str) -> bool:
-    return bool(request.get(key, False))
 
 
 class ServerThread(ReproServer):

@@ -6,7 +6,7 @@ bind → optimize → physical plan → collect), where a plain-literal
 ``INSERT`` skips the tokenizer (:func:`repro.sql.parser.scan_insert`;
 one it declines counts ``fallback.insert_values_parse``) — and owns
 :class:`Session`, the first-class per-caller scope.  A session holds
-sticky knobs (profiling, snapshot reads) and is the unit
+one setting (snapshot reads) and is the unit
 the network server hands each connection;
 :meth:`repro.storage.database.Database.sql` delegates to an implicit
 default session so single-caller code never has to see one.
@@ -92,30 +92,27 @@ def explain_statement(text: str, analyze: bool) -> str:
 class Session:
     """One caller's scope over a shared :class:`Database`.
 
-    A session carries a sticky per-caller *profile* knob that the
-    per-statement keyword still overrides, plus *snapshot_reads*: when
-    enabled, every read statement runs against its own
+    A session carries *snapshot_reads*: when enabled, every read
+    statement runs against its own
     :meth:`Database.snapshot` pin, on either engine, so concurrent
     writers and ``CHECKPOINT``\\ s never tear an in-flight scan.  The
     network server opens one session per connection with
     ``snapshot_reads=True``; local callers get the same object from
     :meth:`Database.session`.
 
-    Sessions are cheap: they hold no storage state beyond the knobs,
-    and closing one only flips bookkeeping (the database stays open).
+    Sessions are cheap: they hold no storage state, and closing one
+    only flips bookkeeping (the database stays open).
     """
 
     def __init__(
         self,
         database: "Database",
         *,
-        profile: bool = False,
         snapshot_reads: bool = False,
         label: str | None = None,
         _implicit: bool = False,
     ):
         self.database = database
-        self.profile = profile
         self.snapshot_reads = snapshot_reads
         self.label = label
         #: Statements executed through this session (all kinds).
@@ -135,13 +132,11 @@ class Session:
         self,
         text: str,
         *,
-        profile: bool | None = None,
+        profile: bool = False,
         optimizer_options: OptimizerOptions | None = None,
     ) -> QueryResult:
-        """Execute one statement with the session's knobs applied.
-
-        ``profile=None`` means "use the session's profile setting".
-        """
+        """Execute one statement; a read runs on its own snapshot pin
+        when the session has *snapshot_reads*."""
         return self._sql(
             text,
             self.snapshot_reads and statement_kind(text) == "read",
@@ -154,7 +149,7 @@ class Session:
         text: str,
         on_snapshot: bool,
         *,
-        profile: bool | None = None,
+        profile: bool = False,
         optimizer_options: OptimizerOptions | None = None,
     ) -> QueryResult:
         """:meth:`sql` for a caller that already classified *text*.
@@ -165,19 +160,16 @@ class Session:
         """
         self._check_open()
         self._count_session_statement()
-        effective_profile = self.profile if profile is None else profile
         if on_snapshot:
             with self.database.snapshot() as view:
                 return view._sql_read(
-                    text,
-                    profile=effective_profile,
-                    optimizer_options=optimizer_options,
+                    text, profile=profile, optimizer_options=optimizer_options
                 )
         return _execute_statement(
             self.database,
             text,
             optimizer_options=optimizer_options,
-            profile=effective_profile,
+            profile=profile,
         )
 
     def explain(
@@ -187,8 +179,8 @@ class Session:
         analyze: bool = False,
         optimizer_options: OptimizerOptions | None = None,
     ) -> str:
-        """Render the plan of a query with the session's knobs applied:
-        :meth:`sql` of :func:`explain_statement`, its ``plan`` column
+        """Render the plan of a query: :meth:`sql` of
+        :func:`explain_statement`, its ``plan`` column
         joined — so it pins a snapshot exactly when that statement
         would."""
         return self.sql(

@@ -22,7 +22,7 @@ exist, selected at construction through the storage engine seam
 (:mod:`repro.storage.engine`):
 
 - in-memory (the default): nothing is persisted.
-- durable (``Database(path=...)`` / ``repro.connect(path=...)``): row
+- durable (``Database(path=...)`` / ``repro.connect(<directory>)``): row
   data is WAL-logged and checkpointed into columnar segment files, and
   reopening the same path runs full recovery — the log's head record,
   PatchIndex restore or re-discovery, replay of the records after it —
@@ -131,30 +131,22 @@ class Database:
     def session(
         self,
         *,
-        profile: bool = False,
         snapshot_reads: bool = False,
         label: str | None = None,
     ) -> "Session":
         """Open a :class:`~repro.sql.session.Session` on this database.
 
-        The session carries sticky knobs every statement issued through
-        it inherits (*profile*), and
         ``snapshot_reads=True`` runs each read statement against its own
         :meth:`snapshot` pin, on either engine.  *label* tags the
         session's ``session.<label>.*`` metrics.  Sessions are context
         managers::
 
-            with db.session(profile=True) as session:
+            with db.session(snapshot_reads=True) as session:
                 session.sql("SELECT ...")
         """
         from repro.sql.session import Session
 
-        return Session(
-            self,
-            profile=profile,
-            snapshot_reads=snapshot_reads,
-            label=label,
-        )
+        return Session(self, snapshot_reads=snapshot_reads, label=label)
 
     def _default_session(self) -> "Session":
         """The implicit session :meth:`sql` / :meth:`explain` run under."""
@@ -422,8 +414,7 @@ class Database:
         optimizer (e.g. to disable PatchIndex rewrites).
 
         Statements run under the database's implicit default session;
-        open an explicit :meth:`session` for sticky knobs or snapshot
-        reads.
+        open an explicit :meth:`session` for snapshot reads.
         """
         return self._default_session().sql(
             text,
@@ -498,8 +489,6 @@ class Database:
             self.obs.gauge("cache.capacity_bytes").set(
                 cache_stats["capacity_bytes"]
             )
-        for table_name, ratio in self.engine.encoded_ratios().items():
-            self.obs.gauge(f"storage.{table_name}.encoded_ratio").set(ratio)
 
     def cache_stats(self) -> dict | None:
         """Block-cache counters and occupancy (None without a cache)."""

@@ -146,10 +146,6 @@ class StorageEngine:
         """Drop one pin; files only it kept alive are deleted."""
         self._snapshots.release(handle)
 
-    def encoded_ratios(self) -> dict[str, float]:
-        """Per-table encoded/raw payload byte ratio (empty without one)."""
-        return {}
-
     def open_wal(self, database: "Database") -> WriteAheadLog:
         self._snapshots = SnapshotRegistry(None, None, metrics=database.obs)
         return WriteAheadLog(metrics=database.obs)
@@ -212,9 +208,6 @@ class DurableEngine(StorageEngine):
             cache_bytes = cache_capacity_from_env()
         #: Shared decoded-block cache; ``None`` when disabled (``cache_bytes=0``).
         self._cache = BlockCache(cache_bytes) if cache_bytes > 0 else None
-        #: Per-table encoded/raw byte ratio, refreshed at checkpoint and
-        #: recovery.
-        self._encoded_ratios: dict[str, float] = {}
         #: One checkpoint at a time: two would write the same file names
         #: and flip manifests out of order.
         self._checkpoint_lock = make_lock("storage.engine.checkpoint")
@@ -223,10 +216,6 @@ class DurableEngine(StorageEngine):
         if self._cache is None:
             return None
         return self._cache.stats()
-
-    def encoded_ratios(self) -> dict[str, float]:
-        """Per-table encoded/raw payload byte ratio (≤ 1.0 when smaller)."""
-        return dict(self._encoded_ratios)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -247,9 +236,7 @@ class DurableEngine(StorageEngine):
             disk.DISK.delete("open.stale_tmp_unlink", self.root / (WAL_NAME + ".tmp"))
         if self._cache is not None:
             self._cache.attach_metrics(database.obs)
-        wal = WriteAheadLog(
-            log, sync=self.sync, tolerate_torn_tail=True, metrics=database.obs
-        )
+        wal = WriteAheadLog(log, sync=self.sync, metrics=database.obs)
         if self.sync:
             # What this open created is named durably before the first
             # append is acknowledged; a reopen creates nothing.
@@ -275,8 +262,6 @@ class DurableEngine(StorageEngine):
             }
             if event == "append":
                 record["row_count"] = payload["row_count"]
-            else:
-                record["round_robin"] = bool(payload.get("round_robin", False))
         elif event == "delete":
             record["rowids"] = np.asarray(payload["rowids"]).tolist()
         elif event == "update":
@@ -330,7 +315,6 @@ class DurableEngine(StorageEngine):
                     sync=self.sync,
                 )
                 table_details[name] = detail
-                self._encoded_ratios[name] = detail["encoded_ratio"]
                 table_segments = table.partition_count * len(table.schema)
                 segments += table_segments
                 for key, count in table_counts.items():
@@ -423,21 +407,19 @@ class DurableEngine(StorageEngine):
             database.obs,
         )
         tables = load_tables(self.root, manifest, cache=self._cache)
-        # Read off the segment headers now: the replay below
-        # materializes the partitions it mutates.
-        ratios = {name: encoded_ratio(table) for name, table in tables.items()}
+        obs = database.obs
+        for name, table in tables.items():
+            # Read off the segment headers now: the replay below
+            # materializes the partitions it mutates.
+            obs.gauge(f"storage.{name}.encoded_ratio").set(encoded_ratio(table))
         with self._checkpoint_lock:  # what a checkpoint reads and writes
-            self._snapshots = SnapshotRegistry(
-                self.root, manifest, metrics=database.obs
-            )
-            self._encoded_ratios.update(ratios)
+            self._snapshots = SnapshotRegistry(self.root, manifest, metrics=obs)
         recovered = replay_log(
             records if first is None else itertools.chain([first], records),
             tables,
             manifest,
         )
         database._install_recovered(recovered)
-        obs = database.obs
         obs.counter("recovery.count").inc()
         obs.histogram("recovery.seconds").observe(time.perf_counter() - started)
         obs.gauge("recovery.replayed_records").set(recovered.replayed)

@@ -165,12 +165,16 @@ def apply_data_record(table: Table, record: WalRecord) -> None:
             ]
         )
     elif record.kind == "load":
+        if payload.get("round_robin"):
+            raise WalError(
+                f"load record {record.lsn} sets 'round_robin': loads are "
+                "range-split across partitions only"
+            )
         table.load_columns(
             {
                 name: ColumnVector.from_pylist(table.schema.field(name).dtype, items)
                 for name, items in payload["columns"].items()
-            },
-            partition_by_round_robin_blocks=bool(payload.get("round_robin", False)),
+            }
         )
     elif record.kind == "delete":
         table.delete_rowids(np.asarray(payload["rowids"], dtype=np.int64))

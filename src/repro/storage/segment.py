@@ -61,10 +61,6 @@ _MAGIC_UNSUPPORTED = b"RSEG1\n"
 #: Dtypes whose physical values are int64 (eligible for int codecs).
 _INT_PHYSICAL = frozenset({DataType.INT64, DataType.DATE})
 
-#: ``write_segment`` encoding modes: checkpoints always write ``auto``;
-#: ``raw`` is the uncompressed floor the codec tests compare against.
-ENCODING_MODES = ("auto", "raw")
-
 #: Most ``for`` or ``bp`` blocks one 2-D decode pass takes.  A pass
 #: writes its output in place, with no temporaries, but sweeps it about
 #: ten times (eight strided lane shifts, the mask, the bases), so the
@@ -132,15 +128,13 @@ def encode_segment(
     column: ColumnVector,
     block_size: int = DEFAULT_BLOCK_SIZE,
     *,
-    encoding: str = "auto",
     patch_rowids: np.ndarray | None = None,
     previous: "SegmentReader | None" = None,
 ) -> tuple[list[bytes], SegmentWriteInfo]:
     """*column* as one RSEG2 segment — its pieces in file order, joined
     by nothing so a writer streams them — and what they hold.
 
-    ``encoding="auto"`` (what a checkpoint writes) runs the per-block
-    cost-based picker; ``encoding="raw"`` forces raw blocks.
+    Each block is encoded by the per-block cost-based picker.
     *patch_rowids* are the partition-local rowids of the column's NSC
     PatchIndex patches: blocks containing them may use the patch-aware
     ``pfor`` codec, storing those rows verbatim.
@@ -151,8 +145,6 @@ def encode_segment(
     bytes, with its header entry, so the pieces are what a full encode
     returns either way; ``info.blocks_carried`` counts them.
     """
-    if encoding not in ENCODING_MODES:
-        raise StorageError(f"unknown segment encoding mode: {encoding!r}")
     rows = len(column)
     validity = column.validity
     bounds = [
@@ -165,11 +157,7 @@ def encode_segment(
             np.asarray(patch_rowids, dtype=np.int64)
         )
     carried: dict[int, tuple[list, bytes]] = {}
-    if (
-        previous is not None
-        and encoding == "auto"
-        and column.dtype != DataType.STRING
-    ):
+    if previous is not None and column.dtype != DataType.STRING:
         try:
             carried = _carried_blocks(
                 column, block_size, previous, patch_positions
@@ -191,7 +179,7 @@ def encode_segment(
         ]
         pieces = [text.encode("utf-8") for text in physical]
         pieces_by_block = [pieces[start:stop] for start, stop in bounds]
-        if encoding == "auto" and rows:
+        if rows:
             values = np.empty(rows, dtype=object)
             for position, text in enumerate(physical):
                 values[position] = text
@@ -248,7 +236,7 @@ def encode_segment(
             else:
                 raw_cost = _raw_block_bytes(column.dtype, block.row_count)
                 tag, encoded = "raw", None
-                if encoding == "auto" and column.dtype in _INT_PHYSICAL:
+                if column.dtype in _INT_PHYSICAL:
                     exceptions = _block_exceptions(
                         column, start, stop, patch_positions
                     )
@@ -416,14 +404,11 @@ def write_segment(
     block_size: int = DEFAULT_BLOCK_SIZE,
     *,
     sync: bool = True,
-    encoding: str = "auto",
     patch_rowids: np.ndarray | None = None,
 ) -> SegmentWriteInfo:
     """Write *column* as a file holding one RSEG2 segment at *path*
     (:func:`encode_segment`'s arguments)."""
-    pieces, info = encode_segment(
-        column, block_size, encoding=encoding, patch_rowids=patch_rowids
-    )
+    pieces, info = encode_segment(column, block_size, patch_rowids=patch_rowids)
     write_segments(path, [pieces], sync=sync)
     return info
 

@@ -139,19 +139,13 @@ class Table:
 
     # -- bulk load ---------------------------------------------------------
 
-    def load_columns(
-        self,
-        columns: Mapping[str, ColumnVector],
-        partition_by_round_robin_blocks: bool = False,
-    ) -> None:
-        """Bulk-load rows, splitting them across partitions.
+    def load_columns(self, columns: Mapping[str, ColumnVector]) -> None:
+        """Bulk-load rows, range-split across partitions.
 
-        By default rows are range-split: partition ``k`` receives the
-        ``k``-th contiguous slice.  This preserves insertion order inside
-        each partition, which is what makes per-partition NSC discovery
-        meaningful (paper §VI-A2: sorted subsequences are computed per
-        partition).  Round-robin block distribution is available for
-        workloads that want size balance over order locality.
+        Partition ``k`` receives the ``k``-th contiguous slice.  This
+        preserves insertion order inside each partition, which is what
+        makes per-partition NSC discovery meaningful (paper §VI-A2:
+        sorted subsequences are computed per partition).
         """
         total: int | None = None
         for field in self.schema:
@@ -164,44 +158,23 @@ class Table:
         if total is None or total == 0:
             return
 
-        count = self.partition_count
+        bounds = np.linspace(0, total, self.partition_count + 1).astype(np.int64)
         with self.state_lock:
-            if partition_by_round_robin_blocks:
-                assignments = (
-                    np.arange(total) // self.block_size % count
-                ).astype(np.int64)
-                slices = [np.flatnonzero(assignments == k) for k in range(count)]
-                for partition, indices in zip(self.partitions, slices):
-                    if len(indices) == 0:
-                        continue
-                    partition.append(
-                        {
-                            name: column.take(indices)
-                            for name, column in columns.items()
-                        }
-                    )
-            else:
-                bounds = np.linspace(0, total, count + 1).astype(np.int64)
-                for partition, start, stop in zip(
-                    self.partitions, bounds[:-1], bounds[1:]
-                ):
-                    if start == stop:
-                        continue
-                    partition.append(
-                        {
-                            name: column.slice(int(start), int(stop))
-                            for name, column in columns.items()
-                        }
-                    )
+            for partition, start, stop in zip(
+                self.partitions, bounds[:-1], bounds[1:]
+            ):
+                if start == stop:
+                    continue
+                partition.append(
+                    {
+                        name: column.slice(int(start), int(stop))
+                        for name, column in columns.items()
+                    }
+                )
             self._renumber()
             self._notify(
                 "load",
-                {
-                    "table": self.name,
-                    "columns": dict(columns),
-                    "row_count": total,
-                    "round_robin": partition_by_round_robin_blocks,
-                },
+                {"table": self.name, "columns": dict(columns), "row_count": total},
             )
 
     @classmethod

@@ -114,18 +114,16 @@ class WalRecord:
         return cls(lsn=lsn, kind=kind, payload=payload)
 
 
-def _last_lsn(path: Path, tolerate_torn_tail: bool, sync: bool) -> int:
+def _last_lsn(path: Path, sync: bool) -> int:
     """LSN of the last record of the log at *path* (0 for none).
 
     An append writes its line and newline at once, so bytes after the
     last newline are a torn append that was never acknowledged: they are
-    truncated when tolerated, else raise.
+    truncated.
     """
     data = path.read_bytes() if path.exists() else b""
     end = data.rfind(b"\n") + 1
     if end < len(data):
-        if not tolerate_torn_tail:
-            raise WalError(f"torn last line in {path}: {data[end:end + 200]!r}")
         # The truncation must be as durable as the appends were — a
         # crash right after recovery must not resurrect the torn bytes.
         with disk.DISK.open_append("wal.torn_tail_open", path) as handle:
@@ -145,10 +143,9 @@ class WriteAheadLog:
     its ``wal.jsonl``, appended through one open handle and fsynced per
     record (``sync=True``) or per :meth:`deferred_sync` batch.
 
-    Opening reads only the last line.  ``tolerate_torn_tail=True``
-    accepts a final line torn by a crash mid-append (no newline after
-    it): the partial record was never acknowledged, so the file is
-    truncated back to the last complete record.  A corrupt complete
+    Opening reads only the last line.  A final line torn by a crash
+    mid-append (no newline after it) was never acknowledged, so the file
+    is truncated back to the last complete record.  A corrupt complete
     record still raises, from :meth:`records` — that is real corruption,
     not a torn write.  ``metrics`` optionally wires a
     :class:`~repro.obs.metrics.MetricsRegistry` that counts appended
@@ -160,7 +157,6 @@ class WriteAheadLog:
         path: str | os.PathLike | None = None,
         sync: bool = True,
         *,
-        tolerate_torn_tail: bool = False,
         metrics: "MetricsRegistry | None" = None,
     ):
         self._path = Path(path) if path is not None else None
@@ -173,6 +169,10 @@ class WriteAheadLog:
         self._next_lsn = 1
         #: Byte length of the log file: where the next append lands.
         self._end = 0
+        #: Where the acknowledged records end: the last fsync's offset
+        #: (with ``sync=False``, the last append's).  A failed append or
+        #: :meth:`sync` cuts the log back to it.
+        self._synced = 0
         self._handle = None
         #: Set by :meth:`close`; every later append raises.
         self._closed = False
@@ -181,9 +181,9 @@ class WriteAheadLog:
         self._defer_sync = False
         self._deferred_appends = 0
         if self._path is not None:
-            self._next_lsn = _last_lsn(self._path, tolerate_torn_tail, sync) + 1
+            self._next_lsn = _last_lsn(self._path, sync) + 1
             self._handle = disk.DISK.open_append("wal.open", self._path)
-            self._end = self._handle.tell()
+            self._end = self._synced = self._handle.tell()
 
     # -- appending ---------------------------------------------------------
 
@@ -209,6 +209,9 @@ class WriteAheadLog:
                 self._end += len(line)
             if self._defer_sync:
                 self._deferred_appends += 1
+            if not (self._defer_sync and self._sync):
+                # Acknowledged on return: fsynced, or no fsync promised.
+                self._synced = self._end
         if self._metrics is not None:
             self._metrics.counter("wal.records").inc()
             self._metrics.counter("wal.bytes").inc(len(line))
@@ -219,11 +222,22 @@ class WriteAheadLog:
     # -- group commit --------------------------------------------------------
 
     def sync(self) -> None:
-        """fsync the log file (closes a deferred group-commit batch)."""
+        """fsync the log file (closes a deferred group-commit batch).
+
+        A failed fsync is not retried: the records since the last one
+        are cut off and the handle is dropped, as after a failed append,
+        so the batch it failed is never made durable by a later fsync.
+        """
         with self._lock:  # lock-ok: an install swaps the handle this syncs
             handle = self._append_handle_locked()
-            if handle is not None:  # the in-memory log has none
+            if handle is None:  # the in-memory log
+                return
+            try:
                 disk.DISK.fsync("wal.sync", handle)
+            except OSError as exc:
+                self._abandon_handle_locked(handle)
+                raise StorageError(f"could not fsync {self._path}: {exc}") from exc
+            self._synced = self._end
 
     @contextmanager
     def deferred_sync(self) -> Iterator[None]:
@@ -340,7 +354,7 @@ class WriteAheadLog:
             self._handle = None  # until the new file is open
             superseded.close()
             self._handle = disk.DISK.open_append("wal.install.reopen", path)
-            self._end = self._handle.tell()
+            self._end = self._synced = self._handle.tell()
             if self._sync:
                 disk.DISK.fsync_path("wal.install.dir_fsync", path.parent)
         return patches_bytes
@@ -353,19 +367,21 @@ class WriteAheadLog:
             raise StorageError(
                 f"{self._path} is closed"
                 if self._closed
-                else f"{self._path} has no append handle: an append failed, "
-                "or a checkpoint renamed the log but could not reopen it; "
-                "reopen the database"
+                else f"{self._path} has no append handle: an append or an "
+                "fsync failed, or a checkpoint renamed the log but could "
+                "not reopen it; reopen the database"
             )
         return self._handle
 
     def _abandon_handle_locked(self, handle) -> None:
-        """After a failed append: cut the log back to its last whole
-        record and drop the handle, so that nothing unacknowledged is
+        """After a failed append or fsync: cut the log back to its last
+        acknowledged record — a group-commit batch's earlier records
+        too — and drop the handle, so that nothing unacknowledged is
         written later and every later append, sync and install raises."""
         self._handle = None
+        self._end = self._synced
         try:
-            disk.DISK.shrink("wal.append_rollback", handle, self._end)
+            disk.DISK.shrink("wal.append_rollback", handle, self._synced)
         except OSError:
             pass  # a reopen truncates a torn tail
         finally:

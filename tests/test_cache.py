@@ -175,13 +175,13 @@ class TestSlice:
 
 
 def reopened_two_column_table(tmp_path, rows, cache_bytes):
-    db = repro.connect(path=tmp_path / "db", sync=False)
+    db = repro.connect(tmp_path / "db", sync=False)
     table = db.create_table("t", SCHEMA)
     table.insert_rows([[i, i * 2] for i in range(rows)])
     db.sql("CHECKPOINT")
     db.close()
     return repro.connect(
-        path=tmp_path / "db", cache_bytes=cache_bytes
+        tmp_path / "db", cache_bytes=cache_bytes
     )
 
 
@@ -247,7 +247,7 @@ class TestScanRuns:
 
     @pytest.fixture
     def db(self, tmp_path):
-        db = repro.connect(path=tmp_path / "db", sync=False)
+        db = repro.connect(tmp_path / "db", sync=False)
         table = db.create_table("t", SCHEMA)
         keys = np.arange(self.ROWS, dtype=np.int64)
         table.load_columns(
@@ -259,7 +259,7 @@ class TestScanRuns:
         db.sql("CHECKPOINT")
         db.close()
         reopened = repro.connect(
-            path=tmp_path / "db", cache_bytes=256 * 1024
+            tmp_path / "db", cache_bytes=256 * 1024
         )
         yield reopened
         reopened.close()
@@ -307,7 +307,7 @@ class TestCapacityKnobs:
             cache_capacity_from_env()
 
     def test_cache_bytes_zero_disables(self, tmp_path):
-        db = repro.connect(path=tmp_path / "db", cache_bytes=0)
+        db = repro.connect(tmp_path / "db", cache_bytes=0)
         table = db.create_table("t", SCHEMA)
         table.insert_rows([[1, 2], [3, 4]])
         db.sql("CHECKPOINT")
@@ -327,13 +327,13 @@ class TestCapacityKnobs:
 
 class TestCacheMetrics:
     def test_gauges_exported(self, tmp_path):
-        db = repro.connect(path=tmp_path / "db")
+        db = repro.connect(tmp_path / "db")
         table = db.create_table("t", SCHEMA)
         table.insert_rows([[i, i * 2] for i in range(100)])
         db.sql("CHECKPOINT")
         db.close()
 
-        reopened = repro.connect(path=tmp_path / "db")
+        reopened = repro.connect(tmp_path / "db")
         reopened.sql("SELECT SUM(v) AS s FROM t")
         reopened.sql("SELECT SUM(v) AS s FROM t")
         gauges = reopened.metrics().export()["gauges"]
@@ -347,13 +347,13 @@ class TestCacheMetrics:
         reopened.close()
 
     def test_profile_reports_cache_counters(self, tmp_path):
-        db = repro.connect(path=tmp_path / "db")
+        db = repro.connect(tmp_path / "db")
         table = db.create_table("t", SCHEMA)
         table.insert_rows([[i, i] for i in range(200)])
         db.sql("CHECKPOINT")
         db.close()
 
-        reopened = repro.connect(path=tmp_path / "db")
+        reopened = repro.connect(tmp_path / "db")
         cold = reopened.sql("SELECT SUM(v) AS s FROM t", profile=True)
         scan = cold.profile.find("TableScan")[0]
         assert scan.details["blocks_decoded"] >= 1
@@ -367,7 +367,7 @@ class TestCacheMetrics:
 
 def mirror_pair(tmp_path):
     durable = repro.connect(
-        path=tmp_path / "db", cache_bytes=1 << 20, sync=False
+        tmp_path / "db", cache_bytes=1 << 20, sync=False
     )
     memory = repro.connect()
     for db in (durable, memory):
@@ -436,7 +436,7 @@ class TestNeverStale:
         durable.close()
         memory.close()
 
-        reopened = repro.connect(path=tmp_path / "db")
+        reopened = repro.connect(tmp_path / "db")
         assert reopened.sql(QUERY).to_pylist() == expected
         assert reopened.sql(QUERY).to_pylist() == expected  # warm pass
         reopened.close()

@@ -578,7 +578,7 @@ def test_wide_spans_never_reach_the_reference_kernel(tmp_path, monkeypatch):
     # only unpack_bits_reference can read.
     values = np.random.default_rng(10).integers(0, 2**60, 10_000).tolist()
     schema = Schema([Field("c", DataType.INT64)])
-    db = repro.connect(path=tmp_path)
+    db = repro.connect(tmp_path)
     db.create_table_from_pydict("t", schema, {"c": values})
     detail = db.checkpoint()["table_details"]["t"]["columns"]["c"]
     assert set(detail["encodings"]) == {"raw"}
@@ -588,7 +588,7 @@ def test_wide_spans_never_reach_the_reference_kernel(tmp_path, monkeypatch):
         raise AssertionError("a scan decoded through the reference kernel")
 
     monkeypatch.setattr(compression, "unpack_bits_reference", refuse)
-    reopened = repro.connect(path=tmp_path)
+    reopened = repro.connect(tmp_path)
     try:
         assert reopened.sql("SELECT c FROM t").column("c").to_pylist() == values
     finally:

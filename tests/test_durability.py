@@ -70,7 +70,7 @@ class TestRoundtripProperty:
     ):
         root = tempfile.mkdtemp(prefix="repro-durability-")
         try:
-            db = repro.connect(path=root)
+            db = repro.connect(root)
             table = db.create_table("t", SCHEMA, partition_count=2)
             table.insert_rows([list(row) for row in initial])
             db.create_patch_index("pi_k", "t", "k", kind="unique")
@@ -89,7 +89,7 @@ class TestRoundtripProperty:
             ).to_pylist()
             db.close()
 
-            reopened = repro.connect(path=root)
+            reopened = repro.connect(root)
             assert reopened.sql(query).to_pylist() == before_rows
             assert (
                 reopened.sql("SELECT COUNT(DISTINCT k) AS n FROM t").to_pylist()
@@ -111,16 +111,16 @@ class TestRoundtripProperty:
     def test_double_reopen_is_idempotent(self, rows):
         root = tempfile.mkdtemp(prefix="repro-durability-")
         try:
-            db = repro.connect(path=root)
+            db = repro.connect(root)
             table = db.create_table("t", SCHEMA)
             table.insert_rows([list(row) for row in rows])
             db.create_patch_index("pi_k", "t", "k", kind="unique")
             db.close()
-            first = repro.connect(path=root)
+            first = repro.connect(root)
             rows_1 = first.sql("SELECT k, v FROM t").to_pylist()
             stats_1 = structural_stats(first.catalog.index("pi_k"))
             first.close()
-            second = repro.connect(path=root)
+            second = repro.connect(root)
             assert second.sql("SELECT k, v FROM t").to_pylist() == rows_1
             assert structural_stats(second.catalog.index("pi_k")) == stats_1
             second.close()
@@ -134,7 +134,7 @@ class TestFig45Workloads:
     N = 4000
 
     def build(self, root):
-        db = repro.connect(path=root)
+        db = repro.connect(root)
         schema = Schema(
             [Field("u", DataType.INT64), Field("s", DataType.INT64)]
         )
@@ -170,7 +170,7 @@ class TestFig45Workloads:
         }
         db.close()
 
-        reopened = repro.connect(path=root)
+        reopened = repro.connect(root)
         for query, rows in zip(self.QUERIES, expected):
             assert reopened.sql(query).to_pylist() == rows
         for name, stats in expected_stats.items():
@@ -192,7 +192,7 @@ class TestFig45Workloads:
         assert metrics["histograms"]["checkpoint.seconds"]["count"] == 1
         db.close()
 
-        reopened = repro.connect(path=root)
+        reopened = repro.connect(root)
         for query, rows in zip(self.QUERIES, expected):
             assert reopened.sql(query).to_pylist() == rows
         reopened.close()
@@ -220,7 +220,7 @@ class TestFig45Workloads:
 
 def build_fuzz_base(base: Path) -> None:
     """A durable database with a checkpoint and a mutation-heavy tail."""
-    db = repro.connect(path=base)
+    db = repro.connect(base)
     table = db.create_table("t", SCHEMA, partition_count=2)
     table.insert_rows([[i, i * 2] for i in range(40)])
     db.create_patch_index("pi_k", "t", "k", kind="unique")
@@ -284,7 +284,7 @@ class TestCrashRecoveryFuzz:
         shutil.copytree(base_dir, crashed)
         (crashed / "wal.jsonl").write_bytes(wal_bytes[:cut])
 
-        db = repro.connect(path=crashed)
+        db = repro.connect(crashed)
         assert db.table("t").row_count == expected_rows_after(wal_bytes[:cut])
         rows = db.sql("SELECT k, v FROM t").to_pylist()
         index_stats = structural_stats(db.catalog.index("pi_k"))
@@ -292,7 +292,7 @@ class TestCrashRecoveryFuzz:
 
         # Convergence: recovering the recovered directory again is a
         # fixed point — same rows, same rebuilt index.
-        again = repro.connect(path=crashed)
+        again = repro.connect(crashed)
         assert again.sql("SELECT k, v FROM t").to_pylist() == rows
         assert structural_stats(again.catalog.index("pi_k")) == index_stats
         again.close()
@@ -306,7 +306,7 @@ class TestCrashRecoveryFuzz:
         try:
             shutil.copytree(base_dir, crashed)
             (crashed / "wal.jsonl").write_bytes(wal_bytes[:cut])
-            db = repro.connect(path=crashed)
+            db = repro.connect(crashed)
             assert db.table("t").row_count == expected_rows_after(wal_bytes[:cut])
             # The recovered database is fully functional.
             db.sql("SELECT COUNT(DISTINCT k) AS n FROM t").to_pylist()
@@ -320,7 +320,7 @@ class TestMixedVersion:
 
     @staticmethod
     def checkpointed(root, rows=([1, 2],)):
-        db = repro.connect(path=root)
+        db = repro.connect(root)
         db.create_table("t", SCHEMA).insert_rows([list(row) for row in rows])
         db.sql("CREATE PATCHINDEX pi_k ON t(k) TYPE UNIQUE")
         db.checkpoint()
@@ -338,7 +338,7 @@ class TestMixedVersion:
             raw["format_version"] = version
             manifest_path.write_text(json.dumps(raw))
             with pytest.raises(StorageError, match=f"version {version}") as info:
-                repro.connect(path=root)
+                repro.connect(root)
             assert str(manifest_path) in str(info.value)
 
     def test_unsupported_manifest_version_rejected(self, tmp_path):
@@ -351,7 +351,7 @@ class TestMixedVersion:
 
         edit_head(root, bump)
         with pytest.raises(StorageError, match="version 99") as info:
-            repro.connect(path=root)
+            repro.connect(root)
         assert str(root / "wal.jsonl") in str(info.value)
 
     def test_a_malformed_partition_entry_is_a_storage_error(self, tmp_path):
@@ -364,7 +364,7 @@ class TestMixedVersion:
 
         edit_head(root, drop_file)
         with pytest.raises(StorageError, match="corrupt manifest") as info:
-            repro.connect(path=root)
+            repro.connect(root)
         assert str(root / "wal.jsonl") in str(info.value)
 
     def test_version_3_is_rejected_by_name(self, tmp_path):
@@ -387,7 +387,7 @@ class TestMixedVersion:
         before = sorted(root.rglob("*"))
 
         with pytest.raises(StorageError, match="version 3") as info:
-            repro.connect(path=root)
+            repro.connect(root)
         assert str(manifest_path) in str(info.value)
         assert sorted(root.rglob("*")) == before
 
@@ -414,7 +414,7 @@ class TestMixedVersion:
         before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
         with pytest.raises(StorageError, match="version 4") as info:
-            repro.connect(path=root)
+            repro.connect(root)
         assert str(manifest_path) in str(info.value)
         after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
         assert after == before

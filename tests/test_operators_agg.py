@@ -9,7 +9,7 @@ import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import PlanError, TypeMismatchError
+from repro.errors import NumericOverflowError, PlanError, TypeMismatchError
 from repro.exec.batch import RecordBatch
 from repro.exec.operators import aggregate
 from repro.exec.operators.aggregate import (
@@ -24,6 +24,7 @@ from repro.plan.optimizer import Optimizer
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from repro.storage.column import ColumnVector
 from repro.storage.database import Database
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
@@ -332,12 +333,13 @@ class TestFoldMatchesDrained:
         ]
     )
     #: Four rows a batch: a NULL in the first, an all-NULL second, INT64
-    #: sums that wrap past 2**63, a NaN, and a short last batch.
+    #: batch sums past 2**63 and below -2**63 whose total fits, a NaN,
+    #: and a short last batch.
     DATA = {
         "i": [2**62 - 1, None, -(2**62), 7]
         + [None] * 4
         + [2**62 + 5, 2**62 - 3, 2**62, -1]
-        + [2**62 - 9, 3],
+        + [-(2**62) - 9, -(2**62)],
         "f": [1.5, None, -2.0, 0.25]
         + [None] * 4
         + [float("nan"), 3.0, None, -0.5]
@@ -398,10 +400,9 @@ class TestFoldMatchesDrained:
         batches = self.batches(4)
         assert [len(batch) for batch in batches] == [4, 4, 4, 2]
         self.same(folded[0], self.drained(batches))
-        # The INT64 sum wrapped: the drained reference is not Python's.
+        # Two batch sums left INT64; the total is exact all the same.
         total = sum(value for value in self.DATA["i"] if value is not None)
-        assert folded[0][2] != total
-        assert folded[0][2] == (total + 2**63) % 2**64 - 2**63
+        assert folded[0][2] == total == 2**62 - 2
 
     @pytest.mark.parametrize("fold_rows", FOLDS)
     def test_empty_batches_and_no_input(self, fold_rows, monkeypatch):
@@ -435,14 +436,103 @@ class TestFoldMatchesDrained:
         }
         table = Table.from_pydict("t", self.SCHEMA, data)
         specs = self.SPECS[:6]
+
+        def run(batch_size):
+            try:
+                return collect(
+                    HashAggregate(TableScan(table, batch_size=batch_size), [], specs)
+                ).to_pylist()[0]
+            except NumericOverflowError:
+                return "overflow"
+
         with mock.patch.object(aggregate, "FOLD_ROWS", fold_rows):
-            folded = collect(
-                HashAggregate(TableScan(table, batch_size=size), [], specs)
-            ).to_pylist()[0]
-        whole = collect(
-            HashAggregate(TableScan(table, batch_size=len(values) + 1), [], specs)
-        ).to_pylist()[0]
-        self.same(folded, whole)
+            folded = run(size)
+        whole = run(len(values) + 1)
+        total = sum(value for value in values if value is not None)
+        assert (whole == "overflow") == (not -(2**63) <= total < 2**63)
+        if whole == "overflow":
+            assert folded == whole
+        else:
+            self.same(folded, whole)
+
+
+class TestIntegerSumOverflow:
+    """An INT64 SUM whose exact value leaves INT64 raises a typed error
+    naming its column; one that fits is exact, whatever its batches'
+    sums did."""
+
+    @pytest.mark.parametrize("keys", [[], ["g"]], ids=["ungrouped", "grouped"])
+    @pytest.mark.parametrize(
+        "values, fits",
+        [
+            ([2**62, 2**62], False),
+            ([2**62, 2**62 - 1], True),
+            ([-(2**62), -(2**62)], True),
+            ([-(2**62), -(2**62), -1], False),
+            ([2**63 - 1, 2**63 - 1, -(2**63), -(2**63) + 1], True),
+        ],
+    )
+    def test_sum_over_one_batch(self, keys, values, fits):
+        table = make_table({"g": ["a"] * len(values), "v": values})
+        plan = HashAggregate(TableScan(table), keys, [AggregateSpec("sum", "v", "s")])
+        if fits:
+            assert collect(plan).to_pylist()[0][-1] == sum(values)
+        else:
+            with pytest.raises(NumericOverflowError, match=r"SUM\(v\)"):
+                collect(plan)
+
+    def test_one_group_past_the_range_fails_the_statement(self):
+        table = make_table(
+            {"g": ["a", "b", "a", "b", "c"], "v": [2**62, 1, 2**62, 2, None]}
+        )
+        plan = HashAggregate(TableScan(table), ["g"], [AggregateSpec("sum", "v", "s")])
+        with pytest.raises(NumericOverflowError, match=r"SUM\(v\)"):
+            collect(plan)
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["folded", "grouped"])
+    def test_a_sum_across_batches(self, grouped):
+        # u: 40 000 rows of 2**50, each 4096-row batch's sum inside
+        # INT64 and the whole not; w: batches of 2**62 and of -2**62,
+        # each sum outside INT64 and the whole 0.
+        db = Database()
+        for name, values in (
+            ("u", np.full(40_000, 2**50)),
+            ("w", np.repeat([2**62, -(2**62)], 2 * aggregate.FOLD_ROWS)),
+        ):
+            db.sql(f"CREATE TABLE {name} (g BIGINT, a BIGINT) PARTITIONS 3")
+            db.table(name).load_columns(
+                {
+                    "g": ColumnVector(DataType.INT64, np.zeros(len(values), np.int64)),
+                    "a": ColumnVector(DataType.INT64, values.astype(np.int64)),
+                }
+            )
+        query = "SELECT g, SUM(a) AS s FROM {} GROUP BY g" if grouped else (
+            "SELECT SUM(a) AS s FROM {}"
+        )
+        with pytest.raises(NumericOverflowError, match=r"SUM\(a\)"):
+            db.sql(query.format("u"))
+        assert db.sql(query.format("w")).column("s").to_pylist() == [0]
+
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_raises_exactly_when_the_exact_sum_leaves_int64(self, values, size):
+        table = make_table({"g": ["a"] * len(values), "v": values})
+        fits = -(2**63) <= sum(values) < 2**63
+        for keys in ([], ["g"]):
+            with mock.patch.object(aggregate, "FOLD_ROWS", size):
+                plan = HashAggregate(
+                    TableScan(table, batch_size=size),
+                    keys,
+                    [AggregateSpec("sum", "v", "s")],
+                )
+                if fits:
+                    assert collect(plan).to_pylist()[0][-1] == sum(values)
+                else:
+                    with pytest.raises(NumericOverflowError):
+                        collect(plan)
 
 
 class TestExactIntegerAvg:

@@ -22,7 +22,9 @@ from repro.plan.optimizer import OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
 from repro.sql.session import Session
 from repro.storage.column import ColumnVector
-from repro.storage.segment import open_segment
+from repro.storage.segment import open_segment, write_segment
+from repro.storage.table import Table
+from repro.storage.wal import WriteAheadLog
 from repro.types import DataType
 
 
@@ -47,7 +49,7 @@ class TestConnect:
             with pytest.raises(StorageError, match="not a directory"):
                 repro.connect(target)
         with pytest.raises(StorageError, match="not a directory"):
-            repro.connect(path=wal)
+            Database(path=wal)
         assert wal.read_text() == "keep\n"
 
     def test_connect_suffix_carries_no_meaning(self, tmp_path):
@@ -68,8 +70,12 @@ class TestConnect:
         assert reopened.sql("SELECT c FROM t").scalar() == 7
 
     def test_connect_rejects_target_and_path(self, tmp_path):
-        with pytest.raises(repro.ReproError):
+        # The target is the one spelling of where a database lives.
+        with pytest.raises(TypeError, match="path"):
             repro.connect(tmp_path / "a", path=tmp_path / "b")
+        with pytest.raises(TypeError, match="path"):
+            repro.connect(path=tmp_path / "b")
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_connect_uri_rejects_storage_knobs(self):
         with pytest.raises(repro.ReproError, match="storage knobs") as caught:
@@ -101,7 +107,6 @@ class TestOptionSurface:
     def test_connect_parameters(self):
         assert list(inspect.signature(repro.connect).parameters) == [
             "target",
-            "path",
             "parallelism",
             "sync",
             "cache_bytes",
@@ -113,6 +118,41 @@ class TestOptionSurface:
             "path",
             "sync",
             "cache_bytes",
+        ]
+
+    def test_session_parameters(self):
+        # Snapshot reads are a session's one setting; profiling is asked
+        # for per statement.
+        assert list(inspect.signature(Database.session).parameters)[1:] == [
+            "snapshot_reads",
+            "label",
+        ]
+        assert list(inspect.signature(Session).parameters)[1:] == [
+            "snapshot_reads",
+            "label",
+            "_implicit",
+        ]
+        with pytest.raises(TypeError, match="profile"):
+            repro.connect().session(profile=True)
+
+    def test_storage_parameters(self):
+        # A torn tail is always truncated, a load always range-split and
+        # a segment always written by the encoding picker.
+        assert list(inspect.signature(WriteAheadLog).parameters) == [
+            "path",
+            "sync",
+            "metrics",
+        ]
+        assert list(inspect.signature(Table.load_columns).parameters) == [
+            "self",
+            "columns",
+        ]
+        assert list(inspect.signature(write_segment).parameters) == [
+            "path",
+            "column",
+            "block_size",
+            "sync",
+            "patch_rowids",
         ]
 
     def test_environment_variables(self):

@@ -302,8 +302,8 @@ class TestFuzz:
 
 
 def _build_twin(db: Database) -> Database:
-    """Data like :func:`fuzz_db`'s, with no ``w`` column, in partitions
-    of round-robin 8-row blocks, checkpointed mid-build: on a durable
+    """Data like :func:`fuzz_db`'s, with no ``w`` column, its 8-row
+    blocks dealt out to the partitions in turn, checkpointed mid-build: on a durable
     engine the reads decode segment blocks *and* rows that only the log
     tail holds (an update and an insert after the checkpoint, the
     indexes after both)."""
@@ -317,12 +317,14 @@ def _build_twin(db: Database) -> Database:
     big = 2**53 + rng.permutation(n).astype(np.int64)
     schema = Schema([Field(name, DataType.INT64) for name in "usgb"])
     table = db.create_table("f", schema, partition_count=3, block_size=8)
+    # Block b goes to partition b % 3: the range split then keeps each
+    # partition's blocks apart in the original order.
+    dealt = np.argsort(np.arange(n) // 8 % 3, kind="stable")
     table.load_columns(
         {
-            name: ColumnVector(DataType.INT64, values)
+            name: ColumnVector(DataType.INT64, values[dealt])
             for name, values in zip("usgb", (unique, nearly_sorted, category, big))
-        },
-        partition_by_round_robin_blocks=True,
+        }
     )
     for rowid in (5, 100):
         table.update_rowid(rowid, "u", None)

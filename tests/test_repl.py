@@ -4,6 +4,7 @@ import io
 import json
 
 from repro.__main__ import main, run_shell
+from repro.serve import ServerThread
 from repro.storage.database import Database
 
 
@@ -138,6 +139,27 @@ class TestCheckpoint:
         )
         assert code == 0
         assert "1 segments" in output.getvalue()
+        head = (tmp_path / "db" / "wal.jsonl").read_text().splitlines()[0]
+        assert json.loads(head)["kind"] == "checkpoint"
+
+
+    def test_checkpoint_backslash_command_under_connect(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The same statement reaches a server: the wire has no op of its own.
+        with Database(path=tmp_path / "db") as database:
+            with ServerThread(database) as server:
+                monkeypatch.setattr(
+                    "sys.stdin",
+                    io.StringIO(
+                        "CREATE TABLE t (c BIGINT);\n"
+                        "INSERT INTO t VALUES (1), (2);\n"
+                        "\\checkpoint\n"
+                    ),
+                )
+                assert main(["--connect", server.uri]) == 0
+            assert database.obs.counter("checkpoint.count").value == 1
+        assert "checkpoint at lsn 3: 1 tables, 1 segments" in capsys.readouterr().out
         head = (tmp_path / "db" / "wal.jsonl").read_text().splitlines()[0]
         assert json.loads(head)["kind"] == "checkpoint"
 

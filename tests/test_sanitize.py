@@ -232,8 +232,7 @@ def _build_db(root, monkeypatch):
             "v": ColumnVector(
                 DataType.INT64, rng.integers(0, 97, n).astype(np.int64)
             ),
-        },
-        partition_by_round_robin_blocks=True,
+        }
     )
     db.sql("CHECKPOINT")
     return db
@@ -268,7 +267,7 @@ class TestConcurrentSessionFuzz:
                             f"INSERT INTO fuzz VALUES ({100000 + step}, 1)"
                         )
                         if step == 6:
-                            client.checkpoint()
+                            client.sql("CHECKPOINT")
             except BaseException as exc:  # noqa: BLE001 - collected
                 failures.append(exc)
 

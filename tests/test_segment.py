@@ -25,6 +25,11 @@ from repro.storage.segment import (
 )
 from repro.types import DataType
 
+#: Values the encoding picker stores raw: spread over all of INT64.
+INCOMPRESSIBLE = (
+    np.random.default_rng(5).integers(-(2**63), 2**63 - 1, 1000).tolist()
+)
+
 
 def roundtrip(tmp_path, dtype, items, *, block_size=4096):
     column = ColumnVector.from_pylist(dtype, items)
@@ -138,19 +143,20 @@ class TestEncodingPicker:
         info, __ = self.write(tmp_path, DataType.STRING, items)
         assert info.encodings == {"raw": 1}
 
-    def test_raw_mode_forces_raw(self, tmp_path):
-        info, __ = self.write(
-            tmp_path, DataType.INT64, list(range(1000)), encoding="raw"
-        )
+    def test_incompressible_ints_stay_raw(self, tmp_path):
+        # The uncompressed floor: values spread over all of INT64 leave
+        # no codec anything to save.
+        info, __ = self.write(tmp_path, DataType.INT64, INCOMPRESSIBLE)
         assert info.encodings == {"raw": 1}
         assert info.encoded_ratio == 1.0
 
     def test_unknown_encoding_mode_rejected(self, tmp_path):
+        # The picker is the only mode: there is no keyword to choose one.
         column = ColumnVector.from_pylist(DataType.INT64, [1])
-        with pytest.raises(StorageError):
-            write_segment(
-                tmp_path / "col.seg", column, sync=False, encoding="zstd"
-            )
+        for mode in ("zstd", "raw"):
+            with pytest.raises(TypeError, match="encoding"):
+                write_segment(tmp_path / "col.seg", column, sync=False, encoding=mode)
+        assert not (tmp_path / "col.seg").exists()
 
     def test_floats_stay_raw(self, tmp_path):
         info, __ = self.write(
@@ -638,9 +644,9 @@ class TestCorruption:
             read_segment(path)
 
     def test_truncated_values(self, tmp_path):
-        column = ColumnVector.from_pylist(DataType.INT64, [1, 2, 3])
+        column = ColumnVector.from_pylist(DataType.INT64, INCOMPRESSIBLE[:3])
         path = tmp_path / "col.seg"
-        write_segment(path, column, sync=False, encoding="raw")
+        assert write_segment(path, column, sync=False).encodings == {"raw": 1}
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
         with pytest.raises(StorageError):

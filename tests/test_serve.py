@@ -18,6 +18,7 @@ from repro.errors import (
     ConnectionClosedError,
     ProtocolError,
     ReproError,
+    StorageError,
     TypeMismatchError,
 )
 from repro.exec.result import QueryResult
@@ -32,7 +33,10 @@ from repro.serve.protocol import (
     error_from_wire,
     error_to_wire,
 )
+from repro.sql.session import explain_statement
+from repro.storage import disk
 from repro.storage.column import ColumnVector
+from tests.disks import FaultyDisk
 
 
 @pytest.fixture
@@ -179,10 +183,12 @@ class TestServerRoundTrip:
             "INSERT INTO t VALUES (4, 'd')",
         ]
 
-    def test_checkpoint_over_the_wire(self, client):
-        info = client.checkpoint()
-        assert info["engine"] == "durable"
-        assert info["lsn"] >= 1
+    def test_checkpoint_over_the_wire(self, client, durable):
+        # The statement is the one way: the client has no checkpoint().
+        assert not hasattr(client, "checkpoint")
+        text = client.sql("CHECKPOINT").text()
+        assert text.startswith("checkpoint at lsn ")
+        assert durable.obs.counter("checkpoint.count").value == 1
 
     def test_checkpoint_statement_routes_to_writer(self, client):
         result = client.sql("CHECKPOINT")
@@ -190,6 +196,16 @@ class TestServerRoundTrip:
 
     def test_explain_over_the_wire(self, client):
         assert "logical plan" in client.explain("SELECT c FROM t")
+        for analyze in (False, True):
+            query = "SELECT c FROM t WHERE c > 1"
+            expected = client.sql(explain_statement(query, analyze)).text()
+            got = client.explain(query, analyze=analyze)
+            if analyze:  # timings and plan-cache outcomes differ by run
+                got, expected = (
+                    re.sub(r"[\d.]+ms\b|plan_cache=\w+", "_", text)
+                    for text in (got, expected)
+                )
+            assert got == expected
 
     def test_profile_travels_as_text(self, client):
         result = client.sql("SELECT c FROM t", profile=True)
@@ -207,26 +223,37 @@ class TestServerRoundTrip:
     def test_set_parallelism_knob(self, client):
         # Execution is serial: neither the wire nor the client has a
         # parallelism knob, and the refusal leaves the connection open.
-        with pytest.raises(ProtocolError, match="unknown session knob 'parallelism'"):
-            client.set("parallelism", 2)
+        with pytest.raises(ProtocolError, match="unknown op 'set'"):
+            client._call({"op": "set", "knob": "parallelism", "value": 2})
         assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         assert not hasattr(client, "parallelism")
+        assert not hasattr(client, "set")
         with pytest.raises(TypeError):
             client.sql("SELECT c FROM t", parallelism=1)
 
     def test_set_unknown_knob_is_protocol_error(self, client):
-        with pytest.raises(ProtocolError, match="unknown session knob"):
-            client.set("fsync", False)
+        # A session has no knob left to set: every removed op is refused
+        # by name, and the connection stays open.
+        for request in (
+            {"op": "set", "knob": "profile", "value": True},
+            {"op": "explain", "text": "SELECT c FROM t"},
+            {"op": "checkpoint"},
+        ):
+            with pytest.raises(ProtocolError, match=f"unknown op '{request['op']}'"):
+                client._call(request)
+            assert client.ping() is True
+        assert protocol.OPS == (
+            "hello", "ping", "sql", "describe", "metrics", "cache_stats", "close",
+        )
+        assert protocol.WIRE_VERSION == 3
 
     def test_retired_backend_knob_is_refused_not_ignored(self, client):
         with pytest.raises(ProtocolError) as excinfo:
-            client.set("backend", "process")
+            client._call({"op": "set", "knob": "backend", "value": "process"})
         message = str(excinfo.value)
-        assert "unknown session knob 'backend'" in message
-        assert "('profile',)" in message
-        assert "snapshot_reads" not in message  # not a knob: every read pins
+        assert "unknown op 'set'" in message
+        assert "'set'" not in message.split("expected one of")[1]
         # The connection survives the refusal.
-        assert client.set("profile", False) is False
         assert client.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
         # A stale caller of the removed keyword fails loudly too.
         with pytest.raises(TypeError):
@@ -456,9 +483,7 @@ class TestAsyncClient:
             assert result.scalar() == 3
             client.sql("INSERT INTO t VALUES (9, 'z')")
             assert "logical plan" in client.explain("SELECT c FROM t")
-            assert client.set("profile", True) is True
-            info = client.checkpoint()
-            assert info["engine"] == "durable"
+            assert "checkpoint at lsn" in client.sql("CHECKPOINT").text()
 
     def test_many_async_clients(self, server):
         totals = [0] * 6
@@ -687,6 +712,68 @@ class TestServerLifecycle:
         # 11 and 12 were applied and logged, only not known durable.
         assert sorted(keys.values.tolist()) == [10, 11, 12, 13]
         assert len(syncs) == 3
+
+    def test_a_failed_group_fsync_leaves_nothing_to_resurrect(
+        self, durable, monkeypatch
+    ):
+        """The group's fsync fails at the disk: its two INSERTs get typed
+        errors, the log refuses every later write, and a reopen finds
+        exactly the acknowledged rows."""
+        entered, release = threading.Event(), threading.Event()
+        sweep = durable.run_pending_rebuilds
+        faulty = FaultyDisk("wal.sync")
+        sweeps: list[int] = []
+
+        def held_sweep():
+            sweeps.append(len(sweeps))
+            if len(sweeps) == 1:  # batch one: hold the writer
+                entered.set()
+                assert release.wait(timeout=30)
+            elif len(sweeps) == 2:  # batch two: its fsync fails
+                monkeypatch.setattr(disk, "DISK", faulty)
+            return sweep()
+
+        monkeypatch.setattr(durable, "run_pending_rebuilds", held_sweep)
+        outcomes: dict[int, object] = {}
+        with ServerThread(durable) as server:
+
+            def insert(key: int) -> None:
+                with ServerClient(server.host, server.port) as client:
+                    try:
+                        outcomes[key] = client.sql(
+                            f"INSERT INTO t VALUES ({key}, 'x')"
+                        )
+                    except ReproError as error:
+                        outcomes[key] = error
+
+            threads = [threading.Thread(target=insert, args=(10,))]
+            threads[0].start()
+            assert entered.wait(timeout=30)
+            threads += [
+                threading.Thread(target=insert, args=(key,)) for key in (11, 12)
+            ]
+            for thread in threads[1:]:
+                thread.start()
+            depth = durable.obs.gauge("server.write_queue.depth")
+            _wait_until(lambda: depth.value == 2, "both INSERTs to queue")
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert faulty.fired == 1
+            assert isinstance(outcomes[10], QueryResult)
+            for key in (11, 12):
+                assert isinstance(outcomes[key], StorageError)
+                assert "No space left on device" in str(outcomes[key])
+            with ServerClient(server.host, server.port) as client:
+                with pytest.raises(StorageError, match="reopen the database"):
+                    client.sql("INSERT INTO t VALUES (13, 'x')")
+        monkeypatch.undo()
+        durable.close()
+        reopened = repro.connect(durable.engine.root)
+        keys = reopened.sql("SELECT c FROM t").columns["c"].values.tolist()
+        assert sorted(keys) == [1, 2, 3, 10]
+        reopened.close()
 
     def test_stop_leaves_no_thread_behind(self, durable):
         with ServerThread(durable) as server:

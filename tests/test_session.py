@@ -69,11 +69,13 @@ class TestSessionBasics:
         with db.session() as session:
             assert "logical plan" in session.explain("SELECT c FROM t")
 
-    def test_sticky_profile_knob(self, db):
-        with db.session(profile=True) as session:
-            assert session.sql("SELECT c FROM t").profile is not None
-            # Per-statement override wins over the session knob.
-            assert session.sql("SELECT c FROM t", profile=False).profile is None
+    def test_profile_is_per_statement(self, db):
+        # No session knob: each statement asks for its own profile.
+        with db.session() as session:
+            assert session.sql("SELECT c FROM t", profile=True).profile is not None
+            assert session.sql("SELECT c FROM t").profile is None
+        with pytest.raises(TypeError, match="profile"):
+            db.session(profile=True)
 
     def test_session_counts_statements(self, db):
         with db.session(label="job1") as session:

@@ -40,18 +40,6 @@ class TestLoading:
             seen.extend(range(start, stop))
         assert seen == list(range(7))
 
-    def test_round_robin_blocks(self):
-        table = Table("t", two_col_schema(), partition_count=2, block_size=2)
-        table.load_columns(
-            {
-                "x": ColumnVector.from_pylist(DataType.INT64, list(range(8))),
-                "y": ColumnVector.from_pylist(DataType.STRING, ["a"] * 8),
-            },
-            partition_by_round_robin_blocks=True,
-        )
-        assert table.partitions[0].column("x").to_pylist() == [0, 1, 4, 5]
-        assert table.partitions[1].column("x").to_pylist() == [2, 3, 6, 7]
-
     def test_missing_column_raises(self):
         table = Table("t", two_col_schema())
         with pytest.raises(SchemaError):

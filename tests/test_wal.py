@@ -108,6 +108,23 @@ class TestLiveRecords:
         tables, _ = replayed(*steps)
         assert list(tables) == ["t"]
 
+    def test_a_load_is_range_split_and_round_robin_is_refused(self):
+        # A log written before loads lost their round-robin layout may
+        # carry the field; false is the range split it always meant.
+        create = ("create_table", {**create_table("t")[1], "partition_count": 2})
+
+        def load(**flag):
+            return ("load", {"table": "t", "columns": {"c": [1, 2, 3, 4]}, **flag})
+
+        for step in (load(), load(round_robin=False)):
+            tables, _ = replayed(create, step)
+            assert [p.column("c").to_pylist() for p in tables["t"].partitions] == [
+                [1, 2],
+                [3, 4],
+            ]
+        with pytest.raises(WalError, match="'round_robin'"):
+            replayed(create, load(round_robin=True))
+
     def test_an_index_maintains_the_records_after_its_create(self):
         _, indexes = replayed(
             create_table("t"), append("t", 1, 2), create_index("i", "t"), append("t", 2)
@@ -348,20 +365,11 @@ class TestTornTail:
         wal.append("create_table", {"name": "t"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"lsn": 2, "kind": "crea')  # torn mid-append
-        recovered = WriteAheadLog(path, tolerate_torn_tail=True)
+        recovered = WriteAheadLog(path)
         assert kinds(recovered) == ["create_table"]
         # The file was truncated back to the last complete record.
         assert path.read_text().count("\n") == 1
         assert recovered.append("drop_table", {"name": "t"}).lsn == 2
-
-    def test_torn_tail_raises_by_default(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path, sync=False)
-        wal.append("create_table", {"name": "t"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"lsn": 2, "kind": "crea')
-        with pytest.raises(WalError):
-            WriteAheadLog(path)
 
     def test_mid_file_corruption_raises_even_when_tolerant(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -371,14 +379,14 @@ class TestTornTail:
             '{"lsn": 3, "kind": "drop_table", "payload": {"name": "t"}}\n'
         )
         with pytest.raises(WalError):
-            list(WriteAheadLog(path, tolerate_torn_tail=True).records())
+            list(WriteAheadLog(path).records())
 
     def test_a_whole_last_record_of_an_unknown_kind_is_not_torn(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         text = '{"lsn": 1, "kind": "vacuum", "payload": {}}\n'
         path.write_text(text)
         with pytest.raises(WalError, match="unknown WAL record kind"):
-            WriteAheadLog(path, tolerate_torn_tail=True)
+            WriteAheadLog(path)
         assert path.read_text() == text
 
     def test_a_last_record_without_its_newline_is_torn(self, tmp_path):
@@ -387,7 +395,7 @@ class TestTornTail:
         path = tmp_path / "wal.jsonl"
         first = '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
         path.write_text(first + first.replace('"lsn": 1', '"lsn": 2').rstrip())
-        wal = WriteAheadLog(path, sync=False, tolerate_torn_tail=True)
+        wal = WriteAheadLog(path, sync=False)
         assert path.read_text() == first
         assert wal.append("drop_table", {"name": "t"}).lsn == 2
 

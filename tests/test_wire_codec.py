@@ -182,7 +182,7 @@ class TestRoundTrip:
     def test_non_result_payloads_stay_json(self):
         frame = encode_frame({"op": "sql", "text": "SELECT 1"})
         assert decode_body(frame[4:]) == {"op": "sql", "text": "SELECT 1"}
-        # The checkpoint op also answers under "result", with a dict.
+        # A "result" that holds no column descriptor stays JSON too.
         info = {"result": {"engine": "durable", "columns": {"a": 1}}}
         assert decode_body(encode_frame(info)[4:]) == info
 
