@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import BindError, ExecutionError
+from repro.errors import BindError, ExecutionError, StorageError
 from repro.exec.operators import Operator
 from repro.exec.operators.scan import TID_COLUMN
 from repro.exec.result import QueryResult, collect
@@ -237,7 +237,16 @@ def _execute_statement(
     (e.g. rows inserted); queries return their result set.
     *profile* instruments the execution and attaches
     a :class:`~repro.obs.profile.QueryProfile` to the result.
+
+    Once a log write has failed (``database.wal.failed``), every
+    statement raises :class:`StorageError`: the failed statement's rows
+    are in memory but not in the log.
     """
+    if database.wal.failed:
+        raise StorageError(
+            "a write to the log failed and it has no append handle: the "
+            "tables may hold rows the log lost; reopen the database"
+        )
     # Only a text that starts with INSERT pays for the VALUES scan.
     statement: ast.SqlStatement | None = (
         scan_insert(text) if text.lstrip()[:6].lower() == "insert" else None

@@ -66,40 +66,16 @@ from repro.storage.manifest import (
     Manifest,
     TableManifest,
     checkpoint_files,
-    refuse_manifest_file,
+    refuse_older_formats,
 )
 from repro.storage.materialize import load_tables, replay_log
 from repro.storage.snapshot import SnapshotHandle, SnapshotRegistry, delete_files
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
 from repro.types import DataType
-from repro.types.datatypes import coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
-
-
-# -- data-record serialization -----------------------------------------------
-
-
-def column_to_jsonable(column: ColumnVector) -> list:
-    """Physical scalar list for a WAL data record (``None`` for NULL)."""
-    if column.values.dtype == np.dtype(object):
-        out: list = list(column.values)
-    else:
-        out = column.values.tolist()
-    if column.validity is not None:
-        for position in np.flatnonzero(~column.validity):
-            out[int(position)] = None
-    return out
-
-
-def scalar_to_jsonable(value: object, dtype: DataType) -> object:
-    """Physical representation of one cell value (dates → day numbers)."""
-    coerced = coerce_scalar(value, dtype)
-    if isinstance(coerced, np.generic):  # pragma: no cover - defensive
-        return coerced.item()
-    return coerced
 
 
 def encoded_ratio(table: Table) -> float:
@@ -220,7 +196,7 @@ class DurableEngine(StorageEngine):
     # -- lifecycle --------------------------------------------------------
 
     def open_wal(self, database: "Database") -> WriteAheadLog:
-        refuse_manifest_file(self.root)
+        refuse_older_formats(self.root)
         log, segments = self.root / WAL_NAME, self.root / SEGMENTS_DIR
         created = [
             path
@@ -250,30 +226,30 @@ class DurableEngine(StorageEngine):
     # -- mutation logging -------------------------------------------------
 
     def table_event(self, database: "Database", event: str, payload: dict) -> None:
-        """Append the WAL data record mirroring one table mutation."""
+        """Append the WAL data record mirroring one table mutation: the
+        mutation's columns, a delete's rowids or an update's cell as a
+        column of its own."""
         table_name = payload.get("table")
         if table_name is None:  # a listener fed us a foreign event
             return
-        record: dict = {"table": table_name}
         if event in ("append", "load"):
-            record["columns"] = {
-                name: column_to_jsonable(column)
-                for name, column in payload["columns"].items()
-            }
-            if event == "append":
-                record["row_count"] = payload["row_count"]
+            columns = payload["columns"]
         elif event == "delete":
-            record["rowids"] = np.asarray(payload["rowids"]).tolist()
+            columns = {
+                "rowids": ColumnVector(
+                    DataType.INT64, np.asarray(payload["rowids"], dtype=np.int64)
+                )
+            }
         elif event == "update":
-            dtype = database.catalog.table(table_name).schema.field(
-                payload["column"]
-            ).dtype
-            record["rowid"] = int(payload["rowid"])
-            record["column"] = payload["column"]
-            record["value"] = scalar_to_jsonable(payload["value"], dtype)
+            name = payload["column"]
+            dtype = database.catalog.table(table_name).schema.field(name).dtype
+            columns = {name: ColumnVector.from_pylist(dtype, [payload["value"]])}
         else:
             return
-        database.wal.append(event, record)
+        record = {"table": table_name, "row_count": len(next(iter(columns.values())))}
+        if event == "update":
+            record["rowid"] = int(payload["rowid"])
+        database.wal.append(event, record, columns)
 
     # -- checkpoint -------------------------------------------------------
 

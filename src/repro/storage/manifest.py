@@ -1,19 +1,19 @@
 """The manifest: what a checkpoint record holds, and the directory layout.
 
 A checkpoint is the head record of the log (:mod:`repro.storage.wal`):
-the first line of ``wal.jsonl``, a ``checkpoint`` record whose payload
-is a :class:`Manifest`.  It names every table, its schema and partition
+the first frame of ``wal.log``, a ``checkpoint`` record whose JSON
+header is a :class:`Manifest`.  It names every table, its schema and partition
 layout, the file backing each partition and where in it each column's
 segment sits, the definition of every PatchIndex, and ``patches``, the
 materialized patch sets of every PatchIndex (one checksummed entry per
-index), all as of one ``checkpoint_lsn``.  Every later line of the log
+index), all as of one ``checkpoint_lsn``.  Every later frame of the log
 is a record with a greater LSN: recovery
 (:mod:`repro.storage.materialize`) loads the manifest and replays them.
 
-This module owns the payload's JSON and the layout of the data
+This module owns the manifest's JSON and the layout of the data
 directory::
 
-    <root>/wal.jsonl                        head record + the log after it
+    <root>/wal.log                          head record + the log after it
     <root>/segments/<table>.p<k>.<lsn>.seg  one file per partition
 
 A partition file holds its columns' segments back to back and is
@@ -36,20 +36,23 @@ from urllib.parse import quote
 
 from repro.errors import StorageError
 
-#: Bump when the manifest or segment layout changes incompatibly.
-#: Version 5 is the checkpoint as the log's head record.  Older
-#: directories are refused, not read: they keep a ``manifest.json``
-#: (:func:`refuse_manifest_file`).  1-2 (raw RSEG1 segments, no
+#: Bump when the log, manifest or segment layout changes incompatibly.
+#: Version 6 is the log as binary frames (``wal.log``).  Older
+#: directories are refused, not read (:func:`refuse_older_formats`):
+#: 5 kept the same head record in a JSON-lines ``wal.jsonl``; 4 and
+#: older keep a ``manifest.json`` — 1-2 (raw RSEG1 segments, no
 #: persisted patch sets) never shipped in a directory, 3 kept one
 #: directory of per-column files and a ``patches.json`` per checkpoint,
 #: 4 the manifest in its own file beside the log.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: JSON separators of the manifest: compact, so a patch set's rowids
 #: take one comma each.
 COMPACT = (",", ":")
 
-WAL_NAME = "wal.jsonl"
+WAL_NAME = "wal.log"
+#: The log of a format-5 directory.
+JSONL_WAL_NAME = "wal.jsonl"
 SEGMENTS_DIR = "segments"
 
 
@@ -73,20 +76,28 @@ def checkpoint_files(root: Path, checkpoint_lsn: int) -> list[Path]:
     )
 
 
-def refuse_manifest_file(root: Path) -> None:
-    """Raise :class:`StorageError` when *root* holds a ``manifest.json``:
-    a directory of format 4 or older, named by the version it records."""
+def refuse_older_formats(root: Path) -> None:
+    """Raise :class:`StorageError` when *root* is a directory of an older
+    format: one holding a ``manifest.json`` (format 4 or older, named by
+    the version it records) or a JSON-lines ``wal.jsonl`` (format 5)."""
     path = root / "manifest.json"
-    if not path.exists():
-        return
-    try:
-        version = json.loads(path.read_text(encoding="utf-8")).get("format_version")
-    except (OSError, ValueError, AttributeError):
-        version = "unknown"
-    raise StorageError(
-        f"{path}: manifest format version {version} is not supported "
-        f"(expected {FORMAT_VERSION}: the checkpoint is the head of {WAL_NAME})"
-    )
+    if path.exists():
+        try:
+            version = json.loads(path.read_text(encoding="utf-8")).get(
+                "format_version"
+            )
+        except (OSError, ValueError, AttributeError):
+            version = "unknown"
+        raise StorageError(
+            f"{path}: manifest format version {version} is not supported "
+            f"(expected {FORMAT_VERSION}: the checkpoint is the head of {WAL_NAME})"
+        )
+    if (root / JSONL_WAL_NAME).exists():
+        raise StorageError(
+            f"{root / JSONL_WAL_NAME}: a format 5 log (JSON lines) is not "
+            f"supported (expected format {FORMAT_VERSION}: binary frames in "
+            f"{WAL_NAME})"
+        )
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ class Manifest:
 
     @classmethod
     def from_payload(cls, raw: dict) -> "Manifest":
-        """The manifest a checkpoint record's payload holds."""
+        """The manifest a checkpoint record's header holds."""
         if "checkpoint_lsn" not in raw:
             raise StorageError("corrupt manifest: missing checkpoint_lsn")
         version = raw.get("format_version")

@@ -39,7 +39,6 @@ from repro.errors import StorageError, WalError
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE
 from repro.storage.cache import BlockCache, SegmentColumnSource
 from repro.storage.checkpoint import entry_checksum
-from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema
 from repro.storage.manifest import Manifest, PartitionManifest, TableManifest
 from repro.storage.partition import Partition
@@ -154,32 +153,18 @@ def load_tables(
 
 
 def apply_data_record(table: Table, record: WalRecord) -> None:
-    """Re-apply one WAL data record to *table*."""
-    payload = record.payload
+    """Re-apply one WAL data record to *table*: its columns as the
+    record stored them."""
+    columns = record.columns
     if record.kind == "append":
-        columns = [payload["columns"][name] for name in table.schema.names]
-        table.insert_rows(
-            [
-                [column[position] for column in columns]
-                for position in range(int(payload["row_count"]))
-            ]
-        )
+        table.append_columns(columns)
     elif record.kind == "load":
-        if payload.get("round_robin"):
-            raise WalError(
-                f"load record {record.lsn} sets 'round_robin': loads are "
-                "range-split across partitions only"
-            )
-        table.load_columns(
-            {
-                name: ColumnVector.from_pylist(table.schema.field(name).dtype, items)
-                for name, items in payload["columns"].items()
-            }
-        )
+        table.load_columns(columns)
     elif record.kind == "delete":
-        table.delete_rowids(np.asarray(payload["rowids"], dtype=np.int64))
+        table.delete_rowids(columns["rowids"].values)
     elif record.kind == "update":
-        table.update_rowid(int(payload["rowid"]), payload["column"], payload["value"])
+        ((name, cell),) = columns.items()
+        table.update_rowid(int(record.payload["rowid"]), name, cell[0])
 
 
 # -- indexes -----------------------------------------------------------------

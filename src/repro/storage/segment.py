@@ -733,6 +733,80 @@ def _decode_raw_strings(data: bytes | memoryview, count: int) -> np.ndarray:
     return values
 
 
+#: The widths a log column stores INT64 and DATE values at, narrowest
+#: first, each with its range: the first that holds the column's min
+#: and max is taken.
+_LOG_INT_WIDTHS = tuple(
+    (np.dtype(f"<i{width}"), -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1)
+    for width in (1, 2, 4, 8)
+)
+
+
+def encode_log_column(column: ColumnVector) -> tuple[int, list]:
+    """*column* as a log record stores it: its value width in bytes (0
+    for STRING) and the buffers that follow one another in the record —
+    the packed validity bits when it has any, then its values.
+
+    INT64 and DATE values take the narrowest of 1, 2, 4 or 8 bytes that
+    holds their min and max; FLOAT64 is stored bit for bit, BOOL as one
+    byte a value, STRING as a raw string block (int64 offsets, then the
+    UTF-8 text).  Values under a NULL are stored as they are.
+    """
+    values = column.values
+    buffers: list = []
+    if column.validity is not None:
+        buffers.append(np.packbits(column.validity))
+    if column.dtype == DataType.STRING:
+        buffers.append(_raw_string_payload([text.encode("utf-8") for text in values]))
+        return 0, buffers
+    if column.dtype in _INT_PHYSICAL and len(values):
+        low, high = int(values.min()), int(values.max())
+        for dtype, smallest, largest in _LOG_INT_WIDTHS:
+            if smallest <= low and high <= largest:
+                values = values.astype(dtype, copy=False)
+                break
+    buffers.append(np.ascontiguousarray(values))
+    return values.dtype.itemsize, buffers
+
+
+def decode_log_column(
+    dtype: DataType,
+    width: int,
+    nullable: bool,
+    count: int,
+    data: bytes,
+    offset: int,
+) -> tuple[ColumnVector, int]:
+    """The column :func:`encode_log_column` wrote at *offset* of *data*
+    (*count* values, *width* bytes each), and the offset after it.
+
+    Fixed-width values are a view of *data* (widened when stored
+    narrow); raises :class:`StorageError` when *data* is cut short.
+    """
+    validity: np.ndarray | None = None
+    if nullable:
+        size = (count + 7) // 8
+        bits = np.frombuffer(data, dtype=np.uint8, count=size, offset=offset)
+        validity = np.unpackbits(bits, count=count).view(np.bool_)
+        offset += size
+    if dtype == DataType.STRING:
+        if width or len(data) < offset + 8 * (count + 1):
+            raise StorageError(f"string column cut short at byte {offset}")
+        offsets = np.frombuffer(data, dtype=np.int64, count=count + 1, offset=offset)
+        end = offset + 8 * (count + 1) + int(offsets[-1])
+        values = _decode_raw_strings(memoryview(data)[offset:end], count)
+        return ColumnVector(dtype, values, validity), end
+    physical = numpy_dtype(dtype)
+    stored = np.dtype(f"<i{width}") if dtype in _INT_PHYSICAL else physical
+    if stored.itemsize != width or len(data) < offset + width * count:
+        raise StorageError(f"{dtype.name} column of width {width} cut short")
+    values = np.frombuffer(data, dtype=stored, count=count, offset=offset)
+    return (
+        ColumnVector(dtype, values.astype(physical, copy=False), validity),
+        offset + width * count,
+    )
+
+
 def open_segment(
     path: str | os.PathLike, offset: int = 0, length: int | None = None
 ) -> SegmentReader:

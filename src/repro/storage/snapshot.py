@@ -289,7 +289,8 @@ class SnapshotView:
 
     Exposes exactly the surface statement execution needs — ``catalog``
     (the snapshot's copy), ``obs`` (shared with the owning database so
-    served reads feed the same observability).
+    served reads feed the same observability) and ``wal`` (the owning
+    database's, whose ``failed`` stops every statement).
     Only ``SELECT`` / ``EXPLAIN`` statements may run.
 
     The view owns its pin: :meth:`close` (or context-manager exit)
@@ -301,6 +302,7 @@ class SnapshotView:
         self.handle = handle
         self.catalog = handle.catalog
         self.obs = database.obs
+        self.wal = database.wal
         self._released = False
 
     def sql(

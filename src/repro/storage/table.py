@@ -200,10 +200,8 @@ class Table:
     def insert_rows(self, rows: Iterable[Sequence[object]]) -> int:
         """Append Python-level rows; returns the number inserted.
 
-        Rows are appended to the *last* partition so that existing global
-        rowids remain stable (appends only extend the rowid space).  The
-        mutation event carries the new rows so PatchIndexes can extend
-        their patch sets without a full rescan.
+        The rows become one column per field, appended by
+        :meth:`append_columns`.
         """
         materialized = list(rows)
         if not materialized:
@@ -214,10 +212,25 @@ class Table:
                 raise SchemaError(
                     f"insert row has {len(row)} values, schema has {width}"
                 )
-        columns = {
-            field.name: ColumnVector.from_pylist(field.dtype, values)
-            for field, values in zip(self.schema, zip(*materialized))
-        }
+        return self.append_columns(
+            {
+                field.name: ColumnVector.from_pylist(field.dtype, values)
+                for field, values in zip(self.schema, zip(*materialized))
+            }
+        )
+
+    def append_columns(self, columns: Mapping[str, ColumnVector]) -> int:
+        """Append rows given as one column per field; returns the number
+        appended.
+
+        Rows are appended to the *last* partition so that existing global
+        rowids remain stable (appends only extend the rowid space).  The
+        mutation event carries the new rows so PatchIndexes can extend
+        their patch sets without a full rescan.
+        """
+        row_count = len(next(iter(columns.values()), ()))
+        if not row_count:
+            return 0
         with self.state_lock:
             target = self.partitions[-1]
             start_rowid = target.base_rowid + target.row_count
@@ -231,10 +244,10 @@ class Table:
                     "partition_id": target.partition_id,
                     "start_rowid": start_rowid,
                     "columns": columns,
-                    "row_count": len(materialized),
+                    "row_count": row_count,
                 },
             )
-        return len(materialized)
+        return row_count
 
     def delete_rowids(self, rowids: Iterable[int]) -> int:
         """Delete rows by global rowid; returns the number removed.

@@ -3,18 +3,30 @@
 The paper keeps the WAL slim: a ``CREATE PATCHINDEX`` record is logged
 *without* the discovered patches, and on log replay the index is rebuilt
 from the data using the same discovery mechanism as at creation time
-(paper §V).  This module implements that design as a JSON-lines file,
-``<root>/wal.jsonl``:
+(paper §V).  This module implements that design as a file of binary
+frames, ``<root>/wal.log``:
 
-- once a checkpoint has run, its first line is the ``checkpoint`` head
+- once a checkpoint has run, its first frame is the ``checkpoint`` head
   record: the :class:`~repro.storage.manifest.Manifest` of the state
   the records before it left (tables, partition files, index
   definitions and the patch sets the indexes are restored from), with
   the checkpoint's own LSN, ``checkpoint_lsn``;
-- every later line is a record whose LSN is greater, one per statement
+- every later frame is a record whose LSN is greater, one per statement
   step, in the order they ran live.
 
-Record kinds:
+A frame is a little-endian prefix (:data:`PREFIX`: body length, LSN,
+kind byte, CRC-32) and a body: a 4-byte header length, a compact JSON
+header, then the bytes of each column the header lists.  The CRC covers
+the body followed by the prefix's first three fields.  A data record's
+header holds the table, ``row_count`` and one ``[name, dtype, width,
+nullable]`` entry per column; its columns are stored as
+:func:`~repro.storage.segment.encode_log_column` writes them (INT64 and
+DATE at the narrowest of 1, 2, 4 or 8 bytes, FLOAT64 bit for bit,
+strings as a segment's raw string block, packed validity bits), and
+replay reads them back with ``np.frombuffer``.  Any other record's
+header is its payload; the head's is the manifest.
+
+Record kinds (:data:`KINDS`, the kind byte being the position plus one):
 
 metadata records
     ``create_table``     table name, schema, partition count
@@ -24,10 +36,10 @@ metadata records
     ``checkpoint``       the head record (:meth:`WriteAheadLog.install`)
 
 data records (durable storage engine, :mod:`repro.storage.engine`)
-    ``append``           rows appended to a table (column → values)
+    ``append``           rows appended to a table (its columns)
     ``load``             a bulk load split across partitions
-    ``delete``           global rowids removed from a table
-    ``update``           one cell written in place
+    ``delete``           global rowids removed from a table (one column)
+    ``update``           one cell written in place (a one-row column)
 
 index records (durable storage engine)
     ``rebuild_index``    a live PatchIndex rebuild (index and table name)
@@ -35,9 +47,12 @@ index records (durable storage engine)
 Only the head carries patch sets; the per-statement records carry data
 and DDL, never patches.  Recovery (:mod:`repro.storage.materialize`)
 loads the head and replays every later record through the tables, which
-the PatchIndexes re-classify as they did live.  Data records carry
-*physical* scalar values (dates as day numbers, NULL as ``null``) so
-replay is byte-exact.
+the PatchIndexes re-classify as they did live.
+
+Only the last frame can be torn — its declared end passes the end of
+the file, or its CRC fails with nothing after it — and opening the log
+truncates it: an append writes its frame at once, so a torn one was
+never acknowledged.  Any other damage is a :class:`WalError`.
 
 In memory the log keeps its next LSN, the file's end offset and one
 open append handle; records are read back from the file, by recovery
@@ -46,7 +61,7 @@ pin (:meth:`WriteAheadLog.reserve`); appends are sequential, so the
 bytes after that offset are exactly the records with a greater LSN.
 It installs its head with one rename
 (:meth:`WriteAheadLog.install`): the head followed by those bytes,
-written to ``wal.jsonl.tmp``, fsynced, renamed over the log, the data
+written to ``wal.log.tmp``, fsynced, renamed over the log, the data
 directory fsynced.
 """
 
@@ -54,100 +69,226 @@ from __future__ import annotations
 
 import json
 import os
+import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple
 
 from repro.check.sanitize import make_lock
 from repro.errors import StorageError, WalError
 from repro.storage import disk
+from repro.storage.column import ColumnVector
+from repro.storage.segment import decode_log_column, encode_log_column
+from repro.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.storage.manifest import Manifest
 
+#: Every record kind; a frame's kind byte is its position here plus one.
+KINDS = (
+    "checkpoint",
+    "create_table",
+    "drop_table",
+    "create_index",
+    "drop_index",
+    "rebuild_index",
+    "append",
+    "load",
+    "delete",
+    "update",
+)
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS, 1)}
+
 #: Row-data record kinds, replayed by the durable storage engine.
 DATA_KINDS = frozenset({"append", "load", "delete", "update"})
 
-_KNOWN_KINDS = DATA_KINDS | {
-    "create_table", "drop_table", "create_index", "drop_index", "checkpoint",
-    "rebuild_index",
-}
+#: A frame's prefix: body length, LSN, kind byte, CRC-32.
+PREFIX = struct.Struct("<QQBI")
+#: The prefix fields the CRC covers after the body.
+_CHECKED = struct.Struct("<QQB")
+_HEADER_LENGTH = struct.Struct("<I")
+#: A frame header's JSON: compact.
+_encode_header = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One log record: a kind plus a JSON-serializable payload."""
+    """One log record: a kind, its header (*payload*) and, for a data
+    record, its columns by name (a delete's ``rowids``, an update's one
+    cell under the column's name)."""
 
     lsn: int
     kind: str
     payload: dict = field(default_factory=dict)
+    columns: dict[str, ColumnVector] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        # The payload is nested so its keys (e.g. an index's own "kind")
-        # can never collide with the record envelope.
-        return json.dumps(
-            {"lsn": self.lsn, "kind": self.kind, "payload": self.payload}
-        )
 
-    @classmethod
-    def from_json(cls, line: str | bytes) -> "WalRecord":
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise WalError(f"corrupt WAL line: {line[:200]!r}") from exc
-        if not isinstance(raw, dict) or "kind" not in raw or "lsn" not in raw:
-            raise WalError(f"malformed WAL record: {line[:200]!r}")
-        kind = raw["kind"]
-        lsn = raw["lsn"]
-        payload = raw.get("payload", {})
-        if not isinstance(kind, str) or kind not in _KNOWN_KINDS:
-            raise WalError(f"unknown WAL record kind: {kind!r}")
-        # JSON has no integer type of its own; bool is an int subclass in
-        # Python, and floats/strings would corrupt LSN arithmetic later.
-        if isinstance(lsn, bool) or not isinstance(lsn, int):
-            raise WalError(f"malformed WAL LSN: {lsn!r}")
-        if not isinstance(payload, dict):
-            raise WalError(f"malformed WAL payload: {line[:200]!r}")
-        return cls(lsn=lsn, kind=kind, payload=payload)
+class Frame(NamedTuple):
+    """One whole frame of a log file, as :func:`frames` walks it."""
+
+    offset: int
+    end: int
+    lsn: int
+    kind: str
+    #: The body (None when the walk skipped it).
+    body: bytes | None
+
+
+def _kind_code(kind: str) -> int:
+    try:
+        return _KIND_CODES[kind]
+    except KeyError:
+        raise WalError(f"unknown WAL record kind: {kind!r}") from None
+
+
+def encode_body(
+    payload: dict, columns: Mapping[str, ColumnVector] | None = None
+) -> bytearray:
+    """A frame with its prefix left zero (:func:`seal` fills it): the
+    header — *payload*, plus one entry per column of *columns* — and the
+    columns' bytes."""
+    header = dict(payload)
+    buffers: list = []
+    if columns is not None:
+        specs = []
+        for name, column in columns.items():
+            width, pieces = encode_log_column(column)
+            specs.append(
+                [name, column.dtype.value, width, int(column.validity is not None)]
+            )
+            buffers += pieces
+        header["columns"] = specs
+    text = _encode_header(header).encode("utf-8")
+    return bytearray().join(
+        [bytes(PREFIX.size), _HEADER_LENGTH.pack(len(text)), text, *buffers]
+    )
+
+
+def _crc(length: int, lsn: int, code: int, body_crc: int) -> int:
+    return zlib.crc32(_CHECKED.pack(length, lsn, code), body_crc)
+
+
+def _prefix(length: int, lsn: int, kind: str, body_crc: int) -> bytes:
+    """The prefix of a frame whose body is *length* bytes with CRC-32
+    *body_crc*."""
+    code = _kind_code(kind)
+    return PREFIX.pack(length, lsn, code, _crc(length, lsn, code, body_crc))
+
+
+def seal(frame: bytearray, lsn: int, kind: str, body_crc: int) -> bytearray:
+    """Fill *frame*'s prefix for *lsn*; *body_crc* is the CRC-32 of the
+    body (everything after the prefix)."""
+    frame[: PREFIX.size] = _prefix(len(frame) - PREFIX.size, lsn, kind, body_crc)
+    return frame
+
+
+def frames(handle: BinaryIO, *, bodies: bool = True) -> Iterator[Frame]:
+    """The whole frames of the log file open in *handle*, from its start.
+
+    Stops at a torn tail: a last frame whose declared end passes the end
+    of the file, or whose CRC fails with nothing after it.  Raises
+    :class:`WalError` at an unknown kind, a non-increasing LSN, a
+    ``checkpoint`` record anywhere but the head, or a CRC that fails
+    with a frame after it.  Without *bodies* only the last frame's body
+    is read (its CRC decides whether it is torn); the others are
+    skipped, and yielded with ``body=None``.
+    """
+    size = handle.seek(0, os.SEEK_END)
+    handle.seek(0)
+    offset = previous = 0
+    while offset < size:
+        prefix = handle.read(PREFIX.size)
+        if len(prefix) < PREFIX.size:
+            return
+        length, lsn, code, crc = PREFIX.unpack(prefix)
+        end = offset + PREFIX.size + length
+        if end > size:
+            return
+        if not 1 <= code <= len(KINDS):
+            raise WalError(f"unknown WAL record kind {code} at byte {offset}")
+        kind = KINDS[code - 1]
+        if lsn <= previous:
+            raise WalError(f"non-monotonic LSN {lsn} after {previous}")
+        if kind == "checkpoint" and offset:
+            raise WalError(f"checkpoint record {lsn} is not the log's head")
+        body = None
+        if bodies or end == size:
+            body = handle.read(length)
+            if _crc(length, lsn, code, zlib.crc32(body)) != crc:
+                if end == size:
+                    return
+                raise WalError(f"WAL record {lsn} at byte {offset} fails its CRC")
+        else:
+            handle.seek(end)
+        yield Frame(offset, end, lsn, kind, body)
+        previous, offset = lsn, end
+
+
+def decode(frame: Frame) -> WalRecord:
+    """The record a whole frame holds (read with its body)."""
+    body = frame.body
+    try:
+        (length,) = _HEADER_LENGTH.unpack_from(body)
+        end = _HEADER_LENGTH.size + length
+        header = json.loads(body[_HEADER_LENGTH.size : end])
+        if not isinstance(header, dict):
+            raise ValueError("the header is not an object")
+        columns: dict[str, ColumnVector] = {}
+        if frame.kind in DATA_KINDS:
+            count = int(header["row_count"])
+            for name, dtype, width, nullable in header["columns"]:
+                columns[name], end = decode_log_column(
+                    DataType(dtype), int(width), bool(nullable), count, body, end
+                )
+        if end != len(body):
+            raise ValueError(f"{len(body) - end} bytes after the last column")
+    except (ValueError, KeyError, TypeError, struct.error, StorageError) as exc:
+        raise WalError(
+            f"malformed {frame.kind} record {frame.lsn} at byte {frame.offset}: {exc}"
+        ) from exc
+    return WalRecord(frame.lsn, frame.kind, header, columns)
 
 
 def _last_lsn(path: Path, sync: bool) -> int:
     """LSN of the last record of the log at *path* (0 for none).
 
-    An append writes its line and newline at once, so bytes after the
-    last newline are a torn append that was never acknowledged: they are
-    truncated.
+    Walks the frames' prefixes; a torn last frame was never
+    acknowledged, so it is truncated.
     """
-    data = path.read_bytes() if path.exists() else b""
-    end = data.rfind(b"\n") + 1
-    if end < len(data):
+    if not path.exists():
+        return 0
+    last = end = 0
+    with open(path, "rb") as handle:
+        for frame in frames(handle, bodies=False):
+            last, end = frame.lsn, frame.end
+        size = os.fstat(handle.fileno()).st_size
+    if end < size:
         # The truncation must be as durable as the appends were — a
         # crash right after recovery must not resurrect the torn bytes.
         with disk.DISK.open_append("wal.torn_tail_open", path) as handle:
             disk.DISK.shrink("wal.torn_tail", handle, end)
             if sync:
                 disk.DISK.fsync("wal.torn_tail_fsync", handle)
-    stop = len(data[:end].rstrip())
-    last = data[data.rfind(b"\n", 0, stop) + 1 : stop]
-    return WalRecord.from_json(last).lsn if last else 0
+    return last
 
 
 class WriteAheadLog:
-    """Append-only JSON-lines log.
+    """Append-only log of frames.
 
     When *path* is ``None`` the log is the in-memory engine's: it assigns
     LSNs, and writes and keeps nothing.  A durable data directory passes
-    its ``wal.jsonl``, appended through one open handle and fsynced per
+    its ``wal.log``, appended through one open handle and fsynced per
     record (``sync=True``) or per :meth:`deferred_sync` batch.
 
-    Opening reads only the last line.  A final line torn by a crash
-    mid-append (no newline after it) was never acknowledged, so the file
-    is truncated back to the last complete record.  A corrupt complete
-    record still raises, from :meth:`records` — that is real corruption,
-    not a torn write.  ``metrics`` optionally wires a
+    Opening walks the frames' prefixes and reads only the last frame's
+    body.  A last frame torn by a crash mid-append was never
+    acknowledged, so the file is truncated back to the frame before it.
+    Any other damage raises :class:`WalError` — at open when a prefix
+    shows it, else from :meth:`records`.  ``metrics`` optionally wires a
     :class:`~repro.obs.metrics.MetricsRegistry` that counts appended
     records and bytes (``wal.records`` / ``wal.bytes``).
     """
@@ -176,6 +317,8 @@ class WriteAheadLog:
         self._handle = None
         #: Set by :meth:`close`; every later append raises.
         self._closed = False
+        #: Set by a failed append or sync (:attr:`failed`).
+        self._failed = False
         #: True inside a :meth:`deferred_sync` block — appends skip
         #: their per-record fsync and the batch syncs once at exit.
         self._defer_sync = False
@@ -187,18 +330,30 @@ class WriteAheadLog:
 
     # -- appending ---------------------------------------------------------
 
-    def append(self, kind: str, payload: dict | None = None) -> WalRecord:
-        """Append a record, durably when the log is file-backed."""
-        if kind not in _KNOWN_KINDS:
-            raise WalError(f"unknown WAL record kind: {kind!r}")
+    def append(
+        self,
+        kind: str,
+        payload: dict | None = None,
+        columns: Mapping[str, ColumnVector] | None = None,
+    ) -> WalRecord:
+        """Append a record, durably when the log is file-backed.
+
+        A data record passes its *columns*.  The frame and the CRC of
+        its body are built before the log's lock is taken; under it the
+        record gets its LSN and the prefix is filled in.
+        """
+        _kind_code(kind)
+        payload = dict(payload or {})
+        frame = encode_body(payload, columns)
+        body_crc = zlib.crc32(memoryview(frame)[PREFIX.size :])
         with self._lock:  # lock-ok: the write and its fsync are the append
             handle = self._append_handle_locked()
-            record = WalRecord(self._next_lsn, kind, dict(payload or {}))
+            record = WalRecord(self._next_lsn, kind, payload, dict(columns or {}))
             self._next_lsn += 1
-            line = (record.to_json() + "\n").encode("utf-8")
+            seal(frame, record.lsn, kind, body_crc)
             if handle is not None:
                 try:
-                    disk.DISK.write("wal.append", handle, line)
+                    disk.DISK.write("wal.append", handle, frame)
                     if self._sync and not self._defer_sync:
                         disk.DISK.fsync("wal.append_fsync", handle)
                 except OSError as exc:
@@ -206,7 +361,7 @@ class WriteAheadLog:
                     raise StorageError(
                         f"could not append to {self._path}: {exc}"
                     ) from exc
-                self._end += len(line)
+                self._end += len(frame)
             if self._defer_sync:
                 self._deferred_appends += 1
             if not (self._defer_sync and self._sync):
@@ -214,7 +369,7 @@ class WriteAheadLog:
                 self._synced = self._end
         if self._metrics is not None:
             self._metrics.counter("wal.records").inc()
-            self._metrics.counter("wal.bytes").inc(len(line))
+            self._metrics.counter("wal.bytes").inc(len(frame))
             if kind in DATA_KINDS:
                 self._metrics.counter("wal.data_records").inc()
         return record
@@ -290,31 +445,25 @@ class WriteAheadLog:
         with self._lock:
             return self._next_lsn - 1
 
+    @property
+    def failed(self) -> bool:
+        """True once an append or a sync failed: the records it cut off
+        were applied in memory, so nothing may read or write until the
+        database is reopened."""
+        return self._failed  # lock-ok: set once; a racing statement sees it at its next
+
     def records(self) -> Iterator[WalRecord]:
         """The file's records in order, read from disk one at a time
         (none for the in-memory log).
 
-        Raises :class:`WalError` on a corrupt line, a non-increasing LSN
-        or a ``checkpoint`` record anywhere but the head.
+        Raises :class:`WalError` where :func:`frames` does, and on a
+        frame whose body does not parse.
         """
         if self._path is None:
             return
-        previous = 0
         with open(self._path, "rb") as handle:
-            for number, line in enumerate(handle):
-                if not line.strip():
-                    continue
-                record = WalRecord.from_json(line)
-                if record.lsn <= previous:
-                    raise WalError(
-                        f"non-monotonic LSN {record.lsn} after {previous}"
-                    )
-                if record.kind == "checkpoint" and number:
-                    raise WalError(
-                        f"checkpoint record {record.lsn} is not the log's head"
-                    )
-                previous = record.lsn
-                yield record
+            for frame in frames(handle):
+                yield decode(frame)
 
     # -- checkpoint ----------------------------------------------------------
 
@@ -326,8 +475,9 @@ class WriteAheadLog:
         ``checkpoint_lsn``, from :meth:`reserve`); returns the bytes its
         patch sets take.
 
-        Under the log's lock, which appends take too: the head and those
-        bytes, copied unparsed, go to ``wal.jsonl.tmp``, which is fsynced
+        The head frame is built first, the manifest as its JSON header;
+        then, under the log's lock, which appends take too: the head and
+        those bytes, copied unparsed, go to ``wal.log.tmp``, which is fsynced
         and renamed over the log; *renamed* runs right after the rename,
         before the steps that can still raise: the append handle is
         reopened on the new file and the data directory fsynced.  A crash
@@ -337,6 +487,17 @@ class WriteAheadLog:
         """
         path = self._path
         tmp = path.with_name(path.name + ".tmp")
+        # The manifest's pieces are kept until the head's length and CRC
+        # are known; the head is written in front of them.
+        chunks: list[bytes] = []
+        patches_bytes = manifest.write(chunks.append)
+        chunks.insert(0, _HEADER_LENGTH.pack(sum(map(len, chunks))))
+        body_crc = 0
+        for chunk in chunks:
+            body_crc = zlib.crc32(chunk, body_crc)
+        head = _prefix(
+            sum(map(len, chunks)), manifest.checkpoint_lsn, "checkpoint", body_crc
+        )
         with self._lock:  # lock-ok: the install's fsyncs and rename ARE the checkpoint
             superseded = self._append_handle_locked()
             with open(path, "rb") as log:
@@ -344,9 +505,10 @@ class WriteAheadLog:
                 tail = log.read()  # the appends since the pin
             with disk.DISK.create("wal.install.create", tmp) as out:
                 write = partial(disk.DISK.write, "wal.install.write", out)
-                write(b'{"lsn":%d,"kind":"checkpoint","payload":' % manifest.checkpoint_lsn)
-                patches_bytes = manifest.write(write)
-                write(b"}\n" + tail)
+                write(head + chunks[0])
+                for chunk in chunks[1:]:
+                    write(chunk)
+                write(tail)
                 if self._sync:
                     disk.DISK.fsync("wal.install.fsync", out)
             disk.DISK.replace("wal.install.rename", tmp, path)
@@ -379,6 +541,7 @@ class WriteAheadLog:
         too — and drop the handle, so that nothing unacknowledged is
         written later and every later append, sync and install raises."""
         self._handle = None
+        self._failed = True
         self._end = self._synced
         try:
             disk.DISK.shrink("wal.append_rollback", handle, self._synced)

@@ -28,7 +28,8 @@ import pytest
 import repro
 from repro.errors import StorageError
 from repro.storage import disk, snapshot
-from repro.storage.manifest import SEGMENTS_DIR
+from repro.storage.manifest import SEGMENTS_DIR, WAL_NAME
+from repro.storage.wal import frames
 from tests.disks import FaultyDisk
 from tests.log_head import head_payload, read_manifest
 
@@ -191,7 +192,7 @@ class TestFileNames:
         db.close()
         assert sorted(path.name for path in root.iterdir()) == [
             "segments",
-            "wal.jsonl",
+            "wal.log",
         ]
         assert [path.name for path in (root / SEGMENTS_DIR).iterdir()] == [
             f"..%2Fa%2Fb.p0.{lsn:012d}.seg"
@@ -263,20 +264,20 @@ class TestPatchBytes:
         assert repro.connect().checkpoint()["patches_bytes"] == 0
 
     def test_the_manifest_is_the_one_shot_compact_dump(self, tmp_path):
-        """Written one index entry at a time, the log's head record is
-        still the compact ``json.dumps`` of the whole record, byte for
-        byte."""
+        """Written one index entry at a time, the header of the log's
+        head frame is still the compact ``json.dumps`` of the whole
+        manifest, byte for byte."""
         root = tmp_path / "db"
         db = mixed_ingest_shape(root, rows=20_000)
         db.sql("CREATE TABLE e (k BIGINT)")
         db.sql("CREATE PATCHINDEX pe ON e(k) TYPE UNIQUE")  # no patches
         db.sql("INSERT INTO t VALUES (1, 1, 1, 1), (20001, 2, 0, 2)")
         summary = db.checkpoint()
-        text = (root / "wal.jsonl").read_text(encoding="utf-8").splitlines()[0]
-        record = json.loads(text)
-        document = record["payload"]
+        with open(root / WAL_NAME, "rb") as handle:
+            text = next(frames(handle)).body[4:].decode("ascii")
+        document = json.loads(text)
         assert list(document["patches"]) == ["pi_u", "pi_s", "pe"]
-        assert text == json.dumps(record, separators=(",", ":"))
+        assert text == json.dumps(document, separators=(",", ":"))
         patches = json.dumps(document["patches"], separators=(",", ":"))
         assert summary["patches_bytes"] == len(patches)
         db.close()
@@ -322,7 +323,7 @@ class TestFailureBeforeTheRename:
             db.checkpoint()
         monkeypatch.undo()
         assert on_disk(root) == named == read_manifest(root).files()
-        assert not (root / "wal.jsonl.tmp").exists()
+        assert not (root / (WAL_NAME + ".tmp")).exists()
         db.sql("INSERT INTO t VALUES (3)")
         db.checkpoint()
         assert on_disk(root) == read_manifest(root).files()

@@ -205,6 +205,40 @@ class TestFullDisk:
         assert count(reopened) == 3
         reopened.close()
 
+    @pytest.mark.parametrize("site", ["wal.append", "wal.sync"])
+    def test_a_failed_log_write_stops_every_later_statement(
+        self, tmp_path, monkeypatch, short, site
+    ):
+        """The failed INSERT's rows are in memory but not in the log:
+        every later statement of the process — a read, a read on a pin
+        taken after the failure, a write — raises instead of showing or
+        building on them."""
+        root = tmp_path / "db"
+        db = repro.connect(root)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1), (2), (3)")
+        monkeypatch.setattr(disk, "DISK", FaultyDisk(site, short=short))
+        with pytest.raises(StorageError, match="No space left"):
+            with db.wal.deferred_sync():  # a group commit: one wal.sync
+                db.sql("INSERT INTO t VALUES (4)")
+        monkeypatch.undo()
+        assert db.wal.failed
+        for statement in (
+            lambda: db.sql("SELECT COUNT(*) AS n FROM t"),
+            lambda: db.session(snapshot_reads=True).sql("SELECT k FROM t"),
+            lambda: db.sql("INSERT INTO t VALUES (5)"),
+            lambda: db.sql("CHECKPOINT"),
+        ):
+            with pytest.raises(StorageError, match="reopen the database"):
+                statement()
+        with db.snapshot() as view:
+            with pytest.raises(StorageError, match="reopen the database"):
+                view.sql("SELECT k FROM t")
+        db.close()
+        reopened = repro.connect(root)
+        assert count(reopened) == 3
+        reopened.close()
+
     def test_a_failed_segment_write_keeps_the_log(self, tmp_path, monkeypatch, short):
         root = tmp_path / "db"
         db = repro.connect(root)

@@ -6,6 +6,8 @@ from repro import Database, DataType, Field, Schema
 from repro.errors import StorageError, ThresholdExceededError, WalError
 from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema, schema_to_payload
+from repro.storage.manifest import WAL_NAME
+from tests.log_head import encode_frame
 
 
 def two_cols() -> Schema:
@@ -136,10 +138,19 @@ class TestRecovery:
     def test_recovery_index_missing_table(self, tmp_path):
         path = tmp_path / "data"
         path.mkdir()
-        (path / "wal.jsonl").write_text(
-            '{"lsn": 1, "kind": "create_index", "payload": {"name": "i", '
-            '"table": "t", "column": "c", "kind": "unique", "mode": "auto", '
-            '"threshold": 1.0}}\n'
+        (path / WAL_NAME).write_bytes(
+            encode_frame(
+                1,
+                "create_index",
+                {
+                    "name": "i",
+                    "table": "t",
+                    "column": "c",
+                    "kind": "unique",
+                    "mode": "auto",
+                    "threshold": 1.0,
+                },
+            )
         )
         # No create_table precedes the record, so recovery must fail
         # loudly rather than silently skip.

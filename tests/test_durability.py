@@ -7,6 +7,7 @@ at an arbitrary byte must recover to exactly the state of the last
 complete record.
 """
 
+import io
 import json
 import shutil
 import tempfile
@@ -21,7 +22,8 @@ from repro.errors import StorageError
 from repro.gen import sorted_with_exceptions, unique_with_exceptions
 from repro.storage import disk, engine
 from repro.storage.schema import Field, Schema
-from repro.storage.wal import WalRecord
+from repro.storage.manifest import WAL_NAME
+from repro.storage.wal import decode, frames
 from repro.types import DataType
 from tests.disks import ObservedDisk
 from tests.log_head import edit_head, head_payload, read_manifest
@@ -202,8 +204,10 @@ class TestFig45Workloads:
         root = tmp_path / "db"
         db = self.build(root)
         db.close()
-        for line in (root / "wal.jsonl").read_text().splitlines():
-            record = WalRecord.from_json(line)
+        with open(root / WAL_NAME, "rb") as handle:
+            records = [decode(frame) for frame in frames(handle)]
+        assert "create_index" in [record.kind for record in records]
+        for record in records:
             if record.kind == "create_index":
                 assert set(record.payload) <= {
                     "name",
@@ -236,25 +240,21 @@ def build_fuzz_base(base: Path) -> None:
 
 
 def expected_rows_after(wal_bytes: bytes) -> int:
-    """Row count implied by the log's head record plus the complete
-    records after it (a record is complete with its newline)."""
+    """Row count implied by the log's head record plus the whole frames
+    after it, read by the log's own frame reader (which stops at a torn
+    tail)."""
     rows = 0
-    for line in wal_bytes.decode("utf-8", "replace").splitlines(keepends=True):
-        if not line.endswith("\n"):
-            break  # torn tail: discarded
-        record = WalRecord.from_json(line)
+    for record in map(decode, frames(io.BytesIO(wal_bytes))):
         if record.kind == "checkpoint":
             rows = sum(
                 partition["row_count"]
                 for table in record.payload["tables"].values()
                 for partition in table["partitions"]
             )
-        elif record.kind == "append":
+        elif record.kind in ("append", "load"):
             rows += record.payload["row_count"]
-        elif record.kind == "load":
-            rows += len(next(iter(record.payload["columns"].values())))
         elif record.kind == "delete":
-            rows -= len(record.payload["rowids"])
+            rows -= record.payload["row_count"]
     return rows
 
 
@@ -262,10 +262,8 @@ def tail_start(wal_bytes: bytes) -> int:
     """Byte offset just past the checkpoint head record.  The head is
     installed by an atomic rename, so a crash can only tear bytes at or
     after this offset."""
-    head = wal_bytes.split(b"\n", 1)[0]
-    if WalRecord.from_json(head.decode("utf-8")).kind == "checkpoint":
-        return len(head) + 1
-    return 0
+    head = next(frames(io.BytesIO(wal_bytes)))
+    return head.end if head.kind == "checkpoint" else 0
 
 
 class TestCrashRecoveryFuzz:
@@ -277,12 +275,12 @@ class TestCrashRecoveryFuzz:
 
     @pytest.mark.parametrize("fraction", [0.0, 0.17, 0.33, 0.5, 0.66, 0.84, 0.97, 1.0])
     def test_truncated_tail_converges(self, base_dir, tmp_path, fraction):
-        wal_bytes = (base_dir / "wal.jsonl").read_bytes()
+        wal_bytes = (base_dir / WAL_NAME).read_bytes()
         start = tail_start(wal_bytes)
         cut = start + int((len(wal_bytes) - start) * fraction)
         crashed = tmp_path / "crashed"
         shutil.copytree(base_dir, crashed)
-        (crashed / "wal.jsonl").write_bytes(wal_bytes[:cut])
+        (crashed / WAL_NAME).write_bytes(wal_bytes[:cut])
 
         db = repro.connect(crashed)
         assert db.table("t").row_count == expected_rows_after(wal_bytes[:cut])
@@ -300,12 +298,12 @@ class TestCrashRecoveryFuzz:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_random_byte_truncation(self, base_dir, data):
-        wal_bytes = (base_dir / "wal.jsonl").read_bytes()
+        wal_bytes = (base_dir / WAL_NAME).read_bytes()
         cut = data.draw(st.integers(tail_start(wal_bytes), len(wal_bytes)))
         crashed = Path(tempfile.mkdtemp(prefix="repro-crash-")) / "db"
         try:
             shutil.copytree(base_dir, crashed)
-            (crashed / "wal.jsonl").write_bytes(wal_bytes[:cut])
+            (crashed / WAL_NAME).write_bytes(wal_bytes[:cut])
             db = repro.connect(crashed)
             assert db.table("t").row_count == expected_rows_after(wal_bytes[:cut])
             # The recovered database is fully functional.
@@ -352,7 +350,7 @@ class TestMixedVersion:
         edit_head(root, bump)
         with pytest.raises(StorageError, match="version 99") as info:
             repro.connect(root)
-        assert str(root / "wal.jsonl") in str(info.value)
+        assert str(root / WAL_NAME) in str(info.value)
 
     def test_a_malformed_partition_entry_is_a_storage_error(self, tmp_path):
         root = tmp_path / "db"
@@ -365,7 +363,7 @@ class TestMixedVersion:
         edit_head(root, drop_file)
         with pytest.raises(StorageError, match="corrupt manifest") as info:
             repro.connect(root)
-        assert str(root / "wal.jsonl") in str(info.value)
+        assert str(root / WAL_NAME) in str(info.value)
 
     def test_version_3_is_rejected_by_name(self, tmp_path):
         # Version 3 kept a directory of per-column segment files and a
@@ -596,7 +594,7 @@ def sweep_failed_checkpoint_steps(tmp_path, monkeypatch, skip=frozenset()) -> se
         assert durable_state(reopened)[:2] == expected, (k, failpoint.fired)
         assert sorted(path.name for path in root.iterdir()) == [
             "segments",
-            "wal.jsonl",
+            "wal.log",
         ]
         reopened.close()
         if failpoint.fired is None:

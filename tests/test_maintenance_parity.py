@@ -34,7 +34,6 @@ reopened copy of the directory must be equal rowid for rowid, valid, and
 answer like the rebuild-from-scratch oracle, with no recovery fallback.
 """
 
-import json
 import random
 import shutil
 from collections import Counter
@@ -43,9 +42,11 @@ import pytest
 
 import repro
 from repro.core.constraints import check_nsc, check_nuc
-from repro.errors import WalError
+from repro.errors import StorageError, WalError
 from repro.storage.checkpoint import entry_checksum
+from repro.storage.manifest import WAL_NAME
 from repro.storage.schema import Field, Schema
+from repro.storage.wal import frames
 from repro.types import DataType
 from tests.log_head import edit_head
 
@@ -233,11 +234,11 @@ def test_a_torn_last_data_line_restores_without_fallback(tmp_path):
     expected_state = observable_state(db)
     db.sql("INSERT INTO t VALUES (1), (2), (3)")  # the statement the crash tears
     db.close()
-    wal = path / "wal.jsonl"
-    text = wal.read_bytes()
-    last = text.rstrip(b"\n").rsplit(b"\n", 1)[1]
-    assert json.loads(last)["kind"] == "append"
-    wal.write_bytes(text[: len(text) - len(last) // 2 - 1])
+    wal = path / WAL_NAME
+    with open(wal, "rb") as handle:
+        last = list(frames(handle, bodies=False))[-1]
+    assert last.kind == "append"
+    wal.write_bytes(wal.read_bytes()[: (last.offset + last.end) // 2])
 
     recovered = repro.connect(path)
     assert_restored_without_fallback(recovered, restored=2)
@@ -272,22 +273,23 @@ def legacy_history(db):
 
 
 def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
-    """An older release logged a ``patch_delta`` after every data record.
-    This release neither writes nor reads that kind: such a directory is
-    refused with the typed error any unknown kind gets, and left as it
-    was."""
+    """An older release logged a ``patch_delta`` after every data record,
+    in a JSON-lines ``wal.jsonl``.  This release neither writes nor reads
+    either: such a directory is refused as format 5 and left as it was,
+    and no log takes a ``patch_delta`` record."""
     path = tmp_path / "data"
     db = repro.connect(path)
     legacy_history(db)
     db.close()
-    # The segments and patch sets have the older release's format; only
-    # the log differs.
+    (path / WAL_NAME).unlink()
     (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
+    before = {entry: entry.read_bytes() for entry in path.rglob("*") if entry.is_file()}
 
-    with pytest.raises(WalError, match="unknown WAL record kind: 'patch_delta'"):
+    with pytest.raises(StorageError, match="format 5 .* format 6"):
         repro.connect(path)
-    assert (path / "wal.jsonl").read_text(encoding="utf-8") == LEGACY_WAL
-    with pytest.raises(WalError, match="unknown WAL record kind"):
+    after = {entry: entry.read_bytes() for entry in path.rglob("*") if entry.is_file()}
+    assert after == before
+    with pytest.raises(WalError, match="unknown WAL record kind: 'patch_delta'"):
         db.wal.append("patch_delta", {})
 
 

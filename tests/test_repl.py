@@ -1,11 +1,11 @@
 """Tests for the interactive shell (python -m repro)."""
 
 import io
-import json
 
 from repro.__main__ import main, run_shell
 from repro.serve import ServerThread
 from repro.storage.database import Database
+from tests.log_head import head_and_tail
 
 
 def drive(lines):
@@ -139,8 +139,7 @@ class TestCheckpoint:
         )
         assert code == 0
         assert "1 segments" in output.getvalue()
-        head = (tmp_path / "db" / "wal.jsonl").read_text().splitlines()[0]
-        assert json.loads(head)["kind"] == "checkpoint"
+        assert head_and_tail(tmp_path / "db")[0].kind == "checkpoint"
 
 
     def test_checkpoint_backslash_command_under_connect(
@@ -160,8 +159,7 @@ class TestCheckpoint:
                 assert main(["--connect", server.uri]) == 0
             assert database.obs.counter("checkpoint.count").value == 1
         assert "checkpoint at lsn 3: 1 tables, 1 segments" in capsys.readouterr().out
-        head = (tmp_path / "db" / "wal.jsonl").read_text().splitlines()[0]
-        assert json.loads(head)["kind"] == "checkpoint"
+        assert head_and_tail(tmp_path / "db")[0].kind == "checkpoint"
 
 
 class TestCacheCommand:

@@ -775,6 +775,25 @@ class TestServerLifecycle:
         assert sorted(keys) == [1, 2, 3, 10]
         reopened.close()
 
+    def test_a_failed_append_stops_the_next_read_on_another_connection(
+        self, durable, monkeypatch
+    ):
+        """An INSERT whose log write fails ran in memory but is not in the
+        log: the next statement on another connection, a read, gets a
+        typed error frame instead of rows that a reopen would not have."""
+        with ServerThread(durable) as server:
+            with ServerClient(server.host, server.port) as reader:
+                assert reader.sql("SELECT COUNT(*) AS n FROM t").scalar() == 3
+                with ServerClient(server.host, server.port) as writer:
+                    monkeypatch.setattr(disk, "DISK", FaultyDisk("wal.append"))
+                    with pytest.raises(StorageError, match="No space left"):
+                        writer.sql("INSERT INTO t VALUES (4, 'd')")
+                    monkeypatch.undo()
+                with pytest.raises(StorageError, match="reopen the database"):
+                    reader.sql("SELECT COUNT(*) AS n FROM t")
+                assert reader.ping() is True  # an error frame, not a hang-up
+        durable.close()
+
     def test_stop_leaves_no_thread_behind(self, durable):
         with ServerThread(durable) as server:
             with ServerClient(server.host, server.port) as client:

@@ -1,28 +1,47 @@
 """Unit tests for the write-ahead log: appends, the checkpoint head
-record, torn tails, and what a replay of the records leaves live."""
+record, frames and their torn tails, and what a replay of the records
+leaves live."""
 
 import gc
-import json
+import io
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 import types
+import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.errors import StorageError, WalError
-from repro.storage.manifest import Manifest
+from repro.storage.column import ColumnVector
+from repro.storage.manifest import WAL_NAME, Manifest
 from repro.storage.materialize import replay_log
-from repro.storage.wal import WalRecord, WriteAheadLog
+from repro.storage.schema import Field, Schema
+from repro.storage.wal import (
+    PREFIX,
+    WalRecord,
+    WriteAheadLog,
+    decode,
+    frames,
+    seal,
+)
+from repro.types import DataType
+from tests.log_head import encode_frame
 
 SCHEMA = [{"name": "c", "dtype": "int64", "nullable": True}]
 
 
 def replayed(*steps):
-    """What replaying *steps* — ``(kind, payload)`` pairs, LSNs 1, 2, …
-    — from an empty directory leaves: tables and indexes by name."""
-    records = [
-        WalRecord(lsn, kind, payload) for lsn, (kind, payload) in enumerate(steps, 1)
-    ]
+    """What replaying *steps* — ``(kind, payload[, columns])`` tuples,
+    LSNs 1, 2, … — from an empty directory leaves: tables and indexes by
+    name."""
+    records = [WalRecord(lsn, *step) for lsn, step in enumerate(steps, 1)]
     recovered = replay_log(records, {}, None)
     return recovered.tables, {index.name: index for index in recovered.indexes}
 
@@ -42,15 +61,22 @@ def create_index(name, table):
     )
 
 
+def ints(*values):
+    return {"c": ColumnVector.from_pylist(DataType.INT64, list(values))}
+
+
 def append(table, *values):
-    return (
-        "append",
-        {"table": table, "columns": {"c": list(values)}, "row_count": len(values)},
-    )
+    return ("append", {"table": table, "row_count": len(values)}, ints(*values))
 
 
 def kinds(wal):
     return [record.kind for record in wal.records()]
+
+
+def write_frames(path, *records):
+    """A log file holding *records* — ``(lsn, kind, payload[, columns])``
+    tuples — as whole frames."""
+    path.write_bytes(b"".join(encode_frame(*record) for record in records))
 
 
 class TestInMemory:
@@ -108,22 +134,14 @@ class TestLiveRecords:
         tables, _ = replayed(*steps)
         assert list(tables) == ["t"]
 
-    def test_a_load_is_range_split_and_round_robin_is_refused(self):
-        # A log written before loads lost their round-robin layout may
-        # carry the field; false is the range split it always meant.
+    def test_a_load_is_range_split(self):
         create = ("create_table", {**create_table("t")[1], "partition_count": 2})
-
-        def load(**flag):
-            return ("load", {"table": "t", "columns": {"c": [1, 2, 3, 4]}, **flag})
-
-        for step in (load(), load(round_robin=False)):
-            tables, _ = replayed(create, step)
-            assert [p.column("c").to_pylist() for p in tables["t"].partitions] == [
-                [1, 2],
-                [3, 4],
-            ]
-        with pytest.raises(WalError, match="'round_robin'"):
-            replayed(create, load(round_robin=True))
+        load = ("load", {"table": "t", "row_count": 4}, ints(1, 2, 3, 4))
+        tables, _ = replayed(create, load)
+        assert [p.column("c").to_pylist() for p in tables["t"].partitions] == [
+            [1, 2],
+            [3, 4],
+        ]
 
     def test_an_index_maintains_the_records_after_its_create(self):
         _, indexes = replayed(
@@ -134,7 +152,7 @@ class TestLiveRecords:
 
 class TestFileBacked:
     def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         wal.append("create_table", {"name": "t", "schema": []})
         wal.append("create_index", {"name": "i", "table": "t"})
@@ -144,28 +162,20 @@ class TestFileBacked:
         record = reloaded.append("drop_index", {"name": "i"})
         assert record.lsn == 3
 
-    def test_corrupt_line_raises(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text(
-            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
-            "not json\n"
-        )
-        with pytest.raises(WalError):
-            WriteAheadLog(path)
-
     def test_non_monotonic_lsn_raises(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text(
-            '{"lsn": 2, "kind": "create_table", "payload": {"name": "a"}}\n'
-            '{"lsn": 1, "kind": "create_table", "payload": {"name": "b"}}\n'
+        path = tmp_path / WAL_NAME
+        write_frames(
+            path,
+            (2, "create_table", {"name": "a"}),
+            (1, "create_table", {"name": "b"}),
         )
-        with pytest.raises(WalError):
-            list(WriteAheadLog(path).records())
+        with pytest.raises(WalError, match="non-monotonic LSN 1 after 2"):
+            WriteAheadLog(path)
 
     def test_payload_keys_cannot_collide_with_envelope(self, tmp_path):
         # An index's own "kind" (unique/sorted) must survive a
         # serialization roundtrip intact.
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         wal.append(
             "create_index",
@@ -176,7 +186,7 @@ class TestFileBacked:
         assert record.payload["kind"] == "unique"
 
     def test_one_handle_serves_every_append(self, tmp_path, monkeypatch):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         opened = []
         real_open = open
@@ -193,73 +203,39 @@ class TestFileBacked:
             wal.append("drop_table", {"name": "t0"})
 
 
-class TestWalRecord:
-    def test_json_roundtrip(self):
-        record = WalRecord(7, "create_index", {"name": "i", "table": "t"})
-        parsed = WalRecord.from_json(record.to_json())
-        assert parsed == record
+class TestFrames:
+    def test_a_metadata_record_is_its_header(self):
+        frame = encode_frame(7, "create_index", {"name": "i", "table": "t"})
+        (read,) = frames(io.BytesIO(bytes(frame)))
+        assert (read.offset, read.end, read.lsn) == (0, len(frame), 7)
+        assert decode(read) == WalRecord(7, "create_index", {"name": "i", "table": "t"})
 
-    def test_malformed_json(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json("[1, 2]")
+    def test_a_header_that_is_not_an_object_is_refused(self):
+        frame = bytearray(encode_frame(1, "drop_table", {}))
+        frame[PREFIX.size + 4 :] = b"[1]"
+        # Re-sealed, so only the header is wrong.
+        seal(frame, 1, "drop_table", zlib.crc32(frame[PREFIX.size :]))
+        (read,) = frames(io.BytesIO(bytes(frame)))
+        with pytest.raises(WalError, match="malformed drop_table record 1"):
+            decode(read)
 
-    def test_malformed_payload(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": 1, "kind": "checkpoint", "payload": 3}')
-
-    def test_unknown_kind(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": 1, "kind": "vacuum"}')
-
-
-class TestFromJsonHardening:
-    def test_non_int_lsn_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": "1", "kind": "checkpoint"}')
-
-    def test_float_lsn_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": 1.5, "kind": "checkpoint"}')
-
-    def test_bool_lsn_rejected(self):
-        # bool is an int subclass in Python; it must still be rejected.
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": true, "kind": "checkpoint"}')
-
-    def test_null_lsn_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": null, "kind": "checkpoint"}')
-
-    def test_list_payload_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json(
-                '{"lsn": 1, "kind": "checkpoint", "payload": [1]}'
-            )
-
-    def test_string_payload_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json(
-                '{"lsn": 1, "kind": "checkpoint", "payload": "x"}'
-            )
-
-    def test_non_string_kind_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord.from_json('{"lsn": 1, "kind": 3}')
-
-    def test_missing_payload_defaults_empty(self):
-        record = WalRecord.from_json('{"lsn": 1, "kind": "checkpoint"}')
-        assert record.payload == {}
+    def test_unknown_kind_is_refused_on_append(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / WAL_NAME)
+        with pytest.raises(WalError, match="unknown WAL record kind: 'vacuum'"):
+            wal.append("vacuum", {})
+        assert wal.last_lsn == 0
 
 
 class TestDataRecords:
     def test_data_record_roundtrip(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         wal.append(*create_table("t"))
         wal.append(*append("t", 1, None))
         records = list(WriteAheadLog(path).records())
         assert [record.kind for record in records] == ["create_table", "append"]
-        assert records[1].payload["columns"] == {"c": [1, None]}
+        assert records[1].payload["columns"] == [["c", "int64", 1, 1]]
+        assert records[1].columns["c"].to_pylist() == [1, None]
 
     def test_drop_table_elides_its_data(self):
         steps = (create_table("t"), append("t", 1), drop_table("t"))
@@ -275,13 +251,14 @@ class TestDataRecords:
     def test_checkpoint_markers_not_replayed(self, tmp_path):
         # A checkpoint record is the log's head or nothing: one anywhere
         # else is refused, not replayed.
-        path = tmp_path / "wal.jsonl"
-        path.write_text(
-            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
-            '{"lsn": 2, "kind": "checkpoint", "payload": {"checkpoint_lsn": 1}}\n'
+        path = tmp_path / WAL_NAME
+        write_frames(
+            path,
+            (1, "create_table", {"name": "t"}),
+            (2, "checkpoint", {"checkpoint_lsn": 1}),
         )
         with pytest.raises(WalError, match="not the log's head"):
-            list(WriteAheadLog(path).records())
+            WriteAheadLog(path)
 
 
 def checkpoint(wal):
@@ -310,7 +287,7 @@ class TestCompact:
         reopened.close()
 
     def test_checkpoint_prunes_covered_data_records(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         wal.append(*create_table("t"))
         wal.append(*append("t", 1))
@@ -322,10 +299,10 @@ class TestCompact:
         # survives, bytes unchanged.
         assert [(r.lsn, r.kind) for r in records] == [(3, "checkpoint"), (4, "append")]
         assert records[0].payload["checkpoint_lsn"] == 3
-        assert records[1].payload["columns"] == {"c": [2]}
+        assert records[1].columns["c"].to_pylist() == [2]
 
     def test_lsns_preserved_across_compaction(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         wal.append(*create_table("t"))
         wal.append(*append("t", 1))
@@ -337,21 +314,20 @@ class TestCompact:
         assert reloaded.append(*drop_table("u")).lsn == 5
 
     def test_compact_rewrites_file(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         for position in range(5):
             wal.append(*append("t", position))
         checkpoint(wal)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1  # only the head record remains
-        head = json.loads(lines[0])
-        assert (head["lsn"], head["kind"]) == (6, "checkpoint")
+        with open(path, "rb") as handle:
+            (head,) = frames(handle)  # only the head record remains
+        assert (head.lsn, head.kind, head.end) == (6, "checkpoint", path.stat().st_size)
         assert WriteAheadLog(path).last_lsn == 6
-        assert not (tmp_path / "wal.jsonl.tmp").exists()
+        assert not (tmp_path / (WAL_NAME + ".tmp")).exists()
 
     def test_compact_empty_log_is_noop(self, tmp_path):
         # A checkpoint of an empty log installs a head and nothing else.
-        path = tmp_path / "wal.jsonl"
+        path = tmp_path / WAL_NAME
         wal = WriteAheadLog(path, sync=False)
         assert checkpoint(wal) == 1
         assert wal.append(*create_table("t")).lsn == 2
@@ -359,45 +335,78 @@ class TestCompact:
 
 
 class TestTornTail:
-    def test_torn_tail_tolerated_when_enabled(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path, sync=False)
-        wal.append("create_table", {"name": "t"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"lsn": 2, "kind": "crea')  # torn mid-append
-        recovered = WriteAheadLog(path)
-        assert kinds(recovered) == ["create_table"]
-        # The file was truncated back to the last complete record.
-        assert path.read_text().count("\n") == 1
-        assert recovered.append("drop_table", {"name": "t"}).lsn == 2
+    """Only the last frame can be torn; any other damage is refused."""
 
-    def test_mid_file_corruption_raises_even_when_tolerant(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text(
-            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
-            "garbage\n"
-            '{"lsn": 3, "kind": "drop_table", "payload": {"name": "t"}}\n'
+    def two_frames(self, path):
+        write_frames(
+            path, (1, "create_table", {"name": "t"}), (2, "drop_table", {"name": "t"})
         )
-        with pytest.raises(WalError):
-            list(WriteAheadLog(path).records())
+        return path.read_bytes(), len(encode_frame(1, "create_table", {"name": "t"}))
 
-    def test_a_whole_last_record_of_an_unknown_kind_is_not_torn(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        text = '{"lsn": 1, "kind": "vacuum", "payload": {}}\n'
-        path.write_text(text)
-        with pytest.raises(WalError, match="unknown WAL record kind"):
-            WriteAheadLog(path)
-        assert path.read_text() == text
-
-    def test_a_last_record_without_its_newline_is_torn(self, tmp_path):
-        # An append writes its line and newline at once: a record whose
-        # newline is missing was never acknowledged.
-        path = tmp_path / "wal.jsonl"
-        first = '{"lsn": 1, "kind": "create_table", "payload": {"name": "t"}}\n'
-        path.write_text(first + first.replace('"lsn": 1', '"lsn": 2').rstrip())
+    @pytest.mark.parametrize("keep", [1, PREFIX.size - 1, PREFIX.size, -1])
+    def test_a_short_last_frame_is_truncated(self, tmp_path, keep):
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        cut = first + keep if keep > 0 else len(data) + keep
+        path.write_bytes(data[:cut])
         wal = WriteAheadLog(path, sync=False)
-        assert path.read_text() == first
+        assert path.read_bytes() == data[:first]
+        assert kinds(wal) == ["create_table"]
         assert wal.append("drop_table", {"name": "t"}).lsn == 2
+        assert path.read_bytes() == data
+
+    def test_a_bad_crc_on_the_last_frame_is_torn(self, tmp_path):
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        damaged = bytearray(data)
+        damaged[-2] ^= 0xFF
+        path.write_bytes(damaged)
+        wal = WriteAheadLog(path, sync=False)
+        assert path.read_bytes() == data[:first]
+        assert wal.last_lsn == 1
+
+    def test_a_bad_crc_followed_by_a_valid_frame_raises(self, tmp_path):
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        damaged = bytearray(data)
+        damaged[first - 2] ^= 0xFF
+        path.write_bytes(damaged)
+        # Open reads the last frame only, which is whole.
+        wal = WriteAheadLog(path, sync=False)
+        with pytest.raises(WalError, match="record 1 at byte 0 fails its CRC"):
+            list(wal.records())
+        assert path.read_bytes() == damaged
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_an_unknown_kind_byte_raises(self, tmp_path, last):
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        damaged = bytearray(data)
+        damaged[(first if last else 0) + 16] = 99  # the kind byte
+        path.write_bytes(damaged)
+        with pytest.raises(WalError, match="unknown WAL record kind 99"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == damaged
+
+    def test_a_format_5_directory_is_refused_and_left_as_it_was(self, tmp_path):
+        root = tmp_path / "db"
+        (root / "segments").mkdir(parents=True)
+        (root / "wal.jsonl").write_text(
+            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t", '
+            '"schema": [{"name": "c", "dtype": "int64", "nullable": true}]}}\n'
+        )
+        before = sorted(
+            (path, path.read_bytes() if path.is_file() else None)
+            for path in root.rglob("*")
+        )
+        with pytest.raises(StorageError, match="format 5 .* format 6") as info:
+            repro.connect(root)
+        assert str(root / "wal.jsonl") in str(info.value)
+        after = sorted(
+            (path, path.read_bytes() if path.is_file() else None)
+            for path in root.rglob("*")
+        )
+        assert after == before
 
 
 class TestMetricsHook:
@@ -407,7 +416,7 @@ class TestMetricsHook:
         metrics = MetricsRegistry()
         wal = WriteAheadLog(metrics=metrics)
         wal.append("create_table", {"name": "t"})
-        wal.append("append", {"table": "t", "columns": {"c": [1]}})
+        wal.append(*append("t", 1))
         assert metrics.counter("wal.records").value == 2
         assert metrics.counter("wal.data_records").value == 1
         assert metrics.counter("wal.bytes").value > 0
@@ -443,3 +452,180 @@ class TestMemory:
         assert db.table("t").row_count == 200_000
         assert retained_bytes(db.wal) < 1 << 20
         db.close()
+
+
+# -- columns round trip bit for bit ------------------------------------------
+
+#: Values each dtype draws: the INT64 extremes, NaN and -0.0 among the
+#: floats, empty and non-ASCII strings.
+VALUES = {
+    DataType.INT64: st.one_of(
+        st.sampled_from([0, 2**63 - 1, -(2**63 - 1), -(2**63)]),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-200, 200),
+    ),
+    DataType.DATE: st.integers(-719_162, 2_932_896),
+    DataType.FLOAT64: st.one_of(
+        st.sampled_from([float("nan"), -0.0, 0.0, float("inf")]), st.floats()
+    ),
+    DataType.BOOL: st.booleans(),
+    DataType.STRING: st.one_of(st.sampled_from(["", "é", "日本", "a\x00b"]), st.text()),
+}
+
+
+@st.composite
+def vectors(draw, dtype, rows):
+    """A column of *rows* values; NULLs none, some or all, and the
+    values under them kept whatever they are."""
+    values = draw(st.lists(VALUES[dtype], min_size=rows, max_size=rows))
+    if dtype == DataType.STRING:
+        array = np.empty(rows, dtype=object)
+        array[:] = values
+    else:
+        array = np.array(values, dtype=ColumnVector.empty(dtype).values.dtype)
+    shape = draw(st.sampled_from(["none", "some", "all"]))
+    validity = None
+    if shape == "all":
+        validity = np.zeros(rows, dtype=np.bool_)
+    elif shape == "some":
+        validity = np.array(
+            draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=np.bool_
+        )
+    return ColumnVector(dtype, array, validity)
+
+
+@st.composite
+def batches(draw):
+    """A schema of one to five columns and one to three batches of it."""
+    dtypes = draw(st.lists(st.sampled_from(list(DataType)), min_size=1, max_size=5))
+    return dtypes, [
+        {
+            f"c{position}": draw(vectors(dtype, rows))
+            for position, dtype in enumerate(dtypes)
+        }
+        for rows in draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    ]
+
+
+def assert_same_bits(got: ColumnVector, want: ColumnVector) -> None:
+    assert got.dtype == want.dtype
+    assert (got.validity is None) == (want.validity is None)
+    if want.validity is not None:
+        assert got.validity.tolist() == want.validity.tolist()
+    if want.dtype == DataType.STRING:
+        assert [type(v) for v in got.values] == [str] * len(want)
+        assert got.values.tolist() == want.values.tolist()
+    else:
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=batches())
+    def test_a_record_reads_back_bit_for_bit(self, drawn):
+        _, columns_of = drawn
+        log = io.BytesIO(
+            b"".join(
+                encode_frame(lsn, "append", {"table": "t", "row_count": len(
+                    next(iter(columns.values()))
+                )}, columns)
+                for lsn, columns in enumerate(columns_of, 1)
+            )
+        )
+        records = [decode(frame) for frame in frames(log)]
+        assert len(records) == len(columns_of)
+        for record, columns in zip(records, columns_of):
+            assert list(record.columns) == list(columns)
+            for name, column in columns.items():
+                assert_same_bits(record.columns[name], column)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=batches())
+    def test_a_replayed_table_equals_the_live_one_bit_for_bit(self, drawn):
+        """A bulk load, then appends, into two partitions of a durable
+        directory: the reopen's replay leaves every partition's columns
+        as the live table held them, values under NULLs included."""
+        dtypes, columns_of = drawn
+        root = Path(tempfile.mkdtemp(prefix="repro-wal-")) / "db"
+        try:
+            db = repro.connect(root, sync=False)
+            table = db.create_table(
+                "t",
+                Schema(Field(f"c{i}", dtype) for i, dtype in enumerate(dtypes)),
+                partition_count=2,
+            )
+            table.load_columns(columns_of[0])
+            for columns in columns_of[1:]:
+                table.append_columns(columns)
+            live = [
+                {name: partition.column(name) for name in table.schema.names}
+                for partition in table.partitions
+            ]
+            db.close()
+            reopened = repro.connect(root, sync=False)
+            replayed_partitions = reopened.table("t").partitions
+            assert len(replayed_partitions) == len(live)
+            for partition, columns in zip(replayed_partitions, live):
+                for name, column in columns.items():
+                    assert_same_bits(partition.column(name), column)
+            reopened.close()
+        finally:
+            shutil.rmtree(root.parent, ignore_errors=True)
+
+    @pytest.mark.parametrize(
+        "value, width",
+        [
+            (127, 1), (128, 2), (-128, 1), (-129, 2),
+            (32767, 2), (32768, 4), (-32768, 2), (-32769, 4),
+            (2**31 - 1, 4), (2**31, 8), (-(2**31), 4), (-(2**31) - 1, 8),
+            (2**63 - 1, 8), (-(2**63), 8),
+        ],
+    )
+    def test_int_columns_take_the_narrowest_width(self, value, width):
+        for dtype in (DataType.INT64, DataType.DATE):
+            if dtype == DataType.DATE and abs(value) > 2**31:
+                continue
+            column = ColumnVector(dtype, np.array([0, value], dtype=np.int64))
+            frame = encode_frame(1, "load", {"table": "t", "row_count": 2}, {"c": column})
+            (read,) = frames(io.BytesIO(bytes(frame)))
+            record = decode(read)
+            assert record.payload["columns"] == [["c", dtype.value, width, 0]]
+            assert_same_bits(record.columns["c"], column)
+
+
+class TestWalDump:
+    def test_one_line_per_frame_and_the_torn_tail(self, tmp_path):
+        """``tools/wal_dump.py`` prints each frame through the log's own
+        reader, reports a torn tail, and leaves the directory as it was."""
+        root = tmp_path / "db"
+        db = repro.connect(root, sync=False)
+        db.sql("CREATE TABLE t (k BIGINT, s VARCHAR)")
+        db.sql("INSERT INTO t VALUES (1, 'a'), (NULL, 'b')")
+        db.checkpoint()
+        db.sql("INSERT INTO t VALUES (70000, 'c')")
+        db.sql("DELETE FROM t WHERE k = 1")
+        db.close()
+        with open(root / WAL_NAME, "ab") as handle:
+            handle.write(b"\x07\x00")
+        before = (root / WAL_NAME).read_bytes()
+        tools = Path(__file__).resolve().parent.parent / "tools"
+        completed = subprocess.run(
+            [sys.executable, str(tools / "wal_dump.py"), str(root)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        lines = completed.stdout.splitlines()
+        assert [line.split()[:2] for line in lines[:3]] == [
+            ["3", "checkpoint"],
+            ["4", "append"],
+            ["5", "delete"],
+        ]
+        assert '"format_version":6' in lines[0]
+        assert "k: int64 width=4 rows=1 | s: string width=0 rows=1" in lines[1]
+        assert "rowids: int64 width=1 rows=1" in lines[2]
+        assert lines[3:] == [f"torn tail: 2 bytes from byte {len(before) - 2}"]
+        assert (root / WAL_NAME).read_bytes() == before
