@@ -488,15 +488,16 @@ class WriteAheadLog:
         path = self._path
         tmp = path.with_name(path.name + ".tmp")
         # The manifest's pieces are kept until the head's length and CRC
-        # are known; the head is written in front of them.
+        # are known; its prefix and header length go in front of them.
         chunks: list[bytes] = []
         patches_bytes = manifest.write(chunks.append)
         chunks.insert(0, _HEADER_LENGTH.pack(sum(map(len, chunks))))
         body_crc = 0
         for chunk in chunks:
             body_crc = zlib.crc32(chunk, body_crc)
-        head = _prefix(
-            sum(map(len, chunks)), manifest.checkpoint_lsn, "checkpoint", body_crc
+        length = sum(map(len, chunks))
+        chunks.insert(
+            0, _prefix(length, manifest.checkpoint_lsn, "checkpoint", body_crc)
         )
         with self._lock:  # lock-ok: the install's fsyncs and rename ARE the checkpoint
             superseded = self._append_handle_locked()
@@ -505,8 +506,7 @@ class WriteAheadLog:
                 tail = log.read()  # the appends since the pin
             with disk.DISK.create("wal.install.create", tmp) as out:
                 write = partial(disk.DISK.write, "wal.install.write", out)
-                write(head + chunks[0])
-                for chunk in chunks[1:]:
+                for chunk in chunks:
                     write(chunk)
                 write(tail)
                 if self._sync:
