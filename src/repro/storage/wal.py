@@ -15,9 +15,9 @@ frames, ``<root>/wal.log``:
   step, in the order they ran live.
 
 A frame is a little-endian prefix (:data:`PREFIX`: body length, LSN,
-kind byte, CRC-32) and a body: a 4-byte header length, a compact JSON
-header, then the bytes of each column the header lists.  The CRC covers
-the body followed by the prefix's first three fields.  A data record's
+kind byte, the body's CRC-32, then a CRC-32 of those four fields) and a
+body: a 4-byte header length, a compact JSON header, then the bytes of
+each column the header lists.  A data record's
 header holds the table, ``row_count`` and one ``[name, dtype, width,
 nullable]`` entry per column; its columns are stored as
 :func:`~repro.storage.segment.encode_log_column` writes them (INT64 and
@@ -49,10 +49,15 @@ and DDL, never patches.  Recovery (:mod:`repro.storage.materialize`)
 loads the head and replays every later record through the tables, which
 the PatchIndexes re-classify as they did live.
 
-Only the last frame can be torn — its declared end passes the end of
-the file, or its CRC fails with nothing after it — and opening the log
-truncates it: an append writes its frame at once, so a torn one was
-never acknowledged.  Any other damage is a :class:`WalError`.
+Only the last frame can be torn, and opening the log truncates it: an
+append writes its frame at once, so a torn one was never acknowledged.
+A frame is the last when nothing but zero bytes follow it (a crash can
+leave a file's end zero-filled); it is torn when its prefix is short,
+its whole prefix fails its CRC, its declared end passes the end of the
+file, or its body fails its CRC.  The prefix's own CRC vouches for the
+length before the walk trusts it, so damage to a length is never taken
+for a torn tail.  The head is never torn — it is installed whole, by a
+rename.  Any other damage is a :class:`WalError`.
 
 In memory the log keeps its next LSN, the file's end offset and one
 open append handle; records are read back from the file, by recovery
@@ -106,10 +111,11 @@ _KIND_CODES = {kind: code for code, kind in enumerate(KINDS, 1)}
 #: Row-data record kinds, replayed by the durable storage engine.
 DATA_KINDS = frozenset({"append", "load", "delete", "update"})
 
-#: A frame's prefix: body length, LSN, kind byte, CRC-32.
-PREFIX = struct.Struct("<QQBI")
-#: The prefix fields the CRC covers after the body.
-_CHECKED = struct.Struct("<QQB")
+#: A frame's prefix: body length, LSN, kind byte, the body's CRC-32,
+#: and the CRC-32 of the four fields before it.
+PREFIX = struct.Struct("<QQBII")
+#: The prefix fields its own CRC covers.
+_CHECKED = struct.Struct("<QQBI")
 _HEADER_LENGTH = struct.Struct("<I")
 #: A frame header's JSON: compact.
 _encode_header = json.JSONEncoder(separators=(",", ":")).encode
@@ -168,15 +174,11 @@ def encode_body(
     )
 
 
-def _crc(length: int, lsn: int, code: int, body_crc: int) -> int:
-    return zlib.crc32(_CHECKED.pack(length, lsn, code), body_crc)
-
-
 def _prefix(length: int, lsn: int, kind: str, body_crc: int) -> bytes:
     """The prefix of a frame whose body is *length* bytes with CRC-32
     *body_crc*."""
-    code = _kind_code(kind)
-    return PREFIX.pack(length, lsn, code, _crc(length, lsn, code, body_crc))
+    fields = _CHECKED.pack(length, lsn, _kind_code(kind), body_crc)
+    return fields + struct.pack("<I", zlib.crc32(fields))
 
 
 def seal(frame: bytearray, lsn: int, kind: str, body_crc: int) -> bytearray:
@@ -186,28 +188,45 @@ def seal(frame: bytearray, lsn: int, kind: str, body_crc: int) -> bytearray:
     return frame
 
 
+def _only_zeros(handle: BinaryIO, start: int, size: int) -> bool:
+    """Whether the file's bytes from *start* to its end *size* are all
+    zero (true when there are none)."""
+    handle.seek(start)
+    step = PREFIX.size
+    while start < size:
+        chunk = handle.read(min(step, size - start))
+        if chunk.strip(b"\0"):
+            return False
+        start += len(chunk)
+        step = min(2 * step, 1 << 20)
+    return True
+
+
 def frames(handle: BinaryIO, *, bodies: bool = True) -> Iterator[Frame]:
     """The whole frames of the log file open in *handle*, from its start.
 
-    Stops at a torn tail: a last frame whose declared end passes the end
-    of the file, or whose CRC fails with nothing after it.  Raises
-    :class:`WalError` at an unknown kind, a non-increasing LSN, a
-    ``checkpoint`` record anywhere but the head, or a CRC that fails
-    with a frame after it.  Without *bodies* only the last frame's body
-    is read (its CRC decides whether it is torn); the others are
-    skipped, and yielded with ``body=None``.
+    Stops at a torn tail (see the module docstring): a short prefix at
+    the end of the file, or a last frame — one followed by zero bytes
+    only — whose whole prefix fails its CRC, whose declared end passes
+    the end of the file, or whose body fails its CRC.  Raises
+    :class:`WalError` at any other CRC failure, an unknown kind, a
+    non-increasing LSN, a ``checkpoint`` record anywhere but the head,
+    or a head that fails its CRC or is cut short.  Without *bodies* only
+    the last frame's body is read; the others are skipped, and yielded
+    with ``body=None``.
     """
     size = handle.seek(0, os.SEEK_END)
-    handle.seek(0)
     offset = previous = 0
     while offset < size:
+        handle.seek(offset)
         prefix = handle.read(PREFIX.size)
         if len(prefix) < PREFIX.size:
             return
-        length, lsn, code, crc = PREFIX.unpack(prefix)
-        end = offset + PREFIX.size + length
-        if end > size:
-            return
+        length, lsn, code, body_crc, crc = PREFIX.unpack(prefix)
+        if zlib.crc32(prefix[: _CHECKED.size]) != crc:
+            if _only_zeros(handle, offset, size):
+                return
+            raise WalError(f"the frame prefix at byte {offset} fails its CRC")
         if not 1 <= code <= len(KINDS):
             raise WalError(f"unknown WAL record kind {code} at byte {offset}")
         kind = KINDS[code - 1]
@@ -215,15 +234,19 @@ def frames(handle: BinaryIO, *, bodies: bool = True) -> Iterator[Frame]:
             raise WalError(f"non-monotonic LSN {lsn} after {previous}")
         if kind == "checkpoint" and offset:
             raise WalError(f"checkpoint record {lsn} is not the log's head")
+        end = offset + PREFIX.size + length
+        if end > size:
+            if kind == "checkpoint":
+                raise WalError(f"checkpoint record {lsn} ends past the log's end")
+            return
         body = None
-        if bodies or end == size:
+        if bodies or _only_zeros(handle, end, size):
+            handle.seek(offset + PREFIX.size)
             body = handle.read(length)
-            if _crc(length, lsn, code, zlib.crc32(body)) != crc:
-                if end == size:
-                    return
-                raise WalError(f"WAL record {lsn} at byte {offset} fails its CRC")
-        else:
-            handle.seek(end)
+            if zlib.crc32(body) != body_crc:
+                if kind == "checkpoint" or not _only_zeros(handle, end, size):
+                    raise WalError(f"WAL record {lsn} at byte {offset} fails its CRC")
+                return
         yield Frame(offset, end, lsn, kind, body)
         previous, offset = lsn, end
 

@@ -285,8 +285,9 @@ def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
     (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
     before = {entry: entry.read_bytes() for entry in path.rglob("*") if entry.is_file()}
 
-    with pytest.raises(StorageError, match="format 5 .* format 6"):
+    with pytest.raises(StorageError, match="format 5 .* format 6") as info:
         repro.connect(path)
+    assert str(path / "wal.jsonl") in str(info.value)
     after = {entry: entry.read_bytes() for entry in path.rglob("*") if entry.is_file()}
     assert after == before
     with pytest.raises(WalError, match="unknown WAL record kind: 'patch_delta'"):

@@ -7,6 +7,7 @@ import io
 import os
 import shutil
 import subprocess
+import struct
 import sys
 import tempfile
 import types
@@ -382,31 +383,99 @@ class TestTornTail:
         path = tmp_path / WAL_NAME
         data, first = self.two_frames(path)
         damaged = bytearray(data)
-        damaged[(first if last else 0) + 16] = 99  # the kind byte
+        at = first if last else 0
+        # The kind byte, with the prefix's own CRC made to match it.
+        damaged[at + 16] = 99
+        damaged[at + 21 : at + 25] = struct.pack(
+            "<I", zlib.crc32(damaged[at : at + 21])
+        )
         path.write_bytes(damaged)
         with pytest.raises(WalError, match="unknown WAL record kind 99"):
             WriteAheadLog(path)
         assert path.read_bytes() == damaged
 
-    def test_a_format_5_directory_is_refused_and_left_as_it_was(self, tmp_path):
+    @pytest.mark.parametrize("field", [0, 8, 16, 17, 21])
+    def test_a_damaged_prefix_before_the_last_frame_raises(self, tmp_path, field):
+        # A length that now points past the end of the file is damage,
+        # not a torn tail: the prefix's CRC shows it, and nothing is cut.
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        damaged = bytearray(data)
+        damaged[field] ^= 0x40
+        path.write_bytes(damaged)
+        with pytest.raises(WalError, match="prefix at byte 0 fails its CRC"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == damaged
+
+    def test_a_zero_filled_tail_is_torn(self, tmp_path):
+        # A crash can leave a file's end zero-filled: after a whole frame,
+        # or through the last frames of an unsynced batch.
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        for damaged, kept in (
+            (data + bytes(100), data),
+            (data[: first + 30] + bytes(len(data) - first - 30 + 100), data[:first]),
+        ):
+            path.write_bytes(damaged)
+            wal = WriteAheadLog(path, sync=False)
+            assert path.read_bytes() == kept
+            assert wal.last_lsn == len(list(wal.records()))
+
+    def test_a_bad_crc_followed_by_zeros_then_a_frame_raises(self, tmp_path):
+        path = tmp_path / WAL_NAME
+        data, first = self.two_frames(path)
+        damaged = bytearray(data[:first] + bytes(40) + data[first:])
+        path.write_bytes(damaged)
+        with pytest.raises(WalError, match="prefix at byte .* fails its CRC"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == damaged
+
+
+class TestDamagedHead:
+    """The head is installed whole by a rename, so no damage to it is a
+    torn tail: the open raises and leaves the directory as it was."""
+
+    @staticmethod
+    def checkpointed(root, inserts=1):
+        db = repro.connect(root)
+        db.sql("CREATE TABLE t (c BIGINT)")
+        db.sql("INSERT INTO t VALUES (1), (2), (3)")
+        db.sql("CREATE PATCHINDEX pi ON t(c) TYPE UNIQUE")
+        db.checkpoint()
+        for value in range(inserts):
+            db.sql(f"INSERT INTO t VALUES ({value + 10})")
+        db.close()
+
+    @staticmethod
+    def files(root):
+        return {entry: entry.read_bytes() for entry in root.rglob("*") if entry.is_file()}
+
+    @pytest.mark.parametrize("inserts", [0, 1])
+    @pytest.mark.parametrize("where", ["length", "body"])
+    def test_a_damaged_head_is_refused_and_left_as_it_was(
+        self, tmp_path, inserts, where
+    ):
         root = tmp_path / "db"
-        (root / "segments").mkdir(parents=True)
-        (root / "wal.jsonl").write_text(
-            '{"lsn": 1, "kind": "create_table", "payload": {"name": "t", '
-            '"schema": [{"name": "c", "dtype": "int64", "nullable": true}]}}\n'
-        )
-        before = sorted(
-            (path, path.read_bytes() if path.is_file() else None)
-            for path in root.rglob("*")
-        )
-        with pytest.raises(StorageError, match="format 5 .* format 6") as info:
+        self.checkpointed(root, inserts)
+        log = root / WAL_NAME
+        damaged = bytearray(log.read_bytes())
+        damaged[2 if where == "length" else PREFIX.size + 8] ^= 0x01
+        log.write_bytes(damaged)
+        before = self.files(root)
+        assert any(entry.parent.name == "segments" for entry in before)
+        with pytest.raises(WalError, match="fails its CRC"):
             repro.connect(root)
-        assert str(root / "wal.jsonl") in str(info.value)
-        after = sorted(
-            (path, path.read_bytes() if path.is_file() else None)
-            for path in root.rglob("*")
-        )
-        assert after == before
+        assert self.files(root) == before
+
+    def test_a_short_head_is_refused(self, tmp_path):
+        root = tmp_path / "db"
+        self.checkpointed(root, inserts=0)
+        log = root / WAL_NAME
+        log.write_bytes(log.read_bytes()[:-1])
+        before = self.files(root)
+        with pytest.raises(WalError, match="checkpoint record .* past the log's end"):
+            repro.connect(root)
+        assert self.files(root) == before
 
 
 class TestMetricsHook:
