@@ -21,6 +21,7 @@ from repro.bench.reporting import format_table
 from repro.core.patch_index import PatchIndex, PatchIndexMode
 from repro.exec.expressions import ColumnRef, Comparison, Literal
 from repro.exec.operators import Filter, PatchSelect, PatchSelectMode, TableScan
+from repro.exec.operators.scan import pruned_ranges
 from repro.exec.result import collect
 from repro.gen.synthetic import synthetic_table
 
@@ -52,21 +53,9 @@ def setup():
     return table, index, predicate, cutoff
 
 
-def _pruned_ranges(table, cutoff):
-    ranges = []
-    for partition in table.partitions:
-        for start, stop in partition.scan_ranges_for_predicate(
-            "s", ">=", cutoff
-        ):
-            ranges.append(
-                (partition.base_rowid + start, partition.base_rowid + stop)
-            )
-    return ranges
-
-
 def test_scan_range_ablation(benchmark, setup, report):
     table, index, predicate, cutoff = setup
-    ranges = _pruned_ranges(table, cutoff)
+    ranges = pruned_ranges(table, predicate)
 
     def full_scan():
         return collect(Filter(TableScan(table, columns=["s"]), predicate))
@@ -119,9 +108,9 @@ def test_scan_range_ablation(benchmark, setup, report):
 
 
 def test_block_pruning_effectiveness(benchmark, setup):
-    table, __, __, cutoff = setup
-    ranges = _pruned_ranges(table, cutoff)
+    table, __, predicate, __ = setup
+    ranges = pruned_ranges(table, predicate)
     covered = sum(stop - start for start, stop in ranges)
     # The nearly sorted column prunes most blocks for a top-range query.
     assert covered < 0.5 * BENCH_ROWS
-    benchmark(lambda: _pruned_ranges(table, cutoff))
+    benchmark(lambda: pruned_ranges(table, predicate))

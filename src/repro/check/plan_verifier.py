@@ -29,6 +29,8 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
     use/exclude branches of a rewrite union must partition one scan
     with one PatchIndex — same index + mode in two branches, or the
     two modes over different row sets, is a broken ``R \\ P ∪ P``.
+    Two scans cover the same rows when they have the same fixed ranges
+    and the same prune predicate (which derives their ranges at open).
     A PatchCount is a PatchSelect whose scan is its covered ranges.
 ``nuc-use-distinct``
     in a distinct rewrite over a nearly-unique column the use-patches
@@ -43,7 +45,9 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
     LIMIT / TopN must not sit below order-destroying operators, and
     Sort must not reorder an already-truncated result.
 ``scan-ranges``
-    scan ranges must be ascending, disjoint, and within the table.
+    fixed scan ranges must be ascending, disjoint, and within the
+    table, and a scan with a prune predicate has none (the ranges it
+    derives at open are normalized by construction).
 ``expression-binding``
     every expression / key / aggregate must resolve in its input
     schema.
@@ -52,7 +56,11 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
 
 The verifier is always on: :meth:`repro.plan.physical.PhysicalPlanner.plan`
 runs it on every plan it produces, and EXPLAIN surfaces the result as a
-``verified: ok`` line.
+``verified: ok`` line.  A plan-cache hit reruns a tree verified when it
+was built, with other values for its slotted literals; that is sound
+because nothing here reads a literal's value — scans carry their prune
+predicate, not ranges derived from it, and a
+:class:`~repro.exec.expressions.SlotLiteral` compares by slot.
 """
 
 from __future__ import annotations
@@ -127,7 +135,7 @@ class _PatchUse:
     mode: PatchSelectMode
     #: True when a Distinct sits between this PatchSelect and the union.
     deduped: bool
-    #: (table identity, covered rowid ranges) of the underlying scan.
+    #: (table identity, fixed ranges, prune predicate) of the scan.
     scan_signature: tuple
 
 
@@ -186,6 +194,12 @@ class _Verifier:
 
     def _verify_scan(self, op: TableScan | PatchCount) -> PlanProperties:
         ranges = op.scan_ranges
+        if isinstance(op, TableScan) and op.prune is not None and ranges is not None:
+            raise PlanInvariantError(
+                "scan-ranges",
+                f"scan of {op.table.name!r} has both fixed ranges and a "
+                "prune predicate",
+            )
         if ranges is not None:
             previous_stop = 0
             for start, stop in ranges:
@@ -602,9 +616,11 @@ def _collect_patch_uses(
 
 
 def _scan_signature(op: TableScan | PatchCount) -> tuple:
-    """(table identity, covered rowid ranges) of a scan or count."""
+    """(table identity, fixed rowid ranges, prune predicate) of a scan
+    or count: equal signatures cover the same rows in every run."""
     ranges = op.scan_ranges
     covered = (
         tuple(ranges) if ranges is not None else ((0, op.table.row_count),)
     )
-    return (id(op.table), covered)
+    prune = op.prune if isinstance(op, TableScan) else None
+    return (id(op.table), covered, prune)

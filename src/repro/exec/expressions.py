@@ -72,8 +72,8 @@ class Literal(Expression):
     """A constant; ``value is None`` denotes NULL (dtype required then).
 
     ``slot`` marks a literal lifted out of the statement text by the
-    plan cache: a cached plan is re-executed by swapping the values of
-    its slotted literals (:func:`map_literals`).  It is not part of the
+    plan cache: a cached plan is re-executed with other values for its
+    slotted literals (:class:`SlotLiteral`).  It is not part of the
     literal's identity.
     """
 
@@ -116,6 +116,55 @@ class Literal(Expression):
         if isinstance(self.value, str):
             return f"'{self.value}'"
         return "NULL" if self.value is None else str(self.value)
+
+
+class Parameters:
+    """The values one run of a plan tree gives its slotted literals: the
+    statement's lifted literal values, indexed by slot, set per run."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[object, ...] = ()) -> None:
+        self.values = values
+
+
+class SlotLiteral(Literal):
+    """A slotted literal of a reusable plan tree: it reads its value
+    from the tree's :class:`Parameters` whenever it is evaluated, so a
+    run with other values rebuilds nothing.
+
+    Equal to another slot literal of the same slot, type and parameters
+    whatever the values, so a check that compares expressions (the
+    plan verifier's) reads nothing a run's values change.
+    """
+
+    parameters: Parameters
+
+    def __init__(self, dtype: DataType, slot: int, parameters: Parameters):
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "parameters", parameters)
+
+    @property  # type: ignore[override]
+    def value(self) -> object:
+        value = self.parameters.values[self.slot]  # type: ignore[index]
+        if self.dtype == DataType.DATE and value is not None:
+            return coerce_scalar(value, DataType.DATE)  # as literal() does
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is SlotLiteral
+            and self.slot == other.slot
+            and self.dtype == other.dtype
+            and self.parameters is other.parameters
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.slot, self.dtype, id(self.parameters)))
+
+    def __repr__(self) -> str:
+        return f"SlotLiteral(slot={self.slot}, dtype={self.dtype})"
 
 
 _COMPARE_OPS: dict[str, Callable[[object, object], object]] = {
@@ -459,7 +508,7 @@ def _compare_with_literal(
         # every one; NumPy compares the Python int exactly.
         scalar = literal.value
     if mixed and vector.dtype == DataType.FLOAT64:
-        op, scalar = _float_operand(op, scalar)  # type: ignore[arg-type]
+        op, scalar = float_operand(op, scalar)  # type: ignore[arg-type]
     elif mixed:
         op, scalar = _int_operand(op, scalar)  # type: ignore[arg-type]
     out = _COMPARE_OPS[op](values, scalar)
@@ -472,7 +521,7 @@ def _compare_with_literal(
 _BEYOND_INT64 = 2**64
 
 
-def _float_operand(op: str, value: int) -> tuple[str, float]:
+def float_operand(op: str, value: int) -> tuple[str, float]:
     """An operator and a float that compare every float64 ``x`` the way
     Python compares ``x <op> value``: exactly, where ``float(value)``
     would round or overflow."""

@@ -3,7 +3,9 @@
 Operators follow the classic open / next / close contract, batched:
 :meth:`next_batch` returns a :class:`~repro.exec.batch.RecordBatch` or
 ``None`` at end of stream.  An operator may be re-executed by calling
-:meth:`open` again after :meth:`close`.
+:meth:`open` again after :meth:`close`, and :meth:`close` lets go of
+every buffer the run built: the plan cache keeps a closed tree for the
+next execution of its statement (:mod:`repro.plan.cache`).
 """
 
 from __future__ import annotations

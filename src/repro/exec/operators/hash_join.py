@@ -193,6 +193,11 @@ class HashJoin(Operator):
         self._build_data = None
         self._directory = None
 
+    def close(self) -> None:
+        super().close()
+        self._build_data = None
+        self._directory = None
+
     # -- build phase --------------------------------------------------------
 
     def _ensure_built(self) -> RunDirectory:

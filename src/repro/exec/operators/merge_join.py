@@ -71,6 +71,11 @@ class MergeJoin(Operator):
         self._right_data = None
         self._directory = None
 
+    def close(self) -> None:
+        super().close()
+        self._right_data = None
+        self._directory = None
+
     def _ensure_right(self) -> RunDirectory:
         if self._directory is not None:
             return self._directory

@@ -125,7 +125,7 @@ class PatchSelect(Operator):
 
     def open(self) -> None:
         if self.mode == PatchSelectMode.USE_PATCHES:
-            self.child.gather = patch_rowids(self.index, self.child.scan_ranges)
+            self.child.gather = patch_rowids(self.index, self.child.ranges())
         super().open()
 
     def next_batch(self) -> RecordBatch | None:

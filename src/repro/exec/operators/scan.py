@@ -15,10 +15,15 @@ carry their rowids as a ``(start, stop)`` window
 something reads it.
 
 Scan ranges (global ``[start, stop)`` rowid intervals) restrict the scan
-to the given intervals; they are typically produced by evaluating
-selection predicates against the per-block min/max sketches
-(:meth:`repro.storage.partition.Partition.scan_ranges_for_predicate`),
-the "small materialized aggregates" mechanism the paper references.
+to the given intervals.  The planner gives a scan its filter's predicate
+instead (:attr:`TableScan.prune`), and every run derives its ranges when
+it opens, from the values the run binds: :func:`pruned_ranges` weighs
+each ``column <op> literal`` / ``column IN (...)`` conjunct against the
+column's per-block min/max sketches, stacked per table
+(:class:`~repro.storage.blocks.BlockSketch`), with one vectorized compare
+— the "small materialized aggregates" mechanism the paper references.
+A plan tree therefore holds no ranges that depend on a literal, and a
+cached tree serves every binding of its statement.
 
 When *with_tid* is set, the scan additionally materializes the virtual
 ``tid`` column of tuple identifiers, which the paper's NUC discovery
@@ -27,18 +32,32 @@ query selects.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.errors import PlanError
+from repro.errors import PlanError, TypeMismatchError
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RecordBatch
+from repro.exec.expressions import (
+    FLIPPED_OPS,
+    And,
+    ColumnRef,
+    Comparison,
+    Expression,
+    InList,
+    Literal,
+    Or,
+    float_operand,
+)
 from repro.exec.operators.base import Operator
+from repro.storage.blocks import BlockSketch
 from repro.storage.cache import ScanIO
 from repro.storage.column import ColumnVector
 from repro.storage.partition import Partition
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
-from repro.types.datatypes import numpy_dtype
+from repro.types.datatypes import coerce_scalar, numpy_dtype
 
 #: Name of the virtual tuple-identifier column.
 TID_COLUMN = "tid"
@@ -79,6 +98,178 @@ def normalize_ranges(
     return cleaned
 
 
+class _Leaf(NamedTuple):
+    """A ``column <op> literal`` or ``column IN (literals)`` conjunct:
+    what the sketches weigh; its literals are read anew each run."""
+
+    column: str
+    op: str
+    dtype: DataType
+    literals: tuple[Literal, ...]
+
+
+class _Connective(NamedTuple):
+    """AND (*conjunction*) or OR of two arms; ``None``: an arm the
+    sketches say nothing about."""
+
+    conjunction: bool
+    left: "_Leaf | _Connective | None"
+    right: "_Leaf | _Connective | None"
+
+
+def pruned_ranges(
+    table: Table, predicate: Expression
+) -> list[tuple[int, int]] | None:
+    """Global rowid ranges of the blocks *predicate* cannot rule out:
+    sorted, disjoint, coalesced and inside the table.
+
+    ``None`` when the min/max sketches say nothing about it.  AND keeps
+    the blocks every arm it can weigh keeps (one such arm is enough);
+    OR the blocks either arm keeps, and so needs both; IN is the OR of
+    its equalities; anything else — NOT, arithmetic, column-to-column
+    comparisons, IS NULL, a NULL literal or one the column's type cannot
+    hold — never prunes.
+    """
+    return _ranges(table, _compile(predicate, table))
+
+
+def _ranges(
+    table: Table, pruner: "_Leaf | _Connective | None"
+) -> list[tuple[int, int]] | None:
+    surviving = _surviving_blocks(table, pruner)
+    if surviving is None:
+        return None
+    keep, sketch = surviving
+    return sketch.ranges(keep)
+
+
+def _compile(
+    predicate: Expression, table: Table
+) -> "_Leaf | _Connective | None":
+    """*predicate*'s shape as the sketches weigh it, which no literal's
+    value changes."""
+    if isinstance(predicate, (And, Or)):
+        return _Connective(
+            isinstance(predicate, And),
+            _compile(predicate.left, table),
+            _compile(predicate.right, table),
+        )
+    literals: tuple[Literal, ...]
+    if isinstance(predicate, InList):
+        if predicate.negated or not isinstance(predicate.operand, ColumnRef):
+            return None
+        column, op = predicate.operand.name, "="
+        literals = tuple(Literal(value) for value in predicate.values)
+    elif isinstance(predicate, Comparison):
+        left, right, op = predicate.left, predicate.right, predicate.op
+        if isinstance(left, Literal):
+            left, right, op = right, left, FLIPPED_OPS[op]
+        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
+            return None
+        column, literals = left.name, (right,)
+    else:
+        return None
+    # Base columns only: the virtual tid column has no sketches.
+    if column not in table.schema:
+        return None
+    return _Leaf(column, op, table.schema.field(column).dtype, literals)
+
+
+def _surviving_blocks(
+    table: Table, pruner: "_Leaf | _Connective | None"
+) -> tuple[np.ndarray, BlockSketch] | None:
+    """The mask of the table's blocks *pruner* may match with its
+    literals' values now, and a sketch of the block grid it indexes;
+    ``None``: unknown."""
+    if pruner is None:
+        return None
+    if isinstance(pruner, _Connective):
+        left = _surviving_blocks(table, pruner.left)
+        right = _surviving_blocks(table, pruner.right)
+        if left is None or right is None:
+            if not pruner.conjunction:
+                return None
+            return left if right is None else right
+        if pruner.conjunction:
+            return left[0] & right[0], left[1]
+        return left[0] | right[0], left[1]
+    values: list[object] = []
+    for literal in pruner.literals:
+        value = literal.value
+        if value is None:
+            return None
+        try:
+            values.append(_sketch_literal(value, pruner.dtype))
+        except TypeMismatchError:
+            return None
+    sketch = table.block_sketch(pruner.column)
+    keep = may_contain(sketch, pruner.op, values[0])
+    for value in values[1:]:
+        keep |= may_contain(sketch, pruner.op, value)
+    return keep, sketch
+
+
+def may_contain(sketch: BlockSketch, op: str, literal: object) -> np.ndarray:
+    """Which blocks may hold a row with ``column <op> literal``: a block
+    of NULLs only never does, one with a NaN bound always may.
+
+    *literal* is :func:`_sketch_literal`'s: an int against FLOAT64
+    bounds is compared exactly, through the float that orders the
+    bounds as the int does (:func:`~repro.exec.expressions.float_operand`).
+    """
+    if op in ("!=", "<>"):
+        if sketch.low.dtype.kind == "f":
+            # A float block may also hold a NaN, which the bounds leave
+            # out and which differs from every literal.
+            hit = sketch.known.copy()
+        else:
+            hit = _bound(sketch.low, "=", literal)
+            hit &= _bound(sketch.high, "=", literal)
+            hit = ~hit
+    elif op == "=":
+        hit = _bound(sketch.low, "<=", literal)
+        hit &= _bound(sketch.high, ">=", literal)
+    elif op in ("<", "<="):
+        hit = _bound(sketch.low, op, literal)
+    elif op in (">", ">="):
+        hit = _bound(sketch.high, op, literal)
+    else:  # an unknown operator never prunes
+        hit = sketch.known.copy()
+    if sketch.all_known:
+        return hit
+    hit &= sketch.known
+    hit |= sketch.unknown
+    return hit
+
+
+_BOUND_OPS = {
+    "=": np.equal, "<": np.less, "<=": np.less_equal,
+    ">": np.greater, ">=": np.greater_equal,
+}
+
+
+def _bound(bounds: np.ndarray, op: str, literal: object) -> np.ndarray:
+    """``bounds <op> literal``, element by element, exactly."""
+    kind = bounds.dtype.kind
+    if kind == "f" and type(literal) is int:
+        op, literal = float_operand(op, literal)
+    elif kind == "O":
+        # As an object, not a NumPy str scalar, which drops trailing NULs.
+        literal = np.array(literal, dtype=object)
+    hit: np.ndarray = _BOUND_OPS[op](bounds, literal)
+    return hit
+
+
+def _sketch_literal(value: object, dtype: DataType) -> object:
+    """*value* as a block sketch's bounds compare with it.  An int
+    against a FLOAT64 column stays an int, compared exactly as the
+    filter compares it, where ``float(value)`` rounds (or overflows) and
+    would prune blocks that match."""
+    if dtype == DataType.FLOAT64 and type(value) is int:
+        return value
+    return coerce_scalar(value, dtype)
+
+
 class TableScan(Operator):
     """Scans a table, batch by batch, partition by partition."""
 
@@ -89,6 +280,7 @@ class TableScan(Operator):
         scan_ranges: list[tuple[int, int]] | None = None,
         with_tid: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        prune: Expression | None = None,
     ):
         self.table = table
         self.column_names = (
@@ -99,26 +291,47 @@ class TableScan(Operator):
             if TID_COLUMN in self.column_names:
                 raise PlanError(f"table already has a {TID_COLUMN!r} column")
             fields.append(Field(TID_COLUMN, DataType.INT64, nullable=False))
+        if prune is not None and scan_ranges is not None:
+            raise PlanError("a scan takes fixed ranges or a prune predicate")
         self._schema = Schema(fields)
         self.with_tid = with_tid
         self.batch_size = batch_size
-        self.scan_ranges = self._normalize_ranges(scan_ranges)
+        #: Fixed ranges, or ``None``: every row, less what :attr:`prune`
+        #: rules out.
+        self.scan_ranges = normalize_ranges(scan_ranges, table.row_count)
+        self.prune = prune
         #: Ascending global rowids, inside the scan ranges, to emit
-        #: instead of every covered row; set before :meth:`open`.
+        #: instead of every covered row; set before :meth:`open`, which
+        #: takes it.
         self.gather: np.ndarray | None = None
         self._cursor: list[_Piece] | None = None
         #: The run the last range batch came from and its column vectors.
         self._run: tuple[int, int] | None = None
         self._run_columns: dict[str, ColumnVector] = {}
-        #: Decode / block-cache accounting for segment-backed columns
-        #: (surfaced as EXPLAIN ANALYZE details).
+        #: Decode / block-cache accounting for segment-backed columns of
+        #: the last run (surfaced as EXPLAIN ANALYZE details).
         self.io = ScanIO()
 
-    def _normalize_ranges(
-        self, scan_ranges: list[tuple[int, int]] | None
-    ) -> list[tuple[int, int]] | None:
-        """Validate, sort, merge and clip the requested scan ranges."""
-        return normalize_ranges(scan_ranges, self.table.row_count)
+    @property
+    def prune(self) -> Expression | None:
+        """A predicate the scan's rows are filtered by above it; each
+        run skips the blocks whose sketches rule it out (:meth:`ranges`)."""
+        return self._prune
+
+    @prune.setter
+    def prune(self, predicate: Expression | None) -> None:
+        self._prune = predicate
+        self._pruner = (
+            None if predicate is None else _compile(predicate, self.table)
+        )
+
+    def ranges(self) -> list[tuple[int, int]] | None:
+        """The normalized rowid ranges a run covers now: the fixed ones,
+        or those of the blocks :attr:`prune` cannot rule out with the
+        values its literals hold now (``None``: the whole table)."""
+        if self._prune is None:
+            return self.scan_ranges
+        return _ranges(self.table, self._pruner)
 
     @property
     def schema(self) -> Schema:
@@ -134,33 +347,33 @@ class TableScan(Operator):
         # the (start, stop) window of consecutive pieces whose columns
         # are read in one go.
         pieces: list[_Piece] = []
-        ranges = (
-            self.scan_ranges
-            if self.scan_ranges is not None
-            else [(0, self.table.row_count)]
-        )
+        gather, self.gather = self.gather, None
+        self.io = ScanIO()
+        covered = self.ranges() if gather is None else []
+        ranges = [(0, self.table.row_count)] if covered is None else covered
         planned = 0
         run_batches = 1
         for partition in self.table.partitions:
             p_start, p_stop = partition.rowid_range
-            row_bytes = sum(
-                numpy_dtype(field.dtype).itemsize
-                for field in self._schema
-                if partition.is_lazy(field.name)
-            )
-            if self.gather is not None:
-                lo, hi = np.searchsorted(self.gather, (p_start, p_stop))
-                rowids = self.gather[lo:hi]
+            if gather is not None:
+                lo, hi = np.searchsorted(gather, (p_start, p_stop))
+                rowids = gather[lo:hi]
                 pieces.extend(
                     rowids[at : at + self.batch_size]
                     for at in range(0, len(rowids), self.batch_size)
                 )
-                planned += _block_rows(partition, rowids - p_start) * row_bytes
+                planned += _block_rows(
+                    partition, rowids - p_start
+                ) * self._row_bytes(partition)
                 continue
             for r_start, r_stop in ranges:
+                if r_start >= p_stop:
+                    break  # the ranges are sorted
                 lo = max(p_start, r_start)
                 hi = min(p_stop, r_stop)
-                planned += max(0, hi - lo) * row_bytes
+                if lo >= hi:
+                    continue
+                planned += (hi - lo) * self._row_bytes(partition)
                 position = lo
                 while position < hi:
                     run_stop = min(position + run_batches * self.batch_size, hi)
@@ -177,6 +390,15 @@ class TableScan(Operator):
         # What this scan will pull through the block cache; one that
         # cannot fit is read around it (SegmentColumnSource._decode_run).
         self.io.planned_bytes = planned
+
+    def _row_bytes(self, partition: Partition) -> int:
+        """Decoded bytes per row of the columns *partition* still reads
+        from segments through the block cache."""
+        return sum(
+            numpy_dtype(field.dtype).itemsize
+            for field in self._schema
+            if partition.is_lazy(field.name)
+        )
 
     def next_batch(self) -> RecordBatch | None:
         if self._cursor is None:
@@ -229,9 +451,10 @@ class TableScan(Operator):
 
     def label(self) -> str:
         parts = [f"TableScan({self.table.name}"]
-        if self.scan_ranges is not None:
-            covered = sum(stop - start for start, stop in self.scan_ranges)
-            parts.append(f", ranges={len(self.scan_ranges)} rows={covered}")
+        ranges = self.ranges()
+        if ranges is not None:
+            covered = sum(stop - start for start, stop in ranges)
+            parts.append(f", ranges={len(ranges)} rows={covered}")
         if self.with_tid:
             parts.append(", +tid")
         parts.append(")")

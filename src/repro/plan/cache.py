@@ -1,13 +1,22 @@
-"""The plan cache: optimized logical plans keyed by statement shape.
+"""The plan cache: optimized plans, and a verified operator tree each,
+keyed by statement shape.
 
-Parse, bind and optimize never read a literal's value — only its type —
-while the physical planner (scan-range derivation, plan verification)
-and execution do.  The cache therefore keeps
-the *optimized logical* plan of a statement, with the literals lifted
-out of the text marked as slots (:attr:`Literal.slot`), and
-:func:`bind_parameters` swaps this execution's values in; physical
-planning, :func:`~repro.check.plan_verifier.verify_plan` and execution
-run every time.
+Parse, bind, optimize, physical planning and plan verification never
+read a literal's value — only its type; execution does, and so does
+block pruning, which runs when a scan opens
+(:attr:`~repro.exec.operators.scan.TableScan.prune`).  The cache
+therefore keeps the *optimized logical* plan of a statement, with the
+literals lifted out of the text marked as slots (:attr:`Literal.slot`),
+and beside it one physical tree built from it and verified
+(:func:`~repro.check.plan_verifier.verify_plan`) once, whose slotted
+literals read this execution's values from the tree's
+:class:`~repro.exec.expressions.Parameters` (:func:`build_tree`).  A hit
+takes that tree out of its entry's one-tree slot under the cache's leaf
+lock, sets the values, runs it and puts it back (:meth:`PlanCache.take_tree`,
+:meth:`PlanCache.put_tree`).  A hit that finds the slot empty (another
+reader holds the tree), and every profiled or EXPLAINed read, builds and
+verifies a tree of its own instead; an instrumented tree never goes back.
+Every tree that runs has passed the verifier, once, when it was built.
 
 Each :class:`~repro.storage.catalog.Catalog` (the live one, every
 snapshot copy) keeps :class:`CachedPlan` entries bound to its own tables,
@@ -18,20 +27,29 @@ the plan by table and index name, and every input the optimizer read
 from data (:func:`repro.plan.optimizer.observe`).  A catalog without a
 current entry re-checks the template — same ``ddl_version``, every input
 the same — and re-binds it by name; otherwise it plans afresh.  A
-template holds no table, index or patch set, so it keeps no pin alive.
+template holds no table, index, patch set or tree, so it keeps no pin
+alive.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Hashable, Iterator, NamedTuple
 
 from repro.check.sanitize import make_lock
-from repro.exec.expressions import Expression, Literal, literal, map_literals
+from repro.exec.expressions import (
+    Expression,
+    Literal,
+    Parameters,
+    literal,
+    map_literals,
+)
+from repro.exec.operators.base import Operator
 from repro.plan import logical as lp
 from repro.plan.optimizer import observe
+from repro.plan.physical import PhysicalPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.optimizer import Optimizer
@@ -43,9 +61,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CAPACITY = 64
 
 
+class PlanTree(NamedTuple):
+    """A verified operator tree and the values its slotted literals read."""
+
+    root: Operator
+    parameters: Parameters
+
+
 @dataclass(frozen=True)
 class CachedPlan:
-    """One optimized logical plan and the versions it was planned at."""
+    """One optimized logical plan, the versions it was planned at and a
+    slot for one idle verified tree of it."""
 
     plan: lp.LogicalPlan
     #: True when every lifted literal survived optimization as exactly
@@ -53,6 +79,9 @@ class CachedPlan:
     parameterized: bool
     ddl_version: int
     table_versions: tuple[tuple["Table", int], ...]
+    #: At most one idle tree; guarded by the owning :class:`PlanCache`'s
+    #: lock (:meth:`PlanCache.take_tree`).
+    idle: list[PlanTree] = field(default_factory=list, compare=False)
 
     def is_current(self, catalog: "Catalog") -> bool:
         return self.ddl_version == catalog.ddl_version and all(
@@ -117,6 +146,19 @@ class PlanCache:
             while len(self._entries) > CAPACITY:
                 self._entries.popitem(last=False)
 
+    def take_tree(self, entry: CachedPlan) -> PlanTree | None:
+        """*entry*'s idle tree, now this caller's alone; ``None`` when
+        another caller holds it (or none was put back yet)."""
+        with self._lock:
+            return entry.idle.pop() if entry.idle else None
+
+    def put_tree(self, entry: CachedPlan, tree: PlanTree) -> None:
+        """Return a tree that ran to completion, uninstrumented, to
+        *entry*'s slot, unless another tree got there first."""
+        with self._lock:
+            if not entry.idle:
+                entry.idle.append(tree)
+
     def discard(self, key: Hashable) -> None:
         with self._lock:
             self._entries.pop(key, None)
@@ -149,6 +191,15 @@ def literal_slots(plan: lp.LogicalPlan) -> list[int]:
     return found
 
 
+def build_tree(entry: CachedPlan, values: tuple[object, ...] | None) -> PlanTree:
+    """A verified operator tree of *entry*'s plan whose slotted literals
+    read the tree's parameters, which start as *values* (``None``: the
+    plan's literals are its own, as for an entry pinned to its text)."""
+    parameters = Parameters(values or ())
+    root = PhysicalPlanner().plan(entry.plan, None if values is None else parameters)
+    return PlanTree(root, parameters)
+
+
 def bind_parameters(
     plan: lp.LogicalPlan,
     values: tuple[object, ...] | None,
@@ -170,7 +221,7 @@ def bind_parameters(
     def visit(node: lp.LogicalPlan) -> lp.LogicalPlan:
         if catalog is not None and type(node) is lp.LogicalScan:
             table = catalog.table(node.table.name)
-            return lp.LogicalScan(table, node.columns, node.with_tid, node.scan_ranges)
+            return lp.LogicalScan(table, node.columns, node.with_tid)
         children = node.children()
         rebound = [visit(child) for child in children]
         shared = all(new is old for new, old in zip(rebound, children))

@@ -66,15 +66,14 @@ def _require_arity(children: list[LogicalPlan], arity: int) -> None:
 class LogicalScan(LogicalPlan):
     """Scan of a base table, optionally projecting columns / adding tid.
 
-    ``scan_ranges`` restricts the scan to global rowid intervals; the
-    optimizer uses it both for block-pruned predicate scans and for the
-    per-partition branches of the NSC sort rewrite.
+    A filter above it restricts the physical scan to the blocks its
+    predicate can match, when the scan opens
+    (:attr:`repro.exec.operators.scan.TableScan.prune`).
     """
 
     table: Table
     columns: tuple[str, ...] | None = None
     with_tid: bool = False
-    scan_ranges: tuple[tuple[int, int], ...] | None = None
 
     @property
     def schema(self) -> Schema:
@@ -97,8 +96,6 @@ class LogicalScan(LogicalPlan):
 
     def label(self) -> str:
         suffix = " +tid" if self.with_tid else ""
-        if self.scan_ranges is not None:
-            suffix += f" ranges={len(self.scan_ranges)}"
         return f"Scan({self.table.name}{suffix})"
 
 

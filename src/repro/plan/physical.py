@@ -2,14 +2,16 @@
 
 Mostly a 1:1 mapping, plus three physical decisions:
 
-- **Scan-range derivation**: a filter directly above a scan, or above
-  the PatchSelect over one, is evaluated against the per-block min/max
-  sketches — every ``column <op> literal`` / ``column IN (...)``
-  conjunct, ANDs intersecting and ORs (of two prunable arms) uniting
-  the surviving blocks — and the surviving rowid ranges are pushed into
-  the scan (the filter itself is kept — block pruning is conservative).
-  This is the paper's "small materialized aggregates" scan-range path
-  that the PatchSelect then merges with (§VI-A3).
+- **Block pruning**: a filter directly above a scan, or above the
+  PatchSelect over one, hands its predicate to that scan
+  (:attr:`~repro.exec.operators.scan.TableScan.prune`); each run of the
+  tree derives the scan's rowid ranges from it when the scan opens,
+  against the per-block min/max sketches (the filter itself is kept —
+  block pruning is conservative).  This is the paper's "small
+  materialized aggregates" scan-range path that the PatchSelect then
+  merges with (§VI-A3).  The tree holds nothing that depends on a
+  literal's value, so the plan cache runs one verified tree for every
+  binding of a statement (:mod:`repro.plan.cache`).
 - **Counting from the patch set**: an ungrouped ``COUNT(*)`` directly
   over a PatchSelect becomes a ``PatchCount`` leaf — covered rows minus
   (or, for use_patches, just) the patches among them, with no scan.
@@ -26,17 +28,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.check.plan_verifier import verify_plan
-from repro.errors import PlanError, TypeMismatchError
+from repro.errors import PlanError
 from repro.exec.batch import DEFAULT_BATCH_SIZE
 from repro.exec.expressions import (
-    FLIPPED_OPS,
-    And,
     ColumnRef,
-    Comparison,
     Expression,
-    InList,
     Literal,
-    Or,
+    Parameters,
+    SlotLiteral,
+    map_literals,
 )
 from repro.exec.operators import (
     Distinct,
@@ -56,10 +56,8 @@ from repro.exec.operators import (
     TopN,
     UnionAll,
 )
-from repro.exec.operators.scan import normalize_ranges
 from repro.plan import logical as lp
 from repro.plan.cardinality import estimate_rows
-from repro.types.datatypes import DataType, coerce_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
@@ -93,8 +91,16 @@ class PhysicalPlanner:
         # Only caller: bench_e2e/tracing.py passes database=; unread.
         del database
         self._depth = 0
+        self._parameters: Parameters | None = None
 
-    def plan(self, logical: lp.LogicalPlan) -> Operator:
+    def plan(
+        self, logical: lp.LogicalPlan, parameters: Parameters | None = None
+    ) -> Operator:
+        """The verified operator tree of *logical*; given *parameters*,
+        its slotted literals read their values from them (a tree the
+        plan cache reruns with each execution's values)."""
+        if self._depth == 0:
+            self._parameters = parameters
         self._depth += 1
         try:
             operator = self._plan_node(logical)
@@ -128,7 +134,10 @@ class PhysicalPlanner:
         if isinstance(logical, lp.LogicalFilter):
             return self._plan_filter(logical)
         if isinstance(logical, lp.LogicalProject):
-            return Project(self.plan(logical.child), list(logical.outputs))
+            return Project(
+                self.plan(logical.child),
+                [(name, self._slotted(value)) for name, value in logical.outputs],
+            )
         if isinstance(logical, lp.LogicalDistinct):
             return Distinct(self.plan(logical.child))
         if isinstance(logical, lp.LogicalAggregate):
@@ -180,11 +189,6 @@ class PhysicalPlanner:
         return TableScan(
             logical.table,
             list(logical.columns) if logical.columns is not None else None,
-            scan_ranges=(
-                list(logical.scan_ranges)
-                if logical.scan_ranges is not None
-                else None
-            ),
             with_tid=logical.with_tid,
             batch_size=self.batch_size,
         )
@@ -192,62 +196,28 @@ class PhysicalPlanner:
     def _plan_filter(self, logical: lp.LogicalFilter) -> Operator:
         """A filter directly on a scan, or on the PatchSelect over one,
         restricts that scan to the blocks its predicate can match.  Both
-        branches of a rewrite carry the same filter, so they derive the
-        same ranges and still partition one scan."""
-        child = logical.child
-        scan = child.child if isinstance(child, lp.LogicalPatchSelect) else child
-        if (
-            self.derive_scan_ranges
-            and isinstance(scan, lp.LogicalScan)
-            and scan.scan_ranges is None
-        ):
-            ranges = self._ranges_for_predicate(scan, logical.predicate)
-            if ranges is not None:
-                ranged = lp.LogicalScan(
-                    scan.table, scan.columns, scan.with_tid, tuple(ranges)
-                )
-                if child is scan:
-                    return Filter(self._plan_scan(ranged), logical.predicate)
-                child = child.with_children([ranged])
-        return Filter(self.plan(child), logical.predicate)
+        branches of a rewrite carry the same filter, so their scans
+        derive the same ranges and still partition one scan."""
+        child = self.plan(logical.child)
+        predicate = self._slotted(logical.predicate)
+        scan = child.child if isinstance(child, PatchSelect) else child
+        if self.derive_scan_ranges and isinstance(scan, TableScan):
+            scan.prune = predicate
+        return Filter(child, predicate)
 
-    def _ranges_for_predicate(
-        self, scan: lp.LogicalScan, predicate: Expression
-    ) -> list[tuple[int, int]] | None:
-        """Global rowid ranges of the blocks *predicate* cannot rule out.
+    def _slotted(self, expression: Expression) -> Expression:
+        """*expression* with each slotted literal reading the tree's
+        parameters (unchanged when the tree has none)."""
+        if self._parameters is None:
+            return expression
+        parameters: Parameters = self._parameters
 
-        ``None`` when the min/max sketches say nothing about it.  AND
-        intersects whatever its arms can tell (one prunable arm is
-        enough); OR unites, and so needs both; IN is the OR of its
-        equalities; anything else — NOT, arithmetic, column-to-column
-        comparisons, IS NULL — never prunes.  The ranges come out
-        sorted and disjoint.
-        """
-        if isinstance(predicate, (And, Or)):
-            left = self._ranges_for_predicate(scan, predicate.left)
-            right = self._ranges_for_predicate(scan, predicate.right)
-            if left is None or right is None:
-                if isinstance(predicate, Or):
-                    return None
-                return left if right is None else right
-            if isinstance(predicate, And):
-                return _intersect_ranges(left, right)
-            return normalize_ranges(left + right, scan.table.row_count)
-        conjunct = _prunable_conjunct(predicate, scan)
-        if conjunct is None:
-            return None
-        column, op, values = conjunct
-        ranges: list[tuple[int, int]] = []
-        for partition in scan.table.partitions:
-            base = partition.base_rowid
-            for value in values:
-                for start, stop in partition.scan_ranges_for_predicate(
-                    column, op, value
-                ):
-                    ranges.append((base + start, base + stop))
-        if len(values) > 1:  # an IN-list's blocks overlap and interleave
-            return normalize_ranges(ranges, scan.table.row_count)
-        return ranges
+        def slot(literal: Literal) -> Literal:
+            if literal.slot is None or literal.dtype is None:
+                return literal
+            return SlotLiteral(literal.dtype, literal.slot, parameters)
+
+        return map_literals(expression, slot)
 
     # -- joins ------------------------------------------------------------------
 
@@ -291,62 +261,4 @@ def _try_patch_count(logical: lp.LogicalPlan) -> PatchCount | None:
         if patch.use_patches
         else PatchSelectMode.EXCLUDE_PATCHES,
         logical.aggregates[0].alias,
-        list(scan.scan_ranges) if scan.scan_ranges is not None else None,
     )
-
-
-def _prunable_conjunct(
-    predicate: Expression, scan: lp.LogicalScan
-) -> tuple[str, str, list[object]] | None:
-    """``(column, op, literals)`` when *predicate* is ``column <op>
-    literal`` (either way round) or ``column IN (literals)``."""
-    candidates: tuple[object, ...]
-    if isinstance(predicate, InList):
-        if predicate.negated or not isinstance(predicate.operand, ColumnRef):
-            return None
-        column, op, candidates = predicate.operand.name, "=", predicate.values
-    elif isinstance(predicate, Comparison):
-        left, right, op = predicate.left, predicate.right, predicate.op
-        if isinstance(left, Literal):
-            left, right, op = right, left, FLIPPED_OPS[op]
-        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
-            return None
-        column, candidates = left.name, (right.value,)
-    else:
-        return None
-    # Base columns only: the virtual tid column has no sketches.
-    if column not in scan.table.schema or None in candidates:
-        return None
-    dtype = scan.table.schema.field(column).dtype
-    try:
-        return column, op, [_sketch_literal(value, dtype) for value in candidates]
-    except TypeMismatchError:
-        return None
-
-
-def _sketch_literal(value: object, dtype: DataType) -> object:
-    """*value* as a block sketch's bounds compare with it.  An int
-    against a FLOAT64 column stays an int: Python compares it with the
-    float bounds exactly, as the filter does, where ``float(value)``
-    rounds (or overflows) and would prune blocks that match."""
-    if dtype == DataType.FLOAT64 and type(value) is int:
-        return value
-    return coerce_scalar(value, dtype)
-
-
-def _intersect_ranges(
-    left: list[tuple[int, int]], right: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Intersection of two sorted, disjoint range lists."""
-    ranges: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        start = max(left[i][0], right[j][0])
-        stop = min(left[i][1], right[j][1])
-        if start < stop:
-            ranges.append((start, stop))
-        if left[i][1] < right[j][1]:
-            i += 1
-        else:
-            j += 1
-    return ranges

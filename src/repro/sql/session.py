@@ -1,8 +1,9 @@
 """SQL sessions: statement dispatch against a Database.
 
 This module wires the front end together: tokenize → (DDL / DML
-execution | optimized plan, from the catalog's plan cache or parse →
-bind → optimize → physical plan → collect), where a plain-literal
+execution | a verified operator tree, from the catalog's plan cache or
+parse → bind → optimize → physical plan → verify, then collect), where
+a plain-literal
 ``INSERT`` skips the tokenizer (:func:`repro.sql.parser.scan_insert`;
 one it declines counts ``fallback.insert_values_parse``) — and owns
 :class:`Session`, the first-class per-caller scope.  A session holds
@@ -36,10 +37,12 @@ from repro.exec.operators import Operator
 from repro.exec.operators.scan import TID_COLUMN
 from repro.exec.result import QueryResult, collect
 from repro.obs.profile import QueryProfile, profile_collect
-from repro.plan import logical as lp
 from repro.plan.cache import (
     CachedPlan,
+    PlanTemplate,
+    PlanTree,
     bind_parameters,
+    build_tree,
     literal_slots,
     table_versions,
     template,
@@ -255,10 +258,7 @@ def _execute_statement(
         tokens = tokenize(text)
         if tokens[0].is_keyword("select"):
             _count_statement(database, "select")
-            __, operator, cache_state = _plan_read(
-                database, tokens, optimizer_options
-            )
-            result = _collect_read(database, operator, cache_state, profile, text)
+            result = _run_read(database, tokens, optimizer_options, profile, text)
             _count_rows(database, result.row_count)
             return result
         if tokens[0].is_keyword("explain"):
@@ -330,36 +330,59 @@ def _execute_statement(
 # -- the read path -------------------------------------------------------------
 
 
-def _plan_read(
+def _run_read(
     database: "Database",
     tokens: list[Token],
     optimizer_options: OptimizerOptions | None,
-) -> tuple[lp.LogicalPlan, Operator, str]:
-    """Plan the SELECT in *tokens*: optimized logical plan, verified
-    physical plan, and ``"hit"`` / ``"miss"`` for the plan cache.
+    profile: bool,
+    text: str,
+) -> QueryResult:
+    """Run the SELECT in *tokens* on its cache entry's verified tree.
 
-    Whatever the cache says, the physical planner — scan-range
-    derivation from this execution's literals, ``verify_plan`` — runs on
-    every call; it raises ``PlanInvariantError`` on a violation, so a
-    plan returned from here has passed (EXPLAIN's ``verified: ok``
-    footer).
+    An unprofiled run takes the entry's idle tree when there is one,
+    and puts the tree it ran back after a run that completed; a
+    profiled one builds (and verifies) its own, which the profiler
+    instruments, and drops it.
     """
-    optimized, cache_state = _optimized_plan(database, tokens, optimizer_options)
-    operator = PhysicalPlanner().plan(optimized)
-    return optimized, operator, cache_state
+    cache = database.catalog.plan_cache
+    entry, values, cache_state = _optimized_plan(
+        database, tokens, optimizer_options
+    )
+    tree = None if profile else cache.take_tree(entry)
+    if tree is None:
+        tree = _build_tree(database, entry, values)
+    else:
+        database.obs.counter("plan.cache.tree_reuses").inc()
+        if values is not None:
+            tree.parameters.values = values
+    result = _collect_read(database, tree.root, cache_state, profile, text)
+    if not profile:
+        cache.put_tree(entry, tree)
+    return result
+
+
+def _build_tree(
+    database: "Database", entry: CachedPlan, values: tuple[object, ...] | None
+) -> PlanTree:
+    """A fresh verified tree of *entry* (``PlanInvariantError`` on a
+    violation, so EXPLAIN's ``verified: ok`` footer holds), counted."""
+    database.obs.counter("plan.cache.tree_builds").inc()
+    return build_tree(entry, values)
 
 
 def _optimized_plan(
     database: "Database",
     tokens: list[Token],
     optimizer_options: OptimizerOptions | None,
-) -> tuple[lp.LogicalPlan, str]:
-    """The optimized logical plan of the SELECT in *tokens*, and how
-    the cache served it: ``"hit"`` (the catalog's current entry),
-    ``"recheck"`` (the database's template, re-bound after its choices
-    held) or ``"miss"`` (parse → bind → optimize, cached both ways).
-    An entry serves any values when every lifted literal survived
-    optimization as exactly one slotted ``Literal``, else exactly these.
+) -> tuple[CachedPlan, tuple[object, ...] | None, str]:
+    """The plan-cache entry of the SELECT in *tokens*, this execution's
+    literal values for its slotted literals (``None`` when it has none
+    to fill), and how the cache served it: ``"hit"`` (the
+    catalog's current entry), ``"recheck"`` (the database's template,
+    re-bound after its choices held) or ``"miss"`` (parse → bind →
+    optimize, cached both ways).  An entry serves any values when every
+    lifted literal survived optimization as exactly one slotted
+    ``Literal``, else exactly these.
     """
     catalog = database.catalog
     obs = database.obs
@@ -371,13 +394,15 @@ def _optimized_plan(
     # it changed, so a mutation racing this planning leaves an entry
     # that is already stale.
     ddl_version = catalog.ddl_version
+
+    def bound(plan: CachedPlan | PlanTemplate) -> tuple[object, ...] | None:
+        return values if plan.parameterized and lifted else None
+
     for key in keys:
         entry = catalog.plan_cache.get(key)
         if entry is not None and entry.is_current(catalog):
             obs.counter("plan.cache.hits").inc()
-            if entry.parameterized and lifted:
-                return bind_parameters(entry.plan, values), "hit"
-            return entry.plan, "hit"
+            return entry, bound(entry), "hit"
         shared = catalog.templates.get(key)
         if shared is None:
             continue
@@ -390,14 +415,11 @@ def _optimized_plan(
             catalog.templates.discard(key)
             obs.counter("plan.cache.recheck_failed").inc()
             break
-        plan = bind_parameters(
-            shared.plan, values if shared.parameterized and lifted else None, catalog
-        )
-        catalog.plan_cache.put(
-            key, CachedPlan(plan, shared.parameterized, ddl_version, versions)
-        )
+        plan = bind_parameters(shared.plan, bound(shared), catalog)
+        entry = CachedPlan(plan, shared.parameterized, ddl_version, versions)
+        catalog.plan_cache.put(key, entry)
         obs.counter("plan.cache.rechecks").inc()
-        return plan, "recheck"
+        return entry, bound(entry), "recheck"
     logical = Binder(catalog).bind_select(parse_select(tokens))
     versions = table_versions(logical)
     optimizer = Optimizer(catalog, optimizer_options)
@@ -412,7 +434,7 @@ def _optimized_plan(
         obs.counter("plan.cache.uncacheable").inc()
     for use_case in optimizer.refused:
         obs.counter(f"plan.rewrite_refused.{use_case}").inc()
-    return optimized, "miss"
+    return entry, bound(entry), "miss"
 
 
 def _collect_read(
@@ -438,14 +460,17 @@ def _explain_read(
     optimizer_options: OptimizerOptions | None,
     analyze: bool,
 ) -> tuple[str, QueryProfile | None]:
-    """EXPLAIN text of the SELECT in *tokens*; with *analyze* the query
-    is executed and the text is its profile, returned alongside."""
-    optimized, operator, cache_state = _plan_read(
+    """EXPLAIN text of the SELECT in *tokens*, from a tree of its own;
+    with *analyze* the query is executed and the text is its profile,
+    returned alongside."""
+    entry, values, cache_state = _optimized_plan(
         database, tokens, optimizer_options
     )
+    tree = _build_tree(database, entry, values)
     if not analyze:
-        return explain_both(optimized, operator, verified=True), None
-    executed = _collect_read(database, operator, cache_state, True, text)
+        optimized = bind_parameters(entry.plan, values)
+        return explain_both(optimized, tree.root, verified=True), None
+    executed = _collect_read(database, tree.root, cache_state, True, text)
     query_profile = _require_profile(executed)
     return query_profile.to_text(), query_profile
 

@@ -3,8 +3,11 @@
 The paper's scan operators determine scan ranges from selection
 predicates using small materialized aggregates (Moerkotte, VLDB '98).
 This module computes and stores per-block minimum / maximum / null-count
-statistics for each column of a partition, and evaluates simple
-comparison predicates against them to prune whole blocks.
+statistics for each column of a partition (:class:`BlockStats`), and
+stacks one column's sketches over a whole table into arrays
+(:class:`BlockSketch`), so that a scan weighs a predicate against every
+block with one vectorized compare
+(:func:`repro.exec.operators.scan.pruned_ranges`).
 
 A *block* is a fixed-size run of consecutive rows inside one partition.
 Pruning yields rowid *scan ranges* which the PatchedScan later merges
@@ -27,10 +30,10 @@ class BlockStats:
     """Min/max/null statistics for one column over one block of rows.
 
     ``minimum``/``maximum`` are ``None`` when the block contains only
-    NULLs (then nothing can be said about its value range).  They leave
-    out NaN, which compares false with everything; a NaN bound (a block
-    of NaN only, or a header written before NaN was left out) means the
-    range is unknown, and the block is never pruned.
+    NULLs: no row of it satisfies a comparison, so it is always pruned.
+    They leave out NaN, which compares false with everything; a NaN
+    bound (a block of NaN only, or a header written before NaN was left
+    out) means the range is unknown, and the block is never pruned.
     """
 
     start: int
@@ -42,36 +45,6 @@ class BlockStats:
     @property
     def row_count(self) -> int:
         return self.stop - self.start
-
-    def may_contain(self, op: str, literal: object) -> bool:
-        """Conservatively decide whether any row can satisfy ``col <op> literal``.
-
-        Returns True when the block must be scanned.  NULL rows never
-        satisfy a comparison predicate, so an all-NULL block is prunable.
-        """
-        if self.minimum is None or self.maximum is None:
-            return False
-        if self.minimum != self.minimum or self.maximum != self.maximum:
-            return True  # a NaN bound: unknown range
-        if op == "=":
-            return self.minimum <= literal <= self.maximum
-        if op == "<":
-            return self.minimum < literal
-        if op == "<=":
-            return self.minimum <= literal
-        if op == ">":
-            return self.maximum > literal
-        if op == ">=":
-            return self.maximum >= literal
-        if op in ("!=", "<>"):
-            # Only prunable when the whole block equals the literal; a
-            # float block may also hold a NaN, which the bounds leave
-            # out and which differs from every literal.
-            return isinstance(self.minimum, float) or not (
-                self.minimum == self.maximum == literal
-            )
-        # Unknown operator: never prune.
-        return True
 
 
 def block_stats(column: ColumnVector, start: int, stop: int) -> BlockStats:
@@ -115,20 +88,122 @@ def compute_block_stats(
     ]
 
 
-def prune_blocks(
-    stats: list[BlockStats], op: str, literal: object
-) -> list[tuple[int, int]]:
-    """Evaluate a comparison against block stats and return surviving ranges.
+#: One partition's sketches of a column and the partition's base rowid.
+SketchSource = tuple[list[BlockStats], int]
 
-    Adjacent surviving blocks are coalesced into maximal ``[start, stop)``
-    ranges so the scan produces few, large ranges.
+
+class BlockSketch:
+    """One column's :class:`BlockStats` over a whole table, as arrays.
+
+    Entry ``i`` is the table's ``i``-th block in rowid order: its global
+    rowids ``spans[i]``, whether its bounds ``low[i]`` / ``high[i]`` can
+    be compared (``known``: it holds a non-NULL value, and no bound is
+    NaN; a filler stands in otherwise) and whether it is one of the
+    blocks with a NaN bound (``unknown``), which no compare may prune.
+    The four are fields of one record array, so a restack concatenates
+    once.  Every column of a table shares one block grid, so the masks
+    of two columns' sketches combine element by element.
     """
-    ranges: list[tuple[int, int]] = []
-    for block in stats:
-        if not block.may_contain(op, literal):
-            continue
-        if ranges and ranges[-1][1] == block.start:
-            ranges[-1] = (ranges[-1][0], block.stop)
-        else:
-            ranges.append((block.start, block.stop))
-    return ranges
+
+    __slots__ = (
+        "spans", "records", "sources", "low", "high", "known", "unknown",
+        "all_known",
+    )
+
+    def __init__(
+        self,
+        spans: list[tuple[int, int]],
+        records: np.ndarray,
+        sources: tuple[SketchSource, ...],
+    ):
+        self.spans = spans
+        self.records = records
+        #: The stacked lists, by partition: a sketch describes a table
+        #: while every partition still holds these very lists.
+        self.sources = sources
+        self.low: np.ndarray = records["low"]
+        self.high: np.ndarray = records["high"]
+        self.known: np.ndarray = records["known"]
+        self.unknown: np.ndarray = records["unknown"]
+        #: Every block is known (no NULL-only block, no NaN bound): a
+        #: compare's mask needs no correction.
+        self.all_known = bool(self.known.all())
+
+    def describes(self, sources: tuple[SketchSource, ...]) -> bool:
+        return len(sources) == len(self.sources) and all(
+            stats is old and base == old_base
+            for (stats, base), (old, old_base) in zip(sources, self.sources)
+        )
+
+    def ranges(self, keep: np.ndarray) -> list[tuple[int, int]]:
+        """The rowid ranges of the blocks *keep* marks, adjacent blocks
+        coalesced: sorted, disjoint and inside the table."""
+        ranges: list[tuple[int, int]] = []
+        for block in keep.nonzero()[0].tolist():
+            start, stop = self.spans[block]
+            if ranges and ranges[-1][1] == start:
+                ranges[-1] = (ranges[-1][0], stop)
+            else:
+                ranges.append((start, stop))
+        return ranges
+
+
+def stack_sketches(
+    sources: tuple[SketchSource, ...],
+    dtype: np.dtype,
+    previous: BlockSketch | None = None,
+) -> BlockSketch:
+    """The :class:`BlockSketch` of *sources*, whose bounds have *dtype*.
+
+    The leading blocks that *previous* stacked from the very same
+    :class:`BlockStats` objects at the same base rowids are kept as they
+    are: after an append (to the last partition) only the blocks past
+    its last full one are converted, as
+    :meth:`repro.storage.partition.Partition.block_stats` only computes
+    those.
+    """
+    kept = 0
+    if previous is not None:
+        for (stats, base), (old, old_base) in zip(sources, previous.sources):
+            if base != old_base:
+                break
+            if stats is old:
+                kept += len(stats)
+                continue
+            for block, was in zip(stats, old):
+                if block is not was:
+                    break
+                kept += 1
+            break
+    tail: list[tuple[int, BlockStats]] = []
+    skip = kept
+    for stats, base in sources:
+        tail.extend((base, block) for block in stats[skip:])
+        skip = max(0, skip - len(stats))
+    record = _RECORDS.get(dtype)
+    if record is None:
+        record = _RECORDS[dtype] = np.dtype(
+            [("low", dtype), ("high", dtype), ("known", np.bool_), ("unknown", np.bool_)]
+        )
+    filler = "" if dtype.kind == "O" else dtype.type(0)
+    spans = [(base + block.start, base + block.stop) for base, block in tail]
+    records = np.array([_record(block, filler) for __, block in tail], dtype=record)
+    if kept and previous is not None:
+        spans = previous.spans[:kept] + spans
+        records = np.concatenate((previous.records[:kept], records))
+    return BlockSketch(spans, records, sources)
+
+
+#: The record dtype of a sketch, by the dtype of its bounds.
+_RECORDS: dict[np.dtype, np.dtype] = {}
+
+
+def _record(block: BlockStats, filler: object) -> tuple[object, object, bool, bool]:
+    """``(low, high, known, unknown)`` of one block; *filler* stands in
+    for bounds that cannot be compared."""
+    low, high = block.minimum, block.maximum
+    if low is None:
+        return filler, filler, False, False
+    if low != low or high != high:  # a NaN bound
+        return filler, filler, False, True
+    return low, high, True, False

@@ -28,12 +28,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.errors import SchemaError, StorageError
-from repro.storage.blocks import (
-    DEFAULT_BLOCK_SIZE,
-    BlockStats,
-    block_stats,
-    prune_blocks,
-)
+from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockStats, block_stats
 from repro.storage.column import ColumnVector
 from repro.storage.key_order import KeyOrder
 from repro.storage.schema import Schema
@@ -253,7 +248,7 @@ class Partition:
         start, stop = self.rowid_range
         return np.arange(start, stop, dtype=np.int64)
 
-    # -- block statistics / scan ranges ---------------------------------
+    # -- block statistics ---------------------------------------------
 
     def block_stats(self, name: str) -> list[BlockStats]:
         """Per-block min/max sketches for column *name* (cached; after
@@ -279,12 +274,6 @@ class Partition:
         """
         self.schema.field(name)
         self._block_stats[name] = list(stats)
-
-    def scan_ranges_for_predicate(
-        self, name: str, op: str, literal: object
-    ) -> list[tuple[int, int]]:
-        """Partition-local row ranges that may satisfy ``name <op> literal``."""
-        return prune_blocks(self.block_stats(name), op, literal)
 
     # -- key lookup ---------------------------------------------------------
 

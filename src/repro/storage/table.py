@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SchemaError, StorageError
-from repro.storage.blocks import DEFAULT_BLOCK_SIZE
+from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockSketch, stack_sketches
 from repro.storage.column import ColumnVector
 from repro.storage.partition import Partition
 from repro.storage.schema import Schema
+from repro.types.datatypes import numpy_dtype
 
 # Listener signature: (event, payload) where event is "append", "load",
 # "delete" or "update".  Every payload carries the table name under
@@ -81,6 +82,14 @@ class Table:
         #: value may rest on row counts, patch counts or sortedness that
         #: no longer hold, so the plan cache re-checks it.
         self.data_version = 0
+        #: Stacked block sketches by column, with the data_version they
+        #: were last found current at (:meth:`block_sketch`).
+        self._sketches: dict[str, tuple[int, BlockSketch]] = {}
+        #: The sketch by column that this table or a copy of it stacked
+        #: last, shared with every copy: a restack keeps the blocks it
+        #: holds that are still the same (``stack_sketches``), so a new
+        #: snapshot's copy converts only what changed since.
+        self._sketch_hints: dict[str, BlockSketch] = {}
 
     # -- basic properties ------------------------------------------------
 
@@ -109,6 +118,7 @@ class Table:
         twin = copy.copy(self)
         twin.partitions = [partition.copy() for partition in self.partitions]
         twin._listeners = []
+        twin._sketches = dict(self._sketches)  # its own; the hints are shared
         return twin
 
     def _notify(self, event: str, payload: dict) -> None:
@@ -136,6 +146,41 @@ class Table:
             if start <= rowid < stop:
                 return partition
         raise StorageError(f"rowid {rowid} out of range for table {self.name!r}")
+
+    def block_sketch(self, name: str) -> BlockSketch:
+        """Column *name*'s block sketches over the whole table, stacked.
+
+        Cached: every mutation advances :attr:`data_version`, and at a
+        new version the sketch still serves while every partition holds
+        the same sketch lists at the same base rowid, else it is
+        restacked from the first block that changed since the last
+        sketch this table or a copy of it stacked.
+        """
+        version, sketch = self._sketches.get(name, (None, None))
+        if version == self.data_version and sketch is not None:
+            return sketch
+        version = self.data_version
+        sources = tuple(
+            (partition.block_stats(name), partition.base_rowid)
+            for partition in self.partitions
+        )
+        if sketch is None or not sketch.describes(sources):
+            dtype = numpy_dtype(self.schema.field(name).dtype)
+            sketch = stack_sketches(
+                sources, dtype, self._sketch_hints.get(name, sketch)
+            )
+            self._sketch_hints[name] = sketch
+        self._sketches[name] = (version, sketch)
+        return sketch
+
+    def _restack_sketches(self) -> None:
+        """After an append or a delete, restack here, once, the sketch of
+        every column a read of this table or a copy of it pruned on: the
+        snapshot copies that serve the next reads then inherit it current,
+        with the block stats it stacks, instead of each sketching and
+        restacking the changed blocks anew."""
+        for name in list(self._sketch_hints):
+            self.block_sketch(name)
 
     # -- bulk load ---------------------------------------------------------
 
@@ -247,6 +292,7 @@ class Table:
                     "row_count": row_count,
                 },
             )
+            self._restack_sketches()
         return row_count
 
     def delete_rowids(self, rowids: Iterable[int]) -> int:
@@ -283,6 +329,7 @@ class Table:
                     "per_partition": per_partition,
                 },
             )
+            self._restack_sketches()
         return removed
 
     def update_rowid(self, rowid: int, column: str, value: object) -> None:
@@ -293,7 +340,7 @@ class Table:
         Listeners receive an ``update`` event so PatchIndexes can
         re-classify the row.
         """
-        from repro.types.datatypes import coerce_scalar, numpy_dtype
+        from repro.types.datatypes import coerce_scalar
 
         with self.state_lock:
             partition = self.partition_of_rowid(rowid)

@@ -11,7 +11,7 @@ from repro.errors import ExecutionError, PlanError, TypeMismatchError
 from repro.exec.operators.hash_join import HashJoin
 from repro.exec.operators.merge_join import MergeJoin
 from repro.exec.operators.scan import TableScan
-from repro.exec.result import collect
+from repro.exec.result import QueryResult, collect
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
@@ -77,10 +77,14 @@ class TestHashJoinInner:
         probe = probe_table([5, 6, 5])
         build = build_table([6, 5, 5, 6, 6])
         join = HashJoin(TableScan(probe), TableScan(build), "pk", "bk")
-        result = collect(join)
+        join.open()
+        batch = join.drain()
+        directory = join._directory
+        join.close()
+        assert join._directory is None  # close releases the build side
+        result = QueryResult(join.schema, batch.columns)
         # Probe order, then build order within one probe row.
         assert pairs(result) == [(0, 1), (0, 2), (1, 0), (1, 3), (1, 4), (2, 1), (2, 2)]
-        directory = join._directory
         assert directory.heads.tolist() == [5, 6]
         assert directory.counts.tolist() == [2, 3]
         assert not directory.unique

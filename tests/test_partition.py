@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError, StorageError
-from repro.storage.blocks import compute_block_stats
+from repro.exec.operators.scan import may_contain
+from repro.storage.blocks import compute_block_stats, stack_sketches
 from repro.storage.column import ColumnVector
 from repro.storage.partition import Partition
 from repro.storage.schema import Field, Schema
@@ -89,11 +90,15 @@ class TestBlockStats:
         assert twin.block_stats("x") is before and len(before) == 13
         assert before[-1].minimum == 49_152
 
-    def test_scan_ranges_for_predicate(self):
-        partition = make_partition(list(range(16)), block_size=4)
-        assert partition.scan_ranges_for_predicate("x", ">=", 12) == [(12, 16)]
-        assert partition.scan_ranges_for_predicate("x", "<", 4) == [(0, 4)]
-        assert partition.scan_ranges_for_predicate("x", ">", 100) == []
+    def test_block_stats_prune_at_the_base_rowid(self):
+        partition = make_partition(list(range(16)), base_rowid=100, block_size=4)
+        sketch = stack_sketches(
+            ((partition.block_stats("x"), partition.base_rowid),),
+            np.dtype(np.int64),
+        )
+        assert sketch.ranges(may_contain(sketch, ">=", 12)) == [(112, 116)]
+        assert sketch.ranges(may_contain(sketch, "<", 4)) == [(100, 104)]
+        assert sketch.ranges(may_contain(sketch, ">", 100)) == []
 
 
 class TestMutation:

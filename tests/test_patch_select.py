@@ -28,6 +28,7 @@ from repro.exec.operators.patch_select import (
     PatchSelect,
     PatchSelectMode,
     exclude_patches_scalar,
+    patch_rowids,
     use_patches_scalar,
 )
 from repro.exec.operators.scan import TableScan
@@ -342,12 +343,14 @@ class TestUsePatchesGather:
         if cache_bytes is not None:
             # Each batch read every block holding one of its rows once
             # per column — decoded or hit — and no other block.
+            # The scan takes the patch rowids PatchSelect hands it at open.
+            assert scan.gather is None
             reads = 0
             for partition in table.partitions:
                 start, stop = partition.rowid_range
                 local = [
                     rowid - start
-                    for rowid in scan.gather.tolist()
+                    for rowid in patch_rowids(index, covered).tolist()
                     if start <= rowid < stop
                 ]
                 for at in range(0, len(local), batch):

@@ -1,4 +1,4 @@
-"""Tests for the physical planner: scan-range derivation, build side."""
+"""Tests for the physical planner: scan pruning, build side."""
 
 
 from repro.exec.expressions import And, ColumnRef, Comparison, Literal
@@ -32,8 +32,9 @@ class TestScanRangeDerivation:
         assert isinstance(operator, Filter)
         scan = operator.child
         assert isinstance(scan, TableScan)
-        assert scan.scan_ranges is not None
-        covered = sum(stop - start for start, stop in scan.scan_ranges)
+        assert scan.scan_ranges is None and scan.prune == plan.predicate
+        assert scan.ranges() is not None
+        covered = sum(stop - start for start, stop in scan.ranges())
         assert covered < table.row_count
         # The result is still exact (the filter re-checks).
         assert collect(operator).column("x").to_pylist() == list(range(80, 100))
@@ -47,7 +48,7 @@ class TestScanRangeDerivation:
         operator = PhysicalPlanner().plan(plan)
         result = collect(operator)
         assert result.column("x").to_pylist() == list(range(21, 100))
-        assert operator.child.scan_ranges is not None
+        assert operator.child.ranges() is not None
 
     def test_conjunct_inside_and(self):
         table = make_table()
@@ -67,7 +68,8 @@ class TestScanRangeDerivation:
             Comparison(">=", ColumnRef("x"), Literal(80)),
         )
         operator = PhysicalPlanner(derive_scan_ranges=False).plan(plan)
-        assert operator.child.scan_ranges is None
+        assert operator.child.prune is None
+        assert operator.child.ranges() is None
 
     def test_no_prunable_conjunct(self):
         table = make_table()
@@ -76,7 +78,7 @@ class TestScanRangeDerivation:
             Comparison("=", ColumnRef("x"), ColumnRef("x")),
         )
         operator = PhysicalPlanner().plan(plan)
-        assert operator.child.scan_ranges is None
+        assert operator.child.ranges() is None
 
 
 class TestBuildSideChoice:

@@ -17,12 +17,14 @@ import pytest
 
 import repro
 from repro.check import plan_verifier
+from repro.exec import result as result_module
 from repro.exec.result import collect
 from repro.plan import cache as plan_cache
 from repro.plan import physical
 from repro.plan.explain import explain_both
 from repro.plan.optimizer import Optimizer, OptimizerOptions
 from repro.plan.physical import PhysicalPlanner
+from repro.sql import session as session_module
 from repro.sql.binder import Binder
 from repro.sql.lexer import parameterize, tokenize
 from repro.sql.parser import parse_statement
@@ -83,6 +85,27 @@ def counters(db) -> dict[str, int]:
             "rechecks", "recheck_failed",
         )
     }
+
+
+def tree_counters(db) -> dict[str, int]:
+    exported = db.metrics().export()["counters"]
+    return {
+        name: int(exported.get(f"plan.cache.{name}", 0))
+        for name in ("tree_builds", "tree_reuses")
+    }
+
+
+def moved_trees(db, before) -> dict[str, int]:
+    return {k: v - before[k] for k, v in tree_counters(db).items()}
+
+
+def idle_trees(db) -> list:
+    """The trees idle in the slots of *db*'s catalog's plan cache."""
+    return [
+        tree
+        for entry in db.catalog.plan_cache._entries.values()
+        for tree in entry.idle
+    ]
 
 
 def refused_sorts(db) -> int:
@@ -169,18 +192,51 @@ class TestHitsAndMisses:
             memory.sql(f"SELECT {columns} FROM t WHERE k = 1")
         assert len(memory.catalog.plan_cache) == plan_cache.CAPACITY
 
-    def test_every_execution_is_verified(self, memory, monkeypatch):
-        verified = []
+    def test_every_tree_that_runs_was_verified_when_built(
+        self, memory, monkeypatch
+    ):
+        """A hit reruns its entry's tree without verifying it again, so
+        the verifier runs once per tree, not per execution: every root
+        that runs is one it passed when the planner built it."""
+        verified, ran = [], []
 
         def counting(operator):
             verified.append(operator)
             return plan_verifier.verify_plan(operator)
 
+        def running(operator):
+            ran.append(operator)
+            return collect(operator)
+
         monkeypatch.setattr(physical, "verify_plan", counting)
+        monkeypatch.setattr(session_module, "collect", running)
+        monkeypatch.setattr(result_module, "collect", running)
+        before = tree_counters(memory)
         for low in range(6):
             memory.sql(POINT.format(low, low + 5))
+        memory.sql(POINT.format(1, 2), profile=True)
         memory.explain(POINT.format(1, 2))
-        assert len(verified) == 7
+        memory.sql("EXPLAIN ANALYZE " + POINT.format(3, 4))
+        assert len(ran) == 8
+        assert all(any(root is tree for tree in verified) for root in ran)
+        # One tree serves the six plain runs; the profiled run and both
+        # EXPLAINs build, verify (and drop) trees of their own.
+        assert len({id(root) for root in ran[:6]}) == 1
+        assert len(verified) == 4
+        assert moved_trees(memory, before) == {"tree_builds": 4, "tree_reuses": 5}
+
+    def test_a_pooled_tree_verifies_the_same_under_every_binding(self, memory):
+        """The verifier reads nothing a binding changes: one tree, many
+        values, the same proven properties every time."""
+        memory.sql(POINT.format(0, 1))
+        memory.sql(POINT.format(0, 1))
+        [tree] = idle_trees(memory)
+        proven = plan_verifier.verify_plan(tree.root)
+        for low in (0, 7, 599, -5, 10**6):
+            tree.parameters.values = (low, low + 9)
+            assert plan_verifier.verify_plan(tree.root) == proven
+        tree.parameters.values = ()  # nothing to read: still the same
+        assert plan_verifier.verify_plan(tree.root) == proven
 
 
 class TestShapesThatCannotBeParameterized:

@@ -1,8 +1,8 @@
 """Scan-range derivation: every prunable conjunct, never a lost row.
 
-The physical planner turns a filter directly above a scan into rowid
-ranges by evaluating the predicate against the per-block min/max
-sketches.  Pruning is only ever allowed to drop blocks no row of which
+A scan under a filter turns the filter's predicate into rowid ranges
+when it opens, by evaluating it against the per-block min/max sketches
+(``TableScan.ranges``).  Pruning is only ever allowed to drop blocks no row of which
 can satisfy the predicate, so the property is simple: the same query
 with ``derive_scan_ranges=False`` returns the same rows — in memory, and
 after a checkpoint and a reopen, where the sketches come from segment
@@ -159,7 +159,7 @@ class TestPruningNeverLosesRows:
         assert _rows(pruned) == _rows(unpruned)
         verify_plan(pruned)
         for scan in _scans(pruned):
-            ranges = scan.scan_ranges
+            ranges = scan.ranges()
             if ranges is None:
                 continue
             flat = [edge for span in ranges for edge in span]
@@ -284,17 +284,19 @@ class TestNaNBounds:
         db.close()
 
     def test_nan_bounds_from_an_older_header_never_prune(self):
-        from repro.storage.blocks import BlockStats
+        from repro.exec.operators.scan import may_contain
+        from repro.storage.blocks import BlockStats, stack_sketches
 
         legacy = BlockStats(0, 4, math.nan, math.nan, 0)
-        assert all(legacy.may_contain(op, 1.0) for op in _OPS)
+        sketch = stack_sketches((([legacy], 0),), np.dtype(np.float64))
+        assert all(may_contain(sketch, op, 1.0).all() for op in _OPS)
 
 
 def _covered(operator) -> int:
     return sum(
         stop - start
         for scan in _scans(operator)
-        for start, stop in (scan.scan_ranges or [(0, scan.table.row_count)])
+        for start, stop in (scan.ranges() or [(0, scan.table.row_count)])
     )
 
 
@@ -411,7 +413,7 @@ class TestRewrittenPipelinesPrune:
         )
         assert len(list(_find(operator, "PatchSelect"))) == 2
         # Both branches' scans carry the same ranges: at most two blocks.
-        [ranges] = {tuple(scan.scan_ranges) for scan in _scans(operator)}
+        [ranges] = {tuple(scan.ranges()) for scan in _scans(operator)}
         assert sum(stop - start for start, stop in ranges) <= 2 * 4096
         plain = PhysicalPlanner(derive_scan_ranges=False).plan(logical)
         assert sorted(collect(operator).to_pylist()) == sorted(

@@ -603,13 +603,17 @@ class TestBlockStats:
         assert stats == compute_block_stats(column, 16)
 
     def test_stats_usable_for_pruning(self, tmp_path):
-        from repro.storage.blocks import prune_blocks
+        import numpy as np
+
+        from repro.exec.operators.scan import may_contain
+        from repro.storage.blocks import stack_sketches
 
         column = ColumnVector.from_pylist(DataType.INT64, list(range(64)))
         path = tmp_path / "col.seg"
         write_segment(path, column, block_size=16, sync=False)
         __, stats = read_segment(path)
-        assert prune_blocks(stats, ">", 47) == [(48, 64)]
+        sketch = stack_sketches(((stats, 0),), np.dtype(np.int64))
+        assert sketch.ranges(may_contain(sketch, ">", 47)) == [(48, 64)]
 
 
 class TestCorruption:
