@@ -31,7 +31,7 @@ Violations raise :class:`~repro.errors.PlanInvariantError` whose
     two modes over different row sets, is a broken ``R \\ P ∪ P``.
     Two scans cover the same rows when they have the same fixed ranges
     and the same prune predicate (which derives their ranges at open).
-    A PatchCount is a PatchSelect whose scan is its covered ranges.
+    A PatchCount is a PatchSelect over an unpruned scan of its table.
 ``nuc-use-distinct``
     in a distinct rewrite over a nearly-unique column the use-patches
     branch carries the duplicates and must pass through a Distinct.
@@ -192,9 +192,9 @@ class _Verifier:
 
     # -- leaves ------------------------------------------------------------
 
-    def _verify_scan(self, op: TableScan | PatchCount) -> PlanProperties:
+    def _verify_scan(self, op: TableScan) -> PlanProperties:
         ranges = op.scan_ranges
-        if isinstance(op, TableScan) and op.prune is not None and ranges is not None:
+        if op.prune is not None and ranges is not None:
             raise PlanInvariantError(
                 "scan-ranges",
                 f"scan of {op.table.name!r} has both fixed ranges and a "
@@ -264,7 +264,7 @@ class _Verifier:
                 f"{op.index.table.name!r}",
             )
         self._verify_patch_design(op.index)
-        return self._verify_scan(op)
+        return PlanProperties(op.schema)
 
     def _verify_patch_design(self, index) -> None:
         designs = {
@@ -608,19 +608,20 @@ def _collect_patch_uses(
             signature = _scan_signature(child)
         return [_PatchUse(op.index, op.mode, deduped, signature)]
     if isinstance(op, PatchCount):
-        return [_PatchUse(op.index, op.mode, deduped, _scan_signature(op))]
+        # It counts the whole table: an unpruned scan's rows.
+        whole = (id(op.table), ((0, op.table.row_count),), None)
+        return [_PatchUse(op.index, op.mode, deduped, whole)]
     uses: list[_PatchUse] = []
     for child in op.children():
         uses.extend(_collect_patch_uses(child, deduped))
     return uses
 
 
-def _scan_signature(op: TableScan | PatchCount) -> tuple:
-    """(table identity, fixed rowid ranges, prune predicate) of a scan
-    or count: equal signatures cover the same rows in every run."""
+def _scan_signature(op: TableScan) -> tuple:
+    """(table identity, fixed rowid ranges, prune predicate) of a scan:
+    equal signatures cover the same rows in every run."""
     ranges = op.scan_ranges
     covered = (
         tuple(ranges) if ranges is not None else ((0, op.table.row_count),)
     )
-    prune = op.prune if isinstance(op, TableScan) else None
-    return (id(op.table), covered, prune)
+    return (id(op.table), covered, op.prune)

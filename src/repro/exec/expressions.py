@@ -511,6 +511,9 @@ def _compare_with_literal(
         op, scalar = float_operand(op, scalar)  # type: ignore[arg-type]
     elif mixed:
         op, scalar = _int_operand(op, scalar)  # type: ignore[arg-type]
+    elif values.dtype.kind == "O":
+        # As an object, not a NumPy str scalar, which drops trailing NULs.
+        scalar = np.array(scalar, dtype=object)
     out = _COMPARE_OPS[op](values, scalar)
     return ColumnVector(
         DataType.BOOL, np.asarray(out, dtype=np.bool_), vector.validity

@@ -50,7 +50,7 @@ import numpy as np
 from repro.errors import ExecutionError, PlanError
 from repro.exec.batch import RecordBatch
 from repro.exec.operators.base import Operator
-from repro.exec.operators.scan import TableScan, normalize_ranges
+from repro.exec.operators.scan import TableScan
 from repro.storage.column import ColumnVector
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
@@ -168,13 +168,12 @@ class PatchSelect(Operator):
 class PatchCount(Operator):
     """``COUNT(*)`` over ``PatchSelect(TableScan)``, as a leaf.
 
-    The count of the use-patches rows in the covered ranges is the
-    number of patches there; of the exclude-patches rows, the covered
-    rows minus that.  Neither needs a row: the distinct rewrite's
-    exclude branch "skips the aggregation" (§VI-B1), and here the scan
-    as well.  The count is taken from the index when the operator runs,
-    so a plan built before a mutation still counts what its index holds
-    at execution.
+    The count of the use-patches rows is the number of patches; of the
+    exclude-patches rows, the table's rows minus that.  Neither needs a
+    row: the distinct rewrite's exclude branch "skips the aggregation"
+    (§VI-B1), and here the scan as well.  The count is taken from the
+    index when the operator runs, so a plan built before a mutation
+    still counts what its index holds at execution.
     """
 
     def __init__(
@@ -183,7 +182,6 @@ class PatchCount(Operator):
         index: "PatchIndex",
         mode: PatchSelectMode,
         alias: str,
-        scan_ranges: list[tuple[int, int]] | None = None,
     ):
         if table is not index.table:
             raise PlanError(
@@ -193,10 +191,9 @@ class PatchCount(Operator):
         self.table = table
         self.index = index
         self.mode = mode
-        self.scan_ranges = normalize_ranges(scan_ranges, table.row_count)
         self._schema = Schema([Field(alias, DataType.INT64, nullable=False)])
         self._done = True
-        #: ``(covered rows, patches among them)`` of the last execution.
+        #: ``(table rows, patches among them)`` of the last execution.
         self.counted: tuple[int, int] | None = None
 
     @property
@@ -210,11 +207,8 @@ class PatchCount(Operator):
         self._done = False
 
     def counts(self) -> tuple[int, int]:
-        """Covered rows and the patches among them, as of now."""
-        if self.scan_ranges is None:
-            return self.table.row_count, self.index.patch_count
-        covered = sum(stop - start for start, stop in self.scan_ranges)
-        return covered, len(patch_rowids(self.index, self.scan_ranges))
+        """The table's rows and the patches among them, as of now."""
+        return self.table.row_count, self.index.patch_count
 
     def next_batch(self) -> RecordBatch | None:
         if self._done:
@@ -231,15 +225,9 @@ class PatchCount(Operator):
 
     def label(self) -> str:
         covered, patches = self.counts()
-        ranges = (
-            ""
-            if self.scan_ranges is None
-            else f", ranges={len(self.scan_ranges)}"
-        )
         return (
             f"PatchCount(mode={self.mode.value}, index={self.index.name}, "
-            f"table={self.table.name}{ranges}, covered={covered}, "
-            f"patches={patches})"
+            f"table={self.table.name}, covered={covered}, patches={patches})"
         )
 
 

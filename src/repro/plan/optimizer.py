@@ -55,7 +55,7 @@ refusal is recorded in :attr:`Optimizer.refused`.
 
 Besides DDL the optimizer reads data through :func:`observe` only, and
 :attr:`Optimizer.observed` records each value it saw, so the plan cache
-can re-check a plan on new data (:class:`repro.plan.cache.PlanTemplate`).
+can re-check a plan on new data (:meth:`repro.plan.cache.CachedPlan.holds`).
 """
 
 from __future__ import annotations

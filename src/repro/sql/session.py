@@ -39,13 +39,10 @@ from repro.exec.result import QueryResult, collect
 from repro.obs.profile import QueryProfile, profile_collect
 from repro.plan.cache import (
     CachedPlan,
-    PlanTemplate,
     PlanTree,
     bind_parameters,
     build_tree,
-    literal_slots,
-    table_versions,
-    template,
+    plan_entry,
 )
 from repro.plan.explain import explain_both
 from repro.plan.optimizer import Optimizer, OptimizerOptions
@@ -345,12 +342,12 @@ def _run_read(
     instruments, and drops it.
     """
     cache = database.catalog.plan_cache
-    entry, values, cache_state = _optimized_plan(
+    entry, versions, values, cache_state = _optimized_plan(
         database, tokens, optimizer_options
     )
-    tree = None if profile else cache.take_tree(entry)
+    tree = None if profile else cache.take_tree(entry, versions, database.catalog)
     if tree is None:
-        tree = _build_tree(database, entry, values)
+        tree = _build_tree(database, entry, values, versions)
     else:
         database.obs.counter("plan.cache.tree_reuses").inc()
         if values is not None:
@@ -362,79 +359,67 @@ def _run_read(
 
 
 def _build_tree(
-    database: "Database", entry: CachedPlan, values: tuple[object, ...] | None
+    database: "Database",
+    entry: CachedPlan,
+    values: tuple[object, ...] | None,
+    versions: tuple[int, ...],
 ) -> PlanTree:
     """A fresh verified tree of *entry* (``PlanInvariantError`` on a
     violation, so EXPLAIN's ``verified: ok`` footer holds), counted."""
     database.obs.counter("plan.cache.tree_builds").inc()
-    return build_tree(entry, values)
+    return build_tree(entry, values, versions, database.catalog)
 
 
 def _optimized_plan(
     database: "Database",
     tokens: list[Token],
     optimizer_options: OptimizerOptions | None,
-) -> tuple[CachedPlan, tuple[object, ...] | None, str]:
-    """The plan-cache entry of the SELECT in *tokens*, this execution's
-    literal values for its slotted literals (``None`` when it has none
-    to fill), and how the cache served it: ``"hit"`` (the
-    catalog's current entry), ``"recheck"`` (the database's template,
-    re-bound after its choices held) or ``"miss"`` (parse → bind →
-    optimize, cached both ways).  An entry serves any values when every
-    lifted literal survived optimization as exactly one slotted
-    ``Literal``, else exactly these.
-    """
+) -> tuple[CachedPlan, tuple[int, ...], tuple[object, ...] | None, str]:
+    """The plan-cache entry of the SELECT in *tokens*, its scanned tables'
+    versions here, the values for its slotted literals (``None``: none
+    to fill) and how the cache served it: ``"hit"``, ``"recheck"`` or
+    ``"miss"`` (parse → bind → optimize).  An entry serves any values
+    when every lifted literal survived optimization as exactly one
+    slotted ``Literal``, else exactly these."""
     catalog = database.catalog
+    cache = catalog.plan_cache
     obs = database.obs
     shape, values, lifted = parameterize(tokens)
     keys = [(shape, optimizer_options, ())]
     if lifted:
         keys.append((shape, optimizer_options, values))
-    # Versions are read before the state they guard and advance after
-    # it changed, so a mutation racing this planning leaves an entry
-    # that is already stale.
+    # Read before the state it guards, as plan_entry reads data versions.
     ddl_version = catalog.ddl_version
-
-    def bound(plan: CachedPlan | PlanTemplate) -> tuple[object, ...] | None:
-        return values if plan.parameterized and lifted else None
-
+    bound = values if lifted else None
     for key in keys:
-        entry = catalog.plan_cache.get(key)
-        if entry is not None and entry.is_current(catalog):
-            obs.counter("plan.cache.hits").inc()
-            return entry, bound(entry), "hit"
-        shared = catalog.templates.get(key)
-        if shared is None:
+        entry = cache.get(key)
+        if entry is None:
             continue
-        if shared.ddl_version != ddl_version:
-            catalog.templates.discard(key)
+        if entry.ddl_version != ddl_version:
+            cache.discard(key)
             obs.counter("plan.cache.invalidations").inc()
             continue
-        versions = tuple((t, t.data_version) for t in map(catalog.table, shared.tables))
-        if not shared.holds(catalog):
-            catalog.templates.discard(key)
+        versions = tuple(catalog.table(name).data_version for name in entry.tables)
+        if versions == entry.versions:
+            obs.counter("plan.cache.hits").inc()
+            return entry, versions, bound if entry.parameterized else None, "hit"
+        if not entry.holds(catalog):
+            cache.discard(key)
             obs.counter("plan.cache.recheck_failed").inc()
             break
-        plan = bind_parameters(shared.plan, bound(shared), catalog)
-        entry = CachedPlan(plan, shared.parameterized, ddl_version, versions)
-        catalog.plan_cache.put(key, entry)
+        cache.recheck(entry, versions)
         obs.counter("plan.cache.rechecks").inc()
-        return entry, bound(entry), "recheck"
-    logical = Binder(catalog).bind_select(parse_select(tokens))
-    versions = table_versions(logical)
+        return entry, versions, bound if entry.parameterized else None, "recheck"
     optimizer = Optimizer(catalog, optimizer_options)
-    optimized = optimizer.optimize(logical)
-    parameterized = sorted(literal_slots(optimized)) == list(lifted)
-    key = keys[0] if parameterized else keys[-1]
-    entry = CachedPlan(optimized, parameterized, ddl_version, versions)
-    catalog.plan_cache.put(key, entry)
-    catalog.templates.put(key, template(entry, optimizer))
+    logical = Binder(catalog).bind_select(parse_select(tokens))
+    entry = plan_entry(logical, optimizer, lifted, ddl_version)
+    cache.put(keys[0] if entry.parameterized else keys[-1], entry)
     obs.counter("plan.cache.misses").inc()
-    if not parameterized:
+    if not entry.parameterized:
         obs.counter("plan.cache.uncacheable").inc()
     for use_case in optimizer.refused:
         obs.counter(f"plan.rewrite_refused.{use_case}").inc()
-    return entry, bound(entry), "miss"
+    return entry, entry.versions, bound if entry.parameterized else None, "miss"
 
 
 def _collect_read(
@@ -463,12 +448,12 @@ def _explain_read(
     """EXPLAIN text of the SELECT in *tokens*, from a tree of its own;
     with *analyze* the query is executed and the text is its profile,
     returned alongside."""
-    entry, values, cache_state = _optimized_plan(
+    entry, versions, values, cache_state = _optimized_plan(
         database, tokens, optimizer_options
     )
-    tree = _build_tree(database, entry, values)
+    tree = _build_tree(database, entry, values, versions)
     if not analyze:
-        optimized = bind_parameters(entry.plan, values)
+        optimized = bind_parameters(entry.plan, values, database.catalog)
         return explain_both(optimized, tree.root, verified=True), None
     executed = _collect_read(database, tree.root, cache_state, True, text)
     query_profile = _require_profile(executed)

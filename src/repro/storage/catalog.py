@@ -5,10 +5,9 @@ interface (``table_name``, ``column_name``, ``kind``, ``copy``) so the
 storage layer does not depend on :mod:`repro.core`; the concrete class
 lives in :mod:`repro.core.patch_index`.
 
-The catalog also owns the plans bound against it (:mod:`repro.plan.cache`),
-so a snapshot's plans die with the snapshot's catalog; the plan templates
-it shares with every copy hold names, not tables.  ``ddl_version``
-advances on every table or index DDL; together with
+The catalog and every copy of it share the database's plan cache
+(:mod:`repro.plan.cache`), whose plans hold names, not tables.
+``ddl_version`` advances on every table or index DDL; together with
 :attr:`repro.storage.table.Table.data_version` it tells a current plan
 from one to re-check — and a snapshot copy that is still current from
 one that is not (:meth:`Catalog.versions`).
@@ -35,16 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Catalog:
     """Name → object mapping for tables and patch indexes."""
 
-    def __init__(self, templates: "PlanCache | None" = None) -> None:
+    def __init__(self, plan_cache: "PlanCache | None" = None) -> None:
         # repro.plan imports this module, so the import cannot be global.
         from repro.plan.cache import PlanCache
 
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, Any] = {}
         self.ddl_version = 0
-        self.plan_cache: "PlanCache" = PlanCache()
         #: The database's plans by name, shared with every copy.
-        self.templates: "PlanCache" = PlanCache() if templates is None else templates
+        self.plan_cache: "PlanCache" = PlanCache() if plan_cache is None else plan_cache
         #: Reentrant: DDL that holds it calls the catalog methods below.
         self.state_lock = make_lock("storage.catalog.state", reentrant=True)
 
@@ -160,13 +158,13 @@ class Catalog:
 
         Tables share the live column vectors and segment sources
         (:meth:`Table.copy`), indexes get copied patch sets
-        (``index.copy``), and the copy has a state lock and a plan cache
-        of its own; it keeps ``ddl_version`` and shares :attr:`templates`.
+        (``index.copy``), and the copy has a state lock of its own; it
+        keeps ``ddl_version`` and shares :attr:`plan_cache`.
         The caller holds :attr:`state_lock`, so no mutation is half done
         in the copy; this method takes no lock, because the snapshot
         registry calls it under its own.
         """
-        twin = Catalog(self.templates)
+        twin = Catalog(self.plan_cache)
         twin.ddl_version = self.ddl_version  # lock-ok: the caller holds it
         for name, table in self._tables.items():
             copied = table.copy()

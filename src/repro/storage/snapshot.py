@@ -14,10 +14,9 @@ reaches it.  No WAL record is read: the log is replayed on recovery only
 pin while the catalog's versions (``ddl_version`` and every table's
 ``data_version``) and the manifest generation are unchanged
 (``storage.snapshot.reuses``); otherwise the pin copies
-(``storage.snapshot.builds``).  ``pins == builds + reuses``.  A copy
-starts with no bound plan of its own; its first read of a statement
-shape re-checks the database's template of it (:mod:`repro.plan.cache`),
-so its plans, like its tables, die with it.
+(``storage.snapshot.builds``).  ``pins == builds + reuses``.  Every
+copy reads through the database's one plan cache (:mod:`repro.plan.cache`),
+which holds tables by name, so a copy's tables die with it.
 
 A pin may wait for one in-flight in-memory mutation step, or for a
 drift-triggered rebuild's discovery — never for an fsync the writer

@@ -1,9 +1,11 @@
 """Unit tests for vectorized expression evaluation."""
 
 import datetime as dt
+import operator
 
 import pytest
 
+import repro
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.exec.batch import RecordBatch
 from repro.exec.expressions import (
@@ -70,6 +72,9 @@ class TestColumnRefAndLiteral:
         assert isinstance(expression.value, int)
 
 
+FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
 class TestComparisons:
     def test_int_comparison_with_nulls(self, batch):
         result = Comparison(">", ColumnRef("i"), Literal(1)).evaluate(batch)
@@ -86,6 +91,37 @@ class TestComparisons:
     def test_string_comparison(self, batch):
         result = Comparison("=", ColumnRef("s"), Literal("b")).evaluate(batch)
         assert result.to_pylist() == [False, True, False, None]
+
+    def test_string_literal_keeps_its_trailing_nuls(self):
+        """As a NumPy ``str`` scalar, ``'a\\x00'`` would lose its NUL:
+        it would equal ``'a'`` and order below it."""
+        values = ["a", "a\x00", "b", "a\x00\x00"]
+        strings = RecordBatch(
+            Schema([Field("s", DataType.STRING)]),
+            {"s": ColumnVector.from_pylist(DataType.STRING, values)},
+        )
+        for op, compare in [
+            ("=", operator.eq), ("!=", operator.ne), ("<", operator.lt),
+            ("<=", operator.le), (">", operator.gt), (">=", operator.ge),
+        ]:
+            for needle in ("a\x00", "a", "a\x00\x00"):
+                expected = [compare(value, needle) for value in values]
+                for comparison in (
+                    Comparison(op, ColumnRef("s"), Literal(needle)),
+                    Comparison(FLIPPED[op], Literal(needle), ColumnRef("s")),
+                ):
+                    assert comparison.evaluate(strings).to_pylist() == expected
+
+    def test_string_literal_keeps_its_trailing_nuls_in_where(self):
+        db = repro.connect()
+        db.sql("CREATE TABLE s (v VARCHAR)")
+        db.table("s").insert_rows([["a"], ["a\x00"], ["b"]])
+        rows = db.sql("SELECT v FROM s WHERE v = 'a\x00'").to_pylist()
+        assert rows == [("a\x00",)]
+        assert db.sql("SELECT v FROM s WHERE v < 'a\x00'").to_pylist() == [("a",)]
+        assert db.sql("SELECT v FROM s WHERE v > 'a'").to_pylist() == [
+            ("a\x00",), ("b",)
+        ]
 
     def test_date_comparison(self, batch):
         result = Comparison(

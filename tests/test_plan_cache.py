@@ -231,6 +231,7 @@ class TestHitsAndMisses:
         memory.sql(POINT.format(0, 1))
         memory.sql(POINT.format(0, 1))
         [tree] = idle_trees(memory)
+        tree.bind(memory.catalog)
         proven = plan_verifier.verify_plan(tree.root)
         for low in (0, 7, 599, -5, 10**6):
             tree.parameters.values = (low, low + 9)
@@ -359,9 +360,9 @@ class TestNoStalePlanSurvives:
     @pytest.mark.parametrize("mutation", [*MUTATIONS, "checkpoint"])
     def test_snapshot_session(self, durable, mutation):
         """Served reads: every mutation, and a new generation, makes the
-        next pin copy the catalog, with an empty cache of its own; the
-        plans it binds come from the database's templates, re-checked
-        against the copy, so no plan of the old copy is reused."""
+        next pin copy the catalog.  The copy reads through the database's
+        one cache: a write's new versions re-check each shape once, DDL
+        re-plans it, and a checkpoint, which changes no version, hits."""
         with durable.session(snapshot_reads=True) as session:
             for probe in PROBES:
                 session.sql(probe)
@@ -375,12 +376,13 @@ class TestNoStalePlanSurvives:
                 assert session.sql(probe).to_pylist() == rows
                 assert rows == durable.sql(probe).to_pylist()
             change = moved(durable, before)
-            # per probe: the session's EXPLAIN binds the plan to its new
-            # copy (a re-check, or a miss after DDL), its SELECT hits on
-            # that copy, and the live database re-checks the template
-            ddl = mutation not in ("insert", "delete", "checkpoint")
-            assert change["hits"] == len(PROBES)
-            assert change["rechecks"] == (1 if ddl else 2) * len(PROBES)
+            # per probe: the session's EXPLAIN on its new copy re-checks
+            # the entry after a write, re-plans after DDL and hits after
+            # a checkpoint; its SELECT and the live database's then hit
+            write = mutation in ("insert", "delete")
+            ddl = not write and mutation != "checkpoint"
+            assert change["hits"] == (2 if write or ddl else 3) * len(PROBES)
+            assert change.get("rechecks", 0) == (len(PROBES) if write else 0)
             assert change.get("misses", 0) == (len(PROBES) if ddl else 0)
             assert change.get("invalidations", 0) == change.get("misses", 0)
             assert "recheck_failed" not in change
@@ -505,8 +507,91 @@ class TestNoStalePlanSurvives:
             profile = session.sql(POINT.format(3, 30), profile=True).profile
             assert profile.root.details["plan_cache"] == "recheck"
             assert moved(durable, before) == {"rechecks": 1}
+            # The pin and the live database are at the same versions now.
             assert session.sql(query).to_pylist() == durable.sql(query).to_pylist()
-            assert moved(durable, before) == {"rechecks": 2, "hits": 1}
+            assert moved(durable, before) == {"rechecks": 1, "hits": 2}
+
+
+class TestOneCachePerDatabase:
+    def test_a_pin_after_a_checkpoint_reuses_each_tree(self, durable):
+        """A checkpoint changes no version: the new pin's first read of
+        each shape is a hit that reruns the tree verified before it."""
+        with durable.session(snapshot_reads=True) as session:
+            for probe in PROBES:
+                session.sql(probe)
+            session.sql("CHECKPOINT")
+            before, trees = counters(durable), tree_counters(durable)
+            for probe in PROBES:
+                assert session.sql(probe).to_pylist() == fresh(durable, probe)[1]
+        assert moved(durable, before) == {"hits": len(PROBES)}
+        assert moved_trees(durable, trees) == {
+            "tree_builds": 0, "tree_reuses": len(PROBES)
+        }
+
+    def test_a_tree_verified_on_one_copy_serves_another(self, durable):
+        """Bound to another copy at the same versions, a tree proves the
+        same properties and returns what a fresh plan returns."""
+        cache = durable.catalog.plan_cache
+
+        def proven(catalog) -> dict:
+            found = {}
+            for key, entry in list(cache._entries.items()):
+                tree = cache.take_tree(entry, entry.versions, catalog)
+                found[key] = (tree.root, plan_verifier.verify_plan(tree.root))
+                cache.put_tree(entry, tree)
+            return found
+
+        with durable.snapshot() as first:
+            for probe in PROBES:
+                first.sql(probe)
+            assert first.catalog.plan_cache is cache
+            before = proven(first.catalog)
+        durable.checkpoint()
+        with durable.snapshot() as second:
+            assert second.catalog is not first.catalog
+            assert proven(second.catalog) == before
+            trees = tree_counters(durable)
+            for probe in PROBES:
+                assert second.sql(probe).to_pylist() == fresh(second, probe)[1]
+            assert moved_trees(durable, trees)["tree_reuses"] == len(PROBES)
+
+
+    def test_a_tree_is_pooled_only_at_its_entrys_versions(self, durable):
+        """A pin's reader holds the tree while a read at newer versions
+        re-checks the entry: the held tree, verified at the old versions,
+        does not go back, and no reader at the old versions takes the
+        new one."""
+        query = POINT.format(0, 20)
+        cache = durable.catalog.plan_cache
+        with durable.snapshot() as old:
+            old.sql(query)
+            [entry] = cache._entries.values()
+            held = cache.take_tree(entry, entry.versions, old.catalog)
+            durable.sql("INSERT INTO t VALUES (5, 5, 5, 'again')")
+            assert durable.sql(query).to_pylist() == fresh(durable, query)[1]
+            current = cache.take_tree(entry, entry.versions, durable.catalog)
+            assert held.versions != current.versions == entry.versions
+            cache.put_tree(entry, held)
+            assert entry.idle == []
+            cache.put_tree(entry, current)
+            assert cache.take_tree(entry, held.versions, old.catalog) is None
+            assert entry.idle == [current]
+
+    def test_an_older_pin_leaves_the_newer_tree_in_place(self, memory):
+        """Reads on a pin taken before a write alternate with live ones:
+        the pin re-checks and builds a tree of its own each time, and
+        the entry keeps the live versions and tree."""
+        query = POINT.format(0, 20)
+        memory.sql(query)
+        with memory.snapshot() as old:
+            memory.sql("INSERT INTO t VALUES (5, 5, 5, 'again')")
+            memory.sql(query)
+            before, trees = counters(memory), tree_counters(memory)
+            for _ in range(5):
+                assert old.sql(query).to_pylist() == fresh(old, query)[1]
+                assert memory.sql(query).to_pylist() == fresh(memory, query)[1]
+        assert moved(memory, before) == {"rechecks": 5, "hits": 5}
+        assert moved_trees(memory, trees) == {"tree_builds": 5, "tree_reuses": 5}
 
 
 class TestLifetime:

@@ -2,21 +2,27 @@
 
 A tree goes back to its entry's slot after every unprofiled run that
 completed, so it must come back holding nothing of that run — no column,
-batch or rowid array pinned until the next hit — and a run that another
+batch or rowid array pinned until the next hit, and no table, partition,
+index or patch set of the catalog it ran on — and a run that another
 reader's run overlaps, or an instrumented one, must never share or
 return it.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.patch_index import PatchIndex
+from repro.core.patches import PatchSet
 from repro.exec.batch import RecordBatch
 from repro.exec.operators import HashJoin, MergeJoin, PatchCount, PatchSelect
 from repro.exec.result import collect
@@ -25,6 +31,8 @@ from repro.plan.physical import PhysicalPlanner
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
 from repro.storage.column import ColumnVector
+from repro.storage.partition import Partition
+from repro.storage.table import Table
 
 ROWS = 3000
 FORCED = OptimizerOptions(always_rewrite=True)
@@ -72,17 +80,21 @@ def _flatten(value):
         yield value
 
 
+#: What an idle tree must not hold: a run's buffers, or the catalog's
+#: storage, which would keep a snapshot copy alive.
+HELD = (
+    np.ndarray, RecordBatch, ColumnVector, Table, Partition, PatchIndex, PatchSet
+)
+
+
 def run_state(root) -> list[str]:
-    """``Operator.attribute`` of every array, column or batch a tree's
-    operators still hold."""
+    """``Operator.attribute`` of every array, column, batch, table,
+    partition, index or patch set a tree's operators still hold."""
     return [
         f"{type(operator).__name__}.{name}"
         for operator in operators(root)
         for name, value in vars(operator).items()
-        if any(
-            isinstance(item, (np.ndarray, RecordBatch, ColumnVector))
-            for item in _flatten(value)
-        )
+        if any(isinstance(item, HELD) for item in _flatten(value))
     ]
 
 
@@ -118,6 +130,9 @@ class TestAPooledTreeHoldsNoRunState:
         for kind in expected:
             assert any(issubclass(found, kind) for found in kinds), (shape, kinds)
         assert run_state(tree.root) == []
+        tree.bind(db.catalog)  # as a hit takes it: the check sees that
+        assert "TableScan.table" in run_state(tree.root)
+        tree.bind(None)
 
 
 class TestConcurrentHits:
@@ -181,3 +196,27 @@ class TestConcurrentHits:
         explains = 2 * 2 * (runs // 50)  # EXPLAIN ANALYZE and profile=True
         assert grew("tree_reuses") + grew("tree_builds") == 2 * runs + explains
         assert grew("tree_builds") >= 1 + explains
+
+
+class TestPointReadStages:
+    def test_the_probe_times_hits_through_this_trees_cache(self):
+        """``tools/point_read_stages.py`` takes and puts back pooled trees
+        by hand.  It runs in a process of its own: it pins that process to
+        one CPU."""
+        root = Path(__file__).resolve().parent.parent
+        tool = root / "tools" / "point_read_stages.py"
+        done = subprocess.run(
+            [sys.executable, str(tool), "--hits", "3"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "median us over 3 hits, seed 1"
+        stages = {line.split()[0]: float(line.split()[1]) for line in lines[2:]}
+        assert list(stages) == [
+            "tokenize", "cache+bind", "physical", "collect", "Session.sql"
+        ]
+        assert all(value > 0 for value in stages.values())

@@ -205,23 +205,37 @@ class TestCopyLifetime:
         """A copy shares the column vectors of its moment; a writer
         replaces them on every statement, so a copy the cycle collector
         had to find would keep a superseded set alive per write."""
-        _insert_batch(db, 0)
-        db.sql("CREATE PATCHINDEX pu ON t(batch) TYPE UNIQUE")
-        _insert_batch(db, 1)  # the index now has drift counters
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            with db.snapshot() as view:
-                view.sql("SELECT COUNT(DISTINCT batch) AS n FROM t")
-                copies = [weakref.ref(view.catalog), weakref.ref(view.table("t"))]
-                copies.append(weakref.ref(view.catalog.index("pu")))
-            _insert_batch(db, 2)
-            db.snapshot().close()  # the registry lets go of the old copy
-            del view
-            assert [ref() for ref in copies] == [None, None, None]
-        finally:
-            if collecting:
-                gc.enable()
+        _read_on_a_copy_and_replace_it(db, "misses")
+
+    def test_a_copy_that_rechecked_a_plan_is_freed_too(self, db):
+        """The served read after a write re-checks the plan cached
+        before the write, on the new copy."""
+        _read_on_a_copy_and_replace_it(db, "rechecks")
+
+
+def _read_on_a_copy_and_replace_it(db, outcome: str) -> None:
+    query = "SELECT COUNT(DISTINCT batch) AS n FROM t"
+    _insert_batch(db, 0)
+    db.sql("CREATE PATCHINDEX pu ON t(batch) TYPE UNIQUE")
+    if outcome == "rechecks":
+        db.sql(query)
+    _insert_batch(db, 1)  # the index now has drift counters
+    before = _counters(db).get(f"plan.cache.{outcome}", 0)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with db.snapshot() as view:
+            view.sql(query)
+            assert _counters(db)[f"plan.cache.{outcome}"] == before + 1
+            copies = [weakref.ref(view.catalog), weakref.ref(view.table("t"))]
+            copies.append(weakref.ref(view.catalog.index("pu")))
+        _insert_batch(db, 2)
+        db.snapshot().close()  # the registry lets go of the old copy
+        del view
+        assert [ref() for ref in copies] == [None, None, None]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _frozen_state(catalog) -> tuple:

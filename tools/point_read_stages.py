@@ -13,20 +13,18 @@ it with varying literals.  Each hit is taken apart by hand, the way
 
 - ``tokenize``: the statement's tokens;
 - ``cache+bind``: the plan-cache lookup and this execution's values;
-- ``physical``: everything between the cache entry and the first batch —
-  on a tree-pooling engine, taking the entry's verified tree, setting its
-  values and opening it (block pruning runs at scan open); on an engine
-  without pooled trees, ``PhysicalPlanner.plan`` with the verifier off
-  (block pruning runs in the planner) and the tree's open;
-- ``verify``: ``verify_plan`` (none on a pooled hit);
-- ``collect``: drain and close (and put the tree back);
+- ``physical``: taking the entry's verified tree (bound to the catalog's
+  tables by name), setting its values and opening it (block pruning runs
+  at scan open);
+- ``collect``: drain and close, and put the tree back;
 
 beside one plain ``Database.sql`` of another statement of the same shape
-(``Session.sql``).  ``--baseline SRC`` runs this script again on another
-source tree (say, a checkout of the parent commit) in a subprocess and
-prints both columns and their ratio.  ``bench_e2e/tracing.py`` plans
-outside the cache, so its ``plan.physical_us`` / ``check.verify_us``
-rows cannot show what a hit costs; this probe can.
+(``Session.sql``).  ``--baseline OTHER/src`` runs OTHER's own copy of
+this script (``OTHER/tools/point_read_stages.py``, say a checkout of the
+parent commit) with ``--json`` in a subprocess and prints both columns
+and their ratio.  ``bench_e2e/tracing.py`` plans outside the cache, so
+its ``plan.physical_us`` / ``check.verify_us`` rows cannot show what a
+hit costs; this probe can.
 """
 
 from __future__ import annotations
@@ -42,16 +40,13 @@ from contextlib import nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("tokenize", "cache+bind", "physical", "verify", "collect", "Session.sql")
+STAGES = ("tokenize", "cache+bind", "physical", "collect", "Session.sql")
 
 
 def measure(hits: int, seed: int) -> dict[str, float]:
     """Median microseconds per stage over *hits* cache hits."""
     sys.path.insert(0, str(ROOT / "bench_e2e"))
     import repro
-    from repro.check.plan_verifier import verify_plan
-    from repro.plan.cache import PlanCache
-    from repro.plan.physical import PhysicalPlanner
     from repro.sql import session
     from repro.sql.lexer import tokenize
     from workloads import PointReads
@@ -61,8 +56,8 @@ def measure(hits: int, seed: int) -> dict[str, float]:
     database = repro.connect()
     workload.build(database, lambda name: nullcontext())
     texts = [statement.sql for statement in workload.round(0, 2 * hits + 2)]
-    pooled = hasattr(PlanCache, "take_tree")
-    cache = database.catalog.plan_cache
+    catalog = database.catalog
+    cache = catalog.plan_cache
     database.sql(texts[0])  # the miss
     database.sql(texts[1])  # the first hit
     clock = time.perf_counter
@@ -72,31 +67,20 @@ def measure(hits: int, seed: int) -> dict[str, float]:
         t0 = clock()
         tokens = tokenize(text)
         t1 = clock()
-        if pooled:
-            entry, values, __ = session._optimized_plan(database, tokens, None)
-            t2 = clock()
-            tree = cache.take_tree(entry)
-            if values is not None:
-                tree.parameters.values = values
-            root = tree.root
-            root.open()
-            t3 = t4 = clock()
-        else:
-            optimized, __ = session._optimized_plan(database, tokens, None)
-            t2 = clock()
-            root = PhysicalPlanner(verify=False).plan(optimized)
-            root.open()
-            t3 = clock()
-            verify_plan(root)
-            t4 = clock()
-        root.drain()
-        root.close()
-        if pooled:
-            cache.put_tree(entry, tree)
-        t5 = clock()
+        entry, versions, values, __ = session._optimized_plan(database, tokens, None)
+        t2 = clock()
+        tree = cache.take_tree(entry, versions, catalog)
+        if values is not None:
+            tree.parameters.values = values
+        tree.root.open()
+        t3 = clock()
+        tree.root.drain()
+        tree.root.close()
+        cache.put_tree(entry, tree)
+        t4 = clock()
         database.sql(plain)
-        t6 = clock()
-        spans = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)
+        t5 = clock()
+        spans = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
         for stage, seconds in zip(STAGES, spans):
             samples[stage].append(seconds * 1e6)
     return {stage: statistics.median(values) for stage, values in samples.items()}
@@ -118,22 +102,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     columns = {"this tree": current}
     if args.baseline:
-        env = dict(os.environ, PYTHONPATH=str(Path(args.baseline).resolve()))
+        other = Path(args.baseline).resolve()
         output = subprocess.run(
-            [sys.executable, __file__, "--json", "--hits", str(args.hits),
-             "--seed", str(args.seed)],
-            env=env, check=True, capture_output=True, text=True,
+            [sys.executable, str(other.parent / "tools" / Path(__file__).name),
+             "--json", "--hits", str(args.hits), "--seed", str(args.seed)],
+            env=dict(os.environ, PYTHONPATH=str(other)),
+            check=True, capture_output=True, text=True,
         ).stdout
         columns = {"baseline": json.loads(output), "this tree": current}
     print(f"median us over {args.hits} hits, seed {args.seed}")
     print("stage".ljust(14) + "".join(name.rjust(12) for name in columns)
           + ("ratio".rjust(9) if args.baseline else ""))
-    for stage in (*STAGES[:4], "physical+verify", *STAGES[4:]):
-        row = [
-            column["physical"] + column["verify"]
-            if stage == "physical+verify" else column[stage]
-            for column in columns.values()
-        ]
+    for stage in STAGES:
+        row = [column[stage] for column in columns.values()]
         line = stage.ljust(14) + "".join(f"{value:12.1f}" for value in row)
         if args.baseline:
             line += f"{row[1] / row[0]:9.2f}" if row[0] else "        -"
