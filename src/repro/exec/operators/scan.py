@@ -57,7 +57,7 @@ from repro.storage.partition import Partition
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
 from repro.types import DataType
-from repro.types.datatypes import coerce_scalar, numpy_dtype
+from repro.types.datatypes import coerce_scalar
 
 #: Name of the virtual tuple-identifier column.
 TID_COLUMN = "tid"
@@ -364,7 +364,7 @@ class TableScan(Operator):
                 )
                 planned += _block_rows(
                     partition, rowids - p_start
-                ) * self._row_bytes(partition)
+                ) * partition.lazy_row_bytes(self.column_names)
                 continue
             for r_start, r_stop in ranges:
                 if r_start >= p_stop:
@@ -373,7 +373,7 @@ class TableScan(Operator):
                 hi = min(p_stop, r_stop)
                 if lo >= hi:
                     continue
-                planned += (hi - lo) * self._row_bytes(partition)
+                planned += (hi - lo) * partition.lazy_row_bytes(self.column_names)
                 position = lo
                 while position < hi:
                     run_stop = min(position + run_batches * self.batch_size, hi)
@@ -388,17 +388,8 @@ class TableScan(Operator):
         self._run = None
         self._run_columns = {}
         # What this scan will pull through the block cache; one that
-        # cannot fit is read around it (SegmentColumnSource._decode_run).
+        # cannot fit only fills its free room (SegmentColumnSource._decode_run).
         self.io.planned_bytes = planned
-
-    def _row_bytes(self, partition: Partition) -> int:
-        """Decoded bytes per row of the columns *partition* still reads
-        from segments through the block cache."""
-        return sum(
-            numpy_dtype(field.dtype).itemsize
-            for field in self._schema
-            if partition.is_lazy(field.name)
-        )
 
     def next_batch(self) -> RecordBatch | None:
         if self._cursor is None:

@@ -114,13 +114,21 @@ class Binder:
             plan, output_names = self._bind_plain_select(select, scope, plan)
         if select.distinct:
             plan = lp.LogicalDistinct(plan)
+        hidden = False
         if select.order_by:
-            plan = lp.LogicalSort(
-                plan, tuple(self._bind_order(select, item, plan) for item in select.order_by)
+            # A plain SELECT may sort by a column it does not project.
+            plan, hidden = self._bind_order(
+                select,
+                scope,
+                plan,
+                hideable=not (has_aggregates or select.distinct),
             )
         if select.limit is not None:
             plan = lp.LogicalLimit(plan, select.limit, select.offset)
-        del output_names
+        if hidden:
+            plan = lp.LogicalProject(
+                plan, tuple((name, ex.ColumnRef(name)) for name in output_names)
+            )
         return plan
 
     # -- FROM -----------------------------------------------------------------
@@ -452,13 +460,59 @@ class Binder:
     def _bind_order(
         self,
         select: ast.SqlSelect,
-        item: ast.SqlOrderItem,
+        scope: _Scope,
         plan: lp.LogicalPlan,
-    ) -> SortKey:
-        expression = item.expression
-        if not isinstance(expression, ast.SqlColumn):
-            raise BindError("ORDER BY supports column references only")
+        *,
+        hideable: bool,
+    ) -> tuple[lp.LogicalPlan, bool]:
+        """*plan* sorted by the ORDER BY keys, and whether a key had to be
+        projected as a hidden column, which the caller drops after the
+        sort and any LIMIT.
+
+        A key names an output column.  Failing that, in a plain SELECT
+        with a list (*hideable*, and *plan* its Project), it names a
+        column of the FROM scope, which the Project then carries too.
+        """
         names = plan.schema.names
+        project = (
+            plan if hideable and isinstance(plan, lp.LogicalProject) else None
+        )
+        hidden: dict[str, str] = {}  # scope column -> hidden output name
+        keys: list[SortKey] = []
+        for item in select.order_by:
+            expression = item.expression
+            if not isinstance(expression, ast.SqlColumn):
+                raise BindError("ORDER BY supports column references only")
+            name = self._order_output(expression, names)
+            if name is None:
+                if project is None:
+                    raise BindError(
+                        f"ORDER BY column {expression.display()} is not in "
+                        "the output"
+                    )
+                column = scope.resolve(expression)
+                name = hidden.get(column)
+                if name is None:
+                    name = f"__order_{len(hidden)}"
+                    while name in names:
+                        name = f"_{name}"
+                    hidden[column] = name
+            keys.append(SortKey(name, item.ascending))
+        if project is not None and hidden:
+            plan = lp.LogicalProject(
+                project.child,
+                project.outputs
+                + tuple(
+                    (name, ex.ColumnRef(column)) for column, name in hidden.items()
+                ),
+            )
+        return lp.LogicalSort(plan, tuple(keys)), bool(hidden)
+
+    @staticmethod
+    def _order_output(
+        expression: ast.SqlColumn, names: tuple[str, ...]
+    ) -> str | None:
+        """The output column an ORDER BY key names, or None."""
         candidates = [
             name
             for name in names
@@ -466,13 +520,9 @@ class Binder:
             or name == f"{expression.qualifier}.{expression.name}"
             or (expression.qualifier is None and name.endswith(f".{expression.name}"))
         ]
-        if not candidates:
-            raise BindError(
-                f"ORDER BY column {expression.display()} is not in the output"
-            )
         if len(candidates) > 1:
             raise BindError(f"ambiguous ORDER BY column {expression.display()}")
-        return SortKey(candidates[0], item.ascending)
+        return candidates[0] if candidates else None
 
 
 class _AggScope:

@@ -18,9 +18,10 @@ counted: ``cache.hits`` / ``cache.misses`` / ``cache.evictions`` and
 ``cache.skip_count`` (entries larger than a quarter of the capacity are
 *skipped*, never admitted, and always counted), ``cache.scan_bypass``
 (blocks a scan decoded but did not admit because the scan as a whole is
-larger than the cache — the sequential-flooding rule: it would only
-evict what is resident and then itself), plus ``cache.bytes`` /
-``cache.entries`` gauges.
+larger than the cache: such a scan fills the cache's free room in scan
+order and evicts nothing, since evicting would push out what is
+resident and then its own head before it came round again), plus
+``cache.bytes`` / ``cache.entries`` gauges.
 
 One cache is shared per :class:`~repro.storage.engine.DurableEngine`
 (all tables, all threads — a single lock guards the LRU book-keeping;
@@ -100,10 +101,11 @@ class ScanIO:
     #: Decoded bytes the scan expects to pull through the cache in
     #: total (``TableScan.open``): the rows of the blocks it reads (all
     #: covered rows, or the blocks holding a gathered row) x the lazy
-    #: columns' item sizes.
+    #: columns' decoded bytes per row (``SegmentReader.row_bytes``).
     planned_bytes: int = 0
     #: ``"<planned> > <capacity>"`` once the scan decoded a block it did
-    #: not admit because it cannot fit the cache as a whole.
+    #: not admit because it cannot fit the cache as a whole and the
+    #: free room had run out.
     cache_bypass: str | None = None
 
     @property
@@ -201,14 +203,39 @@ class BlockCache:
             metrics.counter("cache.evictions").inc(evicted)
         return True
 
-    def note_bypass(self, blocks: int) -> None:
-        """Count *blocks* decoded but not admitted by a scan that is
-        larger than the whole cache."""
+    def free_bytes(self) -> int:
+        """Bytes the cache can take before it has to evict."""
         with self._lock:
-            self.bypasses += blocks
+            return self.capacity_bytes - self._bytes
+
+    def put_in_room(
+        self, entries: list[tuple[tuple, ColumnVector, int]], blocks: int
+    ) -> int:
+        """Admit ``(key, vector, nbytes)`` *entries* in order while each
+        fits the free room, evicting nothing, for a scan larger than the
+        whole cache; returns how many were admitted.
+
+        *blocks* is how many blocks the scan decoded, *entries* a prefix
+        of them; every block not admitted counts in ``cache.scan_bypass``.
+        """
+        admitted = 0
+        with self._lock:
+            for key, vector, nbytes in entries:
+                if key not in self._entries:
+                    if (
+                        nbytes > self.max_entry_bytes
+                        or self._bytes + nbytes > self.capacity_bytes
+                    ):
+                        break
+                    self._entries[key] = (vector, nbytes)
+                    self._bytes += nbytes
+                admitted += 1
+            bypassed = blocks - admitted
+            self.bypasses += bypassed
             metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("cache.scan_bypass").inc(blocks)
+        if metrics is not None and bypassed:
+            metrics.counter("cache.scan_bypass").inc(bypassed)
+        return admitted
 
     def clear(self) -> None:
         """Drop every entry."""
@@ -322,7 +349,8 @@ class SegmentColumnSource:
     def _decode_run(
         self, first: int, last: int, io: ScanIO | None
     ) -> ColumnVector:
-        """Decode missed blocks *first* … *last*; admit them if the scan fits."""
+        """Decode missed blocks *first* … *last* and admit them: by LRU
+        when the scan fits the cache, into its free room when it does not."""
         reader = self.reader
         vector = reader.decode_run(first, last)
         blocks = range(first, last + 1)
@@ -335,29 +363,57 @@ class SegmentColumnSource:
         cache = self.cache
         if cache is None:
             return vector
-        if io is not None and io.planned_bytes > cache.capacity_bytes:
-            # A scan larger than the whole cache would evict what is
-            # resident and then its own head before re-reading it.
-            cache.note_bypass(len(blocks))
-            io.cache_bypass = f"{io.planned_bytes} > {cache.capacity_bytes}"
+        if io is None or io.planned_bytes <= cache.capacity_bytes:
+            for key, block, nbytes in self._entries(vector, blocks):
+                cache.put(key, block, nbytes)
             return vector
-        base = reader.stats[first].start
-        for index in blocks:
-            block = reader.stats[index]
-            lo, hi = block.start - base, block.stop - base
-            # Copies: a view would pin the whole run's buffer behind an
-            # entry accounted at one block's bytes.
-            cache.put(
-                self._key(index),
-                ColumnVector(
-                    vector.dtype,
-                    vector.values[lo:hi].copy(),
-                    None
-                    if vector.validity is None
-                    else vector.validity[lo:hi].copy(),
-                ),
-            )
+        # A scan larger than the whole cache keeps what fits in the free
+        # room and evicts nothing: evicting would push out what is
+        # resident and then the scan's own head before it came round.
+        entries = self._entries(
+            vector, blocks, cache.free_bytes(), cache.max_entry_bytes
+        )
+        if cache.put_in_room(entries, len(blocks)) < len(blocks):
+            io.cache_bypass = f"{io.planned_bytes} > {cache.capacity_bytes}"
         return vector
+
+    def _entries(
+        self,
+        vector: ColumnVector,
+        blocks: range,
+        room: int | None = None,
+        largest: int = 0,
+    ) -> list[tuple[tuple, ColumnVector, int]]:
+        """Cache entries for *blocks* of the decoded run *vector*: all of
+        them, or the leading ones that fit *room* bytes, none larger
+        than *largest*.
+
+        Copies: a view would pin the whole run's buffer behind an entry
+        accounted at one block's bytes.
+        """
+        stats = self.reader.stats
+        base = stats[blocks[0]].start
+        entries = []
+        for index in blocks:
+            lo, hi = stats[index].start - base, stats[index].stop - base
+            block = vector.slice(lo, hi)
+            nbytes = vector_nbytes(block)
+            if room is not None:
+                if nbytes > min(room, largest):
+                    break
+                room -= nbytes
+            entries.append(
+                (
+                    self._key(index),
+                    ColumnVector(
+                        block.dtype,
+                        block.values.copy(),
+                        None if block.validity is None else block.validity.copy(),
+                    ),
+                    nbytes,
+                )
+            )
+        return entries
 
     def _key(self, index: int) -> tuple:
         return (self.table, self.segment, self.column, index, self.generation)

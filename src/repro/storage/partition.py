@@ -176,10 +176,14 @@ class Partition:
             return source.take(positions, io)
         return self.column(name).take(positions)
 
-    def is_lazy(self, name: str) -> bool:
-        """Whether slices of *name* still decode segment blocks (through
-        the block cache) instead of slicing a resident vector."""
-        return name in self._sources and name not in self._columns
+    def lazy_row_bytes(self, names: list[str]) -> int:
+        """Decoded bytes per row of the columns among *names* whose
+        slices still decode segment blocks through the block cache."""
+        return sum(
+            source.reader.row_bytes
+            for name, source in self._sources.items()
+            if name in names and name not in self._columns
+        )
 
     def sources(self) -> "list[SegmentColumnSource]":
         """The segment sources of the columns that are still lazy."""

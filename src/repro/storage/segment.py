@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -533,6 +534,36 @@ class SegmentReader:
     def block_payload_bytes(self, index: int) -> int:
         """On-disk (encoded) payload bytes of block *index*."""
         return self._blocks[index][2]
+
+    @cached_property
+    def row_bytes(self) -> int:
+        """Decoded bytes per row, rounded up, as
+        :func:`~repro.storage.cache.vector_nbytes` counts a block: the
+        values — for STRING an 8-byte reference plus the text, read off
+        a raw block's payload length or the dictionary's mean — and one
+        validity byte a row in a block holding a NULL.  Read from the
+        header and the dictionary; no block is decoded."""
+        if not self.rows:
+            return 0
+        itemsize = numpy_dtype(self.dtype).itemsize
+        dictionary = self._dictionary
+        mean_text = (
+            sum(map(len, dictionary)) / len(dictionary)
+            if dictionary is not None and len(dictionary)
+            else 0.0
+        )
+        total = 0.0
+        for (tag, _, length), block in zip(self._blocks, self.stats):
+            rows = block.row_count
+            if block.null_count:
+                total += rows
+            if self.dtype != DataType.STRING:
+                total += itemsize * rows
+            elif tag == "dict":
+                total += rows * (itemsize + mean_text)
+            else:  # rows + 1 int64 offsets, then the UTF-8 text
+                total += length - 8
+        return -int(-total // self.rows)
 
     def block_entry(self, index: int) -> list:
         """Block *index*'s header entry as written: ``[start, stop, min,

@@ -185,32 +185,74 @@ def reopened_two_column_table(tmp_path, rows, cache_bytes):
     )
 
 
+def resident(db) -> list[tuple[str, int]]:
+    """``(column, block)`` of each cached block, least recently used first."""
+    return [(key[2], key[3]) for key in db.engine._cache._entries]
+
+
 class TestScanBypass:
-    """A scan that cannot fit the cache is read around it, and says so."""
+    """A scan that cannot fit the cache fills its free room, evicts
+    nothing, and says what it passed over."""
 
     ROWS = 40_000  # 10 blocks a column, 320 KB decoded a column
+    CAPACITY = 256 * 1024  # eight 32 KiB blocks
 
     def test_oversized_scan_evicts_nothing_and_still_hits(self, tmp_path):
-        db = reopened_two_column_table(tmp_path, self.ROWS, 256 * 1024)
+        db = reopened_two_column_table(tmp_path, self.ROWS, self.CAPACITY)
         # Two blocks of k (64 KiB, fits): admitted as ever.
         db.sql("SELECT SUM(k) AS s FROM t WHERE k < 8000")
         before = db.cache_stats()
         assert before["entries"] == 2 and before["scan_bypass"] == 0
-        # Both columns in full: 640 KB planned against 256 KiB.
-        result = db.sql("SELECT SUM(k) AS a, SUM(v) AS b FROM t", profile=True)
+        # Both columns in full: 640 KB planned against 256 KiB.  The
+        # first run is four blocks a column: k's last two and v's four
+        # fill the six free blocks, the other twelve are passed over.
+        query = "SELECT SUM(k) AS a, SUM(v) AS b FROM t"
+        result = db.sql(query, profile=True)
         total = sum(range(self.ROWS))
         assert result.to_pylist() == [(total, 2 * total)]
         after = db.cache_stats()
         assert after["evictions"] == 0
-        assert after["entries"] == 2 and after["bytes"] == before["bytes"]
         assert after["hits"] - before["hits"] == 2  # the resident blocks
-        assert after["scan_bypass"] == 18
+        assert after["entries"] == 8 and after["bytes"] == self.CAPACITY
+        assert after["scan_bypass"] == 12
         assert after["skip_count"] == 0
+        admitted = resident(db)[2:]
+        assert admitted == [("k", 2), ("k", 3)] + [("v", b) for b in range(4)]
         scan = result.profile.find("TableScan")[0]
-        assert scan.details["cache_bypass"] == f"{2 * 8 * self.ROWS} > {256 * 1024}"
+        assert scan.details["cache_bypass"] == f"{2 * 8 * self.ROWS} > {self.CAPACITY}"
         assert scan.details["cache_hits"] == 2
         assert scan.details["blocks_decoded"] == 18
-        assert db.metrics().export()["counters"]["cache.scan_bypass"] == 18
+        assert db.metrics().export()["counters"]["cache.scan_bypass"] == 12
+        assert db.engine._cache.verify_accounting() is None
+        # The second pass hits every block the first left resident and
+        # passes over the rest: the cache is full, so nothing moves.
+        again = db.sql(query, profile=True).profile.find("TableScan")[0]
+        assert again.details["cache_hits"] == 8
+        assert again.details["blocks_decoded"] == 12
+        final = db.cache_stats()
+        assert final["evictions"] == 0 and final["entries"] == 8
+        assert final["scan_bypass"] == 24
+        assert sorted(resident(db)) == sorted([("k", 0), ("k", 1)] + admitted)
+        db.close()
+
+    def test_a_fitting_scan_after_an_oversized_one_evicts_by_lru(self, tmp_path):
+        db = reopened_two_column_table(tmp_path, self.ROWS, self.CAPACITY)
+        db.sql("SELECT SUM(k) AS a, SUM(v) AS b FROM t")
+        order = resident(db)
+        assert len(order) == 8 and db.cache_stats()["evictions"] == 0
+        # Blocks 8 and 9 of both columns: 115 712 planned bytes, which
+        # fit; admitting them evicts the four least recently used.
+        scan = db.sql(
+            "SELECT SUM(v) AS s FROM t WHERE k >= 32768", profile=True
+        ).profile.find("TableScan")[0]
+        assert "cache_bypass" not in scan.details
+        stats = db.cache_stats()
+        assert stats["evictions"] == 4
+        assert stats["bytes"] <= self.CAPACITY
+        assert resident(db) == order[4:] + [
+            ("k", 8), ("k", 9), ("v", 8), ("v", 9)
+        ]
+        assert db.engine._cache.verify_accounting() is None
         db.close()
 
     def test_scan_that_fits_is_admitted_and_hits_on_the_second_pass(
@@ -232,11 +274,62 @@ class TestScanBypass:
     def test_repl_cache_command_shows_the_bypass(self, tmp_path):
         from repro.__main__ import run_shell
 
+        # Each 32 KiB block is over a quarter of 64 KiB: none is admitted.
         db = reopened_two_column_table(tmp_path, self.ROWS, 65536)
         out = io.StringIO()
         run_shell(db, iter(["SELECT SUM(v) AS s FROM t;", "\\cache", "\\q"]), out)
         db.close()
         assert "scan_bypass=10" in out.getvalue()
+
+
+class TestPlannedBytes:
+    """A scan judges its size by the bytes its blocks decode into, which
+    the segment header tells before anything is decoded."""
+
+    @pytest.mark.parametrize(
+        "dtype, items",
+        [
+            (DataType.INT64, list(range(300))),
+            (DataType.INT64, [None if i % 7 == 0 else i for i in range(300)]),
+            (DataType.STRING, [f"name-{i}" * (1 + i % 5) for i in range(300)]),
+            (DataType.STRING, [["ab", "cdef", None][i % 3] for i in range(300)]),
+        ],
+        ids=["int", "int-nulls", "string-raw", "string-dict"],
+    )
+    def test_row_bytes_match_what_the_cache_accounts(self, tmp_path, dtype, items):
+        column = ColumnVector.from_pylist(dtype, items)
+        path = tmp_path / "col.seg"
+        write_segment(path, column, block_size=64, sync=False)
+        reader = open_segment(path)
+        decoded = sum(
+            vector_nbytes(reader.decode_block(index))
+            for index in range(reader.block_count)
+        )
+        # Rounded up per row; a dictionary's mean text stands for its rows'.
+        assert decoded <= reader.row_bytes * reader.rows < decoded + reader.rows
+        reader.close()
+
+    def test_a_string_scan_that_cannot_fit_evicts_nothing(self, tmp_path):
+        """40 000 46-character strings decode into 2.16 MB; counted at 8
+        bytes a row, the scan was judged to fit 1 MiB and evicted its own
+        head on every pass."""
+        db = repro.connect(tmp_path / "db", sync=False)
+        table = db.create_table("t", Schema([Field("s", DataType.STRING)]))
+        table.insert_rows(
+            [[f"customer-{i:06d}-" + "x" * 30] for i in range(40_000)]
+        )
+        db.sql("CHECKPOINT")
+        db.close()
+        db = repro.connect(tmp_path / "db", cache_bytes=1 << 20)
+        query = "SELECT COUNT(*) AS n FROM t WHERE s > 'customer-0002'"
+        for hits in (0, 4):
+            result = db.sql(query, profile=True)
+            assert result.to_pylist() == [(39_800,)]
+            scan = result.profile.find("TableScan")[0]
+            assert scan.details["cache_bypass"] == f"{40_000 * 54} > {1 << 20}"
+            assert scan.details["cache_hits"] == hits
+            assert db.cache_stats()["evictions"] == 0
+        db.close()
 
 
 class TestScanRuns:

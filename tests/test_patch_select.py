@@ -375,9 +375,10 @@ class TestUsePatchesGather:
         for reader in readers:
             reader.close()
         assert used.column("c").to_pylist() == [7, 7, 7]
-        # Two touched blocks of 8 rows x (8-byte INT64 + 8-byte STRING
-        # slot), not the table's 64 rows.
-        assert scan.io.planned_bytes == 2 * 8 * 16
+        # Two touched blocks of 8 rows x (8-byte INT64 + a STRING's
+        # 8-byte slot and its text: 118 bytes over 64 rows, rounded up
+        # to 2 a row), not the table's 64 rows.
+        assert scan.io.planned_bytes == 2 * 8 * (8 + 8 + 2)
         assert scan.io.blocks_decoded == 2 * 2
 
     def test_exclude_keeps_the_contiguous_mask_path(self):

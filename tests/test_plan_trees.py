@@ -220,3 +220,26 @@ class TestPointReadStages:
             "tokenize", "cache+bind", "physical", "collect", "Session.sql"
         ]
         assert all(value > 0 for value in stages.values())
+
+    def test_a_baseline_runs_in_alternated_legs(self):
+        """Against a baseline, both trees run as subprocess legs that
+        split the hits; here the baseline is this tree itself."""
+        root = Path(__file__).resolve().parent.parent
+        tool = root / "tools" / "point_read_stages.py"
+        done = subprocess.run(
+            [sys.executable, str(tool), "--hits", "2",
+             "--baseline", str(root / "src")],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "median us over 2 hits, seed 1, 2 alternated legs a tree"
+        assert lines[1].split() == ["stage", "baseline", "this", "tree", "ratio"]
+        rows = [line.split() for line in lines[2:]]
+        assert [row[0] for row in rows] == [
+            "tokenize", "cache+bind", "physical", "collect", "Session.sql"
+        ]
+        assert all(float(value) > 0 for row in rows for value in row[1:])

@@ -1,5 +1,7 @@
 """Unit tests for the binder: name resolution, aggregation normalization."""
 
+import random
+
 import pytest
 
 from repro import Database
@@ -7,6 +9,8 @@ from repro.errors import BindError
 from repro.plan import logical as lp
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
+from repro.storage.schema import Field, Schema
+from repro.types import DataType
 
 
 @pytest.fixture
@@ -150,13 +154,120 @@ class TestOrderBy:
         assert not plan.keys[0].ascending
 
     def test_missing_from_output_rejected(self, db):
-        with pytest.raises(BindError):
-            bind(db, "SELECT a FROM t ORDER BY c")
+        # Only a plain SELECT can carry a key it does not project.
+        for text in (
+            "SELECT DISTINCT a FROM t ORDER BY c",
+            "SELECT a, COUNT(*) AS n FROM t GROUP BY a ORDER BY c",
+        ):
+            with pytest.raises(BindError, match="not in the output"):
+                bind(db, text)
+        with pytest.raises(BindError, match="unknown column"):
+            bind(db, "SELECT a FROM t ORDER BY z")
+
+    def test_a_key_the_list_does_not_project_is_hidden(self, db):
+        plan = bind(db, "SELECT a FROM t ORDER BY c DESC LIMIT 1")
+        assert isinstance(plan, lp.LogicalProject)
+        assert plan.schema.names == ("a",)
+        limit = plan.child
+        assert isinstance(limit, lp.LogicalLimit)
+        sort = limit.child
+        assert isinstance(sort, lp.LogicalSort)
+        assert sort.keys[0].column == "__order_0"
+        assert sort.child.schema.names == ("a", "__order_0")
+
+    def test_a_hidden_name_never_shadows_an_output(self, db):
+        plan = bind(db, "SELECT a AS __order_0 FROM t ORDER BY c")
+        assert plan.schema.names == ("__order_0",)
+        assert plan.child.keys[0].column == "___order_0"
 
     def test_qualified_order_by_star_join(self, db):
         plan = bind(db, "SELECT * FROM t JOIN u ON t.a = u.a ORDER BY d")
         assert isinstance(plan, lp.LogicalSort)
         assert plan.keys[0].column == "u.d"
+
+
+class TestOrderByHiddenKeys:
+    """ORDER BY a column the SELECT list leaves out, against ``sorted``."""
+
+    ROWS = 400
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = random.Random(7)
+        return [
+            (
+                k,
+                None if rng.random() < 0.1 else rng.randrange(6),
+                rng.choice("xyz"),
+                w,
+            )
+            for k, w in zip(
+                rng.sample(range(10 * self.ROWS), self.ROWS),
+                rng.sample(range(self.ROWS), self.ROWS),
+            )
+        ]
+
+    @pytest.fixture(scope="class")
+    def big(self, rows):
+        db = Database()
+        schema = Schema(
+            [
+                Field("k", DataType.INT64),
+                Field("v", DataType.INT64),
+                Field("s", DataType.STRING),
+                Field("w", DataType.INT64),
+            ]
+        )
+        db.create_table_from_pydict(
+            "big",
+            schema,
+            {name: [row[i] for row in rows] for i, name in enumerate("kvsw")},
+            partition_count=2,
+        )
+        return db
+
+    @staticmethod
+    def ordered(rows, *keys):
+        """*rows* stably sorted by ``(column, ascending)`` keys, NULLs
+        last ascending and first descending, as the Sort places them."""
+        for column, ascending in reversed(keys):
+            rows = sorted(
+                rows,
+                key=lambda row: (row[column] is None, row[column] or 0),
+                reverse=not ascending,
+            )
+        return rows
+
+    def check(self, big, rows, order, keys, limit=None):
+        text = f"SELECT k FROM big WHERE k >= 1000 ORDER BY {order}"
+        expected = self.ordered([row for row in rows if row[0] >= 1000], *keys)
+        if limit is not None:
+            text += f" LIMIT {limit[0]} OFFSET {limit[1]}"
+            expected = expected[limit[1] : limit[1] + limit[0]]
+        result = big.sql(text)
+        assert result.schema.names == ("k",)
+        assert result.to_pylist() == [(row[0],) for row in expected]
+        if limit is not None:
+            assert "TopN(" in big.explain(text)
+
+    @pytest.mark.parametrize("order, keys", [("v", [(1, True)]), ("v DESC", [(1, False)])])
+    def test_ties_keep_the_scan_order(self, big, rows, order, keys):
+        self.check(big, rows, order, keys)
+
+    # TopN breaks ties arbitrarily, so these orders are total: unique
+    # ``w`` takes its single-key path, the others its full sort.
+    @pytest.mark.parametrize("limit", [None, (7, 0), (5, 3)])
+    @pytest.mark.parametrize(
+        "order, keys",
+        [
+            ("w", [(3, True)]),
+            ("w DESC", [(3, False)]),
+            ("v DESC, k", [(1, False), (0, True)]),
+            ("s, v, w", [(2, True), (1, True), (3, True)]),
+        ],
+    )
+    def test_matches_sorted(self, big, rows, order, keys, limit):
+        self.check(big, rows, order, keys, limit)
 
 
 class TestDerivedTables:

@@ -19,10 +19,14 @@ it with varying literals.  Each hit is taken apart by hand, the way
 - ``collect``: drain and close, and put the tree back;
 
 beside one plain ``Database.sql`` of another statement of the same shape
-(``Session.sql``).  ``--baseline OTHER/src`` runs OTHER's own copy of
-this script (``OTHER/tools/point_read_stages.py``, say a checkout of the
-parent commit) with ``--json`` in a subprocess and prints both columns
-and their ratio.  ``bench_e2e/tracing.py`` plans outside the cache, so
+(``Session.sql``).  ``--baseline OTHER/src`` compares this tree with
+OTHER (say a checkout of the parent commit): each tree's own copy of
+this script (``<tree>/tools/point_read_stages.py``) runs with ``--json``
+in :data:`LEGS` subprocesses a tree that split the hits, taken in turn
+(baseline, this tree, this tree, baseline, ...) so a change of host
+speed falls on both sides alike; each column is the median of its legs'
+medians, printed beside their ratio.  Pointed at this tree itself, every
+ratio reads about 1.  ``bench_e2e/tracing.py`` plans outside the cache, so
 its ``plan.physical_us`` / ``check.verify_us`` rows cannot show what a
 hit costs; this probe can.
 """
@@ -41,6 +45,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("tokenize", "cache+bind", "physical", "collect", "Session.sql")
+
+#: Subprocesses a tree under ``--baseline``, each running its share of
+#: the hits.
+LEGS = 6
 
 
 def measure(hits: int, seed: int) -> dict[str, float]:
@@ -86,6 +94,38 @@ def measure(hits: int, seed: int) -> dict[str, float]:
     return {stage: statistics.median(values) for stage, values in samples.items()}
 
 
+def leg(src: Path, hits: int, seed: int) -> dict[str, float]:
+    """The stage medians of *hits* hits, measured by the copy of this
+    script in the tree whose source directory is *src*."""
+    output = subprocess.run(
+        [sys.executable, str(src.parent / "tools" / Path(__file__).name),
+         "--json", "--hits", str(hits), "--seed", str(seed)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    measured: dict[str, float] = json.loads(output)
+    return measured
+
+
+def compare(baseline: Path, hits: int, seed: int) -> dict[str, dict[str, float]]:
+    """Both trees' stage medians over *hits* hits, split into alternated
+    legs (:data:`LEGS` a tree): the median of each tree's leg medians."""
+    trees = {"baseline": baseline, "this tree": ROOT / "src"}
+    legs = min(LEGS, hits)
+    results: dict[str, list[dict[str, float]]] = {name: [] for name in trees}
+    for number in range(legs):
+        share = hits // legs + (number < hits % legs)
+        names = list(trees) if number % 2 == 0 else list(trees)[::-1]
+        for name in names:
+            results[name].append(leg(trees[name], share, seed))
+    return {
+        name: {
+            stage: statistics.median(run[stage] for run in runs) for stage in STAGES
+        }
+        for name, runs in results.items()
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--hits", type=int, default=2000)
@@ -94,23 +134,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     # One CPU, as bench_e2e/run.py pins itself: cross-CPU wake-ups are
-    # the largest noise on a small VM.  The baseline inherits it.
+    # the largest noise on a small VM.  The legs inherit it.
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    current = measure(args.hits, args.seed)
-    if args.json:
-        print(json.dumps(current))
-        return 0
-    columns = {"this tree": current}
     if args.baseline:
-        other = Path(args.baseline).resolve()
-        output = subprocess.run(
-            [sys.executable, str(other.parent / "tools" / Path(__file__).name),
-             "--json", "--hits", str(args.hits), "--seed", str(args.seed)],
-            env=dict(os.environ, PYTHONPATH=str(other)),
-            check=True, capture_output=True, text=True,
-        ).stdout
-        columns = {"baseline": json.loads(output), "this tree": current}
-    print(f"median us over {args.hits} hits, seed {args.seed}")
+        columns = compare(Path(args.baseline).resolve(), args.hits, args.seed)
+    else:
+        current = measure(args.hits, args.seed)
+        if args.json:
+            print(json.dumps(current))
+            return 0
+        columns = {"this tree": current}
+    legs = f", {min(LEGS, args.hits)} alternated legs a tree" if args.baseline else ""
+    print(f"median us over {args.hits} hits, seed {args.seed}{legs}")
     print("stage".ljust(14) + "".join(name.rjust(12) for name in columns)
           + ("ratio".rjust(9) if args.baseline else ""))
     for stage in STAGES:
