@@ -1,11 +1,12 @@
-"""What a checkpoint writes: partition files and the manifest's patch sets.
+"""What a checkpoint writes: partition files and the head's patch sets.
 
 A checkpoint at WAL LSN *n* works from a snapshot copy of the catalog
 pinned at *n*, outside every lock, and produces the next manifest:
 every partition as one file in ``segments/`` holding its columns'
-segments back to back, plus ``patches``, the materialized patch sets of
-every PatchIndex.  Nothing can see what it writes until the manifest
-flips (:meth:`repro.storage.snapshot.SnapshotRegistry.flip`).
+segments back to back, plus ``patches``, an entry per PatchIndex, and
+the patch rowids of them all, the head's one column (:func:`patch_sets`).
+Nothing can see what it writes until the manifest flips
+(:meth:`repro.storage.snapshot.SnapshotRegistry.flip`).
 
 Only what changed is written.  A partition column that still holds the
 segment it was loaded from (:meth:`~repro.storage.partition.Partition.
@@ -34,7 +35,6 @@ the reader of everything they produce.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from pathlib import Path
@@ -249,51 +249,46 @@ def flush_table(
     return table_manifest, detail, counts
 
 
-def entry_checksum(entry: dict) -> int:
-    """CRC-32 over the canonical JSON of a manifest ``patches`` entry,
-    leaving out its own ``checksum`` key."""
-    body = {key: value for key, value in entry.items() if key != "checksum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8"))
-
-
-def persisted_index_entry(index) -> dict:
-    """Checksummed manifest ``patches`` entry for one PatchIndex.
+def persisted_index_entry(index, rowids: list[np.ndarray]) -> dict:
+    """Manifest ``patches`` entry for one PatchIndex; appends its
+    per-partition patch rowids to *rowids*.
 
     Captures everything a restore needs without touching table data: the
     definition (to match against the one the log's head carries), the
-    physical design, the rebuild count, the drift counters and the
-    materialized per-partition patch sets as of the checkpoint.
+    physical design, the rebuild count, the drift counters and, per
+    partition, the row count and the patch count the head's rowid column
+    is sliced by.
     """
     stats = index.maintenance_stats()
-    body = {
+    partitions = []
+    for pid in range(index.table.partition_count):
+        patches = index.partition_patches(pid)
+        rowids.append(patches.rowids())
+        partitions.append(
+            {"row_count": patches.row_count, "patch_count": len(rowids[-1])}
+        )
+    return {
         "definition": index.definition(),
         "design": index.design,
         "rebuild_count": index.rebuild_count,
         "stats": stats.to_payload() if stats is not None else None,
-        "partitions": [
-            {
-                "row_count": index.partition_patches(pid).row_count,
-                "rowids": index.partition_patches(pid).rowids().tolist(),
-            }
-            for pid in range(index.table.partition_count)
-        ],
+        "partitions": partitions,
     }
-    body["checksum"] = entry_checksum(body)
-    return body
 
 
-def patch_sets(catalog: Catalog) -> dict[str, dict]:
-    """Every index's :func:`persisted_index_entry`, by index name: the
-    manifest's ``patches``.
+def patch_sets(catalog: Catalog) -> tuple[dict[str, dict], np.ndarray]:
+    """Every index's :func:`persisted_index_entry`, by index name — the
+    manifest's ``patches`` — and their rowids back to back in that
+    order: the head's :data:`~repro.storage.manifest.PATCH_ROWIDS`.
 
     With the patch sets persisted per checkpoint, recovery restores them
     and lets the indexes re-classify the data records after the log's
-    head, instead
-    of re-discovering every index from data.
+    head, instead of re-discovering every index from data.
     """
-    return {
-        index.name: persisted_index_entry(index)
+    rowids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    entries = {
+        index.name: persisted_index_entry(index, rowids)
         for table in catalog.tables()
         for index in catalog.indexes_on(table.name)
     }
+    return entries, np.concatenate(rowids)

@@ -61,6 +61,7 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.column import ColumnVector
 from repro.storage.manifest import (
+    PATCH_ROWIDS,
     SEGMENTS_DIR,
     WAL_NAME,
     Manifest,
@@ -298,17 +299,18 @@ class DurableEngine(StorageEngine):
                 obs.gauge(f"storage.{name}.segments").set(table_segments)
                 obs.gauge(f"storage.{name}.segment_bytes").set(detail["segment_bytes"])
                 obs.gauge(f"storage.{name}.encoded_ratio").set(detail["encoded_ratio"])
+            patches, rowids = patch_sets(catalog)
             manifest = Manifest(
                 checkpoint_lsn=lsn,
                 tables=tables,
                 indexes=[index.definition() for index in catalog.indexes()],
-                patches=patch_sets(catalog),
+                patches=patches,
             )
             kept = previous.files() if previous is not None else frozenset()
             if self.sync and manifest.files() - kept:
                 # The new files' names, before the log names them.
                 disk.DISK.fsync_path("segments.dir_fsync", self.root / SEGMENTS_DIR)
-            patches_bytes = self._snapshots.flip(manifest, database.wal, since)
+            patches_bytes = self._snapshots.flip(manifest, rowids, database.wal, since)
         except BaseException:
             if self._snapshots.checkpoint_lsn != lsn:
                 # The log never named this checkpoint and no later one
@@ -362,12 +364,13 @@ class DurableEngine(StorageEngine):
         started = time.perf_counter()
         records = database.wal.records()
         first = next(records, None)
-        manifest = None
+        manifest = rowids = None
         if first is not None and first.kind == "checkpoint":
             try:
                 manifest = Manifest.from_payload(first.payload)
             except StorageError as exc:
                 raise StorageError(f"{self.root / WAL_NAME}: {exc}") from exc
+            rowids = first.columns.get(PATCH_ROWIDS)
             first = None
         # A crash before an install leaves files no head names yet, one
         # after it files only the superseded head named: nothing pins
@@ -394,6 +397,7 @@ class DurableEngine(StorageEngine):
             records if first is None else itertools.chain([first], records),
             tables,
             manifest,
+            rowids,
         )
         database._install_recovered(recovered)
         obs.counter("recovery.count").inc()

@@ -4,9 +4,10 @@ A checkpoint is the head record of the log (:mod:`repro.storage.wal`):
 the first frame of ``wal.log``, a ``checkpoint`` record whose JSON
 header is a :class:`Manifest`.  It names every table, its schema and partition
 layout, the file backing each partition and where in it each column's
-segment sits, the definition of every PatchIndex, and ``patches``, the
-materialized patch sets of every PatchIndex (one checksummed entry per
-index), all as of one ``checkpoint_lsn``.  Every later frame of the log
+segment sits, the definition of every PatchIndex, and ``patches``, per
+index its design, drift counters and per-partition patch counts, all
+as of one ``checkpoint_lsn``.  No rowid enters the manifest: the head's
+one column, :data:`PATCH_ROWIDS`, holds them.  Every later frame of the log
 is a record with a greater LSN: recovery
 (:mod:`repro.storage.materialize`) loads the manifest and replays them.
 
@@ -29,26 +30,25 @@ files no live manifest names
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 from urllib.parse import quote
 
 from repro.errors import StorageError
 
 #: Bump when the log, manifest or segment layout changes incompatibly.
-#: Version 6 is the log as binary frames (``wal.log``).  Older
-#: directories are refused, not read (:func:`refuse_older_formats`):
-#: 5 kept the same head record in a JSON-lines ``wal.jsonl``; 4 and
-#: older keep a ``manifest.json`` — 1-2 (raw RSEG1 segments, no
-#: persisted patch sets) never shipped in a directory, 3 kept one
-#: directory of per-column files and a ``patches.json`` per checkpoint,
-#: 4 the manifest in its own file beside the log.
-FORMAT_VERSION = 6
+#: Version 7 is the log as binary frames (``wal.log``), the patch rowids
+#: a column of the head.  Older directories are refused, not read: 6
+#: kept the rowids as JSON in the head's header; 5 kept the head record
+#: in a JSON-lines ``wal.jsonl``; 4 and older keep a ``manifest.json`` —
+#: 1-2 (raw RSEG1 segments, no persisted patch sets) never shipped in a
+#: directory, 3 kept one directory of per-column files and a
+#: ``patches.json`` per checkpoint, 4 the manifest in its own file.
+FORMAT_VERSION = 7
 
-#: JSON separators of the manifest: compact, so a patch set's rowids
-#: take one comma each.
-COMPACT = (",", ":")
+#: The head record's one column: every index's per-partition patch
+#: rowids (partition-local), back to back in the order of ``patches``.
+PATCH_ROWIDS = "rowids"
 
 WAL_NAME = "wal.log"
 #: The log of a format-5 directory.
@@ -138,7 +138,7 @@ class Manifest:
     #: (:meth:`repro.core.patch_index.PatchIndex.definition`), in catalog
     #: order.
     indexes: list[dict] = field(default_factory=list)
-    #: Index name → checksummed patch-set entry
+    #: Index name → patch-set entry, its rowids left out
     #: (:func:`repro.storage.checkpoint.persisted_index_entry`).
     patches: dict[str, dict] = field(default_factory=dict)
 
@@ -150,49 +150,22 @@ class Manifest:
             for partition in table.partitions
         )
 
-    def write(self, write: Callable[[bytes], object]) -> int:
-        """Write the manifest as one compact JSON object, in pieces passed
-        to *write*; returns the bytes its patch sets take.
-
-        The patch sets are written one index at a time, each encoded in one
-        call of the C encoder (``iterencode`` would run the pure-Python
-        one), so no string holds more than one index's patch sets.
-        """
-        encode = json.JSONEncoder(separators=COMPACT).encode
-        head = encode(
-            {
-                "format_version": FORMAT_VERSION,
-                "checkpoint_lsn": self.checkpoint_lsn,
-                "tables": {
-                    name: {
-                        "schema": table.schema,
-                        "block_size": table.block_size,
-                        "partitions": [
-                            {
-                                "row_count": partition.row_count,
-                                "file": partition.file,
-                                "segments": {
-                                    column: list(extent)
-                                    for column, extent in partition.segments.items()
-                                },
-                            }
-                            for partition in table.partitions
-                        ],
-                    }
-                    for name, table in sorted(self.tables.items())
-                },
-                "indexes": self.indexes,
-            }
-        )
-        # ASCII throughout: ensure_ascii is on.
-        write((head[:-1] + ',"patches":{').encode("ascii"))
-        patches_bytes = 2  # the braces
-        for position, (name, entry) in enumerate(self.patches.items()):
-            chunk = ("," if position else "") + encode(name) + ":" + encode(entry)
-            write(chunk.encode("ascii"))
-            patches_bytes += len(chunk)
-        write(b"}}")
-        return patches_bytes
+    def to_payload(self) -> dict:
+        """The head record's JSON header (:meth:`from_payload` reads it)."""
+        return {
+            "format_version": FORMAT_VERSION,
+            "checkpoint_lsn": self.checkpoint_lsn,
+            "tables": {
+                name: {
+                    "schema": table.schema,
+                    "block_size": table.block_size,
+                    "partitions": [asdict(partition) for partition in table.partitions],
+                }
+                for name, table in sorted(self.tables.items())
+            },
+            "indexes": self.indexes,
+            "patches": self.patches,
+        }
 
     @classmethod
     def from_payload(cls, raw: dict) -> "Manifest":

@@ -9,10 +9,13 @@ manifest of the log's head record (none before the first checkpoint),
 that manifest's tables, and the records after the head.
 
 The pass starts from the checkpoint's tables with its indexes attached as
-table listeners: each *restored* from the manifest's ``patches`` entry,
+table listeners: each *restored* from the manifest's ``patches`` entry
+and its slice of the head's rowid column (:func:`split_patch_rowids`),
 or — when the entry is unusable — discovered from the checkpoint's data
 by the definition the head carries (a fallback, counted under one of
-:data:`FALLBACK_REASONS`).  Every later record then replays as it ran
+:data:`FALLBACK_REASONS`).  The head frame's CRC covers entries and
+rowids alike; a damaged head is a :class:`~repro.errors.WalError`
+before any entry is read.  Every later record then replays as it ran
 live: a data record through :class:`~repro.storage.table.Table`, whose
 events the indexes' maintainers re-classify; a ``create_table`` or
 ``drop_table``, a ``create_index`` by discovery at its LSN (the paper's
@@ -38,7 +41,7 @@ from repro.core.patches import PatchSet
 from repro.errors import StorageError, WalError
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE
 from repro.storage.cache import BlockCache, SegmentColumnSource
-from repro.storage.checkpoint import entry_checksum
+from repro.storage.column import ColumnVector
 from repro.storage.database import payload_to_schema
 from repro.storage.manifest import Manifest, PartitionManifest, TableManifest
 from repro.storage.partition import Partition
@@ -49,11 +52,10 @@ from repro.storage.wal import DATA_KINDS, WalRecord
 #: Why a covered index was discovered from data instead of restored.
 FALLBACK_REASONS = (
     "missing",  # the manifest holds no patch-set entry for the index
-    "checksum",  # the entry fails its checksum
     "definition",  # the entry describes a different index
     "partition_count",  # entry and checkpointed table disagree on partitions
     "row_count",  # entry and checkpointed partitions disagree on rows
-    "malformed",  # the entry does not parse
+    "malformed",  # the entry or its rowids do not parse
 )
 
 _LOG = logging.getLogger(__name__)
@@ -225,10 +227,36 @@ def index_from_payload(table: Table, payload: dict) -> PatchIndex:
     )
 
 
+def split_patch_rowids(
+    patches: dict[str, dict], column: ColumnVector | None
+) -> dict[str, list[np.ndarray]]:
+    """Each ``patches`` entry's per-partition rowids, by index name: the
+    head's rowid *column* (None: empty) cut by the entries' patch counts,
+    each piece a copy, so no restored set aliases another or the log's
+    bytes.  An entry whose counts do not parse or run past the column
+    stops the cutting: it and every later entry get no rowids."""
+    values = column.values if column is not None else np.empty(0, np.int64)
+    pieces: dict[str, list[np.ndarray]] = {}
+    offset = 0
+    for name, entry in patches.items():
+        try:
+            counts = [int(part["patch_count"]) for part in entry["partitions"]]
+        except (KeyError, TypeError, ValueError):
+            break
+        if min(counts, default=0) < 0 or offset + sum(counts) > len(values):
+            break
+        pieces[name] = []
+        for count in counts:
+            pieces[name].append(np.array(values[offset : offset + count], np.int64))
+            offset += count
+    return pieces
+
+
 def restore_patch_index(
-    table: Table, payload: dict, entry: dict | None
+    table: Table, payload: dict, entry: dict | None, rowids: list[np.ndarray] | None
 ) -> tuple[PatchIndex | None, str | None]:
-    """Restore one PatchIndex from its manifest ``patches`` entry.
+    """Restore one PatchIndex from its manifest ``patches`` entry and its
+    per-partition *rowids* (:func:`split_patch_rowids`; None if uncut).
 
     *payload* is the index's definition in the log's head (a
     ``create_index`` payload) and *table* is at the
@@ -239,8 +267,6 @@ def restore_patch_index(
     if entry is None:
         return None, "missing"
     try:
-        if entry.get("checksum") != entry_checksum(entry):
-            return None, "checksum"
         definition = entry.get("definition", {})
         wanted = _definition(payload)
         if any(definition.get(key) != value for key, value in wanted.items()):
@@ -253,13 +279,11 @@ def restore_patch_index(
             for part, partition in zip(partitions, table.partitions)
         ):
             return None, "row_count"
+        if rowids is None:
+            return None, "malformed"
         patch_sets = [
-            PatchSet.build(
-                np.asarray(part["rowids"], dtype=np.int64),
-                int(part["row_count"]),
-                entry["design"],
-            )
-            for part in partitions
+            PatchSet.build(part_rowids, int(part["row_count"]), entry["design"])
+            for part, part_rowids in zip(partitions, rowids)
         ]
         rebuild_count = int(entry.get("rebuild_count", 0))
         stats = entry.get("stats")
@@ -269,7 +293,7 @@ def restore_patch_index(
         # definition records the live mode as of the checkpoint.
         mode = definition.get("mode")
         mode = PatchIndexMode(mode) if mode is not None else None
-    except (StorageError, KeyError, TypeError, ValueError):
+    except (StorageError, KeyError, TypeError, ValueError, AttributeError):
         return None, "malformed"
     index = PatchIndex(
         wanted["name"],
@@ -317,19 +341,24 @@ def replay_log(
     records: Iterable[WalRecord],
     tables: dict[str, Table],
     manifest: Manifest | None,
+    patch_rowids: ColumnVector | None,
 ) -> Recovered:
     """Tables and PatchIndexes as of the last of *records*.
 
     *tables* are *manifest*'s (empty, and *manifest* None, before the
-    first checkpoint) and *records* the log after its head.  Each index
-    the manifest defines is restored from its ``patches`` entry (or
-    discovered over the checkpoint's data when the entry is refused);
-    then every record replays in order.  The indexes come back attached
+    first checkpoint), *patch_rowids* the head's rowid column and
+    *records* the log after its head.  Each index the manifest defines
+    is restored from its ``patches`` entry and rowids (or discovered
+    over the checkpoint's data when the entry is refused); then every
+    record replays in order.  The indexes come back attached
     to their tables as listeners; *tables* is updated in place.
     """
     indexes: dict[str, PatchIndex] = {}
     restored: list[PatchIndex] = []
     fallbacks: dict[str, int] = {}
+    rowids = split_patch_rowids(
+        manifest.patches if manifest is not None else {}, patch_rowids
+    )
     for definition in manifest.indexes if manifest is not None else ():
         name = definition["name"]
         try:
@@ -339,7 +368,7 @@ def replay_log(
                 f"corrupt manifest: index {name!r} names an unknown table"
             ) from None
         index, reason = restore_patch_index(
-            table, definition, manifest.patches.get(name)
+            table, definition, manifest.patches.get(name), rowids.get(name)
         )
         if index is None:
             _fall_back(name, reason, fallbacks)

@@ -48,7 +48,6 @@ does this for every connection).
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,6 +59,8 @@ from repro.storage.manifest import Manifest
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.exec.result import QueryResult
     from repro.obs.metrics import MetricsRegistry
     from repro.storage.database import Database
@@ -98,13 +99,6 @@ def delete_files(paths: list[Path], metrics: "MetricsRegistry") -> None:
         metrics.counter("checkpoint.files_deleted").inc()
 
 
-def _without_patches(manifest: Manifest | None) -> Manifest | None:
-    """*manifest* as pins and the next checkpoint read it: without its
-    patch sets, which only a restore reads, so that no rowid list stays
-    in memory for the life of the database."""
-    return None if manifest is None else replace(manifest, patches={})
-
-
 class SnapshotHandle:
     """One copy of the catalog and the state it was taken at.
 
@@ -115,8 +109,8 @@ class SnapshotHandle:
     """
 
     def __init__(self, manifest: Manifest | None, versions: tuple, catalog: Catalog):
-        #: The manifest current at the pin, without its patch sets (None
-        #: when the database has never checkpointed).
+        #: The manifest current at the pin (None when the database has
+        #: never checkpointed).
         self.manifest = manifest
         #: :meth:`Catalog.versions` of the live catalog at the pin.
         self.versions = versions
@@ -155,7 +149,7 @@ class SnapshotRegistry:
         self.root = root
         self._metrics = metrics
         self._lock = make_lock("storage.engine.snapshot")
-        self._manifest = _without_patches(manifest)
+        self._manifest = manifest
         self._latest: SnapshotHandle | None = None
         self._active = 0
         #: Checkpoint LSN → pins on that manifest.
@@ -243,9 +237,11 @@ class SnapshotRegistry:
             named |= other
         return [root / name for name in sorted(files - named)]
 
-    def flip(self, manifest: Manifest, wal: WriteAheadLog, since: int) -> int:
+    def flip(
+        self, manifest: Manifest, rowids: np.ndarray, wal: WriteAheadLog, since: int
+    ) -> int:
         """Make *manifest* the current one, atomically; returns the bytes
-        the patch sets take in the log's head.
+        the patch *rowids* take in the log's head.
 
         The install of the log's new head (the records after byte offset
         *since* kept behind it) and the choice of the superseded
@@ -262,14 +258,14 @@ class SnapshotRegistry:
 
         try:
             with self._lock:  # lock-ok: the flip's fsyncs ARE the atomicity contract vs concurrent pins
-                return wal.install(manifest, since, renamed=follow)
+                return wal.install(manifest, rowids, since, renamed=follow)
         finally:
             delete_files(doomed, self._metrics)
 
     def _follow_locked(self, manifest: Manifest) -> list[Path]:
         """Make *manifest*, which the log now names, the current one;
         returns the superseded files to delete now."""
-        previous, self._manifest = self._manifest, _without_patches(manifest)
+        previous, self._manifest = self._manifest, manifest
         doomed: list[Path] = []
         if previous is not None:
             if self._pinned.get(previous.checkpoint_lsn, 0) > 0:

@@ -9,22 +9,24 @@ frames, ``<root>/wal.log``:
 - once a checkpoint has run, its first frame is the ``checkpoint`` head
   record: the :class:`~repro.storage.manifest.Manifest` of the state
   the records before it left (tables, partition files, index
-  definitions and the patch sets the indexes are restored from), with
-  the checkpoint's own LSN, ``checkpoint_lsn``;
+  definitions and the patch-set entries the indexes are restored
+  from), with the checkpoint's own LSN, ``checkpoint_lsn``, as its
+  header, and every index's patch rowids as its one column;
 - every later frame is a record whose LSN is greater, one per statement
   step, in the order they ran live.
 
 A frame is a little-endian prefix (:data:`PREFIX`: body length, LSN,
 kind byte, the body's CRC-32, then a CRC-32 of those four fields) and a
 body: a 4-byte header length, a compact JSON header, then the bytes of
-each column the header lists.  A data record's
-header holds the table, ``row_count`` and one ``[name, dtype, width,
-nullable]`` entry per column; its columns are stored as
-:func:`~repro.storage.segment.encode_log_column` writes them (INT64 and
-DATE at the narrowest of 1, 2, 4 or 8 bytes, FLOAT64 bit for bit,
-strings as a segment's raw string block, packed validity bits), and
-replay reads them back with ``np.frombuffer``.  Any other record's
-header is its payload; the head's is the manifest.
+each column the header lists.  A record's header is its payload; one
+that carries columns (a data record, or the head) adds ``row_count`` and
+one ``[name, dtype, width, nullable]`` entry per column.  Columns are
+stored as :func:`~repro.storage.segment.encode_log_column` writes them
+(INT64 and DATE at the narrowest of 1, 2, 4 or 8 bytes, FLOAT64 bit for
+bit, strings as a segment's raw string block, packed validity bits),
+and read back with ``np.frombuffer``.  Every frame, the head too, is
+built by :func:`encode_body` and :func:`seal` and read by
+:func:`decode`.
 
 Record kinds (:data:`KINDS`, the kind byte being the position plus one):
 
@@ -78,14 +80,16 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from repro.check.sanitize import make_lock
 from repro.errors import StorageError, WalError
 from repro.storage import disk
 from repro.storage.column import ColumnVector
+from repro.storage.manifest import PATCH_ROWIDS
 from repro.storage.segment import decode_log_column, encode_log_column
 from repro.types import DataType
 
@@ -174,17 +178,11 @@ def encode_body(
     )
 
 
-def _prefix(length: int, lsn: int, kind: str, body_crc: int) -> bytes:
-    """The prefix of a frame whose body is *length* bytes with CRC-32
-    *body_crc*."""
-    fields = _CHECKED.pack(length, lsn, _kind_code(kind), body_crc)
-    return fields + struct.pack("<I", zlib.crc32(fields))
-
-
 def seal(frame: bytearray, lsn: int, kind: str, body_crc: int) -> bytearray:
     """Fill *frame*'s prefix for *lsn*; *body_crc* is the CRC-32 of the
     body (everything after the prefix)."""
-    frame[: PREFIX.size] = _prefix(len(frame) - PREFIX.size, lsn, kind, body_crc)
+    fields = _CHECKED.pack(len(frame) - PREFIX.size, lsn, _kind_code(kind), body_crc)
+    frame[: PREFIX.size] = fields + struct.pack("<I", zlib.crc32(fields))
     return frame
 
 
@@ -261,7 +259,7 @@ def decode(frame: Frame) -> WalRecord:
         if not isinstance(header, dict):
             raise ValueError("the header is not an object")
         columns: dict[str, ColumnVector] = {}
-        if frame.kind in DATA_KINDS:
+        if frame.kind in DATA_KINDS or "columns" in header:
             count = int(header["row_count"])
             for name, dtype, width, nullable in header["columns"]:
                 columns[name], end = decode_log_column(
@@ -491,14 +489,18 @@ class WriteAheadLog:
     # -- checkpoint ----------------------------------------------------------
 
     def install(
-        self, manifest: "Manifest", since: int, renamed: Callable[[], None]
+        self,
+        manifest: "Manifest",
+        rowids: np.ndarray,
+        since: int,
+        renamed: Callable[[], None],
     ) -> int:
-        """Make *manifest* the log's head record, keeping the records
-        after byte offset *since* (those with LSN above its
-        ``checkpoint_lsn``, from :meth:`reserve`); returns the bytes its
-        patch sets take.
+        """Make *manifest* the log's head record, with the patch *rowids*
+        as its column, keeping the records after byte offset *since*
+        (those with LSN above its ``checkpoint_lsn``, from
+        :meth:`reserve`); returns the bytes that column takes.
 
-        The head frame is built first, the manifest as its JSON header;
+        The head frame is built first, as an append builds its frame;
         then, under the log's lock, which appends take too: the head and
         those bytes, copied unparsed, go to ``wal.log.tmp``, which is fsynced
         and renamed over the log; *renamed* runs right after the rename,
@@ -510,28 +512,22 @@ class WriteAheadLog:
         """
         path = self._path
         tmp = path.with_name(path.name + ".tmp")
-        # The manifest's pieces are kept until the head's length and CRC
-        # are known; its prefix and header length go in front of them.
-        chunks: list[bytes] = []
-        patches_bytes = manifest.write(chunks.append)
-        chunks.insert(0, _HEADER_LENGTH.pack(sum(map(len, chunks))))
-        body_crc = 0
-        for chunk in chunks:
-            body_crc = zlib.crc32(chunk, body_crc)
-        length = sum(map(len, chunks))
-        chunks.insert(
-            0, _prefix(length, manifest.checkpoint_lsn, "checkpoint", body_crc)
+        frame = encode_body(
+            {**manifest.to_payload(), "row_count": len(rowids)},
+            {PATCH_ROWIDS: ColumnVector(DataType.INT64, rowids)},
         )
+        body = memoryview(frame)[PREFIX.size :]
+        seal(frame, manifest.checkpoint_lsn, "checkpoint", zlib.crc32(body))
+        (header_length,) = _HEADER_LENGTH.unpack_from(body)
+        patches_bytes = len(body) - _HEADER_LENGTH.size - header_length
         with self._lock:  # lock-ok: the install's fsyncs and rename ARE the checkpoint
             superseded = self._append_handle_locked()
             with open(path, "rb") as log:
                 log.seek(since)
                 tail = log.read()  # the appends since the pin
             with disk.DISK.create("wal.install.create", tmp) as out:
-                write = partial(disk.DISK.write, "wal.install.write", out)
-                for chunk in chunks:
-                    write(chunk)
-                write(tail)
+                disk.DISK.write("wal.install.write", out, frame)
+                disk.DISK.write("wal.install.write", out, tail)
                 if self._sync:
                     disk.DISK.fsync("wal.install.fsync", out)
             disk.DISK.replace("wal.install.rename", tmp, path)

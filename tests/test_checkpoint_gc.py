@@ -16,7 +16,6 @@ concurrent ``checkpoint()`` calls leave a directory that reopens whole.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import stat
@@ -28,10 +27,9 @@ import pytest
 import repro
 from repro.errors import StorageError
 from repro.storage import disk, snapshot
-from repro.storage.manifest import SEGMENTS_DIR, WAL_NAME
-from repro.storage.wal import frames
+from repro.storage.manifest import PATCH_ROWIDS, SEGMENTS_DIR, WAL_NAME
 from tests.disks import FaultyDisk
-from tests.log_head import head_payload, read_manifest
+from tests.log_head import head_payload, head_rowids, read_manifest
 
 
 def on_disk(root) -> set[str]:
@@ -255,31 +253,46 @@ class TestPatchBytes:
         db.sql("CREATE PATCHINDEX pu ON t(k) TYPE UNIQUE")
         summary = db.checkpoint()
         patches = head_payload(root)["patches"]
-        assert patches["pu"]["partitions"][0]["rowids"] == [1, 2]
-        expected = len(json.dumps(patches, separators=(",", ":")))
-        assert summary["patches_bytes"] == expected
-        assert db.obs.gauge("storage.patches_bytes").value == expected
+        assert patches["pu"]["partitions"] == [{"row_count": 6, "patch_count": 2}]
+        assert head_rowids(root).tolist() == [1, 2]
+        assert summary["patches_bytes"] == 2  # two rowids of one byte
+        assert db.obs.gauge("storage.patches_bytes").value == 2
         assert not list(root.rglob("patches.json"))
         db.close()
         assert repro.connect().checkpoint()["patches_bytes"] == 0
 
-    def test_the_manifest_is_the_one_shot_compact_dump(self, tmp_path):
-        """Written one index entry at a time, the header of the log's
-        head frame is still the compact ``json.dumps`` of the whole
-        manifest, byte for byte."""
+    def test_the_heads_json_holds_no_rowid(self, tmp_path):
+        """The patch rowids are the head's one column, back to back in
+        manifest order; its JSON header holds only their counts."""
         root = tmp_path / "db"
         db = mixed_ingest_shape(root, rows=20_000)
         db.sql("CREATE TABLE e (k BIGINT)")
         db.sql("CREATE PATCHINDEX pe ON e(k) TYPE UNIQUE")  # no patches
         db.sql("INSERT INTO t VALUES (1, 1, 1, 1), (20001, 2, 0, 2)")
         summary = db.checkpoint()
-        with open(root / WAL_NAME, "rb") as handle:
-            text = next(frames(handle)).body[4:].decode("ascii")
-        document = json.loads(text)
-        assert list(document["patches"]) == ["pi_u", "pi_s", "pe"]
-        assert text == json.dumps(document, separators=(",", ":"))
-        patches = json.dumps(document["patches"], separators=(",", ":"))
-        assert summary["patches_bytes"] == len(patches)
+        header = head_payload(root)
+        assert list(header["patches"]) == ["pi_u", "pi_s", "pe"]
+        ((name, dtype, width, nullable),) = header["columns"]
+        assert (name, dtype, nullable) == (PATCH_ROWIDS, "int64", 0) and width <= 4
+        expected: list[int] = []
+        for index_name, entry in header["patches"].items():
+            assert sorted(entry) == [
+                "definition",
+                "design",
+                "partitions",
+                "rebuild_count",
+                "stats",
+            ]
+            index = db.catalog.index(index_name)
+            for pid, part in enumerate(entry["partitions"]):
+                rowids = index.partition_patches(pid).rowids().tolist()
+                assert part == {
+                    "row_count": index.table.partitions[pid].row_count,
+                    "patch_count": len(rowids),
+                }
+                expected += rowids
+        assert expected and head_rowids(root).tolist() == expected
+        assert summary["patches_bytes"] == width * len(expected)
         db.close()
 
 

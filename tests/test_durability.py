@@ -14,6 +14,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -339,18 +340,24 @@ class TestMixedVersion:
                 repro.connect(root)
             assert str(manifest_path) in str(info.value)
 
-    def test_unsupported_manifest_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [6, 99])
+    def test_unsupported_manifest_version_rejected(self, tmp_path, version):
+        # 6 kept the patch rowids as JSON lists in the head's header.
         root = tmp_path / "db"
         self.checkpointed(root)
 
         def bump(raw):
-            raw["format_version"] = 99
+            raw["format_version"] = version
             return raw
 
         edit_head(root, bump)
-        with pytest.raises(StorageError, match="version 99") as info:
+        before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        assert any(path.parent.name == "segments" for path in before)
+        with pytest.raises(StorageError, match=f"version {version}") as info:
             repro.connect(root)
         assert str(root / WAL_NAME) in str(info.value)
+        after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        assert after == before
 
     def test_a_malformed_partition_entry_is_a_storage_error(self, tmp_path):
         root = tmp_path / "db"
@@ -467,6 +474,80 @@ class TestMissingPartitionFile:
             StorageError, match=f"{name} is {size - 1} bytes.*lsn {lsn}"
         ):
             repro.connect(root)
+
+
+class TestRestoredPatchSets:
+    def test_restored_rowids_share_no_memory(self, tmp_path):
+        """A restore copies each partition's rowids out of the head's one
+        column: no two restored sets share memory, nor a set and the
+        log's bytes, so a delete that renumbers one partition's patches
+        moves no other partition's or index's."""
+        root = tmp_path / "db"
+        durable, twin = repro.connect(root, sync=False), repro.connect()
+        for db in (durable, twin):
+            db.create_table_from_pydict(
+                "t",
+                Schema([Field("a", DataType.INT64), Field("b", DataType.INT64)]),
+                {"a": [1, 1, 2, 3, 3, 4, 5, 5], "b": [7, 1, 1, 2, 9, 9, 3, 3]},
+                partition_count=2,
+            )
+            for name, column in (("pa", "a"), ("pb", "b")):
+                db.sql(
+                    f"CREATE PATCHINDEX {name} ON t({column}) TYPE UNIQUE "
+                    "MODE IDENTIFIER"
+                )
+        durable.checkpoint()
+        durable.close()
+        reopened = repro.connect(root, sync=False)
+        assert reopened.obs.export()["gauges"]["recovery.indexes_restored"] == 2
+        arrays = [
+            index.partition_patches(pid).rowids()
+            for index in reopened.catalog.indexes()
+            for pid in range(2)
+        ]
+        assert all(len(rowids) and rowids.flags.owndata for rowids in arrays)
+        for position, rowids in enumerate(arrays):
+            assert rowids.flags.writeable
+            for other in arrays[:position]:
+                assert not np.shares_memory(rowids, other)
+        for db in (reopened, twin):
+            db.table("t").delete_rowids([0])
+        assert patches_state(reopened.catalog) == patches_state(twin.catalog)
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["not_an_object", "negative_count", "past_the_column", "out_of_order"],
+    )
+    def test_a_malformed_entry_is_rediscovered(self, tmp_path, damage):
+        """An entry or rowids that make no patch set, behind a valid CRC,
+        fall back to discovery as ``malformed``."""
+        root = tmp_path / "db"
+        db = repro.connect(root, sync=False)
+        db.sql("CREATE TABLE t (k BIGINT)")
+        db.sql("INSERT INTO t VALUES (1), (2), (2), (3), (3)")
+        db.sql("CREATE PATCHINDEX pi ON t(k) TYPE UNIQUE MODE IDENTIFIER")
+        expected = db.catalog.index("pi").rowids().tolist()
+        db.checkpoint()
+        db.close()
+
+        def edit(header):
+            part = header["patches"]["pi"]["partitions"][0]
+            if damage == "not_an_object":
+                header["patches"]["pi"] = 5
+            elif damage == "negative_count":
+                part["patch_count"] = -1
+            elif damage == "past_the_column":
+                part["patch_count"] += 1
+            return header
+
+        reverse = (lambda column: column[::-1]) if damage == "out_of_order" else None
+        edit_head(root, edit, rowids=reverse)
+        reopened = repro.connect(root, sync=False)
+        counters = reopened.obs.export()["counters"]
+        assert counters["recovery.index_fallbacks.malformed"] == 1
+        assert reopened.catalog.index("pi").rowids().tolist() == expected
+        reopened.close()
 
 
 class TestWritesDuringACheckpoint:

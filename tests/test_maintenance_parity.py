@@ -43,7 +43,6 @@ import pytest
 import repro
 from repro.core.constraints import check_nsc, check_nuc
 from repro.errors import StorageError, WalError
-from repro.storage.checkpoint import entry_checksum
 from repro.storage.manifest import WAL_NAME
 from repro.storage.schema import Field, Schema
 from repro.storage.wal import frames
@@ -285,7 +284,7 @@ def test_a_log_with_legacy_patch_delta_lines_is_refused(tmp_path):
     (path / "wal.jsonl").write_text(LEGACY_WAL, encoding="utf-8")
     before = {entry: entry.read_bytes() for entry in path.rglob("*") if entry.is_file()}
 
-    with pytest.raises(StorageError, match="format 5 .* format 6") as info:
+    with pytest.raises(StorageError, match="format 5 .* format 7") as info:
         repro.connect(path)
     assert str(path / "wal.jsonl") in str(info.value)
     after = {entry: entry.read_bytes() for entry in path.rglob("*") if entry.is_file()}
@@ -512,8 +511,9 @@ def walk_every_door(tmp_path, seed, spec_name, dtype_name, index_first):
 
 
 def test_patches_file_written_before_invalidations_was_retired(tmp_path):
-    """The parent persisted ``stats.invalidations`` inside the checksummed
-    entry body; such a directory restores every index, rebuilding none."""
+    """The parent persisted ``stats.invalidations`` inside each patch-set
+    entry; a head that still carries it restores every index, rebuilding
+    none."""
     root = tmp_path / "data"
     db = repro.connect(root, sync=False)
     setup(db, "unique", 7)
@@ -527,7 +527,6 @@ def test_patches_file_written_before_invalidations_was_retired(tmp_path):
         for entry in raw["patches"].values():
             assert "invalidations" not in entry["stats"]
             entry["stats"]["invalidations"] = 5
-            entry["checksum"] = entry_checksum(entry)
         return raw
 
     edit_head(root, add_invalidations)

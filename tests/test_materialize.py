@@ -130,38 +130,48 @@ def more_dml(db):
     db.sql("INSERT INTO d VALUES (11, 'c')")
 
 
-def edit_manifest_patches(root, edit):
-    """Replace the log head's ``patches`` with ``edit(patches)``."""
+def edit_manifest_patches(root, edit, rowids=None):
+    """Replace the log head's ``patches`` with ``edit(patches)`` and,
+    given *rowids*, its rowid column with ``rowids(column)``."""
 
     def replace(payload):
         payload["patches"] = edit(payload["patches"])
         return payload
 
-    edit_head(root, replace)
+    edit_head(root, replace, rowids=rowids)
 
 
 def delete_patches_file(db):
-    # The patch sets live in the manifest: strip every entry.
+    # The patch sets live in the log's head: strip every entry and rowid.
     def strip(patches):
         STASH["patches"] = json.dumps(patches)
         return {}
 
-    edit_manifest_patches(db.engine.root, strip)
+    def strip_rowids(column):
+        STASH["rowids"] = column.tolist()
+        return []
+
+    edit_manifest_patches(db.engine.root, strip, strip_rowids)
 
 
 def corrupt_patches_file(db):
-    # Put the entries back with one rowid moved but the old checksums.
-    def corrupt(_):
-        patches = json.loads(STASH["patches"])
-        for entry in patches.values():
-            rowids = entry["partitions"][0]["rowids"]
-            entry["partitions"][0]["rowids"] = [r + 1 for r in rowids] or [0]
-        return patches
+    # Put the entries and rowids back under a re-sealed CRC, each entry's
+    # first partition led by a rowid at its row count: past the
+    # partition's end and out of order, which a restore refuses.
+    patches = json.loads(STASH["patches"])
+    stashed = iter(STASH["rowids"])
+    rowids = []
+    for entry in patches.values():
+        for position, part in enumerate(entry["partitions"]):
+            piece = [next(stashed) for _ in range(part["patch_count"])]
+            if position == 0:
+                piece = [part["row_count"], *piece[1:]]
+                part["patch_count"] = len(piece)
+            rowids += piece
+    edit_manifest_patches(db.engine.root, lambda _: patches, lambda _: rowids)
 
-    edit_manifest_patches(db.engine.root, corrupt)
 
-
-STASH: dict[str, str] = {}
+STASH: dict[str, object] = {}
 
 #: (step, whether the pin after it copies or shares the previous stop's copy).
 HISTORY = [
@@ -181,7 +191,7 @@ HISTORY = [
 ]
 STOPS = [f"{position:02d}-{step.__name__}" for position, (step, _) in enumerate(HISTORY)]
 #: Stops whose reopen / cold build finds the manifest's patch sets unusable.
-BROKEN = {"11-delete_patches_file": "missing", "12-corrupt_patches_file": "checksum"}
+BROKEN = {"11-delete_patches_file": "missing", "12-corrupt_patches_file": "malformed"}
 
 
 # -- observing one state --------------------------------------------------------

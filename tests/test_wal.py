@@ -43,7 +43,7 @@ def replayed(*steps):
     LSNs 1, 2, … — from an empty directory leaves: tables and indexes by
     name."""
     records = [WalRecord(lsn, *step) for lsn, step in enumerate(steps, 1)]
-    recovered = replay_log(records, {}, None)
+    recovered = replay_log(records, {}, None, None)
     return recovered.tables, {index.name: index for index in recovered.indexes}
 
 
@@ -262,10 +262,13 @@ class TestDataRecords:
             WriteAheadLog(path)
 
 
+NO_ROWIDS = np.empty(0, dtype=np.int64)
+
+
 def checkpoint(wal):
     """Install an empty manifest at a reserved LSN, keeping nothing."""
     lsn, since = wal.reserve()
-    wal.install(Manifest(checkpoint_lsn=lsn), since, renamed=lambda: None)
+    wal.install(Manifest(checkpoint_lsn=lsn), NO_ROWIDS, since, lambda: None)
     return lsn
 
 
@@ -294,7 +297,7 @@ class TestCompact:
         wal.append(*append("t", 1))
         lsn, since = wal.reserve()
         wal.append(*append("t", 2))  # lands after the pin
-        wal.install(Manifest(checkpoint_lsn=lsn), since, renamed=lambda: None)
+        wal.install(Manifest(checkpoint_lsn=lsn), NO_ROWIDS, since, lambda: None)
         records = list(wal.records())
         # The head stands for everything before it; the later record
         # survives, bytes unchanged.
@@ -666,11 +669,13 @@ class TestRoundTrip:
 class TestWalDump:
     def test_one_line_per_frame_and_the_torn_tail(self, tmp_path):
         """``tools/wal_dump.py`` prints each frame through the log's own
-        reader, reports a torn tail, and leaves the directory as it was."""
+        reader, sums up the head's patch sets from its rowid column,
+        reports a torn tail, and leaves the directory as it was."""
         root = tmp_path / "db"
         db = repro.connect(root, sync=False)
         db.sql("CREATE TABLE t (k BIGINT, s VARCHAR)")
-        db.sql("INSERT INTO t VALUES (1, 'a'), (NULL, 'b')")
+        db.sql("INSERT INTO t VALUES (1, 'a'), (NULL, 'b'), (2, 'c'), (2, 'd')")
+        db.sql("CREATE PATCHINDEX pk ON t(k) TYPE UNIQUE")
         db.checkpoint()
         db.sql("INSERT INTO t VALUES (70000, 'c')")
         db.sql("DELETE FROM t WHERE k = 1")
@@ -689,11 +694,17 @@ class TestWalDump:
         assert completed.returncode == 0, completed.stderr
         lines = completed.stdout.splitlines()
         assert [line.split()[:2] for line in lines[:3]] == [
-            ["3", "checkpoint"],
-            ["4", "append"],
-            ["5", "delete"],
+            ["4", "checkpoint"],
+            ["5", "append"],
+            ["6", "delete"],
         ]
-        assert '"format_version":6' in lines[0]
+        assert '"format_version":7' in lines[0]
+        design = db.catalog.index("pk").design
+        assert (
+            f'"patches":{{"pk":{{"design":"{design}","partitions":1,"patches":3}}}}'
+            in lines[0]
+        )
+        assert lines[0].endswith(" | rowids: int64 width=1 rows=3")
         assert "k: int64 width=4 rows=1 | s: string width=0 rows=1" in lines[1]
         assert "rowids: int64 width=1 rows=1" in lines[2]
         assert lines[3:] == [f"torn tail: 2 bytes from byte {len(before) - 2}"]

@@ -6,10 +6,11 @@ Usage::
     PYTHONPATH=src python tools/wal_dump.py <data directory>
 
 Each line shows the frame's LSN, its kind, its JSON header (a
-checkpoint head's manifest is summarized: its tables and the indexes
-whose patch sets it carries) and, for a data record, each column's
-dtype, stored width in bytes (0 for strings), row count and whether it
-stores validity bits.  A torn tail — what an open of the directory would truncate
+checkpoint head's manifest is summarized: its tables and, per index
+whose patch set it carries, the design, the partition count and the
+patches cut from the head's rowid column) and each column's dtype,
+stored width in bytes (0 for strings), row count and whether it stores
+validity bits.  A torn tail — what an open of the directory would truncate
 — is reported on a last line.  The directory is only read.
 """
 
@@ -21,7 +22,8 @@ import sys
 from pathlib import Path
 
 from repro.errors import WalError
-from repro.storage.manifest import WAL_NAME
+from repro.storage.manifest import PATCH_ROWIDS, WAL_NAME
+from repro.storage.materialize import split_patch_rowids
 from repro.storage.wal import decode, frames
 
 
@@ -31,11 +33,22 @@ def describe(frame) -> str:
     header = dict(record.payload)
     specs = header.pop("columns", [])
     if record.kind == "checkpoint":
+        entries = header.get("patches", {})
+        pieces = split_patch_rowids(entries, record.columns.get(PATCH_ROWIDS))
         header = {
             "format_version": header.get("format_version"),
             "checkpoint_lsn": header.get("checkpoint_lsn"),
             "tables": sorted(header.get("tables", {})),
-            "patches": sorted(header.get("patches", {})),
+            "patches": {
+                name: {
+                    "design": entry.get("design"),
+                    "partitions": len(pieces[name]),
+                    "patches": sum(map(len, pieces[name])),
+                }
+                if name in pieces
+                else "unreadable"
+                for name, entry in entries.items()
+            },
         }
     columns = "".join(
         f" | {name}: {dtype} width={width} rows={len(record.columns[name])}"
